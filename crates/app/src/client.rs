@@ -110,8 +110,8 @@ struct SessionState {
 ///
 /// The hub's endpoint lives *outside* the cluster (its node id is not one
 /// of the service nodes), which every bundled transport supports — the same
-/// hub code runs over the in-memory mesh, the legacy UDP transport and the
-/// shared UDP plane. Routing state machine, per outstanding request:
+/// hub code runs over the in-memory mesh and the UDP plane. Routing state
+/// machine, per outstanding request:
 ///
 /// 1. send to the known leader, or round-robin-probe a server if none,
 /// 2. `ClientReply { applied: true }` → completed; `applied: false` → the

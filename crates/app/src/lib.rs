@@ -15,9 +15,7 @@
 //!   routes requests to it, and transparently retries on redirects, fencing
 //!   rejections and leader crashes. It is generic over the
 //!   [`MessageEndpoint`](sle_net::transport::MessageEndpoint) seam, so the
-//!   same client code runs over the
-//!   in-memory mesh, the legacy one-socket-per-node UDP transport and the
-//!   shared-socket UDP plane.
+//!   same client code runs over the in-memory mesh and the UDP plane.
 //!
 //! The `bench_app` binary in `sle-bench` drives a [`ClientHub`] with ~one
 //! million requests through repeated forced leader crashes and asserts the

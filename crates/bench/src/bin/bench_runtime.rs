@@ -10,15 +10,16 @@
 //! Where `bench_scale` proves the protocol scales in *virtual* time, this
 //! binary proves the deployment scales in *real* time: the sharded runtime
 //! of `sle-core` must run a 1000-node in-memory-mesh cluster, a 64-node
-//! legacy one-socket-per-node UDP cell, and a **1000-node shared-socket UDP
-//! plane cell** (all nodes demultiplexed behind `workers` sockets) on a
-//! fixed worker pool, elect a leader in every group, and do it with
+//! UDP cell with one socket per workstation (the paper's deployment), and a
+//! **1000-node shared-socket UDP cell** (all nodes demultiplexed behind
+//! `workers` sockets) on a fixed worker pool, elect a leader in every
+//! group, and do it with
 //!
 //! * **O(workers) threads** — the runtime may spawn at most 16 threads
 //!   beyond the transport's own reader threads, however many nodes run
 //!   (a thread-per-node runtime fails this immediately at 1000 nodes); the
-//!   shared-plane cell is gated harder still: its *total* spawn — runtime
-//!   plus transport — must stay within `workers + sockets`, and
+//!   UDP cells are gated harder still: their *total* spawn — runtime plus
+//!   transport — must stay within `workers + sockets`, and
 //! * **no polling** — workers sleep exactly to their timer wheel's next
 //!   deadline or a mailbox wakeup, so wakeups that find nothing to do must
 //!   stay below 100/s across the whole pool.
@@ -33,6 +34,7 @@
 //! (mesh telemetry registry exports), `--snapshot-plane-prom PATH` (the
 //! shared plane's demux + buffer-pool counters, Prometheus format).
 
+use std::cell::OnceCell;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
@@ -45,7 +47,7 @@ use sle_net::transport::{InMemoryMesh, MessageEndpoint};
 use sle_obs::{Registry, Snapshot};
 use sle_sim::time::SimDuration;
 use sle_sim::NodeId;
-use sle_udp::{bind_loopback_mesh, SharedUdpPlane};
+use sle_udp::SharedUdpPlane;
 
 /// The hard ceiling on runtime threads (shard workers plus bookkeeping),
 /// excluding the transport's own reader threads.
@@ -328,6 +330,61 @@ where
     (cell, snapshot)
 }
 
+/// Runs and prints one UDP cell: `nodes` nodes behind `sockets` sockets of a
+/// [`SharedUdpPlane`]. The cell's whole deployment — runtime and transport
+/// — must fit in `workers + sockets` threads, so with fewer sockets than
+/// nodes the transport is O(workers), not O(n). The plane is returned for
+/// its counters.
+fn run_udp_cell(
+    transport: &'static str,
+    (nodes, groups, members): (usize, usize, usize),
+    workers: usize,
+    sockets: usize,
+    idle_window: Duration,
+    failures: &mut Vec<String>,
+) -> (Cell, SharedUdpPlane<ServiceMessage>) {
+    // The plane is created inside `make_endpoints` so its reader threads
+    // land inside `run_cell`'s thread accounting; the handle is kept here
+    // for the datagram counter and the caller.
+    let slot: OnceCell<SharedUdpPlane<ServiceMessage>> = OnceCell::new();
+    let datagram_counter = || {
+        slot.get()
+            .map_or(0, |plane| plane.stats().datagrams_received)
+    };
+    let (cell, _) = run_cell(
+        format!("{transport}-{nodes}x{groups}x{members}"),
+        transport,
+        || {
+            let plane = SharedUdpPlane::<ServiceMessage>::bind_loopback(nodes, sockets)
+                .expect("bind loopback UDP plane");
+            let endpoints = plane.endpoints();
+            slot.set(plane).expect("endpoints are made once");
+            endpoints
+        },
+        nodes,
+        strided_groups(nodes, groups, members),
+        workers,
+        sockets, // one reader thread per socket
+        idle_window,
+        false,
+        Some(&datagram_counter),
+        failures,
+    );
+    if let Some(spawned) = cell.threads_spawned {
+        if spawned > workers + sockets {
+            failures.push(format!(
+                "{}: {spawned} total threads for {nodes} nodes \
+                 (max {} = {workers} workers + {sockets} sockets)",
+                cell.name,
+                workers + sockets
+            ));
+        }
+    }
+    print_cell(&cell);
+    let plane = slot.into_inner().expect("run_cell made the endpoints");
+    (cell, plane)
+}
+
 /// The telemetry on/off comparison of the mesh cell.
 struct Overhead {
     cell: String,
@@ -508,94 +565,41 @@ fn main() {
     cells.push(off_cell);
     cells.push(on_cell);
 
-    {
-        let (cell, _) = run_cell(
-            format!("udp-{udp_nodes}x{udp_groups}x{udp_members}"),
-            "udp",
-            || bind_loopback_mesh::<ServiceMessage>(udp_nodes).expect("bind loopback sockets"),
-            udp_nodes,
-            strided_groups(udp_nodes, udp_groups, udp_members),
-            udp_workers,
-            udp_nodes, // one reader thread per socket
-            idle_window,
-            false,
-            None,
-            &mut failures,
-        );
-        print_cell(&cell);
-        cells.push(cell);
-    }
+    let (cell, _) = run_udp_cell(
+        "udp",
+        (udp_nodes, udp_groups, udp_members),
+        udp_workers,
+        udp_nodes,
+        idle_window,
+        &mut failures,
+    );
+    cells.push(cell);
 
-    // Cell 4: the shared-socket UDP plane at mesh scale — every node's
-    // datagrams demultiplexed behind `plane_sockets` sockets, so the whole
-    // deployment (runtime + transport) fits in `workers + sockets` threads.
-    {
-        let (plane_nodes, plane_groups, plane_members, plane_workers, plane_sockets) = if args.smoke
-        {
-            (200, 25, 8, 4, 4)
-        } else {
-            (1000, 125, 8, 8, 8)
-        };
-        // The plane is created inside `make_endpoints` so its reader
-        // threads land inside `run_cell`'s thread accounting; the handle is
-        // smuggled out for the datagram counter and the metrics snapshot.
-        let plane_slot: std::cell::RefCell<Option<SharedUdpPlane<ServiceMessage>>> =
-            std::cell::RefCell::new(None);
-        let datagram_counter = || {
-            plane_slot
-                .borrow()
-                .as_ref()
-                .map(|plane| plane.stats().datagrams_received)
-                .unwrap_or(0)
-        };
-        let (cell, _) = run_cell(
-            format!("udp-shared-{plane_nodes}x{plane_groups}x{plane_members}"),
-            "udp-shared",
-            || {
-                let plane =
-                    SharedUdpPlane::<ServiceMessage>::bind_loopback(plane_nodes, plane_sockets)
-                        .expect("bind shared UDP plane");
-                let endpoints = plane.endpoints();
-                *plane_slot.borrow_mut() = Some(plane);
-                endpoints
-            },
-            plane_nodes,
-            strided_groups(plane_nodes, plane_groups, plane_members),
-            plane_workers,
-            plane_sockets, // one reader thread per *socket*, not per node
-            idle_window,
-            false,
-            Some(&datagram_counter),
-            &mut failures,
-        );
-        // The plane cell's whole deployment — runtime and transport — must
-        // fit in workers + sockets threads; this is the tentpole's O(n) →
-        // O(workers) claim, gated.
-        if let Some(spawned) = cell.threads_spawned {
-            if spawned > plane_workers + plane_sockets {
-                failures.push(format!(
-                    "{}: {spawned} total threads for {plane_nodes} nodes \
-                     (max {} = {plane_workers} workers + {plane_sockets} sockets) — \
-                     the shared plane is not O(workers)",
-                    cell.name,
-                    plane_workers + plane_sockets
-                ));
-            }
+    // Cell 4: the UDP plane at mesh scale, every node's datagrams
+    // demultiplexed behind `plane_sockets` sockets.
+    let (plane_nodes, plane_groups, plane_members, plane_workers, plane_sockets) = if args.smoke {
+        (200, 25, 8, 4, 4)
+    } else {
+        (1000, 125, 8, 8, 8)
+    };
+    let (cell, plane) = run_udp_cell(
+        "udp-shared",
+        (plane_nodes, plane_groups, plane_members),
+        plane_workers,
+        plane_sockets,
+        idle_window,
+        &mut failures,
+    );
+    cells.push(cell);
+    if let Some(path) = &args.snapshot_plane_prom {
+        let registry = Registry::default();
+        plane.bind(&registry, "udp.plane");
+        let snapshot = registry.snapshot();
+        if let Err(e) = std::fs::write(path, sle_obs::render_prometheus(&snapshot)) {
+            eprintln!("error: cannot write {path}: {e}");
+            std::process::exit(2);
         }
-        print_cell(&cell);
-        cells.push(cell);
-        if let Some(path) = &args.snapshot_plane_prom {
-            let registry = Registry::default();
-            if let Some(plane) = plane_slot.borrow().as_ref() {
-                plane.bind(&registry, "udp.plane");
-            }
-            let snapshot = registry.snapshot();
-            if let Err(e) = std::fs::write(path, sle_obs::render_prometheus(&snapshot)) {
-                eprintln!("error: cannot write {path}: {e}");
-                std::process::exit(2);
-            }
-            println!("wrote plane Prometheus snapshot to {path}");
-        }
+        println!("wrote plane Prometheus snapshot to {path}");
     }
 
     if let Some(snapshot) = &mesh_snapshot {

@@ -19,19 +19,17 @@
 //!   **one** condvar-parked wait: the worker sleeps exactly until its
 //!   wheel's next deadline or a wakeup, never on a fixed polling interval.
 //!
-//! Transports that support push-mode delivery
-//! ([`MessageEndpoint::set_delivery_sink`] — the in-memory mesh and
-//! `sle-udp` both do) deliver straight into the owning shard's mailbox and
-//! wake its worker; pull-only endpoints are polled on a short cadence as a
-//! compatibility fallback. Thread count is therefore O(workers) plus
-//! whatever reader threads the transport itself needs — not O(nodes) —
-//! which is what lets a 1000-node cluster run in real time on one machine
-//! (`bench_runtime` in `sle-bench` measures exactly that).
+//! Transports deliver straight into the owning shard's mailbox and wake its
+//! worker ([`MessageEndpoint::set_delivery_sink`]); the runtime never polls
+//! an endpoint. Thread count is therefore O(workers) plus whatever reader
+//! threads the transport itself needs — not O(nodes) — which is what lets a
+//! 1000-node cluster run in real time on one machine (`bench_runtime` in
+//! `sle-bench` measures exactly that).
 //!
 //! The protocol code is the same sans-io [`ServiceNode`] state machine the
-//! simulator runs; this module merely drives it with the wall clock.
-//! [`Cluster::start`] keeps the historical one-worker-per-node shape
-//! (`workers = n`); [`ClusterConfig::with_workers`] selects a smaller pool.
+//! simulator runs; this module merely drives it with the wall clock. The
+//! pool defaults to one worker per available core (never more than one per
+//! node); [`ClusterConfig::with_workers`] sets it explicitly.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -59,11 +57,6 @@ use crate::node::{ServiceContext, ServiceNode};
 use crate::obs::NodeInstruments;
 use crate::process::{GroupId, ProcessId};
 
-/// How often a shard polls endpoints that do not support push-mode delivery
-/// (the compatibility fallback for custom [`MessageEndpoint`]s; the bundled
-/// transports all push).
-const PULL_POLL: Duration = Duration::from_millis(10);
-
 /// A leader-change notification produced by some node of a [`Cluster`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterEvent {
@@ -73,8 +66,7 @@ pub struct ClusterEvent {
     pub event: ServiceEvent,
 }
 
-/// Deployment-level configuration of a [`Cluster`]: everything
-/// [`Cluster::start`] used to hardcode, as an explicit surface.
+/// Deployment-level configuration of a [`Cluster`].
 ///
 /// ```
 /// use sle_core::runtime::{Cluster, ClusterConfig};
@@ -94,10 +86,9 @@ pub struct ClusterEvent {
 pub struct ClusterConfig {
     /// The leader-election algorithm every service instance runs.
     pub algorithm: ElectorKind,
-    /// Size of the shard worker pool. `None` (the default) keeps the
-    /// historical one-worker-per-node shape — the legacy driver is exactly
-    /// the sharded runtime with `workers = n`.
-    pub workers: Option<usize>,
+    /// Size of the shard worker pool. Defaults to the host's available
+    /// parallelism; a cluster never starts more workers than it has nodes.
+    pub workers: usize,
     /// How often service instances send HELLO membership gossip.
     pub hello_interval: SimDuration,
     /// Seed of the in-memory mesh's loss lottery (only used by the
@@ -117,12 +108,12 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// The defaults every historical constructor used: one worker per node,
-    /// a 200 ms HELLO interval, mesh seed 42, perfect links.
+    /// The defaults: one worker per available core, a 200 ms HELLO
+    /// interval, mesh seed 42, perfect links, no observability.
     pub fn new(algorithm: ElectorKind) -> Self {
         ClusterConfig {
             algorithm,
-            workers: None,
+            workers: std::thread::available_parallelism().map_or(1, usize::from),
             hello_interval: SimDuration::from_millis(200),
             mesh_seed: 42,
             links: LinkSpec::perfect(),
@@ -135,7 +126,7 @@ impl ClusterConfig {
     /// (clamped to at least 1; more workers than nodes is capped at
     /// construction time).
     pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers.max(1));
+        self.workers = workers.max(1);
         self
     }
 
@@ -182,8 +173,8 @@ pub struct RuntimeStats {
     /// Times any worker returned from its mailbox wait.
     pub wakeups: u64,
     /// Wakeups that found nothing to do: no command, no message, no due
-    /// timer. With push-mode transports these only come from deadline
-    /// rounding races, so the rate should be near zero.
+    /// timer. These only come from deadline rounding races, so the rate
+    /// should be near zero.
     pub idle_wakeups: u64,
 }
 
@@ -381,15 +372,11 @@ struct Resident<E> {
     id: NodeId,
     service: ServiceNode,
     endpoint: E,
-    /// Whether the endpoint delivers straight into the shard mailbox; if
-    /// not, the worker polls `try_recv` on the `PULL_POLL` cadence.
-    push_mode: bool,
     /// The crash flag as of the worker's last scan, to detect transitions.
     crashed_seen: bool,
-    /// Timers that came due while the node was crashed. The legacy runtime
-    /// kept a crashed node's timers armed and fired them all on recovery;
-    /// the wheel pops them regardless, so they are parked here and fired
-    /// when the node recovers.
+    /// Timers that came due while the node was crashed. The wheel pops due
+    /// timers whether or not their node is up, so a crashed node's are
+    /// parked here and fired, overdue, when it recovers.
     frozen: Vec<TimerTag>,
 }
 
@@ -409,7 +396,6 @@ struct ShardRuntime<E> {
     crashed: Arc<CrashFlags>,
     shutdown: Arc<AtomicBool>,
     stats: Arc<ShardStats>,
-    any_pull: bool,
 }
 
 impl<E: MessageEndpoint<ServiceMessage>> ShardRuntime<E> {
@@ -435,7 +421,7 @@ impl<E: MessageEndpoint<ServiceMessage>> ShardRuntime<E> {
                 // dropping a message. Transports are responsible for making
                 // the one *deterministic* failure observable (an
                 // unencodable-on-this-wire message — counted by sle-udp's
-                // UdpStats::send_unencodable).
+                // PlaneStats::send_unencodable).
                 Effect::Send { to, msg } => {
                     let _ = self.residents[idx].endpoint.send(to, msg);
                 }
@@ -546,8 +532,7 @@ impl<E: MessageEndpoint<ServiceMessage>> ShardRuntime<E> {
     }
 
     /// Detects crash-flag transitions. On recovery, fires the timers that
-    /// came due while the node was parked (they are all overdue, exactly as
-    /// they would have been under the legacy one-thread-per-node driver).
+    /// came due while the node was parked (they are all overdue).
     fn scan_crash_transitions(&mut self) -> bool {
         let mut did_work = false;
         for idx in 0..self.residents.len() {
@@ -592,18 +577,6 @@ impl<E: MessageEndpoint<ServiceMessage>> ShardRuntime<E> {
             did_work = true;
             self.dispatch_message(node, incoming);
         }
-        if self.any_pull {
-            for idx in 0..self.residents.len() {
-                if self.residents[idx].push_mode {
-                    continue;
-                }
-                let node = self.residents[idx].id;
-                while let Some(incoming) = self.residents[idx].endpoint.try_recv() {
-                    did_work = true;
-                    self.dispatch_message(node, incoming);
-                }
-            }
-        }
         loop {
             let now = self.now();
             let Some((_, (node, tag))) = self.wheel.pop_due(now) else {
@@ -646,14 +619,10 @@ impl<E: MessageEndpoint<ServiceMessage>> ShardRuntime<E> {
             }
             // Sleep exactly until the wheel's next deadline (or forever, if
             // no timer is armed) — a push or a wake ends the wait early.
-            let mut deadline = self
+            let deadline = self
                 .wheel
                 .next_deadline()
                 .map(|at| self.start + Duration::from_nanos(at.as_nanos()));
-            if self.any_pull {
-                let poll = Instant::now() + PULL_POLL;
-                deadline = Some(deadline.map_or(poll, |d| d.min(poll)));
-            }
             let woken = self.inbox.mail.wait_until(deadline, &mut mail);
             self.stats.wakeups.inc();
             let did_work = self.process_all(&mut mail);
@@ -699,12 +668,6 @@ impl Cluster {
         Self::start_with_config(n, ClusterConfig::new(algorithm))
     }
 
-    /// Starts `n` service instances whose links follow `links` (losses are
-    /// applied inside the in-memory mesh).
-    pub fn start_with_links(n: usize, algorithm: ElectorKind, links: LinkSpec) -> Self {
-        Self::start_with_config(n, ClusterConfig::new(algorithm).with_links(links))
-    }
-
     /// Starts `n` service instances on an in-memory mesh, fully configured:
     /// algorithm, worker pool size, HELLO interval, mesh links and seed.
     pub fn start_with_config(n: usize, config: ClusterConfig) -> Self {
@@ -717,8 +680,7 @@ impl Cluster {
     }
 
     /// Starts one service instance per endpoint over whatever transport the
-    /// endpoints implement, with the historical defaults (one worker per
-    /// node, 200 ms HELLO interval).
+    /// endpoints implement, with the [`ClusterConfig::new`] defaults.
     ///
     /// The endpoints' node identities must be the contiguous range
     /// `0..endpoints.len()` in order (the shape every deployment in this
@@ -727,7 +689,9 @@ impl Cluster {
     ///
     /// # Panics
     ///
-    /// Panics if the endpoint identities are not `0, 1, …, n-1` in order.
+    /// Panics if the endpoint identities are not `0, 1, …, n-1` in order,
+    /// or an endpoint refuses the delivery sink (see
+    /// [`Cluster::start_with_service_configs`]).
     pub fn start_with_endpoints<E>(endpoints: Vec<E>, algorithm: ElectorKind) -> Self
     where
         E: MessageEndpoint<ServiceMessage> + Send + 'static,
@@ -740,7 +704,9 @@ impl Cluster {
     ///
     /// # Panics
     ///
-    /// Panics if the endpoint identities are not `0, 1, …, n-1` in order.
+    /// Panics if the endpoint identities are not `0, 1, …, n-1` in order,
+    /// or an endpoint refuses the delivery sink (see
+    /// [`Cluster::start_with_service_configs`]).
     pub fn start_endpoints_with_config<E>(endpoints: Vec<E>, config: ClusterConfig) -> Self
     where
         E: MessageEndpoint<ServiceMessage> + Send + 'static,
@@ -763,7 +729,10 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics if the endpoint identities are not `0, 1, …, n-1` in order,
-    /// or `configs` does not match them one-to-one.
+    /// or `configs` does not match them one-to-one. Also panics if an
+    /// endpoint's [`MessageEndpoint::set_delivery_sink`] returns `false`:
+    /// the shard workers receive only through their mailbox and never poll
+    /// an endpoint, so a node behind such an endpoint would be deaf.
     pub fn start_with_service_configs<E>(
         endpoints: Vec<E>,
         configs: Vec<ServiceConfig>,
@@ -788,7 +757,7 @@ impl Cluster {
                 "service config identities must be 0..n in order"
             );
         }
-        let workers = options.workers.unwrap_or(n).clamp(1, n.max(1));
+        let workers = options.workers.clamp(1, n.max(1));
         let (event_tx, event_rx) = channel();
         let crashed = Arc::new(CrashFlags::new(n));
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -825,7 +794,10 @@ impl Cluster {
             let id = NodeId(i as u32);
             let shard = i % workers;
             shard_of.push(shard);
-            let push_mode = endpoint.set_delivery_sink(inboxes[shard].mail.sender());
+            assert!(
+                endpoint.set_delivery_sink(inboxes[shard].mail.sender()),
+                "endpoint {id} refused the delivery sink"
+            );
             let mut service = ServiceNode::new(config);
             if let Some(obs) = &obs {
                 service.set_instruments(NodeInstruments::new(
@@ -838,7 +810,6 @@ impl Cluster {
                 id,
                 service,
                 endpoint,
-                push_mode,
                 crashed_seen: false,
                 frozen: Vec::new(),
             });
@@ -864,7 +835,6 @@ impl Cluster {
                 for (idx, resident) in residents.iter().enumerate() {
                     index[resident.id.index()] = idx as u32;
                 }
-                let any_pull = residents.iter().any(|resident| !resident.push_mode);
                 let runtime = ShardRuntime {
                     start,
                     residents,
@@ -875,7 +845,6 @@ impl Cluster {
                     crashed: Arc::clone(&crashed),
                     shutdown: Arc::clone(&shutdown),
                     stats: Arc::clone(&stats[k]),
-                    any_pull,
                 };
                 std::thread::Builder::new()
                     .name(format!("sle-shard-{k}"))
@@ -1124,7 +1093,12 @@ mod tests {
         let cluster = Cluster::start(3, ElectorKind::OmegaLc);
         assert_eq!(cluster.len(), 3);
         assert!(!cluster.is_empty());
-        assert_eq!(cluster.workers(), 3, "legacy shape: one worker per node");
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        assert_eq!(
+            cluster.workers(),
+            cores.min(3),
+            "default pool: min(n, cores)"
+        );
         let group = GroupId(1);
         let mut processes = Vec::new();
         for i in 0..3u32 {
@@ -1225,7 +1199,7 @@ mod tests {
             .with_hello_interval(SimDuration::from_millis(150))
             .with_mesh_seed(9)
             .with_links(LinkSpec::perfect());
-        assert_eq!(config.workers, Some(1), "worker pool is clamped to >= 1");
+        assert_eq!(config.workers, 1, "worker pool is clamped to >= 1");
         assert_eq!(config.hello_interval, SimDuration::from_millis(150));
         assert_eq!(config.mesh_seed, 9);
         // More workers than nodes is capped at construction time.

@@ -58,12 +58,13 @@ pub type ShardDelivery<M> = MailboxSender<(NodeId, Incoming<M>)>;
 /// against: an unreliable, unordered, node-addressed datagram service.
 ///
 /// Two implementations exist: the in-process [`Endpoint`] of an
-/// [`InMemoryMesh`] (std channels) and the `UdpEndpoint` of the `sle-udp`
-/// crate (real `std::net::UdpSocket`s, one daemon per workstation exactly as
-/// the paper deploys the service). Both are *best effort*: a send that
-/// reaches the wire may still be lost, duplicated or reordered, which is
-/// precisely the fault model the protocol is designed for, so runtimes must
-/// never treat a successful `send` as a delivery guarantee.
+/// [`InMemoryMesh`] (std channels) and the `SharedUdpEndpoint` of the
+/// `sle-udp` crate (real `std::net::UdpSocket`s; with one socket per node,
+/// one daemon per workstation exactly as the paper deploys the service).
+/// Both are *best effort*: a send that reaches the wire may still be lost,
+/// duplicated or reordered, which is precisely the fault model the protocol
+/// is designed for, so runtimes must never treat a successful `send` as a
+/// delivery guarantee.
 pub trait MessageEndpoint<M> {
     /// The identity of this endpoint.
     fn node(&self) -> NodeId;
@@ -95,13 +96,10 @@ pub trait MessageEndpoint<M> {
     /// (their order relative to concurrent arrivals is unspecified, which a
     /// best-effort datagram contract already permits).
     ///
-    /// Returns whether the transport supports push mode. The default
-    /// implementation is pull-only and returns `false`; a sharded runtime
-    /// then falls back to polling the endpoint on a short cadence.
-    fn set_delivery_sink(&self, sink: ShardDelivery<M>) -> bool {
-        let _ = sink;
-        false
-    }
+    /// Returns whether the sink was installed. `sle-core`'s runtime only
+    /// receives through the sink, so it refuses (panics at start) an
+    /// endpoint that returns `false`.
+    fn set_delivery_sink(&self, sink: ShardDelivery<M>) -> bool;
 
     /// Flushes any sends the transport has buffered for coalescing.
     ///
@@ -112,8 +110,7 @@ pub trait MessageEndpoint<M> {
     /// calls it after every productive processing round, so co-sharded
     /// senders to the same destination share datagrams without adding
     /// latency beyond the round itself. Transports that write through on
-    /// every `send` (the in-memory mesh, the legacy one-socket-per-node UDP
-    /// endpoint) keep this default no-op.
+    /// every `send` (the in-memory mesh) keep this default no-op.
     fn flush_sends(&self) {}
 }
 

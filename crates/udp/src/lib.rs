@@ -3,36 +3,43 @@
 //! The DSN 2008 paper runs the leader-election service as **one lightweight
 //! daemon per workstation exchanging UDP datagrams** (Section 6 evaluates
 //! exactly that deployment on a 12-workstation cluster). This crate is that
-//! deployment shape for the reproduction: a [`UdpEndpoint`] owns one
-//! `std::net::UdpSocket`, a peer address book mapping
-//! [`NodeId`]s to socket addresses, and a reader
-//! thread that decodes arriving datagrams with the `sle-wire` codec
-//! (`docs/WIRE.md`) and queues them for the runtime.
+//! transport for the reproduction: a [`SharedUdpPlane`] binds a fixed set of
+//! `std::net::UdpSocket`s, assigns every [`NodeId`](sle_sim::actor::NodeId)
+//! to one of them, and runs one demultiplexing reader thread per socket
+//! that decodes arriving datagrams with the `sle-wire` codec
+//! (`docs/WIRE.md`) into pooled receive buffers ([`BufferPool`]) and routes
+//! each record to its destination node. The paper's one-socket-per-
+//! workstation deployment is the shape
+//! [`SharedUdpPlane::bind_loopback(n, n)`](SharedUdpPlane::bind_loopback);
+//! a process hosting a whole cell passes fewer sockets than nodes and pays
+//! O(sockets) threads instead of O(nodes).
 //!
-//! [`UdpEndpoint`] implements the same
-//! [`MessageEndpoint`] contract as the
+//! A [`SharedUdpEndpoint`] implements the same
+//! [`MessageEndpoint`](sle_net::transport::MessageEndpoint) contract as the
 //! in-memory mesh of `sle-net`, so `sle-core`'s real-time
 //! [`Cluster`](sle_core::runtime::Cluster) drives either transport with the
 //! *identical* protocol state machine — swapping channels for sockets is
-//! `Cluster::start_with_endpoints(bind_loopback_mesh(n)?, …)`.
+//! `Cluster::start_with_endpoints(SharedUdpPlane::bind_loopback(n, n)?.endpoints(), …)`.
 //!
-//! The endpoint is hardened the way a daemon facing a real network must be:
-//! oversized datagrams, truncated or corrupted frames, unknown senders and
-//! spoofed source addresses are counted ([`UdpStats`]) and dropped, never
-//! parsed into a panic (the codec is total; see `sle-wire`'s property
-//! tests).
+//! The plane is hardened the way a daemon facing a real network must be:
+//! oversized datagrams, truncated or corrupted records, unknown senders,
+//! spoofed source addresses and records for nodes that are not there are
+//! counted ([`PlaneStats`]), optionally traced
+//! ([`SharedUdpPlane::set_trace`]) and dropped, never parsed into a panic
+//! (the codec is total; see `sle-wire`'s property tests).
 //!
-//! ## Example: two endpoints on the loopback interface
+//! ## Example: one socket per workstation on the loopback interface
 //!
 //! ```
 //! use sle_net::transport::MessageEndpoint;
 //! use sle_sim::actor::NodeId;
-//! use sle_udp::bind_loopback_mesh;
+//! use sle_udp::SharedUdpPlane;
 //! use std::time::Duration;
 //!
-//! // Two sockets on 127.0.0.1 with ephemeral ports, already introduced to
-//! // each other.
-//! let mut endpoints = bind_loopback_mesh::<u64>(2).unwrap();
+//! // Two sockets on 127.0.0.1 with ephemeral ports, one per node, already
+//! // introduced to each other.
+//! let plane = SharedUdpPlane::<u64>::bind_loopback(2, 2).unwrap();
+//! let mut endpoints = plane.endpoints();
 //! let b = endpoints.pop().unwrap();
 //! let a = endpoints.pop().unwrap();
 //!
@@ -53,599 +60,3 @@ pub use plane::{
     MAX_PLANE_DATAGRAM, RECORD_HEADER,
 };
 pub use pool::{BufferPool, PoolStats, PoolStatsSnapshot, PooledBuf};
-
-use std::io;
-use std::net::{SocketAddr, UdpSocket};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
-
-use sle_net::transport::{Incoming, MessageEndpoint, ShardDelivery, TransportError};
-use sle_obs::{Counter, DropReason, ProtoEvent, Registry, SharedClock, TraceRing};
-use sle_sim::actor::NodeId;
-use sle_wire::{decode_frame, encode_frame, WireFormat, MAX_DATAGRAM};
-
-/// Fallback read timeout installed at shutdown, in case the zero-byte wake
-/// datagram is lost. In steady state the reader blocks indefinitely — its
-/// shutdown is edge-triggered (see [`UdpEndpoint`]'s `Drop`), so an idle
-/// endpoint causes no periodic wakeups at all.
-const SHUTDOWN_FALLBACK_POLL: Duration = Duration::from_millis(25);
-
-/// Datagram-level counters of one endpoint, all monotonically increasing.
-///
-/// The `dropped_*` counters are the endpoint's hardening made visible:
-/// every datagram the reader refused, by reason. The fields are
-/// [`sle_obs::Counter`] handles, so the same cells can be bound into a
-/// metrics [`Registry`] with [`UdpStats::bind`] — the endpoint then updates
-/// the exported metrics and this struct's view with one atomic increment.
-#[derive(Debug, Default)]
-pub struct UdpStats {
-    /// Well-formed datagrams handed to the runtime.
-    pub delivered: Counter,
-    /// Datagrams larger than [`MAX_DATAGRAM`], dropped unparsed.
-    pub dropped_oversized: Counter,
-    /// Datagrams the `sle-wire` codec rejected (bad magic or version,
-    /// truncation, corruption, trailing bytes).
-    pub dropped_malformed: Counter,
-    /// Well-formed datagrams whose claimed sender is not in the address
-    /// book, or whose UDP source address does not match the address book
-    /// entry for that sender (a spoof, or a peer behind a NAT rebinding).
-    pub dropped_misaddressed: Counter,
-    /// Outbound messages that could not be encoded into one datagram
-    /// ([`WireError::TooLarge`](sle_wire::WireError)). Unlike the
-    /// `dropped_*` receive counters this is a *send-side* failure: it
-    /// recurs deterministically for the same message, so a non-zero value
-    /// means the node is trying to say something the wire cannot carry
-    /// (e.g. a HELLO gossiping more members than fit in
-    /// [`MAX_DATAGRAM`]) — not that the network is lossy.
-    pub send_unencodable: Counter,
-    /// Times the reader thread woke from `recv_from`, for any reason. The
-    /// reader blocks without a timeout, so on an idle endpoint this stays
-    /// flat — the regression guard for "no periodic wakeups when nothing
-    /// arrives".
-    pub reader_wakeups: Counter,
-}
-
-/// A point-in-time copy of [`UdpStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct UdpStatsSnapshot {
-    /// Well-formed datagrams handed to the runtime.
-    pub delivered: u64,
-    /// Datagrams larger than [`MAX_DATAGRAM`], dropped unparsed.
-    pub dropped_oversized: u64,
-    /// Datagrams the codec rejected.
-    pub dropped_malformed: u64,
-    /// Datagrams with an unknown or spoofed sender.
-    pub dropped_misaddressed: u64,
-    /// Outbound messages too large to encode into one datagram.
-    pub send_unencodable: u64,
-    /// Times the reader thread woke from `recv_from`, for any reason.
-    pub reader_wakeups: u64,
-}
-
-impl UdpStats {
-    /// A point-in-time copy of the counters.
-    pub fn snapshot(&self) -> UdpStatsSnapshot {
-        UdpStatsSnapshot {
-            delivered: self.delivered.get(),
-            dropped_oversized: self.dropped_oversized.get(),
-            dropped_malformed: self.dropped_malformed.get(),
-            dropped_misaddressed: self.dropped_misaddressed.get(),
-            send_unencodable: self.send_unencodable.get(),
-            reader_wakeups: self.reader_wakeups.get(),
-        }
-    }
-
-    /// Binds the live counters into `registry` under `<prefix>.<counter>`
-    /// (e.g. `node.3.udp.delivered`), making this struct a view over the
-    /// exported metrics.
-    pub fn bind(&self, registry: &Registry, prefix: &str) {
-        registry.bind_counter(&format!("{prefix}.delivered"), &self.delivered);
-        registry.bind_counter(
-            &format!("{prefix}.dropped_oversized"),
-            &self.dropped_oversized,
-        );
-        registry.bind_counter(
-            &format!("{prefix}.dropped_malformed"),
-            &self.dropped_malformed,
-        );
-        registry.bind_counter(
-            &format!("{prefix}.dropped_misaddressed"),
-            &self.dropped_misaddressed,
-        );
-        registry.bind_counter(
-            &format!("{prefix}.send_unencodable"),
-            &self.send_unencodable,
-        );
-        registry.bind_counter(&format!("{prefix}.reader_wakeups"), &self.reader_wakeups);
-    }
-}
-
-/// Where a hardened endpoint reports refused datagrams: a trace ring plus
-/// the clock stamping the [`DatagramDropped`](ProtoEvent::DatagramDropped)
-/// events. Installed with [`UdpEndpoint::set_trace`].
-struct UdpTrace {
-    ring: TraceRing,
-    clock: SharedClock,
-}
-
-impl UdpTrace {
-    fn dropped(&self, node: NodeId, reason: DropReason) {
-        self.ring.push(
-            node,
-            self.clock.now(),
-            ProtoEvent::DatagramDropped { reason },
-        );
-    }
-}
-
-/// Where the reader thread currently delivers decoded messages: the
-/// endpoint's pull channel (the default) or a sharded runtime's mailbox.
-enum UdpDelivery<M> {
-    Channel(Sender<Incoming<M>>),
-    Shard(ShardDelivery<M>),
-}
-
-/// One workstation's UDP attachment to the service: a socket, an address
-/// book, and a reader thread feeding decoded messages to the runtime.
-///
-/// Dropping the endpoint stops and joins the reader thread.
-pub struct UdpEndpoint<M> {
-    node: NodeId,
-    socket: UdpSocket,
-    peers: Arc<Vec<SocketAddr>>,
-    rx: Receiver<Incoming<M>>,
-    delivery: Arc<Mutex<UdpDelivery<M>>>,
-    stop: Arc<AtomicBool>,
-    reader: Option<JoinHandle<()>>,
-    stats: Arc<UdpStats>,
-    trace: Arc<Mutex<Option<UdpTrace>>>,
-}
-
-impl<M: WireFormat + Send + 'static> UdpEndpoint<M> {
-    /// Wraps an already-bound socket as the endpoint of `node`, with
-    /// `peers[i]` the address of node `i` (including this node's own
-    /// address at `peers[node]`).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the socket cannot be cloned for the reader thread or its
-    /// read timeout cannot be cleared.
-    pub fn new(node: NodeId, socket: UdpSocket, peers: Vec<SocketAddr>) -> io::Result<Self> {
-        let peers = Arc::new(peers);
-        let stop = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(UdpStats::default());
-        let trace: Arc<Mutex<Option<UdpTrace>>> = Arc::new(Mutex::new(None));
-        let (tx, rx) = channel();
-        let delivery = Arc::new(Mutex::new(UdpDelivery::Channel(tx)));
-
-        let reader_socket = socket.try_clone()?;
-        // The reader blocks until a datagram arrives; shutdown is
-        // edge-triggered by a zero-byte self-send (see `Drop`), so an idle
-        // endpoint never wakes.
-        reader_socket.set_read_timeout(None)?;
-        let reader = std::thread::Builder::new()
-            .name(format!("sle-udp-reader-{node}"))
-            .spawn({
-                let peers = Arc::clone(&peers);
-                let stop = Arc::clone(&stop);
-                let stats = Arc::clone(&stats);
-                let delivery = Arc::clone(&delivery);
-                let trace = Arc::clone(&trace);
-                move || {
-                    reader_loop(
-                        node,
-                        reader_socket,
-                        &peers,
-                        &stop,
-                        &stats,
-                        &delivery,
-                        &trace,
-                    )
-                }
-            })?;
-
-        Ok(UdpEndpoint {
-            node,
-            socket,
-            peers,
-            rx,
-            delivery,
-            stop,
-            reader: Some(reader),
-            stats,
-            trace,
-        })
-    }
-
-    /// The address this endpoint's socket is bound to.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the OS error if the socket has no local address.
-    pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.socket.local_addr()
-    }
-
-    /// The address-book entry for `node`, if it has one.
-    pub fn peer_addr(&self, node: NodeId) -> Option<SocketAddr> {
-        self.peers.get(node.index()).copied()
-    }
-
-    /// A copy of the endpoint's datagram counters.
-    pub fn stats(&self) -> UdpStatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    /// A shared handle to the live counters, for observing an endpoint
-    /// after it has moved into a runtime thread (a daemon's metrics
-    /// exporter holds one of these).
-    pub fn stats_handle(&self) -> Arc<UdpStats> {
-        Arc::clone(&self.stats)
-    }
-
-    /// Reports every refused datagram into `ring` as a
-    /// [`ProtoEvent::DatagramDropped`] event, stamped by `clock`. The drop
-    /// paths are cold (a healthy endpoint refuses nothing), so the trace
-    /// costs nothing on the delivery fast path.
-    pub fn set_trace(&self, ring: TraceRing, clock: SharedClock) {
-        *self.trace.lock().expect("udp trace poisoned") = Some(UdpTrace { ring, clock });
-    }
-}
-
-fn reader_loop<M: WireFormat>(
-    node: NodeId,
-    socket: UdpSocket,
-    peers: &[SocketAddr],
-    stop: &AtomicBool,
-    stats: &UdpStats,
-    delivery: &Mutex<UdpDelivery<M>>,
-    trace: &Mutex<Option<UdpTrace>>,
-) {
-    let trace_dropped = |reason: DropReason| {
-        if let Some(trace) = &*trace.lock().expect("udp trace poisoned") {
-            trace.dropped(node, reason);
-        }
-    };
-    // One byte over the limit so an in-limit read is provably untruncated.
-    let mut buf = vec![0u8; MAX_DATAGRAM + 1];
-    while !stop.load(Ordering::Relaxed) {
-        let received = socket.recv_from(&mut buf);
-        stats.reader_wakeups.inc();
-        let (len, src) = match received {
-            Ok(received) => received,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            // Transient errors (e.g. ECONNREFUSED bounced back by a dead
-            // peer's ICMP on Linux) must not kill the daemon's reader.
-            Err(_) => continue,
-        };
-        if len == 0 {
-            // A zero-byte datagram carries nothing the codec could accept;
-            // it is the shutdown wake-up (or noise), so just re-check the
-            // stop flag.
-            continue;
-        }
-        if len > MAX_DATAGRAM {
-            stats.dropped_oversized.inc();
-            trace_dropped(DropReason::Oversized);
-            continue;
-        }
-        let (from, msg) = match decode_frame::<M>(&buf[..len]) {
-            Ok(decoded) => decoded,
-            Err(_) => {
-                stats.dropped_malformed.inc();
-                trace_dropped(DropReason::Malformed);
-                continue;
-            }
-        };
-        // The claimed sender must be in the address book *and* the datagram
-        // must actually come from that peer's socket.
-        if peers.get(from.index()) != Some(&src) {
-            stats.dropped_misaddressed.inc();
-            trace_dropped(DropReason::Misaddressed);
-            continue;
-        }
-        stats.delivered.inc();
-        let incoming = Incoming { from, msg };
-        match &*delivery.lock().expect("udp delivery poisoned") {
-            UdpDelivery::Channel(tx) => {
-                if tx.send(incoming).is_err() {
-                    // The endpoint (and its receiver) is gone.
-                    return;
-                }
-            }
-            UdpDelivery::Shard(sink) => sink.push((node, incoming)),
-        }
-    }
-}
-
-impl<M: WireFormat + Send + 'static> MessageEndpoint<M> for UdpEndpoint<M> {
-    fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// Encodes `msg` and sends it as one datagram, best effort.
-    ///
-    /// OS-level send failures are swallowed: to the protocol they are the
-    /// network losing a message, which it is built to tolerate.
-    fn send(&self, to: NodeId, msg: M) -> Result<(), TransportError> {
-        let addr = self
-            .peers
-            .get(to.index())
-            .ok_or(TransportError::UnknownDestination(to))?;
-        let frame = encode_frame(self.node, &msg).map_err(|e| {
-            self.stats.send_unencodable.inc();
-            if let Some(trace) = &*self.trace.lock().expect("udp trace poisoned") {
-                trace.dropped(self.node, DropReason::Unencodable);
-            }
-            TransportError::Unencodable(e.to_string())
-        })?;
-        let _ = self.socket.send_to(&frame, addr);
-        Ok(())
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Option<Incoming<M>> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(incoming) => Some(incoming),
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => None,
-        }
-    }
-
-    fn try_recv(&self) -> Option<Incoming<M>> {
-        self.rx.try_recv().ok()
-    }
-
-    fn set_delivery_sink(&self, sink: ShardDelivery<M>) -> bool {
-        {
-            let mut delivery = self.delivery.lock().expect("udp delivery poisoned");
-            *delivery = UdpDelivery::Shard(sink.clone());
-        }
-        // Datagrams decoded before the switch must not be stranded in the
-        // pull channel (the reader only pushes to the sink from now on).
-        while let Ok(incoming) = self.rx.try_recv() {
-            sink.push((self.node, incoming));
-        }
-        true
-    }
-}
-
-impl<M> Drop for UdpEndpoint<M> {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        // The fallback read timeout covers a reader that has not yet
-        // re-entered `recv_from` (socket options are shared with the
-        // clone); a reader already parked inside the syscall is only woken
-        // by the zero-byte self-send below.
-        let _ = self.socket.set_read_timeout(Some(SHUTDOWN_FALLBACK_POLL));
-        // Edge-triggered shutdown: a zero-byte datagram to our own socket
-        // wakes the blocked reader, which re-checks the stop flag and
-        // exits. A wildcard-bound socket reports an unspecified local IP
-        // that is not a valid destination everywhere, so route the wake
-        // through the matching loopback address instead.
-        let woken = self
-            .socket
-            .local_addr()
-            .and_then(|mut addr| {
-                if addr.ip().is_unspecified() {
-                    match addr {
-                        SocketAddr::V4(_) => addr.set_ip(std::net::Ipv4Addr::LOCALHOST.into()),
-                        SocketAddr::V6(_) => addr.set_ip(std::net::Ipv6Addr::LOCALHOST.into()),
-                    }
-                }
-                self.socket.send_to(&[], addr)
-            })
-            .is_ok();
-        if let Some(reader) = self.reader.take() {
-            if woken {
-                let _ = reader.join();
-            }
-            // If the wake could not even be sent, the reader may be parked
-            // in `recv_from` indefinitely; leaking it (it exits on the next
-            // datagram or timeout tick) beats hanging the dropping thread
-            // forever.
-        }
-    }
-}
-
-/// Binds `n` endpoints to ephemeral ports on `127.0.0.1` and introduces
-/// them to each other — the socket-world equivalent of
-/// [`InMemoryMesh::new(n)`](sle_net::transport::InMemoryMesh::new), used by
-/// the `udp_cluster` example and the loopback integration tests.
-///
-/// Endpoint `i` has identity `NodeId(i)`.
-///
-/// # Errors
-///
-/// Fails if any socket cannot be bound or any reader thread cannot start.
-pub fn bind_loopback_mesh<M: WireFormat + Send + 'static>(
-    n: usize,
-) -> io::Result<Vec<UdpEndpoint<M>>> {
-    let sockets: Vec<UdpSocket> = (0..n)
-        .map(|_| UdpSocket::bind("127.0.0.1:0"))
-        .collect::<io::Result<_>>()?;
-    let addrs: Vec<SocketAddr> = sockets
-        .iter()
-        .map(|s| s.local_addr())
-        .collect::<io::Result<_>>()?;
-    sockets
-        .into_iter()
-        .enumerate()
-        .map(|(i, socket)| UdpEndpoint::new(NodeId(i as u32), socket, addrs.clone()))
-        .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn loopback_mesh_routes_datagrams() {
-        let endpoints = bind_loopback_mesh::<u64>(3).unwrap();
-        assert_eq!(endpoints[1].node(), NodeId(1));
-        endpoints[0].send(NodeId(1), 10).unwrap();
-        endpoints[2].send(NodeId(1), 20).unwrap();
-        let mut got = Vec::new();
-        for _ in 0..2 {
-            let incoming = endpoints[1]
-                .recv_timeout(Duration::from_secs(5))
-                .expect("datagram delivered on loopback");
-            got.push((incoming.from, incoming.msg));
-        }
-        got.sort();
-        assert_eq!(got, vec![(NodeId(0), 10), (NodeId(2), 20)]);
-        assert_eq!(endpoints[1].stats().delivered, 2);
-    }
-
-    #[test]
-    fn unknown_destination_is_an_error() {
-        let endpoints = bind_loopback_mesh::<u64>(1).unwrap();
-        assert_eq!(
-            endpoints[0].send(NodeId(9), 1),
-            Err(TransportError::UnknownDestination(NodeId(9)))
-        );
-    }
-
-    #[test]
-    fn garbage_and_oversized_datagrams_are_counted_and_dropped() {
-        let endpoints = bind_loopback_mesh::<u64>(1).unwrap();
-        let target = endpoints[0].local_addr().unwrap();
-        let attacker = UdpSocket::bind("127.0.0.1:0").unwrap();
-
-        attacker.send_to(b"definitely not a frame", target).unwrap();
-        attacker.send_to(&[0u8; MAX_DATAGRAM + 64], target).unwrap();
-        // A well-formed frame, but from a socket that is not in the
-        // address book (spoofing NodeId(0)'s identity).
-        let spoof = encode_frame(NodeId(0), &7u64).unwrap();
-        attacker.send_to(&spoof, target).unwrap();
-
-        // Nothing may surface to the application...
-        assert!(endpoints[0]
-            .recv_timeout(Duration::from_millis(300))
-            .is_none());
-        // ...and each drop is attributed to its reason.
-        let stats = endpoints[0].stats();
-        assert_eq!(stats.delivered, 0);
-        assert_eq!(stats.dropped_malformed, 1);
-        assert_eq!(stats.dropped_oversized, 1);
-        assert_eq!(stats.dropped_misaddressed, 1);
-    }
-
-    #[test]
-    fn refused_datagrams_are_traced_with_their_reason() {
-        use sle_obs::ManualClock;
-
-        let endpoints = bind_loopback_mesh::<u64>(1).unwrap();
-        let ring = TraceRing::new(16);
-        endpoints[0].set_trace(ring.clone(), Arc::new(ManualClock::new()));
-        let target = endpoints[0].local_addr().unwrap();
-        let attacker = UdpSocket::bind("127.0.0.1:0").unwrap();
-
-        attacker.send_to(b"definitely not a frame", target).unwrap();
-        assert!(endpoints[0]
-            .recv_timeout(Duration::from_millis(300))
-            .is_none());
-
-        let drain = ring.drain();
-        assert_eq!(drain.dropped, 0);
-        assert_eq!(drain.events.len(), 1);
-        assert!(matches!(
-            drain.events[0].event,
-            ProtoEvent::DatagramDropped {
-                reason: DropReason::Malformed
-            }
-        ));
-    }
-
-    #[test]
-    fn unencodable_sends_error_and_are_counted() {
-        use sle_core::messages::{GroupAnnouncement, ServiceMessage};
-        use sle_core::process::GroupId;
-        use sle_sim::time::SimInstant;
-
-        let endpoints = bind_loopback_mesh::<ServiceMessage>(2).unwrap();
-        // A HELLO gossiping more groups than fit in MAX_DATAGRAM.
-        let huge = ServiceMessage::Hello {
-            incarnation: 0,
-            sent_at: SimInstant::ZERO,
-            announcements: (0..250)
-                .map(|i| GroupAnnouncement {
-                    group: GroupId(i),
-                    processes: Vec::new(),
-                })
-                .collect(),
-        };
-        assert!(matches!(
-            endpoints[0].send(NodeId(1), huge),
-            Err(TransportError::Unencodable(_))
-        ));
-        assert_eq!(endpoints[0].stats().send_unencodable, 1);
-        assert!(endpoints[1]
-            .recv_timeout(Duration::from_millis(100))
-            .is_none());
-    }
-
-    #[test]
-    fn self_send_works_like_any_peer() {
-        let endpoints = bind_loopback_mesh::<u64>(1).unwrap();
-        endpoints[0].send(NodeId(0), 5).unwrap();
-        let incoming = endpoints[0].recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(incoming.from, NodeId(0));
-        assert_eq!(incoming.msg, 5);
-        assert_eq!(
-            endpoints[0].peer_addr(NodeId(0)),
-            endpoints[0].local_addr().ok()
-        );
-        assert_eq!(endpoints[0].peer_addr(NodeId(3)), None);
-    }
-
-    #[test]
-    fn drop_joins_the_reader_thread_promptly() {
-        // Shutdown is edge-triggered (zero-byte self-send), so joining the
-        // readers must not wait out any polling interval.
-        let endpoints = bind_loopback_mesh::<u64>(4).unwrap();
-        let start = std::time::Instant::now();
-        drop(endpoints);
-        assert!(
-            start.elapsed() < Duration::from_millis(500),
-            "reader shutdown took {:?}",
-            start.elapsed()
-        );
-    }
-
-    #[test]
-    fn idle_reader_does_not_wake() {
-        // The reader blocks without a read timeout: an endpoint receiving
-        // nothing must record zero reader wakeups, however long it idles.
-        let endpoints = bind_loopback_mesh::<u64>(1).unwrap();
-        std::thread::sleep(Duration::from_millis(300));
-        assert_eq!(endpoints[0].stats().reader_wakeups, 0);
-    }
-
-    #[test]
-    fn delivery_sink_receives_decoded_datagrams() {
-        use sle_net::mailbox::Mailbox;
-        use std::time::Instant;
-
-        let endpoints = bind_loopback_mesh::<u64>(2).unwrap();
-        let mailbox: Mailbox<(NodeId, Incoming<u64>)> = Mailbox::new();
-        assert!(endpoints[1].set_delivery_sink(mailbox.sender()));
-        endpoints[0].send(NodeId(1), 9).unwrap();
-        let mut buf = Vec::new();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while buf.is_empty() && Instant::now() < deadline {
-            mailbox.wait_until(Some(Instant::now() + Duration::from_millis(50)), &mut buf);
-        }
-        let (node, incoming) = buf.pop().expect("datagram delivered to the sink");
-        assert_eq!(node, NodeId(1));
-        assert_eq!(incoming.from, NodeId(0));
-        assert_eq!(incoming.msg, 9);
-        // The pull path sees nothing once the endpoint is in push mode.
-        assert!(endpoints[1].try_recv().is_none());
-    }
-}

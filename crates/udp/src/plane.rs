@@ -1,22 +1,21 @@
 //! # The shared-socket UDP data plane
 //!
-//! The legacy [`UdpEndpoint`](crate::UdpEndpoint) spawns one socket and one
-//! reader thread per node — faithful to the paper's one-daemon-per-
-//! workstation deployment, but O(n) threads when one process hosts a whole
-//! cell. This module collapses the plane to **O(sockets)**: a
-//! [`SharedUdpPlane`] binds a small, fixed number of `UdpSocket`s, assigns
-//! every node to one of them (node `i` → socket `i % sockets`), and runs one
-//! demultiplexing reader thread per socket. Arriving datagrams are decoded
-//! into per-node records and routed to the resident destination's delivery
-//! sink — the same pull channel / [`ShardDelivery`] seam the legacy
-//! endpoint uses, so `sle-core`'s `Cluster` drives a
-//! [`SharedUdpEndpoint`] unchanged.
+//! A [`SharedUdpPlane`] binds a fixed number of `UdpSocket`s, assigns every
+//! node to one of them (node `i` → socket `i % sockets`), and runs one
+//! demultiplexing reader thread per socket, so the transport costs
+//! **O(sockets)** threads however many nodes one process hosts. With
+//! `sockets = nodes` every node owns its socket and reader — the paper's
+//! one-daemon-per-workstation deployment; with fewer sockets a whole cell
+//! shares them. Arriving datagrams are decoded into per-node records and
+//! routed to the resident destination's delivery sink — its endpoint's pull
+//! channel, or the [`ShardDelivery`] mailbox `sle-core`'s `Cluster`
+//! installs when it takes the [`SharedUdpEndpoint`] over.
 //!
 //! ## Datagram format
 //!
-//! A shared socket serves many destinations, so the sle-wire frame (which
-//! names only the *sender*) is wrapped in a plane **record** carrying the
-//! destination:
+//! A socket may serve many destinations, so the sle-wire frame (which names
+//! only the *sender*) is wrapped in a plane **record** carrying the
+//! destination (`docs/WIRE.md`, "The plane datagram"):
 //!
 //! ```text
 //! datagram := record+
@@ -31,8 +30,7 @@
 //! `MAX_ALIVE_BATCH_BYTES` (1200 bytes): the wire keeps the same
 //! conservative no-fragmentation envelope the ALIVE batcher already
 //! guarantees. A single record may exceed the budget (up to
-//! [`MAX_PLANE_DATAGRAM`]); it is then sent alone, exactly like an
-//! unbatched legacy datagram.
+//! [`MAX_PLANE_DATAGRAM`]); it is then sent alone.
 //!
 //! ## Hardening
 //!
@@ -44,9 +42,8 @@
 //! demux continues with the next record. One deliberate trust boundary is
 //! documented here: nodes sharing a source socket are indistinguishable at
 //! the address level, so a resident node *can* claim a co-socketed
-//! sibling's identity. In-process siblings are inside the trust domain (the
-//! legacy plane's per-node sockets draw the same boundary around the
-//! process); cross-socket spoofing is still refused.
+//! sibling's identity. In-process siblings are inside the trust domain;
+//! cross-socket spoofing is still refused.
 //!
 //! Receive buffers come from a fixed [`BufferPool`] — the hot path stops
 //! allocating per datagram after warm-up, and pool occupancy is exact in
@@ -84,8 +81,9 @@ pub const COALESCE_BUDGET: usize = 1200;
 pub const MAX_PLANE_DATAGRAM: usize = RECORD_HEADER + MAX_DATAGRAM;
 
 /// Fallback read timeout installed at shutdown, in case the zero-byte wake
-/// datagram is lost (see [`UdpEndpoint`](crate::UdpEndpoint) for the same
-/// pattern). In steady state the readers block indefinitely.
+/// datagram is lost. In steady state the readers block indefinitely — their
+/// shutdown is edge-triggered (see [`PlaneShared`]'s `Drop`), so an idle
+/// plane causes no periodic wakeups at all.
 const SHUTDOWN_FALLBACK_POLL: Duration = Duration::from_millis(25);
 
 /// Datagram- and record-level counters of one [`SharedUdpPlane`], all
@@ -116,8 +114,12 @@ pub struct PlaneStats {
     /// currently without an endpoint (departed mid-stream).
     pub dropped_misrouted: Counter,
     /// Outbound messages that could not be encoded into one frame
-    /// (send-side, deterministic; see
-    /// [`UdpStats::send_unencodable`](crate::UdpStats)).
+    /// ([`WireError::TooLarge`](sle_wire::WireError)). Unlike the
+    /// `dropped_*` receive counters this is a *send-side* failure: it
+    /// recurs deterministically for the same message, so a non-zero value
+    /// means a node is trying to say something the wire cannot carry (e.g.
+    /// a HELLO gossiping more groups than fit in [`MAX_DATAGRAM`]) — not
+    /// that the network is lossy.
     pub send_unencodable: Counter,
     /// Times any plane reader woke from `recv_from`, for any reason. Flat
     /// on an idle plane — the regression guard for "no periodic wakeups".
@@ -217,8 +219,8 @@ impl PlaneStats {
 /// Where the demux reports refused traffic: a trace ring plus the clock
 /// stamping the [`ProtoEvent::DatagramDropped`] events. Drops are
 /// attributed to the record's destination node; drops with no parseable
-/// destination (oversized datagrams, header-level truncation) are counted
-/// in [`PlaneStats`] but not traced.
+/// destination (oversized datagrams, header-level truncation) to the
+/// lowest node id assigned to the receiving socket.
 struct PlaneTrace {
     ring: TraceRing,
     clock: SharedClock,
@@ -276,9 +278,14 @@ impl<M> Drop for PlaneShared<M> {
         self.stop.store(true, Ordering::Relaxed);
         let mut woken_all = true;
         for socket in &self.sockets {
-            // Same edge-triggered shutdown as the legacy endpoint: a
-            // fallback timeout for readers not yet parked, a zero-byte
-            // self-send for readers already inside `recv_from`.
+            // Edge-triggered shutdown: the fallback timeout covers a
+            // reader that has not yet re-entered `recv_from` (socket
+            // options are shared with its clone); a reader already parked
+            // inside the syscall is only woken by a zero-byte datagram to
+            // its own socket, after which it re-checks the stop flag and
+            // exits. A wildcard-bound socket reports an unspecified local
+            // IP that is not a valid destination everywhere, so the wake is
+            // routed through the matching loopback address instead.
             let _ = socket.set_read_timeout(Some(SHUTDOWN_FALLBACK_POLL));
             let woken = socket
                 .local_addr()
@@ -310,10 +317,8 @@ impl<M> Drop for PlaneShared<M> {
     }
 }
 
-/// A shared-socket UDP plane hosting `nodes` endpoints behind
-/// `sockets` sockets, with one demultiplexing reader thread per socket —
-/// the O(workers) replacement for the legacy one-thread-per-node
-/// [`UdpEndpoint`](crate::UdpEndpoint) when one process hosts many nodes.
+/// A UDP plane hosting `nodes` endpoints behind `sockets` sockets, with one
+/// demultiplexing reader thread per socket.
 ///
 /// The handle is cheap to clone; the readers shut down when the last
 /// handle **and** the last [`SharedUdpEndpoint`] drop.
@@ -356,9 +361,10 @@ impl<M> std::fmt::Debug for SharedUdpPlane<M> {
 impl<M: WireFormat + Send + 'static> SharedUdpPlane<M> {
     /// Binds `sockets` sockets to ephemeral ports on `127.0.0.1` and
     /// assigns `nodes` node identities to them round-robin (node `i` →
-    /// socket `i % sockets`) — the shared-socket equivalent of
-    /// [`bind_loopback_mesh`](crate::bind_loopback_mesh). One reader
-    /// thread is spawned per socket.
+    /// socket `i % sockets`) — the socket-world equivalent of
+    /// [`InMemoryMesh::new(n)`](sle_net::transport::InMemoryMesh::new).
+    /// One reader thread is spawned per socket; at most `nodes` sockets are
+    /// bound, so `bind_loopback(n, n)` is one socket per workstation.
     ///
     /// # Errors
     ///
@@ -523,21 +529,13 @@ impl<M: WireFormat + Send + 'static> SharedUdpPlane<M> {
 
     /// Reports refused records into `ring` as
     /// [`ProtoEvent::DatagramDropped`] events stamped by `clock`,
-    /// attributed to the record's destination node. Drops with no
+    /// attributed to the record's destination node — or, for drops with no
     /// parseable destination (oversized datagrams, header-level
-    /// truncation) are counted but not traced.
+    /// truncation), to the lowest node id assigned to the receiving socket.
+    /// The drop paths are cold (a healthy plane refuses nothing), so the
+    /// trace costs nothing on the delivery fast path.
     pub fn set_trace(&self, ring: TraceRing, clock: SharedClock) {
         *self.shared.trace.lock().expect("plane trace poisoned") = Some(PlaneTrace { ring, clock });
-    }
-
-    /// Flushes every pending coalescing buffer on every source socket.
-    /// Endpoints flush their own socket's buffers via
-    /// [`MessageEndpoint::flush_sends`]; this is the whole-plane variant
-    /// for tests and shutdown paths.
-    pub fn flush_all(&self) {
-        for socket_idx in 0..self.shared.sockets.len() {
-            self.shared.flush_socket(socket_idx);
-        }
     }
 
     /// Total bytes currently sitting in pending coalescing buffers across
@@ -545,7 +543,7 @@ impl<M: WireFormat + Send + 'static> SharedUdpPlane<M> {
     /// yet written to any socket.
     ///
     /// A correctly driven plane returns to zero at every batch boundary
-    /// (the runtime's `flush_sends`/[`SharedUdpPlane::flush_all`]); a
+    /// (the runtime's [`MessageEndpoint::flush_sends`]); a
     /// non-zero value after the owning runtime has shut down means sends
     /// were stranded (asserted by `tests/transport_conformance.rs`).
     pub fn pending_backlog(&self) -> usize {
@@ -581,17 +579,16 @@ impl<M> PlaneShared<M> {
             if buf.is_empty() {
                 continue;
             }
-            // OS-level send failures are swallowed, like the legacy
-            // endpoint: to the protocol they are network loss.
+            // OS-level send failures are swallowed: to the protocol they
+            // are the network losing a message, which it is built to
+            // tolerate.
             let _ = socket.send_to(&buf, dest);
             self.stats.datagrams_sent.inc();
         }
     }
 }
 
-/// One node's endpoint on a [`SharedUdpPlane`]: the same
-/// [`MessageEndpoint`] contract as [`UdpEndpoint`](crate::UdpEndpoint),
-/// minus the dedicated socket and reader thread.
+/// One node's endpoint on a [`SharedUdpPlane`].
 ///
 /// In pull mode every `send` writes through immediately. Installing a
 /// delivery sink ([`MessageEndpoint::set_delivery_sink`]) switches the
@@ -615,13 +612,6 @@ impl<M> std::fmt::Debug for SharedUdpEndpoint<M> {
         f.debug_struct("SharedUdpEndpoint")
             .field("node", &self.node)
             .finish_non_exhaustive()
-    }
-}
-
-impl<M: WireFormat + Send + 'static> SharedUdpEndpoint<M> {
-    /// The plane this endpoint lives on.
-    pub fn plane(&self) -> &SharedUdpPlane<M> {
-        &self.plane
     }
 }
 
@@ -746,6 +736,13 @@ fn demux_loop<M: WireFormat>(
             trace.dropped(node, reason);
         }
     };
+    // Drops with no parseable destination are attributed to the lowest node
+    // id assigned to this socket.
+    let socket_node = node_sockets
+        .iter()
+        .position(|&s| s == socket_idx)
+        .map(|i| NodeId(i as u32))
+        .expect("every plane socket hosts at least one node");
     while !stop.load(Ordering::Relaxed) {
         // Checked out per datagram and restored on scope exit: the pool's
         // occupancy gauge is an exact count of in-flight receives.
@@ -772,6 +769,7 @@ fn demux_loop<M: WireFormat>(
             // The buffer is one byte larger than the maximum, so an
             // over-limit read is detectable even when the OS truncates.
             stats.dropped_oversized.inc();
+            trace_dropped(socket_node, DropReason::Oversized);
             continue;
         }
         let datagram = &buf[..len];
@@ -781,6 +779,7 @@ fn demux_loop<M: WireFormat>(
                 // Not even a record header left: framing truncation with
                 // no destination to attribute it to.
                 stats.dropped_truncated.inc();
+                trace_dropped(socket_node, DropReason::Truncated);
                 break;
             }
             let dest = NodeId(u32::from_be_bytes(
@@ -872,6 +871,7 @@ mod tests {
         endpoints[0].send(NodeId(3), 30).unwrap();
         endpoints[1].send(NodeId(3), 31).unwrap();
         endpoints[3].send(NodeId(0), 3).unwrap();
+        // A self-send travels through the socket like any peer's.
         endpoints[4].send(NodeId(4), 44).unwrap();
         let mut got = Vec::new();
         for _ in 0..2 {

@@ -9,16 +9,20 @@
 //! never surfaces at any endpoint but the addressed one) and **byte-exact
 //! per-reason drop counters** (the full [`PlaneStatsSnapshot`] is compared
 //! against a hand-computed expectation, so an uncounted or double-counted
-//! drop fails, not just a missing one).
+//! drop fails, not just a missing one). The refusal tests also install a
+//! trace ring and require one `DatagramDropped` event per refusal, with the
+//! same reason, attributed to the right node.
 
 use std::collections::BTreeMap;
 use std::net::UdpSocket;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sle_core::messages::{GroupAlive, ServiceMessage};
+use sle_core::messages::{GroupAlive, GroupAnnouncement, ServiceMessage};
 use sle_core::process::{GroupId, ProcessId};
 use sle_election::{AlivePayload, LeaderClaim};
-use sle_net::transport::MessageEndpoint;
+use sle_net::transport::{MessageEndpoint, TransportError};
+use sle_obs::{DropReason, ManualClock, ProtoEvent, TraceRing};
 use sle_sim::rng::SimRng;
 use sle_sim::time::{SimDuration, SimInstant};
 use sle_sim::NodeId;
@@ -44,6 +48,29 @@ fn record(dest: u32, frame: &[u8]) -> Vec<u8> {
     rec.extend_from_slice(&(frame.len() as u16).to_be_bytes());
     rec.extend_from_slice(frame);
     rec
+}
+
+/// Installs a trace ring on `plane`.
+fn traced<M: sle_wire::WireFormat + Send + 'static>(plane: &SharedUdpPlane<M>) -> TraceRing {
+    let ring = TraceRing::new(256);
+    plane.set_trace(ring.clone(), Arc::new(ManualClock::new()));
+    ring
+}
+
+/// Drains `ring` into `(node, reason)` pairs in trace order (one reader
+/// thread per socket, so drops on one socket trace in arrival order);
+/// anything but a `DatagramDropped` event, or an overflowed ring, fails.
+fn traced_drops(ring: &TraceRing) -> Vec<(NodeId, DropReason)> {
+    let drain = ring.drain();
+    assert_eq!(drain.dropped, 0, "trace ring overflowed");
+    drain
+        .events
+        .iter()
+        .map(|record| match record.event {
+            ProtoEvent::DatagramDropped { reason } => (record.node, reason),
+            ref other => panic!("unexpected trace event {other:?}"),
+        })
+        .collect()
 }
 
 #[test]
@@ -112,20 +139,21 @@ fn interleaved_traffic_from_many_peers_never_leaks_across_nodes() {
 #[test]
 fn spoofed_and_unknown_sources_are_refused_byte_exactly() {
     let plane = SharedUdpPlane::<u64>::bind_loopback(4, 2).unwrap();
+    let ring = traced(&plane);
     let endpoints = plane.endpoints();
     let attacker = UdpSocket::bind("127.0.0.1:0").unwrap();
     // Socket 0 hosts nodes 0 and 2.
-    let target = plane.node_addr(NodeId(0)).unwrap();
+    let target = plane.node_addr(NodeId(2)).unwrap();
 
     // A well-formed record claiming an in-plane sender, but from the
     // attacker's socket: refused as misaddressed (cross-socket spoof).
-    let spoof = record(0, &encode_frame(NodeId(1), &7u64).unwrap());
+    let spoof = record(2, &encode_frame(NodeId(1), &7u64).unwrap());
     attacker.send_to(&spoof, target).unwrap();
     // A well-formed record claiming a sender outside the plane entirely.
-    let unknown = record(0, &encode_frame(NodeId(99), &7u64).unwrap());
+    let unknown = record(2, &encode_frame(NodeId(99), &7u64).unwrap());
     attacker.send_to(&unknown, target).unwrap();
     // A record whose frame bytes the sle-wire codec rejects.
-    let garbage = record(0, b"definitely not a frame");
+    let garbage = record(2, b"definitely not a frame");
     attacker.send_to(&garbage, target).unwrap();
     // A datagram larger than any the plane ever emits, dropped unparsed.
     attacker
@@ -155,11 +183,24 @@ fn spoofed_and_unknown_sources_are_refused_byte_exactly() {
             ..PlaneStatsSnapshot::default()
         }
     );
+    // Every refusal is traced with its reason: record-level drops against
+    // the record's destination, the unparsed oversized datagram against
+    // the lowest node id behind the receiving socket.
+    assert_eq!(
+        traced_drops(&ring),
+        vec![
+            (NodeId(2), DropReason::Misaddressed),
+            (NodeId(2), DropReason::Misaddressed),
+            (NodeId(2), DropReason::Malformed),
+            (NodeId(0), DropReason::Oversized),
+        ]
+    );
 }
 
 #[test]
 fn truncation_aborts_the_datagram_but_earlier_records_survive() {
     let plane = SharedUdpPlane::<u64>::bind_loopback(2, 1).unwrap();
+    let ring = traced(&plane);
     let endpoints = plane.endpoints();
     let attacker = UdpSocket::bind("127.0.0.1:0").unwrap();
     let target = plane.node_addr(NodeId(0)).unwrap();
@@ -169,8 +210,8 @@ fn truncation_aborts_the_datagram_but_earlier_records_survive() {
     // (truncated, counted once, walk ends)]. Records before the truncation
     // point are judged normally; the truncated tail never reaches the
     // codec.
-    let mut datagram = record(0, &encode_frame(NodeId(1), &1u64).unwrap());
-    let mut lying = record(0, &encode_frame(NodeId(1), &2u64).unwrap());
+    let mut datagram = record(1, &encode_frame(NodeId(1), &1u64).unwrap());
+    let mut lying = record(1, &encode_frame(NodeId(1), &2u64).unwrap());
     let cut = lying.len() - 4;
     lying.truncate(cut);
     datagram.extend_from_slice(&lying);
@@ -199,6 +240,17 @@ fn truncation_aborts_the_datagram_but_earlier_records_survive() {
             reader_wakeups: stats.reader_wakeups,
             ..PlaneStatsSnapshot::default()
         }
+    );
+    // A record cut short still names its destination; a tail too short to
+    // hold a record header names nobody, so it is traced against the
+    // lowest node id behind the socket (not the `00 00 00 01` it hints at).
+    assert_eq!(
+        traced_drops(&ring),
+        vec![
+            (NodeId(1), DropReason::Misaddressed),
+            (NodeId(1), DropReason::Truncated),
+            (NodeId(0), DropReason::Truncated),
+        ]
     );
 }
 
@@ -333,4 +385,84 @@ fn mid_stream_churn_routes_or_refuses_every_record_exactly_once() {
         }
     );
     assert_eq!(expect_delivered + expect_misrouted, STEPS as u64);
+}
+
+#[test]
+fn unencodable_send_is_an_error_counted_and_traced() {
+    let plane = SharedUdpPlane::<ServiceMessage>::bind_loopback(2, 2).unwrap();
+    let ring = traced(&plane);
+    let endpoints = plane.endpoints();
+    // A HELLO gossiping more groups than fit in MAX_DATAGRAM.
+    let huge = ServiceMessage::Hello {
+        incarnation: 0,
+        sent_at: SimInstant::ZERO,
+        announcements: (0..250)
+            .map(|i| GroupAnnouncement {
+                group: GroupId(i),
+                processes: Vec::new(),
+            })
+            .collect(),
+    };
+    assert!(matches!(
+        endpoints[1].send(NodeId(0), huge),
+        Err(TransportError::Unencodable(_))
+    ));
+    // Nothing reached the wire; the failure is counted and traced against
+    // the node that tried to say it.
+    assert_eq!(
+        plane.stats(),
+        PlaneStatsSnapshot {
+            send_unencodable: 1,
+            ..PlaneStatsSnapshot::default()
+        }
+    );
+    assert_eq!(
+        traced_drops(&ring),
+        vec![(NodeId(1), DropReason::Unencodable)]
+    );
+}
+
+/// The plane datagram of `docs/WIRE.md`, pinned: two records for node 2,
+/// `ACCUSE { group: 3, epoch: 9 }` from node 5 (the spec's worked example)
+/// and `ACCUSE { group: 3, epoch: 10 }` from node 7.
+const GOLDEN_TWO_RECORDS: &str = concat!(
+    "000000020016534c4550030000000503000000030000000000000009",
+    "000000020016534c455003000000070300000003000000000000000a",
+);
+
+#[test]
+fn golden_two_record_datagram_is_what_the_plane_speaks() {
+    let accuse = |epoch| ServiceMessage::Accuse {
+        group: GroupId(3),
+        epoch,
+    };
+    let golden: Vec<u8> = (0..GOLDEN_TWO_RECORDS.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&GOLDEN_TWO_RECORDS[i..i + 2], 16).unwrap())
+        .collect();
+    let mut spelled_out = record(2, &encode_frame(NodeId(5), &accuse(9)).unwrap());
+    spelled_out.extend(record(2, &encode_frame(NodeId(7), &accuse(10)).unwrap()));
+    assert_eq!(
+        spelled_out, golden,
+        "record layout changed; update docs/WIRE.md"
+    );
+
+    // The golden bytes from a foreign socket walk as exactly those two
+    // records — each decodes, names node 2, and is refused only for its
+    // source address. (That the plane's sender emits what its receiver
+    // walks is every delivery test's business.)
+    let plane = SharedUdpPlane::<ServiceMessage>::bind_loopback(8, 2).unwrap();
+    let ring = traced(&plane);
+    let attacker = UdpSocket::bind("127.0.0.1:0").unwrap();
+    attacker
+        .send_to(&golden, plane.node_addr(NodeId(2)).unwrap())
+        .unwrap();
+    await_settled(|| plane.stats().dropped_misaddressed == 2);
+    assert_eq!(
+        traced_drops(&ring),
+        vec![
+            (NodeId(2), DropReason::Misaddressed),
+            (NodeId(2), DropReason::Misaddressed),
+        ]
+    );
 }

@@ -7,14 +7,14 @@
 //! Expected output (ports, node numbers and timings vary):
 //!
 //! ```text
-//! 5 sle-udp endpoints bound on loopback:
+//! 5 sle-udp sockets bound on loopback:
 //!   n0 @ 127.0.0.1:41234
 //!   ...
 //! joining 5 candidate processes to group g1...
 //! elected leader n2.p0 after 1.352s
 //! crashing the leader's workstation (n2)...
 //! re-elected n0.p0 after 2.104s
-//! node n0 datagrams: delivered=412 dropped(oversized=0 malformed=0 misaddressed=0) unencodable=0
+//! records: delivered=2060 dropped(oversized=0 truncated=0 malformed=0 misaddressed=0 misrouted=0) unencodable=0
 //! done.
 //! ```
 
@@ -23,27 +23,25 @@ use std::time::{Duration, Instant};
 use sle_core::messages::ServiceMessage;
 use sle_core::{Cluster, GroupId, JoinConfig};
 use sle_election::ElectorKind;
-use sle_net::transport::MessageEndpoint;
 use sle_sim::time::SimDuration;
 use sle_sim::NodeId;
-use sle_udp::bind_loopback_mesh;
+use sle_udp::SharedUdpPlane;
 
 fn main() {
     let n = 5;
-    let endpoints = bind_loopback_mesh::<ServiceMessage>(n).expect("bind loopback sockets");
+    // One socket per workstation: as many plane sockets as nodes.
+    let plane =
+        SharedUdpPlane::<ServiceMessage>::bind_loopback(n, n).expect("bind loopback sockets");
 
-    println!("{n} sle-udp endpoints bound on loopback:");
-    for endpoint in &endpoints {
-        println!(
-            "  {} @ {}",
-            endpoint.node(),
-            endpoint.local_addr().expect("bound socket has an address")
-        );
+    println!("{n} sle-udp sockets bound on loopback:");
+    for i in 0..n as u32 {
+        let node = NodeId(i);
+        let addr = plane.node_addr(node).expect("every node has a socket");
+        println!("  {node} @ {addr}");
     }
-    // The endpoints move into the cluster's node threads, so take a live
-    // handle on node 0's datagram counters before they go.
-    let n0_stats = endpoints[0].stats_handle();
-    let cluster = Cluster::start_with_endpoints(endpoints, ElectorKind::OmegaLc);
+    // The endpoints move into the cluster's shard workers; the plane handle
+    // keeps the datagram counters readable.
+    let cluster = Cluster::start_with_endpoints(plane.endpoints(), ElectorKind::OmegaLc);
     let group = GroupId(1);
 
     println!("joining {n} candidate processes to group {group}...");
@@ -80,13 +78,15 @@ fn main() {
     assert_ne!(new_leader.node, leader.node);
 
     cluster.shutdown();
-    let stats = n0_stats.snapshot();
+    let stats = plane.stats();
     println!(
-        "node n0 datagrams: delivered={} dropped(oversized={} malformed={} misaddressed={}) unencodable={}",
+        "records: delivered={} dropped(oversized={} truncated={} malformed={} misaddressed={} misrouted={}) unencodable={}",
         stats.delivered,
         stats.dropped_oversized,
+        stats.dropped_truncated,
         stats.dropped_malformed,
         stats.dropped_misaddressed,
+        stats.dropped_misrouted,
         stats.send_unencodable
     );
     println!("done.");

@@ -1,8 +1,8 @@
 //! Cross-transport conformance of the client tier: the *same* session
 //! scenario — install fenced counters, elect, serve a workload, crash the
 //! leader, serve another workload through the re-election — runs unmodified
-//! over the in-memory mesh, the legacy one-socket-per-node UDP transport
-//! and the shared-socket UDP plane. The [`ClientHub`] only sees the
+//! over the in-memory mesh and over the UDP plane, both with one socket per
+//! node and with the nodes sharing sockets. The [`ClientHub`] only sees the
 //! [`MessageEndpoint`] seam, so one generic function covers all three.
 //!
 //! Every run must finish its workload (no lost sessions), and the shared
@@ -22,7 +22,7 @@ use sle_net::link::LinkSpec;
 use sle_net::transport::{InMemoryMesh, MessageEndpoint};
 use sle_sim::time::SimDuration;
 use sle_sim::NodeId;
-use sle_udp::{bind_loopback_mesh, SharedUdpPlane};
+use sle_udp::SharedUdpPlane;
 
 const SERVERS: usize = 3;
 const GROUP: GroupId = GroupId(1);
@@ -114,22 +114,25 @@ fn client_sessions_survive_leader_crash_over_the_in_memory_mesh() {
     run_sessions_over(endpoints, "mesh");
 }
 
+/// The scenario over a UDP plane of `sockets` sockets; the hub's endpoint
+/// is just one more identity on the plane.
+fn run_sessions_over_udp(sockets: usize, transport: &str) {
+    let plane =
+        SharedUdpPlane::<ServiceMessage>::bind_loopback(SERVERS + 1, sockets).expect("bind plane");
+    run_sessions_over(plane.endpoints(), transport);
+    assert_eq!(
+        plane.pending_backlog(),
+        0,
+        "{transport}: coalesced sends stranded after the session run"
+    );
+}
+
 #[test]
-fn client_sessions_survive_leader_crash_over_legacy_udp() {
-    let endpoints = bind_loopback_mesh::<ServiceMessage>(SERVERS + 1).expect("bind loopback mesh");
-    run_sessions_over(endpoints, "udp-legacy");
+fn client_sessions_survive_leader_crash_over_per_node_udp_sockets() {
+    run_sessions_over_udp(SERVERS + 1, "udp-per-node");
 }
 
 #[test]
 fn client_sessions_survive_leader_crash_over_the_shared_udp_plane() {
-    // Client tier over the production transport shape: the hub's endpoint
-    // is just one more identity demultiplexed behind the shared sockets.
-    let plane =
-        SharedUdpPlane::<ServiceMessage>::bind_loopback(SERVERS + 1, 2).expect("bind plane");
-    run_sessions_over(plane.endpoints(), "udp-shared");
-    assert_eq!(
-        plane.pending_backlog(),
-        0,
-        "udp-shared: coalesced sends stranded after the session run"
-    );
+    run_sessions_over_udp(2, "udp-shared");
 }

@@ -1,23 +1,21 @@
-//! Cross-transport and cross-driver conformance: the full
-//! {mesh, udp-legacy, udp-shared} × {legacy, sharded} matrix must execute
-//! the identical protocol state machine.
+//! Cross-transport conformance: every transport must execute the identical
+//! protocol state machine.
 //!
 //! The same deterministic 5-node scenario — staggered joins so the rank
 //! order is unambiguous, a stable election, a leader crash, a re-election —
-//! runs over `sle-net`'s in-memory mesh, over `sle-udp`'s legacy
-//! one-socket-per-node endpoints, and over the shared-socket demultiplexing
-//! plane (`SharedUdpPlane`, 5 nodes behind 2 sockets), each both in the
-//! legacy shape (`workers = n`) and on a 2-worker shard pool. Every one of
-//! the six cells must produce **identical elected leaders** at every
-//! checkpoint, and its leader-view trace must earn an **equivalent verdict
-//! from the chaos invariant checker** (all clean: eventual agreement,
-//! stability, mistake budget, single leadership).
+//! runs on a 2-worker shard pool over `sle-net`'s in-memory mesh, over the
+//! UDP plane with one socket per node (the paper's literal deployment), and
+//! over the UDP plane with the 5 nodes demultiplexed behind 2 sockets.
+//! Every one of the three cells must produce **identical elected leaders**
+//! at every checkpoint, and its leader-view trace must earn an **equivalent
+//! verdict from the chaos invariant checker** (all clean: eventual
+//! agreement, stability, mistake budget, single leadership).
 //!
 //! This is the regression net under the scale-out refactors: a timer-wheel,
 //! mailbox, fan-out-batching, shared-monitor, demux or send-coalescing
-//! change that altered election behaviour on any transport or driver would
-//! break the leader equalities or hand one of the traces a violation the
-//! others do not have.
+//! change that altered election behaviour on any transport would break the
+//! leader equalities or hand one of the traces a violation the others do
+//! not have.
 
 use std::time::{Duration, Instant};
 
@@ -30,7 +28,7 @@ use sle_net::link::LinkSpec;
 use sle_net::transport::{InMemoryMesh, MessageEndpoint};
 use sle_sim::time::{SimDuration, SimInstant};
 use sle_sim::NodeId;
-use sle_udp::{bind_loopback_mesh, SharedUdpPlane};
+use sle_udp::SharedUdpPlane;
 
 const NODES: usize = 5;
 const GROUP: GroupId = GroupId(1);
@@ -39,14 +37,9 @@ const GROUP: GroupId = GroupId(1);
 /// accusation-time ranks.
 const JOIN_STAGGER: Duration = Duration::from_millis(500);
 
-/// Which runtime shape drives the scenario.
-#[derive(Clone, Copy)]
-enum Driver {
-    /// The historical one-worker-per-node shape (`workers = n`).
-    Legacy,
-    /// The sharded fixed-pool runtime.
-    Sharded(usize),
-}
+/// The shard pool every cell runs on: fewer workers than nodes, so
+/// residents share workers.
+const WORKERS: usize = 2;
 
 /// What one transport's run of the scenario produced.
 struct Outcome {
@@ -61,16 +54,13 @@ struct Outcome {
 
 /// Runs the conformance scenario over whatever transport the endpoints
 /// implement, recording every leader-change notification as a trace event.
-fn run_scenario<E>(endpoints: Vec<E>, transport: String, driver: Driver) -> Outcome
+fn run_scenario<E>(endpoints: Vec<E>, transport: &str) -> Outcome
 where
     E: MessageEndpoint<ServiceMessage> + Send + 'static,
 {
     assert_eq!(endpoints.len(), NODES);
     let started = Instant::now();
-    let mut config = ClusterConfig::new(ElectorKind::OmegaL);
-    if let Driver::Sharded(workers) = driver {
-        config = config.with_workers(workers);
-    }
+    let config = ClusterConfig::new(ElectorKind::OmegaL).with_workers(WORKERS);
     let cluster = Cluster::start_endpoints_with_config(endpoints, config);
     let mut trace: Vec<TraceEvent> = Vec::new();
 
@@ -154,7 +144,7 @@ where
     let violations = check_trace(&trace, &spec);
 
     Outcome {
-        transport,
+        transport: transport.to_string(),
         initial_leader,
         recovered_leader,
         violations,
@@ -169,17 +159,28 @@ fn mesh_endpoints() -> Vec<sle_net::transport::Endpoint<ServiceMessage>> {
         .collect()
 }
 
-/// The shared-socket plane cell: 5 nodes demultiplexed behind 2 sockets.
-/// The endpoints keep the plane (and its reader threads) alive; it shuts
-/// down when the cluster drops them. A handle to the plane is returned
-/// alongside so the caller can audit it after the run.
-fn udp_shared_endpoints() -> (
-    SharedUdpPlane<ServiceMessage>,
-    Vec<sle_udp::SharedUdpEndpoint<ServiceMessage>>,
-) {
-    let plane = SharedUdpPlane::bind_loopback(NODES, 2).expect("bind shared plane");
-    let endpoints = plane.endpoints();
-    (plane, endpoints)
+/// Runs the scenario over a UDP plane of `sockets` sockets — push-mode
+/// delivery into shard mailboxes plus coalesced sends flushed at the
+/// runtime's batch boundaries — and audits the plane afterwards. The
+/// endpoints keep the plane (and its reader threads) alive until the
+/// cluster drops them.
+fn run_udp_scenario(sockets: usize, transport: &str) -> Outcome {
+    let plane = SharedUdpPlane::bind_loopback(NODES, sockets).expect("bind UDP plane");
+    let outcome = run_scenario(plane.endpoints(), transport);
+    assert_no_stranded_sends(&plane, transport);
+    // Real datagrams flowed, and the demux refused none of our own traffic
+    // (every peer speaks the same wire version, and every message the
+    // protocol emits fits one datagram). Only `dropped_misrouted` may be
+    // non-zero: shards shut down one by one, so a last send can find its
+    // destination's endpoint already gone.
+    let stats = plane.stats();
+    assert!(stats.delivered > 0, "{transport}: nothing was delivered");
+    assert_eq!(stats.dropped_malformed, 0, "{transport}");
+    assert_eq!(stats.dropped_oversized, 0, "{transport}");
+    assert_eq!(stats.dropped_truncated, 0, "{transport}");
+    assert_eq!(stats.dropped_misaddressed, 0, "{transport}");
+    assert_eq!(stats.send_unencodable, 0, "{transport}");
+    outcome
 }
 
 /// After the cluster has shut down (dropping its endpoints), no coalescing
@@ -224,13 +225,14 @@ fn assert_identical(a: &Outcome, b: &Outcome) {
     assert_eq!(a.violations, b.violations);
 }
 
-/// Asserts one driver's row of the matrix: every cell has the pinned
-/// outcome, and all pairs are identical (leaders *and* invariant-checker
-/// verdicts). The pinned outcome also equalizes the rows against each
-/// other: a cell in the other row that diverged would fail its own pinned
-/// assertion, so passing both tests proves all six cells identical.
-fn assert_matrix_row(runs: &[Outcome]) {
-    for run in runs {
+#[test]
+fn sharded_driver_matrix_executes_the_identical_state_machine() {
+    let runs = [
+        run_scenario(mesh_endpoints(), "mesh"),
+        run_udp_scenario(NODES, "udp-per-node"),
+        run_udp_scenario(2, "udp-shared"),
+    ];
+    for run in &runs {
         assert_expected_outcome(run);
     }
     for (i, a) in runs.iter().enumerate() {
@@ -238,42 +240,4 @@ fn assert_matrix_row(runs: &[Outcome]) {
             assert_identical(a, b);
         }
     }
-}
-
-#[test]
-fn legacy_driver_matrix_executes_the_identical_state_machine() {
-    // The legacy one-worker-per-node row: in-process mesh, one-socket-per-
-    // node UDP, and the shared-socket plane (which auto-flushes per send in
-    // pull mode — no runtime is around to signal batch boundaries).
-    let (plane, shared) = udp_shared_endpoints();
-    let runs = [
-        run_scenario(mesh_endpoints(), "mesh/legacy".into(), Driver::Legacy),
-        run_scenario(
-            bind_loopback_mesh::<ServiceMessage>(NODES).expect("bind loopback"),
-            "udp-legacy/legacy".into(),
-            Driver::Legacy,
-        ),
-        run_scenario(shared, "udp-shared/legacy".into(), Driver::Legacy),
-    ];
-    assert_no_stranded_sends(&plane, "udp-shared/legacy");
-    assert_matrix_row(&runs);
-}
-
-#[test]
-fn sharded_driver_matrix_executes_the_identical_state_machine() {
-    // The 2-worker shard-pool row. On the shared plane this is the full
-    // production shape: push-mode delivery into shard mailboxes plus
-    // coalesced sends flushed at the runtime's batch boundaries.
-    let (plane, shared) = udp_shared_endpoints();
-    let runs = [
-        run_scenario(mesh_endpoints(), "mesh/sharded".into(), Driver::Sharded(2)),
-        run_scenario(
-            bind_loopback_mesh::<ServiceMessage>(NODES).expect("bind loopback"),
-            "udp-legacy/sharded".into(),
-            Driver::Sharded(2),
-        ),
-        run_scenario(shared, "udp-shared/sharded".into(), Driver::Sharded(2)),
-    ];
-    assert_no_stranded_sends(&plane, "udp-shared/sharded");
-    assert_matrix_row(&runs);
 }

@@ -1,4 +1,4 @@
-//! Integration test for the UDP endpoint's datagram hardening: garbage
+//! Integration test for the UDP plane's datagram hardening: garbage
 //! injected into a *live* socket — one carrying real election traffic —
 //! must be dropped, attributed to the right per-reason counter, and must
 //! not disturb the service.
@@ -9,18 +9,26 @@ use std::time::{Duration, Instant};
 use sle_core::{Cluster, GroupId, JoinConfig, ServiceMessage};
 use sle_election::ElectorKind;
 use sle_sim::actor::NodeId;
-use sle_udp::bind_loopback_mesh;
-use sle_wire::{encode_frame, MAX_DATAGRAM};
+use sle_udp::{SharedUdpPlane, MAX_PLANE_DATAGRAM};
+use sle_wire::encode_frame;
 
 const GROUP: GroupId = GroupId(1);
 
+/// Wraps `frame` in a plane record addressed to node 0 (`docs/WIRE.md`).
+fn record(frame: &[u8]) -> Vec<u8> {
+    let mut rec = 0u32.to_be_bytes().to_vec();
+    rec.extend_from_slice(&(frame.len() as u16).to_be_bytes());
+    rec.extend_from_slice(frame);
+    rec
+}
+
 #[test]
 fn per_reason_drop_counters_increment_on_a_live_socket() {
-    // A real 3-node deployment over loopback UDP.
-    let endpoints = bind_loopback_mesh::<ServiceMessage>(3).expect("bind loopback sockets");
-    let target = endpoints[0].local_addr().expect("bound socket has an addr");
-    let stats = endpoints[0].stats_handle();
-    let cluster = Cluster::start_with_endpoints(endpoints, ElectorKind::OmegaLc);
+    // A real 3-node deployment over loopback UDP, one socket per node.
+    let plane =
+        SharedUdpPlane::<ServiceMessage>::bind_loopback(3, 3).expect("bind loopback sockets");
+    let target = plane.node_addr(NodeId(0)).expect("node 0 has a socket");
+    let cluster = Cluster::start_with_endpoints(plane.endpoints(), ElectorKind::OmegaLc);
     for i in 0..3u32 {
         cluster
             .handle(NodeId(i))
@@ -36,16 +44,16 @@ fn per_reason_drop_counters_increment_on_a_live_socket() {
 
     let attacker = UdpSocket::bind("127.0.0.1:0").expect("bind attacker socket");
     let inject = |epoch: u64| {
-        // Oversized: larger than any frame the codec will even look at.
+        // Oversized: larger than any datagram the demux will even look at.
         attacker
-            .send_to(&[0u8; MAX_DATAGRAM + 1], target)
+            .send_to(&[0u8; MAX_PLANE_DATAGRAM + 1], target)
             .expect("send oversized");
-        // Malformed: sized like a frame, rejected by the codec.
+        // Malformed: a record for node 0 whose frame the codec rejects.
         attacker
-            .send_to(b"not a frame at all, sorry", target)
+            .send_to(&record(b"not a frame at all, sorry"), target)
             .expect("send malformed");
         // Spoofed: a perfectly well-formed frame claiming to be node 1,
-        // but from a source address that is not in the address book.
+        // but from a source address that is not node 1's socket.
         let spoof = encode_frame(
             NodeId(1),
             &ServiceMessage::Accuse {
@@ -54,20 +62,22 @@ fn per_reason_drop_counters_increment_on_a_live_socket() {
             },
         )
         .expect("encode spoofed frame");
-        attacker.send_to(&spoof, target).expect("send spoofed");
+        attacker
+            .send_to(&record(&spoof), target)
+            .expect("send spoofed");
     };
 
     // The reader thread drains asynchronously, and loopback UDP is not
     // lossless under load — so keep re-injecting until every reason has
     // been attributed at least once. (Exact per-reason accounting on an
-    // unloaded socket is covered by the sle-udp unit tests.)
+    // unloaded socket is covered by sle-udp's demux tests.)
     let deadline = Instant::now() + Duration::from_secs(10);
     let mut round = 0u64;
     loop {
         inject(round);
         round += 1;
         std::thread::sleep(Duration::from_millis(20));
-        let snapshot = stats.snapshot();
+        let snapshot = plane.stats();
         if snapshot.dropped_oversized >= 1
             && snapshot.dropped_malformed >= 1
             && snapshot.dropped_misaddressed >= 1
@@ -80,7 +90,7 @@ fn per_reason_drop_counters_increment_on_a_live_socket() {
         );
     }
 
-    let snapshot = stats.snapshot();
+    let snapshot = plane.stats();
     // Nothing is ever over-attributed: each reason counts at most its own
     // injections, and real protocol traffic contributes to `delivered` only.
     assert!(snapshot.dropped_oversized <= round);
