@@ -22,8 +22,9 @@
 //!    per-group arenas, the per-node ALIVE tick with batched fan-out and
 //!    the shared monitor arena together.
 //!
-//! A third family runs the same S3 scale-out shapes on the **sharded
-//! parallel simulator** ([`ParWorld`]) at `--sim-workers N`: one `w1` and
+//! Those two run on one sim worker over a zero-delay medium. A third family
+//! runs the same S3 scale-out shapes with the simulator ([`ParWorld`])
+//! **sharded over worker threads** at `--sim-workers N`: one `w1` and
 //! one `wN` cell per probe shape, asserted to process *identical* event
 //! counts and agree in every group (the parallel determinism claim), plus
 //! the frontier at `wN`. A ≥1.5× `wN`-over-`w1` speedup sanity check is
@@ -78,8 +79,8 @@ const GATE_TOLERANCE: f64 = 0.15;
 /// then "compared".
 const WALL_FLOOR_NS: u128 = 50_000_000;
 /// Link delay of the parallel cells — the conservative lookahead. The
-/// sequential families keep [`PerfectMedium`] (zero delay) for baseline
-/// continuity; a parallel epoch needs a positive minimum link delay.
+/// growth and scale-out families keep [`PerfectMedium`] (zero delay) for
+/// baseline continuity; a parallel epoch needs a positive minimum link delay.
 const PAR_LOOKAHEAD: SimDuration = SimDuration::from_millis(1);
 /// Minimum `wN`-over-`w1` throughput ratio on the parallel probe when the
 /// host has at least `N` cores.
@@ -194,8 +195,7 @@ struct Cell {
     wall_ns: u128,
     /// `wall_ns` rounded to milliseconds, for human eyes and old tooling.
     wall_ms: u128,
-    /// Sim workers that drove the cell: 1 = the sequential `World`,
-    /// >1 = the sharded `ParWorld`.
+    /// Sim workers (shards) that drove the cell.
     sim_workers: usize,
     /// Peak resident set of the whole process when the cell finished, in
     /// MiB (Linux `VmHWM`; `None` where unavailable). Monotonic across the
@@ -315,7 +315,15 @@ fn algorithm_label(algorithm: ElectorKind) -> &'static str {
 }
 
 /// Builds the world for a deployment, runs settle + window, and measures.
-fn run_cell(
+///
+/// One runner for every family: the simulator sharded over `sim_workers`
+/// workers above `medium`. The growth and scale-out families pass [`PerfectMedium`]
+/// and one worker; the parallel family a [`FixedDelayMedium`] whose delay is
+/// the epochs' conservative lookahead. A given shape replays identically for
+/// every `sim_workers` value (same event count, same agreements) — the cheap
+/// end of the determinism claim the chaos suite checks exhaustively.
+#[allow(clippy::too_many_arguments)]
+fn run_cell<M: Medium + Clone + Send>(
     name: &str,
     deployment: &Deployment,
     algorithm: ElectorKind,
@@ -323,6 +331,8 @@ fn run_cell(
     settle: SimDuration,
     window: SimDuration,
     detection: SimDuration,
+    medium: M,
+    sim_workers: usize,
 ) -> Cell {
     let wall = Instant::now();
     let n = deployment.nodes;
@@ -341,96 +351,6 @@ fn run_cell(
     // reads histograms, not events.
     let registry = Registry::default();
     let ring = TraceRing::new(64);
-    let mut world: World<ServiceNode, PerfectMedium> = World::new(
-        n,
-        Box::new({
-            let registry = registry.clone();
-            move |node, _inc| {
-                let mut config =
-                    ServiceConfig::new(node, peers_of[node.index()].clone(), algorithm);
-                let join = JoinConfig::candidate()
-                    .with_qos(QosSpec::paper_default_with_detection(detection));
-                for &group in &groups_of[node.index()] {
-                    config = config.with_auto_join(group, join);
-                }
-                let mut service = ServiceNode::new(config);
-                service.set_instruments(NodeInstruments::new(&registry, ring.clone(), node));
-                service
-            }
-        }),
-        PerfectMedium,
-        seed,
-    );
-
-    let mut observer = CountingObserver::new();
-    world.run_for(settle, &mut observer);
-    let (payloads_before, datagrams_before) =
-        alive_counts(world.num_nodes(), |node| world.actor(node));
-    let messages_before = observer.sent;
-    let bytes_before = observer.bytes_sent;
-
-    world.run_for(window, &mut observer);
-    let (payloads_after, datagrams_after) =
-        alive_counts(world.num_nodes(), |node| world.actor(node));
-
-    // Every group must have converged on a common leader among its members.
-    let groups_agreed = count_groups_agreed(deployment, |node| world.actor(node));
-
-    let elections = registry.merged_histogram("node.", ".elect.election_ns");
-    let wall_ns = wall.elapsed().as_nanos();
-    let events_processed = world.events_processed();
-    Cell {
-        name: name.to_string(),
-        algorithm: algorithm_label(algorithm),
-        nodes: n,
-        groups: deployment.groups.len(),
-        processes: deployment.processes(),
-        members_per_group: deployment.groups.first().map(Vec::len).unwrap_or(0),
-        settle,
-        window,
-        detection,
-        alive_payloads: payloads_after - payloads_before,
-        alive_datagrams: datagrams_after - datagrams_before,
-        messages_total: observer.sent - messages_before,
-        bytes_total: observer.bytes_sent - bytes_before,
-        events_processed,
-        events_per_sec: throughput(events_processed, wall_ns),
-        groups_agreed,
-        wall_ns,
-        wall_ms: wall_ns / 1_000_000,
-        sim_workers: 1,
-        peak_rss_mb: peak_rss_mb(),
-        election_p50_ms: elections.percentile_ms(0.50),
-        election_p99_ms: elections.percentile_ms(0.99),
-    }
-}
-
-/// [`run_cell`] on the sharded parallel simulator: same deployment, same
-/// measurements, driven by [`ParWorld`] across `sim_workers` workers over a
-/// [`FixedDelayMedium`] whose delay is the epochs' conservative lookahead.
-/// A given shape replays identically for every `sim_workers` value (same
-/// event count, same agreements) — the cheap end of the determinism claim
-/// the chaos suite checks exhaustively.
-#[allow(clippy::too_many_arguments)]
-fn run_cell_par(
-    name: &str,
-    deployment: &Deployment,
-    algorithm: ElectorKind,
-    seed: u64,
-    settle: SimDuration,
-    window: SimDuration,
-    detection: SimDuration,
-    sim_workers: usize,
-) -> Cell {
-    let wall = Instant::now();
-    let n = deployment.nodes;
-    let deploy::Membership {
-        groups_of,
-        peers_of,
-    } = deploy::membership(n, &deployment.groups);
-
-    let registry = Registry::default();
-    let ring = TraceRing::new(64);
     let factory: SharedActorFactory<ServiceNode> = Box::new({
         let registry = registry.clone();
         move |node, _inc| {
@@ -445,13 +365,7 @@ fn run_cell_par(
             service
         }
     });
-    let mut world: ParWorld<ServiceNode, FixedDelayMedium> = ParWorld::new(
-        n,
-        sim_workers,
-        factory,
-        FixedDelayMedium::new(PAR_LOOKAHEAD),
-        seed,
-    );
+    let mut world: ParWorld<ServiceNode, M> = ParWorld::new(n, sim_workers, factory, medium, seed);
 
     let mut observers = vec![CountingObserver::new(); world.workers()];
     world.run_for(settle, &mut observers);
@@ -466,6 +380,7 @@ fn run_cell_par(
     let messages_after: u64 = observers.iter().map(|o| o.sent).sum();
     let bytes_after: u64 = observers.iter().map(|o| o.bytes_sent).sum();
 
+    // Every group must have converged on a common leader among its members.
     let groups_agreed = count_groups_agreed(deployment, |node| world.actor(node));
 
     let elections = registry.merged_histogram("node.", ".elect.election_ns");
@@ -691,16 +606,16 @@ fn main() {
 
     // Ad-hoc tuning mode: run one scale cell and report, no JSON, no gates.
     // An explicit `--sim-workers N` (any N, 1 included) runs the cell on
-    // the parallel simulator over its fixed-delay lookahead medium, so
-    // `--cell ... --sim-workers 8` vs `--sim-workers 1` measures the
-    // speedup curve of one shape like-for-like; without the flag the cell
-    // runs the sequential sweep configuration (PerfectMedium).
+    // the fixed-delay lookahead medium, so `--cell ... --sim-workers 8` vs
+    // `--sim-workers 1` measures the speedup curve of one shape
+    // like-for-like; without the flag the cell runs the scale-out family's
+    // configuration (one worker, PerfectMedium).
     if let Some((nodes, groups, members, window_secs, detection_ms)) = args.cell {
         let deployment = Deployment::strided(nodes, groups, members);
         let window = SimDuration::from_secs(window_secs);
         let detection = SimDuration::from_millis(detection_ms);
         let cell = if let Some(workers) = args.sim_workers {
-            run_cell_par(
+            run_cell(
                 &format!("par-scale-s3-{nodes}x{groups}x{members}-w{workers}"),
                 &deployment,
                 ElectorKind::OmegaL,
@@ -708,6 +623,7 @@ fn main() {
                 SETTLE,
                 window,
                 detection,
+                FixedDelayMedium::new(PAR_LOOKAHEAD),
                 workers,
             )
         } else {
@@ -719,6 +635,8 @@ fn main() {
                 SETTLE,
                 window,
                 detection,
+                PerfectMedium,
+                1,
             )
         };
         println!(
@@ -763,6 +681,8 @@ fn main() {
                 SETTLE,
                 WINDOW,
                 DETECTION,
+                PerfectMedium,
+                1,
             );
             println!(
                 "{:<12} {:>5} {:>16} {:>16} {:>10} {:>8}",
@@ -834,6 +754,8 @@ fn main() {
             SETTLE,
             SimDuration::from_secs(window_secs),
             SimDuration::from_millis(detection_ms),
+            PerfectMedium,
+            1,
         );
         println!(
             "{:<28} {:>6} {:>6} {:>8} {:>14} {:>14} {:>13} {:>9} {:>8}",
@@ -887,7 +809,7 @@ fn main() {
     let mut probe_cells: Vec<Cell> = Vec::new();
     for &workers in &par_pair {
         let deployment = Deployment::strided(p_nodes, p_groups, p_members);
-        let cell = run_cell_par(
+        let cell = run_cell(
             &format!("par-scale-s3-{p_nodes}x{p_groups}x{p_members}-w{workers}"),
             &deployment,
             ElectorKind::OmegaL,
@@ -895,6 +817,7 @@ fn main() {
             SETTLE,
             SimDuration::from_secs(p_window),
             SimDuration::from_millis(p_detection),
+            FixedDelayMedium::new(PAR_LOOKAHEAD),
             workers,
         );
         println!(
@@ -951,7 +874,7 @@ fn main() {
         let (nodes, groups, members, window_secs, detection_ms) =
             (10000, 100000, 10, 5u64, 8000u64);
         let deployment = Deployment::strided(nodes, groups, members);
-        let cell = run_cell_par(
+        let cell = run_cell(
             &format!("par-scale-s3-{nodes}x{groups}x{members}-w{par_workers}"),
             &deployment,
             ElectorKind::OmegaL,
@@ -959,6 +882,7 @@ fn main() {
             SETTLE,
             SimDuration::from_secs(window_secs),
             SimDuration::from_millis(detection_ms),
+            FixedDelayMedium::new(PAR_LOOKAHEAD),
             par_workers,
         );
         println!(
@@ -1034,6 +958,8 @@ mod tests {
             SimDuration::from_secs(30),
             SimDuration::from_secs(10),
             SimDuration::from_millis(1_000),
+            PerfectMedium,
+            1,
         );
         let slow = run_cell(
             "pctl-slow",
@@ -1043,6 +969,8 @@ mod tests {
             SimDuration::from_secs(30),
             SimDuration::from_secs(10),
             SimDuration::from_millis(8_000),
+            PerfectMedium,
+            1,
         );
         // The median startup election is a few ms for either detection
         // bound; the *tail* elections are the ones that ride out a full
@@ -1062,12 +990,11 @@ mod tests {
         );
     }
 
-    /// The parallel runner agrees with the sequential one on the
-    /// partition-independent aggregates for the same shape.
+    /// A shape computes the same cell whatever the worker count.
     #[test]
     fn parallel_cell_matches_itself_across_worker_counts() {
         let deployment = Deployment::strided(24, 6, 4);
-        let w1 = run_cell_par(
+        let w1 = run_cell(
             "par-w1",
             &deployment,
             ElectorKind::OmegaL,
@@ -1075,9 +1002,10 @@ mod tests {
             SimDuration::from_secs(20),
             SimDuration::from_secs(10),
             SimDuration::from_millis(1_000),
+            FixedDelayMedium::new(PAR_LOOKAHEAD),
             1,
         );
-        let w4 = run_cell_par(
+        let w4 = run_cell(
             "par-w4",
             &deployment,
             ElectorKind::OmegaL,
@@ -1085,6 +1013,7 @@ mod tests {
             SimDuration::from_secs(20),
             SimDuration::from_secs(10),
             SimDuration::from_millis(1_000),
+            FixedDelayMedium::new(PAR_LOOKAHEAD),
             4,
         );
         assert_eq!(w1.events_processed, w4.events_processed);

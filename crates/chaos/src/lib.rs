@@ -19,6 +19,10 @@
 //!   plans across S1/S2/S3, shrinking ([`shrink`]) every failing seed to a
 //!   1-minimal plan and rendering it as a ready-to-paste `#[test]`.
 //!
+//! The [`engine`] between them has one driver: [`run_plan`] is
+//! [`run_plan_parallel`] on one sim worker, and the report is the same for
+//! every worker count.
+//!
 //! See `docs/CHAOS.md` for the DSL reference, the precise invariant
 //! definitions (with paper-section references), and the workflow for
 //! turning a sweep failure into a regression test. The `chaos_sweep`
@@ -51,16 +55,14 @@
 pub mod convert;
 pub mod engine;
 pub mod invariants;
-pub mod par;
 pub mod plan;
 pub mod shrink;
 pub mod sweep;
 pub mod trace;
 
 pub use convert::{convert_record, convert_trace};
-pub use engine::{run_plan, ChaosConfig, ChaosReport, CHAOS_GROUP};
+pub use engine::{run_plan, run_plan_parallel, ChaosConfig, ChaosReport, CHAOS_GROUP};
 pub use invariants::{check_trace, InvariantSpec, Violation, ViolationKind};
-pub use par::run_plan_parallel;
 pub use plan::{link_to_code, FaultAction, FaultPlan, PlanKind, TimedAction};
 pub use shrink::{shrink_plan, Shrunk};
 pub use sweep::{

@@ -16,9 +16,15 @@
 //! * [`medium`] — the pluggable link-model interface,
 //! * [`wheel`] — the hierarchical timer wheel backing the event loop
 //!   (`O(1)` scheduling at any population of pending timers),
-//! * [`world`] — the event loop with node crash/recovery support,
+//! * [`world`] — the simulator, with node crash/recovery support: one
+//!   thread, one event at a time,
+//! * [`par`] — the same simulator sharded over worker threads that advance
+//!   in conservative-lookahead epochs; both are drivers of one private
+//!   event-execution core and replay a seed identically,
 //! * [`observer`] — hooks from which the experiment harness computes the
-//!   paper's QoS metrics.
+//!   paper's QoS metrics,
+//! * [`timeline`] — piecewise-constant schedules of a value over virtual
+//!   time.
 //!
 //! ## Example
 //!
@@ -55,6 +61,9 @@ pub mod medium;
 pub mod observer;
 pub mod par;
 pub mod rng;
+mod shard;
+#[cfg(test)]
+mod testkit;
 pub mod time;
 pub mod timeline;
 pub mod wheel;

@@ -1,11 +1,11 @@
 //! Sharded parallel discrete-event simulation with conservative lookahead.
 //!
-//! [`ParWorld`] partitions the nodes of a simulation across `W` sim workers
-//! (round-robin by node id, the same dense interning idea as
-//! [`dense`](crate::dense): global node `g` lives in shard `g % W` at local
-//! slot `g / W`). Each shard owns its slice of node state, its own
-//! [`EventWheel`], and one RNG stream per node. Workers advance through
-//! *barrier-delimited epochs* whose width is the medium's
+//! [`ParWorld`] spreads the nodes of a simulation over `W` shards of the same
+//! core [`World`](crate::world::World) runs one of (round-robin by node id:
+//! global node `g` lives in shard `g % W` at local slot `g / W`). Each shard
+//! owns its slice of node state, its own event wheel, a clone of the medium
+//! and one RNG stream per node. Workers advance through *barrier-delimited
+//! epochs* whose width is the medium's
 //! [`min_delay`](crate::medium::Medium::min_delay) — the *lookahead* `L` of
 //! a conservative parallel simulation. Within the half-open window
 //! `[T, T + L)` no shard can receive a message sent inside the same window
@@ -16,21 +16,12 @@
 //!
 //! # Determinism
 //!
-//! Unlike the sequential [`World`](crate::world::World), which orders
-//! simultaneous events by a global push counter and draws all randomness
-//! from one execution-ordered stream, `ParWorld` uses *partition-independent*
-//! coordinates so that every worker count replays the same execution:
-//!
-//! * every event carries a canonical key `(origin_node << 32) | per_node_seq`
-//!   — ties at equal virtual time resolve by origin node, then by the
-//!   origin's own event counter, an order no shard boundary can perturb;
-//! * message fates are drawn from the *sender's* per-node RNG stream
-//!   (seeded from `(world_seed, node_id)`), so a link's loss/delay sequence
-//!   depends only on the sender's canonical event order.
-//!
-//! A given `(seed, workload)` therefore produces identical observers,
-//! event counts and final actor states for **any** `workers` value,
-//! including `workers = 1`.
+//! Same-instant ties resolve by a canonical per-origin event key and every
+//! message fate is drawn from its sender's own RNG stream, so the sharding
+//! never shows in the execution: a given `(seed, workload)` produces
+//! identical observer callbacks per node, event counts and final actor
+//! states for **any** `workers` value, and the same as the one-shard
+//! [`World`](crate::world::World).
 //!
 //! # Zero lookahead
 //!
@@ -44,13 +35,11 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 
-use crate::actor::{Actor, Context, Effect, NodeId, TimerTag, WireSize};
-use crate::medium::{Fate, Medium};
+use crate::actor::{Actor, Context, NodeId};
+use crate::medium::Medium;
 use crate::observer::Observer;
-use crate::rng::SimRng;
+use crate::shard::{EventKind, OutEvent, Shard};
 use crate::time::{SimDuration, SimInstant};
-use crate::wheel::EventWheel;
-use crate::world::{EventKind, NodeSlot};
 
 /// Builds (or rebuilds, after a recovery) the actor for a node.
 ///
@@ -58,288 +47,6 @@ use crate::world::{EventKind, NodeSlot};
 /// [`ActorFactory`](crate::world::ActorFactory): recoveries execute on sim
 /// worker threads, so the factory must be callable from any of them.
 pub type SharedActorFactory<A> = Box<dyn Fn(NodeId, u64) -> A + Send + Sync>;
-
-/// An event en route to another shard: `(arrival, canonical key, payload)`.
-type OutEvent<M> = (SimInstant, u64, EventKind<M>);
-
-/// splitmix64-style finalizer mixing the world seed with a node id, so each
-/// node gets an independent, partition-independent RNG stream.
-fn mix_seed(seed: u64, node: u64) -> u64 {
-    let mut z = seed ^ node.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// The canonical, partition-independent tie-break key of an event.
-fn canonical_key(origin: NodeId, seq: u32) -> u64 {
-    (u64::from(origin.0) << 32) | u64::from(seq)
-}
-
-/// One shard: a worker's slice of nodes, wheel, and per-node RNG streams.
-struct Shard<A: Actor, M> {
-    /// This shard's index; owns every node with `id % stride == index`.
-    index: usize,
-    /// Number of shards (the round-robin stride).
-    stride: usize,
-    /// Total node count of the world (for out-of-range send detection).
-    total_nodes: usize,
-    nodes: Vec<NodeSlot<A>>,
-    /// Per-node deterministic RNG streams, indexed like `nodes`.
-    rngs: Vec<SimRng>,
-    /// Per-node canonical event sequence counters, indexed like `nodes`.
-    seqs: Vec<u32>,
-    wheel: EventWheel<EventKind<A::Msg>>,
-    medium: M,
-    now: SimInstant,
-    events_processed: u64,
-    intra_sends: u64,
-    cross_sends: u64,
-}
-
-impl<A: Actor, M: Medium> Shard<A, M> {
-    #[inline]
-    fn local(&self, node: NodeId) -> usize {
-        debug_assert_eq!(node.index() % self.stride, self.index);
-        node.index() / self.stride
-    }
-
-    /// Allocates the next canonical key of `origin`.
-    fn alloc_key(&mut self, origin: NodeId) -> u64 {
-        let l = self.local(origin);
-        let s = self.seqs[l];
-        self.seqs[l] = s.wrapping_add(1);
-        canonical_key(origin, s)
-    }
-
-    /// Executes one event at `at`, routing cross-shard sends into `out`.
-    fn exec<O: Observer<A::Event>>(
-        &mut self,
-        at: SimInstant,
-        kind: EventKind<A::Msg>,
-        factory: &(dyn Fn(NodeId, u64) -> A + Send + Sync),
-        observer: &mut O,
-        out: &mut [Vec<OutEvent<A::Msg>>],
-    ) {
-        debug_assert!(at >= self.now, "time must not go backwards");
-        self.now = at;
-        self.events_processed += 1;
-        match kind {
-            EventKind::Start { node } => self.handle_start(node, observer, out),
-            EventKind::Deliver {
-                from,
-                to,
-                msg,
-                bytes,
-            } => self.handle_deliver(from, to, msg, bytes, observer, out),
-            EventKind::Timer {
-                node,
-                tag,
-                node_epoch,
-                generation,
-            } => self.handle_timer(node, tag, node_epoch, generation, observer, out),
-            EventKind::Crash { node } => self.handle_crash(node, observer),
-            EventKind::Recover { node } => self.handle_recover(node, factory, observer, out),
-        }
-    }
-
-    fn handle_start<O: Observer<A::Event>>(
-        &mut self,
-        node: NodeId,
-        observer: &mut O,
-        out: &mut [Vec<OutEvent<A::Msg>>],
-    ) {
-        let l = self.local(node);
-        let slot = &mut self.nodes[l];
-        if !slot.up {
-            return;
-        }
-        let mut ctx = Context::new(self.now, node, slot.incarnation);
-        if let Some(actor) = slot.actor.as_mut() {
-            actor.on_start(&mut ctx);
-        }
-        let effects = ctx.into_effects();
-        self.apply_effects(node, effects, observer, out);
-    }
-
-    fn handle_deliver<O: Observer<A::Event>>(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        msg: A::Msg,
-        bytes: usize,
-        observer: &mut O,
-        out: &mut [Vec<OutEvent<A::Msg>>],
-    ) {
-        let l = self.local(to);
-        let slot = &mut self.nodes[l];
-        if !slot.up {
-            observer.message_dropped(self.now, from, to, bytes);
-            return;
-        }
-        observer.message_delivered(self.now, from, to, bytes);
-        let mut ctx = Context::new(self.now, to, slot.incarnation);
-        if let Some(actor) = slot.actor.as_mut() {
-            actor.on_message(from, msg, &mut ctx);
-        }
-        let effects = ctx.into_effects();
-        self.apply_effects(to, effects, observer, out);
-    }
-
-    fn handle_timer<O: Observer<A::Event>>(
-        &mut self,
-        node: NodeId,
-        tag: TimerTag,
-        node_epoch: u64,
-        generation: u64,
-        observer: &mut O,
-        out: &mut [Vec<OutEvent<A::Msg>>],
-    ) {
-        let l = self.local(node);
-        let slot = &mut self.nodes[l];
-        if !slot.up || slot.epoch != node_epoch {
-            return;
-        }
-        match slot.timers.get(tag.0) {
-            Some(g) if g == generation => {}
-            _ => return, // re-armed or cancelled since this event was queued
-        }
-        slot.timers.remove(tag.0);
-        observer.timer_fired(self.now, node);
-        let mut ctx = Context::new(self.now, node, slot.incarnation);
-        if let Some(actor) = slot.actor.as_mut() {
-            actor.on_timer(tag, &mut ctx);
-        }
-        let effects = ctx.into_effects();
-        self.apply_effects(node, effects, observer, out);
-    }
-
-    fn handle_crash<O: Observer<A::Event>>(&mut self, node: NodeId, observer: &mut O) {
-        let l = self.local(node);
-        let slot = &mut self.nodes[l];
-        if !slot.up {
-            return;
-        }
-        slot.up = false;
-        slot.actor = None;
-        slot.epoch += 1;
-        slot.timers.clear();
-        observer.node_crashed(self.now, node);
-    }
-
-    fn handle_recover<O: Observer<A::Event>>(
-        &mut self,
-        node: NodeId,
-        factory: &(dyn Fn(NodeId, u64) -> A + Send + Sync),
-        observer: &mut O,
-        out: &mut [Vec<OutEvent<A::Msg>>],
-    ) {
-        let l = self.local(node);
-        {
-            let slot = &mut self.nodes[l];
-            if slot.up {
-                return;
-            }
-            slot.up = true;
-            slot.incarnation += 1;
-        }
-        let incarnation = self.nodes[l].incarnation;
-        self.nodes[l].actor = Some(factory(node, incarnation));
-        observer.node_recovered(self.now, node, incarnation);
-        self.handle_start(node, observer, out);
-    }
-
-    fn apply_effects<O: Observer<A::Event>>(
-        &mut self,
-        node: NodeId,
-        effects: Vec<Effect<A::Msg, A::Event>>,
-        observer: &mut O,
-        out: &mut [Vec<OutEvent<A::Msg>>],
-    ) {
-        for effect in effects {
-            match effect {
-                Effect::Send { to, msg } => {
-                    let bytes = msg.wire_size();
-                    observer.message_sent(self.now, node, to, bytes);
-                    if to.index() >= self.total_nodes {
-                        // Destination unknown to this world: treated as lost.
-                        observer.message_dropped(self.now, node, to, bytes);
-                        continue;
-                    }
-                    let l = self.local(node);
-                    match self
-                        .medium
-                        .transmit_fate(self.now, node, to, bytes, &mut self.rngs[l])
-                    {
-                        Fate::Dropped => observer.message_dropped(self.now, node, to, bytes),
-                        Fate::Deliver { delay } => {
-                            self.route(node, to, msg, bytes, self.now + delay, out);
-                        }
-                        Fate::DeliverTwice { first, second } => {
-                            self.route(node, to, msg.clone(), bytes, self.now + first, out);
-                            self.route(node, to, msg, bytes, self.now + second, out);
-                        }
-                    }
-                }
-                Effect::SetTimer { tag, at } => {
-                    let l = self.local(node);
-                    let slot = &mut self.nodes[l];
-                    slot.timer_generation += 1;
-                    let generation = slot.timer_generation;
-                    slot.timers.insert(tag.0, generation);
-                    let node_epoch = slot.epoch;
-                    let fire_at = at.max(self.now);
-                    let key = self.alloc_key(node);
-                    self.wheel.push(
-                        fire_at,
-                        key,
-                        EventKind::Timer {
-                            node,
-                            tag,
-                            node_epoch,
-                            generation,
-                        },
-                    );
-                }
-                Effect::CancelTimer { tag } => {
-                    let l = self.local(node);
-                    self.nodes[l].timers.remove(tag.0);
-                }
-                Effect::Emit(event) => {
-                    observer.event_emitted(self.now, node, &event);
-                }
-            }
-        }
-    }
-
-    /// Routes one delivery: into the local wheel if the destination lives on
-    /// this shard, into the cross-shard outbox otherwise.
-    fn route(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        msg: A::Msg,
-        bytes: usize,
-        at: SimInstant,
-        out: &mut [Vec<OutEvent<A::Msg>>],
-    ) {
-        let key = self.alloc_key(from);
-        let kind = EventKind::Deliver {
-            from,
-            to,
-            msg,
-            bytes,
-        };
-        let dest = to.index() % self.stride;
-        if dest == self.index {
-            self.intra_sends += 1;
-            self.wheel.push(at, key, kind);
-        } else {
-            self.cross_sends += 1;
-            out[dest].push((at, key, kind));
-        }
-    }
-}
 
 /// The sharded parallel counterpart of [`World`](crate::world::World).
 ///
@@ -351,9 +58,7 @@ impl<A: Actor, M: Medium> Shard<A, M> {
 /// * [`ParWorld::run_until`] takes one observer **per worker**; the caller
 ///   merges them afterwards (counters sum, traces merge-sort by time).
 pub struct ParWorld<A: Actor, M: Medium> {
-    now: SimInstant,
-    workers: usize,
-    num_nodes: usize,
+    /// Never empty; between runs every shard's clock reads the same instant.
     shards: Vec<Shard<A, M>>,
     factory: SharedActorFactory<A>,
 }
@@ -376,59 +81,28 @@ impl<A: Actor, M: Medium> ParWorld<A, M> {
     {
         assert!(workers >= 1, "at least one sim worker is required");
         let workers = workers.min(num_nodes.max(1));
-        let mut shards: Vec<Shard<A, M>> = (0..workers)
-            .map(|index| Shard {
-                index,
-                stride: workers,
-                total_nodes: num_nodes,
-                nodes: Vec::with_capacity(num_nodes.div_ceil(workers)),
-                rngs: Vec::with_capacity(num_nodes.div_ceil(workers)),
-                seqs: Vec::with_capacity(num_nodes.div_ceil(workers)),
-                wheel: EventWheel::new(),
-                medium: medium.clone(),
-                now: SimInstant::ZERO,
-                events_processed: 0,
-                intra_sends: 0,
-                cross_sends: 0,
-            })
-            .collect();
-        for g in 0..num_nodes {
-            let node = NodeId(g as u32);
-            let shard = &mut shards[g % workers];
-            shard.nodes.push(NodeSlot::new(factory(node, 0)));
-            shard.rngs.push(SimRng::seed_from(mix_seed(seed, g as u64)));
-            shard.seqs.push(0);
-        }
-        for g in 0..num_nodes {
-            let node = NodeId(g as u32);
-            let shard = &mut shards[g % workers];
-            let key = shard.alloc_key(node);
-            shard
-                .wheel
-                .push(SimInstant::ZERO, key, EventKind::Start { node });
-        }
-        ParWorld {
-            now: SimInstant::ZERO,
-            workers,
+        let shards = Shard::build(
             num_nodes,
-            shards,
-            factory,
-        }
+            vec![medium; workers],
+            &mut |node, incarnation| factory(node, incarnation),
+            seed,
+        );
+        ParWorld { shards, factory }
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimInstant {
-        self.now
+        self.shards[0].now
     }
 
     /// Number of nodes in the world.
     pub fn num_nodes(&self) -> usize {
-        self.num_nodes
+        self.shards[0].total_nodes
     }
 
     /// Number of sim workers (shards) driving this world.
     pub fn workers(&self) -> usize {
-        self.workers
+        self.shards.len()
     }
 
     /// Total number of events processed so far, across all shards.
@@ -454,9 +128,14 @@ impl<A: Actor, M: Medium> ParWorld<A, M> {
             .fold(SimDuration::MAX, SimDuration::min)
     }
 
-    #[inline]
-    fn shard_of(&self, node: NodeId) -> usize {
-        node.index() % self.workers
+    /// The shard `node` lives on.
+    fn home(&self, node: NodeId) -> &Shard<A, M> {
+        &self.shards[node.index() % self.shards.len()]
+    }
+
+    fn home_mut(&mut self, node: NodeId) -> &mut Shard<A, M> {
+        let workers = self.shards.len();
+        &mut self.shards[node.index() % workers]
     }
 
     /// Returns whether `node` is currently up.
@@ -465,37 +144,22 @@ impl<A: Actor, M: Medium> ParWorld<A, M> {
     ///
     /// Panics if `node` is out of range.
     pub fn is_up(&self, node: NodeId) -> bool {
-        let s = self.shard_of(node);
-        self.shards[s].nodes[node.index() / self.workers].up
+        self.home(node).is_up(node)
     }
 
     /// Returns the current incarnation of `node`.
     pub fn incarnation(&self, node: NodeId) -> u64 {
-        let s = self.shard_of(node);
-        self.shards[s].nodes[node.index() / self.workers].incarnation
+        self.home(node).incarnation(node)
     }
 
     /// Immutable access to the actor of `node`, if the node is up.
     pub fn actor(&self, node: NodeId) -> Option<&A> {
-        let s = self.shard_of(node);
-        let slot = &self.shards[s].nodes[node.index() / self.workers];
-        if slot.up {
-            slot.actor.as_ref()
-        } else {
-            None
-        }
+        self.home(node).actor(node)
     }
 
     /// Mutable access to the actor of `node`, if the node is up.
     pub fn actor_mut(&mut self, node: NodeId) -> Option<&mut A> {
-        let s = self.shard_of(node);
-        let local = node.index() / self.workers;
-        let slot = &mut self.shards[s].nodes[local];
-        if slot.up {
-            slot.actor.as_mut()
-        } else {
-            None
-        }
+        self.home_mut(node).actor_mut(node)
     }
 
     /// Applies `f` to every shard's medium clone, in shard order.
@@ -517,18 +181,14 @@ impl<A: Actor, M: Medium> ParWorld<A, M> {
 
     /// Schedules a crash of `node` at absolute time `at`.
     pub fn schedule_crash(&mut self, node: NodeId, at: SimInstant) {
-        let s = self.shard_of(node);
-        let shard = &mut self.shards[s];
-        let key = shard.alloc_key(node);
-        shard.wheel.push(at, key, EventKind::Crash { node });
+        self.home_mut(node)
+            .schedule(node, at, EventKind::Crash { node });
     }
 
     /// Schedules a recovery of `node` at absolute time `at`.
     pub fn schedule_recovery(&mut self, node: NodeId, at: SimInstant) {
-        let s = self.shard_of(node);
-        let shard = &mut self.shards[s];
-        let key = shard.alloc_key(node);
-        shard.wheel.push(at, key, EventKind::Recover { node });
+        self.home_mut(node)
+            .schedule(node, at, EventKind::Recover { node });
     }
 
     /// Applies a closure to a live actor through the same effect-processing
@@ -538,35 +198,14 @@ impl<A: Actor, M: Medium> ParWorld<A, M> {
         O: Observer<A::Event>,
         F: FnOnce(&mut A, &mut Context<A::Msg, A::Event>),
     {
-        let s = self.shard_of(node);
-        let now = self.now;
-        let mut out: Vec<Vec<OutEvent<A::Msg>>> = (0..self.workers).map(|_| Vec::new()).collect();
-        {
-            let shard = &mut self.shards[s];
-            shard.now = shard.now.max(now);
-            let l = shard.local(node);
-            let slot = &mut shard.nodes[l];
-            if !slot.up {
-                return;
-            }
-            let mut ctx = Context::new(shard.now, node, slot.incarnation);
-            if let Some(actor) = slot.actor.as_mut() {
-                f(actor, &mut ctx);
-            }
-            let effects = ctx.into_effects();
-            shard.apply_effects(node, effects, observer, &mut out);
-        }
-        self.flush_out(&mut out);
+        let mut out = self.outboxes();
+        self.home_mut(node).with_actor(node, observer, &mut out, f);
+        flush_out(&mut self.shards, &mut out);
     }
 
-    /// Pushes buffered cross-shard events straight into their destination
-    /// wheels (main-thread contexts: sequential fallback, `with_actor`).
-    fn flush_out(&mut self, out: &mut [Vec<OutEvent<A::Msg>>]) {
-        for (dest, buf) in out.iter_mut().enumerate() {
-            for (at, key, kind) in buf.drain(..) {
-                self.shards[dest].wheel.push(at, key, kind);
-            }
-        }
+    /// One empty cross-shard outbox per destination shard.
+    fn outboxes(&self) -> Vec<Vec<OutEvent<A::Msg>>> {
+        self.shards.iter().map(|_| Vec::new()).collect()
     }
 
     /// Runs the simulation until virtual time `deadline`, reporting shard
@@ -585,18 +224,18 @@ impl<A: Actor, M: Medium> ParWorld<A, M> {
     {
         assert_eq!(
             observers.len(),
-            self.workers,
+            self.workers(),
             "one observer per sim worker is required"
         );
         let lookahead = self.lookahead();
-        if self.workers == 1 || lookahead.is_zero() {
+        if self.workers() == 1 || lookahead.is_zero() {
             self.run_until_sequential(deadline, observers);
         } else {
             self.run_until_epochs(deadline, lookahead, observers);
         }
-        self.now = self.now.max(deadline);
+        let now = self.now().max(deadline);
         for shard in &mut self.shards {
-            shard.now = self.now;
+            shard.now = now;
         }
     }
 
@@ -608,7 +247,7 @@ impl<A: Actor, M: Medium> ParWorld<A, M> {
         A::Msg: Send,
         M: Send,
     {
-        let deadline = self.now + span;
+        let deadline = self.now() + span;
         self.run_until(deadline, observers);
     }
 
@@ -620,7 +259,8 @@ impl<A: Actor, M: Medium> ParWorld<A, M> {
         deadline: SimInstant,
         observers: &mut [O],
     ) {
-        let mut out: Vec<Vec<OutEvent<A::Msg>>> = (0..self.workers).map(|_| Vec::new()).collect();
+        let mut out = self.outboxes();
+        let factory = &*self.factory;
         loop {
             let mut best: Option<(SimInstant, u64, usize)> = None;
             for (s, shard) in self.shards.iter_mut().enumerate() {
@@ -634,10 +274,8 @@ impl<A: Actor, M: Medium> ParWorld<A, M> {
             if at > deadline {
                 break;
             }
-            let shard = &mut self.shards[s];
-            let (at, _, kind) = shard.wheel.pop().expect("peeked event must pop");
-            shard.exec(at, kind, &*self.factory, &mut observers[s], &mut out);
-            self.flush_out(&mut out);
+            self.shards[s].step(&mut |n, i| factory(n, i), &mut observers[s], &mut out);
+            flush_out(&mut self.shards, &mut out);
         }
     }
 
@@ -654,7 +292,7 @@ impl<A: Actor, M: Medium> ParWorld<A, M> {
         A::Msg: Send,
         M: Send,
     {
-        let workers = self.workers;
+        let workers = self.workers();
         let lookahead_ns = lookahead.as_nanos();
         let deadline_ns = deadline.as_nanos();
         let barrier = Barrier::new(workers);
@@ -706,6 +344,16 @@ impl<A: Actor, M: Medium> ParWorld<A, M> {
                 true,
             );
         });
+    }
+}
+
+/// Pushes buffered cross-shard events straight into their destination
+/// wheels (main-thread contexts: sequential fallback, `with_actor`).
+fn flush_out<A: Actor, M>(shards: &mut [Shard<A, M>], out: &mut [Vec<OutEvent<A::Msg>>]) {
+    for (shard, buf) in shards.iter_mut().zip(out) {
+        for (at, key, kind) in buf.drain(..) {
+            shard.wheel.push(at, key, kind);
+        }
     }
 }
 
@@ -773,8 +421,7 @@ fn epoch_worker<A, M, O>(
             if t.as_nanos() >= upper {
                 break;
             }
-            let (at, _, kind) = shard.wheel.pop().expect("peeked event must pop");
-            shard.exec(at, kind, factory, observer, &mut out);
+            shard.step(&mut |n, i| factory(n, i), observer, &mut out);
         }
         for (dest, buf) in out.iter_mut().enumerate() {
             if !buf.is_empty() {
@@ -787,63 +434,17 @@ fn epoch_worker<A, M, O>(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
-    use crate::medium::{FixedDelayMedium, PerfectMedium};
+    use crate::medium::{Fate, FixedDelayMedium, PerfectMedium, Verdict};
     use crate::observer::CountingObserver;
+    use crate::rng::SimRng;
+    use crate::testkit::{PingActor, TestMsg};
     use crate::world::World;
 
-    /// The world.rs test actor: pings its successor every 100 ms.
-    #[derive(Debug, Clone, PartialEq)]
-    enum TestMsg {
-        Ping(u64),
-        Pong(u64),
-    }
-
-    impl WireSize for TestMsg {
-        fn wire_size(&self) -> usize {
-            9
-        }
-    }
-
-    struct PingActor {
-        id: NodeId,
-        n: u32,
-        pings_sent: u64,
-        pongs_received: u64,
-    }
-
-    const TICK: TimerTag = TimerTag(1);
-
-    impl Actor for PingActor {
-        type Msg = TestMsg;
-        type Event = String;
-
-        fn on_start(&mut self, ctx: &mut Context<TestMsg, String>) {
-            ctx.set_timer_after(TICK, SimDuration::from_millis(100));
-        }
-
-        fn on_message(&mut self, from: NodeId, msg: TestMsg, ctx: &mut Context<TestMsg, String>) {
-            match msg {
-                TestMsg::Ping(n) => ctx.send(from, TestMsg::Pong(n)),
-                TestMsg::Pong(_) => self.pongs_received += 1,
-            }
-        }
-
-        fn on_timer(&mut self, _tag: TimerTag, ctx: &mut Context<TestMsg, String>) {
-            let next = NodeId((self.id.0 + 1) % self.n);
-            self.pings_sent += 1;
-            ctx.send(next, TestMsg::Ping(self.pings_sent));
-            ctx.set_timer_after(TICK, SimDuration::from_millis(100));
-        }
-    }
-
     fn ping_factory(n: u32) -> SharedActorFactory<PingActor> {
-        Box::new(move |id, _inc| PingActor {
-            id,
-            n,
-            pings_sent: 0,
-            pongs_received: 0,
-        })
+        Box::new(PingActor::ring(n))
     }
 
     /// One run's comparable fingerprint: totals plus per-node actor state.
@@ -906,34 +507,189 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parallel_totals_match_the_sequential_world() {
-        // The RNG-free, fixed-delay workload has one causal outcome; the
-        // canonical order must agree with the legacy global-seq order on
-        // every aggregate even though tie-breaking differs.
-        let n = 4u32;
-        let mut seq_world: World<PingActor, FixedDelayMedium> = World::new(
-            n as usize,
-            Box::new(move |id, _| PingActor {
-                id,
-                n,
-                pings_sent: 0,
-                pongs_received: 0,
-            }),
-            FixedDelayMedium::new(SimDuration::from_millis(5)),
-            42,
-        );
-        let mut seq_obs = CountingObserver::new();
-        seq_world.run_for(SimDuration::from_secs(2), &mut seq_obs);
+    /// A medium that draws from the sender's RNG stream for every decision:
+    /// 10 % loss, 15 % duplication, and a delay of `floor` plus 0–3 quanta of
+    /// 25 ms — coarse on purpose, so deliveries collide with each other and
+    /// with the 100 ms ticks and the same-instant order is exercised.
+    #[derive(Clone, Copy)]
+    struct LossyDupMedium {
+        floor: SimDuration,
+    }
 
-        let (par_obs, par_events, _) = fingerprint(
-            n,
-            4,
-            FixedDelayMedium::new(SimDuration::from_millis(5)),
-            false,
+    impl LossyDupMedium {
+        fn delay(&self, rng: &mut SimRng) -> SimDuration {
+            self.floor + SimDuration::from_millis(25 * (rng.next_u64() % 4))
+        }
+    }
+
+    impl Medium for LossyDupMedium {
+        fn transmit(
+            &mut self,
+            now: SimInstant,
+            from: NodeId,
+            to: NodeId,
+            wire_bytes: usize,
+            rng: &mut SimRng,
+        ) -> Verdict {
+            self.transmit_fate(now, from, to, wire_bytes, rng).into()
+        }
+
+        fn transmit_fate(
+            &mut self,
+            _now: SimInstant,
+            _from: NodeId,
+            _to: NodeId,
+            _wire_bytes: usize,
+            rng: &mut SimRng,
+        ) -> Fate {
+            let draw = rng.uniform_f64();
+            if draw < 0.10 {
+                Fate::Dropped
+            } else if draw < 0.25 {
+                Fate::DeliverTwice {
+                    first: self.delay(rng),
+                    second: self.delay(rng),
+                }
+            } else {
+                Fate::Deliver {
+                    delay: self.delay(rng),
+                }
+            }
+        }
+
+        fn min_delay(&self) -> SimDuration {
+            self.floor
+        }
+    }
+
+    /// Records every callback under the node whose home shard issues it, in
+    /// order. Drops come from the sender's shard (loss) or the receiver's
+    /// (destination down), so they are kept apart and compared sorted.
+    #[derive(Debug, Default, PartialEq)]
+    struct CallbackTrace {
+        per_node: BTreeMap<u32, Vec<String>>,
+        drops: Vec<(SimInstant, u32, u32)>,
+    }
+
+    impl CallbackTrace {
+        fn log(&mut self, node: NodeId, line: String) {
+            self.per_node.entry(node.0).or_default().push(line);
+        }
+
+        fn merge(traces: Vec<CallbackTrace>) -> CallbackTrace {
+            let mut all = CallbackTrace::default();
+            for trace in traces {
+                for (node, lines) in trace.per_node {
+                    assert!(all.per_node.insert(node, lines).is_none(), "one home shard");
+                }
+                all.drops.extend(trace.drops);
+            }
+            all.drops.sort();
+            all
+        }
+    }
+
+    impl Observer<String> for CallbackTrace {
+        fn message_sent(&mut self, now: SimInstant, from: NodeId, to: NodeId, _bytes: usize) {
+            self.log(from, format!("{now} sent to {to:?}"));
+        }
+        fn message_dropped(&mut self, now: SimInstant, from: NodeId, to: NodeId, _bytes: usize) {
+            self.drops.push((now, from.0, to.0));
+        }
+        fn message_delivered(&mut self, now: SimInstant, from: NodeId, to: NodeId, _bytes: usize) {
+            self.log(to, format!("{now} delivered from {from:?}"));
+        }
+        fn timer_fired(&mut self, now: SimInstant, node: NodeId) {
+            self.log(node, format!("{now} timer"));
+        }
+        fn node_crashed(&mut self, now: SimInstant, node: NodeId) {
+            self.log(node, format!("{now} crashed"));
+        }
+        fn node_recovered(&mut self, now: SimInstant, node: NodeId, incarnation: u64) {
+            self.log(node, format!("{now} recovered #{incarnation}"));
+        }
+        fn event_emitted(&mut self, now: SimInstant, node: NodeId, event: &String) {
+            self.log(node, format!("{now} emitted {event}"));
+        }
+    }
+
+    /// Everything one run of the equivalence scenario is compared on.
+    type Replay = (CallbackTrace, u64, Vec<Option<PingActor>>);
+
+    const EQUIV_NODES: u32 = 7;
+    const EQUIV_SEED: u64 = 0xE0_1A;
+
+    /// The one scenario both worlds replay: node 3 crashes and recovers, and
+    /// between the two legs node 5 is made to ping node 0 through
+    /// `with_actor` (reported to `$poked`, node 5's home observer).
+    macro_rules! replay_scenario {
+        ($world:ident, $observers:expr, $poked:expr) => {{
+            $world.schedule_crash(NodeId(3), SimInstant::from_secs_f64(0.45));
+            $world.schedule_recovery(NodeId(3), SimInstant::from_secs_f64(1.15));
+            $world.run_for(SimDuration::from_millis(800), $observers);
+            $world.with_actor(NodeId(5), $poked, |_actor, ctx| {
+                ctx.send(NodeId(0), TestMsg::Ping(99));
+            });
+            $world.run_for(SimDuration::from_millis(1200), $observers);
+            (0..EQUIV_NODES)
+                .map(|i| $world.actor(NodeId(i)).cloned())
+                .collect::<Vec<_>>()
+        }};
+    }
+
+    fn replay_on_world(medium: LossyDupMedium) -> Replay {
+        let n = EQUIV_NODES;
+        let mut world = World::new(n as usize, Box::new(PingActor::ring(n)), medium, EQUIV_SEED);
+        let mut trace = CallbackTrace::default();
+        let actors = replay_scenario!(world, &mut trace, &mut trace);
+        (
+            CallbackTrace::merge(vec![trace]),
+            world.events_processed(),
+            actors,
+        )
+    }
+
+    fn replay_on_par_world(medium: LossyDupMedium, workers: usize) -> Replay {
+        let n = EQUIV_NODES;
+        let mut world = ParWorld::new(n as usize, workers, ping_factory(n), medium, EQUIV_SEED);
+        let mut traces: Vec<CallbackTrace> = (0..workers).map(|_| Default::default()).collect();
+        let actors = replay_scenario!(world, &mut traces, &mut traces[5 % workers]);
+        (
+            CallbackTrace::merge(traces),
+            world.events_processed(),
+            actors,
+        )
+    }
+
+    fn assert_world_equals_par_world(medium: LossyDupMedium) {
+        let base = replay_on_world(medium);
+        assert!(!base.0.drops.is_empty(), "the medium must lose messages");
+        assert!(
+            base.0.per_node[&3]
+                .iter()
+                .any(|l| l.ends_with("recovered #1")),
+            "the crash/recover pair must have happened"
         );
-        assert_eq!(par_obs, seq_obs);
-        assert_eq!(par_events, seq_world.events_processed());
+        for workers in [1, 2, 3] {
+            let run = replay_on_par_world(medium, workers);
+            assert_eq!(run.1, base.1, "workers={workers}: events processed");
+            assert_eq!(run.2, base.2, "workers={workers}: final actor states");
+            assert_eq!(run.0, base.0, "workers={workers}: callback traces");
+        }
+    }
+
+    #[test]
+    fn world_and_par_world_replay_event_for_event_with_lookahead() {
+        assert_world_equals_par_world(LossyDupMedium {
+            floor: SimDuration::from_millis(25),
+        });
+    }
+
+    #[test]
+    fn world_and_par_world_replay_event_for_event_without_lookahead() {
+        assert_world_equals_par_world(LossyDupMedium {
+            floor: SimDuration::ZERO,
+        });
     }
 
     #[test]

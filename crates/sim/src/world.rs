@@ -2,22 +2,25 @@
 //!
 //! A [`World`] owns a set of nodes (each running one [`Actor`], here the
 //! leader-election `ServiceNode`), a [`Medium`] deciding the fate of every
-//! message, a virtual clock and a deterministic RNG. Node crashes and
-//! recoveries — the "module that simulates the crashes and recoveries of
-//! workstations" of the paper's Section 6.1 — are injected by scheduling
-//! [`World::schedule_crash`] / [`World::schedule_recovery`] events, exactly
-//! like the authors killed and restarted service instances.
+//! message, a virtual clock and one deterministic RNG stream per node. Node
+//! crashes and recoveries — the "module that simulates the crashes and
+//! recoveries of workstations" of the paper's Section 6.1 — are injected by
+//! scheduling [`World::schedule_crash`] / [`World::schedule_recovery`]
+//! events, exactly like the authors killed and restarted service instances.
 //!
-//! The engine is fully deterministic: two worlds constructed with the same
-//! actors, medium, schedule and seed produce identical executions.
+//! `World` is the one-shard case of the sharded simulation core that
+//! [`ParWorld`](crate::par::ParWorld) drives on several threads: same event
+//! handlers, same canonical same-instant order (by originating node, then by
+//! that node's own event counter), same per-node RNG streams. A `World` and a
+//! `ParWorld` of any worker count built from the same actors, medium,
+//! schedule and seed therefore produce identical executions — and so do two
+//! worlds.
 
-use crate::actor::{Actor, Context, Effect, NodeId, TimerTag, WireSize};
-use crate::dense::TagMap;
-use crate::medium::{Fate, Medium};
+use crate::actor::{Actor, Context, NodeId};
+use crate::medium::Medium;
 use crate::observer::Observer;
-use crate::rng::SimRng;
+use crate::shard::{EventKind, Shard};
 use crate::time::{SimDuration, SimInstant};
-use crate::wheel::EventWheel;
 
 /// Builds (or rebuilds, after a recovery) the actor for a node.
 ///
@@ -26,117 +29,40 @@ use crate::wheel::EventWheel;
 /// state from previous lives of the same workstation.
 pub type ActorFactory<A> = Box<dyn FnMut(NodeId, u64) -> A>;
 
-/// The event vocabulary shared by the sequential [`World`] and the sharded
-/// parallel driver in [`par`](crate::par): both queues hold the same kinds
-/// and dispatch them through the same per-node state transitions.
-#[derive(Debug)]
-pub(crate) enum EventKind<M> {
-    Start {
-        node: NodeId,
-    },
-    Deliver {
-        from: NodeId,
-        to: NodeId,
-        msg: M,
-        bytes: usize,
-    },
-    Timer {
-        node: NodeId,
-        tag: TimerTag,
-        node_epoch: u64,
-        generation: u64,
-    },
-    Crash {
-        node: NodeId,
-    },
-    Recover {
-        node: NodeId,
-    },
-}
-
-pub(crate) struct NodeSlot<A> {
-    pub(crate) actor: Option<A>,
-    pub(crate) up: bool,
-    pub(crate) incarnation: u64,
-    /// Bumped on every crash so stale timer events are discarded.
-    pub(crate) epoch: u64,
-    /// Per-tag generation counters; a timer event only fires if its recorded
-    /// generation still matches. Keyed by the raw tag value in a dense
-    /// open-addressing map — this table is touched on every arm/cancel/fire.
-    pub(crate) timers: TagMap,
-    pub(crate) timer_generation: u64,
-}
-
-impl<A> NodeSlot<A> {
-    pub(crate) fn new(actor: A) -> Self {
-        NodeSlot {
-            actor: Some(actor),
-            up: true,
-            incarnation: 0,
-            epoch: 0,
-            timers: TagMap::new(),
-            timer_generation: 0,
-        }
-    }
-}
-
 /// The discrete-event simulator driving a set of actors.
 pub struct World<A: Actor, M: Medium> {
-    now: SimInstant,
-    seq: u64,
-    queue: EventWheel<EventKind<A::Msg>>,
-    nodes: Vec<NodeSlot<A>>,
+    shard: Shard<A, M>,
     factory: ActorFactory<A>,
-    medium: M,
-    rng: SimRng,
-    events_processed: u64,
 }
 
 impl<A: Actor, M: Medium> World<A, M> {
     /// Creates a world with `num_nodes` nodes, all initially up.
     ///
     /// Every node's actor is built by `factory` and receives its `on_start`
-    /// callback at time zero (in node-id order).
+    /// callback at time zero (in node-id order). Events of one instant run
+    /// in order of originating node, so over a zero-delay medium a node can
+    /// be handed a message that a lower-numbered node sent from its
+    /// `on_start` before its own `on_start` has run.
     pub fn new(num_nodes: usize, mut factory: ActorFactory<A>, medium: M, seed: u64) -> Self {
-        let mut nodes = Vec::with_capacity(num_nodes);
-        for i in 0..num_nodes {
-            let actor = factory(NodeId(i as u32), 0);
-            nodes.push(NodeSlot::new(actor));
-        }
-        let mut world = World {
-            now: SimInstant::ZERO,
-            seq: 0,
-            queue: EventWheel::new(),
-            nodes,
-            factory,
-            medium,
-            rng: SimRng::seed_from(seed),
-            events_processed: 0,
-        };
-        for i in 0..num_nodes {
-            world.push(
-                SimInstant::ZERO,
-                EventKind::Start {
-                    node: NodeId(i as u32),
-                },
-            );
-        }
-        world
+        let shard = Shard::build(num_nodes, vec![medium], &mut *factory, seed)
+            .pop()
+            .expect("one medium makes one shard");
+        World { shard, factory }
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimInstant {
-        self.now
+        self.shard.now
     }
 
     /// Number of nodes in the world.
     pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
+        self.shard.total_nodes
     }
 
     /// Total number of events processed so far.
     pub fn events_processed(&self) -> u64 {
-        self.events_processed
+        self.shard.events_processed
     }
 
     /// Returns whether `node` is currently up.
@@ -145,22 +71,17 @@ impl<A: Actor, M: Medium> World<A, M> {
     ///
     /// Panics if `node` is out of range.
     pub fn is_up(&self, node: NodeId) -> bool {
-        self.nodes[node.index()].up
+        self.shard.is_up(node)
     }
 
     /// Returns the current incarnation of `node`.
     pub fn incarnation(&self, node: NodeId) -> u64 {
-        self.nodes[node.index()].incarnation
+        self.shard.incarnation(node)
     }
 
     /// Immutable access to the actor of `node`, if the node is up.
     pub fn actor(&self, node: NodeId) -> Option<&A> {
-        let slot = &self.nodes[node.index()];
-        if slot.up {
-            slot.actor.as_ref()
-        } else {
-            None
-        }
+        self.shard.actor(node)
     }
 
     /// Mutable access to the actor of `node`, if the node is up.
@@ -169,80 +90,52 @@ impl<A: Actor, M: Medium> World<A, M> {
     /// issuing join/leave commands); protocol interactions should go through
     /// messages and timers.
     pub fn actor_mut(&mut self, node: NodeId) -> Option<&mut A> {
-        let slot = &mut self.nodes[node.index()];
-        if slot.up {
-            slot.actor.as_mut()
-        } else {
-            None
-        }
+        self.shard.actor_mut(node)
     }
 
     /// Access to the medium (e.g. to reconfigure link parameters mid-run).
     pub fn medium_mut(&mut self) -> &mut M {
-        &mut self.medium
+        &mut self.shard.medium
     }
 
     /// Schedules a crash of `node` at absolute time `at`.
     ///
     /// Crashing an already-crashed node is a no-op at processing time.
     pub fn schedule_crash(&mut self, node: NodeId, at: SimInstant) {
-        self.push(at, EventKind::Crash { node });
+        self.shard.schedule(node, at, EventKind::Crash { node });
     }
 
     /// Schedules a recovery of `node` at absolute time `at`.
     ///
     /// Recovering an already-up node is a no-op at processing time.
     pub fn schedule_recovery(&mut self, node: NodeId, at: SimInstant) {
-        self.push(at, EventKind::Recover { node });
+        self.shard.schedule(node, at, EventKind::Recover { node });
     }
 
     /// Runs the simulation until virtual time `deadline`, reporting everything
     /// to `observer`. Events scheduled exactly at `deadline` are processed.
     pub fn run_until<O: Observer<A::Event>>(&mut self, deadline: SimInstant, observer: &mut O) {
-        while let Some(next_at) = self.peek_time() {
+        while let Some(next_at) = self.shard.wheel.peek_time() {
             if next_at > deadline {
                 break;
             }
             self.step(observer);
         }
-        if self.now < deadline {
-            self.now = deadline;
+        if self.shard.now < deadline {
+            self.shard.now = deadline;
         }
     }
 
     /// Runs the simulation for `span` of virtual time from the current clock.
     pub fn run_for<O: Observer<A::Event>>(&mut self, span: SimDuration, observer: &mut O) {
-        let deadline = self.now + span;
+        let deadline = self.now() + span;
         self.run_until(deadline, observer);
     }
 
     /// Processes a single event. Returns `false` if the queue is empty.
     pub fn step<O: Observer<A::Event>>(&mut self, observer: &mut O) -> bool {
-        let (at, _seq, kind) = match self.queue.pop() {
-            Some(e) => e,
-            None => return false,
-        };
-        debug_assert!(at >= self.now, "time must not go backwards");
-        self.now = at;
-        self.events_processed += 1;
-        match kind {
-            EventKind::Start { node } => self.handle_start(node, observer),
-            EventKind::Deliver {
-                from,
-                to,
-                msg,
-                bytes,
-            } => self.handle_deliver(from, to, msg, bytes, observer),
-            EventKind::Timer {
-                node,
-                tag,
-                node_epoch,
-                generation,
-            } => self.handle_timer(node, tag, node_epoch, generation, observer),
-            EventKind::Crash { node } => self.handle_crash(node, observer),
-            EventKind::Recover { node } => self.handle_recover(node, observer),
-        }
-        true
+        // One shard: every delivery is local, so there is no outbox.
+        self.shard.step(&mut *self.factory, observer, &mut [])
     }
 
     /// Applies a closure to a live actor through the same effect-processing
@@ -253,274 +146,20 @@ impl<A: Actor, M: Medium> World<A, M> {
         O: Observer<A::Event>,
         F: FnOnce(&mut A, &mut Context<A::Msg, A::Event>),
     {
-        let slot = &mut self.nodes[node.index()];
-        if !slot.up {
-            return;
-        }
-        let incarnation = slot.incarnation;
-        let mut ctx = Context::new(self.now, node, incarnation);
-        if let Some(actor) = slot.actor.as_mut() {
-            f(actor, &mut ctx);
-        }
-        let effects = ctx.into_effects();
-        self.apply_effects(node, effects, observer);
-    }
-
-    fn peek_time(&mut self) -> Option<SimInstant> {
-        self.queue.peek_time()
-    }
-
-    fn push(&mut self, at: SimInstant, kind: EventKind<A::Msg>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(at, seq, kind);
-    }
-
-    fn handle_start<O: Observer<A::Event>>(&mut self, node: NodeId, observer: &mut O) {
-        let slot = &mut self.nodes[node.index()];
-        if !slot.up {
-            return;
-        }
-        let incarnation = slot.incarnation;
-        let mut ctx = Context::new(self.now, node, incarnation);
-        if let Some(actor) = slot.actor.as_mut() {
-            actor.on_start(&mut ctx);
-        }
-        let effects = ctx.into_effects();
-        self.apply_effects(node, effects, observer);
-    }
-
-    fn handle_deliver<O: Observer<A::Event>>(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        msg: A::Msg,
-        bytes: usize,
-        observer: &mut O,
-    ) {
-        let slot = &mut self.nodes[to.index()];
-        if !slot.up {
-            observer.message_dropped(self.now, from, to, bytes);
-            return;
-        }
-        observer.message_delivered(self.now, from, to, bytes);
-        let incarnation = slot.incarnation;
-        let mut ctx = Context::new(self.now, to, incarnation);
-        if let Some(actor) = slot.actor.as_mut() {
-            actor.on_message(from, msg, &mut ctx);
-        }
-        let effects = ctx.into_effects();
-        self.apply_effects(to, effects, observer);
-    }
-
-    fn handle_timer<O: Observer<A::Event>>(
-        &mut self,
-        node: NodeId,
-        tag: TimerTag,
-        node_epoch: u64,
-        generation: u64,
-        observer: &mut O,
-    ) {
-        let slot = &mut self.nodes[node.index()];
-        if !slot.up || slot.epoch != node_epoch {
-            return;
-        }
-        match slot.timers.get(tag.0) {
-            Some(g) if g == generation => {}
-            _ => return, // re-armed or cancelled since this event was queued
-        }
-        slot.timers.remove(tag.0);
-        observer.timer_fired(self.now, node);
-        let incarnation = slot.incarnation;
-        let mut ctx = Context::new(self.now, node, incarnation);
-        if let Some(actor) = slot.actor.as_mut() {
-            actor.on_timer(tag, &mut ctx);
-        }
-        let effects = ctx.into_effects();
-        self.apply_effects(node, effects, observer);
-    }
-
-    fn handle_crash<O: Observer<A::Event>>(&mut self, node: NodeId, observer: &mut O) {
-        let slot = &mut self.nodes[node.index()];
-        if !slot.up {
-            return;
-        }
-        slot.up = false;
-        slot.actor = None;
-        slot.epoch += 1;
-        slot.timers.clear();
-        observer.node_crashed(self.now, node);
-    }
-
-    fn handle_recover<O: Observer<A::Event>>(&mut self, node: NodeId, observer: &mut O) {
-        {
-            let slot = &mut self.nodes[node.index()];
-            if slot.up {
-                return;
-            }
-            slot.up = true;
-            slot.incarnation += 1;
-        }
-        let incarnation = self.nodes[node.index()].incarnation;
-        let actor = (self.factory)(node, incarnation);
-        self.nodes[node.index()].actor = Some(actor);
-        observer.node_recovered(self.now, node, incarnation);
-        self.handle_start(node, observer);
-    }
-
-    fn apply_effects<O: Observer<A::Event>>(
-        &mut self,
-        node: NodeId,
-        effects: Vec<Effect<A::Msg, A::Event>>,
-        observer: &mut O,
-    ) {
-        for effect in effects {
-            match effect {
-                Effect::Send { to, msg } => {
-                    let bytes = msg.wire_size();
-                    observer.message_sent(self.now, node, to, bytes);
-                    if to.index() >= self.nodes.len() {
-                        // Destination unknown to this world: treated as lost.
-                        observer.message_dropped(self.now, node, to, bytes);
-                        continue;
-                    }
-                    match self
-                        .medium
-                        .transmit_fate(self.now, node, to, bytes, &mut self.rng)
-                    {
-                        Fate::Dropped => observer.message_dropped(self.now, node, to, bytes),
-                        Fate::Deliver { delay } => {
-                            let at = self.now + delay;
-                            self.push(
-                                at,
-                                EventKind::Deliver {
-                                    from: node,
-                                    to,
-                                    msg,
-                                    bytes,
-                                },
-                            );
-                        }
-                        Fate::DeliverTwice { first, second } => {
-                            self.push(
-                                self.now + first,
-                                EventKind::Deliver {
-                                    from: node,
-                                    to,
-                                    msg: msg.clone(),
-                                    bytes,
-                                },
-                            );
-                            self.push(
-                                self.now + second,
-                                EventKind::Deliver {
-                                    from: node,
-                                    to,
-                                    msg,
-                                    bytes,
-                                },
-                            );
-                        }
-                    }
-                }
-                Effect::SetTimer { tag, at } => {
-                    let slot = &mut self.nodes[node.index()];
-                    slot.timer_generation += 1;
-                    let generation = slot.timer_generation;
-                    slot.timers.insert(tag.0, generation);
-                    let node_epoch = slot.epoch;
-                    let fire_at = at.max(self.now);
-                    self.push(
-                        fire_at,
-                        EventKind::Timer {
-                            node,
-                            tag,
-                            node_epoch,
-                            generation,
-                        },
-                    );
-                }
-                Effect::CancelTimer { tag } => {
-                    self.nodes[node.index()].timers.remove(tag.0);
-                }
-                Effect::Emit(event) => {
-                    observer.event_emitted(self.now, node, &event);
-                }
-            }
-        }
+        self.shard.with_actor(node, observer, &mut [], f);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::medium::{FixedDelayMedium, PerfectMedium, Verdict};
+    use crate::medium::{Fate, FixedDelayMedium, PerfectMedium, Verdict};
     use crate::observer::{CountingObserver, NullObserver};
-
-    /// A small test actor: pings its successor every 100 ms and counts pongs.
-    #[derive(Debug, Clone, PartialEq)]
-    enum TestMsg {
-        Ping(u64),
-        Pong(u64),
-    }
-
-    impl WireSize for TestMsg {
-        fn wire_size(&self) -> usize {
-            9
-        }
-    }
-
-    struct PingActor {
-        id: NodeId,
-        n: u32,
-        pings_sent: u64,
-        pongs_received: u64,
-        incarnation: u64,
-    }
-
-    const TICK: TimerTag = TimerTag(1);
-
-    impl Actor for PingActor {
-        type Msg = TestMsg;
-        type Event = String;
-
-        fn on_start(&mut self, ctx: &mut Context<TestMsg, String>) {
-            self.incarnation = ctx.incarnation();
-            ctx.set_timer_after(TICK, SimDuration::from_millis(100));
-        }
-
-        fn on_message(&mut self, from: NodeId, msg: TestMsg, ctx: &mut Context<TestMsg, String>) {
-            match msg {
-                TestMsg::Ping(n) => ctx.send(from, TestMsg::Pong(n)),
-                TestMsg::Pong(_) => {
-                    self.pongs_received += 1;
-                    ctx.emit(format!("pong at {}", ctx.now()));
-                }
-            }
-        }
-
-        fn on_timer(&mut self, tag: TimerTag, ctx: &mut Context<TestMsg, String>) {
-            assert_eq!(tag, TICK);
-            let next = NodeId((self.id.0 + 1) % self.n);
-            self.pings_sent += 1;
-            ctx.send(next, TestMsg::Ping(self.pings_sent));
-            ctx.set_timer_after(TICK, SimDuration::from_millis(100));
-        }
-    }
+    use crate::rng::SimRng;
+    use crate::testkit::{PingActor, TestMsg};
 
     fn make_world(n: u32) -> World<PingActor, PerfectMedium> {
-        World::new(
-            n as usize,
-            Box::new(move |id, inc| PingActor {
-                id,
-                n,
-                pings_sent: 0,
-                pongs_received: 0,
-                incarnation: inc,
-            }),
-            PerfectMedium,
-            42,
-        )
+        World::new(n as usize, Box::new(PingActor::ring(n)), PerfectMedium, 42)
     }
 
     #[test]
@@ -591,13 +230,7 @@ mod tests {
         let n = 2u32;
         let mut world: World<PingActor, FixedDelayMedium> = World::new(
             2,
-            Box::new(move |id, inc| PingActor {
-                id,
-                n,
-                pings_sent: 0,
-                pongs_received: 0,
-                incarnation: inc,
-            }),
+            Box::new(PingActor::ring(n)),
             FixedDelayMedium::new(SimDuration::from_millis(40)),
             7,
         );
@@ -629,18 +262,8 @@ mod tests {
     fn determinism_same_seed_same_counts() {
         let run = |seed: u64| {
             let n = 4u32;
-            let mut world: World<PingActor, PerfectMedium> = World::new(
-                4,
-                Box::new(move |id, inc| PingActor {
-                    id,
-                    n,
-                    pings_sent: 0,
-                    pongs_received: 0,
-                    incarnation: inc,
-                }),
-                PerfectMedium,
-                seed,
-            );
+            let mut world: World<PingActor, PerfectMedium> =
+                World::new(4, Box::new(PingActor::ring(n)), PerfectMedium, seed);
             let mut obs = CountingObserver::new();
             world.schedule_crash(NodeId(2), SimInstant::from_secs_f64(1.5));
             world.schedule_recovery(NodeId(2), SimInstant::from_secs_f64(2.5));
@@ -696,18 +319,8 @@ mod tests {
     #[test]
     fn duplicating_medium_delivers_every_message_twice() {
         let n = 1u32;
-        let mut world: World<PingActor, DuplicatingMedium> = World::new(
-            1,
-            Box::new(move |id, inc| PingActor {
-                id,
-                n,
-                pings_sent: 0,
-                pongs_received: 0,
-                incarnation: inc,
-            }),
-            DuplicatingMedium,
-            5,
-        );
+        let mut world: World<PingActor, DuplicatingMedium> =
+            World::new(1, Box::new(PingActor::ring(n)), DuplicatingMedium, 5);
         let mut obs = CountingObserver::new();
         // One node pinging itself: each ping is duplicated, and each of the
         // two delivered pings triggers a pong, which is duplicated again.
