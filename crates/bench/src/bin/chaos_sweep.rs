@@ -13,8 +13,9 @@
 //! report there too — CI publishes it as a job artifact).
 //!
 //! Exit status: 0 when every run upholds every invariant (or, under
-//! `--weakened`, when the deliberately broken detector *is* caught);
-//! 1 otherwise.
+//! `--weakened`, when the deliberately broken detector *is* caught) and,
+//! under `--smoke`, the membership-churn and duplication/reordering
+//! families exercised the HELLO pull path; 1 otherwise.
 
 use std::time::Instant;
 
@@ -167,5 +168,12 @@ fn main() {
         std::process::exit(1);
     } else {
         println!("OK: every run upheld every invariant");
+    }
+    if args.smoke {
+        if let Err(missing) = summary.hello_paths_exercised() {
+            eprintln!("FAIL: {missing} — the HELLO pull path ran unchecked");
+            std::process::exit(1);
+        }
+        println!("OK: the HELLO pull and stale-version paths ran under the checker");
     }
 }

@@ -137,6 +137,12 @@ pub struct CellSummary {
     pub runs: u64,
     /// Seeds that violated an invariant.
     pub failed: u64,
+    /// `hello.pulls_sent` summed over the cell's runs and nodes: how often
+    /// the anti-entropy pull path ran under the invariant checker.
+    pub hello_pulls: u64,
+    /// `hello.stale_ignored`, likewise: delayed or duplicated HELLOs the
+    /// version check dropped.
+    pub hello_stale: u64,
 }
 
 /// Everything a sweep produced.
@@ -156,6 +162,38 @@ impl SweepSummary {
         self.failures.is_empty()
     }
 
+    /// Checks that the sweep put the HELLO pull path and the stale-version
+    /// drop under the invariant checker: every membership-churn and
+    /// duplication/reordering family must have sent pulls in at least one
+    /// run, and at least one of those runs must have dropped a stale HELLO.
+    /// (`chaos_sweep --smoke` fails otherwise: a sweep that never leaves the
+    /// digest fast path proves nothing about the rest.)
+    ///
+    /// # Errors
+    ///
+    /// Names what was not exercised.
+    pub fn hello_paths_exercised(&self) -> Result<(), String> {
+        let families = [
+            PlanKind::MemberChurn,
+            PlanKind::LargeChurn,
+            PlanKind::DupReorder,
+        ];
+        let mut stale = 0;
+        for family in families.map(|kind| kind.name()) {
+            let cells = self.cells.iter().filter(|c| c.plan_name == family);
+            let (pulls, dropped) =
+                cells.fold((0, 0), |(p, s), c| (p + c.hello_pulls, s + c.hello_stale));
+            if pulls == 0 {
+                return Err(format!("no {family} run sent a HELLO pull"));
+            }
+            stale += dropped;
+        }
+        if stale == 0 {
+            return Err("no churn or duplication run dropped a stale HELLO".to_string());
+        }
+        Ok(())
+    }
+
     /// Renders the summary as a text table (printed by the `chaos_sweep`
     /// binary and published as the CI artifact).
     pub fn render(&self) -> String {
@@ -166,16 +204,18 @@ impl SweepSummary {
             self.failures.len()
         ));
         out.push_str(&format!(
-            "{:<10} {:<16} {:>6} {:>8}\n",
-            "service", "plan", "runs", "failed"
+            "{:<10} {:<16} {:>6} {:>8} {:>12} {:>12}\n",
+            "service", "plan", "runs", "failed", "hello pulls", "hello stale"
         ));
         for cell in &self.cells {
             out.push_str(&format!(
-                "{:<10} {:<16} {:>6} {:>8}\n",
+                "{:<10} {:<16} {:>6} {:>8} {:>12} {:>12}\n",
                 algorithm_label(cell.algorithm),
                 cell.plan_name,
                 cell.runs,
-                cell.failed
+                cell.failed,
+                cell.hello_pulls,
+                cell.hello_stale
             ));
         }
         for failure in &self.failures {
@@ -268,7 +308,7 @@ pub fn run_sweep(config: &SweepConfig) -> SweepSummary {
     let mut failures = Vec::new();
     for &algorithm in &config.algorithms {
         for &kind in &config.plans {
-            let mut failed = 0u64;
+            let (mut failed, mut hello_pulls, mut hello_stale) = (0u64, 0u64, 0u64);
             // Scale-hungry families (LargeChurn needs room for 100+
             // processes) raise the deployment to their floor; the others
             // keep the sweep's configured size.
@@ -279,6 +319,8 @@ pub fn run_sweep(config: &SweepConfig) -> SweepSummary {
                 let plan = kind.generate(nodes, config.duration, config.link, seed);
                 let report = run_plan(&chaos, &plan);
                 runs += 1;
+                hello_pulls += report.metrics.sum_counters("node.", ".hello.pulls_sent");
+                hello_stale += report.metrics.sum_counters("node.", ".hello.stale_ignored");
                 if report.ok() {
                     continue;
                 }
@@ -306,6 +348,8 @@ pub fn run_sweep(config: &SweepConfig) -> SweepSummary {
                 plan_name: kind.name().to_string(),
                 runs: config.seeds,
                 failed,
+                hello_pulls,
+                hello_stale,
             });
         }
     }
@@ -397,6 +441,9 @@ mod tests {
         assert_eq!(summary.cells.len(), 18);
         assert!(summary.render().contains("chaos sweep"));
         assert!(summary.render().contains("large-churn"));
+        assert!(summary.render().contains("hello pulls"));
+        // The churn and duplication families leave the digest fast path.
+        assert_eq!(summary.hello_paths_exercised(), Ok(()));
     }
 
     #[test]

@@ -26,8 +26,12 @@ pub struct MemberEntry {
     pub peer: NodeId,
     /// The remote workstation's incarnation when this information was learnt.
     pub incarnation: u64,
-    /// When we last heard a HELLO or ALIVE from it for this group.
+    /// When an ALIVE or a HELLO list last named it in this group. Readers add
+    /// the peer's last digest while `listed_at` is the peer's applied version.
     pub last_heard: SimInstant,
+    /// The version of the peer's announcement list that last named this
+    /// group, if any: a group its newer list no longer names ages out.
+    pub listed_at: Option<u64>,
     /// The remote processes in the group and whether each is a candidate.
     pub processes: Vec<(ProcessId, bool)>,
     /// The representative candidate process the member advertises in its
@@ -43,6 +47,7 @@ impl MemberEntry {
             peer,
             incarnation,
             last_heard,
+            listed_at: None,
             processes: Vec::new(),
             representative: None,
             requested_interval: None,
@@ -100,21 +105,26 @@ impl MemberTable {
         }
     }
 
-    /// The entry for `peer`, created with `incarnation` stamped `now` on
-    /// first sight. An existing entry just gets `last_heard` refreshed.
-    pub fn ensure(&mut self, peer: NodeId, incarnation: u64, now: SimInstant) -> &mut MemberEntry {
-        let i = match self.find(peer) {
+    /// The entry for `peer` and whether this call created it (with
+    /// `incarnation`, stamped `now`). An existing entry just gets
+    /// `last_heard` refreshed.
+    pub fn ensure(
+        &mut self,
+        peer: NodeId,
+        incarnation: u64,
+        now: SimInstant,
+    ) -> (&mut MemberEntry, bool) {
+        match self.find(peer) {
             Ok(i) => {
                 self.entries[i].last_heard = now;
-                i
+                (&mut self.entries[i], false)
             }
             Err(i) => {
                 self.entries
                     .insert(i, MemberEntry::new(peer, incarnation, now));
-                i
+                (&mut self.entries[i], true)
             }
-        };
-        &mut self.entries[i]
+        }
     }
 
     /// Forgets everything about `peer`, returning its entry if it existed.
@@ -128,6 +138,11 @@ impl MemberTable {
     /// Iterates over all entries in ascending peer order.
     pub fn iter(&self) -> impl Iterator<Item = &MemberEntry> + '_ {
         self.entries.iter()
+    }
+
+    /// Iterates mutably over all entries in ascending peer order.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut MemberEntry> + '_ {
+        self.entries.iter_mut()
     }
 
     /// Iterates over the member node ids in ascending order.
@@ -235,14 +250,18 @@ impl GroupState {
         }
     }
 
-    /// Adds or updates a local process in the group.
-    pub fn upsert_local_process(&mut self, local: u32, candidate: bool) {
+    /// Adds or updates a local process in the group; returns true if that
+    /// changed what the group announces.
+    pub fn upsert_local_process(&mut self, local: u32, candidate: bool) -> bool {
         match self
             .local_processes
             .binary_search_by_key(&local, |&(l, _)| l)
         {
-            Ok(i) => self.local_processes[i].1 = candidate,
-            Err(i) => self.local_processes.insert(i, (local, candidate)),
+            Ok(i) => std::mem::replace(&mut self.local_processes[i].1, candidate) != candidate,
+            Err(i) => {
+                self.local_processes.insert(i, (local, candidate));
+                true
+            }
         }
     }
 
@@ -364,10 +383,12 @@ mod tests {
         group
             .members
             .ensure(NodeId(1), 0, SimInstant::ZERO)
+            .0
             .requested_interval = Some(SimDuration::from_millis(100));
         group
             .members
             .ensure(NodeId(2), 0, SimInstant::ZERO)
+            .0
             .requested_interval = Some(SimDuration::from_millis(400));
         assert_eq!(group.send_interval(), SimDuration::from_millis(100));
     }
@@ -390,6 +411,7 @@ mod tests {
         group
             .members
             .ensure(NodeId(2), 0, SimInstant::ZERO)
+            .0
             .processes = vec![(ProcessId::new(NodeId(2), 4), true)];
         assert_eq!(
             group.leader_process(NodeId(0), Some(NodeId(2))),
@@ -407,7 +429,8 @@ mod tests {
     #[test]
     fn member_entry_helpers() {
         let mut table = MemberTable::new();
-        let entry = table.ensure(NodeId(3), 1, SimInstant::ZERO);
+        let (entry, created) = table.ensure(NodeId(3), 1, SimInstant::ZERO);
+        assert!(created);
         entry.processes = vec![
             (ProcessId::new(NodeId(3), 2), false),
             (ProcessId::new(NodeId(3), 1), true),
@@ -418,7 +441,8 @@ mod tests {
             entry.representative_process(),
             Some(ProcessId::new(NodeId(3), 1))
         );
-        let passive = table.ensure(NodeId(4), 1, SimInstant::ZERO);
+        assert!(!table.ensure(NodeId(3), 1, SimInstant::ZERO).1);
+        let (passive, _) = table.ensure(NodeId(4), 1, SimInstant::ZERO);
         passive.processes = vec![(ProcessId::new(NodeId(4), 2), false)];
         let passive = table.get(NodeId(4)).unwrap();
         assert!(!passive.has_candidate());

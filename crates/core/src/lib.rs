@@ -93,7 +93,9 @@ pub mod prelude {
     pub use crate::error::{AgreementTimeout, ServiceError};
     pub use crate::events::ServiceEvent;
     pub use crate::lease::{FencedApp, FencingToken, LeaderLease, StaleToken};
-    pub use crate::messages::{AliveHeader, GroupAlive, GroupAnnouncement, ServiceMessage};
+    pub use crate::messages::{
+        AliveHeader, GroupAlive, GroupAnnouncement, HelloList, ServiceMessage,
+    };
     pub use crate::node::{ServiceContext, ServiceNode};
     pub use crate::process::{GroupId, ProcessId};
     pub use crate::runtime::{Cluster, ClusterConfig, ClusterEvent, ClusterHandle, RuntimeStats};
@@ -105,8 +107,8 @@ pub use error::{AgreementTimeout, ServiceError};
 pub use events::ServiceEvent;
 pub use group::{GroupState, MemberEntry, MemberTable};
 pub use lease::{FencedApp, FencingToken, LeaderLease, StaleToken};
-pub use messages::{AliveHeader, GroupAlive, GroupAnnouncement, ServiceMessage};
-pub use node::{ServiceContext, ServiceNode};
+pub use messages::{AliveHeader, GroupAlive, GroupAnnouncement, HelloList, ServiceMessage};
+pub use node::{HelloCounters, ServiceContext, ServiceNode};
 pub use obs::NodeInstruments;
 pub use process::{GroupId, ProcessId};
 pub use runtime::{Cluster, ClusterConfig, ClusterEvent, ClusterHandle, RuntimeStats};

@@ -21,7 +21,8 @@ use crate::process::{GroupId, ProcessId};
 pub struct AliveHeader {
     /// The sender's incarnation (bumped every time its workstation recovers).
     pub incarnation: u64,
-    /// Per-(group, destination) heartbeat sequence number.
+    /// Node-level per-destination heartbeat sequence number: one stream per
+    /// peer link, shared by every group whose ALIVEs ride on it.
     pub seq: u64,
     /// When the message was sent (sender's clock).
     pub sent_at: SimInstant,
@@ -42,6 +43,29 @@ pub struct GroupAnnouncement {
     /// The local processes that belong to the group and whether each is a
     /// candidate for its leadership.
     pub processes: Vec<(ProcessId, bool)>,
+}
+
+/// The membership list a HELLO carries besides its `(incarnation, version)`.
+#[derive(Debug, Clone, PartialEq)]
+pub enum HelloList {
+    /// None: a digest ("nothing changed since `version`") or a bare pull.
+    Omitted,
+    /// The sender's complete list at the stamped version, one entry per
+    /// group it is in; the answer to a pull, built once per version.
+    Full(Arc<[GroupAnnouncement]>),
+    /// A fragment of that list: the join-time prompt-discovery announcement
+    /// of one group. Never advances the receiver's applied version.
+    Partial(Arc<[GroupAnnouncement]>),
+}
+
+impl HelloList {
+    /// The carried announcements, if any.
+    pub fn announcements(&self) -> Option<&[GroupAnnouncement]> {
+        match self {
+            HelloList::Omitted => None,
+            HelloList::Full(list) | HelloList::Partial(list) => Some(list),
+        }
+    }
 }
 
 /// One group's share of a batched ALIVE datagram: everything that varies
@@ -78,18 +102,22 @@ impl GroupAlive {
 /// A message exchanged between two service instances.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServiceMessage {
-    /// Periodic membership gossip: which local processes belong to which
-    /// groups on the sending workstation.
+    /// Membership gossip (which local processes belong to which groups) as
+    /// versioned anti-entropy: the periodic HELLO is a list-less *digest*, a
+    /// receiver behind the sender's `(incarnation, version)` answers with a
+    /// *pull*, and the sender unicasts its full list at that version.
     Hello {
         /// The sender's incarnation.
         incarnation: u64,
+        /// The sender's announcement version: bumped on every local join,
+        /// leave or candidacy change, ordered after the incarnation.
+        version: u64,
         /// When the message was sent.
         sent_at: SimInstant,
-        /// One announcement per group the sender participates in. Shared:
-        /// the same HELLO body fans out to every peer, so cloning the
-        /// message per destination bumps a refcount instead of deep-copying
-        /// one announcement (plus process list) per group.
-        announcements: Arc<[GroupAnnouncement]>,
+        /// Asks the receiver to answer with its full announcement list.
+        pull: bool,
+        /// The list this HELLO carries, if any.
+        announcements: HelloList,
     },
     /// Failure-detector heartbeat plus election payload for one group.
     Alive {
@@ -230,14 +258,11 @@ impl WireSize for ServiceMessage {
         // integers and timestamps, one byte per message/option tag.
         match self {
             ServiceMessage::Hello { announcements, .. } => {
-                // tag + incarnation + sent_at + count
-                1 + 8
-                    + 8
-                    + 2
-                    + announcements
-                        .iter()
-                        .map(|a| 4 + 2 + a.processes.len() * (8 + 1))
-                        .sum::<usize>()
+                // tag + incarnation + version + sent_at + flags; a list adds
+                // its count and entries
+                let entry = |a: &GroupAnnouncement| 4 + 2 + a.processes.len() * (8 + 1);
+                let list = announcements.announcements();
+                26 + list.map_or(0, |l| 2 + l.iter().map(entry).sum::<usize>())
             }
             ServiceMessage::Alive { payload, .. } => {
                 // tag + group + header (incarnation, seq, sent_at, sending,
@@ -304,23 +329,33 @@ mod tests {
 
     #[test]
     fn hello_wire_size_scales_with_announcements() {
-        let empty = ServiceMessage::Hello {
+        let hello = |pull, announcements| ServiceMessage::Hello {
             incarnation: 0,
+            version: 3,
             sent_at: SimInstant::ZERO,
-            announcements: Arc::from([]),
+            pull,
+            announcements,
         };
-        let with_group = ServiceMessage::Hello {
-            incarnation: 0,
-            sent_at: SimInstant::ZERO,
-            announcements: Arc::from([GroupAnnouncement {
-                group: GroupId(1),
-                processes: vec![(ProcessId::new(NodeId(0), 0), true)],
-            }]),
-        };
-        assert_eq!(empty.wire_size(), 19);
-        assert_eq!(with_group.wire_size(), 19 + 4 + 2 + 9);
-        assert_eq!(empty.group(), None);
-        assert!(!empty.is_alive());
+        let one_group: Arc<[GroupAnnouncement]> = Arc::from([GroupAnnouncement {
+            group: GroupId(1),
+            processes: vec![(ProcessId::new(NodeId(0), 0), true)],
+        }]);
+        // A digest and a pull are the same 26 bytes whatever the sender's
+        // group count; only a list grows.
+        let digest = hello(false, HelloList::Omitted);
+        assert_eq!(digest.wire_size(), 26);
+        assert_eq!(hello(true, HelloList::Omitted).wire_size(), 26);
+        assert_eq!(hello(false, HelloList::Full(Arc::from([]))).wire_size(), 28);
+        assert_eq!(
+            hello(false, HelloList::Full(one_group.clone())).wire_size(),
+            28 + 4 + 2 + 9
+        );
+        assert_eq!(
+            hello(false, HelloList::Partial(one_group)).wire_size(),
+            28 + 4 + 2 + 9
+        );
+        assert_eq!(digest.group(), None);
+        assert!(!digest.is_alive());
     }
 
     #[test]

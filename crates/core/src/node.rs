@@ -16,13 +16,14 @@ use sle_sim::actor::{Actor, Context, NodeId, TimerTag};
 use sle_sim::time::{SimDuration, SimInstant};
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::config::{JoinConfig, ServiceConfig};
 use crate::error::ServiceError;
 use crate::events::ServiceEvent;
-use crate::group::GroupState;
+use crate::group::{GroupState, MemberEntry};
 use crate::lease::{FencedApp, FencingToken, LeaderLease};
-use crate::messages::{AliveHeader, GroupAlive, GroupAnnouncement, ServiceMessage};
+use crate::messages::{AliveHeader, GroupAlive, GroupAnnouncement, HelloList, ServiceMessage};
 use crate::obs::NodeInstruments;
 use crate::process::{GroupId, ProcessId};
 
@@ -189,6 +190,14 @@ struct PeerEntry {
     /// Cached handle to the peer's shared liveness record in the
     /// workstation arena; keeps the hot path off the arena mutex.
     liveness: LivenessHandle,
+    /// The version of the peer's full list (of `incarnation`) last applied.
+    applied: Option<u64>,
+    /// The applied list no longer covers what this node should know (a local
+    /// group created, a member expired or left since): pull at any version.
+    resync: bool,
+    /// When the peer's latest current HELLO arrived: a digest touches no
+    /// group state, it vouches here for every member `listed_at` `applied`.
+    hello_heard: SimInstant,
 }
 
 #[derive(Debug, Default)]
@@ -210,11 +219,54 @@ impl PeerSlab {
                     incarnation: None,
                     node_seq: 0,
                     liveness: arena.slot(peer),
+                    applied: None,
+                    resync: false,
+                    hello_heard: SimInstant::ZERO,
                 });
                 self.index.insert(i, (peer.0, slot as u32));
                 slot
             }
         }
+    }
+
+    /// When `member` was last heard from for its group: by its own ALIVEs
+    /// and HELLO lists, or — while the peer's applied list names the group
+    /// — by the peer's latest digest, whichever is later.
+    fn last_heard(&self, member: &MemberEntry) -> SimInstant {
+        let vouched = self
+            .index
+            .binary_search_by_key(&member.peer.0, |&(id, _)| id)
+            .ok()
+            .map(|i| &self.entries[self.index[i].1 as usize])
+            .filter(|peer| member.listed_at.is_some() && member.listed_at == peer.applied)
+            .map(|peer| peer.hello_heard);
+        vouched.map_or(member.last_heard, |heard| heard.max(member.last_heard))
+    }
+}
+
+/// A node's HELLO gossip counters ([`ServiceNode::hello_counters`];
+/// `node.<n>.hello.*` in the registry once instruments are attached).
+#[derive(Debug, Default)]
+pub struct HelloCounters {
+    /// Full announcement lists sent (answers to pulls).
+    pub full_sent: sle_obs::Counter,
+    /// List-less, pull-less HELLOs sent (the periodic digest, per peer).
+    pub digest_sent: sle_obs::Counter,
+    /// HELLOs sent with the pull flag set.
+    pub pulls_sent: sle_obs::Counter,
+    /// HELLOs dropped for an `(incarnation, version)` below the applied one.
+    pub stale_ignored: sle_obs::Counter,
+}
+
+/// What `me` announces about `state`'s group in its HELLO lists.
+fn announcement(me: NodeId, state: &GroupState) -> GroupAnnouncement {
+    GroupAnnouncement {
+        group: state.group,
+        processes: state
+            .local_processes
+            .iter()
+            .map(|&(local, candidate)| (ProcessId::new(me, local), candidate))
+            .collect(),
     }
 }
 
@@ -226,6 +278,13 @@ pub type ServiceContext = Context<ServiceMessage, ServiceEvent>;
 pub struct ServiceNode {
     config: ServiceConfig,
     incarnation: u64,
+    /// This node's announcement version, bumped on every local join, leave
+    /// or candidacy change: `(incarnation, hello_version)` orders its lists.
+    hello_version: u64,
+    /// The full announcement list at `hello_version`, built on the first
+    /// pull of a version and shared by every later one.
+    hello_list: Option<Arc<[GroupAnnouncement]>>,
+    hello: HelloCounters,
     next_local_process: u32,
     registered: BTreeMap<u32, ProcessId>,
     /// Per-group state in dense slots, indexed by interned group id.
@@ -289,6 +348,9 @@ impl ServiceNode {
         ServiceNode {
             config,
             incarnation: 0,
+            hello_version: 0,
+            hello_list: None,
+            hello: HelloCounters::default(),
             next_local_process: 0,
             registered: BTreeMap::new(),
             groups: GroupTable::default(),
@@ -320,6 +382,10 @@ impl ServiceNode {
     pub fn set_instruments(&mut self, instruments: NodeInstruments) {
         instruments.bind_node_counter("net.alive_payloads_sent", &self.alive_payloads_sent);
         instruments.bind_node_counter("net.alive_datagrams_sent", &self.alive_datagrams_sent);
+        instruments.bind_node_counter("hello.full_sent", &self.hello.full_sent);
+        instruments.bind_node_counter("hello.digest_sent", &self.hello.digest_sent);
+        instruments.bind_node_counter("hello.pulls_sent", &self.hello.pulls_sent);
+        instruments.bind_node_counter("hello.stale_ignored", &self.hello.stale_ignored);
         instruments.bind_node_counter(
             "elect.stale_accusations_ignored",
             &self.stale_accusations_ignored,
@@ -456,6 +522,19 @@ impl ServiceNode {
             .unwrap_or_default()
     }
 
+    /// This node's view of the remote membership of `group`: per member
+    /// workstation (ascending), its processes and their candidate flags.
+    pub fn remote_members_of(&self, group: GroupId) -> Vec<(NodeId, Vec<(ProcessId, bool)>)> {
+        let state = self.groups.get(group);
+        let members = state.into_iter().flat_map(|s| s.members.iter());
+        members.map(|m| (m.peer, m.processes.clone())).collect()
+    }
+
+    /// The HELLO gossip counters.
+    pub fn hello_counters(&self) -> &HelloCounters {
+        &self.hello
+    }
+
     /// Registers a new application process with this service instance and
     /// returns its identifier.
     pub fn register_process(&mut self) -> ProcessId {
@@ -491,14 +570,22 @@ impl ServiceNode {
         let now = ctx.now();
         let arena = &self.arena;
         let adaptive_groups = &mut self.adaptive_groups;
+        let peers = &mut self.peers;
         let state = self.groups.get_or_insert_with(group, || {
             let state = GroupState::new(group, me, algorithm, &join, arena, now);
             if state.tuner.is_adaptive() {
                 *adaptive_groups += 1;
             }
+            // Every applied announcement list skipped this group: re-pull.
+            for peer in &mut peers.entries {
+                peer.resync = true;
+            }
             state
         });
-        state.upsert_local_process(process.local, join.candidate);
+        if state.upsert_local_process(process.local, join.candidate) {
+            self.hello_version += 1;
+            self.hello_list = None;
+        }
         state.notification = join.notification;
         // Upgrading to candidate after having joined as a listener requires a
         // fresh elector (the accusation time starts now — a newcomer rank).
@@ -526,7 +613,12 @@ impl ServiceNode {
         }
         self.arm_alive_timer(ctx);
         self.arm_fd_timer(group, ctx);
-        self.send_group_hello(group, ctx);
+        // Prompt discovery: announce only this group now (the full list per
+        // join is quadratic in a burst); the next digest gets the rest pulled.
+        if let Some(state) = self.groups.get(group) {
+            let partial = HelloList::Partial(Arc::from([announcement(me, state)]));
+            self.send_hello(self.config.remote_peers(), false, partial, ctx);
+        }
         self.check_leader(group, ctx);
         Ok(())
     }
@@ -582,59 +674,39 @@ impl ServiceNode {
         if let Some(obs) = &mut self.obs {
             obs.on_leave(group, ctx.now());
         }
-        self.send_hellos(ctx);
+        self.hello_version += 1;
+        self.hello_list = None;
+        self.send_hello(self.config.remote_peers(), false, HelloList::Omitted, ctx);
         Ok(())
     }
 
-    fn send_hellos(&mut self, ctx: &mut ServiceContext) {
-        let announcements: std::sync::Arc<[GroupAnnouncement]> = self
-            .groups
-            .iter()
-            .map(|state| GroupAnnouncement {
-                group: state.group,
-                processes: state
-                    .local_processes
-                    .iter()
-                    .map(|&(local, candidate)| (ProcessId::new(self.config.node, local), candidate))
-                    .collect(),
-            })
-            .collect();
-        self.fan_out_hello(announcements, ctx);
-    }
-
-    /// Sends a HELLO announcing only `group` — the prompt-discovery message
-    /// a fresh join emits. A node joining many groups in one burst would
-    /// otherwise fan out the *full* announcement list per join (quadratic in
-    /// the group count); the periodic full HELLO still re-announces
-    /// everything within one interval.
-    fn send_group_hello(&mut self, group: GroupId, ctx: &mut ServiceContext) {
-        let Some(state) = self.groups.get(group) else {
-            return;
-        };
-        let announcements: std::sync::Arc<[GroupAnnouncement]> =
-            std::sync::Arc::from([GroupAnnouncement {
-                group,
-                processes: state
-                    .local_processes
-                    .iter()
-                    .map(|&(local, candidate)| (ProcessId::new(self.config.node, local), candidate))
-                    .collect(),
-            }]);
-        self.fan_out_hello(announcements, ctx);
-    }
-
-    fn fan_out_hello(
-        &mut self,
-        announcements: std::sync::Arc<[GroupAnnouncement]>,
+    /// The one HELLO send path: stamps a digest (`HelloList::Omitted`), pull,
+    /// full list or partial with `(incarnation, version, now)` for each of `to`.
+    fn send_hello(
+        &self,
+        to: impl Iterator<Item = NodeId>,
+        pull: bool,
+        announcements: HelloList,
         ctx: &mut ServiceContext,
     ) {
+        let shape = match &announcements {
+            HelloList::Full(_) => Some(&self.hello.full_sent),
+            HelloList::Omitted if !pull => Some(&self.hello.digest_sent),
+            _ => None,
+        };
         let msg = ServiceMessage::Hello {
             incarnation: self.incarnation,
+            version: self.hello_version,
             sent_at: ctx.now(),
+            pull,
             announcements,
         };
-        for peer in self.config.remote_peers().collect::<Vec<_>>() {
+        for peer in to {
             ctx.send(peer, msg.clone());
+            if let Some(counter) = shape {
+                counter.inc();
+            }
+            self.hello.pulls_sent.add(u64::from(pull));
         }
     }
 
@@ -946,6 +1018,8 @@ impl ServiceNode {
             _ => {}
         }
         self.peers.entries[slot].incarnation = Some(incarnation);
+        // Whatever list was applied belonged to the previous life.
+        self.peers.entries[slot].applied = None;
         if known.is_none() {
             // First contact with this peer: nothing to reset.
             return;
@@ -965,28 +1039,83 @@ impl ServiceNode {
         }
     }
 
+    /// The one HELLO receive path. An unchanged digest — the steady state —
+    /// is one peer-slab lookup and one store; anything else is checked for
+    /// staleness, applied if it carries a list, and answered if it must be.
     fn handle_hello(
         &mut self,
         from: NodeId,
         incarnation: u64,
-        announcements: std::sync::Arc<[GroupAnnouncement]>,
+        version: u64,
+        pull: bool,
+        announcements: HelloList,
         ctx: &mut ServiceContext,
     ) {
-        self.note_peer_incarnation(from, incarnation, ctx);
+        let slot = self.peers.intern(from, &self.arena);
+        let peer = &mut self.peers.entries[slot];
+        let same_life = peer.incarnation == Some(incarnation);
+        let mut behind = !(same_life && peer.applied == Some(version) && !peer.resync);
+        if behind {
+            // From a previous life or below the applied version: a delayed
+            // or duplicated copy that would resurrect processes that left.
+            if peer.incarnation.is_some_and(|known| incarnation < known)
+                || (same_life && peer.applied.is_some_and(|applied| version < applied))
+            {
+                self.hello.stale_ignored.inc();
+                return;
+            }
+            self.note_peer_incarnation(from, incarnation, ctx);
+        }
+        self.peers.entries[slot].hello_heard = ctx.now();
+        if let (true, Some(list)) = (behind, announcements.announcements()) {
+            // Only a full list advances the applied version. A partial is
+            // no reason to pull either: the sender's next digest is.
+            if matches!(announcements, HelloList::Full(_)) {
+                let peer = &mut self.peers.entries[slot];
+                (peer.applied, peer.resync) = (Some(version), false);
+            }
+            behind = false;
+            self.apply_announcements(from, incarnation, version, list, ctx);
+        }
+        if pull {
+            let me = self.config.node;
+            let list = self
+                .hello_list
+                .get_or_insert_with(|| self.groups.iter().map(|s| announcement(me, s)).collect())
+                .clone();
+            self.send_hello(std::iter::once(from), behind, HelloList::Full(list), ctx);
+        } else if behind {
+            self.send_hello(std::iter::once(from), true, HelloList::Omitted, ctx);
+        }
+    }
+
+    /// Applies `from`'s full or partial list to the groups this node is in,
+    /// stamping every named entry with the list's version. Groups the list
+    /// does not name are left alone: their entries age out.
+    fn apply_announcements(
+        &mut self,
+        from: NodeId,
+        incarnation: u64,
+        version: u64,
+        announcements: &[GroupAnnouncement],
+        ctx: &mut ServiceContext,
+    ) {
         let now = ctx.now();
-        for announcement in announcements.iter() {
+        for announcement in announcements {
             let group = announcement.group;
             let Some(state) = self.groups.get_mut(group) else {
                 continue;
             };
             let has_candidate = announcement.processes.iter().any(|(_, c)| *c);
-            let created = state.members.get(from).is_none();
-            let member = state.members.ensure(from, incarnation, now);
-            // Steady-state fast path: the sender re-announces the same
-            // incarnation and process list every HELLO interval. When
-            // nothing derived can change — the advertised representative
-            // (if any) already matches what this list would resolve to —
-            // the refreshed `last_heard` is the whole effect.
+            let (member, created) = state.members.ensure(from, incarnation, now);
+            // Overtaken on the way by a later partial of the same life.
+            if member.listed_at.is_some_and(|at| at > version) {
+                continue;
+            }
+            member.listed_at = Some(version);
+            // Nothing derived changes when the list repeats what is known
+            // and the advertised representative (if any) already matches
+            // what this list would resolve to.
             let fallback_representative = announcement
                 .processes
                 .iter()
@@ -1123,8 +1252,7 @@ impl ServiceNode {
         // A member first learnt of via ALIVE (no HELLO yet) is seeded with
         // its advertised representative as the only known process; a HELLO
         // will replace the list with the authoritative one.
-        let created = state.members.get(from).is_none();
-        let member = state.members.ensure(from, header.incarnation, now);
+        let (member, created) = state.members.ensure(from, header.incarnation, now);
         if created {
             member.processes = vec![(representative, true)];
         }
@@ -1155,6 +1283,7 @@ impl ServiceNode {
             }
         }
         state.elector.on_alive(from, payload, now);
+        let leader_changed = state.elector.leader() != leader_before;
         // A heartbeat only *extends* the sender's freshness horizon, so the
         // earliest FD deadline cannot have moved earlier unless the peer's
         // trust state transitioned; skip the re-arm scan on the steady-state
@@ -1167,12 +1296,6 @@ impl ServiceNode {
         // representative, no trust transition. Time-driven transitions (the
         // self-election grace elapsing, the lease settle delay) are driven
         // by the grace / FD / ALIVE timers, not by received heartbeats.
-        let leader_changed = {
-            let Some(state) = self.groups.get(group) else {
-                return;
-            };
-            state.elector.leader() != leader_before
-        };
         if created || representative_changed || revived || leader_changed {
             self.check_leader(group, ctx);
         }
@@ -1303,9 +1426,14 @@ impl ServiceNode {
         };
         let mut gone = false;
         if let Some(member) = state.members.get_mut(from) {
+            let listed = member.processes.len();
             member.processes.retain(|(p, _)| *p != process);
-            if member.processes.is_empty() {
-                gone = true;
+            gone = member.processes.is_empty();
+            if member.processes.len() != listed {
+                // Unversioned: a late copy may have undone a rejoin the
+                // applied list already showed. Pull to find out.
+                let slot = self.peers.intern(from, &self.arena);
+                self.peers.entries[slot].resync = true;
             }
         }
         if gone {
@@ -1324,9 +1452,16 @@ impl ServiceNode {
         for group in groups {
             let mut expired = Vec::new();
             if let Some(state) = self.groups.get_mut(group) {
-                for member in state.members.iter() {
-                    let silent_for = now.saturating_since(member.last_heard);
-                    if silent_for > timeout && !state.fd.is_trusted(member.peer) {
+                for member in state.members.iter_mut() {
+                    if now.saturating_since(member.last_heard) <= timeout {
+                        continue;
+                    }
+                    // Quiet on its own account: fold the peer's digests in
+                    // (here, once per timeout — not on every digest).
+                    member.last_heard = self.peers.last_heard(member);
+                    if now.saturating_since(member.last_heard) > timeout
+                        && !state.fd.is_trusted(member.peer)
+                    {
                         expired.push(member.peer);
                     }
                 }
@@ -1335,13 +1470,16 @@ impl ServiceNode {
                     state.elector.remove_peer(peer, now);
                     state.fd.remove_peer(peer);
                     state.tuner.forget_peer(peer);
+                    // Should the peer come back at the applied version, pull.
+                    let slot = self.peers.intern(peer, &self.arena);
+                    self.peers.entries[slot].resync = true;
                 }
             }
             if !expired.is_empty() {
                 self.check_leader(group, ctx);
             }
         }
-        self.send_hellos(ctx);
+        self.send_hello(self.config.remote_peers(), false, HelloList::Omitted, ctx);
         ctx.set_timer_after(HELLO_TIMER, self.config.hello_interval);
     }
 
@@ -1359,7 +1497,7 @@ impl ServiceNode {
                         let silent_for = state
                             .members
                             .get(transition.peer)
-                            .map(|m| now.saturating_since(m.last_heard))
+                            .map(|m| now.saturating_since(self.peers.last_heard(m)))
                             .unwrap_or_default();
                         obs.on_detection(group, silent_for, now);
                     }
@@ -1441,7 +1579,7 @@ impl Actor for ServiceNode {
             // Joining our own freshly registered process cannot fail.
             let _ = self.join_group(process, auto.group, auto.config, ctx);
         }
-        self.send_hellos(ctx);
+        self.send_hello(self.config.remote_peers(), false, HelloList::Omitted, ctx);
         ctx.set_timer_after(HELLO_TIMER, self.config.hello_interval);
     }
 
@@ -1449,9 +1587,11 @@ impl Actor for ServiceNode {
         match msg {
             ServiceMessage::Hello {
                 incarnation,
+                version,
+                pull,
                 announcements,
                 ..
-            } => self.handle_hello(from, incarnation, announcements, ctx),
+            } => self.handle_hello(from, incarnation, version, pull, announcements, ctx),
             ServiceMessage::Alive {
                 group,
                 header,
@@ -2081,6 +2221,63 @@ mod tests {
         world.run_for(SimDuration::from_secs(5), &mut obs);
         let after = agreed_leader(&world, GROUP).expect("leader after replay");
         assert_eq!(after, before, "a replayed stale ACCUSE changed leadership");
+    }
+
+    #[test]
+    fn a_peer_resuming_at_its_old_version_is_pulled_after_its_members_expired() {
+        // The wall-clock runtime's crash/recover parks a node with its state:
+        // it comes back with the incarnation and version its peers already
+        // applied. If they expired its members meanwhile, the unchanged
+        // digest must not pass for "in sync".
+        let peer = NodeId(1);
+        let config = ServiceConfig::full_mesh(NodeId(0), 2, ElectorKind::OmegaL);
+        let mut node = ServiceNode::new(config);
+        let at =
+            |ms: u64| ServiceContext::new(SimInstant::from_nanos(ms * 1_000_000), NodeId(0), 0);
+        let process = node.register_process();
+        node.join_group(process, GROUP, JoinConfig::candidate(), &mut at(0))
+            .unwrap();
+        let hello = |announcements| ServiceMessage::Hello {
+            incarnation: 0,
+            version: 1,
+            sent_at: SimInstant::ZERO,
+            pull: false,
+            announcements,
+        };
+        // A listener: nothing but HELLOs keeps it in the membership.
+        let list = Arc::from([GroupAnnouncement {
+            group: GROUP,
+            processes: vec![(ProcessId::new(peer, 0), false)],
+        }]);
+        node.on_message(peer, hello(HelloList::Full(list)), &mut at(10));
+        assert_eq!(node.remote_members_of(GROUP).len(), 1);
+        // Digests keep it there past the membership timeout…
+        for second in 1..=8 {
+            node.on_message(peer, hello(HelloList::Omitted), &mut at(second * 1000));
+            node.on_timer(HELLO_TIMER, &mut at(second * 1000 + 1));
+            assert_eq!(node.remote_members_of(GROUP).len(), 1, "second {second}");
+        }
+        // …and their absence expires it.
+        for second in 9..=15 {
+            node.on_timer(HELLO_TIMER, &mut at(second * 1000 + 1));
+        }
+        assert!(node.remote_members_of(GROUP).is_empty());
+        // The peer resumes where it stopped: same incarnation, same version.
+        let mut ctx = at(16_000);
+        node.on_message(peer, hello(HelloList::Omitted), &mut ctx);
+        let pulled = ctx.into_effects().into_iter().any(|effect| {
+            matches!(
+                effect,
+                sle_sim::Effect::Send {
+                    to,
+                    msg: ServiceMessage::Hello { pull: true, .. },
+                } if to == peer
+            )
+        });
+        assert!(
+            pulled,
+            "the resumed peer's digest must be answered with a pull"
+        );
     }
 
     /// One leader-change announcement, as plain comparable data:

@@ -21,7 +21,10 @@
 //! * `node.<n>.net.alive_interarrival_ns` — ALIVE inter-arrival jitter on
 //!   incoming heartbeat datagrams (histogram, ns),
 //! * `node.<n>.net.alive_payloads_sent` / `alive_datagrams_sent` — the
-//!   paper's message-count figures, bound from the node's live counters.
+//!   paper's message-count figures, bound from the node's live counters,
+//! * `node.<n>.hello.{full,digest,pulls}_sent` / `hello.stale_ignored` —
+//!   the membership gossip's traffic by shape and the stale HELLOs its
+//!   version check dropped, bound likewise.
 //!
 //! The full catalogue lives in `docs/OBSERVABILITY.md`.
 //!

@@ -99,11 +99,17 @@ impl FailureDetector {
 
     /// Starts monitoring `peer` if it is not already monitored.
     pub fn ensure_peer(&mut self, peer: NodeId, now: SimInstant) {
-        if let Err(i) = self.find(peer) {
+        self.ensure_index(peer, now);
+    }
+
+    /// The index of `peer`'s monitor, created if the peer was unknown.
+    fn ensure_index(&mut self, peer: NodeId, now: SimInstant) -> usize {
+        self.find(peer).unwrap_or_else(|i| {
             let monitor =
                 PeerMonitor::with_liveness(self.qos, self.configurator, self.arena.slot(peer), now);
             self.monitors.insert(i, (peer, monitor));
-        }
+            i
+        })
     }
 
     /// Stops monitoring `peer` (e.g. because it left every shared group).
@@ -200,8 +206,7 @@ impl FailureDetector {
         sender_interval: SimDuration,
         now: SimInstant,
     ) -> Option<PeerTransition> {
-        self.ensure_peer(peer, now);
-        let i = self.find(peer).expect("peer was just inserted");
+        let i = self.ensure_index(peer, now);
         self.monitors[i]
             .1
             .on_heartbeat(seq, sent_at, sender_interval, now)

@@ -61,7 +61,7 @@ use std::time::Duration;
 use sle_net::transport::{Incoming, MessageEndpoint, ShardDelivery, TransportError};
 use sle_obs::{Counter, DropReason, ProtoEvent, Registry, SharedClock, TraceRing};
 use sle_sim::actor::NodeId;
-use sle_wire::{decode_frame, encode_frame, WireFormat, MAX_DATAGRAM};
+use sle_wire::{decode_frame, encode_frame_into, WireFormat, MAX_DATAGRAM};
 
 use crate::pool::{BufferPool, PoolStatsSnapshot};
 
@@ -569,21 +569,16 @@ impl<M> PlaneShared<M> {
         let mut pending = self.pending[socket_idx]
             .lock()
             .expect("plane pending poisoned");
-        if pending.is_empty() {
-            return;
-        }
         let socket = &self.sockets[socket_idx];
-        for (dest, buf) in pending.drain() {
-            // A taken-but-not-removed entry leaves an empty buffer behind;
-            // there is nothing to send for it.
-            if buf.is_empty() {
-                continue;
-            }
+        // Buffers are cleared in place, not removed: the next round's
+        // records are encoded into the same allocation.
+        for (dest, buf) in pending.iter_mut().filter(|(_, buf)| !buf.is_empty()) {
             // OS-level send failures are swallowed: to the protocol they
             // are the network losing a message, which it is built to
             // tolerate.
-            let _ = socket.send_to(&buf, dest);
+            let _ = socket.send_to(buf, *dest);
             self.stats.datagrams_sent.inc();
+            buf.clear();
         }
     }
 }
@@ -631,30 +626,38 @@ impl<M: WireFormat + Send + 'static> MessageEndpoint<M> for SharedUdpEndpoint<M>
             .node_addrs
             .get(to.index())
             .ok_or(TransportError::UnknownDestination(to))?;
-        let frame = encode_frame(self.node, &msg).map_err(|e| {
-            shared.stats.send_unencodable.inc();
-            if let Some(trace) = &*shared.trace.lock().expect("plane trace poisoned") {
-                trace.dropped(self.node, DropReason::Unencodable);
-            }
-            TransportError::Unencodable(e.to_string())
-        })?;
         let socket_idx = shared.node_sockets[self.node.index()];
-        let record_len = RECORD_HEADER + frame.len();
         let flush_now = {
             let mut pending = shared.pending[socket_idx]
                 .lock()
                 .expect("plane pending poisoned");
             let buf = pending.entry(dest_addr).or_default();
-            if !buf.is_empty() && buf.len() + record_len > COALESCE_BUDGET {
-                // The record would not fit: flush what accrued so far and
-                // start a fresh datagram with this record.
-                let full = std::mem::take(buf);
-                let _ = shared.sockets[socket_idx].send_to(&full, dest_addr);
-                shared.stats.datagrams_sent.inc();
-            }
+            // The record is encoded straight into the pending buffer: its
+            // header first, the frame length patched in once known.
+            let accrued = buf.len();
             buf.extend_from_slice(&to.0.to_be_bytes());
-            buf.extend_from_slice(&(frame.len() as u16).to_be_bytes());
-            buf.extend_from_slice(&frame);
+            buf.extend_from_slice(&[0, 0]);
+            let frame_len = match encode_frame_into(buf, self.node, &msg) {
+                Ok(len) => len,
+                Err(e) => {
+                    buf.truncate(accrued);
+                    drop(pending);
+                    shared.stats.send_unencodable.inc();
+                    if let Some(trace) = &*shared.trace.lock().expect("plane trace poisoned") {
+                        trace.dropped(self.node, DropReason::Unencodable);
+                    }
+                    return Err(TransportError::Unencodable(e.to_string()));
+                }
+            };
+            buf[accrued + 4..accrued + RECORD_HEADER]
+                .copy_from_slice(&(frame_len as u16).to_be_bytes());
+            if accrued > 0 && buf.len() > COALESCE_BUDGET {
+                // The record does not fit: send what accrued before it and
+                // keep the record as the start of a fresh datagram.
+                let _ = shared.sockets[socket_idx].send_to(&buf[..accrued], dest_addr);
+                shared.stats.datagrams_sent.inc();
+                buf.drain(..accrued);
+            }
             shared.stats.records_sent.inc();
             if !self.coalesce.load(Ordering::Relaxed) || buf.len() >= COALESCE_BUDGET {
                 // Taking (rather than removing) the buffer keeps its

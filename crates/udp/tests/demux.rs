@@ -18,7 +18,7 @@ use std::net::UdpSocket;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sle_core::messages::{GroupAlive, GroupAnnouncement, ServiceMessage};
+use sle_core::messages::{GroupAlive, GroupAnnouncement, HelloList, ServiceMessage};
 use sle_core::process::{GroupId, ProcessId};
 use sle_election::{AlivePayload, LeaderClaim};
 use sle_net::transport::{MessageEndpoint, TransportError};
@@ -395,13 +395,17 @@ fn unencodable_send_is_an_error_counted_and_traced() {
     // A HELLO gossiping more groups than fit in MAX_DATAGRAM.
     let huge = ServiceMessage::Hello {
         incarnation: 0,
+        version: 0,
         sent_at: SimInstant::ZERO,
-        announcements: (0..250)
-            .map(|i| GroupAnnouncement {
-                group: GroupId(i),
-                processes: Vec::new(),
-            })
-            .collect(),
+        pull: false,
+        announcements: HelloList::Full(
+            (0..250)
+                .map(|i| GroupAnnouncement {
+                    group: GroupId(i),
+                    processes: Vec::new(),
+                })
+                .collect(),
+        ),
     };
     assert!(matches!(
         endpoints[1].send(NodeId(0), huge),
@@ -426,8 +430,8 @@ fn unencodable_send_is_an_error_counted_and_traced() {
 /// `ACCUSE { group: 3, epoch: 9 }` from node 5 (the spec's worked example)
 /// and `ACCUSE { group: 3, epoch: 10 }` from node 7.
 const GOLDEN_TWO_RECORDS: &str = concat!(
-    "000000020016534c4550030000000503000000030000000000000009",
-    "000000020016534c455003000000070300000003000000000000000a",
+    "000000020016534c4550040000000503000000030000000000000009",
+    "000000020016534c455004000000070300000003000000000000000a",
 );
 
 #[test]

@@ -20,6 +20,11 @@ impl Writer {
         Writer::default()
     }
 
+    /// A writer appending to `buf` (what it holds stays in front).
+    pub fn from_bytes(buf: Vec<u8>) -> Self {
+        Writer { buf }
+    }
+
     /// Consumes the writer, returning the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf

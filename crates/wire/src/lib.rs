@@ -59,8 +59,8 @@ pub mod message;
 pub use codec::{Reader, WireFormat, Writer};
 pub use error::WireError;
 pub use message::{
-    TAG_ACCUSE, TAG_ALIVE, TAG_ALIVE_BATCH, TAG_CLIENT_REPLY, TAG_CLIENT_REQUEST, TAG_HELLO,
-    TAG_LEASE_GRANT, TAG_LEAVE, TAG_REDIRECT,
+    HELLO_LIST, HELLO_PARTIAL, HELLO_PULL, TAG_ACCUSE, TAG_ALIVE, TAG_ALIVE_BATCH,
+    TAG_CLIENT_REPLY, TAG_CLIENT_REQUEST, TAG_HELLO, TAG_LEASE_GRANT, TAG_LEAVE, TAG_REDIRECT,
 };
 
 use sle_sim::actor::NodeId;
@@ -76,8 +76,10 @@ pub const MAGIC: [u8; 4] = *b"SLEP";
 /// vocabulary; v2 added the ALIVE-BATCH message (tag `05`) and redefined
 /// the ALIVE `seq` as a node-level per-destination stream; v3 added the
 /// client tier (`sle-app`): LEASE-GRANT (tag `06`), CLIENT-REQUEST (`07`),
-/// CLIENT-REPLY (`08`) and REDIRECT (`09`).
-pub const VERSION: u8 = 3;
+/// CLIENT-REPLY (`08`) and REDIRECT (`09`); v4 made HELLO versioned
+/// anti-entropy: a `version` and a flags byte, the announcement list only
+/// when the flags say so (digest / pull / full / partial).
+pub const VERSION: u8 = 4;
 
 /// Bytes of envelope preceding the message body: magic (4), version (1),
 /// sender node id (4).
@@ -97,15 +99,35 @@ pub const MAX_DATAGRAM: usize = 1400;
 /// Returns [`WireError::TooLarge`] if the datagram would exceed
 /// [`MAX_DATAGRAM`] bytes.
 pub fn encode_frame<M: WireFormat>(from: NodeId, msg: &M) -> Result<Vec<u8>, WireError> {
-    let mut w = Writer::new();
+    let mut frame = Vec::new();
+    encode_frame_into(&mut frame, from, msg)?;
+    Ok(frame)
+}
+
+/// Appends `msg`'s complete datagram, stamped as sent by `from`, to `buf`
+/// (a transport's coalescing buffer) and returns the frame's length.
+///
+/// # Errors
+///
+/// [`WireError::TooLarge`] past [`MAX_DATAGRAM`] bytes; `buf` is left as it was.
+pub fn encode_frame_into<M: WireFormat>(
+    buf: &mut Vec<u8>,
+    from: NodeId,
+    msg: &M,
+) -> Result<usize, WireError> {
+    let start = buf.len();
+    let mut w = Writer::from_bytes(std::mem::take(buf));
     w.put_bytes(&MAGIC);
     w.put_u8(VERSION);
     from.encode_into(&mut w);
     msg.encode_into(&mut w);
-    if w.len() > MAX_DATAGRAM {
-        return Err(WireError::TooLarge(w.len()));
+    *buf = w.into_bytes();
+    let len = buf.len() - start;
+    if len > MAX_DATAGRAM {
+        buf.truncate(start);
+        return Err(WireError::TooLarge(len));
     }
-    Ok(w.into_bytes())
+    Ok(len)
 }
 
 /// Decodes a complete datagram into its claimed sender and message.
@@ -199,9 +221,9 @@ mod tests {
 
     #[test]
     fn oversized_message_is_rejected_at_encode_time() {
-        use sle_core::messages::GroupAnnouncement;
+        use sle_core::messages::{GroupAnnouncement, HelloList};
         use sle_sim::time::SimInstant;
-        // 200 announcements * (4 + 2) bytes > 1400 - 19 - 9.
+        // 250 announcements * (4 + 2) bytes > 1400 - 28 - 9.
         let announcements = (0..250)
             .map(|i| GroupAnnouncement {
                 group: GroupId(i),
@@ -210,13 +232,25 @@ mod tests {
             .collect();
         let hello = ServiceMessage::Hello {
             incarnation: 0,
+            version: 0,
             sent_at: SimInstant::ZERO,
-            announcements,
+            pull: false,
+            announcements: HelloList::Full(announcements),
         };
         assert!(matches!(
             encode_frame(NodeId(0), &hello),
             Err(WireError::TooLarge(_))
         ));
+        // Into a shared buffer: same check, and the buffer is left as it was.
+        let mut buf = vec![0xAA; 7];
+        assert!(matches!(
+            encode_frame_into(&mut buf, NodeId(0), &hello),
+            Err(WireError::TooLarge(_))
+        ));
+        assert_eq!(buf, vec![0xAA; 7]);
+        let len = encode_frame_into(&mut buf, NodeId(9), &sample()).unwrap();
+        assert_eq!(len, HEADER_LEN + 13);
+        assert_eq!(buf[7..], encode_frame(NodeId(9), &sample()).unwrap());
     }
 
     #[test]

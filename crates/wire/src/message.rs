@@ -9,7 +9,7 @@
 //! in this module's tests and by the property suite in `tests/properties.rs`).
 
 use sle_core::lease::FencingToken;
-use sle_core::messages::{AliveHeader, GroupAlive, GroupAnnouncement, ServiceMessage};
+use sle_core::messages::{AliveHeader, GroupAlive, GroupAnnouncement, HelloList, ServiceMessage};
 use sle_core::process::{GroupId, ProcessId};
 use sle_election::{AlivePayload, LeaderClaim};
 use sle_sim::actor::NodeId;
@@ -20,6 +20,12 @@ use crate::error::WireError;
 
 /// Message-tag byte for HELLO (membership gossip).
 pub const TAG_HELLO: u8 = 1;
+/// HELLO flag bit: the sender asks for the receiver's full list.
+pub const HELLO_PULL: u8 = 0b001;
+/// HELLO flag bit: an announcement list follows the flags byte.
+pub const HELLO_LIST: u8 = 0b010;
+/// HELLO flag bit (only with [`HELLO_LIST`]): the list is a partial.
+pub const HELLO_PARTIAL: u8 = 0b100;
 /// Message-tag byte for ALIVE (heartbeat + election payload).
 pub const TAG_ALIVE: u8 = 2;
 /// Message-tag byte for ACCUSE ("I believe you crashed").
@@ -255,15 +261,26 @@ impl WireFormat for ServiceMessage {
         match self {
             ServiceMessage::Hello {
                 incarnation,
+                version,
                 sent_at,
+                pull,
                 announcements,
             } => {
                 w.put_u8(TAG_HELLO);
                 w.put_u64(*incarnation);
+                w.put_u64(*version);
                 sent_at.encode_into(w);
-                w.put_u16(announcements.len() as u16);
-                for a in announcements.iter() {
-                    a.encode_into(w);
+                let shape = match announcements {
+                    HelloList::Omitted => 0,
+                    HelloList::Full(_) => HELLO_LIST,
+                    HelloList::Partial(_) => HELLO_LIST | HELLO_PARTIAL,
+                };
+                w.put_u8(shape | if *pull { HELLO_PULL } else { 0 });
+                if let Some(list) = announcements.announcements() {
+                    w.put_u16(list.len() as u16);
+                    for a in list {
+                        a.encode_into(w);
+                    }
                 }
             }
             ServiceMessage::Alive {
@@ -369,14 +386,30 @@ impl WireFormat for ServiceMessage {
         match r.take_u8()? {
             TAG_HELLO => {
                 let incarnation = r.take_u64()?;
+                let version = r.take_u64()?;
                 let sent_at = SimInstant::decode(r)?;
-                let count = r.take_u16()? as usize;
-                // An announcement is at least 6 bytes (group + empty list).
-                let announcements: Vec<GroupAnnouncement> = decode_list(r, count, 6)?;
+                let flags = r.take_u8()?;
+                let announcements = match flags & !HELLO_PULL {
+                    0 => HelloList::Omitted,
+                    shape if shape & !HELLO_PARTIAL == HELLO_LIST => {
+                        let count = r.take_u16()? as usize;
+                        // At least 6 bytes each (group + empty list).
+                        let list: Vec<GroupAnnouncement> = decode_list(r, count, 6)?;
+                        if shape == HELLO_LIST {
+                            HelloList::Full(list.into())
+                        } else {
+                            HelloList::Partial(list.into())
+                        }
+                    }
+                    // Unknown bits, or PARTIAL without a list.
+                    _ => return Err(WireError::BadOptionTag(flags)),
+                };
                 Ok(ServiceMessage::Hello {
                     incarnation,
+                    version,
                     sent_at,
-                    announcements: announcements.into(),
+                    pull: flags & HELLO_PULL != 0,
+                    announcements,
                 })
             }
             TAG_ALIVE => {
@@ -483,21 +516,45 @@ mod tests {
         vec![
             ServiceMessage::Hello {
                 incarnation: 3,
+                version: 12,
                 sent_at: SimInstant::from_nanos(1_000_000),
-                announcements: vec![
-                    GroupAnnouncement {
-                        group: GroupId(1),
-                        processes: vec![
-                            (ProcessId::new(NodeId(0), 0), true),
-                            (ProcessId::new(NodeId(0), 1), false),
-                        ],
-                    },
-                    GroupAnnouncement {
-                        group: GroupId(9),
-                        processes: Vec::new(),
-                    },
-                ]
-                .into(),
+                pull: true,
+                announcements: HelloList::Full(
+                    vec![
+                        GroupAnnouncement {
+                            group: GroupId(1),
+                            processes: vec![
+                                (ProcessId::new(NodeId(0), 0), true),
+                                (ProcessId::new(NodeId(0), 1), false),
+                            ],
+                        },
+                        GroupAnnouncement {
+                            group: GroupId(9),
+                            processes: Vec::new(),
+                        },
+                    ]
+                    .into(),
+                ),
+            },
+            ServiceMessage::Hello {
+                incarnation: 3,
+                version: 12,
+                sent_at: SimInstant::from_nanos(2_000_000),
+                pull: false,
+                announcements: HelloList::Omitted,
+            },
+            ServiceMessage::Hello {
+                incarnation: 3,
+                version: 13,
+                sent_at: SimInstant::from_nanos(3_000_000),
+                pull: false,
+                announcements: HelloList::Partial(
+                    vec![GroupAnnouncement {
+                        group: GroupId(4),
+                        processes: vec![(ProcessId::new(NodeId(0), 2), true)],
+                    }]
+                    .into(),
+                ),
             },
             ServiceMessage::Alive {
                 group: GroupId(7),
@@ -633,12 +690,13 @@ mod tests {
         );
         // An ALIVE whose local-leader option tag is 7.
         let mut w = Writer::new();
-        if let ServiceMessage::Alive {
+        let alive = samples().into_iter().find(ServiceMessage::is_alive);
+        if let Some(ServiceMessage::Alive {
             group,
             header,
             representative,
             payload,
-        } = &samples()[1]
+        }) = &alive
         {
             w.put_u8(TAG_ALIVE);
             group.encode_into(&mut w);
@@ -657,12 +715,34 @@ mod tests {
     }
 
     #[test]
+    fn hello_flags_are_strict() {
+        // Unknown flag bits and a PARTIAL without a list are refused.
+        for flags in [0b1000u8, HELLO_PARTIAL, HELLO_PARTIAL | HELLO_PULL, 0xFF] {
+            let mut w = Writer::new();
+            w.put_u8(TAG_HELLO);
+            w.put_u64(0);
+            w.put_u64(0);
+            SimInstant::ZERO.encode_into(&mut w);
+            w.put_u8(flags);
+            w.put_u16(0);
+            let bytes = w.into_bytes();
+            let mut r = Reader::new(&bytes);
+            assert_eq!(
+                ServiceMessage::decode(&mut r),
+                Err(WireError::BadOptionTag(flags))
+            );
+        }
+    }
+
+    #[test]
     fn hostile_count_cannot_force_allocation() {
         // A HELLO claiming 65 535 announcements but carrying none.
         let mut w = Writer::new();
         w.put_u8(TAG_HELLO);
         w.put_u64(0);
+        w.put_u64(0);
         SimInstant::ZERO.encode_into(&mut w);
+        w.put_u8(HELLO_LIST);
         w.put_u16(u16::MAX);
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);

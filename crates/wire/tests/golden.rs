@@ -14,7 +14,7 @@
 //! output, and document the new layout in `docs/WIRE.md`.
 
 use sle_core::lease::FencingToken;
-use sle_core::messages::{AliveHeader, GroupAlive, GroupAnnouncement, ServiceMessage};
+use sle_core::messages::{AliveHeader, GroupAlive, GroupAnnouncement, HelloList, ServiceMessage};
 use sle_core::process::{GroupId, ProcessId};
 use sle_election::{AlivePayload, LeaderClaim};
 use sle_sim::actor::{NodeId, WireSize};
@@ -56,31 +56,77 @@ fn check(name: &str, msg: &ServiceMessage, golden_hex: &str) {
     assert_eq!(&decoded, msg, "{name}: decode(golden) != message");
 }
 
+/// The list the full and partial HELLO vectors carry: two processes in
+/// group 1, none (yet) in group 7.
+fn golden_announcements() -> std::sync::Arc<[GroupAnnouncement]> {
+    vec![
+        GroupAnnouncement {
+            group: GroupId(1),
+            processes: vec![
+                (ProcessId::new(NodeId(3), 0), true),
+                (ProcessId::new(NodeId(3), 1), false),
+            ],
+        },
+        GroupAnnouncement {
+            group: GroupId(7),
+            processes: Vec::new(),
+        },
+    ]
+    .into()
+}
+
+/// A v4 HELLO of incarnation 2, version 5, sent at t = 1 s.
+fn golden_hello(pull: bool, announcements: HelloList) -> ServiceMessage {
+    ServiceMessage::Hello {
+        incarnation: 2,
+        version: 5,
+        sent_at: SimInstant::from_nanos(1_000_000_000),
+        pull,
+        announcements,
+    }
+}
+
 #[test]
 fn hello_golden_vector() {
-    let msg = ServiceMessage::Hello {
-        incarnation: 2,
-        sent_at: SimInstant::from_nanos(1_000_000_000),
-        announcements: vec![
-            GroupAnnouncement {
-                group: GroupId(1),
-                processes: vec![
-                    (ProcessId::new(NodeId(3), 0), true),
-                    (ProcessId::new(NodeId(3), 1), false),
-                ],
-            },
-            GroupAnnouncement {
-                group: GroupId(7),
-                processes: Vec::new(),
-            },
-        ]
-        .into(),
-    };
+    // The full list, as sent in answer to a pull (flags = LIST).
     check(
-        "HELLO",
-        &msg,
-        "010000000000000002000000003b9aca0000020000000100020000000300000000010000000300000001000000000700\
+        "HELLO(full)",
+        &golden_hello(false, HelloList::Full(golden_announcements())),
+        "0100000000000000020000000000000005000000003b9aca00020002000000010002000000030000000001\
+         0000000300000001000000000700\
          00",
+    );
+    // …the same list as a join-time partial (flags = LIST | PARTIAL)…
+    check(
+        "HELLO(partial)",
+        &golden_hello(false, HelloList::Partial(golden_announcements())),
+        "0100000000000000020000000000000005000000003b9aca00060002000000010002000000030000000001\
+         0000000300000001000000000700\
+         00",
+    );
+    // …and a full answer that pulls back (flags = LIST | PULL).
+    check(
+        "HELLO(full+pull)",
+        &golden_hello(true, HelloList::Full(golden_announcements())),
+        "0100000000000000020000000000000005000000003b9aca00030002000000010002000000030000000001\
+         0000000300000001000000000700\
+         00",
+    );
+}
+
+#[test]
+fn hello_digest_and_pull_golden_vectors() {
+    // The periodic digest: 26 bytes whatever the sender's group count.
+    check(
+        "HELLO(digest)",
+        &golden_hello(false, HelloList::Omitted),
+        "0100000000000000020000000000000005000000003b9aca0000",
+    );
+    // The pull a behind receiver answers with: a digest with flags = PULL.
+    check(
+        "HELLO(pull)",
+        &golden_hello(true, HelloList::Omitted),
+        "0100000000000000020000000000000005000000003b9aca0001",
     );
 }
 

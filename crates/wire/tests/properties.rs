@@ -5,7 +5,7 @@
 //! different *kind* of failure than a `WireError`.
 
 use sle_core::lease::FencingToken;
-use sle_core::messages::{AliveHeader, GroupAlive, GroupAnnouncement, ServiceMessage};
+use sle_core::messages::{AliveHeader, GroupAlive, GroupAnnouncement, HelloList, ServiceMessage};
 use sle_core::process::{GroupId, ProcessId};
 use sle_election::{AlivePayload, LeaderClaim};
 use sle_sim::actor::{NodeId, WireSize};
@@ -48,7 +48,7 @@ fn random_message(rng: &mut SimRng) -> ServiceMessage {
     match rng.uniform_usize(9) {
         0 => {
             let groups = rng.uniform_usize(4);
-            let announcements = (0..groups)
+            let list = (0..groups)
                 .map(|_| {
                     let procs = rng.uniform_usize(5);
                     GroupAnnouncement {
@@ -59,9 +59,17 @@ fn random_message(rng: &mut SimRng) -> ServiceMessage {
                     }
                 })
                 .collect();
+            // All three shapes, each with and without the pull flag.
+            let announcements = match rng.uniform_usize(3) {
+                0 => HelloList::Omitted,
+                1 => HelloList::Full(list),
+                _ => HelloList::Partial(list),
+            };
             ServiceMessage::Hello {
                 incarnation: rng.next_u64() % 1000,
+                version: rng.next_u64(),
                 sent_at: SimInstant::from_nanos(rng.next_u64() % (1 << 40)),
+                pull: rng.bernoulli(0.5),
                 announcements,
             }
         }

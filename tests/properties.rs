@@ -335,3 +335,465 @@ fn omega_l_withdrawal_silences_every_defeated_candidate() {
         );
     }
 }
+
+// ---------------------------------------------------------------------
+// Versioned HELLO gossip: convergence against a reference model, and
+// hostile inputs to `ServiceNode::on_message`.
+// ---------------------------------------------------------------------
+
+mod hello_gossip {
+    use std::collections::BTreeMap;
+    use std::sync::Arc;
+
+    use sle_core::{
+        GroupAnnouncement, GroupId, HelloList, JoinConfig, ProcessId, ServiceConfig,
+        ServiceContext, ServiceMessage, ServiceNode,
+    };
+    use sle_election::ElectorKind;
+    use sle_net::link::LinkSpec;
+    use sle_net::network::{NetworkModel, SimulatedNetwork};
+    use sle_sim::prelude::*;
+    use sle_sim::rng::SimRng;
+
+    /// What one workstation announces: `group → local process → candidate?`.
+    type Announced = BTreeMap<GroupId, BTreeMap<u32, bool>>;
+    /// One node's view of a group: per remote member, its process list.
+    type View = Vec<(NodeId, Vec<(ProcessId, bool)>)>;
+
+    const GROUPS: [GroupId; 3] = [GroupId(1), GroupId(2), GroupId(3)];
+
+    /// The view the reference model prescribes for `observer` in `group`:
+    /// every other live workstation that announces processes there.
+    fn expected_view(model: &[Announced], up: &[bool], observer: usize, group: GroupId) -> View {
+        (0..model.len())
+            .filter(|&peer| peer != observer && up[peer])
+            .filter_map(|peer| {
+                let processes = model[peer].get(&group)?;
+                let node = NodeId(peer as u32);
+                Some((
+                    node,
+                    processes
+                        .iter()
+                        .map(|(&local, &candidate)| (ProcessId::new(node, local), candidate))
+                        .collect(),
+                ))
+            })
+            .collect()
+    }
+
+    /// The first `(observer, group)` whose view differs from the model's.
+    fn first_mismatch(
+        world: &World<ServiceNode, SimulatedNetwork>,
+        model: &[Announced],
+        up: &[bool],
+    ) -> Option<String> {
+        for observer in (0..model.len()).filter(|&i| up[i]) {
+            let actor = world.actor(NodeId(observer as u32))?;
+            for &group in model[observer].keys() {
+                let (have, want) = (
+                    actor.remote_members_of(group),
+                    expected_view(model, up, observer, group),
+                );
+                if have != want {
+                    return Some(format!(
+                        "n{observer} {group:?}: has {have:?}, model {want:?}"
+                    ));
+                }
+            }
+        }
+        None
+    }
+
+    /// 3–6 workstations under random join / leave / candidacy changes,
+    /// crashes and recoveries, over links that lose (0–30 %), duplicate and
+    /// reorder. After a quiet period every node's membership view (members,
+    /// process lists, candidate flags, per group) equals a reference model
+    /// fed the same announcement history — and, where five digests in a row
+    /// are not plausibly lost, stays equal for three membership timeouts:
+    /// no member expires while its peer keeps sending digests.
+    #[test]
+    fn membership_views_converge_to_the_announcement_history() {
+        let mut rng = SimRng::seed_from(0x4E110);
+        let (mut pulls, mut stale) = (0, 0);
+        for case in 0..16 {
+            let n = 3 + rng.uniform_usize(4);
+            let loss = [0.0, 0.01, 0.05, 0.15, 0.3][case % 5];
+            let algorithm = ElectorKind::all()[case % 3];
+            let link = LinkSpec::lossy(SimDuration::from_millis(5), loss)
+                .with_duplication(0.3)
+                .with_jitter(SimDuration::from_millis(300));
+            let seed = rng.next_u64();
+            let mut world = World::new(
+                n,
+                Box::new(move |node, _| {
+                    ServiceNode::new(ServiceConfig::full_mesh(node, n, algorithm))
+                }),
+                NetworkModel::new(link).build(seed),
+                seed,
+            );
+            let mut obs = NullObserver;
+            let mut model: Vec<Announced> = vec![Announced::new(); n];
+            let mut next_local = vec![0u32; n];
+            let mut up = vec![true; n];
+
+            for _ in 0..60 {
+                let pause = SimDuration::from_millis(50 + rng.next_u64() % 750);
+                world.run_for(pause, &mut obs);
+                let i = rng.uniform_usize(n);
+                let node = NodeId(i as u32);
+                let group = GROUPS[rng.uniform_usize(GROUPS.len())];
+                let candidate = rng.bernoulli(0.6);
+                let join = if candidate {
+                    JoinConfig::candidate()
+                } else {
+                    JoinConfig::listener()
+                };
+                // A process of `node` already in `group`, if any.
+                let existing = model[i]
+                    .get(&group)
+                    .and_then(|processes| processes.keys().next().copied());
+                match (rng.uniform_usize(10), up[i], existing) {
+                    (0, true, _) if up.iter().filter(|&&u| u).count() > 2 => {
+                        world.schedule_crash(node, world.now());
+                        world.run_for(SimDuration::from_millis(1), &mut obs);
+                        up[i] = false;
+                        // A recovered workstation starts from nothing.
+                        model[i].clear();
+                        next_local[i] = 0;
+                    }
+                    (_, false, _) => {
+                        world.schedule_recovery(node, world.now());
+                        world.run_for(SimDuration::from_millis(1), &mut obs);
+                        up[i] = true;
+                    }
+                    (1..=5, true, _) => {
+                        world.with_actor(node, &mut obs, |actor, ctx| {
+                            let process = actor.register_process();
+                            actor.join_group(process, group, join, ctx).unwrap();
+                        });
+                        model[i]
+                            .entry(group)
+                            .or_default()
+                            .insert(next_local[i], candidate);
+                        next_local[i] += 1;
+                    }
+                    (6, true, Some(local)) => {
+                        // Candidacy change of a joined process.
+                        world.with_actor(node, &mut obs, |actor, ctx| {
+                            actor
+                                .join_group(ProcessId::new(node, local), group, join, ctx)
+                                .unwrap();
+                        });
+                        model[i].entry(group).or_default().insert(local, candidate);
+                    }
+                    (7..=8, true, Some(local)) => {
+                        world.with_actor(node, &mut obs, |actor, ctx| {
+                            actor
+                                .leave_group(ProcessId::new(node, local), group, ctx)
+                                .unwrap();
+                        });
+                        let processes = model[i].get_mut(&group).unwrap();
+                        processes.remove(&local);
+                        if processes.is_empty() {
+                            model[i].remove(&group);
+                        }
+                    }
+                    (9, true, Some(local)) => {
+                        // The same process leaves and is back within the
+                        // reordering window: its version-less LEAVE can
+                        // reach a peer after the list that shows the rejoin.
+                        let process = ProcessId::new(node, local);
+                        world.with_actor(node, &mut obs, |actor, ctx| {
+                            actor.leave_group(process, group, ctx).unwrap();
+                        });
+                        world.run_for(SimDuration::from_millis(rng.next_u64() % 20), &mut obs);
+                        world.with_actor(node, &mut obs, |actor, ctx| {
+                            actor.join_group(process, group, join, ctx).unwrap();
+                        });
+                        model[i].entry(group).or_default().insert(local, candidate);
+                    }
+                    _ => {}
+                }
+            }
+
+            // Quiet: no more changes. Anti-entropy must get every view to
+            // the model's, however many digests, pulls and lists are lost.
+            let mut mismatch = first_mismatch(&world, &model, &up);
+            for _ in 0..180 {
+                if mismatch.is_none() {
+                    break;
+                }
+                world.run_for(SimDuration::from_secs(1), &mut obs);
+                mismatch = first_mismatch(&world, &model, &up);
+            }
+            assert_eq!(
+                mismatch, None,
+                "case {case} (n {n}, loss {loss}, {algorithm}): no convergence"
+            );
+            if loss <= 0.05 {
+                for step in 0..60 {
+                    world.run_for(SimDuration::from_millis(250), &mut obs);
+                    assert_eq!(
+                        first_mismatch(&world, &model, &up),
+                        None,
+                        "case {case} (n {n}, loss {loss}, {algorithm}): a view changed \
+                         {step} quarter-seconds into the quiet period"
+                    );
+                }
+            }
+            for i in (0..n).filter(|&i| up[i]) {
+                let counters = world.actor(NodeId(i as u32)).unwrap().hello_counters();
+                pulls += counters.pulls_sent.get();
+                stale += counters.stale_ignored.get();
+            }
+        }
+        assert!(pulls > 0, "the churn never exercised the pull path");
+        assert!(
+            stale > 0,
+            "duplication and reordering never produced a stale HELLO"
+        );
+    }
+
+    const ME: NodeId = NodeId(0);
+    const PEER: NodeId = NodeId(1);
+    const GROUP: GroupId = GroupId(1);
+
+    /// A node in `GROUP` with one candidate process, in a mesh of three.
+    fn joined_node() -> ServiceNode {
+        let mut node = ServiceNode::new(ServiceConfig::full_mesh(ME, 3, ElectorKind::OmegaLc));
+        let mut ctx = ServiceContext::new(SimInstant::ZERO, ME, 0);
+        let process = node.register_process();
+        node.join_group(process, GROUP, JoinConfig::candidate(), &mut ctx)
+            .unwrap();
+        node
+    }
+
+    fn hello(
+        incarnation: u64,
+        version: u64,
+        pull: bool,
+        announcements: HelloList,
+    ) -> ServiceMessage {
+        ServiceMessage::Hello {
+            incarnation,
+            version,
+            sent_at: SimInstant::ZERO,
+            pull,
+            announcements,
+        }
+    }
+
+    /// `from`'s list naming `locals` (all candidates) in `GROUP`.
+    fn list_of(from: NodeId, locals: &[u32]) -> Arc<[GroupAnnouncement]> {
+        Arc::from([GroupAnnouncement {
+            group: GROUP,
+            processes: locals
+                .iter()
+                .map(|&local| (ProcessId::new(from, local), true))
+                .collect(),
+        }])
+    }
+
+    /// Delivers `msg` and returns the HELLOs the node answered with.
+    fn deliver(
+        node: &mut ServiceNode,
+        from: NodeId,
+        msg: ServiceMessage,
+        at_ms: u64,
+    ) -> Vec<(NodeId, ServiceMessage)> {
+        let now = SimInstant::ZERO + SimDuration::from_millis(at_ms);
+        let mut ctx = ServiceContext::new(now, ME, 0);
+        node.on_message(from, msg, &mut ctx);
+        ctx.into_effects()
+            .into_iter()
+            .filter_map(|effect| match effect {
+                Effect::Send { to, msg } if matches!(msg, ServiceMessage::Hello { .. }) => {
+                    Some((to, msg))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn is_bare_pull(msg: &ServiceMessage) -> bool {
+        matches!(
+            msg,
+            ServiceMessage::Hello {
+                pull: true,
+                announcements: HelloList::Omitted,
+                ..
+            }
+        )
+    }
+
+    #[test]
+    fn hostile_digests_pull_once_and_change_nothing() {
+        let mut node = joined_node();
+        let synced = vec![(PEER, list_of(PEER, &[0, 1])[0].processes.clone())];
+        let full = hello(1, 4, false, HelloList::Full(list_of(PEER, &[0, 1])));
+        assert_eq!(deliver(&mut node, PEER, full, 10), vec![]);
+        assert_eq!(node.remote_members_of(GROUP), synced);
+
+        // The unchanged digest: no answer, no state change.
+        let digest = |version| hello(1, version, false, HelloList::Omitted);
+        assert_eq!(deliver(&mut node, PEER, digest(4), 20), vec![]);
+
+        // An absurd version: exactly one pull, nothing applied — and the
+        // real next version still goes through afterwards.
+        let answers = deliver(&mut node, PEER, digest(u64::MAX), 30);
+        assert_eq!(answers.len(), 1);
+        assert!(answers[0].0 == PEER && is_bare_pull(&answers[0].1));
+        assert_eq!(node.remote_members_of(GROUP), synced);
+        let next = hello(1, 5, false, HelloList::Full(list_of(PEER, &[0])));
+        assert_eq!(deliver(&mut node, PEER, next, 40), vec![]);
+        let after = vec![(PEER, list_of(PEER, &[0])[0].processes.clone())];
+        assert_eq!(node.remote_members_of(GROUP), after);
+
+        // Regressing versions and incarnations — digest, list or pull — are
+        // dropped whole: counted, unanswered, nothing resurrected.
+        let regressing = [
+            digest(4),
+            hello(1, 4, false, HelloList::Full(list_of(PEER, &[0, 1, 2]))),
+            hello(1, 4, false, HelloList::Partial(list_of(PEER, &[7]))),
+            hello(1, 4, true, HelloList::Omitted),
+            hello(0, 9, true, HelloList::Full(list_of(PEER, &[3]))),
+        ];
+        let count = regressing.len() as u64;
+        for msg in regressing {
+            assert_eq!(deliver(&mut node, PEER, msg, 50), vec![]);
+            assert_eq!(node.remote_members_of(GROUP), after);
+        }
+        assert_eq!(node.hello_counters().stale_ignored.get(), count);
+
+        // A digest from a workstation outside the configured peer set: one
+        // pull back to it, no membership change.
+        let stranger = NodeId(77);
+        let answers = deliver(&mut node, stranger, digest(3), 60);
+        assert_eq!(answers.len(), 1);
+        assert!(answers[0].0 == stranger && is_bare_pull(&answers[0].1));
+        assert_eq!(node.remote_members_of(GROUP), after);
+        assert_eq!(
+            node.hello_counters().pulls_sent.get(),
+            2,
+            "two pulls sent in all"
+        );
+    }
+
+    #[test]
+    fn an_overtaken_list_does_not_undo_a_later_partial() {
+        let mut node = joined_node();
+        let both = vec![(PEER, list_of(PEER, &[0, 1])[0].processes.clone())];
+        // The peer's second process joined at version 6; the partial for
+        // it overtakes the version-5 traffic on the way here.
+        let newer = hello(1, 6, false, HelloList::Partial(list_of(PEER, &[0, 1])));
+        assert_eq!(deliver(&mut node, PEER, newer, 10), vec![]);
+        for older in [
+            HelloList::Partial(list_of(PEER, &[0])),
+            HelloList::Full(list_of(PEER, &[0])),
+        ] {
+            assert_eq!(
+                deliver(&mut node, PEER, hello(1, 5, false, older), 20),
+                vec![]
+            );
+            assert_eq!(node.remote_members_of(GROUP), both);
+        }
+        // The full list at 5 still counts as applied: the digest at 6 is
+        // the news, and is pulled.
+        let answers = deliver(&mut node, PEER, hello(1, 6, false, HelloList::Omitted), 30);
+        assert!(answers.len() == 1 && is_bare_pull(&answers[0].1));
+    }
+
+    #[test]
+    fn a_join_that_changes_nothing_keeps_the_version() {
+        let mut node = joined_node();
+        let mut rejoin = |candidate: bool| {
+            let join = if candidate {
+                JoinConfig::candidate()
+            } else {
+                JoinConfig::listener()
+            };
+            let mut ctx = ServiceContext::new(SimInstant::ZERO, ME, 0);
+            node.join_group(ProcessId::new(ME, 0), GROUP, join, &mut ctx)
+                .unwrap();
+            ctx.into_effects()
+                .into_iter()
+                .find_map(|effect| match effect {
+                    Effect::Send {
+                        msg: ServiceMessage::Hello { version, .. },
+                        ..
+                    } => Some(version),
+                    _ => None,
+                })
+                .expect("a join announces the group")
+        };
+        // Same process, same candidacy: peers have nothing to pull.
+        let version = rejoin(true);
+        assert_eq!(rejoin(true), version);
+        // A candidacy change is news.
+        assert_eq!(rejoin(false), version + 1);
+    }
+
+    #[test]
+    fn a_pull_flood_gets_one_shared_full_list_per_pull() {
+        let mut node = joined_node();
+        let mut lists = Vec::new();
+        for round in 0..100u64 {
+            // In sync or not, with or without a list of its own: every
+            // pull is answered once, to the puller, with the full list.
+            let announcements = match round % 3 {
+                0 => HelloList::Omitted,
+                1 => HelloList::Full(list_of(PEER, &[0])),
+                _ => HelloList::Partial(list_of(PEER, &[0])),
+            };
+            let answers = deliver(
+                &mut node,
+                PEER,
+                hello(1, 1 + round / 10, true, announcements),
+                round,
+            );
+            assert_eq!(answers.len(), 1, "round {round}: {answers:?}");
+            let (to, answer) = answers.into_iter().next().unwrap();
+            assert_eq!(to, PEER);
+            let ServiceMessage::Hello {
+                announcements: HelloList::Full(list),
+                ..
+            } = answer
+            else {
+                panic!("round {round}: a pull must be answered with a full list");
+            };
+            lists.push(list);
+        }
+        // The list is built once per version, whoever pulls it, however often.
+        assert!(lists.iter().all(|list| Arc::ptr_eq(list, &lists[0])));
+        assert_eq!(node.hello_counters().full_sent.get(), 100);
+    }
+
+    #[test]
+    fn random_hellos_never_panic_and_answer_at_most_once() {
+        let mut rng = SimRng::seed_from(0x4E111);
+        let mut node = joined_node();
+        for step in 0..20_000u64 {
+            let from = NodeId(1 + rng.uniform_usize(4) as u32);
+            let version = match rng.uniform_usize(4) {
+                0 => u64::MAX - rng.next_u64() % 3,
+                1 => rng.next_u64(),
+                _ => rng.next_u64() % 6,
+            };
+            let locals: Vec<u32> = (0..rng.uniform_usize(4) as u32).collect();
+            let announcements = match rng.uniform_usize(3) {
+                0 => HelloList::Omitted,
+                1 => HelloList::Full(list_of(from, &locals)),
+                _ => HelloList::Partial(list_of(from, &locals)),
+            };
+            let msg = hello(
+                rng.next_u64() % 3,
+                version,
+                rng.bernoulli(0.3),
+                announcements,
+            );
+            let answers = deliver(&mut node, from, msg, step);
+            assert!(answers.len() <= 1, "step {step}: {answers:?}");
+            assert!(answers.iter().all(|(to, _)| *to == from));
+        }
+    }
+}

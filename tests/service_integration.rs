@@ -2,7 +2,10 @@
 //! (simulator + network models + failure detector + electors + service)
 //! exercised under the workloads of the paper.
 
-use sle_core::{GroupId, JoinConfig, ProcessId, ServiceConfig, ServiceNode};
+use sle_core::{
+    GroupAnnouncement, GroupId, HelloList, JoinConfig, ProcessId, ServiceConfig, ServiceContext,
+    ServiceMessage, ServiceNode,
+};
 use sle_election::ElectorKind;
 use sle_fd::QosSpec;
 use sle_harness::{CrashPlan, CrashProfile, MetricsCollector, Scenario, EXPERIMENT_GROUP};
@@ -281,6 +284,123 @@ fn duplicated_stale_accusation_causes_no_extra_mistake() {
         metrics.unjustified_demotions, 1,
         "only the first ACCUSE copy may demote the healthy leader"
     );
+}
+
+/// A node (n0 of a mesh of two) with one candidate process in `GROUP`, for
+/// feeding HELLOs of the peer n1 straight into `on_message`.
+fn node_hearing_a_peer() -> (ServiceNode, NodeId, ServiceContext) {
+    let (me, peer) = (NodeId(0), NodeId(1));
+    let mut node = ServiceNode::new(ServiceConfig::full_mesh(me, 2, ElectorKind::OmegaLc));
+    let mut ctx = ServiceContext::new(SimInstant::ZERO, me, 0);
+    let process = node.register_process();
+    node.join_group(process, GROUP, JoinConfig::candidate(), &mut ctx)
+        .expect("join");
+    (node, peer, ctx)
+}
+
+/// `peer`'s incarnation-1 HELLO at `version`: a digest, or with `locals`
+/// the full list naming those processes (all candidates) in `GROUP`.
+fn hello_of(peer: NodeId, version: u64, locals: Option<&[u32]>) -> ServiceMessage {
+    ServiceMessage::Hello {
+        incarnation: 1,
+        version,
+        sent_at: SimInstant::ZERO,
+        pull: false,
+        announcements: locals.map_or(HelloList::Omitted, |locals| {
+            HelloList::Full(std::sync::Arc::from([GroupAnnouncement {
+                group: GROUP,
+                processes: locals
+                    .iter()
+                    .map(|&local| (ProcessId::new(peer, local), true))
+                    .collect(),
+            }]))
+        }),
+    }
+}
+
+/// The local ids of the remote processes `node` knows in `GROUP`.
+fn remote_locals(node: &ServiceNode) -> Vec<u32> {
+    node.remote_members_of(GROUP)
+        .into_iter()
+        .flat_map(|(_, processes)| processes)
+        .map(|(process, _)| process.local)
+        .collect()
+}
+
+#[test]
+fn delayed_hello_does_not_resurrect_a_departed_process() {
+    // Regression for stale HELLOs overwriting newer membership: a delayed
+    // or duplicated HELLO of the same incarnation (the chaos engine's
+    // duplication and reordering faults produce them) used to be applied
+    // over a newer one, bringing back a process that had left until the
+    // next periodic HELLO corrected it. With versioned announcements the
+    // older list is recognised and dropped.
+    let (mut node, peer, mut ctx) = node_hearing_a_peer();
+    // Two processes of the peer are in the group…
+    let before_the_leave = hello_of(peer, 4, Some(&[0, 1]));
+    node.on_message(peer, before_the_leave.clone(), &mut ctx);
+    assert_eq!(remote_locals(&node), vec![0, 1]);
+    // …one leaves: the next list no longer names it…
+    node.on_message(peer, hello_of(peer, 5, Some(&[0])), &mut ctx);
+    assert_eq!(remote_locals(&node), vec![0]);
+    // …and a late copy of the first list arrives after it.
+    node.on_message(peer, before_the_leave, &mut ctx);
+    assert_eq!(
+        remote_locals(&node),
+        vec![0],
+        "a stale HELLO resurrected the process that left"
+    );
+    assert_eq!(node.hello_counters().stale_ignored.get(), 1);
+}
+
+#[test]
+fn late_leave_after_a_rejoin_is_repaired_by_the_next_digest() {
+    // A LEAVE carries no version. The peer's process leaves (list 5) and
+    // rejoins (list 6); this node applies list 6, and only then does a
+    // delayed copy of the LEAVE arrive and delete the process again. Every
+    // later digest matches the applied version, so unless the LEAVE marks
+    // the peer for a re-pull the process stays deleted for good.
+    let (mut node, peer, mut ctx) = node_hearing_a_peer();
+    node.on_message(peer, hello_of(peer, 6, Some(&[0])), &mut ctx);
+    assert_eq!(remote_locals(&node), vec![0]);
+    let late_leave = ServiceMessage::Leave {
+        group: GROUP,
+        process: ProcessId::new(peer, 0),
+    };
+    node.on_message(peer, late_leave, &mut ctx);
+    assert_eq!(remote_locals(&node), Vec::<u32>::new());
+
+    // The next unchanged digest is answered with a pull…
+    let mut ctx = ServiceContext::new(SimInstant::ZERO, NodeId(0), 0);
+    node.on_message(peer, hello_of(peer, 6, None), &mut ctx);
+    let pulls: Vec<_> = ctx
+        .into_effects()
+        .into_iter()
+        .filter(|effect| {
+            matches!(
+                effect,
+                Effect::Send { to, msg: ServiceMessage::Hello { pull: true, .. } } if *to == peer
+            )
+        })
+        .collect();
+    assert_eq!(
+        pulls.len(),
+        1,
+        "the digest after a late LEAVE was not pulled"
+    );
+    // …and the full list at the same version brings the process back.
+    let mut ctx = ServiceContext::new(SimInstant::ZERO, NodeId(0), 0);
+    node.on_message(peer, hello_of(peer, 6, Some(&[0])), &mut ctx);
+    assert_eq!(remote_locals(&node), vec![0]);
+    // A LEAVE that removes nothing asks for nothing.
+    let unknown = ServiceMessage::Leave {
+        group: GROUP,
+        process: ProcessId::new(peer, 9),
+    };
+    node.on_message(peer, unknown, &mut ctx);
+    let mut ctx = ServiceContext::new(SimInstant::ZERO, NodeId(0), 0);
+    node.on_message(peer, hello_of(peer, 6, None), &mut ctx);
+    assert!(ctx.into_effects().is_empty());
 }
 
 #[test]
