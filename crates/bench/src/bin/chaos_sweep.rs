@@ -15,7 +15,8 @@
 //! Exit status: 0 when every run upholds every invariant (or, under
 //! `--weakened`, when the deliberately broken detector *is* caught) and,
 //! under `--smoke`, the membership-churn and duplication/reordering
-//! families exercised the HELLO pull path; 1 otherwise.
+//! families exercised the HELLO pull path and the partition and crash
+//! families both ALIVE receive paths; 1 otherwise.
 
 use std::time::Instant;
 
@@ -175,5 +176,12 @@ fn main() {
             std::process::exit(1);
         }
         println!("OK: the HELLO pull and stale-version paths ran under the checker");
+        if let Err(missing) = summary.alive_paths_exercised() {
+            eprintln!("FAIL: {missing} — an ALIVE receive path ran unchecked");
+            std::process::exit(1);
+        }
+        println!(
+            "OK: repeated and applied ALIVE batches, revivals included, ran under the checker"
+        );
     }
 }

@@ -143,6 +143,16 @@ pub struct CellSummary {
     /// `hello.stale_ignored`, likewise: delayed or duplicated HELLOs the
     /// version check dropped.
     pub hello_stale: u64,
+    /// `alive.unchanged`, likewise: ALIVE datagrams that repeated the
+    /// sender's applied batch and cost one freshness stamp.
+    pub alive_unchanged: u64,
+    /// `alive.applied`, likewise: ALIVE datagrams applied entry by entry.
+    pub alive_applied: u64,
+    /// `alive.plan_rebuilds`, likewise: ALIVE ticks that rebuilt the plan.
+    pub alive_plan_rebuilds: u64,
+    /// `fd.mistakes`, likewise: suspected peers revived by a later ALIVE —
+    /// each one a datagram that had to leave the repeat path.
+    pub revivals: u64,
 }
 
 /// Everything a sweep produced.
@@ -194,6 +204,35 @@ impl SweepSummary {
         Ok(())
     }
 
+    /// Checks that the sweep put both ALIVE receive paths under the
+    /// invariant checker where it matters: every family that silences or
+    /// crashes a live peer must have repeated batches (the stamp path) and
+    /// applied some, and the partitions must have healed into revivals — a
+    /// revival is a datagram that repeated the applied batch and still had
+    /// to be applied, because a suspicion came between.
+    ///
+    /// # Errors
+    ///
+    /// Names what was not exercised.
+    pub fn alive_paths_exercised(&self) -> Result<(), String> {
+        for kind in [PlanKind::PartitionHeal, PlanKind::LeaderChurn] {
+            let family = kind.name();
+            let cells = self.cells.iter().filter(|c| c.plan_name == family);
+            let (unchanged, applied, revivals) = cells.fold((0, 0, 0), |(u, a, r), c| {
+                (u + c.alive_unchanged, a + c.alive_applied, r + c.revivals)
+            });
+            if unchanged == 0 || applied == 0 {
+                return Err(format!(
+                    "{family} runs took one ALIVE path only ({unchanged} unchanged, {applied} applied)"
+                ));
+            }
+            if kind == PlanKind::PartitionHeal && revivals == 0 {
+                return Err(format!("no {family} run revived a suspected peer"));
+            }
+        }
+        Ok(())
+    }
+
     /// Renders the summary as a text table (printed by the `chaos_sweep`
     /// binary and published as the CI artifact).
     pub fn render(&self) -> String {
@@ -204,18 +243,31 @@ impl SweepSummary {
             self.failures.len()
         ));
         out.push_str(&format!(
-            "{:<10} {:<16} {:>6} {:>8} {:>12} {:>12}\n",
-            "service", "plan", "runs", "failed", "hello pulls", "hello stale"
+            "{:<10} {:<16} {:>6} {:>8} {:>12} {:>12} {:>12} {:>12} {:>10} {:>9}\n",
+            "service",
+            "plan",
+            "runs",
+            "failed",
+            "hello pulls",
+            "hello stale",
+            "alive same",
+            "alive appl.",
+            "plan rbld",
+            "revivals"
         ));
         for cell in &self.cells {
             out.push_str(&format!(
-                "{:<10} {:<16} {:>6} {:>8} {:>12} {:>12}\n",
+                "{:<10} {:<16} {:>6} {:>8} {:>12} {:>12} {:>12} {:>12} {:>10} {:>9}\n",
                 algorithm_label(cell.algorithm),
                 cell.plan_name,
                 cell.runs,
                 cell.failed,
                 cell.hello_pulls,
-                cell.hello_stale
+                cell.hello_stale,
+                cell.alive_unchanged,
+                cell.alive_applied,
+                cell.alive_plan_rebuilds,
+                cell.revivals
             ));
         }
         for failure in &self.failures {
@@ -308,7 +360,18 @@ pub fn run_sweep(config: &SweepConfig) -> SweepSummary {
     let mut failures = Vec::new();
     for &algorithm in &config.algorithms {
         for &kind in &config.plans {
-            let (mut failed, mut hello_pulls, mut hello_stale) = (0u64, 0u64, 0u64);
+            let mut cell = CellSummary {
+                algorithm,
+                plan_name: kind.name().to_string(),
+                runs: config.seeds,
+                failed: 0,
+                hello_pulls: 0,
+                hello_stale: 0,
+                alive_unchanged: 0,
+                alive_applied: 0,
+                alive_plan_rebuilds: 0,
+                revivals: 0,
+            };
             // Scale-hungry families (LargeChurn needs room for 100+
             // processes) raise the deployment to their floor; the others
             // keep the sweep's configured size.
@@ -319,12 +382,17 @@ pub fn run_sweep(config: &SweepConfig) -> SweepSummary {
                 let plan = kind.generate(nodes, config.duration, config.link, seed);
                 let report = run_plan(&chaos, &plan);
                 runs += 1;
-                hello_pulls += report.metrics.sum_counters("node.", ".hello.pulls_sent");
-                hello_stale += report.metrics.sum_counters("node.", ".hello.stale_ignored");
+                let sum = |suffix| report.metrics.sum_counters("node.", suffix);
+                cell.hello_pulls += sum(".hello.pulls_sent");
+                cell.hello_stale += sum(".hello.stale_ignored");
+                cell.alive_unchanged += sum(".alive.unchanged");
+                cell.alive_applied += sum(".alive.applied");
+                cell.alive_plan_rebuilds += sum(".alive.plan_rebuilds");
+                cell.revivals += sum(".fd.mistakes");
                 if report.ok() {
                     continue;
                 }
-                failed += 1;
+                cell.failed += 1;
                 let shrunk = if config.shrink_failures {
                     shrink_plan(&chaos, &plan).plan
                 } else {
@@ -343,14 +411,7 @@ pub fn run_sweep(config: &SweepConfig) -> SweepSummary {
                     proto_tail: report.proto_trace[tail_from..].to_vec(),
                 });
             }
-            cells.push(CellSummary {
-                algorithm,
-                plan_name: kind.name().to_string(),
-                runs: config.seeds,
-                failed,
-                hello_pulls,
-                hello_stale,
-            });
+            cells.push(cell);
         }
     }
     SweepSummary {
@@ -442,8 +503,11 @@ mod tests {
         assert!(summary.render().contains("chaos sweep"));
         assert!(summary.render().contains("large-churn"));
         assert!(summary.render().contains("hello pulls"));
-        // The churn and duplication families leave the digest fast path.
+        // The churn and duplication families leave the digest fast path;
+        // the partition and crash families both ALIVE paths.
         assert_eq!(summary.hello_paths_exercised(), Ok(()));
+        assert_eq!(summary.alive_paths_exercised(), Ok(()));
+        assert!(summary.render().contains("alive same"));
     }
 
     #[test]

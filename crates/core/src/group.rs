@@ -184,10 +184,6 @@ pub struct GroupState {
     pub fd: FailureDetector,
     /// Remote membership learnt from HELLO/ALIVE messages.
     pub members: MemberTable,
-    /// When this group is next due to fan out ALIVEs. The per-node ALIVE
-    /// tick (see `ServiceNode`) fires at the minimum of these across all
-    /// groups and sends for every group that is due.
-    pub next_alive_at: SimInstant,
     /// The leader last announced to local applications (to detect changes).
     pub announced_leader: Option<ProcessId>,
     /// When this node joined the group (start of the self-election grace
@@ -238,7 +234,6 @@ impl GroupState {
             elector: AnyElector::new(algorithm, me, config.candidate, now),
             fd: FailureDetector::with_arena(config.qos, FdConfigurator::default(), arena.clone()),
             members: MemberTable::new(),
-            next_alive_at: now,
             announced_leader: None,
             joined_at: now,
             tuner: AnyTuner::new(config.tuning),

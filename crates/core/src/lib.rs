@@ -108,7 +108,7 @@ pub use events::ServiceEvent;
 pub use group::{GroupState, MemberEntry, MemberTable};
 pub use lease::{FencedApp, FencingToken, LeaderLease, StaleToken};
 pub use messages::{AliveHeader, GroupAlive, GroupAnnouncement, HelloList, ServiceMessage};
-pub use node::{HelloCounters, ServiceContext, ServiceNode};
+pub use node::{AliveCounters, HelloCounters, ServiceContext, ServiceNode};
 pub use obs::NodeInstruments;
 pub use process::{GroupId, ProcessId};
 pub use runtime::{Cluster, ClusterConfig, ClusterEvent, ClusterHandle, RuntimeStats};

@@ -38,10 +38,9 @@ pub(crate) const GRACE_KIND: u64 = 3;
 /// Timer-tag namespace for periodic QoS re-derivation (adaptive tuning).
 const TUNE_KIND: u64 = 4;
 
-/// The single per-node ALIVE tick: it fires at the earliest `next_alive_at`
-/// across all groups and fans out for every group that is due, however many
-/// groups the node participates in. (Historically every group armed its own
-/// timer here — O(groups) pending timers per node.)
+/// The single per-node ALIVE tick: it fires at the earliest due time across
+/// all groups and fans out for every group that is due, however many groups
+/// the node participates in.
 const ALIVE_TIMER: TimerTag = TimerTag(ALIVE_KIND << 32);
 
 /// Encoded-size budget for one batched ALIVE datagram. Stays safely under
@@ -73,6 +72,9 @@ struct GroupTable {
     index: Vec<(u32, u32)>,
     slots: Vec<Option<GroupState>>,
     free: Vec<u32>,
+    /// When each slot's group is next due to fan out ALIVEs — dense, so the
+    /// per-node tick reads and advances them without touching the states.
+    due: Vec<SimInstant>,
 }
 
 impl GroupTable {
@@ -116,6 +118,7 @@ impl GroupTable {
                     }
                     None => {
                         self.slots.push(Some(state));
+                        self.due.push(SimInstant::FAR_FUTURE);
                         self.slots.len() - 1
                     }
                 };
@@ -144,11 +147,7 @@ impl GroupTable {
 
     /// Group states in ascending group-id order.
     fn iter(&self) -> impl Iterator<Item = &GroupState> + '_ {
-        self.index.iter().map(move |&(_, slot)| {
-            self.slots[slot as usize]
-                .as_ref()
-                .expect("indexed slot is live")
-        })
+        self.index.iter().map(move |&(_, slot)| self.slot(slot))
     }
 
     /// The `(id, slot)` pair at position `i` of the sorted index.
@@ -158,6 +157,13 @@ impl GroupTable {
     }
 
     /// The state living in `slot` (which must be indexed).
+    fn slot(&self, slot: u32) -> &GroupState {
+        self.slots[slot as usize]
+            .as_ref()
+            .expect("indexed slot is live")
+    }
+
+    /// Mutable access to the state living in `slot` (which must be indexed).
     fn slot_mut(&mut self, slot: u32) -> &mut GroupState {
         self.slots[slot as usize]
             .as_mut()
@@ -198,6 +204,17 @@ struct PeerEntry {
     /// When the peer's latest current HELLO arrived: a digest touches no
     /// group state, it vouches here for every member `listed_at` `applied`.
     hello_heard: SimInstant,
+    /// The last ALIVE batch applied from the peer. A datagram repeating it
+    /// touches no group state: it advances `alive_heard` and the peer's
+    /// freshness stamp in the arena, which the monitors it vouches for read.
+    alive_batch: Vec<GroupAlive>,
+    /// Repeating `alive_batch` could miss something (a suspicion to revive
+    /// from, an entry of the peer created or removed, a local join or
+    /// leave): apply the next batch whatever it says.
+    alive_resync: bool,
+    /// When the peer's latest ALIVE datagram arrived: it vouches for the
+    /// member entry of every group `alive_batch` lists.
+    alive_heard: SimInstant,
 }
 
 #[derive(Debug, Default)]
@@ -222,6 +239,9 @@ impl PeerSlab {
                     applied: None,
                     resync: false,
                     hello_heard: SimInstant::ZERO,
+                    alive_batch: Vec::new(),
+                    alive_resync: false,
+                    alive_heard: SimInstant::ZERO,
                 });
                 self.index.insert(i, (peer.0, slot as u32));
                 slot
@@ -229,19 +249,60 @@ impl PeerSlab {
         }
     }
 
-    /// When `member` was last heard from for its group: by its own ALIVEs
-    /// and HELLO lists, or — while the peer's applied list names the group
-    /// — by the peer's latest digest, whichever is later.
-    fn last_heard(&self, member: &MemberEntry) -> SimInstant {
-        let vouched = self
+    /// `peer`'s entry, created on first contact.
+    fn entry(&mut self, peer: NodeId, arena: &MonitorArena) -> &mut PeerEntry {
+        let slot = self.intern(peer, arena);
+        &mut self.entries[slot]
+    }
+
+    /// When `member` was last heard from for `group`: by the ALIVEs and
+    /// HELLO lists applied to it, by the peer's latest digest while the
+    /// peer's applied list names the group, or by the peer's latest ALIVE
+    /// datagram while its applied batch does — whichever is latest.
+    fn last_heard(&self, group: GroupId, member: &MemberEntry) -> SimInstant {
+        let Ok(i) = self
             .index
             .binary_search_by_key(&member.peer.0, |&(id, _)| id)
-            .ok()
-            .map(|i| &self.entries[self.index[i].1 as usize])
-            .filter(|peer| member.listed_at.is_some() && member.listed_at == peer.applied)
-            .map(|peer| peer.hello_heard);
-        vouched.map_or(member.last_heard, |heard| heard.max(member.last_heard))
+        else {
+            return member.last_heard;
+        };
+        let peer = &self.entries[self.index[i].1 as usize];
+        let mut heard = member.last_heard;
+        if member.listed_at.is_some() && member.listed_at == peer.applied {
+            heard = heard.max(peer.hello_heard);
+        }
+        if peer.alive_batch.iter().any(|alive| alive.group == group) {
+            heard = heard.max(peer.alive_heard);
+        }
+        heard
     }
+}
+
+/// A node's ALIVE path counters (`node.<n>.alive.*` in the registry).
+#[derive(Debug, Default)]
+pub struct AliveCounters {
+    /// ALIVE datagrams that repeated the sender's applied batch: one stamp.
+    pub unchanged: sle_obs::Counter,
+    /// ALIVE datagrams applied entry by entry (changed, or after a resync).
+    pub applied: sle_obs::Counter,
+    /// Times the ALIVE tick rebuilt its fan-out plan instead of reusing it.
+    pub plan_rebuilds: sle_obs::Counter,
+}
+
+/// One send grid of the cached ALIVE plan: groups that fan out together
+/// (same due time, same interval), with what each destination gets.
+#[derive(Debug, Clone, PartialEq, Default)]
+struct AliveGrid {
+    due: SimInstant,
+    interval: SimDuration,
+    /// Slots of the grid's groups.
+    groups: Vec<u32>,
+    /// The grid's groups this node leads: lease upkeep and the
+    /// settle-delayed mint are time-driven for these alone.
+    led: Vec<GroupId>,
+    /// `(destination, its peer slot, entries in ascending group id)`, in
+    /// ascending destination id.
+    sends: Vec<(NodeId, u32, Vec<GroupAlive>)>,
 }
 
 /// A node's HELLO gossip counters ([`ServiceNode::hello_counters`];
@@ -296,16 +357,15 @@ pub struct ServiceNode {
     /// shared by every group's failure detector (paper Figure 2's single
     /// Failure Detector module per workstation).
     arena: MonitorArena,
-    /// Reusable per-peer-slot ALIVE assembly buffers (parallel to the
-    /// `peers` slots); drained by every tick, so steady-state fan-out
-    /// allocates nothing beyond the outgoing messages themselves.
-    alive_scratch: Vec<Vec<GroupAlive>>,
-    /// `(peer id, peer slot)` pairs touched by the current ALIVE tick;
-    /// sorted by id before flushing so datagrams leave in deterministic
-    /// destination order.
-    scratch_touched: Vec<(u32, u32)>,
-    /// Groups found due on the current ALIVE tick (reused across ticks).
-    due_scratch: Vec<GroupId>,
+    /// Moves whenever something the ALIVE plan embeds may have: an elector's
+    /// payload or competing flag, local candidacy, a group's membership, an
+    /// interval a member asked for, which groups this node leads. (What the
+    /// monitors themselves ask for moves the arena's epoch.)
+    alive_epoch: u64,
+    /// The cached ALIVE fan-out, and the `(alive_epoch, arena params epoch)`
+    /// it was built at.
+    alive_plan: (Option<(u64, u64)>, Vec<AliveGrid>),
+    alive: AliveCounters,
     /// How many current groups run an adaptive tuner; when zero (the
     /// default, paper-faithful configuration) the per-datagram tuner
     /// fan-out in `note_alive_datagram` is skipped entirely.
@@ -356,9 +416,9 @@ impl ServiceNode {
             groups: GroupTable::default(),
             peers: PeerSlab::default(),
             arena: MonitorArena::new(),
-            alive_scratch: Vec::new(),
-            scratch_touched: Vec::new(),
-            due_scratch: Vec::new(),
+            alive_epoch: 0,
+            alive_plan: (None, Vec::new()),
+            alive: AliveCounters::default(),
             adaptive_groups: 0,
             alive_payloads_sent: sle_obs::Counter::new(),
             alive_datagrams_sent: sle_obs::Counter::new(),
@@ -386,6 +446,9 @@ impl ServiceNode {
         instruments.bind_node_counter("hello.digest_sent", &self.hello.digest_sent);
         instruments.bind_node_counter("hello.pulls_sent", &self.hello.pulls_sent);
         instruments.bind_node_counter("hello.stale_ignored", &self.hello.stale_ignored);
+        instruments.bind_node_counter("alive.unchanged", &self.alive.unchanged);
+        instruments.bind_node_counter("alive.applied", &self.alive.applied);
+        instruments.bind_node_counter("alive.plan_rebuilds", &self.alive.plan_rebuilds);
         instruments.bind_node_counter(
             "elect.stale_accusations_ignored",
             &self.stale_accusations_ignored,
@@ -535,6 +598,11 @@ impl ServiceNode {
         &self.hello
     }
 
+    /// The ALIVE path counters.
+    pub fn alive_counters(&self) -> &AliveCounters {
+        &self.alive
+    }
+
     /// Registers a new application process with this service instance and
     /// returns its identifier.
     pub fn register_process(&mut self) -> ProcessId {
@@ -602,12 +670,15 @@ impl ServiceNode {
                 state.elector.epoch() + 1,
             );
         }
-        state.next_alive_at = now + SimDuration::from_millis(5);
         let grace_ends = state.joined_at + state.self_election_grace();
         ctx.set_timer_at(grace_tag(group), grace_ends);
         if let Some(period) = state.tuner.period() {
             ctx.set_timer_after(tune_tag(group), period);
         }
+        if let Ok(i) = self.groups.find(group) {
+            self.groups.due[self.groups.index[i].1 as usize] = now + SimDuration::from_millis(5);
+        }
+        self.local_membership_changed();
         if let Some(obs) = &mut self.obs {
             obs.on_join(group, now);
         }
@@ -674,10 +745,20 @@ impl ServiceNode {
         if let Some(obs) = &mut self.obs {
             obs.on_leave(group, ctx.now());
         }
+        self.local_membership_changed();
         self.hello_version += 1;
         self.hello_list = None;
         self.send_hello(self.config.remote_peers(), false, HelloList::Omitted, ctx);
         Ok(())
+    }
+
+    /// A local join or leave: the ALIVE plan is stale, and no peer's repeated
+    /// batch may skip feeding an elector that was created or replaced.
+    fn local_membership_changed(&mut self) {
+        self.alive_epoch += 1;
+        for peer in &mut self.peers.entries {
+            peer.alive_resync = true;
+        }
     }
 
     /// The one HELLO send path: stamps a digest (`HelloList::Omitted`), pull,
@@ -710,69 +791,46 @@ impl ServiceNode {
         }
     }
 
-    /// Re-arms the per-node ALIVE tick at the earliest `next_alive_at`
-    /// across all groups (or cancels it when the node is in no group).
+    /// Re-arms the per-node ALIVE tick at the earliest due time across all
+    /// groups (or cancels it when the node is in no group).
     fn arm_alive_timer(&self, ctx: &mut ServiceContext) {
-        match self.groups.iter().map(|s| s.next_alive_at).min() {
+        let due = |&(_, slot): &(u32, u32)| self.groups.due[slot as usize];
+        match self.groups.index.iter().map(due).min() {
             Some(at) => ctx.set_timer_at(ALIVE_TIMER, at),
             None => ctx.cancel_timer(ALIVE_TIMER),
         }
     }
 
-    /// The per-node ALIVE tick: fans out heartbeats for every group that is
-    /// due, coalescing the entries bound for the same destination into one
-    /// batched datagram (split only at the transport's size budget).
-    fn handle_alive_tick(&mut self, ctx: &mut ServiceContext) {
+    /// Builds the ALIVE plan from scratch: groups partitioned into grids by
+    /// `(due time, send interval)`, and per grid what each member workstation
+    /// of a group this node competes in is sent. Groups are visited in
+    /// ascending id, so every destination's entries are too.
+    fn build_alive_grids(&mut self) -> Vec<AliveGrid> {
         let me = self.config.node;
-        let incarnation = self.incarnation;
-        let now = ctx.now();
-        // Gather the due per-(destination, group) entries into the per-peer
-        // scratch buffers. Groups are visited in ascending group id (the
-        // dense index is sorted) and destinations flushed in ascending peer
-        // id below, so the fan-out order stays deterministic; the buffers
-        // are reused across ticks, so the steady state allocates only the
-        // outgoing messages themselves.
-        let mut due = std::mem::take(&mut self.due_scratch);
-        due.clear();
+        let mut grids: Vec<AliveGrid> = Vec::new();
         for gi in 0..self.groups.len() {
             let (group, gslot) = self.groups.pair(gi);
-            let state = self.groups.slot_mut(gslot);
-            if state.next_alive_at > now {
-                continue;
-            }
-            due.push(group);
+            let due = self.groups.due[gslot as usize];
+            let state = self.groups.slot(gslot);
             let interval = state.send_interval();
-            // Always advance the due time so a node that re-enters the
-            // competition resumes sending within one interval — and snap it
-            // to the node-wide grid of this interval (multiples of the
-            // interval since the node started), so groups joined at
-            // staggered times converge onto a shared phase after their
-            // first send and heartbeats bound for the same peer keep
-            // sharing datagrams. The gap between consecutive sends never
-            // exceeds one interval, so receivers' freshness horizons are
-            // unaffected.
-            let step = interval.as_nanos().max(1);
-            state.next_alive_at = SimInstant::from_nanos((now.as_nanos() / step + 1) * step);
+            let at = grids
+                .iter()
+                .position(|grid| (grid.due, grid.interval) == (due, interval))
+                .unwrap_or_else(|| {
+                    grids.push(AliveGrid {
+                        due,
+                        interval,
+                        ..AliveGrid::default()
+                    });
+                    grids.len() - 1
+                });
+            let grid = &mut grids[at];
+            grid.groups.push(gslot);
+            if state.led_since.is_some() {
+                grid.led.push(group);
+            }
             if !state.should_send_alives() {
                 continue;
-            }
-            // Holding a lease and still sending ALIVEs is the leader's
-            // liveness evidence: renew for another T_D. A crashed leader
-            // stops ticking, so its last lease dies within T_D — before any
-            // survivor's detector can complete and elect a successor.
-            if let Some(lease) = &mut state.lease {
-                lease.renewed_at = now;
-                self.lease_renewals.inc();
-                if self.lease_broadcast {
-                    let grant = ServiceMessage::LeaseGrant {
-                        group,
-                        token: lease.token,
-                        valid_for: lease.ttl,
-                    };
-                    for dest in state.members.peers() {
-                        ctx.send(dest, grant.clone());
-                    }
-                }
             }
             let payload = state.elector.alive_payload();
             let representative = state
@@ -780,115 +838,161 @@ impl ServiceNode {
                 .unwrap_or_else(|| ProcessId::new(me, 0));
             for member in state.members.iter() {
                 let dest = member.peer;
-                let requested = state
-                    .fd
-                    .requested_interval(dest)
-                    .unwrap_or_else(|| state.qos.detection_time().mul_f64(0.25));
-                let pslot = self.peers.intern(dest, &self.arena);
-                if self.alive_scratch.len() <= pslot {
-                    self.alive_scratch.resize_with(pslot + 1, Vec::new);
-                }
-                let bucket = &mut self.alive_scratch[pslot];
-                if bucket.is_empty() {
-                    self.scratch_touched.push((dest.0, pslot as u32));
-                }
-                bucket.push(GroupAlive {
+                let entry = GroupAlive {
                     group,
                     sending_interval: interval,
-                    requested_interval: requested,
+                    requested_interval: state
+                        .fd
+                        .requested_interval(dest)
+                        .unwrap_or_else(|| state.qos.detection_time().mul_f64(0.25)),
                     payload,
                     representative,
-                });
-            }
-        }
-        // Flush per destination, in ascending peer id. Each chunk is one
-        // datagram with its own node-level sequence number, split at the
-        // transport's size budget.
-        let mut touched = std::mem::take(&mut self.scratch_touched);
-        touched.sort_unstable_by_key(|&(id, _)| id);
-        for &(dest_id, pslot) in &touched {
-            let dest = NodeId(dest_id);
-            let pslot = pslot as usize;
-            let mut alives = std::mem::take(&mut self.alive_scratch[pslot]);
-            let mut chunk: Vec<GroupAlive> = Vec::new();
-            let mut chunk_bytes = 0usize;
-            for entry in alives.drain(..) {
-                let entry_bytes = entry.wire_size();
-                if chunk_bytes + entry_bytes > MAX_ALIVE_BATCH_BYTES && !chunk.is_empty() {
-                    self.flush_alive_chunk(dest, pslot, incarnation, now, &mut chunk, ctx);
-                    chunk_bytes = 0;
+                };
+                match grid.sends.binary_search_by_key(&dest, |send| send.0) {
+                    Ok(i) => grid.sends[i].2.push(entry),
+                    Err(i) => {
+                        let pslot = self.peers.intern(dest, &self.arena) as u32;
+                        grid.sends.insert(i, (dest, pslot, vec![entry]));
+                    }
                 }
-                chunk_bytes += entry_bytes;
-                chunk.push(entry);
             }
-            self.flush_alive_chunk(dest, pslot, incarnation, now, &mut chunk, ctx);
-            // Hand the (now empty) buffer's capacity back to the scratch.
-            self.alive_scratch[pslot] = alives;
         }
-        touched.clear();
-        self.scratch_touched = touched;
-        // The settle-delayed mint is time-triggered, not event-triggered:
-        // without this sweep a leader whose elector went quiet after the
-        // last leadership change would hold the output but never re-check,
-        // and the delayed mint would starve until the next elector event.
-        for &group in &due {
+        grids
+    }
+
+    /// The per-node ALIVE tick: every due grid of the cached plan sends each
+    /// destination one datagram (entries of several due grids coalesced,
+    /// split only at the transport's size budget) under a fresh sequence
+    /// number. The plan is rebuilt only when one of its inputs moved.
+    fn handle_alive_tick(&mut self, ctx: &mut ServiceContext) {
+        let now = ctx.now();
+        let key = Some((self.alive_epoch, self.arena.params_epoch()));
+        let (built_at, mut grids) = std::mem::take(&mut self.alive_plan);
+        if built_at != key {
+            grids = self.build_alive_grids();
+            self.alive.plan_rebuilds.inc();
+        }
+        debug_assert_eq!(grids, self.build_alive_grids(), "stale ALIVE plan");
+        let due = |grid: &&AliveGrid| grid.due <= now;
+        for &group in grids.iter().filter(due).flat_map(|grid| &grid.led) {
+            self.renew_lease(group, ctx);
+            // The settle-delayed mint is time-triggered, not event-triggered:
+            // without this a leader whose elector went quiet after the last
+            // leadership change would never re-check, and the delayed mint
+            // would starve until the next elector event.
             self.check_leader(group, ctx);
         }
-        due.clear();
-        self.due_scratch = due;
+        // Destinations in ascending peer id (each grid's already are), so
+        // the fan-out order stays deterministic.
+        let mut sends: Vec<_> = grids.iter().filter(due).flat_map(|g| &g.sends).collect();
+        sends.sort_by_key(|send| send.0);
+        let mut rest = sends.as_slice();
+        while let Some((&&(dest, pslot, ref first), others)) = rest.split_first() {
+            let shared = others.iter().take_while(|send| send.0 == dest).count();
+            let mut alives = first.clone();
+            for send in &others[..shared] {
+                alives.extend_from_slice(&send.2);
+            }
+            if shared > 0 {
+                alives.sort_by_key(|alive| alive.group);
+            }
+            self.flush_alives(dest, pslot as usize, alives, now, ctx);
+            rest = &others[shared..];
+        }
+        // Advance the due grids — always, so a node that re-enters the
+        // competition resumes sending within one interval — snapped to the
+        // node-wide grid of the interval (multiples of it since the node
+        // started), so groups joined at staggered times converge onto a
+        // shared phase after their first send and keep sharing datagrams.
+        // The gap between consecutive sends never exceeds one interval, so
+        // receivers' freshness horizons are unaffected.
+        for grid in grids.iter_mut().filter(|grid| grid.due <= now) {
+            let step = grid.interval.as_nanos().max(1);
+            grid.due = SimInstant::from_nanos((now.as_nanos() / step + 1) * step);
+            for &gslot in &grid.groups {
+                self.groups.due[gslot as usize] = grid.due;
+            }
+        }
+        // Two grids that converged are one from now on: rebuild to merge.
+        let same = |a: &AliveGrid, b: &AliveGrid| (a.due, a.interval) == (b.due, b.interval);
+        if (1..grids.len()).any(|i| grids[..i].iter().any(|g| same(g, &grids[i]))) {
+            self.alive_epoch += 1;
+        }
+        self.alive_plan = (key, grids);
         self.arm_alive_timer(ctx);
     }
 
-    /// Sends one assembled ALIVE chunk to `dest` (peer slot `pslot`),
-    /// consuming the chunk and stamping it with the next node-level
+    /// Holding a lease and still sending ALIVEs is the leader's liveness
+    /// evidence: renew for another T_D. A crashed leader stops ticking, so
+    /// its last lease dies within T_D — before any survivor's detector can
+    /// complete and elect a successor.
+    fn renew_lease(&mut self, group: GroupId, ctx: &mut ServiceContext) {
+        let Some(state) = self.groups.get_mut(group) else {
+            return;
+        };
+        let sending = state.should_send_alives();
+        let Some(lease) = state.lease.as_mut().filter(|_| sending) else {
+            return;
+        };
+        lease.renewed_at = ctx.now();
+        self.lease_renewals.inc();
+        if self.lease_broadcast {
+            let grant = ServiceMessage::LeaseGrant {
+                group,
+                token: lease.token,
+                valid_for: lease.ttl,
+            };
+            for dest in state.members.peers() {
+                ctx.send(dest, grant.clone());
+            }
+        }
+    }
+
+    /// Sends `alives` to `dest` (peer slot `pslot`), split at the
+    /// transport's size budget; each datagram takes the next node-level
     /// sequence number of the destination's heartbeat stream.
-    fn flush_alive_chunk(
+    fn flush_alives(
         &mut self,
         dest: NodeId,
         pslot: usize,
-        incarnation: u64,
+        mut alives: Vec<GroupAlive>,
         now: SimInstant,
-        chunk: &mut Vec<GroupAlive>,
         ctx: &mut ServiceContext,
     ) {
-        if chunk.is_empty() {
-            return;
-        }
-        let seq = {
+        while !alives.is_empty() {
+            let mut bytes = 0;
+            let fits = alives.iter().take_while(|alive| {
+                bytes += alive.wire_size();
+                bytes <= MAX_ALIVE_BATCH_BYTES
+            });
+            let rest = alives.split_off(fits.count().max(1));
             let entry = &mut self.peers.entries[pslot];
             let seq = entry.node_seq;
             entry.node_seq += 1;
-            seq
-        };
-        self.alive_datagrams_sent.inc();
-        self.alive_payloads_sent.add(chunk.len() as u64);
-        if chunk.len() == 1 {
-            let entry = chunk.pop().expect("chunk has one entry");
-            ctx.send(
-                dest,
-                ServiceMessage::Alive {
-                    group: entry.group,
+            self.alive_datagrams_sent.inc();
+            self.alive_payloads_sent.add(alives.len() as u64);
+            let msg = match alives[..] {
+                [ref alive] => ServiceMessage::Alive {
+                    group: alive.group,
                     header: AliveHeader {
-                        incarnation,
+                        incarnation: self.incarnation,
                         seq,
                         sent_at: now,
-                        sending_interval: entry.sending_interval,
-                        requested_interval: entry.requested_interval,
+                        sending_interval: alive.sending_interval,
+                        requested_interval: alive.requested_interval,
                     },
-                    payload: entry.payload,
-                    representative: entry.representative,
+                    payload: alive.payload,
+                    representative: alive.representative,
                 },
-            );
-        } else {
-            ctx.send(
-                dest,
-                ServiceMessage::AliveBatch {
-                    incarnation,
+                _ => ServiceMessage::AliveBatch {
+                    incarnation: self.incarnation,
                     seq,
                     sent_at: now,
-                    alives: std::mem::take(chunk),
+                    alives,
                 },
-            );
+            };
+            ctx.send(dest, msg);
+            alives = rest;
         }
     }
 
@@ -944,6 +1048,9 @@ impl ServiceNode {
         // elector's rank or epoch moved, which changes the token), drop on
         // losing it. Renewals ride the ALIVE tick.
         let leads = leader.is_some_and(|l| l.node == me);
+        if leads != state.led_since.is_some() {
+            self.alive_epoch += 1;
+        }
         if leads {
             // Settle delay: only a node that has led *continuously* for one
             // lease term (`T_D`) mints. A transient claimant yields before
@@ -1017,13 +1124,16 @@ impl ServiceNode {
             Some(k) if incarnation <= k => return,
             _ => {}
         }
-        self.peers.entries[slot].incarnation = Some(incarnation);
-        // Whatever list was applied belonged to the previous life.
-        self.peers.entries[slot].applied = None;
+        let entry = &mut self.peers.entries[slot];
+        entry.incarnation = Some(incarnation);
+        // Whatever list or batch was applied belonged to the previous life.
+        entry.applied = None;
+        entry.alive_batch.clear();
         if known.is_none() {
             // First contact with this peer: nothing to reset.
             return;
         }
+        self.alive_epoch += 1;
         let now = ctx.now();
         let groups: Vec<GroupId> = self.groups.ids().collect();
         for group in groups {
@@ -1142,23 +1252,64 @@ impl ServiceNode {
             if has_candidate {
                 state.fd.ensure_peer(from, now);
             }
+            self.alive_epoch += 1;
+            self.peers.entry(from, &self.arena).alive_resync = true;
             self.arm_fd_timer(group, ctx);
             self.check_leader(group, ctx);
         }
     }
 
-    fn handle_alive(
+    /// The one ALIVE receive path (a single `Alive` is a batch of one). A
+    /// datagram repeating the batch last applied from the sender — the
+    /// steady state — is the node-level accounting plus one store into the
+    /// sender's freshness stamp. Anything else, or anything after
+    /// `alive_resync` was set, is applied entry by entry and kept to repeat.
+    fn handle_alives(
         &mut self,
         from: NodeId,
-        group: GroupId,
-        header: AliveHeader,
-        payload: sle_election::AlivePayload,
-        representative: ProcessId,
+        incarnation: u64,
+        seq: u64,
+        sent_at: SimInstant,
+        alives: Vec<GroupAlive>,
         ctx: &mut ServiceContext,
     ) {
-        self.note_peer_incarnation(from, header.incarnation, ctx);
-        self.note_alive_datagram(from, header.seq, header.sent_at, ctx.now());
-        self.apply_group_alive(from, group, header, payload, representative, ctx);
+        let now = ctx.now();
+        let slot = self.peers.intern(from, &self.arena);
+        let known = self.peers.entries[slot].incarnation;
+        if known != Some(incarnation) {
+            // A previous life's heartbeat says nothing about the current one.
+            if known.is_some_and(|known| incarnation < known) {
+                return;
+            }
+            self.note_peer_incarnation(from, incarnation, ctx);
+        }
+        self.note_alive_datagram(from, slot, seq, sent_at, now);
+        let peer = &mut self.peers.entries[slot];
+        let heard = std::mem::replace(&mut peer.alive_heard, now);
+        if !peer.alive_resync && peer.alive_batch == alives {
+            self.alive.unchanged.inc();
+            self.arena.stamp(&peer.liveness, sent_at, false);
+            return;
+        }
+        self.alive.applied.inc();
+        peer.alive_resync = false;
+        // Every monitor and member entry the old batch vouched for keeps
+        // what the stamp bought it, and the stamp restarts: a group the new
+        // batch drops then ages out on its own horizon.
+        for dropped in std::mem::take(&mut peer.alive_batch) {
+            if let Some(state) = self.groups.get_mut(dropped.group) {
+                state.fd.unvouch(from);
+                if let Some(member) = state.members.get_mut(from) {
+                    member.last_heard = member.last_heard.max(heard);
+                }
+            }
+        }
+        self.arena
+            .stamp(&self.peers.entries[slot].liveness, sent_at, true);
+        for alive in &alives {
+            self.apply_group_alive(from, slot, incarnation, seq, sent_at, alive, ctx);
+        }
+        self.peers.entries[slot].alive_batch = alives;
     }
 
     /// Node-level accounting of one incoming ALIVE datagram, before the
@@ -1174,13 +1325,12 @@ impl ServiceNode {
     fn note_alive_datagram(
         &mut self,
         from: NodeId,
+        slot: usize,
         seq: u64,
         sent_at: SimInstant,
         now: SimInstant,
     ) {
-        // The slab's cached handle keeps this off the arena mutex: one
-        // binary search per datagram instead of a lock plus a map walk.
-        let slot = self.peers.intern(from, &self.arena);
+        // The slab's cached handle keeps this off the arena mutex.
         self.peers.entries[slot].liveness.record(seq, sent_at, now);
         if let Some(obs) = &mut self.obs {
             obs.on_alive_datagram(from, now);
@@ -1199,77 +1349,47 @@ impl ServiceNode {
         }
     }
 
-    /// Dispatches a batched ALIVE: the shared envelope is unpacked into one
-    /// per-group heartbeat each. The shared liveness arena deduplicates the
-    /// measurement, so the datagram is one sample on the link however many
-    /// groups it carries.
-    fn handle_alive_batch(
-        &mut self,
-        from: NodeId,
-        incarnation: u64,
-        seq: u64,
-        sent_at: SimInstant,
-        alives: Vec<GroupAlive>,
-        ctx: &mut ServiceContext,
-    ) {
-        self.note_peer_incarnation(from, incarnation, ctx);
-        self.note_alive_datagram(from, seq, sent_at, ctx.now());
-        for entry in alives {
-            let header = AliveHeader {
-                incarnation,
-                seq,
-                sent_at,
-                sending_interval: entry.sending_interval,
-                requested_interval: entry.requested_interval,
-            };
-            self.apply_group_alive(
-                from,
-                entry.group,
-                header,
-                entry.payload,
-                entry.representative,
-                ctx,
-            );
-        }
-    }
-
-    /// The per-group effect of one ALIVE heartbeat (single or unpacked from
-    /// a batch): membership refresh, failure-detector freshness, election
-    /// payload.
+    /// The per-group effect of one ALIVE entry: membership refresh,
+    /// failure-detector freshness, election payload.
+    #[allow(clippy::too_many_arguments)]
     fn apply_group_alive(
         &mut self,
         from: NodeId,
-        group: GroupId,
-        header: AliveHeader,
-        payload: sle_election::AlivePayload,
-        representative: ProcessId,
+        pslot: usize,
+        incarnation: u64,
+        seq: u64,
+        sent_at: SimInstant,
+        alive: &GroupAlive,
         ctx: &mut ServiceContext,
     ) {
         let now = ctx.now();
+        let group = alive.group;
         let Some(state) = self.groups.get_mut(group) else {
             return;
         };
+        // What this node's own ALIVEs embed of the group, before.
+        let stance = |state: &GroupState| {
+            let elector = (state.elector.alive_payload(), state.elector.is_competing());
+            (elector, state.fd.requested_interval(from))
+        };
+        let stance_before = stance(state);
         // A member first learnt of via ALIVE (no HELLO yet) is seeded with
         // its advertised representative as the only known process; a HELLO
         // will replace the list with the authoritative one.
-        let (member, created) = state.members.ensure(from, header.incarnation, now);
+        let (member, created) = state.members.ensure(from, incarnation, now);
         if created {
-            member.processes = vec![(representative, true)];
+            member.processes = vec![(alive.representative, true)];
         }
-        let representative_changed = member.representative != Some(representative);
-        member.representative = Some(representative);
-        member.requested_interval = Some(header.requested_interval);
+        let representative_changed = member.representative != Some(alive.representative);
+        member.representative = Some(alive.representative);
+        let asked = member.requested_interval.replace(alive.requested_interval);
         let leader_before = state.elector.leader();
         // The measurement side of this heartbeat (link estimator, adaptive
         // tuner) was already fed at node level by `note_alive_datagram`;
         // the monitor's own recording dedups against it.
-        let transition = state.fd.on_heartbeat(
-            from,
-            header.seq,
-            header.sent_at,
-            header.sending_interval,
-            now,
-        );
+        let transition = state
+            .fd
+            .on_heartbeat(from, seq, sent_at, alive.sending_interval, now);
         let mut revived = false;
         if let Some(t) = transition {
             if t.transition == Transition::BecameTrusted {
@@ -1282,8 +1402,16 @@ impl ServiceNode {
                 state.elector.on_trust(from, now);
             }
         }
-        state.elector.on_alive(from, payload, now);
+        state.elector.on_alive(from, alive.payload, now);
         let leader_changed = state.elector.leader() != leader_before;
+        if asked != Some(alive.requested_interval) || stance(state) != stance_before {
+            self.alive_epoch += 1;
+        }
+        // Still suspected (the heartbeat was too old to revive it): the
+        // revival must not be skipped as a repeat.
+        if !state.fd.is_trusted(from) {
+            self.peers.entries[pslot].alive_resync = true;
+        }
         // A heartbeat only *extends* the sender's freshness horizon, so the
         // earliest FD deadline cannot have moved earlier unless the peer's
         // trust state transitioned; skip the re-arm scan on the steady-state
@@ -1291,11 +1419,11 @@ impl ServiceNode {
         if revived || state.armed_fd_deadline.is_none() {
             self.arm_fd_timer(group, ctx);
         }
-        // `check_leader` per payload is the scale-cell hot path. In steady
-        // state nothing it derives has changed: same elector leader, same
-        // representative, no trust transition. Time-driven transitions (the
-        // self-election grace elapsing, the lease settle delay) are driven
-        // by the grace / FD / ALIVE timers, not by received heartbeats.
+        // In steady state nothing `check_leader` derives has changed: same
+        // elector leader, same representative, no trust transition.
+        // Time-driven transitions (the self-election grace elapsing, the
+        // lease settle delay) are driven by the grace / FD / ALIVE timers,
+        // not by received heartbeats.
         if created || representative_changed || revived || leader_changed {
             self.check_leader(group, ctx);
         }
@@ -1316,6 +1444,7 @@ impl ServiceNode {
                 return;
             }
             state.elector.on_accusation(epoch, now);
+            self.alive_epoch += 1;
         }
         self.check_leader(group, ctx);
     }
@@ -1432,8 +1561,7 @@ impl ServiceNode {
             if member.processes.len() != listed {
                 // Unversioned: a late copy may have undone a rejoin the
                 // applied list already showed. Pull to find out.
-                let slot = self.peers.intern(from, &self.arena);
-                self.peers.entries[slot].resync = true;
+                self.peers.entry(from, &self.arena).resync = true;
             }
         }
         if gone {
@@ -1441,6 +1569,8 @@ impl ServiceNode {
             state.elector.remove_peer(from, now);
             state.fd.remove_peer(from);
             state.tuner.forget_peer(from);
+            self.alive_epoch += 1;
+            self.peers.entry(from, &self.arena).alive_resync = true;
         }
         self.check_leader(group, ctx);
     }
@@ -1448,36 +1578,38 @@ impl ServiceNode {
     fn handle_hello_timer(&mut self, ctx: &mut ServiceContext) {
         let now = ctx.now();
         let timeout = self.config.membership_timeout;
-        let groups: Vec<GroupId> = self.groups.ids().collect();
-        for group in groups {
+        for gi in 0..self.groups.len() {
+            let (group, gslot) = self.groups.pair(gi);
+            let state = self.groups.slot_mut(gslot);
             let mut expired = Vec::new();
-            if let Some(state) = self.groups.get_mut(group) {
-                for member in state.members.iter_mut() {
-                    if now.saturating_since(member.last_heard) <= timeout {
-                        continue;
-                    }
-                    // Quiet on its own account: fold the peer's digests in
-                    // (here, once per timeout — not on every digest).
-                    member.last_heard = self.peers.last_heard(member);
-                    if now.saturating_since(member.last_heard) > timeout
-                        && !state.fd.is_trusted(member.peer)
-                    {
-                        expired.push(member.peer);
-                    }
+            for member in state.members.iter_mut() {
+                if now.saturating_since(member.last_heard) <= timeout {
+                    continue;
                 }
-                for &peer in &expired {
-                    state.members.remove(peer);
-                    state.elector.remove_peer(peer, now);
-                    state.fd.remove_peer(peer);
-                    state.tuner.forget_peer(peer);
-                    // Should the peer come back at the applied version, pull.
-                    let slot = self.peers.intern(peer, &self.arena);
-                    self.peers.entries[slot].resync = true;
+                // Quiet on its own account: fold the peer's digests and
+                // repeated batches in (here, once per timeout — not on
+                // every datagram).
+                member.last_heard = self.peers.last_heard(group, member);
+                if now.saturating_since(member.last_heard) > timeout
+                    && !state.fd.is_trusted(member.peer)
+                {
+                    expired.push(member.peer);
                 }
             }
-            if !expired.is_empty() {
-                self.check_leader(group, ctx);
+            if expired.is_empty() {
+                continue;
             }
+            for &peer in &expired {
+                state.members.remove(peer);
+                state.elector.remove_peer(peer, now);
+                state.fd.remove_peer(peer);
+                state.tuner.forget_peer(peer);
+                // Should the peer come back at the applied version, pull.
+                let entry = self.peers.entry(peer, &self.arena);
+                (entry.resync, entry.alive_resync) = (true, true);
+            }
+            self.alive_epoch += 1;
+            self.check_leader(group, ctx);
         }
         self.send_hello(self.config.remote_peers(), false, HelloList::Omitted, ctx);
         ctx.set_timer_after(HELLO_TIMER, self.config.hello_interval);
@@ -1491,13 +1623,16 @@ impl ServiceNode {
             state.armed_fd_deadline = None;
             for transition in state.fd.poll(now) {
                 if transition.transition == Transition::BecameSuspected {
+                    // The revival must be noticed: no repeat may skip it.
+                    self.peers.entry(transition.peer, &self.arena).alive_resync = true;
+                    self.alive_epoch += 1;
                     if let Some(obs) = &mut self.obs {
                         // Detection latency T_D: silence since the suspected
                         // peer's last heartbeat or gossip.
                         let silent_for = state
                             .members
                             .get(transition.peer)
-                            .map(|m| now.saturating_since(self.peers.last_heard(m)))
+                            .map(|m| now.saturating_since(self.peers.last_heard(group, m)))
                             .unwrap_or_default();
                         obs.on_detection(group, silent_for, now);
                     }
@@ -1543,7 +1678,9 @@ impl ServiceNode {
         let mut all_peers_measured = !peers.is_empty();
         for peer in peers {
             if let Some(recommendation) = state.tuner.recommend(peer, &qos, now) {
+                // The monitor stops reading the peer's stamp until fed.
                 state.fd.set_peer_params(peer, recommendation.params);
+                self.peers.entry(peer, &self.arena).alive_resync = true;
                 let grace = recommendation.election_grace();
                 round_grace = Some(round_grace.map_or(grace, |g| g.max(grace)));
             } else {
@@ -1555,6 +1692,11 @@ impl ServiceNode {
         } else {
             None
         };
+        // The grace period may have moved either way: re-arm its end (the
+        // ALIVE tick re-checks only the groups this node already leads).
+        let grace_ends = state.joined_at + state.self_election_grace();
+        ctx.set_timer_at(grace_tag(group), grace_ends.max(now));
+        self.alive_epoch += 1;
         ctx.set_timer_after(tune_tag(group), period);
         self.arm_fd_timer(group, ctx);
     }
@@ -1597,13 +1739,25 @@ impl Actor for ServiceNode {
                 header,
                 payload,
                 representative,
-            } => self.handle_alive(from, group, header, payload, representative, ctx),
+            } => {
+                let alive = GroupAlive {
+                    group,
+                    sending_interval: header.sending_interval,
+                    requested_interval: header.requested_interval,
+                    payload,
+                    representative,
+                };
+                let AliveHeader {
+                    incarnation, seq, ..
+                } = header;
+                self.handle_alives(from, incarnation, seq, header.sent_at, vec![alive], ctx)
+            }
             ServiceMessage::AliveBatch {
                 incarnation,
                 seq,
                 sent_at,
                 alives,
-            } => self.handle_alive_batch(from, incarnation, seq, sent_at, alives, ctx),
+            } => self.handle_alives(from, incarnation, seq, sent_at, alives, ctx),
             ServiceMessage::Accuse { group, epoch } => self.handle_accusation(group, epoch, ctx),
             ServiceMessage::Leave { group, process } => {
                 self.handle_leave(from, group, process, ctx)

@@ -24,7 +24,9 @@
 //!   paper's message-count figures, bound from the node's live counters,
 //! * `node.<n>.hello.{full,digest,pulls}_sent` / `hello.stale_ignored` —
 //!   the membership gossip's traffic by shape and the stale HELLOs its
-//!   version check dropped, bound likewise.
+//!   version check dropped, bound likewise,
+//! * `node.<n>.alive.{unchanged,applied,plan_rebuilds}` — incoming ALIVE
+//!   datagrams by path (one stamp / entry by entry) and plan rebuilds.
 //!
 //! The full catalogue lives in `docs/OBSERVABILITY.md`.
 //!

@@ -68,8 +68,6 @@ pub trait LeaderElector {
 pub struct PeerState {
     /// Latest election payload received from the peer.
     pub payload: AlivePayload,
-    /// When that payload was received.
-    pub last_alive: SimInstant,
     /// Whether the failure detector currently trusts the peer.
     pub trusted: bool,
 }
@@ -144,10 +142,9 @@ impl PeerTable {
     }
 
     /// Records an ALIVE payload from `peer` (implies the peer is trusted).
-    pub fn record_alive(&mut self, peer: NodeId, payload: AlivePayload, now: SimInstant) {
+    pub fn record_alive(&mut self, peer: NodeId, payload: AlivePayload) {
         let state = PeerState {
             payload,
-            last_alive: now,
             trusted: true,
         };
         let new_rank = state.rank(peer);
@@ -259,29 +256,21 @@ mod tests {
     fn record_alive_marks_trusted_and_updates_payload() {
         let mut table = PeerTable::new();
         assert!(table.is_empty());
-        table.record_alive(NodeId(1), payload(0, 1), SimInstant::ZERO);
+        table.record_alive(NodeId(1), payload(0, 1));
         assert_eq!(table.len(), 1);
         let state = table.get(NodeId(1)).unwrap();
         assert!(state.trusted);
         assert_eq!(state.payload.epoch, 1);
 
-        table.record_alive(
-            NodeId(1),
-            payload(5, 2),
-            SimInstant::ZERO + SimDuration::from_secs(1),
-        );
+        table.record_alive(NodeId(1), payload(5, 2));
         let state = table.get(NodeId(1)).unwrap();
         assert_eq!(state.payload.epoch, 2);
-        assert_eq!(
-            state.last_alive,
-            SimInstant::ZERO + SimDuration::from_secs(1)
-        );
     }
 
     #[test]
     fn mark_suspected_returns_epoch_once() {
         let mut table = PeerTable::new();
-        table.record_alive(NodeId(1), payload(0, 7), SimInstant::ZERO);
+        table.record_alive(NodeId(1), payload(0, 7));
         assert_eq!(table.mark_suspected(NodeId(1)), Some(7));
         // Already suspected: no second accusation epoch.
         assert_eq!(table.mark_suspected(NodeId(1)), None);
@@ -295,8 +284,8 @@ mod tests {
     #[test]
     fn best_trusted_rank_ignores_suspected_peers() {
         let mut table = PeerTable::new();
-        table.record_alive(NodeId(3), payload(0, 0), SimInstant::ZERO);
-        table.record_alive(NodeId(5), payload(10, 0), SimInstant::ZERO);
+        table.record_alive(NodeId(3), payload(0, 0));
+        table.record_alive(NodeId(5), payload(10, 0));
         assert_eq!(
             table.best_trusted_rank(),
             Some(Rank::new(SimInstant::ZERO, NodeId(3)))
@@ -316,7 +305,7 @@ mod tests {
     #[test]
     fn remove_forgets_peer() {
         let mut table = PeerTable::new();
-        table.record_alive(NodeId(1), payload(0, 0), SimInstant::ZERO);
+        table.record_alive(NodeId(1), payload(0, 0));
         table.remove(NodeId(1));
         assert!(table.get(NodeId(1)).is_none());
         assert_eq!(table.trusted().count(), 0);
@@ -329,19 +318,18 @@ mod tests {
     fn best_rank_cache_matches_rescan_across_mutations() {
         let mut table = PeerTable::new();
         let rescan = |t: &PeerTable| t.trusted().map(|(id, s)| s.rank(id)).min();
-        let now = SimInstant::ZERO;
 
-        table.record_alive(NodeId(3), payload(5, 0), now);
-        table.record_alive(NodeId(1), payload(9, 0), now);
+        table.record_alive(NodeId(3), payload(5, 0));
+        table.record_alive(NodeId(1), payload(9, 0));
         assert_eq!(table.best_trusted_rank(), rescan(&table));
 
         // A better newcomer folds into the cached minimum.
-        table.record_alive(NodeId(2), payload(1, 0), now);
+        table.record_alive(NodeId(2), payload(1, 0));
         assert_eq!(table.best_trusted_rank(), rescan(&table));
 
         // The best peer re-ranks itself worse: the minimum must move back
         // to another peer, not stay pinned at the stale cached value.
-        table.record_alive(NodeId(2), payload(20, 1), now);
+        table.record_alive(NodeId(2), payload(20, 1));
         assert_eq!(table.best_trusted_rank(), rescan(&table));
 
         // Suspecting the current best drops it from the minimum.
@@ -361,7 +349,7 @@ mod tests {
         // Steady state: repeated identical payloads keep cache and rescan
         // in agreement without drift.
         for _ in 0..3 {
-            table.record_alive(NodeId(3), payload(5, 0), now);
+            table.record_alive(NodeId(3), payload(5, 0));
             assert_eq!(table.best_trusted_rank(), rescan(&table));
         }
     }

@@ -82,8 +82,8 @@ impl LeaderElector for OmegaId {
         }
     }
 
-    fn on_alive(&mut self, from: NodeId, payload: AlivePayload, now: SimInstant) {
-        self.peers.record_alive(from, payload, now);
+    fn on_alive(&mut self, from: NodeId, payload: AlivePayload, _now: SimInstant) {
+        self.peers.record_alive(from, payload);
     }
 
     fn on_accusation(&mut self, _epoch: u64, _now: SimInstant) {

@@ -151,8 +151,8 @@ impl LeaderElector for OmegaL {
         }
     }
 
-    fn on_alive(&mut self, from: NodeId, payload: AlivePayload, now: SimInstant) {
-        self.peers.record_alive(from, payload, now);
+    fn on_alive(&mut self, from: NodeId, payload: AlivePayload, _now: SimInstant) {
+        self.peers.record_alive(from, payload);
         self.reevaluate();
     }
 

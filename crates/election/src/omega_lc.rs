@@ -146,8 +146,8 @@ impl LeaderElector for OmegaLc {
         }
     }
 
-    fn on_alive(&mut self, from: NodeId, payload: AlivePayload, now: SimInstant) {
-        self.peers.record_alive(from, payload, now);
+    fn on_alive(&mut self, from: NodeId, payload: AlivePayload, _now: SimInstant) {
+        self.peers.record_alive(from, payload);
     }
 
     fn on_accusation(&mut self, epoch: u64, now: SimInstant) {

@@ -24,7 +24,7 @@
 //!
 //! [`PeerMonitor`]: crate::monitor::PeerMonitor
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use sle_sim::actor::NodeId;
 use sle_sim::dense::SlotIndex;
@@ -79,6 +79,9 @@ impl PeerLiveness {
 #[derive(Debug, Clone)]
 pub struct LivenessHandle {
     slot: Arc<Mutex<PeerLiveness>>,
+    /// Where the owning arena keeps the peer's freshness stamp (no arena
+    /// slot when detached).
+    index: u32,
 }
 
 impl LivenessHandle {
@@ -87,6 +90,7 @@ impl LivenessHandle {
     pub fn detached() -> Self {
         LivenessHandle {
             slot: Arc::new(Mutex::new(PeerLiveness::new())),
+            index: u32::MAX,
         }
     }
 
@@ -198,13 +202,25 @@ impl LivenessHandle {
 /// callers can cache the returned handle and skip the arena entirely on
 /// their hot paths.
 #[derive(Debug, Default)]
-struct ArenaInner {
+pub(crate) struct ArenaInner {
     index: SlotIndex,
     slots: Vec<Option<LivenessHandle>>,
     free: Vec<u32>,
+    /// Per-slot ALIVE freshness stamp ([`MonitorArena::stamp`]). Dense, so
+    /// a detector's poll reads every monitor's stamp under one lock instead
+    /// of one lock (and one cache miss) per monitor.
+    stamps: Vec<SimInstant>,
+    /// Bumped whenever a monitor's requested interval moves: the owning
+    /// node's cached ALIVE plan embeds those intervals.
+    pub(crate) params_epoch: u64,
 }
 
 impl ArenaInner {
+    /// The freshness stamp of `handle`'s peer.
+    pub(crate) fn stamp_of(&self, handle: &LivenessHandle) -> SimInstant {
+        (self.stamps.get(handle.index as usize).copied()).unwrap_or(SimInstant::ZERO)
+    }
+
     fn prune(&mut self) {
         let mut dead = Vec::new();
         for (id, slot) in self.index.iter() {
@@ -250,38 +266,60 @@ impl MonitorArena {
     /// [`MonitorArena::peer_count`]; unpruned leftovers are bounded by the
     /// workstation universe, not by churn.
     pub fn slot(&self, peer: NodeId) -> LivenessHandle {
-        let mut inner = self.inner.lock().expect("arena poisoned");
+        let mut inner = self.lock();
         if let Some(slot) = inner.index.get(peer.0) {
             return inner.slots[slot as usize]
                 .as_ref()
                 .expect("indexed slot must be live")
                 .clone();
         }
-        let handle = LivenessHandle::detached();
-        let slot = match inner.free.pop() {
-            Some(s) => {
-                inner.slots[s as usize] = Some(handle.clone());
-                s
-            }
-            None => {
-                inner.slots.push(Some(handle.clone()));
-                (inner.slots.len() - 1) as u32
-            }
+        let slot = inner.free.pop().unwrap_or_else(|| {
+            inner.slots.push(None);
+            inner.stamps.push(SimInstant::ZERO);
+            (inner.slots.len() - 1) as u32
+        });
+        let handle = LivenessHandle {
+            index: slot,
+            ..LivenessHandle::detached()
         };
+        inner.slots[slot as usize] = Some(handle.clone());
+        inner.stamps[slot as usize] = SimInstant::ZERO;
         inner.index.insert(peer.0, slot);
         handle
+    }
+
+    pub(crate) fn lock(&self) -> MutexGuard<'_, ArenaInner> {
+        self.inner.lock().expect("arena poisoned")
+    }
+
+    /// Records that the peer behind `handle` repeated, at `sent_at`, the
+    /// ALIVE batch its monitors were last fed: every monitor that batch
+    /// vouches for reads its horizon off this one stamp (a max: late and
+    /// duplicated datagrams are harmless). With `restart` the stamp is set:
+    /// the caller [`unvouch`](crate::FailureDetector::unvouch)ed them all
+    /// and is about to feed them a different batch.
+    pub fn stamp(&self, handle: &LivenessHandle, sent_at: SimInstant, restart: bool) {
+        if let Some(stamp) = self.lock().stamps.get_mut(handle.index as usize) {
+            let floor = if restart { SimInstant::ZERO } else { *stamp };
+            *stamp = sent_at.max(floor);
+        }
+    }
+
+    /// A counter that moves whenever some monitor's requested interval did.
+    pub fn params_epoch(&self) -> u64 {
+        self.lock().params_epoch
     }
 
     /// Drops every record no monitor references any more (a record whose
     /// only holder is the arena itself belongs to a peer every group has
     /// stopped monitoring). Vacated slots are recycled for future peers.
     pub fn prune(&self) {
-        self.inner.lock().expect("arena poisoned").prune();
+        self.lock().prune();
     }
 
     /// Number of peers currently tracked (after pruning).
     pub fn peer_count(&self) -> usize {
-        let mut inner = self.inner.lock().expect("arena poisoned");
+        let mut inner = self.lock();
         inner.prune();
         inner.index.len()
     }
@@ -363,6 +401,23 @@ mod tests {
         assert_eq!(arena.slot(NodeId(2)).heartbeats_recorded(), 0);
         assert_eq!(arena.slot(NodeId(3)).heartbeats_recorded(), 1);
         assert_eq!(arena.peer_count(), 2);
+    }
+
+    #[test]
+    fn recycled_slots_start_with_a_clean_stamp() {
+        let arena = MonitorArena::new();
+        let a = arena.slot(NodeId(1));
+        let late = SimInstant::ZERO + SimDuration::from_secs(9);
+        arena.stamp(&a, late, false);
+        assert_eq!(arena.lock().stamp_of(&a), late);
+        // A detached handle has no stamp to move.
+        let solo = LivenessHandle::detached();
+        arena.stamp(&solo, late, false);
+        assert_eq!(arena.lock().stamp_of(&solo), SimInstant::ZERO);
+        drop(a);
+        arena.prune();
+        let b = arena.slot(NodeId(2));
+        assert_eq!(arena.lock().stamp_of(&b), SimInstant::ZERO);
     }
 
     #[test]

@@ -183,13 +183,29 @@ impl FailureDetector {
 
     /// Applies externally derived parameters to `peer`'s monitor, live (see
     /// [`PeerMonitor::set_params`]). Returns false if the peer is unknown.
+    /// What the peer's stamp bought under the old δ is kept; the monitor
+    /// stops reading the stamp until the next heartbeat.
     pub fn set_peer_params(&mut self, peer: NodeId, params: crate::config::FdParams) -> bool {
+        self.unvouch(peer);
         match self.find(peer) {
             Ok(i) => {
                 self.monitors[i].1.set_params(params);
                 true
             }
             Err(_) => false,
+        }
+    }
+
+    /// Folds `peer`'s shared freshness stamp into its monitor's own horizon
+    /// and stops reading it. The owner calls this for every monitor the
+    /// peer's last batch vouched for before restarting the stamp
+    /// ([`MonitorArena::stamp`]): a group the next batch drops then ages out
+    /// on what it was really sent.
+    pub fn unvouch(&mut self, peer: NodeId) {
+        if let Ok(i) = self.find(peer) {
+            let monitor = &mut self.monitors[i].1;
+            let stamp = self.arena.lock().stamp_of(monitor.liveness());
+            monitor.fold(stamp, true);
         }
     }
 
@@ -213,12 +229,20 @@ impl FailureDetector {
             .map(|transition| PeerTransition { peer, transition })
     }
 
-    /// Re-evaluates every monitor at `now` and returns all transitions (in
-    /// practice, new suspicions whose freshness horizon has expired).
+    /// Re-evaluates every monitor at `now` — through its peer's shared
+    /// freshness stamp — and returns all transitions (in practice, new
+    /// suspicions whose freshness horizon has expired).
     pub fn poll(&mut self, now: SimInstant) -> Vec<PeerTransition> {
         let mut transitions = Vec::new();
+        let mut arena = self.arena.lock();
         for (peer, monitor) in self.monitors.iter_mut() {
-            if let Some(transition) = monitor.check(now) {
+            let requested = monitor.requested_interval();
+            monitor.fold(arena.stamp_of(monitor.liveness()), false);
+            let transition = monitor.check(now);
+            if monitor.requested_interval() != requested {
+                arena.params_epoch += 1;
+            }
+            if let Some(transition) = transition {
                 transitions.push(PeerTransition {
                     peer: *peer,
                     transition,
@@ -232,9 +256,10 @@ impl FailureDetector {
     /// suspicion could occur and therefore the time at which the owner should
     /// call [`FailureDetector::poll`] again.
     pub fn next_deadline(&self) -> Option<SimInstant> {
+        let arena = self.arena.lock();
         self.monitors
             .iter()
-            .map(|(_, m)| m.deadline())
+            .map(|(_, m)| m.deadline_at(arena.stamp_of(m.liveness())))
             .filter(|&d| d != SimInstant::FAR_FUTURE)
             .min()
     }
@@ -413,6 +438,119 @@ mod tests {
         group_a.remove_peer(peer);
         group_b.remove_peer(peer);
         assert_eq!(arena.peer_count(), 0);
+    }
+
+    /// One heartbeat fed, then only the peer's stamp advanced — what a
+    /// service instance does for a repeated batch.
+    fn vouched_detector() -> (MonitorArena, FailureDetector, SimInstant) {
+        let arena = MonitorArena::new();
+        let mut detector = FailureDetector::with_arena(
+            QosSpec::paper_default(),
+            FdConfigurator::default(),
+            arena.clone(),
+        );
+        let fed = SimInstant::ZERO + SimDuration::from_secs(1);
+        detector.on_heartbeat(NodeId(1), 0, fed, SimDuration::from_millis(250), fed);
+        (arena, detector, fed)
+    }
+
+    #[test]
+    fn a_stamp_stands_in_for_repeated_heartbeats() {
+        let (arena, mut detector, fed) = vouched_detector();
+        let handle = arena.slot(NodeId(1));
+        let horizon = detector.next_deadline().unwrap() - fed;
+        assert_eq!(
+            horizon,
+            SimDuration::from_secs(1) + SimDuration::from_millis(250)
+                - detector.requested_interval(NodeId(1)).unwrap()
+        );
+        // Repeats, the last one overtaken by its successor: a max.
+        let last = fed + SimDuration::from_millis(750);
+        arena.stamp(&handle, fed + SimDuration::from_millis(250), false);
+        arena.stamp(&handle, last, false);
+        arena.stamp(&handle, fed + SimDuration::from_millis(500), false);
+        assert_eq!(detector.next_deadline(), Some(last + horizon));
+        // Another peer's stamp is another peer's.
+        arena.stamp(
+            &arena.slot(NodeId(2)),
+            last + SimDuration::from_secs(9),
+            false,
+        );
+        assert_eq!(detector.next_deadline(), Some(last + horizon));
+        assert!(detector.poll(fed + horizon).is_empty());
+        assert!(detector.is_trusted(NodeId(1)));
+        assert_eq!(detector.poll(last + horizon).len(), 1);
+        assert!(!detector.is_trusted(NodeId(1)));
+        // Suspected: a stamp alone revives nobody, a heartbeat does.
+        arena.stamp(&handle, last + SimDuration::from_secs(1), false);
+        assert!(detector.poll(last + SimDuration::from_secs(1)).is_empty());
+        assert_eq!(detector.next_deadline(), None);
+        let back = last + SimDuration::from_secs(1);
+        let revived =
+            detector.on_heartbeat(NodeId(1), 9, back, SimDuration::from_millis(250), back);
+        assert_eq!(
+            revived.map(|t| t.transition),
+            Some(Transition::BecameTrusted)
+        );
+    }
+
+    #[test]
+    fn unvouch_keeps_what_the_stamp_bought_and_stops_reading_it() {
+        let (arena, mut detector, fed) = vouched_detector();
+        let handle = arena.slot(NodeId(1));
+        let horizon = detector.next_deadline().unwrap() - fed;
+        let stamped = fed + SimDuration::from_millis(500);
+        arena.stamp(&handle, stamped, false);
+        detector.unvouch(NodeId(1));
+        assert_eq!(detector.next_deadline(), Some(stamped + horizon));
+        // The owner restarts the stamp for the batch that dropped us: even
+        // a later stamp no longer counts here.
+        arena.stamp(&handle, stamped + SimDuration::from_secs(5), true);
+        assert_eq!(detector.next_deadline(), Some(stamped + horizon));
+        assert_eq!(detector.poll(stamped + horizon).len(), 1);
+    }
+
+    #[test]
+    fn a_stamp_is_priced_at_the_shift_of_its_time() {
+        let (arena, mut detector, fed) = vouched_detector();
+        let handle = arena.slot(NodeId(1));
+        let horizon = detector.next_deadline().unwrap() - fed;
+        let stamped = fed + SimDuration::from_millis(250);
+        arena.stamp(&handle, stamped, false);
+        // A tuner doubles δ afterwards: what was heard keeps its price.
+        let old = detector.params(NodeId(1)).unwrap();
+        let tuned = crate::config::FdParams {
+            shift: old.shift * 2,
+            ..old
+        };
+        assert!(detector.set_peer_params(NodeId(1), tuned));
+        assert_eq!(detector.next_deadline(), Some(stamped + horizon));
+        // A restarted stamp that goes back in time takes nothing away.
+        arena.stamp(&handle, fed, true);
+        assert_eq!(detector.next_deadline(), Some(stamped + horizon));
+    }
+
+    #[test]
+    fn a_requested_interval_that_moves_bumps_the_arena_epoch() {
+        let (arena, mut detector, fed) = vouched_detector();
+        let before = arena.params_epoch();
+        let prior = detector.requested_interval(NodeId(1)).unwrap();
+        // A clean, fast link for longer than the reconfiguration period.
+        let interval = SimDuration::from_millis(100);
+        let mut now = fed;
+        for seq in 1..100u64 {
+            now += interval;
+            detector.on_heartbeat(
+                NodeId(1),
+                seq,
+                now - SimDuration::from_millis(1),
+                interval,
+                now,
+            );
+            assert!(detector.poll(now).is_empty());
+        }
+        assert_ne!(detector.requested_interval(NodeId(1)).unwrap(), prior);
+        assert!(arena.params_epoch() > before);
     }
 
     #[test]

@@ -8,6 +8,12 @@
 //! quality estimator and periodically re-runs the configurator so the
 //! detector adapts to changing network conditions, as described in
 //! Sections 3 and 6.2 of the paper.
+//!
+//! Inside a [`FailureDetector`](crate::FailureDetector) a monitor is also a
+//! *view*: the last heartbeat fed to it *vouches* for the peer under the η it
+//! declared, and while the owner advances the peer's shared freshness stamp
+//! ([`MonitorArena::stamp`](crate::MonitorArena::stamp)) instead of feeding
+//! every repeat, the horizon is the later of its own and `stamp + η + δ`.
 
 use sle_sim::time::{SimDuration, SimInstant};
 
@@ -81,6 +87,10 @@ pub struct PeerMonitor {
     /// True once an external tuner took over the parameters; the monitor's
     /// own periodic reconfiguration then stands down.
     externally_tuned: bool,
+    /// While the peer's shared stamp stands in for repeats of the last
+    /// heartbeat: the (clamped) η it declared, and how much of the stamp
+    /// `fresh_until` already holds — at the δ of its time, not a later one.
+    vouched: Option<(SimDuration, SimInstant)>,
 }
 
 impl PeerMonitor {
@@ -123,6 +133,7 @@ impl PeerMonitor {
             last_quality_version: 0,
             heartbeats: 0,
             externally_tuned: false,
+            vouched: None,
         }
     }
 
@@ -167,6 +178,10 @@ impl PeerMonitor {
         self.liveness.quality()
     }
 
+    pub(crate) fn liveness(&self) -> &LivenessHandle {
+        &self.liveness
+    }
+
     /// The monitor's current opinion.
     pub fn state(&self) -> TrustState {
         self.state
@@ -177,14 +192,37 @@ impl PeerMonitor {
         self.state == TrustState::Trusted
     }
 
-    /// The instant at which the current freshness horizon expires. While the
-    /// peer is suspected there is no pending deadline and
+    /// The instant at which the monitor's own freshness horizon expires.
+    /// While the peer is suspected there is no pending deadline and
     /// [`SimInstant::FAR_FUTURE`] is returned.
     pub fn deadline(&self) -> SimInstant {
         match self.state {
             TrustState::Trusted => self.fresh_until,
             TrustState::Suspected => SimInstant::FAR_FUTURE,
         }
+    }
+
+    /// The horizon the peer's shared `stamp` buys beyond what `fresh_until`
+    /// already holds of it.
+    fn vouched_until(&self, stamp: SimInstant) -> SimInstant {
+        match self.vouched {
+            Some((eta, folded)) if stamp > folded => stamp + eta + self.params.shift,
+            _ => SimInstant::ZERO,
+        }
+    }
+
+    /// [`PeerMonitor::deadline`] as seen through the peer's shared `stamp`.
+    pub(crate) fn deadline_at(&self, stamp: SimInstant) -> SimInstant {
+        self.deadline().max(self.vouched_until(stamp))
+    }
+
+    /// Folds the peer's shared `stamp` into the monitor's own horizon; with
+    /// `unvouch` the stamp stops counting from here on (the peer's batch no
+    /// longer lists the group, or the owner is about to restart the stamp).
+    pub(crate) fn fold(&mut self, stamp: SimInstant, unvouch: bool) {
+        self.fresh_until = self.fresh_until.max(self.vouched_until(stamp));
+        let keep = |(eta, folded): (_, SimInstant)| (eta, folded.max(stamp));
+        self.vouched = self.vouched.filter(|_| !unvouch).map(keep);
     }
 
     /// Total heartbeats received from the peer.
@@ -209,7 +247,6 @@ impl PeerMonitor {
         // The shared record deduplicates: when several groups process the
         // same batched datagram, the sample is counted once.
         self.liveness.record(seq, sent_at, now);
-        self.maybe_reconfigure(now);
 
         // The freshness contribution of this heartbeat: it proves the sender
         // was alive at `sent_at` and promises another heartbeat one interval
@@ -217,10 +254,8 @@ impl PeerMonitor {
         // clamped to the detection bound so a mis-configured sender cannot
         // stretch detection arbitrarily.
         let interval = sender_interval.min(self.qos.detection_time());
-        let horizon = sent_at + interval + self.params.shift;
-        if horizon > self.fresh_until {
-            self.fresh_until = horizon;
-        }
+        self.fresh_until = (self.fresh_until).max(sent_at + interval + self.params.shift);
+        self.vouched = Some((interval, sent_at));
 
         if self.state == TrustState::Suspected && now < self.fresh_until {
             self.state = TrustState::Trusted;
@@ -234,8 +269,10 @@ impl PeerMonitor {
     /// set for [`PeerMonitor::deadline`] fires).
     ///
     /// Returns `Some(Transition::BecameSuspected)` if the freshness horizon
-    /// has passed and the peer is newly suspected.
+    /// has passed and the peer is newly suspected. This is also where (η, δ)
+    /// follow the link estimate: heartbeats are too many to each ask.
     pub fn check(&mut self, now: SimInstant) -> Option<Transition> {
+        self.maybe_reconfigure(now);
         if self.state == TrustState::Trusted && now >= self.fresh_until {
             self.state = TrustState::Suspected;
             Some(Transition::BecameSuspected)
@@ -245,10 +282,11 @@ impl PeerMonitor {
     }
 
     fn maybe_reconfigure(&mut self, now: SimInstant) {
-        if self.externally_tuned {
-            return;
-        }
-        if now.saturating_since(self.last_reconfigure) < RECONFIGURE_EVERY {
+        // Heartbeats drive this, as when they called it themselves: the
+        // latest one heard must have been due, not just the clock.
+        let heard = self.vouched.map_or(SimInstant::ZERO, |(_, folded)| folded);
+        let due = heard.saturating_since(self.last_reconfigure) >= RECONFIGURE_EVERY;
+        if self.externally_tuned || !due {
             return;
         }
         self.last_reconfigure = now;
@@ -333,10 +371,11 @@ mod tests {
         let interval = SimDuration::from_millis(250);
         let mut now = SimInstant::ZERO;
         let mut last_sent = SimInstant::ZERO;
-        for seq in 0..20u64 {
+        for seq in 0..24u64 {
             now += interval;
             last_sent = now;
             monitor.on_heartbeat(seq, last_sent, interval, now);
+            assert_eq!(monitor.check(now), None);
         }
         // The peer crashes right after its last heartbeat. The monitor must
         // suspect it no later than T_D^U after the crash.
@@ -401,6 +440,7 @@ mod tests {
             now += interval;
             let sent = now - SimDuration::from_micros(25);
             monitor.on_heartbeat(seq, sent, interval, now);
+            assert_eq!(monitor.check(now), None);
         }
         let relaxed = monitor.requested_interval();
         assert!(
@@ -471,6 +511,7 @@ mod tests {
         for seq in 0..200u64 {
             now += interval;
             monitor.on_heartbeat(seq, now, interval, now);
+            assert_eq!(monitor.check(now), None);
         }
         assert_eq!(monitor.params(), tuned);
     }

@@ -191,7 +191,7 @@ impl LinkQualityEstimator {
             .copied()
             .min()
             .unwrap_or(self.highest_seq);
-        let expected = self.highest_seq.saturating_sub(oldest) + 1;
+        let expected = self.highest_seq.saturating_sub(oldest).saturating_add(1);
         let received = self.recent_seqs.len() as u64;
         let loss = if expected == 0 || received >= expected {
             0.0

@@ -1,0 +1,220 @@
+//! The paper's central scaling claim, pinned on counts: in steady state a
+//! group of n costs n − 1 ALIVE payloads per heartbeat interval η under Ω_l
+//! (only the leader sends) and n(n − 1) under Ω_lc (everybody does), and —
+//! however many groups two workstations share — exactly one ALIVE datagram
+//! per (sender, destination) per η.
+
+use std::collections::BTreeMap;
+
+use sle_core::{GroupId, JoinConfig, ServiceConfig, ServiceContext, ServiceMessage, ServiceNode};
+use sle_election::ElectorKind;
+use sle_sim::observer::NullObserver;
+use sle_sim::prelude::*;
+
+const GROUPS: u32 = 3;
+
+/// One ALIVE datagram as it left a node: `(when, groups it carried, the η
+/// each entry declared)`.
+type Sent = (SimInstant, Vec<GroupId>, Vec<SimDuration>);
+
+/// A `ServiceNode` that also records the ALIVE datagrams it sends.
+struct Tap {
+    node: ServiceNode,
+    alives: BTreeMap<NodeId, Vec<Sent>>,
+}
+
+impl Tap {
+    /// Notes the ALIVEs among the effects of one callback, leaving the
+    /// effects as they were.
+    fn after(&mut self, ctx: &mut ServiceContext) {
+        let now = ctx.now();
+        for effect in ctx.drain_effects() {
+            match effect {
+                Effect::Send { to, msg } => {
+                    let entries = match &msg {
+                        ServiceMessage::Alive { group, header, .. } => {
+                            Some((vec![*group], vec![header.sending_interval]))
+                        }
+                        ServiceMessage::AliveBatch { alives, .. } => Some((
+                            alives.iter().map(|a| a.group).collect(),
+                            alives.iter().map(|a| a.sending_interval).collect(),
+                        )),
+                        _ => None,
+                    };
+                    if let Some((groups, etas)) = entries {
+                        self.alives.entry(to).or_default().push((now, groups, etas));
+                    }
+                    ctx.send(to, msg);
+                }
+                Effect::SetTimer { tag, at } => ctx.set_timer_at(tag, at),
+                Effect::CancelTimer { tag } => ctx.cancel_timer(tag),
+                Effect::Emit(event) => ctx.emit(event),
+            }
+        }
+    }
+}
+
+impl Actor for Tap {
+    type Msg = ServiceMessage;
+    type Event = sle_core::ServiceEvent;
+
+    fn on_start(&mut self, ctx: &mut ServiceContext) {
+        self.node.on_start(ctx);
+        self.after(ctx);
+    }
+
+    fn on_message(&mut self, from: NodeId, msg: ServiceMessage, ctx: &mut ServiceContext) {
+        self.node.on_message(from, msg, ctx);
+        self.after(ctx);
+    }
+
+    fn on_timer(&mut self, tag: TimerTag, ctx: &mut ServiceContext) {
+        self.node.on_timer(tag, ctx);
+        self.after(ctx);
+    }
+}
+
+/// A world of `n` tapped nodes, all candidates in every group of `joins`.
+fn tapped_world(
+    n: usize,
+    algorithm: ElectorKind,
+    joins: Vec<(GroupId, JoinConfig)>,
+) -> World<Tap, PerfectMedium> {
+    World::new(
+        n,
+        Box::new(move |node, _incarnation| {
+            let mut config = ServiceConfig::full_mesh(node, n, algorithm);
+            for &(group, join) in &joins {
+                config = config.with_auto_join(group, join);
+            }
+            Tap {
+                node: ServiceNode::new(config),
+                alives: BTreeMap::new(),
+            }
+        }),
+        PerfectMedium,
+        7,
+    )
+}
+
+#[test]
+fn alive_traffic_is_linear_under_omega_l_and_quadratic_under_omega_lc() {
+    let all_groups: Vec<GroupId> = (1..=GROUPS).map(GroupId).collect();
+    for (algorithm, senders_of) in [
+        (ElectorKind::OmegaL, (|_n| 1) as fn(usize) -> usize),
+        (ElectorKind::OmegaLc, |n| n),
+    ] {
+        for n in [4usize, 8, 16] {
+            let what = format!("{algorithm:?}, n = {n}");
+            let joins = all_groups.iter().map(|&g| (g, JoinConfig::candidate()));
+            let mut world = tapped_world(n, algorithm, joins.collect());
+            world.run_for(SimDuration::from_secs(20), &mut NullObserver);
+            let counters = |world: &World<Tap, PerfectMedium>| -> (u64, u64) {
+                let nodes = (0..n as u32).map(|i| &world.actor(NodeId(i)).unwrap().node);
+                nodes.fold((0, 0), |(p, d), node| {
+                    (
+                        p + node.alive_payloads_sent(),
+                        d + node.alive_datagrams_sent(),
+                    )
+                })
+            };
+            let before = counters(&world);
+            for i in 0..n as u32 {
+                world.with_actor(NodeId(i), &mut NullObserver, |tap, _ctx| tap.alives.clear());
+            }
+            world.run_for(SimDuration::from_secs(10), &mut NullObserver);
+            let after = counters(&world);
+
+            let (mut senders, mut payloads, mut datagrams) = (0, 0u64, 0u64);
+            for i in 0..n as u32 {
+                let tap = world.actor(NodeId(i)).unwrap();
+                if tap.alives.is_empty() {
+                    continue;
+                }
+                senders += 1;
+                // A sender reaches every other member, each at one rhythm.
+                assert_eq!(tap.alives.len(), n - 1, "{what}: n{i}'s destinations");
+                for (to, sent) in &tap.alives {
+                    let eta = sent[0].2[0];
+                    assert!(sent.len() as u64 >= 10_000 / 250, "{what}: n{i} → {to}");
+                    for (k, (at, groups, etas)) in sent.iter().enumerate() {
+                        // One datagram per η, carrying every shared group.
+                        assert_eq!(groups, &all_groups, "{what}: n{i} → {to}");
+                        assert!(etas.iter().all(|&e| e == eta), "{what}: n{i} → {to}");
+                        if k > 0 {
+                            assert_eq!(*at, sent[k - 1].0 + eta, "{what}: n{i} → {to}, #{k}");
+                        }
+                        payloads += groups.len() as u64;
+                        datagrams += 1;
+                    }
+                }
+            }
+            // Ω_l: n − 1 payloads per group per η; Ω_lc: n(n − 1).
+            assert_eq!(senders, senders_of(n), "{what}: competing senders");
+            assert_eq!(
+                (after.0 - before.0, after.1 - before.1),
+                (payloads, datagrams),
+                "{what}: the nodes' own counters"
+            );
+            assert_eq!(payloads, datagrams * u64::from(GROUPS), "{what}");
+        }
+    }
+}
+
+/// Groups on different send grids (different intervals) are planned apart,
+/// yet whenever both are due their entries still leave in one datagram.
+#[test]
+fn two_send_grids_share_a_datagram_when_due_together() {
+    let slow = sle_fd::QosSpec::paper_default_with_detection(SimDuration::from_secs(2));
+    let joins = vec![
+        (GroupId(1), JoinConfig::candidate()),
+        (GroupId(2), JoinConfig::candidate().with_qos(slow)),
+    ];
+    let mut world = tapped_world(3, ElectorKind::OmegaLc, joins);
+    world.run_for(SimDuration::from_secs(30), &mut NullObserver);
+    for i in 0..3u32 {
+        let tap = world.actor(NodeId(i)).unwrap();
+        assert_eq!(tap.alives.len(), 2, "n{i} reaches both peers");
+        for (to, sent) in &tap.alives {
+            let steady: Vec<&Sent> = sent
+                .iter()
+                .filter(|(at, ..)| *at >= SimInstant::ZERO + SimDuration::from_secs(20))
+                .collect();
+            let both = steady.iter().filter(|s| s.1 == [GroupId(1), GroupId(2)]);
+            let fast_only = steady.iter().filter(|s| s.1 == [GroupId(1)]);
+            let (both, fast_only) = (both.count(), fast_only.count());
+            assert_eq!(both + fast_only, steady.len(), "n{i} → {to}: {steady:?}");
+            assert!(
+                both >= 15 && fast_only >= 15,
+                "n{i} → {to}: {both} / {fast_only}"
+            );
+            // Never two datagrams for one destination in one tick.
+            assert!(steady.windows(2).all(|w| w[0].0 < w[1].0), "n{i} → {to}");
+        }
+    }
+}
+
+/// A fan-out beyond the transport's size budget leaves as several
+/// datagrams, each within it, together carrying every group once, in order.
+#[test]
+fn a_fan_out_beyond_the_size_budget_is_split() {
+    let groups: Vec<GroupId> = (1..=40).map(GroupId).collect();
+    let joins = groups
+        .iter()
+        .map(|&g| (g, JoinConfig::candidate()))
+        .collect();
+    let mut world = tapped_world(2, ElectorKind::OmegaLc, joins);
+    world.run_for(SimDuration::from_secs(10), &mut NullObserver);
+    let tap = world.actor(NodeId(0)).unwrap();
+    let sent = &tap.alives[&NodeId(1)];
+    let last_tick = sent.last().unwrap().0;
+    let chunks: Vec<&Sent> = sent.iter().filter(|s| s.0 == last_tick).collect();
+    assert!(chunks.len() >= 2, "{} datagrams in one tick", chunks.len());
+    let carried: Vec<GroupId> = chunks.iter().flat_map(|s| s.1.clone()).collect();
+    assert_eq!(carried, groups);
+    // 1 200 bytes of entries at 45–62 bytes each, and no runt but the last.
+    assert!(chunks.iter().all(|s| s.1.len() <= 26));
+    assert!(chunks[..chunks.len() - 1].iter().all(|s| s.1.len() >= 19));
+    let node = &tap.node;
+    assert!(node.alive_datagrams_sent() * 19 <= node.alive_payloads_sent());
+}

@@ -797,3 +797,743 @@ mod hello_gossip {
         }
     }
 }
+
+/// The ALIVE fast path against an eager reference model: one `ServiceNode`
+/// driven by hand (its timers fired in time order) hears a scripted peer
+/// over a lossy, duplicating, reordering link, and a model fed the same
+/// deliveries — every heartbeat applied to every group it lists, the way
+/// the service did before batches could repeat — says when each group must
+/// suspect and revive the peer.
+mod alive_fast_path {
+    use std::collections::BTreeMap;
+    use std::sync::Arc;
+
+    use sle_core::{
+        AliveHeader, GroupAlive, GroupAnnouncement, GroupId, HelloList, JoinConfig,
+        NodeInstruments, ProcessId, ServiceConfig, ServiceContext, ServiceMessage, ServiceNode,
+    };
+    use sle_election::{AlivePayload, ElectorKind};
+    use sle_fd::{FdConfigurator, LinkQuality, QosSpec};
+    use sle_obs::{Registry, TraceRing};
+    use sle_sim::prelude::*;
+    use sle_sim::rng::SimRng;
+
+    /// The peer has the smaller id and the earlier accusation time, so it
+    /// leads every group under all three algorithms while it is trusted.
+    const ME: NodeId = NodeId(1);
+    const PEER: NodeId = NodeId(0);
+    const T_D: SimDuration = SimDuration::from_secs(1);
+    const START: SimInstant = SimInstant::from_nanos(1_000_000_000);
+
+    fn ms(millis: u64) -> SimDuration {
+        SimDuration::from_millis(millis)
+    }
+
+    fn groups(n: u32) -> Vec<GroupId> {
+        (1..=n).map(GroupId).collect()
+    }
+
+    /// One `ServiceNode`, joined to `groups` at `START`, driven by hand.
+    struct Rig {
+        node: ServiceNode,
+        registry: Registry,
+        now: SimInstant,
+        timers: BTreeMap<TimerTag, SimInstant>,
+        sent: Vec<(NodeId, ServiceMessage)>,
+    }
+
+    impl Rig {
+        fn new(algorithm: ElectorKind, groups: &[GroupId]) -> Rig {
+            let mut config = ServiceConfig::full_mesh(ME, 3, algorithm);
+            for &group in groups {
+                config = config.with_auto_join(group, JoinConfig::candidate());
+            }
+            let registry = Registry::default();
+            let mut node = ServiceNode::new(config);
+            node.set_instruments(NodeInstruments::new(&registry, TraceRing::new(64), ME));
+            let mut rig = Rig {
+                node,
+                registry,
+                now: START,
+                timers: BTreeMap::new(),
+                sent: Vec::new(),
+            };
+            rig.call(|node, ctx| node.on_start(ctx));
+            rig
+        }
+
+        /// Runs one callback of the node at `self.now` and keeps its effects.
+        fn call(&mut self, f: impl FnOnce(&mut ServiceNode, &mut ServiceContext)) {
+            let mut ctx = ServiceContext::new(self.now, ME, 0);
+            f(&mut self.node, &mut ctx);
+            for effect in ctx.into_effects() {
+                match effect {
+                    Effect::Send { to, msg } => self.sent.push((to, msg)),
+                    Effect::SetTimer { tag, at } => drop(self.timers.insert(tag, at)),
+                    Effect::CancelTimer { tag } => drop(self.timers.remove(&tag)),
+                    Effect::Emit(_) => {}
+                }
+            }
+        }
+
+        /// Fires the earliest timer due by `until`, if any, and says when.
+        fn fire_next(&mut self, until: SimInstant) -> Option<SimInstant> {
+            let (&tag, &at) = self.timers.iter().min_by_key(|&(&tag, &at)| (at, tag))?;
+            if at > until {
+                return None;
+            }
+            self.timers.remove(&tag);
+            self.now = self.now.max(at);
+            self.call(|node, ctx| node.on_timer(tag, ctx));
+            Some(at)
+        }
+
+        fn run_to(&mut self, until: SimInstant) {
+            while self.fire_next(until).is_some() {}
+            self.now = until;
+        }
+
+        fn deliver(&mut self, from: NodeId, msg: ServiceMessage) {
+            self.call(|node, ctx| node.on_message(from, msg, ctx));
+        }
+
+        /// `(suspicions, mistakes)` the node recorded for `group`.
+        fn verdicts(&self, group: GroupId) -> (u64, u64) {
+            let prefix = format!("node.{}.group.{}.fd", ME.0, group.0);
+            let detections = self.registry.histogram(&format!("{prefix}.detection_ns"));
+            let mistakes = self.registry.counter(&format!("{prefix}.mistakes"));
+            (detections.snapshot().count, mistakes.get())
+        }
+
+        /// `(unchanged, applied)` ALIVE datagrams so far.
+        fn paths(&self) -> (u64, u64) {
+            let alive = self.node.alive_counters();
+            (alive.unchanged.get(), alive.applied.get())
+        }
+
+        /// The shift δ the node's monitor of the peer uses in `group` now.
+        fn shift(&self, group: GroupId) -> SimDuration {
+            let prior = FdConfigurator::default().compute(
+                &QosSpec::paper_default(),
+                &LinkQuality::conservative_prior(),
+            );
+            self.node.fd_params_of(group, PEER).unwrap_or(prior).shift
+        }
+
+        /// The interval the node asks the peer for, over all `groups`.
+        fn requested(&self, groups: &[GroupId]) -> SimDuration {
+            let asked = groups
+                .iter()
+                .filter_map(|&g| self.node.fd_params_of(g, PEER))
+                .map(|params| params.interval);
+            asked.min().unwrap_or(ms(250))
+        }
+    }
+
+    /// What the peer puts on the wire for `listed` groups, all at `eta`.
+    fn alive(
+        algorithm: ElectorKind,
+        incarnation: u64,
+        seq: u64,
+        sent_at: SimInstant,
+        listed: &[GroupId],
+        eta: SimDuration,
+    ) -> ServiceMessage {
+        let claim = sle_election::LeaderClaim {
+            node: PEER,
+            accusation_time: SimInstant::ZERO,
+        };
+        let payload = AlivePayload {
+            accusation_time: SimInstant::ZERO,
+            epoch: 0,
+            local_leader: (algorithm == ElectorKind::OmegaLc).then_some(claim),
+        };
+        let entry = |&group| GroupAlive {
+            group,
+            sending_interval: eta,
+            requested_interval: ms(250),
+            payload,
+            representative: ProcessId::new(PEER, 0),
+        };
+        match listed {
+            // The sender encodes a batch of one as a single ALIVE.
+            [group] => ServiceMessage::Alive {
+                group: *group,
+                header: AliveHeader {
+                    incarnation,
+                    seq,
+                    sent_at,
+                    sending_interval: eta,
+                    requested_interval: ms(250),
+                },
+                payload,
+                representative: ProcessId::new(PEER, 0),
+            },
+            _ => ServiceMessage::AliveBatch {
+                incarnation,
+                seq,
+                sent_at,
+                alives: listed.iter().map(entry).collect(),
+            },
+        }
+    }
+
+    /// The eager NFD-S monitor of one group, fed every delivered heartbeat.
+    #[derive(Debug, Default, Clone, Copy, PartialEq)]
+    struct Eager {
+        fresh_until: Option<SimInstant>,
+        suspected: bool,
+        suspicions: u64,
+        mistakes: u64,
+    }
+
+    impl Eager {
+        fn heartbeat(
+            &mut self,
+            sent_at: SimInstant,
+            eta: SimDuration,
+            shift: SimDuration,
+            now: SimInstant,
+        ) {
+            self.expire(now);
+            let horizon = sent_at + eta.min(T_D) + shift;
+            let fresh_until = self.fresh_until.unwrap_or(now + T_D).max(horizon);
+            self.fresh_until = Some(fresh_until);
+            if self.suspected && now < fresh_until {
+                self.suspected = false;
+                self.mistakes += 1;
+            }
+        }
+
+        fn expire(&mut self, now: SimInstant) {
+            if !self.suspected && self.fresh_until.is_some_and(|at| now >= at) {
+                self.suspected = true;
+                self.suspicions += 1;
+            }
+        }
+    }
+
+    /// Rig and model side by side.
+    struct Pair {
+        rig: Rig,
+        groups: Vec<GroupId>,
+        model: Vec<Eager>,
+    }
+
+    impl Pair {
+        fn new(algorithm: ElectorKind, n_groups: u32) -> Pair {
+            let groups = groups(n_groups);
+            Pair {
+                rig: Rig::new(algorithm, &groups),
+                model: vec![Eager::default(); groups.len()],
+                groups,
+            }
+        }
+
+        /// Node and model must agree, group by group, at `self.rig.now`.
+        fn check(&mut self, what: &str) {
+            let now = self.rig.now;
+            for (i, &group) in self.groups.iter().enumerate() {
+                self.model[i].expire(now);
+                let model = (self.model[i].suspicions, self.model[i].mistakes);
+                assert_eq!(
+                    self.rig.verdicts(group),
+                    model,
+                    "{what}: (suspicions, mistakes) of {group:?} at {now:?}; model {:?}",
+                    self.model[i]
+                );
+            }
+        }
+
+        /// Runs the node's timers up to `until`, checking after each
+        /// instant's worth.
+        fn run_to(&mut self, until: SimInstant, what: &str) {
+            while let Some(at) = self.rig.fire_next(until) {
+                if self.rig.timers.values().all(|&next| next > at) {
+                    self.check(what);
+                }
+            }
+            self.rig.now = until;
+            self.check(what);
+        }
+
+        /// Delivers one datagram listing `listed` at `eta` to both.
+        fn deliver(
+            &mut self,
+            algorithm: ElectorKind,
+            (seq, sent_at): (u64, SimInstant),
+            listed: &[GroupId],
+            eta: SimDuration,
+            what: &str,
+        ) {
+            let now = self.rig.now;
+            for &group in listed {
+                let i = self.groups.iter().position(|&g| g == group).unwrap();
+                self.model[i].heartbeat(sent_at, eta, self.rig.shift(group), now);
+            }
+            let msg = alive(algorithm, 1, seq, sent_at, listed, eta);
+            self.rig.deliver(PEER, msg);
+            self.check(what);
+        }
+    }
+
+    /// (a) Unchanged batches for 60 s under loss, duplication, reordering
+    /// and two outages: suspicions and revivals match the eager model event
+    /// for event — never one more, never one later — and once the peer goes
+    /// silent every vouched group suspects it within T_D.
+    #[test]
+    fn unchanged_batches_are_judged_like_eager_heartbeats() {
+        let mut rng = SimRng::seed_from(0xA11FE);
+        let mut case = 0;
+        for algorithm in ElectorKind::all() {
+            for loss in [0.0, 0.01, 0.05, 0.15] {
+                case += 1;
+                let what = format!("case {case} ({algorithm:?}, loss {loss})");
+                let mut pair = Pair::new(algorithm, 1 + rng.uniform_usize(4) as u32);
+                let listed = pair.groups.clone();
+                let faulty = loss > 0.0;
+                // Two outages long enough to be suspected through.
+                let outage_starts = [
+                    10 + rng.uniform_usize(15) as u64,
+                    35 + rng.uniform_usize(15) as u64,
+                ];
+                let in_outage = |at: SimInstant| {
+                    faulty
+                        && outage_starts.iter().any(|&s| {
+                            let from = START + SimDuration::from_secs(s);
+                            at >= from && at < from + ms(1400)
+                        })
+                };
+                // (deliver_at, seq, sent_at, eta), kept sorted by delivery.
+                let mut flying: Vec<(SimInstant, u64, SimInstant, SimDuration)> = Vec::new();
+                let (mut seq, mut next_send, mut last_sent) = (0u64, START + ms(7), START);
+                let end = START + SimDuration::from_secs(60);
+                while next_send < end || !flying.is_empty() {
+                    let next_delivery = flying.first().map(|f| f.0);
+                    if next_send < end && next_delivery.is_none_or(|at| next_send <= at) {
+                        pair.run_to(next_send, &what);
+                        // The peer sends at the interval the node asks for.
+                        let eta = pair.rig.requested(&listed);
+                        if !in_outage(next_send) {
+                            let copies = 1 + usize::from(faulty && rng.bernoulli(0.3));
+                            for _ in 0..copies {
+                                if !rng.bernoulli(loss) {
+                                    let jitter = if faulty {
+                                        rng.next_u64() % 300_000_000
+                                    } else {
+                                        0
+                                    };
+                                    let delay = SimDuration::from_nanos(
+                                        2_000_000 + jitter + rng.next_u64() % 1_000,
+                                    );
+                                    flying.push((next_send + delay, seq, next_send, eta));
+                                }
+                            }
+                            flying.sort();
+                            last_sent = next_send;
+                        }
+                        seq += 1;
+                        next_send += eta;
+                    } else {
+                        let (at, seq, sent_at, eta) = flying.remove(0);
+                        pair.run_to(at, &what);
+                        pair.deliver(algorithm, (seq, sent_at), &listed, eta, &what);
+                    }
+                }
+                let (unchanged, applied) = pair.rig.paths();
+                assert!(
+                    unchanged > 100,
+                    "{what}: {unchanged} unchanged, {applied} applied"
+                );
+                if faulty {
+                    let revived: u64 = pair.model.iter().map(|m| m.mistakes).sum();
+                    assert!(
+                        revived > 0,
+                        "{what}: the outages must have been suspected through"
+                    );
+                } else {
+                    // First contact, then a slow datagram only when the
+                    // interval the node asked for moved.
+                    assert!(applied <= 3, "{what}: {applied} applied");
+                    assert_eq!(pair.model.iter().map(|m| m.suspicions).sum::<u64>(), 0);
+                }
+                // Silence: every group suspects within T_D of the last send.
+                pair.run_to(last_sent + T_D, &what);
+                for (i, model) in pair.model.iter().enumerate() {
+                    assert!(
+                        model.suspected,
+                        "{what}: group {i} still trusted: {model:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The peer's `round`-th datagram (sent every 250 ms from `START`),
+    /// delivered 2 ms later to rig and model alike.
+    fn tick(pair: &mut Pair, algorithm: ElectorKind, round: u64, listed: &[GroupId], what: &str) {
+        let sent_at = START + ms(250 * round);
+        pair.run_to(sent_at + ms(2), what);
+        pair.deliver(algorithm, (round, sent_at), listed, ms(250), what);
+    }
+
+    /// (b) After a suspicion, the very next datagram — the same batch as
+    /// ever — revives the peer in every group: trust, leader and the
+    /// mistake count all come back, because that datagram went slow.
+    #[test]
+    fn a_suspected_peer_is_revived_by_the_next_unchanged_batch() {
+        for algorithm in ElectorKind::all() {
+            let what = format!("{algorithm:?}");
+            let mut pair = Pair::new(algorithm, 3);
+            let listed = pair.groups.clone();
+            for round in 0..8 {
+                tick(&mut pair, algorithm, round, &listed, &what);
+            }
+            let leader = Some(ProcessId::new(PEER, 0));
+            assert!(listed.iter().all(|&g| pair.rig.node.leader_of(g) == leader));
+            // Rounds 8..16 are lost: suspected everywhere, leaderless or
+            // self-led, the model agreeing on when.
+            // A late copy of round 7's datagram is too old to revive it...
+            pair.run_to(START + ms(250 * 16 - 10), &what);
+            pair.deliver(algorithm, (7, START + ms(250 * 7)), &listed, ms(250), &what);
+            assert!(
+                listed.iter().all(|&g| pair.rig.verdicts(g) == (1, 0)),
+                "{what}"
+            );
+            // ...and must not let the fresh one through as a mere repeat.
+            let (unchanged, applied) = pair.rig.paths();
+            tick(&mut pair, algorithm, 16, &listed, &what);
+            for (i, &group) in listed.iter().enumerate() {
+                assert_eq!(pair.rig.verdicts(group), (1, 1), "{what}: {group:?}");
+                assert_eq!(pair.model[i].mistakes, 1);
+                assert_eq!(pair.rig.node.leader_of(group), leader, "{what}: {group:?}");
+                // The detection latency counts from the last repeat heard
+                // (round 7's), not from the last batch applied (round 0's).
+                let name = format!("node.{}.group.{}.fd.detection_ns", ME.0, group.0);
+                let silent_ms = pair.rig.registry.histogram(&name).snapshot().sum / 1_000_000;
+                assert!(
+                    (990..1030).contains(&silent_ms),
+                    "{what}: silent for {silent_ms} ms"
+                );
+            }
+            assert_eq!(pair.rig.paths(), (unchanged, applied + 1), "{what}");
+            // And the one after is a repeat again.
+            tick(&mut pair, algorithm, 17, &listed, &what);
+            assert_eq!(pair.rig.paths(), (unchanged + 1, applied + 1), "{what}");
+        }
+    }
+
+    /// (c) A group dropped from a changed batch expires on what it was
+    /// really sent, while the peer keeps vouching for the others.
+    #[test]
+    fn a_group_dropped_from_the_batch_expires_alone() {
+        for algorithm in ElectorKind::all() {
+            let what = format!("{algorithm:?}");
+            let mut pair = Pair::new(algorithm, 3);
+            let all = pair.groups.clone();
+            for round in 0..8 {
+                tick(&mut pair, algorithm, round, &all, &what);
+            }
+            let (kept, dropped) = (&all[..2], all[2]);
+            for round in 8..24 {
+                tick(&mut pair, algorithm, round, kept, &what);
+                if round == 9 {
+                    // A late copy of round 5's full batch: applied, but the
+                    // dropped group gains nothing from the later stamps.
+                    pair.deliver(algorithm, (5, START + ms(250 * 5)), &all, ms(250), &what);
+                }
+            }
+            assert_eq!(pair.rig.verdicts(dropped), (1, 0), "{what}");
+            // Its last heartbeat was round 7's: suspected η + δ after that
+            // (the prior's η is below the 250 ms the peer sends at).
+            let expired = pair.model[2].fresh_until.unwrap();
+            let last = START + ms(250 * 7);
+            assert!(
+                last + T_D <= expired && expired < last + T_D + ms(250),
+                "{what}: {expired:?}"
+            );
+            assert!(
+                kept.iter().all(|&g| pair.rig.verdicts(g) == (0, 0)),
+                "{what}"
+            );
+            let (unchanged, applied) = pair.rig.paths();
+            // Slow: first contact, the drop, the late copy, the batch after
+            // it, and the one after the dropped group's suspicion.
+            assert_eq!((unchanged, applied), (25 - 5, 5), "{what}");
+        }
+    }
+
+    /// (d) A local join, a local leave, a HELLO that changes the peer's
+    /// member entry, a LEAVE that removes it and a new incarnation each send
+    /// the next datagram down the slow path — once.
+    #[test]
+    fn structural_changes_force_one_slow_datagram() {
+        let algorithm = ElectorKind::OmegaL;
+        let what = "structural";
+        let mut pair = Pair::new(algorithm, 2);
+        let listed = pair.groups.clone();
+        let mut round = 0;
+        let mut repeat = |pair: &mut Pair, want_slow: u64, why: &str| {
+            for slow in [want_slow, 0, 0] {
+                let (unchanged, applied) = pair.rig.paths();
+                tick(pair, algorithm, round, &listed, what);
+                round += 1;
+                let fast = 1 - slow;
+                assert_eq!(
+                    pair.rig.paths(),
+                    (unchanged + fast, applied + slow),
+                    "{why}"
+                );
+            }
+        };
+        repeat(&mut pair, 1, "first contact");
+        let extra = GroupId(9);
+        let process = ProcessId::new(ME, 0);
+        pair.rig.call(|node, ctx| {
+            node.join_group(process, extra, JoinConfig::candidate(), ctx)
+                .unwrap()
+        });
+        repeat(&mut pair, 1, "local join");
+        pair.rig
+            .call(|node, ctx| node.leave_group(process, extra, ctx).unwrap());
+        repeat(&mut pair, 1, "local leave");
+        let hello = ServiceMessage::Hello {
+            incarnation: 1,
+            version: 3,
+            sent_at: pair.rig.now,
+            pull: false,
+            announcements: HelloList::Full(Arc::from([GroupAnnouncement {
+                group: listed[0],
+                processes: vec![
+                    (ProcessId::new(PEER, 0), true),
+                    (ProcessId::new(PEER, 1), false),
+                ],
+            }])),
+        };
+        pair.rig.deliver(PEER, hello);
+        repeat(&mut pair, 1, "HELLO changed the member entry");
+        for local in [0, 1] {
+            let leave = ServiceMessage::Leave {
+                group: listed[0],
+                process: ProcessId::new(PEER, local),
+            };
+            pair.rig.deliver(PEER, leave);
+        }
+        assert!(pair.rig.node.remote_members_of(listed[0]).is_empty());
+        // The model's monitor went with the member; it restarts below.
+        pair.model[0] = Eager::default();
+        repeat(&mut pair, 1, "LEAVE removed the member");
+        assert_eq!(pair.rig.node.remote_members_of(listed[0]).len(), 1);
+        // A new incarnation: everything learnt is reset, then re-learnt.
+        pair.model = vec![Eager::default(); 2];
+        let sent_at = START + ms(250 * round);
+        pair.run_to(sent_at + ms(2), what);
+        let (unchanged, applied) = pair.rig.paths();
+        pair.rig
+            .deliver(PEER, alive(algorithm, 2, 0, sent_at, &listed, ms(250)));
+        pair.rig
+            .deliver(PEER, alive(algorithm, 2, 1, sent_at, &listed, ms(250)));
+        assert_eq!(
+            pair.rig.paths(),
+            (unchanged + 1, applied + 1),
+            "new incarnation"
+        );
+        // ...and the old life's datagrams are now dropped whole.
+        pair.rig.deliver(
+            PEER,
+            alive(algorithm, 1, 99, sent_at, &listed[..1], ms(250)),
+        );
+        assert_eq!(
+            pair.rig.paths(),
+            (unchanged + 1, applied + 1),
+            "stale incarnation"
+        );
+    }
+
+    /// (e) Two send grids: the peer alternates two subset batches, so no
+    /// datagram repeats its predecessor — all slow, all correct.
+    #[test]
+    fn alternating_subset_batches_stay_correct_on_the_slow_path() {
+        for algorithm in ElectorKind::all() {
+            let what = format!("{algorithm:?}");
+            let mut pair = Pair::new(algorithm, 4);
+            let all = pair.groups.clone();
+            let (a, b) = all.split_at(1);
+            for round in 0..40 {
+                // Grid A every 250 ms, grid B every other round too.
+                tick(
+                    &mut pair,
+                    algorithm,
+                    round,
+                    if round % 2 == 0 { a } else { b },
+                    &what,
+                );
+            }
+            assert_eq!(pair.rig.paths(), (0, 40), "{what}");
+            assert!(
+                all.iter().all(|&g| pair.rig.verdicts(g) == (0, 0)),
+                "{what}"
+            );
+            // Lost rounds 40..48, then both grids come back.
+            tick(&mut pair, algorithm, 48, a, &what);
+            tick(&mut pair, algorithm, 49, b, &what);
+            assert!(
+                all.iter().all(|&g| pair.rig.verdicts(g) == (1, 1)),
+                "{what}"
+            );
+        }
+    }
+
+    /// What `ME`'s own ALIVEs for `group` carried the last time it sent.
+    fn last_payload_sent(rig: &Rig, group: GroupId) -> Option<AlivePayload> {
+        rig.sent.iter().rev().find_map(|(_, msg)| match msg {
+            ServiceMessage::Alive {
+                group: g, payload, ..
+            } if *g == group => Some(*payload),
+            ServiceMessage::AliveBatch { alives, .. } => {
+                let entry = alives.iter().find(|alive| alive.group == group)?;
+                Some(entry.payload)
+            }
+            _ => None,
+        })
+    }
+
+    /// The sender's cached plan follows the elector: an accusation that
+    /// moves the accusation time and epoch shows in the very next ALIVE.
+    #[test]
+    fn the_cached_plan_follows_the_elector() {
+        for algorithm in [ElectorKind::OmegaLc, ElectorKind::OmegaL] {
+            let group = GroupId(1);
+            let mut rig = Rig::new(algorithm, &[group]);
+            // A member to send to (a higher id, so `ME` keeps competing).
+            let hello = ServiceMessage::Hello {
+                incarnation: 1,
+                version: 1,
+                sent_at: START,
+                pull: false,
+                announcements: HelloList::Full(Arc::from([GroupAnnouncement {
+                    group,
+                    processes: vec![(ProcessId::new(NodeId(2), 0), true)],
+                }])),
+            };
+            rig.deliver(NodeId(2), hello);
+            rig.run_to(START + SimDuration::from_secs(3));
+            let before = last_payload_sent(&rig, group).expect("ME competes and sends");
+            let rebuilds = rig.node.alive_counters().plan_rebuilds.get();
+            rig.run_to(START + SimDuration::from_secs(4));
+            assert_eq!(
+                rig.node.alive_counters().plan_rebuilds.get(),
+                rebuilds,
+                "steady: reused"
+            );
+            let accuse = ServiceMessage::Accuse {
+                group,
+                epoch: before.epoch,
+            };
+            rig.deliver(NodeId(2), accuse);
+            rig.run_to(START + SimDuration::from_secs(5));
+            let after = last_payload_sent(&rig, group).unwrap();
+            assert_eq!(after.epoch, before.epoch + 1, "{algorithm:?}");
+            assert!(
+                after.accusation_time > before.accusation_time,
+                "{algorithm:?}"
+            );
+            assert_eq!(rig.node.alive_counters().plan_rebuilds.get(), rebuilds + 1);
+        }
+    }
+
+    /// (f) 20 000 random well-formed `Alive` / `AliveBatch` — stale
+    /// incarnations, foreign groups, absurd intervals and timestamps, empty
+    /// and oversized batches — never panic the node, and one from a lower
+    /// incarnation than the sender's known one changes nothing at all.
+    #[test]
+    fn random_alives_never_panic_and_stale_lives_change_nothing() {
+        let mut rng = SimRng::seed_from(0xA11FE2);
+        let mine = groups(3);
+        let mut rig = Rig::new(ElectorKind::OmegaLc, &mine);
+        let mut known: BTreeMap<NodeId, u64> = BTreeMap::new();
+        let absurd = |rng: &mut SimRng| match rng.uniform_usize(5) {
+            0 => 0,
+            1 => u64::MAX,
+            2 => u64::MAX - rng.next_u64() % 1_000,
+            3 => rng.next_u64(),
+            _ => rng.next_u64() % 2_000_000_000,
+        };
+        for step in 0..20_000u64 {
+            rig.now = START + ms(step);
+            let from = NodeId(2 + rng.uniform_usize(3) as u32);
+            let incarnation = rng.next_u64() % 4;
+            let entries = match rng.uniform_usize(8) {
+                0 => 0,
+                1 => 200,
+                _ => 1 + rng.uniform_usize(4),
+            };
+            let alives: Vec<GroupAlive> = (0..entries)
+                .map(|_| GroupAlive {
+                    group: GroupId(1 + rng.uniform_usize(5) as u32),
+                    sending_interval: SimDuration::from_nanos(absurd(&mut rng)),
+                    requested_interval: SimDuration::from_nanos(absurd(&mut rng)),
+                    payload: AlivePayload {
+                        accusation_time: SimInstant::from_nanos(absurd(&mut rng)),
+                        epoch: absurd(&mut rng),
+                        local_leader: None,
+                    },
+                    representative: ProcessId::new(from, rng.uniform_usize(3) as u32),
+                })
+                .collect();
+            let (seq, sent_at) = (absurd(&mut rng), SimInstant::from_nanos(absurd(&mut rng)));
+            let msg = match alives.as_slice() {
+                [one] if rng.bernoulli(0.5) => ServiceMessage::Alive {
+                    group: one.group,
+                    header: AliveHeader {
+                        incarnation,
+                        seq,
+                        sent_at,
+                        sending_interval: one.sending_interval,
+                        requested_interval: one.requested_interval,
+                    },
+                    payload: one.payload,
+                    representative: one.representative,
+                },
+                _ => ServiceMessage::AliveBatch {
+                    incarnation,
+                    seq,
+                    sent_at,
+                    alives,
+                },
+            };
+            let stale = known.get(&from).is_some_and(|&k| incarnation < k);
+            let view = |rig: &Rig| {
+                let per_group = |&g| {
+                    (
+                        rig.node.remote_members_of(g),
+                        rig.node.leader_of(g),
+                        rig.verdicts(g),
+                    )
+                };
+                (
+                    mine.iter().map(per_group).collect::<Vec<_>>(),
+                    rig.paths(),
+                    rig.sent.len(),
+                )
+            };
+            let before = view(&rig);
+            rig.deliver(from, msg);
+            if stale {
+                assert_eq!(
+                    view(&rig),
+                    before,
+                    "step {step}: a stale life changed something"
+                );
+            } else {
+                known.insert(from, incarnation);
+            }
+            // Let the node's own timers run now and then, on whatever the
+            // hostile datagrams left behind.
+            if step % 64 == 0 {
+                let now = rig.now;
+                rig.run_to(now);
+            }
+        }
+    }
+}
