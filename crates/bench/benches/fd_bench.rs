@@ -1,24 +1,28 @@
 //! Micro-benchmarks of the failure-detector building blocks: the
-//! configurator search, the link-quality estimator, the freshness monitor's
-//! heartbeat path and the adaptive tuner's re-derivation.
+//! configurator search under both tuning policies, the link-quality
+//! estimator and the freshness monitor's heartbeat path.
 
-use sle_adaptive::{AdaptiveTuner, Tuner, TunerConfig};
 use sle_bench::{bench_loop, black_box};
-use sle_fd::{FdConfigurator, LinkQuality, LinkQualityEstimator, PeerMonitor, QosSpec};
-use sle_sim::actor::NodeId;
+use sle_fd::{configure, LinkQuality, LinkQualityEstimator, PeerMonitor, QosSpec, TuningPolicy};
 use sle_sim::time::{SimDuration, SimInstant};
 
 fn bench_configurator() {
-    let configurator = FdConfigurator::default();
     let qos = QosSpec::paper_default();
-    let quality = LinkQuality::from_parts(
-        0.1,
-        SimDuration::from_millis(100),
-        SimDuration::from_millis(100),
-    );
-    bench_loop("fd_configurator_compute", 100_000, || {
-        configurator.compute(black_box(&qos), black_box(&quality))
-    });
+    let ms = SimDuration::from_millis;
+    // A hostile link (deep static walk, no adaptive bound below T_D^U) and
+    // a clean one (first static step, adaptive bound a few steps in).
+    let links = [
+        ("lossy", LinkQuality::from_parts(0.1, ms(100), ms(100))),
+        ("clean", LinkQuality::from_parts(0.0, ms(10), ms(1))),
+    ];
+    for (link, quality) in links {
+        for policy in [TuningPolicy::Static, TuningPolicy::Adaptive] {
+            let name = format!("fd_configure_{policy:?}_{link}").to_lowercase();
+            bench_loop(&name, 100_000, || {
+                configure(black_box(&qos), black_box(&quality), black_box(policy))
+            });
+        }
+    }
 }
 
 fn bench_estimator() {
@@ -49,25 +53,8 @@ fn bench_monitor() {
     });
 }
 
-fn bench_adaptive_tuner() {
-    let qos = QosSpec::paper_default();
-    let peer = NodeId(1);
-    let mut tuner = AdaptiveTuner::new(TunerConfig::default());
-    let mut seq = 0u64;
-    let mut now = SimInstant::ZERO;
-    bench_loop("adaptive_tuner_observe", 1_000_000, || {
-        now += SimDuration::from_millis(100);
-        seq += 1;
-        tuner.observe(peer, seq, now - SimDuration::from_millis(3), now);
-    });
-    bench_loop("adaptive_tuner_recommend", 10_000, || {
-        black_box(tuner.recommend(peer, &qos, now))
-    });
-}
-
 fn main() {
     bench_configurator();
     bench_estimator();
     bench_monitor();
-    bench_adaptive_tuner();
 }

@@ -6,7 +6,7 @@
 //!   reproduce`), which re-runs every experimental cell of the paper's
 //!   figures and prints paper-vs-measured tables, and
 //! * the micro-benchmarks (`cargo bench`) for the failure detector, the
-//!   election algorithms, the adaptive tuner, the simulator and small
+//!   election algorithms, the simulator and small
 //!   versions of the figure scenarios. They are plain `harness = false`
 //!   binaries built on the dependency-free helpers below ([`bench_loop`],
 //!   [`bench_once`]), so the whole workspace builds without any third-party

@@ -7,9 +7,8 @@
 //! one ALIVE payload touches a single sorted-vector entry instead of three
 //! tree maps.
 
-use sle_adaptive::AnyTuner;
 use sle_election::{AnyElector, LeaderElector};
-use sle_fd::{FailureDetector, FdConfigurator, MonitorArena, QosSpec};
+use sle_fd::{FailureDetector, MonitorArena, QosSpec};
 use sle_sim::actor::NodeId;
 use sle_sim::time::{SimDuration, SimInstant};
 
@@ -190,11 +189,6 @@ pub struct GroupState {
     /// period: a freshly joined candidate does not claim the leadership for
     /// itself until it had a chance to learn about the incumbent).
     pub joined_at: SimInstant,
-    /// The QoS tuner selected by the join configuration (static by default).
-    pub tuner: AnyTuner,
-    /// The election grace period recommended by the tuner, if any; overrides
-    /// the static `2 × T_D^U` once adaptive tuning has converged.
-    pub tuned_grace: Option<SimDuration>,
     /// The lease this node holds as the group's current leader, if any
     /// (minted/renewed by `ServiceNode`, dropped on losing the leadership).
     pub lease: Option<LeaderLease>,
@@ -232,12 +226,10 @@ impl GroupState {
             notification: config.notification,
             local_processes: Vec::new(),
             elector: AnyElector::new(algorithm, me, config.candidate, now),
-            fd: FailureDetector::with_arena(config.qos, FdConfigurator::default(), arena.clone()),
+            fd: FailureDetector::with_arena(config.qos, config.tuning, arena.clone()),
             members: MemberTable::new(),
             announced_leader: None,
             joined_at: now,
-            tuner: AnyTuner::new(config.tuning),
-            tuned_grace: None,
             lease: None,
             remote_lease: None,
             led_since: None,
@@ -276,11 +268,10 @@ impl GroupState {
 
     /// How long after joining this node refrains from announcing *itself* as
     /// the leader (twice the crash-detection bound: enough to hear from an
-    /// incumbent leader if there is one). An adaptive tuner shrinks this
+    /// incumbent leader if there is one). Adaptive tuning shrinks this
     /// alongside the detection bound.
     pub fn self_election_grace(&self) -> SimDuration {
-        self.tuned_grace
-            .unwrap_or_else(|| self.qos.detection_time() * 2)
+        self.fd.detection_bound() * 2
     }
 
     /// True if any local process joined this group as a candidate.

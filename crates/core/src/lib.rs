@@ -99,7 +99,7 @@ pub mod prelude {
     pub use crate::node::{ServiceContext, ServiceNode};
     pub use crate::process::{GroupId, ProcessId};
     pub use crate::runtime::{Cluster, ClusterConfig, ClusterEvent, ClusterHandle, RuntimeStats};
-    pub use sle_adaptive::{TunerConfig, TuningPolicy};
+    pub use sle_fd::TuningPolicy;
 }
 
 pub use config::{AutoJoin, JoinConfig, NotificationMode, ServiceConfig};
@@ -112,4 +112,4 @@ pub use node::{AliveCounters, HelloCounters, ServiceContext, ServiceNode};
 pub use obs::NodeInstruments;
 pub use process::{GroupId, ProcessId};
 pub use runtime::{Cluster, ClusterConfig, ClusterEvent, ClusterHandle, RuntimeStats};
-pub use sle_adaptive::{TunerConfig, TuningPolicy};
+pub use sle_fd::TuningPolicy;

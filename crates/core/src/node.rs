@@ -9,9 +9,8 @@
 //! under the discrete-event simulator (for the evaluation) and under the
 //! real-time runtime in [`crate::runtime`] (for applications).
 
-use sle_adaptive::Tuner;
 use sle_election::{ElectorKind, ElectorOutput, LeaderElector};
-use sle_fd::{FdParams, LivenessHandle, MonitorArena, Transition};
+use sle_fd::{FdParams, LivenessHandle, MonitorArena, Transition, TuningPolicy};
 use sle_sim::actor::{Actor, Context, NodeId, TimerTag};
 use sle_sim::time::{SimDuration, SimInstant};
 
@@ -35,8 +34,6 @@ const ALIVE_KIND: u64 = 1;
 const FD_KIND: u64 = 2;
 /// Timer-tag namespace for the end of the self-election grace period.
 pub(crate) const GRACE_KIND: u64 = 3;
-/// Timer-tag namespace for periodic QoS re-derivation (adaptive tuning).
-const TUNE_KIND: u64 = 4;
 
 /// The single per-node ALIVE tick: it fires at the earliest due time across
 /// all groups and fans out for every group that is due, however many groups
@@ -55,10 +52,6 @@ fn fd_tag(group: GroupId) -> TimerTag {
 
 fn grace_tag(group: GroupId) -> TimerTag {
     TimerTag(GRACE_KIND << 32 | group.0 as u64)
-}
-
-fn tune_tag(group: GroupId) -> TimerTag {
-    TimerTag(TUNE_KIND << 32 | group.0 as u64)
 }
 
 /// Dense per-group storage: group ids are interned into `u32` slots on
@@ -366,10 +359,6 @@ pub struct ServiceNode {
     /// it was built at.
     alive_plan: (Option<(u64, u64)>, Vec<AliveGrid>),
     alive: AliveCounters,
-    /// How many current groups run an adaptive tuner; when zero (the
-    /// default, paper-faithful configuration) the per-datagram tuner
-    /// fan-out in `note_alive_datagram` is skipped entirely.
-    adaptive_groups: usize,
     /// Per-group ALIVE payloads handed to the transport (batch entries
     /// count individually). A live counter handle so that attaching
     /// instruments makes it a registry view instead of a second account.
@@ -419,7 +408,6 @@ impl ServiceNode {
             alive_epoch: 0,
             alive_plan: (None, Vec::new()),
             alive: AliveCounters::default(),
-            adaptive_groups: 0,
             alive_payloads_sent: sle_obs::Counter::new(),
             alive_datagrams_sent: sle_obs::Counter::new(),
             obs: None,
@@ -637,13 +625,9 @@ impl ServiceNode {
         let algorithm = self.config.algorithm;
         let now = ctx.now();
         let arena = &self.arena;
-        let adaptive_groups = &mut self.adaptive_groups;
         let peers = &mut self.peers;
         let state = self.groups.get_or_insert_with(group, || {
             let state = GroupState::new(group, me, algorithm, &join, arena, now);
-            if state.tuner.is_adaptive() {
-                *adaptive_groups += 1;
-            }
             // Every applied announcement list skipped this group: re-pull.
             for peer in &mut peers.entries {
                 peer.resync = true;
@@ -672,9 +656,6 @@ impl ServiceNode {
         }
         let grace_ends = state.joined_at + state.self_election_grace();
         ctx.set_timer_at(grace_tag(group), grace_ends);
-        if let Some(period) = state.tuner.period() {
-            ctx.set_timer_after(tune_tag(group), period);
-        }
         if let Ok(i) = self.groups.find(group) {
             self.groups.due[self.groups.index[i].1 as usize] = now + SimDuration::from_millis(5);
         }
@@ -721,13 +702,8 @@ impl ServiceNode {
             ctx.send(peer, ServiceMessage::Leave { group, process });
         }
         if state.local_processes.is_empty() {
-            if let Some(removed) = self.groups.remove(group) {
-                if removed.tuner.is_adaptive() {
-                    self.adaptive_groups -= 1;
-                }
-            }
+            self.groups.remove(group);
             ctx.cancel_timer(fd_tag(group));
-            ctx.cancel_timer(tune_tag(group));
             self.arm_alive_timer(ctx);
         } else if !state.locally_candidate() && state.elector.is_candidate() {
             // The last local candidate left: stop competing. As on the
@@ -1040,8 +1016,15 @@ impl ServiceNode {
         // incumbent leader, which keeps rejoining workstations from briefly
         // disrupting the group's agreement.
         if let Some(claimed) = leader {
-            if claimed.node == me && now < state.joined_at + state.self_election_grace() {
+            let grace_ends = state.joined_at + state.self_election_grace();
+            if claimed.node == me && now < grace_ends {
                 leader = None;
+                // Adaptive tuning moves the grace period with (η, δ) — either
+                // way, whenever a poll re-derives them or the monitored set
+                // changes: the end armed at join may no longer be the one.
+                if state.fd.policy() == TuningPolicy::Adaptive {
+                    ctx.set_timer_at(grace_tag(group), grace_ends);
+                }
             }
         }
         // Lease upkeep: mint on taking the leadership (and whenever the
@@ -1143,7 +1126,6 @@ impl ServiceNode {
             if state.members.remove(peer).is_some() {
                 state.elector.remove_peer(peer, now);
                 state.fd.reset_peer(peer, now);
-                state.tuner.forget_peer(peer);
                 self.check_leader(group, ctx);
             }
         }
@@ -1320,8 +1302,8 @@ impl ServiceNode {
     /// loss from the sequence numbers consumed by its siblings (or, after
     /// a lost LEAVE, by groups this node is no longer even in). The shared
     /// arena records the sample once (the per-group monitors' recordings
-    /// dedup against it), and every adaptive tuner monitoring the sender
-    /// gets the full stream.
+    /// dedup against it): the one link estimate every group's (η, δ) follow,
+    /// whatever its tuning policy.
     fn note_alive_datagram(
         &mut self,
         from: NodeId,
@@ -1334,18 +1316,6 @@ impl ServiceNode {
         self.peers.entries[slot].liveness.record(seq, sent_at, now);
         if let Some(obs) = &mut self.obs {
             obs.on_alive_datagram(from, now);
-        }
-        if self.adaptive_groups == 0 {
-            // No adaptive tuner anywhere on this node (the paper-faithful
-            // default): skip the per-group fan-out on the hot path.
-            return;
-        }
-        for gi in 0..self.groups.len() {
-            let (_, gslot) = self.groups.pair(gi);
-            let state = self.groups.slot_mut(gslot);
-            if state.members.get(from).is_some() {
-                state.tuner.observe(from, seq, sent_at, now);
-            }
         }
     }
 
@@ -1384,9 +1354,9 @@ impl ServiceNode {
         member.representative = Some(alive.representative);
         let asked = member.requested_interval.replace(alive.requested_interval);
         let leader_before = state.elector.leader();
-        // The measurement side of this heartbeat (link estimator, adaptive
-        // tuner) was already fed at node level by `note_alive_datagram`;
-        // the monitor's own recording dedups against it.
+        // The measurement side of this heartbeat (the link estimator) was
+        // already fed at node level by `note_alive_datagram`; the monitor's
+        // own recording dedups against it.
         let transition = state
             .fd
             .on_heartbeat(from, seq, sent_at, alive.sending_interval, now);
@@ -1568,7 +1538,6 @@ impl ServiceNode {
             state.members.remove(from);
             state.elector.remove_peer(from, now);
             state.fd.remove_peer(from);
-            state.tuner.forget_peer(from);
             self.alive_epoch += 1;
             self.peers.entry(from, &self.arena).alive_resync = true;
         }
@@ -1603,7 +1572,6 @@ impl ServiceNode {
                 state.members.remove(peer);
                 state.elector.remove_peer(peer, now);
                 state.fd.remove_peer(peer);
-                state.tuner.forget_peer(peer);
                 // Should the peer come back at the applied version, pull.
                 let entry = self.peers.entry(peer, &self.arena);
                 (entry.resync, entry.alive_resync) = (true, true);
@@ -1654,51 +1622,6 @@ impl ServiceNode {
         }
         self.arm_fd_timer(group, ctx);
         self.check_leader(group, ctx);
-    }
-
-    /// Periodic QoS re-derivation (adaptive tuning only): asks the tuner for
-    /// a fresh recommendation per monitored peer and applies it live to the
-    /// failure detector and to the election grace period.
-    fn handle_tune_timer(&mut self, group: GroupId, ctx: &mut ServiceContext) {
-        let now = ctx.now();
-        let Some(state) = self.groups.get_mut(group) else {
-            return;
-        };
-        let Some(period) = state.tuner.period() else {
-            return;
-        };
-        let qos = state.qos;
-        let peers: Vec<NodeId> = state.fd.peers().collect();
-        // The group-wide grace period must cover the *slowest* link: an
-        // incumbent leader behind the worst link still has to be heard from
-        // before a rejoining candidate may claim the leadership. A peer
-        // without a recommendation is still on the static bound, so the
-        // grace may only be tuned once every monitored peer is measured.
-        let mut round_grace: Option<SimDuration> = None;
-        let mut all_peers_measured = !peers.is_empty();
-        for peer in peers {
-            if let Some(recommendation) = state.tuner.recommend(peer, &qos, now) {
-                // The monitor stops reading the peer's stamp until fed.
-                state.fd.set_peer_params(peer, recommendation.params);
-                self.peers.entry(peer, &self.arena).alive_resync = true;
-                let grace = recommendation.election_grace();
-                round_grace = Some(round_grace.map_or(grace, |g| g.max(grace)));
-            } else {
-                all_peers_measured = false;
-            }
-        }
-        state.tuned_grace = if all_peers_measured {
-            round_grace
-        } else {
-            None
-        };
-        // The grace period may have moved either way: re-arm its end (the
-        // ALIVE tick re-checks only the groups this node already leads).
-        let grace_ends = state.joined_at + state.self_election_grace();
-        ctx.set_timer_at(grace_tag(group), grace_ends.max(now));
-        self.alive_epoch += 1;
-        ctx.set_timer_after(tune_tag(group), period);
-        self.arm_fd_timer(group, ctx);
     }
 
     /// The failure-detector operating parameters currently used towards
@@ -1797,7 +1720,6 @@ impl Actor for ServiceNode {
                 }
                 self.check_leader(group, ctx)
             }
-            TUNE_KIND => self.handle_tune_timer(group, ctx),
             _ => {}
         }
     }
@@ -2003,7 +1925,7 @@ mod tests {
     #[test]
     fn adaptive_tuning_tracks_latency_regimes_deterministically() {
         // A two-node group over a deterministic medium whose delay steps
-        // 90 ms → 2 ms → 150 ms. The tuner's recommended timeout shift δ
+        // 90 ms → 2 ms → 150 ms. The monitor's timeout shift δ
         // must shrink after the latency drop and grow after the spike.
         let n = 2;
         let medium = SteppedDelayMedium::new(SimDuration::from_millis(90))
@@ -2067,21 +1989,104 @@ mod tests {
         assert!(agreed_leader(&world, GROUP).is_some());
     }
 
+    /// Every `LeaderChanged` raised, as `(when, group, leader)`.
+    #[derive(Default)]
+    struct LeaderLog(Vec<(SimInstant, GroupId, Option<ProcessId>)>);
+
+    impl Observer<ServiceEvent> for LeaderLog {
+        fn event_emitted(&mut self, now: SimInstant, _node: NodeId, event: &ServiceEvent) {
+            let ServiceEvent::LeaderChanged { group, leader } = *event;
+            self.0.push((now, group, leader));
+        }
+    }
+
     #[test]
-    fn static_join_never_arms_the_tuner() {
-        let config = ServiceConfig::full_mesh(NodeId(0), 2, ElectorKind::OmegaLc);
-        let mut node = ServiceNode::new(config);
-        let mut ctx = ServiceContext::new(SimInstant::ZERO, NodeId(0), 0);
-        let process = node.register_process();
-        node.join_group(process, GROUP, JoinConfig::candidate(), &mut ctx)
-            .unwrap();
-        // A static join arms HELLO/ALIVE/FD/grace timers but no tune timer.
-        let effects = ctx.into_effects();
-        let tune = TimerTag(4u64 << 32 | GROUP.0 as u64);
-        assert!(effects.iter().all(|e| !matches!(
-            e,
-            sle_sim::Effect::SetTimer { tag, .. } if *tag == tune
-        )));
+    fn a_static_and_an_adaptive_group_share_one_link_estimate() {
+        // A rolling upgrade in miniature: the same two workstations share a
+        // static and an adaptive group while the delay steps 90 → 2 → 150 ms.
+        const STATIC: GroupId = GroupId(1);
+        const ADAPTIVE: GroupId = GroupId(2);
+        let t_d = SimDuration::from_secs(1);
+        for algorithm in [ElectorKind::OmegaLc, ElectorKind::OmegaL] {
+            let medium = SteppedDelayMedium::new(SimDuration::from_millis(90))
+                .with_step(SimInstant::from_secs_f64(20.0), SimDuration::from_millis(2))
+                .with_step(
+                    SimInstant::from_secs_f64(40.0),
+                    SimDuration::from_millis(150),
+                );
+            let mut world: World<ServiceNode, SteppedDelayMedium> = World::new(
+                2,
+                Box::new(move |node, _inc| {
+                    let config = ServiceConfig::full_mesh(node, 2, algorithm)
+                        .with_auto_join(STATIC, JoinConfig::candidate())
+                        .with_auto_join(ADAPTIVE, JoinConfig::candidate().with_adaptive_tuning());
+                    ServiceNode::new(config)
+                }),
+                medium,
+                3,
+            );
+            let mut log = LeaderLog::default();
+            // Whoever follows in a group monitors its leader.
+            let bounds = |world: &World<ServiceNode, SteppedDelayMedium>| {
+                [STATIC, ADAPTIVE].map(|group| {
+                    let leader = agreed_leader(world, group).expect("leader").node;
+                    let follower = NodeId(1 - leader.0);
+                    (world.actor(follower).unwrap())
+                        .fd_params_of(group, leader)
+                        .expect("the follower monitors its leader")
+                        .worst_case_detection()
+                })
+            };
+            let mut adaptive_bounds = Vec::new();
+            let mut leaders = Vec::new();
+            for checkpoint in [18.0, 38.0, 58.0] {
+                world.run_until(SimInstant::from_secs_f64(checkpoint), &mut log);
+                let [pinned, tuned] = bounds(&world);
+                assert_eq!(pinned, t_d, "{algorithm}: static η + δ at {checkpoint} s");
+                adaptive_bounds.push(tuned);
+                leaders.push([STATIC, ADAPTIVE].map(|group| agreed_leader(&world, group)));
+            }
+            // The adaptive group tightens and re-widens beside it.
+            let [slow, fast, spiked] = adaptive_bounds[..] else {
+                unreachable!()
+            };
+            assert!(slow < t_d, "{algorithm}: {slow}");
+            assert!(fast < slow, "{algorithm}: {fast} !< {slow}");
+            assert!(spiked > fast && spiked <= t_d, "{algorithm}: {spiked}");
+
+            // The static group never so much as wavers: each node announces
+            // its leader once. The adaptive one agrees on a leader at every
+            // checkpoint and keeps it through the tightening; a link that
+            // gets 75 times slower within one η outruns the bound tightened
+            // for it, and the suspicions that costs (accusations included:
+            // the leadership may move) end as soon as (η, δ) back off.
+            assert!(leaders.iter().flatten().all(|l| l.is_some()), "{leaders:?}");
+            assert_eq!(leaders[0], leaders[1], "{algorithm}");
+            assert_eq!(leaders[0][0], leaders[2][0], "{algorithm}");
+            let changes = |group| log.0.iter().filter(move |(_, g, _)| *g == group);
+            assert_eq!(changes(STATIC).count(), 2, "{algorithm}: {:?}", log.0);
+            let spike = SimInstant::from_secs_f64(40.0);
+            let wavered: Vec<_> = changes(ADAPTIVE).skip(2).map(|(at, ..)| *at).collect();
+            assert!(
+                (wavered.iter()).all(|&at| at > spike && at < spike + t_d * 2),
+                "{algorithm}: {:?}",
+                log.0
+            );
+
+            // One arena record per peer, fed once per datagram however many
+            // groups (and policies) read it.
+            for node in [NodeId(0), NodeId(1)] {
+                let actor = world.actor(node).unwrap();
+                assert_eq!(actor.arena.peer_count(), 1);
+                let peer = &actor.peers.entries[0];
+                let alive = actor.alive_counters();
+                assert_eq!(
+                    peer.liveness.heartbeats_recorded(),
+                    alive.unchanged.get() + alive.applied.get(),
+                    "{algorithm}: {node}"
+                );
+            }
+        }
     }
 
     #[test]

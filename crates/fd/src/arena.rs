@@ -12,9 +12,9 @@
 //! [`PeerLiveness`] record per *peer node* — the link-quality estimator and
 //! the heartbeat-arrival bookkeeping — and hands every group's monitor a
 //! shared handle to it. The per-group state that genuinely differs between
-//! groups (the (η, δ) operating point derived from each group's QoS, the
-//! trust state, the freshness horizon, adaptive-tuner overrides) stays in
-//! the [`PeerMonitor`]. N groups sharing a peer therefore maintain one
+//! groups (the (η, δ) operating point derived from each group's QoS and
+//! tuning policy, the trust state, the freshness horizon) stays in the
+//! [`PeerMonitor`]. N groups sharing a peer therefore maintain one
 //! liveness estimate with N cheap QoS views layered on top.
 //!
 //! Because ALIVEs for several groups can ride the same datagram (see
@@ -28,9 +28,9 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use sle_sim::actor::NodeId;
 use sle_sim::dense::SlotIndex;
-use sle_sim::time::{SimDuration, SimInstant};
+use sle_sim::time::SimInstant;
 
-use crate::config::{FdConfigurator, FdParams};
+use crate::config::{configure, FdParams, TuningPolicy};
 use crate::qos::QosSpec;
 use crate::quality::{LinkQuality, LinkQualityEstimator};
 
@@ -45,19 +45,21 @@ pub struct PeerLiveness {
     /// The last `(seq, sent_at, received_at)` recorded, for deduplicating
     /// the per-group fan-out of one batched datagram.
     last_record: Option<(u64, SimInstant, SimInstant)>,
-    /// Memoized `(computed_at, estimate, version)` of the estimator scan.
+    /// Memoized `(computed_at, estimate, version)` of the estimator scan,
+    /// one per [`TuningPolicy`] (each reads its own window of the ring).
     /// Thousands of per-group monitors share one record; each wants a fresh
     /// estimate only every few seconds, so the scan runs once per refresh
     /// interval for the whole record instead of once per monitor. The
     /// version only advances when the estimate actually changed, letting
     /// monitors skip recomputing their (η, δ) operating point entirely.
-    cached_quality: Option<(SimInstant, LinkQuality, u64)>,
+    cached_quality: [Option<(SimInstant, LinkQuality, u64)>; 2],
     /// Memoized result of the (η, δ) configurator search, keyed by the
-    /// quality version it was derived from plus the QoS/configurator pair
-    /// that requested it. Monitors of different groups usually monitor the
-    /// same peer under the *same* QoS, so when the estimate does change,
-    /// one monitor runs the search and its siblings reuse the result.
-    cached_params: Option<(u64, QosSpec, FdConfigurator, FdParams)>,
+    /// quality version it was derived from plus the QoS/policy pair that
+    /// requested it. Monitors of different groups usually monitor the same
+    /// peer under the *same* QoS and policy, so when the estimate does
+    /// change, one monitor runs the search and its siblings reuse the
+    /// result.
+    cached_params: Option<(u64, QosSpec, TuningPolicy, FdParams)>,
 }
 
 impl PeerLiveness {
@@ -65,7 +67,7 @@ impl PeerLiveness {
         PeerLiveness {
             estimator: LinkQualityEstimator::new(ESTIMATOR_WINDOW),
             last_record: None,
-            cached_quality: None,
+            cached_quality: [None; 2],
             cached_params: None,
         }
     }
@@ -117,56 +119,54 @@ impl LivenessHandle {
             .estimate()
     }
 
-    /// The link-quality estimate memoized per record: recomputed at most
-    /// once every `max_age`, shared by every monitor holding this handle.
+    /// The link-quality estimate `policy` reads, memoized per record:
+    /// recomputed at most once per reconfiguration period of the policy,
+    /// shared by every monitor holding this handle under it.
     ///
     /// Returns the estimate and a version number that advances only when a
     /// recomputation produced a *different* estimate — callers deriving
     /// expensive state from the quality (the (η, δ) search) can compare
     /// versions and skip the derivation when nothing changed.
-    pub fn quality_cached(&self, now: SimInstant, max_age: SimDuration) -> (LinkQuality, u64) {
+    pub fn quality_cached(&self, now: SimInstant, policy: TuningPolicy) -> (LinkQuality, u64) {
         let mut liveness = self.slot.lock().expect("liveness poisoned");
-        if let Some((at, quality, version)) = liveness.cached_quality {
-            if now.saturating_since(at) < max_age {
+        let cached = liveness.cached_quality[policy as usize];
+        if let Some((at, quality, version)) = cached {
+            if now.saturating_since(at) < policy.reconfigure_every() {
                 return (quality, version);
             }
-            let fresh = liveness.estimator.estimate();
-            let version = if fresh == quality {
-                version
-            } else {
-                version + 1
-            };
-            liveness.cached_quality = Some((now, fresh, version));
-            (fresh, version)
-        } else {
-            let fresh = liveness.estimator.estimate();
-            liveness.cached_quality = Some((now, fresh, 1));
-            (fresh, 1)
         }
+        let fresh = liveness.estimator.estimate_over(policy.estimate_window());
+        let version = match cached {
+            Some((_, quality, version)) if quality == fresh => version,
+            Some((_, _, version)) => version + 1,
+            None => 1,
+        };
+        liveness.cached_quality[policy as usize] = Some((now, fresh, version));
+        (fresh, version)
     }
 
     /// The (η, δ) operating point for `quality` (at `version`) under the
-    /// given QoS and configurator, computed at most once per record: the
-    /// first monitor to ask after a quality change runs the configurator
-    /// search; every sibling monitor with the same QoS reuses the cached
-    /// result. A monitor with a *different* QoS simply recomputes (and
+    /// given QoS and policy, computed at most once per record: the first
+    /// monitor to ask after a quality change runs the configurator search;
+    /// every sibling monitor with the same QoS and policy reuses the cached
+    /// result. A monitor with a *different* one simply recomputes (and
     /// takes over the single cache entry) — correctness never depends on a
     /// hit.
     pub fn shared_params(
         &self,
         version: u64,
         qos: &QosSpec,
-        configurator: &FdConfigurator,
+        policy: TuningPolicy,
         quality: &LinkQuality,
     ) -> FdParams {
         let mut liveness = self.slot.lock().expect("liveness poisoned");
-        if let Some((v, q, c, params)) = liveness.cached_params {
-            if v == version && q == *qos && c == *configurator {
+        if let Some((v, q, p, params)) = liveness.cached_params {
+            if v == version && q == *qos && p == policy {
                 return params;
             }
         }
-        let params = configurator.compute(qos, quality);
-        liveness.cached_params = Some((version, *qos, *configurator, params));
+        let params = configure(qos, quality, policy);
+        liveness.cached_params = Some((version, *qos, policy, params));
         params
     }
 
@@ -444,19 +444,52 @@ mod tests {
     #[test]
     fn shared_params_are_keyed_by_qos_and_version() {
         let handle = LivenessHandle::detached();
-        let cfg = FdConfigurator::default();
+        let cfg = TuningPolicy::Static;
         let quality = LinkQuality::perfect();
         let fast = QosSpec::paper_default();
         let slow = QosSpec::paper_default_with_detection(SimDuration::from_secs(8));
-        let p_fast = handle.shared_params(1, &fast, &cfg, &quality);
+        let p_fast = handle.shared_params(1, &fast, cfg, &quality);
         // A sibling monitor with the same key reuses the cached entry.
-        assert_eq!(handle.shared_params(1, &fast, &cfg, &quality), p_fast);
+        assert_eq!(handle.shared_params(1, &fast, cfg, &quality), p_fast);
         // A different QoS must never be served another QoS's params.
-        let p_slow = handle.shared_params(1, &slow, &cfg, &quality);
+        let p_slow = handle.shared_params(1, &slow, cfg, &quality);
         assert_eq!(p_slow.worst_case_detection(), SimDuration::from_secs(8));
         assert_ne!(p_fast, p_slow);
-        // The evicted QoS recomputes to the same operating point.
-        assert_eq!(handle.shared_params(1, &fast, &cfg, &quality), p_fast);
+        // Nor a different policy's: a mixed workstation's adaptive monitor
+        // of the same peer gets its own, tighter, operating point.
+        let p_tight = handle.shared_params(1, &fast, TuningPolicy::Adaptive, &quality);
+        assert!(p_tight.worst_case_detection() < p_fast.worst_case_detection());
+        // The evicted key recomputes to the same operating point.
+        assert_eq!(handle.shared_params(1, &fast, cfg, &quality), p_fast);
+    }
+
+    #[test]
+    fn each_policy_memoizes_its_own_window_of_the_one_ring() {
+        let handle = LivenessHandle::detached();
+        let mut now = SimInstant::ZERO;
+        // 200 heartbeats at 90 ms, then 64 at 2 ms: one ring, one record().
+        for seq in 0..264u64 {
+            now += SimDuration::from_millis(100);
+            let delay = SimDuration::from_millis(if seq < 200 { 90 } else { 2 });
+            handle.record(seq, now - delay, now);
+        }
+        let (whole, v_static) = handle.quality_cached(now, TuningPolicy::Static);
+        let (recent, v_adaptive) = handle.quality_cached(now, TuningPolicy::Adaptive);
+        assert_eq!((v_static, v_adaptive), (1, 1));
+        assert_eq!(whole.samples, ESTIMATOR_WINDOW);
+        assert!(whole.delay_mean > SimDuration::from_millis(60));
+        assert_eq!(recent.samples, 64);
+        assert_eq!(recent.delay_tail, SimDuration::from_millis(2));
+        // Within the policy's own period the memo answers; after it an
+        // unchanged estimate keeps its version.
+        handle.record(264, now, now + SimDuration::from_millis(2));
+        let soon = now + SimDuration::from_millis(999);
+        assert_eq!(handle.quality_cached(soon, TuningPolicy::Adaptive).1, 1);
+        let later = now + SimDuration::from_secs(1);
+        assert_eq!(handle.quality_cached(later, TuningPolicy::Adaptive).1, 1);
+        assert_eq!(handle.quality_cached(later, TuningPolicy::Static).1, 1);
+        let stale = now + SimDuration::from_secs(5);
+        assert_eq!(handle.quality_cached(stale, TuningPolicy::Static).1, 2);
     }
 
     #[test]

@@ -10,12 +10,9 @@
 //! * δ — the timeout shift: a heartbeat sent at time σ keeps the sender
 //!   trusted until σ + η + δ.
 //!
-//! The computation follows the structure of Chen et al.'s configuration
-//! procedure. The detection-time bound fixes `η + δ = T_D^U` (a crash right
-//! after a heartbeat is detected at the next freshness point, η + δ later).
-//! For a candidate split, the probability that a freshness point finds *no*
-//! eligible heartbeat delivered — the probability that a false suspicion
-//! begins there — is
+//! For a candidate `(η, δ)`, the probability that a freshness point finds
+//! *no* eligible heartbeat delivered — the probability that a false
+//! suspicion begins there — is
 //!
 //! ```text
 //! P_fs(η, δ) = Π_{k ≥ 0, δ−kη ≥ 0} [ p_L + (1 − p_L)·Pr(D > δ − kη) ]
@@ -25,12 +22,30 @@
 //! (Cantelli) inequality `V[D] / (V[D] + (x − E[D])²)` for `x > E[D]` — the
 //! same distribution-free bound Chen et al. use when only the mean and
 //! variance of the delay are known. Mistakes recur roughly every
-//! `η / P_fs(η, δ)`, so the configurator picks the **largest** η (fewest
-//! messages) for which `η / P_fs ≥ T_MR^L` and the expected mistake duration
-//! stays below `T_M^U = (1 − P_A^L)·T_MR^L`, subject to a configurable cap
-//! `η ≤ cap_fraction · T_D^U` that keeps the average detection latency well
-//! below the bound (as observed in the paper, where T_r tracks just below
-//! `T_D^U`).
+//! `η / P_fs(η, δ)`; a candidate is acceptable ([`params_meet_qos`]) when
+//! `η / P_fs ≥ T_MR^L` and the expected mistake duration stays below
+//! `T_M^U = (1 − P_A^L)·T_MR^L`.
+//!
+//! What is searched for is the [`TuningPolicy`] of the join:
+//!
+//! * [`TuningPolicy::Static`] — the paper's: the detection-time bound is a
+//!   *target*, `η + δ = T_D^U` (a crash right after a heartbeat is detected
+//!   at the next freshness point, η + δ later), and the configurator picks
+//!   the **largest** acceptable η (fewest messages) up to a quarter of
+//!   `T_D^U`, which keeps the average detection latency (≈ δ + η/2) close
+//!   to, but below, the bound (Figure 8 of the paper, where T_r tracks just
+//!   below `T_D^U`).
+//! * [`TuningPolicy::Adaptive`] — the bound is a *ceiling*: the
+//!   configurator picks the **smallest** acceptable `η + δ` between
+//!   100 ms and `T_D^U` with η a quarter of it, δ never below the measured
+//!   delay tail plus four deviations. A link that is faster and cleaner
+//!   than the prior gets a crashed leader noticed sooner at the same
+//!   false-suspicion rate; one that admits nothing below `T_D^U` gets the
+//!   static result.
+//!
+//! The policy is a value of the join, not a set of knobs: everything it
+//! implies — the search constants below, how often and over how much of the
+//! estimator's ring a monitor re-derives — is a constant chosen from it.
 
 use sle_sim::time::SimDuration;
 
@@ -55,113 +70,166 @@ impl FdParams {
     }
 }
 
-/// Tunable knobs of the configurator (not part of the application-facing
-/// QoS; defaults reproduce the paper's observed behaviour).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ConfiguratorOptions {
-    /// Smallest heartbeat interval the configurator will ever choose.
-    pub min_interval: SimDuration,
-    /// Upper bound on η as a fraction of `T_D^U`. Keeping η at a quarter of
-    /// the detection bound keeps the *average* detection latency (≈ δ + η/2)
-    /// close to, but below, `T_D^U`, matching Figure 8 of the paper.
-    pub max_interval_fraction: f64,
-    /// Number of candidate intervals examined between the cap and the floor.
-    pub search_steps: usize,
+/// How a group's failure detection follows the measured link.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum TuningPolicy {
+    /// The paper's behaviour: η + δ pinned to `T_D^U`, the split between
+    /// them re-derived from the link estimate every few seconds.
+    #[default]
+    Static,
+    /// η + δ as small as the measured link allows (never above `T_D^U`),
+    /// re-derived every second from the most recent heartbeats.
+    Adaptive,
 }
 
-impl Default for ConfiguratorOptions {
-    fn default() -> Self {
-        ConfiguratorOptions {
-            min_interval: SimDuration::from_millis(5),
-            max_interval_fraction: 0.25,
-            search_steps: 128,
+impl TuningPolicy {
+    /// Adaptive tuning.
+    pub fn adaptive() -> Self {
+        TuningPolicy::Adaptive
+    }
+
+    /// How often a monitor re-derives (η, δ) from a fresh link estimate.
+    pub(crate) fn reconfigure_every(self) -> SimDuration {
+        match self {
+            TuningPolicy::Static => SimDuration::from_secs(5),
+            TuningPolicy::Adaptive => SimDuration::from_secs(1),
+        }
+    }
+
+    /// Minimum number of heartbeats before measured link quality replaces
+    /// the conservative prior.
+    pub(crate) fn min_samples(self) -> usize {
+        match self {
+            TuningPolicy::Static => 8,
+            TuningPolicy::Adaptive => 16,
+        }
+    }
+
+    /// How many of the most recent heartbeats the link estimate is read
+    /// over ([`LinkQualityEstimator::estimate_over`]): everything the ring
+    /// holds, or few enough to follow a change of regime within seconds.
+    ///
+    /// [`LinkQualityEstimator::estimate_over`]: crate::quality::LinkQualityEstimator::estimate_over
+    pub(crate) fn estimate_window(self) -> usize {
+        match self {
+            TuningPolicy::Static => usize::MAX,
+            TuningPolicy::Adaptive => 64,
+        }
+    }
+
+    /// Relative change of both η and δ below which a monitor keeps its
+    /// current operating point (against flapping between neighbouring
+    /// search steps).
+    pub(crate) fn hysteresis(self) -> f64 {
+        match self {
+            TuningPolicy::Static => 0.0,
+            TuningPolicy::Adaptive => 0.1,
         }
     }
 }
 
-/// Computes NFD-S parameters from a QoS requirement and a link-quality
-/// estimate.
+/// Smallest heartbeat interval the configurator will ever choose.
+const MIN_INTERVAL: SimDuration = SimDuration::from_millis(5);
+/// η as a fraction of the detection bound searched: the static cap on η, the
+/// adaptive split of η + δ.
+const INTERVAL_FRACTION: f64 = 0.25;
+/// Candidate intervals the static search examines between cap and floor.
+const STATIC_STEPS: u32 = 128;
+/// Lower bound on an adaptively derived η + δ: a briefly quiet network must
+/// not earn a hair-trigger timeout.
+const ADAPTIVE_FLOOR: SimDuration = SimDuration::from_millis(100);
+/// An adaptive δ clears the delay tail by this many standard deviations.
+const ADAPTIVE_MARGIN: f64 = 4.0;
+/// Candidate bounds the adaptive search examines between floor and `T_D^U`.
+const ADAPTIVE_STEPS: u32 = 64;
+
+/// Computes `(η, δ)` for the given QoS, link quality and tuning policy.
+///
+/// The result always satisfies `η + δ ≤ T_D^U` (with equality under
+/// [`TuningPolicy::Static`]) and `η ≥ 5 ms` (clamped); if even the smallest
+/// interval cannot satisfy the mistake-recurrence bound (e.g. on an
+/// extremely lossy link), the smallest interval is returned — the detector
+/// then does the best it can, exactly like the real system under network
+/// conditions that make the requested QoS unattainable.
 ///
 /// ```
-/// use sle_fd::config::FdConfigurator;
+/// use sle_fd::config::{configure, TuningPolicy};
 /// use sle_fd::qos::QosSpec;
 /// use sle_fd::quality::LinkQuality;
 /// use sle_sim::time::SimDuration;
 ///
-/// let configurator = FdConfigurator::default();
-/// let params = configurator.compute(&QosSpec::paper_default(), &LinkQuality::perfect());
-/// // On a clean LAN the interval is capped at a quarter of T_D^U.
+/// let (qos, link) = (QosSpec::paper_default(), LinkQuality::perfect());
+/// // On a clean LAN the static interval is capped at a quarter of T_D^U...
+/// let params = configure(&qos, &link, TuningPolicy::Static);
 /// assert_eq!(params.interval, SimDuration::from_millis(250));
 /// assert_eq!(params.worst_case_detection(), SimDuration::from_secs(1));
+/// // ...and the adaptive bound sits at its floor, far below T_D^U.
+/// let params = configure(&qos, &link, TuningPolicy::Adaptive);
+/// assert_eq!(params.worst_case_detection(), SimDuration::from_millis(100));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct FdConfigurator {
-    options: ConfiguratorOptions,
+pub fn configure(qos: &QosSpec, quality: &LinkQuality, policy: TuningPolicy) -> FdParams {
+    let tightened = match policy {
+        TuningPolicy::Static => None,
+        TuningPolicy::Adaptive => tightest_bound(qos, quality),
+    };
+    // A link that admits nothing below T_D^U gets what the static search
+    // chooses for it rather than nothing: a tight operating point must not
+    // linger on a link that has degraded past it.
+    tightened.unwrap_or_else(|| largest_interval(qos, quality))
 }
 
-impl FdConfigurator {
-    /// Creates a configurator with custom options.
-    pub fn new(options: ConfiguratorOptions) -> Self {
-        FdConfigurator { options }
+/// The static search: `η + δ = T_D^U`, the largest acceptable η from a
+/// quarter of `T_D^U` down.
+fn largest_interval(qos: &QosSpec, quality: &LinkQuality) -> FdParams {
+    let t_d = qos.detection_time();
+    let cap = t_d.mul_f64(INTERVAL_FRACTION).max(MIN_INTERVAL);
+    let interval = (0..STATIC_STEPS)
+        .map(|i| {
+            let frac = 1.0 - f64::from(i) / f64::from(STATIC_STEPS - 1);
+            MIN_INTERVAL + (cap - MIN_INTERVAL).mul_f64(frac)
+        })
+        .find(|&eta| eta <= t_d && params_meet_qos(quality, eta, t_d.saturating_sub(eta), qos))
+        .unwrap_or(MIN_INTERVAL);
+    FdParams {
+        interval,
+        shift: t_d.saturating_sub(interval),
     }
+}
 
-    /// The options in use.
-    pub fn options(&self) -> ConfiguratorOptions {
-        self.options
-    }
-
-    /// Computes `(η, δ)` for the given QoS and link quality.
-    ///
-    /// The result always satisfies `η + δ = T_D^U` and `η ≥ min_interval`
-    /// (clamped); if even the smallest interval cannot satisfy the
-    /// mistake-recurrence bound (e.g. on an extremely lossy link), the
-    /// smallest interval is returned — the detector then does the best it
-    /// can, exactly like the real system under network conditions that make
-    /// the requested QoS unattainable.
-    pub fn compute(&self, qos: &QosSpec, quality: &LinkQuality) -> FdParams {
-        let t_d = qos.detection_time();
-        let cap = t_d
-            .mul_f64(self.options.max_interval_fraction.clamp(0.01, 0.95))
-            .max(self.options.min_interval);
-        let floor = self.options.min_interval.min(cap);
-        let steps = self.options.search_steps.max(2);
-
-        let mut chosen = floor;
-        for i in 0..steps {
-            // Walk from the cap down towards the floor, keeping the largest
-            // feasible interval.
-            let frac = 1.0 - i as f64 / (steps - 1) as f64;
-            let eta = floor + (cap - floor).mul_f64(frac);
-            let eta = eta.max(floor);
-            if self.satisfies(qos, quality, eta) {
-                chosen = eta;
-                break;
-            }
-            chosen = floor;
-        }
-
-        let shift = t_d.saturating_sub(chosen);
-        FdParams {
-            interval: chosen,
-            shift,
-        }
-    }
-
-    /// Returns whether interval `eta` (with the implied shift) meets the QoS
-    /// for the given link quality.
-    fn satisfies(&self, qos: &QosSpec, quality: &LinkQuality, eta: SimDuration) -> bool {
-        if eta > qos.detection_time() {
-            return false;
-        }
-        let delta = qos.detection_time().saturating_sub(eta);
-        params_meet_qos(quality, eta, delta, qos)
-    }
+/// The adaptive search: the smallest acceptable `η + δ` from the floor up to
+/// `T_D^U`, or `None` if the link admits none.
+fn tightest_bound(qos: &QosSpec, quality: &LinkQuality) -> Option<FdParams> {
+    let t_d = qos.detection_time();
+    // Heavy-tailed delays push the Chebyshev bound — and therefore the
+    // derived timeout — outward through a deviation widened to at least
+    // half the gap between the delay tail and the mean.
+    let tail_spread = quality.delay_tail.saturating_sub(quality.delay_mean) / 2;
+    let widened = LinkQuality {
+        delay_std_dev: quality.delay_std_dev.max(tail_spread),
+        ..*quality
+    };
+    // The timeout shift must clear the observed delay tail plus margin (a
+    // heartbeat exactly δ late ties with its own deadline), so a shift
+    // towards a slower network pushes the timeout straight back out.
+    let shift_floor =
+        (quality.delay_tail).saturating_add(quality.delay_std_dev.mul_f64(ADAPTIVE_MARGIN));
+    let floor = ADAPTIVE_FLOOR
+        .max(shift_floor.mul_f64(1.0 / (1.0 - INTERVAL_FRACTION)))
+        .min(t_d);
+    (0..ADAPTIVE_STEPS).find_map(|i| {
+        let frac = f64::from(i) / f64::from(ADAPTIVE_STEPS - 1);
+        let total = floor + (t_d - floor).mul_f64(frac);
+        let interval = total.mul_f64(INTERVAL_FRACTION).max(MIN_INTERVAL);
+        let shift = total.saturating_sub(interval);
+        (shift > shift_floor && params_meet_qos(&widened, interval, shift, qos))
+            .then_some(FdParams { interval, shift })
+    })
 }
 
 /// Returns whether the operating point `(eta, delta)` meets `qos` on a link
 /// with the given quality: predicted mistakes must recur no more often than
 /// `T_MR^L` and last no longer than `T_M^U`. This is the acceptance test of
-/// both the static configurator and the adaptive tuner.
+/// the configurator under either policy.
 pub fn params_meet_qos(
     quality: &LinkQuality,
     eta: SimDuration,
@@ -253,20 +321,22 @@ mod tests {
         )
     }
 
+    fn configure_static(qos: &QosSpec, quality: &LinkQuality) -> FdParams {
+        configure(qos, quality, TuningPolicy::Static)
+    }
+
     #[test]
     fn perfect_link_hits_the_interval_cap() {
-        let params =
-            FdConfigurator::default().compute(&QosSpec::paper_default(), &LinkQuality::perfect());
+        let params = configure_static(&QosSpec::paper_default(), &LinkQuality::perfect());
         assert_eq!(params.interval, SimDuration::from_millis(250));
         assert_eq!(params.shift, SimDuration::from_millis(750));
     }
 
     #[test]
     fn lossier_links_get_shorter_intervals() {
-        let configurator = FdConfigurator::default();
         let qos = QosSpec::paper_default();
-        let clean = configurator.compute(&qos, &quality(0.0, 0.025, 0.01));
-        let lossy = configurator.compute(&qos, &quality(0.1, 100.0, 100.0));
+        let clean = configure_static(&qos, &quality(0.0, 0.025, 0.01));
+        let lossy = configure_static(&qos, &quality(0.1, 100.0, 100.0));
         assert!(
             lossy.interval < clean.interval,
             "lossy {} !< clean {}",
@@ -284,11 +354,10 @@ mod tests {
 
     #[test]
     fn interval_scales_with_detection_bound() {
-        let configurator = FdConfigurator::default();
         let quality = quality(0.0, 0.025, 0.01);
         for &td_ms in &[100u64, 250, 500, 750, 1000] {
             let qos = QosSpec::paper_default_with_detection(SimDuration::from_millis(td_ms));
-            let params = configurator.compute(&qos, &quality);
+            let params = configure_static(&qos, &quality);
             assert_eq!(
                 params.worst_case_detection(),
                 SimDuration::from_millis(td_ms),
@@ -300,17 +369,15 @@ mod tests {
 
     #[test]
     fn hopeless_link_falls_back_to_minimum_interval() {
-        let configurator = FdConfigurator::default();
-        let params = configurator.compute(&QosSpec::paper_default(), &quality(0.95, 500.0, 500.0));
-        assert_eq!(params.interval, configurator.options().min_interval);
+        let params = configure_static(&QosSpec::paper_default(), &quality(0.95, 500.0, 500.0));
+        assert_eq!(params.interval, MIN_INTERVAL);
     }
 
     #[test]
     fn recurrence_estimate_meets_bound_for_chosen_interval() {
-        let configurator = FdConfigurator::default();
         let qos = QosSpec::paper_default();
         let q = quality(0.1, 100.0, 100.0);
-        let params = configurator.compute(&qos, &q);
+        let params = configure_static(&qos, &q);
         let p_fs = false_suspicion_probability(&q, params.interval, params.shift);
         if p_fs > 0.0 {
             let recurrence = params.interval.as_secs_f64() / p_fs;
@@ -380,16 +447,150 @@ mod tests {
         );
     }
 
+    /// `(T_D^U in ms — 0 is `paper_default()`, link, η in ns, δ in ns)` as
+    /// the static search chose them before the adaptive policy moved in
+    /// beside it. Rows are data: a change here is a change of the paper's
+    /// configurator.
+    const STATIC_TABLE: [(u64, &str, u64, u64); 48] = [
+        (0, "prior", 224921259, 775078741),
+        (0, "perfect", 250000000, 750000000),
+        (0, "lan", 250000000, 750000000),
+        (0, "(10 ms, 0.01)", 224921259, 775078741),
+        (0, "(40 ms, 0.02)", 153543307, 846456693),
+        (0, "(100 ms, 0.1)", 74448818, 925551182),
+        (0, "steady 90 ms", 250000000, 750000000),
+        (0, "hopeless", 5000000, 995000000),
+        (100, "prior", 10039370, 89960630),
+        (100, "perfect", 25000000, 75000000),
+        (100, "lan", 25000000, 75000000),
+        (100, "(10 ms, 0.01)", 10039370, 89960630),
+        (100, "(40 ms, 0.02)", 5000000, 95000000),
+        (100, "(100 ms, 0.1)", 5000000, 95000000),
+        (100, "steady 90 ms", 9881889, 90118111),
+        (100, "hopeless", 5000000, 95000000),
+        (250, "prior", 39409448, 210590552),
+        (250, "perfect", 62500000, 187500000),
+        (250, "lan", 62500000, 187500000),
+        (250, "(10 ms, 0.01)", 39409448, 210590552),
+        (250, "(40 ms, 0.02)", 16771653, 233228347),
+        (250, "(100 ms, 0.1)", 5000000, 245000000),
+        (250, "steady 90 ms", 62500000, 187500000),
+        (250, "hopeless", 5000000, 245000000),
+        (500, "prior", 94763779, 405236221),
+        (500, "perfect", 125000000, 375000000),
+        (500, "lan", 125000000, 375000000),
+        (500, "(10 ms, 0.01)", 94763779, 405236221),
+        (500, "(40 ms, 0.02)", 57913385, 442086615),
+        (500, "(100 ms, 0.1)", 21062992, 478937008),
+        (500, "steady 90 ms", 125000000, 375000000),
+        (500, "hopeless", 5000000, 495000000),
+        (1000, "prior", 224921259, 775078741),
+        (1000, "perfect", 250000000, 750000000),
+        (1000, "lan", 250000000, 750000000),
+        (1000, "(10 ms, 0.01)", 224921259, 775078741),
+        (1000, "(40 ms, 0.02)", 153543307, 846456693),
+        (1000, "(100 ms, 0.1)", 74448818, 925551182),
+        (1000, "steady 90 ms", 250000000, 750000000),
+        (1000, "hopeless", 5000000, 995000000),
+        (2000, "prior", 484409448, 1515590552),
+        (2000, "perfect", 500000000, 1500000000),
+        (2000, "lan", 500000000, 1500000000),
+        (2000, "(10 ms, 0.01)", 484409448, 1515590552),
+        (2000, "(40 ms, 0.02)", 371377952, 1628622048),
+        (2000, "(100 ms, 0.1)", 199881889, 1800118111),
+        (2000, "steady 90 ms", 500000000, 1500000000),
+        (2000, "hopeless", 5000000, 1995000000),
+    ];
+
     #[test]
-    fn options_are_respected() {
-        let options = ConfiguratorOptions {
-            min_interval: SimDuration::from_millis(50),
-            max_interval_fraction: 0.5,
-            search_steps: 16,
-        };
-        let configurator = FdConfigurator::new(options);
-        assert_eq!(configurator.options(), options);
-        let params = configurator.compute(&QosSpec::paper_default(), &LinkQuality::perfect());
-        assert_eq!(params.interval, SimDuration::from_millis(500));
+    fn static_policy_reproduces_the_recorded_table() {
+        let us = SimDuration::from_micros;
+        for (t_d, link, eta, delta) in STATIC_TABLE {
+            let qos = match t_d {
+                0 => QosSpec::paper_default(),
+                ms => QosSpec::paper_default_with_detection(SimDuration::from_millis(ms)),
+            };
+            let quality = match link {
+                "prior" => LinkQuality::conservative_prior(),
+                "perfect" => LinkQuality::perfect(),
+                "lan" => LinkQuality::from_parts(0.0, us(25), us(25)),
+                "(10 ms, 0.01)" => LinkQuality::from_parts(0.01, us(10_000), us(10_000)),
+                "(40 ms, 0.02)" => LinkQuality::from_parts(0.02, us(40_000), us(40_000)),
+                "(100 ms, 0.1)" => LinkQuality::from_parts(0.1, us(100_000), us(100_000)),
+                "steady 90 ms" => LinkQuality::from_parts(0.0, us(90_000), us(0)),
+                "hopeless" => LinkQuality::from_parts(0.95, us(500_000), us(500_000)),
+                other => panic!("unknown link {other}"),
+            };
+            let params = configure_static(&qos, &quality);
+            assert_eq!(
+                (params.interval.as_nanos(), params.shift.as_nanos()),
+                (eta, delta),
+                "T_D^U = {t_d} ms over {link}"
+            );
+        }
+    }
+
+    /// A link observed directly: `tail` is the measured 0.99 quantile.
+    fn measured(loss: f64, mean_ms: f64, std_ms: f64, tail_ms: f64) -> LinkQuality {
+        LinkQuality {
+            delay_tail: SimDuration::from_millis_f64(tail_ms),
+            ..quality(loss, mean_ms, std_ms)
+        }
+    }
+
+    fn configure_adaptive(qos: &QosSpec, quality: &LinkQuality) -> FdParams {
+        configure(qos, quality, TuningPolicy::Adaptive)
+    }
+
+    #[test]
+    fn adaptive_clean_link_earns_a_tight_detection_bound() {
+        let qos = QosSpec::paper_default();
+        let params = configure_adaptive(&qos, &measured(0.0, 1.0, 0.0, 1.0));
+        assert_eq!(params.worst_case_detection(), ADAPTIVE_FLOOR);
+        assert_eq!(params.interval, ADAPTIVE_FLOOR.mul_f64(INTERVAL_FRACTION));
+        assert!(params_meet_qos(
+            &measured(0.0, 1.0, 0.0, 1.0),
+            params.interval,
+            params.shift,
+            &qos
+        ));
+    }
+
+    #[test]
+    fn adaptive_shift_clears_the_delay_tail_with_margin() {
+        let qos = QosSpec::paper_default();
+        let slow = configure_adaptive(&qos, &measured(0.0, 90.0, 0.0, 90.0));
+        let fast = configure_adaptive(&qos, &measured(0.0, 2.0, 0.0, 2.0));
+        let jittery = configure_adaptive(&qos, &measured(0.0, 90.0, 10.0, 120.0));
+        assert!(slow.shift >= SimDuration::from_millis(90));
+        assert!(slow.worst_case_detection() < qos.detection_time());
+        assert!(fast.worst_case_detection() < slow.worst_case_detection());
+        // δ ≥ tail + 4 σ.
+        assert!(jittery.shift >= SimDuration::from_millis(160));
+        assert!(jittery.worst_case_detection() > slow.worst_case_detection());
+    }
+
+    #[test]
+    fn adaptive_never_exceeds_the_static_bound_and_falls_back_to_its_result() {
+        let qos = QosSpec::paper_default();
+        // Terrible links, the prior (1 % loss) and one a second slower than
+        // T_D^U: nothing below the bound is acceptable.
+        for link in [
+            measured(0.0, 270.0, 170.0, 500.0),
+            measured(0.33, 5.0, 0.0, 5.0),
+            measured(0.0, 2_000.0, 0.0, 2_000.0),
+            LinkQuality::conservative_prior(),
+        ] {
+            let params = configure_adaptive(&qos, &link);
+            assert_eq!(params, configure_static(&qos, &link));
+            assert_eq!(params.worst_case_detection(), qos.detection_time());
+        }
+    }
+
+    #[test]
+    fn adaptive_respects_a_detection_bound_below_its_floor() {
+        let qos = QosSpec::paper_default_with_detection(SimDuration::from_millis(40));
+        let params = configure_adaptive(&qos, &measured(0.0, 1.0, 0.0, 1.0));
+        assert_eq!(params.worst_case_detection(), qos.detection_time());
     }
 }

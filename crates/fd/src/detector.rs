@@ -12,7 +12,7 @@ use sle_sim::actor::NodeId;
 use sle_sim::time::{SimDuration, SimInstant};
 
 use crate::arena::MonitorArena;
-use crate::config::FdConfigurator;
+use crate::config::{FdParams, TuningPolicy};
 use crate::monitor::{PeerMonitor, Transition, TrustState};
 use crate::qos::QosSpec;
 use crate::quality::LinkQuality;
@@ -48,7 +48,7 @@ pub struct PeerTransition {
 #[derive(Debug, Clone)]
 pub struct FailureDetector {
     qos: QosSpec,
-    configurator: FdConfigurator,
+    policy: TuningPolicy,
     arena: MonitorArena,
     /// Monitors sorted by peer id: lookups are binary searches over
     /// contiguous memory, iteration is in deterministic id order. Peer sets
@@ -58,25 +58,20 @@ pub struct FailureDetector {
 
 impl FailureDetector {
     /// Creates a failure detector using `qos` for every monitored peer,
-    /// with a private liveness arena.
+    /// with the paper's static tuning and a private liveness arena.
     pub fn new(qos: QosSpec) -> Self {
-        Self::with_configurator(qos, FdConfigurator::default())
-    }
-
-    /// Creates a failure detector with a custom configurator (and a
-    /// private liveness arena).
-    pub fn with_configurator(qos: QosSpec, configurator: FdConfigurator) -> Self {
-        Self::with_arena(qos, configurator, MonitorArena::new())
+        Self::with_arena(qos, TuningPolicy::Static, MonitorArena::new())
     }
 
     /// Creates a failure detector whose per-peer liveness records live in
     /// `arena` — the constructor service instances use so every group on
     /// one workstation shares a single link estimate per peer (the
-    /// paper's "one Failure Detector module per workstation", Figure 2).
-    pub fn with_arena(qos: QosSpec, configurator: FdConfigurator, arena: MonitorArena) -> Self {
+    /// paper's "one Failure Detector module per workstation", Figure 2) —
+    /// and whose monitors follow that estimate under `policy`.
+    pub fn with_arena(qos: QosSpec, policy: TuningPolicy, arena: MonitorArena) -> Self {
         FailureDetector {
             qos,
-            configurator,
+            policy,
             arena,
             monitors: Vec::new(),
         }
@@ -97,6 +92,32 @@ impl FailureDetector {
         self.qos
     }
 
+    /// How the monitors' (η, δ) follow the link estimate.
+    pub fn policy(&self) -> TuningPolicy {
+        self.policy
+    }
+
+    /// The crash-detection time every monitor currently honours: `T_D^U`,
+    /// or — once an adaptive detector has measured every monitored peer —
+    /// the largest η + δ among them. It must cover the *slowest* link, and a
+    /// peer still on the prior is still on the static bound.
+    pub fn detection_bound(&self) -> SimDuration {
+        let t_d = self.qos.detection_time();
+        if self.policy == TuningPolicy::Static {
+            return t_d;
+        }
+        (self.monitors.iter())
+            .map(|(_, m)| {
+                if m.is_measured() {
+                    m.params().worst_case_detection()
+                } else {
+                    t_d
+                }
+            })
+            .max()
+            .unwrap_or(t_d)
+    }
+
     /// Starts monitoring `peer` if it is not already monitored.
     pub fn ensure_peer(&mut self, peer: NodeId, now: SimInstant) {
         self.ensure_index(peer, now);
@@ -106,7 +127,7 @@ impl FailureDetector {
     fn ensure_index(&mut self, peer: NodeId, now: SimInstant) -> usize {
         self.find(peer).unwrap_or_else(|i| {
             let monitor =
-                PeerMonitor::with_liveness(self.qos, self.configurator, self.arena.slot(peer), now);
+                PeerMonitor::with_liveness(self.qos, self.policy, self.arena.slot(peer), now);
             self.monitors.insert(i, (peer, monitor));
             i
         })
@@ -129,7 +150,7 @@ impl FailureDetector {
     pub fn reset_peer(&mut self, peer: NodeId, now: SimInstant) {
         let slot = self.arena.slot(peer);
         slot.reset();
-        let monitor = PeerMonitor::with_liveness(self.qos, self.configurator, slot, now);
+        let monitor = PeerMonitor::with_liveness(self.qos, self.policy, slot, now);
         match self.find(peer) {
             Ok(i) => self.monitors[i].1 = monitor,
             Err(i) => self.monitors.insert(i, (peer, monitor)),
@@ -177,23 +198,8 @@ impl FailureDetector {
     }
 
     /// The operating parameters (η, δ) currently used for `peer`.
-    pub fn params(&self, peer: NodeId) -> Option<crate::config::FdParams> {
+    pub fn params(&self, peer: NodeId) -> Option<FdParams> {
         self.monitor(peer).map(|m| m.params())
-    }
-
-    /// Applies externally derived parameters to `peer`'s monitor, live (see
-    /// [`PeerMonitor::set_params`]). Returns false if the peer is unknown.
-    /// What the peer's stamp bought under the old δ is kept; the monitor
-    /// stops reading the stamp until the next heartbeat.
-    pub fn set_peer_params(&mut self, peer: NodeId, params: crate::config::FdParams) -> bool {
-        self.unvouch(peer);
-        match self.find(peer) {
-            Ok(i) => {
-                self.monitors[i].1.set_params(params);
-                true
-            }
-            Err(_) => false,
-        }
     }
 
     /// Folds `peer`'s shared freshness stamp into its monitor's own horizon
@@ -379,34 +385,18 @@ mod tests {
     }
 
     #[test]
-    fn set_peer_params_targets_one_monitor() {
-        let mut detector = fd();
-        detector.ensure_peer(NodeId(1), SimInstant::ZERO);
-        detector.ensure_peer(NodeId(2), SimInstant::ZERO);
-        let tuned = crate::config::FdParams {
-            interval: SimDuration::from_millis(25),
-            shift: SimDuration::from_millis(75),
-        };
-        assert!(detector.set_peer_params(NodeId(1), tuned));
-        assert!(!detector.set_peer_params(NodeId(9), tuned));
-        assert_eq!(detector.params(NodeId(1)), Some(tuned));
-        assert_eq!(detector.requested_interval(NodeId(1)), Some(tuned.interval));
-        assert_ne!(detector.params(NodeId(2)), Some(tuned));
-    }
-
-    #[test]
     fn detectors_sharing_an_arena_share_liveness_estimates() {
         // Two "groups" on one workstation monitoring the same peer: the
         // link estimate must be common, the trust state per group.
         let arena = MonitorArena::new();
         let mut group_a = FailureDetector::with_arena(
             QosSpec::paper_default(),
-            FdConfigurator::default(),
+            TuningPolicy::Static,
             arena.clone(),
         );
         let mut group_b = FailureDetector::with_arena(
             QosSpec::paper_default_with_detection(SimDuration::from_millis(500)),
-            FdConfigurator::default(),
+            TuningPolicy::Static,
             arena.clone(),
         );
         let peer = NodeId(7);
@@ -446,7 +436,7 @@ mod tests {
         let arena = MonitorArena::new();
         let mut detector = FailureDetector::with_arena(
             QosSpec::paper_default(),
-            FdConfigurator::default(),
+            TuningPolicy::Static,
             arena.clone(),
         );
         let fed = SimInstant::ZERO + SimDuration::from_secs(1);
@@ -514,20 +504,27 @@ mod tests {
     fn a_stamp_is_priced_at_the_shift_of_its_time() {
         let (arena, mut detector, fed) = vouched_detector();
         let handle = arena.slot(NodeId(1));
-        let horizon = detector.next_deadline().unwrap() - fed;
-        let stamped = fed + SimDuration::from_millis(250);
-        arena.stamp(&handle, stamped, false);
-        // A tuner doubles δ afterwards: what was heard keeps its price.
+        let eta = SimDuration::from_millis(250);
         let old = detector.params(NodeId(1)).unwrap();
-        let tuned = crate::config::FdParams {
-            shift: old.shift * 2,
-            ..old
-        };
-        assert!(detector.set_peer_params(NodeId(1), tuned));
-        assert_eq!(detector.next_deadline(), Some(stamped + horizon));
-        // A restarted stamp that goes back in time takes nothing away.
+        // The peer repeats its batch over a clean link until the poll after
+        // a repeat re-derives δ from it.
+        let (mut seq, mut sent) = (0, fed);
+        while detector.params(NodeId(1)) == Some(old) {
+            (seq, sent) = (seq + 1, sent + eta);
+            handle.record(seq, sent, sent);
+            arena.stamp(&handle, sent, false);
+            assert!(detector.poll(sent).is_empty());
+        }
+        let tuned = detector.params(NodeId(1)).unwrap();
+        assert!(tuned.shift < old.shift);
+        // What was heard keeps its price...
+        assert_eq!(detector.next_deadline(), Some(sent + eta + old.shift));
+        // ...a restarted stamp that goes back in time takes nothing away...
         arena.stamp(&handle, fed, true);
-        assert_eq!(detector.next_deadline(), Some(stamped + horizon));
+        assert_eq!(detector.next_deadline(), Some(sent + eta + old.shift));
+        // ...and what is heard from here on pays the new one.
+        arena.stamp(&handle, sent + eta, false);
+        assert_eq!(detector.next_deadline(), Some(sent + eta * 2 + tuned.shift));
     }
 
     #[test]

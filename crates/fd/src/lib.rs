@@ -5,16 +5,25 @@
 //! replaced and which candidates are operational. This crate implements the
 //! stochastic failure detector of Chen et al. ("On the Quality of Service of
 //! Failure Detectors", IEEE ToC 2002) exactly as it is used by the service
-//! (paper Section 3, Figure 1):
+//! (paper Section 3). Figure 1 is one pipeline of three modules, and these
+//! are the only three here — one measurement path, one search, one place
+//! where (η, δ) move:
 //!
-//! * [`arena`] — the per-workstation shared liveness arena: one link
-//!   estimate per peer, however many groups monitor it,
-//! * [`qos`] — the application-facing QoS triple `(T_D^U, T_MR^L, P_A^L)`,
-//! * [`quality`] — the Link Quality Estimator (`p_L`, `E[D]`, `S[D]`),
+//! * [`quality`] — the Link Quality Estimator (`p_L`, `E[D]`, `S[D]` and the
+//!   delay tail), fed once per heartbeat,
 //! * [`config`] — the Failure Detector Configurator computing the heartbeat
-//!   interval η and timeout shift δ from the QoS and link estimates,
-//! * [`monitor`] — the per-peer NFD-S freshness monitor,
-//! * [`detector`] — the per-workstation aggregation used by the service.
+//!   interval η and timeout shift δ from the QoS, the link estimate and the
+//!   join's [`TuningPolicy`]: the paper's static one (η + δ pinned to
+//!   `T_D^U`) or the adaptive one (η + δ as small as the measured link
+//!   allows, never above `T_D^U`),
+//! * [`monitor`] — the per-peer NFD-S freshness monitor, which re-runs the
+//!   configurator as the estimate moves.
+//!
+//! Around them: [`qos`] is the application-facing QoS triple
+//! `(T_D^U, T_MR^L, P_A^L)`, [`arena`] the per-workstation store that keeps
+//! one estimator per peer however many groups (under whichever policies)
+//! monitor it, and [`detector`] the per-group collection of monitors the
+//! service drives from one timer.
 //!
 //! ## Example
 //!
@@ -51,7 +60,7 @@ pub mod quality;
 /// Convenient re-exports of the items most users need.
 pub mod prelude {
     pub use crate::arena::{LivenessHandle, MonitorArena};
-    pub use crate::config::{ConfiguratorOptions, FdConfigurator, FdParams};
+    pub use crate::config::{configure, FdParams, TuningPolicy};
     pub use crate::detector::{FailureDetector, PeerTransition};
     pub use crate::monitor::{PeerMonitor, Transition, TrustState};
     pub use crate::qos::{QosError, QosSpec};
@@ -59,7 +68,7 @@ pub mod prelude {
 }
 
 pub use arena::{LivenessHandle, MonitorArena};
-pub use config::{ConfiguratorOptions, FdConfigurator, FdParams};
+pub use config::{configure, FdParams, TuningPolicy};
 pub use detector::{FailureDetector, PeerTransition};
 pub use monitor::{PeerMonitor, Transition, TrustState};
 pub use qos::{QosError, QosSpec};

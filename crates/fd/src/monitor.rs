@@ -4,10 +4,11 @@
 //! algorithm for a single remote process: every received ALIVE message,
 //! stamped with its send time and the sender's current heartbeat interval,
 //! extends a *freshness horizon*; the peer is trusted exactly while the
-//! current time is before that horizon. The monitor also owns the link
-//! quality estimator and periodically re-runs the configurator so the
-//! detector adapts to changing network conditions, as described in
-//! Sections 3 and 6.2 of the paper.
+//! current time is before that horizon. The monitor also reads the link
+//! quality estimator and periodically re-runs the configurator under its
+//! [`TuningPolicy`] so the detector adapts to changing network conditions,
+//! as described in Sections 3 and 6.2 of the paper — this is the only place
+//! (η, δ) ever move.
 //!
 //! Inside a [`FailureDetector`](crate::FailureDetector) a monitor is also a
 //! *view*: the last heartbeat fed to it *vouches* for the peer under the η it
@@ -18,7 +19,7 @@
 use sle_sim::time::{SimDuration, SimInstant};
 
 use crate::arena::LivenessHandle;
-use crate::config::{FdConfigurator, FdParams};
+use crate::config::{configure, FdParams, TuningPolicy};
 use crate::qos::QosSpec;
 use crate::quality::LinkQuality;
 
@@ -39,13 +40,6 @@ pub enum Transition {
     /// The peer was trusted and is now suspected.
     BecameSuspected,
 }
-
-/// How often the FD parameters are recomputed from fresh link estimates.
-const RECONFIGURE_EVERY: SimDuration = SimDuration::from_secs(5);
-
-/// Minimum number of heartbeats before measured link quality replaces the
-/// conservative prior.
-const MIN_SAMPLES_FOR_ESTIMATE: u64 = 8;
 
 /// NFD-S monitoring state for one remote process.
 ///
@@ -71,7 +65,7 @@ const MIN_SAMPLES_FOR_ESTIMATE: u64 = 8;
 #[derive(Debug, Clone)]
 pub struct PeerMonitor {
     qos: QosSpec,
-    configurator: FdConfigurator,
+    policy: TuningPolicy,
     /// The node-level liveness record (link-quality estimator), possibly
     /// shared with the monitors other groups keep for the same peer.
     /// Cloning a monitor shares the record.
@@ -84,9 +78,9 @@ pub struct PeerMonitor {
     /// derived from; reconfiguration is skipped while it is unchanged.
     last_quality_version: u64,
     heartbeats: u64,
-    /// True once an external tuner took over the parameters; the monitor's
-    /// own periodic reconfiguration then stands down.
-    externally_tuned: bool,
+    /// Whether the current params were derived from a measured link
+    /// estimate rather than the conservative prior.
+    measured: bool,
     /// While the peer's shared stamp stands in for repeats of the last
     /// heartbeat: the (clamped) η it declared, and how much of the stamp
     /// `fresh_until` already holds — at the δ of its time, not a later one.
@@ -101,13 +95,7 @@ impl PeerMonitor {
     /// that a newly joined member is not instantly suspected before it had a
     /// chance to send its first ALIVE.
     pub fn new(qos: QosSpec, now: SimInstant) -> Self {
-        Self::with_configurator(qos, FdConfigurator::default(), now)
-    }
-
-    /// Creates a monitor with a custom configurator (and a private
-    /// liveness record).
-    pub fn with_configurator(qos: QosSpec, configurator: FdConfigurator, now: SimInstant) -> Self {
-        Self::with_liveness(qos, configurator, LivenessHandle::detached(), now)
+        Self::with_liveness(qos, TuningPolicy::Static, LivenessHandle::detached(), now)
     }
 
     /// Creates a monitor reading from (and feeding) the given liveness
@@ -117,14 +105,14 @@ impl PeerMonitor {
     /// link estimate instead of N.
     pub fn with_liveness(
         qos: QosSpec,
-        configurator: FdConfigurator,
+        policy: TuningPolicy,
         liveness: LivenessHandle,
         now: SimInstant,
     ) -> Self {
-        let params = configurator.compute(&qos, &LinkQuality::conservative_prior());
+        let params = configure(&qos, &LinkQuality::conservative_prior(), policy);
         PeerMonitor {
             qos,
-            configurator,
+            policy,
             liveness,
             params,
             state: TrustState::Trusted,
@@ -132,25 +120,9 @@ impl PeerMonitor {
             last_reconfigure: now,
             last_quality_version: 0,
             heartbeats: 0,
-            externally_tuned: false,
+            measured: false,
             vouched: None,
         }
-    }
-
-    /// Applies externally derived parameters (from an adaptive tuner) *live*:
-    /// the link-quality estimator, the trust state and the current freshness
-    /// horizon are all preserved, so tuning never manufactures a suspicion or
-    /// discards measurement history. From this point on the monitor's own
-    /// periodic reconfiguration is suppressed — the external tuner owns the
-    /// operating point.
-    pub fn set_params(&mut self, params: FdParams) {
-        self.params = params;
-        self.externally_tuned = true;
-    }
-
-    /// Whether an external tuner has taken over this monitor's parameters.
-    pub fn is_externally_tuned(&self) -> bool {
-        self.externally_tuned
     }
 
     /// The QoS this monitor was created with.
@@ -161,6 +133,12 @@ impl PeerMonitor {
     /// The current operational parameters (η, δ).
     pub fn params(&self) -> FdParams {
         self.params
+    }
+
+    /// Whether [`params`](PeerMonitor::params) follow a measured link
+    /// estimate (enough heartbeats were heard) rather than the prior.
+    pub fn is_measured(&self) -> bool {
+        self.measured
     }
 
     /// The heartbeat interval this monitor would like the peer to use — this
@@ -257,12 +235,20 @@ impl PeerMonitor {
         self.fresh_until = (self.fresh_until).max(sent_at + interval + self.params.shift);
         self.vouched = Some((interval, sent_at));
 
-        if self.state == TrustState::Suspected && now < self.fresh_until {
-            self.state = TrustState::Trusted;
-            Some(Transition::BecameTrusted)
-        } else {
-            None
+        if self.state == TrustState::Trusted {
+            return None;
         }
+        if now < self.fresh_until {
+            self.state = TrustState::Trusted;
+            return Some(Transition::BecameTrusted);
+        }
+        // Too old to revive the peer. Under a bound tightened below T_D^U
+        // that is the link outrunning (η, δ): re-derive them here — while
+        // suspected no deadline is pending, so no poll may ever come.
+        if self.params.worst_case_detection() < self.qos.detection_time() {
+            self.maybe_reconfigure(now);
+        }
+        None
     }
 
     /// Re-evaluates the trust state at `now` (typically called when a timer
@@ -270,7 +256,8 @@ impl PeerMonitor {
     ///
     /// Returns `Some(Transition::BecameSuspected)` if the freshness horizon
     /// has passed and the peer is newly suspected. This is also where (η, δ)
-    /// follow the link estimate: heartbeats are too many to each ask.
+    /// follow the link estimate: heartbeats are too many to each ask (only
+    /// one that fails to revive a suspected peer does).
     pub fn check(&mut self, now: SimInstant) -> Option<Transition> {
         self.maybe_reconfigure(now);
         if self.state == TrustState::Trusted && now >= self.fresh_until {
@@ -282,11 +269,16 @@ impl PeerMonitor {
     }
 
     fn maybe_reconfigure(&mut self, now: SimInstant) {
-        // Heartbeats drive this, as when they called it themselves: the
-        // latest one heard must have been due, not just the clock.
-        let heard = self.vouched.map_or(SimInstant::ZERO, |(_, folded)| folded);
-        let due = heard.saturating_since(self.last_reconfigure) >= RECONFIGURE_EVERY;
-        if self.externally_tuned || !due {
+        // Under the static policy heartbeats drive this, as when they called
+        // it themselves: the latest one heard must have been due, not just
+        // the clock. The adaptive one follows the clock: it must back off
+        // when heartbeats stop reviving the peer, and a group the peer's
+        // batches keep dropping and re-listing is unvouched at most polls.
+        let clock = match self.policy {
+            TuningPolicy::Static => self.vouched.map_or(SimInstant::ZERO, |(_, folded)| folded),
+            TuningPolicy::Adaptive => now,
+        };
+        if clock.saturating_since(self.last_reconfigure) < self.policy.reconfigure_every() {
             return;
         }
         self.last_reconfigure = now;
@@ -294,12 +286,13 @@ impl PeerMonitor {
         // version only moves when the estimate changed — so the (η, δ)
         // search below runs once per actual link-quality change, not once
         // per monitor per reconfigure period.
-        let (measured, version) = self.liveness.quality_cached(now, RECONFIGURE_EVERY);
+        let (measured, version) = self.liveness.quality_cached(now, self.policy);
         if version == self.last_quality_version {
             return;
         }
         self.last_quality_version = version;
-        let quality = if measured.samples as u64 >= MIN_SAMPLES_FOR_ESTIMATE {
+        self.measured = measured.samples >= self.policy.min_samples();
+        let quality = if self.measured {
             measured
         } else {
             LinkQuality::conservative_prior()
@@ -308,9 +301,21 @@ impl PeerMonitor {
         // sibling monitors other groups keep for this peer almost always ask
         // with the same QoS, so the search runs once per quality change per
         // peer instead of once per (group, peer).
-        self.params = self
+        let derived = self
             .liveness
-            .shared_params(version, &self.qos, &self.configurator, &quality);
+            .shared_params(version, &self.qos, self.policy, &quality);
+        // Hysteresis compares the full operating point, not just the bound:
+        // once η + δ is pinned at T_D^U the split keeps tracking a degrading
+        // link, and those updates must go through.
+        let hysteresis = self.policy.hysteresis();
+        let within = |old: SimDuration, new: SimDuration| {
+            (new.as_secs_f64() - old.as_secs_f64()).abs() < hysteresis * old.as_secs_f64()
+        };
+        if !(within(self.params.interval, derived.interval)
+            && within(self.params.shift, derived.shift))
+        {
+            self.params = derived;
+        }
     }
 }
 
@@ -451,44 +456,71 @@ mod tests {
         assert!(monitor.quality().loss_probability < 0.01);
     }
 
-    #[test]
-    fn set_params_applies_live_without_resetting_state() {
-        let mut monitor = paper_monitor();
-        // Build up estimator history.
-        let interval = SimDuration::from_millis(100);
-        let mut now = SimInstant::ZERO;
-        for seq in 0..20u64 {
-            now += interval;
-            monitor.on_heartbeat(seq, now - SimDuration::from_millis(2), interval, now);
+    fn adaptive_monitor() -> PeerMonitor {
+        PeerMonitor::with_liveness(
+            QosSpec::paper_default(),
+            TuningPolicy::Adaptive,
+            LivenessHandle::detached(),
+            SimInstant::ZERO,
+        )
+    }
+
+    fn ms(millis: u64) -> SimDuration {
+        SimDuration::from_millis(millis)
+    }
+
+    /// Feeds `count` heartbeats, one every 100 ms and each `delay(seq)` old,
+    /// and polls after each — what a detector's owner does.
+    fn feed(
+        monitor: &mut PeerMonitor,
+        count: u64,
+        delay: impl Fn(u64) -> SimDuration,
+        start: SimInstant,
+    ) -> SimInstant {
+        let first = monitor.heartbeats_received();
+        let mut now = start;
+        for seq in first..first + count {
+            now += ms(100);
+            monitor.on_heartbeat(seq, now - delay(seq), ms(100), now);
+            assert_eq!(monitor.check(now), None);
         }
+        now
+    }
+
+    #[test]
+    fn a_parameter_move_keeps_trust_horizon_and_estimator() {
+        let mut monitor = adaptive_monitor();
+        let prior = monitor.params();
+        let now = feed(&mut monitor, 15, |_| ms(2), SimInstant::ZERO);
+        // Not enough heard yet: still the prior's operating point.
+        assert!(!monitor.is_measured());
+        assert_eq!(monitor.params(), prior);
         let heartbeats_before = monitor.heartbeats_received();
-        let quality_before = monitor.quality();
         let deadline_before = monitor.deadline();
 
-        let tuned = FdParams {
-            interval: SimDuration::from_millis(50),
-            shift: SimDuration::from_millis(150),
-        };
-        monitor.set_params(tuned);
-        assert!(monitor.is_externally_tuned());
-        assert_eq!(monitor.params(), tuned);
-        assert_eq!(monitor.requested_interval(), SimDuration::from_millis(50));
-        // Estimator state, trust state and horizon survive the update.
-        assert_eq!(monitor.heartbeats_received(), heartbeats_before);
-        assert_eq!(monitor.quality(), quality_before);
-        assert_eq!(monitor.deadline(), deadline_before);
+        // The poll after the next heartbeat moves (η, δ), live.
+        let now = feed(&mut monitor, 10, |_| ms(2), now);
+        let tuned = monitor.params();
+        assert!(monitor.is_measured());
+        assert!(tuned.worst_case_detection() < prior.worst_case_detection());
+        assert_eq!(monitor.requested_interval(), tuned.interval);
+        // Estimator state, trust state and horizon survive the update: the
+        // horizon is monotone, so tuning can never manufacture a suspicion.
+        assert_eq!(monitor.heartbeats_received(), heartbeats_before + 10);
+        assert_eq!(monitor.quality().samples, 25);
+        assert!(monitor.deadline() >= deadline_before);
         assert!(monitor.is_trusted());
 
-        // Heartbeats after the update extend the horizon using the tuned
-        // shift (the pre-update horizon stays valid until it expires — the
-        // horizon is monotone, so tuning can never manufacture a suspicion).
+        // The pre-update horizon stays valid until it expires; heartbeats
+        // after it extend the horizon using the tuned shift.
         let old_deadline = monitor.deadline();
+        assert!(old_deadline > now + tuned.worst_case_detection());
         assert_eq!(
             monitor.check(old_deadline),
             Some(Transition::BecameSuspected)
         );
         let sent = old_deadline + SimDuration::from_millis(100);
-        monitor.on_heartbeat(20, sent, SimDuration::from_millis(50), sent);
+        monitor.on_heartbeat(25, sent, SimDuration::from_millis(50), sent);
         assert!(monitor.is_trusted());
         assert_eq!(
             monitor.deadline(),
@@ -497,23 +529,114 @@ mod tests {
     }
 
     #[test]
-    fn external_tuning_suppresses_self_reconfiguration() {
-        let mut monitor = paper_monitor();
-        let tuned = FdParams {
-            interval: SimDuration::from_millis(40),
-            shift: SimDuration::from_millis(60),
-        };
-        monitor.set_params(tuned);
-        // Feed far more than RECONFIGURE_EVERY worth of heartbeats; the
-        // monitor must keep the externally chosen operating point.
-        let interval = SimDuration::from_millis(100);
-        let mut now = SimInstant::ZERO;
-        for seq in 0..200u64 {
-            now += interval;
-            monitor.on_heartbeat(seq, now, interval, now);
-            assert_eq!(monitor.check(now), None);
+    fn adaptive_shift_shrinks_after_a_latency_drop_and_grows_after_a_spike() {
+        let mut monitor = adaptive_monitor();
+        let t_d = monitor.qos().detection_time();
+
+        // Regime 1: a slow WAN-ish link (90 ms delays).
+        let now = feed(&mut monitor, 200, |_| ms(90), SimInstant::ZERO);
+        let slow = monitor.params();
+        assert!(slow.shift > SimDuration::from_millis(90));
+        assert!(slow.worst_case_detection() < t_d);
+
+        // Regime 2: latency drops to 1 ms; δ and the bound must shrink.
+        let now = feed(&mut monitor, 200, |_| ms(1), now);
+        let fast = monitor.params();
+        assert!(fast.shift < slow.shift, "{} !< {}", fast.shift, slow.shift);
+        assert!(fast.worst_case_detection() < slow.worst_case_detection());
+
+        // Regime 3: latency spikes to 150 ms; δ must grow back out — and
+        // nothing on the way manufactured a suspicion (`feed` checks).
+        feed(&mut monitor, 200, |_| ms(150), now);
+        let spiked = monitor.params();
+        assert!(
+            spiked.shift > fast.shift,
+            "{} !> {}",
+            spiked.shift,
+            fast.shift
+        );
+        assert!(spiked.shift > SimDuration::from_millis(150));
+        assert!(spiked.worst_case_detection() <= t_d);
+    }
+
+    #[test]
+    fn a_link_that_outruns_a_tightened_bound_is_re_derived_while_suspected() {
+        let mut monitor = adaptive_monitor();
+        let now = feed(&mut monitor, 100, |_| ms(2), SimInstant::ZERO);
+        let tight = monitor.params();
+        assert_eq!(tight.worst_case_detection(), ms(100));
+        // The link slows to 300 ms: the next heartbeat misses its deadline.
+        let deadline = monitor.deadline();
+        assert_eq!(monitor.check(deadline), Some(Transition::BecameSuspected));
+        // Nobody polls a detector whose peers are all suspected: heartbeats
+        // too old to revive the peer are what re-derives (η, δ), and the
+        // first one priced at the new δ revives it.
+        let mut revived_at = None;
+        for seq in 100..130u64 {
+            let sent = now + ms(100) * (seq - 99);
+            if monitor
+                .on_heartbeat(seq, sent, ms(100), sent + ms(300))
+                .is_some()
+            {
+                revived_at = Some(seq);
+                break;
+            }
         }
-        assert_eq!(monitor.params(), tuned);
+        assert!(monitor.params().shift > ms(300));
+        assert!(revived_at.is_some_and(|seq| seq <= 111), "{revived_at:?}");
+        // The paper's pinned bound never takes that path.
+        let mut pinned = paper_monitor();
+        feed(&mut pinned, 100, |_| ms(2), SimInstant::ZERO);
+        let (params, deadline) = (pinned.params(), pinned.deadline());
+        assert_eq!(pinned.check(deadline), Some(Transition::BecameSuspected));
+        for seq in 100..200u64 {
+            let sent = now + ms(100) * (seq - 99);
+            assert_eq!(
+                pinned.on_heartbeat(seq, sent, ms(100), sent + ms(1_500)),
+                None
+            );
+        }
+        assert_eq!(pinned.params(), params);
+    }
+
+    #[test]
+    fn adaptive_hysteresis_suppresses_small_oscillations() {
+        let mut monitor = adaptive_monitor();
+        let qos = monitor.qos();
+        // Delays alternating 60 / 62 ms...
+        let now = feed(
+            &mut monitor,
+            100,
+            |seq| ms(60 + 2 * (seq % 2)),
+            SimInstant::ZERO,
+        );
+        let first = monitor.params();
+        assert!(first.worst_case_detection() < qos.detection_time());
+        // ...then 60 / 63 ms: the estimate moves, and what the search
+        // derives from it by one step — too little to move the operating
+        // point.
+        let now = feed(&mut monitor, 100, |seq| ms(60 + 3 * (seq % 2)), now);
+        let (recent, _) = monitor
+            .liveness()
+            .quality_cached(now, TuningPolicy::Adaptive);
+        let derived = configure(&qos, &recent, TuningPolicy::Adaptive);
+        assert_ne!(derived, first);
+        assert_eq!(monitor.params(), first);
+        // A change of regime does.
+        feed(&mut monitor, 100, |_| ms(150), now);
+        assert_ne!(monitor.params(), first);
+        assert!(monitor.params().shift > ms(150));
+    }
+
+    #[test]
+    fn static_policy_never_leaves_the_detection_bound() {
+        let mut monitor = paper_monitor();
+        feed(&mut monitor, 200, |_| ms(1), SimInstant::ZERO);
+        assert!(monitor.is_measured());
+        assert_eq!(
+            monitor.params().worst_case_detection(),
+            monitor.qos().detection_time()
+        );
     }
 
     #[test]

@@ -8,8 +8,12 @@
 //! * the expected message delay `E[D]`, and
 //! * the standard deviation of the message delay `S[D]`.
 //!
-//! The estimates feed the failure-detector configurator, which recomputes
-//! the heartbeat interval η and timeout shift δ as the network changes.
+//! plus the one number a timeout must actually clear — a high quantile of
+//! the delay (`delay_tail`). The estimates feed the failure-detector
+//! configurator, which recomputes the heartbeat interval η and timeout
+//! shift δ as the network changes. This is the only measurement path: every
+//! tuning policy reads the same ring, over the whole of it or over its most
+//! recent slots ([`LinkQualityEstimator::estimate_over`]).
 
 use sle_sim::time::{SimDuration, SimInstant};
 
@@ -22,6 +26,9 @@ pub struct LinkQuality {
     pub delay_mean: SimDuration,
     /// Estimated standard deviation of the one-way message delay.
     pub delay_std_dev: SimDuration,
+    /// The 0.99 quantile of the one-way message delay (lower nearest rank
+    /// over the samples backing the estimate).
+    pub delay_tail: SimDuration,
     /// Number of delay samples backing the estimate.
     pub samples: usize,
 }
@@ -36,6 +43,7 @@ impl LinkQuality {
             loss_probability: 0.01,
             delay_mean: SimDuration::from_millis(10),
             delay_std_dev: SimDuration::from_millis(10),
+            delay_tail: SimDuration::from_millis(30),
             samples: 0,
         }
     }
@@ -46,12 +54,14 @@ impl LinkQuality {
             loss_probability: 0.0,
             delay_mean: SimDuration::ZERO,
             delay_std_dev: SimDuration::ZERO,
+            delay_tail: SimDuration::ZERO,
             samples: 0,
         }
     }
 
     /// Builds a quality description directly from parameters; primarily used
-    /// by tests and by the configurator's own unit tests.
+    /// by tests and by the configurator's own unit tests. The delay tail is
+    /// taken two deviations above the mean.
     pub fn from_parts(
         loss_probability: f64,
         delay_mean: SimDuration,
@@ -61,6 +71,7 @@ impl LinkQuality {
             loss_probability: loss_probability.clamp(0.0, 1.0),
             delay_mean,
             delay_std_dev,
+            delay_tail: delay_mean.saturating_add(delay_std_dev * 2),
             samples: usize::MAX,
         }
     }
@@ -71,6 +82,9 @@ impl Default for LinkQuality {
         LinkQuality::conservative_prior()
     }
 }
+
+/// The delay quantile reported as [`LinkQuality::delay_tail`].
+const TAIL_QUANTILE: f64 = 0.99;
 
 /// Estimates the quality of one directed link from the heartbeats received
 /// over it.
@@ -102,6 +116,8 @@ pub struct LinkQualityEstimator {
     next_slot: usize,
     received: u64,
     highest_seq: u64,
+    /// When the heartbeat numbered `highest_seq` was sent.
+    highest_sent_at: SimInstant,
     /// Sequence numbers received within the sliding loss window, in arrival
     /// order (heartbeat streams are almost always in order, so the front of
     /// the queue holds the oldest sequence numbers).
@@ -124,6 +140,7 @@ impl LinkQualityEstimator {
             next_slot: 0,
             received: 0,
             highest_seq: 0,
+            highest_sent_at: SimInstant::ZERO,
             recent_seqs: std::collections::VecDeque::new(),
         }
     }
@@ -137,7 +154,10 @@ impl LinkQualityEstimator {
     ///
     /// Out-of-order arrivals are accepted; a `received_at` earlier than
     /// `sent_at` (possible with unsynchronised clocks) is treated as a zero
-    /// delay.
+    /// delay. A sequence number already in the loss window that was sent no
+    /// later than the newest one is a copy the network made: it adds a delay
+    /// sample but is one delivery, not two, and must not cancel a real loss.
+    /// (Sent later, it is a sender that restarted its numbering.)
     pub fn record(&mut self, seq: u64, sent_at: SimInstant, received_at: SimInstant) {
         let delay = received_at.saturating_since(sent_at).as_secs_f64();
         if self.delays.len() < self.capacity {
@@ -149,7 +169,9 @@ impl LinkQualityEstimator {
 
         self.received += 1;
         if seq > self.highest_seq || self.received == 1 {
-            self.highest_seq = seq;
+            (self.highest_seq, self.highest_sent_at) = (seq, sent_at);
+        } else if sent_at <= self.highest_sent_at && self.recent_seqs.contains(&seq) {
+            return;
         }
         self.recent_seqs.push_back(seq);
         let cutoff = self.highest_seq.saturating_sub(self.loss_window_span());
@@ -167,32 +189,60 @@ impl LinkQualityEstimator {
         self.received
     }
 
-    /// Produces the current quality estimate.
+    /// Produces the current quality estimate over everything the estimator
+    /// holds: all `capacity` delay samples and the whole loss window.
     ///
     /// Before any heartbeat is recorded this returns
     /// [`LinkQuality::conservative_prior`].
     pub fn estimate(&self) -> LinkQuality {
+        self.estimate_over(self.capacity)
+    }
+
+    /// The quality estimate read over the most recent `window` heartbeats
+    /// only — the last `window` delay samples and the last `window` sequence
+    /// numbers — so it follows a change of regime within that many
+    /// heartbeats. A `window` of `capacity` or more is [`estimate`].
+    ///
+    /// [`estimate`]: LinkQualityEstimator::estimate
+    pub fn estimate_over(&self, window: usize) -> LinkQuality {
         if self.delays.is_empty() || self.recent_seqs.is_empty() {
             return LinkQuality::conservative_prior();
         }
-        let n = self.delays.len();
-        let mean = self.delays.iter().sum::<f64>() / n as f64;
+        // The newest sample sits just before `next_slot`; the ring wraps
+        // only once full, so the view is at most two runs of it, read here
+        // in slot order.
+        let n = window.clamp(1, self.delays.len());
+        let newest = self.next_slot;
+        let (head, rest) = if n <= newest {
+            (&self.delays[newest - n..newest], &self.delays[..0])
+        } else {
+            let from_end = self.delays.len() - (n - newest);
+            (&self.delays[..newest], &self.delays[from_end..])
+        };
+        let view = || head.iter().chain(rest);
+        let mean = view().sum::<f64>() / n as f64;
         let variance = if n > 1 {
-            self.delays.iter().map(|d| (d - mean).powi(2)).sum::<f64>() / (n as f64 - 1.0)
+            view().map(|d| (d - mean).powi(2)).sum::<f64>() / (n as f64 - 1.0)
         } else {
             0.0
         };
+        let mut sorted: Vec<f64> = view().copied().collect();
+        let rank = ((TAIL_QUANTILE * n as f64).ceil() as usize).clamp(1, n);
+        let (_, &mut tail, _) = sorted.select_nth_unstable_by(rank - 1, f64::total_cmp);
 
         // Loss: compare the sequence-number span of the window with the
         // number of heartbeats actually received in it.
-        let oldest = self
-            .recent_seqs
-            .iter()
-            .copied()
-            .min()
-            .unwrap_or(self.highest_seq);
+        let floor = if window < self.capacity {
+            self.highest_seq.saturating_sub(window.max(1) as u64 - 1)
+        } else {
+            0
+        };
+        let (received, oldest) = (self.recent_seqs.iter())
+            .filter(|&&seq| seq >= floor)
+            .fold((0u64, self.highest_seq), |(count, oldest), &seq| {
+                (count + 1, oldest.min(seq))
+            });
         let expected = self.highest_seq.saturating_sub(oldest).saturating_add(1);
-        let received = self.recent_seqs.len() as u64;
         let loss = if expected == 0 || received >= expected {
             0.0
         } else {
@@ -203,6 +253,7 @@ impl LinkQualityEstimator {
             loss_probability: loss.clamp(0.0, 1.0),
             delay_mean: SimDuration::from_secs_f64(mean),
             delay_std_dev: SimDuration::from_secs_f64(variance.sqrt()),
+            delay_tail: SimDuration::from_secs_f64(tail),
             samples: n,
         }
     }
@@ -294,6 +345,105 @@ mod tests {
         feed(&mut est, &late, 1.0, 10);
         let q = est.estimate();
         assert!(q.loss_probability < 0.1, "loss = {}", q.loss_probability);
+    }
+
+    #[test]
+    fn duplicated_heartbeats_do_not_cancel_losses() {
+        // 10 % loss, 10 % duplication, and every arrival up to three
+        // heartbeats late, so copies and stragglers overtake one another.
+        let mut rng = sle_sim::rng::SimRng::seed_from(0xD0_B1E);
+        let interval = SimDuration::from_millis(10);
+        let mut arrivals: Vec<(SimInstant, u64)> = Vec::new();
+        let (mut sent_count, mut lost) = (0u64, 0u64);
+        for seq in 0..1_000u64 {
+            sent_count += 1;
+            if rng.uniform_range(0.0, 1.0) < 0.1 {
+                lost += 1;
+                continue;
+            }
+            let copies = if rng.uniform_range(0.0, 1.0) < 0.1 {
+                2
+            } else {
+                1
+            };
+            for _ in 0..copies {
+                let delay = SimDuration::from_millis_f64(rng.uniform_range(1.0, 30.0));
+                arrivals.push((SimInstant::ZERO + interval * seq + delay, seq));
+            }
+        }
+        arrivals.sort();
+        let mut est = LinkQualityEstimator::new(256);
+        for &(at, seq) in &arrivals {
+            est.record(seq, SimInstant::ZERO + interval * seq, at);
+        }
+        assert_eq!(est.heartbeats_recorded(), arrivals.len() as u64);
+        let true_loss = lost as f64 / sent_count as f64;
+        let estimated = est.estimate().loss_probability;
+        assert!(
+            (estimated - true_loss).abs() < 0.03,
+            "estimated {estimated}, true {true_loss}"
+        );
+    }
+
+    #[test]
+    fn a_restarted_numbering_is_not_a_flood_of_copies() {
+        let mut est = LinkQualityEstimator::new(64);
+        let seqs: Vec<u64> = (0..100).collect();
+        feed(&mut est, &seqs, 1.0, 10);
+        // The sender restarts at 0, later on the clock: every number is in
+        // the window already, none is a copy.
+        for seq in 0..50u64 {
+            let sent = SimInstant::ZERO + SimDuration::from_millis(2_000 + seq * 10);
+            est.record(seq, sent, sent);
+        }
+        assert_eq!(est.recent_seqs.len(), 150);
+        // A real copy of the newest heartbeat still is one.
+        let sent = SimInstant::ZERO + SimDuration::from_millis(99 * 10);
+        est.record(99, sent, sent + SimDuration::from_millis(7));
+        assert_eq!(est.recent_seqs.len(), 150);
+        assert_eq!(est.heartbeats_recorded(), 151);
+    }
+
+    #[test]
+    fn recent_window_follows_a_regime_change_the_whole_ring_averages_away() {
+        let mut est = LinkQualityEstimator::new(256);
+        // 200 heartbeats at 90 ms with every tenth lost, then 64 clean ones
+        // at 2 ms.
+        let seqs: Vec<u64> = (0..200).filter(|s| s % 10 != 0).collect();
+        feed(&mut est, &seqs, 90.0, 100);
+        let seqs: Vec<u64> = (200..264).collect();
+        feed(&mut est, &seqs, 2.0, 100);
+        let whole = est.estimate();
+        assert!(whole.delay_mean > SimDuration::from_millis(60));
+        assert!(whole.loss_probability > 0.05);
+        assert_eq!(whole.delay_tail, SimDuration::from_millis(90));
+        let recent = est.estimate_over(64);
+        assert_eq!(recent.samples, 64);
+        assert_eq!(recent.loss_probability, 0.0);
+        assert!((recent.delay_mean.as_millis_f64() - 2.0).abs() < 1e-6);
+        assert_eq!(recent.delay_tail, SimDuration::from_millis(2));
+        // One slow straggler is the tail of the recent view at once.
+        feed(&mut est, &[264], 40.0, 100);
+        assert_eq!(
+            est.estimate_over(64).delay_tail,
+            SimDuration::from_millis(40)
+        );
+        assert_eq!(est.estimate_over(usize::MAX), est.estimate());
+    }
+
+    #[test]
+    fn delay_tail_is_the_nearest_rank_quantile() {
+        let mut est = LinkQualityEstimator::new(256);
+        // Delays 1..=200 ms in a scrambled order: q0.99 is the 198th.
+        for seq in 0..200u64 {
+            let sent = SimInstant::ZERO + SimDuration::from_millis(seq * 1_000);
+            est.record(
+                seq,
+                sent,
+                sent + SimDuration::from_millis((seq * 73) % 200 + 1),
+            );
+        }
+        assert_eq!(est.estimate().delay_tail, SimDuration::from_millis(198));
     }
 
     #[test]

@@ -4,16 +4,16 @@
 //! The network starts in a degraded regime (WAN-ish delays, some loss),
 //! then improves sharply — the kind of drift the paper's static per-join
 //! configuration cannot exploit: its failure detector keeps the full
-//! `T_D^U` worst-case detection time forever. The adaptive tuner measures
+//! `T_D^U` worst-case detection time forever. The adaptive policy measures
 //! the improvement and tightens η + δ, so when the leader is crashed *after*
 //! the shift the group recovers faster — without additional false
 //! suspicions, since the derived parameters honour the same
 //! mistake-recurrence bound.
 
-use sle_adaptive::TuningPolicy;
 use sle_core::{JoinConfig, ProcessId, ServiceConfig, ServiceNode};
 use sle_election::ElectorKind;
 use sle_fd::QosSpec;
+use sle_fd::TuningPolicy;
 use sle_net::drift::{DriftSchedule, DriftingNetwork};
 use sle_net::link::LinkSpec;
 use sle_sim::actor::NodeId;
@@ -73,6 +73,15 @@ impl RegimeShiftScenario {
 
     /// Runs the scenario under the given tuning policy.
     pub fn run(&self, tuning: TuningPolicy) -> RegimeShiftOutcome {
+        self.run_mixed(move |_| tuning)
+    }
+
+    /// Runs the scenario with every workstation joining under the policy
+    /// `tuning` gives it — a group caught half-way through a rolling upgrade.
+    pub fn run_mixed(
+        &self,
+        tuning: impl Fn(NodeId) -> TuningPolicy + 'static,
+    ) -> RegimeShiftOutcome {
         let n = self.nodes;
         let algorithm = self.algorithm;
         let qos = self.qos;
@@ -80,7 +89,7 @@ impl RegimeShiftScenario {
         let mut world: World<ServiceNode, DriftingNetwork> = World::new(
             n,
             Box::new(move |node, _incarnation| {
-                let join = JoinConfig::candidate().with_qos(qos).with_tuning(tuning);
+                let join = (JoinConfig::candidate().with_qos(qos)).with_tuning(tuning(node));
                 let config = ServiceConfig::full_mesh(node, n, algorithm)
                     .with_auto_join(EXPERIMENT_GROUP, join);
                 ServiceNode::new(config)
@@ -171,7 +180,7 @@ impl RegimeShiftOutcome {
 pub struct RegimeShiftComparison {
     /// The run with the paper's static per-join configuration.
     pub static_outcome: RegimeShiftOutcome,
-    /// The run with the adaptive tuner enabled.
+    /// The run with adaptive tuning enabled.
     pub adaptive_outcome: RegimeShiftOutcome,
 }
 

@@ -1,11 +1,10 @@
-//! Integration tests of the adaptive-tuning subsystem under regime shifts
-//! (the acceptance gate of the `sle-adaptive` PR): on a network that
-//! improves mid-run, adaptive tuning must detect a subsequent leader crash
+//! Integration tests of `sle-fd`'s adaptive tuning policy under regime
+//! shifts: on a network that improves mid-run, adaptive tuning must detect a subsequent leader crash
 //! at least as fast as the static configuration while making no more
 //! failure-detection mistakes.
 
-use sle_adaptive::TuningPolicy;
 use sle_election::ElectorKind;
+use sle_fd::TuningPolicy;
 use sle_harness::RegimeShiftScenario;
 use sle_sim::time::SimDuration;
 
@@ -49,7 +48,7 @@ fn adaptive_tuning_is_no_worse_than_static_after_a_regime_shift() {
         );
 
         // And the win must be structural, not luck: after 30 s on a LAN the
-        // adaptive tuner must have tightened the worst-case detection bound
+        // adaptive policy must have tightened the worst-case detection bound
         // well below the static T_D^U = 1 s.
         let adaptive_bound = adaptive_outcome
             .detection_bound_towards_leader
@@ -95,4 +94,31 @@ fn static_policy_run_reports_full_detection_bound() {
         Some(scenario.qos.detection_time())
     );
     assert_eq!(outcome.metrics.leader_crashes, 1);
+}
+
+#[test]
+fn a_half_upgraded_group_elects_and_survives_the_leader_crash() {
+    // A rolling upgrade caught half-way: every other workstation joins
+    // adaptively, the rest statically, all in one group. The monitors then
+    // disagree about (η, δ) per link — the group must not care.
+    for algorithm in [ElectorKind::OmegaLc, ElectorKind::OmegaL] {
+        let scenario = RegimeShiftScenario::improving_network("rolling-upgrade", algorithm);
+        let all_static = scenario.run(TuningPolicy::Static);
+        let mixed = scenario.run_mixed(|node| match node.0 % 2 {
+            0 => TuningPolicy::Adaptive,
+            _ => TuningPolicy::Static,
+        });
+        // `run` itself insists on an agreed leader before the crash.
+        assert_eq!(mixed.metrics.leader_crashes, 1, "{algorithm}");
+        assert_eq!(
+            mixed.metrics.recovery.count, 1,
+            "{algorithm}: the half-upgraded group never re-elected"
+        );
+        assert!(
+            mixed.metrics.unjustified_demotions <= all_static.metrics.unjustified_demotions,
+            "{algorithm}: mixed {} > static {}",
+            mixed.metrics.unjustified_demotions,
+            all_static.metrics.unjustified_demotions
+        );
+    }
 }

@@ -6,7 +6,7 @@
 //! timeline of [`LinkSpec`]s applied to every directed link, and
 //! [`DriftingNetwork`] implements the simulator's [`Medium`] over it — the
 //! workload under which static per-join failure-detector configuration is
-//! visibly suboptimal and the adaptive tuner earns its keep.
+//! visibly suboptimal and `sle-fd`'s adaptive tuning policy earns its keep.
 
 use sle_sim::actor::NodeId;
 use sle_sim::medium::{Fate, Medium, Verdict};

@@ -14,7 +14,7 @@
 //!   [`network::SimulatedNetwork`]) with per-link overrides and statistics,
 //! * [`drift`] — networks whose behaviour shifts between regimes mid-run
 //!   ([`drift::DriftSchedule`] / [`drift::DriftingNetwork`]), the workload of
-//!   the adaptive-tuning evaluation,
+//!   the static-vs-adaptive tuning evaluation (`sle-harness`'s regime shift),
 //! * [`transport`] — the [`transport::MessageEndpoint`] abstraction the
 //!   real-time runtime is generic over, and the in-memory mesh
 //!   implementation of it (the UDP implementation lives in `sle-udp`),

@@ -4,7 +4,7 @@
 //! clears up to the paper's LAN at t = 30 s; the commonly agreed leader is
 //! crashed at t = 60 s. With the paper's static per-join configuration the
 //! failure detector keeps its worst-case detection time at T_D^U = 1 s
-//! forever; the adaptive tuner measures the improvement and tightens the
+//! forever; the adaptive policy measures the improvement and tightens the
 //! bound, so the crash is detected — and the group recovers — faster, at
 //! the same mistake budget.
 //!

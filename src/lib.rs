@@ -19,7 +19,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub use sle_adaptive as adaptive;
 pub use sle_chaos as chaos;
 pub use sle_core as core;
 pub use sle_election as election;

@@ -1,15 +1,15 @@
 //! Randomised property tests of the core data structures and invariants:
 //! candidate ranking, the failure-detector configurator, the link-quality
-//! estimator, the freshness monitor, the adaptive tuner and simulator
-//! determinism.
+//! estimator, the freshness monitor, the adaptive tuning policy and
+//! simulator determinism.
 //!
 //! Cases are generated from the workspace's own deterministic [`SimRng`]
 //! (seeded per test), so every run checks the same cases and failures are
 //! reproducible without any external property-testing framework.
 
-use sle_adaptive::{AdaptiveTuner, Tuner, TunerConfig};
 use sle_election::{AlivePayload, LeaderElector, OmegaL, OmegaLc, Rank};
-use sle_fd::{FdConfigurator, LinkQuality, LinkQualityEstimator, PeerMonitor, QosSpec};
+use sle_fd::config::params_meet_qos;
+use sle_fd::{configure, LinkQuality, LinkQualityEstimator, PeerMonitor, QosSpec, TuningPolicy};
 use sle_sim::actor::NodeId;
 use sle_sim::rng::SimRng;
 use sle_sim::time::{SimDuration, SimInstant};
@@ -50,7 +50,7 @@ fn rank_ordering_is_consistent() {
 #[test]
 fn configurator_respects_detection_bound() {
     let mut rng = SimRng::seed_from(102);
-    let configurator = FdConfigurator::default();
+    let floor = SimDuration::from_millis(5);
     for _ in 0..CASES {
         let loss = rng.uniform_range(0.0, 0.9);
         let delay_ms = rng.uniform_range(0.0, 500.0);
@@ -62,15 +62,9 @@ fn configurator_respects_detection_bound() {
             SimDuration::from_millis_f64(delay_ms),
             SimDuration::from_millis_f64(jitter_ms),
         );
-        let params = configurator.compute(&qos, &quality);
+        let params = configure(&qos, &quality, TuningPolicy::Static);
         assert_eq!(params.interval + params.shift, qos.detection_time());
-        assert!(
-            params.interval
-                >= configurator
-                    .options()
-                    .min_interval
-                    .min(qos.detection_time())
-        );
+        assert!(params.interval >= floor.min(qos.detection_time()));
         assert!(params.interval <= qos.detection_time());
     }
 }
@@ -212,29 +206,45 @@ fn payload_wire_size_is_consistent() {
     }
 }
 
-/// Adaptive-tuner invariant: whatever the (loss-free) delay stream looks
-/// like, a recommendation never exceeds the application's detection bound
-/// and its shift always clears the largest observed delay's EWMA regime.
+/// Adaptive-policy invariant, through a real estimator: whatever the delay,
+/// jitter and loss regime, the derived operating point never exceeds the
+/// application's detection bound, its interval keeps the floor, its shift
+/// clears the largest delay in the window, and whatever is tighter than
+/// `T_D^U` passed the configurator's own acceptance test.
 #[test]
 fn tuner_recommendations_respect_the_qos_bound() {
     let mut rng = SimRng::seed_from(109);
     let qos = QosSpec::paper_default();
     for _ in 0..50 {
-        let mut tuner = AdaptiveTuner::new(TunerConfig::default());
-        let peer = NodeId(1);
+        let mut estimator = LinkQualityEstimator::new(256);
         let base_delay_ms = rng.uniform_range(0.1, 120.0);
+        let jitter_ms = rng.uniform_range(0.0, base_delay_ms / 2.0);
+        let loss = [0.0, 0.0, rng.uniform_range(0.0, 0.2)][rng.uniform_usize(3)];
         let mut now = SimInstant::ZERO;
+        let mut delays = Vec::new();
         for seq in 0..100u64 {
             now += SimDuration::from_millis(100);
-            let jitter = rng.uniform_range(0.0, base_delay_ms / 2.0);
-            let delay = SimDuration::from_millis_f64(base_delay_ms + jitter);
-            tuner.observe(peer, seq, now - delay, now);
+            let delay = base_delay_ms + rng.uniform_range(0.0, jitter_ms);
+            let delay = SimDuration::from_millis_f64(delay);
+            if rng.uniform_range(0.0, 1.0) >= loss {
+                estimator.record(seq, now - delay, now);
+                delays.push(delay);
+            }
         }
-        if let Some(rec) = tuner.recommend(peer, &qos, now) {
-            assert!(rec.detection_bound() <= qos.detection_time());
-            assert!(rec.params.worst_case_detection() <= qos.detection_time());
-            assert!(rec.params.interval >= TunerConfig::default().min_interval);
-            assert_eq!(rec.election_grace(), rec.detection_bound() * 2);
+        // What an adaptive monitor reads: the most recent 64 heartbeats.
+        let quality = estimator.estimate_over(64);
+        let largest = delays.iter().rev().take(64).max().expect("some arrive");
+        let params = configure(&qos, &quality, TuningPolicy::Adaptive);
+        assert!(params.worst_case_detection() <= qos.detection_time());
+        assert!(params.interval >= SimDuration::from_millis(5));
+        assert!(params.shift >= *largest);
+        if params.worst_case_detection() < qos.detection_time() {
+            assert!(params_meet_qos(
+                &quality,
+                params.interval,
+                params.shift,
+                &qos
+            ));
         }
     }
 }
@@ -813,7 +823,7 @@ mod alive_fast_path {
         NodeInstruments, ProcessId, ServiceConfig, ServiceContext, ServiceMessage, ServiceNode,
     };
     use sle_election::{AlivePayload, ElectorKind};
-    use sle_fd::{FdConfigurator, LinkQuality, QosSpec};
+    use sle_fd::{configure, LinkQuality, QosSpec, TuningPolicy};
     use sle_obs::{Registry, TraceRing};
     use sle_sim::prelude::*;
     use sle_sim::rng::SimRng;
@@ -913,9 +923,10 @@ mod alive_fast_path {
 
         /// The shift δ the node's monitor of the peer uses in `group` now.
         fn shift(&self, group: GroupId) -> SimDuration {
-            let prior = FdConfigurator::default().compute(
+            let prior = configure(
                 &QosSpec::paper_default(),
                 &LinkQuality::conservative_prior(),
+                TuningPolicy::Static,
             );
             self.node.fd_params_of(group, PEER).unwrap_or(prior).shift
         }
