@@ -34,9 +34,9 @@ struct AuditInner {
 /// Because the ledger's mutex serializes the accepts of *all* replicas, a
 /// token observed below the running maximum means two leaderships' writes
 /// interleaved — exactly the safety violation fencing exists to prevent —
-/// and is counted in [`AuditSnapshot::violations`]. `bench_app` and the
-/// integration tests assert this count stays zero through forced leader
-/// crashes.
+/// and is counted in [`AuditSnapshot::violations`]. The integration tests
+/// and `benchmark/`'s `app-failover` workload assert this count stays zero
+/// through forced leader crashes.
 #[derive(Debug, Default)]
 pub struct FencingAudit {
     inner: Mutex<AuditInner>,

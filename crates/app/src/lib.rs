@@ -17,10 +17,10 @@
 //!   [`MessageEndpoint`](sle_net::transport::MessageEndpoint) seam, so the
 //!   same client code runs over the in-memory mesh and the UDP plane.
 //!
-//! The `bench_app` binary in `sle-bench` drives a [`ClientHub`] with ~one
-//! million requests through repeated forced leader crashes and asserts the
-//! audit stays violation-free while unavailability stays within the QoS
-//! budget.
+//! `tests/app_sessions.rs` runs a [`ClientHub`] workload through a leader
+//! crash over every transport and asserts the audit stays violation-free;
+//! the `app-failover` workload of `benchmark/` does it under load, crash
+//! after crash, and measures the unavailability (`unavailable_frac`).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

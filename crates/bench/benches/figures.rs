@@ -1,8 +1,7 @@
 //! Short versions of the paper's figure scenarios, runnable as a bench.
 //!
 //! These keep `cargo bench` quick (a couple of virtual minutes per cell);
-//! use the `reproduce` binary for full-length regeneration of the tables in
-//! `EXPERIMENTS.md`.
+//! use the `reproduce` binary for full-length regeneration of the tables.
 
 use sle_bench::bench_once;
 use sle_election::ElectorKind;

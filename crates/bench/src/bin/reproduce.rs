@@ -6,7 +6,7 @@
 //!   FIGURE      fig3 fig4 fig5 fig6 fig7 fig8 headline (default: all)
 //!   --minutes   measured virtual minutes per cell (default 30)
 //!   --seed      experiment seed (default: built-in)
-//!   --markdown  emit Markdown tables (as used in EXPERIMENTS.md)
+//!   --markdown  emit Markdown tables
 //! ```
 //!
 //! The paper ran each experiment for 1–5 days of wall-clock time; here each

@@ -4,7 +4,9 @@
 //!
 //! * the `reproduce` binary (`cargo run -p sle-bench --release --bin
 //!   reproduce`), which re-runs every experimental cell of the paper's
-//!   figures and prints paper-vs-measured tables, and
+//!   figures and prints paper-vs-measured tables,
+//! * the `chaos_sweep` binary, the multi-seed adversarial sweep of
+//!   `sle-chaos` (see `docs/CHAOS.md`), and
 //! * the micro-benchmarks (`cargo bench`) for the failure detector, the
 //!   election algorithms, the simulator and small
 //!   versions of the figure scenarios. They are plain `harness = false`
@@ -12,7 +14,8 @@
 //!   [`bench_once`]), so the whole workspace builds without any third-party
 //!   crate.
 //!
-//! See `EXPERIMENTS.md` at the workspace root for a recorded run.
+//! The service's end-to-end and per-layer numbers are not measured here but
+//! by the standalone `benchmark/` package that `BENCHMARK.json` names.
 //!
 //! ## Example: timing a snippet with the mini-harness
 //!
@@ -28,12 +31,6 @@
 
 use std::hint::black_box as std_black_box;
 use std::time::Instant;
-
-/// A tiny helper shared by the benchmarks: a short experiment used as a
-/// macro-benchmark workload.
-pub fn smoke_scenario_seconds() -> u64 {
-    60
-}
 
 /// Prevents the optimiser from deleting a benchmark's result.
 pub fn black_box<T>(x: T) -> T {
@@ -73,7 +70,6 @@ mod tests {
 
     #[test]
     fn helpers_run() {
-        assert_eq!(smoke_scenario_seconds(), 60);
         bench_loop("noop", 10, || black_box(1 + 1));
         assert_eq!(bench_once("noop-once", || 7), 7);
     }

@@ -46,7 +46,15 @@
 //! successor can mint a token, every lease of the deposed leader has
 //! provably expired. (Fencing tokens, not leases, carry the safety argument
 //! under arbitrary message delay; the lease bound is what makes the
-//! *unavailability window* of `bench_app` a QoS-derived quantity.)
+//! fail-over that `benchmark/`'s `app-failover` workload measures —
+//! `unavailable_frac`, `app.failover_p50_ms` — a QoS-derived quantity.)
+//!
+//! A leader that *pauses* for longer than T_D keeps its state, so
+//! `ServiceNode::renew_lease` adds a rule: a lease found expired on the
+//! ALIVE tick is never renewed. The node drops it, restarts the settle
+//! delay below and accuses itself — its followers' ACCUSEs may have found
+//! it paused — so it neither displaces the successor on its stale rank nor
+//! mints below its token.
 //!
 //! Two hardening rules in `ServiceNode::check_leader` close the gap the
 //! election's *transient* disagreements would otherwise open (Ω guarantees

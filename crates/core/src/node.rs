@@ -902,7 +902,16 @@ impl ServiceNode {
     /// evidence: renew for another T_D. A crashed leader stops ticking, so
     /// its last lease dies within T_D — before any survivor's detector can
     /// complete and elect a successor.
+    ///
+    /// A lease found expired is never revived: the tick came late (the
+    /// wall-clock runtime resumes a paused node with its state) and a
+    /// successor may be serving. The node re-enters the settle rule of
+    /// `check_leader` as a non-holder and applies the accusation its
+    /// silence earned — the followers' detectors share the bound T_D, and
+    /// their ACCUSEs may have found it paused — so it neither takes the
+    /// leadership back on its stale rank nor mints below the successor.
     fn renew_lease(&mut self, group: GroupId, ctx: &mut ServiceContext) {
+        let now = ctx.now();
         let Some(state) = self.groups.get_mut(group) else {
             return;
         };
@@ -910,7 +919,14 @@ impl ServiceNode {
         let Some(lease) = state.lease.as_mut().filter(|_| sending) else {
             return;
         };
-        lease.renewed_at = ctx.now();
+        if !lease.valid_at(now) {
+            state.lease = None;
+            state.led_since = None;
+            state.elector.on_accusation(state.elector.epoch(), now);
+            self.alive_epoch += 1;
+            return;
+        }
+        lease.renewed_at = now;
         self.lease_renewals.inc();
         if self.lease_broadcast {
             let grant = ServiceMessage::LeaseGrant {
@@ -2322,6 +2338,82 @@ mod tests {
                 ctx,
             );
             assert_eq!(actor.client_requests_redirected(), 2);
+        });
+    }
+
+    #[test]
+    fn a_lease_that_expired_before_the_tick_is_dropped_not_renewed() {
+        // The wall-clock runtime's crash/recover parks a leader with its
+        // state: its frozen ALIVE tick fires on resume, however long after
+        // the lease ran out — by then a successor may be serving. (Here the
+        // only other member is a listener, so the leadership stays
+        // uncontested and the re-mint can be watched.)
+        let (leader, follower) = (NodeId(0), NodeId(1));
+        let mut world: World<ServiceNode, PerfectMedium> = World::new(
+            2,
+            Box::new(move |node, _inc| {
+                let join = if node == leader {
+                    JoinConfig::candidate()
+                } else {
+                    JoinConfig::listener()
+                };
+                let config = ServiceConfig::full_mesh(node, 2, ElectorKind::OmegaL)
+                    .with_auto_join(GROUP, join);
+                let mut service = ServiceNode::new(config);
+                service.install_app(Box::new(TestApp::default()));
+                service
+            }),
+            PerfectMedium,
+            61,
+        );
+        let mut obs = NullObserver;
+        world.run_for(SimDuration::from_secs(5), &mut obs);
+        assert_eq!(agreed_leader(&world, GROUP).map(|l| l.node), Some(leader));
+        let t_d = JoinConfig::candidate().qos.detection_time();
+        let ms = SimDuration::from_millis(1);
+
+        // From here the leader is driven by hand, on a clock of its own.
+        world.with_actor(leader, &mut obs, |actor, _ctx| {
+            let at = |now| ServiceContext::new(now, leader, 0);
+            let held = actor.lease_of(GROUP).expect("the leader holds a lease");
+            let resumed = held.expires_at() + ms;
+            let mut tick = at(resumed);
+            actor.on_timer(ALIVE_TIMER, &mut tick);
+            assert_eq!(actor.lease_of(GROUP), None, "an expired lease revived");
+            let granted = tick.into_effects().into_iter().any(|effect| {
+                matches!(
+                    effect,
+                    sle_sim::Effect::Send {
+                        msg: ServiceMessage::LeaseGrant { .. },
+                        ..
+                    }
+                )
+            });
+            assert!(!granted, "a LeaseGrant went out under the expired lease");
+            let request = ServiceMessage::ClientRequest {
+                group: GROUP,
+                session: 1,
+                seq: 0,
+                payload: 7,
+            };
+            actor.on_message(follower, request, &mut at(resumed));
+            assert_eq!(actor.client_requests_applied(), 0);
+            assert_eq!(actor.client_requests_redirected(), 1);
+
+            // Still the elector's output, it leads through a whole settle
+            // delay again before it mints — ranked, like any accused leader,
+            // by the instant of the accusation, so above the old token.
+            actor.on_timer(ALIVE_TIMER, &mut at(resumed + t_d.mul_f64(0.5)));
+            assert_eq!(actor.lease_of(GROUP), None, "minted before settling");
+            actor.on_timer(ALIVE_TIMER, &mut at(resumed + t_d.mul_f64(1.5)));
+            let minted = actor.lease_of(GROUP).expect("re-minted after T_D");
+            assert!(
+                minted.token > held.token,
+                "{} ≤ {}",
+                minted.token,
+                held.token
+            );
+            assert_eq!(minted.token.accusation_time, resumed);
         });
     }
 

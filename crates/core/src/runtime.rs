@@ -22,9 +22,10 @@
 //! Transports deliver straight into the owning shard's mailbox and wake its
 //! worker ([`MessageEndpoint::set_delivery_sink`]); the runtime never polls
 //! an endpoint. Thread count is therefore O(workers) plus whatever reader
-//! threads the transport itself needs — not O(nodes) — which is what lets a
-//! 1000-node cluster run in real time on one machine (`bench_runtime` in
-//! `sle-bench` measures exactly that).
+//! threads the transport itself needs — not O(nodes) — which is what lets
+//! hundreds of nodes run in real time on one machine
+//! (`tests/runtime_scale.rs` holds the thread budget, `benchmark/`'s
+//! `rt-udp-steady` workload measures the cost per node).
 //!
 //! The protocol code is the same sans-io [`ServiceNode`] state machine the
 //! simulator runs; this module merely drives it with the wall clock. The
@@ -1030,6 +1031,8 @@ impl Cluster {
     }
 
     /// Simulates a crash of `node`: it stops handling messages and timers.
+    /// Messages that reach it meanwhile are dropped; timers that come due
+    /// are kept for [`Cluster::recover`].
     pub fn crash(&self, node: NodeId) {
         if self.crashed.set(node, true) {
             if let Some(obs) = &self.obs {
@@ -1043,10 +1046,16 @@ impl Cluster {
         }
     }
 
-    /// Recovers a previously crashed node.
+    /// Resumes a node stopped by [`Cluster::crash`].
     ///
-    /// Note: unlike the simulator, the in-process runtime keeps the node's
-    /// state; for full crash-recovery semantics use the simulator.
+    /// This is a *pause*, not the simulator's crash-recovery: the node comes
+    /// back with the state it had — same incarnation, same rank — and the
+    /// timers that came due meanwhile fire at once, overdue. A leader
+    /// resumed after more than its lease term finds the lease expired on
+    /// its first ALIVE tick, drops it and accuses itself, so it does not
+    /// serve beside or displace the successor; after a shorter pause it
+    /// carries on as leader. For a restart under a new incarnation use the
+    /// simulator.
     pub fn recover(&self, node: NodeId) {
         if self.crashed.set(node, false) {
             if let Some(obs) = &self.obs {

@@ -1,6 +1,6 @@
-//! Strided multi-group deployment shapes, shared by the scale
-//! macro-benchmarks (`bench_scale`, `bench_runtime` in `sle-bench`) and the
-//! real-time scale tests.
+//! Strided multi-group deployment shapes, shared by the simulator's
+//! frontier tests (`tests/frontier.rs`) and the real-time scale test
+//! (`tests/runtime_scale.rs`).
 //!
 //! A "strided" deployment spreads `groups` groups of `members` workstations
 //! each over `nodes` workstations as evenly as possible, using a stride

@@ -19,7 +19,7 @@
 //! * [`stats`] — summary statistics (mean, 95% CI).
 //!
 //! The `reproduce` binary in the `sle-bench` crate drives this crate to
-//! regenerate every figure; `EXPERIMENTS.md` records one full run.
+//! regenerate every figure.
 //!
 //! ## Example: the paper's crash workload, in miniature
 //!

@@ -54,8 +54,7 @@ pub fn render_figure(figure: &Figure, results: &[CellResult]) -> String {
     out
 }
 
-/// Renders one figure's results as Markdown rows (used to build
-/// `EXPERIMENTS.md`).
+/// Renders one figure's results as Markdown rows (`reproduce --markdown`).
 pub fn render_figure_markdown(figure: &Figure, results: &[CellResult]) -> String {
     let mut out = String::new();
     out.push_str(&format!("### {}\n\n", figure.caption));

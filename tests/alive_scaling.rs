@@ -104,7 +104,7 @@ fn alive_traffic_is_linear_under_omega_l_and_quadratic_under_omega_lc() {
         (ElectorKind::OmegaL, (|_n| 1) as fn(usize) -> usize),
         (ElectorKind::OmegaLc, |n| n),
     ] {
-        for n in [4usize, 8, 16] {
+        for n in [4usize, 8, 16, 32] {
             let what = format!("{algorithm:?}, n = {n}");
             let joins = all_groups.iter().map(|&g| (g, JoinConfig::candidate()));
             let mut world = tapped_world(n, algorithm, joins.collect());

@@ -1,0 +1,134 @@
+//! The opt-in frontier of the simulator: too big for every `cargo test`,
+//! so both tests are `#[ignore]`d. Run each by name, in a process of its
+//! own (`VmHWM` is per process, and the probe wants both cores):
+//!
+//! ```text
+//! cargo test --release --test frontier -- --ignored --nocapture a_million_processes_settle
+//! cargo test --release --test frontier -- --ignored --nocapture two_sim_workers_beat_one
+//! ```
+//!
+//! The first needs ≈ 6 GiB of memory and two minutes of one core. Throughput
+//! of the same engine at an everyday size, with repeats and a regression
+//! bound, is `ops_per_s` of `benchmark/`'s `sim-steady` workload.
+
+use std::time::{Duration, Instant};
+
+use sle_core::{GroupId, JoinConfig, ServiceConfig, ServiceNode};
+use sle_election::ElectorKind;
+use sle_fd::QosSpec;
+use sle_harness::deploy;
+use sle_sim::prelude::*;
+
+/// Virtual time a deployment gets to elect before its steady-state window.
+const SETTLE: SimDuration = SimDuration::from_secs(12);
+
+struct Run {
+    events: u64,
+    wall: Duration,
+    /// Groups whose members all report the same leader at the end.
+    agreed: usize,
+}
+
+/// Builds an S3 deployment of `groups` groups of `members` strided over
+/// `nodes` workstations, every member a candidate under the detection bound
+/// `detection`, and runs it for `SETTLE + window` on `workers` sim workers.
+fn run_s3<M: Medium + Clone + Send>(
+    (nodes, groups, members): (usize, usize, usize),
+    detection: SimDuration,
+    window: SimDuration,
+    medium: M,
+    workers: usize,
+) -> Run {
+    let wall = Instant::now();
+    let shape = deploy::strided_groups(nodes, groups, members);
+    let deploy::Membership {
+        groups_of,
+        peers_of,
+    } = deploy::membership(nodes, &shape);
+    let join = JoinConfig::candidate().with_qos(QosSpec::paper_default_with_detection(detection));
+    let factory: SharedActorFactory<ServiceNode> = Box::new(move |node, _incarnation| {
+        let peers = peers_of[node.index()].clone();
+        let mut config = ServiceConfig::new(node, peers, ElectorKind::OmegaL);
+        for &group in &groups_of[node.index()] {
+            config = config.with_auto_join(group, join);
+        }
+        ServiceNode::new(config)
+    });
+    let mut world = ParWorld::new(nodes, workers, factory, medium, 0x5CA1E);
+    let mut observers = vec![NullObserver; world.workers()];
+    world.run_for(SETTLE + window, &mut observers);
+    let agreed = shape.iter().zip(1u32..).filter(|(members, g)| {
+        let view = |m: &NodeId| world.actor(*m).and_then(|a| a.leader_of(GroupId(*g)));
+        let first = view(&members[0]);
+        first.is_some() && members.iter().all(|m| view(m) == first)
+    });
+    Run {
+        agreed: agreed.count(),
+        events: world.events_processed(),
+        wall: wall.elapsed(),
+    }
+}
+
+/// Peak resident set of this process in MiB (Linux `VmHWM`).
+fn peak_rss_mib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kib: u64 = line.split_whitespace().next()?.parse().ok()?;
+    Some(kib / 1024)
+}
+
+/// 10 000 workstations × 100 000 groups × 10 members: a million group
+/// members, every group of which must end up agreed on a leader. The
+/// detection bound is relaxed to 8 s and the window cut to 5 s — the ALIVE
+/// and detector event rate scales with 1 / T_D — to keep the cell to
+/// minutes.
+#[test]
+#[ignore = "≈ 6 GiB and minutes; run by name, see the file header"]
+fn a_million_processes_settle() {
+    let shape = (10_000, 100_000, 10);
+    let run = run_s3(
+        shape,
+        SimDuration::from_secs(8),
+        SimDuration::from_secs(5),
+        PerfectMedium,
+        1,
+    );
+    println!(
+        "frontier {shape:?}: {} events in {:.1} s ({:.0}/s), {}/{} groups agreed, VmHWM {} MiB",
+        run.events,
+        run.wall.as_secs_f64(),
+        run.events as f64 / run.wall.as_secs_f64(),
+        run.agreed,
+        shape.1,
+        peak_rss_mib().map_or("?".to_string(), |mib| mib.to_string()),
+    );
+    assert_eq!(run.agreed, shape.1, "not every group elected");
+}
+
+/// What keeps `ParWorld`'s threaded path (docs/SIM.md): 100 000 processes
+/// over a 1 ms fixed-delay medium — the epochs' lookahead — compute the
+/// identical simulation on one worker and on two, and two are faster.
+#[test]
+#[ignore = "≈ 1.5 GiB and a minute; run by name, see the file header"]
+fn two_sim_workers_beat_one() {
+    let shape = (1_000, 10_000, 10);
+    let probe = |workers| {
+        let medium = FixedDelayMedium::new(SimDuration::from_millis(1));
+        let (detection, window) = (SimDuration::from_secs(2), SimDuration::from_secs(5));
+        run_s3(shape, detection, window, medium, workers)
+    };
+    let (w1, w2) = (probe(1), probe(2));
+    let speedup = w1.wall.as_secs_f64() / w2.wall.as_secs_f64();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    println!(
+        "probe {shape:?}: {} events, w1 {:.1} s, w2 {:.1} s, w2 over w1 {speedup:.2}x on {cores} core(s)",
+        w1.events,
+        w1.wall.as_secs_f64(),
+        w2.wall.as_secs_f64(),
+    );
+    assert_eq!(w1.events, w2.events, "sharding changed the simulation");
+    assert_eq!((w1.agreed, w2.agreed), (shape.1, shape.1));
+    if cores >= 2 {
+        assert!(speedup >= 1.4, "w2 over w1 {speedup:.2}x < 1.4x");
+    }
+}

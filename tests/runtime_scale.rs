@@ -1,11 +1,15 @@
 //! Real-time scale smoke for the sharded runtime: 200 workstations ×
 //! 16 groups on a 4-worker shard pool must elect everywhere within a bound
-//! derived from the configured failure-detection QoS.
+//! derived from the configured failure-detection QoS — over the in-memory
+//! mesh, and over the UDP plane with all 200 behind 4 shared sockets.
 //!
-//! This is the integration-test-sized sibling of `bench_runtime` (the
-//! 1000-node macro-benchmark in `sle-bench`): big enough that a
-//! thread-per-node runtime or a timer-scanning hot loop would blow the
-//! bound, small enough for every `cargo test` run.
+//! Big enough that a thread-per-node runtime, a reader-per-node transport
+//! or a timer-scanning hot loop would blow the bounds, small enough for
+//! every `cargo test` run. The steady-state costs of the same path (CPU per
+//! node, wakeups, datagrams) are `benchmark/`'s `rt-udp-steady` workload.
+//!
+//! This file holds exactly one `#[test]`, so nothing else in the process
+//! spawns threads while a cell counts its own.
 
 use std::time::{Duration, Instant};
 
@@ -15,17 +19,33 @@ use sle_election::ElectorKind;
 use sle_fd::QosSpec;
 use sle_harness::deploy::{membership, strided_groups};
 use sle_net::link::LinkSpec;
-use sle_net::transport::InMemoryMesh;
+use sle_net::transport::{InMemoryMesh, MessageEndpoint};
 use sle_sim::time::SimDuration;
 use sle_sim::NodeId;
+use sle_udp::SharedUdpPlane;
 
 const NODES: usize = 200;
 const GROUPS: usize = 16;
 const MEMBERS: usize = 12;
 const WORKERS: usize = 4;
+const SOCKETS: usize = 4;
 
-#[test]
-fn two_hundred_nodes_elect_within_the_qos_bound_on_four_workers() {
+/// OS threads of this process right now (Linux; `None` elsewhere).
+fn os_threads() -> Option<usize> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("Threads:"))?;
+    line.trim().parse().ok()
+}
+
+/// One deployment over the transport `make_endpoints` builds, which may
+/// spawn `reader_threads` threads of its own.
+fn elect_everywhere<E>(
+    transport: &str,
+    reader_threads: usize,
+    make_endpoints: impl FnOnce() -> Vec<E>,
+) where
+    E: MessageEndpoint<ServiceMessage> + Send + 'static,
+{
     let qos = QosSpec::paper_default();
     // The bound, derived from the QoS: a freshly joined candidate waits out
     // the self-election grace (2 × T_D^U) before claiming leadership, and
@@ -36,12 +56,6 @@ fn two_hundred_nodes_elect_within_the_qos_bound_on_four_workers() {
 
     let groups = strided_groups(NODES, GROUPS, MEMBERS);
     let deployment = membership(NODES, &groups);
-
-    let mut mesh: InMemoryMesh<ServiceMessage> =
-        InMemoryMesh::with_links(NODES, LinkSpec::perfect(), 11);
-    let endpoints: Vec<_> = (0..NODES)
-        .map(|i| mesh.endpoint(NodeId(i as u32)).expect("endpoint"))
-        .collect();
     let configs: Vec<ServiceConfig> = (0..NODES)
         .map(|i| {
             // A workstation in no group still needs itself as a peer.
@@ -58,10 +72,21 @@ fn two_hundred_nodes_elect_within_the_qos_bound_on_four_workers() {
         })
         .collect();
 
+    let threads_before = os_threads();
+    let endpoints = make_endpoints();
     let started = Instant::now();
     let options = ClusterConfig::new(ElectorKind::OmegaL).with_workers(WORKERS);
     let cluster = Cluster::start_with_service_configs(endpoints, configs, &options);
     assert_eq!(cluster.workers(), WORKERS);
+    // The whole deployment — runtime and transport — is O(workers + sockets)
+    // threads, however many nodes run.
+    if let (Some(before), Some(after)) = (threads_before, os_threads()) {
+        let budget = WORKERS + reader_threads;
+        assert!(
+            after.saturating_sub(before) <= budget,
+            "{transport}: {before} → {after} OS threads for {NODES} nodes (budget {budget})"
+        );
+    }
 
     // Poll until every group's members agree on a leader.
     let deadline = started + bound;
@@ -77,14 +102,14 @@ fn two_hundred_nodes_elect_within_the_qos_bound_on_four_workers() {
         }
         assert!(
             Instant::now() < deadline,
-            "groups {pending:?} had not elected within the QoS-derived bound {bound:?}"
+            "{transport}: groups {pending:?} had not elected within the QoS-derived bound {bound:?}"
         );
         std::thread::sleep(Duration::from_millis(50));
     }
     let elected_in = started.elapsed();
     assert!(
         elected_in < bound,
-        "all groups elected, but only after {elected_in:?} (bound {bound:?})"
+        "{transport}: all groups elected, but only after {elected_in:?} (bound {bound:?})"
     );
 
     // The runtime earned it the right way: no polling loops. Idle wakeups
@@ -93,7 +118,24 @@ fn two_hundred_nodes_elect_within_the_qos_bound_on_four_workers() {
     let idle_per_sec = stats.idle_wakeups as f64 / elected_in.as_secs_f64();
     assert!(
         idle_per_sec < 100.0,
-        "shard workers idle-woke {idle_per_sec:.0}/s ({stats:?})"
+        "{transport}: shard workers idle-woke {idle_per_sec:.0}/s ({stats:?})"
     );
     cluster.shutdown();
+}
+
+#[test]
+fn two_hundred_nodes_elect_within_the_qos_bound_on_four_workers() {
+    elect_everywhere("mesh", 0, || {
+        let mut mesh: InMemoryMesh<ServiceMessage> =
+            InMemoryMesh::with_links(NODES, LinkSpec::perfect(), 11);
+        (0..NODES)
+            .map(|i| mesh.endpoint(NodeId(i as u32)).expect("endpoint"))
+            .collect()
+    });
+    // One reader thread per shared socket, not per node.
+    elect_everywhere("udp-shared", SOCKETS, || {
+        SharedUdpPlane::<ServiceMessage>::bind_loopback(NODES, SOCKETS)
+            .expect("bind loopback UDP plane")
+            .endpoints()
+    });
 }

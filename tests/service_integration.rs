@@ -173,7 +173,7 @@ fn omega_lc_availability_beats_omega_l_under_link_crashes() {
         s3.leader_availability
     );
     // The paper reports 98.78% for S2 in this setting; our reproduction lands
-    // a few points lower (see EXPERIMENTS.md) but must stay well above S3's.
+    // a few points lower (`reproduce fig7`) but must stay well above S3's.
     assert!(
         s2.leader_availability > 0.90,
         "S2 availability {}",
