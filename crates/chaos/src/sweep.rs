@@ -153,6 +153,11 @@ pub struct CellSummary {
     /// `fd.mistakes`, likewise: suspected peers revived by a later ALIVE —
     /// each one a datagram that had to leave the repeat path.
     pub revivals: u64,
+    /// `fd.fires`, likewise: per-peer failure-detector timers that fired.
+    pub fd_fires: u64,
+    /// `fd.walks`, likewise: fires that checked the peer's monitor in every
+    /// group; the rest re-armed from the peer's cached wake.
+    pub fd_walks: u64,
 }
 
 /// Everything a sweep produced.
@@ -209,7 +214,9 @@ impl SweepSummary {
     /// crashes a live peer must have repeated batches (the stamp path) and
     /// applied some, and the partitions must have healed into revivals — a
     /// revival is a datagram that repeated the applied batch and still had
-    /// to be applied, because a suspicion came between.
+    /// to be applied, because a suspicion came between. The same families
+    /// must show both kinds of detector fire: re-armed from the peer's
+    /// wake without touching a group, and walking the peer's groups.
     ///
     /// # Errors
     ///
@@ -229,6 +236,13 @@ impl SweepSummary {
             if kind == PlanKind::PartitionHeal && revivals == 0 {
                 return Err(format!("no {family} run revived a suspected peer"));
             }
+            let cells = self.cells.iter().filter(|c| c.plan_name == family);
+            let (fires, walks) = cells.fold((0, 0), |(f, w), c| (f + c.fd_fires, w + c.fd_walks));
+            if walks == 0 || walks == fires {
+                return Err(format!(
+                    "{family} runs took one detector-timer path only ({fires} fires, {walks} walks)"
+                ));
+            }
         }
         Ok(())
     }
@@ -243,7 +257,7 @@ impl SweepSummary {
             self.failures.len()
         ));
         out.push_str(&format!(
-            "{:<10} {:<16} {:>6} {:>8} {:>12} {:>12} {:>12} {:>12} {:>10} {:>9}\n",
+            "{:<10} {:<16} {:>6} {:>8} {:>12} {:>12} {:>12} {:>12} {:>10} {:>9} {:>9} {:>9}\n",
             "service",
             "plan",
             "runs",
@@ -253,11 +267,13 @@ impl SweepSummary {
             "alive same",
             "alive appl.",
             "plan rbld",
-            "revivals"
+            "revivals",
+            "fd fires",
+            "fd walks"
         ));
         for cell in &self.cells {
             out.push_str(&format!(
-                "{:<10} {:<16} {:>6} {:>8} {:>12} {:>12} {:>12} {:>12} {:>10} {:>9}\n",
+                "{:<10} {:<16} {:>6} {:>8} {:>12} {:>12} {:>12} {:>12} {:>10} {:>9} {:>9} {:>9}\n",
                 algorithm_label(cell.algorithm),
                 cell.plan_name,
                 cell.runs,
@@ -267,7 +283,9 @@ impl SweepSummary {
                 cell.alive_unchanged,
                 cell.alive_applied,
                 cell.alive_plan_rebuilds,
-                cell.revivals
+                cell.revivals,
+                cell.fd_fires,
+                cell.fd_walks
             ));
         }
         for failure in &self.failures {
@@ -371,6 +389,8 @@ pub fn run_sweep(config: &SweepConfig) -> SweepSummary {
                 alive_applied: 0,
                 alive_plan_rebuilds: 0,
                 revivals: 0,
+                fd_fires: 0,
+                fd_walks: 0,
             };
             // Scale-hungry families (LargeChurn needs room for 100+
             // processes) raise the deployment to their floor; the others
@@ -389,6 +409,8 @@ pub fn run_sweep(config: &SweepConfig) -> SweepSummary {
                 cell.alive_applied += sum(".alive.applied");
                 cell.alive_plan_rebuilds += sum(".alive.plan_rebuilds");
                 cell.revivals += sum(".fd.mistakes");
+                cell.fd_fires += sum(".fd.fires");
+                cell.fd_walks += sum(".fd.walks");
                 if report.ok() {
                     continue;
                 }
@@ -508,6 +530,7 @@ mod tests {
         assert_eq!(summary.hello_paths_exercised(), Ok(()));
         assert_eq!(summary.alive_paths_exercised(), Ok(()));
         assert!(summary.render().contains("alive same"));
+        assert!(summary.render().contains("fd walks"));
     }
 
     #[test]

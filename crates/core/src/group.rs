@@ -179,7 +179,9 @@ pub struct GroupState {
     pub local_processes: Vec<(u32, bool)>,
     /// The election algorithm instance for this group.
     pub elector: AnyElector,
-    /// The per-group failure detector monitoring the other members.
+    /// The per-group failure detector monitoring the other members. It
+    /// arms no timer of its own: the service watches every group's monitor
+    /// of a peer from that peer's one timer (`FailureDetector::check_peer`).
     pub fd: FailureDetector,
     /// Remote membership learnt from HELLO/ALIVE messages.
     pub members: MemberTable,
@@ -200,12 +202,6 @@ pub struct GroupState {
     /// continuously for `T_D`, so a deposed leader's lease lapses before a
     /// successor starts serving — closing the double-leadership window.
     pub led_since: Option<SimInstant>,
-    /// The deadline the group's FD wheel timer is currently armed at, if
-    /// any. Heartbeats *extend* freshness horizons, so re-arming on every
-    /// arrival would flood the timer wheel with superseded entries; the
-    /// service only re-arms when the next deadline moved *earlier*, and
-    /// lets an already-armed timer fire early as a cheap no-op poll.
-    pub armed_fd_deadline: Option<SimInstant>,
 }
 
 impl GroupState {
@@ -233,7 +229,6 @@ impl GroupState {
             lease: None,
             remote_lease: None,
             led_since: None,
-            armed_fd_deadline: None,
         }
     }
 

@@ -10,7 +10,7 @@
 //! real-time runtime in [`crate::runtime`] (for applications).
 
 use sle_election::{ElectorKind, ElectorOutput, LeaderElector};
-use sle_fd::{FdParams, LivenessHandle, MonitorArena, Transition, TuningPolicy};
+use sle_fd::{FdParams, LivenessHandle, MonitorArena, Transition, TuningPolicy, Wake};
 use sle_sim::actor::{Actor, Context, NodeId, TimerTag};
 use sle_sim::time::{SimDuration, SimInstant};
 
@@ -30,7 +30,7 @@ use crate::process::{GroupId, ProcessId};
 const HELLO_TIMER: TimerTag = TimerTag(0);
 /// Timer-tag namespace of the per-node ALIVE tick.
 const ALIVE_KIND: u64 = 1;
-/// Timer-tag namespace for per-group failure-detector deadlines.
+/// Timer-tag namespace of the per-peer failure-detector timers.
 const FD_KIND: u64 = 2;
 /// Timer-tag namespace for the end of the self-election grace period.
 pub(crate) const GRACE_KIND: u64 = 3;
@@ -46,8 +46,10 @@ const ALIVE_TIMER: TimerTag = TimerTag(ALIVE_KIND << 32);
 /// rather than producing one the transport must reject.
 const MAX_ALIVE_BATCH_BYTES: usize = 1200;
 
-fn fd_tag(group: GroupId) -> TimerTag {
-    TimerTag(FD_KIND << 32 | group.0 as u64)
+/// The failure-detector timer of `peer`: one per monitored peer, however
+/// many groups monitor it.
+fn fd_tag(peer: NodeId) -> TimerTag {
+    TimerTag(FD_KIND << 32 | peer.0 as u64)
 }
 
 fn grace_tag(group: GroupId) -> TimerTag {
@@ -208,6 +210,34 @@ struct PeerEntry {
     /// When the peer's latest ALIVE datagram arrived: it vouches for the
     /// member entry of every group `alive_batch` lists.
     alive_heard: SimInstant,
+    /// The groups whose failure detector monitors the peer, ascending: what
+    /// a walk of the peer's detector timer visits.
+    fd_groups: Vec<GroupId>,
+    /// When the peer's detector timer is armed, if it is.
+    fd_armed: Option<SimInstant>,
+    /// What the peer's monitors need next, as of the last walk. `None` once
+    /// a monitor of the peer was created, reset or removed, or a batch was
+    /// applied, since. Nothing else moves a monitor: (η, δ) only move in a
+    /// check, and every check of the peer's monitors is in its walk.
+    fd_wake: Option<Wake>,
+}
+
+impl PeerEntry {
+    /// `group`'s detector monitors the peer from now on.
+    fn fd_index(&mut self, group: GroupId) {
+        if let Err(i) = self.fd_groups.binary_search(&group) {
+            self.fd_groups.insert(i, group);
+        }
+        self.fd_wake = None;
+    }
+
+    /// `group`'s detector no longer monitors the peer.
+    fn fd_unindex(&mut self, group: GroupId) {
+        if let Ok(i) = self.fd_groups.binary_search(&group) {
+            self.fd_groups.remove(i);
+        }
+        self.fd_wake = None;
+    }
 }
 
 #[derive(Debug, Default)]
@@ -235,11 +265,20 @@ impl PeerSlab {
                     alive_batch: Vec::new(),
                     alive_resync: false,
                     alive_heard: SimInstant::ZERO,
+                    fd_groups: Vec::new(),
+                    fd_armed: None,
+                    fd_wake: None,
                 });
                 self.index.insert(i, (peer.0, slot as u32));
                 slot
             }
         }
+    }
+
+    /// The slot of `peer`, if it was ever contacted.
+    fn find(&self, peer: NodeId) -> Option<usize> {
+        let i = self.index.binary_search_by_key(&peer.0, |&(id, _)| id);
+        i.ok().map(|i| self.index[i].1 as usize)
     }
 
     /// `peer`'s entry, created on first contact.
@@ -253,13 +292,10 @@ impl PeerSlab {
     /// peer's applied list names the group, or by the peer's latest ALIVE
     /// datagram while its applied batch does — whichever is latest.
     fn last_heard(&self, group: GroupId, member: &MemberEntry) -> SimInstant {
-        let Ok(i) = self
-            .index
-            .binary_search_by_key(&member.peer.0, |&(id, _)| id)
-        else {
+        let Some(slot) = self.find(member.peer) else {
             return member.last_heard;
         };
-        let peer = &self.entries[self.index[i].1 as usize];
+        let peer = &self.entries[slot];
         let mut heard = member.last_heard;
         if member.listed_at.is_some() && member.listed_at == peer.applied {
             heard = heard.max(peer.hello_heard);
@@ -280,6 +316,17 @@ pub struct AliveCounters {
     pub applied: sle_obs::Counter,
     /// Times the ALIVE tick rebuilt its fan-out plan instead of reusing it.
     pub plan_rebuilds: sle_obs::Counter,
+}
+
+/// A node's failure-detector timer counters (`node.<n>.fd.*` in the
+/// registry).
+#[derive(Debug, Default)]
+pub struct FdCounters {
+    /// Per-peer detector timers that fired.
+    pub fires: sle_obs::Counter,
+    /// Fires that checked the peer's monitor in every group; the others
+    /// re-armed from the peer's cached [`Wake`] without touching a group.
+    pub walks: sle_obs::Counter,
 }
 
 /// One send grid of the cached ALIVE plan: groups that fan out together
@@ -359,6 +406,7 @@ pub struct ServiceNode {
     /// it was built at.
     alive_plan: (Option<(u64, u64)>, Vec<AliveGrid>),
     alive: AliveCounters,
+    fd: FdCounters,
     /// Per-group ALIVE payloads handed to the transport (batch entries
     /// count individually). A live counter handle so that attaching
     /// instruments makes it a registry view instead of a second account.
@@ -408,6 +456,7 @@ impl ServiceNode {
             alive_epoch: 0,
             alive_plan: (None, Vec::new()),
             alive: AliveCounters::default(),
+            fd: FdCounters::default(),
             alive_payloads_sent: sle_obs::Counter::new(),
             alive_datagrams_sent: sle_obs::Counter::new(),
             obs: None,
@@ -437,6 +486,8 @@ impl ServiceNode {
         instruments.bind_node_counter("alive.unchanged", &self.alive.unchanged);
         instruments.bind_node_counter("alive.applied", &self.alive.applied);
         instruments.bind_node_counter("alive.plan_rebuilds", &self.alive.plan_rebuilds);
+        instruments.bind_node_counter("fd.fires", &self.fd.fires);
+        instruments.bind_node_counter("fd.walks", &self.fd.walks);
         instruments.bind_node_counter(
             "elect.stale_accusations_ignored",
             &self.stale_accusations_ignored,
@@ -591,6 +642,11 @@ impl ServiceNode {
         &self.alive
     }
 
+    /// The failure-detector timer counters.
+    pub fn fd_counters(&self) -> &FdCounters {
+        &self.fd
+    }
+
     /// Registers a new application process with this service instance and
     /// returns its identifier.
     pub fn register_process(&mut self) -> ProcessId {
@@ -664,7 +720,6 @@ impl ServiceNode {
             obs.on_join(group, now);
         }
         self.arm_alive_timer(ctx);
-        self.arm_fd_timer(group, ctx);
         // Prompt discovery: announce only this group now (the full list per
         // join is quadratic in a burst); the next digest gets the rest pulled.
         if let Some(state) = self.groups.get(group) {
@@ -702,8 +757,11 @@ impl ServiceNode {
             ctx.send(peer, ServiceMessage::Leave { group, process });
         }
         if state.local_processes.is_empty() {
-            self.groups.remove(group);
-            ctx.cancel_timer(fd_tag(group));
+            if let Some(gone) = self.groups.remove(group) {
+                for peer in gone.fd.peers() {
+                    self.peers.entry(peer, &self.arena).fd_unindex(group);
+                }
+            }
             self.arm_alive_timer(ctx);
         } else if !state.locally_candidate() && state.elector.is_candidate() {
             // The last local candidate left: stop competing. As on the
@@ -1003,21 +1061,45 @@ impl ServiceNode {
         self.alive_datagrams_sent.get()
     }
 
-    fn arm_fd_timer(&mut self, group: GroupId, ctx: &mut ServiceContext) {
-        if let Some(state) = self.groups.get_mut(group) {
-            if let Some(deadline) = state.fd.next_deadline() {
-                // Heartbeats *extend* freshness horizons, so re-arming on
-                // every arrival would supersede (but not remove — the wheel
-                // cancels lazily) the previous entry, flooding the event
-                // queue with stale pops. Keep the earlier timer and let it
-                // fire as a cheap no-op poll instead.
-                if state.armed_fd_deadline.is_some_and(|at| at <= deadline) {
-                    return;
-                }
-                state.armed_fd_deadline = Some(deadline);
-                ctx.set_timer_at(fd_tag(group), deadline);
-            }
+    /// Arms `peer`'s detector timer (peer slot `pslot`) at `at`, unless it
+    /// already fires no later. Heartbeats and stamps only push horizons
+    /// out, so a timer left early fires into a cheap re-arm from the wake.
+    fn arm_fd_timer(
+        &mut self,
+        peer: NodeId,
+        pslot: usize,
+        at: SimInstant,
+        ctx: &mut ServiceContext,
+    ) {
+        let entry = &mut self.peers.entries[pslot];
+        if at == SimInstant::FAR_FUTURE || entry.fd_armed.is_some_and(|armed| armed <= at) {
+            return;
         }
+        entry.fd_armed = Some(at);
+        ctx.set_timer_at(fd_tag(peer), at);
+    }
+
+    /// Arms `peer`'s detector timer no later than its monitor's deadline in
+    /// `group`.
+    fn arm_fd_deadline(
+        &mut self,
+        peer: NodeId,
+        pslot: usize,
+        group: GroupId,
+        ctx: &mut ServiceContext,
+    ) {
+        let deadline = self.groups.get(group).and_then(|s| s.fd.deadline_of(peer));
+        if let Some(at) = deadline {
+            self.arm_fd_timer(peer, pslot, at, ctx);
+        }
+    }
+
+    /// `group`'s detector just started monitoring `peer` afresh (created,
+    /// or reset for a new incarnation).
+    fn fd_monitor_added(&mut self, peer: NodeId, group: GroupId, ctx: &mut ServiceContext) {
+        let pslot = self.peers.intern(peer, &self.arena);
+        self.peers.entries[pslot].fd_index(group);
+        self.arm_fd_deadline(peer, pslot, group, ctx);
     }
 
     fn check_leader(&mut self, group: GroupId, ctx: &mut ServiceContext) {
@@ -1036,7 +1118,7 @@ impl ServiceNode {
             if claimed.node == me && now < grace_ends {
                 leader = None;
                 // Adaptive tuning moves the grace period with (η, δ) — either
-                // way, whenever a poll re-derives them or the monitored set
+                // way, whenever a check re-derives them or the monitored set
                 // changes: the end armed at join may no longer be the one.
                 if state.fd.policy() == TuningPolicy::Adaptive {
                     ctx.set_timer_at(grace_tag(group), grace_ends);
@@ -1132,6 +1214,10 @@ impl ServiceNode {
             // First contact with this peer: nothing to reset.
             return;
         }
+        // So did the link estimate, whether or not a group still lists the
+        // peer: its loss window would count the new life's reused sequence
+        // numbers as fresh arrivals. Once, for every group reading it.
+        entry.liveness.reset();
         self.alive_epoch += 1;
         let now = ctx.now();
         let groups: Vec<GroupId> = self.groups.ids().collect();
@@ -1142,6 +1228,7 @@ impl ServiceNode {
             if state.members.remove(peer).is_some() {
                 state.elector.remove_peer(peer, now);
                 state.fd.reset_peer(peer, now);
+                self.fd_monitor_added(peer, group, ctx);
                 self.check_leader(group, ctx);
             }
         }
@@ -1236,9 +1323,6 @@ impl ServiceNode {
                 && (member.representative.is_none()
                     || member.representative == fallback_representative)
             {
-                if state.armed_fd_deadline.is_none() {
-                    self.arm_fd_timer(group, ctx);
-                }
                 continue;
             }
             member.incarnation = incarnation;
@@ -1247,12 +1331,15 @@ impl ServiceNode {
             // previous ALIVE advertised; consumers fall back to the first
             // announced candidate (`MemberEntry::representative_process`).
             member.representative = None;
-            if has_candidate {
+            let watch = has_candidate && state.fd.state(from).is_none();
+            if watch {
                 state.fd.ensure_peer(from, now);
             }
             self.alive_epoch += 1;
             self.peers.entry(from, &self.arena).alive_resync = true;
-            self.arm_fd_timer(group, ctx);
+            if watch {
+                self.fd_monitor_added(from, group, ctx);
+            }
             self.check_leader(group, ctx);
         }
     }
@@ -1291,6 +1378,7 @@ impl ServiceNode {
         }
         self.alive.applied.inc();
         peer.alive_resync = false;
+        peer.fd_wake = None;
         // Every monitor and member entry the old batch vouched for keeps
         // what the stamp bought it, and the stamp restarts: a group the new
         // batch drops then ages out on its own horizon.
@@ -1370,6 +1458,7 @@ impl ServiceNode {
         member.representative = Some(alive.representative);
         let asked = member.requested_interval.replace(alive.requested_interval);
         let leader_before = state.elector.leader();
+        let watched = state.fd.state(from).is_some();
         // The measurement side of this heartbeat (the link estimator) was
         // already fed at node level by `note_alive_datagram`; the monitor's
         // own recording dedups against it.
@@ -1398,12 +1487,13 @@ impl ServiceNode {
         if !state.fd.is_trusted(from) {
             self.peers.entries[pslot].alive_resync = true;
         }
-        // A heartbeat only *extends* the sender's freshness horizon, so the
-        // earliest FD deadline cannot have moved earlier unless the peer's
-        // trust state transitioned; skip the re-arm scan on the steady-state
-        // path where a timer is already pending.
-        if revived || state.armed_fd_deadline.is_none() {
-            self.arm_fd_timer(group, ctx);
+        // A heartbeat only *extends* the sender's freshness horizon: the
+        // peer's timer needs moving only for a monitor that had no
+        // deadline before (new, or suspected until now).
+        if !watched {
+            self.fd_monitor_added(from, group, ctx);
+        } else if revived || self.peers.entries[pslot].fd_armed.is_none() {
+            self.arm_fd_deadline(from, pslot, group, ctx);
         }
         // In steady state nothing `check_leader` derives has changed: same
         // elector leader, same representative, no trust transition.
@@ -1555,7 +1645,9 @@ impl ServiceNode {
             state.elector.remove_peer(from, now);
             state.fd.remove_peer(from);
             self.alive_epoch += 1;
-            self.peers.entry(from, &self.arena).alive_resync = true;
+            let entry = self.peers.entry(from, &self.arena);
+            entry.alive_resync = true;
+            entry.fd_unindex(group);
         }
         self.check_leader(group, ctx);
     }
@@ -1591,6 +1683,7 @@ impl ServiceNode {
                 // Should the peer come back at the applied version, pull.
                 let entry = self.peers.entry(peer, &self.arena);
                 (entry.resync, entry.alive_resync) = (true, true);
+                entry.fd_unindex(group);
             }
             self.alive_epoch += 1;
             self.check_leader(group, ctx);
@@ -1599,45 +1692,84 @@ impl ServiceNode {
         ctx.set_timer_after(HELLO_TIMER, self.config.hello_interval);
     }
 
-    fn handle_fd_timer(&mut self, group: GroupId, ctx: &mut ServiceContext) {
+    /// `peer`'s detector timer. While the peer's stamp keeps every monitor
+    /// of it ahead of `now` and none is due to re-derive (η, δ), the fire
+    /// re-arms from the cached wake and touches no group. Otherwise it walks
+    /// the groups monitoring the peer, checks that one monitor in each, acts
+    /// on what changed, and caches the wake the checks leave.
+    fn handle_fd_timer(&mut self, peer: NodeId, ctx: &mut ServiceContext) {
         let now = ctx.now();
-        let mut accusations: Vec<(NodeId, u64)> = Vec::new();
-        if let Some(state) = self.groups.get_mut(group) {
-            // The armed timer was just consumed by firing.
-            state.armed_fd_deadline = None;
-            for transition in state.fd.poll(now) {
-                if transition.transition == Transition::BecameSuspected {
-                    // The revival must be noticed: no repeat may skip it.
-                    self.peers.entry(transition.peer, &self.arena).alive_resync = true;
-                    self.alive_epoch += 1;
-                    if let Some(obs) = &mut self.obs {
-                        // Detection latency T_D: silence since the suspected
-                        // peer's last heartbeat or gossip.
-                        let silent_for = state
-                            .members
-                            .get(transition.peer)
-                            .map(|m| now.saturating_since(self.peers.last_heard(group, m)))
-                            .unwrap_or_default();
-                        obs.on_detection(group, silent_for, now);
-                    }
-                    for output in state.elector.on_suspect(transition.peer, now) {
-                        match output {
-                            ElectorOutput::SendAccusation { to, epoch } => {
-                                accusations.push((to, epoch));
+        let Some(pslot) = self.peers.find(peer) else {
+            return;
+        };
+        self.fd.fires.inc();
+        let entry = &mut self.peers.entries[pslot];
+        entry.fd_armed = None;
+        let stamp = self.arena.stamp_of(&entry.liveness);
+        if let Some(wake) = entry.fd_wake {
+            if wake.quiet(stamp, now) {
+                let at = wake.at(stamp);
+                debug_assert!(self.fd_wake_holds(peer, pslot, at), "late wake of {peer}");
+                self.arm_fd_timer(peer, pslot, at, ctx);
+                return;
+            }
+        }
+        self.fd.walks.inc();
+        let mut wake = Wake::NEVER;
+        let groups = std::mem::take(&mut self.peers.entries[pslot].fd_groups);
+        for &group in &groups {
+            let Some(state) = self.groups.get_mut(group) else {
+                continue;
+            };
+            let Some(check) = state.fd.check_peer(peer, now) else {
+                continue;
+            };
+            wake = wake.merge(check.wake);
+            if check.transition == Some(Transition::BecameSuspected) {
+                // The revival must be noticed: no repeat may skip it.
+                self.peers.entries[pslot].alive_resync = true;
+                self.alive_epoch += 1;
+                if let Some(obs) = &mut self.obs {
+                    // Detection latency T_D: silence since the suspected
+                    // peer's last heartbeat or gossip.
+                    let silent_for = (state.members.get(peer))
+                        .map(|m| now.saturating_since(self.peers.last_heard(group, m)))
+                        .unwrap_or_default();
+                    obs.on_detection(group, silent_for, now);
+                }
+                for output in state.elector.on_suspect(peer, now) {
+                    match output {
+                        ElectorOutput::SendAccusation { to, epoch } => {
+                            if let Some(obs) = &mut self.obs {
+                                obs.on_accusation(group, to, now);
                             }
+                            ctx.send(to, ServiceMessage::Accuse { group, epoch });
                         }
                     }
                 }
             }
-        }
-        for (to, epoch) in accusations {
-            if let Some(obs) = &mut self.obs {
-                obs.on_accusation(group, to, now);
+            // Adaptive tuning moves the self-election grace with (η, δ).
+            let regraced = check.retuned && state.fd.policy() == TuningPolicy::Adaptive;
+            if check.transition.is_some() || regraced {
+                self.check_leader(group, ctx);
             }
-            ctx.send(to, ServiceMessage::Accuse { group, epoch });
         }
-        self.arm_fd_timer(group, ctx);
-        self.check_leader(group, ctx);
+        let entry = &mut self.peers.entries[pslot];
+        entry.fd_groups = groups;
+        entry.fd_wake = Some(wake);
+        self.arm_fd_timer(peer, pslot, wake.at(stamp), ctx);
+    }
+
+    /// What a quiet fire of `peer`'s detector timer relies on: the peer's
+    /// index names exactly the groups monitoring it, and none of those
+    /// monitors is due before `at`. Asserted in debug builds.
+    fn fd_wake_holds(&self, peer: NodeId, pslot: usize, at: SimInstant) -> bool {
+        let indexed = &self.peers.entries[pslot].fd_groups;
+        self.groups.iter().all(|state| {
+            let watched = state.fd.state(peer).is_some();
+            watched == indexed.binary_search(&state.group).is_ok()
+                && state.fd.deadline_of(peer).is_none_or(|due| due >= at)
+        })
     }
 
     /// The failure-detector operating parameters currently used towards
@@ -1727,10 +1859,11 @@ impl Actor for ServiceNode {
             self.handle_alive_tick(ctx);
             return;
         }
-        let group = GroupId((tag.0 & 0xFFFF_FFFF) as u32);
+        let id = (tag.0 & 0xFFFF_FFFF) as u32;
         match tag.0 >> 32 {
-            FD_KIND => self.handle_fd_timer(group, ctx),
+            FD_KIND => self.handle_fd_timer(NodeId(id), ctx),
             GRACE_KIND => {
+                let group = GroupId(id);
                 if let Some(obs) = &mut self.obs {
                     obs.on_grace_timer(ctx.now());
                 }
@@ -2529,6 +2662,63 @@ mod tests {
             pulled,
             "the resumed peer's digest must be answered with a pull"
         );
+    }
+
+    #[test]
+    fn a_restart_resets_the_link_estimate_of_a_peer_no_group_lists() {
+        // The arena record is the one link estimate every group reads. A new
+        // incarnation restarts the peer's sequence numbers, so the old
+        // life's loss window must go even when no group lists the peer.
+        let peer = NodeId(1);
+        let config = ServiceConfig::full_mesh(NodeId(0), 2, ElectorKind::OmegaL);
+        let mut node = ServiceNode::new(config);
+        let at =
+            |ms: u64| ServiceContext::new(SimInstant::from_nanos(ms * 1_000_000), NodeId(0), 0);
+        let process = node.register_process();
+        node.join_group(process, GROUP, JoinConfig::candidate(), &mut at(0))
+            .unwrap();
+        let eta = SimDuration::from_millis(250);
+        for seq in 0..8u64 {
+            let sent_at = SimInstant::from_nanos((seq + 1) * 250_000_000);
+            let alive = ServiceMessage::Alive {
+                group: GROUP,
+                header: AliveHeader {
+                    incarnation: 1,
+                    seq,
+                    sent_at,
+                    sending_interval: eta,
+                    requested_interval: eta,
+                },
+                payload: sle_election::AlivePayload {
+                    accusation_time: SimInstant::ZERO,
+                    epoch: 0,
+                    local_leader: None,
+                },
+                representative: ProcessId::new(peer, 0),
+            };
+            node.on_message(peer, alive, &mut at((seq + 1) * 250 + 1));
+        }
+        let recorded = |node: &ServiceNode| {
+            let slot = node.peers.find(peer).expect("contacted");
+            node.peers.entries[slot].liveness.heartbeats_recorded()
+        };
+        assert_eq!(recorded(&node), 8);
+        let leave = ServiceMessage::Leave {
+            group: GROUP,
+            process: ProcessId::new(peer, 0),
+        };
+        node.on_message(peer, leave, &mut at(2_100));
+        assert!(node.remote_members_of(GROUP).is_empty());
+        // The peer restarts; its new life's first word is a digest.
+        let hello = ServiceMessage::Hello {
+            incarnation: 2,
+            version: 0,
+            sent_at: SimInstant::from_nanos(3_000_000_000),
+            pull: false,
+            announcements: HelloList::Omitted,
+        };
+        node.on_message(peer, hello, &mut at(3_000));
+        assert_eq!(recorded(&node), 0, "the old life's estimate survived");
     }
 
     /// One leader-change announcement, as plain comparable data:

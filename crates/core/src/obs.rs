@@ -26,7 +26,9 @@
 //!   the membership gossip's traffic by shape and the stale HELLOs its
 //!   version check dropped, bound likewise,
 //! * `node.<n>.alive.{unchanged,applied,plan_rebuilds}` — incoming ALIVE
-//!   datagrams by path (one stamp / entry by entry) and plan rebuilds.
+//!   datagrams by path (one stamp / entry by entry) and plan rebuilds,
+//! * `node.<n>.fd.{fires,walks}` — the per-peer failure-detector timers
+//!   that fired, and those of them that walked the peer's groups.
 //!
 //! The full catalogue lives in `docs/OBSERVABILITY.md`.
 //!

@@ -207,8 +207,7 @@ pub(crate) struct ArenaInner {
     slots: Vec<Option<LivenessHandle>>,
     free: Vec<u32>,
     /// Per-slot ALIVE freshness stamp ([`MonitorArena::stamp`]). Dense, so
-    /// a detector's poll reads every monitor's stamp under one lock instead
-    /// of one lock (and one cache miss) per monitor.
+    /// reading one is an array load under the arena lock.
     stamps: Vec<SimInstant>,
     /// Bumped whenever a monitor's requested interval moves: the owning
     /// node's cached ALIVE plan embeds those intervals.
@@ -308,6 +307,11 @@ impl MonitorArena {
     /// A counter that moves whenever some monitor's requested interval did.
     pub fn params_epoch(&self) -> u64 {
         self.lock().params_epoch
+    }
+
+    /// The freshness stamp of `handle`'s peer ([`MonitorArena::stamp`]).
+    pub fn stamp_of(&self, handle: &LivenessHandle) -> SimInstant {
+        self.lock().stamp_of(handle)
     }
 
     /// Drops every record no monitor references any more (a record whose

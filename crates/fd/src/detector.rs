@@ -4,9 +4,10 @@
 //! Failure Detector module shared by all groups and applications on that
 //! workstation: it monitors the other service instances and reports
 //! trust/suspect transitions to the Group Maintenance and Leader Election
-//! modules. [`FailureDetector`] is that module: a collection of per-peer
-//! [`PeerMonitor`]s plus the bookkeeping needed to drive them from a single
-//! timer.
+//! modules. [`FailureDetector`] is one group's share of that module: a
+//! collection of per-peer [`PeerMonitor`]s, each checked on its own
+//! ([`FailureDetector::check_peer`]) so that the owner of several detectors
+//! can watch all its monitors of one peer from one timer and its [`Wake`].
 
 use sle_sim::actor::NodeId;
 use sle_sim::time::{SimDuration, SimInstant};
@@ -24,6 +25,77 @@ pub struct PeerTransition {
     pub peer: NodeId,
     /// The direction of the change.
     pub transition: Transition,
+}
+
+/// When the monitors of one peer next need checking, in a form their owner
+/// advances by the peer's freshness stamp alone: a vouched monitor's
+/// horizon moves with the stamp, an un-vouched one's does not, and a
+/// monitor due to re-derive (η, δ) must be checked whatever its horizon.
+///
+/// [`Wake::merge`] keeps a lower bound: for any stamp, [`Wake::at`] is never
+/// later than the deadline of any monitor merged in. A monitor checked at
+/// stamp `s` wakes at exactly its deadline for every later stamp, unless
+/// the stamp it was last priced at was priced at a smaller δ than it has now.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Wake {
+    /// Earliest horizon of a vouched monitor as of its last fold.
+    pub(crate) fresh: SimInstant,
+    /// Least a stamp buys a vouched monitor past itself: η + δ, or less
+    /// while what its last stamp bought is priced at an older, smaller δ.
+    pub(crate) offset: SimDuration,
+    /// Earliest horizon of an un-vouched monitor: no stamp moves it.
+    pub(crate) until: SimInstant,
+    /// The stamp from which a static monitor re-derives (η, δ).
+    pub(crate) retune_stamp: SimInstant,
+    /// The instant from which an adaptive monitor re-derives (η, δ).
+    pub(crate) retune_at: SimInstant,
+}
+
+impl Wake {
+    /// The wake of no monitor (or of suspected ones only).
+    pub const NEVER: Wake = Wake {
+        fresh: SimInstant::FAR_FUTURE,
+        offset: SimDuration::MAX,
+        until: SimInstant::FAR_FUTURE,
+        retune_stamp: SimInstant::FAR_FUTURE,
+        retune_at: SimInstant::FAR_FUTURE,
+    };
+
+    /// The wake of both `self`'s monitors and `other`'s.
+    pub fn merge(self, other: Wake) -> Wake {
+        Wake {
+            fresh: self.fresh.min(other.fresh),
+            offset: self.offset.min(other.offset),
+            until: self.until.min(other.until),
+            retune_stamp: self.retune_stamp.min(other.retune_stamp),
+            retune_at: self.retune_at.min(other.retune_at),
+        }
+    }
+
+    /// The earliest instant a monitor can expire while the peer's stamp
+    /// is `stamp` ([`SimInstant::FAR_FUTURE`]: none can).
+    pub fn at(&self, stamp: SimInstant) -> SimInstant {
+        self.fresh.max(stamp + self.offset).min(self.until)
+    }
+
+    /// Whether checking the monitors at `now`, the peer's stamp at `stamp`,
+    /// would find nothing to do: none can expire and none is due to
+    /// re-derive (η, δ).
+    pub fn quiet(&self, stamp: SimInstant, now: SimInstant) -> bool {
+        self.at(stamp) > now && stamp < self.retune_stamp && now < self.retune_at
+    }
+}
+
+/// What [`FailureDetector::check_peer`] found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PeerCheck {
+    /// The monitor's change of opinion, if any (a check only suspects).
+    pub transition: Option<Transition>,
+    /// Whether the monitor re-derived a different operating point (η, δ),
+    /// or started or stopped following a measured estimate.
+    pub retuned: bool,
+    /// When the monitor must next be checked.
+    pub wake: Wake,
 }
 
 /// The failure-detector module of one service instance.
@@ -143,13 +215,13 @@ impl FailureDetector {
         self.arena.prune();
     }
 
-    /// Discards any state about `peer` and starts monitoring it afresh
-    /// (used when a peer restarts with a new incarnation). The shared
-    /// liveness record is wiped in place, so every other group monitoring
-    /// the peer starts measuring the new incarnation too.
+    /// Discards this detector's opinion of `peer` and starts monitoring it
+    /// afresh (used when a peer restarts with a new incarnation). The
+    /// shared liveness record is the arena owner's to wipe
+    /// ([`LivenessHandle::reset`](crate::LivenessHandle::reset)), once for
+    /// every detector reading it.
     pub fn reset_peer(&mut self, peer: NodeId, now: SimInstant) {
         let slot = self.arena.slot(peer);
-        slot.reset();
         let monitor = PeerMonitor::with_liveness(self.qos, self.policy, slot, now);
         match self.find(peer) {
             Ok(i) => self.monitors[i].1 = monitor,
@@ -235,39 +307,59 @@ impl FailureDetector {
             .map(|transition| PeerTransition { peer, transition })
     }
 
-    /// Re-evaluates every monitor at `now` — through its peer's shared
-    /// freshness stamp — and returns all transitions (in practice, new
-    /// suspicions whose freshness horizon has expired).
+    /// Re-evaluates `peer`'s monitor at `now` — through the peer's shared
+    /// freshness stamp, folded in first — and lets it re-derive (η, δ) if it
+    /// is due. `None` if the peer is not monitored.
+    pub fn check_peer(&mut self, peer: NodeId, now: SimInstant) -> Option<PeerCheck> {
+        let i = self.find(peer).ok()?;
+        Some(self.check_at(i, now))
+    }
+
+    fn check_at(&mut self, i: usize, now: SimInstant) -> PeerCheck {
+        let monitor = &mut self.monitors[i].1;
+        let mut arena = self.arena.lock();
+        let before = (monitor.params(), monitor.is_measured());
+        monitor.fold(arena.stamp_of(monitor.liveness()), false);
+        let transition = monitor.check(now);
+        if monitor.requested_interval() != before.0.interval {
+            arena.params_epoch += 1;
+        }
+        PeerCheck {
+            transition,
+            retuned: (monitor.params(), monitor.is_measured()) != before,
+            wake: monitor.wake(),
+        }
+    }
+
+    /// [`check_peer`](FailureDetector::check_peer) for every monitored
+    /// peer, returning the transitions (in practice, new suspicions whose
+    /// freshness horizon has expired).
     pub fn poll(&mut self, now: SimInstant) -> Vec<PeerTransition> {
         let mut transitions = Vec::new();
-        let mut arena = self.arena.lock();
-        for (peer, monitor) in self.monitors.iter_mut() {
-            let requested = monitor.requested_interval();
-            monitor.fold(arena.stamp_of(monitor.liveness()), false);
-            let transition = monitor.check(now);
-            if monitor.requested_interval() != requested {
-                arena.params_epoch += 1;
-            }
-            if let Some(transition) = transition {
-                transitions.push(PeerTransition {
-                    peer: *peer,
-                    transition,
-                });
+        for i in 0..self.monitors.len() {
+            if let Some(transition) = self.check_at(i, now).transition {
+                let peer = self.monitors[i].0;
+                transitions.push(PeerTransition { peer, transition });
             }
         }
         transitions
     }
 
-    /// The earliest deadline among all monitors — the time at which the next
-    /// suspicion could occur and therefore the time at which the owner should
-    /// call [`FailureDetector::poll`] again.
+    /// The instant `peer`'s monitor suspects it unless a heartbeat or a
+    /// stamp comes first. `None` if the peer is not monitored or already
+    /// suspected.
+    pub fn deadline_of(&self, peer: NodeId) -> Option<SimInstant> {
+        let monitor = self.monitor(peer)?;
+        let deadline = monitor.deadline_at(self.arena.lock().stamp_of(monitor.liveness()));
+        (deadline != SimInstant::FAR_FUTURE).then_some(deadline)
+    }
+
+    /// The earliest [`deadline_of`](FailureDetector::deadline_of) among all
+    /// monitors — the time at which the next suspicion could occur and
+    /// therefore the time at which the owner should call
+    /// [`FailureDetector::poll`] again.
     pub fn next_deadline(&self) -> Option<SimInstant> {
-        let arena = self.arena.lock();
-        self.monitors
-            .iter()
-            .map(|(_, m)| m.deadline_at(arena.stamp_of(m.liveness())))
-            .filter(|&d| d != SimInstant::FAR_FUTURE)
-            .min()
+        self.peers().filter_map(|peer| self.deadline_of(peer)).min()
     }
 }
 
@@ -548,6 +640,129 @@ mod tests {
         }
         assert_ne!(detector.requested_interval(NodeId(1)).unwrap(), prior);
         assert!(arena.params_epoch() > before);
+    }
+
+    #[test]
+    fn check_peer_checks_that_monitor_alone() {
+        let mut detector = fd();
+        let now = SimInstant::ZERO;
+        detector.ensure_peer(NodeId(1), now);
+        detector.ensure_peer(NodeId(2), now + SimDuration::from_millis(500));
+        let due = detector.deadline_of(NodeId(1)).unwrap();
+        assert_eq!(due, now + SimDuration::from_secs(1));
+        assert_eq!(detector.check_peer(NodeId(3), due), None);
+        let other = detector.check_peer(NodeId(2), due).unwrap();
+        assert_eq!((other.transition, other.retuned), (None, false));
+        assert_eq!(
+            other.wake.at(SimInstant::ZERO),
+            due + SimDuration::from_millis(500)
+        );
+        assert!(detector.is_trusted(NodeId(1)));
+        let expired = detector.check_peer(NodeId(1), due).unwrap();
+        assert_eq!(expired.transition, Some(Transition::BecameSuspected));
+        assert_eq!(expired.wake, Wake::NEVER);
+        assert_eq!(detector.deadline_of(NodeId(1)), None);
+        assert_eq!(detector.next_deadline(), detector.deadline_of(NodeId(2)));
+    }
+
+    /// Three groups' detectors — T_D 1 s and 2 s static, 1 s adaptive —
+    /// monitor one peer through one arena, fed the way a service instance
+    /// feeds them: batches applied to a changing subset of the groups, and
+    /// repeats in between that only move the stamp. The wake merged at each
+    /// walk must never be later than any monitor's deadline, and while it
+    /// says quiet a walk must find nothing to do for a trusted monitor.
+    #[test]
+    fn a_merged_wake_is_early_and_quiet_means_nothing_to_do() {
+        use sle_sim::rng::SimRng;
+        let peer = NodeId(1);
+        let mut rng = SimRng::seed_from(0xFD_FA11);
+        let arena = MonitorArena::new();
+        let handle = arena.slot(peer);
+        let qos = |secs| QosSpec::paper_default_with_detection(SimDuration::from_secs(secs));
+        let mut groups = [
+            FailureDetector::with_arena(qos(1), TuningPolicy::Static, arena.clone()),
+            FailureDetector::with_arena(qos(2), TuningPolicy::Static, arena.clone()),
+            FailureDetector::with_arena(qos(1), TuningPolicy::Adaptive, arena.clone()),
+        ];
+        let (mut now, mut seq) = (SimInstant::ZERO, 0u64);
+        for group in groups.iter_mut() {
+            group.ensure_peer(peer, now);
+        }
+        let mut wake: Option<Wake> = None;
+        let (mut quiet, mut walks) = (0, 0);
+        for step in 0..20_000 {
+            now += SimDuration::from_millis(1 + rng.uniform_usize(120) as u64);
+            let sent = now - SimDuration::from_millis(rng.uniform_usize(30) as u64);
+            // Silences long enough to be suspected through.
+            let silent = (step / 400) % 5 == 4;
+            if !silent && rng.bernoulli(0.9) {
+                seq += 1;
+                handle.record(seq, sent, now);
+                if rng.bernoulli(0.97) {
+                    arena.stamp(&handle, sent, false);
+                } else {
+                    // A changed batch: everything folds and unvouches, the
+                    // stamp restarts, the batch's groups are fed.
+                    for group in groups.iter_mut() {
+                        group.unvouch(peer);
+                    }
+                    arena.stamp(&handle, sent, true);
+                    let listed = [0, 1, 2].map(|_| rng.bernoulli(0.8));
+                    let eta = SimDuration::from_millis(50 + rng.uniform_usize(300) as u64);
+                    for (group, _) in groups.iter_mut().zip(listed).filter(|g| g.1) {
+                        group.on_heartbeat(peer, seq, sent, eta, now);
+                    }
+                    wake = None;
+                }
+            }
+            let stamp = arena.stamp_of(&handle);
+            if let Some(cached) = wake {
+                for group in &groups {
+                    let due = group.deadline_of(peer).unwrap_or(SimInstant::FAR_FUTURE);
+                    assert!(cached.at(stamp) <= due, "step {step}: late wake");
+                }
+                if cached.quiet(stamp, now) {
+                    quiet += 1;
+                    // (A suspected monitor re-derives on the heartbeats
+                    // that fail to revive it, not on a timer.)
+                    for group in groups.iter().filter(|g| g.is_trusted(peer)) {
+                        let check = group.clone().check_peer(peer, now).unwrap();
+                        assert_eq!((check.transition, check.retuned), (None, false));
+                    }
+                    continue;
+                }
+            }
+            walks += 1;
+            let merged = (groups.iter_mut())
+                .map(|group| group.check_peer(peer, now).unwrap().wake)
+                .fold(Wake::NEVER, Wake::merge);
+            assert!(
+                merged.at(stamp) > now,
+                "step {step}: a walk left a due monitor"
+            );
+            wake = Some(merged);
+        }
+        assert!(quiet > 10 * walks, "{quiet} quiet, {walks} walks");
+        assert!(walks > 100, "{walks} walks");
+    }
+
+    #[test]
+    fn a_wake_rides_the_stamp_exactly_in_steady_state() {
+        let (arena, mut detector, fed) = vouched_detector();
+        let handle = arena.slot(NodeId(1));
+        let wake = detector.check_peer(NodeId(1), fed).unwrap().wake;
+        for k in 1..20u64 {
+            let stamp = fed + SimDuration::from_millis(250 * k);
+            arena.stamp(&handle, stamp, false);
+            assert_eq!(Some(wake.at(stamp)), detector.deadline_of(NodeId(1)));
+            assert!(wake.quiet(stamp, stamp) || stamp >= fed + SimDuration::from_secs(5));
+        }
+        // A static monitor re-derives once a stamp 5 s past the last time
+        // it did arrives: from then on a check has something to do.
+        assert!(!wake.quiet(
+            fed + SimDuration::from_secs(5),
+            fed + SimDuration::from_secs(5)
+        ));
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //! Around them: [`qos`] is the application-facing QoS triple
 //! `(T_D^U, T_MR^L, P_A^L)`, [`arena`] the per-workstation store that keeps
 //! one estimator per peer however many groups (under whichever policies)
-//! monitor it, and [`detector`] the per-group collection of monitors the
-//! service drives from one timer.
+//! monitor it, and [`detector`] the per-group collection of monitors,
+//! checked one peer at a time by the service's per-peer timers.
 //!
 //! ## Example
 //!
@@ -61,7 +61,7 @@ pub mod quality;
 pub mod prelude {
     pub use crate::arena::{LivenessHandle, MonitorArena};
     pub use crate::config::{configure, FdParams, TuningPolicy};
-    pub use crate::detector::{FailureDetector, PeerTransition};
+    pub use crate::detector::{FailureDetector, PeerCheck, PeerTransition, Wake};
     pub use crate::monitor::{PeerMonitor, Transition, TrustState};
     pub use crate::qos::{QosError, QosSpec};
     pub use crate::quality::{LinkQuality, LinkQualityEstimator};
@@ -69,7 +69,7 @@ pub mod prelude {
 
 pub use arena::{LivenessHandle, MonitorArena};
 pub use config::{configure, FdParams, TuningPolicy};
-pub use detector::{FailureDetector, PeerTransition};
+pub use detector::{FailureDetector, PeerCheck, PeerTransition, Wake};
 pub use monitor::{PeerMonitor, Transition, TrustState};
 pub use qos::{QosError, QosSpec};
 pub use quality::{LinkQuality, LinkQualityEstimator};

@@ -20,6 +20,7 @@ use sle_sim::time::{SimDuration, SimInstant};
 
 use crate::arena::LivenessHandle;
 use crate::config::{configure, FdParams, TuningPolicy};
+use crate::detector::Wake;
 use crate::qos::QosSpec;
 use crate::quality::LinkQuality;
 
@@ -194,6 +195,37 @@ impl PeerMonitor {
         self.deadline().max(self.vouched_until(stamp))
     }
 
+    /// When the monitor must next be checked, as a [`Wake`] its owner can
+    /// advance by the peer's shared stamp alone. A suspected monitor has no
+    /// deadline and needs none.
+    pub(crate) fn wake(&self) -> Wake {
+        if self.state == TrustState::Suspected {
+            return Wake::NEVER;
+        }
+        // Re-derivation is due on the clock `maybe_reconfigure` reads: the
+        // latest stamp folded in under the static policy (none while
+        // un-vouched), the time under the adaptive one.
+        let retune = self.last_reconfigure + self.policy.reconfigure_every();
+        let mut wake = Wake::NEVER;
+        match self.vouched {
+            Some((eta, folded)) => {
+                // A stamp at or before `folded` buys nothing beyond
+                // `fresh_until`, which may hold it at a smaller δ than now.
+                let bought = self.fresh_until.saturating_since(folded);
+                wake.fresh = self.fresh_until;
+                wake.offset = (eta + self.params.shift).min(bought);
+                if self.policy == TuningPolicy::Static {
+                    wake.retune_stamp = retune;
+                }
+            }
+            None => wake.until = self.fresh_until,
+        }
+        if self.policy == TuningPolicy::Adaptive {
+            wake.retune_at = retune;
+        }
+        wake
+    }
+
     /// Folds the peer's shared `stamp` into the monitor's own horizon; with
     /// `unvouch` the stamp stops counting from here on (the peer's batch no
     /// longer lists the group, or the owner is about to restart the stamp).
@@ -244,7 +276,7 @@ impl PeerMonitor {
         }
         // Too old to revive the peer. Under a bound tightened below T_D^U
         // that is the link outrunning (η, δ): re-derive them here — while
-        // suspected no deadline is pending, so no poll may ever come.
+        // suspected no deadline is pending, so no check may ever come.
         if self.params.worst_case_detection() < self.qos.detection_time() {
             self.maybe_reconfigure(now);
         }

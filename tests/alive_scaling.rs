@@ -2,13 +2,17 @@
 //! group of n costs n − 1 ALIVE payloads per heartbeat interval η under Ω_l
 //! (only the leader sends) and n(n − 1) under Ω_lc (everybody does), and —
 //! however many groups two workstations share — exactly one ALIVE datagram
-//! per (sender, destination) per η.
+//! per (sender, destination) per η, watched by one failure-detector timer
+//! per monitored peer at the receiver.
 
 use std::collections::BTreeMap;
 
-use sle_core::{GroupId, JoinConfig, ServiceConfig, ServiceContext, ServiceMessage, ServiceNode};
+use sle_core::{
+    GroupId, JoinConfig, ProcessId, ServiceConfig, ServiceContext, ServiceEvent, ServiceMessage,
+    ServiceNode,
+};
 use sle_election::ElectorKind;
-use sle_sim::observer::NullObserver;
+use sle_sim::observer::{NullObserver, Observer};
 use sle_sim::prelude::*;
 
 const GROUPS: u32 = 3;
@@ -17,10 +21,12 @@ const GROUPS: u32 = 3;
 /// each entry declared)`.
 type Sent = (SimInstant, Vec<GroupId>, Vec<SimDuration>);
 
-/// A `ServiceNode` that also records the ALIVE datagrams it sends.
+/// A `ServiceNode` that also records the ALIVE datagrams it sends and
+/// counts the timers it fires.
 struct Tap {
     node: ServiceNode,
     alives: BTreeMap<NodeId, Vec<Sent>>,
+    timers: u64,
 }
 
 impl Tap {
@@ -56,7 +62,7 @@ impl Tap {
 
 impl Actor for Tap {
     type Msg = ServiceMessage;
-    type Event = sle_core::ServiceEvent;
+    type Event = ServiceEvent;
 
     fn on_start(&mut self, ctx: &mut ServiceContext) {
         self.node.on_start(ctx);
@@ -69,6 +75,7 @@ impl Actor for Tap {
     }
 
     fn on_timer(&mut self, tag: TimerTag, ctx: &mut ServiceContext) {
+        self.timers += 1;
         self.node.on_timer(tag, ctx);
         self.after(ctx);
     }
@@ -90,6 +97,7 @@ fn tapped_world(
             Tap {
                 node: ServiceNode::new(config),
                 alives: BTreeMap::new(),
+                timers: 0,
             }
         }),
         PerfectMedium,
@@ -217,4 +225,85 @@ fn a_fan_out_beyond_the_size_budget_is_split() {
     assert!(chunks[..chunks.len() - 1].iter().all(|s| s.1.len() >= 19));
     let node = &tap.node;
     assert!(node.alive_datagrams_sent() * 19 <= node.alive_payloads_sent());
+}
+
+/// Every `LeaderChanged` raised, as `(when, node, group, leader)`.
+#[derive(Default)]
+struct Changes(Vec<(SimInstant, NodeId, GroupId, Option<ProcessId>)>);
+
+impl Observer<ServiceEvent> for Changes {
+    fn event_emitted(&mut self, now: SimInstant, node: NodeId, event: &ServiceEvent) {
+        let ServiceEvent::LeaderChanged { group, leader } = *event;
+        self.0.push((now, node, group, leader));
+    }
+}
+
+/// A follower in k groups one peer leads watches that peer with one
+/// detector timer: as many fires per second for k = 16 as for k = 1 — and
+/// as many timers of any kind — and when the leader crashes, every group
+/// suspects it at the same instant, within T_D of its last ALIVE.
+#[test]
+fn fd_timers_scale_with_monitored_peers_not_groups() {
+    let t_d = JoinConfig::candidate().qos.detection_time();
+    let mut rates = Vec::new();
+    for k in [1u32, 4, 16] {
+        let groups: Vec<GroupId> = (1..=k).map(GroupId).collect();
+        let joins = groups.iter().map(|&g| (g, JoinConfig::candidate()));
+        let mut world = tapped_world(2, ElectorKind::OmegaL, joins.collect());
+        let mut log = Changes::default();
+        world.run_for(SimDuration::from_secs(20), &mut log);
+        let leader = (world.actor(NodeId(0)).unwrap().node)
+            .leader_of(groups[0])
+            .expect("settled")
+            .node;
+        let follower = NodeId(1 - leader.0);
+        let counts = |world: &World<Tap, PerfectMedium>| {
+            let tap = world.actor(follower).unwrap();
+            (tap.node.fd_counters().fires.get(), tap.timers)
+        };
+        let before = counts(&world);
+        world.run_for(SimDuration::from_secs(10), &mut log);
+        let after = counts(&world);
+        let per_s = |(b, a): (u64, u64)| (a - b) as f64 / 10.0;
+        rates.push((k, per_s((before.0, after.0)), per_s((before.1, after.1))));
+        for &group in &groups {
+            let follows = world.actor(follower).unwrap().node.leader_of(group);
+            assert_eq!(follows.map(|p| p.node), Some(leader), "k = {k}: {group:?}");
+        }
+
+        // The leader crashes between two ticks, after its last ALIVE.
+        let crash_at = world.now() + SimDuration::from_millis(100);
+        world.run_until(crash_at - SimDuration::from_nanos(1), &mut log);
+        let last_sent = world.actor(leader).unwrap().alives[&follower]
+            .last()
+            .expect("the leader heartbeats its follower")
+            .0;
+        world.schedule_crash(leader, crash_at);
+        log.0.clear();
+        world.run_for(t_d * 2, &mut log);
+        let suspected: Vec<_> = (log.0.iter())
+            .filter(|&&(_, node, _, to)| node == follower && to.is_none_or(|p| p.node != leader))
+            .collect();
+        let at = suspected
+            .first()
+            .expect("the follower suspected its leader")
+            .0;
+        assert_eq!(suspected.len(), groups.len(), "k = {k}: {suspected:?}");
+        assert!(
+            suspected.iter().all(|&&(when, ..)| when == at),
+            "k = {k}: {suspected:?}"
+        );
+        assert!(at > crash_at && at <= last_sent + t_d, "k = {k}: {at:?}");
+    }
+    let (_, fd, timers) = rates[0];
+    for &(k, fd_k, timers_k) in &rates {
+        assert!(
+            (fd_k - fd).abs() <= 1.0,
+            "{rates:?}: detector fires at k = {k}"
+        );
+        assert!(
+            (timers_k - timers).abs() <= 1.0,
+            "{rates:?}: timers at k = {k}"
+        );
+    }
 }

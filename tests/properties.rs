@@ -812,8 +812,10 @@ mod hello_gossip {
 /// driven by hand (its timers fired in time order) hears a scripted peer
 /// over a lossy, duplicating, reordering link, and a model fed the same
 /// deliveries — every heartbeat applied to every group it lists, the way
-/// the service did before batches could repeat — says when each group must
-/// suspect and revive the peer.
+/// the service did before batches could repeat, each group judged on its
+/// own `T_D` — says when each group must suspect and revive the peer. The
+/// node watches all its groups' monitors of the peer from one detector
+/// timer, so groups with different deadlines and policies are the case.
 mod alive_fast_path {
     use std::collections::BTreeMap;
     use std::sync::Arc;
@@ -823,7 +825,7 @@ mod alive_fast_path {
         NodeInstruments, ProcessId, ServiceConfig, ServiceContext, ServiceMessage, ServiceNode,
     };
     use sle_election::{AlivePayload, ElectorKind};
-    use sle_fd::{configure, LinkQuality, QosSpec, TuningPolicy};
+    use sle_fd::{configure, LinkQuality, QosSpec};
     use sle_obs::{Registry, TraceRing};
     use sle_sim::prelude::*;
     use sle_sim::rng::SimRng;
@@ -843,9 +845,31 @@ mod alive_fast_path {
         (1..=n).map(GroupId).collect()
     }
 
-    /// One `ServiceNode`, joined to `groups` at `START`, driven by hand.
+    /// Candidate joins of `groups` at the paper's QoS.
+    fn alike(groups: &[GroupId]) -> Vec<(GroupId, JoinConfig)> {
+        groups
+            .iter()
+            .map(|&g| (g, JoinConfig::candidate()))
+            .collect()
+    }
+
+    /// Candidate joins of groups 1..=n that differ in turn: T_D 2 s, T_D
+    /// 1 s, T_D 1 s under adaptive tuning, ... — the first group's
+    /// deadlines are the latest.
+    fn differing(n: u32) -> Vec<(GroupId, JoinConfig)> {
+        let slow = QosSpec::paper_default_with_detection(SimDuration::from_secs(2));
+        let join = |g: u32| match g % 3 {
+            1 => JoinConfig::candidate().with_qos(slow),
+            2 => JoinConfig::candidate(),
+            _ => JoinConfig::candidate().with_adaptive_tuning(),
+        };
+        (1..=n).map(|g| (GroupId(g), join(g))).collect()
+    }
+
+    /// One `ServiceNode`, joined to `joins` at `START`, driven by hand.
     struct Rig {
         node: ServiceNode,
+        joins: Vec<(GroupId, JoinConfig)>,
         registry: Registry,
         now: SimInstant,
         timers: BTreeMap<TimerTag, SimInstant>,
@@ -854,15 +878,20 @@ mod alive_fast_path {
 
     impl Rig {
         fn new(algorithm: ElectorKind, groups: &[GroupId]) -> Rig {
+            Rig::joined(algorithm, alike(groups))
+        }
+
+        fn joined(algorithm: ElectorKind, joins: Vec<(GroupId, JoinConfig)>) -> Rig {
             let mut config = ServiceConfig::full_mesh(ME, 3, algorithm);
-            for &group in groups {
-                config = config.with_auto_join(group, JoinConfig::candidate());
+            for &(group, join) in &joins {
+                config = config.with_auto_join(group, join);
             }
             let registry = Registry::default();
             let mut node = ServiceNode::new(config);
             node.set_instruments(NodeInstruments::new(&registry, TraceRing::new(64), ME));
             let mut rig = Rig {
                 node,
+                joins,
                 registry,
                 now: START,
                 timers: BTreeMap::new(),
@@ -921,13 +950,15 @@ mod alive_fast_path {
             (alive.unchanged.get(), alive.applied.get())
         }
 
-        /// The shift δ the node's monitor of the peer uses in `group` now.
+        fn join(&self, group: GroupId) -> JoinConfig {
+            self.joins.iter().find(|j| j.0 == group).expect("joined").1
+        }
+
+        /// The shift δ the node's monitor of the peer uses in `group` now
+        /// (the prior's before the first heartbeat creates it).
         fn shift(&self, group: GroupId) -> SimDuration {
-            let prior = configure(
-                &QosSpec::paper_default(),
-                &LinkQuality::conservative_prior(),
-                TuningPolicy::Static,
-            );
+            let join = self.join(group);
+            let prior = configure(&join.qos, &LinkQuality::conservative_prior(), join.tuning);
             self.node.fd_params_of(group, PEER).unwrap_or(prior).shift
         }
 
@@ -990,8 +1021,9 @@ mod alive_fast_path {
     }
 
     /// The eager NFD-S monitor of one group, fed every delivered heartbeat.
-    #[derive(Debug, Default, Clone, Copy, PartialEq)]
+    #[derive(Debug, Clone, Copy, PartialEq)]
     struct Eager {
+        t_d: SimDuration,
         fresh_until: Option<SimInstant>,
         suspected: bool,
         suspicions: u64,
@@ -999,6 +1031,16 @@ mod alive_fast_path {
     }
 
     impl Eager {
+        fn new(join: &JoinConfig) -> Eager {
+            Eager {
+                t_d: join.qos.detection_time(),
+                fresh_until: None,
+                suspected: false,
+                suspicions: 0,
+                mistakes: 0,
+            }
+        }
+
         fn heartbeat(
             &mut self,
             sent_at: SimInstant,
@@ -1007,8 +1049,8 @@ mod alive_fast_path {
             now: SimInstant,
         ) {
             self.expire(now);
-            let horizon = sent_at + eta.min(T_D) + shift;
-            let fresh_until = self.fresh_until.unwrap_or(now + T_D).max(horizon);
+            let horizon = sent_at + eta.min(self.t_d) + shift;
+            let fresh_until = self.fresh_until.unwrap_or(now + self.t_d).max(horizon);
             self.fresh_until = Some(fresh_until);
             if self.suspected && now < fresh_until {
                 self.suspected = false;
@@ -1033,12 +1075,20 @@ mod alive_fast_path {
 
     impl Pair {
         fn new(algorithm: ElectorKind, n_groups: u32) -> Pair {
-            let groups = groups(n_groups);
+            Pair::joined(algorithm, alike(&groups(n_groups)))
+        }
+
+        fn joined(algorithm: ElectorKind, joins: Vec<(GroupId, JoinConfig)>) -> Pair {
             Pair {
-                rig: Rig::new(algorithm, &groups),
-                model: vec![Eager::default(); groups.len()],
-                groups,
+                groups: joins.iter().map(|j| j.0).collect(),
+                model: joins.iter().map(|j| Eager::new(&j.1)).collect(),
+                rig: Rig::joined(algorithm, joins),
             }
+        }
+
+        /// Forgets what the model's monitor of the peer in group `i` knew.
+        fn reset_model(&mut self, i: usize) {
+            self.model[i] = Eager::new(&self.rig.join(self.groups[i]));
         }
 
         /// Node and model must agree, group by group, at `self.rig.now`.
@@ -1091,16 +1141,25 @@ mod alive_fast_path {
     /// (a) Unchanged batches for 60 s under loss, duplication, reordering
     /// and two outages: suspicions and revivals match the eager model event
     /// for event — never one more, never one later — and once the peer goes
-    /// silent every vouched group suspects it within T_D.
+    /// silent every vouched group suspects it within its T_D. The groups
+    /// share the paper's QoS, or (`mixed`) differ in T_D and tuning policy
+    /// ([`differing`]).
     #[test]
     fn unchanged_batches_are_judged_like_eager_heartbeats() {
         let mut rng = SimRng::seed_from(0xA11FE);
         let mut case = 0;
         for algorithm in ElectorKind::all() {
-            for loss in [0.0, 0.01, 0.05, 0.15] {
+            for (loss, mixed) in [0.0, 0.01, 0.05, 0.15]
+                .into_iter()
+                .flat_map(|l| [(l, false), (l, true)])
+            {
                 case += 1;
-                let what = format!("case {case} ({algorithm:?}, loss {loss})");
-                let mut pair = Pair::new(algorithm, 1 + rng.uniform_usize(4) as u32);
+                let what = format!("case {case} ({algorithm:?}, loss {loss}, mixed {mixed})");
+                let mut pair = if mixed {
+                    Pair::joined(algorithm, differing(2 + rng.uniform_usize(3) as u32))
+                } else {
+                    Pair::new(algorithm, 1 + rng.uniform_usize(4) as u32)
+                };
                 let listed = pair.groups.clone();
                 let faulty = loss > 0.0;
                 // Two outages long enough to be suspected through.
@@ -1168,11 +1227,13 @@ mod alive_fast_path {
                     assert!(applied <= 3, "{what}: {applied} applied");
                     assert_eq!(pair.model.iter().map(|m| m.suspicions).sum::<u64>(), 0);
                 }
-                // Silence: every group suspects within T_D of the last send.
-                pair.run_to(last_sent + T_D, &what);
+                // Silence: every group suspects within its T_D of the last
+                // send.
+                let slowest = pair.model.iter().map(|m| m.t_d).max().unwrap();
+                pair.run_to(last_sent + slowest, &what);
                 for (i, model) in pair.model.iter().enumerate() {
                     assert!(
-                        model.suspected,
+                        model.suspected && model.fresh_until <= Some(last_sent + model.t_d),
                         "{what}: group {i} still trusted: {model:?}"
                     );
                 }
@@ -1332,11 +1393,13 @@ mod alive_fast_path {
         }
         assert!(pair.rig.node.remote_members_of(listed[0]).is_empty());
         // The model's monitor went with the member; it restarts below.
-        pair.model[0] = Eager::default();
+        pair.reset_model(0);
         repeat(&mut pair, 1, "LEAVE removed the member");
         assert_eq!(pair.rig.node.remote_members_of(listed[0]).len(), 1);
         // A new incarnation: everything learnt is reset, then re-learnt.
-        pair.model = vec![Eager::default(); 2];
+        for i in 0..2 {
+            pair.reset_model(i);
+        }
         let sent_at = START + ms(250 * round);
         pair.run_to(sent_at + ms(2), what);
         let (unchanged, applied) = pair.rig.paths();
@@ -1359,6 +1422,50 @@ mod alive_fast_path {
             (unchanged + 1, applied + 1),
             "stale incarnation"
         );
+    }
+
+    /// (d') A HELLO naming the peer a candidate of a group its batches do
+    /// not list starts a monitor there, while repeats keep vouching for the
+    /// group they do list: the new monitor suspects the peer one T_D later,
+    /// on its own grace period — a T_D shorter than the peer's heartbeat
+    /// interval, so before any datagram arrives — and the other not at all.
+    #[test]
+    fn a_monitor_started_between_repeats_expires_on_its_grace() {
+        let brief = QosSpec::paper_default_with_detection(ms(200));
+        for algorithm in ElectorKind::all() {
+            let what = format!("{algorithm:?}");
+            let joins = vec![
+                (GroupId(1), JoinConfig::candidate()),
+                (GroupId(2), JoinConfig::candidate().with_qos(brief)),
+            ];
+            let mut pair = Pair::joined(algorithm, joins);
+            let (listed, quiet) = ([pair.groups[0]], pair.groups[1]);
+            for round in 0..8 {
+                tick(&mut pair, algorithm, round, &listed, &what);
+            }
+            let candidate = vec![(ProcessId::new(PEER, 0), true)];
+            let hello = ServiceMessage::Hello {
+                incarnation: 1,
+                version: 1,
+                sent_at: pair.rig.now,
+                pull: false,
+                announcements: HelloList::Full(
+                    (pair.groups.iter())
+                        .map(|&group| GroupAnnouncement {
+                            group,
+                            processes: candidate.clone(),
+                        })
+                        .collect(),
+                ),
+            };
+            pair.rig.deliver(PEER, hello);
+            pair.model[1].fresh_until = Some(pair.rig.now + brief.detection_time());
+            for round in 8..20 {
+                tick(&mut pair, algorithm, round, &listed, &what);
+            }
+            assert_eq!(pair.rig.verdicts(quiet), (1, 0), "{what}");
+            assert_eq!(pair.rig.verdicts(listed[0]), (0, 0), "{what}");
+        }
     }
 
     /// (e) Two send grids: the peer alternates two subset batches, so no
