@@ -177,12 +177,12 @@ fn main() {
         }
         println!("OK: the HELLO pull and stale-version paths ran under the checker");
         if let Err(missing) = summary.alive_paths_exercised() {
-            eprintln!("FAIL: {missing} — an ALIVE or detector path ran unchecked");
+            eprintln!("FAIL: {missing} — an ALIVE, detector or HELLO-tick path ran unchecked");
             std::process::exit(1);
         }
         println!(
             "OK: repeated and applied ALIVE batches, revivals included, and quiet and walking \
-             detector fires ran under the checker"
+             detector fires and HELLO ticks ran under the checker"
         );
     }
 }

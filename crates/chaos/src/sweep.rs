@@ -158,6 +158,13 @@ pub struct CellSummary {
     /// `fd.walks`, likewise: fires that checked the peer's monitor in every
     /// group; the rest re-armed from the peer's cached wake.
     pub fd_walks: u64,
+    /// `hello.digest_sent`, likewise: one per peer per HELLO tick (and per
+    /// local leave).
+    pub hello_digests: u64,
+    /// `hello.member_walks`, likewise: peers whose groups a HELLO tick
+    /// walked for membership expiry; the tick skipped the rest on their
+    /// cached member wake.
+    pub hello_member_walks: u64,
 }
 
 /// Everything a sweep produced.
@@ -216,7 +223,10 @@ impl SweepSummary {
     /// revival is a datagram that repeated the applied batch and still had
     /// to be applied, because a suspicion came between. The same families
     /// must show both kinds of detector fire: re-armed from the peer's
-    /// wake without touching a group, and walking the peer's groups.
+    /// wake without touching a group, and walking the peer's groups. The
+    /// partitions and the membership churn must show both kinds of HELLO
+    /// tick likewise: some peers' groups walked, and fewer walks than the
+    /// digests sent (one per peer and tick), so most peers left alone.
     ///
     /// # Errors
     ///
@@ -244,6 +254,18 @@ impl SweepSummary {
                 ));
             }
         }
+        for kind in [PlanKind::PartitionHeal, PlanKind::MemberChurn] {
+            let family = kind.name();
+            let cells = self.cells.iter().filter(|c| c.plan_name == family);
+            let (digests, walks) = cells.fold((0, 0), |(d, w), c| {
+                (d + c.hello_digests, w + c.hello_member_walks)
+            });
+            if walks == 0 || walks >= digests {
+                return Err(format!(
+                    "{family} runs took one HELLO-tick path only ({digests} digests, {walks} member walks)"
+                ));
+            }
+        }
         Ok(())
     }
 
@@ -257,7 +279,7 @@ impl SweepSummary {
             self.failures.len()
         ));
         out.push_str(&format!(
-            "{:<10} {:<16} {:>6} {:>8} {:>12} {:>12} {:>12} {:>12} {:>10} {:>9} {:>9} {:>9}\n",
+            "{:<10} {:<16} {:>6} {:>8} {:>12} {:>12} {:>12} {:>12} {:>10} {:>9} {:>9} {:>9} {:>12}\n",
             "service",
             "plan",
             "runs",
@@ -269,11 +291,12 @@ impl SweepSummary {
             "plan rbld",
             "revivals",
             "fd fires",
-            "fd walks"
+            "fd walks",
+            "hello walks"
         ));
         for cell in &self.cells {
             out.push_str(&format!(
-                "{:<10} {:<16} {:>6} {:>8} {:>12} {:>12} {:>12} {:>12} {:>10} {:>9} {:>9} {:>9}\n",
+                "{:<10} {:<16} {:>6} {:>8} {:>12} {:>12} {:>12} {:>12} {:>10} {:>9} {:>9} {:>9} {:>12}\n",
                 algorithm_label(cell.algorithm),
                 cell.plan_name,
                 cell.runs,
@@ -285,7 +308,8 @@ impl SweepSummary {
                 cell.alive_plan_rebuilds,
                 cell.revivals,
                 cell.fd_fires,
-                cell.fd_walks
+                cell.fd_walks,
+                cell.hello_member_walks
             ));
         }
         for failure in &self.failures {
@@ -391,6 +415,8 @@ pub fn run_sweep(config: &SweepConfig) -> SweepSummary {
                 revivals: 0,
                 fd_fires: 0,
                 fd_walks: 0,
+                hello_digests: 0,
+                hello_member_walks: 0,
             };
             // Scale-hungry families (LargeChurn needs room for 100+
             // processes) raise the deployment to their floor; the others
@@ -411,6 +437,8 @@ pub fn run_sweep(config: &SweepConfig) -> SweepSummary {
                 cell.revivals += sum(".fd.mistakes");
                 cell.fd_fires += sum(".fd.fires");
                 cell.fd_walks += sum(".fd.walks");
+                cell.hello_digests += sum(".hello.digest_sent");
+                cell.hello_member_walks += sum(".hello.member_walks");
                 if report.ok() {
                     continue;
                 }
@@ -531,6 +559,7 @@ mod tests {
         assert_eq!(summary.alive_paths_exercised(), Ok(()));
         assert!(summary.render().contains("alive same"));
         assert!(summary.render().contains("fd walks"));
+        assert!(summary.render().contains("hello walks"));
     }
 
     #[test]

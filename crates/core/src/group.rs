@@ -8,7 +8,7 @@
 //! tree maps.
 
 use sle_election::{AnyElector, LeaderElector};
-use sle_fd::{FailureDetector, MonitorArena, QosSpec};
+use sle_fd::{FailureDetector, MonitorArena, QosSpec, MIN_INTERVAL};
 use sle_sim::actor::NodeId;
 use sle_sim::time::{SimDuration, SimInstant};
 
@@ -25,8 +25,13 @@ pub struct MemberEntry {
     pub peer: NodeId,
     /// The remote workstation's incarnation when this information was learnt.
     pub incarnation: u64,
-    /// When an ALIVE or a HELLO list last named it in this group. Readers add
-    /// the peer's last digest while `listed_at` is the peer's applied version.
+    /// When an ALIVE or a HELLO list last named it in this group — its own
+    /// account only. The peer's stamps vouch on top of it: its latest digest
+    /// while `listed_at` is the peer's applied version, its latest ALIVE
+    /// datagram while the applied batch lists the group. The service folds a
+    /// stamp in here when the entry is about to lose its vouch (a new list
+    /// or batch no longer names the group) and when the entry is quiet past
+    /// the membership timeout on its own account; otherwise it may lag.
     pub last_heard: SimInstant,
     /// The version of the peer's announcement list that last named this
     /// group, if any: a group its newer list no longer names ages out.
@@ -285,17 +290,16 @@ impl GroupState {
 
     /// The interval at which this node should currently send ALIVEs for the
     /// group: the most demanding (smallest) of what the peers asked for,
-    /// never exceeding the default derived from the group's QoS.
+    /// never exceeding the default derived from the group's QoS and never
+    /// below [`MIN_INTERVAL`], the least any configurator asks for — a
+    /// hostile request of 0 must not make the ALIVE tick spin.
     pub fn send_interval(&self) -> SimDuration {
-        let default = self
-            .qos
-            .detection_time()
-            .mul_f64(0.25)
-            .max(SimDuration::from_millis(5));
+        let default = self.qos.detection_time().mul_f64(0.25).max(MIN_INTERVAL);
         self.members
             .iter()
             .filter_map(|e| e.requested_interval)
             .fold(default, SimDuration::min)
+            .max(MIN_INTERVAL)
     }
 
     /// Maps an elected node to the elected process announced to applications.
@@ -372,6 +376,13 @@ mod tests {
             .0
             .requested_interval = Some(SimDuration::from_millis(400));
         assert_eq!(group.send_interval(), SimDuration::from_millis(100));
+        // A request below the configurator's floor is held at the floor.
+        group
+            .members
+            .ensure(NodeId(3), 0, SimInstant::ZERO)
+            .0
+            .requested_interval = Some(SimDuration::ZERO);
+        assert_eq!(group.send_interval(), MIN_INTERVAL);
     }
 
     #[test]

@@ -60,7 +60,7 @@ fn grace_tag(group: GroupId) -> TimerTag {
 /// first join, a sorted `(id, slot)` index maps ids to slots, and the
 /// states live in a contiguous slot vector. Lookups are binary searches
 /// over the index, iteration follows the index (ascending group id, so the
-/// ALIVE fan-out and membership sweeps stay deterministic), and slots
+/// ALIVE fan-out stays deterministic), and slots
 /// vacated by `remove` are recycled through a free list.
 #[derive(Debug, Default)]
 struct GroupTable {
@@ -157,13 +157,6 @@ impl GroupTable {
             .as_ref()
             .expect("indexed slot is live")
     }
-
-    /// Mutable access to the state living in `slot` (which must be indexed).
-    fn slot_mut(&mut self, slot: u32) -> &mut GroupState {
-        self.slots[slot as usize]
-            .as_mut()
-            .expect("indexed slot is live")
-    }
 }
 
 /// Node-level per-peer state, interned into dense `u32` slots on first
@@ -220,9 +213,95 @@ struct PeerEntry {
     /// applied, since. Nothing else moves a monitor: (η, δ) only move in a
     /// check, and every check of the peer's monitors is in its walk.
     fd_wake: Option<Wake>,
+    /// The groups whose member table lists the peer, ascending: what a
+    /// HELLO tick walking the peer visits.
+    member_groups: Vec<GroupId>,
+    /// When the peer's member entries can first expire, as of the last
+    /// walk. `None` once an entry was created or removed, or a stamp stopped
+    /// vouching for one (a list moved `applied` or an entry's `listed_at`,
+    /// a batch was applied), since.
+    member_wake: Option<MemberWake>,
+}
+
+/// When a peer's member entries can first expire, as a function of the
+/// peer's two stamps. Per vouch class — no stamp, the digest only, the ALIVE
+/// datagram only, both — it holds the earliest own `last_heard` of the
+/// peer's entries in that class. An entry is heard at the latest of its own
+/// account and the stamps vouching for it, so the earliest of a class is
+/// its floor raised to its stamps. Stamps and `last_heard` only move
+/// forward, and whatever moves an entry between classes drops the wake, so
+/// the instant it gives never runs ahead of any entry.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct MemberWake([SimInstant; 4]);
+
+impl MemberWake {
+    const NEVER: MemberWake = MemberWake([SimInstant::FAR_FUTURE; 4]);
+
+    /// Notes an entry heard at `own` on its own account, vouched for by the
+    /// digest and the ALIVE datagram as `(hello, alive)` says.
+    fn note(&mut self, (hello, alive): (bool, bool), own: SimInstant) {
+        let floor = &mut self.0[usize::from(hello) | usize::from(alive) << 1];
+        *floor = (*floor).min(own);
+    }
+
+    /// The earliest any of the entries is heard at, given the stamps.
+    fn heard(&self, hello: SimInstant, alive: SimInstant) -> SimInstant {
+        let [none, by_hello, by_alive, by_both] = self.0;
+        none.min(by_hello.max(hello))
+            .min(by_alive.max(alive))
+            .min(by_both.max(hello).max(alive))
+    }
 }
 
 impl PeerEntry {
+    /// Which of the peer's stamps vouch for its entry `member` in `group`:
+    /// `(the digest — the applied list names the group, the ALIVE datagram —
+    /// the applied batch lists it)`.
+    fn vouches(&self, group: GroupId, member: &MemberEntry) -> (bool, bool) {
+        let hello = member.listed_at.is_some() && member.listed_at == self.applied;
+        let alive = self.alive_batch.iter().any(|alive| alive.group == group);
+        (hello, alive)
+    }
+
+    /// When the peer's entry `member` in `group` was last heard from: on its
+    /// own account or by a stamp vouching for it, whichever is latest.
+    fn heard(&self, group: GroupId, member: &MemberEntry) -> SimInstant {
+        let (hello, alive) = self.vouches(group, member);
+        let mut heard = member.last_heard;
+        if hello {
+            heard = heard.max(self.hello_heard);
+        }
+        if alive {
+            heard = heard.max(self.alive_heard);
+        }
+        heard
+    }
+
+    /// Whether none of the peer's member entries can be quiet past `timeout`
+    /// at `now`: it has none, or its cached wake says so.
+    fn member_quiet(&self, now: SimInstant, timeout: SimDuration) -> bool {
+        let quiet = |wake: MemberWake| {
+            now.saturating_since(wake.heard(self.hello_heard, self.alive_heard)) <= timeout
+        };
+        self.member_groups.is_empty() || self.member_wake.is_some_and(quiet)
+    }
+
+    /// `group`'s member table lists the peer from now on.
+    fn member_index(&mut self, group: GroupId) {
+        if let Err(i) = self.member_groups.binary_search(&group) {
+            self.member_groups.insert(i, group);
+        }
+        self.member_wake = None;
+    }
+
+    /// `group`'s member table no longer lists the peer.
+    fn member_unindex(&mut self, group: GroupId) {
+        if let Ok(i) = self.member_groups.binary_search(&group) {
+            self.member_groups.remove(i);
+        }
+        self.member_wake = None;
+    }
+
     /// `group`'s detector monitors the peer from now on.
     fn fd_index(&mut self, group: GroupId) {
         if let Err(i) = self.fd_groups.binary_search(&group) {
@@ -268,6 +347,8 @@ impl PeerSlab {
                     fd_groups: Vec::new(),
                     fd_armed: None,
                     fd_wake: None,
+                    member_groups: Vec::new(),
+                    member_wake: None,
                 });
                 self.index.insert(i, (peer.0, slot as u32));
                 slot
@@ -292,18 +373,9 @@ impl PeerSlab {
     /// peer's applied list names the group, or by the peer's latest ALIVE
     /// datagram while its applied batch does — whichever is latest.
     fn last_heard(&self, group: GroupId, member: &MemberEntry) -> SimInstant {
-        let Some(slot) = self.find(member.peer) else {
-            return member.last_heard;
-        };
-        let peer = &self.entries[slot];
-        let mut heard = member.last_heard;
-        if member.listed_at.is_some() && member.listed_at == peer.applied {
-            heard = heard.max(peer.hello_heard);
-        }
-        if peer.alive_batch.iter().any(|alive| alive.group == group) {
-            heard = heard.max(peer.alive_heard);
-        }
-        heard
+        self.find(member.peer).map_or(member.last_heard, |slot| {
+            self.entries[slot].heard(group, member)
+        })
     }
 }
 
@@ -337,8 +409,9 @@ struct AliveGrid {
     interval: SimDuration,
     /// Slots of the grid's groups.
     groups: Vec<u32>,
-    /// The grid's groups this node leads: lease upkeep and the
-    /// settle-delayed mint are time-driven for these alone.
+    /// The grid's groups this node leads: lease renewal and, while a group
+    /// holds no lease yet, the settle-delayed mint are time-driven for these
+    /// alone.
     led: Vec<GroupId>,
     /// `(destination, its peer slot, entries in ascending group id)`, in
     /// ascending destination id.
@@ -357,6 +430,10 @@ pub struct HelloCounters {
     pub pulls_sent: sle_obs::Counter,
     /// HELLOs dropped for an `(incarnation, version)` below the applied one.
     pub stale_ignored: sle_obs::Counter,
+    /// Peers whose groups a HELLO tick walked for membership expiry; the
+    /// tick skipped the others on their cached member wake without touching
+    /// a group.
+    pub member_walks: sle_obs::Counter,
 }
 
 /// What `me` announces about `state`'s group in its HELLO lists.
@@ -368,6 +445,86 @@ fn announcement(me: NodeId, state: &GroupState) -> GroupAnnouncement {
             .iter()
             .map(|&(local, candidate)| (ProcessId::new(me, local), candidate))
             .collect(),
+    }
+}
+
+/// What `check_leader` makes of a group at some instant.
+struct LeaderView {
+    /// The leader to announce.
+    leader: Option<ProcessId>,
+    /// The end of the self-election grace period, when it withheld this
+    /// node's own claim.
+    withheld: Option<SimInstant>,
+    /// The token to mint: this node leads, has settled, and holds no lease
+    /// that still dominates.
+    mint: Option<FencingToken>,
+}
+
+/// The leadership `me` (of incarnation `incarnation`) sees in `state` at
+/// `now`, without acting on it.
+fn leader_view(me: NodeId, incarnation: u64, state: &GroupState, now: SimInstant) -> LeaderView {
+    let mut leader = state.leader_process(me, state.elector.leader());
+    let mut withheld = None;
+    // A freshly (re)joined candidate does not claim the leadership for
+    // itself until the grace period elapses: it first listens for an
+    // incumbent leader, which keeps rejoining workstations from briefly
+    // disrupting the group's agreement.
+    if let Some(claimed) = leader {
+        let grace_ends = state.joined_at + state.self_election_grace();
+        if claimed.node == me && now < grace_ends {
+            leader = None;
+            withheld = Some(grace_ends);
+        }
+    }
+    // Settle delay: only a node that has led *continuously* for one lease
+    // term (`T_D`) mints. A transient claimant yields before the delay
+    // elapses and never serves, and by the time a genuine successor starts
+    // serving, the deposed leader's lease (TTL `T_D`, no longer renewed) has
+    // already lapsed — so two leases are never simultaneously valid.
+    let leads = leader.is_some_and(|l| l.node == me);
+    let settled = now >= state.led_since.unwrap_or(now) + state.qos.detection_time();
+    let mut mint = None;
+    if leads && settled {
+        let natural = FencingToken {
+            accusation_time: state.elector.accusation_time(),
+            node: me,
+            epoch: state.elector.epoch(),
+            incarnation,
+        };
+        // The issued token must strictly dominate every token this node has
+        // granted or observed for the group. A transiently self-elected
+        // claimant broadcasts a token that orders *above* ours (its later
+        // accusation time is a worse rank but a higher token); unless the
+        // rightful leader out-mints it after the claimant yields, every app
+        // that observed the claimant's grant would fence-reject the rightful
+        // leader's writes forever.
+        let observed = state.remote_lease.as_ref().map(|l| l.token);
+        let needs_mint = match &state.lease {
+            None => true,
+            Some(lease) => {
+                natural > lease.token
+                    || (natural.epoch, natural.incarnation)
+                        != (lease.token.epoch, lease.token.incarnation)
+                    || observed.is_some_and(|o| o >= lease.token)
+            }
+        };
+        if needs_mint {
+            let mut token = natural;
+            for floor in [state.lease.as_ref().map(|l| l.token), observed]
+                .into_iter()
+                .flatten()
+            {
+                if token <= floor {
+                    token.accusation_time = floor.accusation_time + SimDuration::from_nanos(1);
+                }
+            }
+            mint = Some(token);
+        }
+    }
+    LeaderView {
+        leader,
+        withheld,
+        mint,
     }
 }
 
@@ -483,6 +640,7 @@ impl ServiceNode {
         instruments.bind_node_counter("hello.digest_sent", &self.hello.digest_sent);
         instruments.bind_node_counter("hello.pulls_sent", &self.hello.pulls_sent);
         instruments.bind_node_counter("hello.stale_ignored", &self.hello.stale_ignored);
+        instruments.bind_node_counter("hello.member_walks", &self.hello.member_walks);
         instruments.bind_node_counter("alive.unchanged", &self.alive.unchanged);
         instruments.bind_node_counter("alive.applied", &self.alive.applied);
         instruments.bind_node_counter("alive.plan_rebuilds", &self.alive.plan_rebuilds);
@@ -761,19 +919,26 @@ impl ServiceNode {
                 for peer in gone.fd.peers() {
                     self.peers.entry(peer, &self.arena).fd_unindex(group);
                 }
+                for peer in gone.members.peers() {
+                    self.peers.entry(peer, &self.arena).member_unindex(group);
+                }
             }
             self.arm_alive_timer(ctx);
-        } else if !state.locally_candidate() && state.elector.is_candidate() {
-            // The last local candidate left: stop competing. As on the
-            // listener→candidate upgrade, preserve the accusation epoch so
-            // replayed accusations from the candidate life stay stale.
-            state.elector = sle_election::AnyElector::new_with_epoch(
-                algorithm,
-                me,
-                false,
-                ctx.now(),
-                state.elector.epoch() + 1,
-            );
+        } else {
+            if !state.locally_candidate() && state.elector.is_candidate() {
+                // The last local candidate left: stop competing. As on the
+                // listener→candidate upgrade, preserve the accusation epoch
+                // so replayed accusations from the candidate life stay stale.
+                state.elector = sle_election::AnyElector::new_with_epoch(
+                    algorithm,
+                    me,
+                    false,
+                    ctx.now(),
+                    state.elector.epoch() + 1,
+                );
+            }
+            // The local representative — the process announced while this
+            // node leads — may have been the one that left.
             self.check_leader(group, ctx);
         }
         if let Some(obs) = &mut self.obs {
@@ -816,12 +981,17 @@ impl ServiceNode {
             pull,
             announcements,
         };
+        let mut sent = 0;
         for peer in to {
             ctx.send(peer, msg.clone());
-            if let Some(counter) = shape {
-                counter.inc();
-            }
-            self.hello.pulls_sent.add(u64::from(pull));
+            sent += 1;
+        }
+        // Counted once per call: every count is an atomic add.
+        if let Some(counter) = shape {
+            counter.add(sent);
+        }
+        if pull {
+            self.hello.pulls_sent.add(sent);
         }
     }
 
@@ -909,18 +1079,27 @@ impl ServiceNode {
         debug_assert_eq!(grids, self.build_alive_grids(), "stale ALIVE plan");
         let due = |grid: &&AliveGrid| grid.due <= now;
         for &group in grids.iter().filter(due).flat_map(|grid| &grid.led) {
-            self.renew_lease(group, ctx);
-            // The settle-delayed mint is time-triggered, not event-triggered:
-            // without this a leader whose elector went quiet after the last
-            // leadership change would never re-check, and the delayed mint
-            // would starve until the next elector event.
-            self.check_leader(group, ctx);
+            // The settle-delayed mint is the one time-driven change left to
+            // a leader: a group still waiting to mint is re-checked, or the
+            // mint would starve until the next elector event. Everything else
+            // `check_leader` reads arrives by an event that runs it already,
+            // and a lease the renewal finds expired is dropped, so that
+            // group is re-checked on this very tick.
+            if self.renew_lease(group, ctx) {
+                self.check_leader(group, ctx);
+            } else {
+                debug_assert!(
+                    self.leader_settled(group, now),
+                    "a skipped re-check of {group:?} would change it"
+                );
+            }
         }
         // Destinations in ascending peer id (each grid's already are), so
         // the fan-out order stays deterministic.
         let mut sends: Vec<_> = grids.iter().filter(due).flat_map(|g| &g.sends).collect();
         sends.sort_by_key(|send| send.0);
         let mut rest = sends.as_slice();
+        let (mut payloads, mut datagrams) = (0, 0);
         while let Some((&&(dest, pslot, ref first), others)) = rest.split_first() {
             let shared = others.iter().take_while(|send| send.0 == dest).count();
             let mut alives = first.clone();
@@ -930,9 +1109,13 @@ impl ServiceNode {
             if shared > 0 {
                 alives.sort_by_key(|alive| alive.group);
             }
-            self.flush_alives(dest, pslot as usize, alives, now, ctx);
+            payloads += alives.len() as u64;
+            datagrams += self.flush_alives(dest, pslot as usize, alives, now, ctx);
             rest = &others[shared..];
         }
+        // Counted once per tick: every count is an atomic add.
+        self.alive_payloads_sent.add(payloads);
+        self.alive_datagrams_sent.add(datagrams);
         // Advance the due grids — always, so a node that re-enters the
         // competition resumes sending within one interval — snapped to the
         // node-wide grid of the interval (multiples of it since the node
@@ -941,7 +1124,8 @@ impl ServiceNode {
         // The gap between consecutive sends never exceeds one interval, so
         // receivers' freshness horizons are unaffected.
         for grid in grids.iter_mut().filter(|grid| grid.due <= now) {
-            let step = grid.interval.as_nanos().max(1);
+            // Never 0: `GroupState::send_interval` is floored.
+            let step = grid.interval.as_nanos();
             grid.due = SimInstant::from_nanos((now.as_nanos() / step + 1) * step);
             for &gslot in &grid.groups {
                 self.groups.due[gslot as usize] = grid.due;
@@ -952,8 +1136,11 @@ impl ServiceNode {
         if (1..grids.len()).any(|i| grids[..i].iter().any(|g| same(g, &grids[i]))) {
             self.alive_epoch += 1;
         }
+        // Every group is in one grid: the earliest grid is the next tick.
+        if let Some(next) = grids.iter().map(|grid| grid.due).min() {
+            ctx.set_timer_at(ALIVE_TIMER, next);
+        }
         self.alive_plan = (key, grids);
-        self.arm_alive_timer(ctx);
     }
 
     /// Holding a lease and still sending ALIVEs is the leader's liveness
@@ -968,21 +1155,27 @@ impl ServiceNode {
     /// silence earned — the followers' detectors share the bound T_D, and
     /// their ACCUSEs may have found it paused — so it neither takes the
     /// leadership back on its stale rank nor mints below the successor.
-    fn renew_lease(&mut self, group: GroupId, ctx: &mut ServiceContext) {
+    ///
+    /// Returns whether the group holds no lease: still waiting to mint, or
+    /// its lease just dropped.
+    fn renew_lease(&mut self, group: GroupId, ctx: &mut ServiceContext) -> bool {
         let now = ctx.now();
         let Some(state) = self.groups.get_mut(group) else {
-            return;
+            return false;
         };
         let sending = state.should_send_alives();
-        let Some(lease) = state.lease.as_mut().filter(|_| sending) else {
-            return;
+        let Some(lease) = state.lease.as_mut() else {
+            return true;
         };
+        if !sending {
+            return false;
+        }
         if !lease.valid_at(now) {
             state.lease = None;
             state.led_since = None;
             state.elector.on_accusation(state.elector.epoch(), now);
             self.alive_epoch += 1;
-            return;
+            return true;
         }
         lease.renewed_at = now;
         self.lease_renewals.inc();
@@ -996,11 +1189,13 @@ impl ServiceNode {
                 ctx.send(dest, grant.clone());
             }
         }
+        false
     }
 
     /// Sends `alives` to `dest` (peer slot `pslot`), split at the
     /// transport's size budget; each datagram takes the next node-level
-    /// sequence number of the destination's heartbeat stream.
+    /// sequence number of the destination's heartbeat stream. Returns the
+    /// number of datagrams sent.
     fn flush_alives(
         &mut self,
         dest: NodeId,
@@ -1008,7 +1203,8 @@ impl ServiceNode {
         mut alives: Vec<GroupAlive>,
         now: SimInstant,
         ctx: &mut ServiceContext,
-    ) {
+    ) -> u64 {
+        let mut datagrams = 0;
         while !alives.is_empty() {
             let mut bytes = 0;
             let fits = alives.iter().take_while(|alive| {
@@ -1019,8 +1215,7 @@ impl ServiceNode {
             let entry = &mut self.peers.entries[pslot];
             let seq = entry.node_seq;
             entry.node_seq += 1;
-            self.alive_datagrams_sent.inc();
-            self.alive_payloads_sent.add(alives.len() as u64);
+            datagrams += 1;
             let msg = match alives[..] {
                 [ref alive] => ServiceMessage::Alive {
                     group: alive.group,
@@ -1044,6 +1239,7 @@ impl ServiceNode {
             ctx.send(dest, msg);
             alives = rest;
         }
+        datagrams
     }
 
     /// Per-group ALIVE payloads handed to the transport so far (batch
@@ -1108,80 +1304,32 @@ impl ServiceNode {
         let Some(state) = self.groups.get_mut(group) else {
             return;
         };
-        let mut leader = state.leader_process(me, state.elector.leader());
-        // A freshly (re)joined candidate does not claim the leadership for
-        // itself until the grace period elapses: it first listens for an
-        // incumbent leader, which keeps rejoining workstations from briefly
-        // disrupting the group's agreement.
-        if let Some(claimed) = leader {
-            let grace_ends = state.joined_at + state.self_election_grace();
-            if claimed.node == me && now < grace_ends {
-                leader = None;
-                // Adaptive tuning moves the grace period with (η, δ) — either
-                // way, whenever a check re-derives them or the monitored set
-                // changes: the end armed at join may no longer be the one.
-                if state.fd.policy() == TuningPolicy::Adaptive {
-                    ctx.set_timer_at(grace_tag(group), grace_ends);
-                }
+        let view = leader_view(me, self.incarnation, state, now);
+        // Adaptive tuning moves the grace period with (η, δ) — either way,
+        // whenever a check re-derives them or the monitored set changes: the
+        // end armed at join may no longer be the one.
+        if let Some(grace_ends) = view.withheld {
+            if state.fd.policy() == TuningPolicy::Adaptive {
+                ctx.set_timer_at(grace_tag(group), grace_ends);
             }
         }
         // Lease upkeep: mint on taking the leadership (and whenever the
         // elector's rank or epoch moved, which changes the token), drop on
         // losing it. Renewals ride the ALIVE tick.
+        let leader = view.leader;
         let leads = leader.is_some_and(|l| l.node == me);
         if leads != state.led_since.is_some() {
             self.alive_epoch += 1;
         }
         if leads {
-            // Settle delay: only a node that has led *continuously* for one
-            // lease term (`T_D`) mints. A transient claimant yields before
-            // the delay elapses and never serves, and by the time a genuine
-            // successor starts serving, the deposed leader's lease (TTL
-            // `T_D`, no longer renewed) has already lapsed — so two leases
-            // are never simultaneously valid.
-            let led_since = *state.led_since.get_or_insert(now);
-            if now >= led_since + state.qos.detection_time() {
-                let natural = FencingToken {
-                    accusation_time: state.elector.accusation_time(),
-                    node: me,
-                    epoch: state.elector.epoch(),
-                    incarnation: self.incarnation,
-                };
-                // The issued token must strictly dominate every token this node
-                // has granted or observed for the group. A transiently
-                // self-elected claimant broadcasts a token that orders *above*
-                // ours (its later accusation time is a worse rank but a higher
-                // token); unless the rightful leader out-mints it after the
-                // claimant yields, every app that observed the claimant's grant
-                // would fence-reject the rightful leader's writes forever.
-                let observed = state.remote_lease.as_ref().map(|l| l.token);
-                let needs_mint = match &state.lease {
-                    None => true,
-                    Some(lease) => {
-                        natural > lease.token
-                            || (natural.epoch, natural.incarnation)
-                                != (lease.token.epoch, lease.token.incarnation)
-                            || observed.is_some_and(|o| o >= lease.token)
-                    }
-                };
-                if needs_mint {
-                    let mut token = natural;
-                    for floor in [state.lease.as_ref().map(|l| l.token), observed]
-                        .into_iter()
-                        .flatten()
-                    {
-                        if token <= floor {
-                            token.accusation_time =
-                                floor.accusation_time + SimDuration::from_nanos(1);
-                        }
-                    }
-                    state.lease = Some(LeaderLease {
-                        token,
-                        renewed_at: now,
-                        ttl: state.qos.detection_time(),
-                    });
-                    self.leases_minted.inc();
-                }
+            state.led_since.get_or_insert(now);
+            if let Some(token) = view.mint {
+                state.lease = Some(LeaderLease {
+                    token,
+                    renewed_at: now,
+                    ttl: state.qos.detection_time(),
+                });
+                self.leases_minted.inc();
             }
         } else {
             state.lease = None;
@@ -1220,7 +1368,9 @@ impl ServiceNode {
         entry.liveness.reset();
         self.alive_epoch += 1;
         let now = ctx.now();
-        let groups: Vec<GroupId> = self.groups.ids().collect();
+        // Every member entry of the previous life goes.
+        let groups = std::mem::take(&mut entry.member_groups);
+        entry.member_wake = None;
         for group in groups {
             let Some(state) = self.groups.get_mut(group) else {
                 continue;
@@ -1261,16 +1411,20 @@ impl ServiceNode {
             }
             self.note_peer_incarnation(from, incarnation, ctx);
         }
-        self.peers.entries[slot].hello_heard = ctx.now();
+        let heard = std::mem::replace(&mut self.peers.entries[slot].hello_heard, ctx.now());
         if let (true, Some(list)) = (behind, announcements.announcements()) {
             // Only a full list advances the applied version. A partial is
             // no reason to pull either: the sender's next digest is.
             if matches!(announcements, HelloList::Full(_)) {
                 let peer = &mut self.peers.entries[slot];
+                let moved = peer.applied.filter(|&applied| applied != version);
                 (peer.applied, peer.resync) = (Some(version), false);
+                if let Some(unvouched) = moved {
+                    self.fold_hello_vouch(from, slot, unvouched, heard);
+                }
             }
             behind = false;
-            self.apply_announcements(from, incarnation, version, list, ctx);
+            self.apply_announcements(from, slot, incarnation, version, list, ctx);
         }
         if pull {
             let me = self.config.node;
@@ -1284,12 +1438,28 @@ impl ServiceNode {
         }
     }
 
-    /// Applies `from`'s full or partial list to the groups this node is in,
-    /// stamping every named entry with the list's version. Groups the list
-    /// does not name are left alone: their entries age out.
+    /// `from`'s applied list (peer slot `slot`) moves on from version
+    /// `unvouched`: every entry that version named keeps what the peer's
+    /// digests bought it, up to `heard`, before they stop vouching for it —
+    /// an entry the new list does not name then ages out on its own account.
+    fn fold_hello_vouch(&mut self, from: NodeId, slot: usize, unvouched: u64, heard: SimInstant) {
+        let entry = &mut self.peers.entries[slot];
+        entry.member_wake = None;
+        for &group in &entry.member_groups {
+            let member = (self.groups.get_mut(group)).and_then(|s| s.members.get_mut(from));
+            if let Some(member) = member.filter(|m| m.listed_at == Some(unvouched)) {
+                member.last_heard = member.last_heard.max(heard);
+            }
+        }
+    }
+
+    /// Applies `from`'s (peer slot `slot`) full or partial list to the groups
+    /// this node is in, stamping every named entry with the list's version.
+    /// Groups the list does not name are left alone: their entries age out.
     fn apply_announcements(
         &mut self,
         from: NodeId,
+        slot: usize,
         incarnation: u64,
         version: u64,
         announcements: &[GroupAnnouncement],
@@ -1303,9 +1473,18 @@ impl ServiceNode {
             };
             let has_candidate = announcement.processes.iter().any(|(_, c)| *c);
             let (member, created) = state.members.ensure(from, incarnation, now);
+            let peer = &mut self.peers.entries[slot];
+            if created {
+                peer.member_index(group);
+            }
             // Overtaken on the way by a later partial of the same life.
             if member.listed_at.is_some_and(|at| at > version) {
                 continue;
+            }
+            // Being named refreshes the entry outright, but whether the
+            // peer's digests vouch for it may change with its version.
+            if member.listed_at != Some(version) {
+                peer.member_wake = None;
             }
             member.listed_at = Some(version);
             // Nothing derived changes when the list repeats what is known
@@ -1336,7 +1515,7 @@ impl ServiceNode {
                 state.fd.ensure_peer(from, now);
             }
             self.alive_epoch += 1;
-            self.peers.entry(from, &self.arena).alive_resync = true;
+            self.peers.entries[slot].alive_resync = true;
             if watch {
                 self.fd_monitor_added(from, group, ctx);
             }
@@ -1378,7 +1557,7 @@ impl ServiceNode {
         }
         self.alive.applied.inc();
         peer.alive_resync = false;
-        peer.fd_wake = None;
+        (peer.fd_wake, peer.member_wake) = (None, None);
         // Every monitor and member entry the old batch vouched for keeps
         // what the stamp bought it, and the stamp restarts: a group the new
         // batch drops then ages out on its own horizon.
@@ -1453,6 +1632,7 @@ impl ServiceNode {
         let (member, created) = state.members.ensure(from, incarnation, now);
         if created {
             member.processes = vec![(alive.representative, true)];
+            self.peers.entries[pslot].member_index(group);
         }
         let representative_changed = member.representative != Some(alive.representative);
         member.representative = Some(alive.representative);
@@ -1648,48 +1828,96 @@ impl ServiceNode {
             let entry = self.peers.entry(from, &self.arena);
             entry.alive_resync = true;
             entry.fd_unindex(group);
+            entry.member_unindex(group);
         }
         self.check_leader(group, ctx);
     }
 
+    /// The HELLO tick: membership expiry, then the periodic digest. A peer
+    /// whose cached member wake says none of its entries can be quiet past
+    /// the membership timeout — the steady state — costs one comparison and
+    /// touches no group. Any other peer's indexed groups are walked: an
+    /// entry quiet on its own account folds the peer's stamps in, and
+    /// expires if it is quiet by them too and the group's detector does not
+    /// trust the peer; the survivors leave the new wake. Expiries are then
+    /// applied group by group, in ascending group order.
     fn handle_hello_timer(&mut self, ctx: &mut ServiceContext) {
         let now = ctx.now();
         let timeout = self.config.membership_timeout;
-        for gi in 0..self.groups.len() {
-            let (group, gslot) = self.groups.pair(gi);
-            let state = self.groups.slot_mut(gslot);
-            let mut expired = Vec::new();
-            for member in state.members.iter_mut() {
-                if now.saturating_since(member.last_heard) <= timeout {
-                    continue;
-                }
-                // Quiet on its own account: fold the peer's digests and
-                // repeated batches in (here, once per timeout — not on
-                // every datagram).
-                member.last_heard = self.peers.last_heard(group, member);
-                if now.saturating_since(member.last_heard) > timeout
-                    && !state.fd.is_trusted(member.peer)
-                {
-                    expired.push(member.peer);
-                }
-            }
-            if expired.is_empty() {
+        let mut expired: Vec<(GroupId, NodeId)> = Vec::new();
+        for i in 0..self.peers.index.len() {
+            let (peer, pslot) = (
+                NodeId(self.peers.index[i].0),
+                self.peers.index[i].1 as usize,
+            );
+            let entry = &self.peers.entries[pslot];
+            if entry.member_quiet(now, timeout) {
+                debug_assert!(
+                    self.member_wake_holds(peer, pslot, now),
+                    "late member wake of {peer}"
+                );
                 continue;
             }
-            for &peer in &expired {
-                state.members.remove(peer);
-                state.elector.remove_peer(peer, now);
-                state.fd.remove_peer(peer);
-                // Should the peer come back at the applied version, pull.
-                let entry = self.peers.entry(peer, &self.arena);
-                (entry.resync, entry.alive_resync) = (true, true);
-                entry.fd_unindex(group);
+            self.hello.member_walks.inc();
+            let mut wake = MemberWake::NEVER;
+            for &group in &entry.member_groups {
+                let Some(state) = self.groups.get_mut(group) else {
+                    continue;
+                };
+                let Some(member) = state.members.get_mut(peer) else {
+                    continue;
+                };
+                if now.saturating_since(member.last_heard) > timeout {
+                    // Quiet on its own account: fold the peer's digests and
+                    // repeated batches in (here, once per timeout — not on
+                    // every datagram).
+                    member.last_heard = entry.heard(group, member);
+                    if now.saturating_since(member.last_heard) > timeout
+                        && !state.fd.is_trusted(peer)
+                    {
+                        expired.push((group, peer));
+                        continue;
+                    }
+                }
+                wake.note(entry.vouches(group, member), member.last_heard);
+            }
+            self.peers.entries[pslot].member_wake = Some(wake);
+        }
+        expired.sort_unstable();
+        for expiring in expired.chunk_by(|a, b| a.0 == b.0) {
+            let group = expiring[0].0;
+            if let Some(state) = self.groups.get_mut(group) {
+                for &(_, peer) in expiring {
+                    state.members.remove(peer);
+                    state.elector.remove_peer(peer, now);
+                    state.fd.remove_peer(peer);
+                    // Should the peer come back at the applied version, pull.
+                    let entry = self.peers.entry(peer, &self.arena);
+                    (entry.resync, entry.alive_resync) = (true, true);
+                    entry.fd_unindex(group);
+                    entry.member_unindex(group);
+                }
             }
             self.alive_epoch += 1;
             self.check_leader(group, ctx);
         }
         self.send_hello(self.config.remote_peers(), false, HelloList::Omitted, ctx);
         ctx.set_timer_after(HELLO_TIMER, self.config.hello_interval);
+    }
+
+    /// What a quiet HELLO tick relies on for `peer` (peer slot `pslot`): its
+    /// index names exactly the groups listing it, and none of its entries is
+    /// quiet past the membership timeout at `now`. Asserted in debug builds.
+    fn member_wake_holds(&self, peer: NodeId, pslot: usize, now: SimInstant) -> bool {
+        let entry = &self.peers.entries[pslot];
+        let timeout = self.config.membership_timeout;
+        self.groups.iter().all(|state| {
+            let member = state.members.get(peer);
+            let indexed = entry.member_groups.binary_search(&state.group).is_ok();
+            let fresh =
+                |m: &MemberEntry| now.saturating_since(entry.heard(state.group, m)) <= timeout;
+            member.is_some() == indexed && member.is_none_or(fresh)
+        })
     }
 
     /// `peer`'s detector timer. While the peer's stamp keeps every monitor
@@ -1770,6 +1998,23 @@ impl ServiceNode {
             watched == indexed.binary_search(&state.group).is_ok()
                 && state.fd.deadline_of(peer).is_none_or(|due| due >= at)
         })
+    }
+
+    /// Whether `check_leader` would leave `group` exactly as it is at `now`:
+    /// what the ALIVE tick relies on when it skips a leader that holds its
+    /// lease. Asserted in debug builds.
+    fn leader_settled(&self, group: GroupId, now: SimInstant) -> bool {
+        let me = self.config.node;
+        let Some(state) = self.groups.get(group) else {
+            return true;
+        };
+        let view = leader_view(me, self.incarnation, state, now);
+        let leads = view.leader.is_some_and(|l| l.node == me);
+        view.leader == state.announced_leader
+            && view.withheld.is_none()
+            && view.mint.is_none()
+            && leads == state.led_since.is_some()
+            && (leads || state.lease.is_none())
     }
 
     /// The failure-detector operating parameters currently used towards
@@ -2719,6 +2964,84 @@ mod tests {
         };
         node.on_message(peer, hello, &mut at(3_000));
         assert_eq!(recorded(&node), 0, "the old life's estimate survived");
+    }
+
+    #[test]
+    fn a_zero_interval_request_is_served_at_the_floor() {
+        // A member asking for ALIVEs every 0 ns would re-arm the tick every
+        // nanosecond; the step budget turns that into a failure, not a hang.
+        type Timers = BTreeMap<TimerTag, SimInstant>;
+        let peer = NodeId(1);
+        let at = |now| ServiceContext::new(now, NodeId(0), 0);
+        // Keeps one callback's timers and counts its ALIVE datagrams to `peer`.
+        let settle = |ctx: ServiceContext, timers: &mut Timers| {
+            let mut alives = 0;
+            for effect in ctx.into_effects() {
+                match effect {
+                    sle_sim::Effect::SetTimer { tag, at } => drop(timers.insert(tag, at)),
+                    sle_sim::Effect::CancelTimer { tag } => drop(timers.remove(&tag)),
+                    sle_sim::Effect::Send {
+                        to,
+                        msg: ServiceMessage::Alive { .. } | ServiceMessage::AliveBatch { .. },
+                    } if to == peer => alives += 1,
+                    _ => {}
+                }
+            }
+            alives
+        };
+        // Fires timers up to `end`, within a budget of 10 000 steps: the
+        // ALIVE datagrams sent, or `None` if the budget ran out first.
+        let run_to = |node: &mut ServiceNode, timers: &mut Timers, end| {
+            let mut sent = 0;
+            for _ in 0..10_000 {
+                let next = timers.iter().min_by_key(|&(&tag, &at)| (at, tag));
+                let Some((&tag, &when)) = next.filter(|&(_, &when)| when <= end) else {
+                    return Some(sent);
+                };
+                timers.remove(&tag);
+                let mut ctx = at(when);
+                node.on_timer(tag, &mut ctx);
+                sent += settle(ctx, timers);
+            }
+            None
+        };
+        let config = ServiceConfig::full_mesh(NodeId(0), 2, ElectorKind::OmegaLc)
+            .with_auto_join(GROUP, JoinConfig::candidate());
+        let mut node = ServiceNode::new(config);
+        let mut timers = Timers::new();
+        let mut ctx = at(SimInstant::ZERO);
+        node.on_start(&mut ctx);
+        settle(ctx, &mut timers);
+        let asked_at = SimInstant::from_nanos(10_000_000);
+        run_to(&mut node, &mut timers, asked_at);
+        let alive = ServiceMessage::Alive {
+            group: GROUP,
+            header: AliveHeader {
+                incarnation: 1,
+                seq: 0,
+                sent_at: asked_at,
+                sending_interval: SimDuration::from_millis(250),
+                requested_interval: SimDuration::ZERO,
+            },
+            payload: sle_election::AlivePayload {
+                accusation_time: SimInstant::ZERO,
+                epoch: 0,
+                local_leader: None,
+            },
+            representative: ProcessId::new(peer, 0),
+        };
+        let mut ctx = at(asked_at);
+        node.on_message(peer, alive, &mut ctx);
+        settle(ctx, &mut timers);
+        let end = asked_at + SimDuration::from_secs(1);
+        let sent = run_to(&mut node, &mut timers, end)
+            .unwrap_or_else(|| panic!("the step budget ran out before {end}: the tick spins"));
+        // The tick already armed keeps its 250 ms rhythm once; from then on
+        // the member is served every 5 ms.
+        assert!(
+            (150..=201).contains(&sent),
+            "{sent} ALIVE datagrams in one second"
+        );
     }
 
     /// One leader-change announcement, as plain comparable data:

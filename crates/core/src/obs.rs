@@ -22,9 +22,10 @@
 //!   incoming heartbeat datagrams (histogram, ns),
 //! * `node.<n>.net.alive_payloads_sent` / `alive_datagrams_sent` — the
 //!   paper's message-count figures, bound from the node's live counters,
-//! * `node.<n>.hello.{full,digest,pulls}_sent` / `hello.stale_ignored` —
-//!   the membership gossip's traffic by shape and the stale HELLOs its
-//!   version check dropped, bound likewise,
+//! * `node.<n>.hello.{full,digest,pulls}_sent` / `hello.stale_ignored` /
+//!   `hello.member_walks` — the membership gossip's traffic by shape, the
+//!   stale HELLOs its version check dropped and the peers whose groups a
+//!   HELLO tick walked for expiry, bound likewise,
 //! * `node.<n>.alive.{unchanged,applied,plan_rebuilds}` — incoming ALIVE
 //!   datagrams by path (one stamp / entry by entry) and plan rebuilds,
 //! * `node.<n>.fd.{fires,walks}` — the per-peer failure-detector timers

@@ -128,8 +128,9 @@ impl TuningPolicy {
     }
 }
 
-/// Smallest heartbeat interval the configurator will ever choose.
-const MIN_INTERVAL: SimDuration = SimDuration::from_millis(5);
+/// Smallest heartbeat interval the configurator will ever choose, and so the
+/// smallest a sender needs to honour.
+pub const MIN_INTERVAL: SimDuration = SimDuration::from_millis(5);
 /// η as a fraction of the detection bound searched: the static cap on η, the
 /// adaptive split of η + δ.
 const INTERVAL_FRACTION: f64 = 0.25;

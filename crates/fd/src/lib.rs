@@ -68,7 +68,7 @@ pub mod prelude {
 }
 
 pub use arena::{LivenessHandle, MonitorArena};
-pub use config::{configure, FdParams, TuningPolicy};
+pub use config::{configure, FdParams, TuningPolicy, MIN_INTERVAL};
 pub use detector::{FailureDetector, PeerCheck, PeerTransition, Wake};
 pub use monitor::{PeerMonitor, Transition, TrustState};
 pub use qos::{QosError, QosSpec};

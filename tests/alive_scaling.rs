@@ -3,7 +3,8 @@
 //! (only the leader sends) and n(n − 1) under Ω_lc (everybody does), and —
 //! however many groups two workstations share — exactly one ALIVE datagram
 //! per (sender, destination) per η, watched by one failure-detector timer
-//! per monitored peer at the receiver.
+//! per monitored peer at the receiver, whose HELLO ticks leave every group
+//! alone while the peers' digests keep coming.
 
 use std::collections::BTreeMap;
 
@@ -21,12 +22,15 @@ const GROUPS: u32 = 3;
 /// each entry declared)`.
 type Sent = (SimInstant, Vec<GroupId>, Vec<SimDuration>);
 
-/// A `ServiceNode` that also records the ALIVE datagrams it sends and
-/// counts the timers it fires.
+/// A `ServiceNode` that also records the ALIVE datagrams it sends, counts
+/// the timers it fires, notes when it last sent a HELLO and, once told to
+/// watch a peer, how many of its groups list that peer after each timer.
 struct Tap {
     node: ServiceNode,
     alives: BTreeMap<NodeId, Vec<Sent>>,
     timers: u64,
+    last_hello: SimInstant,
+    watch: Option<(NodeId, Vec<(SimInstant, usize)>)>,
 }
 
 impl Tap {
@@ -49,6 +53,9 @@ impl Tap {
                     };
                     if let Some((groups, etas)) = entries {
                         self.alives.entry(to).or_default().push((now, groups, etas));
+                    }
+                    if matches!(msg, ServiceMessage::Hello { .. }) {
+                        self.last_hello = now;
                     }
                     ctx.send(to, msg);
                 }
@@ -78,26 +85,45 @@ impl Actor for Tap {
         self.timers += 1;
         self.node.on_timer(tag, ctx);
         self.after(ctx);
+        if let Some((peer, log)) = &mut self.watch {
+            let node = &self.node;
+            let lists = |group| node.remote_members_of(group).iter().any(|m| m.0 == *peer);
+            let listing = node.group_ids().filter(|&group| lists(group)).count();
+            if log.last().is_none_or(|&(_, was)| was != listing) {
+                log.push((ctx.now(), listing));
+            }
+        }
     }
 }
 
-/// A world of `n` tapped nodes, all candidates in every group of `joins`.
+/// A world of `n` tapped nodes, all joined to every group of `joins`.
 fn tapped_world(
     n: usize,
     algorithm: ElectorKind,
     joins: Vec<(GroupId, JoinConfig)>,
 ) -> World<Tap, PerfectMedium> {
+    tapped_world_by(n, algorithm, move |_| joins.clone())
+}
+
+/// A world of `n` tapped nodes, each joined as `joins_of` says.
+fn tapped_world_by(
+    n: usize,
+    algorithm: ElectorKind,
+    joins_of: impl Fn(NodeId) -> Vec<(GroupId, JoinConfig)> + 'static,
+) -> World<Tap, PerfectMedium> {
     World::new(
         n,
         Box::new(move |node, _incarnation| {
             let mut config = ServiceConfig::full_mesh(node, n, algorithm);
-            for &(group, join) in &joins {
+            for (group, join) in joins_of(node) {
                 config = config.with_auto_join(group, join);
             }
             Tap {
                 node: ServiceNode::new(config),
                 alives: BTreeMap::new(),
                 timers: 0,
+                last_hello: SimInstant::ZERO,
+                watch: None,
             }
         }),
         PerfectMedium,
@@ -304,6 +330,63 @@ fn fd_timers_scale_with_monitored_peers_not_groups() {
         assert!(
             (timers_k - timers).abs() <= 1.0,
             "{rates:?}: timers at k = {k}"
+        );
+    }
+}
+
+/// A workstation in k groups beside another candidate and a listener: once
+/// the groups settle, no HELLO tick walks any peer's groups — each peer's
+/// digest vouches for all its entries at once — for k = 16 as for k = 1.
+/// When the listener goes silent, its entries in all k groups expire on one
+/// HELLO tick, within one HELLO interval of its last digest plus the
+/// membership timeout.
+#[test]
+fn quiet_hello_ticks_visit_no_group() {
+    let listener = NodeId(2);
+    let defaults = ServiceConfig::full_mesh(NodeId(0), 3, ElectorKind::OmegaL);
+    let (interval, timeout) = (defaults.hello_interval, defaults.membership_timeout);
+    for k in [1u32, 4, 16] {
+        let groups: Vec<GroupId> = (1..=k).map(GroupId).collect();
+        let joins = groups.clone();
+        let mut world = tapped_world_by(3, ElectorKind::OmegaL, move |node| {
+            let join = if node == listener {
+                JoinConfig::listener()
+            } else {
+                JoinConfig::candidate()
+            };
+            joins.iter().map(|&group| (group, join)).collect()
+        });
+        world.run_for(SimDuration::from_secs(20), &mut NullObserver);
+        let walks = |world: &World<Tap, PerfectMedium>| -> Vec<u64> {
+            let taps = (0..3).map(|i| world.actor(NodeId(i)).unwrap());
+            taps.map(|tap| tap.node.hello_counters().member_walks.get())
+                .collect()
+        };
+        let settled = walks(&world);
+        assert!(settled.iter().all(|&w| w > 0), "k = {k}: {settled:?}");
+        world.run_for(SimDuration::from_secs(30), &mut NullObserver);
+        assert_eq!(walks(&world), settled, "k = {k}: walks in steady state");
+        let observer = world.actor(NodeId(0)).unwrap();
+        for &group in &groups {
+            assert_eq!(observer.node.remote_members_of(group).len(), 2, "k = {k}");
+        }
+
+        // The listener falls silent between two of its digests.
+        let silent_at = world.now() + SimDuration::from_millis(500);
+        world.run_until(silent_at, &mut NullObserver);
+        let last_digest = world.actor(listener).unwrap().last_hello;
+        world.schedule_crash(listener, silent_at);
+        world.with_actor(NodeId(0), &mut NullObserver, |tap, _ctx| {
+            tap.watch = Some((listener, Vec::new()));
+        });
+        world.run_for(timeout + interval * 2, &mut NullObserver);
+        let (_, log) = world.actor(NodeId(0)).unwrap().watch.clone().unwrap();
+        let (at, listing) = log[1];
+        assert_eq!(log[0].1, groups.len(), "k = {k}: {log:?}");
+        assert_eq!(listing, 0, "k = {k}: one tick, every group: {log:?}");
+        assert!(
+            at > last_digest + timeout && at <= last_digest + timeout + interval,
+            "k = {k}: expired at {at:?}, last digest at {last_digest:?}"
         );
     }
 }

@@ -822,7 +822,8 @@ mod alive_fast_path {
 
     use sle_core::{
         AliveHeader, GroupAlive, GroupAnnouncement, GroupId, HelloList, JoinConfig,
-        NodeInstruments, ProcessId, ServiceConfig, ServiceContext, ServiceMessage, ServiceNode,
+        NodeInstruments, ProcessId, ServiceConfig, ServiceContext, ServiceEvent, ServiceMessage,
+        ServiceNode,
     };
     use sle_election::{AlivePayload, ElectorKind};
     use sle_fd::{configure, LinkQuality, QosSpec};
@@ -832,12 +833,12 @@ mod alive_fast_path {
 
     /// The peer has the smaller id and the earlier accusation time, so it
     /// leads every group under all three algorithms while it is trusted.
-    const ME: NodeId = NodeId(1);
-    const PEER: NodeId = NodeId(0);
+    pub(super) const ME: NodeId = NodeId(1);
+    pub(super) const PEER: NodeId = NodeId(0);
     const T_D: SimDuration = SimDuration::from_secs(1);
-    const START: SimInstant = SimInstant::from_nanos(1_000_000_000);
+    pub(super) const START: SimInstant = SimInstant::from_nanos(1_000_000_000);
 
-    fn ms(millis: u64) -> SimDuration {
+    pub(super) fn ms(millis: u64) -> SimDuration {
         SimDuration::from_millis(millis)
     }
 
@@ -867,13 +868,15 @@ mod alive_fast_path {
     }
 
     /// One `ServiceNode`, joined to `joins` at `START`, driven by hand.
-    struct Rig {
-        node: ServiceNode,
+    pub(super) struct Rig {
+        pub(super) node: ServiceNode,
         joins: Vec<(GroupId, JoinConfig)>,
         registry: Registry,
-        now: SimInstant,
-        timers: BTreeMap<TimerTag, SimInstant>,
-        sent: Vec<(NodeId, ServiceMessage)>,
+        pub(super) now: SimInstant,
+        pub(super) timers: BTreeMap<TimerTag, SimInstant>,
+        pub(super) sent: Vec<(NodeId, ServiceMessage)>,
+        /// Every `LeaderChanged` raised, as `(when, group, leader)`.
+        pub(super) changes: Vec<(SimInstant, GroupId, Option<ProcessId>)>,
     }
 
     impl Rig {
@@ -881,7 +884,7 @@ mod alive_fast_path {
             Rig::joined(algorithm, alike(groups))
         }
 
-        fn joined(algorithm: ElectorKind, joins: Vec<(GroupId, JoinConfig)>) -> Rig {
+        pub(super) fn joined(algorithm: ElectorKind, joins: Vec<(GroupId, JoinConfig)>) -> Rig {
             let mut config = ServiceConfig::full_mesh(ME, 3, algorithm);
             for &(group, join) in &joins {
                 config = config.with_auto_join(group, join);
@@ -896,6 +899,7 @@ mod alive_fast_path {
                 now: START,
                 timers: BTreeMap::new(),
                 sent: Vec::new(),
+                changes: Vec::new(),
             };
             rig.call(|node, ctx| node.on_start(ctx));
             rig
@@ -910,13 +914,16 @@ mod alive_fast_path {
                     Effect::Send { to, msg } => self.sent.push((to, msg)),
                     Effect::SetTimer { tag, at } => drop(self.timers.insert(tag, at)),
                     Effect::CancelTimer { tag } => drop(self.timers.remove(&tag)),
-                    Effect::Emit(_) => {}
+                    Effect::Emit(ServiceEvent::LeaderChanged { group, leader }) => {
+                        self.changes.push((self.now, group, leader))
+                    }
                 }
             }
         }
 
-        /// Fires the earliest timer due by `until`, if any, and says when.
-        fn fire_next(&mut self, until: SimInstant) -> Option<SimInstant> {
+        /// Fires the earliest timer due by `until`, if any, and says when
+        /// and which.
+        pub(super) fn fire_next(&mut self, until: SimInstant) -> Option<(SimInstant, TimerTag)> {
             let (&tag, &at) = self.timers.iter().min_by_key(|&(&tag, &at)| (at, tag))?;
             if at > until {
                 return None;
@@ -924,7 +931,7 @@ mod alive_fast_path {
             self.timers.remove(&tag);
             self.now = self.now.max(at);
             self.call(|node, ctx| node.on_timer(tag, ctx));
-            Some(at)
+            Some((at, tag))
         }
 
         fn run_to(&mut self, until: SimInstant) {
@@ -932,12 +939,12 @@ mod alive_fast_path {
             self.now = until;
         }
 
-        fn deliver(&mut self, from: NodeId, msg: ServiceMessage) {
+        pub(super) fn deliver(&mut self, from: NodeId, msg: ServiceMessage) {
             self.call(|node, ctx| node.on_message(from, msg, ctx));
         }
 
         /// `(suspicions, mistakes)` the node recorded for `group`.
-        fn verdicts(&self, group: GroupId) -> (u64, u64) {
+        pub(super) fn verdicts(&self, group: GroupId) -> (u64, u64) {
             let prefix = format!("node.{}.group.{}.fd", ME.0, group.0);
             let detections = self.registry.histogram(&format!("{prefix}.detection_ns"));
             let mistakes = self.registry.counter(&format!("{prefix}.mistakes"));
@@ -950,13 +957,13 @@ mod alive_fast_path {
             (alive.unchanged.get(), alive.applied.get())
         }
 
-        fn join(&self, group: GroupId) -> JoinConfig {
+        pub(super) fn join(&self, group: GroupId) -> JoinConfig {
             self.joins.iter().find(|j| j.0 == group).expect("joined").1
         }
 
         /// The shift δ the node's monitor of the peer uses in `group` now
         /// (the prior's before the first heartbeat creates it).
-        fn shift(&self, group: GroupId) -> SimDuration {
+        pub(super) fn shift(&self, group: GroupId) -> SimDuration {
             let join = self.join(group);
             let prior = configure(&join.qos, &LinkQuality::conservative_prior(), join.tuning);
             self.node.fd_params_of(group, PEER).unwrap_or(prior).shift
@@ -973,7 +980,7 @@ mod alive_fast_path {
     }
 
     /// What the peer puts on the wire for `listed` groups, all at `eta`.
-    fn alive(
+    pub(super) fn alive(
         algorithm: ElectorKind,
         incarnation: u64,
         seq: u64,
@@ -1022,16 +1029,16 @@ mod alive_fast_path {
 
     /// The eager NFD-S monitor of one group, fed every delivered heartbeat.
     #[derive(Debug, Clone, Copy, PartialEq)]
-    struct Eager {
+    pub(super) struct Eager {
         t_d: SimDuration,
-        fresh_until: Option<SimInstant>,
-        suspected: bool,
+        pub(super) fresh_until: Option<SimInstant>,
+        pub(super) suspected: bool,
         suspicions: u64,
         mistakes: u64,
     }
 
     impl Eager {
-        fn new(join: &JoinConfig) -> Eager {
+        pub(super) fn new(join: &JoinConfig) -> Eager {
             Eager {
                 t_d: join.qos.detection_time(),
                 fresh_until: None,
@@ -1041,7 +1048,7 @@ mod alive_fast_path {
             }
         }
 
-        fn heartbeat(
+        pub(super) fn heartbeat(
             &mut self,
             sent_at: SimInstant,
             eta: SimDuration,
@@ -1058,7 +1065,7 @@ mod alive_fast_path {
             }
         }
 
-        fn expire(&mut self, now: SimInstant) {
+        pub(super) fn expire(&mut self, now: SimInstant) {
             if !self.suspected && self.fresh_until.is_some_and(|at| now >= at) {
                 self.suspected = true;
                 self.suspicions += 1;
@@ -1109,7 +1116,7 @@ mod alive_fast_path {
         /// Runs the node's timers up to `until`, checking after each
         /// instant's worth.
         fn run_to(&mut self, until: SimInstant, what: &str) {
-            while let Some(at) = self.rig.fire_next(until) {
+            while let Some((at, _)) = self.rig.fire_next(until) {
                 if self.rig.timers.values().all(|&next| next > at) {
                     self.check(what);
                 }
@@ -1651,6 +1658,898 @@ mod alive_fast_path {
             if step % 64 == 0 {
                 let now = rig.now;
                 rig.run_to(now);
+            }
+        }
+    }
+}
+
+/// Membership expiry against an eager reference. One `ServiceNode` driven
+/// by hand (the `alive_fast_path` rig) hears two scripted peers — a
+/// candidate whose ALIVEs arrive on time, and a listener — whose HELLO
+/// traffic (digests, partial lists, full lists answering the node's pulls,
+/// LEAVEs) crosses a link that may lose, duplicate and reorder, while they
+/// join and leave groups, pause, and restart under new incarnations. A model
+/// fed the same deliveries applies the membership rule to every entry on
+/// every HELLO tick — an entry quiet on its own account folds the peer's
+/// stamps in, and expires if it is quiet by them too and its group's
+/// detector does not trust the peer — and folds a stamp into every entry it
+/// stops vouching for. After every step the node's member lists must be the
+/// model's (so every expiry happens at the model's instant), its
+/// `LeaderChanged` events the ones the model's membership and trust imply,
+/// and its leases minted within one ALIVE interval of settling.
+mod membership_expiry {
+    use std::collections::{BTreeMap, BTreeSet};
+    use std::sync::Arc;
+
+    use sle_core::{GroupAnnouncement, GroupId, HelloList, JoinConfig, ProcessId, ServiceMessage};
+    use sle_election::ElectorKind;
+    use sle_fd::QosSpec;
+    use sle_sim::prelude::*;
+    use sle_sim::rng::SimRng;
+
+    use super::alive_fast_path::{alive, ms, Eager, Rig, PEER, START};
+
+    /// The second scripted peer: a listener, which no detector watches.
+    const LISTENER: NodeId = NodeId(2);
+    /// A group the peers announce and the node is not in.
+    const FOREIGN: GroupId = GroupId(9);
+    const HELLO_TIMER: TimerTag = TimerTag(0);
+    /// `ServiceConfig`'s default membership timeout.
+    const TIMEOUT: SimDuration = SimDuration::from_secs(5);
+    const ETA: SimDuration = SimDuration::from_millis(250);
+
+    /// The node's groups: three at the paper's QoS, and one whose T_D (8 s)
+    /// outlasts the membership timeout, so a silent peer stays trusted there
+    /// past it.
+    fn joins() -> Vec<(GroupId, JoinConfig)> {
+        let slow = QosSpec::paper_default_with_detection(SimDuration::from_secs(8));
+        let join = |g| match g {
+            4 => JoinConfig::candidate().with_qos(slow),
+            _ => JoinConfig::candidate(),
+        };
+        (1..=4).map(|g| (GroupId(g), join(g))).collect()
+    }
+
+    /// What the node knows of one peer, as far as membership goes.
+    #[derive(Debug, Default)]
+    struct Peer {
+        incarnation: Option<u64>,
+        applied: Option<u64>,
+        resync: bool,
+        hello_heard: SimInstant,
+        alive_groups: Vec<GroupId>,
+        alive_heard: SimInstant,
+    }
+
+    /// One member entry.
+    #[derive(Debug)]
+    struct Entry {
+        last_heard: SimInstant,
+        listed_at: Option<u64>,
+        processes: Vec<(ProcessId, bool)>,
+    }
+
+    /// One group the node is in.
+    #[derive(Debug)]
+    struct Group {
+        id: GroupId,
+        join: JoinConfig,
+        /// The node's own process in the group.
+        me: ProcessId,
+        members: BTreeMap<NodeId, Entry>,
+        monitors: BTreeMap<NodeId, Eager>,
+        /// Whether the candidate peer is in the group's elector, and trusted
+        /// there.
+        elected: (bool, bool),
+        /// The leader last announced, and since when it is the node itself.
+        leader: Option<ProcessId>,
+        led_since: Option<SimInstant>,
+    }
+
+    impl Group {
+        /// Forgets `peer`'s entry, its monitor, and its place in the elector.
+        fn forget(&mut self, peer: NodeId) {
+            self.members.remove(&peer);
+            self.monitors.remove(&peer);
+            if peer == PEER {
+                self.elected.0 = false;
+            }
+        }
+    }
+
+    /// A monitor created (or reset) at `now`: trusted for one T_D.
+    fn started(join: &JoinConfig, now: SimInstant) -> Eager {
+        let mut monitor = Eager::new(join);
+        monitor.fresh_until = Some(now + join.qos.detection_time());
+        monitor
+    }
+
+    /// The eager reference.
+    #[derive(Debug, Default)]
+    struct Model {
+        peers: BTreeMap<NodeId, Peer>,
+        groups: Vec<Group>,
+        expiries: Vec<(SimInstant, GroupId, NodeId)>,
+        changes: Vec<(SimInstant, GroupId, Option<ProcessId>)>,
+        /// Entries quiet past the timeout by every stamp that a trusting
+        /// detector kept.
+        kept_trusted: u64,
+        /// Entries a full list at a new version left unnamed: they lost the
+        /// digests' vouch.
+        unvouched: u64,
+    }
+
+    impl Model {
+        /// When `peer`'s entry in `group` was last heard, stamps included.
+        fn heard(peer: &Peer, group: GroupId, entry: &Entry) -> SimInstant {
+            let mut heard = entry.last_heard;
+            if entry.listed_at.is_some() && entry.listed_at == peer.applied {
+                heard = heard.max(peer.hello_heard);
+            }
+            if peer.alive_groups.contains(&group) {
+                heard = heard.max(peer.alive_heard);
+            }
+            heard
+        }
+
+        fn note_incarnation(&mut self, now: SimInstant, from: NodeId, incarnation: u64) {
+            let peer = self.peers.entry(from).or_default();
+            let known = peer.incarnation;
+            if known.is_some_and(|known| incarnation <= known) {
+                return;
+            }
+            peer.incarnation = Some(incarnation);
+            peer.applied = None;
+            peer.alive_groups.clear();
+            if known.is_none() {
+                return;
+            }
+            for group in &mut self.groups {
+                if group.members.contains_key(&from) {
+                    group.forget(from);
+                    group.monitors.insert(from, started(&group.join, now));
+                }
+            }
+        }
+
+        fn hello(
+            &mut self,
+            now: SimInstant,
+            from: NodeId,
+            (incarnation, version): (u64, u64),
+            list: &HelloList,
+        ) {
+            let peer = self.peers.entry(from).or_default();
+            let same_life = peer.incarnation == Some(incarnation);
+            let behind = !(same_life && peer.applied == Some(version) && !peer.resync);
+            if behind {
+                if peer.incarnation.is_some_and(|known| incarnation < known)
+                    || (same_life && peer.applied.is_some_and(|applied| version < applied))
+                {
+                    return;
+                }
+                self.note_incarnation(now, from, incarnation);
+            }
+            let peer = self.peers.get_mut(&from).unwrap();
+            let heard = std::mem::replace(&mut peer.hello_heard, now);
+            let Some(announcements) = list.announcements().filter(|_| behind) else {
+                return;
+            };
+            if matches!(list, HelloList::Full(_)) {
+                let moved = peer.applied.filter(|&applied| applied != version);
+                (peer.applied, peer.resync) = (Some(version), false);
+                for group in &mut self.groups {
+                    let entry = group.members.get_mut(&from);
+                    if let Some(entry) = entry.filter(|e| moved.is_some() && e.listed_at == moved) {
+                        entry.last_heard = entry.last_heard.max(heard);
+                        let named = announcements.iter().any(|a| a.group == group.id);
+                        self.unvouched += u64::from(!named);
+                    }
+                }
+            }
+            for announcement in announcements {
+                let Some(group) = self.groups.iter_mut().find(|g| g.id == announcement.group)
+                else {
+                    continue;
+                };
+                let created = !group.members.contains_key(&from);
+                let entry = group.members.entry(from).or_insert(Entry {
+                    last_heard: now,
+                    listed_at: None,
+                    processes: Vec::new(),
+                });
+                entry.last_heard = now;
+                if entry.listed_at.is_some_and(|at| at > version) {
+                    continue;
+                }
+                entry.listed_at = Some(version);
+                if created || entry.processes != announcement.processes {
+                    entry.processes = announcement.processes.clone();
+                    let candidate = entry.processes.iter().any(|&(_, c)| c);
+                    if candidate && !group.monitors.contains_key(&from) {
+                        group.monitors.insert(from, started(&group.join, now));
+                    }
+                }
+            }
+        }
+
+        /// A datagram of the candidate peer listing `listed`, sent at
+        /// `sent_at`; `shifts` are the node's δ per group before it.
+        fn alive(
+            &mut self,
+            now: SimInstant,
+            (incarnation, sent_at): (u64, SimInstant),
+            listed: &[GroupId],
+            shifts: &BTreeMap<GroupId, SimDuration>,
+        ) {
+            let known = self.peers.entry(PEER).or_default().incarnation;
+            if known != Some(incarnation) {
+                if known.is_some_and(|known| incarnation < known) {
+                    return;
+                }
+                self.note_incarnation(now, PEER, incarnation);
+            }
+            let peer = self.peers.get_mut(&PEER).unwrap();
+            let heard = std::mem::replace(&mut peer.alive_heard, now);
+            let was = std::mem::replace(&mut peer.alive_groups, listed.to_vec());
+            for group in &mut self.groups {
+                if let Some(entry) = group.members.get_mut(&PEER) {
+                    if was.contains(&group.id) {
+                        entry.last_heard = entry.last_heard.max(heard);
+                    }
+                }
+                if !listed.contains(&group.id) {
+                    continue;
+                }
+                let entry = group.members.entry(PEER).or_insert(Entry {
+                    last_heard: now,
+                    listed_at: None,
+                    processes: vec![(ProcessId::new(PEER, 0), true)],
+                });
+                entry.last_heard = now;
+                let join = group.join;
+                let monitor = group.monitors.entry(PEER).or_insert(Eager::new(&join));
+                monitor.heartbeat(sent_at, ETA, shifts[&group.id], now);
+                group.elected = (true, true);
+            }
+        }
+
+        fn leave(&mut self, from: NodeId, group: GroupId, process: ProcessId) {
+            let Some(group) = self.groups.iter_mut().find(|g| g.id == group) else {
+                return;
+            };
+            let Some(entry) = group.members.get_mut(&from) else {
+                return;
+            };
+            let listed = entry.processes.len();
+            entry.processes.retain(|&(p, _)| p != process);
+            if entry.processes.len() != listed {
+                self.peers.entry(from).or_default().resync = true;
+            }
+            if entry.processes.is_empty() {
+                group.forget(from);
+            }
+        }
+
+        /// The eager rule, on every entry: fold, then expire.
+        fn hello_tick(&mut self, now: SimInstant) {
+            for group in &mut self.groups {
+                let mut expired = Vec::new();
+                for (&id, entry) in &mut group.members {
+                    if now.saturating_since(entry.last_heard) <= TIMEOUT {
+                        continue;
+                    }
+                    entry.last_heard = Self::heard(&self.peers[&id], group.id, entry);
+                    if now.saturating_since(entry.last_heard) <= TIMEOUT {
+                        continue;
+                    }
+                    // The detector's timer at this very instant fires after
+                    // the HELLO tick.
+                    let monitor = group.monitors.get(&id);
+                    if monitor.is_some_and(|m| !m.suspected && m.fresh_until >= Some(now)) {
+                        self.kept_trusted += 1;
+                        continue;
+                    }
+                    expired.push(id);
+                }
+                for id in expired {
+                    group.forget(id);
+                    self.peers.get_mut(&id).unwrap().resync = true;
+                    self.expiries.push((now, group.id, id));
+                }
+            }
+        }
+
+        /// The suspicions due by `now`, then the leader each group announces:
+        /// the candidate peer while its elector trusts it (it outranks the
+        /// node under every algorithm), else the node once its grace ended.
+        fn settle(&mut self, now: SimInstant) {
+            for group in &mut self.groups {
+                for (&id, monitor) in &mut group.monitors {
+                    let trusted = !monitor.suspected;
+                    monitor.expire(now);
+                    if id == PEER && trusted && monitor.suspected {
+                        group.elected.1 = false;
+                    }
+                }
+                let grace_ends = START + group.join.qos.detection_time() * 2;
+                let leader = match group.elected {
+                    (true, true) => Some(ProcessId::new(PEER, 0)),
+                    _ if now >= grace_ends => Some(group.me),
+                    _ => None,
+                };
+                if leader != group.leader {
+                    group.leader = leader;
+                    group.led_since = (leader == Some(group.me)).then_some(now);
+                    self.changes.push((now, group.id, leader));
+                }
+            }
+        }
+    }
+
+    /// `(when, group, leader)` events, keeping the last of each `(when,
+    /// group)` and dropping those that announce no change.
+    fn net_changes(
+        events: &[(SimInstant, GroupId, Option<ProcessId>)],
+    ) -> Vec<(SimInstant, GroupId, Option<ProcessId>)> {
+        let mut last: BTreeMap<(SimInstant, GroupId), (usize, Option<ProcessId>)> = BTreeMap::new();
+        for (i, &(at, group, leader)) in events.iter().enumerate() {
+            last.insert((at, group), (i, leader));
+        }
+        let mut ordered: Vec<_> = last.into_iter().collect();
+        ordered.sort_by_key(|&((at, _), (i, _))| (at, i));
+        let mut announced: BTreeMap<GroupId, Option<ProcessId>> = BTreeMap::new();
+        let mut net = Vec::new();
+        for ((at, group), (_, leader)) in ordered {
+            if announced.insert(group, leader) != Some(leader) {
+                net.push((at, group, leader));
+            }
+        }
+        net
+    }
+
+    /// What a scripted peer does at some instant.
+    #[derive(Debug, Clone, Copy)]
+    enum Act {
+        Join(GroupId),
+        Leave(GroupId),
+        /// Silent — no HELLO, no ALIVE — for this long, then back as it was.
+        Pause(SimDuration),
+        /// Down for this long, then back under the next incarnation.
+        Restart(SimDuration),
+    }
+
+    /// One scripted peer.
+    #[derive(Debug)]
+    struct Script {
+        id: NodeId,
+        incarnation: u64,
+        version: u64,
+        groups: BTreeSet<GroupId>,
+        /// Silent until then.
+        quiet_until: SimInstant,
+        seq: u64,
+    }
+
+    impl Script {
+        fn announce(&self, group: GroupId) -> GroupAnnouncement {
+            let candidate = self.id == PEER;
+            GroupAnnouncement {
+                group,
+                processes: vec![(ProcessId::new(self.id, 0), candidate)],
+            }
+        }
+
+        fn hello(&self, now: SimInstant, list: HelloList) -> ServiceMessage {
+            ServiceMessage::Hello {
+                incarnation: self.incarnation,
+                version: self.version,
+                sent_at: now,
+                pull: false,
+                announcements: list,
+            }
+        }
+
+        fn full(&self, now: SimInstant) -> ServiceMessage {
+            let list = self.groups.iter().map(|&g| self.announce(g)).collect();
+            self.hello(now, HelloList::Full(list))
+        }
+
+        /// Joins `group` afresh: a new version, announced by a partial.
+        fn join(&mut self, now: SimInstant, group: GroupId) -> ServiceMessage {
+            self.groups.insert(group);
+            self.version += 1;
+            self.hello(now, HelloList::Partial(Arc::from([self.announce(group)])))
+        }
+    }
+
+    /// One run: the peers' starting groups and acts, and the link their
+    /// HELLO traffic crosses.
+    struct Case {
+        algorithm: ElectorKind,
+        start: [Vec<GroupId>; 2],
+        acts: Vec<(SimInstant, usize, Act)>,
+        loss: f64,
+        /// Duplicates and up to 300 ms of jitter on top of the loss.
+        faulty: bool,
+        /// Every LEAVE is lost.
+        lose_leaves: bool,
+        until: SimInstant,
+        seed: u64,
+    }
+
+    /// What happened in a run, for the family's coverage checks.
+    #[derive(Debug, Default)]
+    struct Seen {
+        expiries: [u64; 2],
+        kept_trusted: u64,
+        unvouched: u64,
+        leaves_lost: u64,
+        partials: u64,
+        restarts: u64,
+        changes: u64,
+        minted: u64,
+        walks: u64,
+        ticks: u64,
+    }
+
+    /// A scheduled step of the run.
+    enum Step {
+        Deliver(NodeId, ServiceMessage),
+        /// The candidate peer's ALIVE tick.
+        Alive,
+        /// Peer `i`'s periodic digest.
+        Digest(usize),
+        Act(usize, Act),
+        /// Peer `i` ends a pause, or (true) comes back from a restart.
+        Back(usize, bool),
+    }
+
+    struct Scene<'a> {
+        case: &'a Case,
+        rig: Rig,
+        model: Model,
+        scripts: [Script; 2],
+        queue: BTreeMap<(SimInstant, u64), Step>,
+        next: u64,
+        rng: SimRng,
+        seen: Seen,
+        pulls_seen: usize,
+        what: String,
+    }
+
+    impl<'a> Scene<'a> {
+        /// A scene for `case`, adding what it sees to `seen`.
+        fn new(case: &'a Case, seen: Seen) -> Scene<'a> {
+            let joins = joins();
+            let rig = Rig::joined(case.algorithm, joins.clone());
+            let groups = joins
+                .iter()
+                .map(|&(id, join)| Group {
+                    id,
+                    join,
+                    me: rig.node.local_members_of(id)[0],
+                    members: BTreeMap::new(),
+                    monitors: BTreeMap::new(),
+                    elected: (false, false),
+                    leader: None,
+                    led_since: None,
+                })
+                .collect();
+            let script = |id| Script {
+                id,
+                incarnation: 1,
+                version: 0,
+                groups: BTreeSet::new(),
+                quiet_until: START,
+                seq: 0,
+            };
+            let mut scene = Scene {
+                case,
+                rig,
+                model: Model {
+                    groups,
+                    ..Model::default()
+                },
+                scripts: [script(PEER), script(LISTENER)],
+                queue: BTreeMap::new(),
+                next: 0,
+                rng: SimRng::seed_from(case.seed),
+                seen,
+                pulls_seen: 0,
+                what: format!(
+                    "{:?}, loss {}, faulty {}, seed {:#x}",
+                    case.algorithm, case.loss, case.faulty, case.seed
+                ),
+            };
+            scene.schedule(START + ms(7), Step::Alive);
+            scene.schedule(START + ms(300), Step::Digest(0));
+            scene.schedule(START + ms(600), Step::Digest(1));
+            for (i, groups) in case.start.iter().enumerate() {
+                for &group in groups {
+                    scene.schedule(START + ms(3), Step::Act(i, Act::Join(group)));
+                }
+            }
+            for &(at, i, act) in &case.acts {
+                scene.schedule(at, Step::Act(i, act));
+            }
+            scene
+        }
+
+        fn schedule(&mut self, at: SimInstant, step: Step) {
+            self.queue.insert((at, self.next), step);
+            self.next += 1;
+        }
+
+        fn quiet(&self, i: usize) -> bool {
+            self.rig.now < self.scripts[i].quiet_until
+        }
+
+        /// Puts one HELLO or LEAVE of peer `i` on the link; false if every
+        /// copy was lost.
+        fn post(&mut self, i: usize, msg: ServiceMessage) -> bool {
+            let case = self.case;
+            let lost = case.lose_leaves && matches!(msg, ServiceMessage::Leave { .. });
+            let copies = 1 + usize::from(case.faulty && self.rng.bernoulli(0.3));
+            let mut delivered = false;
+            for _ in 0..copies {
+                if lost || self.rng.bernoulli(case.loss) {
+                    continue;
+                }
+                let jitter = if case.faulty {
+                    self.rng.next_u64() % 300_000_000
+                } else {
+                    0
+                };
+                let delay =
+                    SimDuration::from_nanos(2_000_000 + jitter + self.rng.next_u64() % 1_000);
+                let from = self.scripts[i].id;
+                self.schedule(self.rig.now + delay, Step::Deliver(from, msg.clone()));
+                delivered = true;
+            }
+            delivered
+        }
+
+        /// Node and model must agree at `self.rig.now`.
+        fn check(&mut self) {
+            let now = self.rig.now;
+            self.model.settle(now);
+            for group in &self.model.groups {
+                let want: Vec<_> = (group.members.iter())
+                    .map(|(&peer, entry)| (peer, entry.processes.clone()))
+                    .collect();
+                assert_eq!(
+                    self.rig.node.remote_members_of(group.id),
+                    want,
+                    "{}: members of {:?} at {now:?}; model expiries {:?}",
+                    self.what,
+                    group.id,
+                    self.model.expiries
+                );
+                let lease = self.rig.node.lease_of(group.id);
+                let t_d = group.join.qos.detection_time();
+                let settled = group.led_since.map(|since| since + t_d);
+                if lease.is_some() {
+                    assert!(
+                        settled.is_some_and(|at| now >= at),
+                        "{}: {:?} holds a lease at {now:?}, led since {:?}",
+                        self.what,
+                        group.id,
+                        group.led_since
+                    );
+                    self.seen.minted += 1;
+                }
+                // A group's ALIVE tick comes at least every T_D / 4.
+                if settled.is_some_and(|at| now >= at + t_d / 4 + ms(1)) {
+                    assert!(
+                        lease.is_some(),
+                        "{}: {:?} led since {:?} and has not minted by {now:?}",
+                        self.what,
+                        group.id,
+                        group.led_since
+                    );
+                }
+            }
+        }
+
+        /// Fires the node's timers up to `until` — the model's HELLO tick
+        /// beside the node's — checking after each instant's worth.
+        fn run_to(&mut self, until: SimInstant) {
+            while let Some((at, tag)) = self.rig.fire_next(until) {
+                if tag == HELLO_TIMER {
+                    self.model.hello_tick(at);
+                    self.seen.ticks += 1;
+                }
+                if self.rig.timers.values().all(|&next| next > at) {
+                    self.check();
+                }
+            }
+            self.rig.now = until;
+        }
+
+        /// Peers answer the node's pulls with their full lists.
+        fn answer_pulls(&mut self) {
+            let sent = &self.rig.sent[self.pulls_seen..];
+            let pulled: Vec<NodeId> = (sent.iter())
+                .filter(|(_, msg)| matches!(msg, ServiceMessage::Hello { pull: true, .. }))
+                .map(|&(to, _)| to)
+                .collect();
+            self.pulls_seen = self.rig.sent.len();
+            for to in pulled {
+                let i = usize::from(to == LISTENER);
+                if !self.quiet(i) {
+                    let full = self.scripts[i].full(self.rig.now);
+                    self.post(i, full);
+                }
+            }
+        }
+
+        fn deliver(&mut self, from: NodeId, msg: ServiceMessage) {
+            let now = self.rig.now;
+            let shifts: BTreeMap<GroupId, SimDuration> = (self.model.groups.iter())
+                .map(|g| (g.id, self.rig.shift(g.id)))
+                .collect();
+            match &msg {
+                ServiceMessage::Hello {
+                    incarnation,
+                    version,
+                    announcements,
+                    ..
+                } => (self.model).hello(now, from, (*incarnation, *version), announcements),
+                ServiceMessage::Leave { group, process } => {
+                    self.model.leave(from, *group, *process)
+                }
+                ServiceMessage::Alive { group, header, .. } => {
+                    let at = (header.incarnation, header.sent_at);
+                    self.model.alive(now, at, &[*group], &shifts);
+                }
+                ServiceMessage::AliveBatch {
+                    incarnation,
+                    sent_at,
+                    alives,
+                    ..
+                } => {
+                    let listed: Vec<GroupId> = alives.iter().map(|a| a.group).collect();
+                    (self.model).alive(now, (*incarnation, *sent_at), &listed, &shifts);
+                }
+                _ => unreachable!("the peers send HELLOs, LEAVEs and ALIVEs"),
+            }
+            self.rig.deliver(from, msg);
+            self.check();
+        }
+
+        fn act(&mut self, i: usize, act: Act) {
+            let now = self.rig.now;
+            if self.quiet(i) {
+                return;
+            }
+            match act {
+                Act::Join(group) if !self.scripts[i].groups.contains(&group) => {
+                    let partial = self.scripts[i].join(now, group);
+                    self.seen.partials += u64::from(self.post(i, partial));
+                }
+                Act::Leave(group) if self.scripts[i].groups.remove(&group) => {
+                    let script = &mut self.scripts[i];
+                    script.version += 1;
+                    let process = ProcessId::new(script.id, 0);
+                    let leave = ServiceMessage::Leave { group, process };
+                    self.seen.leaves_lost += u64::from(!self.post(i, leave));
+                }
+                Act::Pause(silent) | Act::Restart(silent) => {
+                    self.scripts[i].quiet_until = now + silent;
+                    let restart = matches!(act, Act::Restart(_));
+                    self.schedule(now + silent, Step::Back(i, restart));
+                }
+                Act::Join(_) | Act::Leave(_) => {}
+            }
+        }
+
+        fn step(&mut self, step: Step) {
+            let now = self.rig.now;
+            match step {
+                Step::Deliver(from, msg) => self.deliver(from, msg),
+                Step::Alive => {
+                    let script = &mut self.scripts[0];
+                    let listed: Vec<GroupId> = (script.groups.iter())
+                        .copied()
+                        .filter(|&g| g != FOREIGN)
+                        .collect();
+                    if now >= script.quiet_until && !listed.is_empty() {
+                        let algorithm = self.case.algorithm;
+                        let msg =
+                            alive(algorithm, script.incarnation, script.seq, now, &listed, ETA);
+                        script.seq += 1;
+                        self.schedule(now + ms(2), Step::Deliver(PEER, msg));
+                    }
+                    self.schedule(now + ETA, Step::Alive);
+                }
+                Step::Digest(i) => {
+                    if !self.quiet(i) {
+                        let digest = self.scripts[i].hello(now, HelloList::Omitted);
+                        self.post(i, digest);
+                    }
+                    self.schedule(now + SimDuration::from_secs(1), Step::Digest(i));
+                }
+                Step::Act(i, act) => self.act(i, act),
+                Step::Back(i, restart) => {
+                    if restart {
+                        let script = &mut self.scripts[i];
+                        (script.incarnation, script.version, script.seq) =
+                            (script.incarnation + 1, 0, 0);
+                        self.seen.restarts += 1;
+                        for group in std::mem::take(&mut self.scripts[i].groups) {
+                            let partial = self.scripts[i].join(now, group);
+                            self.seen.partials += u64::from(self.post(i, partial));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Runs `case` to its end, node and model side by side, and holds them
+    /// to the same `LeaderChanged` events.
+    fn drive(case: &Case, seen: Seen) -> Scene<'_> {
+        let mut scene = Scene::new(case, seen);
+        while let Some(((at, _), step)) = scene.queue.pop_first() {
+            if at > case.until {
+                break;
+            }
+            scene.run_to(at);
+            scene.step(step);
+            scene.answer_pulls();
+        }
+        scene.run_to(case.until);
+        let (node, model) = (
+            net_changes(&scene.rig.changes),
+            net_changes(&scene.model.changes),
+        );
+        let first = node.iter().zip(&model).position(|(n, m)| n != m);
+        assert_eq!(
+            node, model,
+            "{}: LeaderChanged events differ from #{first:?} on",
+            scene.what
+        );
+        scene.seen.changes += model.len() as u64;
+        scene
+    }
+
+    /// Runs `case` and adds what it exercised to `seen`.
+    fn run(case: &Case, seen: Seen) -> Seen {
+        let scene = drive(case, seen);
+        let mut seen = scene.seen;
+        for &(_, _, peer) in &scene.model.expiries {
+            seen.expiries[usize::from(peer == LISTENER)] += 1;
+        }
+        seen.kept_trusted += scene.model.kept_trusted;
+        seen.unvouched += scene.model.unvouched;
+        seen.walks += scene.rig.node.hello_counters().member_walks.get();
+        seen
+    }
+
+    /// A random script: each peer starts in one to three groups (the
+    /// foreign one among the candidates), then every 0.5–3 s one of them
+    /// may join or leave a group, pause for 2–9 s, or restart after 0.5–7 s
+    /// down.
+    fn random_case(algorithm: ElectorKind, loss: f64, faulty: bool, seed: u64) -> Case {
+        let mut rng = SimRng::seed_from(seed);
+        let pick = |rng: &mut SimRng| [1, 2, 3, 4, 9].map(GroupId)[rng.uniform_usize(5)];
+        let start = [(); 2].map(|_| {
+            (0..1 + rng.uniform_usize(3))
+                .map(|_| pick(&mut rng))
+                .collect()
+        });
+        let until = START + SimDuration::from_secs(90);
+        let mut acts = Vec::new();
+        let mut at = START + SimDuration::from_secs(2);
+        while at < until - SimDuration::from_secs(10) {
+            let i = rng.uniform_usize(2);
+            let secs = |rng: &mut SimRng, lo: u64, hi: u64| {
+                SimDuration::from_millis(lo * 1000 + rng.next_u64() % ((hi - lo) * 1000))
+            };
+            let act = match rng.uniform_usize(10) {
+                0..=2 => Some(Act::Join(pick(&mut rng))),
+                3..=5 => Some(Act::Leave(pick(&mut rng))),
+                6 => Some(Act::Pause(secs(&mut rng, 2, 9))),
+                7 => Some(Act::Restart(secs(&mut rng, 0, 7) + ms(500))),
+                _ => None,
+            };
+            acts.extend(act.map(|act| (at, i, act)));
+            at += secs(&mut rng, 0, 3) + ms(500);
+        }
+        Case {
+            algorithm,
+            start,
+            acts,
+            loss,
+            faulty,
+            lose_leaves: false,
+            until,
+            seed,
+        }
+    }
+
+    /// (a) Random scripts under every algorithm, on a clean link and on
+    /// lossy (5 %, 20 %), duplicating, reordering ones: every member list,
+    /// expiry instant, `LeaderChanged` and mint agrees with the eager
+    /// reference — and between them the scripts expired both peers, kept a
+    /// silent but trusted entry, unvouched entries by re-versioned lists,
+    /// lost LEAVEs, applied partials and restarted peers, while most HELLO
+    /// ticks left most peers alone.
+    #[test]
+    fn expiry_matches_the_eager_rule_under_loss_duplication_and_reordering() {
+        let mut total = Seen::default();
+        let mut seed = 0xE4_1000;
+        for algorithm in ElectorKind::all() {
+            for (loss, faulty) in [(0.0, false), (0.05, true), (0.2, true)] {
+                for _ in 0..2 {
+                    seed += 1;
+                    total = run(&random_case(algorithm, loss, faulty, seed), total);
+                }
+            }
+        }
+        let covered = total.expiries.iter().all(|&n| n > 0)
+            && total.kept_trusted > 0
+            && total.unvouched > 0
+            && total.leaves_lost > 0
+            && total.partials > 0
+            && total.restarts > 0
+            && total.changes > 0
+            && total.minted > 0;
+        assert!(covered, "a condition was never exercised: {total:?}");
+        // Each tick visits two peers: at most a quarter of the visits walked.
+        assert!(
+            total.walks > 0 && total.walks * 2 < total.ticks,
+            "{total:?}"
+        );
+    }
+
+    /// (b) LEAVEs lost, and the re-versioned full lists that answer the
+    /// node's pulls no longer name the group: the listener's entry (its only
+    /// one) and the candidate's (beside entries it keeps) age out on what
+    /// the old list and the old batch bought them — the candidate's in the
+    /// slow group only once its detector there suspects it, past the
+    /// membership timeout — while the leadership each group loses is taken
+    /// and minted for on time.
+    #[test]
+    fn a_lost_leave_and_a_list_without_the_group_expire_the_entry() {
+        for algorithm in ElectorKind::all() {
+            let at = |secs| START + SimDuration::from_secs(secs);
+            let case = Case {
+                algorithm,
+                start: [vec![GroupId(1), GroupId(2), GroupId(4)], vec![GroupId(2)]],
+                acts: vec![
+                    (at(10), 1, Act::Leave(GroupId(2))),
+                    (at(20), 0, Act::Leave(GroupId(2))),
+                    (at(30), 0, Act::Leave(GroupId(4))),
+                ],
+                loss: 0.0,
+                faulty: false,
+                lose_leaves: true,
+                until: at(60),
+                seed: 0xE4_2000,
+            };
+            let scene = drive(&case, Seen::default());
+            let what = &scene.what;
+            let expiries = &scene.model.expiries;
+            let expired = |group, peer, from: SimInstant, to: SimInstant| {
+                expiries.iter().any(|&(when, g, p)| {
+                    (g, p) == (GroupId(group), peer) && when > from && when <= to
+                })
+            };
+            assert_eq!(expiries.len(), 3, "{what}: {expiries:?}");
+            assert!(expired(2, LISTENER, at(15), at(17)), "{what}: {expiries:?}");
+            assert!(expired(2, PEER, at(25), at(27)), "{what}: {expiries:?}");
+            // T_D = 8 s there: on the timeout alone it would go at 36 s, but
+            // the detector trusts the peer for longer.
+            assert!(expired(4, PEER, at(36), at(40)), "{what}: {expiries:?}");
+            assert!(scene.model.kept_trusted > 0, "{what}");
+            // The node leads the groups the candidate left.
+            for group in [GroupId(2), GroupId(4)] {
+                assert!(
+                    scene.rig.node.lease_of(group).is_some(),
+                    "{what}: {group:?}"
+                );
             }
         }
     }
