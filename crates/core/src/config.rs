@@ -7,29 +7,15 @@ use sle_sim::time::SimDuration;
 
 use crate::process::GroupId;
 
-/// How an application wants to learn about leader changes (paper Section 4:
-/// "by an interrupt from the service, whenever the leader changes, or by
-/// querying the service, whenever p wants to do so").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NotificationMode {
-    /// The service raises a [`ServiceEvent::LeaderChanged`](crate::events::ServiceEvent)
-    /// every time the group's leader changes.
-    #[default]
-    Interrupt,
-    /// The application polls the service with
-    /// [`ServiceNode::leader_of`](crate::node::ServiceNode::leader_of).
-    Query,
-}
-
 /// Per-join parameters: what a process specifies when joining a group
 /// (paper Section 4), extended with the tuning policy of its failure
-/// detection.
+/// detection. Both of the paper's notification styles are always available:
+/// every leader change raises a [`ServiceEvent`](crate::events::ServiceEvent),
+/// and [`ServiceNode::leader_of`](crate::node::ServiceNode::leader_of) answers.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JoinConfig {
     /// Whether the joining process is a candidate for the group leadership.
     pub candidate: bool,
-    /// How the process wants to learn about leader changes.
-    pub notification: NotificationMode,
     /// The QoS of the failure detection underlying this group's election.
     pub qos: QosSpec,
     /// Whether η + δ may tighten below `T_D^U` when the measured link
@@ -39,12 +25,11 @@ pub struct JoinConfig {
 }
 
 impl JoinConfig {
-    /// A candidate joining with the paper's default QoS, interrupt-style
-    /// notifications and static (paper-faithful) tuning.
+    /// A candidate joining with the paper's default QoS and static
+    /// (paper-faithful) tuning.
     pub fn candidate() -> Self {
         JoinConfig {
             candidate: true,
-            notification: NotificationMode::Interrupt,
             qos: QosSpec::paper_default(),
             tuning: TuningPolicy::Static,
         }
@@ -55,7 +40,6 @@ impl JoinConfig {
     pub fn listener() -> Self {
         JoinConfig {
             candidate: false,
-            notification: NotificationMode::Interrupt,
             qos: QosSpec::paper_default(),
             tuning: TuningPolicy::Static,
         }
@@ -64,12 +48,6 @@ impl JoinConfig {
     /// Replaces the QoS specification.
     pub fn with_qos(mut self, qos: QosSpec) -> Self {
         self.qos = qos;
-        self
-    }
-
-    /// Replaces the notification mode.
-    pub fn with_notification(mut self, notification: NotificationMode) -> Self {
-        self.notification = notification;
         self
     }
 
@@ -172,19 +150,15 @@ mod tests {
     fn join_config_builders() {
         let c = JoinConfig::candidate();
         assert!(c.candidate);
-        assert_eq!(c.notification, NotificationMode::Interrupt);
         assert_eq!(c.tuning, TuningPolicy::Static);
         assert_eq!(
             JoinConfig::candidate().with_adaptive_tuning().tuning,
             TuningPolicy::Adaptive
         );
-        let l = JoinConfig::listener().with_notification(NotificationMode::Query);
-        assert!(!l.candidate);
-        assert_eq!(l.notification, NotificationMode::Query);
+        assert!(!JoinConfig::listener().candidate);
         let q = QosSpec::paper_default_with_detection(SimDuration::from_millis(100));
         assert_eq!(JoinConfig::candidate().with_qos(q).qos, q);
         assert_eq!(JoinConfig::default(), JoinConfig::candidate());
-        assert_eq!(NotificationMode::default(), NotificationMode::Interrupt);
     }
 
     #[test]

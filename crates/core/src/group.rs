@@ -12,7 +12,7 @@ use sle_fd::{FailureDetector, MonitorArena, QosSpec, MIN_INTERVAL};
 use sle_sim::actor::NodeId;
 use sle_sim::time::{SimDuration, SimInstant};
 
-use crate::config::{JoinConfig, NotificationMode};
+use crate::config::JoinConfig;
 use crate::lease::LeaderLease;
 use crate::process::{GroupId, ProcessId};
 
@@ -177,8 +177,6 @@ pub struct GroupState {
     pub group: GroupId,
     /// The failure-detection QoS used for this group.
     pub qos: QosSpec,
-    /// The notification mode requested by the most recent local join.
-    pub notification: NotificationMode,
     /// Local processes that joined the group, with their candidate flags,
     /// sorted by local slot.
     pub local_processes: Vec<(u32, bool)>,
@@ -224,7 +222,6 @@ impl GroupState {
         GroupState {
             group,
             qos: config.qos,
-            notification: config.notification,
             local_processes: Vec::new(),
             elector: AnyElector::new(algorithm, me, config.candidate, now),
             fd: FailureDetector::with_arena(config.qos, config.tuning, arena.clone()),

@@ -12,7 +12,8 @@
 //! * **registration and groups** — processes register with their local
 //!   service instance ([`ServiceNode::register_process`]) and join/leave
 //!   groups with per-join parameters ([`JoinConfig`]: candidate flag,
-//!   notification style, failure-detection QoS),
+//!   failure-detection QoS and its tuning; leader changes are both announced
+//!   and queryable),
 //! * **Group Maintenance** — HELLO gossip plus failure-detector input
 //!   maintains each group's membership ([`group`]),
 //! * **Failure Detector** — the Chen et al. QoS detector from `sle-fd`,
@@ -89,7 +90,7 @@ pub mod runtime;
 
 /// Convenient re-exports of the items most users need.
 pub mod prelude {
-    pub use crate::config::{AutoJoin, JoinConfig, NotificationMode, ServiceConfig};
+    pub use crate::config::{AutoJoin, JoinConfig, ServiceConfig};
     pub use crate::error::{AgreementTimeout, ServiceError};
     pub use crate::events::ServiceEvent;
     pub use crate::lease::{FencedApp, FencingToken, LeaderLease, StaleToken};
@@ -102,7 +103,7 @@ pub mod prelude {
     pub use sle_fd::TuningPolicy;
 }
 
-pub use config::{AutoJoin, JoinConfig, NotificationMode, ServiceConfig};
+pub use config::{AutoJoin, JoinConfig, ServiceConfig};
 pub use error::{AgreementTimeout, ServiceError};
 pub use events::ServiceEvent;
 pub use group::{GroupState, MemberEntry, MemberTable};

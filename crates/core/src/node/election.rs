@@ -1,0 +1,188 @@
+//! Leader Election: what each group's elector yields, held to the
+//! self-election grace and the lease settle rule, and announced.
+
+use sle_election::LeaderElector;
+use sle_fd::TuningPolicy;
+use sle_sim::actor::{NodeId, TimerTag};
+use sle_sim::time::{SimDuration, SimInstant};
+
+use super::{ServiceContext, ServiceNode, GRACE_KIND};
+use crate::events::ServiceEvent;
+use crate::group::GroupState;
+use crate::lease::{FencingToken, LeaderLease};
+use crate::process::{GroupId, ProcessId};
+
+/// The timer that ends `group`'s self-election grace period.
+pub(super) fn grace_tag(group: GroupId) -> TimerTag {
+    TimerTag(GRACE_KIND << 32 | group.0 as u64)
+}
+
+/// What `check_leader` makes of a group at some instant.
+struct LeaderView {
+    /// The leader to announce.
+    leader: Option<ProcessId>,
+    /// The end of the self-election grace period, when it withheld this
+    /// node's own claim.
+    withheld: Option<SimInstant>,
+    /// The token to mint: this node leads, has settled, and holds no lease
+    /// that still dominates.
+    mint: Option<FencingToken>,
+}
+
+/// The leadership `me` (of incarnation `incarnation`) sees in `state` at
+/// `now`, without acting on it.
+fn leader_view(me: NodeId, incarnation: u64, state: &GroupState, now: SimInstant) -> LeaderView {
+    let mut leader = state.leader_process(me, state.elector.leader());
+    let mut withheld = None;
+    // A freshly (re)joined candidate does not claim the leadership for
+    // itself until the grace period elapses: it first listens for an
+    // incumbent leader, which keeps rejoining workstations from briefly
+    // disrupting the group's agreement.
+    if let Some(claimed) = leader {
+        let grace_ends = state.joined_at + state.self_election_grace();
+        if claimed.node == me && now < grace_ends {
+            leader = None;
+            withheld = Some(grace_ends);
+        }
+    }
+    // Settle delay: only a node that has led *continuously* for one lease
+    // term (`T_D`) mints. A transient claimant yields before the delay
+    // elapses and never serves, and by the time a genuine successor starts
+    // serving, the deposed leader's lease (TTL `T_D`, no longer renewed) has
+    // already lapsed — so two leases are never simultaneously valid.
+    let leads = leader.is_some_and(|l| l.node == me);
+    let settled = now >= state.led_since.unwrap_or(now) + state.qos.detection_time();
+    let mut mint = None;
+    if leads && settled {
+        let natural = FencingToken {
+            accusation_time: state.elector.accusation_time(),
+            node: me,
+            epoch: state.elector.epoch(),
+            incarnation,
+        };
+        // The issued token must strictly dominate every token this node has
+        // granted or observed for the group. A transiently self-elected
+        // claimant broadcasts a token that orders *above* ours (its later
+        // accusation time is a worse rank but a higher token); unless the
+        // rightful leader out-mints it after the claimant yields, every app
+        // that observed the claimant's grant would fence-reject the rightful
+        // leader's writes forever.
+        let observed = state.remote_lease.as_ref().map(|l| l.token);
+        let needs_mint = match &state.lease {
+            None => true,
+            Some(lease) => {
+                natural > lease.token
+                    || (natural.epoch, natural.incarnation)
+                        != (lease.token.epoch, lease.token.incarnation)
+                    || observed.is_some_and(|o| o >= lease.token)
+            }
+        };
+        if needs_mint {
+            let mut token = natural;
+            for floor in [state.lease.as_ref().map(|l| l.token), observed]
+                .into_iter()
+                .flatten()
+            {
+                if token <= floor {
+                    token.accusation_time = floor.accusation_time + SimDuration::from_nanos(1);
+                }
+            }
+            mint = Some(token);
+        }
+    }
+    LeaderView {
+        leader,
+        withheld,
+        mint,
+    }
+}
+
+impl ServiceNode {
+    pub(super) fn check_leader(&mut self, group: GroupId, ctx: &mut ServiceContext) {
+        let me = self.config.node;
+        let now = ctx.now();
+        let Some(state) = self.groups.get_mut(group) else {
+            return;
+        };
+        let view = leader_view(me, self.incarnation, state, now);
+        // Adaptive tuning moves the grace period with (η, δ) — either way,
+        // whenever a check re-derives them or the monitored set changes: the
+        // end armed at join may no longer be the one.
+        if let Some(grace_ends) = view.withheld {
+            if state.fd.policy() == TuningPolicy::Adaptive {
+                ctx.set_timer_at(grace_tag(group), grace_ends);
+            }
+        }
+        // Lease upkeep: mint on taking the leadership (and whenever the
+        // elector's rank or epoch moved, which changes the token), drop on
+        // losing it. Renewals ride the ALIVE tick.
+        let leader = view.leader;
+        let leads = leader.is_some_and(|l| l.node == me);
+        if leads != state.led_since.is_some() {
+            self.alive_epoch += 1;
+        }
+        if leads {
+            state.led_since.get_or_insert(now);
+            if let Some(token) = view.mint {
+                state.lease = Some(LeaderLease {
+                    token,
+                    renewed_at: now,
+                    ttl: state.qos.detection_time(),
+                });
+                self.lease.minted.inc();
+            }
+        } else {
+            state.lease = None;
+            state.led_since = None;
+        }
+        if leader != state.announced_leader {
+            state.announced_leader = leader;
+            if let Some(obs) = &mut self.obs {
+                obs.on_leader_change(group, leader, now);
+            }
+            ctx.emit(ServiceEvent::LeaderChanged { group, leader });
+        }
+    }
+
+    /// Whether `check_leader` would leave `group` exactly as it is at `now`:
+    /// what the ALIVE tick relies on when it skips a leader that holds its
+    /// lease. Asserted in debug builds.
+    pub(super) fn leader_settled(&self, group: GroupId, now: SimInstant) -> bool {
+        let me = self.config.node;
+        let Some(state) = self.groups.get(group) else {
+            return true;
+        };
+        let view = leader_view(me, self.incarnation, state, now);
+        let leads = view.leader.is_some_and(|l| l.node == me);
+        view.leader == state.announced_leader
+            && view.withheld.is_none()
+            && view.mint.is_none()
+            && leads == state.led_since.is_some()
+            && (leads || state.lease.is_none())
+    }
+
+    pub(super) fn handle_accusation(
+        &mut self,
+        group: GroupId,
+        epoch: u64,
+        ctx: &mut ServiceContext,
+    ) {
+        let now = ctx.now();
+        if let Some(state) = self.groups.get_mut(group) {
+            // An ACCUSE below the elector's current epoch was minted against
+            // a previous suspicion episode — or a previous elector life (the
+            // chaos duplication machinery can replay one long after the
+            // leader yielded and re-won). Honouring it would re-rank a
+            // settled leader and forge a fencing-token regression. The
+            // electors additionally require exact epoch equality; dropping
+            // stale ones here makes replays observable as a counter.
+            if epoch < state.elector.epoch() {
+                self.stale_accusations_ignored.inc();
+                return;
+            }
+            state.elector.on_accusation(epoch, now);
+            self.alive_epoch += 1;
+        }
+        self.check_leader(group, ctx);
+    }
+}

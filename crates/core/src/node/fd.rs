@@ -1,0 +1,195 @@
+//! The Failure Detector: one timer per monitored peer, however many groups
+//! monitor it, over the per-group [`sle_fd::FailureDetector`]s.
+
+use sle_election::{ElectorOutput, LeaderElector};
+use sle_fd::{FdParams, Transition, TuningPolicy, Wake};
+use sle_sim::actor::{NodeId, TimerTag};
+use sle_sim::time::SimInstant;
+
+use super::{ServiceContext, ServiceNode, FD_KIND};
+use crate::messages::ServiceMessage;
+use crate::process::GroupId;
+
+/// A node's failure-detector timer counters (`node.<n>.fd.*` in the registry).
+#[derive(Debug, Default)]
+pub struct FdCounters {
+    /// Per-peer detector timers that fired.
+    pub fires: sle_obs::Counter,
+    /// Fires that checked the peer's monitor in every group; the others
+    /// re-armed from the peer's cached [`Wake`] without touching a group.
+    pub walks: sle_obs::Counter,
+}
+
+/// A peer's detector timer state.
+#[derive(Debug, Default)]
+pub(super) struct PeerFd {
+    /// The groups whose failure detector monitors the peer, ascending: what
+    /// a walk of the peer's detector timer visits.
+    groups: Vec<GroupId>,
+    /// When the peer's detector timer is armed, if it is.
+    pub(super) armed: Option<SimInstant>,
+    /// What the peer's monitors need next, as of the last walk. `None` once
+    /// a monitor of the peer was created, reset or removed, or a batch was
+    /// applied, since. Nothing else moves a monitor: (η, δ) only move in a
+    /// check, and every check of the peer's monitors is in its walk.
+    pub(super) wake: Option<Wake>,
+}
+
+impl PeerFd {
+    /// `group`'s detector monitors the peer from now on.
+    fn index(&mut self, group: GroupId) {
+        if let Err(i) = self.groups.binary_search(&group) {
+            self.groups.insert(i, group);
+        }
+        self.wake = None;
+    }
+
+    /// `group`'s detector no longer monitors the peer.
+    pub(super) fn unindex(&mut self, group: GroupId) {
+        if let Ok(i) = self.groups.binary_search(&group) {
+            self.groups.remove(i);
+        }
+        self.wake = None;
+    }
+}
+
+/// The failure-detector timer of `peer`: one per monitored peer, however
+/// many groups monitor it.
+fn fd_tag(peer: NodeId) -> TimerTag {
+    TimerTag(FD_KIND << 32 | peer.0 as u64)
+}
+
+impl ServiceNode {
+    /// Arms `peer`'s detector timer (peer slot `pslot`) at `at`, unless it
+    /// already fires no later. Heartbeats and stamps only push horizons
+    /// out, so a timer left early fires into a cheap re-arm from the wake.
+    fn arm_fd_timer(
+        &mut self,
+        peer: NodeId,
+        pslot: usize,
+        at: SimInstant,
+        ctx: &mut ServiceContext,
+    ) {
+        let entry = &mut self.peers.entries[pslot].fd;
+        if at == SimInstant::FAR_FUTURE || entry.armed.is_some_and(|armed| armed <= at) {
+            return;
+        }
+        entry.armed = Some(at);
+        ctx.set_timer_at(fd_tag(peer), at);
+    }
+
+    /// Arms `peer`'s detector timer no later than its monitor's deadline in
+    /// `group`.
+    pub(super) fn arm_fd_deadline(
+        &mut self,
+        peer: NodeId,
+        pslot: usize,
+        group: GroupId,
+        ctx: &mut ServiceContext,
+    ) {
+        let deadline = self.groups.get(group).and_then(|s| s.fd.deadline_of(peer));
+        if let Some(at) = deadline {
+            self.arm_fd_timer(peer, pslot, at, ctx);
+        }
+    }
+
+    /// `group`'s detector just started monitoring `peer` afresh (created,
+    /// or reset for a new incarnation).
+    pub(super) fn fd_monitor_added(
+        &mut self,
+        peer: NodeId,
+        group: GroupId,
+        ctx: &mut ServiceContext,
+    ) {
+        let pslot = self.peers.intern(peer, &self.arena);
+        self.peers.entries[pslot].fd.index(group);
+        self.arm_fd_deadline(peer, pslot, group, ctx);
+    }
+
+    /// `peer`'s detector timer. While the peer's stamp keeps every monitor
+    /// of it ahead of `now` and none is due to re-derive (η, δ), the fire
+    /// re-arms from the cached wake and touches no group. Otherwise it walks
+    /// the groups monitoring the peer, checks that one monitor in each, acts
+    /// on what changed, and caches the wake the checks leave.
+    pub(super) fn handle_fd_timer(&mut self, peer: NodeId, ctx: &mut ServiceContext) {
+        let now = ctx.now();
+        let Some(pslot) = self.peers.find(peer) else {
+            return;
+        };
+        self.fd.fires.inc();
+        let entry = &mut self.peers.entries[pslot];
+        entry.fd.armed = None;
+        let stamp = self.arena.stamp_of(&entry.liveness);
+        if let Some(wake) = entry.fd.wake {
+            if wake.quiet(stamp, now) {
+                let at = wake.at(stamp);
+                debug_assert!(self.fd_wake_holds(peer, pslot, at), "late wake of {peer}");
+                self.arm_fd_timer(peer, pslot, at, ctx);
+                return;
+            }
+        }
+        self.fd.walks.inc();
+        let mut wake = Wake::NEVER;
+        let groups = std::mem::take(&mut self.peers.entries[pslot].fd.groups);
+        for &group in &groups {
+            let Some(state) = self.groups.get_mut(group) else {
+                continue;
+            };
+            let Some(check) = state.fd.check_peer(peer, now) else {
+                continue;
+            };
+            wake = wake.merge(check.wake);
+            if check.transition == Some(Transition::BecameSuspected) {
+                // The revival must be noticed: no repeat may skip it.
+                self.peers.entries[pslot].alive.resync = true;
+                self.alive_epoch += 1;
+                if let Some(obs) = &mut self.obs {
+                    // Detection latency T_D: silence since the suspected
+                    // peer's last heartbeat or gossip.
+                    let silent_for = (state.members.get(peer))
+                        .map(|m| now.saturating_since(self.peers.entries[pslot].heard(group, m)))
+                        .unwrap_or_default();
+                    obs.on_detection(group, silent_for, now);
+                }
+                for output in state.elector.on_suspect(peer, now) {
+                    match output {
+                        ElectorOutput::SendAccusation { to, epoch } => {
+                            if let Some(obs) = &mut self.obs {
+                                obs.on_accusation(group, to, now);
+                            }
+                            ctx.send(to, ServiceMessage::Accuse { group, epoch });
+                        }
+                    }
+                }
+            }
+            // Adaptive tuning moves the self-election grace with (η, δ).
+            let regraced = check.retuned && state.fd.policy() == TuningPolicy::Adaptive;
+            if check.transition.is_some() || regraced {
+                self.check_leader(group, ctx);
+            }
+        }
+        let entry = &mut self.peers.entries[pslot].fd;
+        entry.groups = groups;
+        entry.wake = Some(wake);
+        self.arm_fd_timer(peer, pslot, wake.at(stamp), ctx);
+    }
+
+    /// What a quiet fire of `peer`'s detector timer relies on: the peer's
+    /// index names exactly the groups monitoring it, and none of those
+    /// monitors is due before `at`. Asserted in debug builds.
+    fn fd_wake_holds(&self, peer: NodeId, pslot: usize, at: SimInstant) -> bool {
+        let indexed = &self.peers.entries[pslot].fd.groups;
+        self.groups.iter().all(|state| {
+            let watched = state.fd.state(peer).is_some();
+            watched == indexed.binary_search(&state.group).is_ok()
+                && state.fd.deadline_of(peer).is_none_or(|due| due >= at)
+        })
+    }
+
+    /// The failure-detector operating parameters currently used towards
+    /// `peer` in `group` (observability hook; also used by the experiment
+    /// harness to verify adaptation).
+    pub fn fd_params_of(&self, group: GroupId, peer: NodeId) -> Option<FdParams> {
+        self.groups.get(group)?.fd.params(peer)
+    }
+}

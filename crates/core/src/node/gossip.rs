@@ -1,0 +1,437 @@
+//! Group Maintenance: HELLO gossip, the membership it maintains, explicit
+//! leaves and membership expiry.
+
+use sle_election::LeaderElector;
+use sle_sim::actor::NodeId;
+use sle_sim::time::{SimDuration, SimInstant};
+
+use super::{PeerEntry, ServiceContext, ServiceNode, HELLO_TIMER};
+use crate::group::{GroupState, MemberEntry};
+use crate::messages::{GroupAnnouncement, HelloList, ServiceMessage};
+use crate::process::{GroupId, ProcessId};
+
+/// A node's HELLO gossip counters ([`ServiceNode::hello_counters`];
+/// `node.<n>.hello.*` in the registry once instruments are attached).
+#[derive(Debug, Default)]
+pub struct HelloCounters {
+    /// Full announcement lists sent (answers to pulls).
+    pub full_sent: sle_obs::Counter,
+    /// List-less, pull-less HELLOs sent (the periodic digest, per peer).
+    pub digest_sent: sle_obs::Counter,
+    /// HELLOs sent with the pull flag set.
+    pub pulls_sent: sle_obs::Counter,
+    /// HELLOs dropped for an `(incarnation, version)` below the applied one.
+    pub stale_ignored: sle_obs::Counter,
+    /// Peers whose groups a HELLO tick walked for membership expiry; the
+    /// tick skipped the others on their cached member wake without touching
+    /// a group.
+    pub member_walks: sle_obs::Counter,
+}
+
+/// A peer's Group Maintenance state.
+#[derive(Debug, Default)]
+pub(super) struct PeerGossip {
+    /// The version of the peer's full list (of its incarnation) last applied.
+    pub(super) applied: Option<u64>,
+    /// The applied list no longer covers what this node should know (a local
+    /// group created, a member expired or left since): pull at any version.
+    pub(super) resync: bool,
+    /// When the peer's latest current HELLO arrived: a digest touches no
+    /// group state, it vouches here for every member `listed_at` `applied`.
+    pub(super) heard: SimInstant,
+    /// The groups whose member table lists the peer, ascending: what a
+    /// HELLO tick walking the peer visits.
+    pub(super) groups: Vec<GroupId>,
+    /// When the peer's member entries can first expire, as of the last
+    /// walk. `None` once an entry was created or removed, or a stamp stopped
+    /// vouching for one (a list moved `applied` or an entry's `listed_at`,
+    /// a batch was applied), since.
+    pub(super) wake: Option<MemberWake>,
+}
+
+impl PeerGossip {
+    /// `group`'s member table lists the peer from now on.
+    pub(super) fn index(&mut self, group: GroupId) {
+        if let Err(i) = self.groups.binary_search(&group) {
+            self.groups.insert(i, group);
+        }
+        self.wake = None;
+    }
+
+    /// `group`'s member table no longer lists the peer.
+    pub(super) fn unindex(&mut self, group: GroupId) {
+        if let Ok(i) = self.groups.binary_search(&group) {
+            self.groups.remove(i);
+        }
+        self.wake = None;
+    }
+}
+
+/// When a peer's member entries can first expire, as a function of the
+/// peer's two stamps. Per vouch class — no stamp, the digest only, the ALIVE
+/// datagram only, both — it holds the earliest own `last_heard` of the
+/// peer's entries in that class. An entry is heard at the latest of its own
+/// account and the stamps vouching for it, so the earliest of a class is
+/// its floor raised to its stamps. Stamps and `last_heard` only move
+/// forward, and whatever moves an entry between classes drops the wake, so
+/// the instant it gives never runs ahead of any entry.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(super) struct MemberWake([SimInstant; 4]);
+
+impl MemberWake {
+    const NEVER: MemberWake = MemberWake([SimInstant::FAR_FUTURE; 4]);
+
+    /// Notes an entry heard at `own` on its own account, vouched for by the
+    /// digest and the ALIVE datagram as `(hello, alive)` says.
+    fn note(&mut self, (hello, alive): (bool, bool), own: SimInstant) {
+        let floor = &mut self.0[usize::from(hello) | usize::from(alive) << 1];
+        *floor = (*floor).min(own);
+    }
+
+    /// The earliest any of the entries is heard at, given the stamps.
+    fn heard(&self, hello: SimInstant, alive: SimInstant) -> SimInstant {
+        let [none, by_hello, by_alive, by_both] = self.0;
+        none.min(by_hello.max(hello))
+            .min(by_alive.max(alive))
+            .min(by_both.max(hello).max(alive))
+    }
+}
+
+impl PeerEntry {
+    /// Which of the peer's stamps vouch for its entry `member` in `group`:
+    /// `(the digest — the applied list names the group, the ALIVE datagram —
+    /// the applied batch lists it)`.
+    fn vouches(&self, group: GroupId, member: &MemberEntry) -> (bool, bool) {
+        let hello = member.listed_at.is_some() && member.listed_at == self.gossip.applied;
+        let alive = self.alive.batch.iter().any(|alive| alive.group == group);
+        (hello, alive)
+    }
+
+    /// When the peer's entry `member` in `group` was last heard from: on its
+    /// own account or by a stamp vouching for it, whichever is latest.
+    pub(super) fn heard(&self, group: GroupId, member: &MemberEntry) -> SimInstant {
+        let (hello, alive) = self.vouches(group, member);
+        let mut heard = member.last_heard;
+        if hello {
+            heard = heard.max(self.gossip.heard);
+        }
+        if alive {
+            heard = heard.max(self.alive.heard);
+        }
+        heard
+    }
+
+    /// Whether none of the peer's member entries can be quiet past `timeout`
+    /// at `now`: it has none, or its cached wake says so.
+    fn member_quiet(&self, now: SimInstant, timeout: SimDuration) -> bool {
+        let quiet = |wake: MemberWake| {
+            now.saturating_since(wake.heard(self.gossip.heard, self.alive.heard)) <= timeout
+        };
+        self.gossip.groups.is_empty() || self.gossip.wake.is_some_and(quiet)
+    }
+}
+
+/// What `me` announces about `state`'s group in its HELLO lists.
+pub(super) fn announcement(me: NodeId, state: &GroupState) -> GroupAnnouncement {
+    GroupAnnouncement {
+        group: state.group,
+        processes: state
+            .local_processes
+            .iter()
+            .map(|&(local, candidate)| (ProcessId::new(me, local), candidate))
+            .collect(),
+    }
+}
+
+impl ServiceNode {
+    /// The one HELLO send path: stamps a digest (`HelloList::Omitted`), pull,
+    /// full list or partial with `(incarnation, version, now)` for each of `to`.
+    pub(super) fn send_hello(
+        &self,
+        to: impl Iterator<Item = NodeId>,
+        pull: bool,
+        announcements: HelloList,
+        ctx: &mut ServiceContext,
+    ) {
+        let shape = match &announcements {
+            HelloList::Full(_) => Some(&self.hello.full_sent),
+            HelloList::Omitted if !pull => Some(&self.hello.digest_sent),
+            _ => None,
+        };
+        let msg = ServiceMessage::Hello {
+            incarnation: self.incarnation,
+            version: self.hello_version,
+            sent_at: ctx.now(),
+            pull,
+            announcements,
+        };
+        let mut sent = 0;
+        for peer in to {
+            ctx.send(peer, msg.clone());
+            sent += 1;
+        }
+        // Counted once per call: every count is an atomic add.
+        if let Some(counter) = shape {
+            counter.add(sent);
+        }
+        if pull {
+            self.hello.pulls_sent.add(sent);
+        }
+    }
+
+    /// The one HELLO receive path. An unchanged digest — the steady state —
+    /// is one peer-slab lookup and one store; anything else is checked for
+    /// staleness, applied if it carries a list, and answered if it must be.
+    pub(super) fn handle_hello(
+        &mut self,
+        from: NodeId,
+        incarnation: u64,
+        version: u64,
+        pull: bool,
+        announcements: HelloList,
+        ctx: &mut ServiceContext,
+    ) {
+        let slot = self.peers.intern(from, &self.arena);
+        let peer = &mut self.peers.entries[slot];
+        let same_life = peer.incarnation == Some(incarnation);
+        let mut behind =
+            !(same_life && peer.gossip.applied == Some(version) && !peer.gossip.resync);
+        if behind {
+            // From a previous life or below the applied version: a delayed
+            // or duplicated copy that would resurrect processes that left.
+            if peer.incarnation.is_some_and(|known| incarnation < known)
+                || (same_life && peer.gossip.applied.is_some_and(|applied| version < applied))
+            {
+                self.hello.stale_ignored.inc();
+                return;
+            }
+            self.note_peer_incarnation(from, incarnation, ctx);
+        }
+        let heard = std::mem::replace(&mut self.peers.entries[slot].gossip.heard, ctx.now());
+        if let (true, Some(list)) = (behind, announcements.announcements()) {
+            // Only a full list advances the applied version. A partial is
+            // no reason to pull either: the sender's next digest is.
+            if matches!(announcements, HelloList::Full(_)) {
+                let peer = &mut self.peers.entries[slot].gossip;
+                let moved = peer.applied.filter(|&applied| applied != version);
+                (peer.applied, peer.resync) = (Some(version), false);
+                if let Some(unvouched) = moved {
+                    self.fold_hello_vouch(from, slot, unvouched, heard);
+                }
+            }
+            behind = false;
+            self.apply_announcements(from, slot, incarnation, version, list, ctx);
+        }
+        if pull {
+            let me = self.config.node;
+            let list = self
+                .hello_list
+                .get_or_insert_with(|| self.groups.iter().map(|s| announcement(me, s)).collect())
+                .clone();
+            self.send_hello(std::iter::once(from), behind, HelloList::Full(list), ctx);
+        } else if behind {
+            self.send_hello(std::iter::once(from), true, HelloList::Omitted, ctx);
+        }
+    }
+
+    /// `from`'s applied list (peer slot `slot`) moves on from version
+    /// `unvouched`: every entry that version named keeps what the peer's
+    /// digests bought it, up to `heard`, before they stop vouching for it —
+    /// an entry the new list does not name then ages out on its own account.
+    fn fold_hello_vouch(&mut self, from: NodeId, slot: usize, unvouched: u64, heard: SimInstant) {
+        let entry = &mut self.peers.entries[slot].gossip;
+        entry.wake = None;
+        for &group in &entry.groups {
+            let member = (self.groups.get_mut(group)).and_then(|s| s.members.get_mut(from));
+            if let Some(member) = member.filter(|m| m.listed_at == Some(unvouched)) {
+                member.last_heard = member.last_heard.max(heard);
+            }
+        }
+    }
+
+    /// Applies `from`'s (peer slot `slot`) full or partial list to the groups
+    /// this node is in, stamping every named entry with the list's version.
+    /// Groups the list does not name are left alone: their entries age out.
+    fn apply_announcements(
+        &mut self,
+        from: NodeId,
+        slot: usize,
+        incarnation: u64,
+        version: u64,
+        announcements: &[GroupAnnouncement],
+        ctx: &mut ServiceContext,
+    ) {
+        let now = ctx.now();
+        for announcement in announcements {
+            let group = announcement.group;
+            let Some(state) = self.groups.get_mut(group) else {
+                continue;
+            };
+            let (member, created) = state.members.ensure(from, incarnation, now);
+            let peer = &mut self.peers.entries[slot].gossip;
+            if created {
+                peer.index(group);
+            }
+            // Overtaken on the way by a later partial of the same life.
+            if member.listed_at.is_some_and(|at| at > version) {
+                continue;
+            }
+            // Being named refreshes the entry outright, but whether the
+            // peer's digests vouch for it may change with its version.
+            if member.listed_at != Some(version) {
+                peer.wake = None;
+            }
+            member.listed_at = Some(version);
+            // Nothing derived changes when the list repeats what is known
+            // and the advertised representative (if any) already matches
+            // what this list would resolve to.
+            let fallback_representative = announcement
+                .processes
+                .iter()
+                .filter(|(_, candidate)| *candidate)
+                .map(|(process, _)| *process)
+                .min();
+            if !created
+                && member.incarnation == incarnation
+                && member.processes == announcement.processes
+                && (member.representative.is_none()
+                    || member.representative == fallback_representative)
+            {
+                continue;
+            }
+            member.incarnation = incarnation;
+            member.processes = announcement.processes.clone();
+            // A HELLO's process list supersedes any representative a
+            // previous ALIVE advertised; consumers fall back to the first
+            // announced candidate (`MemberEntry::representative_process`).
+            member.representative = None;
+            let watch = member.has_candidate() && state.fd.state(from).is_none();
+            if watch {
+                state.fd.ensure_peer(from, now);
+            }
+            self.alive_epoch += 1;
+            self.peers.entries[slot].alive.resync = true;
+            if watch {
+                self.fd_monitor_added(from, group, ctx);
+            }
+            self.check_leader(group, ctx);
+        }
+    }
+
+    pub(super) fn handle_leave(
+        &mut self,
+        from: NodeId,
+        group: GroupId,
+        process: ProcessId,
+        ctx: &mut ServiceContext,
+    ) {
+        let Some(state) = self.groups.get_mut(group) else {
+            return;
+        };
+        if let Some(member) = state.members.get_mut(from) {
+            let listed = member.processes.len();
+            member.processes.retain(|(p, _)| *p != process);
+            if member.processes.is_empty() {
+                self.forget_member(group, from, ctx.now());
+            } else if member.processes.len() != listed {
+                // Unversioned: a late copy may have undone a rejoin the
+                // applied list already showed. Pull to find out.
+                self.peers.entry(from, &self.arena).gossip.resync = true;
+            }
+        }
+        self.check_leader(group, ctx);
+    }
+
+    /// The one way `peer` leaves `group`'s membership, before the caller
+    /// re-checks the leader. Not `leave_group`'s, where the group goes as a
+    /// whole, nor a restart's, which *resets* the monitor rather than removing
+    /// it: sharing this path would make it branch on its caller.
+    fn forget_member(&mut self, group: GroupId, peer: NodeId, now: SimInstant) {
+        let Some(state) = self.groups.get_mut(group) else {
+            return;
+        };
+        state.members.remove(peer);
+        state.elector.remove_peer(peer, now);
+        state.fd.remove_peer(peer);
+        self.alive_epoch += 1;
+        // Should the peer come back at its applied list or batch: pull, apply.
+        let entry = self.peers.entry(peer, &self.arena);
+        (entry.gossip.resync, entry.alive.resync) = (true, true);
+        entry.fd.unindex(group);
+        entry.gossip.unindex(group);
+    }
+
+    /// The HELLO tick: membership expiry, then the periodic digest. A peer
+    /// whose cached member wake says none of its entries can be quiet past
+    /// the membership timeout — the steady state — costs one comparison and
+    /// touches no group. Any other peer's indexed groups are walked: an
+    /// entry quiet on its own account folds the peer's stamps in, and
+    /// expires if it is quiet by them too and the group's detector does not
+    /// trust the peer; the survivors leave the new wake. Expiries are then
+    /// applied group by group, in ascending group order.
+    pub(super) fn handle_hello_timer(&mut self, ctx: &mut ServiceContext) {
+        let now = ctx.now();
+        let timeout = self.config.membership_timeout;
+        let mut expired: Vec<(GroupId, NodeId)> = Vec::new();
+        for (peer, pslot) in self.peers.index.iter() {
+            let (peer, pslot) = (NodeId(peer), pslot as usize);
+            let entry = &self.peers.entries[pslot];
+            if entry.member_quiet(now, timeout) {
+                debug_assert!(
+                    self.member_wake_holds(peer, pslot, now),
+                    "late member wake of {peer}"
+                );
+                continue;
+            }
+            self.hello.member_walks.inc();
+            let mut wake = MemberWake::NEVER;
+            for &group in &entry.gossip.groups {
+                let Some(state) = self.groups.get_mut(group) else {
+                    continue;
+                };
+                let Some(member) = state.members.get_mut(peer) else {
+                    continue;
+                };
+                if now.saturating_since(member.last_heard) > timeout {
+                    // Quiet on its own account: fold the peer's digests and
+                    // repeated batches in (here, once per timeout — not on
+                    // every datagram).
+                    member.last_heard = entry.heard(group, member);
+                    if now.saturating_since(member.last_heard) > timeout
+                        && !state.fd.is_trusted(peer)
+                    {
+                        expired.push((group, peer));
+                        continue;
+                    }
+                }
+                wake.note(entry.vouches(group, member), member.last_heard);
+            }
+            self.peers.entries[pslot].gossip.wake = Some(wake);
+        }
+        expired.sort_unstable();
+        for expiring in expired.chunk_by(|a, b| a.0 == b.0) {
+            let group = expiring[0].0;
+            for &(_, peer) in expiring {
+                self.forget_member(group, peer, now);
+            }
+            self.check_leader(group, ctx);
+        }
+        self.send_hello(self.config.remote_peers(), false, HelloList::Omitted, ctx);
+        ctx.set_timer_after(HELLO_TIMER, self.config.hello_interval);
+    }
+
+    /// What a quiet HELLO tick relies on for `peer` (peer slot `pslot`): its
+    /// index names exactly the groups listing it, and none of its entries is
+    /// quiet past the membership timeout at `now`. Asserted in debug builds.
+    fn member_wake_holds(&self, peer: NodeId, pslot: usize, now: SimInstant) -> bool {
+        let entry = &self.peers.entries[pslot];
+        let timeout = self.config.membership_timeout;
+        self.groups.iter().all(|state| {
+            let member = state.members.get(peer);
+            let indexed = entry.gossip.groups.binary_search(&state.group).is_ok();
+            let fresh =
+                |m: &MemberEntry| now.saturating_since(entry.heard(state.group, m)) <= timeout;
+            member.is_some() == indexed && member.is_none_or(fresh)
+        })
+    }
+}

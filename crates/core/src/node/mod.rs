@@ -1,0 +1,712 @@
+//! The per-workstation service instance: [`ServiceNode`], a sans-io
+//! [`sle_sim::Actor`], so the same code runs under the discrete-event
+//! simulator and under the real-time [`crate::runtime`]. It has one file per
+//! module of the paper's Figure 2, each owning its handlers, per-peer state,
+//! counters and debug invariants:
+//!
+//! | Figure 2 module | File | What it does |
+//! |---|---|---|
+//! | (the dispatcher) | `node/mod.rs` | registration, joins and leaves, timers, the tables the modules share |
+//! | Group Maintenance | `node/gossip.rs` | HELLO gossip, membership, leaves and expiry |
+//! | Failure Detector, its input | `node/alive.rs` | the ALIVE stream, sent and received |
+//! | Failure Detector | `node/fd.rs` | one detector timer per monitored peer, over the per-group [`sle_fd::FailureDetector`]s |
+//! | Leader Election Algorithm | `node/election.rs` | the leader each group's [`sle_election::AnyElector`] yields, announced |
+//! | (the lease tier above it) | `node/lease.rs` | lease upkeep and client serving |
+
+mod alive;
+mod election;
+mod fd;
+mod gossip;
+mod lease;
+
+pub use alive::AliveCounters;
+pub use fd::FdCounters;
+pub use gossip::HelloCounters;
+
+use sle_election::{ElectorKind, LeaderElector};
+use sle_fd::{LivenessHandle, MonitorArena};
+use sle_sim::actor::{Actor, Context, NodeId, TimerTag};
+use sle_sim::dense::SlotIndex;
+use sle_sim::time::{SimDuration, SimInstant};
+
+use std::sync::Arc;
+
+use crate::config::{JoinConfig, ServiceConfig};
+use crate::error::ServiceError;
+use crate::events::ServiceEvent;
+use crate::group::GroupState;
+use crate::lease::{FencedApp, FencingToken, LeaderLease};
+use crate::messages::{AliveHeader, GroupAlive, GroupAnnouncement, HelloList, ServiceMessage};
+use crate::obs::NodeInstruments;
+use crate::process::{GroupId, ProcessId};
+
+/// Timer-tag namespace of the per-node HELLO tick.
+const HELLO_KIND: u64 = 0;
+/// Timer-tag namespace of the per-node ALIVE tick.
+const ALIVE_KIND: u64 = 1;
+/// Timer-tag namespace of the per-peer failure-detector timers.
+const FD_KIND: u64 = 2;
+/// Timer-tag namespace for the end of the self-election grace period.
+pub(crate) const GRACE_KIND: u64 = 3;
+
+/// Timer used for periodic HELLO gossip and membership expiry.
+const HELLO_TIMER: TimerTag = TimerTag(HELLO_KIND << 32);
+/// The single per-node ALIVE tick: it fires at the earliest due time across
+/// all groups and fans out for every group that is due, however many groups
+/// the node participates in.
+const ALIVE_TIMER: TimerTag = TimerTag(ALIVE_KIND << 32);
+
+/// Dense per-group storage: group ids are interned into `u32` slots on
+/// first join, a [`SlotIndex`] maps ids to slots, and the states live in a
+/// contiguous slot vector. Iteration follows the index (ascending group id,
+/// so the ALIVE fan-out stays deterministic), and slots vacated by `remove`
+/// are recycled through a free list.
+#[derive(Debug, Default)]
+struct GroupTable {
+    index: SlotIndex,
+    slots: Vec<Option<GroupState>>,
+    free: Vec<u32>,
+    /// When each slot's group is next due to fan out ALIVEs — dense, so the
+    /// per-node tick reads and advances them without touching the states.
+    due: Vec<SimInstant>,
+}
+
+impl GroupTable {
+    fn get(&self, group: GroupId) -> Option<&GroupState> {
+        self.slots[self.index.get(group.0)? as usize].as_ref()
+    }
+
+    fn get_mut(&mut self, group: GroupId) -> Option<&mut GroupState> {
+        self.slots[self.index.get(group.0)? as usize].as_mut()
+    }
+
+    /// The slot of `group`, creating its state with `make` on first join.
+    fn intern(&mut self, group: GroupId, make: impl FnOnce() -> GroupState) -> usize {
+        let slot = self.index.get(group.0).unwrap_or_else(|| {
+            let state = Some(make());
+            let slot = match self.free.pop() {
+                Some(slot) => {
+                    self.slots[slot as usize] = state;
+                    slot
+                }
+                None => {
+                    self.slots.push(state);
+                    self.due.push(SimInstant::FAR_FUTURE);
+                    self.slots.len() as u32 - 1
+                }
+            };
+            self.index.insert(group.0, slot);
+            slot
+        });
+        slot as usize
+    }
+
+    fn remove(&mut self, group: GroupId) -> Option<GroupState> {
+        let slot = self.index.remove(group.0)?;
+        self.free.push(slot);
+        self.slots[slot as usize].take()
+    }
+
+    /// Group states in ascending group-id order.
+    fn iter(&self) -> impl Iterator<Item = &GroupState> + '_ {
+        self.index.iter().map(move |(_, slot)| self.slot(slot))
+    }
+
+    /// The state living in `slot` (which must be indexed).
+    fn slot(&self, slot: u32) -> &GroupState {
+        self.slots[slot as usize]
+            .as_ref()
+            .expect("indexed slot is live")
+    }
+}
+
+/// Node-level per-peer state, interned into dense `u32` slots on first
+/// contact. Beside what every module reads, each module keeps its own part.
+///
+/// Entries are deliberately never removed. The ALIVE sequence counter must
+/// survive group churn (see `PeerAlive::seq`), and the cached
+/// [`LivenessHandle`] turns the per-datagram arena lock of the hot receive
+/// path into one binary search over this slab. Retention is bounded by the
+/// workstation universe — destinations are configured peers — not by churn.
+#[derive(Debug)]
+struct PeerEntry {
+    /// Highest incarnation observed from the peer; `None` until the first
+    /// incarnation-carrying message arrives.
+    incarnation: Option<u64>,
+    /// Cached handle to the peer's shared liveness record in the
+    /// workstation arena; keeps the hot path off the arena mutex.
+    liveness: LivenessHandle,
+    gossip: gossip::PeerGossip,
+    alive: alive::PeerAlive,
+    fd: fd::PeerFd,
+}
+
+#[derive(Debug, Default)]
+struct PeerSlab {
+    index: SlotIndex,
+    entries: Vec<PeerEntry>,
+}
+
+impl PeerSlab {
+    /// The slot for `peer`, creating its entry (and its arena record) on
+    /// first contact.
+    fn intern(&mut self, peer: NodeId, arena: &MonitorArena) -> usize {
+        if let Some(slot) = self.index.get(peer.0) {
+            return slot as usize;
+        }
+        let slot = self.entries.len();
+        self.entries.push(PeerEntry {
+            incarnation: None,
+            liveness: arena.slot(peer),
+            gossip: Default::default(),
+            alive: Default::default(),
+            fd: Default::default(),
+        });
+        self.index.insert(peer.0, slot as u32);
+        slot
+    }
+
+    /// The slot of `peer`, if it was ever contacted.
+    fn find(&self, peer: NodeId) -> Option<usize> {
+        self.index.get(peer.0).map(|slot| slot as usize)
+    }
+
+    /// `peer`'s entry, created on first contact.
+    fn entry(&mut self, peer: NodeId, arena: &MonitorArena) -> &mut PeerEntry {
+        let slot = self.intern(peer, arena);
+        &mut self.entries[slot]
+    }
+}
+
+/// The context type used by the service.
+pub type ServiceContext = Context<ServiceMessage, ServiceEvent>;
+
+/// One leader-election service instance (one per workstation).
+#[derive(Debug)]
+pub struct ServiceNode {
+    config: ServiceConfig,
+    incarnation: u64,
+    /// This node's announcement version, bumped on every local join, leave
+    /// or candidacy change: `(incarnation, hello_version)` orders its lists.
+    hello_version: u64,
+    /// The full announcement list at `hello_version`, built on the first
+    /// pull of a version and shared by every later one.
+    hello_list: Option<Arc<[GroupAnnouncement]>>,
+    hello: HelloCounters,
+    /// The local slot of the next process to register: every slot below it
+    /// is registered.
+    next_local_process: u32,
+    /// Per-group state in dense slots, indexed by interned group id.
+    groups: GroupTable,
+    /// Node-level per-peer state (incarnation, heartbeat sequence, cached
+    /// liveness handle) in dense slots, indexed by interned peer id.
+    peers: PeerSlab,
+    /// The workstation-wide liveness arena: one link estimate per peer,
+    /// shared by every group's failure detector (paper Figure 2's single
+    /// Failure Detector module per workstation).
+    arena: MonitorArena,
+    /// Moves whenever something the ALIVE plan embeds may have: an elector's
+    /// payload or competing flag, local candidacy, a group's membership, an
+    /// interval a member asked for, which groups this node leads. (What the
+    /// monitors themselves ask for moves the arena's epoch.)
+    alive_epoch: u64,
+    /// The cached ALIVE fan-out, and the `(alive_epoch, arena params epoch)`
+    /// it was built at.
+    alive_plan: (Option<(u64, u64)>, Vec<alive::AliveGrid>),
+    alive: AliveCounters,
+    fd: FdCounters,
+    /// Per-group ALIVE payloads handed to the transport (batch entries
+    /// count individually). A live counter handle so that attaching
+    /// instruments makes it a registry view instead of a second account.
+    alive_payloads_sent: sle_obs::Counter,
+    /// ALIVE datagrams handed to the transport (a batch counts once).
+    alive_datagrams_sent: sle_obs::Counter,
+    /// Live QoS instruments and protocol trace, when attached by the
+    /// driving runtime ([`ServiceNode::set_instruments`]). `None` — the
+    /// default — costs one branch per instrumentation point.
+    obs: Option<NodeInstruments>,
+    lease: lease::LeaseTier,
+    /// ACCUSE messages dropped because their epoch predates the elector's
+    /// current one (a duplicated or delayed replay).
+    stale_accusations_ignored: sle_obs::Counter,
+}
+
+impl ServiceNode {
+    /// Creates a service instance from its configuration.
+    pub fn new(config: ServiceConfig) -> Self {
+        ServiceNode {
+            config,
+            incarnation: 0,
+            hello_version: 0,
+            hello_list: None,
+            hello: HelloCounters::default(),
+            next_local_process: 0,
+            groups: GroupTable::default(),
+            peers: PeerSlab::default(),
+            arena: MonitorArena::new(),
+            alive_epoch: 0,
+            alive_plan: (None, Vec::new()),
+            alive: AliveCounters::default(),
+            fd: FdCounters::default(),
+            alive_payloads_sent: sle_obs::Counter::new(),
+            alive_datagrams_sent: sle_obs::Counter::new(),
+            obs: None,
+            lease: lease::LeaseTier::default(),
+            stale_accusations_ignored: sle_obs::Counter::new(),
+        }
+    }
+
+    /// Attaches live observability instruments: QoS histograms recorded
+    /// under this node's registry names, protocol events pushed into the
+    /// given trace ring, and the node's own traffic counters bound into the
+    /// registry as views. Runtimes call this right after construction;
+    /// without it, every instrumentation point is a single `None` branch.
+    pub fn set_instruments(&mut self, instruments: NodeInstruments) {
+        instruments.bind_node_counter("net.alive_payloads_sent", &self.alive_payloads_sent);
+        instruments.bind_node_counter("net.alive_datagrams_sent", &self.alive_datagrams_sent);
+        instruments.bind_node_counter("hello.full_sent", &self.hello.full_sent);
+        instruments.bind_node_counter("hello.digest_sent", &self.hello.digest_sent);
+        instruments.bind_node_counter("hello.pulls_sent", &self.hello.pulls_sent);
+        instruments.bind_node_counter("hello.stale_ignored", &self.hello.stale_ignored);
+        instruments.bind_node_counter("hello.member_walks", &self.hello.member_walks);
+        instruments.bind_node_counter("alive.unchanged", &self.alive.unchanged);
+        instruments.bind_node_counter("alive.applied", &self.alive.applied);
+        instruments.bind_node_counter("alive.plan_rebuilds", &self.alive.plan_rebuilds);
+        instruments.bind_node_counter("fd.fires", &self.fd.fires);
+        instruments.bind_node_counter("fd.walks", &self.fd.walks);
+        instruments.bind_node_counter(
+            "elect.stale_accusations_ignored",
+            &self.stale_accusations_ignored,
+        );
+        instruments.bind_node_counter("app.leases_minted", &self.lease.minted);
+        instruments.bind_node_counter("app.lease_renewals", &self.lease.renewals);
+        let lease = &self.lease;
+        instruments.bind_node_counter("app.requests_applied", &lease.requests_applied);
+        instruments.bind_node_counter("app.requests_rejected", &lease.requests_rejected);
+        instruments.bind_node_counter("app.requests_redirected", &lease.requests_redirected);
+        self.obs = Some(instruments);
+    }
+
+    /// The attached instruments, if any.
+    pub fn instruments(&self) -> Option<&NodeInstruments> {
+        self.obs.as_ref()
+    }
+
+    /// Installs the fenced state machine this node serves while leading.
+    ///
+    /// Installing an app also enables `LeaseGrant` broadcasts on the ALIVE
+    /// tick, so the other members' apps learn new fencing tokens promptly.
+    pub fn install_app(&mut self, app: Box<dyn FencedApp>) {
+        self.lease.app = Some(app);
+        self.lease.broadcast = true;
+    }
+
+    /// Whether a fenced state machine is installed.
+    pub fn has_app(&self) -> bool {
+        self.lease.app.is_some()
+    }
+
+    /// The lease this node currently holds as the leader of `group`.
+    pub fn lease_of(&self, group: GroupId) -> Option<LeaderLease> {
+        self.groups.get(group)?.lease
+    }
+
+    /// The fencing token of this node's current leadership of `group`.
+    pub fn fencing_token(&self, group: GroupId) -> Option<FencingToken> {
+        Some(self.lease_of(group)?.token)
+    }
+
+    /// The most recent lease heard from a remote leader of `group` (its
+    /// `renewed_at` is the local receipt time).
+    pub fn remote_lease_of(&self, group: GroupId) -> Option<LeaderLease> {
+        self.groups.get(group)?.remote_lease
+    }
+
+    /// ACCUSE messages dropped because their epoch predated the elector's
+    /// current one — each is a duplicated or delayed replay that would have
+    /// destabilised a settled leader before the stale-epoch guard existed.
+    pub fn stale_accusations_ignored(&self) -> u64 {
+        self.stale_accusations_ignored.get()
+    }
+
+    /// Client requests served by the installed app under a valid lease.
+    pub fn client_requests_applied(&self) -> u64 {
+        self.lease.requests_applied.get()
+    }
+
+    /// Client requests the installed app rejected for a stale fencing token.
+    pub fn client_requests_rejected(&self) -> u64 {
+        self.lease.requests_rejected.get()
+    }
+
+    /// Client requests answered with a redirect (not leading, no valid
+    /// lease, or no app installed).
+    pub fn client_requests_redirected(&self) -> u64 {
+        self.lease.requests_redirected.get()
+    }
+
+    /// Leader leases minted (leaderships taken, or token changes while
+    /// leading).
+    pub fn leases_minted(&self) -> u64 {
+        self.lease.minted.get()
+    }
+
+    /// This workstation's identity.
+    pub fn node_id(&self) -> NodeId {
+        self.config.node
+    }
+
+    /// The leader-election algorithm this instance runs.
+    pub fn algorithm(&self) -> ElectorKind {
+        self.config.algorithm
+    }
+
+    /// The groups this instance currently participates in.
+    pub fn group_ids(&self) -> impl Iterator<Item = GroupId> + '_ {
+        self.groups.index.iter().map(|(id, _)| GroupId(id))
+    }
+
+    /// Number of peers with a live record in the workstation's shared
+    /// liveness arena (after pruning records no group monitors any more).
+    ///
+    /// The node itself caches one handle per peer it ever exchanged
+    /// heartbeats with, so the floor is the contacted-peer universe — group
+    /// churn on top of it must neither grow the count nor reclaim a record
+    /// a surviving group still uses.
+    pub fn monitored_peer_count(&self) -> usize {
+        self.arena.peer_count()
+    }
+
+    /// The current leader of `group` as seen by this instance (the "query"
+    /// notification style of the paper).
+    pub fn leader_of(&self, group: GroupId) -> Option<ProcessId> {
+        let state = self.groups.get(group)?;
+        state.leader_process(self.config.node, state.elector.leader())
+    }
+
+    /// Whether this node is currently competing (sending ALIVEs) in `group`.
+    pub fn is_competing(&self, group: GroupId) -> bool {
+        self.groups
+            .get(group)
+            .is_some_and(GroupState::should_send_alives)
+    }
+
+    /// The application processes of this workstation currently joined to
+    /// `group`, in registration order.
+    ///
+    /// This is how external drivers (the chaos harness's mid-run
+    /// leave/rejoin churn, management tooling) discover what there is to
+    /// leave without keeping their own books.
+    pub fn local_members_of(&self, group: GroupId) -> Vec<ProcessId> {
+        let state = self.groups.get(group);
+        let locals = state.into_iter().flat_map(|s| &s.local_processes);
+        locals
+            .map(|&(local, _)| ProcessId::new(self.config.node, local))
+            .collect()
+    }
+
+    /// This node's view of the remote membership of `group`: per member
+    /// workstation (ascending), its processes and their candidate flags.
+    pub fn remote_members_of(&self, group: GroupId) -> Vec<(NodeId, Vec<(ProcessId, bool)>)> {
+        let state = self.groups.get(group);
+        let members = state.into_iter().flat_map(|s| s.members.iter());
+        members.map(|m| (m.peer, m.processes.clone())).collect()
+    }
+
+    /// The HELLO gossip counters.
+    pub fn hello_counters(&self) -> &HelloCounters {
+        &self.hello
+    }
+
+    /// The ALIVE path counters.
+    pub fn alive_counters(&self) -> &AliveCounters {
+        &self.alive
+    }
+
+    /// The failure-detector timer counters.
+    pub fn fd_counters(&self) -> &FdCounters {
+        &self.fd
+    }
+
+    /// Registers a new application process with this service instance and
+    /// returns its identifier.
+    pub fn register_process(&mut self) -> ProcessId {
+        let local = self.next_local_process;
+        self.next_local_process += 1;
+        ProcessId::new(self.config.node, local)
+    }
+
+    /// Joins `process` to `group` with the given parameters.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ServiceError::ForeignProcess`] if the process belongs to a
+    /// different workstation, or [`ServiceError::UnknownProcess`] if it was
+    /// never registered here.
+    pub fn join_group(
+        &mut self,
+        process: ProcessId,
+        group: GroupId,
+        join: JoinConfig,
+        ctx: &mut ServiceContext,
+    ) -> Result<(), ServiceError> {
+        if process.node != self.config.node {
+            return Err(ServiceError::ForeignProcess(process));
+        }
+        if process.local >= self.next_local_process {
+            return Err(ServiceError::UnknownProcess(process));
+        }
+        let me = self.config.node;
+        let algorithm = self.config.algorithm;
+        let now = ctx.now();
+        let arena = &self.arena;
+        let peers = &mut self.peers;
+        let slot = self.groups.intern(group, || {
+            let state = GroupState::new(group, me, algorithm, &join, arena, now);
+            // Every applied announcement list skipped this group: re-pull.
+            for peer in &mut peers.entries {
+                peer.gossip.resync = true;
+            }
+            state
+        });
+        self.groups.due[slot] = now + SimDuration::from_millis(5);
+        let state = self.groups.slots[slot]
+            .as_mut()
+            .expect("interned slot is live");
+        if state.upsert_local_process(process.local, join.candidate) {
+            self.hello_version += 1;
+            self.hello_list = None;
+        }
+        // Upgrading to candidate after having joined as a listener requires a
+        // fresh elector (the accusation time starts now — a newcomer rank).
+        // The accusation epoch must NOT restart: epochs already advertised on
+        // the wire would become current again, letting a replayed old ACCUSE
+        // demote this node after it re-won — and breaking fencing-token
+        // monotonicity. Start one above the old elector's epoch instead.
+        if join.candidate && !state.elector.is_candidate() {
+            state.elector = sle_election::AnyElector::new_with_epoch(
+                algorithm,
+                me,
+                true,
+                now,
+                state.elector.epoch() + 1,
+            );
+        }
+        let grace_ends = state.joined_at + state.self_election_grace();
+        ctx.set_timer_at(election::grace_tag(group), grace_ends);
+        self.local_membership_changed();
+        if let Some(obs) = &mut self.obs {
+            obs.on_join(group, now);
+        }
+        self.arm_alive_timer(ctx);
+        // Prompt discovery: announce only this group now (the full list per
+        // join is quadratic in a burst); the next digest gets the rest pulled.
+        if let Some(state) = self.groups.get(group) {
+            let partial = HelloList::Partial(Arc::from([gossip::announcement(me, state)]));
+            self.send_hello(self.config.remote_peers(), false, partial, ctx);
+        }
+        self.check_leader(group, ctx);
+        Ok(())
+    }
+
+    /// Removes `process` from `group`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ServiceError::NotJoined`] if the process is not currently a
+    /// member of the group on this workstation.
+    pub fn leave_group(
+        &mut self,
+        process: ProcessId,
+        group: GroupId,
+        ctx: &mut ServiceContext,
+    ) -> Result<(), ServiceError> {
+        let me = self.config.node;
+        let algorithm = self.config.algorithm;
+        let state = self
+            .groups
+            .get_mut(group)
+            .ok_or(ServiceError::NotJoined(process, group))?;
+        if !state.remove_local_process(process.local) {
+            return Err(ServiceError::NotJoined(process, group));
+        }
+        // Tell the other members explicitly so they do not need to wait for
+        // the membership timeout.
+        for peer in state.members.peers() {
+            ctx.send(peer, ServiceMessage::Leave { group, process });
+        }
+        if state.local_processes.is_empty() {
+            if let Some(gone) = self.groups.remove(group) {
+                for peer in gone.fd.peers() {
+                    self.peers.entry(peer, &self.arena).fd.unindex(group);
+                }
+                for peer in gone.members.peers() {
+                    self.peers.entry(peer, &self.arena).gossip.unindex(group);
+                }
+            }
+            self.arm_alive_timer(ctx);
+        } else {
+            if !state.locally_candidate() && state.elector.is_candidate() {
+                // The last local candidate left: stop competing. As on the
+                // listener→candidate upgrade, preserve the accusation epoch
+                // so replayed accusations from the candidate life stay stale.
+                state.elector = sle_election::AnyElector::new_with_epoch(
+                    algorithm,
+                    me,
+                    false,
+                    ctx.now(),
+                    state.elector.epoch() + 1,
+                );
+            }
+            // The local representative — the process announced while this
+            // node leads — may have been the one that left.
+            self.check_leader(group, ctx);
+        }
+        if let Some(obs) = &mut self.obs {
+            obs.on_leave(group, ctx.now());
+        }
+        self.local_membership_changed();
+        self.hello_version += 1;
+        self.hello_list = None;
+        self.send_hello(self.config.remote_peers(), false, HelloList::Omitted, ctx);
+        Ok(())
+    }
+
+    /// A local join or leave: the ALIVE plan is stale, and no peer's repeated
+    /// batch may skip feeding an elector that was created or replaced.
+    fn local_membership_changed(&mut self) {
+        self.alive_epoch += 1;
+        for peer in &mut self.peers.entries {
+            peer.alive.resync = true;
+        }
+    }
+
+    /// Handles a possibly new incarnation of `peer`: if the peer restarted,
+    /// all state learnt from its previous life is discarded.
+    fn note_peer_incarnation(&mut self, peer: NodeId, incarnation: u64, ctx: &mut ServiceContext) {
+        let entry = self.peers.entry(peer, &self.arena);
+        let known = entry.incarnation;
+        if known.is_some_and(|known| incarnation <= known) {
+            return;
+        }
+        entry.incarnation = Some(incarnation);
+        // Whatever list or batch was applied belonged to the previous life.
+        entry.gossip.applied = None;
+        entry.alive.batch.clear();
+        if known.is_none() {
+            // First contact with this peer: nothing to reset.
+            return;
+        }
+        // So did the link estimate, whether or not a group still lists the
+        // peer: its loss window would count the new life's reused sequence
+        // numbers as fresh arrivals. Once, for every group reading it.
+        entry.liveness.reset();
+        self.alive_epoch += 1;
+        let now = ctx.now();
+        // Every member entry of the previous life goes.
+        let groups = std::mem::take(&mut entry.gossip.groups);
+        entry.gossip.wake = None;
+        for group in groups {
+            let Some(state) = self.groups.get_mut(group) else {
+                continue;
+            };
+            if state.members.remove(peer).is_some() {
+                state.elector.remove_peer(peer, now);
+                state.fd.reset_peer(peer, now);
+                self.fd_monitor_added(peer, group, ctx);
+                self.check_leader(group, ctx);
+            }
+        }
+    }
+}
+
+impl Actor for ServiceNode {
+    type Msg = ServiceMessage;
+    type Event = ServiceEvent;
+
+    fn on_start(&mut self, ctx: &mut ServiceContext) {
+        self.incarnation = ctx.incarnation();
+        let auto_joins = self.config.auto_joins.clone();
+        for auto in auto_joins {
+            let process = self.register_process();
+            // Joining our own freshly registered process cannot fail.
+            let _ = self.join_group(process, auto.group, auto.config, ctx);
+        }
+        self.send_hello(self.config.remote_peers(), false, HelloList::Omitted, ctx);
+        ctx.set_timer_after(HELLO_TIMER, self.config.hello_interval);
+    }
+
+    fn on_message(&mut self, from: NodeId, msg: ServiceMessage, ctx: &mut ServiceContext) {
+        match msg {
+            ServiceMessage::Hello {
+                incarnation,
+                version,
+                pull,
+                announcements,
+                ..
+            } => self.handle_hello(from, incarnation, version, pull, announcements, ctx),
+            ServiceMessage::Alive {
+                group,
+                header,
+                payload,
+                representative,
+            } => {
+                let alive = GroupAlive {
+                    group,
+                    sending_interval: header.sending_interval,
+                    requested_interval: header.requested_interval,
+                    payload,
+                    representative,
+                };
+                let AliveHeader {
+                    incarnation, seq, ..
+                } = header;
+                self.handle_alives(from, incarnation, seq, header.sent_at, vec![alive], ctx)
+            }
+            ServiceMessage::AliveBatch {
+                incarnation,
+                seq,
+                sent_at,
+                alives,
+            } => self.handle_alives(from, incarnation, seq, sent_at, alives, ctx),
+            ServiceMessage::Accuse { group, epoch } => self.handle_accusation(group, epoch, ctx),
+            ServiceMessage::Leave { group, process } => {
+                self.handle_leave(from, group, process, ctx)
+            }
+            ServiceMessage::LeaseGrant {
+                group,
+                token,
+                valid_for,
+            } => self.handle_lease_grant(group, token, valid_for, ctx),
+            ServiceMessage::ClientRequest {
+                group,
+                session,
+                seq,
+                payload,
+            } => self.handle_client_request(from, group, session, seq, payload, ctx),
+            // Client-bound answers: a service instance can receive these
+            // only through misrouting (or a hostile sender); ignore them.
+            ServiceMessage::ClientReply { .. } | ServiceMessage::Redirect { .. } => {}
+        }
+    }
+
+    fn on_timer(&mut self, tag: TimerTag, ctx: &mut ServiceContext) {
+        let id = (tag.0 & 0xFFFF_FFFF) as u32;
+        match tag.0 >> 32 {
+            HELLO_KIND => self.handle_hello_timer(ctx),
+            ALIVE_KIND => self.handle_alive_tick(ctx),
+            FD_KIND => self.handle_fd_timer(NodeId(id), ctx),
+            GRACE_KIND => {
+                let group = GroupId(id);
+                if let Some(obs) = &mut self.obs {
+                    obs.on_grace_timer(ctx.now());
+                }
+                self.check_leader(group, ctx)
+            }
+            _ => {}
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests;

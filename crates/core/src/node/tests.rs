@@ -1,0 +1,1201 @@
+use super::*;
+use sle_sim::prelude::*;
+use std::collections::BTreeMap;
+
+const GROUP: GroupId = GroupId(1);
+
+fn build_world(n: usize, algorithm: ElectorKind, seed: u64) -> World<ServiceNode, PerfectMedium> {
+    World::new(
+        n,
+        Box::new(move |node, _inc| {
+            let config = ServiceConfig::full_mesh(node, n, algorithm)
+                .with_auto_join(GROUP, JoinConfig::candidate());
+            ServiceNode::new(config)
+        }),
+        PerfectMedium,
+        seed,
+    )
+}
+
+fn agreed_leader<M: Medium>(world: &World<ServiceNode, M>, group: GroupId) -> Option<ProcessId> {
+    let mut leader = None;
+    for i in 0..world.num_nodes() {
+        let node = NodeId(i as u32);
+        if !world.is_up(node) {
+            continue;
+        }
+        let view = world.actor(node)?.leader_of(group)?;
+        match leader {
+            None => leader = Some(view),
+            Some(l) if l == view => {}
+            _ => return None,
+        }
+    }
+    leader
+}
+
+#[test]
+fn a_group_of_services_agrees_on_a_leader() {
+    for algorithm in ElectorKind::all() {
+        let mut world = build_world(4, algorithm, 7);
+        let mut obs = NullObserver;
+        world.run_for(SimDuration::from_secs(5), &mut obs);
+        let leader = agreed_leader(&world, GROUP);
+        assert!(leader.is_some(), "{algorithm}: no agreement after 5 s");
+    }
+}
+
+#[test]
+fn leader_crash_triggers_reelection_within_seconds() {
+    for algorithm in ElectorKind::all() {
+        let mut world = build_world(4, algorithm, 11);
+        let mut obs = NullObserver;
+        world.run_for(SimDuration::from_secs(5), &mut obs);
+        let leader = agreed_leader(&world, GROUP).expect("initial leader");
+
+        world.schedule_crash(leader.node, world.now() + SimDuration::from_millis(10));
+        world.run_for(SimDuration::from_secs(5), &mut obs);
+        let new_leader = agreed_leader(&world, GROUP)
+            .unwrap_or_else(|| panic!("{algorithm}: no new leader after crash"));
+        assert_ne!(
+            new_leader.node, leader.node,
+            "{algorithm}: crashed node still leads"
+        );
+    }
+}
+
+#[test]
+fn stable_algorithms_keep_leader_when_smaller_id_rejoins() {
+    // Crash node 0 (smallest id). Under S2/S3 its recovery must not
+    // demote the incumbent; under S1 it must (that is the instability
+    // the paper measures).
+    for (algorithm, expect_demotion) in [
+        (ElectorKind::OmegaId, true),
+        (ElectorKind::OmegaLc, false),
+        (ElectorKind::OmegaL, false),
+    ] {
+        let mut world = build_world(4, algorithm, 13);
+        let mut obs = NullObserver;
+        world.schedule_crash(NodeId(0), SimInstant::from_secs_f64(3.0));
+        world.schedule_recovery(NodeId(0), SimInstant::from_secs_f64(20.0));
+        world.run_for(SimDuration::from_secs(15), &mut obs);
+        let leader_before = agreed_leader(&world, GROUP).expect("leader before rejoin");
+        assert_ne!(leader_before.node, NodeId(0));
+
+        world.run_for(SimDuration::from_secs(15), &mut obs);
+        let leader_after = agreed_leader(&world, GROUP).expect("leader after rejoin");
+        if expect_demotion {
+            assert_eq!(leader_after.node, NodeId(0), "{algorithm}: S1 must demote");
+        } else {
+            assert_eq!(
+                leader_after, leader_before,
+                "{algorithm}: stable algorithm must not demote a healthy leader"
+            );
+        }
+    }
+}
+
+#[test]
+fn omega_l_converges_to_a_single_sender() {
+    let mut world = build_world(6, ElectorKind::OmegaL, 19);
+    let mut obs = NullObserver;
+    world.run_for(SimDuration::from_secs(10), &mut obs);
+    let competing: Vec<NodeId> = (0..6)
+        .map(|i| NodeId(i as u32))
+        .filter(|&n| {
+            world
+                .actor(n)
+                .map(|a| a.is_competing(GROUP))
+                .unwrap_or(false)
+        })
+        .collect();
+    assert_eq!(
+        competing.len(),
+        1,
+        "exactly one process should still send ALIVEs"
+    );
+    let leader = agreed_leader(&world, GROUP).unwrap();
+    assert_eq!(leader.node, competing[0]);
+}
+
+#[test]
+fn omega_lc_keeps_every_candidate_sending() {
+    let mut world = build_world(4, ElectorKind::OmegaLc, 23);
+    let mut obs = NullObserver;
+    world.run_for(SimDuration::from_secs(5), &mut obs);
+    for i in 0..4 {
+        assert!(world.actor(NodeId(i)).unwrap().is_competing(GROUP));
+    }
+}
+
+#[test]
+fn join_and_leave_api_validation() {
+    let config = ServiceConfig::full_mesh(NodeId(0), 2, ElectorKind::OmegaLc);
+    let mut node = ServiceNode::new(config);
+    let mut ctx = ServiceContext::new(SimInstant::ZERO, NodeId(0), 0);
+    let foreign = ProcessId::new(NodeId(1), 0);
+    assert_eq!(
+        node.join_group(foreign, GROUP, JoinConfig::candidate(), &mut ctx),
+        Err(ServiceError::ForeignProcess(foreign))
+    );
+    let unregistered = ProcessId::new(NodeId(0), 9);
+    assert_eq!(
+        node.join_group(unregistered, GROUP, JoinConfig::candidate(), &mut ctx),
+        Err(ServiceError::UnknownProcess(unregistered))
+    );
+    let process = node.register_process();
+    assert_eq!(
+        node.leave_group(process, GROUP, &mut ctx),
+        Err(ServiceError::NotJoined(process, GROUP))
+    );
+    assert!(node.local_members_of(GROUP).is_empty());
+    assert!(node
+        .join_group(process, GROUP, JoinConfig::candidate(), &mut ctx)
+        .is_ok());
+    assert_eq!(node.leader_of(GROUP), Some(process));
+    assert_eq!(node.group_ids().collect::<Vec<_>>(), vec![GROUP]);
+    assert_eq!(node.local_members_of(GROUP), vec![process]);
+    assert!(node.leave_group(process, GROUP, &mut ctx).is_ok());
+    assert_eq!(node.leader_of(GROUP), None);
+    assert!(node.local_members_of(GROUP).is_empty());
+    assert_eq!(node.algorithm(), ElectorKind::OmegaLc);
+    assert_eq!(node.node_id(), NodeId(0));
+}
+
+#[test]
+fn listener_follows_without_becoming_leader() {
+    let n = 3;
+    let mut world: World<ServiceNode, PerfectMedium> = World::new(
+        n,
+        Box::new(move |node, _inc| {
+            let join = if node == NodeId(2) {
+                JoinConfig::listener()
+            } else {
+                JoinConfig::candidate()
+            };
+            let config =
+                ServiceConfig::full_mesh(node, n, ElectorKind::OmegaL).with_auto_join(GROUP, join);
+            ServiceNode::new(config)
+        }),
+        PerfectMedium,
+        31,
+    );
+    let mut obs = NullObserver;
+    world.run_for(SimDuration::from_secs(5), &mut obs);
+    let leader = agreed_leader(&world, GROUP).expect("leader");
+    assert_ne!(leader.node, NodeId(2), "a listener must never be elected");
+    assert!(!world.actor(NodeId(2)).unwrap().is_competing(GROUP));
+}
+
+#[test]
+fn adaptive_tuning_tracks_latency_regimes_deterministically() {
+    // A two-node group over a deterministic medium whose delay steps
+    // 90 ms → 2 ms → 150 ms. The monitor's timeout shift δ
+    // must shrink after the latency drop and grow after the spike.
+    let n = 2;
+    let medium = SteppedDelayMedium::new(SimDuration::from_millis(90))
+        .with_step(SimInstant::from_secs_f64(20.0), SimDuration::from_millis(2))
+        .with_step(
+            SimInstant::from_secs_f64(40.0),
+            SimDuration::from_millis(150),
+        );
+    let mut world: World<ServiceNode, SteppedDelayMedium> = World::new(
+        n,
+        Box::new(move |node, _inc| {
+            let config = ServiceConfig::full_mesh(node, n, ElectorKind::OmegaLc)
+                .with_auto_join(GROUP, JoinConfig::candidate().with_adaptive_tuning());
+            ServiceNode::new(config)
+        }),
+        medium,
+        3,
+    );
+    let mut obs = NullObserver;
+    let params_at = |world: &World<ServiceNode, SteppedDelayMedium>| {
+        world
+            .actor(NodeId(0))
+            .unwrap()
+            .fd_params_of(GROUP, NodeId(1))
+            .expect("node 0 monitors node 1")
+    };
+
+    world.run_until(SimInstant::from_secs_f64(18.0), &mut obs);
+    let slow = params_at(&world);
+    // Tuned: the bound must already be below the static T_D^U = 1 s.
+    assert!(slow.worst_case_detection() < SimDuration::from_secs(1));
+    assert!(
+        slow.shift > SimDuration::from_millis(90),
+        "δ must clear the 90 ms delay"
+    );
+
+    world.run_until(SimInstant::from_secs_f64(38.0), &mut obs);
+    let fast = params_at(&world);
+    assert!(
+        fast.shift < slow.shift,
+        "δ must shrink after the latency drop: {} !< {}",
+        fast.shift,
+        slow.shift
+    );
+
+    world.run_until(SimInstant::from_secs_f64(58.0), &mut obs);
+    let spiked = params_at(&world);
+    assert!(
+        spiked.shift > fast.shift,
+        "δ must grow after the latency spike: {} !> {}",
+        spiked.shift,
+        fast.shift
+    );
+    assert!(
+        spiked.shift > SimDuration::from_millis(150),
+        "δ must clear the 150 ms delay"
+    );
+
+    // Throughout, both nodes keep agreeing on a leader (tuning must not
+    // destabilise the election).
+    assert!(agreed_leader(&world, GROUP).is_some());
+}
+
+/// Every `LeaderChanged` raised, as `(when, group, leader)`.
+#[derive(Default)]
+struct LeaderLog(Vec<(SimInstant, GroupId, Option<ProcessId>)>);
+
+impl Observer<ServiceEvent> for LeaderLog {
+    fn event_emitted(&mut self, now: SimInstant, _node: NodeId, event: &ServiceEvent) {
+        let ServiceEvent::LeaderChanged { group, leader } = *event;
+        self.0.push((now, group, leader));
+    }
+}
+
+#[test]
+fn a_static_and_an_adaptive_group_share_one_link_estimate() {
+    // A rolling upgrade in miniature: the same two workstations share a
+    // static and an adaptive group while the delay steps 90 → 2 → 150 ms.
+    const STATIC: GroupId = GroupId(1);
+    const ADAPTIVE: GroupId = GroupId(2);
+    let t_d = SimDuration::from_secs(1);
+    for algorithm in [ElectorKind::OmegaLc, ElectorKind::OmegaL] {
+        let medium = SteppedDelayMedium::new(SimDuration::from_millis(90))
+            .with_step(SimInstant::from_secs_f64(20.0), SimDuration::from_millis(2))
+            .with_step(
+                SimInstant::from_secs_f64(40.0),
+                SimDuration::from_millis(150),
+            );
+        let mut world: World<ServiceNode, SteppedDelayMedium> = World::new(
+            2,
+            Box::new(move |node, _inc| {
+                let config = ServiceConfig::full_mesh(node, 2, algorithm)
+                    .with_auto_join(STATIC, JoinConfig::candidate())
+                    .with_auto_join(ADAPTIVE, JoinConfig::candidate().with_adaptive_tuning());
+                ServiceNode::new(config)
+            }),
+            medium,
+            3,
+        );
+        let mut log = LeaderLog::default();
+        // Whoever follows in a group monitors its leader.
+        let bounds = |world: &World<ServiceNode, SteppedDelayMedium>| {
+            [STATIC, ADAPTIVE].map(|group| {
+                let leader = agreed_leader(world, group).expect("leader").node;
+                let follower = NodeId(1 - leader.0);
+                (world.actor(follower).unwrap())
+                    .fd_params_of(group, leader)
+                    .expect("the follower monitors its leader")
+                    .worst_case_detection()
+            })
+        };
+        let mut adaptive_bounds = Vec::new();
+        let mut leaders = Vec::new();
+        for checkpoint in [18.0, 38.0, 58.0] {
+            world.run_until(SimInstant::from_secs_f64(checkpoint), &mut log);
+            let [pinned, tuned] = bounds(&world);
+            assert_eq!(pinned, t_d, "{algorithm}: static η + δ at {checkpoint} s");
+            adaptive_bounds.push(tuned);
+            leaders.push([STATIC, ADAPTIVE].map(|group| agreed_leader(&world, group)));
+        }
+        // The adaptive group tightens and re-widens beside it.
+        let [slow, fast, spiked] = adaptive_bounds[..] else {
+            unreachable!()
+        };
+        assert!(slow < t_d, "{algorithm}: {slow}");
+        assert!(fast < slow, "{algorithm}: {fast} !< {slow}");
+        assert!(spiked > fast && spiked <= t_d, "{algorithm}: {spiked}");
+
+        // The static group never so much as wavers: each node announces
+        // its leader once. The adaptive one agrees on a leader at every
+        // checkpoint and keeps it through the tightening; a link that
+        // gets 75 times slower within one η outruns the bound tightened
+        // for it, and the suspicions that costs (accusations included:
+        // the leadership may move) end as soon as (η, δ) back off.
+        assert!(leaders.iter().flatten().all(|l| l.is_some()), "{leaders:?}");
+        assert_eq!(leaders[0], leaders[1], "{algorithm}");
+        assert_eq!(leaders[0][0], leaders[2][0], "{algorithm}");
+        let changes = |group| log.0.iter().filter(move |(_, g, _)| *g == group);
+        assert_eq!(changes(STATIC).count(), 2, "{algorithm}: {:?}", log.0);
+        let spike = SimInstant::from_secs_f64(40.0);
+        let wavered: Vec<_> = changes(ADAPTIVE).skip(2).map(|(at, ..)| *at).collect();
+        assert!(
+            (wavered.iter()).all(|&at| at > spike && at < spike + t_d * 2),
+            "{algorithm}: {:?}",
+            log.0
+        );
+
+        // One arena record per peer, fed once per datagram however many
+        // groups (and policies) read it.
+        for node in [NodeId(0), NodeId(1)] {
+            let actor = world.actor(node).unwrap();
+            assert_eq!(actor.arena.peer_count(), 1);
+            let peer = &actor.peers.entries[0];
+            let alive = actor.alive_counters();
+            assert_eq!(
+                peer.liveness.heartbeats_recorded(),
+                alive.unchanged.get() + alive.applied.get(),
+                "{algorithm}: {node}"
+            );
+        }
+    }
+}
+
+#[test]
+fn multi_group_alives_share_one_datagram_per_destination() {
+    // Two workstations sharing three groups: the per-node tick must
+    // coalesce the three per-group heartbeats bound for the same peer
+    // into one batched datagram.
+    let n = 2;
+    let groups = [GroupId(1), GroupId(2), GroupId(3)];
+    let mut world: World<ServiceNode, PerfectMedium> = World::new(
+        n,
+        Box::new(move |node, _inc| {
+            let mut config = ServiceConfig::full_mesh(node, n, ElectorKind::OmegaLc);
+            for group in groups {
+                config = config.with_auto_join(group, JoinConfig::candidate());
+            }
+            ServiceNode::new(config)
+        }),
+        PerfectMedium,
+        41,
+    );
+    let mut obs = NullObserver;
+    world.run_for(SimDuration::from_secs(5), &mut obs);
+    for i in 0..n {
+        let actor = world.actor(NodeId(i as u32)).unwrap();
+        let payloads = actor.alive_payloads_sent();
+        let datagrams = actor.alive_datagrams_sent();
+        assert!(payloads > 0);
+        // All three groups join together and share one send interval,
+        // so every tick batches exactly three payloads per datagram.
+        assert_eq!(
+            payloads,
+            3 * datagrams,
+            "node {i}: {payloads} payloads in {datagrams} datagrams"
+        );
+        for group in groups {
+            assert!(actor.leader_of(group).is_some(), "no leader in {group:?}");
+        }
+    }
+    // Both nodes converge on the same leader in every group.
+    for group in groups {
+        assert!(agreed_leader(&world, group).is_some());
+    }
+}
+
+#[test]
+fn staggered_group_joins_converge_onto_shared_datagrams() {
+    // Group 2 is joined mid-run, out of phase with group 1. The
+    // quarter-interval batching slack must pull the two onto a shared
+    // tick, so steady-state traffic is 2 payloads per datagram — not
+    // one datagram per group forever.
+    let n = 2;
+    let mut world: World<ServiceNode, PerfectMedium> = World::new(
+        n,
+        Box::new(move |node, _inc| {
+            let config = ServiceConfig::full_mesh(node, n, ElectorKind::OmegaLc)
+                .with_auto_join(GroupId(1), JoinConfig::candidate());
+            ServiceNode::new(config)
+        }),
+        PerfectMedium,
+        43,
+    );
+    let mut obs = NullObserver;
+    world.run_for(SimDuration::from_millis(330), &mut obs);
+    for i in 0..n as u32 {
+        world.with_actor(NodeId(i), &mut obs, |actor, ctx| {
+            let process = actor.register_process();
+            actor
+                .join_group(process, GroupId(2), JoinConfig::candidate(), ctx)
+                .expect("join group 2");
+        });
+    }
+    // Let the phases converge, then measure a steady-state window.
+    world.run_for(SimDuration::from_secs(5), &mut obs);
+    let counts = |world: &World<ServiceNode, PerfectMedium>, i: u32| {
+        let actor = world.actor(NodeId(i)).unwrap();
+        (actor.alive_payloads_sent(), actor.alive_datagrams_sent())
+    };
+    let before: Vec<_> = (0..n as u32).map(|i| counts(&world, i)).collect();
+    world.run_for(SimDuration::from_secs(10), &mut obs);
+    for i in 0..n as u32 {
+        let (p0, d0) = before[i as usize];
+        let (p1, d1) = counts(&world, i);
+        let payloads = p1 - p0;
+        let datagrams = d1 - d0;
+        assert!(payloads > 0);
+        // Perfect batching is 2 payloads per datagram; a monitor
+        // reconfiguration can briefly desync the two groups' intervals
+        // (and so their grids), so allow a handful of solo datagrams.
+        assert!(
+            payloads * 10 >= 2 * datagrams * 9,
+            "node {i}: staggered groups failed to share datagrams \
+             ({payloads} payloads in {datagrams} datagrams)"
+        );
+    }
+    assert!(agreed_leader(&world, GroupId(1)).is_some());
+    assert!(agreed_leader(&world, GroupId(2)).is_some());
+}
+
+#[test]
+fn nodes_in_different_groups_do_not_interfere() {
+    // Nodes 0,1 join group 1; nodes 2,3 join group 2.
+    let n = 4;
+    let mut world: World<ServiceNode, PerfectMedium> = World::new(
+        n,
+        Box::new(move |node, _inc| {
+            let group = if node.0 < 2 { GroupId(1) } else { GroupId(2) };
+            let config = ServiceConfig::full_mesh(node, n, ElectorKind::OmegaLc)
+                .with_auto_join(group, JoinConfig::candidate());
+            ServiceNode::new(config)
+        }),
+        PerfectMedium,
+        37,
+    );
+    let mut obs = NullObserver;
+    world.run_for(SimDuration::from_secs(5), &mut obs);
+    let leader1 = world
+        .actor(NodeId(0))
+        .unwrap()
+        .leader_of(GroupId(1))
+        .unwrap();
+    let leader2 = world
+        .actor(NodeId(2))
+        .unwrap()
+        .leader_of(GroupId(2))
+        .unwrap();
+    assert!(leader1.node.0 < 2);
+    assert!(leader2.node.0 >= 2);
+    assert_eq!(world.actor(NodeId(0)).unwrap().leader_of(GroupId(2)), None);
+}
+
+/// A minimal fenced state machine for the lease/client-tier tests: a
+/// counter with the canonical high-water fencing check.
+#[derive(Debug, Default)]
+struct TestApp {
+    high_water: Option<crate::lease::FencingToken>,
+    value: u64,
+}
+
+impl crate::lease::FencedApp for TestApp {
+    fn apply(
+        &mut self,
+        _group: GroupId,
+        token: crate::lease::FencingToken,
+        payload: u64,
+    ) -> Result<u64, crate::lease::StaleToken> {
+        if let Some(high) = self.high_water {
+            if token < high {
+                return Err(crate::lease::StaleToken {
+                    presented: token,
+                    high_water: high,
+                });
+            }
+        }
+        self.high_water = Some(token);
+        self.value += payload;
+        Ok(self.value)
+    }
+
+    fn observe_token(&mut self, _group: GroupId, token: crate::lease::FencingToken) {
+        if self.high_water.is_none_or(|high| token > high) {
+            self.high_water = Some(token);
+        }
+    }
+}
+
+#[test]
+fn leader_serves_fenced_requests_and_followers_redirect() {
+    let mut world = build_world(2, ElectorKind::OmegaLc, 61);
+    let mut obs = NullObserver;
+    for i in 0..2u32 {
+        world.with_actor(NodeId(i), &mut obs, |actor, _ctx| {
+            actor.install_app(Box::new(TestApp::default()));
+            assert!(actor.has_app());
+        });
+    }
+    world.run_for(SimDuration::from_secs(5), &mut obs);
+    let leader = agreed_leader(&world, GROUP).expect("agreed leader").node;
+    let follower = NodeId(1 - leader.0);
+
+    world.with_actor(leader, &mut obs, |actor, ctx| {
+        let lease = actor.lease_of(GROUP).expect("the leader holds a lease");
+        assert_eq!(lease.token.node, leader);
+        assert!(lease.valid_at(ctx.now()), "lease expired while leading");
+        assert_eq!(actor.fencing_token(GROUP), Some(lease.token));
+        assert!(actor.leases_minted() >= 1);
+        // A client request lands on the leader: served.
+        actor.on_message(
+            follower,
+            ServiceMessage::ClientRequest {
+                group: GROUP,
+                session: 1,
+                seq: 0,
+                payload: 7,
+            },
+            ctx,
+        );
+        assert_eq!(actor.client_requests_applied(), 1);
+        assert_eq!(actor.client_requests_redirected(), 0);
+    });
+
+    world.with_actor(follower, &mut obs, |actor, ctx| {
+        // The follower holds no lease of its own…
+        assert_eq!(actor.lease_of(GROUP), None);
+        // …but has heard the leader's LeaseGrant broadcasts.
+        let remote = actor
+            .remote_lease_of(GROUP)
+            .expect("LeaseGrant broadcasts reached the follower");
+        assert_eq!(remote.token.node, leader);
+        // A client request landing on the follower is redirected to the
+        // leader it knows about.
+        actor.on_message(
+            leader,
+            ServiceMessage::ClientRequest {
+                group: GROUP,
+                session: 2,
+                seq: 0,
+                payload: 7,
+            },
+            ctx,
+        );
+        assert_eq!(actor.client_requests_applied(), 0);
+        assert_eq!(actor.client_requests_redirected(), 1);
+        // Unknown group: redirected with no hint (leader unknown).
+        actor.on_message(
+            leader,
+            ServiceMessage::ClientRequest {
+                group: GroupId(99),
+                session: 2,
+                seq: 1,
+                payload: 7,
+            },
+            ctx,
+        );
+        assert_eq!(actor.client_requests_redirected(), 2);
+    });
+}
+
+#[test]
+fn a_lease_that_expired_before_the_tick_is_dropped_not_renewed() {
+    // The wall-clock runtime's crash/recover parks a leader with its
+    // state: its frozen ALIVE tick fires on resume, however long after
+    // the lease ran out — by then a successor may be serving. (Here the
+    // only other member is a listener, so the leadership stays
+    // uncontested and the re-mint can be watched.)
+    let (leader, follower) = (NodeId(0), NodeId(1));
+    let mut world: World<ServiceNode, PerfectMedium> = World::new(
+        2,
+        Box::new(move |node, _inc| {
+            let join = if node == leader {
+                JoinConfig::candidate()
+            } else {
+                JoinConfig::listener()
+            };
+            let config =
+                ServiceConfig::full_mesh(node, 2, ElectorKind::OmegaL).with_auto_join(GROUP, join);
+            let mut service = ServiceNode::new(config);
+            service.install_app(Box::new(TestApp::default()));
+            service
+        }),
+        PerfectMedium,
+        61,
+    );
+    let mut obs = NullObserver;
+    world.run_for(SimDuration::from_secs(5), &mut obs);
+    assert_eq!(agreed_leader(&world, GROUP).map(|l| l.node), Some(leader));
+    let t_d = JoinConfig::candidate().qos.detection_time();
+    let ms = SimDuration::from_millis(1);
+
+    // From here the leader is driven by hand, on a clock of its own.
+    world.with_actor(leader, &mut obs, |actor, _ctx| {
+        let at = |now| ServiceContext::new(now, leader, 0);
+        let held = actor.lease_of(GROUP).expect("the leader holds a lease");
+        let resumed = held.expires_at() + ms;
+        let mut tick = at(resumed);
+        actor.on_timer(ALIVE_TIMER, &mut tick);
+        assert_eq!(actor.lease_of(GROUP), None, "an expired lease revived");
+        let granted = tick.into_effects().into_iter().any(|effect| {
+            matches!(
+                effect,
+                sle_sim::Effect::Send {
+                    msg: ServiceMessage::LeaseGrant { .. },
+                    ..
+                }
+            )
+        });
+        assert!(!granted, "a LeaseGrant went out under the expired lease");
+        let request = ServiceMessage::ClientRequest {
+            group: GROUP,
+            session: 1,
+            seq: 0,
+            payload: 7,
+        };
+        actor.on_message(follower, request, &mut at(resumed));
+        assert_eq!(actor.client_requests_applied(), 0);
+        assert_eq!(actor.client_requests_redirected(), 1);
+
+        // Still the elector's output, it leads through a whole settle
+        // delay again before it mints — ranked, like any accused leader,
+        // by the instant of the accusation, so above the old token.
+        actor.on_timer(ALIVE_TIMER, &mut at(resumed + t_d.mul_f64(0.5)));
+        assert_eq!(actor.lease_of(GROUP), None, "minted before settling");
+        actor.on_timer(ALIVE_TIMER, &mut at(resumed + t_d.mul_f64(1.5)));
+        let minted = actor.lease_of(GROUP).expect("re-minted after T_D");
+        assert!(
+            minted.token > held.token,
+            "{} ≤ {}",
+            minted.token,
+            held.token
+        );
+        assert_eq!(minted.token.accusation_time, resumed);
+    });
+}
+
+#[test]
+fn replayed_stale_accusation_is_ignored_after_elector_recreation() {
+    // Node 2 joins as a listener; its elector life later restarts when
+    // it upgrades to candidate (the join_group recreation site). An
+    // ACCUSE minted against the pre-upgrade elector life must not be
+    // honoured by the recreated one.
+    let n = 3;
+    let mut world: World<ServiceNode, PerfectMedium> = World::new(
+        n,
+        Box::new(move |node, _inc| {
+            let join = if node == NodeId(2) {
+                JoinConfig::listener()
+            } else {
+                JoinConfig::candidate()
+            };
+            let config =
+                ServiceConfig::full_mesh(node, n, ElectorKind::OmegaL).with_auto_join(GROUP, join);
+            ServiceNode::new(config)
+        }),
+        PerfectMedium,
+        67,
+    );
+    let mut obs = NullObserver;
+    world.run_for(SimDuration::from_secs(5), &mut obs);
+    let before = agreed_leader(&world, GROUP).expect("settled leader");
+    assert_ne!(before.node, NodeId(2));
+
+    // Upgrade node 2 to candidate: the elector is recreated with an
+    // epoch floor above everything its previous life advertised.
+    world.with_actor(NodeId(2), &mut obs, |actor, ctx| {
+        let process = actor.register_process();
+        actor
+            .join_group(process, GROUP, JoinConfig::candidate(), ctx)
+            .expect("upgrade to candidate");
+        // Replay a duplicated stale ACCUSE from the pre-upgrade life
+        // (epoch 0 was current before the recreation). Both copies must
+        // be dropped by the stale-epoch guard.
+        for _ in 0..2 {
+            actor.on_message(
+                NodeId(0),
+                ServiceMessage::Accuse {
+                    group: GROUP,
+                    epoch: 0,
+                },
+                ctx,
+            );
+        }
+        assert_eq!(actor.stale_accusations_ignored(), 2);
+    });
+
+    // The replays must not have perturbed the election: the settled
+    // leader is still in office after another settling period.
+    world.run_for(SimDuration::from_secs(5), &mut obs);
+    let after = agreed_leader(&world, GROUP).expect("leader after replay");
+    assert_eq!(after, before, "a replayed stale ACCUSE changed leadership");
+}
+
+#[test]
+fn a_peer_resuming_at_its_old_version_is_pulled_after_its_members_expired() {
+    // The wall-clock runtime's crash/recover parks a node with its state:
+    // it comes back with the incarnation and version its peers already
+    // applied. If they expired its members meanwhile, the unchanged
+    // digest must not pass for "in sync".
+    let peer = NodeId(1);
+    let config = ServiceConfig::full_mesh(NodeId(0), 2, ElectorKind::OmegaL);
+    let mut node = ServiceNode::new(config);
+    let at = |ms: u64| ServiceContext::new(SimInstant::from_nanos(ms * 1_000_000), NodeId(0), 0);
+    let process = node.register_process();
+    node.join_group(process, GROUP, JoinConfig::candidate(), &mut at(0))
+        .unwrap();
+    let hello = |announcements| ServiceMessage::Hello {
+        incarnation: 0,
+        version: 1,
+        sent_at: SimInstant::ZERO,
+        pull: false,
+        announcements,
+    };
+    // A listener: nothing but HELLOs keeps it in the membership.
+    let list = Arc::from([GroupAnnouncement {
+        group: GROUP,
+        processes: vec![(ProcessId::new(peer, 0), false)],
+    }]);
+    node.on_message(peer, hello(HelloList::Full(list)), &mut at(10));
+    assert_eq!(node.remote_members_of(GROUP).len(), 1);
+    // Digests keep it there past the membership timeout…
+    for second in 1..=8 {
+        node.on_message(peer, hello(HelloList::Omitted), &mut at(second * 1000));
+        node.on_timer(HELLO_TIMER, &mut at(second * 1000 + 1));
+        assert_eq!(node.remote_members_of(GROUP).len(), 1, "second {second}");
+    }
+    // …and their absence expires it.
+    for second in 9..=15 {
+        node.on_timer(HELLO_TIMER, &mut at(second * 1000 + 1));
+    }
+    assert!(node.remote_members_of(GROUP).is_empty());
+    // The peer resumes where it stopped: same incarnation, same version.
+    let mut ctx = at(16_000);
+    node.on_message(peer, hello(HelloList::Omitted), &mut ctx);
+    let pulled = ctx.into_effects().into_iter().any(|effect| {
+        matches!(
+            effect,
+            sle_sim::Effect::Send {
+                to,
+                msg: ServiceMessage::Hello { pull: true, .. },
+            } if to == peer
+        )
+    });
+    assert!(
+        pulled,
+        "the resumed peer's digest must be answered with a pull"
+    );
+}
+
+#[test]
+fn a_restart_resets_the_link_estimate_of_a_peer_no_group_lists() {
+    // The arena record is the one link estimate every group reads. A new
+    // incarnation restarts the peer's sequence numbers, so the old
+    // life's loss window must go even when no group lists the peer.
+    let peer = NodeId(1);
+    let config = ServiceConfig::full_mesh(NodeId(0), 2, ElectorKind::OmegaL);
+    let mut node = ServiceNode::new(config);
+    let at = |ms: u64| ServiceContext::new(SimInstant::from_nanos(ms * 1_000_000), NodeId(0), 0);
+    let process = node.register_process();
+    node.join_group(process, GROUP, JoinConfig::candidate(), &mut at(0))
+        .unwrap();
+    let eta = SimDuration::from_millis(250);
+    for seq in 0..8u64 {
+        let sent_at = SimInstant::from_nanos((seq + 1) * 250_000_000);
+        let alive = ServiceMessage::Alive {
+            group: GROUP,
+            header: AliveHeader {
+                incarnation: 1,
+                seq,
+                sent_at,
+                sending_interval: eta,
+                requested_interval: eta,
+            },
+            payload: sle_election::AlivePayload {
+                accusation_time: SimInstant::ZERO,
+                epoch: 0,
+                local_leader: None,
+            },
+            representative: ProcessId::new(peer, 0),
+        };
+        node.on_message(peer, alive, &mut at((seq + 1) * 250 + 1));
+    }
+    let recorded = |node: &ServiceNode| {
+        let slot = node.peers.find(peer).expect("contacted");
+        node.peers.entries[slot].liveness.heartbeats_recorded()
+    };
+    assert_eq!(recorded(&node), 8);
+    let leave = ServiceMessage::Leave {
+        group: GROUP,
+        process: ProcessId::new(peer, 0),
+    };
+    node.on_message(peer, leave, &mut at(2_100));
+    assert!(node.remote_members_of(GROUP).is_empty());
+    // The peer restarts; its new life's first word is a digest.
+    let hello = ServiceMessage::Hello {
+        incarnation: 2,
+        version: 0,
+        sent_at: SimInstant::from_nanos(3_000_000_000),
+        pull: false,
+        announcements: HelloList::Omitted,
+    };
+    node.on_message(peer, hello, &mut at(3_000));
+    assert_eq!(recorded(&node), 0, "the old life's estimate survived");
+}
+
+#[test]
+fn a_zero_interval_request_is_served_at_the_floor() {
+    // A member asking for ALIVEs every 0 ns would re-arm the tick every
+    // nanosecond; the step budget turns that into a failure, not a hang.
+    type Timers = BTreeMap<TimerTag, SimInstant>;
+    let peer = NodeId(1);
+    let at = |now| ServiceContext::new(now, NodeId(0), 0);
+    // Keeps one callback's timers and counts its ALIVE datagrams to `peer`.
+    let settle = |ctx: ServiceContext, timers: &mut Timers| {
+        let mut alives = 0;
+        for effect in ctx.into_effects() {
+            match effect {
+                sle_sim::Effect::SetTimer { tag, at } => drop(timers.insert(tag, at)),
+                sle_sim::Effect::CancelTimer { tag } => drop(timers.remove(&tag)),
+                sle_sim::Effect::Send {
+                    to,
+                    msg: ServiceMessage::Alive { .. } | ServiceMessage::AliveBatch { .. },
+                } if to == peer => alives += 1,
+                _ => {}
+            }
+        }
+        alives
+    };
+    // Fires timers up to `end`, within a budget of 10 000 steps: the
+    // ALIVE datagrams sent, or `None` if the budget ran out first.
+    let run_to = |node: &mut ServiceNode, timers: &mut Timers, end| {
+        let mut sent = 0;
+        for _ in 0..10_000 {
+            let next = timers.iter().min_by_key(|&(&tag, &at)| (at, tag));
+            let Some((&tag, &when)) = next.filter(|&(_, &when)| when <= end) else {
+                return Some(sent);
+            };
+            timers.remove(&tag);
+            let mut ctx = at(when);
+            node.on_timer(tag, &mut ctx);
+            sent += settle(ctx, timers);
+        }
+        None
+    };
+    let config = ServiceConfig::full_mesh(NodeId(0), 2, ElectorKind::OmegaLc)
+        .with_auto_join(GROUP, JoinConfig::candidate());
+    let mut node = ServiceNode::new(config);
+    let mut timers = Timers::new();
+    let mut ctx = at(SimInstant::ZERO);
+    node.on_start(&mut ctx);
+    settle(ctx, &mut timers);
+    let asked_at = SimInstant::from_nanos(10_000_000);
+    run_to(&mut node, &mut timers, asked_at);
+    let alive = ServiceMessage::Alive {
+        group: GROUP,
+        header: AliveHeader {
+            incarnation: 1,
+            seq: 0,
+            sent_at: asked_at,
+            sending_interval: SimDuration::from_millis(250),
+            requested_interval: SimDuration::ZERO,
+        },
+        payload: sle_election::AlivePayload {
+            accusation_time: SimInstant::ZERO,
+            epoch: 0,
+            local_leader: None,
+        },
+        representative: ProcessId::new(peer, 0),
+    };
+    let mut ctx = at(asked_at);
+    node.on_message(peer, alive, &mut ctx);
+    settle(ctx, &mut timers);
+    let end = asked_at + SimDuration::from_secs(1);
+    let sent = run_to(&mut node, &mut timers, end)
+        .unwrap_or_else(|| panic!("the step budget ran out before {end}: the tick spins"));
+    // The tick already armed keeps its 250 ms rhythm once; from then on
+    // the member is served every 5 ms.
+    assert!(
+        (150..=201).contains(&sent),
+        "{sent} ALIVE datagrams in one second"
+    );
+}
+
+/// One leader-change announcement, as plain comparable data:
+/// `(virtual ns, observing node, group, leader as (node, local))`.
+type LeaderTraceEvent = (u64, u32, u32, Option<(u32, u32)>);
+
+/// Records every leader-change announcement as plain data, for
+/// comparing two runs event-for-event.
+#[derive(Debug, Default)]
+struct LeaderTrace {
+    events: Vec<LeaderTraceEvent>,
+}
+
+impl Observer<ServiceEvent> for LeaderTrace {
+    fn event_emitted(&mut self, now: SimInstant, node: NodeId, event: &ServiceEvent) {
+        let ServiceEvent::LeaderChanged { group, leader } = event;
+        self.events.push((
+            now.as_nanos(),
+            node.0,
+            group.0,
+            leader.map(|p| (p.node.0, p.local)),
+        ));
+    }
+}
+
+fn crash_recover_trace(seed: u64) -> Vec<LeaderTraceEvent> {
+    let n = 5;
+    let medium =
+        sle_net::network::NetworkModel::new(sle_net::link::LinkSpec::from_paper_tuple(10.0, 0.01))
+            .build(seed);
+    let mut world: World<ServiceNode, sle_net::network::SimulatedNetwork> = World::new(
+        n,
+        Box::new(move |node, _inc| {
+            let config = ServiceConfig::full_mesh(node, n, ElectorKind::OmegaL)
+                .with_auto_join(GROUP, JoinConfig::candidate());
+            ServiceNode::new(config)
+        }),
+        medium,
+        seed,
+    );
+    let mut obs = LeaderTrace::default();
+    world.schedule_crash(NodeId(1), SimInstant::from_secs_f64(4.0));
+    world.schedule_recovery(NodeId(1), SimInstant::from_secs_f64(9.0));
+    world.schedule_crash(NodeId(3), SimInstant::from_secs_f64(12.0));
+    world.run_for(SimDuration::from_secs(20), &mut obs);
+    obs.events
+}
+
+#[test]
+fn crash_recover_runs_are_seed_deterministic() {
+    // The dense tables iterate in interned-slot or sorted-id order, not
+    // tree order; a lossy medium plus crash/recover churn exercises all
+    // of them. Two runs from one seed must announce the identical
+    // leader-change sequence, timestamp for timestamp.
+    let first = crash_recover_trace(0xD5);
+    let second = crash_recover_trace(0xD5);
+    assert!(
+        !first.is_empty(),
+        "the scenario must produce leader changes"
+    );
+    assert_eq!(
+        first, second,
+        "same seed must replay the identical leader-change trace"
+    );
+}
+
+/// What one fixed-seed run adds up to, over the nodes up at its end.
+#[derive(Debug, PartialEq)]
+struct RunCounts {
+    events: u64,
+    messages: u64,
+    alive_payloads: u64,
+    /// Full lists, digests, pulls, stale drops, member walks.
+    hello: [u64; 5],
+    /// Unchanged batches, applied batches, plan rebuilds.
+    alive: [u64; 3],
+    /// Detector fires, walks.
+    fd: [u64; 2],
+    /// FNV-1a over the ordered `LeaderChanged` stream.
+    leader_changes: u64,
+}
+
+/// Six workstations in two groups over lossy (10 ms, 0.01) links for
+/// 120 virtual seconds: a listener in group 1, the first leader of group
+/// 1 crashed at 20 s and recovered at 40 s, and node 3 leaving group 2 at
+/// its first ALIVE datagram from 60 s (at 60.5 s if it sends none), so the
+/// LEAVE races that batch, and rejoining at 75 s.
+fn golden_run(algorithm: ElectorKind, seed: u64) -> RunCounts {
+    const G1: GroupId = GroupId(1);
+    const G2: GroupId = GroupId(2);
+    let n = 6;
+    let medium =
+        sle_net::network::NetworkModel::new(sle_net::link::LinkSpec::from_paper_tuple(10.0, 0.01))
+            .build(seed);
+    let mut world: World<ServiceNode, sle_net::network::SimulatedNetwork> = World::new(
+        n,
+        Box::new(move |node, _inc| {
+            let g1 = if node == NodeId(5) {
+                JoinConfig::listener()
+            } else {
+                JoinConfig::candidate()
+            };
+            let mut config = ServiceConfig::full_mesh(node, n, algorithm).with_auto_join(G1, g1);
+            if node.0 >= 2 {
+                config = config.with_auto_join(G2, JoinConfig::candidate());
+            }
+            ServiceNode::new(config)
+        }),
+        medium,
+        seed,
+    );
+    let mut trace = LeaderTrace::default();
+    world.run_until(SimInstant::from_secs_f64(10.0), &mut trace);
+    let first = agreed_leader(&world, G1).expect("a first leader").node;
+    world.schedule_crash(first, SimInstant::from_secs_f64(20.0));
+    world.schedule_recovery(first, SimInstant::from_secs_f64(40.0));
+    world.run_until(SimInstant::from_secs_f64(60.0), &mut trace);
+    let sent = |world: &World<_, _>| {
+        world
+            .actor(NodeId(3))
+            .map(ServiceNode::alive_datagrams_sent)
+    };
+    let (before, until) = (sent(&world), SimInstant::from_secs_f64(60.5));
+    while sent(&world) == before && world.now() < until {
+        world.step(&mut trace);
+    }
+    world.with_actor(NodeId(3), &mut trace, |actor, ctx| {
+        for process in actor.local_members_of(G2) {
+            actor.leave_group(process, G2, ctx).expect("leave group 2");
+        }
+    });
+    world.run_until(SimInstant::from_secs_f64(75.0), &mut trace);
+    world.with_actor(NodeId(3), &mut trace, |actor, ctx| {
+        let process = actor.register_process();
+        (actor.join_group(process, G2, JoinConfig::candidate(), ctx)).expect("rejoin group 2");
+    });
+    world.run_until(SimInstant::from_secs_f64(120.0), &mut trace);
+    let mut counts = RunCounts {
+        events: world.events_processed(),
+        messages: world.medium_mut().stats().offered,
+        alive_payloads: 0,
+        hello: [0; 5],
+        alive: [0; 3],
+        fd: [0; 2],
+        leader_changes: 0xcbf2_9ce4_8422_2325,
+    };
+    for actor in (0..n as u32).filter_map(|i| world.actor(NodeId(i))) {
+        let (h, a, f) = (
+            actor.hello_counters(),
+            actor.alive_counters(),
+            actor.fd_counters(),
+        );
+        counts.alive_payloads += actor.alive_payloads_sent();
+        let hello = [
+            &h.full_sent,
+            &h.digest_sent,
+            &h.pulls_sent,
+            &h.stale_ignored,
+            &h.member_walks,
+        ];
+        for (sum, counter) in counts.hello.iter_mut().zip(hello) {
+            *sum += counter.get();
+        }
+        for (sum, counter) in
+            counts
+                .alive
+                .iter_mut()
+                .zip([&a.unchanged, &a.applied, &a.plan_rebuilds])
+        {
+            *sum += counter.get();
+        }
+        for (sum, counter) in counts.fd.iter_mut().zip([&f.fires, &f.walks]) {
+            *sum += counter.get();
+        }
+    }
+    for (at, node, group, leader) in trace.events {
+        let (leader_node, local) = leader.map_or((u32::MAX, u32::MAX), |l| l);
+        let fields = [
+            at,
+            node.into(),
+            group.into(),
+            leader_node.into(),
+            local.into(),
+        ];
+        for byte in fields.iter().flat_map(|field| field.to_le_bytes()) {
+            counts.leader_changes =
+                (counts.leader_changes ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    counts
+}
+
+#[test]
+fn a_fixed_seed_run_replays_its_recorded_counts() {
+    // Exact counts of a fixed-seed run per service version. A change
+    // that means to move them (a protocol or timing change) updates
+    // them on purpose, the way the wire goldens are updated.
+    let recorded = [
+        (
+            ElectorKind::OmegaId,
+            RunCounts {
+                events: 31_848,
+                messages: 22_754,
+                alive_payloads: 21_463,
+                hello: [74, 3_435, 76, 3, 1_041],
+                alive: [13_298, 4_975, 732],
+                fd: [3_610, 1_559],
+                leader_changes: 0x6762_dfeb_705b_1abd,
+            },
+        ),
+        (
+            ElectorKind::OmegaLc,
+            RunCounts {
+                events: 32_426,
+                messages: 23_205,
+                alive_payloads: 21_376,
+                hello: [73, 3_435, 75, 3, 1_139],
+                alive: [13_032, 5_694, 762],
+                fd: [3_601, 1_621],
+                leader_changes: 0x173b_5282_5e61_2b94,
+            },
+        ),
+        (
+            ElectorKind::OmegaL,
+            RunCounts {
+                events: 13_166,
+                messages: 7_890,
+                alive_payloads: 3_698,
+                hello: [71, 3_435, 74, 3, 68],
+                alive: [4_030, 39, 165],
+                fd: [1_075, 236],
+                leader_changes: 0x487e_06b3_f9e7_354a,
+            },
+        ),
+    ];
+    for (algorithm, counts) in recorded {
+        assert_eq!(golden_run(algorithm, 7), counts, "{algorithm}");
+    }
+}
+
+#[test]
+fn group_churn_keeps_monitor_arena_at_baseline() {
+    // Two workstations share one long-lived group; a second group on
+    // the same pair is joined and left repeatedly. The shared liveness
+    // arena must keep exactly one record per contacted peer throughout:
+    // churn neither leaks records nor reclaims the estimate the
+    // long-lived group (and the node's own cached handle) still uses.
+    let n = 2u32;
+    let mut world = build_world(n as usize, ElectorKind::OmegaLc, 71);
+    let mut obs = NullObserver;
+    world.run_for(SimDuration::from_secs(2), &mut obs);
+    let baseline: Vec<usize> = (0..n)
+        .map(|i| world.actor(NodeId(i)).unwrap().monitored_peer_count())
+        .collect();
+    assert!(
+        baseline.iter().all(|&count| count == 1),
+        "each node tracks exactly its one peer: {baseline:?}"
+    );
+    let churn = GroupId(50);
+    for round in 0..10 {
+        for i in 0..n {
+            world.with_actor(NodeId(i), &mut obs, |actor, ctx| {
+                let process = actor.register_process();
+                actor
+                    .join_group(process, churn, JoinConfig::candidate(), ctx)
+                    .expect("join churn group");
+            });
+        }
+        world.run_for(SimDuration::from_millis(400), &mut obs);
+        for i in 0..n {
+            world.with_actor(NodeId(i), &mut obs, |actor, ctx| {
+                for process in actor.local_members_of(churn) {
+                    actor
+                        .leave_group(process, churn, ctx)
+                        .expect("leave churn group");
+                }
+            });
+        }
+        world.run_for(SimDuration::from_millis(100), &mut obs);
+        for i in 0..n {
+            let count = world.actor(NodeId(i)).unwrap().monitored_peer_count();
+            assert_eq!(
+                count, baseline[i as usize],
+                "round {round}: node {i} arena record count drifted"
+            );
+        }
+    }
+}

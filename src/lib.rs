@@ -10,7 +10,8 @@
 //! ```
 //! use sle::core::{GroupId, JoinConfig};
 //!
-//! // The paper's per-join parameters: candidacy, notification style, QoS.
+//! // The paper's per-join parameters: candidacy and QoS. Leader changes are
+//! // both announced and queryable, so there is no notification style to pick.
 //! let join = JoinConfig::candidate();
 //! assert!(join.candidate);
 //! assert_eq!(GroupId::from(7).to_string(), "g7");
