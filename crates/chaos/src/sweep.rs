@@ -2,6 +2,7 @@
 //! services, each failure shrunk to a minimal reproducer and rendered as a
 //! ready-to-paste `#[test]`.
 
+use sle_core::NodeCount;
 use sle_election::ElectorKind;
 use sle_fd::QosSpec;
 use sle_net::link::LinkSpec;
@@ -126,6 +127,17 @@ pub struct SweepFailure {
 /// How many trailing protocol-trace events a failure report keeps.
 const PROTO_TAIL: usize = 12;
 
+/// The `CellSummary::counts` slot of the per-group `fd.mistakes`, after
+/// the node counters.
+const REVIVALS: usize = NodeCount::COUNT;
+
+/// The registry suffix `CellSummary::counts[slot]` sums, below `node.<n>.`.
+fn summed_suffix(slot: usize) -> &'static str {
+    NodeCount::ALL
+        .get(slot)
+        .map_or("fd.mistakes", |count| count.suffix())
+}
+
 /// Aggregate results of one cell (algorithm × family).
 #[derive(Debug, Clone)]
 pub struct CellSummary {
@@ -137,35 +149,42 @@ pub struct CellSummary {
     pub runs: u64,
     /// Seeds that violated an invariant.
     pub failed: u64,
-    /// `hello.pulls_sent` summed over the cell's runs and nodes: how often
-    /// the anti-entropy pull path ran under the invariant checker.
-    pub hello_pulls: u64,
-    /// `hello.stale_ignored`, likewise: delayed or duplicated HELLOs the
-    /// version check dropped.
-    pub hello_stale: u64,
-    /// `alive.unchanged`, likewise: ALIVE datagrams that repeated the
-    /// sender's applied batch and cost one freshness stamp.
-    pub alive_unchanged: u64,
-    /// `alive.applied`, likewise: ALIVE datagrams applied entry by entry.
-    pub alive_applied: u64,
-    /// `alive.plan_rebuilds`, likewise: ALIVE ticks that rebuilt the plan.
-    pub alive_plan_rebuilds: u64,
-    /// `fd.mistakes`, likewise: suspected peers revived by a later ALIVE —
-    /// each one a datagram that had to leave the repeat path.
-    pub revivals: u64,
-    /// `fd.fires`, likewise: per-peer failure-detector timers that fired.
-    pub fd_fires: u64,
-    /// `fd.walks`, likewise: fires that checked the peer's monitor in every
-    /// group; the rest re-armed from the peer's cached wake.
-    pub fd_walks: u64,
-    /// `hello.digest_sent`, likewise: one per peer per HELLO tick (and per
-    /// local leave).
-    pub hello_digests: u64,
-    /// `hello.member_walks`, likewise: peers whose groups a HELLO tick
-    /// walked for membership expiry; the tick skipped the rest on their
-    /// cached member wake.
-    pub hello_member_walks: u64,
+    /// Summed over the cell's runs and nodes: every node counter, at its
+    /// [`NodeCount`] index, then the per-group `fd.mistakes` — suspected
+    /// peers revived by a later ALIVE, each one a datagram that had to leave
+    /// the repeat path. A node's counters span all its incarnations.
+    pub counts: [u64; NodeCount::COUNT + 1],
 }
+
+impl CellSummary {
+    /// `count` summed over the cell's runs and nodes.
+    pub fn count(&self, count: NodeCount) -> u64 {
+        self.counts[count as usize]
+    }
+
+    /// `fd.mistakes` summed over the cell's runs, nodes and groups.
+    pub fn revivals(&self) -> u64 {
+        self.counts[REVIVALS]
+    }
+}
+
+/// A summary table column: header, width and what it shows of a cell.
+type Column = (&'static str, usize, fn(&CellSummary) -> u64);
+
+/// The summary table's columns after service and plan.
+const COLUMNS: [Column; 11] = [
+    ("runs", 6, |c| c.runs),
+    ("failed", 8, |c| c.failed),
+    ("hello pulls", 12, |c| c.count(NodeCount::HelloPullsSent)),
+    ("hello stale", 12, |c| c.count(NodeCount::HelloStaleIgnored)),
+    ("alive same", 12, |c| c.count(NodeCount::AliveUnchanged)),
+    ("alive appl.", 12, |c| c.count(NodeCount::AliveApplied)),
+    ("plan rbld", 10, |c| c.count(NodeCount::AlivePlanRebuilds)),
+    ("revivals", 9, CellSummary::revivals),
+    ("fd fires", 9, |c| c.count(NodeCount::FdFires)),
+    ("fd walks", 9, |c| c.count(NodeCount::FdWalks)),
+    ("hello walks", 12, |c| c.count(NodeCount::HelloMemberWalks)),
+];
 
 /// Everything a sweep produced.
 #[derive(Debug, Clone)]
@@ -182,6 +201,12 @@ impl SweepSummary {
     /// True if every run upheld every invariant.
     pub fn ok(&self) -> bool {
         self.failures.is_empty()
+    }
+
+    /// `read` summed over the cells of `family`.
+    fn total(&self, family: &str, read: impl Fn(&CellSummary) -> u64) -> u64 {
+        let cells = self.cells.iter().filter(|c| c.plan_name == family);
+        cells.map(read).sum()
     }
 
     /// Checks that the sweep put the HELLO pull path and the stale-version
@@ -202,13 +227,11 @@ impl SweepSummary {
         ];
         let mut stale = 0;
         for family in families.map(|kind| kind.name()) {
-            let cells = self.cells.iter().filter(|c| c.plan_name == family);
-            let (pulls, dropped) =
-                cells.fold((0, 0), |(p, s), c| (p + c.hello_pulls, s + c.hello_stale));
-            if pulls == 0 {
+            let total = |count| self.total(family, |c| c.count(count));
+            if total(NodeCount::HelloPullsSent) == 0 {
                 return Err(format!("no {family} run sent a HELLO pull"));
             }
-            stale += dropped;
+            stale += total(NodeCount::HelloStaleIgnored);
         }
         if stale == 0 {
             return Err("no churn or duplication run dropped a stale HELLO".to_string());
@@ -234,20 +257,18 @@ impl SweepSummary {
     pub fn alive_paths_exercised(&self) -> Result<(), String> {
         for kind in [PlanKind::PartitionHeal, PlanKind::LeaderChurn] {
             let family = kind.name();
-            let cells = self.cells.iter().filter(|c| c.plan_name == family);
-            let (unchanged, applied, revivals) = cells.fold((0, 0, 0), |(u, a, r), c| {
-                (u + c.alive_unchanged, a + c.alive_applied, r + c.revivals)
-            });
+            let total = |count| self.total(family, |c| c.count(count));
+            let unchanged = total(NodeCount::AliveUnchanged);
+            let applied = total(NodeCount::AliveApplied);
             if unchanged == 0 || applied == 0 {
                 return Err(format!(
                     "{family} runs took one ALIVE path only ({unchanged} unchanged, {applied} applied)"
                 ));
             }
-            if kind == PlanKind::PartitionHeal && revivals == 0 {
+            if kind == PlanKind::PartitionHeal && self.total(family, CellSummary::revivals) == 0 {
                 return Err(format!("no {family} run revived a suspected peer"));
             }
-            let cells = self.cells.iter().filter(|c| c.plan_name == family);
-            let (fires, walks) = cells.fold((0, 0), |(f, w), c| (f + c.fd_fires, w + c.fd_walks));
+            let (fires, walks) = (total(NodeCount::FdFires), total(NodeCount::FdWalks));
             if walks == 0 || walks == fires {
                 return Err(format!(
                     "{family} runs took one detector-timer path only ({fires} fires, {walks} walks)"
@@ -256,10 +277,9 @@ impl SweepSummary {
         }
         for kind in [PlanKind::PartitionHeal, PlanKind::MemberChurn] {
             let family = kind.name();
-            let cells = self.cells.iter().filter(|c| c.plan_name == family);
-            let (digests, walks) = cells.fold((0, 0), |(d, w), c| {
-                (d + c.hello_digests, w + c.hello_member_walks)
-            });
+            let total = |count| self.total(family, |c| c.count(count));
+            let digests = total(NodeCount::HelloDigestSent);
+            let walks = total(NodeCount::HelloMemberWalks);
             if walks == 0 || walks >= digests {
                 return Err(format!(
                     "{family} runs took one HELLO-tick path only ({digests} digests, {walks} member walks)"
@@ -278,39 +298,18 @@ impl SweepSummary {
             self.runs,
             self.failures.len()
         ));
-        out.push_str(&format!(
-            "{:<10} {:<16} {:>6} {:>8} {:>12} {:>12} {:>12} {:>12} {:>10} {:>9} {:>9} {:>9} {:>12}\n",
-            "service",
-            "plan",
-            "runs",
-            "failed",
-            "hello pulls",
-            "hello stale",
-            "alive same",
-            "alive appl.",
-            "plan rbld",
-            "revivals",
-            "fd fires",
-            "fd walks",
-            "hello walks"
-        ));
+        out.push_str(&format!("{:<10} {:<16}", "service", "plan"));
+        for (header, width, _) in COLUMNS {
+            out.push_str(&format!(" {header:>width$}"));
+        }
+        out.push('\n');
         for cell in &self.cells {
-            out.push_str(&format!(
-                "{:<10} {:<16} {:>6} {:>8} {:>12} {:>12} {:>12} {:>12} {:>10} {:>9} {:>9} {:>9} {:>12}\n",
-                algorithm_label(cell.algorithm),
-                cell.plan_name,
-                cell.runs,
-                cell.failed,
-                cell.hello_pulls,
-                cell.hello_stale,
-                cell.alive_unchanged,
-                cell.alive_applied,
-                cell.alive_plan_rebuilds,
-                cell.revivals,
-                cell.fd_fires,
-                cell.fd_walks,
-                cell.hello_member_walks
-            ));
+            let label = algorithm_label(cell.algorithm);
+            out.push_str(&format!("{label:<10} {:<16}", cell.plan_name));
+            for (_, width, value) in COLUMNS {
+                out.push_str(&format!(" {:>width$}", value(cell)));
+            }
+            out.push('\n');
         }
         for failure in &self.failures {
             out.push_str(&format!(
@@ -407,16 +406,7 @@ pub fn run_sweep(config: &SweepConfig) -> SweepSummary {
                 plan_name: kind.name().to_string(),
                 runs: config.seeds,
                 failed: 0,
-                hello_pulls: 0,
-                hello_stale: 0,
-                alive_unchanged: 0,
-                alive_applied: 0,
-                alive_plan_rebuilds: 0,
-                revivals: 0,
-                fd_fires: 0,
-                fd_walks: 0,
-                hello_digests: 0,
-                hello_member_walks: 0,
+                counts: [0; NodeCount::COUNT + 1],
             };
             // Scale-hungry families (LargeChurn needs room for 100+
             // processes) raise the deployment to their floor; the others
@@ -428,17 +418,10 @@ pub fn run_sweep(config: &SweepConfig) -> SweepSummary {
                 let plan = kind.generate(nodes, config.duration, config.link, seed);
                 let report = run_plan(&chaos, &plan);
                 runs += 1;
-                let sum = |suffix| report.metrics.sum_counters("node.", suffix);
-                cell.hello_pulls += sum(".hello.pulls_sent");
-                cell.hello_stale += sum(".hello.stale_ignored");
-                cell.alive_unchanged += sum(".alive.unchanged");
-                cell.alive_applied += sum(".alive.applied");
-                cell.alive_plan_rebuilds += sum(".alive.plan_rebuilds");
-                cell.revivals += sum(".fd.mistakes");
-                cell.fd_fires += sum(".fd.fires");
-                cell.fd_walks += sum(".fd.walks");
-                cell.hello_digests += sum(".hello.digest_sent");
-                cell.hello_member_walks += sum(".hello.member_walks");
+                for (slot, sum) in cell.counts.iter_mut().enumerate() {
+                    let suffix = format!(".{}", summed_suffix(slot));
+                    *sum += report.metrics.sum_counters("node.", &suffix);
+                }
                 if report.ok() {
                     continue;
                 }

@@ -14,6 +14,7 @@ use sle_sim::time::{SimDuration, SimInstant};
 
 use crate::config::JoinConfig;
 use crate::lease::LeaderLease;
+use crate::obs::GroupInstruments;
 use crate::process::{GroupId, ProcessId};
 
 /// What a service instance knows about one remote member workstation of a
@@ -205,6 +206,8 @@ pub struct GroupState {
     /// continuously for `T_D`, so a deposed leader's lease lapses before a
     /// successor starts serving — closing the double-leadership window.
     pub led_since: Option<SimInstant>,
+    /// The group's QoS instruments, when the node has instruments attached.
+    pub(crate) obs: Option<GroupInstruments>,
 }
 
 impl GroupState {
@@ -231,6 +234,7 @@ impl GroupState {
             lease: None,
             remote_lease: None,
             led_since: None,
+            obs: None,
         }
     }
 

@@ -109,8 +109,8 @@ pub use events::ServiceEvent;
 pub use group::{GroupState, MemberEntry, MemberTable};
 pub use lease::{FencedApp, FencingToken, LeaderLease, StaleToken};
 pub use messages::{AliveHeader, GroupAlive, GroupAnnouncement, HelloList, ServiceMessage};
-pub use node::{AliveCounters, HelloCounters, ServiceContext, ServiceNode};
-pub use obs::NodeInstruments;
+pub use node::{ServiceContext, ServiceNode};
+pub use obs::{NodeCount, NodeInstruments};
 pub use process::{GroupId, ProcessId};
 pub use runtime::{Cluster, ClusterConfig, ClusterEvent, ClusterHandle, RuntimeStats};
 pub use sle_fd::TuningPolicy;

@@ -9,6 +9,7 @@ use sle_sim::time::{SimDuration, SimInstant};
 use super::{ServiceContext, ServiceNode, ALIVE_TIMER};
 use crate::group::GroupState;
 use crate::messages::{AliveHeader, GroupAlive, ServiceMessage};
+use crate::obs::NodeCount;
 use crate::process::{GroupId, ProcessId};
 
 /// Encoded-size budget for one batched ALIVE datagram. Stays safely under
@@ -16,17 +17,6 @@ use crate::process::{GroupId, ProcessId};
 /// node in very many groups splits its fan-out into several datagrams
 /// rather than producing one the transport must reject.
 const MAX_ALIVE_BATCH_BYTES: usize = 1200;
-
-/// A node's ALIVE path counters (`node.<n>.alive.*` in the registry).
-#[derive(Debug, Default)]
-pub struct AliveCounters {
-    /// ALIVE datagrams that repeated the sender's applied batch: one stamp.
-    pub unchanged: sle_obs::Counter,
-    /// ALIVE datagrams applied entry by entry (changed, or after a resync).
-    pub applied: sle_obs::Counter,
-    /// Times the ALIVE tick rebuilt its fan-out plan instead of reusing it.
-    pub plan_rebuilds: sle_obs::Counter,
-}
 
 /// A peer's ALIVE stream state, both directions.
 #[derive(Debug, Default)]
@@ -149,7 +139,7 @@ impl ServiceNode {
         let (built_at, mut grids) = std::mem::take(&mut self.alive_plan);
         if built_at != key {
             grids = self.build_alive_grids();
-            self.alive.plan_rebuilds.inc();
+            self.counts[NodeCount::AlivePlanRebuilds].inc();
         }
         debug_assert_eq!(grids, self.build_alive_grids(), "stale ALIVE plan");
         let due = |grid: &&AliveGrid| grid.due <= now;
@@ -189,8 +179,8 @@ impl ServiceNode {
             rest = &others[shared..];
         }
         // Counted once per tick: every count is an atomic add.
-        self.alive_payloads_sent.add(payloads);
-        self.alive_datagrams_sent.add(datagrams);
+        self.counts[NodeCount::AlivePayloadsSent].add(payloads);
+        self.counts[NodeCount::AliveDatagramsSent].add(datagrams);
         // Advance the due grids — always, so a node that re-enters the
         // competition resumes sending within one interval — snapped to the
         // node-wide grid of the interval (multiples of it since the node
@@ -268,21 +258,6 @@ impl ServiceNode {
         datagrams
     }
 
-    /// Per-group ALIVE payloads handed to the transport so far (batch
-    /// entries count individually) — the figure the paper's message-count
-    /// analysis is about: O(n) per group in steady state for S3, O(n²)
-    /// for S2.
-    pub fn alive_payloads_sent(&self) -> u64 {
-        self.alive_payloads_sent.get()
-    }
-
-    /// ALIVE datagrams handed to the transport so far (a batch counts
-    /// once); `alive_payloads_sent - alive_datagrams_sent` is the fan-out
-    /// the batching saved.
-    pub fn alive_datagrams_sent(&self) -> u64 {
-        self.alive_datagrams_sent.get()
-    }
-
     /// The one ALIVE receive path (a single `Alive` is a batch of one). A
     /// datagram repeating the batch last applied from the sender — the
     /// steady state — is the node-level accounting plus one store into the
@@ -307,15 +282,14 @@ impl ServiceNode {
             }
             self.note_peer_incarnation(from, incarnation, ctx);
         }
-        self.note_alive_datagram(from, slot, seq, sent_at, now);
+        let heard = self.note_alive_datagram(slot, seq, sent_at, now);
         let peer = &mut self.peers.entries[slot];
-        let heard = std::mem::replace(&mut peer.alive.heard, now);
         if !peer.alive.resync && peer.alive.batch == alives {
-            self.alive.unchanged.inc();
+            self.counts[NodeCount::AliveUnchanged].inc();
             self.arena.stamp(&peer.liveness, sent_at, false);
             return;
         }
-        self.alive.applied.inc();
+        self.counts[NodeCount::AliveApplied].inc();
         peer.alive.resync = false;
         (peer.fd.wake, peer.gossip.wake) = (None, None);
         // Every monitor and member entry the old batch vouched for keeps
@@ -346,20 +320,23 @@ impl ServiceNode {
     /// a lost LEAVE, by groups this node is no longer even in). The shared
     /// arena records the sample once (the per-group monitors' recordings
     /// dedup against it): the one link estimate every group's (η, δ) follow,
-    /// whatever its tuning policy.
+    /// whatever its tuning policy. Returns when the sender's previous
+    /// datagram arrived.
     fn note_alive_datagram(
         &mut self,
-        from: NodeId,
         slot: usize,
         seq: u64,
         sent_at: SimInstant,
         now: SimInstant,
-    ) {
+    ) -> SimInstant {
+        let peer = &mut self.peers.entries[slot];
         // The slab's cached handle keeps this off the arena mutex.
-        self.peers.entries[slot].liveness.record(seq, sent_at, now);
-        if let Some(obs) = &mut self.obs {
-            obs.on_alive_datagram(from, now);
+        peer.liveness.record(seq, sent_at, now);
+        let heard = std::mem::replace(&mut peer.alive.heard, now);
+        if let Some(obs) = &self.obs {
+            obs.on_alive_datagram(heard, now);
         }
+        heard
     }
 
     /// The per-group effect of one ALIVE entry: membership refresh,
@@ -411,8 +388,8 @@ impl ServiceNode {
                 // A revival of a suspected peer: the suspicion was a
                 // detector mistake (the paper's T_MR numerator).
                 revived = true;
-                if let Some(obs) = &mut self.obs {
-                    obs.on_mistake(group, now);
+                if let Some(obs) = &state.obs {
+                    obs.on_mistake();
                 }
                 state.elector.on_trust(from, now);
             }

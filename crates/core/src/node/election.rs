@@ -10,6 +10,7 @@ use super::{ServiceContext, ServiceNode, GRACE_KIND};
 use crate::events::ServiceEvent;
 use crate::group::GroupState;
 use crate::lease::{FencingToken, LeaderLease};
+use crate::obs::NodeCount;
 use crate::process::{GroupId, ProcessId};
 
 /// The timer that ends `group`'s self-election grace period.
@@ -129,7 +130,7 @@ impl ServiceNode {
                     renewed_at: now,
                     ttl: state.qos.detection_time(),
                 });
-                self.lease.minted.inc();
+                self.counts[NodeCount::LeasesMinted].inc();
             }
         } else {
             state.lease = None;
@@ -137,8 +138,8 @@ impl ServiceNode {
         }
         if leader != state.announced_leader {
             state.announced_leader = leader;
-            if let Some(obs) = &mut self.obs {
-                obs.on_leader_change(group, leader, now);
+            if let (Some(obs), Some(instruments)) = (&self.obs, &mut state.obs) {
+                obs.on_leader_change(instruments, group, leader, now);
             }
             ctx.emit(ServiceEvent::LeaderChanged { group, leader });
         }
@@ -177,7 +178,7 @@ impl ServiceNode {
             // electors additionally require exact epoch equality; dropping
             // stale ones here makes replays observable as a counter.
             if epoch < state.elector.epoch() {
-                self.stale_accusations_ignored.inc();
+                self.counts[NodeCount::StaleAccusationsIgnored].inc();
                 return;
             }
             state.elector.on_accusation(epoch, now);

@@ -8,17 +8,8 @@ use sle_sim::time::SimInstant;
 
 use super::{ServiceContext, ServiceNode, FD_KIND};
 use crate::messages::ServiceMessage;
+use crate::obs::NodeCount;
 use crate::process::GroupId;
-
-/// A node's failure-detector timer counters (`node.<n>.fd.*` in the registry).
-#[derive(Debug, Default)]
-pub struct FdCounters {
-    /// Per-peer detector timers that fired.
-    pub fires: sle_obs::Counter,
-    /// Fires that checked the peer's monitor in every group; the others
-    /// re-armed from the peer's cached [`Wake`] without touching a group.
-    pub walks: sle_obs::Counter,
-}
 
 /// A peer's detector timer state.
 #[derive(Debug, Default)]
@@ -116,7 +107,7 @@ impl ServiceNode {
         let Some(pslot) = self.peers.find(peer) else {
             return;
         };
-        self.fd.fires.inc();
+        self.counts[NodeCount::FdFires].inc();
         let entry = &mut self.peers.entries[pslot];
         entry.fd.armed = None;
         let stamp = self.arena.stamp_of(&entry.liveness);
@@ -128,7 +119,7 @@ impl ServiceNode {
                 return;
             }
         }
-        self.fd.walks.inc();
+        self.counts[NodeCount::FdWalks].inc();
         let mut wake = Wake::NEVER;
         let groups = std::mem::take(&mut self.peers.entries[pslot].fd.groups);
         for &group in &groups {
@@ -143,18 +134,18 @@ impl ServiceNode {
                 // The revival must be noticed: no repeat may skip it.
                 self.peers.entries[pslot].alive.resync = true;
                 self.alive_epoch += 1;
-                if let Some(obs) = &mut self.obs {
+                if let Some(obs) = &state.obs {
                     // Detection latency T_D: silence since the suspected
                     // peer's last heartbeat or gossip.
                     let silent_for = (state.members.get(peer))
                         .map(|m| now.saturating_since(self.peers.entries[pslot].heard(group, m)))
                         .unwrap_or_default();
-                    obs.on_detection(group, silent_for, now);
+                    obs.on_detection(silent_for);
                 }
                 for output in state.elector.on_suspect(peer, now) {
                     match output {
                         ElectorOutput::SendAccusation { to, epoch } => {
-                            if let Some(obs) = &mut self.obs {
+                            if let Some(obs) = &self.obs {
                                 obs.on_accusation(group, to, now);
                             }
                             ctx.send(to, ServiceMessage::Accuse { group, epoch });

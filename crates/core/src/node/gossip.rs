@@ -8,25 +8,8 @@ use sle_sim::time::{SimDuration, SimInstant};
 use super::{PeerEntry, ServiceContext, ServiceNode, HELLO_TIMER};
 use crate::group::{GroupState, MemberEntry};
 use crate::messages::{GroupAnnouncement, HelloList, ServiceMessage};
+use crate::obs::NodeCount;
 use crate::process::{GroupId, ProcessId};
-
-/// A node's HELLO gossip counters ([`ServiceNode::hello_counters`];
-/// `node.<n>.hello.*` in the registry once instruments are attached).
-#[derive(Debug, Default)]
-pub struct HelloCounters {
-    /// Full announcement lists sent (answers to pulls).
-    pub full_sent: sle_obs::Counter,
-    /// List-less, pull-less HELLOs sent (the periodic digest, per peer).
-    pub digest_sent: sle_obs::Counter,
-    /// HELLOs sent with the pull flag set.
-    pub pulls_sent: sle_obs::Counter,
-    /// HELLOs dropped for an `(incarnation, version)` below the applied one.
-    pub stale_ignored: sle_obs::Counter,
-    /// Peers whose groups a HELLO tick walked for membership expiry; the
-    /// tick skipped the others on their cached member wake without touching
-    /// a group.
-    pub member_walks: sle_obs::Counter,
-}
 
 /// A peer's Group Maintenance state.
 #[derive(Debug, Default)]
@@ -154,8 +137,8 @@ impl ServiceNode {
         ctx: &mut ServiceContext,
     ) {
         let shape = match &announcements {
-            HelloList::Full(_) => Some(&self.hello.full_sent),
-            HelloList::Omitted if !pull => Some(&self.hello.digest_sent),
+            HelloList::Full(_) => Some(NodeCount::HelloFullSent),
+            HelloList::Omitted if !pull => Some(NodeCount::HelloDigestSent),
             _ => None,
         };
         let msg = ServiceMessage::Hello {
@@ -171,11 +154,11 @@ impl ServiceNode {
             sent += 1;
         }
         // Counted once per call: every count is an atomic add.
-        if let Some(counter) = shape {
-            counter.add(sent);
+        if let Some(count) = shape {
+            self.counts[count].add(sent);
         }
         if pull {
-            self.hello.pulls_sent.add(sent);
+            self.counts[NodeCount::HelloPullsSent].add(sent);
         }
     }
 
@@ -202,7 +185,7 @@ impl ServiceNode {
             if peer.incarnation.is_some_and(|known| incarnation < known)
                 || (same_life && peer.gossip.applied.is_some_and(|applied| version < applied))
             {
-                self.hello.stale_ignored.inc();
+                self.counts[NodeCount::HelloStaleIgnored].inc();
                 return;
             }
             self.note_peer_incarnation(from, incarnation, ctx);
@@ -383,7 +366,7 @@ impl ServiceNode {
                 );
                 continue;
             }
-            self.hello.member_walks.inc();
+            self.counts[NodeCount::HelloMemberWalks].inc();
             let mut wake = MemberWake::NEVER;
             for &group in &entry.gossip.groups {
                 let Some(state) = self.groups.get_mut(group) else {

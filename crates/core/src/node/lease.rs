@@ -8,9 +8,10 @@ use sle_sim::time::SimDuration;
 use super::{ServiceContext, ServiceNode};
 use crate::lease::{FencedApp, FencingToken, LeaderLease};
 use crate::messages::ServiceMessage;
+use crate::obs::NodeCount;
 use crate::process::GroupId;
 
-/// The lease tier's state and counters (`node.<n>.app.*` in the registry).
+/// The lease tier's state.
 #[derive(Debug, Default)]
 pub(super) struct LeaseTier {
     /// The fenced state machine served while this node leads a group with a
@@ -20,16 +21,6 @@ pub(super) struct LeaseTier {
     /// Enabled by [`ServiceNode::install_app`], so deployments without an
     /// application tier pay no extra traffic.
     pub(super) broadcast: bool,
-    /// Leader leases minted (a new token taking effect).
-    pub(super) minted: sle_obs::Counter,
-    /// Lease renewals performed on the ALIVE tick.
-    pub(super) renewals: sle_obs::Counter,
-    /// Client requests applied by the installed app.
-    pub(super) requests_applied: sle_obs::Counter,
-    /// Client requests the installed app rejected as stale-fenced.
-    pub(super) requests_rejected: sle_obs::Counter,
-    /// Client requests answered with a redirect instead of being served.
-    pub(super) requests_redirected: sle_obs::Counter,
 }
 
 impl ServiceNode {
@@ -68,7 +59,7 @@ impl ServiceNode {
             return true;
         }
         lease.renewed_at = now;
-        self.lease.renewals.inc();
+        self.counts[NodeCount::LeaseRenewals].inc();
         if self.lease.broadcast {
             let grant = ServiceMessage::LeaseGrant {
                 group,
@@ -132,11 +123,11 @@ impl ServiceNode {
         if let (Some(lease), Some(app)) = (lease, self.lease.app.as_mut()) {
             let (applied, value) = match app.apply(group, lease.token, payload) {
                 Ok(value) => {
-                    self.lease.requests_applied.inc();
+                    self.counts[NodeCount::RequestsApplied].inc();
                     (true, value)
                 }
                 Err(_stale) => {
-                    self.lease.requests_rejected.inc();
+                    self.counts[NodeCount::RequestsRejected].inc();
                     (false, 0)
                 }
             };
@@ -152,7 +143,7 @@ impl ServiceNode {
                 },
             );
         } else {
-            self.lease.requests_redirected.inc();
+            self.counts[NodeCount::RequestsRedirected].inc();
             ctx.send(
                 from,
                 ServiceMessage::Redirect {

@@ -1,8 +1,8 @@
 //! The per-workstation service instance: [`ServiceNode`], a sans-io
 //! [`sle_sim::Actor`], so the same code runs under the discrete-event
 //! simulator and under the real-time [`crate::runtime`]. It has one file per
-//! module of the paper's Figure 2, each owning its handlers, per-peer state,
-//! counters and debug invariants:
+//! module of the paper's Figure 2, each owning its handlers, per-peer state
+//! and debug invariants (the counters they bump are one [`NodeCount`] table):
 //!
 //! | Figure 2 module | File | What it does |
 //! |---|---|---|
@@ -19,10 +19,6 @@ mod fd;
 mod gossip;
 mod lease;
 
-pub use alive::AliveCounters;
-pub use fd::FdCounters;
-pub use gossip::HelloCounters;
-
 use sle_election::{ElectorKind, LeaderElector};
 use sle_fd::{LivenessHandle, MonitorArena};
 use sle_sim::actor::{Actor, Context, NodeId, TimerTag};
@@ -37,7 +33,7 @@ use crate::events::ServiceEvent;
 use crate::group::GroupState;
 use crate::lease::{FencedApp, FencingToken, LeaderLease};
 use crate::messages::{AliveHeader, GroupAlive, GroupAnnouncement, HelloList, ServiceMessage};
-use crate::obs::NodeInstruments;
+use crate::obs::{NodeCount, NodeInstruments};
 use crate::process::{GroupId, ProcessId};
 
 /// Timer-tag namespace of the per-node HELLO tick.
@@ -192,7 +188,9 @@ pub struct ServiceNode {
     /// The full announcement list at `hello_version`, built on the first
     /// pull of a version and shared by every later one.
     hello_list: Option<Arc<[GroupAnnouncement]>>,
-    hello: HelloCounters,
+    /// The node's counters, one per [`NodeCount`]: the registry's own cells
+    /// once instruments are attached.
+    counts: [sle_obs::Counter; NodeCount::COUNT],
     /// The local slot of the next process to register: every slot below it
     /// is registered.
     next_local_process: u32,
@@ -213,22 +211,11 @@ pub struct ServiceNode {
     /// The cached ALIVE fan-out, and the `(alive_epoch, arena params epoch)`
     /// it was built at.
     alive_plan: (Option<(u64, u64)>, Vec<alive::AliveGrid>),
-    alive: AliveCounters,
-    fd: FdCounters,
-    /// Per-group ALIVE payloads handed to the transport (batch entries
-    /// count individually). A live counter handle so that attaching
-    /// instruments makes it a registry view instead of a second account.
-    alive_payloads_sent: sle_obs::Counter,
-    /// ALIVE datagrams handed to the transport (a batch counts once).
-    alive_datagrams_sent: sle_obs::Counter,
     /// Live QoS instruments and protocol trace, when attached by the
     /// driving runtime ([`ServiceNode::set_instruments`]). `None` — the
     /// default — costs one branch per instrumentation point.
     obs: Option<NodeInstruments>,
     lease: lease::LeaseTier,
-    /// ACCUSE messages dropped because their epoch predates the elector's
-    /// current one (a duplicated or delayed replay).
-    stale_accusations_ignored: sle_obs::Counter,
 }
 
 impl ServiceNode {
@@ -239,52 +226,38 @@ impl ServiceNode {
             incarnation: 0,
             hello_version: 0,
             hello_list: None,
-            hello: HelloCounters::default(),
+            counts: Default::default(),
             next_local_process: 0,
             groups: GroupTable::default(),
             peers: PeerSlab::default(),
             arena: MonitorArena::new(),
             alive_epoch: 0,
             alive_plan: (None, Vec::new()),
-            alive: AliveCounters::default(),
-            fd: FdCounters::default(),
-            alive_payloads_sent: sle_obs::Counter::new(),
-            alive_datagrams_sent: sle_obs::Counter::new(),
             obs: None,
             lease: lease::LeaseTier::default(),
-            stale_accusations_ignored: sle_obs::Counter::new(),
         }
     }
 
     /// Attaches live observability instruments: QoS histograms recorded
     /// under this node's registry names, protocol events pushed into the
-    /// given trace ring, and the node's own traffic counters bound into the
-    /// registry as views. Runtimes call this right after construction;
-    /// without it, every instrumentation point is a single `None` branch.
+    /// given trace ring, and every [`NodeCount`] counted in the registry's
+    /// `node.<n>.<suffix>` cell. Runtimes call this right after
+    /// construction, before the node starts; without it, every
+    /// instrumentation point is a single `None` branch.
+    ///
+    /// The cells outlive the node: a recovered incarnation attached to the
+    /// same registry counts on where its predecessor stopped, so
+    /// [`ServiceNode::count`] is then cumulative across incarnations.
     pub fn set_instruments(&mut self, instruments: NodeInstruments) {
-        instruments.bind_node_counter("net.alive_payloads_sent", &self.alive_payloads_sent);
-        instruments.bind_node_counter("net.alive_datagrams_sent", &self.alive_datagrams_sent);
-        instruments.bind_node_counter("hello.full_sent", &self.hello.full_sent);
-        instruments.bind_node_counter("hello.digest_sent", &self.hello.digest_sent);
-        instruments.bind_node_counter("hello.pulls_sent", &self.hello.pulls_sent);
-        instruments.bind_node_counter("hello.stale_ignored", &self.hello.stale_ignored);
-        instruments.bind_node_counter("hello.member_walks", &self.hello.member_walks);
-        instruments.bind_node_counter("alive.unchanged", &self.alive.unchanged);
-        instruments.bind_node_counter("alive.applied", &self.alive.applied);
-        instruments.bind_node_counter("alive.plan_rebuilds", &self.alive.plan_rebuilds);
-        instruments.bind_node_counter("fd.fires", &self.fd.fires);
-        instruments.bind_node_counter("fd.walks", &self.fd.walks);
-        instruments.bind_node_counter(
-            "elect.stale_accusations_ignored",
-            &self.stale_accusations_ignored,
-        );
-        instruments.bind_node_counter("app.leases_minted", &self.lease.minted);
-        instruments.bind_node_counter("app.lease_renewals", &self.lease.renewals);
-        let lease = &self.lease;
-        instruments.bind_node_counter("app.requests_applied", &lease.requests_applied);
-        instruments.bind_node_counter("app.requests_rejected", &lease.requests_rejected);
-        instruments.bind_node_counter("app.requests_redirected", &lease.requests_redirected);
+        for (&count, counter) in NodeCount::ALL.iter().zip(&mut self.counts) {
+            *counter = instruments.counter(count);
+        }
         self.obs = Some(instruments);
+    }
+
+    /// The value of one of the node's counters.
+    pub fn count(&self, count: NodeCount) -> u64 {
+        self.counts[count].get()
     }
 
     /// The attached instruments, if any.
@@ -320,35 +293,6 @@ impl ServiceNode {
     /// `renewed_at` is the local receipt time).
     pub fn remote_lease_of(&self, group: GroupId) -> Option<LeaderLease> {
         self.groups.get(group)?.remote_lease
-    }
-
-    /// ACCUSE messages dropped because their epoch predated the elector's
-    /// current one — each is a duplicated or delayed replay that would have
-    /// destabilised a settled leader before the stale-epoch guard existed.
-    pub fn stale_accusations_ignored(&self) -> u64 {
-        self.stale_accusations_ignored.get()
-    }
-
-    /// Client requests served by the installed app under a valid lease.
-    pub fn client_requests_applied(&self) -> u64 {
-        self.lease.requests_applied.get()
-    }
-
-    /// Client requests the installed app rejected for a stale fencing token.
-    pub fn client_requests_rejected(&self) -> u64 {
-        self.lease.requests_rejected.get()
-    }
-
-    /// Client requests answered with a redirect (not leading, no valid
-    /// lease, or no app installed).
-    pub fn client_requests_redirected(&self) -> u64 {
-        self.lease.requests_redirected.get()
-    }
-
-    /// Leader leases minted (leaderships taken, or token changes while
-    /// leading).
-    pub fn leases_minted(&self) -> u64 {
-        self.lease.minted.get()
     }
 
     /// This workstation's identity.
@@ -413,21 +357,6 @@ impl ServiceNode {
         members.map(|m| (m.peer, m.processes.clone())).collect()
     }
 
-    /// The HELLO gossip counters.
-    pub fn hello_counters(&self) -> &HelloCounters {
-        &self.hello
-    }
-
-    /// The ALIVE path counters.
-    pub fn alive_counters(&self) -> &AliveCounters {
-        &self.alive
-    }
-
-    /// The failure-detector timer counters.
-    pub fn fd_counters(&self) -> &FdCounters {
-        &self.fd
-    }
-
     /// Registers a new application process with this service instance and
     /// returns its identifier.
     pub fn register_process(&mut self) -> ProcessId {
@@ -459,10 +388,11 @@ impl ServiceNode {
         let me = self.config.node;
         let algorithm = self.config.algorithm;
         let now = ctx.now();
-        let arena = &self.arena;
+        let (arena, obs) = (&self.arena, &self.obs);
         let peers = &mut self.peers;
         let slot = self.groups.intern(group, || {
-            let state = GroupState::new(group, me, algorithm, &join, arena, now);
+            let mut state = GroupState::new(group, me, algorithm, &join, arena, now);
+            state.obs = obs.as_ref().map(|obs| obs.group(group, now));
             // Every applied announcement list skipped this group: re-pull.
             for peer in &mut peers.entries {
                 peer.gossip.resync = true;
@@ -495,7 +425,7 @@ impl ServiceNode {
         let grace_ends = state.joined_at + state.self_election_grace();
         ctx.set_timer_at(election::grace_tag(group), grace_ends);
         self.local_membership_changed();
-        if let Some(obs) = &mut self.obs {
+        if let Some(obs) = &self.obs {
             obs.on_join(group, now);
         }
         self.arm_alive_timer(ctx);
@@ -562,7 +492,7 @@ impl ServiceNode {
             // node leads — may have been the one that left.
             self.check_leader(group, ctx);
         }
-        if let Some(obs) = &mut self.obs {
+        if let Some(obs) = &self.obs {
             obs.on_leave(group, ctx.now());
         }
         self.local_membership_changed();
@@ -698,7 +628,7 @@ impl Actor for ServiceNode {
             FD_KIND => self.handle_fd_timer(NodeId(id), ctx),
             GRACE_KIND => {
                 let group = GroupId(id);
-                if let Some(obs) = &mut self.obs {
+                if let Some(obs) = &self.obs {
                     obs.on_grace_timer(ctx.now());
                 }
                 self.check_leader(group, ctx)

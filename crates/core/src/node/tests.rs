@@ -344,10 +344,9 @@ fn a_static_and_an_adaptive_group_share_one_link_estimate() {
             let actor = world.actor(node).unwrap();
             assert_eq!(actor.arena.peer_count(), 1);
             let peer = &actor.peers.entries[0];
-            let alive = actor.alive_counters();
             assert_eq!(
                 peer.liveness.heartbeats_recorded(),
-                alive.unchanged.get() + alive.applied.get(),
+                actor.count(NodeCount::AliveUnchanged) + actor.count(NodeCount::AliveApplied),
                 "{algorithm}: {node}"
             );
         }
@@ -377,8 +376,8 @@ fn multi_group_alives_share_one_datagram_per_destination() {
     world.run_for(SimDuration::from_secs(5), &mut obs);
     for i in 0..n {
         let actor = world.actor(NodeId(i as u32)).unwrap();
-        let payloads = actor.alive_payloads_sent();
-        let datagrams = actor.alive_datagrams_sent();
+        let payloads = actor.count(NodeCount::AlivePayloadsSent);
+        let datagrams = actor.count(NodeCount::AliveDatagramsSent);
         assert!(payloads > 0);
         // All three groups join together and share one send interval,
         // so every tick batches exactly three payloads per datagram.
@@ -428,7 +427,10 @@ fn staggered_group_joins_converge_onto_shared_datagrams() {
     world.run_for(SimDuration::from_secs(5), &mut obs);
     let counts = |world: &World<ServiceNode, PerfectMedium>, i: u32| {
         let actor = world.actor(NodeId(i)).unwrap();
-        (actor.alive_payloads_sent(), actor.alive_datagrams_sent())
+        (
+            actor.count(NodeCount::AlivePayloadsSent),
+            actor.count(NodeCount::AliveDatagramsSent),
+        )
     };
     let before: Vec<_> = (0..n as u32).map(|i| counts(&world, i)).collect();
     world.run_for(SimDuration::from_secs(10), &mut obs);
@@ -537,7 +539,7 @@ fn leader_serves_fenced_requests_and_followers_redirect() {
         assert_eq!(lease.token.node, leader);
         assert!(lease.valid_at(ctx.now()), "lease expired while leading");
         assert_eq!(actor.fencing_token(GROUP), Some(lease.token));
-        assert!(actor.leases_minted() >= 1);
+        assert!(actor.count(NodeCount::LeasesMinted) >= 1);
         // A client request lands on the leader: served.
         actor.on_message(
             follower,
@@ -549,8 +551,8 @@ fn leader_serves_fenced_requests_and_followers_redirect() {
             },
             ctx,
         );
-        assert_eq!(actor.client_requests_applied(), 1);
-        assert_eq!(actor.client_requests_redirected(), 0);
+        assert_eq!(actor.count(NodeCount::RequestsApplied), 1);
+        assert_eq!(actor.count(NodeCount::RequestsRedirected), 0);
     });
 
     world.with_actor(follower, &mut obs, |actor, ctx| {
@@ -573,8 +575,8 @@ fn leader_serves_fenced_requests_and_followers_redirect() {
             },
             ctx,
         );
-        assert_eq!(actor.client_requests_applied(), 0);
-        assert_eq!(actor.client_requests_redirected(), 1);
+        assert_eq!(actor.count(NodeCount::RequestsApplied), 0);
+        assert_eq!(actor.count(NodeCount::RequestsRedirected), 1);
         // Unknown group: redirected with no hint (leader unknown).
         actor.on_message(
             leader,
@@ -586,7 +588,7 @@ fn leader_serves_fenced_requests_and_followers_redirect() {
             },
             ctx,
         );
-        assert_eq!(actor.client_requests_redirected(), 2);
+        assert_eq!(actor.count(NodeCount::RequestsRedirected), 2);
     });
 }
 
@@ -646,8 +648,8 @@ fn a_lease_that_expired_before_the_tick_is_dropped_not_renewed() {
             payload: 7,
         };
         actor.on_message(follower, request, &mut at(resumed));
-        assert_eq!(actor.client_requests_applied(), 0);
-        assert_eq!(actor.client_requests_redirected(), 1);
+        assert_eq!(actor.count(NodeCount::RequestsApplied), 0);
+        assert_eq!(actor.count(NodeCount::RequestsRedirected), 1);
 
         // Still the elector's output, it leads through a whole settle
         // delay again before it mints — ranked, like any accused leader,
@@ -713,7 +715,7 @@ fn replayed_stale_accusation_is_ignored_after_elector_recreation() {
                 ctx,
             );
         }
-        assert_eq!(actor.stale_accusations_ignored(), 2);
+        assert_eq!(actor.count(NodeCount::StaleAccusationsIgnored), 2);
     });
 
     // The replays must not have perturbed the election: the settled
@@ -1028,10 +1030,8 @@ fn golden_run(algorithm: ElectorKind, seed: u64) -> RunCounts {
     world.schedule_crash(first, SimInstant::from_secs_f64(20.0));
     world.schedule_recovery(first, SimInstant::from_secs_f64(40.0));
     world.run_until(SimInstant::from_secs_f64(60.0), &mut trace);
-    let sent = |world: &World<_, _>| {
-        world
-            .actor(NodeId(3))
-            .map(ServiceNode::alive_datagrams_sent)
+    let sent = |world: &World<ServiceNode, _>| {
+        (world.actor(NodeId(3))).map(|actor| actor.count(NodeCount::AliveDatagramsSent))
     };
     let (before, until) = (sent(&world), SimInstant::from_secs_f64(60.5));
     while sent(&world) == before && world.now() < until {
@@ -1057,34 +1057,27 @@ fn golden_run(algorithm: ElectorKind, seed: u64) -> RunCounts {
         fd: [0; 2],
         leader_changes: 0xcbf2_9ce4_8422_2325,
     };
+    use NodeCount::*;
     for actor in (0..n as u32).filter_map(|i| world.actor(NodeId(i))) {
-        let (h, a, f) = (
-            actor.hello_counters(),
-            actor.alive_counters(),
-            actor.fd_counters(),
-        );
-        counts.alive_payloads += actor.alive_payloads_sent();
+        let add = |sums: &mut [u64], read: &[NodeCount]| {
+            for (sum, &count) in sums.iter_mut().zip(read) {
+                *sum += actor.count(count);
+            }
+        };
+        counts.alive_payloads += actor.count(AlivePayloadsSent);
         let hello = [
-            &h.full_sent,
-            &h.digest_sent,
-            &h.pulls_sent,
-            &h.stale_ignored,
-            &h.member_walks,
+            HelloFullSent,
+            HelloDigestSent,
+            HelloPullsSent,
+            HelloStaleIgnored,
+            HelloMemberWalks,
         ];
-        for (sum, counter) in counts.hello.iter_mut().zip(hello) {
-            *sum += counter.get();
-        }
-        for (sum, counter) in
-            counts
-                .alive
-                .iter_mut()
-                .zip([&a.unchanged, &a.applied, &a.plan_rebuilds])
-        {
-            *sum += counter.get();
-        }
-        for (sum, counter) in counts.fd.iter_mut().zip([&f.fires, &f.walks]) {
-            *sum += counter.get();
-        }
+        add(&mut counts.hello, &hello);
+        add(
+            &mut counts.alive,
+            &[AliveUnchanged, AliveApplied, AlivePlanRebuilds],
+        );
+        add(&mut counts.fd, &[FdFires, FdWalks]);
     }
     for (at, node, group, leader) in trace.events {
         let (leader_node, local) = leader.map_or((u32::MAX, u32::MAX), |l| l);
@@ -1198,4 +1191,134 @@ fn group_churn_keeps_monitor_arena_at_baseline() {
             );
         }
     }
+}
+
+/// Three workstations in `GROUP` over LAN links, every incarnation
+/// recording into `registry`.
+fn instrumented_lan(
+    registry: &sle_obs::Registry,
+    seed: u64,
+) -> World<ServiceNode, sle_net::network::SimulatedNetwork> {
+    let n = 3;
+    let registry = registry.clone();
+    let medium = sle_net::network::NetworkModel::new(sle_net::link::LinkSpec::lan()).build(seed);
+    World::new(
+        n,
+        Box::new(move |node, _inc| {
+            let config = ServiceConfig::full_mesh(node, n, ElectorKind::OmegaLc)
+                .with_auto_join(GROUP, JoinConfig::candidate());
+            let mut service = ServiceNode::new(config);
+            let ring = sle_obs::TraceRing::new(64);
+            service.set_instruments(NodeInstruments::new(&registry, ring, node));
+            service
+        }),
+        medium,
+        seed,
+    )
+}
+
+/// Node 2 leaves `group` with every local process.
+fn leave(world: &mut World<ServiceNode, sle_net::network::SimulatedNetwork>, group: GroupId) {
+    world.with_actor(NodeId(2), &mut NullObserver, |actor, ctx| {
+        for process in actor.local_members_of(group) {
+            actor.leave_group(process, group, ctx).expect("leave");
+        }
+    });
+}
+
+/// Node 2 joins `group` with a freshly registered process.
+fn join(
+    world: &mut World<ServiceNode, sle_net::network::SimulatedNetwork>,
+    group: GroupId,
+    join: JoinConfig,
+) {
+    world.with_actor(NodeId(2), &mut NullObserver, |actor, ctx| {
+        let process = actor.register_process();
+        (actor.join_group(process, group, join, ctx)).expect("join");
+    });
+}
+
+#[test]
+fn a_rejoin_opens_a_new_election_episode() {
+    // Node 2 leaves a group and rejoins it 5 s later. Its election
+    // episode opens at the rejoin — whether it left with a leader (the
+    // rejoin's election is recorded) or without one (the absence is not
+    // part of the sample).
+    let registry = sle_obs::Registry::default();
+    let mut world = instrumented_lan(&registry, 13);
+    let elections = |group: GroupId| {
+        let name = format!("node.2.group.{}.elect.election_ns", group.0);
+        registry.histogram(&name).snapshot()
+    };
+    let at = SimInstant::from_secs_f64;
+    let absence = SimDuration::from_secs(5).as_nanos();
+
+    world.run_until(at(5.0), &mut NullObserver);
+    let first = elections(GROUP);
+    assert_eq!(first.count, 1);
+    assert!(world.actor(NodeId(2)).unwrap().leader_of(GROUP).is_some());
+    leave(&mut world, GROUP);
+    world.run_until(at(10.0), &mut NullObserver);
+    join(&mut world, GROUP, JoinConfig::candidate());
+    world.run_until(at(15.0), &mut NullObserver);
+    assert!(world.actor(NodeId(2)).unwrap().leader_of(GROUP).is_some());
+    let rejoined = elections(GROUP);
+    assert_eq!(rejoined.count, 2, "the rejoin's election went unrecorded");
+    assert!(rejoined.sum - first.sum < absence);
+
+    // A group node 2 alone is in, first as a listener: leaderless.
+    let solo = GroupId(9);
+    join(&mut world, solo, JoinConfig::listener());
+    world.run_until(at(15.5), &mut NullObserver);
+    assert!(world.actor(NodeId(2)).unwrap().leader_of(solo).is_none());
+    leave(&mut world, solo);
+    world.run_until(at(20.5), &mut NullObserver);
+    join(&mut world, solo, JoinConfig::candidate());
+    world.run_until(at(25.0), &mut NullObserver);
+    assert!(world.actor(NodeId(2)).unwrap().leader_of(solo).is_some());
+    let solo = elections(solo);
+    assert_eq!(solo.count, 1);
+    assert!(solo.sum < absence, "the sample spans the absence: {solo:?}");
+}
+
+#[test]
+fn node_counters_never_decrease_across_a_recovery() {
+    // Node 0 crashes at 20.5 s and recovers at 21 s. Its new incarnation
+    // counts on in the registry cells its predecessor filled.
+    let registry = sle_obs::Registry::default();
+    let mut world = instrumented_lan(&registry, 17);
+    let node_counters = || -> BTreeMap<String, u64> {
+        let snapshot = registry.snapshot();
+        let counters = snapshot
+            .metrics
+            .into_iter()
+            .filter_map(|(name, value)| match value {
+                sle_obs::MetricValue::Counter(value) if name.starts_with("node.0.") => {
+                    Some((name, value))
+                }
+                _ => None,
+            });
+        counters.collect()
+    };
+    world.schedule_crash(NodeId(0), SimInstant::from_secs_f64(20.5));
+    world.schedule_recovery(NodeId(0), SimInstant::from_secs_f64(21.0));
+    world.run_until(SimInstant::from_secs_f64(20.0), &mut NullObserver);
+    let mut last = node_counters();
+    assert!(last["node.0.hello.digest_sent"] > 0 && last["node.0.fd.fires"] > 0);
+    for tenth in 201..=250 {
+        world.run_until(
+            SimInstant::from_secs_f64(tenth as f64 / 10.0),
+            &mut NullObserver,
+        );
+        let now = node_counters();
+        for (name, before) in &last {
+            assert!(
+                now[name] >= *before,
+                "{name} fell from {before} to {}",
+                now[name]
+            );
+        }
+        last = now;
+    }
+    assert!(world.actor(NodeId(0)).unwrap().leader_of(GROUP).is_some());
 }

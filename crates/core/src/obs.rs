@@ -2,56 +2,150 @@
 //!
 //! A [`NodeInstruments`] bundle is attached to a [`ServiceNode`] with
 //! [`ServiceNode::set_instruments`]: it carries a clone of the process-wide
-//! [`Registry`], a clone of the (typically per-shard) [`TraceRing`], and the
-//! cached metric handles the protocol hooks record into. All hooks take the
+//! [`Registry`], a clone of the (typically per-shard) [`TraceRing`] and the
+//! node-level ALIVE inter-arrival histogram. All hooks take the
 //! `SimInstant` their runtime hands the node (`ctx.now()`), so the same
 //! instrumentation runs unchanged under virtual time and the wall clock —
 //! the [`Clock`](sle_obs::clock::Clock) seam is only needed by components
 //! outside an actor context (transports, cluster control operations).
 //!
-//! The recorded QoS quantities mirror the paper's §3 metrics:
+//! The recorded QoS quantities mirror the paper's §3 metrics, kept per
+//! group in the node's own group state while it is in the group:
 //!
 //! * `node.<n>.group.<g>.fd.detection_ns` — detection latency `T_D`: from a
 //!   suspected peer's last heartbeat to the suspicion (histogram, ns),
 //! * `node.<n>.group.<g>.fd.mistakes` — detector mistakes: suspicions later
 //!   proven wrong by a revival (`T_MR`'s numerator; counter),
 //! * `node.<n>.group.<g>.elect.election_ns` — election/recovery latency:
-//!   from losing (or never having had) a leader to announcing a stable one
+//!   from joining, or losing a leader, to announcing a stable one
 //!   (histogram, ns),
 //! * `node.<n>.net.alive_interarrival_ns` — ALIVE inter-arrival jitter on
-//!   incoming heartbeat datagrams (histogram, ns),
-//! * `node.<n>.net.alive_payloads_sent` / `alive_datagrams_sent` — the
-//!   paper's message-count figures, bound from the node's live counters,
-//! * `node.<n>.hello.{full,digest,pulls}_sent` / `hello.stale_ignored` /
-//!   `hello.member_walks` — the membership gossip's traffic by shape, the
-//!   stale HELLOs its version check dropped and the peers whose groups a
-//!   HELLO tick walked for expiry, bound likewise,
-//! * `node.<n>.alive.{unchanged,applied,plan_rebuilds}` — incoming ALIVE
-//!   datagrams by path (one stamp / entry by entry) and plan rebuilds,
-//! * `node.<n>.fd.{fires,walks}` — the per-peer failure-detector timers
-//!   that fired, and those of them that walked the peer's groups.
+//!   incoming heartbeat datagrams (histogram, ns).
 //!
-//! The full catalogue lives in `docs/OBSERVABILITY.md`.
+//! Every node counter is one [`NodeCount`] row, registered as
+//! `node.<n>.<suffix>`. The full catalogue lives in `docs/OBSERVABILITY.md`.
 //!
 //! [`ServiceNode`]: crate::node::ServiceNode
 //! [`ServiceNode::set_instruments`]: crate::node::ServiceNode::set_instruments
 
 use sle_obs::{Counter, Histogram, ProtoEvent, Registry, TraceRing};
-use sle_sim::time::SimInstant;
+use sle_sim::time::{SimDuration, SimInstant};
 use sle_sim::NodeId;
 
 use crate::process::{GroupId, ProcessId};
 
-/// Per-group cached handles plus the election-episode state machine.
-#[derive(Debug)]
-struct GroupInstruments {
+/// Declares [`NodeCount`]: each counter with its registry suffix beside it.
+macro_rules! node_counts {
+    ($($(#[$doc:meta])* $count:ident = $suffix:literal,)+) => {
+        /// The counters of a [`ServiceNode`](crate::node::ServiceNode), one
+        /// variant each, read with
+        /// [`ServiceNode::count`](crate::node::ServiceNode::count) and
+        /// registered as `node.<n>.<suffix>` once instruments are attached.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum NodeCount {
+            $($(#[$doc])* $count,)+
+        }
+
+        impl NodeCount {
+            /// Every counter, in table order.
+            pub const ALL: &'static [NodeCount] = &[$(NodeCount::$count),+];
+
+            /// The number of counters.
+            pub const COUNT: usize = NodeCount::ALL.len();
+
+            /// The counter's registry name below `node.<n>.`.
+            pub const fn suffix(self) -> &'static str {
+                match self {
+                    $(NodeCount::$count => $suffix,)+
+                }
+            }
+        }
+    };
+}
+
+node_counts! {
+    /// Per-group ALIVE payloads handed to the transport (batch entries
+    /// count individually) — the figure the paper's message-count analysis
+    /// is about: O(n) per group in steady state for S3, O(n²) for S2.
+    AlivePayloadsSent = "net.alive_payloads_sent",
+    /// ALIVE datagrams handed to the transport (a batch counts once):
+    /// payloads minus datagrams is the fan-out the batching saved.
+    AliveDatagramsSent = "net.alive_datagrams_sent",
+    /// Full announcement lists sent (answers to pulls).
+    HelloFullSent = "hello.full_sent",
+    /// List-less, pull-less HELLOs sent (the periodic digest, per peer).
+    HelloDigestSent = "hello.digest_sent",
+    /// HELLOs sent with the pull flag set.
+    HelloPullsSent = "hello.pulls_sent",
+    /// HELLOs dropped for an `(incarnation, version)` below the applied one.
+    HelloStaleIgnored = "hello.stale_ignored",
+    /// Peers whose groups a HELLO tick walked for membership expiry; the
+    /// tick skipped the others on their cached member wake without touching
+    /// a group.
+    HelloMemberWalks = "hello.member_walks",
+    /// ALIVE datagrams that repeated the sender's applied batch: one stamp.
+    AliveUnchanged = "alive.unchanged",
+    /// ALIVE datagrams applied entry by entry (changed, or after a resync).
+    AliveApplied = "alive.applied",
+    /// Times the ALIVE tick rebuilt its fan-out plan instead of reusing it.
+    AlivePlanRebuilds = "alive.plan_rebuilds",
+    /// Per-peer detector timers that fired.
+    FdFires = "fd.fires",
+    /// Fires that checked the peer's monitor in every group; the others
+    /// re-armed from the peer's cached wake without touching a group.
+    FdWalks = "fd.walks",
+    /// ACCUSE messages dropped because their epoch predated the elector's
+    /// current one — each a duplicated or delayed replay that would have
+    /// destabilised a settled leader.
+    StaleAccusationsIgnored = "elect.stale_accusations_ignored",
+    /// Leader leases minted (leaderships taken, or token changes while
+    /// leading).
+    LeasesMinted = "app.leases_minted",
+    /// Lease renewals performed on the ALIVE tick.
+    LeaseRenewals = "app.lease_renewals",
+    /// Client requests served by the installed app under a valid lease.
+    RequestsApplied = "app.requests_applied",
+    /// Client requests the installed app rejected for a stale fencing token.
+    RequestsRejected = "app.requests_rejected",
+    /// Client requests answered with a redirect (not leading, no valid
+    /// lease, or no app installed).
+    RequestsRedirected = "app.requests_redirected",
+}
+
+/// A node's counter table is indexed by the counter.
+impl std::ops::Index<NodeCount> for [Counter; NodeCount::COUNT] {
+    type Output = Counter;
+
+    fn index(&self, count: NodeCount) -> &Counter {
+        &self[count as usize]
+    }
+}
+
+/// One group's QoS instruments plus its election-episode state machine,
+/// kept in the group's state while the node is in the group: a rejoin opens
+/// a new episode at the join instant.
+#[derive(Debug, Clone)]
+pub(crate) struct GroupInstruments {
     detection: Histogram,
     election: Histogram,
     mistakes: Counter,
-    /// When the current leaderless episode began (set at group creation and
+    /// When the current leaderless episode began (set at the join and
     /// whenever the announced leader reverts to `None`); cleared — and the
     /// episode's duration recorded — when a leader is announced.
     election_started: Option<SimInstant>,
+}
+
+impl GroupInstruments {
+    /// The failure detector began suspecting a peer that was last heard
+    /// `silent_for` ago — one detection-latency sample.
+    pub(crate) fn on_detection(&self, silent_for: SimDuration) {
+        self.detection.record_duration(silent_for);
+    }
+
+    /// A suspected peer revived: the suspicion was a detector mistake.
+    pub(crate) fn on_mistake(&self) {
+        self.mistakes.inc();
+    }
 }
 
 /// The instruments a [`ServiceNode`](crate::node::ServiceNode) records into.
@@ -61,11 +155,6 @@ pub struct NodeInstruments {
     trace: TraceRing,
     node: NodeId,
     alive_interarrival: Histogram,
-    /// Last ALIVE arrival per peer, sorted by peer id (binary search: this
-    /// is touched once per incoming heartbeat datagram).
-    last_alive: Vec<(NodeId, SimInstant)>,
-    /// Per-group instrument handles, sorted by group id.
-    groups: Vec<(GroupId, GroupInstruments)>,
 }
 
 impl NodeInstruments {
@@ -79,8 +168,6 @@ impl NodeInstruments {
             trace,
             node,
             alive_interarrival,
-            last_alive: Vec::new(),
-            groups: Vec::new(),
         }
     }
 
@@ -94,76 +181,53 @@ impl NodeInstruments {
         &self.trace
     }
 
-    /// Binds a pre-existing counter handle under a node-scoped name — how
-    /// the node's own live counters become registry views.
-    pub(crate) fn bind_node_counter(&self, suffix: &str, counter: &Counter) {
-        self.registry
-            .bind_counter(&format!("node.{}.{}", self.node.0, suffix), counter);
+    /// The registry's `node.<n>.<suffix>` counter of `count`, created on
+    /// first use: every incarnation of the node counts on in the same cell.
+    pub(crate) fn counter(&self, count: NodeCount) -> Counter {
+        let name = format!("node.{}.{}", self.node.0, count.suffix());
+        self.registry.counter(&name)
     }
 
-    fn group(&mut self, group: GroupId, now: SimInstant) -> &mut GroupInstruments {
-        let i = match self.groups.binary_search_by_key(&group, |&(g, _)| g) {
-            Ok(i) => i,
-            Err(i) => {
-                let prefix = format!("node.{}.group.{}", self.node.0, group.0);
-                let instruments = GroupInstruments {
-                    detection: self
-                        .registry
-                        .histogram(&format!("{prefix}.fd.detection_ns")),
-                    election: self
-                        .registry
-                        .histogram(&format!("{prefix}.elect.election_ns")),
-                    mistakes: self.registry.counter(&format!("{prefix}.fd.mistakes")),
-                    election_started: Some(now),
-                };
-                self.groups.insert(i, (group, instruments));
-                i
-            }
-        };
-        &mut self.groups[i].1
+    /// The instruments of `group`, joined at `now`.
+    pub(crate) fn group(&self, group: GroupId, now: SimInstant) -> GroupInstruments {
+        let prefix = format!("node.{}.group.{}", self.node.0, group.0);
+        GroupInstruments {
+            detection: self
+                .registry
+                .histogram(&format!("{prefix}.fd.detection_ns")),
+            election: self
+                .registry
+                .histogram(&format!("{prefix}.elect.election_ns")),
+            mistakes: self.registry.counter(&format!("{prefix}.fd.mistakes")),
+            election_started: Some(now),
+        }
     }
 
     /// A local process joined `group`.
-    pub(crate) fn on_join(&mut self, group: GroupId, now: SimInstant) {
-        self.group(group, now);
+    pub(crate) fn on_join(&self, group: GroupId, now: SimInstant) {
         self.trace
             .push(self.node, now, ProtoEvent::Join { group: group.0 });
     }
 
     /// A local process left `group`.
-    pub(crate) fn on_leave(&mut self, group: GroupId, now: SimInstant) {
+    pub(crate) fn on_leave(&self, group: GroupId, now: SimInstant) {
         self.trace
             .push(self.node, now, ProtoEvent::Leave { group: group.0 });
     }
 
-    /// An incoming ALIVE datagram from `from` (before per-group dispatch).
-    pub(crate) fn on_alive_datagram(&mut self, from: NodeId, now: SimInstant) {
-        match self
-            .last_alive
-            .binary_search_by_key(&from, |&(peer, _)| peer)
-        {
-            Ok(i) => {
-                let prev = std::mem::replace(&mut self.last_alive[i].1, now);
-                self.alive_interarrival
-                    .record_duration(now.saturating_since(prev));
-            }
-            Err(i) => self.last_alive.insert(i, (from, now)),
+    /// An incoming ALIVE datagram whose sender's previous one arrived at
+    /// `prev` — `SimInstant::ZERO` for its first, which records nothing (no
+    /// ALIVE is sent at the zero instant: a node's first tick is 5 ms after
+    /// its first join).
+    pub(crate) fn on_alive_datagram(&self, prev: SimInstant, now: SimInstant) {
+        if prev != SimInstant::ZERO {
+            self.alive_interarrival
+                .record_duration(now.saturating_since(prev));
         }
     }
 
-    /// The failure detector began suspecting a peer that was last heard
-    /// `silent_for` ago — one detection-latency sample.
-    pub(crate) fn on_detection(
-        &mut self,
-        group: GroupId,
-        silent_for: sle_sim::time::SimDuration,
-        now: SimInstant,
-    ) {
-        self.group(group, now).detection.record_duration(silent_for);
-    }
-
     /// An accusation was sent to `accused` for `group`.
-    pub(crate) fn on_accusation(&mut self, group: GroupId, accused: NodeId, now: SimInstant) {
+    pub(crate) fn on_accusation(&self, group: GroupId, accused: NodeId, now: SimInstant) {
         self.trace.push(
             self.node,
             now,
@@ -174,35 +238,28 @@ impl NodeInstruments {
         );
     }
 
-    /// A suspected peer revived: the suspicion was a detector mistake.
-    pub(crate) fn on_mistake(&mut self, group: GroupId, now: SimInstant) {
-        self.group(group, now).mistakes.inc();
-    }
-
-    /// The announced leader of `group` changed. Records the election
-    /// latency (leaderless → leader) and traces the change.
+    /// The announced leader of `group` (instrumented by `instruments`)
+    /// changed. Records the election latency (leaderless → leader) and
+    /// traces the change.
     pub(crate) fn on_leader_change(
-        &mut self,
+        &self,
+        instruments: &mut GroupInstruments,
         group: GroupId,
         leader: Option<ProcessId>,
         now: SimInstant,
     ) {
-        let node = self.node;
-        let g = self.group(group, now);
         match leader {
             Some(_) => {
-                if let Some(started) = g.election_started.take() {
-                    g.election.record_duration(now.saturating_since(started));
+                if let Some(started) = instruments.election_started.take() {
+                    (instruments.election).record_duration(now.saturating_since(started));
                 }
             }
             None => {
-                if g.election_started.is_none() {
-                    g.election_started = Some(now);
-                }
+                instruments.election_started.get_or_insert(now);
             }
         }
         self.trace.push(
-            node,
+            self.node,
             now,
             ProtoEvent::LeaderChange {
                 group: group.0,
@@ -214,7 +271,7 @@ impl NodeInstruments {
     /// A low-rate protocol timer fired (election grace periods — the
     /// per-heartbeat FD/ALIVE timers would flood the ring and are not
     /// traced).
-    pub(crate) fn on_grace_timer(&mut self, now: SimInstant) {
+    pub(crate) fn on_grace_timer(&self, now: SimInstant) {
         self.trace.push(
             self.node,
             now,
@@ -222,5 +279,19 @@ impl NodeInstruments {
                 kind: crate::node::GRACE_KIND as u32,
             },
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::NodeCount;
+
+    #[test]
+    fn every_node_counter_has_its_observability_row() {
+        let doc = include_str!("../../../docs/OBSERVABILITY.md");
+        for count in NodeCount::ALL {
+            let row = format!("| `node.<n>.{}` | counter |", count.suffix());
+            assert!(doc.contains(&row), "docs/OBSERVABILITY.md lacks {row}");
+        }
     }
 }

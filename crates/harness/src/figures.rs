@@ -22,8 +22,6 @@ pub struct PaperValues {
     pub mistakes_per_hour: Option<f64>,
     /// Leader availability (fraction of time).
     pub availability: Option<f64>,
-    /// CPU utilisation per workstation, percent.
-    pub cpu_percent: Option<f64>,
     /// Network traffic per workstation, KB/s.
     pub kbytes_per_sec: Option<f64>,
 }
@@ -203,18 +201,18 @@ pub fn fig5(duration: SimDuration) -> Figure {
     }
 }
 
-/// Figure 6 — CPU and bandwidth overhead per workstation for 4/8/12
-/// workstations, S2 and S3, on the real LAN and on (100 ms, 0.1) links.
+/// Figure 6 — bandwidth overhead per workstation for 4/8/12 workstations,
+/// S2 and S3, on the real LAN and on (100 ms, 0.1) links. The figure's CPU
+/// half is not reproduced: a simulation has no CPU time to report.
 pub fn fig6(duration: SimDuration) -> Figure {
-    // (algorithm, network label, delay ms, loss, [cpu% per size], [KB/s per size])
-    type Fig6Config = (ElectorKind, &'static str, f64, f64, [f64; 3], [f64; 3]);
+    // (algorithm, network label, delay ms, loss, [KB/s per size])
+    type Fig6Config = (ElectorKind, &'static str, f64, f64, [f64; 3]);
     let configs: [Fig6Config; 4] = [
         (
             ElectorKind::OmegaLc,
             "(100ms, 0.1)",
             100.0,
             0.1,
-            [0.035, 0.13, 0.30],
             [8.0, 28.0, 62.38],
         ),
         (
@@ -222,7 +220,6 @@ pub fn fig6(duration: SimDuration) -> Figure {
             "(100ms, 0.1)",
             100.0,
             0.1,
-            [0.012, 0.025, 0.04],
             [2.2, 4.3, 6.48],
         ),
         (
@@ -230,7 +227,6 @@ pub fn fig6(duration: SimDuration) -> Figure {
             "(0.025ms, 0)",
             0.025,
             0.0,
-            [0.02, 0.08, 0.17],
             [5.0, 18.0, 40.0],
         ),
         (
@@ -238,13 +234,12 @@ pub fn fig6(duration: SimDuration) -> Figure {
             "(0.025ms, 0)",
             0.025,
             0.0,
-            [0.005, 0.01, 0.015],
             [1.3, 2.4, 3.5],
         ),
     ];
     let sizes = [4usize, 8, 12];
     let mut cells = Vec::new();
-    for (algorithm, label, d, p, cpu, traffic) in configs {
+    for (algorithm, label, d, p, traffic) in configs {
         for (i, &n) in sizes.iter().enumerate() {
             let link = LinkSpec::from_paper_tuple(d, p);
             let name = format!("{} {} n={}", algorithm.service_name(), label, n);
@@ -254,7 +249,6 @@ pub fn fig6(duration: SimDuration) -> Figure {
                     .with_nodes(n)
                     .with_duration(duration),
                 paper: PaperValues {
-                    cpu_percent: Some(cpu[i]),
                     kbytes_per_sec: Some(traffic[i]),
                     ..Default::default()
                 },
@@ -264,7 +258,7 @@ pub fn fig6(duration: SimDuration) -> Figure {
     Figure {
         id: "fig6",
         caption: "Figure 6: CPU and bandwidth overhead",
-        metrics: &["CPU %/workst.", "KB/s/workst."],
+        metrics: &["KB/s/workst."],
         cells,
     }
 }
@@ -356,13 +350,13 @@ pub fn fig8(duration: SimDuration) -> Figure {
 }
 
 /// The headline numbers quoted in the paper's introduction and Section 6.5:
-/// availability, CPU and bandwidth of S2 and S3 at 12 workstations in the
-/// harshest lossy network.
+/// availability and bandwidth of S2 and S3 at 12 workstations in the
+/// harshest lossy network (the paper's CPU figures are not reproduced).
 pub fn headline(duration: SimDuration) -> Figure {
     let mut cells = Vec::new();
-    for (algorithm, avail, cpu, traffic) in [
-        (ElectorKind::OmegaL, 0.9984, 0.04, 6.48),
-        (ElectorKind::OmegaLc, 0.9982, 0.30, 62.38),
+    for (algorithm, avail, traffic) in [
+        (ElectorKind::OmegaL, 0.9984, 6.48),
+        (ElectorKind::OmegaLc, 0.9982, 62.38),
     ] {
         let name = format!("{} (100ms, 0.1) n=12", algorithm.service_name());
         cells.push(Cell {
@@ -375,7 +369,6 @@ pub fn headline(duration: SimDuration) -> Figure {
             .with_duration(duration),
             paper: PaperValues {
                 availability: Some(avail),
-                cpu_percent: Some(cpu),
                 kbytes_per_sec: Some(traffic),
                 mistakes_per_hour: Some(0.0),
                 ..Default::default()
@@ -385,7 +378,7 @@ pub fn headline(duration: SimDuration) -> Figure {
     Figure {
         id: "headline",
         caption: "Headline numbers (Sections 1 and 6.5)",
-        metrics: &["P_leader", "CPU %/workst.", "KB/s/workst.", "mistakes/h"],
+        metrics: &["P_leader", "KB/s/workst.", "mistakes/h"],
         cells,
     }
 }

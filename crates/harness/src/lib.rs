@@ -4,8 +4,8 @@
 //! evaluation (Section 6): the workload (12 workstations crashing every
 //! 10 minutes on average over lossy or crash-prone links), the QoS metrics
 //! of Section 5 (leader recovery time, mistake rate, leader availability),
-//! the CPU/bandwidth cost accounting of Section 6.5, and one scenario set
-//! per figure.
+//! the bandwidth accounting of Section 6.5, and one scenario set per
+//! figure.
 //!
 //! * [`metrics`] — the metrics collector ([`metrics::MetricsCollector`]),
 //! * [`deploy`] — strided multi-group deployment shapes shared by the
@@ -59,7 +59,7 @@ pub mod stats;
 
 pub use crash::{CrashEvent, CrashPlan, CrashProfile};
 pub use figures::{all_figures, figure_by_id, Cell, CellResult, Figure, PaperValues};
-pub use metrics::{CpuModel, ExperimentMetrics, MetricsCollector, NodeCounters};
+pub use metrics::{ExperimentMetrics, MetricsCollector};
 pub use regime::{RegimeShiftComparison, RegimeShiftOutcome, RegimeShiftScenario};
 pub use report::{render_figure, render_figure_markdown};
 pub use scenario::{Scenario, EXPERIMENT_GROUP};

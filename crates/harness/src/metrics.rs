@@ -1,5 +1,5 @@
 //! The leader-election QoS metrics of the paper's Section 5, plus the
-//! CPU/bandwidth cost accounting of Section 6.5, implemented as a simulator
+//! bandwidth accounting of Section 6.5, implemented as a simulator
 //! [`Observer`].
 //!
 //! * **Average leader recovery time** `T_r` — time from the crash of the
@@ -10,9 +10,10 @@
 //!   leader is still alive.
 //! * **Leader availability** `P_leader` — fraction of time at which some
 //!   alive process is considered leader by every alive group member.
-//! * **CPU / bandwidth overhead** — derived from exact per-node message and
-//!   byte counts through an explicit cost model (see `DESIGN.md` for the
-//!   substitution rationale).
+//! * **Bandwidth** — exact message and byte counts, plus the per-packet
+//!   framing a real deployment pays. The paper's CPU figure is not
+//!   reproduced: a simulator has no CPU time to report, and the service's
+//!   measured CPU cost is `benchmark/`'s `cpu_us_per_node_s`.
 //!
 //! A node that has not announced any leader view since it (re)started is
 //! treated as still joining and does not take part in the agreement — this
@@ -20,99 +21,28 @@
 //! churn of *non-leader* workstations affects neither λ_u nor P_leader.
 
 use sle_core::{GroupId, ProcessId, ServiceEvent};
-use sle_obs::{Counter, Registry};
 use sle_sim::actor::NodeId;
 use sle_sim::observer::Observer;
 use sle_sim::time::{SimDuration, SimInstant};
 
 use crate::stats::Summary;
 
-/// Cost model converting event counts into CPU utilisation, calibrated so
-/// that the 12-workstation S2 run in the harshest lossy network lands near
-/// the paper's measured 0.3% of a P4 3.2 GHz.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CpuModel {
-    /// CPU time charged per message sent or received.
-    pub per_message: SimDuration,
-    /// CPU time charged per timer firing.
-    pub per_timer: SimDuration,
-}
-
-impl Default for CpuModel {
-    fn default() -> Self {
-        CpuModel {
-            per_message: SimDuration::from_micros(10),
-            per_timer: SimDuration::from_micros(2),
-        }
-    }
-}
-
-/// A point-in-time copy of one node's traffic and event counters.
-///
-/// The live cells now reside in an [`sle_obs::Registry`] (under
-/// `node.<n>.sim.*`); this struct is the snapshot view the cost model and
-/// callers consume.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NodeCounters {
-    /// Messages handed to the network by this node.
-    pub messages_sent: u64,
-    /// Messages delivered to this node.
-    pub messages_received: u64,
-    /// Payload bytes sent (excluding per-packet overhead).
-    pub bytes_sent: u64,
-    /// Payload bytes received (excluding per-packet overhead).
-    pub bytes_received: u64,
-    /// Timer firings handled by this node.
-    pub timers: u64,
-}
-
-/// The registry-backed live cells behind one node's [`NodeCounters`] view.
-#[derive(Debug)]
-struct NodeHandles {
-    messages_sent: Counter,
-    messages_received: Counter,
-    bytes_sent: Counter,
-    bytes_received: Counter,
-    timers: Counter,
-}
-
-impl NodeHandles {
-    fn new(registry: &Registry, node: usize) -> Self {
-        let name = |suffix: &str| format!("node.{node}.sim.{suffix}");
-        NodeHandles {
-            messages_sent: registry.counter(&name("messages_sent")),
-            messages_received: registry.counter(&name("messages_received")),
-            bytes_sent: registry.counter(&name("bytes_sent")),
-            bytes_received: registry.counter(&name("bytes_received")),
-            timers: registry.counter(&name("timers")),
-        }
-    }
-
-    fn snapshot(&self) -> NodeCounters {
-        NodeCounters {
-            messages_sent: self.messages_sent.get(),
-            messages_received: self.messages_received.get(),
-            bytes_sent: self.bytes_sent.get(),
-            bytes_received: self.bytes_received.get(),
-            timers: self.timers.get(),
-        }
-    }
-}
+/// Per-packet framing overhead added to every message (Ethernet + IP + UDP
+/// headers), as a real deployment pays on the wire.
+const OVERHEAD_BYTES: u64 = 54;
 
 /// The observer that computes every metric of the evaluation while an
 /// experiment runs.
 #[derive(Debug)]
 pub struct MetricsCollector {
     group: GroupId,
-    /// Per-packet framing overhead added to every message (Ethernet + IP +
-    /// UDP headers), as a real deployment would pay on the wire.
-    overhead_bytes: usize,
-    cpu: CpuModel,
     /// Metrics are only accumulated after this instant (warm-up exclusion).
     measure_from: SimInstant,
 
-    registry: Registry,
-    counters: Vec<NodeHandles>,
+    /// Messages sent plus messages delivered, over every node.
+    packets: u64,
+    /// Payload bytes of those packets (excluding the framing overhead).
+    bytes: u64,
     node_up: Vec<bool>,
     views: Vec<Option<ProcessId>>,
 
@@ -135,29 +65,13 @@ pub struct MetricsCollector {
 
 impl MetricsCollector {
     /// Creates a collector for `group` over `nodes` workstations; metrics are
-    /// accumulated starting at `measure_from`. The per-node counters live in
-    /// a fresh private [`Registry`]; use
-    /// [`MetricsCollector::with_registry`] to share one with other layers.
+    /// accumulated starting at `measure_from`.
     pub fn new(group: GroupId, nodes: usize, measure_from: SimInstant) -> Self {
-        Self::with_registry(group, nodes, measure_from, &Registry::default())
-    }
-
-    /// Like [`MetricsCollector::new`], but registering the per-node counters
-    /// (`node.<n>.sim.*`) in `registry` so an exporter sees them alongside
-    /// the protocol-level metrics.
-    pub fn with_registry(
-        group: GroupId,
-        nodes: usize,
-        measure_from: SimInstant,
-        registry: &Registry,
-    ) -> Self {
         MetricsCollector {
             group,
-            overhead_bytes: 54,
-            cpu: CpuModel::default(),
             measure_from,
-            registry: registry.clone(),
-            counters: (0..nodes).map(|n| NodeHandles::new(registry, n)).collect(),
+            packets: 0,
+            bytes: 0,
             node_up: vec![true; nodes],
             views: vec![None; nodes],
             agreement_since: None,
@@ -173,30 +87,16 @@ impl MetricsCollector {
         }
     }
 
-    /// Overrides the per-packet framing overhead (default 54 bytes).
-    pub fn with_overhead(mut self, overhead_bytes: usize) -> Self {
-        self.overhead_bytes = overhead_bytes;
-        self
-    }
-
-    /// Overrides the CPU cost model.
-    pub fn with_cpu_model(mut self, cpu: CpuModel) -> Self {
-        self.cpu = cpu;
-        self
-    }
-
-    /// The registry holding the live per-node counters.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// A point-in-time copy of one node's counters, if `node` is in range.
-    pub fn node_counters(&self, node: NodeId) -> Option<NodeCounters> {
-        self.counters.get(node.index()).map(NodeHandles::snapshot)
-    }
-
     fn in_measurement(&self, now: SimInstant) -> bool {
         now >= self.measure_from
+    }
+
+    /// One message sent or delivered, of `bytes` payload bytes.
+    fn count_packet(&mut self, now: SimInstant, bytes: usize) {
+        if self.in_measurement(now) {
+            self.packets += 1;
+            self.bytes += bytes as u64;
+        }
     }
 
     /// The group currently has a commonly agreed, alive leader iff every
@@ -303,24 +203,14 @@ impl MetricsCollector {
         let elapsed_secs = elapsed.as_secs_f64().max(1e-9);
         let elapsed_hours = elapsed_secs / 3600.0;
 
-        let nodes = self.counters.len().max(1) as f64;
-        let mut total_bytes = 0.0;
-        let mut total_cpu = SimDuration::ZERO;
-        for handles in &self.counters {
-            let counter = handles.snapshot();
-            let packets = counter.messages_sent + counter.messages_received;
-            total_bytes += (counter.bytes_sent + counter.bytes_received) as f64
-                + (packets as usize * self.overhead_bytes) as f64;
-            total_cpu =
-                total_cpu + self.cpu.per_message * packets + self.cpu.per_timer * counter.timers;
-        }
+        let nodes = self.node_up.len().max(1) as f64;
+        let total_bytes = (self.bytes + self.packets * OVERHEAD_BYTES) as f64;
 
         ExperimentMetrics {
             duration: elapsed,
             recovery: Summary::of(&self.recovery_samples),
             mistakes_per_hour: self.unjustified_demotions as f64 / elapsed_hours,
             leader_availability: (self.agreed_time.as_secs_f64() / elapsed_secs).min(1.0),
-            cpu_percent_per_node: total_cpu.as_secs_f64() / nodes / elapsed_secs * 100.0,
             kbytes_per_sec_per_node: total_bytes / nodes / elapsed_secs / 1024.0,
             leader_crashes: self.leader_crashes,
             unjustified_demotions: self.unjustified_demotions,
@@ -330,30 +220,12 @@ impl MetricsCollector {
 }
 
 impl Observer<ServiceEvent> for MetricsCollector {
-    fn message_sent(&mut self, now: SimInstant, from: NodeId, _to: NodeId, bytes: usize) {
-        if self.in_measurement(now) {
-            if let Some(counter) = self.counters.get(from.index()) {
-                counter.messages_sent.inc();
-                counter.bytes_sent.add(bytes as u64);
-            }
-        }
+    fn message_sent(&mut self, now: SimInstant, _from: NodeId, _to: NodeId, bytes: usize) {
+        self.count_packet(now, bytes);
     }
 
-    fn message_delivered(&mut self, now: SimInstant, _from: NodeId, to: NodeId, bytes: usize) {
-        if self.in_measurement(now) {
-            if let Some(counter) = self.counters.get(to.index()) {
-                counter.messages_received.inc();
-                counter.bytes_received.add(bytes as u64);
-            }
-        }
-    }
-
-    fn timer_fired(&mut self, now: SimInstant, node: NodeId) {
-        if self.in_measurement(now) {
-            if let Some(counter) = self.counters.get(node.index()) {
-                counter.timers.inc();
-            }
-        }
+    fn message_delivered(&mut self, now: SimInstant, _from: NodeId, _to: NodeId, bytes: usize) {
+        self.count_packet(now, bytes);
     }
 
     fn node_crashed(&mut self, now: SimInstant, node: NodeId) {
@@ -409,8 +281,6 @@ pub struct ExperimentMetrics {
     pub mistakes_per_hour: f64,
     /// Fraction of time with a commonly agreed alive leader (P_leader).
     pub leader_availability: f64,
-    /// Average CPU utilisation per workstation, in percent.
-    pub cpu_percent_per_node: f64,
     /// Average network traffic per workstation (sent + received), in KB/s.
     pub kbytes_per_sec_per_node: f64,
     /// Number of crashes of the commonly agreed leader observed.
@@ -533,26 +403,18 @@ mod tests {
     }
 
     #[test]
-    fn traffic_and_cpu_accounting() {
-        let mut collector = MetricsCollector::new(GROUP, 2, SimInstant::ZERO)
-            .with_overhead(46)
-            .with_cpu_model(CpuModel {
-                per_message: SimDuration::from_micros(100),
-                per_timer: SimDuration::ZERO,
-            });
+    fn traffic_accounting() {
+        let mut collector = MetricsCollector::new(GROUP, 2, SimInstant::ZERO);
         let t = SimInstant::from_secs_f64(1.0);
         // 10 messages of 100 bytes from node 0 to node 1.
         for _ in 0..10 {
             collector.message_sent(t, NodeId(0), NodeId(1), 100);
             collector.message_delivered(t, NodeId(0), NodeId(1), 100);
-            collector.timer_fired(t, NodeId(0));
         }
         let metrics = collector.finish(SimInstant::from_secs_f64(10.0));
-        // Total bytes: 10*(100+46) sent + same received = 2920 over 2 nodes
-        // over 10 s => 146 B/s per node.
-        assert!((metrics.kbytes_per_sec_per_node - 146.0 / 1024.0).abs() < 1e-6);
-        // CPU: 20 message-handlings * 100 us = 2 ms over 2 nodes over 10 s.
-        assert!((metrics.cpu_percent_per_node - 0.01).abs() < 1e-9);
+        // Total bytes: 10*(100+54) sent + same received = 3080 over 2 nodes
+        // over 10 s => 154 B/s per node.
+        assert!((metrics.kbytes_per_sec_per_node - 154.0 / 1024.0).abs() < 1e-6);
     }
 
     #[test]

@@ -15,7 +15,7 @@ pub fn render_figure(figure: &Figure, results: &[CellResult]) -> String {
     let mut out = String::new();
     out.push_str(&format!("== {} ==\n", figure.caption));
     out.push_str(&format!(
-        "{:<28} {:>10} {:>10} {:>11} {:>11} {:>10} {:>10} {:>9} {:>9} {:>9} {:>9}\n",
+        "{:<28} {:>10} {:>10} {:>11} {:>11} {:>10} {:>10} {:>9} {:>9}\n",
         "cell",
         "Tr paper",
         "Tr meas",
@@ -23,8 +23,6 @@ pub fn render_figure(figure: &Figure, results: &[CellResult]) -> String {
         "mist/h meas",
         "Pl paper",
         "Pl meas",
-        "cpu pap",
-        "cpu meas",
         "KB/s pap",
         "KB/s meas",
     ));
@@ -37,7 +35,7 @@ pub fn render_figure(figure: &Figure, results: &[CellResult]) -> String {
             None
         };
         out.push_str(&format!(
-            "{:<28} {:>10} {:>10} {:>11} {:>11.2} {:>10} {:>10.5} {:>9} {:>9.3} {:>9} {:>9.2}\n",
+            "{:<28} {:>10} {:>10} {:>11} {:>11.2} {:>10} {:>10.5} {:>9} {:>9.2}\n",
             result.cell.label,
             fmt_opt(paper.recovery_secs, 2),
             fmt_opt(tr_measured, 2),
@@ -45,8 +43,6 @@ pub fn render_figure(figure: &Figure, results: &[CellResult]) -> String {
             m.mistakes_per_hour,
             fmt_opt(paper.availability, 5),
             m.leader_availability,
-            fmt_opt(paper.cpu_percent, 3),
-            m.cpu_percent_per_node,
             fmt_opt(paper.kbytes_per_sec, 2),
             m.kbytes_per_sec_per_node,
         ));
@@ -59,9 +55,9 @@ pub fn render_figure_markdown(figure: &Figure, results: &[CellResult]) -> String
     let mut out = String::new();
     out.push_str(&format!("### {}\n\n", figure.caption));
     out.push_str(
-        "| cell | Tr paper (s) | Tr measured (s) | λu paper (/h) | λu measured (/h) | P_leader paper | P_leader measured | CPU paper (%) | CPU measured (%) | KB/s paper | KB/s measured | leader crashes |\n",
+        "| cell | Tr paper (s) | Tr measured (s) | λu paper (/h) | λu measured (/h) | P_leader paper | P_leader measured | KB/s paper | KB/s measured | leader crashes |\n",
     );
-    out.push_str("|---|---|---|---|---|---|---|---|---|---|---|---|\n");
+    out.push_str("|---|---|---|---|---|---|---|---|---|---|\n");
     for result in results {
         let paper = result.cell.paper;
         let m = &result.measured;
@@ -71,7 +67,7 @@ pub fn render_figure_markdown(figure: &Figure, results: &[CellResult]) -> String
             "-".to_string()
         };
         out.push_str(&format!(
-            "| {} | {} | {} | {} | {:.2} | {} | {:.5} | {} | {:.3} | {} | {:.2} | {} |\n",
+            "| {} | {} | {} | {} | {:.2} | {} | {:.5} | {} | {:.2} | {} |\n",
             result.cell.label,
             fmt_opt(paper.recovery_secs, 2),
             tr_measured,
@@ -79,8 +75,6 @@ pub fn render_figure_markdown(figure: &Figure, results: &[CellResult]) -> String
             m.mistakes_per_hour,
             fmt_opt(paper.availability, 5),
             m.leader_availability,
-            fmt_opt(paper.cpu_percent, 3),
-            m.cpu_percent_per_node,
             fmt_opt(paper.kbytes_per_sec, 2),
             m.kbytes_per_sec_per_node,
             m.leader_crashes,
@@ -104,7 +98,6 @@ mod tests {
             recovery: Summary::of(&[0.8, 0.9]),
             mistakes_per_hour: 5.5,
             leader_availability: 0.9981,
-            cpu_percent_per_node: 0.12,
             kbytes_per_sec_per_node: 33.0,
             leader_crashes: 2,
             unjustified_demotions: 1,

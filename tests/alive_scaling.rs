@@ -9,8 +9,8 @@
 use std::collections::BTreeMap;
 
 use sle_core::{
-    GroupId, JoinConfig, ProcessId, ServiceConfig, ServiceContext, ServiceEvent, ServiceMessage,
-    ServiceNode,
+    GroupId, JoinConfig, NodeCount, ProcessId, ServiceConfig, ServiceContext, ServiceEvent,
+    ServiceMessage, ServiceNode,
 };
 use sle_election::ElectorKind;
 use sle_sim::observer::{NullObserver, Observer};
@@ -147,8 +147,8 @@ fn alive_traffic_is_linear_under_omega_l_and_quadratic_under_omega_lc() {
                 let nodes = (0..n as u32).map(|i| &world.actor(NodeId(i)).unwrap().node);
                 nodes.fold((0, 0), |(p, d), node| {
                     (
-                        p + node.alive_payloads_sent(),
-                        d + node.alive_datagrams_sent(),
+                        p + node.count(NodeCount::AlivePayloadsSent),
+                        d + node.count(NodeCount::AliveDatagramsSent),
                     )
                 })
             };
@@ -250,7 +250,8 @@ fn a_fan_out_beyond_the_size_budget_is_split() {
     assert!(chunks.iter().all(|s| s.1.len() <= 26));
     assert!(chunks[..chunks.len() - 1].iter().all(|s| s.1.len() >= 19));
     let node = &tap.node;
-    assert!(node.alive_datagrams_sent() * 19 <= node.alive_payloads_sent());
+    let payloads = node.count(NodeCount::AlivePayloadsSent);
+    assert!(node.count(NodeCount::AliveDatagramsSent) * 19 <= payloads);
 }
 
 /// Every `LeaderChanged` raised, as `(when, node, group, leader)`.
@@ -285,7 +286,7 @@ fn fd_timers_scale_with_monitored_peers_not_groups() {
         let follower = NodeId(1 - leader.0);
         let counts = |world: &World<Tap, PerfectMedium>| {
             let tap = world.actor(follower).unwrap();
-            (tap.node.fd_counters().fires.get(), tap.timers)
+            (tap.node.count(NodeCount::FdFires), tap.timers)
         };
         let before = counts(&world);
         world.run_for(SimDuration::from_secs(10), &mut log);
@@ -359,7 +360,7 @@ fn quiet_hello_ticks_visit_no_group() {
         world.run_for(SimDuration::from_secs(20), &mut NullObserver);
         let walks = |world: &World<Tap, PerfectMedium>| -> Vec<u64> {
             let taps = (0..3).map(|i| world.actor(NodeId(i)).unwrap());
-            taps.map(|tap| tap.node.hello_counters().member_walks.get())
+            taps.map(|tap| tap.node.count(NodeCount::HelloMemberWalks))
                 .collect()
         };
         let settled = walks(&world);

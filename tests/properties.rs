@@ -256,7 +256,7 @@ fn tuner_recommendations_respect_the_qos_bound() {
 /// heartbeats plus HELLO gossip — there is no hidden third traffic source.
 #[test]
 fn omega_l_withdrawal_silences_every_defeated_candidate() {
-    use sle_core::{GroupId, JoinConfig, ServiceConfig, ServiceNode};
+    use sle_core::{GroupId, JoinConfig, NodeCount, ServiceConfig, ServiceNode};
     use sle_election::ElectorKind;
     use sle_sim::observer::CountingObserver;
     use sle_sim::prelude::{PerfectMedium, World};
@@ -300,7 +300,12 @@ fn omega_l_withdrawal_silences_every_defeated_candidate() {
 
         let alives_at = |world: &World<ServiceNode, PerfectMedium>| -> Vec<u64> {
             (0..NODES as u32)
-                .map(|i| world.actor(NodeId(i)).unwrap().alive_payloads_sent())
+                .map(|i| {
+                    world
+                        .actor(NodeId(i))
+                        .unwrap()
+                        .count(NodeCount::AlivePayloadsSent)
+                })
                 .collect()
         };
         let before = alives_at(&world);
@@ -356,7 +361,7 @@ mod hello_gossip {
     use std::sync::Arc;
 
     use sle_core::{
-        GroupAnnouncement, GroupId, HelloList, JoinConfig, ProcessId, ServiceConfig,
+        GroupAnnouncement, GroupId, HelloList, JoinConfig, NodeCount, ProcessId, ServiceConfig,
         ServiceContext, ServiceMessage, ServiceNode,
     };
     use sle_election::ElectorKind;
@@ -552,9 +557,9 @@ mod hello_gossip {
                 }
             }
             for i in (0..n).filter(|&i| up[i]) {
-                let counters = world.actor(NodeId(i as u32)).unwrap().hello_counters();
-                pulls += counters.pulls_sent.get();
-                stale += counters.stale_ignored.get();
+                let node = world.actor(NodeId(i as u32)).unwrap();
+                pulls += node.count(NodeCount::HelloPullsSent);
+                stale += node.count(NodeCount::HelloStaleIgnored);
             }
         }
         assert!(pulls > 0, "the churn never exercised the pull path");
@@ -673,7 +678,7 @@ mod hello_gossip {
             assert_eq!(deliver(&mut node, PEER, msg, 50), vec![]);
             assert_eq!(node.remote_members_of(GROUP), after);
         }
-        assert_eq!(node.hello_counters().stale_ignored.get(), count);
+        assert_eq!(node.count(NodeCount::HelloStaleIgnored), count);
 
         // A digest from a workstation outside the configured peer set: one
         // pull back to it, no membership change.
@@ -683,7 +688,7 @@ mod hello_gossip {
         assert!(answers[0].0 == stranger && is_bare_pull(&answers[0].1));
         assert_eq!(node.remote_members_of(GROUP), after);
         assert_eq!(
-            node.hello_counters().pulls_sent.get(),
+            node.count(NodeCount::HelloPullsSent),
             2,
             "two pulls sent in all"
         );
@@ -775,7 +780,7 @@ mod hello_gossip {
         }
         // The list is built once per version, whoever pulls it, however often.
         assert!(lists.iter().all(|list| Arc::ptr_eq(list, &lists[0])));
-        assert_eq!(node.hello_counters().full_sent.get(), 100);
+        assert_eq!(node.count(NodeCount::HelloFullSent), 100);
     }
 
     #[test]
@@ -821,7 +826,7 @@ mod alive_fast_path {
     use std::sync::Arc;
 
     use sle_core::{
-        AliveHeader, GroupAlive, GroupAnnouncement, GroupId, HelloList, JoinConfig,
+        AliveHeader, GroupAlive, GroupAnnouncement, GroupId, HelloList, JoinConfig, NodeCount,
         NodeInstruments, ProcessId, ServiceConfig, ServiceContext, ServiceEvent, ServiceMessage,
         ServiceNode,
     };
@@ -953,8 +958,11 @@ mod alive_fast_path {
 
         /// `(unchanged, applied)` ALIVE datagrams so far.
         fn paths(&self) -> (u64, u64) {
-            let alive = self.node.alive_counters();
-            (alive.unchanged.get(), alive.applied.get())
+            let node = &self.node;
+            (
+                node.count(NodeCount::AliveUnchanged),
+                node.count(NodeCount::AliveApplied),
+            )
         }
 
         pub(super) fn join(&self, group: GroupId) -> JoinConfig {
@@ -1544,10 +1552,10 @@ mod alive_fast_path {
             rig.deliver(NodeId(2), hello);
             rig.run_to(START + SimDuration::from_secs(3));
             let before = last_payload_sent(&rig, group).expect("ME competes and sends");
-            let rebuilds = rig.node.alive_counters().plan_rebuilds.get();
+            let rebuilds = rig.node.count(NodeCount::AlivePlanRebuilds);
             rig.run_to(START + SimDuration::from_secs(4));
             assert_eq!(
-                rig.node.alive_counters().plan_rebuilds.get(),
+                rig.node.count(NodeCount::AlivePlanRebuilds),
                 rebuilds,
                 "steady: reused"
             );
@@ -1563,7 +1571,7 @@ mod alive_fast_path {
                 after.accusation_time > before.accusation_time,
                 "{algorithm:?}"
             );
-            assert_eq!(rig.node.alive_counters().plan_rebuilds.get(), rebuilds + 1);
+            assert_eq!(rig.node.count(NodeCount::AlivePlanRebuilds), rebuilds + 1);
         }
     }
 
@@ -1681,7 +1689,9 @@ mod membership_expiry {
     use std::collections::{BTreeMap, BTreeSet};
     use std::sync::Arc;
 
-    use sle_core::{GroupAnnouncement, GroupId, HelloList, JoinConfig, ProcessId, ServiceMessage};
+    use sle_core::{
+        GroupAnnouncement, GroupId, HelloList, JoinConfig, NodeCount, ProcessId, ServiceMessage,
+    };
     use sle_election::ElectorKind;
     use sle_fd::QosSpec;
     use sle_sim::prelude::*;
@@ -2423,7 +2433,7 @@ mod membership_expiry {
         }
         seen.kept_trusted += scene.model.kept_trusted;
         seen.unvouched += scene.model.unvouched;
-        seen.walks += scene.rig.node.hello_counters().member_walks.get();
+        seen.walks += scene.rig.node.count(NodeCount::HelloMemberWalks);
         seen
     }
 

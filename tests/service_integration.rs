@@ -3,8 +3,8 @@
 //! exercised under the workloads of the paper.
 
 use sle_core::{
-    GroupAnnouncement, GroupId, HelloList, JoinConfig, ProcessId, ServiceConfig, ServiceContext,
-    ServiceMessage, ServiceNode,
+    GroupAnnouncement, GroupId, HelloList, JoinConfig, NodeCount, ProcessId, ServiceConfig,
+    ServiceContext, ServiceMessage, ServiceNode,
 };
 use sle_election::ElectorKind;
 use sle_fd::QosSpec;
@@ -269,7 +269,7 @@ fn duplicated_stale_accusation_causes_no_extra_mistake() {
     let stale = world
         .actor(old_leader.node)
         .expect("accused node alive")
-        .stale_accusations_ignored();
+        .count(NodeCount::StaleAccusationsIgnored);
     assert_eq!(stale, 1, "the duplicated stale ACCUSE was not dropped");
 
     // The honoured copy demoted the leader once; the duplicate must not
@@ -350,7 +350,7 @@ fn delayed_hello_does_not_resurrect_a_departed_process() {
         vec![0],
         "a stale HELLO resurrected the process that left"
     );
-    assert_eq!(node.hello_counters().stale_ignored.get(), 1);
+    assert_eq!(node.count(NodeCount::HelloStaleIgnored), 1);
 }
 
 #[test]
