@@ -6,7 +6,7 @@ use sle_fd::Transition;
 use sle_sim::actor::NodeId;
 use sle_sim::time::{SimDuration, SimInstant};
 
-use super::{ServiceContext, ServiceNode, ALIVE_TIMER};
+use super::{next_tick, ServiceContext, ServiceNode, ALIVE_TIMER};
 use crate::group::GroupState;
 use crate::messages::{AliveHeader, GroupAlive, ServiceMessage};
 use crate::obs::NodeCount;
@@ -183,15 +183,13 @@ impl ServiceNode {
         self.counts[NodeCount::AliveDatagramsSent].add(datagrams);
         // Advance the due grids — always, so a node that re-enters the
         // competition resumes sending within one interval — snapped to the
-        // node-wide grid of the interval (multiples of it since the node
-        // started), so groups joined at staggered times converge onto a
-        // shared phase after their first send and keep sharing datagrams.
-        // The gap between consecutive sends never exceeds one interval, so
-        // receivers' freshness horizons are unaffected.
+        // node-wide grid of the interval, so groups joined at staggered
+        // times converge onto a shared phase after their first send and
+        // keep sharing datagrams. The gap between consecutive sends never
+        // exceeds one interval, so receivers' freshness horizons are
+        // unaffected.
         for grid in grids.iter_mut().filter(|grid| grid.due <= now) {
-            // Never 0: `GroupState::send_interval` is floored.
-            let step = grid.interval.as_nanos();
-            grid.due = SimInstant::from_nanos((now.as_nanos() / step + 1) * step);
+            grid.due = next_tick(now, grid.interval);
             for &gslot in &grid.groups {
                 self.groups.due[gslot as usize] = grid.due;
             }

@@ -5,7 +5,7 @@ use sle_election::LeaderElector;
 use sle_sim::actor::NodeId;
 use sle_sim::time::{SimDuration, SimInstant};
 
-use super::{PeerEntry, ServiceContext, ServiceNode, HELLO_TIMER};
+use super::{next_tick, PeerEntry, ServiceContext, ServiceNode, HELLO_TIMER};
 use crate::group::{GroupState, MemberEntry};
 use crate::messages::{GroupAnnouncement, HelloList, ServiceMessage};
 use crate::obs::NodeCount;
@@ -400,7 +400,14 @@ impl ServiceNode {
             self.check_leader(group, ctx);
         }
         self.send_hello(self.config.remote_peers(), false, HelloList::Omitted, ctx);
-        ctx.set_timer_after(HELLO_TIMER, self.config.hello_interval);
+        self.arm_hello_timer(ctx);
+    }
+
+    /// Arms the HELLO tick at the next instant of the node-wide HELLO grid,
+    /// on start and on every tick: a late fire does not shift the phase.
+    pub(super) fn arm_hello_timer(&self, ctx: &mut ServiceContext) {
+        let at = next_tick(ctx.now(), self.config.hello_interval);
+        ctx.set_timer_at(HELLO_TIMER, at);
     }
 
     /// What a quiet HELLO tick relies on for `peer` (peer slot `pslot`): its

@@ -20,7 +20,7 @@ mod gossip;
 mod lease;
 
 use sle_election::{ElectorKind, LeaderElector};
-use sle_fd::{LivenessHandle, MonitorArena};
+use sle_fd::{LivenessHandle, MonitorArena, MIN_INTERVAL};
 use sle_sim::actor::{Actor, Context, NodeId, TimerTag};
 use sle_sim::dense::SlotIndex;
 use sle_sim::time::{SimDuration, SimInstant};
@@ -51,6 +51,18 @@ const HELLO_TIMER: TimerTag = TimerTag(HELLO_KIND << 32);
 /// all groups and fans out for every group that is due, however many groups
 /// the node participates in.
 const ALIVE_TIMER: TimerTag = TimerTag(ALIVE_KIND << 32);
+
+/// The node-wide grid both periodic ticks keep to: the first multiple of
+/// `step` strictly after `now`, counted from the clock's origin (time zero
+/// in the simulator, the cluster's start on the wall clock). A tick that
+/// fires late still lands back on the grid, so co-hosted nodes sharing a
+/// step fire together and their sends share datagrams. The step is floored
+/// at [`MIN_INTERVAL`]: a step of 0 would re-arm a tick at the instant it
+/// fires.
+fn next_tick(now: SimInstant, step: SimDuration) -> SimInstant {
+    let step = step.max(MIN_INTERVAL).as_nanos();
+    SimInstant::from_nanos((now.as_nanos() / step + 1) * step)
+}
 
 /// Dense per-group storage: group ids are interned into `u32` slots on
 /// first join, a [`SlotIndex`] maps ids to slots, and the states live in a
@@ -563,7 +575,7 @@ impl Actor for ServiceNode {
             let _ = self.join_group(process, auto.group, auto.config, ctx);
         }
         self.send_hello(self.config.remote_peers(), false, HelloList::Omitted, ctx);
-        ctx.set_timer_after(HELLO_TIMER, self.config.hello_interval);
+        self.arm_hello_timer(ctx);
     }
 
     fn on_message(&mut self, from: NodeId, msg: ServiceMessage, ctx: &mut ServiceContext) {

@@ -837,54 +837,121 @@ fn a_restart_resets_the_link_estimate_of_a_peer_no_group_lists() {
     assert_eq!(recorded(&node), 0, "the old life's estimate survived");
 }
 
+/// Node 0's callback context at `now`.
+fn at(now: SimInstant) -> ServiceContext {
+    ServiceContext::new(now, NodeId(0), 0)
+}
+
+/// One node driven by hand: the timers its callbacks arm are kept and fired
+/// earliest first within a step budget, so a tick that re-arms at the
+/// instant it fires fails a test instead of hanging it.
+struct TimerDrive {
+    node: ServiceNode,
+    timers: BTreeMap<TimerTag, SimInstant>,
+}
+
+impl TimerDrive {
+    /// Starts `config`'s node at time zero.
+    fn start(config: ServiceConfig) -> Self {
+        let mut drive = TimerDrive {
+            node: ServiceNode::new(config),
+            timers: BTreeMap::new(),
+        };
+        let mut ctx = at(SimInstant::ZERO);
+        drive.node.on_start(&mut ctx);
+        drive.settle(ctx);
+        drive
+    }
+
+    /// Keeps one callback's timers; returns its sends.
+    fn settle(&mut self, ctx: ServiceContext) -> Vec<(NodeId, ServiceMessage)> {
+        let mut sends = Vec::new();
+        for effect in ctx.into_effects() {
+            match effect {
+                sle_sim::Effect::SetTimer { tag, at } => drop(self.timers.insert(tag, at)),
+                sle_sim::Effect::CancelTimer { tag } => drop(self.timers.remove(&tag)),
+                sle_sim::Effect::Send { to, msg } => sends.push((to, msg)),
+                sle_sim::Effect::Emit(_) => {}
+            }
+        }
+        sends
+    }
+
+    /// Fires timers up to `end`, within a budget of 10 000 steps: what they
+    /// sent, or `None` if the budget ran out first.
+    fn run_to(&mut self, end: SimInstant) -> Option<Vec<(NodeId, ServiceMessage)>> {
+        let mut sends = Vec::new();
+        for _ in 0..10_000 {
+            let next = self.timers.iter().min_by_key(|&(&tag, &at)| (at, tag));
+            let Some((&tag, &when)) = next.filter(|&(_, &when)| when <= end) else {
+                return Some(sends);
+            };
+            self.timers.remove(&tag);
+            let mut ctx = at(when);
+            self.node.on_timer(tag, &mut ctx);
+            sends.extend(self.settle(ctx));
+        }
+        None
+    }
+}
+
+#[test]
+fn the_hello_tick_keeps_to_the_node_wide_grid() {
+    let config = ServiceConfig::full_mesh(NodeId(0), 2, ElectorKind::OmegaLc)
+        .with_hello_interval(SimDuration::from_secs(1));
+    let mut node = ServiceNode::new(config);
+    let hello_armed = |ctx: ServiceContext| {
+        ctx.into_effects()
+            .into_iter()
+            .find_map(|effect| match effect {
+                sle_sim::Effect::SetTimer { tag, at } if tag == HELLO_TIMER => Some(at),
+                _ => None,
+            })
+    };
+    let secs = SimInstant::from_secs_f64;
+    // A node started (or restarted) off the grid snaps onto it ...
+    let mut ctx = at(secs(1.3));
+    node.on_start(&mut ctx);
+    assert_eq!(hello_armed(ctx), Some(secs(2.0)));
+    // ... a late fire does not carry its lateness into the next tick ...
+    let mut ctx = at(secs(2.004));
+    node.on_timer(HELLO_TIMER, &mut ctx);
+    assert_eq!(hello_armed(ctx), Some(secs(3.0)));
+    // ... and one on time re-arms a whole interval on.
+    let mut ctx = at(secs(3.0));
+    node.on_timer(HELLO_TIMER, &mut ctx);
+    assert_eq!(hello_armed(ctx), Some(secs(4.0)));
+}
+
+#[test]
+fn a_zero_hello_interval_ticks_at_the_floor() {
+    // A HELLO interval of 0 re-armed the tick at the instant it fired;
+    // the step budget turns that into a failure, not a hang.
+    let config = ServiceConfig::full_mesh(NodeId(0), 2, ElectorKind::OmegaLc)
+        .with_hello_interval(SimDuration::ZERO);
+    let mut drive = TimerDrive::start(config);
+    let end = SimInstant::from_secs_f64(1.0);
+    let sends = drive
+        .run_to(end)
+        .unwrap_or_else(|| panic!("the step budget ran out before {end}: the tick spins"));
+    let digests = sends
+        .iter()
+        .filter(|(to, msg)| *to == NodeId(1) && matches!(msg, ServiceMessage::Hello { .. }))
+        .count();
+    // One per 5 ms tick of the floored grid.
+    assert_eq!(digests, 200);
+}
+
 #[test]
 fn a_zero_interval_request_is_served_at_the_floor() {
     // A member asking for ALIVEs every 0 ns would re-arm the tick every
     // nanosecond; the step budget turns that into a failure, not a hang.
-    type Timers = BTreeMap<TimerTag, SimInstant>;
     let peer = NodeId(1);
-    let at = |now| ServiceContext::new(now, NodeId(0), 0);
-    // Keeps one callback's timers and counts its ALIVE datagrams to `peer`.
-    let settle = |ctx: ServiceContext, timers: &mut Timers| {
-        let mut alives = 0;
-        for effect in ctx.into_effects() {
-            match effect {
-                sle_sim::Effect::SetTimer { tag, at } => drop(timers.insert(tag, at)),
-                sle_sim::Effect::CancelTimer { tag } => drop(timers.remove(&tag)),
-                sle_sim::Effect::Send {
-                    to,
-                    msg: ServiceMessage::Alive { .. } | ServiceMessage::AliveBatch { .. },
-                } if to == peer => alives += 1,
-                _ => {}
-            }
-        }
-        alives
-    };
-    // Fires timers up to `end`, within a budget of 10 000 steps: the
-    // ALIVE datagrams sent, or `None` if the budget ran out first.
-    let run_to = |node: &mut ServiceNode, timers: &mut Timers, end| {
-        let mut sent = 0;
-        for _ in 0..10_000 {
-            let next = timers.iter().min_by_key(|&(&tag, &at)| (at, tag));
-            let Some((&tag, &when)) = next.filter(|&(_, &when)| when <= end) else {
-                return Some(sent);
-            };
-            timers.remove(&tag);
-            let mut ctx = at(when);
-            node.on_timer(tag, &mut ctx);
-            sent += settle(ctx, timers);
-        }
-        None
-    };
     let config = ServiceConfig::full_mesh(NodeId(0), 2, ElectorKind::OmegaLc)
         .with_auto_join(GROUP, JoinConfig::candidate());
-    let mut node = ServiceNode::new(config);
-    let mut timers = Timers::new();
-    let mut ctx = at(SimInstant::ZERO);
-    node.on_start(&mut ctx);
-    settle(ctx, &mut timers);
+    let mut drive = TimerDrive::start(config);
     let asked_at = SimInstant::from_nanos(10_000_000);
-    run_to(&mut node, &mut timers, asked_at);
+    drive.run_to(asked_at);
     let alive = ServiceMessage::Alive {
         group: GROUP,
         header: AliveHeader {
@@ -902,11 +969,21 @@ fn a_zero_interval_request_is_served_at_the_floor() {
         representative: ProcessId::new(peer, 0),
     };
     let mut ctx = at(asked_at);
-    node.on_message(peer, alive, &mut ctx);
-    settle(ctx, &mut timers);
+    drive.node.on_message(peer, alive, &mut ctx);
+    drive.settle(ctx);
     let end = asked_at + SimDuration::from_secs(1);
-    let sent = run_to(&mut node, &mut timers, end)
+    let sends = drive
+        .run_to(end)
         .unwrap_or_else(|| panic!("the step budget ran out before {end}: the tick spins"));
+    let alive_datagram = |msg: &ServiceMessage| {
+        matches!(
+            msg,
+            ServiceMessage::Alive { .. } | ServiceMessage::AliveBatch { .. }
+        )
+    };
+    let sent = (sends.iter())
+        .filter(|(to, msg)| *to == peer && alive_datagram(msg))
+        .count();
     // The tick already armed keeps its 250 ms rhythm once; from then on
     // the member is served every 5 ms.
     assert!(

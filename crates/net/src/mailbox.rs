@@ -146,6 +146,25 @@ impl<T> MailboxSender<T> {
         self.shared.ready.notify_one();
     }
 
+    /// Enqueues every item of `items`, in order, and wakes the waiting
+    /// worker once: one lock and one notify for the lot, so a waiter drains
+    /// them together. An empty batch takes no lock and wakes no one.
+    pub fn push_all(&self, items: impl IntoIterator<Item = T>) {
+        let mut items = items.into_iter().peekable();
+        if items.peek().is_none() {
+            return;
+        }
+        let mut state = self.shared.state.lock().expect("mailbox poisoned");
+        state.queue.extend(items);
+        drop(state);
+        self.shared.ready.notify_one();
+    }
+
+    /// Whether `self` and `other` push into the same mailbox.
+    pub fn same_mailbox(&self, other: &MailboxSender<T>) -> bool {
+        Arc::ptr_eq(&self.shared, &other.shared)
+    }
+
     /// Wakes the waiting worker without enqueuing anything — used when the
     /// payload lives in a side structure (a command queue, a crash flag, a
     /// shutdown signal) that the worker re-checks on every wake.
@@ -237,6 +256,50 @@ mod tests {
         }
         mailbox.drain(&mut got);
         assert_eq!(got.len(), 400);
+    }
+
+    #[test]
+    fn push_all_keeps_order_behind_earlier_pushes() {
+        let mailbox: Mailbox<u32> = Mailbox::new();
+        let sender = mailbox.sender();
+        sender.push(1);
+        sender.push_all([2, 3, 4]);
+        let mut buf = Vec::new();
+        assert!(mailbox.drain(&mut buf));
+        assert_eq!(buf, vec![1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn push_all_wakes_a_parked_worker_with_the_whole_batch() {
+        let mailbox: Mailbox<u32> = Mailbox::new();
+        let sender = mailbox.sender();
+        let pusher = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            sender.push_all(vec![7, 8, 9]);
+        });
+        let mut buf = Vec::new();
+        let woken = mailbox.wait_until(Some(Instant::now() + Duration::from_secs(10)), &mut buf);
+        assert!(woken);
+        // One lock for the lot: the first wait drains all of it.
+        assert_eq!(buf, vec![7, 8, 9]);
+        pusher.join().unwrap();
+    }
+
+    #[test]
+    fn an_empty_push_all_does_nothing() {
+        let mailbox: Mailbox<u32> = Mailbox::new();
+        mailbox.sender().push_all(std::iter::empty());
+        let mut buf = Vec::new();
+        assert!(!mailbox.drain(&mut buf), "an empty batch is not a wake");
+        assert!(buf.is_empty());
+    }
+
+    #[test]
+    fn senders_know_their_mailbox() {
+        let a: Mailbox<u8> = Mailbox::new();
+        let b: Mailbox<u8> = Mailbox::new();
+        assert!(a.sender().same_mailbox(&a.sender().clone()));
+        assert!(!a.sender().same_mailbox(&b.sender()));
     }
 
     #[test]

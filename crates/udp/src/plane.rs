@@ -22,15 +22,23 @@
 //! record   := dest_node u32 BE | frame_len u16 BE | frame   (sle-wire)
 //! ```
 //!
-//! Senders coalesce: records bound for the same destination socket accrue
-//! in a pending buffer until the [`COALESCE_BUDGET`] would overflow or the
-//! runtime flushes at a batch boundary
+//! Senders coalesce: each source socket keeps one pending buffer per
+//! destination socket (a plain vector indexed by socket, no address
+//! hashing), where records accrue until the [`COALESCE_BUDGET`] would
+//! overflow or the runtime flushes at a batch boundary
 //! ([`MessageEndpoint::flush_sends`]), so co-sharded senders to the same
-//! destination share datagrams. The budget mirrors the protocol's
-//! `MAX_ALIVE_BATCH_BYTES` (1200 bytes): the wire keeps the same
+//! destination share datagrams. A per-source-socket dirty flag, set
+//! whenever bytes are left pending, lets a flush of a clean socket return
+//! after one atomic swap, without taking the lock. The budget mirrors the
+//! protocol's `MAX_ALIVE_BATCH_BYTES` (1200 bytes): the wire keeps the same
 //! conservative no-fragmentation envelope the ALIVE batcher already
 //! guarantees. A single record may exceed the budget (up to
 //! [`MAX_PLANE_DATAGRAM`]); it is then sent alone.
+//!
+//! Inbound, the reader hands a datagram's records to the shard mailboxes in
+//! one [`MailboxSender::push_all`](sle_net::mailbox::MailboxSender::push_all)
+//! per mailbox — one lock and one wakeup per (datagram, shard), the records
+//! in datagram order.
 //!
 //! ## Hardening
 //!
@@ -49,7 +57,6 @@
 //! allocating per datagram after warm-up, and pool occupancy is exact in
 //! the exported metrics.
 
-use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -241,24 +248,44 @@ impl PlaneTrace {
 /// the node has no live endpoint (never created, or departed).
 type ResidentSlot<M> = Mutex<Option<PlaneDelivery<M>>>;
 
+/// A record as a shard mailbox takes it: the resident it is for, and what
+/// arrived.
+type ShardRecord<M> = (NodeId, Incoming<M>);
+
 enum PlaneDelivery<M> {
     Channel(Sender<Incoming<M>>),
     Shard(ShardDelivery<M>),
+}
+
+/// One source socket's coalesced sends.
+struct Outbox {
+    /// The records not yet on the wire, one buffer per destination socket
+    /// (indexed like `PlaneShared::sockets`). Flushed buffers are cleared in
+    /// place, so the next round encodes into the same allocation.
+    buffers: Mutex<Vec<Vec<u8>>>,
+    /// Set under the `buffers` lock whenever a send leaves bytes pending;
+    /// swapped off before a flush locks, so flushing a clean socket is one
+    /// atomic swap. The bytes themselves are published by the lock: the
+    /// sender's `Release` store pairs with the flush's `Acquire` swap only
+    /// to order "a flush that saw the flag" after the send that set it. A
+    /// sender's own flush at the end of its round always sees the flag it
+    /// set, so nothing it coalesced is stranded.
+    dirty: AtomicBool,
 }
 
 /// State shared by the plane handle, every endpoint, and (piecewise) the
 /// reader threads. Dropping the last handle shuts the readers down.
 struct PlaneShared<M> {
     sockets: Vec<UdpSocket>,
+    /// socket index → its local address: with `node_sockets`, the
+    /// address book used for destination addressing and sender validation.
+    socket_addrs: Arc<Vec<SocketAddr>>,
     /// node → index into `sockets` of the socket it lives behind.
     node_sockets: Arc<Vec<usize>>,
-    /// node → the plane address of its socket (the address book used for
-    /// sender validation and destination addressing).
-    node_addrs: Arc<Vec<SocketAddr>>,
     residents: Arc<Vec<ResidentSlot<M>>>,
-    /// Per-source-socket pending coalescing buffers, keyed by destination
-    /// socket address.
-    pending: Vec<Mutex<HashMap<SocketAddr, Vec<u8>>>>,
+    /// Per source socket, the pending coalescing buffers by destination
+    /// socket.
+    pending: Vec<Outbox>,
     stats: Arc<PlaneStats>,
     pool: BufferPool,
     stop: Arc<AtomicBool>,
@@ -382,14 +409,14 @@ impl<M: WireFormat + Send + 'static> SharedUdpPlane<M> {
         let sockets: Vec<UdpSocket> = (0..sockets.min(nodes))
             .map(|_| UdpSocket::bind("127.0.0.1:0"))
             .collect::<io::Result<_>>()?;
-        let socket_addrs: Vec<SocketAddr> = sockets
-            .iter()
-            .map(|s| s.local_addr())
-            .collect::<io::Result<_>>()?;
+        let socket_addrs: Arc<Vec<SocketAddr>> = Arc::new(
+            sockets
+                .iter()
+                .map(|s| s.local_addr())
+                .collect::<io::Result<_>>()?,
+        );
         let node_sockets: Arc<Vec<usize>> =
             Arc::new((0..nodes).map(|i| i % sockets.len()).collect());
-        let node_addrs: Arc<Vec<SocketAddr>> =
-            Arc::new(node_sockets.iter().map(|&s| socket_addrs[s]).collect());
         let residents: Arc<Vec<ResidentSlot<M>>> =
             Arc::new((0..nodes).map(|_| Mutex::new(None)).collect());
         let stats = Arc::new(PlaneStats::default());
@@ -412,7 +439,7 @@ impl<M: WireFormat + Send + 'static> SharedUdpPlane<M> {
                         let pool = pool.clone();
                         let residents = Arc::clone(&residents);
                         let node_sockets = Arc::clone(&node_sockets);
-                        let node_addrs = Arc::clone(&node_addrs);
+                        let socket_addrs = Arc::clone(&socket_addrs);
                         let trace = Arc::clone(&trace);
                         move || {
                             demux_loop(
@@ -423,7 +450,7 @@ impl<M: WireFormat + Send + 'static> SharedUdpPlane<M> {
                                 &pool,
                                 &residents,
                                 &node_sockets,
-                                &node_addrs,
+                                &socket_addrs,
                                 &trace,
                             )
                         }
@@ -431,12 +458,18 @@ impl<M: WireFormat + Send + 'static> SharedUdpPlane<M> {
             );
         }
 
-        let pending = sockets.iter().map(|_| Mutex::new(HashMap::new())).collect();
+        let pending = sockets
+            .iter()
+            .map(|_| Outbox {
+                buffers: Mutex::new(vec![Vec::new(); sockets.len()]),
+                dirty: AtomicBool::new(false),
+            })
+            .collect();
         Ok(SharedUdpPlane {
             shared: Arc::new(PlaneShared {
                 sockets,
+                socket_addrs,
                 node_sockets,
-                node_addrs,
                 residents,
                 pending,
                 stats,
@@ -506,7 +539,8 @@ impl<M: WireFormat + Send + 'static> SharedUdpPlane<M> {
     /// The plane address of `node` — the local address of the shared
     /// socket it lives behind — if `node` is in the plane.
     pub fn node_addr(&self, node: NodeId) -> Option<SocketAddr> {
-        self.shared.node_addrs.get(node.index()).copied()
+        let socket = *self.shared.node_sockets.get(node.index())?;
+        Some(self.shared.socket_addrs[socket])
     }
 
     /// A copy of the plane's datagram and record counters.
@@ -550,13 +584,9 @@ impl<M: WireFormat + Send + 'static> SharedUdpPlane<M> {
         self.shared
             .pending
             .iter()
-            .map(|buffers| {
-                buffers
-                    .lock()
-                    .expect("plane pending poisoned")
-                    .values()
-                    .map(Vec::len)
-                    .sum::<usize>()
+            .map(|outbox| {
+                let buffers = outbox.buffers.lock().expect("plane pending poisoned");
+                buffers.iter().map(Vec::len).sum::<usize>()
             })
             .sum()
     }
@@ -564,19 +594,22 @@ impl<M: WireFormat + Send + 'static> SharedUdpPlane<M> {
 
 impl<M> PlaneShared<M> {
     /// Sends and clears every pending buffer of source socket
-    /// `socket_idx`.
+    /// `socket_idx`. A clean socket costs one atomic swap and no lock.
     fn flush_socket(&self, socket_idx: usize) {
-        let mut pending = self.pending[socket_idx]
-            .lock()
-            .expect("plane pending poisoned");
+        let outbox = &self.pending[socket_idx];
+        if !outbox.dirty.swap(false, Ordering::Acquire) {
+            return;
+        }
+        let mut buffers = outbox.buffers.lock().expect("plane pending poisoned");
         let socket = &self.sockets[socket_idx];
-        // Buffers are cleared in place, not removed: the next round's
-        // records are encoded into the same allocation.
-        for (dest, buf) in pending.iter_mut().filter(|(_, buf)| !buf.is_empty()) {
+        for (dest, buf) in buffers.iter_mut().enumerate() {
+            if buf.is_empty() {
+                continue;
+            }
             // OS-level send failures are swallowed: to the protocol they
             // are the network losing a message, which it is built to
             // tolerate.
-            let _ = socket.send_to(buf, *dest);
+            let _ = socket.send_to(buf, self.socket_addrs[dest]);
             self.stats.datagrams_sent.inc();
             buf.clear();
         }
@@ -622,16 +655,16 @@ impl<M: WireFormat + Send + 'static> MessageEndpoint<M> for SharedUdpEndpoint<M>
     /// destination socket until the budget fills or the runtime flushes.
     fn send(&self, to: NodeId, msg: M) -> Result<(), TransportError> {
         let shared = &self.plane.shared;
-        let dest_addr = *shared
-            .node_addrs
+        let dest_socket = *shared
+            .node_sockets
             .get(to.index())
             .ok_or(TransportError::UnknownDestination(to))?;
+        let dest_addr = shared.socket_addrs[dest_socket];
         let socket_idx = shared.node_sockets[self.node.index()];
+        let outbox = &shared.pending[socket_idx];
         let flush_now = {
-            let mut pending = shared.pending[socket_idx]
-                .lock()
-                .expect("plane pending poisoned");
-            let buf = pending.entry(dest_addr).or_default();
+            let mut pending = outbox.buffers.lock().expect("plane pending poisoned");
+            let buf = &mut pending[dest_socket];
             // The record is encoded straight into the pending buffer: its
             // header first, the frame length patched in once known.
             let accrued = buf.len();
@@ -660,10 +693,10 @@ impl<M: WireFormat + Send + 'static> MessageEndpoint<M> for SharedUdpEndpoint<M>
             }
             shared.stats.records_sent.inc();
             if !self.coalesce.load(Ordering::Relaxed) || buf.len() >= COALESCE_BUDGET {
-                // Taking (rather than removing) the buffer keeps its
-                // allocation in the map for the next send to this socket.
+                // Sent below, outside the lock.
                 Some(std::mem::take(buf))
             } else {
+                outbox.dirty.store(true, Ordering::Release);
                 None
             }
         };
@@ -731,7 +764,7 @@ fn demux_loop<M: WireFormat>(
     pool: &BufferPool,
     residents: &[ResidentSlot<M>],
     node_sockets: &[usize],
-    node_addrs: &[SocketAddr],
+    socket_addrs: &[SocketAddr],
     trace: &Mutex<Option<PlaneTrace>>,
 ) {
     let trace_dropped = |node: NodeId, reason: DropReason| {
@@ -746,6 +779,9 @@ fn demux_loop<M: WireFormat>(
         .position(|&s| s == socket_idx)
         .map(|i| NodeId(i as u32))
         .expect("every plane socket hosts at least one node");
+    // One datagram's records for shard mailboxes, grouped by mailbox in
+    // record order: handed over after the walk, one push per mailbox.
+    let mut handoff: Vec<(ShardDelivery<M>, Vec<ShardRecord<M>>)> = Vec::new();
     while !stop.load(Ordering::Relaxed) {
         // Checked out per datagram and restored on scope exit: the pool's
         // occupancy gauge is an exact count of in-flight receives.
@@ -818,7 +854,8 @@ fn demux_loop<M: WireFormat>(
             // must come from the sender's own shared socket. Co-socketed
             // residents are indistinguishable here — see the module docs
             // for this trust boundary.
-            if node_addrs.get(from.index()) != Some(&src) {
+            let from_addr = node_sockets.get(from.index()).map(|&s| socket_addrs[s]);
+            if from_addr != Some(src) {
                 stats.dropped_misaddressed.inc();
                 trace_dropped(dest, DropReason::Misaddressed);
                 continue;
@@ -846,14 +883,22 @@ fn demux_loop<M: WireFormat>(
                     }
                 }
                 Some(PlaneDelivery::Shard(sink)) => {
-                    sink.push((dest, incoming));
-                    stats.delivered.inc();
+                    let record = (dest, incoming);
+                    match handoff.iter_mut().find(|(to, _)| to.same_mailbox(sink)) {
+                        Some((_, records)) => records.push(record),
+                        None => handoff.push((sink.clone(), vec![record])),
+                    }
                 }
                 None => {
                     stats.dropped_misrouted.inc();
                     trace_dropped(dest, DropReason::Misrouted);
                 }
             }
+        }
+        for (sink, records) in handoff.drain(..) {
+            let delivered = records.len() as u64;
+            sink.push_all(records);
+            stats.delivered.add(delivered);
         }
     }
 }
@@ -948,6 +993,62 @@ mod tests {
         assert_eq!(
             got,
             vec![(NodeId(1), NodeId(0), 10), (NodeId(1), NodeId(2), 20)]
+        );
+    }
+
+    #[test]
+    fn a_flush_of_a_clean_socket_sends_nothing() {
+        use sle_net::mailbox::Mailbox;
+
+        let plane = SharedUdpPlane::<u64>::bind_loopback(2, 2).unwrap();
+        let endpoints = plane.endpoints();
+        let mailbox: Mailbox<(NodeId, Incoming<u64>)> = Mailbox::new();
+        assert!(endpoints[0].set_delivery_sink(mailbox.sender()));
+        endpoints[0].flush_sends();
+        assert_eq!(plane.stats().datagrams_sent, 0, "nothing was pending");
+        endpoints[0].send(NodeId(1), 5).unwrap();
+        endpoints[0].flush_sends();
+        assert_eq!(plane.stats().datagrams_sent, 1);
+        // Flushed means clean again: a second flush sends nothing.
+        endpoints[0].flush_sends();
+        assert_eq!(plane.stats().datagrams_sent, 1);
+        assert_eq!(plane.pending_backlog(), 0);
+    }
+
+    #[test]
+    fn one_datagram_reaches_a_shard_mailbox_in_one_push() {
+        use sle_net::mailbox::Mailbox;
+        use std::time::Instant;
+
+        // Nodes 1 and 3 share socket 1 and one shard mailbox; node 0 sends
+        // them three records that coalesce into one datagram.
+        let plane = SharedUdpPlane::<u64>::bind_loopback(4, 2).unwrap();
+        let endpoints = plane.endpoints();
+        let shard: Mailbox<(NodeId, Incoming<u64>)> = Mailbox::new();
+        assert!(endpoints[1].set_delivery_sink(shard.sender()));
+        assert!(endpoints[3].set_delivery_sink(shard.sender()));
+        let sender_box: Mailbox<(NodeId, Incoming<u64>)> = Mailbox::new();
+        assert!(endpoints[0].set_delivery_sink(sender_box.sender()));
+        endpoints[0].send(NodeId(1), 10).unwrap();
+        endpoints[0].send(NodeId(3), 30).unwrap();
+        endpoints[0].send(NodeId(1), 11).unwrap();
+        endpoints[0].flush_sends();
+        assert_eq!(plane.stats().datagrams_sent, 1);
+
+        let mut buf = Vec::new();
+        assert!(shard.wait_until(Some(Instant::now() + Duration::from_secs(5)), &mut buf));
+        let got: Vec<_> = buf
+            .into_iter()
+            .map(|(node, incoming)| (node, incoming.from, incoming.msg))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                (NodeId(1), NodeId(0), 10),
+                (NodeId(3), NodeId(0), 30),
+                (NodeId(1), NodeId(0), 11),
+            ],
+            "one wait drains the whole datagram, in record order"
         );
     }
 

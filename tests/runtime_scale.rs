@@ -5,8 +5,11 @@
 //!
 //! Big enough that a thread-per-node runtime, a reader-per-node transport
 //! or a timer-scanning hot loop would blow the bounds, small enough for
-//! every `cargo test` run. The steady-state costs of the same path (CPU per
-//! node, wakeups, datagrams) are `benchmark/`'s `rt-udp-steady` workload.
+//! every `cargo test` run. A quiet second after the election bounds the
+//! shard wakeups (and, on the plane, the records per datagram) that the
+//! node-wide tick grids buy; the steady-state costs of the same path (CPU
+//! per node, wakeups, datagrams) are `benchmark/`'s `rt-udp-steady`
+//! workload.
 //!
 //! This file holds exactly one `#[test]`, so nothing else in the process
 //! spawns threads while a cell counts its own.
@@ -37,12 +40,21 @@ fn os_threads() -> Option<usize> {
     line.trim().parse().ok()
 }
 
-/// One deployment over the transport `make_endpoints` builds, which may
-/// spawn `reader_threads` threads of its own.
+/// Records per datagram on the UDP plane in a quiet second after the
+/// election. On a 2-vCPU host the cell reads 25.6 in every release run and
+/// 24.7–24.9 in debug ones with the HELLO tick on the node-wide grid,
+/// 18.1–20.7 with a relative re-arm.
+const QUIET_RECORDS_PER_DATAGRAM: f64 = 22.5;
+
+/// One deployment over the transport `make_endpoints` builds (with the
+/// plane behind it, if any), which may spawn `reader_threads` threads of
+/// its own. In a quiet second after the election its shard workers must
+/// wake fewer than `quiet_wakeups_per_s` times a second, pool-wide.
 fn elect_everywhere<E>(
     transport: &str,
     reader_threads: usize,
-    make_endpoints: impl FnOnce() -> Vec<E>,
+    quiet_wakeups_per_s: f64,
+    make_endpoints: impl FnOnce() -> (Vec<E>, Option<SharedUdpPlane<ServiceMessage>>),
 ) where
     E: MessageEndpoint<ServiceMessage> + Send + 'static,
 {
@@ -73,7 +85,7 @@ fn elect_everywhere<E>(
         .collect();
 
     let threads_before = os_threads();
-    let endpoints = make_endpoints();
+    let (endpoints, plane) = make_endpoints();
     let started = Instant::now();
     let options = ClusterConfig::new(ElectorKind::OmegaL).with_workers(WORKERS);
     let cluster = Cluster::start_with_service_configs(endpoints, configs, &options);
@@ -120,22 +132,52 @@ fn elect_everywhere<E>(
         idle_per_sec < 100.0,
         "{transport}: shard workers idle-woke {idle_per_sec:.0}/s ({stats:?})"
     );
+
+    // A quiet second, once the joins' gossip has settled. Every node ticks
+    // on the node-wide HELLO and ALIVE grids, so a shard wakes about once
+    // per grid instant for all its residents, and on the UDP plane the
+    // records of one instant fill shared datagrams.
+    std::thread::sleep(Duration::from_secs(2));
+    let wakeups = cluster.runtime_stats().wakeups;
+    let plane_before = plane.as_ref().map(SharedUdpPlane::stats);
+    let quiet_from = Instant::now();
+    std::thread::sleep(Duration::from_secs(1));
+    let quiet_s = quiet_from.elapsed().as_secs_f64();
+    let wakeups_per_s = (cluster.runtime_stats().wakeups - wakeups) as f64 / quiet_s;
+    assert!(
+        wakeups_per_s < quiet_wakeups_per_s,
+        "{transport}: {wakeups_per_s:.0} shard wakeups/s in a quiet second (bound {quiet_wakeups_per_s})"
+    );
+    if let (Some(plane), Some(before)) = (&plane, plane_before) {
+        let after = plane.stats();
+        let records = after.records_sent - before.records_sent;
+        let datagrams = after.datagrams_sent - before.datagrams_sent;
+        let per_datagram = records as f64 / datagrams.max(1) as f64;
+        assert!(
+            per_datagram > QUIET_RECORDS_PER_DATAGRAM,
+            "{transport}: {per_datagram:.1} records per datagram in a quiet second (bound {QUIET_RECORDS_PER_DATAGRAM})"
+        );
+    }
     cluster.shutdown();
 }
 
 #[test]
 fn two_hundred_nodes_elect_within_the_qos_bound_on_four_workers() {
-    elect_everywhere("mesh", 0, || {
+    // Quiet-second shard wakeups on a 2-vCPU host: 78–599/s with the HELLO
+    // tick on the node-wide grid, 1 179–2 992/s with a relative re-arm.
+    elect_everywhere("mesh", 0, 900.0, || {
         let mut mesh: InMemoryMesh<ServiceMessage> =
             InMemoryMesh::with_links(NODES, LinkSpec::perfect(), 11);
-        (0..NODES)
+        let endpoints = (0..NODES)
             .map(|i| mesh.endpoint(NodeId(i as u32)).expect("endpoint"))
-            .collect()
+            .collect();
+        (endpoints, None)
     });
-    // One reader thread per shared socket, not per node.
-    elect_everywhere("udp-shared", SOCKETS, || {
-        SharedUdpPlane::<ServiceMessage>::bind_loopback(NODES, SOCKETS)
-            .expect("bind loopback UDP plane")
-            .endpoints()
+    // One reader thread per shared socket, not per node. Quiet-second shard
+    // wakeups on the same host: 124–144/s on the grid, 250–751/s without.
+    elect_everywhere("udp-shared", SOCKETS, 200.0, || {
+        let plane = SharedUdpPlane::<ServiceMessage>::bind_loopback(NODES, SOCKETS)
+            .expect("bind loopback UDP plane");
+        (plane.endpoints(), Some(plane))
     });
 }
