@@ -20,7 +20,7 @@
 
 use std::time::Instant;
 
-use sle_chaos::{run_sweep, SweepConfig};
+use sle_chaos::{run_sweep, Scenario, SweepConfig};
 use sle_election::ElectorKind;
 use sle_fd::QosSpec;
 use sle_net::link::LinkSpec;
@@ -102,10 +102,10 @@ fn main() {
         config.seed_base = base;
     }
     if let Some(nodes) = args.nodes {
-        config = config.with_nodes(nodes);
+        config.scenario.nodes = nodes;
     }
     if let Some(secs) = args.duration_secs {
-        config.duration = SimDuration::from_secs(secs);
+        config.scenario.duration = SimDuration::from_secs(secs);
     }
     if args.no_shrink {
         config.shrink_failures = false;
@@ -115,20 +115,18 @@ fn main() {
         // a 25 ms-mean lossy link leaves the timeout shift under the delay
         // tail, so false suspicions demote the (alive) leader. The sweep
         // MUST flag this — it is the proof that the checker has teeth.
-        config = config
-            .with_qos(
-                QosSpec::new(
-                    SimDuration::from_millis(40),
-                    SimDuration::from_secs(3600),
-                    0.999,
-                )
-                .expect("valid weakened QoS"),
-            )
-            .with_link(LinkSpec::from_paper_tuple(25.0, 0.1))
-            .with_seeds(args.seeds.unwrap_or(1))
-            .with_nodes(args.nodes.unwrap_or(3));
+        let weakened = QosSpec::new(
+            SimDuration::from_millis(40),
+            SimDuration::from_secs(3600),
+            0.999,
+        )
+        .expect("valid weakened QoS");
+        config = config.with_seeds(args.seeds.unwrap_or(1));
         config.algorithms = vec![ElectorKind::OmegaLc];
-        config.duration = SimDuration::from_secs(args.duration_secs.unwrap_or(30));
+        config.scenario = Scenario::new(ElectorKind::OmegaLc, args.nodes.unwrap_or(3))
+            .with_qos(weakened)
+            .with_link(LinkSpec::from_paper_tuple(25.0, 0.1))
+            .with_duration(SimDuration::from_secs(args.duration_secs.unwrap_or(30)));
     }
 
     let started = Instant::now();

@@ -1,20 +1,23 @@
-//! The chaos engine: runs a [`FaultPlan`] against a simulated service
-//! deployment and checks the resulting trace against the protocol
-//! invariants.
+//! The chaos engine: the one driver of a simulated service deployment. It
+//! runs a [`FaultPlan`] against a [`Scenario`], checks the resulting trace
+//! against the protocol invariants, and folds the paper's QoS metrics from
+//! the same trace.
 //!
-//! There is one driver. [`run_plan_parallel`] runs the plan on the sharded
-//! simulator ([`ParWorld`]) across `workers` sim workers, and [`run_plan`]
-//! is its `workers = 1` call. Every field of the [`ChaosReport`] is
-//! **independent of the worker count**: the same `(config, plan)` pair
-//! yields identical traces, violations, network counters, metrics and
-//! protocol traces for `workers` ∈ {1, 2, 8, …}. That rests on three pillars:
+//! [`run_plan_parallel`] runs the plan on the sharded simulator
+//! ([`ParWorld`]) across `workers` sim workers, and [`run_plan`] is its
+//! `workers = 1` call. Every field of the [`ChaosReport`] is **independent
+//! of the worker count**: the same `(scenario, plan)` pair yields identical
+//! traces, violations, network counters, metrics, QoS and protocol traces
+//! for `workers` ∈ {1, 2, 8, …}. That rests on three pillars:
 //!
 //! * the simulator executes events in a canonical, partition-independent
 //!   order (see [`sle_sim::par`]), so the per-node event histories match for
 //!   any sharding;
 //! * per-shard trace recorders are merged by a stable sort on
 //!   `(time, node)` — simultaneous events of one node stay in their
-//!   canonical order because one node always lives on exactly one shard;
+//!   canonical order because one node always lives on exactly one shard —
+//!   and the QoS metrics are folded from that merged trace, with traffic
+//!   summed over the shards;
 //! * the shared protocol-trace ring is drained and re-sequenced the same
 //!   way, so ring sequence numbers do not leak scheduling order.
 //!
@@ -25,25 +28,23 @@
 //! back to sequential canonical-order execution — the same report, without
 //! the speedup.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
-use sle_core::{GroupId, JoinConfig, NodeInstruments, ProcessId, ServiceConfig, ServiceNode};
-use sle_election::ElectorKind;
+use sle_core::{JoinConfig, NodeInstruments, ProcessId, ServiceConfig, ServiceEvent, ServiceNode};
 use sle_fd::QosSpec;
-use sle_harness::Scenario;
-use sle_net::link::LinkSpec;
+use sle_harness::{
+    CrashPlan, ExperimentMetrics, MetricsCollector, Scenario, TrafficMeter, EXPERIMENT_GROUP,
+};
 use sle_net::network::{NetworkModel, NetworkStats, SimulatedNetwork};
 use sle_obs::{Registry, Snapshot, TraceDrain, TraceRecord, TraceRing};
 use sle_sim::actor::NodeId;
+use sle_sim::observer::{Observer, PairObserver};
 use sle_sim::par::{ParWorld, SharedActorFactory};
-use sle_sim::time::{SimDuration, SimInstant};
+use sle_sim::time::SimInstant;
 
-use crate::invariants::{check_trace, InvariantSpec, Violation};
+use crate::invariants::{check_trace, InvariantSpec, Violation, ViolationKind};
 use crate::plan::{FaultAction, FaultPlan};
 use crate::trace::{TraceEvent, TraceEventKind, TraceRecorder};
-
-/// The group every chaos experiment runs in.
-pub const CHAOS_GROUP: GroupId = GroupId(1);
 
 /// Capacity of the protocol-event trace ring a chaos run drains into its
 /// report. Sized so the generated plan families never wrap it (they push a
@@ -57,95 +58,9 @@ const PROTO_TRACE_CAPACITY: usize = 4096;
 /// The simulated deployment a chaos run drives.
 type ChaosWorld = ParWorld<ServiceNode, SimulatedNetwork>;
 
-/// Everything a chaos run needs besides the fault plan itself.
-#[derive(Debug, Clone)]
-pub struct ChaosConfig {
-    /// The service version under test (S1 = Ωid, S2 = Ωlc, S3 = Ωl).
-    pub algorithm: ElectorKind,
-    /// Number of workstations (all join as candidates).
-    pub nodes: usize,
-    /// Baseline behaviour of every directed link.
-    pub link: LinkSpec,
-    /// Failure-detection QoS of the join.
-    pub qos: QosSpec,
-    /// The window within which fault injections land; the engine always
-    /// appends a quiet tail of two settle windows after it, so the final
-    /// eventual-agreement check has room.
-    pub duration: SimDuration,
-    /// The invariant checker's settle window (see
-    /// [`InvariantSpec::settle`]).
-    pub settle: SimDuration,
-    /// Seed for everything stochastic (messages, link overlays, plan
-    /// resolution).
-    pub seed: u64,
-}
-
-impl ChaosConfig {
-    /// A config with the sweep defaults: a mildly lossy 10 ms network, the
-    /// paper's QoS, a 45 s fault window and a 10 s settle window.
-    pub fn new(algorithm: ElectorKind, nodes: usize) -> Self {
-        ChaosConfig {
-            algorithm,
-            nodes,
-            link: LinkSpec::from_paper_tuple(10.0, 0.01),
-            qos: QosSpec::paper_default(),
-            duration: SimDuration::from_secs(45),
-            settle: SimDuration::from_secs(10),
-            seed: 0xC4A0_5EED,
-        }
-    }
-
-    /// Adopts the workload of a harness [`Scenario`] (algorithm, size, link
-    /// behaviour, QoS and seed), so any cell of the paper's figures can be
-    /// re-run under a fault plan.
-    pub fn from_scenario(scenario: &Scenario) -> Self {
-        ChaosConfig {
-            algorithm: scenario.algorithm,
-            nodes: scenario.nodes,
-            link: scenario.link,
-            qos: scenario.qos,
-            duration: scenario.duration.min(SimDuration::from_secs(120)),
-            settle: SimDuration::from_secs(10),
-            seed: scenario.seed,
-        }
-    }
-
-    /// Overrides the seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Overrides the baseline link behaviour.
-    pub fn with_link(mut self, link: LinkSpec) -> Self {
-        self.link = link;
-        self
-    }
-
-    /// Overrides the failure-detection QoS.
-    pub fn with_qos(mut self, qos: QosSpec) -> Self {
-        self.qos = qos;
-        self
-    }
-
-    /// Overrides the fault window.
-    pub fn with_duration(mut self, duration: SimDuration) -> Self {
-        self.duration = duration;
-        self
-    }
-
-    /// Overrides the settle window.
-    pub fn with_settle(mut self, settle: SimDuration) -> Self {
-        self.settle = settle;
-        self
-    }
-
-    /// End of the run: the fault window plus a quiet tail of two settle
-    /// windows.
-    pub fn end(&self) -> SimInstant {
-        SimInstant::ZERO + self.duration + self.settle + self.settle
-    }
-}
+/// What a chaos run observes on each shard (and, for injected API calls,
+/// on the engine's side): the trace, and the traffic of the measured window.
+type RunObserver = PairObserver<TraceRecorder, TrafficMeter>;
 
 /// What one chaos run produced.
 #[derive(Debug, Clone)]
@@ -164,6 +79,10 @@ pub struct ChaosReport {
     /// nodes recorded into (detection/election histograms, mistake counts,
     /// ALIVE traffic).
     pub metrics: Snapshot,
+    /// The paper's QoS metrics (recovery time, mistake rate, availability,
+    /// bandwidth) over the scenario's measured window: after the warm-up,
+    /// up to [`Scenario::horizon`].
+    pub qos: ExperimentMetrics,
     /// The tail of the runtime protocol-event trace (capacity-bounded).
     pub proto_trace: Vec<TraceRecord>,
     /// Protocol-trace events lost to ring overflow before the drain.
@@ -175,27 +94,54 @@ impl ChaosReport {
     pub fn ok(&self) -> bool {
         self.violations.is_empty()
     }
+
+    /// `ok`, or the number of violations of each kind, e.g.
+    /// `unjustified-demotion=5 mistake-recurrence-exceeded=1`.
+    pub fn verdict(&self) -> String {
+        if self.ok() {
+            return "ok".to_string();
+        }
+        let mut counts: BTreeMap<ViolationKind, usize> = BTreeMap::new();
+        for violation in &self.violations {
+            *counts.entry(violation.kind).or_default() += 1;
+        }
+        let counts: Vec<String> = counts
+            .iter()
+            .map(|(kind, count)| format!("{kind}={count}"))
+            .collect();
+        counts.join(" ")
+    }
 }
 
-/// Runs `plan` under `config` and checks the invariants over the trace.
+/// Runs `plan` under `scenario` and checks the invariants over the trace.
 ///
-/// Fully deterministic: the same `(config, plan)` pair always produces the
-/// same report. This is [`run_plan_parallel`] on one sim worker.
-pub fn run_plan(config: &ChaosConfig, plan: &FaultPlan) -> ChaosReport {
-    run_plan_parallel(config, plan, 1)
+/// Fully deterministic: the same `(scenario, plan)` pair always produces
+/// the same report. This is [`run_plan_parallel`] on one sim worker.
+pub fn run_plan(scenario: &Scenario, plan: &FaultPlan) -> ChaosReport {
+    run_plan_parallel(scenario, plan, 1)
 }
 
-/// Runs `plan` under `config` on `workers` sim workers and checks the
+/// Runs `plan` under `scenario` on `workers` sim workers and checks the
 /// invariants over the merged trace.
 ///
-/// Deterministic *across worker counts*: the same `(config, plan)` pair
+/// The scenario's workstation crash process joins the plan as timed
+/// `Crash`/`Recover` actions, and its link-crash overlay is part of the
+/// network. The QoS metrics close at [`Scenario::horizon`]; the run goes on
+/// to [`Scenario::end`] (or further, for hand-written plans with late
+/// actions) so the checker gets its quiet tail.
+///
+/// Deterministic *across worker counts*: the same `(scenario, plan)` pair
 /// produces the same report for any `workers` value (clamped to the node
 /// count), [`run_plan`]'s included.
-pub fn run_plan_parallel(config: &ChaosConfig, plan: &FaultPlan, workers: usize) -> ChaosReport {
-    let n = config.nodes;
-    let algorithm = config.algorithm;
-    let qos = config.qos;
-    let network = NetworkModel::new(config.link).build(config.seed.wrapping_add(1));
+pub fn run_plan_parallel(scenario: &Scenario, plan: &FaultPlan, workers: usize) -> ChaosReport {
+    let n = scenario.nodes;
+    let algorithm = scenario.algorithm;
+    let qos = scenario.qos;
+    let mut network = NetworkModel::new(scenario.link);
+    if let Some(spec) = scenario.link_crashes {
+        network = network.with_link_crashes(spec);
+    }
+    let network = network.build(scenario.seed.wrapping_add(1));
     let registry = Registry::default();
     let ring = TraceRing::new(PROTO_TRACE_CAPACITY);
     let factory: SharedActorFactory<ServiceNode> = Box::new({
@@ -203,7 +149,7 @@ pub fn run_plan_parallel(config: &ChaosConfig, plan: &FaultPlan, workers: usize)
         let ring = ring.clone();
         move |node, _incarnation| {
             let config = ServiceConfig::full_mesh(node, n, algorithm)
-                .with_auto_join(CHAOS_GROUP, JoinConfig::candidate().with_qos(qos));
+                .with_auto_join(EXPERIMENT_GROUP, JoinConfig::candidate().with_qos(qos));
             let mut service = ServiceNode::new(config);
             // Instrumented under virtual time: the same QoS histograms
             // and protocol trace the real-time runtime exports.
@@ -211,27 +157,32 @@ pub fn run_plan_parallel(config: &ChaosConfig, plan: &FaultPlan, workers: usize)
             service
         }
     });
-    let mut world: ChaosWorld = ParWorld::new(n, workers.max(1), factory, network, config.seed);
-    let mut recorders: Vec<TraceRecorder> = (0..world.workers())
-        .map(|_| TraceRecorder::new(CHAOS_GROUP).with_proto_mirror(ring.clone()))
-        .collect();
-    // Engine-level marks and API-call emissions get their own recorder,
+    let mut world: ChaosWorld = ParWorld::new(n, workers.max(1), factory, network, scenario.seed);
+    let observer = || {
+        PairObserver::new(
+            TraceRecorder::new(EXPERIMENT_GROUP).with_proto_mirror(ring.clone()),
+            TrafficMeter::new(SimInstant::ZERO + scenario.warmup, scenario.horizon()),
+        )
+    };
+    let mut shards: Vec<RunObserver> = (0..world.workers()).map(|_| observer()).collect();
+    // Engine-level marks and API-call emissions get their own observer,
     // always appended *after* the shard recorders in the merge, so
     // same-instant ties between simulated events and injections resolve
     // identically for every worker count.
-    let mut engine = TraceRecorder::new(CHAOS_GROUP).with_proto_mirror(ring.clone());
+    let mut engine = observer();
+    let plan = with_workstation_crashes(scenario, plan);
     for timed in plan.actions() {
-        world.run_until(timed.at, &mut recorders);
+        world.run_until(timed.at, &mut shards);
         apply_action(&mut world, &mut engine, &timed.action, qos);
     }
-    // Hand-written plans may schedule past the configured fault window; the
-    // run is extended so every action still gets its full quiet tail (and
-    // the checker never sees trace events past its declared end).
+    // Hand-written plans may schedule past the fault window; the run is
+    // extended so every action still gets its full quiet tail (and the
+    // checker never sees trace events past its declared end).
     let end = match plan.last_action_at() {
-        Some(last) => config.end().max(last + config.settle + config.settle),
-        None => config.end(),
+        Some(last) => scenario.end().max(last + scenario.settle + scenario.settle),
+        None => scenario.end(),
     };
-    world.run_until(end, &mut recorders);
+    world.run_until(end, &mut shards);
 
     let final_leader = agreed_final_leader(&world);
     let mut network = NetworkStats::default();
@@ -239,15 +190,21 @@ pub fn run_plan_parallel(config: &ChaosConfig, plan: &FaultPlan, workers: usize)
         network.merge(&medium.stats());
     }
     let events_processed = world.events_processed();
-    let trace = merge_traces(recorders, engine);
+    shards.push(engine);
+    let (recorders, meters): (Vec<TraceRecorder>, Vec<TrafficMeter>) = shards
+        .into_iter()
+        .map(|pair| (pair.first, pair.second))
+        .unzip();
+    let trace = merge_traces(recorders);
     let spec = InvariantSpec {
         algorithm,
         nodes: n,
         qos,
-        settle: config.settle,
+        settle: scenario.settle,
         end,
     };
     let violations = check_trace(&trace, &spec);
+    let qos = fold_qos(scenario, &trace, &meters);
     // The simulation publishes its network counters just before the
     // registry is snapshotted (see `NetworkStats::publish`).
     network.publish(&registry, "sim.net");
@@ -259,22 +216,78 @@ pub fn run_plan_parallel(config: &ChaosConfig, plan: &FaultPlan, workers: usize)
         final_leader,
         events_processed,
         metrics: registry.snapshot(),
+        qos,
         proto_trace: proto.events,
         proto_dropped: proto.dropped,
     }
 }
 
-/// Merges per-shard recorders (plus the engine's) into one chronological
-/// trace. The sort is stable over the concatenation `shard 0, shard 1, …,
-/// engine`, and a node's events all come from its one home shard, so
-/// same-instant events of one node keep their canonical execution order no
-/// matter how nodes were sharded.
-fn merge_traces(recorders: Vec<TraceRecorder>, engine: TraceRecorder) -> Vec<TraceEvent> {
+/// `plan` with the scenario's workstation crash process folded in as timed
+/// `Crash`/`Recover` actions: the schedule [`CrashPlan::generate`] draws
+/// over the warm-up and the measured duration from the seed stream
+/// `seed + 2`.
+fn with_workstation_crashes(scenario: &Scenario, plan: &FaultPlan) -> FaultPlan {
+    let Some(profile) = scenario.workstation_crashes else {
+        return plan.clone();
+    };
+    let window = scenario.warmup + scenario.duration;
+    let crashes = CrashPlan::generate(
+        scenario.nodes,
+        window,
+        profile,
+        scenario.seed.wrapping_add(2),
+    );
+    crashes.events().iter().fold(plan.clone(), |plan, event| {
+        let action = if event.is_crash {
+            FaultAction::Crash(event.node)
+        } else {
+            FaultAction::Recover(event.node)
+        };
+        plan.at_instant(event.at, action)
+    })
+}
+
+/// The paper's QoS metrics, folded from the merged trace up to the
+/// scenario's horizon, plus the traffic the meters counted. Membership
+/// churn and topology marks are not part of the paper's metrics and are
+/// skipped.
+fn fold_qos(
+    scenario: &Scenario,
+    trace: &[TraceEvent],
+    meters: &[TrafficMeter],
+) -> ExperimentMetrics {
+    let horizon = scenario.horizon();
+    let measure_from = SimInstant::ZERO + scenario.warmup;
+    let mut collector = MetricsCollector::new(EXPERIMENT_GROUP, scenario.nodes, measure_from);
+    for event in trace.iter().take_while(|event| event.at <= horizon) {
+        let at = event.at;
+        match event.kind {
+            TraceEventKind::View { node, leader } => {
+                let group = EXPERIMENT_GROUP;
+                collector.event_emitted(at, node, &ServiceEvent::LeaderChanged { group, leader });
+            }
+            TraceEventKind::Crashed { node } => collector.node_crashed(at, node),
+            // The collector does not read incarnations.
+            TraceEventKind::Recovered { node } => collector.node_recovered(at, node, 0),
+            _ => {}
+        }
+    }
+    for meter in meters {
+        collector.add_traffic(meter);
+    }
+    collector.finish(horizon)
+}
+
+/// Merges the per-shard recorders (the engine's last) into one
+/// chronological trace. The sort is stable over the concatenation `shard 0,
+/// shard 1, …, engine`, and a node's events all come from its one home
+/// shard, so same-instant events of one node keep their canonical execution
+/// order no matter how nodes were sharded.
+fn merge_traces(recorders: Vec<TraceRecorder>) -> Vec<TraceEvent> {
     let mut trace: Vec<TraceEvent> = Vec::new();
     for recorder in recorders {
         trace.extend(recorder.into_events());
     }
-    trace.extend(engine.into_events());
     trace.sort_by_key(|event| (event.at, trace_node_key(&event.kind)));
     trace
 }
@@ -321,7 +334,7 @@ fn network(world: &ChaosWorld) -> &SimulatedNetwork {
 
 fn apply_action(
     world: &mut ChaosWorld,
-    recorder: &mut TraceRecorder,
+    observer: &mut RunObserver,
     action: &FaultAction,
     qos: QosSpec,
 ) {
@@ -348,45 +361,36 @@ fn apply_action(
             // a no-op injection must not grant the run a fresh settle
             // window in which real violations would be excused.
             if is_member(world, *node) {
-                recorder.mark(now, TraceEventKind::Left { node: *node });
-                world.with_actor(*node, recorder, |actor, ctx| {
-                    for process in actor.local_members_of(CHAOS_GROUP) {
-                        let _ = actor.leave_group(process, CHAOS_GROUP, ctx);
+                observer
+                    .first
+                    .mark(now, TraceEventKind::Left { node: *node });
+                world.with_actor(*node, observer, |actor, ctx| {
+                    for process in actor.local_members_of(EXPERIMENT_GROUP) {
+                        let _ = actor.leave_group(process, EXPERIMENT_GROUP, ctx);
                     }
                 });
             }
         }
-        FaultAction::Join(node) => {
-            if node.index() < world.num_nodes() && world.is_up(*node) && !is_member(world, *node) {
-                recorder.mark(now, TraceEventKind::Joined { node: *node });
-                world.with_actor(*node, recorder, |actor, ctx| {
-                    let process = actor.register_process();
-                    let _ = actor.join_group(
-                        process,
-                        CHAOS_GROUP,
-                        JoinConfig::candidate().with_qos(qos),
-                        ctx,
-                    );
-                });
-            }
-        }
-        FaultAction::SpawnProcess(node) => {
+        FaultAction::Join(node) | FaultAction::SpawnProcess(node) => {
+            // `Join` is a no-op on a member; `SpawnProcess` gives a member
+            // a further process. Only a membership *change* is marked:
+            // piling processes onto a member workstation disrupts nothing,
+            // so it must not grant the run a fresh settle window.
+            let spawn = matches!(action, FaultAction::SpawnProcess(_));
             if node.index() < world.num_nodes() && world.is_up(*node) {
-                // Unlike `Join`, an existing member gains a further
-                // process. Only a membership *change* is marked: piling
-                // processes onto a member workstation disrupts nothing, so
-                // it must not grant the run a fresh settle window.
-                if !is_member(world, *node) {
-                    recorder.mark(now, TraceEventKind::Joined { node: *node });
+                let member = is_member(world, *node);
+                if member && !spawn {
+                    return;
                 }
-                world.with_actor(*node, recorder, |actor, ctx| {
+                if !member {
+                    observer
+                        .first
+                        .mark(now, TraceEventKind::Joined { node: *node });
+                }
+                world.with_actor(*node, observer, |actor, ctx| {
                     let process = actor.register_process();
-                    let _ = actor.join_group(
-                        process,
-                        CHAOS_GROUP,
-                        JoinConfig::candidate().with_qos(qos),
-                        ctx,
-                    );
+                    let join = JoinConfig::candidate().with_qos(qos);
+                    let _ = actor.join_group(process, EXPERIMENT_GROUP, join, ctx);
                 });
             }
         }
@@ -394,7 +398,7 @@ fn apply_action(
             // The same no-op rule as churn: re-applying the partition the
             // network is already in must not mark a disruption.
             if !network(world).partition_matches(components) {
-                recorder.mark(
+                observer.first.mark(
                     now,
                     TraceEventKind::Partitioned {
                         components: components.clone(),
@@ -405,13 +409,13 @@ fn apply_action(
         }
         FaultAction::Heal => {
             if network(world).is_partitioned() {
-                recorder.mark(now, TraceEventKind::Healed);
+                observer.first.mark(now, TraceEventKind::Healed);
                 world.for_each_medium(SimulatedNetwork::heal_partition);
             }
         }
         FaultAction::SetLink(spec) => {
             if network(world).model().default_link() != *spec {
-                recorder.mark(now, TraceEventKind::LinkChanged);
+                observer.first.mark(now, TraceEventKind::LinkChanged);
                 world.for_each_medium(|medium| medium.set_default_link(*spec));
             }
         }
@@ -423,7 +427,7 @@ fn is_member(world: &ChaosWorld, node: NodeId) -> bool {
     node.index() < world.num_nodes()
         && world
             .actor(node)
-            .map(|actor| !actor.local_members_of(CHAOS_GROUP).is_empty())
+            .map(|actor| !actor.local_members_of(EXPERIMENT_GROUP).is_empty())
             .unwrap_or(false)
 }
 
@@ -434,7 +438,7 @@ fn majority_leader_node(world: &ChaosWorld) -> Option<NodeId> {
     for index in 0..world.num_nodes() {
         let node = NodeId(index as u32);
         if let Some(actor) = world.actor(node) {
-            if let Some(leader) = actor.leader_of(CHAOS_GROUP) {
+            if let Some(leader) = actor.leader_of(EXPERIMENT_GROUP) {
                 if world.is_up(leader.node) {
                     *votes.entry(leader.node).or_insert(0) += 1;
                 }
@@ -456,10 +460,10 @@ fn agreed_final_leader(world: &ChaosWorld) -> Option<ProcessId> {
         let Some(actor) = world.actor(node) else {
             continue;
         };
-        if actor.local_members_of(CHAOS_GROUP).is_empty() {
+        if actor.local_members_of(EXPERIMENT_GROUP).is_empty() {
             continue; // not currently a member (left and never rejoined)
         }
-        let view = actor.leader_of(CHAOS_GROUP)?;
+        let view = actor.leader_of(EXPERIMENT_GROUP)?;
         seen = true;
         match agreed {
             None => agreed = Some(view),
@@ -478,12 +482,16 @@ fn agreed_final_leader(world: &ChaosWorld) -> Option<ProcessId> {
 mod tests {
     use super::*;
     use crate::plan::PlanKind;
+    use sle_election::ElectorKind;
+    use sle_harness::{CrashProfile, Summary};
+    use sle_net::link::{LinkCrashSpec, LinkSpec};
+    use sle_sim::time::SimDuration;
 
     #[test]
     fn a_quiet_run_upholds_every_invariant_for_every_service() {
         for algorithm in ElectorKind::all() {
-            let config = ChaosConfig::new(algorithm, 4).with_duration(SimDuration::from_secs(20));
-            let report = run_plan(&config, &FaultPlan::quiet());
+            let scenario = Scenario::new(algorithm, 4).with_duration(SimDuration::from_secs(20));
+            let report = run_plan(&scenario, &FaultPlan::quiet());
             assert!(report.ok(), "{algorithm}: {:?}", report.violations);
             assert!(report.final_leader.is_some(), "{algorithm}: no leader");
             assert!(report.events_processed > 0);
@@ -492,10 +500,11 @@ mod tests {
 
     #[test]
     fn runs_are_deterministic() {
-        let config = ChaosConfig::new(ElectorKind::OmegaLc, 4);
-        let plan = PlanKind::LeaderChurn.generate(4, config.duration, config.link, config.seed);
-        let a = run_plan(&config, &plan);
-        let b = run_plan(&config, &plan);
+        let scenario = Scenario::new(ElectorKind::OmegaLc, 4);
+        let plan =
+            PlanKind::LeaderChurn.generate(4, scenario.duration, scenario.link, scenario.seed);
+        let a = run_plan(&scenario, &plan);
+        let b = run_plan(&scenario, &plan);
         assert_eq!(a.events_processed, b.events_processed);
         assert_eq!(a.trace, b.trace);
         assert_eq!(a.violations, b.violations);
@@ -512,17 +521,17 @@ mod tests {
         // The drained sle-obs trace of an instrumented run, lifted through
         // the converter, must itself pass the invariant checker — this is
         // what makes runtime (wall-clock) traces checkable post-hoc.
-        let config = ChaosConfig::new(ElectorKind::OmegaLc, 4);
+        let scenario = Scenario::new(ElectorKind::OmegaLc, 4);
         let plan = FaultPlan::new("crash-one").at(
             15.0,
             FaultAction::CrashLeader {
                 down_for: SimDuration::from_secs(5),
             },
         );
-        let report = run_plan(&config, &plan);
+        let report = run_plan(&scenario, &plan);
         assert!(report.ok(), "{:?}", report.violations);
         assert_eq!(report.proto_dropped, 0, "trace ring overflowed");
-        let converted = crate::convert::convert_trace(&report.proto_trace, CHAOS_GROUP);
+        let converted = crate::convert::convert_trace(&report.proto_trace, EXPERIMENT_GROUP);
         assert!(
             converted
                 .iter()
@@ -536,11 +545,11 @@ mod tests {
             "crash marks missing from the protocol trace"
         );
         let spec = InvariantSpec {
-            algorithm: config.algorithm,
-            nodes: config.nodes,
-            qos: config.qos,
-            settle: config.settle,
-            end: config.end(),
+            algorithm: scenario.algorithm,
+            nodes: scenario.nodes,
+            qos: scenario.qos,
+            settle: scenario.settle,
+            end: scenario.end(),
         };
         let violations = check_trace(&converted, &spec);
         assert!(violations.is_empty(), "{violations:?}");
@@ -556,14 +565,14 @@ mod tests {
 
     #[test]
     fn crash_leader_resolves_the_actual_leader_and_recovers_it() {
-        let config = ChaosConfig::new(ElectorKind::OmegaL, 4);
+        let scenario = Scenario::new(ElectorKind::OmegaL, 4);
         let plan = FaultPlan::new("kill-the-leader").at(
             12.0,
             FaultAction::CrashLeader {
                 down_for: SimDuration::from_secs(5),
             },
         );
-        let report = run_plan(&config, &plan);
+        let report = run_plan(&scenario, &plan);
         assert!(report.ok(), "{:?}", report.violations);
         let crashes: Vec<&TraceEvent> = report
             .trace
@@ -583,8 +592,8 @@ mod tests {
 
     #[test]
     fn spawn_process_stacks_processes_and_marks_only_membership_changes() {
-        let config =
-            ChaosConfig::new(ElectorKind::OmegaLc, 3).with_duration(SimDuration::from_secs(20));
+        let scenario =
+            Scenario::new(ElectorKind::OmegaLc, 3).with_duration(SimDuration::from_secs(20));
         let plan = FaultPlan::new("spawn-stack")
             // Node 0 is already a member: extra processes, no trace marks.
             .at(8.0, FaultAction::SpawnProcess(NodeId(0)))
@@ -592,7 +601,7 @@ mod tests {
             // Node 1 leaves entirely, then a spawn re-joins it (one mark).
             .at(10.0, FaultAction::Leave(NodeId(1)))
             .at(13.0, FaultAction::SpawnProcess(NodeId(1)));
-        let report = run_plan(&config, &plan);
+        let report = run_plan(&scenario, &plan);
         assert!(report.ok(), "{:?}", report.violations);
         let joins = report
             .trace
@@ -611,18 +620,18 @@ mod tests {
 
     #[test]
     fn hand_written_plans_past_the_window_extend_the_run() {
-        // Actions after the configured fault window are legal in manual
+        // Actions after the scenario's fault window are legal in manual
         // plans: the run is stretched so the checker still gets a quiet
         // tail (and never sees events past its declared end).
-        let config =
-            ChaosConfig::new(ElectorKind::OmegaLc, 3).with_duration(SimDuration::from_secs(20));
+        let scenario =
+            Scenario::new(ElectorKind::OmegaLc, 3).with_duration(SimDuration::from_secs(20));
         let plan = FaultPlan::new("late").at(
             70.0,
             FaultAction::CrashLeader {
                 down_for: SimDuration::from_secs(4),
             },
         );
-        let report = run_plan(&config, &plan);
+        let report = run_plan(&scenario, &plan);
         assert!(report.ok(), "{:?}", report.violations);
         assert!(
             report
@@ -640,14 +649,14 @@ mod tests {
         // may appear in the trace, because each mark grants the invariant
         // checker a settle window in which real violations are excused
         // (and a shrunk plan must not retain actions that do nothing).
-        let config =
-            ChaosConfig::new(ElectorKind::OmegaLc, 3).with_duration(SimDuration::from_secs(20));
+        let scenario =
+            Scenario::new(ElectorKind::OmegaLc, 3).with_duration(SimDuration::from_secs(20));
         let plan = FaultPlan::new("all-no-ops")
-            .at(10.0, FaultAction::SetLink(config.link))
+            .at(10.0, FaultAction::SetLink(scenario.link))
             .at(11.0, FaultAction::Heal)
             .at(12.0, FaultAction::Join(NodeId(0)))
             .at(13.0, FaultAction::Leave(NodeId(99)));
-        let report = run_plan(&config, &plan);
+        let report = run_plan(&scenario, &plan);
         assert!(report.ok(), "{:?}", report.violations);
         assert!(
             !report.trace.iter().any(|event| matches!(
@@ -659,23 +668,6 @@ mod tests {
             )),
             "no-op injections polluted the trace"
         );
-    }
-
-    #[test]
-    fn scenario_bridge_copies_the_workload() {
-        let scenario = Scenario::paper_default(
-            "bridge",
-            ElectorKind::OmegaLc,
-            LinkSpec::from_paper_tuple(100.0, 0.1),
-        )
-        .with_nodes(6)
-        .with_seed(9);
-        let config = ChaosConfig::from_scenario(&scenario);
-        assert_eq!(config.algorithm, ElectorKind::OmegaLc);
-        assert_eq!(config.nodes, 6);
-        assert_eq!(config.link, LinkSpec::from_paper_tuple(100.0, 0.1));
-        assert_eq!(config.seed, 9);
-        assert_eq!(config.qos, scenario.qos);
     }
 
     /// A chaos link with a 1 ms delivery floor: positive lookahead, so the
@@ -696,23 +688,39 @@ mod tests {
         assert_eq!(a.metrics, b.metrics, "{what}: metrics snapshots");
         assert_eq!(a.proto_trace, b.proto_trace, "{what}: protocol traces");
         assert_eq!(a.proto_dropped, b.proto_dropped, "{what}: proto drops");
+        assert_eq!(a.qos, b.qos, "{what}: QoS metrics");
     }
 
     #[test]
     fn worker_counts_produce_identical_reports_under_churn() {
-        let config = ChaosConfig::new(ElectorKind::OmegaLc, 8)
+        let churn = Scenario::new(ElectorKind::OmegaLc, 8)
             .with_link(floored_link())
             .with_duration(SimDuration::from_secs(12));
-        let plan = PlanKind::LeaderChurn.generate(8, config.duration, config.link, config.seed);
-        // `run_plan` is the one-worker run.
-        let base = run_plan(&config, &plan);
-        assert_eq!(base.proto_dropped, 0, "ring overflowed; grow the capacity");
-        assert!(base.events_processed > 0);
-        // Identical agreed-leader histories: the View events are part of
-        // the trace compared below, and the final agreement matches too.
-        for workers in [2, 8] {
-            let run = run_plan_parallel(&config, &plan, workers);
-            assert_reports_equal(&base, &run, &format!("run_plan vs workers={workers}"));
+        let plan = PlanKind::LeaderChurn.generate(8, churn.duration, churn.link, churn.seed);
+        // The paper's crash process: the epoch driver folds a crash-heavy
+        // trace into the QoS metrics.
+        let crashes = Scenario::paper_default(ElectorKind::OmegaLc, floored_link())
+            .with_nodes(8)
+            .with_duration(SimDuration::from_secs(300))
+            .with_seed(4);
+        for (scenario, plan) in [(churn, plan), (crashes, FaultPlan::quiet())] {
+            // `run_plan` is the one-worker run.
+            let base = run_plan(&scenario, &plan);
+            assert_eq!(base.proto_dropped, 0, "ring overflowed; grow the capacity");
+            assert!(base.events_processed > 0);
+            assert!(
+                base.trace
+                    .iter()
+                    .any(|e| matches!(e.kind, TraceEventKind::Crashed { .. })),
+                "no crash in the trace"
+            );
+            // Identical agreed-leader histories: the View events are part
+            // of the trace compared below, and the final agreement matches
+            // too.
+            for workers in [2, 8] {
+                let run = run_plan_parallel(&scenario, &plan, workers);
+                assert_reports_equal(&base, &run, &format!("run_plan vs workers={workers}"));
+            }
         }
     }
 
@@ -721,17 +729,17 @@ mod tests {
         // The paper's exponential link has no delivery floor: lookahead is
         // zero and the parallel driver degrades to sequential canonical
         // order — the reports must still match across worker counts.
-        let config =
-            ChaosConfig::new(ElectorKind::OmegaL, 4).with_duration(SimDuration::from_secs(12));
+        let scenario =
+            Scenario::new(ElectorKind::OmegaL, 4).with_duration(SimDuration::from_secs(12));
         let plan = FaultPlan::new("crash-one").at(
             6.0,
             FaultAction::CrashLeader {
                 down_for: SimDuration::from_secs(3),
             },
         );
-        let base = run_plan(&config, &plan);
+        let base = run_plan(&scenario, &plan);
         for workers in [2, 8] {
-            let run = run_plan_parallel(&config, &plan, workers);
+            let run = run_plan_parallel(&scenario, &plan, workers);
             assert_reports_equal(&base, &run, &format!("run_plan vs workers={workers}"));
         }
         assert!(base.ok(), "{:?}", base.violations);
@@ -740,10 +748,10 @@ mod tests {
     #[test]
     fn a_quiet_parallel_run_upholds_every_invariant_for_every_service() {
         for algorithm in ElectorKind::all() {
-            let config = ChaosConfig::new(algorithm, 4)
+            let scenario = Scenario::new(algorithm, 4)
                 .with_link(floored_link())
                 .with_duration(SimDuration::from_secs(15));
-            let report = run_plan_parallel(&config, &FaultPlan::quiet(), 4);
+            let report = run_plan_parallel(&scenario, &FaultPlan::quiet(), 4);
             assert!(report.ok(), "{algorithm}: {:?}", report.violations);
             assert!(report.final_leader.is_some(), "{algorithm}: no leader");
             assert!(report.events_processed > 0);
@@ -752,7 +760,7 @@ mod tests {
 
     #[test]
     fn partitions_reach_every_shard_clone() {
-        let config = ChaosConfig::new(ElectorKind::OmegaLc, 6)
+        let scenario = Scenario::new(ElectorKind::OmegaLc, 6)
             .with_link(floored_link())
             .with_duration(SimDuration::from_secs(18));
         let plan = FaultPlan::new("split-then-heal")
@@ -764,7 +772,7 @@ mod tests {
                 ]),
             )
             .at(12.0, FaultAction::Heal);
-        let report = run_plan_parallel(&config, &plan, 3);
+        let report = run_plan_parallel(&scenario, &plan, 3);
         assert!(report.ok(), "{:?}", report.violations);
         assert!(
             report.network.partitioned > 0,
@@ -774,5 +782,155 @@ mod tests {
             .trace
             .iter()
             .any(|e| matches!(e.kind, TraceEventKind::Healed)));
+    }
+
+    /// A quiet network with no crashes gives perfect availability and no
+    /// mistakes.
+    #[test]
+    fn quiet_network_has_a_stable_leader() {
+        let scenario = Scenario::paper_default(ElectorKind::OmegaLc, LinkSpec::lan())
+            .with_nodes(4)
+            .without_workstation_crashes()
+            .with_duration(SimDuration::from_secs(120));
+        let report = run_plan(&scenario, &FaultPlan::quiet());
+        assert!(report.ok(), "{:?}", report.violations);
+        let metrics = report.qos;
+        assert_eq!(metrics.unjustified_demotions, 0);
+        assert!(
+            metrics.leader_availability > 0.999,
+            "availability {}",
+            metrics.leader_availability
+        );
+        assert!(metrics.kbytes_per_sec_per_node > 0.0);
+        assert_eq!(metrics.leader_crashes, 0);
+    }
+
+    /// Crashing workstations produce leader crashes, recoveries within a few
+    /// seconds, and (for the stable algorithms) no unjustified demotions.
+    #[test]
+    fn crashing_workstations_are_recovered_from() {
+        let scenario = Scenario::paper_default(ElectorKind::OmegaL, LinkSpec::lan())
+            .with_nodes(6)
+            .with_duration(SimDuration::from_secs(1800))
+            .with_seed(77);
+        let metrics = run_plan(&scenario, &FaultPlan::quiet()).qos;
+        assert!(
+            metrics.leader_crashes > 0,
+            "expected at least one leader crash"
+        );
+        assert!(metrics.recovery.count > 0);
+        assert!(
+            metrics.recovery.mean < 3.0,
+            "recovery too slow: {}s",
+            metrics.recovery.mean
+        );
+        assert!(metrics.leader_availability > 0.95);
+    }
+
+    /// The engine crashes and recovers exactly the workstations, at exactly
+    /// the instants, that the scenario's crash plan lists.
+    #[test]
+    fn crash_marks_are_the_scenarios_crash_plan() {
+        let scenario = Scenario::paper_default(ElectorKind::OmegaLc, LinkSpec::lan())
+            .with_nodes(6)
+            .with_duration(SimDuration::from_secs(900))
+            .with_seed(31);
+        let window = scenario.warmup + scenario.duration;
+        let profile = CrashProfile::paper_default();
+        let plan = CrashPlan::generate(6, window, profile, scenario.seed + 2);
+        let expected: Vec<TraceEvent> = plan
+            .events()
+            .iter()
+            .map(|event| TraceEvent {
+                at: event.at,
+                kind: if event.is_crash {
+                    TraceEventKind::Crashed { node: event.node }
+                } else {
+                    TraceEventKind::Recovered { node: event.node }
+                },
+            })
+            .collect();
+        assert!(plan.crash_count() > 3, "too few crashes to mean anything");
+        let report = run_plan(&scenario, &FaultPlan::quiet());
+        let marks: Vec<TraceEvent> = report
+            .trace
+            .into_iter()
+            .filter(|e| {
+                matches!(
+                    e.kind,
+                    TraceEventKind::Crashed { .. } | TraceEventKind::Recovered { .. }
+                )
+            })
+            .collect();
+        assert_eq!(marks, expected);
+    }
+
+    /// The exact metrics of two short figure cells, as the figures' former
+    /// driver (a one-shard `World` with the crash plan installed up front)
+    /// measured them: workstation crashes over lossy links, and the Figure 7
+    /// link-crash overlay.
+    #[test]
+    fn figure_cells_keep_their_recorded_metrics() {
+        let cells = [
+            (
+                Scenario::paper_default(
+                    ElectorKind::OmegaL,
+                    LinkSpec::from_paper_tuple(100.0, 0.1),
+                )
+                .with_seed(8),
+                ExperimentMetrics {
+                    duration: SimDuration::from_secs(120),
+                    recovery: Summary::of(&[1.485008764]),
+                    mistakes_per_hour: 90.0,
+                    leader_availability: 0.9654912955916667,
+                    kbytes_per_sec_per_node: 2.656161838107639,
+                    leader_crashes: 1,
+                    unjustified_demotions: 3,
+                    recovery_samples: vec![1.485008764],
+                },
+            ),
+            (
+                Scenario::paper_default(ElectorKind::OmegaLc, LinkSpec::lan())
+                    .with_link_crashes(LinkCrashSpec::from_paper_uptime_secs(60))
+                    .with_seed(5),
+                ExperimentMetrics {
+                    duration: SimDuration::from_secs(120),
+                    recovery: Summary::of(&[1.663233748]),
+                    mistakes_per_hour: 390.0,
+                    leader_availability: 0.9361577879249999,
+                    kbytes_per_sec_per_node: 32.02970920138889,
+                    leader_crashes: 1,
+                    unjustified_demotions: 13,
+                    recovery_samples: vec![1.663233748],
+                },
+            ),
+        ];
+        for (scenario, expected) in cells {
+            let scenario = scenario.with_duration(SimDuration::from_secs(120));
+            let report = run_plan(&scenario, &FaultPlan::quiet());
+            assert_eq!(report.qos, expected, "{scenario:?}");
+        }
+    }
+
+    #[test]
+    fn the_verdict_counts_violations_per_kind() {
+        let scenario =
+            Scenario::new(ElectorKind::OmegaLc, 3).with_duration(SimDuration::from_secs(5));
+        let mut report = run_plan(&scenario, &FaultPlan::quiet());
+        assert_eq!(report.verdict(), "ok");
+        let violation = |kind| Violation {
+            kind,
+            at: SimInstant::ZERO,
+            details: String::new(),
+        };
+        report.violations = vec![
+            violation(ViolationKind::MistakeRecurrenceExceeded),
+            violation(ViolationKind::UnjustifiedDemotion),
+            violation(ViolationKind::UnjustifiedDemotion),
+        ];
+        assert_eq!(
+            report.verdict(),
+            "unjustified-demotion=2 mistake-recurrence-exceeded=1"
+        );
     }
 }

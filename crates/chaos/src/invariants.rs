@@ -68,7 +68,7 @@ impl InvariantSpec {
 }
 
 /// The class of a detected violation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ViolationKind {
     /// OK members of a whole network failed to agree on an alive leader
     /// within the settle window.

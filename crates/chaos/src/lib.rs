@@ -19,9 +19,11 @@
 //!   plans across S1/S2/S3, shrinking ([`shrink`]) every failing seed to a
 //!   1-minimal plan and rendering it as a ready-to-paste `#[test]`.
 //!
-//! The [`engine`] between them has one driver: [`run_plan`] is
-//! [`run_plan_parallel`] on one sim worker, and the report is the same for
-//! every worker count.
+//! The [`engine`] between them is the one driver of a simulated deployment:
+//! it runs a plan against a harness [`Scenario`] — a sweep seed or a cell of
+//! the paper's figures — and reports the invariant verdict beside the
+//! paper's QoS metrics. [`run_plan`] is [`run_plan_parallel`] on one sim
+//! worker, and the report is the same for every worker count.
 //!
 //! See `docs/CHAOS.md` for the DSL reference, the precise invariant
 //! definitions (with paper-section references), and the workflow for
@@ -31,7 +33,7 @@
 //! ## Example: a partition experiment in four lines
 //!
 //! ```
-//! use sle_chaos::{run_plan, ChaosConfig, FaultAction, FaultPlan};
+//! use sle_chaos::{run_plan, FaultAction, FaultPlan, Scenario};
 //! use sle_election::ElectorKind;
 //! use sle_sim::actor::NodeId;
 //! use sle_sim::time::SimDuration;
@@ -42,9 +44,9 @@
 //!         vec![NodeId(1), NodeId(2), NodeId(3)],
 //!     ]))
 //!     .at(20.0, FaultAction::Heal);
-//! let config = ChaosConfig::new(ElectorKind::OmegaL, 4)
+//! let scenario = Scenario::new(ElectorKind::OmegaL, 4)
 //!     .with_duration(SimDuration::from_secs(30));
-//! let report = run_plan(&config, &plan);
+//! let report = run_plan(&scenario, &plan);
 //! assert!(report.ok(), "invariant violations: {:#?}", report.violations);
 //! assert!(report.network.partitioned > 0, "the partition did bite");
 //! ```
@@ -61,10 +63,11 @@ pub mod sweep;
 pub mod trace;
 
 pub use convert::{convert_record, convert_trace};
-pub use engine::{run_plan, run_plan_parallel, ChaosConfig, ChaosReport, CHAOS_GROUP};
+pub use engine::{run_plan, run_plan_parallel, ChaosReport};
 pub use invariants::{check_trace, InvariantSpec, Violation, ViolationKind};
 pub use plan::{link_to_code, FaultAction, FaultPlan, PlanKind, TimedAction};
 pub use shrink::{shrink_plan, Shrunk};
+pub use sle_harness::Scenario;
 pub use sweep::{
     render_regression_test, run_sweep, CellSummary, SweepConfig, SweepFailure, SweepSummary,
 };

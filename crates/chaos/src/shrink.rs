@@ -6,7 +6,9 @@
 //! single action can be removed without the failure disappearing. Because
 //! runs are deterministic, a shrunk plan fails forever, not just usually.
 
-use crate::engine::{run_plan, ChaosConfig};
+use sle_harness::Scenario;
+
+use crate::engine::run_plan;
 use crate::plan::FaultPlan;
 
 /// The outcome of shrinking a failing plan.
@@ -18,15 +20,15 @@ pub struct Shrunk {
     pub runs: u64,
 }
 
-/// Shrinks `plan` to a 1-minimal plan that still makes `config` fail.
+/// Shrinks `plan` to a 1-minimal plan that still makes `scenario` fail.
 ///
-/// `plan` itself must fail under `config`; if it does not, it is returned
+/// `plan` itself must fail under `scenario`; if it does not, it is returned
 /// unchanged (zero reduction, one probe run).
-pub fn shrink_plan(config: &ChaosConfig, plan: &FaultPlan) -> Shrunk {
+pub fn shrink_plan(scenario: &Scenario, plan: &FaultPlan) -> Shrunk {
     let mut runs = 0u64;
     let mut fails = |candidate: &FaultPlan| {
         runs += 1;
-        !run_plan(config, candidate).violations.is_empty()
+        !run_plan(scenario, candidate).violations.is_empty()
     };
     if !fails(plan) {
         return Shrunk {
@@ -63,8 +65,8 @@ mod tests {
     /// A weakened detector over a slow lossy link: the timeout shift cannot
     /// cover the delay tail, so false suspicions demote the leader in quiet
     /// time.
-    fn weakened_config() -> ChaosConfig {
-        ChaosConfig::new(ElectorKind::OmegaLc, 3)
+    fn weakened_scenario() -> Scenario {
+        Scenario::new(ElectorKind::OmegaLc, 3)
             .with_duration(SimDuration::from_secs(30))
             .with_qos(
                 QosSpec::new(
@@ -79,13 +81,13 @@ mod tests {
 
     #[test]
     fn a_weakened_detector_failure_shrinks_to_the_empty_plan() {
-        let config = weakened_config();
+        let scenario = weakened_scenario();
         // Decorate the failure with irrelevant actions: the shrinker must
         // strip them all, proving the faults were never needed.
         let plan = FaultPlan::new("decorated")
             .at(12.0, FaultAction::Crash(NodeId(2)))
             .at(18.0, FaultAction::Recover(NodeId(2)));
-        let shrunk = shrink_plan(&config, &plan);
+        let shrunk = shrink_plan(&scenario, &plan);
         assert!(
             shrunk.plan.is_empty(),
             "irrelevant actions survived: {:?}",
@@ -96,15 +98,15 @@ mod tests {
 
     #[test]
     fn a_passing_plan_is_returned_unchanged() {
-        let config =
-            ChaosConfig::new(ElectorKind::OmegaL, 3).with_duration(SimDuration::from_secs(20));
+        let scenario =
+            Scenario::new(ElectorKind::OmegaL, 3).with_duration(SimDuration::from_secs(20));
         let plan = FaultPlan::new("fine").at(
             10.0,
             FaultAction::CrashLeader {
                 down_for: SimDuration::from_secs(4),
             },
         );
-        let shrunk = shrink_plan(&config, &plan);
+        let shrunk = shrink_plan(&scenario, &plan);
         assert_eq!(shrunk.plan, plan);
         assert_eq!(shrunk.runs, 1);
     }

@@ -4,12 +4,11 @@
 
 use sle_core::NodeCount;
 use sle_election::ElectorKind;
-use sle_fd::QosSpec;
-use sle_net::link::LinkSpec;
+use sle_harness::Scenario;
 use sle_obs::{MetricValue, Snapshot, TraceRecord};
 use sle_sim::time::SimDuration;
 
-use crate::engine::{run_plan, ChaosConfig};
+use crate::engine::run_plan;
 use crate::invariants::Violation;
 use crate::plan::{link_to_code, FaultPlan, PlanKind};
 use crate::shrink::shrink_plan;
@@ -25,14 +24,9 @@ pub struct SweepConfig {
     pub seeds: u64,
     /// First seed; cell `k` uses `seed_base + k`.
     pub seed_base: u64,
-    /// Workstations per run.
-    pub nodes: usize,
-    /// Fault window per run.
-    pub duration: SimDuration,
-    /// Baseline link behaviour.
-    pub link: LinkSpec,
-    /// Failure-detection QoS of every join.
-    pub qos: QosSpec,
+    /// The workload of every run (workstations, link, QoS, fault window,
+    /// settle window); each run sets its own algorithm and seed.
+    pub scenario: Scenario,
     /// Whether to shrink failing plans (disable for a faster triage pass).
     pub shrink_failures: bool,
 }
@@ -45,10 +39,7 @@ impl SweepConfig {
             plans: PlanKind::all().to_vec(),
             seeds: 50,
             seed_base: 1000,
-            nodes: 5,
-            duration: SimDuration::from_secs(45),
-            link: LinkSpec::from_paper_tuple(10.0, 0.01),
-            qos: QosSpec::paper_default(),
+            scenario: Scenario::new(ElectorKind::OmegaLc, 5),
             shrink_failures: true,
         }
     }
@@ -56,44 +47,15 @@ impl SweepConfig {
     /// The CI smoke sweep: a pinned handful of seeds, sized to finish well
     /// under 30 s of wall-clock time.
     pub fn smoke() -> Self {
-        SweepConfig {
-            seeds: 4,
-            duration: SimDuration::from_secs(35),
-            ..SweepConfig::new()
-        }
+        let mut config = SweepConfig::new().with_seeds(4);
+        config.scenario.duration = SimDuration::from_secs(35);
+        config
     }
 
     /// Overrides the number of seeds per cell.
     pub fn with_seeds(mut self, seeds: u64) -> Self {
         self.seeds = seeds;
         self
-    }
-
-    /// Overrides the number of workstations.
-    pub fn with_nodes(mut self, nodes: usize) -> Self {
-        self.nodes = nodes;
-        self
-    }
-
-    /// Overrides the QoS (e.g. to demonstrate that a weakened detector is
-    /// caught).
-    pub fn with_qos(mut self, qos: QosSpec) -> Self {
-        self.qos = qos;
-        self
-    }
-
-    /// Overrides the baseline link.
-    pub fn with_link(mut self, link: LinkSpec) -> Self {
-        self.link = link;
-        self
-    }
-
-    fn chaos_config(&self, algorithm: ElectorKind, nodes: usize, seed: u64) -> ChaosConfig {
-        ChaosConfig::new(algorithm, nodes)
-            .with_seed(seed)
-            .with_link(self.link)
-            .with_qos(self.qos)
-            .with_duration(self.duration)
     }
 }
 
@@ -370,28 +332,10 @@ fn render_failure_metrics(metrics: &Snapshot) -> String {
     out
 }
 
-fn algorithm_label(algorithm: ElectorKind) -> &'static str {
-    match algorithm {
-        ElectorKind::OmegaId => "S1/omega-id",
-        ElectorKind::OmegaLc => "S2/omega-lc",
-        ElectorKind::OmegaL => "S3/omega-l",
-    }
-}
-
-fn algorithm_variant(algorithm: ElectorKind) -> &'static str {
-    match algorithm {
-        ElectorKind::OmegaId => "OmegaId",
-        ElectorKind::OmegaLc => "OmegaLc",
-        ElectorKind::OmegaL => "OmegaL",
-    }
-}
-
-fn algorithm_slug(algorithm: ElectorKind) -> &'static str {
-    match algorithm {
-        ElectorKind::OmegaId => "omega_id",
-        ElectorKind::OmegaLc => "omega_lc",
-        ElectorKind::OmegaL => "omega_l",
-    }
+/// `S2/omega-lc` for Ωlc.
+fn algorithm_label(algorithm: ElectorKind) -> String {
+    let name = algorithm.algorithm_name().to_lowercase();
+    format!("{}/{}", algorithm.service_name(), name.replace('_', "-"))
 }
 
 /// Runs the whole sweep, shrinking and rendering every failure.
@@ -411,12 +355,17 @@ pub fn run_sweep(config: &SweepConfig) -> SweepSummary {
             // Scale-hungry families (LargeChurn needs room for 100+
             // processes) raise the deployment to their floor; the others
             // keep the sweep's configured size.
-            let nodes = config.nodes.max(kind.min_nodes());
+            let nodes = config.scenario.nodes.max(kind.min_nodes());
             for offset in 0..config.seeds {
                 let seed = config.seed_base + offset;
-                let chaos = config.chaos_config(algorithm, nodes, seed);
-                let plan = kind.generate(nodes, config.duration, config.link, seed);
-                let report = run_plan(&chaos, &plan);
+                let scenario = Scenario {
+                    algorithm,
+                    nodes,
+                    seed,
+                    ..config.scenario.clone()
+                };
+                let plan = kind.generate(nodes, scenario.duration, scenario.link, seed);
+                let report = run_plan(&scenario, &plan);
                 runs += 1;
                 for (slot, sum) in cell.counts.iter_mut().enumerate() {
                     let suffix = format!(".{}", summed_suffix(slot));
@@ -427,11 +376,11 @@ pub fn run_sweep(config: &SweepConfig) -> SweepSummary {
                 }
                 cell.failed += 1;
                 let shrunk = if config.shrink_failures {
-                    shrink_plan(&chaos, &plan).plan
+                    shrink_plan(&scenario, &plan).plan
                 } else {
                     plan.clone()
                 };
-                let reproducer = render_regression_test(&chaos, &shrunk, kind.name(), seed);
+                let reproducer = render_regression_test(&scenario, &shrunk, kind.name(), seed);
                 let tail_from = report.proto_trace.len().saturating_sub(PROTO_TAIL);
                 failures.push(SweepFailure {
                     algorithm,
@@ -454,10 +403,12 @@ pub fn run_sweep(config: &SweepConfig) -> SweepSummary {
     }
 }
 
-/// Renders a failing `(config, plan)` pair as a self-contained `#[test]`
-/// function, ready to paste into `crates/chaos/tests/`.
+/// Renders a failing `(scenario, plan)` pair of a sweep as a self-contained
+/// `#[test]` function, ready to paste into `crates/chaos/tests/`. It
+/// renders the fields a sweep sets: a sweep scenario has no warm-up, no
+/// crash process and no link-crash overlay.
 pub fn render_regression_test(
-    config: &ChaosConfig,
+    scenario: &Scenario,
     plan: &FaultPlan,
     family: &str,
     seed: u64,
@@ -474,15 +425,15 @@ pub fn render_regression_test(
     // two services must render two distinct `#[test]` functions.
     let slug = format!(
         "{}_{}",
-        algorithm_slug(config.algorithm),
+        scenario.algorithm.algorithm_name().to_lowercase(),
         family.replace('-', "_")
     );
     format!(
         "#[test]\n\
          fn chaos_regression_{slug}_seed_{seed}() {{\n\
          \x20   let plan = sle_chaos::FaultPlan::new(\"{name}\"){actions};\n\
-         \x20   let config = sle_chaos::ChaosConfig::new(\n\
-         \x20       sle_election::ElectorKind::{algorithm},\n\
+         \x20   let scenario = sle_chaos::Scenario::new(\n\
+         \x20       sle_election::ElectorKind::{algorithm:?},\n\
          \x20       {nodes},\n\
          \x20   )\n\
          \x20   .with_seed({seed})\n\
@@ -497,38 +448,36 @@ pub fn render_regression_test(
          \x20   )\n\
          \x20   .with_duration(sle_sim::SimDuration::from_nanos({duration}))\n\
          \x20   .with_settle(sle_sim::SimDuration::from_nanos({settle}));\n\
-         \x20   let report = sle_chaos::run_plan(&config, &plan);\n\
+         \x20   let report = sle_chaos::run_plan(&scenario, &plan);\n\
          \x20   assert!(report.ok(), \"invariant violations: {{:#?}}\", report.violations);\n\
          }}\n",
         slug = slug,
         seed = seed,
         name = plan.name(),
         actions = actions,
-        algorithm = algorithm_variant(config.algorithm),
-        nodes = config.nodes,
-        link = link_to_code(&config.link),
-        qos_td = config.qos.detection_time().as_nanos(),
-        qos_tmr = config.qos.mistake_recurrence().as_nanos(),
-        qos_pa = config.qos.availability(),
-        duration = config.duration.as_nanos(),
-        settle = config.settle.as_nanos(),
+        algorithm = scenario.algorithm,
+        nodes = scenario.nodes,
+        link = link_to_code(&scenario.link),
+        qos_td = scenario.qos.detection_time().as_nanos(),
+        qos_tmr = scenario.qos.mistake_recurrence().as_nanos(),
+        qos_pa = scenario.qos.availability(),
+        duration = scenario.duration.as_nanos(),
+        settle = scenario.settle.as_nanos(),
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sle_fd::QosSpec;
+    use sle_net::link::LinkSpec;
 
     #[test]
     fn a_small_healthy_sweep_is_clean() {
-        let config = SweepConfig::new()
-            .with_seeds(2)
-            .with_nodes(4)
-            .with_link(LinkSpec::lan());
-        let config = SweepConfig {
-            duration: SimDuration::from_secs(35),
-            ..config
-        };
+        let mut config = SweepConfig::new().with_seeds(2);
+        config.scenario = Scenario::new(ElectorKind::OmegaLc, 4)
+            .with_link(LinkSpec::lan())
+            .with_duration(SimDuration::from_secs(35));
         let summary = run_sweep(&config);
         assert_eq!(summary.runs, 2 * 6 * 3);
         assert!(summary.ok(), "{}", summary.render());
@@ -553,16 +502,14 @@ mod tests {
             0.999,
         )
         .unwrap();
-        let config = SweepConfig::new()
-            .with_seeds(1)
-            .with_nodes(3)
-            .with_qos(weakened)
-            .with_link(LinkSpec::from_paper_tuple(25.0, 0.1));
         let config = SweepConfig {
             algorithms: vec![ElectorKind::OmegaLc],
             plans: vec![PlanKind::LeaderChurn],
-            duration: SimDuration::from_secs(30),
-            ..config
+            scenario: Scenario::new(ElectorKind::OmegaLc, 3)
+                .with_qos(weakened)
+                .with_link(LinkSpec::from_paper_tuple(25.0, 0.1))
+                .with_duration(SimDuration::from_secs(30)),
+            ..SweepConfig::new().with_seeds(1)
         };
         let summary = run_sweep(&config);
         assert!(!summary.ok(), "the weakened detector must be caught");

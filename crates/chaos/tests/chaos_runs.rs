@@ -2,7 +2,7 @@
 //! three services, plus the weakened-detector detection demo.
 
 use sle_chaos::{
-    run_plan, shrink_plan, ChaosConfig, FaultAction, FaultPlan, PlanKind, TraceEventKind,
+    run_plan, shrink_plan, FaultAction, FaultPlan, PlanKind, Scenario, TraceEventKind,
     ViolationKind,
 };
 use sle_election::ElectorKind;
@@ -11,8 +11,8 @@ use sle_net::link::LinkSpec;
 use sle_sim::actor::NodeId;
 use sle_sim::time::SimDuration;
 
-fn config(algorithm: ElectorKind, seed: u64) -> ChaosConfig {
-    ChaosConfig::new(algorithm, 5)
+fn scenario(algorithm: ElectorKind, seed: u64) -> Scenario {
+    Scenario::new(algorithm, 5)
         .with_duration(SimDuration::from_secs(40))
         .with_seed(seed)
 }
@@ -21,7 +21,7 @@ fn config(algorithm: ElectorKind, seed: u64) -> ChaosConfig {
 fn every_plan_family_passes_on_every_service() {
     for algorithm in ElectorKind::all() {
         for kind in PlanKind::all() {
-            let chaos = config(algorithm, 77);
+            let chaos = scenario(algorithm, 77);
             let plan = kind.generate(chaos.nodes, chaos.duration, chaos.link, 77);
             let report = run_plan(&chaos, &plan);
             assert!(
@@ -41,7 +41,7 @@ fn every_plan_family_passes_on_every_service() {
 
 #[test]
 fn partition_drops_traffic_and_heals_back_to_one_leader() {
-    let chaos = config(ElectorKind::OmegaL, 3);
+    let chaos = scenario(ElectorKind::OmegaL, 3);
     let plan = FaultPlan::new("split-heal")
         .at(
             12.0,
@@ -62,7 +62,7 @@ fn partition_drops_traffic_and_heals_back_to_one_leader() {
 
 #[test]
 fn duplication_overlay_actually_duplicates_datagrams() {
-    let chaos = config(ElectorKind::OmegaLc, 5);
+    let chaos = scenario(ElectorKind::OmegaLc, 5);
     let overlay = chaos
         .link
         .with_duplication(0.3)
@@ -82,7 +82,7 @@ fn duplication_overlay_actually_duplicates_datagrams() {
 fn mid_run_leave_and_rejoin_of_the_leader_is_survived() {
     // Node 0 usually wins the initial election (smallest id / earliest
     // accusation rank); make it leave voluntarily and come back.
-    let chaos = config(ElectorKind::OmegaLc, 11);
+    let chaos = scenario(ElectorKind::OmegaLc, 11);
     let plan = FaultPlan::new("leader-leaves")
         .at(12.0, FaultAction::Leave(NodeId(0)))
         .at(22.0, FaultAction::Join(NodeId(0)));
@@ -106,7 +106,7 @@ fn weakened_detector_is_caught_and_shrunk_to_a_minimal_reproducer() {
     // lossy link. The shift cannot clear the delay tail, so the detector
     // keeps falsely suspecting the (alive) leader — exactly the class of
     // defect the checker exists to catch.
-    let weakened = ChaosConfig::new(ElectorKind::OmegaLc, 3)
+    let weakened = Scenario::new(ElectorKind::OmegaLc, 3)
         .with_duration(SimDuration::from_secs(30))
         .with_qos(
             QosSpec::new(
@@ -147,11 +147,10 @@ fn weakened_detector_is_caught_and_shrunk_to_a_minimal_reproducer() {
 fn sweep_over_multiple_seeds_stays_clean() {
     // A narrow but real sweep (2 seeds x 6 families x 1 algorithm) through
     // the public sweep API, as the CI smoke job runs it.
-    let sweep = sle_chaos::SweepConfig::new().with_seeds(2).with_nodes(4);
     let sweep = sle_chaos::SweepConfig {
         algorithms: vec![ElectorKind::OmegaL],
-        duration: SimDuration::from_secs(35),
-        ..sweep
+        scenario: Scenario::new(ElectorKind::OmegaL, 4).with_duration(SimDuration::from_secs(35)),
+        ..sle_chaos::SweepConfig::new().with_seeds(2)
     };
     let summary = sle_chaos::run_sweep(&sweep);
     assert_eq!(summary.runs, 2 * 6);

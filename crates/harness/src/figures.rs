@@ -1,8 +1,10 @@
-//! One module per figure of the paper's evaluation (Section 6).
+//! One constructor per figure of the paper's evaluation (Section 6), listed
+//! once in [`FIGURES`].
 //!
 //! Each figure is described as a list of [`Cell`]s: a scenario to run plus
 //! the values the paper reports (read from its graphs and text), so the
-//! `reproduce` binary can print paper-vs-measured tables side by side.
+//! `reproduce` binary can run every cell on the `sle-chaos` engine and
+//! print paper-vs-measured tables side by side.
 
 use sle_election::ElectorKind;
 use sle_fd::QosSpec;
@@ -58,6 +60,9 @@ pub struct CellResult {
     pub cell: Cell,
     /// The measured metrics.
     pub measured: ExperimentMetrics,
+    /// The invariant checker's verdict on the run: `ok`, or the number of
+    /// violations of each kind.
+    pub verdict: String,
 }
 
 /// The five lossy-link settings of Figures 3–5: `(label, D ms, p_L)`.
@@ -69,183 +74,111 @@ pub const LOSSY_SETTINGS: [(&str, f64, f64); 5] = [
     ("(100ms, 0.1)", 100.0, 0.1),
 ];
 
-fn lossy_cell(
+/// One service's paper values across [`LOSSY_SETTINGS`]: T_r, λ_u and
+/// P_leader.
+struct LossySeries {
     algorithm: ElectorKind,
-    label: &str,
-    delay_ms: f64,
-    loss: f64,
-    duration: SimDuration,
-    paper: PaperValues,
-) -> Cell {
-    let link = LinkSpec::from_paper_tuple(delay_ms, loss);
-    let name = format!("{} {}", algorithm.service_name(), label);
-    Cell {
-        label: format!("{} {}", algorithm.service_name(), label),
-        scenario: Scenario::paper_default(name, algorithm, link).with_duration(duration),
-        paper,
+    recovery_secs: [f64; 5],
+    mistakes_per_hour: f64,
+    availability: [f64; 5],
+}
+
+const S1_LOSSY: LossySeries = LossySeries {
+    algorithm: ElectorKind::OmegaId,
+    recovery_secs: [0.81, 0.82, 0.87, 0.85, 0.94],
+    mistakes_per_hour: 6.0,
+    availability: [0.9980, 0.9979, 0.9978, 0.9979, 0.9975],
+};
+
+const S2_LOSSY: LossySeries = LossySeries {
+    algorithm: ElectorKind::OmegaLc,
+    recovery_secs: [0.88, 0.90, 0.95, 0.93, 1.00],
+    mistakes_per_hour: 0.0,
+    availability: [0.9985, 0.9985, 0.9984, 0.9984, 0.9982],
+};
+
+const S3_LOSSY: LossySeries = LossySeries {
+    algorithm: ElectorKind::OmegaL,
+    recovery_secs: [0.86, 0.89, 0.96, 0.94, 1.02],
+    mistakes_per_hour: 0.0,
+    availability: [0.9986, 0.9985, 0.9984, 0.9984, 0.9982],
+};
+
+/// The cells of a lossy-network figure: each setting in turn, with one cell
+/// per service of `series`. `availability` says whether the figure plots
+/// P_leader.
+fn lossy_cells(series: &[LossySeries], availability: bool, duration: SimDuration) -> Vec<Cell> {
+    let mut cells = Vec::new();
+    for (index, &(label, d, p)) in LOSSY_SETTINGS.iter().enumerate() {
+        for s in series {
+            let link = LinkSpec::from_paper_tuple(d, p);
+            cells.push(Cell {
+                label: format!("{} {}", s.algorithm.service_name(), label),
+                scenario: Scenario::paper_default(s.algorithm, link).with_duration(duration),
+                paper: PaperValues {
+                    recovery_secs: Some(s.recovery_secs[index]),
+                    mistakes_per_hour: Some(s.mistakes_per_hour),
+                    availability: availability.then_some(s.availability[index]),
+                    kbytes_per_sec: None,
+                },
+            });
+        }
     }
+    cells
 }
 
 /// Figure 3 — S1 (Ωid) in lossy networks: T_r and λ_u.
 pub fn fig3(duration: SimDuration) -> Figure {
-    let paper_tr = [0.81, 0.82, 0.87, 0.85, 0.94];
-    let cells = LOSSY_SETTINGS
-        .iter()
-        .zip(paper_tr)
-        .map(|(&(label, d, p), tr)| {
-            lossy_cell(
-                ElectorKind::OmegaId,
-                label,
-                d,
-                p,
-                duration,
-                PaperValues {
-                    recovery_secs: Some(tr),
-                    mistakes_per_hour: Some(6.0),
-                    ..Default::default()
-                },
-            )
-        })
-        .collect();
     Figure {
         id: "fig3",
         caption: "Figure 3: S1 in lossy networks",
         metrics: &["Tr", "mistakes/h"],
-        cells,
+        cells: lossy_cells(&[S1_LOSSY], false, duration),
     }
 }
 
 /// Figure 4 — S1 vs S2 in lossy networks: T_r, λ_u and P_leader.
 pub fn fig4(duration: SimDuration) -> Figure {
-    let s1_tr = [0.81, 0.82, 0.87, 0.85, 0.94];
-    let s1_avail = [0.9980, 0.9979, 0.9978, 0.9979, 0.9975];
-    let s2_tr = [0.88, 0.90, 0.95, 0.93, 1.00];
-    let s2_avail = [0.9985, 0.9985, 0.9984, 0.9984, 0.9982];
-    let mut cells = Vec::new();
-    for (index, &(label, d, p)) in LOSSY_SETTINGS.iter().enumerate() {
-        cells.push(lossy_cell(
-            ElectorKind::OmegaId,
-            label,
-            d,
-            p,
-            duration,
-            PaperValues {
-                recovery_secs: Some(s1_tr[index]),
-                mistakes_per_hour: Some(6.0),
-                availability: Some(s1_avail[index]),
-                ..Default::default()
-            },
-        ));
-        cells.push(lossy_cell(
-            ElectorKind::OmegaLc,
-            label,
-            d,
-            p,
-            duration,
-            PaperValues {
-                recovery_secs: Some(s2_tr[index]),
-                mistakes_per_hour: Some(0.0),
-                availability: Some(s2_avail[index]),
-                ..Default::default()
-            },
-        ));
-    }
     Figure {
         id: "fig4",
         caption: "Figure 4: S1 and S2 in lossy networks",
         metrics: &["Tr", "mistakes/h", "P_leader"],
-        cells,
+        cells: lossy_cells(&[S1_LOSSY, S2_LOSSY], true, duration),
     }
 }
 
 /// Figure 5 — S2 vs S3 in lossy networks: T_r and P_leader (λ_u = 0 for both).
 pub fn fig5(duration: SimDuration) -> Figure {
-    let s2_tr = [0.88, 0.90, 0.95, 0.93, 1.00];
-    let s3_tr = [0.86, 0.89, 0.96, 0.94, 1.02];
-    let s2_avail = [0.9985, 0.9985, 0.9984, 0.9984, 0.9982];
-    let s3_avail = [0.9986, 0.9985, 0.9984, 0.9984, 0.9982];
-    let mut cells = Vec::new();
-    for (index, &(label, d, p)) in LOSSY_SETTINGS.iter().enumerate() {
-        cells.push(lossy_cell(
-            ElectorKind::OmegaLc,
-            label,
-            d,
-            p,
-            duration,
-            PaperValues {
-                recovery_secs: Some(s2_tr[index]),
-                mistakes_per_hour: Some(0.0),
-                availability: Some(s2_avail[index]),
-                ..Default::default()
-            },
-        ));
-        cells.push(lossy_cell(
-            ElectorKind::OmegaL,
-            label,
-            d,
-            p,
-            duration,
-            PaperValues {
-                recovery_secs: Some(s3_tr[index]),
-                mistakes_per_hour: Some(0.0),
-                availability: Some(s3_avail[index]),
-                ..Default::default()
-            },
-        ));
-    }
     Figure {
         id: "fig5",
         caption: "Figure 5: S2 and S3 in lossy networks",
         metrics: &["Tr", "P_leader"],
-        cells,
+        cells: lossy_cells(&[S2_LOSSY, S3_LOSSY], true, duration),
     }
 }
 
 /// Figure 6 — bandwidth overhead per workstation for 4/8/12 workstations,
 /// S2 and S3, on the real LAN and on (100 ms, 0.1) links. The figure's CPU
-/// half is not reproduced: a simulation has no CPU time to report.
+/// half is not reproduced: a simulation has no CPU time to report. Traffic
+/// converges within minutes, so cells run at most 10 minutes.
 pub fn fig6(duration: SimDuration) -> Figure {
-    // (algorithm, network label, delay ms, loss, [KB/s per size])
-    type Fig6Config = (ElectorKind, &'static str, f64, f64, [f64; 3]);
-    let configs: [Fig6Config; 4] = [
-        (
-            ElectorKind::OmegaLc,
-            "(100ms, 0.1)",
-            100.0,
-            0.1,
-            [8.0, 28.0, 62.38],
-        ),
-        (
-            ElectorKind::OmegaL,
-            "(100ms, 0.1)",
-            100.0,
-            0.1,
-            [2.2, 4.3, 6.48],
-        ),
-        (
-            ElectorKind::OmegaLc,
-            "(0.025ms, 0)",
-            0.025,
-            0.0,
-            [5.0, 18.0, 40.0],
-        ),
-        (
-            ElectorKind::OmegaL,
-            "(0.025ms, 0)",
-            0.025,
-            0.0,
-            [1.3, 2.4, 3.5],
-        ),
+    let duration = duration.min(SimDuration::from_secs(600));
+    // (algorithm, network, [KB/s per size])
+    let (lan, lossy) = (LOSSY_SETTINGS[0], LOSSY_SETTINGS[4]);
+    let configs = [
+        (ElectorKind::OmegaLc, lossy, [8.0, 28.0, 62.38]),
+        (ElectorKind::OmegaL, lossy, [2.2, 4.3, 6.48]),
+        (ElectorKind::OmegaLc, lan, [5.0, 18.0, 40.0]),
+        (ElectorKind::OmegaL, lan, [1.3, 2.4, 3.5]),
     ];
     let sizes = [4usize, 8, 12];
     let mut cells = Vec::new();
-    for (algorithm, label, d, p, traffic) in configs {
+    for (algorithm, (label, d, p), traffic) in configs {
         for (i, &n) in sizes.iter().enumerate() {
             let link = LinkSpec::from_paper_tuple(d, p);
-            let name = format!("{} {} n={}", algorithm.service_name(), label, n);
             cells.push(Cell {
-                label: name.clone(),
-                scenario: Scenario::paper_default(name, algorithm, link)
+                label: format!("{} {} n={}", algorithm.service_name(), label, n),
+                scenario: Scenario::paper_default(algorithm, link)
                     .with_nodes(n)
                     .with_duration(duration),
                 paper: PaperValues {
@@ -289,10 +222,9 @@ pub fn fig7(duration: SimDuration) -> Figure {
             (ElectorKind::OmegaLc, s2[index]),
             (ElectorKind::OmegaL, s3[index]),
         ] {
-            let name = format!("{} {}", algorithm.service_name(), label);
             cells.push(Cell {
-                label: name.clone(),
-                scenario: Scenario::paper_default(name, algorithm, LinkSpec::lan())
+                label: format!("{} {}", algorithm.service_name(), label),
+                scenario: Scenario::paper_default(algorithm, LinkSpec::lan())
                     .with_link_crashes(LinkCrashSpec::from_paper_uptime_secs(uptime))
                     .with_duration(duration),
                 paper: PaperValues {
@@ -327,10 +259,9 @@ pub fn fig8(duration: SimDuration) -> Figure {
             (ElectorKind::OmegaLc, s2_tr[index], s2_avail[index]),
             (ElectorKind::OmegaL, s3_tr[index], s3_avail[index]),
         ] {
-            let name = format!("{} TdU={}ms", algorithm.service_name(), bound);
             cells.push(Cell {
-                label: name.clone(),
-                scenario: Scenario::paper_default(name, algorithm, LinkSpec::lan())
+                label: format!("{} TdU={}ms", algorithm.service_name(), bound),
+                scenario: Scenario::paper_default(algorithm, LinkSpec::lan())
                     .with_qos(qos)
                     .with_duration(duration),
                 paper: PaperValues {
@@ -358,15 +289,10 @@ pub fn headline(duration: SimDuration) -> Figure {
         (ElectorKind::OmegaL, 0.9984, 6.48),
         (ElectorKind::OmegaLc, 0.9982, 62.38),
     ] {
-        let name = format!("{} (100ms, 0.1) n=12", algorithm.service_name());
         cells.push(Cell {
-            label: name.clone(),
-            scenario: Scenario::paper_default(
-                name,
-                algorithm,
-                LinkSpec::from_paper_tuple(100.0, 0.1),
-            )
-            .with_duration(duration),
+            label: format!("{} (100ms, 0.1) n=12", algorithm.service_name()),
+            scenario: Scenario::paper_default(algorithm, LinkSpec::from_paper_tuple(100.0, 0.1))
+                .with_duration(duration),
             paper: PaperValues {
                 availability: Some(avail),
                 kbytes_per_sec: Some(traffic),
@@ -383,44 +309,28 @@ pub fn headline(duration: SimDuration) -> Figure {
     }
 }
 
+/// Every figure's constructor, in `reproduce` order; each figure's id is
+/// the one its constructor gives it.
+pub const FIGURES: [fn(SimDuration) -> Figure; 7] = [fig3, fig4, fig5, fig6, fig7, fig8, headline];
+
 /// Every figure, with the given per-cell measured duration.
 pub fn all_figures(duration: SimDuration) -> Vec<Figure> {
-    vec![
-        fig3(duration),
-        fig4(duration),
-        fig5(duration),
-        fig6(duration.min(SimDuration::from_secs(600))),
-        fig7(duration),
-        fig8(duration),
-        headline(duration),
-    ]
+    FIGURES.iter().map(|figure| figure(duration)).collect()
 }
 
-/// Looks a figure up by identifier (`fig3` … `fig8`, `headline`).
+/// The figure ids, in [`FIGURES`] order.
+pub fn figure_ids() -> Vec<&'static str> {
+    all_figures(SimDuration::ZERO)
+        .iter()
+        .map(|figure| figure.id)
+        .collect()
+}
+
+/// Looks a figure up by one of its [`figure_ids`].
 pub fn figure_by_id(id: &str, duration: SimDuration) -> Option<Figure> {
-    match id {
-        "fig3" => Some(fig3(duration)),
-        "fig4" => Some(fig4(duration)),
-        "fig5" => Some(fig5(duration)),
-        "fig6" => Some(fig6(duration.min(SimDuration::from_secs(600)))),
-        "fig7" => Some(fig7(duration)),
-        "fig8" => Some(fig8(duration)),
-        "headline" => Some(headline(duration)),
-        _ => None,
-    }
-}
-
-impl Figure {
-    /// Runs every cell of the figure.
-    pub fn run(&self) -> Vec<CellResult> {
-        self.cells
-            .iter()
-            .map(|cell| CellResult {
-                cell: cell.clone(),
-                measured: cell.scenario.run(),
-            })
-            .collect()
-    }
+    all_figures(duration)
+        .into_iter()
+        .find(|figure| figure.id == id)
 }
 
 #[cfg(test)]
@@ -447,8 +357,25 @@ mod tests {
 
     #[test]
     fn figure_lookup_by_id() {
-        assert!(figure_by_id("fig7", SimDuration::from_secs(60)).is_some());
+        let ids = ["fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "headline"];
+        assert_eq!(figure_ids(), ids, "the reproduce order");
+        for id in ids {
+            let figure = figure_by_id(id, SimDuration::from_secs(60)).expect("a listed id");
+            assert_eq!(figure.id, id);
+        }
         assert!(figure_by_id("nope", SimDuration::from_secs(60)).is_none());
+    }
+
+    #[test]
+    fn fig6_cells_run_at_most_ten_minutes() {
+        let hour = SimDuration::from_secs(3600);
+        let fig6 = figure_by_id("fig6", hour).expect("fig6");
+        assert!(fig6
+            .cells
+            .iter()
+            .all(|c| c.scenario.duration == SimDuration::from_secs(600)));
+        let fig5 = figure_by_id("fig5", hour).expect("fig5");
+        assert!(fig5.cells.iter().all(|c| c.scenario.duration == hour));
     }
 
     #[test]

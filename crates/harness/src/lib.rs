@@ -1,25 +1,26 @@
-//! # sle-harness — the DSN 2008 evaluation, reproduced
+//! # sle-harness — the DSN 2008 evaluation, described
 //!
-//! This crate contains everything needed to regenerate the paper's
-//! evaluation (Section 6): the workload (12 workstations crashing every
-//! 10 minutes on average over lossy or crash-prone links), the QoS metrics
-//! of Section 5 (leader recovery time, mistake rate, leader availability),
-//! the bandwidth accounting of Section 6.5, and one scenario set per
-//! figure.
+//! This crate describes the paper's evaluation (Section 6): the workload
+//! (12 workstations crashing every 10 minutes on average over lossy or
+//! crash-prone links), the QoS metrics of Section 5 (leader recovery time,
+//! mistake rate, leader availability), the bandwidth accounting of
+//! Section 6.5, and one scenario set per figure. It runs none of them:
+//! `sle-chaos` is the one driver of a simulated deployment, and reports
+//! each run's QoS metrics beside its invariant verdict.
 //!
 //! * [`metrics`] — the metrics collector ([`metrics::MetricsCollector`]),
 //! * [`deploy`] — strided multi-group deployment shapes shared by the
 //!   scale benches and tests,
-//! * [`crash`] — workstation crash/recovery injection,
-//! * [`scenario`] — a single experiment cell ([`scenario::Scenario`]),
+//! * [`crash`] — the workstation crash/recovery schedule,
+//! * [`scenario`] — the run description ([`scenario::Scenario`]),
 //! * [`regime`] — the regime-shift experiment comparing static vs adaptive
 //!   QoS tuning ([`regime::RegimeShiftScenario`]),
 //! * [`figures`] — per-figure cell definitions with the paper's values,
 //! * [`report`] — paper-vs-measured table rendering,
 //! * [`stats`] — summary statistics (mean, 95% CI).
 //!
-//! The `reproduce` binary in the `sle-bench` crate drives this crate to
-//! regenerate every figure.
+//! The `reproduce` binary in the `sle-bench` crate runs every figure's
+//! cells on the `sle-chaos` engine.
 //!
 //! ## Example: the paper's crash workload, in miniature
 //!
@@ -58,8 +59,10 @@ pub mod scenario;
 pub mod stats;
 
 pub use crash::{CrashEvent, CrashPlan, CrashProfile};
-pub use figures::{all_figures, figure_by_id, Cell, CellResult, Figure, PaperValues};
-pub use metrics::{ExperimentMetrics, MetricsCollector};
+pub use figures::{
+    all_figures, figure_by_id, figure_ids, Cell, CellResult, Figure, PaperValues, FIGURES,
+};
+pub use metrics::{ExperimentMetrics, MetricsCollector, TrafficMeter};
 pub use regime::{RegimeShiftComparison, RegimeShiftOutcome, RegimeShiftScenario};
 pub use report::{render_figure, render_figure_markdown};
 pub use scenario::{Scenario, EXPERIMENT_GROUP};

@@ -39,10 +39,7 @@ pub struct MetricsCollector {
     /// Metrics are only accumulated after this instant (warm-up exclusion).
     measure_from: SimInstant,
 
-    /// Messages sent plus messages delivered, over every node.
-    packets: u64,
-    /// Payload bytes of those packets (excluding the framing overhead).
-    bytes: u64,
+    traffic: TrafficMeter,
     node_up: Vec<bool>,
     views: Vec<Option<ProcessId>>,
 
@@ -70,8 +67,7 @@ impl MetricsCollector {
         MetricsCollector {
             group,
             measure_from,
-            packets: 0,
-            bytes: 0,
+            traffic: TrafficMeter::new(measure_from, SimInstant::FAR_FUTURE),
             node_up: vec![true; nodes],
             views: vec![None; nodes],
             agreement_since: None,
@@ -91,12 +87,11 @@ impl MetricsCollector {
         now >= self.measure_from
     }
 
-    /// One message sent or delivered, of `bytes` payload bytes.
-    fn count_packet(&mut self, now: SimInstant, bytes: usize) {
-        if self.in_measurement(now) {
-            self.packets += 1;
-            self.bytes += bytes as u64;
-        }
+    /// Adds traffic counted elsewhere — by the per-shard meters of a
+    /// sharded run, say — to what this collector observed itself.
+    pub fn add_traffic(&mut self, meter: &TrafficMeter) {
+        self.traffic.packets += meter.packets;
+        self.traffic.bytes += meter.bytes;
     }
 
     /// The group currently has a commonly agreed, alive leader iff every
@@ -204,7 +199,7 @@ impl MetricsCollector {
         let elapsed_hours = elapsed_secs / 3600.0;
 
         let nodes = self.node_up.len().max(1) as f64;
-        let total_bytes = (self.bytes + self.packets * OVERHEAD_BYTES) as f64;
+        let total_bytes = (self.traffic.bytes + self.traffic.packets * OVERHEAD_BYTES) as f64;
 
         ExperimentMetrics {
             duration: elapsed,
@@ -221,11 +216,11 @@ impl MetricsCollector {
 
 impl Observer<ServiceEvent> for MetricsCollector {
     fn message_sent(&mut self, now: SimInstant, _from: NodeId, _to: NodeId, bytes: usize) {
-        self.count_packet(now, bytes);
+        self.traffic.count_packet(now, bytes);
     }
 
     fn message_delivered(&mut self, now: SimInstant, _from: NodeId, _to: NodeId, bytes: usize) {
-        self.count_packet(now, bytes);
+        self.traffic.count_packet(now, bytes);
     }
 
     fn node_crashed(&mut self, now: SimInstant, node: NodeId) {
@@ -267,6 +262,47 @@ impl Observer<ServiceEvent> for MetricsCollector {
             *view = *leader;
         }
         self.refresh(now);
+    }
+}
+
+/// Counts the bandwidth half of the metrics: messages sent plus messages
+/// delivered, and their payload bytes (excluding the framing overhead),
+/// over the instants `from..=until`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TrafficMeter {
+    from: SimInstant,
+    until: SimInstant,
+    packets: u64,
+    bytes: u64,
+}
+
+impl TrafficMeter {
+    /// A meter counting from `from` through `until`, both included.
+    pub fn new(from: SimInstant, until: SimInstant) -> Self {
+        TrafficMeter {
+            from,
+            until,
+            packets: 0,
+            bytes: 0,
+        }
+    }
+
+    /// One message sent or delivered, of `bytes` payload bytes.
+    fn count_packet(&mut self, now: SimInstant, bytes: usize) {
+        if (self.from..=self.until).contains(&now) {
+            self.packets += 1;
+            self.bytes += bytes as u64;
+        }
+    }
+}
+
+impl<E> Observer<E> for TrafficMeter {
+    fn message_sent(&mut self, now: SimInstant, _from: NodeId, _to: NodeId, bytes: usize) {
+        self.count_packet(now, bytes);
+    }
+
+    fn message_delivered(&mut self, now: SimInstant, _from: NodeId, _to: NodeId, bytes: usize) {
+        self.count_packet(now, bytes);
     }
 }
 

@@ -10,12 +10,13 @@ fn fmt_opt(value: Option<f64>, precision: usize) -> String {
 }
 
 /// Renders one figure's results as a fixed-width text table with one row per
-/// cell and paper-vs-measured columns for every metric the figure reports.
+/// cell, paper-vs-measured columns for every metric the figure reports, and
+/// the invariant verdict last.
 pub fn render_figure(figure: &Figure, results: &[CellResult]) -> String {
     let mut out = String::new();
     out.push_str(&format!("== {} ==\n", figure.caption));
     out.push_str(&format!(
-        "{:<28} {:>10} {:>10} {:>11} {:>11} {:>10} {:>10} {:>9} {:>9}\n",
+        "{:<28} {:>10} {:>10} {:>11} {:>11} {:>10} {:>10} {:>9} {:>9} {}\n",
         "cell",
         "Tr paper",
         "Tr meas",
@@ -25,6 +26,7 @@ pub fn render_figure(figure: &Figure, results: &[CellResult]) -> String {
         "Pl meas",
         "KB/s pap",
         "KB/s meas",
+        "verdict",
     ));
     for result in results {
         let paper = result.cell.paper;
@@ -35,7 +37,7 @@ pub fn render_figure(figure: &Figure, results: &[CellResult]) -> String {
             None
         };
         out.push_str(&format!(
-            "{:<28} {:>10} {:>10} {:>11} {:>11.2} {:>10} {:>10.5} {:>9} {:>9.2}\n",
+            "{:<28} {:>10} {:>10} {:>11} {:>11.2} {:>10} {:>10.5} {:>9} {:>9.2} {}\n",
             result.cell.label,
             fmt_opt(paper.recovery_secs, 2),
             fmt_opt(tr_measured, 2),
@@ -45,6 +47,7 @@ pub fn render_figure(figure: &Figure, results: &[CellResult]) -> String {
             m.leader_availability,
             fmt_opt(paper.kbytes_per_sec, 2),
             m.kbytes_per_sec_per_node,
+            result.verdict,
         ));
     }
     out
@@ -55,9 +58,9 @@ pub fn render_figure_markdown(figure: &Figure, results: &[CellResult]) -> String
     let mut out = String::new();
     out.push_str(&format!("### {}\n\n", figure.caption));
     out.push_str(
-        "| cell | Tr paper (s) | Tr measured (s) | λu paper (/h) | λu measured (/h) | P_leader paper | P_leader measured | KB/s paper | KB/s measured | leader crashes |\n",
+        "| cell | Tr paper (s) | Tr measured (s) | λu paper (/h) | λu measured (/h) | P_leader paper | P_leader measured | KB/s paper | KB/s measured | leader crashes | verdict |\n",
     );
-    out.push_str("|---|---|---|---|---|---|---|---|---|---|\n");
+    out.push_str("|---|---|---|---|---|---|---|---|---|---|---|\n");
     for result in results {
         let paper = result.cell.paper;
         let m = &result.measured;
@@ -67,7 +70,7 @@ pub fn render_figure_markdown(figure: &Figure, results: &[CellResult]) -> String
             "-".to_string()
         };
         out.push_str(&format!(
-            "| {} | {} | {} | {} | {:.2} | {} | {:.5} | {} | {:.2} | {} |\n",
+            "| {} | {} | {} | {} | {:.2} | {} | {:.5} | {} | {:.2} | {} | {} |\n",
             result.cell.label,
             fmt_opt(paper.recovery_secs, 2),
             tr_measured,
@@ -78,6 +81,7 @@ pub fn render_figure_markdown(figure: &Figure, results: &[CellResult]) -> String
             fmt_opt(paper.kbytes_per_sec, 2),
             m.kbytes_per_sec_per_node,
             m.leader_crashes,
+            result.verdict,
         ));
     }
     out.push('\n');
@@ -115,15 +119,18 @@ mod tests {
             .map(|cell| CellResult {
                 cell: cell.clone(),
                 measured: fake_metrics(),
+                verdict: "unjustified-demotion=1".to_string(),
             })
             .collect();
         let text = render_figure(&figure, &results);
         assert!(text.contains("Figure 3"));
         assert!(text.contains("S1 (0.025ms, 0)"));
         assert!(text.contains("0.85"));
+        assert!(text.contains("33.00 unjustified-demotion=1\n"));
         let md = render_figure_markdown(&figure, &results);
         assert!(md.starts_with("### Figure 3"));
         assert!(md.contains("| S1 (0.025ms, 0) |"));
         assert!(md.contains("±"));
+        assert!(md.contains("| 2 | unjustified-demotion=1 |"));
     }
 }

@@ -1,16 +1,14 @@
-//! Experiment scenarios: everything needed to run one cell of one figure of
-//! the paper's evaluation and obtain its metrics.
+//! The run description: everything a simulated deployment of the service
+//! needs, from one cell of one figure of the paper's evaluation to one seed
+//! of a chaos sweep. `sle-chaos` runs it (`sle_chaos::run_plan`).
 
-use sle_core::{GroupId, JoinConfig, ServiceConfig, ServiceNode};
+use sle_core::GroupId;
 use sle_election::ElectorKind;
 use sle_fd::QosSpec;
 use sle_net::link::{LinkCrashSpec, LinkSpec};
-use sle_net::network::NetworkModel;
 use sle_sim::time::{SimDuration, SimInstant};
-use sle_sim::world::World;
 
-use crate::crash::{CrashPlan, CrashProfile};
-use crate::metrics::{ExperimentMetrics, MetricsCollector};
+use crate::crash::CrashProfile;
 
 /// The group used by all experiments.
 pub const EXPERIMENT_GROUP: GroupId = GroupId(1);
@@ -18,11 +16,9 @@ pub const EXPERIMENT_GROUP: GroupId = GroupId(1);
 /// A complete experiment description.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
-    /// Human-readable scenario name (used in reports).
-    pub name: String,
     /// The service version under test (S1 = Ωid, S2 = Ωlc, S3 = Ωl).
     pub algorithm: ElectorKind,
-    /// Number of workstations (and of candidate application processes).
+    /// Number of workstations (all join the group as candidates).
     pub nodes: usize,
     /// Behaviour of every directed link.
     pub link: LinkSpec,
@@ -32,30 +28,50 @@ pub struct Scenario {
     pub workstation_crashes: Option<CrashProfile>,
     /// QoS of the underlying failure detector.
     pub qos: QosSpec,
-    /// Measured experiment duration (after the warm-up).
+    /// Measured experiment duration (after the warm-up); fault plans land
+    /// within it.
     pub duration: SimDuration,
     /// Warm-up excluded from all metrics.
     pub warmup: SimDuration,
+    /// The invariant checker's settle window. The run goes on for a quiet
+    /// tail of two settle windows after the measured duration, so the final
+    /// eventual-agreement check has room.
+    pub settle: SimDuration,
     /// Experiment seed (controls everything stochastic).
     pub seed: u64,
 }
 
 impl Scenario {
-    /// A scenario with the paper's default workload: 12 workstations, each
-    /// crashing every 10 minutes on average, FD QoS (1 s, 100 days,
-    /// 0.99999988), over the given lossy link behaviour.
-    pub fn paper_default(name: impl Into<String>, algorithm: ElectorKind, link: LinkSpec) -> Self {
+    /// The chaos-sweep workload: `nodes` workstations on a mildly lossy
+    /// 10 ms network with the paper's QoS, no warm-up, no workstation
+    /// crashes, a 45 s fault window and a 10 s settle window.
+    pub fn new(algorithm: ElectorKind, nodes: usize) -> Self {
         Scenario {
-            name: name.into(),
             algorithm,
-            nodes: 12,
-            link,
+            nodes,
+            link: LinkSpec::from_paper_tuple(10.0, 0.01),
             link_crashes: None,
-            workstation_crashes: Some(CrashProfile::paper_default()),
+            workstation_crashes: None,
             qos: QosSpec::paper_default(),
+            duration: SimDuration::from_secs(45),
+            warmup: SimDuration::ZERO,
+            settle: SimDuration::from_secs(10),
+            seed: 0xC4A0_5EED,
+        }
+    }
+
+    /// The paper's default workload: 12 workstations, each crashing every
+    /// 10 minutes on average, FD QoS (1 s, 100 days, 0.99999988), over the
+    /// given lossy link behaviour, measured for an hour after a 30 s
+    /// warm-up.
+    pub fn paper_default(algorithm: ElectorKind, link: LinkSpec) -> Self {
+        Scenario {
+            link,
+            workstation_crashes: Some(CrashProfile::paper_default()),
             duration: SimDuration::from_secs(3600),
             warmup: SimDuration::from_secs(30),
             seed: 0xD5E2_2008,
+            ..Scenario::new(algorithm, 12)
         }
     }
 
@@ -65,9 +81,21 @@ impl Scenario {
         self
     }
 
+    /// Overrides the baseline link behaviour.
+    pub fn with_link(mut self, link: LinkSpec) -> Self {
+        self.link = link;
+        self
+    }
+
     /// Overrides the measured duration.
     pub fn with_duration(mut self, duration: SimDuration) -> Self {
         self.duration = duration;
+        self
+    }
+
+    /// Overrides the settle window.
+    pub fn with_settle(mut self, settle: SimDuration) -> Self {
+        self.settle = settle;
         self
     }
 
@@ -95,38 +123,15 @@ impl Scenario {
         self
     }
 
-    /// Runs the scenario to completion and returns its metrics.
-    pub fn run(&self) -> ExperimentMetrics {
-        let n = self.nodes;
-        let algorithm = self.algorithm;
-        let qos = self.qos;
-        let mut network = NetworkModel::new(self.link);
-        if let Some(spec) = self.link_crashes {
-            network = network.with_link_crashes(spec);
-        }
-        let medium = network.build(self.seed.wrapping_add(1));
+    /// End of the measured window: the warm-up plus the measured duration.
+    pub fn horizon(&self) -> SimInstant {
+        SimInstant::ZERO + self.warmup + self.duration
+    }
 
-        let mut world: World<ServiceNode, _> = World::new(
-            n,
-            Box::new(move |node, _incarnation| {
-                let config = ServiceConfig::full_mesh(node, n, algorithm)
-                    .with_auto_join(EXPERIMENT_GROUP, JoinConfig::candidate().with_qos(qos));
-                ServiceNode::new(config)
-            }),
-            medium,
-            self.seed,
-        );
-
-        let total = self.warmup + self.duration;
-        if let Some(profile) = self.workstation_crashes {
-            let plan = CrashPlan::generate(n, total, profile, self.seed.wrapping_add(2));
-            plan.install(&mut world);
-        }
-
-        let measure_from = SimInstant::ZERO + self.warmup;
-        let mut collector = MetricsCollector::new(EXPERIMENT_GROUP, n, measure_from);
-        world.run_until(SimInstant::ZERO + total, &mut collector);
-        collector.finish(SimInstant::ZERO + total)
+    /// End of the run: the measured window plus a quiet tail of two settle
+    /// windows.
+    pub fn end(&self) -> SimInstant {
+        self.horizon() + self.settle + self.settle
     }
 }
 
@@ -134,50 +139,9 @@ impl Scenario {
 mod tests {
     use super::*;
 
-    /// A small smoke test of the full experiment pipeline: a quiet network
-    /// with no crashes must give perfect availability and no mistakes.
-    #[test]
-    fn quiet_network_has_a_stable_leader() {
-        let metrics = Scenario::paper_default("smoke", ElectorKind::OmegaLc, LinkSpec::lan())
-            .with_nodes(4)
-            .without_workstation_crashes()
-            .with_duration(SimDuration::from_secs(120))
-            .run();
-        assert_eq!(metrics.unjustified_demotions, 0);
-        assert!(
-            metrics.leader_availability > 0.999,
-            "availability {}",
-            metrics.leader_availability
-        );
-        assert!(metrics.kbytes_per_sec_per_node > 0.0);
-        assert_eq!(metrics.leader_crashes, 0);
-    }
-
-    /// Crashing workstations produce leader crashes, recoveries within a few
-    /// seconds, and (for the stable algorithms) no unjustified demotions.
-    #[test]
-    fn crashing_workstations_are_recovered_from() {
-        let metrics = Scenario::paper_default("crashes", ElectorKind::OmegaL, LinkSpec::lan())
-            .with_nodes(6)
-            .with_duration(SimDuration::from_secs(1800))
-            .with_seed(77)
-            .run();
-        assert!(
-            metrics.leader_crashes > 0,
-            "expected at least one leader crash"
-        );
-        assert!(metrics.recovery.count > 0);
-        assert!(
-            metrics.recovery.mean < 3.0,
-            "recovery too slow: {}s",
-            metrics.recovery.mean
-        );
-        assert!(metrics.leader_availability > 0.95);
-    }
-
     #[test]
     fn builders_compose() {
-        let scenario = Scenario::paper_default("x", ElectorKind::OmegaId, LinkSpec::perfect())
+        let scenario = Scenario::paper_default(ElectorKind::OmegaId, LinkSpec::perfect())
             .with_nodes(5)
             .with_seed(3)
             .with_duration(SimDuration::from_secs(10))
@@ -191,5 +155,8 @@ mod tests {
         assert!(scenario.link_crashes.is_some());
         assert!(scenario.workstation_crashes.is_none());
         assert_eq!(scenario.qos.detection_time(), SimDuration::from_millis(500));
+        // 30 s warm-up + 10 s measured, then two 10 s settle windows.
+        assert_eq!(scenario.horizon(), SimInstant::from_secs_f64(40.0));
+        assert_eq!(scenario.end(), SimInstant::from_secs_f64(60.0));
     }
 }

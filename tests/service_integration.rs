@@ -2,13 +2,14 @@
 //! (simulator + network models + failure detector + electors + service)
 //! exercised under the workloads of the paper.
 
+use sle_chaos::{run_plan, FaultPlan, Scenario};
 use sle_core::{
     GroupAnnouncement, GroupId, HelloList, JoinConfig, NodeCount, ProcessId, ServiceConfig,
     ServiceContext, ServiceMessage, ServiceNode,
 };
 use sle_election::ElectorKind;
 use sle_fd::QosSpec;
-use sle_harness::{CrashPlan, CrashProfile, MetricsCollector, Scenario, EXPERIMENT_GROUP};
+use sle_harness::{CrashPlan, CrashProfile, ExperimentMetrics, MetricsCollector, EXPERIMENT_GROUP};
 use sle_net::link::{LinkCrashSpec, LinkSpec};
 use sle_net::network::NetworkModel;
 use sle_sim::prelude::*;
@@ -33,6 +34,11 @@ fn build_world(
         medium,
         seed,
     )
+}
+
+/// The paper's QoS metrics of `scenario`, run on the chaos engine.
+fn measure(scenario: Scenario) -> ExperimentMetrics {
+    run_plan(&scenario, &FaultPlan::quiet()).qos
 }
 
 fn agreed_leader(
@@ -99,15 +105,12 @@ fn stable_algorithms_make_no_mistakes_under_churn() {
     // 20 virtual minutes of the paper's churn (crash every 10 minutes per
     // node) over a lossy network: S2 and S3 must not demote a healthy leader.
     for algorithm in [ElectorKind::OmegaLc, ElectorKind::OmegaL] {
-        let metrics = Scenario::paper_default(
-            "integration",
-            algorithm,
-            LinkSpec::from_paper_tuple(10.0, 0.01),
-        )
-        .with_nodes(8)
-        .with_duration(SimDuration::from_secs(1200))
-        .with_seed(23)
-        .run();
+        let metrics = measure(
+            Scenario::paper_default(algorithm, LinkSpec::from_paper_tuple(10.0, 0.01))
+                .with_nodes(8)
+                .with_duration(SimDuration::from_secs(1200))
+                .with_seed(23),
+        );
         assert_eq!(
             metrics.unjustified_demotions, 0,
             "{algorithm} demoted a healthy leader"
@@ -122,11 +125,12 @@ fn stable_algorithms_make_no_mistakes_under_churn() {
 
 #[test]
 fn omega_id_is_unstable_under_churn() {
-    let metrics = Scenario::paper_default("integration", ElectorKind::OmegaId, LinkSpec::lan())
-        .with_nodes(8)
-        .with_duration(SimDuration::from_secs(1800))
-        .with_seed(29)
-        .run();
+    let metrics = measure(
+        Scenario::paper_default(ElectorKind::OmegaId, LinkSpec::lan())
+            .with_nodes(8)
+            .with_duration(SimDuration::from_secs(1800))
+            .with_seed(29),
+    );
     assert!(
         metrics.unjustified_demotions > 0,
         "Omega_id should demote leaders when smaller ids rejoin"
@@ -135,14 +139,16 @@ fn omega_id_is_unstable_under_churn() {
 
 #[test]
 fn omega_l_uses_far_less_bandwidth_than_omega_lc() {
-    let s2 = Scenario::paper_default("s2", ElectorKind::OmegaLc, LinkSpec::lan())
-        .without_workstation_crashes()
-        .with_duration(SimDuration::from_secs(300))
-        .run();
-    let s3 = Scenario::paper_default("s3", ElectorKind::OmegaL, LinkSpec::lan())
-        .without_workstation_crashes()
-        .with_duration(SimDuration::from_secs(300))
-        .run();
+    let s2 = measure(
+        Scenario::paper_default(ElectorKind::OmegaLc, LinkSpec::lan())
+            .without_workstation_crashes()
+            .with_duration(SimDuration::from_secs(300)),
+    );
+    let s3 = measure(
+        Scenario::paper_default(ElectorKind::OmegaL, LinkSpec::lan())
+            .without_workstation_crashes()
+            .with_duration(SimDuration::from_secs(300)),
+    );
     assert!(
         s3.kbytes_per_sec_per_node * 2.0 < s2.kbytes_per_sec_per_node,
         "S3 ({:.2} KB/s) should be far cheaper than S2 ({:.2} KB/s)",
@@ -156,16 +162,18 @@ fn omega_lc_availability_beats_omega_l_under_link_crashes() {
     // The Figure 7 trade-off, in miniature: with links crashing every minute
     // the forwarding-based S2 keeps a much higher availability than S3.
     let crashes = LinkCrashSpec::from_paper_uptime_secs(60);
-    let s2 = Scenario::paper_default("s2", ElectorKind::OmegaLc, LinkSpec::lan())
-        .with_link_crashes(crashes)
-        .with_duration(SimDuration::from_secs(900))
-        .with_seed(41)
-        .run();
-    let s3 = Scenario::paper_default("s3", ElectorKind::OmegaL, LinkSpec::lan())
-        .with_link_crashes(crashes)
-        .with_duration(SimDuration::from_secs(900))
-        .with_seed(41)
-        .run();
+    let s2 = measure(
+        Scenario::paper_default(ElectorKind::OmegaLc, LinkSpec::lan())
+            .with_link_crashes(crashes)
+            .with_duration(SimDuration::from_secs(900))
+            .with_seed(41),
+    );
+    let s3 = measure(
+        Scenario::paper_default(ElectorKind::OmegaL, LinkSpec::lan())
+            .with_link_crashes(crashes)
+            .with_duration(SimDuration::from_secs(900))
+            .with_seed(41),
+    );
     assert!(
         s2.leader_availability > s3.leader_availability,
         "S2 ({:.4}) should be more available than S3 ({:.4}) under link crashes",
@@ -183,17 +191,19 @@ fn omega_lc_availability_beats_omega_l_under_link_crashes() {
 
 #[test]
 fn faster_detection_bound_gives_faster_recovery() {
-    let slow = Scenario::paper_default("slow", ElectorKind::OmegaL, LinkSpec::lan())
-        .with_duration(SimDuration::from_secs(1800))
-        .with_seed(47)
-        .run();
-    let fast = Scenario::paper_default("fast", ElectorKind::OmegaL, LinkSpec::lan())
-        .with_qos(QosSpec::paper_default_with_detection(
-            SimDuration::from_millis(250),
-        ))
-        .with_duration(SimDuration::from_secs(1800))
-        .with_seed(47)
-        .run();
+    let slow = measure(
+        Scenario::paper_default(ElectorKind::OmegaL, LinkSpec::lan())
+            .with_duration(SimDuration::from_secs(1800))
+            .with_seed(47),
+    );
+    let fast = measure(
+        Scenario::paper_default(ElectorKind::OmegaL, LinkSpec::lan())
+            .with_qos(QosSpec::paper_default_with_detection(
+                SimDuration::from_millis(250),
+            ))
+            .with_duration(SimDuration::from_secs(1800))
+            .with_seed(47),
+    );
     assert!(fast.recovery.count > 0 && slow.recovery.count > 0);
     assert!(
         fast.recovery.mean < slow.recovery.mean,
