@@ -4,10 +4,10 @@
 //! use the `reproduce` binary for full-length regeneration of the tables.
 
 use sle_bench::bench_once;
-use sle_chaos::{run_plan, ChaosReport, FaultPlan, Scenario};
+use sle_chaos::{regime_shift, run_plan, ChaosReport, FaultPlan, Scenario};
 use sle_election::ElectorKind;
-use sle_harness::RegimeShiftScenario;
 use sle_net::link::{LinkCrashSpec, LinkSpec};
+use sle_sim::actor::NodeId;
 use sle_sim::time::SimDuration;
 
 /// Runs `scenario` for two measured minutes on the chaos engine.
@@ -44,6 +44,8 @@ fn main() {
         ))
     });
     bench_once("regime_shift/static_vs_adaptive", || {
-        RegimeShiftScenario::improving_network("bench", ElectorKind::OmegaL).compare()
+        let (scenario, plan) = regime_shift(ElectorKind::OmegaL);
+        let adaptive = scenario.clone().with_adaptive((0..6).map(NodeId));
+        [scenario, adaptive].map(|scenario| run_plan(&scenario, &plan))
     });
 }

@@ -37,7 +37,7 @@ struct Args {
     summary_file: Option<String>,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         seeds: None,
         seed_base: None,
@@ -48,7 +48,7 @@ fn parse_args() -> Result<Args, String> {
         no_shrink: false,
         summary_file: None,
     };
-    let mut iter = std::env::args().skip(1);
+    let mut iter = argv.into_iter();
     while let Some(arg) = iter.next() {
         let mut value = |name: &str| {
             iter.next()
@@ -73,6 +73,14 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument: {other}")),
         }
     }
+    // A sweep without runs, or over workstations that do not exist, checks
+    // nothing and must not report that every run passed.
+    if args.seeds == Some(0) {
+        return Err("--seeds must be at least 1".to_string());
+    }
+    if args.nodes == Some(0) {
+        return Err("--nodes must be at least 1".to_string());
+    }
     Ok(args)
 }
 
@@ -82,7 +90,7 @@ fn parse<T: std::str::FromStr>(text: &str) -> Result<T, String> {
 }
 
 fn main() {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(args) => args,
         Err(message) => {
             eprintln!("error: {message}");
@@ -182,5 +190,37 @@ fn main() {
             "OK: repeated and applied ALIVE batches, revivals included, and quiet and walking \
              detector fires and HELLO ticks ran under the checker"
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|arg| arg.to_string()))
+    }
+
+    #[test]
+    fn an_empty_sweep_is_refused() {
+        let error = parse(&["--seeds", "0"])
+            .err()
+            .expect("zero seeds run nothing");
+        assert!(error.contains("--seeds"), "{error}");
+        let error = parse(&["--smoke", "--nodes", "0"])
+            .err()
+            .expect("no workstations");
+        assert!(error.contains("--nodes"), "{error}");
+    }
+
+    #[test]
+    fn sizes_and_flags_are_read() {
+        let args = parse(&["--seeds", "3", "--nodes", "1", "--smoke"]).expect("valid");
+        assert_eq!(
+            (args.seeds, args.nodes, args.smoke),
+            (Some(3), Some(1), true)
+        );
+        assert!(parse(&["--seeds"]).is_err());
+        assert!(parse(&["--nodes", "x"]).is_err());
     }
 }

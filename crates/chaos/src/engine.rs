@@ -31,7 +31,6 @@
 use std::collections::{BTreeMap, HashMap};
 
 use sle_core::{JoinConfig, NodeInstruments, ProcessId, ServiceConfig, ServiceEvent, ServiceNode};
-use sle_fd::QosSpec;
 use sle_harness::{
     CrashPlan, ExperimentMetrics, MetricsCollector, Scenario, TrafficMeter, EXPERIMENT_GROUP,
 };
@@ -136,7 +135,6 @@ pub fn run_plan(scenario: &Scenario, plan: &FaultPlan) -> ChaosReport {
 pub fn run_plan_parallel(scenario: &Scenario, plan: &FaultPlan, workers: usize) -> ChaosReport {
     let n = scenario.nodes;
     let algorithm = scenario.algorithm;
-    let qos = scenario.qos;
     let mut network = NetworkModel::new(scenario.link);
     if let Some(spec) = scenario.link_crashes {
         network = network.with_link_crashes(spec);
@@ -147,9 +145,10 @@ pub fn run_plan_parallel(scenario: &Scenario, plan: &FaultPlan, workers: usize) 
     let factory: SharedActorFactory<ServiceNode> = Box::new({
         let registry = registry.clone();
         let ring = ring.clone();
+        let scenario = scenario.clone();
         move |node, _incarnation| {
             let config = ServiceConfig::full_mesh(node, n, algorithm)
-                .with_auto_join(EXPERIMENT_GROUP, JoinConfig::candidate().with_qos(qos));
+                .with_auto_join(EXPERIMENT_GROUP, join_config(&scenario, node));
             let mut service = ServiceNode::new(config);
             // Instrumented under virtual time: the same QoS histograms
             // and protocol trace the real-time runtime exports.
@@ -173,7 +172,7 @@ pub fn run_plan_parallel(scenario: &Scenario, plan: &FaultPlan, workers: usize) 
     let plan = with_workstation_crashes(scenario, plan);
     for timed in plan.actions() {
         world.run_until(timed.at, &mut shards);
-        apply_action(&mut world, &mut engine, &timed.action, qos);
+        apply_action(&mut world, &mut engine, &timed.action, scenario);
     }
     // Hand-written plans may schedule past the fault window; the run is
     // extended so every action still gets its full quiet tail (and the
@@ -199,7 +198,7 @@ pub fn run_plan_parallel(scenario: &Scenario, plan: &FaultPlan, workers: usize) 
     let spec = InvariantSpec {
         algorithm,
         nodes: n,
-        qos,
+        qos: scenario.qos,
         settle: scenario.settle,
         end,
     };
@@ -219,6 +218,17 @@ pub fn run_plan_parallel(scenario: &Scenario, plan: &FaultPlan, workers: usize) 
         qos,
         proto_trace: proto.events,
         proto_dropped: proto.dropped,
+    }
+}
+
+/// How `node` joins the experiment group: a candidate with the scenario's
+/// QoS, tuned adaptively if the scenario lists it.
+fn join_config(scenario: &Scenario, node: NodeId) -> JoinConfig {
+    let join = JoinConfig::candidate().with_qos(scenario.qos);
+    if scenario.adaptive.contains(&node) {
+        join.with_adaptive_tuning()
+    } else {
+        join
     }
 }
 
@@ -336,7 +346,7 @@ fn apply_action(
     world: &mut ChaosWorld,
     observer: &mut RunObserver,
     action: &FaultAction,
-    qos: QosSpec,
+    scenario: &Scenario,
 ) {
     let now = world.now();
     match action {
@@ -389,7 +399,7 @@ fn apply_action(
                 }
                 world.with_actor(*node, observer, |actor, ctx| {
                     let process = actor.register_process();
-                    let join = JoinConfig::candidate().with_qos(qos);
+                    let join = join_config(scenario, *node);
                     let _ = actor.join_group(process, EXPERIMENT_GROUP, join, ctx);
                 });
             }
@@ -483,6 +493,7 @@ mod tests {
     use super::*;
     use crate::plan::PlanKind;
     use sle_election::ElectorKind;
+    use sle_fd::QosSpec;
     use sle_harness::{CrashProfile, Summary};
     use sle_net::link::{LinkCrashSpec, LinkSpec};
     use sle_sim::time::SimDuration;
@@ -496,6 +507,24 @@ mod tests {
             assert!(report.final_leader.is_some(), "{algorithm}: no leader");
             assert!(report.events_processed > 0);
         }
+    }
+
+    #[test]
+    fn joins_are_adaptive_exactly_on_the_listed_workstations() {
+        let qos = QosSpec::paper_default_with_detection(SimDuration::from_millis(500));
+        let scenario = Scenario::new(ElectorKind::OmegaL, 4)
+            .with_qos(qos)
+            .with_adaptive([NodeId(2)]);
+        let fixed = JoinConfig::candidate().with_qos(qos);
+        assert_eq!(join_config(&scenario, NodeId(1)), fixed);
+        assert_eq!(
+            join_config(&scenario, NodeId(2)),
+            fixed.with_adaptive_tuning()
+        );
+        // The default lists nobody: every join is the paper's static one.
+        let paper = Scenario::new(ElectorKind::OmegaL, 4).with_qos(qos);
+        assert!(paper.adaptive.is_empty());
+        assert_eq!(join_config(&paper, NodeId(2)), fixed);
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //!   1-minimal plan and rendering it as a ready-to-paste `#[test]`.
 //!
 //! The [`engine`] between them is the one driver of a simulated deployment:
-//! it runs a plan against a harness [`Scenario`] — a sweep seed or a cell of
-//! the paper's figures — and reports the invariant verdict beside the
-//! paper's QoS metrics. [`run_plan`] is [`run_plan_parallel`] on one sim
+//! it runs a plan against a harness [`Scenario`] — a sweep seed, a cell of
+//! the paper's figures, or the static-vs-adaptive [`regime`] shift — and
+//! reports the invariant verdict beside the paper's QoS metrics. [`run_plan`] is [`run_plan_parallel`] on one sim
 //! worker, and the report is the same for every worker count.
 //!
 //! See `docs/CHAOS.md` for the DSL reference, the precise invariant
@@ -58,6 +58,7 @@ pub mod convert;
 pub mod engine;
 pub mod invariants;
 pub mod plan;
+pub mod regime;
 pub mod shrink;
 pub mod sweep;
 pub mod trace;
@@ -66,6 +67,7 @@ pub use convert::{convert_record, convert_trace};
 pub use engine::{run_plan, run_plan_parallel, ChaosReport};
 pub use invariants::{check_trace, InvariantSpec, Violation, ViolationKind};
 pub use plan::{link_to_code, FaultAction, FaultPlan, PlanKind, TimedAction};
+pub use regime::{crash_detection, regime_shift};
 pub use shrink::{shrink_plan, Shrunk};
 pub use sle_harness::Scenario;
 pub use sweep::{

@@ -281,6 +281,12 @@ impl ServiceNode {
     ///
     /// Installing an app also enables `LeaseGrant` broadcasts on the ALIVE
     /// tick, so the other members' apps learn new fencing tokens promptly.
+    ///
+    /// A leader resumed after a pause longer than its lease term is fenced
+    /// off only under Ω_lc and Ω_l: it drops the expired lease and applies
+    /// the accusation its silence earned (see `renew_lease`). Ω_id (S1) has
+    /// no accusation to apply, so a resumed S1 leader keeps its rank and
+    /// its lease is not fenced against the successor's.
     pub fn install_app(&mut self, app: Box<dyn FencedApp>) {
         self.lease.app = Some(app);
         self.lease.broadcast = true;

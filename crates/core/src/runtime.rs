@@ -346,6 +346,12 @@ impl ClusterHandle {
     /// the node serves `ClientRequest`s while it leads under a valid lease
     /// and broadcasts `LeaseGrant`s alongside its ALIVEs (see `docs/APP.md`).
     ///
+    /// A leader resumed by [`Cluster::recover`] after more than its lease
+    /// term is fenced off only under Ω_lc and Ω_l, which apply the
+    /// accusation its pause earned. Ω_id (S1) has no accusation to apply:
+    /// a resumed S1 leader keeps its rank, and its lease is not fenced
+    /// against the successor's.
+    ///
     /// Returns whether the installation was applied (false if the node has
     /// shut down).
     pub fn install_app(&self, app: Box<dyn FencedApp>) -> bool {

@@ -13,8 +13,6 @@
 //!   scale benches and tests,
 //! * [`crash`] — the workstation crash/recovery schedule,
 //! * [`scenario`] — the run description ([`scenario::Scenario`]),
-//! * [`regime`] — the regime-shift experiment comparing static vs adaptive
-//!   QoS tuning ([`regime::RegimeShiftScenario`]),
 //! * [`figures`] — per-figure cell definitions with the paper's values,
 //! * [`report`] — paper-vs-measured table rendering,
 //! * [`stats`] — summary statistics (mean, 95% CI).
@@ -53,7 +51,6 @@ pub mod crash;
 pub mod deploy;
 pub mod figures;
 pub mod metrics;
-pub mod regime;
 pub mod report;
 pub mod scenario;
 pub mod stats;
@@ -63,7 +60,6 @@ pub use figures::{
     all_figures, figure_by_id, figure_ids, Cell, CellResult, Figure, PaperValues, FIGURES,
 };
 pub use metrics::{ExperimentMetrics, MetricsCollector, TrafficMeter};
-pub use regime::{RegimeShiftComparison, RegimeShiftOutcome, RegimeShiftScenario};
 pub use report::{render_figure, render_figure_markdown};
 pub use scenario::{Scenario, EXPERIMENT_GROUP};
 pub use stats::Summary;

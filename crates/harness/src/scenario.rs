@@ -6,6 +6,7 @@ use sle_core::GroupId;
 use sle_election::ElectorKind;
 use sle_fd::QosSpec;
 use sle_net::link::{LinkCrashSpec, LinkSpec};
+use sle_sim::actor::NodeId;
 use sle_sim::time::{SimDuration, SimInstant};
 
 use crate::crash::CrashProfile;
@@ -28,6 +29,9 @@ pub struct Scenario {
     pub workstation_crashes: Option<CrashProfile>,
     /// QoS of the underlying failure detector.
     pub qos: QosSpec,
+    /// The workstations that join under `TuningPolicy::Adaptive`; the rest
+    /// keep the paper's static configuration. Empty by default.
+    pub adaptive: Vec<NodeId>,
     /// Measured experiment duration (after the warm-up); fault plans land
     /// within it.
     pub duration: SimDuration,
@@ -53,6 +57,7 @@ impl Scenario {
             link_crashes: None,
             workstation_crashes: None,
             qos: QosSpec::paper_default(),
+            adaptive: Vec::new(),
             duration: SimDuration::from_secs(45),
             warmup: SimDuration::ZERO,
             settle: SimDuration::from_secs(10),
@@ -123,6 +128,12 @@ impl Scenario {
         self
     }
 
+    /// Lets `nodes` join under adaptive failure-detector tuning.
+    pub fn with_adaptive(mut self, nodes: impl IntoIterator<Item = NodeId>) -> Self {
+        self.adaptive = nodes.into_iter().collect();
+        self
+    }
+
     /// End of the measured window: the warm-up plus the measured duration.
     pub fn horizon(&self) -> SimInstant {
         SimInstant::ZERO + self.warmup + self.duration
@@ -149,8 +160,10 @@ mod tests {
             .with_qos(QosSpec::paper_default_with_detection(
                 SimDuration::from_millis(500),
             ))
-            .without_workstation_crashes();
+            .without_workstation_crashes()
+            .with_adaptive([NodeId(1), NodeId(3)]);
         assert_eq!(scenario.nodes, 5);
+        assert_eq!(scenario.adaptive, [NodeId(1), NodeId(3)]);
         assert_eq!(scenario.seed, 3);
         assert!(scenario.link_crashes.is_some());
         assert!(scenario.workstation_crashes.is_none());

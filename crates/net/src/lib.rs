@@ -12,9 +12,6 @@
 //!   [`link::LinkCrashSpec`]/[`link::LinkOutageState`] (crash-prone links),
 //! * [`network`] — whole-network models ([`network::NetworkModel`] /
 //!   [`network::SimulatedNetwork`]) with per-link overrides and statistics,
-//! * [`drift`] — networks whose behaviour shifts between regimes mid-run
-//!   ([`drift::DriftSchedule`] / [`drift::DriftingNetwork`]), the workload of
-//!   the static-vs-adaptive tuning evaluation (`sle-harness`'s regime shift),
 //! * [`transport`] — the [`transport::MessageEndpoint`] abstraction the
 //!   real-time runtime is generic over, and the in-memory mesh
 //!   implementation of it (the UDP implementation lives in `sle-udp`),
@@ -39,13 +36,11 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod drift;
 pub mod link;
 pub mod mailbox;
 pub mod network;
 pub mod transport;
 
-pub use drift::{DriftSchedule, DriftingNetwork};
 pub use link::{LinkCrashSpec, LinkOutageState, LinkSpec};
 pub use mailbox::{Mailbox, MailboxSender};
 pub use network::{NetworkModel, NetworkStats, SimulatedNetwork};

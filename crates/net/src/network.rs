@@ -199,7 +199,7 @@ impl NetworkStats {
     /// Accounts for a link-level fate: loss, delivery, or duplication of a
     /// `wire_bytes`-byte message (blocked/partitioned drops are counted at
     /// their own call sites, before a link fate is ever sampled).
-    pub fn record_fate(&mut self, fate: Fate, wire_bytes: usize) {
+    fn record_fate(&mut self, fate: Fate, wire_bytes: usize) {
         match fate {
             Fate::Dropped => {
                 self.lost += 1;

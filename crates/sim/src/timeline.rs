@@ -1,10 +1,10 @@
 //! Piecewise-constant timelines of simulation parameters.
 //!
-//! Several models need "value X until time t, then value Y": drifting link
-//! behaviour, stepped delivery delays, scheduled workload phases. A
-//! [`Timeline`] is that shape, shared so every model uses the same builder
-//! rules (strictly increasing phase starts, first phase at time zero) and
-//! the same lookup semantics.
+//! Some models need "value X until time t, then value Y": stepped delivery
+//! delays ([`SteppedDelayMedium`](crate::medium::SteppedDelayMedium)),
+//! scheduled workload phases. A [`Timeline`] is that shape, shared so every
+//! model uses the same builder rules (strictly increasing phase starts,
+//! first phase at time zero) and the same lookup semantics.
 
 use crate::time::SimInstant;
 
