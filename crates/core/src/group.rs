@@ -10,6 +10,7 @@
 use sle_election::{AnyElector, LeaderElector};
 use sle_fd::{FailureDetector, MonitorArena, QosSpec, MIN_INTERVAL};
 use sle_sim::actor::NodeId;
+use sle_sim::dense::insert_tight;
 use sle_sim::time::{SimDuration, SimInstant};
 
 use crate::config::JoinConfig;
@@ -125,8 +126,8 @@ impl MemberTable {
                 (&mut self.entries[i], false)
             }
             Err(i) => {
-                self.entries
-                    .insert(i, MemberEntry::new(peer, incarnation, now));
+                let entry = MemberEntry::new(peer, incarnation, now);
+                insert_tight(&mut self.entries, i, entry);
                 (&mut self.entries[i], true)
             }
         }

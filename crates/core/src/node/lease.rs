@@ -76,13 +76,22 @@ impl ServiceNode {
     /// Records a remote leader's lease broadcast and forwards the fencing
     /// token to the installed app, advancing its high-water mark ahead of
     /// the new leader's first write.
+    ///
+    /// A leader broadcasts only its own token, so a grant whose token names
+    /// another node than `from` is not a leader's word: it is dropped (and
+    /// counted) before it can floor this node's mints or fence the app.
     pub(super) fn handle_lease_grant(
         &mut self,
+        from: NodeId,
         group: GroupId,
         token: FencingToken,
         valid_for: SimDuration,
         ctx: &mut ServiceContext,
     ) {
+        if token.node != from {
+            self.counts[NodeCount::ForeignGrantsIgnored].inc();
+            return;
+        }
         let Some(state) = self.groups.get_mut(group) else {
             return;
         };

@@ -22,7 +22,7 @@ mod lease;
 use sle_election::{ElectorKind, LeaderElector};
 use sle_fd::{LivenessHandle, MonitorArena, MIN_INTERVAL};
 use sle_sim::actor::{Actor, Context, NodeId, TimerTag};
-use sle_sim::dense::SlotIndex;
+use sle_sim::dense::{insert_tight, SlotIndex};
 use sle_sim::time::{SimDuration, SimInstant};
 
 use std::sync::Arc;
@@ -98,9 +98,10 @@ impl GroupTable {
                     slot
                 }
                 None => {
-                    self.slots.push(state);
-                    self.due.push(SimInstant::FAR_FUTURE);
-                    self.slots.len() as u32 - 1
+                    let slot = self.slots.len();
+                    insert_tight(&mut self.slots, slot, state);
+                    insert_tight(&mut self.due, slot, SimInstant::FAR_FUTURE);
+                    slot as u32
                 }
             };
             self.index.insert(group.0, slot);
@@ -625,7 +626,7 @@ impl Actor for ServiceNode {
                 group,
                 token,
                 valid_for,
-            } => self.handle_lease_grant(group, token, valid_for, ctx),
+            } => self.handle_lease_grant(from, group, token, valid_for, ctx),
             ServiceMessage::ClientRequest {
                 group,
                 session,

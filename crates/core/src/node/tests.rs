@@ -592,6 +592,66 @@ fn leader_serves_fenced_requests_and_followers_redirect() {
     });
 }
 
+/// A fenced app that hands every token it observes to the test.
+#[derive(Debug)]
+struct TokenLog(std::sync::mpsc::Sender<crate::lease::FencingToken>);
+
+impl crate::lease::FencedApp for TokenLog {
+    fn apply(
+        &mut self,
+        _group: GroupId,
+        _token: crate::lease::FencingToken,
+        payload: u64,
+    ) -> Result<u64, crate::lease::StaleToken> {
+        Ok(payload)
+    }
+
+    fn observe_token(&mut self, _group: GroupId, token: crate::lease::FencingToken) {
+        let _ = self.0.send(token);
+    }
+}
+
+#[test]
+fn a_lease_grant_relayed_by_another_node_is_ignored() {
+    let mut world = build_world(3, ElectorKind::OmegaL, 62);
+    let mut obs = NullObserver;
+    let (watcher, owner, relay) = (NodeId(0), NodeId(1), NodeId(2));
+    let (log, observed) = std::sync::mpsc::channel();
+    world.with_actor(watcher, &mut obs, |actor, _ctx| {
+        actor.install_app(Box::new(TokenLog(log)));
+    });
+    world.run_for(SimDuration::from_secs(5), &mut obs);
+    // n1's token, above anything minted so far.
+    let token = crate::lease::FencingToken {
+        accusation_time: SimInstant::from_secs_f64(1_000.0),
+        node: owner,
+        epoch: 99,
+        incarnation: 0,
+    };
+    let grant = ServiceMessage::LeaseGrant {
+        group: GROUP,
+        token,
+        valid_for: SimDuration::from_secs(1),
+    };
+    world.with_actor(watcher, &mut obs, |actor, ctx| {
+        observed.try_iter().for_each(drop);
+        let before = actor.remote_lease_of(GROUP);
+        actor.on_message(relay, grant.clone(), ctx);
+        assert_eq!(actor.remote_lease_of(GROUP), before);
+        assert_eq!(
+            observed.try_iter().next(),
+            None,
+            "the app saw a relayed token"
+        );
+        assert_eq!(actor.count(NodeCount::ForeignGrantsIgnored), 1);
+        // From its owner, the same grant is a leader's word.
+        actor.on_message(owner, grant, ctx);
+        assert_eq!(actor.remote_lease_of(GROUP).map(|l| l.token), Some(token));
+        assert!(observed.try_iter().any(|seen| seen == token));
+        assert_eq!(actor.count(NodeCount::ForeignGrantsIgnored), 1);
+    });
+}
+
 #[test]
 fn a_lease_that_expired_before_the_tick_is_dropped_not_renewed() {
     // The wall-clock runtime's crash/recover parks a leader with its

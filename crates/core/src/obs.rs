@@ -103,6 +103,9 @@ node_counts! {
     LeasesMinted = "app.leases_minted",
     /// Lease renewals performed on the ALIVE tick.
     LeaseRenewals = "app.lease_renewals",
+    /// `LeaseGrant`s dropped because their token names another node than
+    /// the sender (a leader broadcasts only its own token).
+    ForeignGrantsIgnored = "app.foreign_grants_ignored",
     /// Client requests served by the installed app under a valid lease.
     RequestsApplied = "app.requests_applied",
     /// Client requests the installed app rejected for a stale fencing token.

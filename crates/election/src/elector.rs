@@ -10,6 +10,7 @@
 //! accusation message to be sent.
 
 use sle_sim::actor::NodeId;
+use sle_sim::dense::insert_tight;
 use sle_sim::time::SimInstant;
 
 use crate::types::{AlivePayload, ElectorKind, ElectorOutput, Rank};
@@ -161,7 +162,7 @@ impl PeerTable {
                 self.cache_add(new_rank);
             }
             Err(i) => {
-                self.peers.insert(i, (peer, state));
+                insert_tight(&mut self.peers, i, (peer, state));
                 self.cache_add(new_rank);
             }
         }

@@ -10,6 +10,7 @@
 //! can watch all its monitors of one peer from one timer and its [`Wake`].
 
 use sle_sim::actor::NodeId;
+use sle_sim::dense::insert_tight;
 use sle_sim::time::{SimDuration, SimInstant};
 
 use crate::arena::MonitorArena;
@@ -200,7 +201,7 @@ impl FailureDetector {
         self.find(peer).unwrap_or_else(|i| {
             let monitor =
                 PeerMonitor::with_liveness(self.qos, self.policy, self.arena.slot(peer), now);
-            self.monitors.insert(i, (peer, monitor));
+            insert_tight(&mut self.monitors, i, (peer, monitor));
             i
         })
     }
@@ -225,7 +226,7 @@ impl FailureDetector {
         let monitor = PeerMonitor::with_liveness(self.qos, self.policy, slot, now);
         match self.find(peer) {
             Ok(i) => self.monitors[i].1 = monitor,
-            Err(i) => self.monitors.insert(i, (peer, monitor)),
+            Err(i) => insert_tight(&mut self.monitors, i, (peer, monitor)),
         }
     }
 

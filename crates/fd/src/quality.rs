@@ -15,6 +15,8 @@
 //! tuning policy reads the same ring, over the whole of it or over its most
 //! recent slots ([`LinkQualityEstimator::estimate_over`]).
 
+use std::collections::VecDeque;
+
 use sle_sim::time::{SimDuration, SimInstant};
 
 /// A point-in-time estimate of the quality of one directed link.
@@ -119,9 +121,13 @@ pub struct LinkQualityEstimator {
     /// When the heartbeat numbered `highest_seq` was sent.
     highest_sent_at: SimInstant,
     /// Sequence numbers received within the sliding loss window, in arrival
-    /// order (heartbeat streams are almost always in order, so the front of
-    /// the queue holds the oldest sequence numbers).
-    recent_seqs: std::collections::VecDeque<u64>,
+    /// order, stored as runs of consecutive numbers: `(first, last)` stands
+    /// for `first, first + 1, ..., last`. Heartbeat streams are almost
+    /// always in order, so the front holds the oldest numbers and an honest
+    /// stream without losses is a single run.
+    recent: VecDeque<(u64, u64)>,
+    /// How many numbers the runs of `recent` stand for.
+    held: u64,
 }
 
 impl LinkQualityEstimator {
@@ -136,17 +142,66 @@ impl LinkQualityEstimator {
         assert!(capacity > 0, "estimator capacity must be positive");
         LinkQualityEstimator {
             capacity,
-            delays: Vec::with_capacity(capacity),
+            delays: Vec::new(),
             next_slot: 0,
             received: 0,
             highest_seq: 0,
             highest_sent_at: SimInstant::ZERO,
-            recent_seqs: std::collections::VecDeque::new(),
+            recent: VecDeque::new(),
+            held: 0,
         }
     }
 
     fn loss_window_span(&self) -> u64 {
         (self.capacity as u64) * 4
+    }
+
+    /// The most numbers the loss window holds. An honest stream holds the
+    /// span plus the odd straggler from below it. A sender that repeats one
+    /// number with ever later stamps looks like a restart every time, and
+    /// nothing would ever fall out of the window: past this bound the
+    /// oldest numbers go.
+    fn loss_window_cap(&self) -> u64 {
+        self.loss_window_span().saturating_mul(2)
+    }
+
+    fn in_window(&self, seq: u64) -> bool {
+        (self.recent.iter()).any(|&(first, last)| first <= seq && seq <= last)
+    }
+
+    /// Appends `seq` to the window (extending the newest run if it is the
+    /// next number), then drops the numbers below `cutoff` from the front
+    /// and, past the cap, the oldest ones.
+    fn push_to_window(&mut self, seq: u64, cutoff: u64) {
+        match self.recent.back_mut() {
+            Some((_, last)) if last.checked_add(1) == Some(seq) => *last = seq,
+            _ => self.recent.push_back((seq, seq)),
+        }
+        self.held += 1;
+        while let Some(front) = self.recent.front_mut() {
+            if front.0 >= cutoff {
+                break;
+            }
+            if front.1 >= cutoff {
+                self.held -= cutoff - front.0;
+                front.0 = cutoff;
+                break;
+            }
+            self.held -= front.1 - front.0 + 1;
+            self.recent.pop_front();
+        }
+        while self.held > self.loss_window_cap() {
+            let excess = self.held - self.loss_window_cap();
+            let front = self.recent.front_mut().expect("held numbers sit in runs");
+            let run = front.1 - front.0 + 1;
+            if run <= excess {
+                self.held -= run;
+                self.recent.pop_front();
+            } else {
+                front.0 += excess;
+                self.held -= excess;
+            }
+        }
     }
 
     /// Records the arrival of heartbeat number `seq`, stamped `sent_at` by
@@ -161,6 +216,14 @@ impl LinkQualityEstimator {
     pub fn record(&mut self, seq: u64, sent_at: SimInstant, received_at: SimInstant) {
         let delay = received_at.saturating_since(sent_at).as_secs_f64();
         if self.delays.len() < self.capacity {
+            // The ring grows on demand, doubling up to the capacity: a link
+            // that is never fed (most of them: only a group's leader sends
+            // ALIVEs under Ω_l) holds no ring at all.
+            let len = self.delays.len();
+            if len == self.delays.capacity() {
+                self.delays
+                    .reserve_exact(len.max(4).min(self.capacity - len));
+            }
             self.delays.push(delay);
         } else {
             self.delays[self.next_slot] = delay;
@@ -170,18 +233,11 @@ impl LinkQualityEstimator {
         self.received += 1;
         if seq > self.highest_seq || self.received == 1 {
             (self.highest_seq, self.highest_sent_at) = (seq, sent_at);
-        } else if sent_at <= self.highest_sent_at && self.recent_seqs.contains(&seq) {
+        } else if sent_at <= self.highest_sent_at && self.in_window(seq) {
             return;
         }
-        self.recent_seqs.push_back(seq);
         let cutoff = self.highest_seq.saturating_sub(self.loss_window_span());
-        while let Some(&front) = self.recent_seqs.front() {
-            if front < cutoff {
-                self.recent_seqs.pop_front();
-            } else {
-                break;
-            }
-        }
+        self.push_to_window(seq, cutoff);
     }
 
     /// Number of heartbeats recorded so far.
@@ -205,7 +261,7 @@ impl LinkQualityEstimator {
     ///
     /// [`estimate`]: LinkQualityEstimator::estimate
     pub fn estimate_over(&self, window: usize) -> LinkQuality {
-        if self.delays.is_empty() || self.recent_seqs.is_empty() {
+        if self.delays.is_empty() || self.recent.is_empty() {
             return LinkQuality::conservative_prior();
         }
         // The newest sample sits just before `next_slot`; the ring wraps
@@ -237,10 +293,11 @@ impl LinkQualityEstimator {
         } else {
             0
         };
-        let (received, oldest) = (self.recent_seqs.iter())
-            .filter(|&&seq| seq >= floor)
-            .fold((0u64, self.highest_seq), |(count, oldest), &seq| {
-                (count + 1, oldest.min(seq))
+        let (received, oldest) = (self.recent.iter())
+            .filter(|&&(_, last)| last >= floor)
+            .map(|&(first, last)| (first.max(floor), last))
+            .fold((0u64, self.highest_seq), |(count, oldest), (from, last)| {
+                (count + (last - from) + 1, oldest.min(from))
             });
         let expected = self.highest_seq.saturating_sub(oldest).saturating_add(1);
         let loss = if expected == 0 || received >= expected {
@@ -396,12 +453,146 @@ mod tests {
             let sent = SimInstant::ZERO + SimDuration::from_millis(2_000 + seq * 10);
             est.record(seq, sent, sent);
         }
-        assert_eq!(est.recent_seqs.len(), 150);
+        assert_eq!(est.held, 150);
         // A real copy of the newest heartbeat still is one.
         let sent = SimInstant::ZERO + SimDuration::from_millis(99 * 10);
         est.record(99, sent, sent + SimDuration::from_millis(7));
-        assert_eq!(est.recent_seqs.len(), 150);
+        assert_eq!(est.held, 150);
         assert_eq!(est.heartbeats_recorded(), 151);
+    }
+
+    #[test]
+    fn the_ring_grows_to_its_capacity_and_no_further() {
+        let mut est = LinkQualityEstimator::new(100);
+        assert_eq!(est.delays.capacity(), 0);
+        feed(&mut est, &(0..1_000).collect::<Vec<_>>(), 1.0, 10);
+        assert_eq!(est.delays.capacity(), 100);
+        assert_eq!(est.estimate().samples, 100);
+    }
+
+    #[test]
+    fn a_repeated_number_with_rising_stamps_cannot_grow_the_window() {
+        let mut est = LinkQualityEstimator::new(16);
+        feed(&mut est, &(0..100).collect::<Vec<_>>(), 1.0, 10);
+        // Every copy of the newest number is stamped later than it, so each
+        // looks like a restarted numbering, and none is below the cutoff.
+        for i in 0..200_000u64 {
+            let sent = SimInstant::ZERO + SimDuration::from_millis(1_000 + i);
+            est.record(99, sent, sent);
+        }
+        assert_eq!(est.held, est.loss_window_cap());
+        assert_eq!(est.recent.len() as u64, est.loss_window_cap());
+        assert_eq!(est.heartbeats_recorded(), 200_100);
+    }
+
+    /// The window as a plain queue of single numbers (and the same cap):
+    /// the reference the runs must match exactly.
+    struct PerNumber {
+        seqs: VecDeque<u64>,
+        highest: u64,
+        highest_sent_at: SimInstant,
+        received: u64,
+        span: u64,
+        cap: usize,
+    }
+
+    impl PerNumber {
+        fn record(&mut self, seq: u64, sent_at: SimInstant) {
+            self.received += 1;
+            if seq > self.highest || self.received == 1 {
+                (self.highest, self.highest_sent_at) = (seq, sent_at);
+            } else if sent_at <= self.highest_sent_at && self.seqs.contains(&seq) {
+                return;
+            }
+            self.seqs.push_back(seq);
+            let cutoff = self.highest.saturating_sub(self.span);
+            while self.seqs.front().is_some_and(|&front| front < cutoff) {
+                self.seqs.pop_front();
+            }
+            while self.seqs.len() > self.cap {
+                self.seqs.pop_front();
+            }
+        }
+
+        /// Count and oldest of the numbers at or above `floor`.
+        fn at_or_above(&self, floor: u64) -> (u64, u64) {
+            (self.seqs.iter().filter(|&&seq| seq >= floor))
+                .fold((0, self.highest), |(n, oldest), &seq| {
+                    (n + 1, oldest.min(seq))
+                })
+        }
+    }
+
+    #[test]
+    fn runs_match_a_window_of_single_numbers() {
+        let mut rng = sle_sim::rng::SimRng::seed_from(0x5E0_4100);
+        let mut capped = 0;
+        for case in 0..60u64 {
+            let capacity = 1 + rng.uniform_usize(12);
+            let mut est = LinkQualityEstimator::new(capacity);
+            let mut model = PerNumber {
+                seqs: VecDeque::new(),
+                highest: 0,
+                highest_sent_at: SimInstant::ZERO,
+                received: 0,
+                span: est.loss_window_span(),
+                cap: est.loss_window_cap() as usize,
+            };
+            // Every third case numbers from just below u64::MAX.
+            let base = if case % 3 == 0 { u64::MAX - 40 } else { 0 };
+            let (mut next, mut clock) = (base, 0u64);
+            for _ in 0..400 {
+                clock += 1 + rng.uniform_usize(5) as u64;
+                let seq = match rng.uniform_usize(10) {
+                    // In order, sometimes skipping a few (losses).
+                    0..=4 => {
+                        let seq = next.saturating_add(rng.uniform_usize(3) as u64);
+                        next = seq.saturating_add(1);
+                        seq
+                    }
+                    // A copy or a straggler from anywhere below the top,
+                    // stamped no later than it...
+                    5..=6 => model.highest.saturating_sub(rng.uniform_usize(80) as u64),
+                    // ...or stamped later: a restarted numbering.
+                    7 => {
+                        next = base.saturating_add(rng.uniform_usize(20) as u64);
+                        next
+                    }
+                    // A flood of one repeated number with rising stamps.
+                    _ => model.highest.saturating_sub(rng.uniform_usize(4) as u64),
+                };
+                let restamped = matches!(rng.uniform_usize(3), 0);
+                let sent_at = if seq <= model.highest && !restamped {
+                    model.highest_sent_at
+                } else {
+                    SimInstant::from_nanos(clock)
+                };
+                est.record(seq, sent_at, SimInstant::from_nanos(clock));
+                model.record(seq, sent_at);
+                let numbers = est.recent.iter().flat_map(|&(first, last)| first..=last);
+                assert!(numbers.eq(model.seqs.iter().copied()), "case {case}");
+                assert_eq!(est.held, model.seqs.len() as u64);
+                capped += usize::from(model.seqs.len() == model.cap);
+                for window in [1, 2, capacity / 2 + 1, capacity, usize::MAX] {
+                    let floor = if window < capacity {
+                        model.highest.saturating_sub(window as u64 - 1)
+                    } else {
+                        0
+                    };
+                    let (received, oldest) = model.at_or_above(floor);
+                    let expected = model.highest.saturating_sub(oldest).saturating_add(1);
+                    let loss = if model.seqs.is_empty() {
+                        LinkQuality::conservative_prior().loss_probability
+                    } else if received >= expected {
+                        0.0
+                    } else {
+                        1.0 - received as f64 / expected as f64
+                    };
+                    assert_eq!(est.estimate_over(window).loss_probability, loss);
+                }
+            }
+        }
+        assert!(capped > 0, "no case reached the cap");
     }
 
     #[test]

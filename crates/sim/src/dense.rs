@@ -179,6 +179,31 @@ impl TagMap {
     }
 }
 
+/// Inserts `value` at `index` like [`Vec::insert`], but grows a full `vec`
+/// by `len / 8 + 1` slots instead of doubling it.
+///
+/// Per-membership tables (a group's monitors, members and elector peers)
+/// reach their final length one insert at a time and then keep it for the
+/// life of the membership, so doubling would leave up to half of each one
+/// unused: 9 remote members sit in 16 slots. Growing by an eighth keeps
+/// the slack to `len / 8 + 1` slots, for a few more reallocations while
+/// the membership forms. Appending is `insert_tight(vec, vec.len(), value)`.
+///
+/// ```
+/// let mut v = Vec::new();
+/// for x in 0..9 {
+///     sle_sim::dense::insert_tight(&mut v, 0, x);
+/// }
+/// assert_eq!(v, [8, 7, 6, 5, 4, 3, 2, 1, 0]);
+/// assert_eq!(v.capacity(), 10);
+/// ```
+pub fn insert_tight<T>(vec: &mut Vec<T>, index: usize, value: T) {
+    if vec.len() == vec.capacity() {
+        vec.reserve_exact(vec.len() / 8 + 1);
+    }
+    vec.insert(index, value);
+}
+
 /// A dense index from a `u32` id space (node ids, group ids) to `u32` slots.
 ///
 /// Backed by a sorted vector of `(id, slot)` pairs: lookups are binary
@@ -329,6 +354,30 @@ mod tests {
         }
         m.insert(2, 3);
         assert_eq!(m.get(2), Some(3));
+    }
+
+    #[test]
+    fn insert_tight_keeps_slack_within_an_eighth() {
+        let mut v: Vec<u64> = Vec::new();
+        let mut reallocations = 0;
+        for n in 0..2_000u64 {
+            let before = v.capacity();
+            // Alternate front, middle and back so every position is used.
+            let at = [0, v.len() / 2, v.len()][n as usize % 3];
+            insert_tight(&mut v, at, n);
+            reallocations += usize::from(v.capacity() != before);
+            let len = v.len();
+            assert!(
+                v.capacity() <= len + (len - 1) / 8,
+                "{len} in {}",
+                v.capacity()
+            );
+        }
+        // Still geometric: about log_{9/8} of the length, not one per insert.
+        assert!(reallocations < 60, "{reallocations} reallocations");
+        let mut sorted = v.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..2_000).collect::<Vec<_>>());
     }
 
     #[test]

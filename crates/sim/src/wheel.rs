@@ -51,7 +51,8 @@ struct Entry<T> {
     item: T,
 }
 
-/// Entries of the tick currently being drained, ordered earliest-first.
+/// An entry ordered earliest-`(time, seq)`-first. Slots hold them in this
+/// form too, so a drained level-0 slot becomes the heap without a copy.
 struct Pending<T>(Entry<T>);
 
 impl<T> PartialEq for Pending<T> {
@@ -99,7 +100,7 @@ impl<T> Ord for Pending<T> {
 pub struct EventWheel<T> {
     /// `levels[k][s]` holds entries whose tick differs from `elapsed` first
     /// (most significantly) in digit `k`, with digit value `s`.
-    levels: Vec<Vec<Vec<Entry<T>>>>,
+    levels: Vec<Vec<Vec<Pending<T>>>>,
     /// One occupancy bit per slot per level.
     occupied: [u64; LEVELS],
     /// The tick the wheel has drained up to: every entry still in a slot
@@ -161,7 +162,7 @@ impl<T> EventWheel<T> {
         let differing = tick ^ self.elapsed;
         let level = ((63 - differing.leading_zeros()) / SLOT_BITS) as usize;
         let slot = ((tick >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-        self.levels[level][slot].push(entry);
+        self.levels[level][slot].push(Pending(entry));
         self.occupied[level] |= 1 << slot;
     }
 
@@ -218,12 +219,14 @@ impl<T> EventWheel<T> {
             self.occupied[level] &= !(1 << slot);
             let entries = std::mem::take(&mut self.levels[level][slot]);
             if level == 0 {
-                // Every entry in a level-0 slot has exactly this tick.
-                self.current.extend(entries.into_iter().map(Pending));
+                // Every entry in a level-0 slot has exactly this tick, and
+                // `current` is empty: the slot's own buffer becomes the heap
+                // (heapified in place), so a burst's capacity leaves with
+                // the burst instead of staying with `current` for good.
+                self.current = BinaryHeap::from(entries);
             } else {
                 self.len -= entries.len();
-                for entry in entries {
-                    let Entry { at, seq, item } = entry;
+                for Pending(Entry { at, seq, item }) in entries {
                     self.push(at, seq, item);
                 }
             }
@@ -421,7 +424,10 @@ mod tests {
     fn matches_a_sorted_model_over_random_workloads() {
         // Differential test against a plain sorted model: interleaved
         // pushes and pops across the full range of delays (same tick,
-        // same level, cross-level, multi-day) must agree exactly.
+        // same level, cross-level, multi-day) must agree exactly. Now and
+        // then a burst of up to 300 events lands on one instant: the
+        // current one (into the tick being drained) or one ahead (a slot
+        // that is drained whole later).
         let mut rng = SimRng::seed_from(0xD1CE);
         for _case in 0..20 {
             let mut wheel = EventWheel::new();
@@ -438,8 +444,17 @@ mod tests {
                     model.push((at, seq));
                     seq += 1;
                 }
+                if rng.uniform_usize(10) == 0 {
+                    let ahead = [0, rng.next_u64() % (1 << 22)][rng.uniform_usize(2)];
+                    let at = now + SimDuration::from_nanos(ahead);
+                    for _ in 0..=rng.uniform_usize(300) {
+                        wheel.push(at, seq, seq);
+                        model.push((at, seq));
+                        seq += 1;
+                    }
+                }
                 model.sort();
-                let pops = rng.uniform_usize(4);
+                let pops = rng.uniform_usize(4) + rng.uniform_usize(2) * rng.uniform_usize(200);
                 for _ in 0..pops {
                     let expected = if model.is_empty() {
                         None

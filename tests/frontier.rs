@@ -7,9 +7,11 @@
 //! cargo test --release --test frontier -- --ignored --nocapture two_sim_workers_beat_one
 //! ```
 //!
-//! The first needs ≈ 6 GiB of memory and two minutes of one core. Throughput
-//! of the same engine at an everyday size, with repeats and a regression
-//! bound, is `ops_per_s` of `benchmark/`'s `sim-steady` workload.
+//! The first needs ≈ 4 GiB of memory and a minute or two of one core, and
+//! fails if its peak resident set passes 4 608 MiB (heap bytes per part, at
+//! an everyday size, are pinned by `tests/memory.rs`). Throughput of the
+//! same engine at an everyday size, with repeats and a regression bound, is
+//! `ops_per_s` of `benchmark/`'s `sim-steady` workload.
 
 use std::time::{Duration, Instant};
 
@@ -18,6 +20,10 @@ use sle_election::ElectorKind;
 use sle_fd::QosSpec;
 use sle_harness::deploy;
 use sle_sim::prelude::*;
+
+/// The most peak resident set `a_million_processes_settle` may reach (it
+/// measured 4 018 MiB on a 2-vCPU x86-64 Linux VM).
+const FRONTIER_VMHWM_MIB: u64 = 4_608;
 
 /// Virtual time a deployment gets to elect before its steady-state window.
 const SETTLE: SimDuration = SimDuration::from_secs(12);
@@ -78,12 +84,12 @@ fn peak_rss_mib() -> Option<u64> {
 }
 
 /// 10 000 workstations × 100 000 groups × 10 members: a million group
-/// members, every group of which must end up agreed on a leader. The
-/// detection bound is relaxed to 8 s and the window cut to 5 s — the ALIVE
-/// and detector event rate scales with 1 / T_D — to keep the cell to
-/// minutes.
+/// members, every group of which must end up agreed on a leader, in at
+/// most [`FRONTIER_VMHWM_MIB`] of peak resident set. The detection bound is
+/// relaxed to 8 s and the window cut to 5 s — the ALIVE and detector event
+/// rate scales with 1 / T_D — to keep the cell to minutes.
 #[test]
-#[ignore = "≈ 6 GiB and minutes; run by name, see the file header"]
+#[ignore = "≈ 4 GiB and minutes; run by name, see the file header"]
 fn a_million_processes_settle() {
     let shape = (10_000, 100_000, 10);
     let run = run_s3(
@@ -103,6 +109,12 @@ fn a_million_processes_settle() {
         peak_rss_mib().map_or("?".to_string(), |mib| mib.to_string()),
     );
     assert_eq!(run.agreed, shape.1, "not every group elected");
+    if let Some(mib) = peak_rss_mib() {
+        assert!(
+            mib <= FRONTIER_VMHWM_MIB,
+            "VmHWM {mib} MiB > {FRONTIER_VMHWM_MIB} MiB"
+        );
+    }
 }
 
 /// What keeps `ParWorld`'s threaded path (docs/SIM.md): 100 000 processes
