@@ -3,7 +3,10 @@
 //! estimator and the freshness monitor's heartbeat path.
 
 use sle_bench::{bench_loop, black_box};
-use sle_fd::{configure, LinkQuality, LinkQualityEstimator, PeerMonitor, QosSpec, TuningPolicy};
+use sle_fd::{
+    configure, FailureDetector, LinkQuality, LinkQualityEstimator, QosSpec, TuningPolicy,
+};
+use sle_sim::actor::NodeId;
 use sle_sim::time::{SimDuration, SimInstant};
 
 fn bench_configurator() {
@@ -41,15 +44,17 @@ fn bench_estimator() {
 }
 
 fn bench_monitor() {
-    let mut monitor = PeerMonitor::new(QosSpec::paper_default(), SimInstant::ZERO);
+    let peer = NodeId(1);
+    let mut fd = FailureDetector::new(QosSpec::paper_default());
+    fd.ensure_peer(peer, SimInstant::ZERO);
     let interval = SimDuration::from_millis(250);
     let mut seq = 0u64;
     let mut now = SimInstant::ZERO;
     bench_loop("peer_monitor_heartbeat", 1_000_000, || {
         now += interval;
         seq += 1;
-        black_box(monitor.on_heartbeat(seq, now, interval, now));
-        black_box(monitor.check(now))
+        black_box(fd.on_heartbeat(peer, seq, now, interval, now));
+        black_box(fd.poll(now))
     });
 }
 

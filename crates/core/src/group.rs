@@ -8,7 +8,7 @@
 //! tree maps.
 
 use sle_election::{AnyElector, LeaderElector};
-use sle_fd::{FailureDetector, MonitorArena, QosSpec, MIN_INTERVAL};
+use sle_fd::{GroupDetector, MIN_INTERVAL};
 use sle_sim::actor::NodeId;
 use sle_sim::dense::insert_tight;
 use sle_sim::time::{SimDuration, SimInstant};
@@ -39,7 +39,7 @@ pub struct MemberEntry {
     /// group, if any: a group its newer list no longer names ages out.
     pub listed_at: Option<u64>,
     /// The remote processes in the group and whether each is a candidate.
-    pub processes: Vec<(ProcessId, bool)>,
+    pub processes: ProcessList,
     /// The representative candidate process the member advertises in its
     /// ALIVEs, if any.
     pub representative: Option<ProcessId>,
@@ -54,7 +54,7 @@ impl MemberEntry {
             incarnation,
             last_heard,
             listed_at: None,
-            processes: Vec::new(),
+            processes: ProcessList::default(),
             representative: None,
             requested_interval: None,
         }
@@ -75,6 +75,74 @@ impl MemberEntry {
                 .map(|(process, _)| *process)
                 .min()
         })
+    }
+}
+
+/// A member's remote processes with their candidate flags, in announced
+/// order: a single process (by far the common case) is held inline, more
+/// spill to the heap. Dereferences to the slice.
+#[derive(Debug, Clone)]
+pub struct ProcessList(Processes);
+
+#[derive(Debug, Clone)]
+enum Processes {
+    One((ProcessId, bool)),
+    Many(Vec<(ProcessId, bool)>),
+}
+
+impl ProcessList {
+    /// Keeps only the processes for which `keep` returns true.
+    pub fn retain(&mut self, mut keep: impl FnMut(&(ProcessId, bool)) -> bool) {
+        let mut list = self.to_vec();
+        list.retain(|process| keep(process));
+        *self = list.into();
+    }
+}
+
+impl Default for ProcessList {
+    fn default() -> Self {
+        ProcessList(Processes::Many(Vec::new()))
+    }
+}
+
+impl std::ops::Deref for ProcessList {
+    type Target = [(ProcessId, bool)];
+
+    fn deref(&self) -> &Self::Target {
+        match &self.0 {
+            Processes::One(process) => std::slice::from_ref(process),
+            Processes::Many(list) => list,
+        }
+    }
+}
+
+impl PartialEq for ProcessList {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl From<(ProcessId, bool)> for ProcessList {
+    fn from(process: (ProcessId, bool)) -> Self {
+        ProcessList(Processes::One(process))
+    }
+}
+
+impl From<Vec<(ProcessId, bool)>> for ProcessList {
+    fn from(list: Vec<(ProcessId, bool)>) -> Self {
+        match list[..] {
+            [process] => process.into(),
+            _ => ProcessList(Processes::Many(list)),
+        }
+    }
+}
+
+impl From<&[(ProcessId, bool)]> for ProcessList {
+    fn from(list: &[(ProcessId, bool)]) -> Self {
+        match *list {
+            [process] => process.into(),
+            _ => ProcessList(Processes::Many(list.to_vec())),
+        }
     }
 }
 
@@ -177,17 +245,17 @@ impl MemberTable {
 pub struct GroupState {
     /// The group's identifier.
     pub group: GroupId,
-    /// The failure-detection QoS used for this group.
-    pub qos: QosSpec,
     /// Local processes that joined the group, with their candidate flags,
     /// sorted by local slot.
     pub local_processes: Vec<(u32, bool)>,
     /// The election algorithm instance for this group.
     pub elector: AnyElector,
-    /// The per-group failure detector monitoring the other members. It
-    /// arms no timer of its own: the service watches every group's monitor
-    /// of a peer from that peer's one timer (`FailureDetector::check_peer`).
-    pub fd: FailureDetector,
+    /// The group's share of the node's failure detector: its QoS and
+    /// policy, and its monitors of the other members over the node's peer
+    /// table. It arms no timer of
+    /// its own: the service watches every group's monitor of a peer from
+    /// that peer's one timer (`GroupDetector::check_peer`).
+    pub fd: GroupDetector,
     /// Remote membership learnt from HELLO/ALIVE messages.
     pub members: MemberTable,
     /// The leader last announced to local applications (to detect changes).
@@ -212,23 +280,19 @@ pub struct GroupState {
 }
 
 impl GroupState {
-    /// Creates the state for a group the local node just joined. The
-    /// group's failure detector draws its per-peer liveness records from
-    /// `arena`, the workstation-wide store shared by every group.
+    /// Creates the state for a group the local node just joined.
     pub fn new(
         group: GroupId,
         me: NodeId,
         algorithm: sle_election::ElectorKind,
         config: &JoinConfig,
-        arena: &MonitorArena,
         now: SimInstant,
     ) -> Self {
         GroupState {
             group,
-            qos: config.qos,
             local_processes: Vec::new(),
             elector: AnyElector::new(algorithm, me, config.candidate, now),
-            fd: FailureDetector::with_arena(config.qos, config.tuning, arena.clone()),
+            fd: GroupDetector::new(config.qos, config.tuning),
             members: MemberTable::new(),
             announced_leader: None,
             joined_at: now,
@@ -296,7 +360,12 @@ impl GroupState {
     /// below [`MIN_INTERVAL`], the least any configurator asks for — a
     /// hostile request of 0 must not make the ALIVE tick spin.
     pub fn send_interval(&self) -> SimDuration {
-        let default = self.qos.detection_time().mul_f64(0.25).max(MIN_INTERVAL);
+        let default = self
+            .fd
+            .qos()
+            .detection_time()
+            .mul_f64(0.25)
+            .max(MIN_INTERVAL);
         self.members
             .iter()
             .filter_map(|e| e.requested_interval)
@@ -336,7 +405,6 @@ mod tests {
             NodeId(0),
             ElectorKind::OmegaLc,
             &JoinConfig::candidate(),
-            &MonitorArena::new(),
             SimInstant::ZERO,
         )
     }
@@ -406,7 +474,7 @@ mod tests {
             .members
             .ensure(NodeId(2), 0, SimInstant::ZERO)
             .0
-            .processes = vec![(ProcessId::new(NodeId(2), 4), true)];
+            .processes = vec![(ProcessId::new(NodeId(2), 4), true)].into();
         assert_eq!(
             group.leader_process(NodeId(0), Some(NodeId(2))),
             Some(ProcessId::new(NodeId(2), 4))
@@ -428,7 +496,8 @@ mod tests {
         entry.processes = vec![
             (ProcessId::new(NodeId(3), 2), false),
             (ProcessId::new(NodeId(3), 1), true),
-        ];
+        ]
+        .into();
         let entry = table.get(NodeId(3)).unwrap();
         assert!(entry.has_candidate());
         assert_eq!(
@@ -437,7 +506,7 @@ mod tests {
         );
         assert!(!table.ensure(NodeId(3), 1, SimInstant::ZERO).1);
         let (passive, _) = table.ensure(NodeId(4), 1, SimInstant::ZERO);
-        passive.processes = vec![(ProcessId::new(NodeId(4), 2), false)];
+        passive.processes = (ProcessId::new(NodeId(4), 2), false).into();
         let passive = table.get(NodeId(4)).unwrap();
         assert!(!passive.has_candidate());
         assert_eq!(passive.representative_process(), None);
@@ -449,6 +518,24 @@ mod tests {
         assert!(table.remove(NodeId(3)).is_some());
         assert!(table.remove(NodeId(3)).is_none());
         assert_eq!(table.len(), 1);
+    }
+
+    #[test]
+    fn a_single_process_is_held_inline() {
+        let one = (ProcessId::new(NodeId(3), 0), true);
+        let many: Vec<_> = (0..5)
+            .map(|l| (ProcessId::new(NodeId(3), l), false))
+            .collect();
+        let mut list = ProcessList::from(many.clone());
+        assert!(matches!(list.0, Processes::Many(_)));
+        assert_eq!(*list, many[..]);
+        list.retain(|&(p, _)| p.local == 2);
+        assert!(matches!(list.0, Processes::One(_)));
+        assert_eq!(*list, many[2..3]);
+        assert!(matches!(ProcessList::from(vec![one]).0, Processes::One(_)));
+        assert_eq!(ProcessList::from(&[one][..]), ProcessList::from(one));
+        list.retain(|_| false);
+        assert!(list.is_empty());
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub(super) struct PeerAlive {
     seq: u64,
     /// The last ALIVE batch applied from the peer. A datagram repeating it
     /// touches no group state: it advances `heard` and the peer's freshness
-    /// stamp in the arena, which the monitors it vouches for read.
+    /// stamp in its table slot, which the monitors it vouches for read.
     pub(super) batch: Vec<GroupAlive>,
     /// Repeating `batch` could miss something (a suspicion to revive from,
     /// an entry of the peer created or removed, a local join or leave):
@@ -113,14 +113,14 @@ impl ServiceNode {
                     requested_interval: state
                         .fd
                         .requested_interval(dest)
-                        .unwrap_or_else(|| state.qos.detection_time().mul_f64(0.25)),
+                        .unwrap_or_else(|| state.fd.qos().detection_time().mul_f64(0.25)),
                     payload,
                     representative,
                 };
                 match grid.sends.binary_search_by_key(&dest, |send| send.0) {
                     Ok(i) => grid.sends[i].2.push(entry),
                     Err(i) => {
-                        let pslot = self.peers.intern(dest, &self.arena) as u32;
+                        let pslot = self.peers.intern(dest) as u32;
                         grid.sends.insert(i, (dest, pslot, vec![entry]));
                     }
                 }
@@ -135,7 +135,7 @@ impl ServiceNode {
     /// number. The plan is rebuilt only when one of its inputs moved.
     pub(super) fn handle_alive_tick(&mut self, ctx: &mut ServiceContext) {
         let now = ctx.now();
-        let key = Some((self.alive_epoch, self.arena.params_epoch()));
+        let key = Some((self.alive_epoch, self.peers.params_epoch()));
         let (built_at, mut grids) = std::mem::take(&mut self.alive_plan);
         if built_at != key {
             grids = self.build_alive_grids();
@@ -226,7 +226,7 @@ impl ServiceNode {
                 bytes <= MAX_ALIVE_BATCH_BYTES
             });
             let rest = alives.split_off(fits.count().max(1));
-            let stream = &mut self.peers.entries[pslot].alive;
+            let stream = &mut self.peers[pslot].alive;
             let seq = stream.seq;
             stream.seq += 1;
             datagrams += 1;
@@ -271,8 +271,8 @@ impl ServiceNode {
         ctx: &mut ServiceContext,
     ) {
         let now = ctx.now();
-        let slot = self.peers.intern(from, &self.arena);
-        let known = self.peers.entries[slot].incarnation;
+        let slot = self.peers.intern(from);
+        let known = self.peers[slot].incarnation;
         if known != Some(incarnation) {
             // A previous life's heartbeat says nothing about the current one.
             if known.is_some_and(|known| incarnation < known) {
@@ -281,10 +281,10 @@ impl ServiceNode {
             self.note_peer_incarnation(from, incarnation, ctx);
         }
         let heard = self.note_alive_datagram(slot, seq, sent_at, now);
-        let peer = &mut self.peers.entries[slot];
+        let peer = &mut self.peers[slot];
         if !peer.alive.resync && peer.alive.batch == alives {
             self.counts[NodeCount::AliveUnchanged].inc();
-            self.arena.stamp(&peer.liveness, sent_at, false);
+            self.peers.stamp(slot, sent_at, false);
             return;
         }
         self.counts[NodeCount::AliveApplied].inc();
@@ -295,18 +295,17 @@ impl ServiceNode {
         // batch drops then ages out on its own horizon.
         for dropped in std::mem::take(&mut peer.alive.batch) {
             if let Some(state) = self.groups.get_mut(dropped.group) {
-                state.fd.unvouch(from);
+                state.fd.unvouch(&self.peers, from);
                 if let Some(member) = state.members.get_mut(from) {
                     member.last_heard = member.last_heard.max(heard);
                 }
             }
         }
-        self.arena
-            .stamp(&self.peers.entries[slot].liveness, sent_at, true);
+        self.peers.stamp(slot, sent_at, true);
         for alive in &alives {
             self.apply_group_alive(from, slot, incarnation, seq, sent_at, alive, ctx);
         }
-        self.peers.entries[slot].alive.batch = alives;
+        self.peers[slot].alive.batch = alives;
     }
 
     /// Node-level accounting of one incoming ALIVE datagram, before the
@@ -315,8 +314,8 @@ impl ServiceNode {
     /// see every datagram of the stream, not just the subset carrying its
     /// own group — a group observing a sparser view would infer phantom
     /// loss from the sequence numbers consumed by its siblings (or, after
-    /// a lost LEAVE, by groups this node is no longer even in). The shared
-    /// arena records the sample once (the per-group monitors' recordings
+    /// a lost LEAVE, by groups this node is no longer even in). The peer's
+    /// table slot records the sample once (the per-group monitors' recordings
     /// dedup against it): the one link estimate every group's (η, δ) follow,
     /// whatever its tuning policy. Returns when the sender's previous
     /// datagram arrived.
@@ -327,10 +326,8 @@ impl ServiceNode {
         sent_at: SimInstant,
         now: SimInstant,
     ) -> SimInstant {
-        let peer = &mut self.peers.entries[slot];
-        // The slab's cached handle keeps this off the arena mutex.
-        peer.liveness.record(seq, sent_at, now);
-        let heard = std::mem::replace(&mut peer.alive.heard, now);
+        self.peers.record(slot, seq, sent_at, now);
+        let heard = std::mem::replace(&mut self.peers[slot].alive.heard, now);
         if let Some(obs) = &self.obs {
             obs.on_alive_datagram(heard, now);
         }
@@ -366,8 +363,8 @@ impl ServiceNode {
         // will replace the list with the authoritative one.
         let (member, created) = state.members.ensure(from, incarnation, now);
         if created {
-            member.processes = vec![(alive.representative, true)];
-            self.peers.entries[pslot].gossip.index(group);
+            member.processes = (alive.representative, true).into();
+            self.peers[pslot].gossip.index(group);
         }
         let representative_changed = member.representative != Some(alive.representative);
         member.representative = Some(alive.representative);
@@ -377,9 +374,10 @@ impl ServiceNode {
         // The measurement side of this heartbeat (the link estimator) was
         // already fed at node level by `note_alive_datagram`; the monitor's
         // own recording dedups against it.
+        let eta = alive.sending_interval;
         let transition = state
             .fd
-            .on_heartbeat(from, seq, sent_at, alive.sending_interval, now);
+            .on_heartbeat(&mut self.peers, from, seq, sent_at, eta, now);
         let mut revived = false;
         if let Some(t) = transition {
             if t.transition == Transition::BecameTrusted {
@@ -400,14 +398,14 @@ impl ServiceNode {
         // Still suspected (the heartbeat was too old to revive it): the
         // revival must not be skipped as a repeat.
         if !state.fd.is_trusted(from) {
-            self.peers.entries[pslot].alive.resync = true;
+            self.peers[pslot].alive.resync = true;
         }
         // A heartbeat only *extends* the sender's freshness horizon: the
         // peer's timer needs moving only for a monitor that had no
         // deadline before (new, or suspected until now).
         if !watched {
             self.fd_monitor_added(from, group, ctx);
-        } else if revived || self.peers.entries[pslot].fd.armed.is_none() {
+        } else if revived || self.peers[pslot].fd.armed.is_none() {
             self.arm_fd_deadline(from, pslot, group, ctx);
         }
         // In steady state nothing `check_leader` derives has changed: same

@@ -52,7 +52,7 @@ fn leader_view(me: NodeId, incarnation: u64, state: &GroupState, now: SimInstant
     // serving, the deposed leader's lease (TTL `T_D`, no longer renewed) has
     // already lapsed — so two leases are never simultaneously valid.
     let leads = leader.is_some_and(|l| l.node == me);
-    let settled = now >= state.led_since.unwrap_or(now) + state.qos.detection_time();
+    let settled = now >= state.led_since.unwrap_or(now) + state.fd.qos().detection_time();
     let mut mint = None;
     if leads && settled {
         let natural = FencingToken {
@@ -128,7 +128,7 @@ impl ServiceNode {
                 state.lease = Some(LeaderLease {
                     token,
                     renewed_at: now,
-                    ttl: state.qos.detection_time(),
+                    ttl: state.fd.qos().detection_time(),
                 });
                 self.counts[NodeCount::LeasesMinted].inc();
             }

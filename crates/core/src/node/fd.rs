@@ -1,5 +1,5 @@
 //! The Failure Detector: one timer per monitored peer, however many groups
-//! monitor it, over the per-group [`sle_fd::FailureDetector`]s.
+//! monitor it, over the per-group [`sle_fd::GroupDetector`]s.
 
 use sle_election::{ElectorOutput, LeaderElector};
 use sle_fd::{FdParams, Transition, TuningPolicy, Wake};
@@ -61,7 +61,7 @@ impl ServiceNode {
         at: SimInstant,
         ctx: &mut ServiceContext,
     ) {
-        let entry = &mut self.peers.entries[pslot].fd;
+        let entry = &mut self.peers[pslot].fd;
         if at == SimInstant::FAR_FUTURE || entry.armed.is_some_and(|armed| armed <= at) {
             return;
         }
@@ -78,7 +78,7 @@ impl ServiceNode {
         group: GroupId,
         ctx: &mut ServiceContext,
     ) {
-        let deadline = self.groups.get(group).and_then(|s| s.fd.deadline_of(peer));
+        let deadline = (self.groups.get(group)).and_then(|s| s.fd.deadline_of(&self.peers, peer));
         if let Some(at) = deadline {
             self.arm_fd_timer(peer, pslot, at, ctx);
         }
@@ -92,8 +92,8 @@ impl ServiceNode {
         group: GroupId,
         ctx: &mut ServiceContext,
     ) {
-        let pslot = self.peers.intern(peer, &self.arena);
-        self.peers.entries[pslot].fd.index(group);
+        let pslot = self.peers.intern(peer);
+        self.peers[pslot].fd.index(group);
         self.arm_fd_deadline(peer, pslot, group, ctx);
     }
 
@@ -108,10 +108,9 @@ impl ServiceNode {
             return;
         };
         self.counts[NodeCount::FdFires].inc();
-        let entry = &mut self.peers.entries[pslot];
-        entry.fd.armed = None;
-        let stamp = self.arena.stamp_of(&entry.liveness);
-        if let Some(wake) = entry.fd.wake {
+        self.peers[pslot].fd.armed = None;
+        let stamp = self.peers.stamp_of(pslot);
+        if let Some(wake) = self.peers[pslot].fd.wake {
             if wake.quiet(stamp, now) {
                 let at = wake.at(stamp);
                 debug_assert!(self.fd_wake_holds(peer, pslot, at), "late wake of {peer}");
@@ -120,25 +119,26 @@ impl ServiceNode {
             }
         }
         self.counts[NodeCount::FdWalks].inc();
+        debug_assert!(self.fd_index_holds(peer, pslot), "stale index of {peer}");
         let mut wake = Wake::NEVER;
-        let groups = std::mem::take(&mut self.peers.entries[pslot].fd.groups);
+        let groups = std::mem::take(&mut self.peers[pslot].fd.groups);
         for &group in &groups {
             let Some(state) = self.groups.get_mut(group) else {
                 continue;
             };
-            let Some(check) = state.fd.check_peer(peer, now) else {
+            let Some(check) = state.fd.check_peer(&mut self.peers, peer, now) else {
                 continue;
             };
             wake = wake.merge(check.wake);
             if check.transition == Some(Transition::BecameSuspected) {
                 // The revival must be noticed: no repeat may skip it.
-                self.peers.entries[pslot].alive.resync = true;
+                self.peers[pslot].alive.resync = true;
                 self.alive_epoch += 1;
                 if let Some(obs) = &state.obs {
                     // Detection latency T_D: silence since the suspected
                     // peer's last heartbeat or gossip.
                     let silent_for = (state.members.get(peer))
-                        .map(|m| now.saturating_since(self.peers.entries[pslot].heard(group, m)))
+                        .map(|m| now.saturating_since(self.peers[pslot].heard(group, m)))
                         .unwrap_or_default();
                     obs.on_detection(silent_for);
                 }
@@ -159,22 +159,30 @@ impl ServiceNode {
                 self.check_leader(group, ctx);
             }
         }
-        let entry = &mut self.peers.entries[pslot].fd;
+        let entry = &mut self.peers[pslot].fd;
         entry.groups = groups;
         entry.wake = Some(wake);
         self.arm_fd_timer(peer, pslot, wake.at(stamp), ctx);
     }
 
-    /// What a quiet fire of `peer`'s detector timer relies on: the peer's
-    /// index names exactly the groups monitoring it, and none of those
-    /// monitors is due before `at`. Asserted in debug builds.
-    fn fd_wake_holds(&self, peer: NodeId, pslot: usize, at: SimInstant) -> bool {
-        let indexed = &self.peers.entries[pslot].fd.groups;
+    /// What every fire of `peer`'s detector timer (peer slot `pslot`)
+    /// relies on: the peer's index names exactly the groups whose monitor
+    /// rows name its slot. Asserted in debug builds.
+    fn fd_index_holds(&self, peer: NodeId, pslot: usize) -> bool {
+        let indexed = &self.peers[pslot].fd.groups;
         self.groups.iter().all(|state| {
-            let watched = state.fd.state(peer).is_some();
-            watched == indexed.binary_search(&state.group).is_ok()
-                && state.fd.deadline_of(peer).is_none_or(|due| due >= at)
+            let named = state.fd.slot_of(peer) == Some(pslot);
+            named == indexed.binary_search(&state.group).is_ok()
         })
+    }
+
+    /// What a quiet fire of `peer`'s detector timer relies on beside the
+    /// index: none of the peer's monitors is due before `at`. Asserted in
+    /// debug builds.
+    fn fd_wake_holds(&self, peer: NodeId, pslot: usize, at: SimInstant) -> bool {
+        self.fd_index_holds(peer, pslot)
+            && (self.groups.iter())
+                .all(|state| (state.fd.deadline_of(&self.peers, peer)).is_none_or(|due| due >= at))
     }
 
     /// The failure-detector operating parameters currently used towards

@@ -163,7 +163,7 @@ impl ServiceNode {
     }
 
     /// The one HELLO receive path. An unchanged digest — the steady state —
-    /// is one peer-slab lookup and one store; anything else is checked for
+    /// is one peer-table lookup and one store; anything else is checked for
     /// staleness, applied if it carries a list, and answered if it must be.
     pub(super) fn handle_hello(
         &mut self,
@@ -174,8 +174,8 @@ impl ServiceNode {
         announcements: HelloList,
         ctx: &mut ServiceContext,
     ) {
-        let slot = self.peers.intern(from, &self.arena);
-        let peer = &mut self.peers.entries[slot];
+        let slot = self.peers.intern(from);
+        let peer = &mut self.peers[slot];
         let same_life = peer.incarnation == Some(incarnation);
         let mut behind =
             !(same_life && peer.gossip.applied == Some(version) && !peer.gossip.resync);
@@ -190,12 +190,12 @@ impl ServiceNode {
             }
             self.note_peer_incarnation(from, incarnation, ctx);
         }
-        let heard = std::mem::replace(&mut self.peers.entries[slot].gossip.heard, ctx.now());
+        let heard = std::mem::replace(&mut self.peers[slot].gossip.heard, ctx.now());
         if let (true, Some(list)) = (behind, announcements.announcements()) {
             // Only a full list advances the applied version. A partial is
             // no reason to pull either: the sender's next digest is.
             if matches!(announcements, HelloList::Full(_)) {
-                let peer = &mut self.peers.entries[slot].gossip;
+                let peer = &mut self.peers[slot].gossip;
                 let moved = peer.applied.filter(|&applied| applied != version);
                 (peer.applied, peer.resync) = (Some(version), false);
                 if let Some(unvouched) = moved {
@@ -222,7 +222,7 @@ impl ServiceNode {
     /// digests bought it, up to `heard`, before they stop vouching for it —
     /// an entry the new list does not name then ages out on its own account.
     fn fold_hello_vouch(&mut self, from: NodeId, slot: usize, unvouched: u64, heard: SimInstant) {
-        let entry = &mut self.peers.entries[slot].gossip;
+        let entry = &mut self.peers[slot].gossip;
         entry.wake = None;
         for &group in &entry.groups {
             let member = (self.groups.get_mut(group)).and_then(|s| s.members.get_mut(from));
@@ -251,7 +251,7 @@ impl ServiceNode {
                 continue;
             };
             let (member, created) = state.members.ensure(from, incarnation, now);
-            let peer = &mut self.peers.entries[slot].gossip;
+            let peer = &mut self.peers[slot].gossip;
             if created {
                 peer.index(group);
             }
@@ -276,24 +276,24 @@ impl ServiceNode {
                 .min();
             if !created
                 && member.incarnation == incarnation
-                && member.processes == announcement.processes
+                && *member.processes == *announcement.processes
                 && (member.representative.is_none()
                     || member.representative == fallback_representative)
             {
                 continue;
             }
             member.incarnation = incarnation;
-            member.processes = announcement.processes.clone();
+            member.processes = announcement.processes.as_slice().into();
             // A HELLO's process list supersedes any representative a
             // previous ALIVE advertised; consumers fall back to the first
             // announced candidate (`MemberEntry::representative_process`).
             member.representative = None;
             let watch = member.has_candidate() && state.fd.state(from).is_none();
             if watch {
-                state.fd.ensure_peer(from, now);
+                state.fd.ensure_peer(&mut self.peers, from, now);
             }
             self.alive_epoch += 1;
-            self.peers.entries[slot].alive.resync = true;
+            self.peers[slot].alive.resync = true;
             if watch {
                 self.fd_monitor_added(from, group, ctx);
             }
@@ -319,7 +319,7 @@ impl ServiceNode {
             } else if member.processes.len() != listed {
                 // Unversioned: a late copy may have undone a rejoin the
                 // applied list already showed. Pull to find out.
-                self.peers.entry(from, &self.arena).gossip.resync = true;
+                self.peers.entry(from).gossip.resync = true;
             }
         }
         self.check_leader(group, ctx);
@@ -338,7 +338,7 @@ impl ServiceNode {
         state.fd.remove_peer(peer);
         self.alive_epoch += 1;
         // Should the peer come back at its applied list or batch: pull, apply.
-        let entry = self.peers.entry(peer, &self.arena);
+        let entry = self.peers.entry(peer);
         (entry.gossip.resync, entry.alive.resync) = (true, true);
         entry.fd.unindex(group);
         entry.gossip.unindex(group);
@@ -356,9 +356,9 @@ impl ServiceNode {
         let now = ctx.now();
         let timeout = self.config.membership_timeout;
         let mut expired: Vec<(GroupId, NodeId)> = Vec::new();
-        for (peer, pslot) in self.peers.index.iter() {
-            let (peer, pslot) = (NodeId(peer), pslot as usize);
-            let entry = &self.peers.entries[pslot];
+        let mut walked: Vec<(usize, MemberWake)> = Vec::new();
+        for (peer, pslot) in self.peers.iter() {
+            let entry = &self.peers[pslot];
             if entry.member_quiet(now, timeout) {
                 debug_assert!(
                     self.member_wake_holds(peer, pslot, now),
@@ -389,7 +389,10 @@ impl ServiceNode {
                 }
                 wake.note(entry.vouches(group, member), member.last_heard);
             }
-            self.peers.entries[pslot].gossip.wake = Some(wake);
+            walked.push((pslot, wake));
+        }
+        for (pslot, wake) in walked {
+            self.peers[pslot].gossip.wake = Some(wake);
         }
         expired.sort_unstable();
         for expiring in expired.chunk_by(|a, b| a.0 == b.0) {
@@ -414,7 +417,7 @@ impl ServiceNode {
     /// index names exactly the groups listing it, and none of its entries is
     /// quiet past the membership timeout at `now`. Asserted in debug builds.
     fn member_wake_holds(&self, peer: NodeId, pslot: usize, now: SimInstant) -> bool {
-        let entry = &self.peers.entries[pslot];
+        let entry = &self.peers[pslot];
         let timeout = self.config.membership_timeout;
         self.groups.iter().all(|state| {
             let member = state.members.get(peer);

@@ -9,7 +9,7 @@
 //! | (the dispatcher) | `node/mod.rs` | registration, joins and leaves, timers, the tables the modules share |
 //! | Group Maintenance | `node/gossip.rs` | HELLO gossip, membership, leaves and expiry |
 //! | Failure Detector, its input | `node/alive.rs` | the ALIVE stream, sent and received |
-//! | Failure Detector | `node/fd.rs` | one detector timer per monitored peer, over the per-group [`sle_fd::FailureDetector`]s |
+//! | Failure Detector | `node/fd.rs` | one detector timer per monitored peer, over the per-group [`sle_fd::GroupDetector`]s |
 //! | Leader Election Algorithm | `node/election.rs` | the leader each group's [`sle_election::AnyElector`] yields, announced |
 //! | (the lease tier above it) | `node/lease.rs` | lease upkeep and client serving |
 
@@ -20,7 +20,7 @@ mod gossip;
 mod lease;
 
 use sle_election::{ElectorKind, LeaderElector};
-use sle_fd::{LivenessHandle, MonitorArena, MIN_INTERVAL};
+use sle_fd::{PeerTable, MIN_INTERVAL};
 use sle_sim::actor::{Actor, Context, NodeId, TimerTag};
 use sle_sim::dense::{insert_tight, SlotIndex};
 use sle_sim::time::{SimDuration, SimInstant};
@@ -129,62 +129,22 @@ impl GroupTable {
     }
 }
 
-/// Node-level per-peer state, interned into dense `u32` slots on first
-/// contact. Beside what every module reads, each module keeps its own part.
+/// The node's own part of a peer's [`PeerTable`] slot, beside the link
+/// record the failure detector reads: each module keeps its part here.
 ///
-/// Entries are deliberately never removed. The ALIVE sequence counter must
-/// survive group churn (see `PeerAlive::seq`), and the cached
-/// [`LivenessHandle`] turns the per-datagram arena lock of the hot receive
-/// path into one binary search over this slab. Retention is bounded by the
-/// workstation universe — destinations are configured peers — not by churn.
-#[derive(Debug)]
+/// Slots are deliberately never removed. The ALIVE sequence counter must
+/// survive group churn (see `PeerAlive::seq`), and so must the one link
+/// estimate every group's monitors of the peer read. Retention is bounded
+/// by the workstation universe — destinations are configured peers — not
+/// by churn.
+#[derive(Debug, Default)]
 struct PeerEntry {
     /// Highest incarnation observed from the peer; `None` until the first
     /// incarnation-carrying message arrives.
     incarnation: Option<u64>,
-    /// Cached handle to the peer's shared liveness record in the
-    /// workstation arena; keeps the hot path off the arena mutex.
-    liveness: LivenessHandle,
     gossip: gossip::PeerGossip,
     alive: alive::PeerAlive,
     fd: fd::PeerFd,
-}
-
-#[derive(Debug, Default)]
-struct PeerSlab {
-    index: SlotIndex,
-    entries: Vec<PeerEntry>,
-}
-
-impl PeerSlab {
-    /// The slot for `peer`, creating its entry (and its arena record) on
-    /// first contact.
-    fn intern(&mut self, peer: NodeId, arena: &MonitorArena) -> usize {
-        if let Some(slot) = self.index.get(peer.0) {
-            return slot as usize;
-        }
-        let slot = self.entries.len();
-        self.entries.push(PeerEntry {
-            incarnation: None,
-            liveness: arena.slot(peer),
-            gossip: Default::default(),
-            alive: Default::default(),
-            fd: Default::default(),
-        });
-        self.index.insert(peer.0, slot as u32);
-        slot
-    }
-
-    /// The slot of `peer`, if it was ever contacted.
-    fn find(&self, peer: NodeId) -> Option<usize> {
-        self.index.get(peer.0).map(|slot| slot as usize)
-    }
-
-    /// `peer`'s entry, created on first contact.
-    fn entry(&mut self, peer: NodeId, arena: &MonitorArena) -> &mut PeerEntry {
-        let slot = self.intern(peer, arena);
-        &mut self.entries[slot]
-    }
 }
 
 /// The context type used by the service.
@@ -209,19 +169,17 @@ pub struct ServiceNode {
     next_local_process: u32,
     /// Per-group state in dense slots, indexed by interned group id.
     groups: GroupTable,
-    /// Node-level per-peer state (incarnation, heartbeat sequence, cached
-    /// liveness handle) in dense slots, indexed by interned peer id.
-    peers: PeerSlab,
-    /// The workstation-wide liveness arena: one link estimate per peer,
-    /// shared by every group's failure detector (paper Figure 2's single
-    /// Failure Detector module per workstation).
-    arena: MonitorArena,
+    /// Everything per peer, in dense slots indexed by interned peer id:
+    /// the one link estimate every group's failure detector reads (paper
+    /// Figure 2's single Failure Detector module per workstation), lent to
+    /// their calls, beside what the node's modules keep.
+    peers: PeerTable<PeerEntry>,
     /// Moves whenever something the ALIVE plan embeds may have: an elector's
     /// payload or competing flag, local candidacy, a group's membership, an
     /// interval a member asked for, which groups this node leads. (What the
-    /// monitors themselves ask for moves the arena's epoch.)
+    /// monitors themselves ask for moves the peer table's epoch.)
     alive_epoch: u64,
-    /// The cached ALIVE fan-out, and the `(alive_epoch, arena params epoch)`
+    /// The cached ALIVE fan-out, and the `(alive_epoch, table params epoch)`
     /// it was built at.
     alive_plan: (Option<(u64, u64)>, Vec<alive::AliveGrid>),
     /// Live QoS instruments and protocol trace, when attached by the
@@ -235,6 +193,8 @@ impl ServiceNode {
     /// Creates a service instance from its configuration.
     pub fn new(config: ServiceConfig) -> Self {
         ServiceNode {
+            // Every configured peer is contacted (HELLO goes to them all).
+            peers: PeerTable::with_capacity(config.remote_peers().count()),
             config,
             incarnation: 0,
             hello_version: 0,
@@ -242,8 +202,6 @@ impl ServiceNode {
             counts: Default::default(),
             next_local_process: 0,
             groups: GroupTable::default(),
-            peers: PeerSlab::default(),
-            arena: MonitorArena::new(),
             alive_epoch: 0,
             alive_plan: (None, Vec::new()),
             obs: None,
@@ -329,15 +287,11 @@ impl ServiceNode {
         self.groups.index.iter().map(|(id, _)| GroupId(id))
     }
 
-    /// Number of peers with a live record in the workstation's shared
-    /// liveness arena (after pruning records no group monitors any more).
-    ///
-    /// The node itself caches one handle per peer it ever exchanged
-    /// heartbeats with, so the floor is the contacted-peer universe — group
-    /// churn on top of it must neither grow the count nor reclaim a record
-    /// a surviving group still uses.
+    /// Number of peers with a link record in the node's peer table: the
+    /// contacted-peer universe. Group churn on top of it must neither grow
+    /// the count nor reclaim a record a surviving group still uses.
     pub fn monitored_peer_count(&self) -> usize {
-        self.arena.peer_count()
+        self.peers.len()
     }
 
     /// The current leader of `group` as seen by this instance (the "query"
@@ -373,7 +327,7 @@ impl ServiceNode {
     pub fn remote_members_of(&self, group: GroupId) -> Vec<(NodeId, Vec<(ProcessId, bool)>)> {
         let state = self.groups.get(group);
         let members = state.into_iter().flat_map(|s| s.members.iter());
-        members.map(|m| (m.peer, m.processes.clone())).collect()
+        members.map(|m| (m.peer, m.processes.to_vec())).collect()
     }
 
     /// Registers a new application process with this service instance and
@@ -407,13 +361,12 @@ impl ServiceNode {
         let me = self.config.node;
         let algorithm = self.config.algorithm;
         let now = ctx.now();
-        let (arena, obs) = (&self.arena, &self.obs);
-        let peers = &mut self.peers;
+        let (obs, peers) = (&self.obs, &mut self.peers);
         let slot = self.groups.intern(group, || {
-            let mut state = GroupState::new(group, me, algorithm, &join, arena, now);
+            let mut state = GroupState::new(group, me, algorithm, &join, now);
             state.obs = obs.as_ref().map(|obs| obs.group(group, now));
             // Every applied announcement list skipped this group: re-pull.
-            for peer in &mut peers.entries {
+            for peer in peers.states_mut() {
                 peer.gossip.resync = true;
             }
             state
@@ -487,10 +440,10 @@ impl ServiceNode {
         if state.local_processes.is_empty() {
             if let Some(gone) = self.groups.remove(group) {
                 for peer in gone.fd.peers() {
-                    self.peers.entry(peer, &self.arena).fd.unindex(group);
+                    self.peers.entry(peer).fd.unindex(group);
                 }
                 for peer in gone.members.peers() {
-                    self.peers.entry(peer, &self.arena).gossip.unindex(group);
+                    self.peers.entry(peer).gossip.unindex(group);
                 }
             }
             self.arm_alive_timer(ctx);
@@ -525,7 +478,7 @@ impl ServiceNode {
     /// batch may skip feeding an elector that was created or replaced.
     fn local_membership_changed(&mut self) {
         self.alive_epoch += 1;
-        for peer in &mut self.peers.entries {
+        for peer in self.peers.states_mut() {
             peer.alive.resync = true;
         }
     }
@@ -533,7 +486,8 @@ impl ServiceNode {
     /// Handles a possibly new incarnation of `peer`: if the peer restarted,
     /// all state learnt from its previous life is discarded.
     fn note_peer_incarnation(&mut self, peer: NodeId, incarnation: u64, ctx: &mut ServiceContext) {
-        let entry = self.peers.entry(peer, &self.arena);
+        let slot = self.peers.intern(peer);
+        let entry = &mut self.peers[slot];
         let known = entry.incarnation;
         if known.is_some_and(|known| incarnation <= known) {
             return;
@@ -549,19 +503,19 @@ impl ServiceNode {
         // So did the link estimate, whether or not a group still lists the
         // peer: its loss window would count the new life's reused sequence
         // numbers as fresh arrivals. Once, for every group reading it.
-        entry.liveness.reset();
+        let groups = std::mem::take(&mut entry.gossip.groups);
+        entry.gossip.wake = None;
+        self.peers.reset(slot);
         self.alive_epoch += 1;
         let now = ctx.now();
         // Every member entry of the previous life goes.
-        let groups = std::mem::take(&mut entry.gossip.groups);
-        entry.gossip.wake = None;
         for group in groups {
             let Some(state) = self.groups.get_mut(group) else {
                 continue;
             };
             if state.members.remove(peer).is_some() {
                 state.elector.remove_peer(peer, now);
-                state.fd.reset_peer(peer, now);
+                state.fd.reset_peer(&mut self.peers, peer, now);
                 self.fd_monitor_added(peer, group, ctx);
                 self.check_leader(group, ctx);
             }

@@ -338,14 +338,13 @@ fn a_static_and_an_adaptive_group_share_one_link_estimate() {
             log.0
         );
 
-        // One arena record per peer, fed once per datagram however many
+        // One link record per peer, fed once per datagram however many
         // groups (and policies) read it.
         for node in [NodeId(0), NodeId(1)] {
             let actor = world.actor(node).unwrap();
-            assert_eq!(actor.arena.peer_count(), 1);
-            let peer = &actor.peers.entries[0];
+            assert_eq!(actor.peers.len(), 1);
             assert_eq!(
-                peer.liveness.heartbeats_recorded(),
+                actor.peers.heartbeats_recorded(0),
                 actor.count(NodeCount::AliveUnchanged) + actor.count(NodeCount::AliveApplied),
                 "{algorithm}: {node}"
             );
@@ -842,8 +841,51 @@ fn a_peer_resuming_at_its_old_version_is_pulled_after_its_members_expired() {
 }
 
 #[test]
+fn a_member_takes_hellos_listing_one_two_and_five_processes_in_turn() {
+    // One process is held inline, more on the heap: the list a member
+    // entry shows must be the list the last HELLO named, whatever its
+    // length, and a leave that shrinks it back to one keeps the rest.
+    let peer = NodeId(1);
+    let config = ServiceConfig::full_mesh(NodeId(0), 2, ElectorKind::OmegaL);
+    let mut node = ServiceNode::new(config);
+    let at = |ms: u64| ServiceContext::new(SimInstant::from_nanos(ms * 1_000_000), NodeId(0), 0);
+    let process = node.register_process();
+    node.join_group(process, GROUP, JoinConfig::candidate(), &mut at(0))
+        .unwrap();
+    let listing = |n: u32| -> Vec<(ProcessId, bool)> {
+        (0..n)
+            .map(|l| (ProcessId::new(peer, l), l % 2 == 0))
+            .collect()
+    };
+    for (version, n) in [(1, 1), (2, 2), (3, 5)] {
+        let hello = ServiceMessage::Hello {
+            incarnation: 0,
+            version,
+            sent_at: SimInstant::ZERO,
+            pull: false,
+            announcements: HelloList::Full(Arc::from([GroupAnnouncement {
+                group: GROUP,
+                processes: listing(n),
+            }])),
+        };
+        node.on_message(peer, hello, &mut at(10 * version));
+        assert_eq!(node.remote_members_of(GROUP), vec![(peer, listing(n))]);
+    }
+    for gone in (1..5).rev() {
+        let leave = ServiceMessage::Leave {
+            group: GROUP,
+            process: ProcessId::new(peer, gone),
+        };
+        node.on_message(peer, leave, &mut at(100));
+        assert_eq!(node.remote_members_of(GROUP), vec![(peer, listing(gone))]);
+    }
+    let member = node.groups.get(GROUP).and_then(|s| s.members.get(peer));
+    assert!(member.is_some_and(|m| m.has_candidate()));
+}
+
+#[test]
 fn a_restart_resets_the_link_estimate_of_a_peer_no_group_lists() {
-    // The arena record is the one link estimate every group reads. A new
+    // The peer's link record is the one estimate every group reads. A new
     // incarnation restarts the peer's sequence numbers, so the old
     // life's loss window must go even when no group lists the peer.
     let peer = NodeId(1);
@@ -876,7 +918,7 @@ fn a_restart_resets_the_link_estimate_of_a_peer_no_group_lists() {
     }
     let recorded = |node: &ServiceNode| {
         let slot = node.peers.find(peer).expect("contacted");
-        node.peers.entries[slot].liveness.heartbeats_recorded()
+        node.peers.heartbeats_recorded(slot)
     };
     assert_eq!(recorded(&node), 8);
     let leave = ServiceMessage::Leave {
@@ -1284,10 +1326,10 @@ fn a_fixed_seed_run_replays_its_recorded_counts() {
 #[test]
 fn group_churn_keeps_monitor_arena_at_baseline() {
     // Two workstations share one long-lived group; a second group on
-    // the same pair is joined and left repeatedly. The shared liveness
-    // arena must keep exactly one record per contacted peer throughout:
+    // the same pair is joined and left repeatedly. The node's peer table
+    // must keep exactly one record per contacted peer throughout:
     // churn neither leaks records nor reclaims the estimate the
-    // long-lived group (and the node's own cached handle) still uses.
+    // long-lived group still reads.
     let n = 2u32;
     let mut world = build_world(n as usize, ElectorKind::OmegaLc, 71);
     let mut obs = NullObserver;
@@ -1324,7 +1366,7 @@ fn group_churn_keeps_monitor_arena_at_baseline() {
             let count = world.actor(NodeId(i)).unwrap().monitored_peer_count();
             assert_eq!(
                 count, baseline[i as usize],
-                "round {round}: node {i} arena record count drifted"
+                "round {round}: node {i} peer record count drifted"
             );
         }
     }

@@ -1,23 +1,25 @@
-//! The aggregated failure detector of one service instance.
+//! The failure-detector module of one service instance.
 //!
 //! The paper's architecture (Figure 2) gives every service instance a single
 //! Failure Detector module shared by all groups and applications on that
 //! workstation: it monitors the other service instances and reports
 //! trust/suspect transitions to the Group Maintenance and Leader Election
-//! modules. [`FailureDetector`] is one group's share of that module: a
-//! collection of per-peer [`PeerMonitor`]s, each checked on its own
-//! ([`FailureDetector::check_peer`]) so that the owner of several detectors
-//! can watch all its monitors of one peer from one timer and its [`Wake`].
+//! modules. Here that module is the owner's one [`PeerTable`] (the link of
+//! every peer, measured once) plus, per group, a [`GroupDetector`]: the
+//! group's QoS and tuning policy and its per-peer [`PeerMonitor`] rows, each
+//! checked on its own ([`GroupDetector::check_peer`]) so that the owner of
+//! several groups can watch all its monitors of one peer from one timer and
+//! its [`Wake`]. A [`FailureDetector`] is the same module for one group and
+//! its own private table, as a standalone detector needs it.
 
 use sle_sim::actor::NodeId;
 use sle_sim::dense::insert_tight;
 use sle_sim::time::{SimDuration, SimInstant};
 
-use crate::arena::MonitorArena;
 use crate::config::{FdParams, TuningPolicy};
 use crate::monitor::{PeerMonitor, Transition, TrustState};
+use crate::peers::PeerTable;
 use crate::qos::QosSpec;
-use crate::quality::LinkQuality;
 
 /// A trust/suspect notification about a peer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,7 +89,7 @@ impl Wake {
     }
 }
 
-/// What [`FailureDetector::check_peer`] found.
+/// What [`GroupDetector::check_peer`] found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PeerCheck {
     /// The monitor's change of opinion, if any (a check only suspects).
@@ -99,65 +101,38 @@ pub struct PeerCheck {
     pub wake: Wake,
 }
 
-/// The failure-detector module of one service instance.
-///
-/// ```
-/// use sle_fd::detector::FailureDetector;
-/// use sle_fd::qos::QosSpec;
-/// use sle_sim::actor::NodeId;
-/// use sle_sim::time::{SimDuration, SimInstant};
-///
-/// let mut fd = FailureDetector::new(QosSpec::paper_default());
-/// let now = SimInstant::ZERO;
-/// fd.ensure_peer(NodeId(1), now);
-/// assert!(fd.is_trusted(NodeId(1)));
-///
-/// // Two seconds of silence: polling reports the suspicion.
-/// let later = now + SimDuration::from_secs(2);
-/// let transitions = fd.poll(later);
-/// assert_eq!(transitions.len(), 1);
-/// assert!(!fd.is_trusted(NodeId(1)));
-/// ```
+/// One group's share of the failure-detector module: the group's QoS and
+/// tuning policy, read once here, and its monitors, one row per peer,
+/// reading their peers' links from the owner's [`PeerTable`].
 #[derive(Debug, Clone)]
-pub struct FailureDetector {
+pub struct GroupDetector {
     qos: QosSpec,
     policy: TuningPolicy,
-    arena: MonitorArena,
     /// Monitors sorted by peer id: lookups are binary searches over
     /// contiguous memory, iteration is in deterministic id order. Peer sets
     /// are bounded by group fan-out, so inserts/removals are cheap.
-    monitors: Vec<(NodeId, PeerMonitor)>,
+    monitors: Vec<PeerMonitor>,
 }
 
-impl FailureDetector {
-    /// Creates a failure detector using `qos` for every monitored peer,
-    /// with the paper's static tuning and a private liveness arena.
-    pub fn new(qos: QosSpec) -> Self {
-        Self::with_arena(qos, TuningPolicy::Static, MonitorArena::new())
-    }
-
-    /// Creates a failure detector whose per-peer liveness records live in
-    /// `arena` — the constructor service instances use so every group on
-    /// one workstation shares a single link estimate per peer (the
-    /// paper's "one Failure Detector module per workstation", Figure 2) —
-    /// and whose monitors follow that estimate under `policy`.
-    pub fn with_arena(qos: QosSpec, policy: TuningPolicy, arena: MonitorArena) -> Self {
-        FailureDetector {
+impl GroupDetector {
+    /// Creates a group's detector using `qos` for every monitored peer,
+    /// whose monitors follow their link estimates under `policy`.
+    pub fn new(qos: QosSpec, policy: TuningPolicy) -> Self {
+        GroupDetector {
             qos,
             policy,
-            arena,
             monitors: Vec::new(),
         }
     }
 
     #[inline]
     fn find(&self, peer: NodeId) -> Result<usize, usize> {
-        self.monitors.binary_search_by_key(&peer, |&(p, _)| p)
+        self.monitors.binary_search_by_key(&peer, PeerMonitor::peer)
     }
 
     #[inline]
     fn monitor(&self, peer: NodeId) -> Option<&PeerMonitor> {
-        self.find(peer).ok().map(|i| &self.monitors[i].1)
+        self.find(peer).ok().map(|i| &self.monitors[i])
     }
 
     /// The QoS used for newly monitored peers.
@@ -180,7 +155,7 @@ impl FailureDetector {
             return t_d;
         }
         (self.monitors.iter())
-            .map(|(_, m)| {
+            .map(|m| {
                 if m.is_measured() {
                     m.params().worst_case_detection()
                 } else {
@@ -191,100 +166,85 @@ impl FailureDetector {
             .unwrap_or(t_d)
     }
 
-    /// Starts monitoring `peer` if it is not already monitored.
-    pub fn ensure_peer(&mut self, peer: NodeId, now: SimInstant) {
-        self.ensure_index(peer, now);
-    }
-
-    /// The index of `peer`'s monitor, created if the peer was unknown.
-    fn ensure_index(&mut self, peer: NodeId, now: SimInstant) -> usize {
-        self.find(peer).unwrap_or_else(|i| {
-            let monitor =
-                PeerMonitor::with_liveness(self.qos, self.policy, self.arena.slot(peer), now);
-            insert_tight(&mut self.monitors, i, (peer, monitor));
+    /// `peer`'s monitor, created (the peer interned into `table` if new
+    /// there) if it was not monitored.
+    pub fn ensure_peer<T: Default>(
+        &mut self,
+        table: &mut PeerTable<T>,
+        peer: NodeId,
+        now: SimInstant,
+    ) -> &mut PeerMonitor {
+        let i = self.find(peer).unwrap_or_else(|i| {
+            let monitor = PeerMonitor::new(peer, table.intern(peer), &self.qos, self.policy, now);
+            insert_tight(&mut self.monitors, i, monitor);
             i
-        })
+        });
+        &mut self.monitors[i]
     }
 
     /// Stops monitoring `peer` (e.g. because it left every shared group).
+    /// Its table slot stays: the table's owner holds it.
     pub fn remove_peer(&mut self, peer: NodeId) {
         if let Ok(i) = self.find(peer) {
             self.monitors.remove(i);
         }
-        // Reclaim shared records nobody monitors any more. This is the
-        // rare membership-churn path, not the heartbeat hot path.
-        self.arena.prune();
     }
 
-    /// Discards this detector's opinion of `peer` and starts monitoring it
-    /// afresh (used when a peer restarts with a new incarnation). The
-    /// shared liveness record is the arena owner's to wipe
-    /// ([`LivenessHandle::reset`](crate::LivenessHandle::reset)), once for
-    /// every detector reading it.
-    pub fn reset_peer(&mut self, peer: NodeId, now: SimInstant) {
-        let slot = self.arena.slot(peer);
-        let monitor = PeerMonitor::with_liveness(self.qos, self.policy, slot, now);
-        match self.find(peer) {
-            Ok(i) => self.monitors[i].1 = monitor,
-            Err(i) => insert_tight(&mut self.monitors, i, (peer, monitor)),
-        }
-    }
-
-    /// Number of peers currently monitored.
-    pub fn peer_count(&self) -> usize {
-        self.monitors.len()
+    /// Discards this group's opinion of `peer` and starts monitoring it
+    /// afresh (used when a peer restarts with a new incarnation). The link
+    /// record is the table owner's to wipe ([`PeerTable::reset`]), once for
+    /// every group reading it.
+    pub fn reset_peer<T: Default>(
+        &mut self,
+        table: &mut PeerTable<T>,
+        peer: NodeId,
+        now: SimInstant,
+    ) {
+        self.remove_peer(peer);
+        self.ensure_peer(table, peer, now);
     }
 
     /// Iterates over the monitored peers (in ascending id order).
     pub fn peers(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.monitors.iter().map(|&(p, _)| p)
+        self.monitors.iter().map(PeerMonitor::peer)
+    }
+
+    /// The table slot `peer`'s monitor reads, if monitored.
+    pub fn slot_of(&self, peer: NodeId) -> Option<usize> {
+        self.monitor(peer).map(PeerMonitor::slot)
     }
 
     /// Returns whether `peer` is currently trusted. Unmonitored peers are
     /// not trusted.
     pub fn is_trusted(&self, peer: NodeId) -> bool {
-        self.monitor(peer).map(|m| m.is_trusted()).unwrap_or(false)
-    }
-
-    /// Iterates over the peers currently trusted.
-    pub fn trusted_peers(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.monitors
-            .iter()
-            .filter(|(_, m)| m.is_trusted())
-            .map(|&(peer, _)| peer)
+        self.monitor(peer).is_some_and(PeerMonitor::is_trusted)
     }
 
     /// The trust state of `peer`, if monitored.
     pub fn state(&self, peer: NodeId) -> Option<TrustState> {
-        self.monitor(peer).map(|m| m.state())
+        self.monitor(peer).map(PeerMonitor::state)
     }
 
     /// The heartbeat interval this detector would like `peer` to use when
     /// sending to us (piggybacked on outgoing messages).
     pub fn requested_interval(&self, peer: NodeId) -> Option<SimDuration> {
-        self.monitor(peer).map(|m| m.requested_interval())
-    }
-
-    /// The link-quality estimate for `peer`, if monitored.
-    pub fn quality(&self, peer: NodeId) -> Option<LinkQuality> {
-        self.monitor(peer).map(|m| m.quality())
+        self.monitor(peer).map(PeerMonitor::requested_interval)
     }
 
     /// The operating parameters (η, δ) currently used for `peer`.
     pub fn params(&self, peer: NodeId) -> Option<FdParams> {
-        self.monitor(peer).map(|m| m.params())
+        self.monitor(peer).map(PeerMonitor::params)
     }
 
-    /// Folds `peer`'s shared freshness stamp into its monitor's own horizon
-    /// and stops reading it. The owner calls this for every monitor the
-    /// peer's last batch vouched for before restarting the stamp
-    /// ([`MonitorArena::stamp`]): a group the next batch drops then ages out
+    /// Folds `peer`'s freshness stamp into its monitor's own horizon and
+    /// stops reading it. The owner calls this for every monitor the peer's
+    /// last batch vouched for before restarting the stamp
+    /// ([`PeerTable::stamp`]): a group the next batch drops then ages out
     /// on what it was really sent.
-    pub fn unvouch(&mut self, peer: NodeId) {
+    pub fn unvouch<T>(&mut self, table: &PeerTable<T>, peer: NodeId) {
         if let Ok(i) = self.find(peer) {
-            let monitor = &mut self.monitors[i].1;
-            let stamp = self.arena.lock().stamp_of(monitor.liveness());
-            monitor.fold(stamp, true);
+            let monitor = &mut self.monitors[i];
+            monitor.fold(table.stamp_of(monitor.slot()), true);
         }
     }
 
@@ -293,53 +253,57 @@ impl FailureDetector {
     /// The peer is implicitly added to the monitored set if unknown.
     /// Returns the transition (back to trusted) if the heartbeat revived a
     /// suspected peer.
-    pub fn on_heartbeat(
+    pub fn on_heartbeat<T: Default>(
         &mut self,
+        table: &mut PeerTable<T>,
         peer: NodeId,
         seq: u64,
         sent_at: SimInstant,
         sender_interval: SimDuration,
         now: SimInstant,
     ) -> Option<PeerTransition> {
-        let i = self.ensure_index(peer, now);
-        self.monitors[i]
-            .1
-            .on_heartbeat(seq, sent_at, sender_interval, now)
+        let (qos, policy) = (self.qos, self.policy);
+        (self.ensure_peer(table, peer, now))
+            .on_heartbeat(table, &qos, policy, seq, sent_at, sender_interval, now)
             .map(|transition| PeerTransition { peer, transition })
     }
 
-    /// Re-evaluates `peer`'s monitor at `now` — through the peer's shared
+    /// Re-evaluates `peer`'s monitor at `now` — through the peer's
     /// freshness stamp, folded in first — and lets it re-derive (η, δ) if it
     /// is due. `None` if the peer is not monitored.
-    pub fn check_peer(&mut self, peer: NodeId, now: SimInstant) -> Option<PeerCheck> {
+    pub fn check_peer<T>(
+        &mut self,
+        table: &mut PeerTable<T>,
+        peer: NodeId,
+        now: SimInstant,
+    ) -> Option<PeerCheck> {
         let i = self.find(peer).ok()?;
-        Some(self.check_at(i, now))
+        Some(self.check_at(table, i, now))
     }
 
-    fn check_at(&mut self, i: usize, now: SimInstant) -> PeerCheck {
-        let monitor = &mut self.monitors[i].1;
-        let mut arena = self.arena.lock();
+    fn check_at<T>(&mut self, table: &mut PeerTable<T>, i: usize, now: SimInstant) -> PeerCheck {
+        let monitor = &mut self.monitors[i];
         let before = (monitor.params(), monitor.is_measured());
-        monitor.fold(arena.stamp_of(monitor.liveness()), false);
-        let transition = monitor.check(now);
+        monitor.fold(table.stamp_of(monitor.slot()), false);
+        let transition = monitor.check(table, &self.qos, self.policy, now);
         if monitor.requested_interval() != before.0.interval {
-            arena.params_epoch += 1;
+            table.bump_params_epoch();
         }
         PeerCheck {
             transition,
             retuned: (monitor.params(), monitor.is_measured()) != before,
-            wake: monitor.wake(),
+            wake: monitor.wake(self.policy),
         }
     }
 
-    /// [`check_peer`](FailureDetector::check_peer) for every monitored
+    /// [`check_peer`](GroupDetector::check_peer) for every monitored
     /// peer, returning the transitions (in practice, new suspicions whose
     /// freshness horizon has expired).
-    pub fn poll(&mut self, now: SimInstant) -> Vec<PeerTransition> {
+    pub fn poll<T>(&mut self, table: &mut PeerTable<T>, now: SimInstant) -> Vec<PeerTransition> {
         let mut transitions = Vec::new();
         for i in 0..self.monitors.len() {
-            if let Some(transition) = self.check_at(i, now).transition {
-                let peer = self.monitors[i].0;
+            if let Some(transition) = self.check_at(table, i, now).transition {
+                let peer = self.monitors[i].peer();
                 transitions.push(PeerTransition { peer, transition });
             }
         }
@@ -349,18 +313,90 @@ impl FailureDetector {
     /// The instant `peer`'s monitor suspects it unless a heartbeat or a
     /// stamp comes first. `None` if the peer is not monitored or already
     /// suspected.
-    pub fn deadline_of(&self, peer: NodeId) -> Option<SimInstant> {
+    pub fn deadline_of<T>(&self, table: &PeerTable<T>, peer: NodeId) -> Option<SimInstant> {
         let monitor = self.monitor(peer)?;
-        let deadline = monitor.deadline_at(self.arena.lock().stamp_of(monitor.liveness()));
+        let deadline = monitor.deadline_at(table.stamp_of(monitor.slot()));
         (deadline != SimInstant::FAR_FUTURE).then_some(deadline)
     }
 
-    /// The earliest [`deadline_of`](FailureDetector::deadline_of) among all
+    /// The earliest [`deadline_of`](GroupDetector::deadline_of) among all
     /// monitors — the time at which the next suspicion could occur and
     /// therefore the time at which the owner should call
-    /// [`FailureDetector::poll`] again.
+    /// [`GroupDetector::poll`] again.
+    pub fn next_deadline<T>(&self, table: &PeerTable<T>) -> Option<SimInstant> {
+        (self.peers())
+            .filter_map(|peer| self.deadline_of(table, peer))
+            .min()
+    }
+}
+
+/// A standalone failure detector: one group's [`GroupDetector`] over a
+/// private [`PeerTable`], running the same code a service instance runs.
+///
+/// ```
+/// use sle_fd::detector::FailureDetector;
+/// use sle_fd::qos::QosSpec;
+/// use sle_sim::actor::NodeId;
+/// use sle_sim::time::{SimDuration, SimInstant};
+///
+/// let mut fd = FailureDetector::new(QosSpec::paper_default());
+/// let now = SimInstant::ZERO;
+/// fd.ensure_peer(NodeId(1), now);
+/// assert!(fd.is_trusted(NodeId(1)));
+///
+/// // Two seconds of silence: polling reports the suspicion.
+/// let later = now + SimDuration::from_secs(2);
+/// let transitions = fd.poll(later);
+/// assert_eq!(transitions.len(), 1);
+/// assert!(!fd.is_trusted(NodeId(1)));
+/// ```
+#[derive(Debug, Clone)]
+pub struct FailureDetector {
+    table: PeerTable,
+    group: GroupDetector,
+}
+
+impl FailureDetector {
+    /// Creates a failure detector using `qos` for every monitored peer,
+    /// with the paper's static tuning.
+    pub fn new(qos: QosSpec) -> Self {
+        FailureDetector {
+            table: PeerTable::new(),
+            group: GroupDetector::new(qos, TuningPolicy::Static),
+        }
+    }
+
+    /// Starts monitoring `peer` if it is not already monitored.
+    pub fn ensure_peer(&mut self, peer: NodeId, now: SimInstant) {
+        self.group.ensure_peer(&mut self.table, peer, now);
+    }
+
+    /// Returns whether `peer` is currently trusted.
+    pub fn is_trusted(&self, peer: NodeId) -> bool {
+        self.group.is_trusted(peer)
+    }
+
+    /// [`GroupDetector::on_heartbeat`] over the private table.
+    pub fn on_heartbeat(
+        &mut self,
+        peer: NodeId,
+        seq: u64,
+        sent_at: SimInstant,
+        sender_interval: SimDuration,
+        now: SimInstant,
+    ) -> Option<PeerTransition> {
+        let table = &mut self.table;
+        (self.group).on_heartbeat(table, peer, seq, sent_at, sender_interval, now)
+    }
+
+    /// [`GroupDetector::poll`] over the private table.
+    pub fn poll(&mut self, now: SimInstant) -> Vec<PeerTransition> {
+        self.group.poll(&mut self.table, now)
+    }
+
+    /// [`GroupDetector::next_deadline`] over the private table.
     pub fn next_deadline(&self) -> Option<SimInstant> {
-        self.peers().filter_map(|peer| self.deadline_of(peer)).min()
+        self.group.next_deadline(&self.table)
     }
 }
 
@@ -376,8 +412,8 @@ mod tests {
     fn unknown_peers_are_not_trusted() {
         let detector = fd();
         assert!(!detector.is_trusted(NodeId(3)));
-        assert_eq!(detector.state(NodeId(3)), None);
-        assert_eq!(detector.peer_count(), 0);
+        assert_eq!(detector.group.state(NodeId(3)), None);
+        assert_eq!(detector.group.peers().count(), 0);
         assert_eq!(detector.next_deadline(), None);
     }
 
@@ -386,10 +422,10 @@ mod tests {
         let mut detector = fd();
         let now = SimInstant::ZERO + SimDuration::from_millis(10);
         detector.on_heartbeat(NodeId(2), 0, now, SimDuration::from_millis(250), now);
-        assert_eq!(detector.peer_count(), 1);
+        assert_eq!(detector.group.peers().count(), 1);
         assert!(detector.is_trusted(NodeId(2)));
-        assert!(detector.requested_interval(NodeId(2)).is_some());
-        assert!(detector.quality(NodeId(2)).is_some());
+        assert!(detector.group.requested_interval(NodeId(2)).is_some());
+        assert_eq!(detector.group.slot_of(NodeId(2)), Some(0));
     }
 
     #[test]
@@ -413,7 +449,9 @@ mod tests {
         assert!(!detector.is_trusted(NodeId(1)));
         assert!(detector.is_trusted(NodeId(2)));
         assert_eq!(
-            detector.trusted_peers().collect::<Vec<_>>(),
+            (detector.group.peers())
+                .filter(|&peer| detector.is_trusted(peer))
+                .collect::<Vec<_>>(),
             vec![NodeId(2)]
         );
 
@@ -458,11 +496,14 @@ mod tests {
         assert!(!detector.is_trusted(NodeId(1)));
 
         // Reset gives the peer a fresh grace period.
-        detector.reset_peer(NodeId(1), SimInstant::ZERO + SimDuration::from_secs(2));
+        let again = SimInstant::ZERO + SimDuration::from_secs(2);
+        detector
+            .group
+            .reset_peer(&mut detector.table, NodeId(1), again);
         assert!(detector.is_trusted(NodeId(1)));
 
-        detector.remove_peer(NodeId(1));
-        assert_eq!(detector.peer_count(), 0);
+        detector.group.remove_peer(NodeId(1));
+        assert_eq!(detector.group.peers().count(), 0);
         assert!(!detector.is_trusted(NodeId(1)));
     }
 
@@ -472,100 +513,102 @@ mod tests {
         for id in [5u32, 1, 3] {
             detector.ensure_peer(NodeId(id), SimInstant::ZERO);
         }
-        let peers: Vec<NodeId> = detector.peers().collect();
+        let peers: Vec<NodeId> = detector.group.peers().collect();
         assert_eq!(peers, vec![NodeId(1), NodeId(3), NodeId(5)]);
-        assert_eq!(detector.qos(), QosSpec::paper_default());
+        assert_eq!(detector.group.qos(), QosSpec::paper_default());
     }
 
     #[test]
     fn detectors_sharing_an_arena_share_liveness_estimates() {
-        // Two "groups" on one workstation monitoring the same peer: the
-        // link estimate must be common, the trust state per group.
-        let arena = MonitorArena::new();
-        let mut group_a = FailureDetector::with_arena(
-            QosSpec::paper_default(),
-            TuningPolicy::Static,
-            arena.clone(),
-        );
-        let mut group_b = FailureDetector::with_arena(
+        // Two groups on one workstation monitoring the same peer: the link
+        // estimate must be common, the trust state per group.
+        let mut table: PeerTable = PeerTable::new();
+        let mut group_a = GroupDetector::new(QosSpec::paper_default(), TuningPolicy::Static);
+        let mut group_b = GroupDetector::new(
             QosSpec::paper_default_with_detection(SimDuration::from_millis(500)),
             TuningPolicy::Static,
-            arena.clone(),
         );
         let peer = NodeId(7);
         let interval = SimDuration::from_millis(100);
         let mut now = SimInstant::ZERO;
-        group_a.ensure_peer(peer, now);
-        group_b.ensure_peer(peer, now);
+        group_a.ensure_peer(&mut table, peer, now);
+        group_b.ensure_peer(&mut table, peer, now);
         for seq in 0..50u64 {
             now += interval;
             // Only group A's monitor processes the heartbeats...
-            group_a.on_heartbeat(peer, seq, now - SimDuration::from_millis(3), interval, now);
+            let sent = now - SimDuration::from_millis(3);
+            group_a.on_heartbeat(&mut table, peer, seq, sent, interval, now);
         }
-        // ...yet group B sees the same measured link quality.
-        let qa = group_a.quality(peer).unwrap();
-        let qb = group_b.quality(peer).unwrap();
-        assert_eq!(qa, qb);
-        assert!((qa.delay_mean.as_millis_f64() - 3.0).abs() < 0.5);
-        assert_eq!(arena.peer_count(), 1);
+        // ...yet group B reads the same slot, and so the same link quality.
+        let slot = group_b.slot_of(peer).unwrap();
+        assert_eq!(group_a.slot_of(peer), Some(slot));
+        let quality = table.quality(slot);
+        assert!((quality.delay_mean.as_millis_f64() - 3.0).abs() < 0.5);
+        assert_eq!(table.len(), 1);
 
         // Trust remains per group: B heard nothing directly, so its
         // freshness horizon (armed at ensure time) expires independently.
-        let b_deadline = group_b.next_deadline().unwrap();
-        assert!(group_a.next_deadline().unwrap() > b_deadline);
-        assert_eq!(group_b.poll(b_deadline).len(), 1);
+        let b_deadline = group_b.next_deadline(&table).unwrap();
+        assert!(group_a.next_deadline(&table).unwrap() > b_deadline);
+        assert_eq!(group_b.poll(&mut table, b_deadline).len(), 1);
         assert!(!group_b.is_trusted(peer));
         assert!(group_a.is_trusted(peer));
 
-        // Dropping both monitors releases the shared record.
+        // Dropping both monitors keeps the slot: the table's owner holds it.
         group_a.remove_peer(peer);
         group_b.remove_peer(peer);
-        assert_eq!(arena.peer_count(), 0);
+        assert_eq!(table.len(), 1);
     }
 
     /// One heartbeat fed, then only the peer's stamp advanced — what a
     /// service instance does for a repeated batch.
-    fn vouched_detector() -> (MonitorArena, FailureDetector, SimInstant) {
-        let arena = MonitorArena::new();
-        let mut detector = FailureDetector::with_arena(
-            QosSpec::paper_default(),
-            TuningPolicy::Static,
-            arena.clone(),
-        );
+    fn vouched_detector() -> (FailureDetector, SimInstant) {
+        let mut detector = fd();
         let fed = SimInstant::ZERO + SimDuration::from_secs(1);
         detector.on_heartbeat(NodeId(1), 0, fed, SimDuration::from_millis(250), fed);
-        (arena, detector, fed)
+        (detector, fed)
+    }
+
+    impl FailureDetector {
+        /// Moves `peer`'s stamp, as its owner does on a repeated batch.
+        fn stamp(&mut self, peer: NodeId, sent_at: SimInstant, restart: bool) {
+            let slot = self.table.intern(peer);
+            self.table.stamp(slot, sent_at, restart);
+        }
+
+        fn check_peer(&mut self, peer: NodeId, now: SimInstant) -> Option<PeerCheck> {
+            self.group.check_peer(&mut self.table, peer, now)
+        }
+
+        fn deadline_of(&self, peer: NodeId) -> Option<SimInstant> {
+            self.group.deadline_of(&self.table, peer)
+        }
     }
 
     #[test]
     fn a_stamp_stands_in_for_repeated_heartbeats() {
-        let (arena, mut detector, fed) = vouched_detector();
-        let handle = arena.slot(NodeId(1));
+        let (mut detector, fed) = vouched_detector();
         let horizon = detector.next_deadline().unwrap() - fed;
         assert_eq!(
             horizon,
             SimDuration::from_secs(1) + SimDuration::from_millis(250)
-                - detector.requested_interval(NodeId(1)).unwrap()
+                - detector.group.requested_interval(NodeId(1)).unwrap()
         );
         // Repeats, the last one overtaken by its successor: a max.
         let last = fed + SimDuration::from_millis(750);
-        arena.stamp(&handle, fed + SimDuration::from_millis(250), false);
-        arena.stamp(&handle, last, false);
-        arena.stamp(&handle, fed + SimDuration::from_millis(500), false);
+        detector.stamp(NodeId(1), fed + SimDuration::from_millis(250), false);
+        detector.stamp(NodeId(1), last, false);
+        detector.stamp(NodeId(1), fed + SimDuration::from_millis(500), false);
         assert_eq!(detector.next_deadline(), Some(last + horizon));
         // Another peer's stamp is another peer's.
-        arena.stamp(
-            &arena.slot(NodeId(2)),
-            last + SimDuration::from_secs(9),
-            false,
-        );
+        detector.stamp(NodeId(2), last + SimDuration::from_secs(9), false);
         assert_eq!(detector.next_deadline(), Some(last + horizon));
         assert!(detector.poll(fed + horizon).is_empty());
         assert!(detector.is_trusted(NodeId(1)));
         assert_eq!(detector.poll(last + horizon).len(), 1);
         assert!(!detector.is_trusted(NodeId(1)));
         // Suspected: a stamp alone revives nobody, a heartbeat does.
-        arena.stamp(&handle, last + SimDuration::from_secs(1), false);
+        detector.stamp(NodeId(1), last + SimDuration::from_secs(1), false);
         assert!(detector.poll(last + SimDuration::from_secs(1)).is_empty());
         assert_eq!(detector.next_deadline(), None);
         let back = last + SimDuration::from_secs(1);
@@ -579,52 +622,50 @@ mod tests {
 
     #[test]
     fn unvouch_keeps_what_the_stamp_bought_and_stops_reading_it() {
-        let (arena, mut detector, fed) = vouched_detector();
-        let handle = arena.slot(NodeId(1));
+        let (mut detector, fed) = vouched_detector();
         let horizon = detector.next_deadline().unwrap() - fed;
         let stamped = fed + SimDuration::from_millis(500);
-        arena.stamp(&handle, stamped, false);
-        detector.unvouch(NodeId(1));
+        detector.stamp(NodeId(1), stamped, false);
+        detector.group.unvouch(&detector.table, NodeId(1));
         assert_eq!(detector.next_deadline(), Some(stamped + horizon));
         // The owner restarts the stamp for the batch that dropped us: even
         // a later stamp no longer counts here.
-        arena.stamp(&handle, stamped + SimDuration::from_secs(5), true);
+        detector.stamp(NodeId(1), stamped + SimDuration::from_secs(5), true);
         assert_eq!(detector.next_deadline(), Some(stamped + horizon));
         assert_eq!(detector.poll(stamped + horizon).len(), 1);
     }
 
     #[test]
     fn a_stamp_is_priced_at_the_shift_of_its_time() {
-        let (arena, mut detector, fed) = vouched_detector();
-        let handle = arena.slot(NodeId(1));
+        let (mut detector, fed) = vouched_detector();
         let eta = SimDuration::from_millis(250);
-        let old = detector.params(NodeId(1)).unwrap();
+        let old = detector.group.params(NodeId(1)).unwrap();
         // The peer repeats its batch over a clean link until the poll after
         // a repeat re-derives δ from it.
         let (mut seq, mut sent) = (0, fed);
-        while detector.params(NodeId(1)) == Some(old) {
+        while detector.group.params(NodeId(1)) == Some(old) {
             (seq, sent) = (seq + 1, sent + eta);
-            handle.record(seq, sent, sent);
-            arena.stamp(&handle, sent, false);
+            detector.table.record(0, seq, sent, sent);
+            detector.stamp(NodeId(1), sent, false);
             assert!(detector.poll(sent).is_empty());
         }
-        let tuned = detector.params(NodeId(1)).unwrap();
+        let tuned = detector.group.params(NodeId(1)).unwrap();
         assert!(tuned.shift < old.shift);
         // What was heard keeps its price...
         assert_eq!(detector.next_deadline(), Some(sent + eta + old.shift));
         // ...a restarted stamp that goes back in time takes nothing away...
-        arena.stamp(&handle, fed, true);
+        detector.stamp(NodeId(1), fed, true);
         assert_eq!(detector.next_deadline(), Some(sent + eta + old.shift));
         // ...and what is heard from here on pays the new one.
-        arena.stamp(&handle, sent + eta, false);
+        detector.stamp(NodeId(1), sent + eta, false);
         assert_eq!(detector.next_deadline(), Some(sent + eta * 2 + tuned.shift));
     }
 
     #[test]
     fn a_requested_interval_that_moves_bumps_the_arena_epoch() {
-        let (arena, mut detector, fed) = vouched_detector();
-        let before = arena.params_epoch();
-        let prior = detector.requested_interval(NodeId(1)).unwrap();
+        let (mut detector, fed) = vouched_detector();
+        let before = detector.table.params_epoch();
+        let prior = detector.group.requested_interval(NodeId(1)).unwrap();
         // A clean, fast link for longer than the reconfiguration period.
         let interval = SimDuration::from_millis(100);
         let mut now = fed;
@@ -639,8 +680,8 @@ mod tests {
             );
             assert!(detector.poll(now).is_empty());
         }
-        assert_ne!(detector.requested_interval(NodeId(1)).unwrap(), prior);
-        assert!(arena.params_epoch() > before);
+        assert_ne!(detector.group.requested_interval(NodeId(1)).unwrap(), prior);
+        assert!(detector.table.params_epoch() > before);
     }
 
     #[test]
@@ -667,7 +708,7 @@ mod tests {
     }
 
     /// Three groups' detectors — T_D 1 s and 2 s static, 1 s adaptive —
-    /// monitor one peer through one arena, fed the way a service instance
+    /// monitor one peer through one table, fed the way a service instance
     /// feeds them: batches applied to a changing subset of the groups, and
     /// repeats in between that only move the stamp. The wake merged at each
     /// walk must never be later than any monitor's deadline, and while it
@@ -677,17 +718,17 @@ mod tests {
         use sle_sim::rng::SimRng;
         let peer = NodeId(1);
         let mut rng = SimRng::seed_from(0xFD_FA11);
-        let arena = MonitorArena::new();
-        let handle = arena.slot(peer);
+        let mut table: PeerTable = PeerTable::new();
+        let slot = table.intern(peer);
         let qos = |secs| QosSpec::paper_default_with_detection(SimDuration::from_secs(secs));
         let mut groups = [
-            FailureDetector::with_arena(qos(1), TuningPolicy::Static, arena.clone()),
-            FailureDetector::with_arena(qos(2), TuningPolicy::Static, arena.clone()),
-            FailureDetector::with_arena(qos(1), TuningPolicy::Adaptive, arena.clone()),
+            GroupDetector::new(qos(1), TuningPolicy::Static),
+            GroupDetector::new(qos(2), TuningPolicy::Static),
+            GroupDetector::new(qos(1), TuningPolicy::Adaptive),
         ];
         let (mut now, mut seq) = (SimInstant::ZERO, 0u64);
         for group in groups.iter_mut() {
-            group.ensure_peer(peer, now);
+            group.ensure_peer(&mut table, peer, now);
         }
         let mut wake: Option<Wake> = None;
         let (mut quiet, mut walks) = (0, 0);
@@ -698,28 +739,28 @@ mod tests {
             let silent = (step / 400) % 5 == 4;
             if !silent && rng.bernoulli(0.9) {
                 seq += 1;
-                handle.record(seq, sent, now);
+                table.record(slot, seq, sent, now);
                 if rng.bernoulli(0.97) {
-                    arena.stamp(&handle, sent, false);
+                    table.stamp(slot, sent, false);
                 } else {
                     // A changed batch: everything folds and unvouches, the
                     // stamp restarts, the batch's groups are fed.
                     for group in groups.iter_mut() {
-                        group.unvouch(peer);
+                        group.unvouch(&table, peer);
                     }
-                    arena.stamp(&handle, sent, true);
+                    table.stamp(slot, sent, true);
                     let listed = [0, 1, 2].map(|_| rng.bernoulli(0.8));
                     let eta = SimDuration::from_millis(50 + rng.uniform_usize(300) as u64);
                     for (group, _) in groups.iter_mut().zip(listed).filter(|g| g.1) {
-                        group.on_heartbeat(peer, seq, sent, eta, now);
+                        group.on_heartbeat(&mut table, peer, seq, sent, eta, now);
                     }
                     wake = None;
                 }
             }
-            let stamp = arena.stamp_of(&handle);
+            let stamp = table.stamp_of(slot);
             if let Some(cached) = wake {
                 for group in &groups {
-                    let due = group.deadline_of(peer).unwrap_or(SimInstant::FAR_FUTURE);
+                    let due = (group.deadline_of(&table, peer)).unwrap_or(SimInstant::FAR_FUTURE);
                     assert!(cached.at(stamp) <= due, "step {step}: late wake");
                 }
                 if cached.quiet(stamp, now) {
@@ -727,7 +768,8 @@ mod tests {
                     // (A suspected monitor re-derives on the heartbeats
                     // that fail to revive it, not on a timer.)
                     for group in groups.iter().filter(|g| g.is_trusted(peer)) {
-                        let check = group.clone().check_peer(peer, now).unwrap();
+                        let probe = &mut table.clone();
+                        let check = group.clone().check_peer(probe, peer, now).unwrap();
                         assert_eq!((check.transition, check.retuned), (None, false));
                     }
                     continue;
@@ -735,7 +777,7 @@ mod tests {
             }
             walks += 1;
             let merged = (groups.iter_mut())
-                .map(|group| group.check_peer(peer, now).unwrap().wake)
+                .map(|group| group.check_peer(&mut table, peer, now).unwrap().wake)
                 .fold(Wake::NEVER, Wake::merge);
             assert!(
                 merged.at(stamp) > now,
@@ -749,12 +791,11 @@ mod tests {
 
     #[test]
     fn a_wake_rides_the_stamp_exactly_in_steady_state() {
-        let (arena, mut detector, fed) = vouched_detector();
-        let handle = arena.slot(NodeId(1));
+        let (mut detector, fed) = vouched_detector();
         let wake = detector.check_peer(NodeId(1), fed).unwrap().wake;
         for k in 1..20u64 {
             let stamp = fed + SimDuration::from_millis(250 * k);
-            arena.stamp(&handle, stamp, false);
+            detector.stamp(NodeId(1), stamp, false);
             assert_eq!(Some(wake.at(stamp)), detector.deadline_of(NodeId(1)));
             assert!(wake.quiet(stamp, stamp) || stamp >= fed + SimDuration::from_secs(5));
         }

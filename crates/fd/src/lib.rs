@@ -20,10 +20,13 @@
 //!   configurator as the estimate moves.
 //!
 //! Around them: [`qos`] is the application-facing QoS triple
-//! `(T_D^U, T_MR^L, P_A^L)`, [`arena`] the per-workstation store that keeps
-//! one estimator per peer however many groups (under whichever policies)
-//! monitor it, and [`detector`] the per-group collection of monitors,
-//! checked one peer at a time by the service's per-peer timers.
+//! `(T_D^U, T_MR^L, P_A^L)`, [`peers`] the per-workstation [`PeerTable`]
+//! that keeps one estimator per peer however many groups (under whichever
+//! policies) monitor it, owned by the service instance and lent to every
+//! detector call, and [`detector`] the per-group collection of monitors
+//! ([`GroupDetector`]), checked one peer at a time by the service's per-peer
+//! timers, plus the standalone [`FailureDetector`]: one group over a private
+//! table.
 //!
 //! ## Example
 //!
@@ -50,26 +53,26 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod arena;
 pub mod config;
 pub mod detector;
 pub mod monitor;
+pub mod peers;
 pub mod qos;
 pub mod quality;
 
 /// Convenient re-exports of the items most users need.
 pub mod prelude {
-    pub use crate::arena::{LivenessHandle, MonitorArena};
     pub use crate::config::{configure, FdParams, TuningPolicy};
-    pub use crate::detector::{FailureDetector, PeerCheck, PeerTransition, Wake};
+    pub use crate::detector::{FailureDetector, GroupDetector, PeerCheck, PeerTransition, Wake};
     pub use crate::monitor::{PeerMonitor, Transition, TrustState};
+    pub use crate::peers::PeerTable;
     pub use crate::qos::{QosError, QosSpec};
     pub use crate::quality::{LinkQuality, LinkQualityEstimator};
 }
 
-pub use arena::{LivenessHandle, MonitorArena};
 pub use config::{configure, FdParams, TuningPolicy, MIN_INTERVAL};
-pub use detector::{FailureDetector, PeerCheck, PeerTransition, Wake};
+pub use detector::{FailureDetector, GroupDetector, PeerCheck, PeerTransition, Wake};
 pub use monitor::{PeerMonitor, Transition, TrustState};
+pub use peers::PeerTable;
 pub use qos::{QosError, QosSpec};
 pub use quality::{LinkQuality, LinkQualityEstimator};

@@ -1,26 +1,33 @@
-//! The per-peer NFD-S freshness monitor.
+//! The per-(group, peer) NFD-S freshness monitor.
 //!
 //! A [`PeerMonitor`] implements the monitoring side of Chen et al.'s NFD-S
 //! algorithm for a single remote process: every received ALIVE message,
 //! stamped with its send time and the sender's current heartbeat interval,
 //! extends a *freshness horizon*; the peer is trusted exactly while the
 //! current time is before that horizon. The monitor also reads the link
-//! quality estimator and periodically re-runs the configurator under its
-//! [`TuningPolicy`] so the detector adapts to changing network conditions,
-//! as described in Sections 3 and 6.2 of the paper — this is the only place
-//! (η, δ) ever move.
+//! quality estimate of its peer's [`PeerTable`] slot and periodically
+//! re-runs the configurator under its group's [`TuningPolicy`] so the
+//! detector adapts to changing network conditions, as described in
+//! Sections 3 and 6.2 of the paper — this is the only place (η, δ) ever
+//! move.
 //!
-//! Inside a [`FailureDetector`](crate::FailureDetector) a monitor is also a
-//! *view*: the last heartbeat fed to it *vouches* for the peer under the η it
-//! declared, and while the owner advances the peer's shared freshness stamp
-//! ([`MonitorArena::stamp`](crate::MonitorArena::stamp)) instead of feeding
-//! every repeat, the horizon is the later of its own and `stamp + η + δ`.
+//! A monitor keeps only its group's opinion of the peer: the slot it reads,
+//! (η, δ) (hysteresis and reconfiguration instants differ per group), the
+//! trust state and horizon. Whatever is the link's — the estimator, the
+//! memoized estimate and search — lives in the slot, lent by `&mut` to each
+//! call, and the group's QoS and policy are passed in by its
+//! [`GroupDetector`](crate::GroupDetector). The last heartbeat fed to a
+//! monitor also *vouches* for the peer under the η it declared: while the
+//! owner advances the peer's freshness stamp ([`PeerTable::stamp`]) instead
+//! of feeding every repeat, the horizon is the later of its own and
+//! `stamp + η + δ`.
 
+use sle_sim::actor::NodeId;
 use sle_sim::time::{SimDuration, SimInstant};
 
-use crate::arena::LivenessHandle;
 use crate::config::{configure, FdParams, TuningPolicy};
 use crate::detector::Wake;
+use crate::peers::PeerTable;
 use crate::qos::QosSpec;
 use crate::quality::LinkQuality;
 
@@ -42,93 +49,94 @@ pub enum Transition {
     BecameSuspected,
 }
 
-/// NFD-S monitoring state for one remote process.
+/// One group's NFD-S monitoring state for one remote process.
 ///
 /// ```
 /// use sle_fd::monitor::{PeerMonitor, Transition, TrustState};
-/// use sle_fd::qos::QosSpec;
+/// use sle_fd::{PeerTable, QosSpec, TuningPolicy};
+/// use sle_sim::actor::NodeId;
 /// use sle_sim::time::{SimDuration, SimInstant};
 ///
+/// let (qos, policy) = (QosSpec::paper_default(), TuningPolicy::Static);
+/// let mut table: PeerTable = PeerTable::new();
+/// let slot = table.intern(NodeId(1));
 /// let start = SimInstant::ZERO;
-/// let mut monitor = PeerMonitor::new(QosSpec::paper_default(), start);
+/// let mut monitor = PeerMonitor::new(NodeId(1), slot, &qos, policy, start);
 /// assert_eq!(monitor.state(), TrustState::Trusted);
 ///
 /// // No heartbeat within the grace period: the peer becomes suspected...
 /// let later = start + SimDuration::from_secs(2);
-/// assert_eq!(monitor.check(later), Some(Transition::BecameSuspected));
+/// let t = monitor.check(&mut table, &qos, policy, later);
+/// assert_eq!(t, Some(Transition::BecameSuspected));
 ///
 /// // ...until a heartbeat arrives and trust is restored.
 /// let hb_sent = later + SimDuration::from_millis(10);
 /// let received = hb_sent + SimDuration::from_millis(1);
-/// let t = monitor.on_heartbeat(1, hb_sent, SimDuration::from_millis(250), received);
+/// let eta = SimDuration::from_millis(250);
+/// let t = monitor.on_heartbeat(&mut table, &qos, policy, 1, hb_sent, eta, received);
 /// assert_eq!(t, Some(Transition::BecameTrusted));
 /// ```
 #[derive(Debug, Clone)]
 pub struct PeerMonitor {
-    qos: QosSpec,
-    policy: TuningPolicy,
-    /// The node-level liveness record (link-quality estimator), possibly
-    /// shared with the monitors other groups keep for the same peer.
-    /// Cloning a monitor shares the record.
-    liveness: LivenessHandle,
+    peer: NodeId,
+    /// The peer's slot in the owner's [`PeerTable`].
+    slot: u32,
+    /// Version of the slot's quality estimate the current params were
+    /// derived from; reconfiguration is skipped while it is unchanged.
+    quality_version: u32,
     params: FdParams,
-    state: TrustState,
     fresh_until: SimInstant,
     last_reconfigure: SimInstant,
-    /// Version of the shared quality estimate the current params were
-    /// derived from; reconfiguration is skipped while it is unchanged.
-    last_quality_version: u64,
-    heartbeats: u64,
+    /// While `vouched`, the peer's stamp stands in for repeats of the last
+    /// heartbeat: the (clamped) η it declared, and how much of the stamp
+    /// `fresh_until` already holds — at the δ of its time, not a later one.
+    vouched_eta: SimDuration,
+    folded: SimInstant,
+    vouched: bool,
+    state: TrustState,
     /// Whether the current params were derived from a measured link
     /// estimate rather than the conservative prior.
     measured: bool,
-    /// While the peer's shared stamp stands in for repeats of the last
-    /// heartbeat: the (clamped) η it declared, and how much of the stamp
-    /// `fresh_until` already holds — at the δ of its time, not a later one.
-    vouched: Option<(SimDuration, SimInstant)>,
 }
 
 impl PeerMonitor {
-    /// Creates a monitor for a peer first observed (e.g. via group
-    /// membership) at `now`.
+    /// Creates `peer`'s monitor (the peer's link record in table slot
+    /// `slot`) for a group of the given QoS and policy, first observed
+    /// (e.g. via group membership) at `now`.
     ///
     /// The peer starts trusted with a grace period of one detection bound, so
     /// that a newly joined member is not instantly suspected before it had a
     /// chance to send its first ALIVE.
-    pub fn new(qos: QosSpec, now: SimInstant) -> Self {
-        Self::with_liveness(qos, TuningPolicy::Static, LivenessHandle::detached(), now)
-    }
-
-    /// Creates a monitor reading from (and feeding) the given liveness
-    /// record — the constructor used by a service instance's per-group
-    /// failure detectors, which share one record per peer through a
-    /// [`MonitorArena`](crate::arena::MonitorArena) so N groups keep one
-    /// link estimate instead of N.
-    pub fn with_liveness(
-        qos: QosSpec,
+    pub fn new(
+        peer: NodeId,
+        slot: usize,
+        qos: &QosSpec,
         policy: TuningPolicy,
-        liveness: LivenessHandle,
         now: SimInstant,
     ) -> Self {
-        let params = configure(&qos, &LinkQuality::conservative_prior(), policy);
         PeerMonitor {
-            qos,
-            policy,
-            liveness,
-            params,
-            state: TrustState::Trusted,
+            peer,
+            slot: slot as u32,
+            quality_version: 0,
+            params: configure(qos, &LinkQuality::conservative_prior(), policy),
             fresh_until: now + qos.detection_time(),
             last_reconfigure: now,
-            last_quality_version: 0,
-            heartbeats: 0,
+            vouched_eta: SimDuration::ZERO,
+            folded: SimInstant::ZERO,
+            vouched: false,
+            state: TrustState::Trusted,
             measured: false,
-            vouched: None,
         }
     }
 
-    /// The QoS this monitor was created with.
-    pub fn qos(&self) -> QosSpec {
-        self.qos
+    /// The monitored peer.
+    pub fn peer(&self) -> NodeId {
+        self.peer
+    }
+
+    /// The peer's slot in the owner's [`PeerTable`].
+    pub fn slot(&self) -> usize {
+        self.slot as usize
     }
 
     /// The current operational parameters (η, δ).
@@ -148,17 +156,6 @@ impl PeerMonitor {
     /// frequency of η").
     pub fn requested_interval(&self) -> SimDuration {
         self.params.interval
-    }
-
-    /// The current link-quality estimate for the peer → monitor direction
-    /// (shared with every other monitor of the same peer on this
-    /// workstation).
-    pub fn quality(&self) -> LinkQuality {
-        self.liveness.quality()
-    }
-
-    pub(crate) fn liveness(&self) -> &LivenessHandle {
-        &self.liveness
     }
 
     /// The monitor's current opinion.
@@ -181,91 +178,91 @@ impl PeerMonitor {
         }
     }
 
-    /// The horizon the peer's shared `stamp` buys beyond what `fresh_until`
+    /// The horizon the peer's `stamp` buys beyond what `fresh_until`
     /// already holds of it.
     fn vouched_until(&self, stamp: SimInstant) -> SimInstant {
-        match self.vouched {
-            Some((eta, folded)) if stamp > folded => stamp + eta + self.params.shift,
-            _ => SimInstant::ZERO,
+        if self.vouched && stamp > self.folded {
+            stamp + self.vouched_eta + self.params.shift
+        } else {
+            SimInstant::ZERO
         }
     }
 
-    /// [`PeerMonitor::deadline`] as seen through the peer's shared `stamp`.
+    /// [`PeerMonitor::deadline`] as seen through the peer's `stamp`.
     pub(crate) fn deadline_at(&self, stamp: SimInstant) -> SimInstant {
         self.deadline().max(self.vouched_until(stamp))
     }
 
-    /// When the monitor must next be checked, as a [`Wake`] its owner can
-    /// advance by the peer's shared stamp alone. A suspected monitor has no
-    /// deadline and needs none.
-    pub(crate) fn wake(&self) -> Wake {
+    /// When the monitor must next be checked under `policy`, as a [`Wake`]
+    /// its owner can advance by the peer's stamp alone. A suspected monitor
+    /// has no deadline and needs none.
+    pub(crate) fn wake(&self, policy: TuningPolicy) -> Wake {
         if self.state == TrustState::Suspected {
             return Wake::NEVER;
         }
         // Re-derivation is due on the clock `maybe_reconfigure` reads: the
         // latest stamp folded in under the static policy (none while
         // un-vouched), the time under the adaptive one.
-        let retune = self.last_reconfigure + self.policy.reconfigure_every();
+        let retune = self.last_reconfigure + policy.reconfigure_every();
         let mut wake = Wake::NEVER;
-        match self.vouched {
-            Some((eta, folded)) => {
-                // A stamp at or before `folded` buys nothing beyond
-                // `fresh_until`, which may hold it at a smaller δ than now.
-                let bought = self.fresh_until.saturating_since(folded);
-                wake.fresh = self.fresh_until;
-                wake.offset = (eta + self.params.shift).min(bought);
-                if self.policy == TuningPolicy::Static {
-                    wake.retune_stamp = retune;
-                }
+        if self.vouched {
+            // A stamp at or before `folded` buys nothing beyond
+            // `fresh_until`, which may hold it at a smaller δ than now.
+            let bought = self.fresh_until.saturating_since(self.folded);
+            wake.fresh = self.fresh_until;
+            wake.offset = (self.vouched_eta + self.params.shift).min(bought);
+            if policy == TuningPolicy::Static {
+                wake.retune_stamp = retune;
             }
-            None => wake.until = self.fresh_until,
+        } else {
+            wake.until = self.fresh_until;
         }
-        if self.policy == TuningPolicy::Adaptive {
+        if policy == TuningPolicy::Adaptive {
             wake.retune_at = retune;
         }
         wake
     }
 
-    /// Folds the peer's shared `stamp` into the monitor's own horizon; with
+    /// Folds the peer's `stamp` into the monitor's own horizon; with
     /// `unvouch` the stamp stops counting from here on (the peer's batch no
     /// longer lists the group, or the owner is about to restart the stamp).
     pub(crate) fn fold(&mut self, stamp: SimInstant, unvouch: bool) {
         self.fresh_until = self.fresh_until.max(self.vouched_until(stamp));
-        let keep = |(eta, folded): (_, SimInstant)| (eta, folded.max(stamp));
-        self.vouched = self.vouched.filter(|_| !unvouch).map(keep);
-    }
-
-    /// Total heartbeats received from the peer.
-    pub fn heartbeats_received(&self) -> u64 {
-        self.heartbeats
+        if self.vouched {
+            self.folded = self.folded.max(stamp);
+        }
+        self.vouched &= !unvouch;
     }
 
     /// Processes a heartbeat with sequence number `seq`, stamped `sent_at` by
     /// the sender, which declares it is currently sending every
-    /// `sender_interval`; the heartbeat was received at `now`.
+    /// `sender_interval`; the heartbeat was received at `now`. The sample
+    /// goes to the peer's link record in `table` (once per datagram, however
+    /// many groups process it).
     ///
     /// Returns `Some(Transition::BecameTrusted)` if this heartbeat restored
     /// trust in a suspected peer.
-    pub fn on_heartbeat(
+    #[allow(clippy::too_many_arguments)]
+    pub fn on_heartbeat<T>(
         &mut self,
+        table: &mut PeerTable<T>,
+        qos: &QosSpec,
+        policy: TuningPolicy,
         seq: u64,
         sent_at: SimInstant,
         sender_interval: SimDuration,
         now: SimInstant,
     ) -> Option<Transition> {
-        self.heartbeats += 1;
-        // The shared record deduplicates: when several groups process the
-        // same batched datagram, the sample is counted once.
-        self.liveness.record(seq, sent_at, now);
+        table.record(self.slot(), seq, sent_at, now);
 
         // The freshness contribution of this heartbeat: it proves the sender
         // was alive at `sent_at` and promises another heartbeat one interval
         // later, which we allow δ to arrive. The sender-declared interval is
         // clamped to the detection bound so a mis-configured sender cannot
         // stretch detection arbitrarily.
-        let interval = sender_interval.min(self.qos.detection_time());
+        let interval = sender_interval.min(qos.detection_time());
         self.fresh_until = (self.fresh_until).max(sent_at + interval + self.params.shift);
-        self.vouched = Some((interval, sent_at));
+        (self.vouched, self.vouched_eta, self.folded) = (true, interval, sent_at);
 
         if self.state == TrustState::Trusted {
             return None;
@@ -277,8 +274,8 @@ impl PeerMonitor {
         // Too old to revive the peer. Under a bound tightened below T_D^U
         // that is the link outrunning (η, δ): re-derive them here — while
         // suspected no deadline is pending, so no check may ever come.
-        if self.params.worst_case_detection() < self.qos.detection_time() {
-            self.maybe_reconfigure(now);
+        if self.params.worst_case_detection() < qos.detection_time() {
+            self.maybe_reconfigure(table, qos, policy, now);
         }
         None
     }
@@ -290,8 +287,14 @@ impl PeerMonitor {
     /// has passed and the peer is newly suspected. This is also where (η, δ)
     /// follow the link estimate: heartbeats are too many to each ask (only
     /// one that fails to revive a suspected peer does).
-    pub fn check(&mut self, now: SimInstant) -> Option<Transition> {
-        self.maybe_reconfigure(now);
+    pub fn check<T>(
+        &mut self,
+        table: &mut PeerTable<T>,
+        qos: &QosSpec,
+        policy: TuningPolicy,
+        now: SimInstant,
+    ) -> Option<Transition> {
+        self.maybe_reconfigure(table, qos, policy, now);
         if self.state == TrustState::Trusted && now >= self.fresh_until {
             self.state = TrustState::Suspected;
             Some(Transition::BecameSuspected)
@@ -300,46 +303,52 @@ impl PeerMonitor {
         }
     }
 
-    fn maybe_reconfigure(&mut self, now: SimInstant) {
+    fn maybe_reconfigure<T>(
+        &mut self,
+        table: &mut PeerTable<T>,
+        qos: &QosSpec,
+        policy: TuningPolicy,
+        now: SimInstant,
+    ) {
         // Under the static policy heartbeats drive this, as when they called
         // it themselves: the latest one heard must have been due, not just
         // the clock. The adaptive one follows the clock: it must back off
         // when heartbeats stop reviving the peer, and a group the peer's
         // batches keep dropping and re-listing is unvouched at most polls.
-        let clock = match self.policy {
-            TuningPolicy::Static => self.vouched.map_or(SimInstant::ZERO, |(_, folded)| folded),
+        let clock = match policy {
+            TuningPolicy::Static if self.vouched => self.folded,
+            TuningPolicy::Static => SimInstant::ZERO,
             TuningPolicy::Adaptive => now,
         };
-        if clock.saturating_since(self.last_reconfigure) < self.policy.reconfigure_every() {
+        if clock.saturating_since(self.last_reconfigure) < policy.reconfigure_every() {
             return;
         }
         self.last_reconfigure = now;
-        // The estimator scan is memoized in the shared record, and the
-        // version only moves when the estimate changed — so the (η, δ)
-        // search below runs once per actual link-quality change, not once
-        // per monitor per reconfigure period.
-        let (measured, version) = self.liveness.quality_cached(now, self.policy);
-        if version == self.last_quality_version {
+        // The estimator scan is memoized in the peer's slot, and the version
+        // only moves when the estimate changed — so the (η, δ) search below
+        // runs once per actual link-quality change, not once per monitor per
+        // reconfigure period.
+        let link = table.link_mut(self.slot());
+        let (measured, version) = link.quality_cached(now, policy);
+        if version == self.quality_version {
             return;
         }
-        self.last_quality_version = version;
-        self.measured = measured.samples >= self.policy.min_samples();
+        self.quality_version = version;
+        self.measured = measured.samples >= policy.min_samples();
         let quality = if self.measured {
             measured
         } else {
             LinkQuality::conservative_prior()
         };
-        // The search result is shared through the liveness record too: the
-        // sibling monitors other groups keep for this peer almost always ask
-        // with the same QoS, so the search runs once per quality change per
-        // peer instead of once per (group, peer).
-        let derived = self
-            .liveness
-            .shared_params(version, &self.qos, self.policy, &quality);
+        // The search result is memoized in the slot too: the monitors other
+        // groups keep for this peer almost always ask with the same QoS, so
+        // the search runs once per quality change per peer instead of once
+        // per (group, peer).
+        let derived = link.shared_params(version, qos, policy, &quality);
         // Hysteresis compares the full operating point, not just the bound:
         // once η + δ is pinned at T_D^U the split keeps tracking a degrading
         // link, and those updates must go through.
-        let hysteresis = self.policy.hysteresis();
+        let hysteresis = policy.hysteresis();
         let within = |old: SimDuration, new: SimDuration| {
             (new.as_secs_f64() - old.as_secs_f64()).abs() < hysteresis * old.as_secs_f64()
         };
@@ -355,8 +364,65 @@ impl PeerMonitor {
 mod tests {
     use super::*;
 
-    fn paper_monitor() -> PeerMonitor {
-        PeerMonitor::new(QosSpec::paper_default(), SimInstant::ZERO)
+    /// One monitor over a one-peer table, as a standalone detector keeps it.
+    struct Solo {
+        table: PeerTable,
+        qos: QosSpec,
+        policy: TuningPolicy,
+        monitor: PeerMonitor,
+    }
+
+    impl Solo {
+        fn new(policy: TuningPolicy) -> Self {
+            let (qos, mut table) = (QosSpec::paper_default(), PeerTable::new());
+            let slot = table.intern(NodeId(1));
+            let monitor = PeerMonitor::new(NodeId(1), slot, &qos, policy, SimInstant::ZERO);
+            Solo {
+                table,
+                qos,
+                policy,
+                monitor,
+            }
+        }
+
+        fn qos(&self) -> QosSpec {
+            self.qos
+        }
+
+        fn on_heartbeat(
+            &mut self,
+            seq: u64,
+            sent_at: SimInstant,
+            interval: SimDuration,
+            now: SimInstant,
+        ) -> Option<Transition> {
+            let (table, qos, policy) = (&mut self.table, &self.qos, self.policy);
+            (self.monitor).on_heartbeat(table, qos, policy, seq, sent_at, interval, now)
+        }
+
+        fn check(&mut self, now: SimInstant) -> Option<Transition> {
+            (self.monitor).check(&mut self.table, &self.qos, self.policy, now)
+        }
+
+        fn heartbeats_received(&self) -> u64 {
+            self.table.heartbeats_recorded(self.monitor.slot())
+        }
+
+        fn quality(&self) -> LinkQuality {
+            self.table.quality(self.monitor.slot())
+        }
+    }
+
+    impl std::ops::Deref for Solo {
+        type Target = PeerMonitor;
+
+        fn deref(&self) -> &PeerMonitor {
+            &self.monitor
+        }
+    }
+
+    fn paper_monitor() -> Solo {
+        Solo::new(TuningPolicy::Static)
     }
 
     #[test]
@@ -488,13 +554,8 @@ mod tests {
         assert!(monitor.quality().loss_probability < 0.01);
     }
 
-    fn adaptive_monitor() -> PeerMonitor {
-        PeerMonitor::with_liveness(
-            QosSpec::paper_default(),
-            TuningPolicy::Adaptive,
-            LivenessHandle::detached(),
-            SimInstant::ZERO,
-        )
+    fn adaptive_monitor() -> Solo {
+        Solo::new(TuningPolicy::Adaptive)
     }
 
     fn ms(millis: u64) -> SimDuration {
@@ -504,7 +565,7 @@ mod tests {
     /// Feeds `count` heartbeats, one every 100 ms and each `delay(seq)` old,
     /// and polls after each — what a detector's owner does.
     fn feed(
-        monitor: &mut PeerMonitor,
+        monitor: &mut Solo,
         count: u64,
         delay: impl Fn(u64) -> SimDuration,
         start: SimInstant,
@@ -648,9 +709,9 @@ mod tests {
         // derives from it by one step — too little to move the operating
         // point.
         let now = feed(&mut monitor, 100, |seq| ms(60 + 3 * (seq % 2)), now);
-        let (recent, _) = monitor
-            .liveness()
-            .quality_cached(now, TuningPolicy::Adaptive);
+        let slot = monitor.slot();
+        let link = monitor.table.link_mut(slot);
+        let (recent, _) = link.quality_cached(now, TuningPolicy::Adaptive);
         let derived = configure(&qos, &recent, TuningPolicy::Adaptive);
         assert_ne!(derived, first);
         assert_eq!(monitor.params(), first);

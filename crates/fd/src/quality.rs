@@ -190,9 +190,9 @@ impl LinkQualityEstimator {
             self.held -= front.1 - front.0 + 1;
             self.recent.pop_front();
         }
-        while self.held > self.loss_window_cap() {
-            let excess = self.held - self.loss_window_cap();
-            let front = self.recent.front_mut().expect("held numbers sit in runs");
+        let cap = self.loss_window_cap();
+        while let (true, Some(front)) = (self.held > cap, self.recent.front_mut()) {
+            let excess = self.held - cap;
             let run = front.1 - front.0 + 1;
             if run <= excess {
                 self.held -= run;

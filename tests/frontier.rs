@@ -7,8 +7,8 @@
 //! cargo test --release --test frontier -- --ignored --nocapture two_sim_workers_beat_one
 //! ```
 //!
-//! The first needs ≈ 4 GiB of memory and a minute or two of one core, and
-//! fails if its peak resident set passes 4 608 MiB (heap bytes per part, at
+//! The first needs ≈ 3 GiB of memory and a minute or two of one core, and
+//! fails if its peak resident set passes 3 443 MiB (heap bytes per part, at
 //! an everyday size, are pinned by `tests/memory.rs`). Throughput of the
 //! same engine at an everyday size, with repeats and a regression bound, is
 //! `ops_per_s` of `benchmark/`'s `sim-steady` workload.
@@ -22,8 +22,8 @@ use sle_harness::deploy;
 use sle_sim::prelude::*;
 
 /// The most peak resident set `a_million_processes_settle` may reach (it
-/// measured 4 018 MiB on a 2-vCPU x86-64 Linux VM).
-const FRONTIER_VMHWM_MIB: u64 = 4_608;
+/// measured 2 853 MiB on a 2-vCPU x86-64 Linux VM).
+const FRONTIER_VMHWM_MIB: u64 = 3_443;
 
 /// Virtual time a deployment gets to elect before its steady-state window.
 const SETTLE: SimDuration = SimDuration::from_secs(12);
@@ -89,7 +89,7 @@ fn peak_rss_mib() -> Option<u64> {
 /// relaxed to 8 s and the window cut to 5 s — the ALIVE and detector event
 /// rate scales with 1 / T_D — to keep the cell to minutes.
 #[test]
-#[ignore = "≈ 4 GiB and minutes; run by name, see the file header"]
+#[ignore = "≈ 3 GiB and minutes; run by name, see the file header"]
 fn a_million_processes_settle() {
     let shape = (10_000, 100_000, 10);
     let run = run_s3(

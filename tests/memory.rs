@@ -15,10 +15,13 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicIsize, Ordering::Relaxed};
 
-use sle_core::{GroupId, JoinConfig, MemberTable, ProcessId, ServiceConfig, ServiceNode};
+use sle_core::{
+    GroupId, HelloList, JoinConfig, MemberTable, ProcessId, ServiceConfig, ServiceContext,
+    ServiceMessage, ServiceNode,
+};
 use sle_election::types::AlivePayload;
-use sle_election::{ElectorKind, PeerTable};
-use sle_fd::{FailureDetector, LinkQualityEstimator, MonitorArena, QosSpec, TuningPolicy};
+use sle_election::{ElectorKind, PeerTable as ElectorPeers};
+use sle_fd::{GroupDetector, LinkQualityEstimator, PeerTable, QosSpec, TuningPolicy};
 use sle_harness::deploy;
 use sle_net::{LinkSpec, NetworkModel, SimulatedNetwork};
 use sle_sim::observer::NullObserver;
@@ -131,40 +134,43 @@ fn remote_peers() -> impl Iterator<Item = NodeId> {
 fn peer_tables(rows: &mut Vec<Row>) {
     let now = SimInstant::ZERO;
     let qos = QosSpec::paper_default();
-    // The shared per-link records are the workstation's, not the group's:
-    // a first detector creates them, the measured one only monitors.
-    let arena = MonitorArena::new();
-    let mut warm = FailureDetector::with_arena(qos, TuningPolicy::Static, arena.clone());
-    remote_peers().for_each(|peer| warm.ensure_peer(peer, now));
-    let (_fd, monitors, _) = measure(|| {
-        let mut fd = FailureDetector::with_arena(qos, TuningPolicy::Static, arena.clone());
-        remote_peers().for_each(|peer| fd.ensure_peer(peer, now));
+    // The per-link records are the workstation's, not the group's: the
+    // table has every peer before the measured group's rows name them.
+    let mut table: PeerTable = PeerTable::new();
+    for peer in remote_peers() {
+        table.intern(peer);
+    }
+    let (_fd, rows_bytes, _) = measure(|| {
+        let mut fd = GroupDetector::new(qos, TuningPolicy::Static);
+        for peer in remote_peers() {
+            fd.ensure_peer(&mut table, peer, now);
+        }
         fd
     });
     rows.push(Row {
-        part: "fd monitors, 9 peers",
-        bytes: monitors,
-        // 10 slots of 128 bytes.
-        ceiling: 1_280,
+        part: "fd per-group rows, 9 peers",
+        bytes: rows_bytes,
+        // 10 rows of 64 bytes.
+        ceiling: 640,
     });
 
     let (_members, members, _) = measure(|| {
         let mut table = MemberTable::new();
         for peer in remote_peers() {
             let (entry, _) = table.ensure(peer, 0, now);
-            entry.processes = vec![(ProcessId::new(peer, 0), true)];
+            entry.processes = (ProcessId::new(peer, 0), true).into();
         }
         table
     });
     rows.push(Row {
         part: "member table, 9 peers",
         bytes: members,
-        // 10 slots of 88 bytes, and one 12-byte process list per member.
-        ceiling: 1_000,
+        // 10 slots of 88 bytes; one process each is held inline.
+        ceiling: 880,
     });
 
     let (_peers, peers, _) = measure(|| {
-        let mut table = PeerTable::new();
+        let mut table = ElectorPeers::new();
         for peer in remote_peers() {
             let payload = AlivePayload {
                 accusation_time: now,
@@ -180,6 +186,42 @@ fn peer_tables(rows: &mut Vec<Row>) {
         bytes: peers,
         // 10 slots of 56 bytes.
         ceiling: 560,
+    });
+}
+
+/// The node's one peer table, after a digest from each of the 18 peers a
+/// `sim-steady` workstation has: one slot per peer, its link record beside
+/// the node's own per-peer state, no group joined. What a node configured
+/// with no peer holds is taken off.
+fn node_peer_table(rows: &mut Vec<Row>) {
+    const PEERS: u32 = 18;
+    let config = |peers: u32| {
+        let peers = (0..=peers).map(NodeId).collect();
+        ServiceConfig::new(NodeId(0), peers, ElectorKind::OmegaL)
+    };
+    let (_, alone, _) = measure(|| ServiceNode::new(config(0)));
+    let (node, table, _) = measure(|| {
+        let mut node = ServiceNode::new(config(PEERS));
+        for peer in (1..=PEERS).map(NodeId) {
+            let digest = ServiceMessage::Hello {
+                incarnation: 0,
+                version: 0,
+                sent_at: SimInstant::ZERO,
+                pull: false,
+                announcements: HelloList::Omitted,
+            };
+            let mut ctx = ServiceContext::new(SimInstant::ZERO, NodeId(0), 0);
+            node.on_message(peer, digest, &mut ctx);
+        }
+        node
+    });
+    assert_eq!(node.monitored_peer_count(), PEERS as usize);
+    rows.push(Row {
+        part: "node peer table, 18 peers",
+        bytes: table - alone,
+        // 18 slots of 568 bytes (the table is sized to the configured
+        // peers), a 32-entry id index of 8 bytes each, 18 more peer ids.
+        ceiling: 18 * 568 + 32 * 8 + 18 * 4,
     });
 }
 
@@ -292,12 +334,12 @@ fn deployment(rows: &mut Vec<Row>) {
     rows.push(Row {
         part: "deployment, held per membership",
         bytes: held / memberships,
-        ceiling: 6_400,
+        ceiling: 5_000,
     });
     rows.push(Row {
         part: "deployment, peak per membership",
         bytes: peak / memberships,
-        ceiling: 8_000,
+        ceiling: 7_000,
     });
 }
 
@@ -305,6 +347,7 @@ fn deployment(rows: &mut Vec<Row>) {
 fn heap_bytes_per_part_stay_under_their_ceilings() {
     let mut rows = Vec::new();
     peer_tables(&mut rows);
+    node_peer_table(&mut rows);
     loss_window(&mut rows);
     wheel_burst(&mut rows);
     deployment(&mut rows);

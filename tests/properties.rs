@@ -9,7 +9,9 @@
 
 use sle_election::{AlivePayload, LeaderElector, OmegaL, OmegaLc, Rank};
 use sle_fd::config::params_meet_qos;
-use sle_fd::{configure, LinkQuality, LinkQualityEstimator, PeerMonitor, QosSpec, TuningPolicy};
+use sle_fd::{
+    configure, FailureDetector, LinkQuality, LinkQualityEstimator, QosSpec, TuningPolicy,
+};
 use sle_sim::actor::NodeId;
 use sle_sim::rng::SimRng;
 use sle_sim::time::{SimDuration, SimInstant};
@@ -100,22 +102,24 @@ fn monitor_never_trusts_past_the_freshness_horizon() {
         let interval_ms = 10 + rng.next_u64() % 990;
         let heartbeats = 1 + rng.uniform_usize(49);
         let qos = QosSpec::paper_default();
-        let mut monitor = PeerMonitor::new(qos, SimInstant::ZERO);
+        let peer = NodeId(1);
+        let mut fd = FailureDetector::new(qos);
+        fd.ensure_peer(peer, SimInstant::ZERO);
         let interval = SimDuration::from_millis(interval_ms);
         let mut now = SimInstant::ZERO;
         let mut last_sent = SimInstant::ZERO;
         for seq in 0..heartbeats as u64 {
             now += interval;
             last_sent = now;
-            monitor.on_heartbeat(seq, last_sent, interval, now);
+            fd.on_heartbeat(peer, seq, last_sent, interval, now);
         }
         // The freshness horizon never exceeds last_sent + clamped interval +
         // shift, and the clamped interval plus shift is at most interval + T_D.
         let bound = last_sent + interval.min(qos.detection_time()) + qos.detection_time();
-        assert!(monitor.deadline() <= bound);
+        let deadline = fd.next_deadline().expect("trusted after heartbeats");
+        assert!(deadline <= bound);
         // And a check at the horizon suspects the peer.
-        let deadline = monitor.deadline();
-        assert!(monitor.check(deadline).is_some() || !monitor.is_trusted());
+        assert!(!fd.poll(deadline).is_empty() || !fd.is_trusted(peer));
     }
 }
 
