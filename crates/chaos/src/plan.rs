@@ -221,7 +221,8 @@ pub enum PlanKind {
     /// Crash the current leader (twice), recovering it a few seconds later.
     LeaderChurn,
     /// Overlay message duplication + reordering jitter + extra loss on every
-    /// link for a window, then restore.
+    /// link for a window, then restore; one member leaves and rejoins inside
+    /// the window.
     DupReorder,
     /// Step every link's delay up (a latency regime shift / clock-drift
     /// proxy) for a window, then restore.
@@ -350,9 +351,21 @@ impl PlanKind {
                     .with_duplication(rng.uniform_range(0.15, 0.35))
                     .with_jitter(SimDuration::from_millis_f64(rng.uniform_range(20.0, 60.0)));
                 let restore_at = (t1 + rng.uniform_range(10.0, 18.0)).min(cap);
-                FaultPlan::new(self.name())
+                let mut plan = FaultPlan::new(self.name())
                     .at(t1, FaultAction::SetLink(overlay))
-                    .at(restore_at, FaultAction::SetLink(base_link))
+                    .at(restore_at, FaultAction::SetLink(base_link));
+                if nodes > 0 {
+                    // One member leaves and rejoins inside the window, so
+                    // duplicated and reordered HELLOs of moving versions
+                    // meet the pull path and the stale-version guard.
+                    let churned = NodeId(rng.uniform_usize(nodes) as u32);
+                    let leave_at = (t1 + rng.uniform_range(1.0, 3.0)).min(cap);
+                    let rejoin_at = (leave_at + rng.uniform_range(3.0, 6.0)).min(cap);
+                    plan = plan
+                        .at(leave_at, FaultAction::Leave(churned))
+                        .at(rejoin_at, FaultAction::Join(churned));
+                }
+                plan
             }
             PlanKind::DriftStep => {
                 // A delay regime shift well below the detection bound: the

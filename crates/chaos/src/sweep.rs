@@ -175,6 +175,9 @@ impl SweepSummary {
     /// drop under the invariant checker: every membership-churn and
     /// duplication/reordering family must have sent pulls in at least one
     /// run, and at least one of those runs must have dropped a stale HELLO.
+    /// `hello.pulls_sent` counts only the pulls of a node that found itself
+    /// behind a peer, not the one every start sends, so a family passes only
+    /// if its faults moved some version.
     /// (`chaos_sweep --smoke` fails otherwise: a sweep that never leaves the
     /// digest fast path proves nothing about the rest.)
     ///

@@ -51,10 +51,12 @@ pub enum HelloList {
     /// None: a digest ("nothing changed since `version`") or a bare pull.
     Omitted,
     /// The sender's complete list at the stamped version, one entry per
-    /// group it is in; the answer to a pull, built once per version.
+    /// group it is in, built once per version: sent to every peer at start
+    /// (with the pull flag) and in answer to a pull.
     Full(Arc<[GroupAnnouncement]>),
-    /// A fragment of that list: the join-time prompt-discovery announcement
-    /// of one group. Never advances the receiver's applied version.
+    /// A fragment of that list: a runtime join's prompt-discovery
+    /// announcement of one group. Never advances the receiver's applied
+    /// version.
     Partial(Arc<[GroupAnnouncement]>),
 }
 
@@ -105,7 +107,8 @@ pub enum ServiceMessage {
     /// Membership gossip (which local processes belong to which groups) as
     /// versioned anti-entropy: the periodic HELLO is a list-less *digest*, a
     /// receiver behind the sender's `(incarnation, version)` answers with a
-    /// *pull*, and the sender unicasts its full list at that version.
+    /// *pull*, and the sender unicasts its full list at that version. A
+    /// starting node sends each peer its full list with a pull.
     Hello {
         /// The sender's incarnation.
         incarnation: u64,

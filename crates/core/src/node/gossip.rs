@@ -1,6 +1,8 @@
 //! Group Maintenance: HELLO gossip, the membership it maintains, explicit
 //! leaves and membership expiry.
 
+use std::sync::Arc;
+
 use sle_election::LeaderElector;
 use sle_sim::actor::NodeId;
 use sle_sim::time::{SimDuration, SimInstant};
@@ -127,6 +129,21 @@ pub(super) fn announcement(me: NodeId, state: &GroupState) -> GroupAnnouncement 
 }
 
 impl ServiceNode {
+    /// The full announcement list at the current version: built on first
+    /// use and shared by every later send until a local join or leave.
+    pub(super) fn full_list(&mut self) -> Arc<[GroupAnnouncement]> {
+        let me = self.config.node;
+        let groups = &self.groups;
+        let build = || groups.iter().map(|s| announcement(me, s)).collect();
+        let list = Arc::clone(self.hello_list.get_or_insert_with(&build));
+        debug_assert!(
+            *list == *build(),
+            "stale HELLO list at version {}",
+            self.hello_version
+        );
+        list
+    }
+
     /// The one HELLO send path: stamps a digest (`HelloList::Omitted`), pull,
     /// full list or partial with `(incarnation, version, now)` for each of `to`.
     pub(super) fn send_hello(
@@ -156,9 +173,6 @@ impl ServiceNode {
         // Counted once per call: every count is an atomic add.
         if let Some(count) = shape {
             self.counts[count].add(sent);
-        }
-        if pull {
-            self.counts[NodeCount::HelloPullsSent].add(sent);
         }
     }
 
@@ -205,15 +219,18 @@ impl ServiceNode {
             behind = false;
             self.apply_announcements(from, slot, incarnation, version, list, ctx);
         }
-        if pull {
-            let me = self.config.node;
-            let list = self
-                .hello_list
-                .get_or_insert_with(|| self.groups.iter().map(|s| announcement(me, s)).collect())
-                .clone();
-            self.send_hello(std::iter::once(from), behind, HelloList::Full(list), ctx);
-        } else if behind {
-            self.send_hello(std::iter::once(from), true, HelloList::Omitted, ctx);
+        // A pull is answered with the full list; a node still behind pulls.
+        if pull || behind {
+            let list = if pull {
+                HelloList::Full(self.full_list())
+            } else {
+                HelloList::Omitted
+            };
+            self.send_hello(std::iter::once(from), behind, list, ctx);
+            // Counted here, not by `send_hello`: a start's pull is not one.
+            if behind {
+                self.counts[NodeCount::HelloPullsSent].inc();
+            }
         }
     }
 

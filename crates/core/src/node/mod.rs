@@ -159,7 +159,8 @@ pub struct ServiceNode {
     /// or candidacy change: `(incarnation, hello_version)` orders its lists.
     hello_version: u64,
     /// The full announcement list at `hello_version`, built on the first
-    /// pull of a version and shared by every later one.
+    /// full send of a version (a start, a pull answered) and shared by every
+    /// later one.
     hello_list: Option<Arc<[GroupAnnouncement]>>,
     /// The node's counters, one per [`NodeCount`]: the registry's own cells
     /// once instruments are attached.
@@ -352,6 +353,27 @@ impl ServiceNode {
         join: JoinConfig,
         ctx: &mut ServiceContext,
     ) -> Result<(), ServiceError> {
+        self.enter_group(process, group, join, ctx)?;
+        // Prompt discovery: announce only this group now (the full list per
+        // join is quadratic in a burst); the next digest gets the rest pulled.
+        if let Some(state) = self.groups.get(group) {
+            let announcement = gossip::announcement(self.config.node, state);
+            let partial = HelloList::Partial(Arc::from([announcement]));
+            self.send_hello(self.config.remote_peers(), false, partial, ctx);
+        }
+        self.check_leader(group, ctx);
+        Ok(())
+    }
+
+    /// Joins `process` to `group` without announcing it or re-checking the
+    /// leader: what a runtime join and a start's auto-joins share.
+    fn enter_group(
+        &mut self,
+        process: ProcessId,
+        group: GroupId,
+        join: JoinConfig,
+        ctx: &mut ServiceContext,
+    ) -> Result<(), ServiceError> {
         if process.node != self.config.node {
             return Err(ServiceError::ForeignProcess(process));
         }
@@ -401,13 +423,6 @@ impl ServiceNode {
             obs.on_join(group, now);
         }
         self.arm_alive_timer(ctx);
-        // Prompt discovery: announce only this group now (the full list per
-        // join is quadratic in a burst); the next digest gets the rest pulled.
-        if let Some(state) = self.groups.get(group) {
-            let partial = HelloList::Partial(Arc::from([gossip::announcement(me, state)]));
-            self.send_hello(self.config.remote_peers(), false, partial, ctx);
-        }
-        self.check_leader(group, ctx);
         Ok(())
     }
 
@@ -533,9 +548,14 @@ impl Actor for ServiceNode {
         for auto in auto_joins {
             let process = self.register_process();
             // Joining our own freshly registered process cannot fail.
-            let _ = self.join_group(process, auto.group, auto.config, ctx);
+            let _ = self.enter_group(process, auto.group, auto.config, ctx);
+            self.check_leader(auto.group, ctx);
         }
-        self.send_hello(self.config.remote_peers(), false, HelloList::Omitted, ctx);
+        // One full list per peer, not a partial per group: its pull makes
+        // every peer answer with its own, so a restarted node learns their
+        // lists within one round trip rather than at their next tick.
+        let list = self.full_list();
+        self.send_hello(self.config.remote_peers(), true, HelloList::Full(list), ctx);
         self.arm_hello_timer(ctx);
     }
 

@@ -939,6 +939,80 @@ fn a_restart_resets_the_link_estimate_of_a_peer_no_group_lists() {
     assert_eq!(recorded(&node), 0, "the old life's estimate survived");
 }
 
+#[test]
+fn a_start_sends_each_peer_one_full_list_that_pulls() {
+    // 20 auto-joined groups, 18 configured peers: one HELLO per peer, not
+    // a partial per group and peer plus a digest.
+    let peers = (0..=18).map(NodeId).collect();
+    let mut config = ServiceConfig::new(NodeId(0), peers, ElectorKind::OmegaL);
+    for group in (1..=20).map(GroupId) {
+        config = config.with_auto_join(group, JoinConfig::candidate());
+    }
+    let mut node = ServiceNode::new(config);
+    let mut ctx = at(SimInstant::ZERO);
+    node.on_start(&mut ctx);
+    let hellos: Vec<_> = (ctx.into_effects().into_iter())
+        .filter_map(|effect| match effect {
+            sle_sim::Effect::Send {
+                to,
+                msg:
+                    ServiceMessage::Hello {
+                        pull,
+                        announcements,
+                        ..
+                    },
+            } => Some((to, pull, announcements)),
+            _ => None,
+        })
+        .collect();
+    let to: Vec<NodeId> = hellos.iter().map(|&(to, ..)| to).collect();
+    assert_eq!(to, (1..=18).map(NodeId).collect::<Vec<_>>());
+    for (peer, pull, announcements) in hellos {
+        assert!(pull, "the start's HELLO to {peer} does not pull");
+        match announcements {
+            HelloList::Full(list) => assert_eq!(list.len(), 20, "the list to {peer}"),
+            other => panic!("{peer} was sent {other:?}, not a full list"),
+        }
+    }
+    assert_eq!(node.count(NodeCount::HelloFullSent), 18);
+    // The start's pull is not one sent because the node was behind.
+    assert_eq!(node.count(NodeCount::HelloPullsSent), 0);
+}
+
+#[test]
+fn a_recovered_node_knows_its_peers_lists_two_link_delays_after_recovery() {
+    // The start's pull makes every peer answer with its full list, so the
+    // restarted node knows the membership one round trip after recovering,
+    // before the first HELLO tick (at 21 s) could get the lists pulled.
+    // Node 3 is a listener and sends no ALIVE: only a list can name it.
+    let n = 4;
+    let delay = SimDuration::from_millis(10);
+    let mut world = World::new(
+        n,
+        Box::new(move |node, _inc| {
+            let join = if node == NodeId(3) {
+                JoinConfig::listener()
+            } else {
+                JoinConfig::candidate()
+            };
+            let config = ServiceConfig::full_mesh(node, n, ElectorKind::OmegaL);
+            ServiceNode::new(config.with_auto_join(GROUP, join))
+        }),
+        FixedDelayMedium::new(delay),
+        11,
+    );
+    let (restarted, recovery) = (NodeId(0), SimInstant::from_secs_f64(20.3));
+    world.schedule_crash(restarted, SimInstant::from_secs_f64(10.3));
+    world.schedule_recovery(restarted, recovery);
+    world.run_until(recovery + delay * 2, &mut NullObserver);
+    let announced: Vec<_> = (1..n as u32)
+        .map(NodeId)
+        .map(|peer| (peer, vec![(ProcessId::new(peer, 0), peer != NodeId(3))]))
+        .collect();
+    let node = world.actor(restarted).expect("recovered");
+    assert_eq!(node.remote_members_of(GROUP), announced);
+}
+
 /// Node 0's callback context at `now`.
 fn at(now: SimInstant) -> ServiceContext {
     ServiceContext::new(now, NodeId(0), 0)
@@ -1284,37 +1358,37 @@ fn a_fixed_seed_run_replays_its_recorded_counts() {
         (
             ElectorKind::OmegaId,
             RunCounts {
-                events: 31_848,
-                messages: 22_754,
-                alive_payloads: 21_463,
-                hello: [74, 3_435, 76, 3, 1_041],
-                alive: [13_298, 4_975, 732],
-                fd: [3_610, 1_559],
-                leader_changes: 0x6762_dfeb_705b_1abd,
+                events: 33_441,
+                messages: 23_946,
+                alive_payloads: 21_488,
+                hello: [80, 3_405, 20, 0, 1_290],
+                alive: [12_537, 7_071, 808],
+                fd: [3_576, 1_750],
+                leader_changes: 0x5b89_7c76_4082_aecf,
             },
         ),
         (
             ElectorKind::OmegaLc,
             RunCounts {
-                events: 32_426,
-                messages: 23_205,
-                alive_payloads: 21_376,
-                hello: [73, 3_435, 75, 3, 1_139],
-                alive: [13_032, 5_694, 762],
-                fd: [3_601, 1_621],
-                leader_changes: 0x173b_5282_5e61_2b94,
+                events: 33_201,
+                messages: 23_747,
+                alive_payloads: 21_293,
+                hello: [81, 3_405, 21, 0, 1_253],
+                alive: [12_338, 7_064, 757],
+                fd: [3_582, 1_756],
+                leader_changes: 0xa748_9315_b28e_4544,
             },
         ),
         (
             ElectorKind::OmegaL,
             RunCounts {
-                events: 13_166,
-                messages: 7_890,
-                alive_payloads: 3_698,
-                hello: [71, 3_435, 74, 3, 68],
-                alive: [4_030, 39, 165],
-                fd: [1_075, 236],
-                leader_changes: 0x487e_06b3_f9e7_354a,
+                events: 13_138,
+                messages: 7_788,
+                alive_payloads: 3_704,
+                hello: [79, 3_405, 19, 0, 87],
+                alive: [4_003, 67, 179],
+                fd: [1_082, 248],
+                leader_changes: 0xd146_1ee0_5e89_4eba,
             },
         ),
     ];

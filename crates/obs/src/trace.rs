@@ -19,6 +19,7 @@
 //! included — can record into it.
 
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -219,6 +220,12 @@ impl TraceRing {
     /// gap accounting picks it up.
     pub fn push(&self, node: NodeId, at: SimInstant, event: ProtoEvent) {
         let seq = self.inner.seq.fetch_add(1, Ordering::Relaxed);
+        self.write(seq, node, at, event);
+    }
+
+    /// Stores event `seq` in its slot, unless the slot is locked or holds a
+    /// newer lap: the second half of [`TraceRing::push`].
+    fn write(&self, seq: u64, node: NodeId, at: SimInstant, event: ProtoEvent) {
         let slot = (seq % self.inner.slots.len() as u64) as usize;
         if let Ok(mut guard) = self.inner.slots[slot].try_lock() {
             // An older event may still occupy the slot; overwriting it is
@@ -239,16 +246,18 @@ impl TraceRing {
 
     /// Removes and returns all retained events in sequence order, plus the
     /// number lost since the previous drain.
+    ///
+    /// The drain accounts for every event numbered below the ring's count
+    /// as read before collecting: each is returned or counted lost. One
+    /// that lands at or above it while the drain runs stays in its slot
+    /// for the next drain, so an event sacrificed to this drain's slot lock
+    /// is counted even when no later event is retained.
     pub fn drain(&self) -> TraceDrain {
-        let mut events = self.collect(true);
-        events.sort_by_key(|r| r.seq);
         let from = self.inner.drained_to.load(Ordering::Relaxed);
-        let to = match events.last() {
-            Some(last) => last.seq + 1,
-            // Nothing retained: everything pushed so far (if anything) is lost.
-            None => self.inner.seq.load(Ordering::Relaxed),
-        };
-        let dropped = (to - from).saturating_sub(events.len() as u64);
+        let to = self.inner.seq.load(Ordering::Relaxed).max(from);
+        let mut events = self.collect(from..to, true);
+        events.sort_by_key(|r| r.seq);
+        let dropped = (to - from) - events.len() as u64;
         self.inner.drained_to.store(to, Ordering::Relaxed);
         TraceDrain { events, dropped }
     }
@@ -256,7 +265,8 @@ impl TraceRing {
     /// Returns (without removing) the most recent `n` retained events in
     /// sequence order — the “last N events” view failure reports print.
     pub fn tail(&self, n: usize) -> Vec<TraceRecord> {
-        let mut events = self.collect(false);
+        let from = self.inner.drained_to.load(Ordering::Relaxed);
+        let mut events = self.collect(from..u64::MAX, false);
         events.sort_by_key(|r| r.seq);
         if events.len() > n {
             events.drain(..events.len() - n);
@@ -264,16 +274,17 @@ impl TraceRing {
         events
     }
 
-    fn collect(&self, take: bool) -> Vec<TraceRecord> {
-        let drained_to = self.inner.drained_to.load(Ordering::Relaxed);
+    /// The retained events numbered in `range`. With `take`, clears their
+    /// slots and every slot holding an event below it (already accounted).
+    fn collect(&self, range: Range<u64>, take: bool) -> Vec<TraceRecord> {
         let mut out = Vec::with_capacity(self.inner.slots.len());
         for slot in &self.inner.slots {
             let mut guard = slot.lock().unwrap_or_else(|e| e.into_inner());
-            let keep = guard.filter(|r| r.seq >= drained_to);
-            if let Some(record) = keep {
+            let Some(record) = *guard else { continue };
+            if range.contains(&record.seq) {
                 out.push(record);
             }
-            if take {
+            if take && record.seq < range.end {
                 *guard = None;
             }
         }
@@ -344,6 +355,32 @@ mod tests {
         let drain = ring.drain();
         assert_eq!(drain.events.len(), 4);
         assert_eq!(drain.dropped, 2);
+    }
+
+    #[test]
+    fn an_event_sacrificed_to_a_drain_is_counted_when_an_older_one_lands_late() {
+        // Two writers and a drain, one step at a time: writer A takes seq 1
+        // and stalls before storing it; writer B takes seq 2 while the drain
+        // holds its slot, so B's event is lost; the drain ends; A stores seq
+        // 1; the ring is drained again. Ending the first drain's gap at the
+        // newest retained event (seq 0) would leave seq 2 counted nowhere.
+        let ring = TraceRing::new(8);
+        ring.push(NodeId(0), SimInstant::ZERO, ev(0));
+        let stalled = ring.inner.seq.fetch_add(1, Ordering::Relaxed);
+        {
+            let _drain_visits = ring.inner.slots[2].lock().unwrap();
+            ring.push(NodeId(0), SimInstant::ZERO, ev(2));
+        }
+        let first = ring.drain();
+        ring.write(stalled, NodeId(0), SimInstant::ZERO, ev(1));
+        let second = ring.drain();
+        assert_eq!(first.events.iter().map(|r| r.seq).collect::<Vec<_>>(), [0]);
+        assert_eq!(first.dropped, 2, "seq 1 and 2 were not retained");
+        // Seq 1 was already counted lost: storing it late re-delivers nothing.
+        assert!(second.events.is_empty());
+        assert_eq!(second.dropped, 0);
+        let seen = (first.events.len() + second.events.len()) as u64;
+        assert_eq!(seen + first.dropped + second.dropped, ring.pushed());
     }
 
     #[test]

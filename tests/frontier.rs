@@ -8,10 +8,11 @@
 //! ```
 //!
 //! The first needs ≈ 3 GiB of memory and a minute or two of one core, and
-//! fails if its peak resident set passes 3 443 MiB (heap bytes per part, at
-//! an everyday size, are pinned by `tests/memory.rs`). Throughput of the
-//! same engine at an everyday size, with repeats and a regression bound, is
-//! `ops_per_s` of `benchmark/`'s `sim-steady` workload.
+//! fails if its event count moves or its peak resident set passes
+//! 3 443 MiB (heap bytes per part, at an everyday size, are pinned by
+//! `tests/memory.rs`). Throughput of the same engine at an everyday size,
+//! with repeats and a regression bound, is `ops_per_s` of `benchmark/`'s
+//! `sim-steady` workload.
 
 use std::time::{Duration, Instant};
 
@@ -22,8 +23,13 @@ use sle_harness::deploy;
 use sle_sim::prelude::*;
 
 /// The most peak resident set `a_million_processes_settle` may reach (it
-/// measured 2 853 MiB on a 2-vCPU x86-64 Linux VM).
+/// measured 2 906 MiB on a 2-vCPU x86-64 Linux VM).
 const FRONTIER_VMHWM_MIB: u64 = 3_443;
+
+/// The events `a_million_processes_settle` processes. The simulation is
+/// deterministic, so any other count is a protocol change at scale: one
+/// made on purpose re-records it, as it does the node's golden run.
+const FRONTIER_EVENTS: u64 = 6_346_196;
 
 /// Virtual time a deployment gets to elect before its steady-state window.
 const SETTLE: SimDuration = SimDuration::from_secs(12);
@@ -84,8 +90,9 @@ fn peak_rss_mib() -> Option<u64> {
 }
 
 /// 10 000 workstations × 100 000 groups × 10 members: a million group
-/// members, every group of which must end up agreed on a leader, in at
-/// most [`FRONTIER_VMHWM_MIB`] of peak resident set. The detection bound is
+/// members, every group of which must end up agreed on a leader, after
+/// exactly [`FRONTIER_EVENTS`] events, in at most [`FRONTIER_VMHWM_MIB`] of
+/// peak resident set. The detection bound is
 /// relaxed to 8 s and the window cut to 5 s — the ALIVE and detector event
 /// rate scales with 1 / T_D — to keep the cell to minutes.
 #[test]
@@ -109,6 +116,10 @@ fn a_million_processes_settle() {
         peak_rss_mib().map_or("?".to_string(), |mib| mib.to_string()),
     );
     assert_eq!(run.agreed, shape.1, "not every group elected");
+    assert_eq!(
+        run.events, FRONTIER_EVENTS,
+        "the frontier's event count moved"
+    );
     if let Some(mib) = peak_rss_mib() {
         assert!(
             mib <= FRONTIER_VMHWM_MIB,
