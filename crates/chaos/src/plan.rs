@@ -221,8 +221,8 @@ pub enum PlanKind {
     /// Crash the current leader (twice), recovering it a few seconds later.
     LeaderChurn,
     /// Overlay message duplication + reordering jitter + extra loss on every
-    /// link for a window, then restore; one member leaves and rejoins inside
-    /// the window.
+    /// link for a window, then restore; one member leaves and rejoins right
+    /// after the overlay goes on, and the restore moves out by as much.
     DupReorder,
     /// Step every link's delay up (a latency regime shift / clock-drift
     /// proxy) for a window, then restore.
@@ -350,22 +350,29 @@ impl PlanKind {
                 let overlay = base_link
                     .with_duplication(rng.uniform_range(0.15, 0.35))
                     .with_jitter(SimDuration::from_millis_f64(rng.uniform_range(20.0, 60.0)));
-                let restore_at = (t1 + rng.uniform_range(10.0, 18.0)).min(cap);
-                let mut plan = FaultPlan::new(self.name())
-                    .at(t1, FaultAction::SetLink(overlay))
-                    .at(restore_at, FaultAction::SetLink(base_link));
-                if nodes > 0 {
-                    // One member leaves and rejoins inside the window, so
-                    // duplicated and reordered HELLOs of moving versions
-                    // meet the pull path and the stale-version guard.
-                    let churned = NodeId(rng.uniform_usize(nodes) as u32);
-                    let leave_at = (t1 + rng.uniform_range(1.0, 3.0)).min(cap);
-                    let rejoin_at = (leave_at + rng.uniform_range(3.0, 6.0)).min(cap);
-                    plan = plan
-                        .at(leave_at, FaultAction::Leave(churned))
-                        .at(rejoin_at, FaultAction::Join(churned));
+                let window = rng.uniform_range(10.0, 18.0);
+                if nodes == 0 {
+                    return FaultPlan::new(self.name())
+                        .at(t1, FaultAction::SetLink(overlay))
+                        .at((t1 + window).min(cap), FaultAction::SetLink(base_link));
                 }
-                plan
+                // One member leaves and rejoins right after the overlay goes
+                // on, so duplicated and reordered HELLOs of moving versions
+                // meet the pull path and the stale-version guard. The
+                // restore moves out by as much, so the stretch checked under
+                // duplication (from the last disruption's settle window to
+                // the restore) stays as long as without the churn.
+                let churned = NodeId(rng.uniform_usize(nodes) as u32);
+                let leave_at = (t1 + rng.uniform_range(0.2, 0.5)).min(cap);
+                let rejoin_at = (leave_at + rng.uniform_range(0.3, 0.5)).min(cap);
+                FaultPlan::new(self.name())
+                    .at(t1, FaultAction::SetLink(overlay))
+                    .at(leave_at, FaultAction::Leave(churned))
+                    .at(rejoin_at, FaultAction::Join(churned))
+                    .at(
+                        (rejoin_at + window).min(cap),
+                        FaultAction::SetLink(base_link),
+                    )
             }
             PlanKind::DriftStep => {
                 // A delay regime shift well below the detection bound: the
@@ -489,6 +496,57 @@ mod tests {
                 kind.name()
             );
         }
+    }
+
+    #[test]
+    fn dup_reorder_keeps_a_checked_stretch_under_duplication() {
+        // The checker pauses for `settle` after every disruption. The
+        // overlay and the churn are disruptions; the stretch from the last
+        // one's settle window to the restore must stay as long as with the
+        // overlay alone: the restore comes 10-18 s after the last of them.
+        let scenario = crate::sweep::SweepConfig::smoke().scenario;
+        let mut checked_total = 0.0;
+        let seeds = 200;
+        for seed in 1000..1000 + seeds {
+            let plan = PlanKind::DupReorder.generate(
+                scenario.nodes,
+                scenario.duration,
+                scenario.link,
+                seed,
+            );
+            let at = |index: usize| plan.actions()[index].at.as_secs_f64();
+            let kinds: Vec<_> = plan.actions().iter().map(|timed| &timed.action).collect();
+            assert!(
+                matches!(
+                    kinds[..],
+                    [
+                        FaultAction::SetLink(_),
+                        FaultAction::Leave(_),
+                        FaultAction::Join(_),
+                        FaultAction::SetLink(restored),
+                    ] if *restored == scenario.link
+                ),
+                "seed {seed}: {kinds:?}"
+            );
+            let (overlay, rejoin, restore) = (at(0), at(2), at(3));
+            assert!(
+                rejoin - overlay <= 1.0,
+                "seed {seed}: churn outside the overlay's start"
+            );
+            let quiet = restore - rejoin;
+            assert!(
+                (10.0..18.0).contains(&quiet),
+                "seed {seed}: restore {quiet} s after the churn"
+            );
+            let checked = quiet - scenario.settle.as_secs_f64();
+            assert!(
+                checked > 0.0,
+                "seed {seed}: nothing checked under duplication"
+            );
+            checked_total += checked;
+        }
+        let mean = checked_total / seeds as f64;
+        assert!(mean > 3.0, "mean checked stretch {mean} s");
     }
 
     #[test]
