@@ -3,9 +3,9 @@
 //! of failures to minimal, ready-to-paste regression tests.
 //!
 //! ```text
-//! cargo run --release -p sle-bench --bin chaos_sweep                 # full sweep (50 seeds)
-//! cargo run --release -p sle-bench --bin chaos_sweep -- --smoke     # CI-sized pinned mini-sweep
-//! cargo run --release -p sle-bench --bin chaos_sweep -- --weakened  # prove the checker catches a bad detector
+//! cargo run --release -p sle-harness --bin chaos_sweep                 # full sweep (50 seeds)
+//! cargo run --release -p sle-harness --bin chaos_sweep -- --smoke     # CI-sized pinned mini-sweep
+//! cargo run --release -p sle-harness --bin chaos_sweep -- --weakened  # prove the checker catches a bad detector
 //! ```
 //!
 //! Options: `--seeds N`, `--seed-base N`, `--nodes N`,
@@ -20,9 +20,9 @@
 
 use std::time::Instant;
 
-use sle_chaos::{run_sweep, Scenario, SweepConfig};
 use sle_election::ElectorKind;
 use sle_fd::QosSpec;
+use sle_harness::{run_sweep, Scenario, SweepConfig};
 use sle_net::link::LinkSpec;
 use sle_sim::time::SimDuration;
 

@@ -11,15 +11,14 @@
 //!
 //! The paper ran each experiment for 1–5 days of wall-clock time; here each
 //! cell simulates `--minutes` of virtual time in a few seconds, on the
-//! `sle-chaos` engine, which also checks the run's protocol invariants: the
+//! chaos engine, which also checks the run's protocol invariants: the
 //! last column is the verdict, `ok` or the violation count per kind. Longer
 //! runs tighten the confidence intervals of T_r and λ_u but do not change
 //! the shape of the results.
 
-use sle_chaos::{run_plan, FaultPlan};
 use sle_harness::{
-    all_figures, figure_by_id, figure_ids, render_figure, render_figure_markdown, CellResult,
-    Figure,
+    all_figures, figure_by_id, figure_ids, render_figure, render_figure_markdown, run_plan,
+    CellResult, FaultPlan, Figure,
 };
 use sle_sim::time::SimDuration;
 
@@ -55,7 +54,8 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String>
                 options.minutes = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .ok_or("--minutes requires an integer argument")?;
+                    .filter(|&minutes| minutes > 0)
+                    .ok_or("--minutes requires a positive integer argument")?;
             }
             "--seed" => {
                 options.seed = Some(
@@ -87,7 +87,7 @@ fn main() {
         eprintln!("{}", usage());
         return;
     }
-    let duration = SimDuration::from_secs(options.minutes.max(1) * 60);
+    let duration = SimDuration::from_secs(options.minutes * 60);
 
     let figures: Vec<Figure> = if options.figures.is_empty() {
         all_figures(duration)
@@ -144,6 +144,7 @@ mod tests {
         assert!(parse(&["--seed", "abc"]).is_err());
         assert!(parse(&["fig3", "--seed"]).is_err());
         assert!(parse(&["--minutes", "x"]).is_err());
+        assert!(parse(&["--minutes", "0"]).is_err());
         let options = parse(&["headline", "--seed", "7", "--minutes", "12"]).expect("valid");
         assert_eq!(options.seed, Some(7));
         assert_eq!(options.minutes, 12);

@@ -31,9 +31,6 @@
 use std::collections::{BTreeMap, HashMap};
 
 use sle_core::{JoinConfig, NodeInstruments, ProcessId, ServiceConfig, ServiceEvent, ServiceNode};
-use sle_harness::{
-    CrashPlan, ExperimentMetrics, MetricsCollector, Scenario, TrafficMeter, EXPERIMENT_GROUP,
-};
 use sle_net::network::{NetworkModel, NetworkStats, SimulatedNetwork};
 use sle_obs::{Registry, Snapshot, TraceDrain, TraceRecord, TraceRing};
 use sle_sim::actor::NodeId;
@@ -41,8 +38,11 @@ use sle_sim::observer::{Observer, PairObserver};
 use sle_sim::par::{ParWorld, SharedActorFactory};
 use sle_sim::time::SimInstant;
 
+use crate::crash::CrashPlan;
 use crate::invariants::{check_trace, InvariantSpec, Violation, ViolationKind};
+use crate::metrics::{ExperimentMetrics, MetricsCollector, TrafficMeter};
 use crate::plan::{FaultAction, FaultPlan};
+use crate::scenario::{Scenario, EXPERIMENT_GROUP};
 use crate::trace::{TraceEvent, TraceEventKind, TraceRecorder};
 
 /// Capacity of the protocol-event trace ring a chaos run drains into its
@@ -159,7 +159,7 @@ pub fn run_plan_parallel(scenario: &Scenario, plan: &FaultPlan, workers: usize) 
     let mut world: ChaosWorld = ParWorld::new(n, workers.max(1), factory, network, scenario.seed);
     let observer = || {
         PairObserver::new(
-            TraceRecorder::new(EXPERIMENT_GROUP).with_proto_mirror(ring.clone()),
+            TraceRecorder::new(EXPERIMENT_GROUP, ring.clone()),
             TrafficMeter::new(SimInstant::ZERO + scenario.warmup, scenario.horizon()),
         )
     };
@@ -491,10 +491,11 @@ fn agreed_final_leader(world: &ChaosWorld) -> Option<ProcessId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crash::CrashProfile;
     use crate::plan::PlanKind;
+    use crate::stats::Summary;
     use sle_election::ElectorKind;
     use sle_fd::QosSpec;
-    use sle_harness::{CrashProfile, Summary};
     use sle_net::link::{LinkCrashSpec, LinkSpec};
     use sle_sim::time::SimDuration;
 

@@ -3,8 +3,8 @@
 //!
 //! Each figure is described as a list of [`Cell`]s: a scenario to run plus
 //! the values the paper reports (read from its graphs and text), so the
-//! `reproduce` binary can run every cell on the `sle-chaos` engine and
-//! print paper-vs-measured tables side by side.
+//! `reproduce` binary can run every cell on the chaos [`engine`](crate::engine)
+//! and print paper-vs-measured tables side by side.
 
 use sle_election::ElectorKind;
 use sle_fd::QosSpec;

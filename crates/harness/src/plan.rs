@@ -61,24 +61,24 @@ impl FaultAction {
     pub fn to_code(&self) -> String {
         match self {
             FaultAction::Crash(node) => {
-                format!("sle_chaos::FaultAction::Crash(sle_sim::NodeId({}))", node.0)
+                format!("sle_harness::FaultAction::Crash(sle_sim::NodeId({}))", node.0)
             }
             FaultAction::Recover(node) => format!(
-                "sle_chaos::FaultAction::Recover(sle_sim::NodeId({}))",
+                "sle_harness::FaultAction::Recover(sle_sim::NodeId({}))",
                 node.0
             ),
             FaultAction::CrashLeader { down_for } => format!(
-                "sle_chaos::FaultAction::CrashLeader {{ down_for: sle_sim::SimDuration::from_nanos({}) }}",
+                "sle_harness::FaultAction::CrashLeader {{ down_for: sle_sim::SimDuration::from_nanos({}) }}",
                 down_for.as_nanos()
             ),
             FaultAction::Leave(node) => {
-                format!("sle_chaos::FaultAction::Leave(sle_sim::NodeId({}))", node.0)
+                format!("sle_harness::FaultAction::Leave(sle_sim::NodeId({}))", node.0)
             }
             FaultAction::Join(node) => {
-                format!("sle_chaos::FaultAction::Join(sle_sim::NodeId({}))", node.0)
+                format!("sle_harness::FaultAction::Join(sle_sim::NodeId({}))", node.0)
             }
             FaultAction::SpawnProcess(node) => format!(
-                "sle_chaos::FaultAction::SpawnProcess(sle_sim::NodeId({}))",
+                "sle_harness::FaultAction::SpawnProcess(sle_sim::NodeId({}))",
                 node.0
             ),
             FaultAction::Partition(components) => {
@@ -93,13 +93,13 @@ impl FaultAction {
                     })
                     .collect();
                 format!(
-                    "sle_chaos::FaultAction::Partition(vec![{}])",
+                    "sle_harness::FaultAction::Partition(vec![{}])",
                     rendered.join(", ")
                 )
             }
-            FaultAction::Heal => "sle_chaos::FaultAction::Heal".to_string(),
+            FaultAction::Heal => "sle_harness::FaultAction::Heal".to_string(),
             FaultAction::SetLink(spec) => {
-                format!("sle_chaos::FaultAction::SetLink({})", link_to_code(spec))
+                format!("sle_harness::FaultAction::SetLink({})", link_to_code(spec))
             }
         }
     }
@@ -648,7 +648,7 @@ mod tests {
         ];
         for action in &actions {
             let code = action.to_code();
-            assert!(code.starts_with("sle_chaos::FaultAction::"), "{code}");
+            assert!(code.starts_with("sle_harness::FaultAction::"), "{code}");
         }
         let code = actions[5].to_code();
         assert!(code.contains("with_duplication(0.25)"), "{code}");

@@ -5,13 +5,13 @@
 //! in [`Scenario::adaptive`] tighten it to what the measured link allows.
 
 use sle_election::ElectorKind;
-use sle_harness::{Scenario, EXPERIMENT_GROUP};
 use sle_net::link::LinkSpec;
 use sle_obs::ProtoEvent;
 use sle_sim::time::{SimDuration, SimInstant};
 
 use crate::engine::ChaosReport;
 use crate::plan::{FaultAction, FaultPlan};
+use crate::scenario::{Scenario, EXPERIMENT_GROUP};
 
 /// The regime-shift experiment for `algorithm`: six statically tuned
 /// workstations on a congested network (40 ms, 2 % loss), measured from

@@ -1,6 +1,7 @@
 //! The run description: everything a simulated deployment of the service
 //! needs, from one cell of one figure of the paper's evaluation to one seed
-//! of a chaos sweep. `sle-chaos` runs it (`sle_chaos::run_plan`).
+//! of a chaos sweep. The [`engine`](crate::engine) runs it
+//! ([`run_plan`](crate::run_plan)).
 
 use sle_core::GroupId;
 use sle_election::ElectorKind;

@@ -6,10 +6,9 @@
 //! single action can be removed without the failure disappearing. Because
 //! runs are deterministic, a shrunk plan fails forever, not just usually.
 
-use sle_harness::Scenario;
-
 use crate::engine::run_plan;
 use crate::plan::FaultPlan;
+use crate::scenario::Scenario;
 
 /// The outcome of shrinking a failing plan.
 #[derive(Debug, Clone)]

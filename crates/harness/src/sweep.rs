@@ -4,13 +4,13 @@
 
 use sle_core::NodeCount;
 use sle_election::ElectorKind;
-use sle_harness::Scenario;
 use sle_obs::{MetricValue, Snapshot, TraceRecord};
 use sle_sim::time::SimDuration;
 
 use crate::engine::run_plan;
 use crate::invariants::Violation;
 use crate::plan::{link_to_code, FaultPlan, PlanKind};
+use crate::scenario::Scenario;
 use crate::shrink::shrink_plan;
 
 /// What to sweep over.
@@ -407,7 +407,7 @@ pub fn run_sweep(config: &SweepConfig) -> SweepSummary {
 }
 
 /// Renders a failing `(scenario, plan)` pair of a sweep as a self-contained
-/// `#[test]` function, ready to paste into `crates/chaos/tests/`. It
+/// `#[test]` function, ready to paste into `crates/harness/tests/`. It
 /// renders the fields a sweep sets: a sweep scenario has no warm-up, no
 /// crash process and no link-crash overlay.
 pub fn render_regression_test(
@@ -434,8 +434,8 @@ pub fn render_regression_test(
     format!(
         "#[test]\n\
          fn chaos_regression_{slug}_seed_{seed}() {{\n\
-         \x20   let plan = sle_chaos::FaultPlan::new(\"{name}\"){actions};\n\
-         \x20   let scenario = sle_chaos::Scenario::new(\n\
+         \x20   let plan = sle_harness::FaultPlan::new(\"{name}\"){actions};\n\
+         \x20   let scenario = sle_harness::Scenario::new(\n\
          \x20       sle_election::ElectorKind::{algorithm:?},\n\
          \x20       {nodes},\n\
          \x20   )\n\
@@ -451,7 +451,7 @@ pub fn render_regression_test(
          \x20   )\n\
          \x20   .with_duration(sle_sim::SimDuration::from_nanos({duration}))\n\
          \x20   .with_settle(sle_sim::SimDuration::from_nanos({settle}));\n\
-         \x20   let report = sle_chaos::run_plan(&scenario, &plan);\n\
+         \x20   let report = sle_harness::run_plan(&scenario, &plan);\n\
          \x20   assert!(report.ok(), \"invariant violations: {{:#?}}\", report.violations);\n\
          }}\n",
         slug = slug,

@@ -9,6 +9,7 @@
 //! run.
 
 use sle_core::{GroupId, ProcessId, ServiceEvent};
+use sle_obs::{ProtoEvent, TraceRing};
 use sle_sim::actor::NodeId;
 use sle_sim::observer::Observer;
 use sle_sim::time::SimInstant;
@@ -68,27 +69,22 @@ pub struct TraceEvent {
 pub struct TraceRecorder {
     group: GroupId,
     events: Vec<TraceEvent>,
-    /// When set, crash/recovery marks are mirrored into this protocol
-    /// event ring, so a drained `sle-obs` trace is as complete as what the
-    /// real-time runtime produces (whose `Cluster::crash`/`recover` push
-    /// the same events) and passes the invariant checker after conversion.
-    proto_mirror: Option<sle_obs::TraceRing>,
+    /// Crash/recovery marks are mirrored into this protocol event ring, so
+    /// a drained `sle-obs` trace is as complete as what the real-time
+    /// runtime produces (whose `Cluster::crash`/`recover` push the same
+    /// events) and passes the invariant checker after conversion.
+    proto_mirror: TraceRing,
 }
 
 impl TraceRecorder {
-    /// A recorder for leader views of `group`.
-    pub fn new(group: GroupId) -> Self {
+    /// A recorder for leader views of `group` that mirrors crash/recovery
+    /// marks into `proto_mirror`.
+    pub fn new(group: GroupId, proto_mirror: TraceRing) -> Self {
         TraceRecorder {
             group,
             events: Vec::new(),
-            proto_mirror: None,
+            proto_mirror,
         }
-    }
-
-    /// Mirrors crash/recovery marks into `ring` (see `proto_mirror`).
-    pub fn with_proto_mirror(mut self, ring: sle_obs::TraceRing) -> Self {
-        self.proto_mirror = Some(ring);
-        self
     }
 
     /// Appends an engine-side event (churn, topology) to the trace.
@@ -110,16 +106,12 @@ impl TraceRecorder {
 impl Observer<ServiceEvent> for TraceRecorder {
     fn node_crashed(&mut self, now: SimInstant, node: NodeId) {
         self.mark(now, TraceEventKind::Crashed { node });
-        if let Some(ring) = &self.proto_mirror {
-            ring.push(node, now, sle_obs::ProtoEvent::Crashed);
-        }
+        self.proto_mirror.push(node, now, ProtoEvent::Crashed);
     }
 
     fn node_recovered(&mut self, now: SimInstant, node: NodeId, _incarnation: u64) {
         self.mark(now, TraceEventKind::Recovered { node });
-        if let Some(ring) = &self.proto_mirror {
-            ring.push(node, now, sle_obs::ProtoEvent::Recovered);
-        }
+        self.proto_mirror.push(node, now, ProtoEvent::Recovered);
     }
 
     fn event_emitted(&mut self, now: SimInstant, node: NodeId, event: &ServiceEvent) {
@@ -142,7 +134,8 @@ mod tests {
 
     #[test]
     fn recorder_filters_foreign_groups_and_orders_events() {
-        let mut recorder = TraceRecorder::new(GroupId(1));
+        let ring = TraceRing::new(8);
+        let mut recorder = TraceRecorder::new(GroupId(1), ring.clone());
         let t = SimInstant::from_secs_f64(1.0);
         recorder.event_emitted(
             t,
@@ -175,5 +168,16 @@ mod tests {
             TraceEventKind::Recovered { node: NodeId(1) }
         ));
         assert_eq!(events[3].kind, TraceEventKind::Healed);
+        // Only the crash and the recovery reach the protocol ring.
+        let drain = ring.drain();
+        assert_eq!(drain.dropped, 0);
+        let mirrored: Vec<_> = drain.events.iter().map(|r| (r.node, r.event)).collect();
+        assert_eq!(
+            mirrored,
+            [
+                (NodeId(1), ProtoEvent::Crashed),
+                (NodeId(1), ProtoEvent::Recovered)
+            ]
+        );
     }
 }

@@ -1,12 +1,12 @@
 //! End-to-end chaos runs: every fault-plan family against the paper's
 //! three services, plus the weakened-detector detection demo.
 
-use sle_chaos::{
+use sle_election::ElectorKind;
+use sle_fd::QosSpec;
+use sle_harness::{
     run_plan, shrink_plan, FaultAction, FaultPlan, PlanKind, Scenario, TraceEventKind,
     ViolationKind,
 };
-use sle_election::ElectorKind;
-use sle_fd::QosSpec;
 use sle_net::link::LinkSpec;
 use sle_sim::actor::NodeId;
 use sle_sim::time::SimDuration;
@@ -147,12 +147,12 @@ fn weakened_detector_is_caught_and_shrunk_to_a_minimal_reproducer() {
 fn sweep_over_multiple_seeds_stays_clean() {
     // A narrow but real sweep (2 seeds x 6 families x 1 algorithm) through
     // the public sweep API, as the CI smoke job runs it.
-    let sweep = sle_chaos::SweepConfig {
+    let sweep = sle_harness::SweepConfig {
         algorithms: vec![ElectorKind::OmegaL],
         scenario: Scenario::new(ElectorKind::OmegaL, 4).with_duration(SimDuration::from_secs(35)),
-        ..sle_chaos::SweepConfig::new().with_seeds(2)
+        ..sle_harness::SweepConfig::new().with_seeds(2)
     };
-    let summary = sle_chaos::run_sweep(&sweep);
+    let summary = sle_harness::run_sweep(&sweep);
     assert_eq!(summary.runs, 2 * 6);
     assert!(summary.ok(), "{}", summary.render());
 }

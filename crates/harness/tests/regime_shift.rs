@@ -4,9 +4,10 @@
 //! while making no more failure-detection mistakes. Every run goes through
 //! the chaos engine, so each one must also uphold every invariant.
 
-use sle_chaos::{crash_detection, regime_shift, run_plan, ChaosReport, FaultAction, FaultPlan};
 use sle_election::ElectorKind;
-use sle_harness::Scenario;
+use sle_harness::{
+    crash_detection, regime_shift, run_plan, ChaosReport, FaultAction, FaultPlan, Scenario,
+};
 use sle_net::link::LinkSpec;
 use sle_sim::actor::NodeId;
 use sle_sim::time::SimDuration;

@@ -8,7 +8,7 @@
 //! can stay on in production paths.
 //!
 //! Draining returns events in sequence order together with the number of
-//! events lost since the previous drain (the gap marker). `sle-chaos`
+//! events lost since the previous drain (the gap marker). `sle-harness`
 //! converts drained records into its trace-replay vocabulary, so the same
 //! invariant checker that judges simulated chaos runs accepts live runtime
 //! traces.

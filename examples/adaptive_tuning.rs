@@ -11,8 +11,8 @@
 //!
 //! Run with: `cargo run --release --example adaptive_tuning`
 
-use sle_chaos::{crash_detection, regime_shift, run_plan};
 use sle_election::ElectorKind;
+use sle_harness::{crash_detection, regime_shift, run_plan};
 use sle_sim::actor::NodeId;
 
 fn main() {

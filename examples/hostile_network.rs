@@ -6,8 +6,8 @@
 //!
 //! Run with: `cargo run --release --example hostile_network`
 
-use sle_chaos::{run_plan, FaultPlan, Scenario};
 use sle_election::ElectorKind;
+use sle_harness::{run_plan, FaultPlan, Scenario};
 use sle_net::link::LinkSpec;
 use sle_sim::time::SimDuration;
 

@@ -10,11 +10,11 @@
 
 use std::time::{Duration, Instant};
 
-use sle_chaos::{check_trace, convert_trace, InvariantSpec, TraceEventKind};
 use sle_core::messages::ServiceMessage;
 use sle_core::{Cluster, ClusterConfig, GroupId, JoinConfig, ProcessId, ServiceConfig};
 use sle_election::ElectorKind;
 use sle_fd::QosSpec;
+use sle_harness::{check_trace, convert_trace, InvariantSpec, TraceEventKind};
 use sle_net::link::LinkSpec;
 use sle_net::transport::InMemoryMesh;
 use sle_obs::Registry;

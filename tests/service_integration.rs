@@ -2,14 +2,16 @@
 //! (simulator + network models + failure detector + electors + service)
 //! exercised under the workloads of the paper.
 
-use sle_chaos::{run_plan, FaultPlan, Scenario};
 use sle_core::{
     GroupAnnouncement, GroupId, HelloList, JoinConfig, NodeCount, ProcessId, ServiceConfig,
     ServiceContext, ServiceMessage, ServiceNode,
 };
 use sle_election::ElectorKind;
 use sle_fd::QosSpec;
-use sle_harness::{CrashPlan, CrashProfile, ExperimentMetrics, MetricsCollector, EXPERIMENT_GROUP};
+use sle_harness::{
+    run_plan, CrashPlan, CrashProfile, ExperimentMetrics, FaultPlan, MetricsCollector, Scenario,
+    EXPERIMENT_GROUP,
+};
 use sle_net::link::{LinkCrashSpec, LinkSpec};
 use sle_net::network::NetworkModel;
 use sle_sim::prelude::*;

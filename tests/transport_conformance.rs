@@ -19,11 +19,11 @@
 
 use std::time::{Duration, Instant};
 
-use sle_chaos::{check_trace, InvariantSpec, TraceEvent, TraceEventKind, Violation};
 use sle_core::messages::ServiceMessage;
 use sle_core::{Cluster, ClusterConfig, GroupId, JoinConfig, ProcessId, ServiceEvent};
 use sle_election::ElectorKind;
 use sle_fd::QosSpec;
+use sle_harness::{check_trace, InvariantSpec, TraceEvent, TraceEventKind, Violation};
 use sle_net::link::LinkSpec;
 use sle_net::transport::{InMemoryMesh, MessageEndpoint};
 use sle_sim::time::{SimDuration, SimInstant};
