@@ -4,8 +4,10 @@
 //! (Figure 2): HELLO messages maintain group membership, ALIVE messages are
 //! simultaneously failure-detector heartbeats and election-algorithm
 //! payloads, and ACCUSE messages implement the accusation mechanism of the
-//! Ωl/Ωlc algorithms. Every message reports its encoded size so the
-//! simulator can account network bandwidth exactly (Figure 6).
+//! Ωl/Ωlc algorithms. ALIVE and ACCUSE are sent per peer, each datagram
+//! carrying the entries of several groups. Every message reports its
+//! encoded size so the simulator can account network bandwidth exactly
+//! (Figure 6).
 
 use std::sync::Arc;
 
@@ -150,12 +152,14 @@ pub enum ServiceMessage {
         /// One entry per group, in group order.
         alives: Vec<GroupAlive>,
     },
-    /// Accusation: "I believe you crashed" (paper Sections 6.3/6.4).
+    /// Accusation: "I believe you crashed" (paper Sections 6.3/6.4), in
+    /// every group whose detector came to suspect the receiver in one fire
+    /// of the accuser's detector timer for it.
     Accuse {
-        /// The group in which the suspicion arose.
-        group: GroupId,
-        /// The accused node's epoch as last seen by the accuser.
-        epoch: u64,
+        /// One `(group, epoch)` entry per group in which the suspicion arose,
+        /// in ascending group order: the accused node's epoch in that group
+        /// as last seen by the accuser.
+        accusations: Vec<(GroupId, u64)>,
     },
     /// Explicit withdrawal of a process from a group.
     Leave {
@@ -222,13 +226,18 @@ pub enum ServiceMessage {
     },
 }
 
+/// Encoded size of one `(group, epoch)` entry of an ACCUSE.
+pub const ACCUSATION_WIRE_SIZE: usize = 4 + 8;
+
 impl ServiceMessage {
-    /// The group this message concerns, if any (HELLOs concern several).
+    /// The group this message concerns, if any (HELLOs, batches and
+    /// accusations concern several).
     pub fn group(&self) -> Option<GroupId> {
         match self {
-            ServiceMessage::Hello { .. } | ServiceMessage::AliveBatch { .. } => None,
+            ServiceMessage::Hello { .. }
+            | ServiceMessage::AliveBatch { .. }
+            | ServiceMessage::Accuse { .. } => None,
             ServiceMessage::Alive { group, .. }
-            | ServiceMessage::Accuse { group, .. }
             | ServiceMessage::Leave { group, .. }
             | ServiceMessage::LeaseGrant { group, .. }
             | ServiceMessage::ClientRequest { group, .. }
@@ -276,7 +285,10 @@ impl WireSize for ServiceMessage {
                 // tag + incarnation + seq + sent_at + count
                 1 + 8 + 8 + 8 + 2 + alives.iter().map(GroupAlive::wire_size).sum::<usize>()
             }
-            ServiceMessage::Accuse { .. } => 1 + 4 + 8,
+            ServiceMessage::Accuse { accusations } => {
+                // tag + count + (group + epoch) per entry
+                1 + 2 + accusations.len() * ACCUSATION_WIRE_SIZE
+            }
             ServiceMessage::Leave { .. } => 1 + 4 + 8,
             ServiceMessage::LeaseGrant { .. } => {
                 // tag + group + token + valid_for
@@ -443,17 +455,17 @@ mod tests {
 
     #[test]
     fn control_messages_are_small() {
-        let accuse = ServiceMessage::Accuse {
-            group: GroupId(3),
-            epoch: 9,
+        let accuse = |n: u32| ServiceMessage::Accuse {
+            accusations: (0..n).map(|g| (GroupId(g), 9)).collect(),
         };
         let leave = ServiceMessage::Leave {
             group: GroupId(3),
             process: ProcessId::new(NodeId(1), 0),
         };
-        assert_eq!(accuse.wire_size(), 13);
+        assert_eq!(accuse(1).wire_size(), 15);
+        assert_eq!(accuse(3).wire_size(), 3 + 3 * 12);
         assert_eq!(leave.wire_size(), 13);
-        assert_eq!(accuse.group(), Some(GroupId(3)));
+        assert_eq!(accuse(1).group(), None);
         assert_eq!(leave.group(), Some(GroupId(3)));
     }
 }

@@ -6,17 +6,11 @@ use sle_fd::Transition;
 use sle_sim::actor::NodeId;
 use sle_sim::time::{SimDuration, SimInstant};
 
-use super::{next_tick, ServiceContext, ServiceNode, ALIVE_TIMER};
+use super::{next_tick, ServiceContext, ServiceNode, ALIVE_TIMER, MAX_BATCH_BYTES};
 use crate::group::GroupState;
 use crate::messages::{AliveHeader, GroupAlive, ServiceMessage};
 use crate::obs::NodeCount;
 use crate::process::{GroupId, ProcessId};
-
-/// Encoded-size budget for one batched ALIVE datagram. Stays safely under
-/// `sle-wire`'s `MAX_DATAGRAM` (1400 bytes minus the frame header), so a
-/// node in very many groups splits its fan-out into several datagrams
-/// rather than producing one the transport must reject.
-const MAX_ALIVE_BATCH_BYTES: usize = 1200;
 
 /// A peer's ALIVE stream state, both directions.
 #[derive(Debug, Default)]
@@ -223,7 +217,7 @@ impl ServiceNode {
             let mut bytes = 0;
             let fits = alives.iter().take_while(|alive| {
                 bytes += alive.wire_size();
-                bytes <= MAX_ALIVE_BATCH_BYTES
+                bytes <= MAX_BATCH_BYTES
             });
             let rest = alives.split_off(fits.count().max(1));
             let stream = &mut self.peers[pslot].alive;

@@ -1,13 +1,13 @@
 //! The Failure Detector: one timer per monitored peer, however many groups
 //! monitor it, over the per-group [`sle_fd::GroupDetector`]s.
 
-use sle_election::{ElectorOutput, LeaderElector};
+use sle_election::LeaderElector;
 use sle_fd::{FdParams, Transition, TuningPolicy, Wake};
 use sle_sim::actor::{NodeId, TimerTag};
 use sle_sim::time::SimInstant;
 
-use super::{ServiceContext, ServiceNode, FD_KIND};
-use crate::messages::ServiceMessage;
+use super::{ServiceContext, ServiceNode, FD_KIND, MAX_BATCH_BYTES};
+use crate::messages::{ServiceMessage, ACCUSATION_WIRE_SIZE};
 use crate::obs::NodeCount;
 use crate::process::GroupId;
 
@@ -43,6 +43,10 @@ impl PeerFd {
         self.wake = None;
     }
 }
+
+/// The most `(group, epoch)` entries one ACCUSE carries: a peer suspected
+/// in more groups in one walk gets several.
+const MAX_ACCUSATIONS: usize = MAX_BATCH_BYTES / ACCUSATION_WIRE_SIZE;
 
 /// The failure-detector timer of `peer`: one per monitored peer, however
 /// many groups monitor it.
@@ -101,7 +105,8 @@ impl ServiceNode {
     /// of it ahead of `now` and none is due to re-derive (η, δ), the fire
     /// re-arms from the cached wake and touches no group. Otherwise it walks
     /// the groups monitoring the peer, checks that one monitor in each, acts
-    /// on what changed, and caches the wake the checks leave.
+    /// on what changed, and caches the wake the checks leave. The walk's
+    /// accusations go to the peer together, one ACCUSE per budget's worth.
     pub(super) fn handle_fd_timer(&mut self, peer: NodeId, ctx: &mut ServiceContext) {
         let now = ctx.now();
         let Some(pslot) = self.peers.find(peer) else {
@@ -121,6 +126,7 @@ impl ServiceNode {
         self.counts[NodeCount::FdWalks].inc();
         debug_assert!(self.fd_index_holds(peer, pslot), "stale index of {peer}");
         let mut wake = Wake::NEVER;
+        let mut accusations = Vec::new();
         let groups = std::mem::take(&mut self.peers[pslot].fd.groups);
         for &group in &groups {
             let Some(state) = self.groups.get_mut(group) else {
@@ -142,15 +148,11 @@ impl ServiceNode {
                         .unwrap_or_default();
                     obs.on_detection(silent_for);
                 }
-                for output in state.elector.on_suspect(peer, now) {
-                    match output {
-                        ElectorOutput::SendAccusation { to, epoch } => {
-                            if let Some(obs) = &self.obs {
-                                obs.on_accusation(group, to, now);
-                            }
-                            ctx.send(to, ServiceMessage::Accuse { group, epoch });
-                        }
+                if let Some(epoch) = state.elector.on_suspect(peer, now) {
+                    if let Some(obs) = &self.obs {
+                        obs.on_accusation(group, peer, now);
                     }
+                    accusations.push((group, epoch));
                 }
             }
             // Adaptive tuning moves the self-election grace with (η, δ).
@@ -163,6 +165,12 @@ impl ServiceNode {
         entry.groups = groups;
         entry.wake = Some(wake);
         self.arm_fd_timer(peer, pslot, wake.at(stamp), ctx);
+        // `groups` is ascending, so each list is too.
+        while !accusations.is_empty() {
+            let rest = accusations.split_off(accusations.len().min(MAX_ACCUSATIONS));
+            ctx.send(peer, ServiceMessage::Accuse { accusations });
+            accusations = rest;
+        }
     }
 
     /// What every fire of `peer`'s detector timer (peer slot `pslot`)

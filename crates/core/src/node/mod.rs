@@ -45,6 +45,12 @@ const FD_KIND: u64 = 2;
 /// Timer-tag namespace for the end of the self-election grace period.
 pub(crate) const GRACE_KIND: u64 = 3;
 
+/// Encoded-size budget for the entries of one ALIVE batch or ACCUSE list.
+/// Stays safely under `sle-wire`'s `MAX_DATAGRAM` (1400 bytes minus the
+/// frame header), so a node in very many groups splits a per-peer send into
+/// several datagrams rather than producing one the transport must reject.
+const MAX_BATCH_BYTES: usize = 1200;
+
 /// Timer used for periodic HELLO gossip and membership expiry.
 const HELLO_TIMER: TimerTag = TimerTag(HELLO_KIND << 32);
 /// The single per-node ALIVE tick: it fires at the earliest due time across
@@ -592,7 +598,11 @@ impl Actor for ServiceNode {
                 sent_at,
                 alives,
             } => self.handle_alives(from, incarnation, seq, sent_at, alives, ctx),
-            ServiceMessage::Accuse { group, epoch } => self.handle_accusation(group, epoch, ctx),
+            ServiceMessage::Accuse { accusations } => {
+                for (group, epoch) in accusations {
+                    self.handle_accusation(group, epoch, ctx);
+                }
+            }
             ServiceMessage::Leave { group, process } => {
                 self.handle_leave(from, group, process, ctx)
             }

@@ -768,8 +768,7 @@ fn replayed_stale_accusation_is_ignored_after_elector_recreation() {
             actor.on_message(
                 NodeId(0),
                 ServiceMessage::Accuse {
-                    group: GROUP,
-                    epoch: 0,
+                    accusations: vec![(GROUP, 0)],
                 },
                 ctx,
             );
@@ -782,6 +781,47 @@ fn replayed_stale_accusation_is_ignored_after_elector_recreation() {
     world.run_for(SimDuration::from_secs(5), &mut obs);
     let after = agreed_leader(&world, GROUP).expect("leader after replay");
     assert_eq!(after, before, "a replayed stale ACCUSE changed leadership");
+}
+
+#[test]
+fn an_accuse_list_applies_each_entry_at_its_own_epoch() {
+    // One ACCUSE names several groups; each entry meets the stale-epoch
+    // guard on its own, so a list mixing a stale and a current epoch
+    // drops (and counts) only the stale one.
+    let (g1, g2) = (GroupId(1), GroupId(2));
+    let config = ServiceConfig::full_mesh(NodeId(0), 2, ElectorKind::OmegaLc);
+    let mut node = ServiceNode::new(config);
+    let at = |ms: u64| ServiceContext::new(SimInstant::from_nanos(ms * 1_000_000), NodeId(0), 0);
+    for group in [g1, g2] {
+        let process = node.register_process();
+        node.join_group(process, group, JoinConfig::candidate(), &mut at(0))
+            .unwrap();
+    }
+    let elector = |node: &ServiceNode, group| {
+        let elector = &node.groups.get(group).unwrap().elector;
+        (elector.epoch(), elector.accusation_time())
+    };
+    let accuse = |accusations| ServiceMessage::Accuse { accusations };
+    // An empty list changes nothing and draws no reply.
+    let alive_epoch = node.alive_epoch;
+    let mut ctx = at(10);
+    node.on_message(NodeId(1), accuse(Vec::new()), &mut ctx);
+    assert!(
+        ctx.into_effects().is_empty(),
+        "an empty ACCUSE drew effects"
+    );
+    assert_eq!(node.alive_epoch, alive_epoch);
+    assert_eq!(elector(&node, g1), (0, SimInstant::ZERO));
+    assert_eq!(elector(&node, g2), (0, SimInstant::ZERO));
+    // Group 1 is accused at its current epoch 0, which moves it to 1…
+    node.on_message(NodeId(1), accuse(vec![(g1, 0)]), &mut at(20));
+    let accused_at = SimInstant::from_nanos(20_000_000);
+    assert_eq!(elector(&node, g1), (1, accused_at));
+    // …so a list naming epoch 0 in both groups is stale in group 1 only.
+    node.on_message(NodeId(1), accuse(vec![(g1, 0), (g2, 0)]), &mut at(30));
+    assert_eq!(node.count(NodeCount::StaleAccusationsIgnored), 1);
+    assert_eq!(elector(&node, g1), (1, accused_at));
+    assert_eq!(elector(&node, g2), (1, SimInstant::from_nanos(30_000_000)));
 }
 
 #[test]
@@ -1382,11 +1422,11 @@ fn a_fixed_seed_run_replays_its_recorded_counts() {
         (
             ElectorKind::OmegaL,
             RunCounts {
-                events: 13_138,
-                messages: 7_788,
+                events: 13_137,
+                messages: 7_787,
                 alive_payloads: 3_704,
-                hello: [79, 3_405, 19, 0, 87],
-                alive: [4_003, 67, 179],
+                hello: [79, 3_405, 19, 1, 87],
+                alive: [4_003, 67, 178],
                 fd: [1_082, 248],
                 leader_changes: 0xd146_1ee0_5e89_4eba,
             },

@@ -94,9 +94,9 @@ node_counts! {
     /// Fires that checked the peer's monitor in every group; the others
     /// re-armed from the peer's cached wake without touching a group.
     FdWalks = "fd.walks",
-    /// ACCUSE messages dropped because their epoch predated the elector's
-    /// current one — each a duplicated or delayed replay that would have
-    /// destabilised a settled leader.
+    /// ACCUSE entries dropped because their epoch predated the group's
+    /// elector's current one — each a duplicated or delayed replay that
+    /// would have destabilised a settled leader.
     StaleAccusationsIgnored = "elect.stale_accusations_ignored",
     /// Leader leases minted (leaderships taken, or token changes while
     /// leading).

@@ -12,7 +12,7 @@ use crate::elector::LeaderElector;
 use crate::omega_id::OmegaId;
 use crate::omega_l::OmegaL;
 use crate::omega_lc::OmegaLc;
-use crate::types::{AlivePayload, ElectorKind, ElectorOutput};
+use crate::types::{AlivePayload, ElectorKind};
 
 /// One of the three leader-election algorithms, selected at runtime.
 #[derive(Debug, Clone)]
@@ -119,7 +119,7 @@ impl LeaderElector for AnyElector {
         self.inner_mut().on_trust(peer, now);
     }
 
-    fn on_suspect(&mut self, peer: NodeId, now: SimInstant) -> Vec<ElectorOutput> {
+    fn on_suspect(&mut self, peer: NodeId, now: SimInstant) -> Option<u64> {
         self.inner_mut().on_suspect(peer, now)
     }
 
@@ -181,8 +181,7 @@ mod tests {
         );
         // Same accusation time: smaller id wins.
         assert_eq!(elector.leader(), Some(NodeId(1)));
-        let outputs = elector.on_suspect(NodeId(1), SimInstant::ZERO);
-        assert_eq!(outputs.len(), 1);
+        assert_eq!(elector.on_suspect(NodeId(1), SimInstant::ZERO), Some(0));
         assert_eq!(elector.leader(), Some(NodeId(2)));
         elector.on_trust(NodeId(1), SimInstant::ZERO);
         assert_eq!(elector.leader(), Some(NodeId(1)));

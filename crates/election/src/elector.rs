@@ -13,7 +13,7 @@ use sle_sim::actor::NodeId;
 use sle_sim::dense::insert_tight;
 use sle_sim::time::SimInstant;
 
-use crate::types::{AlivePayload, ElectorKind, ElectorOutput, Rank};
+use crate::types::{AlivePayload, ElectorKind, Rank};
 
 /// Leader-election algorithm driven by the service layer.
 ///
@@ -57,8 +57,10 @@ pub trait LeaderElector {
     /// The failure detector started trusting `peer` again.
     fn on_trust(&mut self, peer: NodeId, now: SimInstant);
 
-    /// The failure detector suspects `peer`; returns any accusations to send.
-    fn on_suspect(&mut self, peer: NodeId, now: SimInstant) -> Vec<ElectorOutput>;
+    /// The failure detector suspects `peer`. Returns the epoch to accuse
+    /// `peer` at (the one it last advertised), if this suspicion calls for
+    /// an accusation.
+    fn on_suspect(&mut self, peer: NodeId, now: SimInstant) -> Option<u64>;
 
     /// `peer` left the group (or was removed from the membership).
     fn remove_peer(&mut self, peer: NodeId, now: SimInstant);

@@ -50,7 +50,7 @@ pub mod prelude {
     pub use crate::omega_id::OmegaId;
     pub use crate::omega_l::OmegaL;
     pub use crate::omega_lc::OmegaLc;
-    pub use crate::types::{AlivePayload, ElectorKind, ElectorOutput, LeaderClaim, Rank};
+    pub use crate::types::{AlivePayload, ElectorKind, LeaderClaim, Rank};
 }
 
 pub use any::AnyElector;
@@ -58,4 +58,4 @@ pub use elector::{LeaderElector, PeerState, PeerTable};
 pub use omega_id::OmegaId;
 pub use omega_l::OmegaL;
 pub use omega_lc::OmegaLc;
-pub use types::{AlivePayload, ElectorKind, ElectorOutput, LeaderClaim, Rank};
+pub use types::{AlivePayload, ElectorKind, LeaderClaim, Rank};

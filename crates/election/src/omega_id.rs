@@ -15,7 +15,7 @@ use sle_sim::actor::NodeId;
 use sle_sim::time::SimInstant;
 
 use crate::elector::{LeaderElector, PeerTable};
-use crate::types::{AlivePayload, ElectorKind, ElectorOutput};
+use crate::types::{AlivePayload, ElectorKind};
 
 /// The Ωid elector state for one node and one group.
 #[derive(Debug, Clone)]
@@ -95,9 +95,9 @@ impl LeaderElector for OmegaId {
         self.peers.mark_trusted(peer);
     }
 
-    fn on_suspect(&mut self, peer: NodeId, _now: SimInstant) -> Vec<ElectorOutput> {
+    fn on_suspect(&mut self, peer: NodeId, _now: SimInstant) -> Option<u64> {
         self.peers.mark_suspected(peer);
-        Vec::new()
+        None
     }
 
     fn remove_peer(&mut self, peer: NodeId, _now: SimInstant) {
@@ -153,7 +153,7 @@ mod tests {
         elector.on_alive(NodeId(3), payload(SimInstant::ZERO), now);
         assert_eq!(elector.leader(), Some(NodeId(2)));
         let accusations = elector.on_suspect(NodeId(2), now + SimDuration::from_secs(1));
-        assert!(accusations.is_empty(), "Omega_id never accuses");
+        assert_eq!(accusations, None, "Omega_id never accuses");
         assert_eq!(elector.leader(), Some(NodeId(3)));
         // Trusting node 2 again restores it as the leader.
         elector.on_trust(NodeId(2), now + SimDuration::from_secs(2));

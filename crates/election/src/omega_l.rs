@@ -29,7 +29,7 @@ use sle_sim::actor::NodeId;
 use sle_sim::time::SimInstant;
 
 use crate::elector::{LeaderElector, PeerTable};
-use crate::types::{AlivePayload, ElectorKind, ElectorOutput, Rank};
+use crate::types::{AlivePayload, ElectorKind, Rank};
 
 /// The Ωl elector state for one node and one group.
 #[derive(Debug, Clone)]
@@ -172,13 +172,10 @@ impl LeaderElector for OmegaL {
         self.reevaluate();
     }
 
-    fn on_suspect(&mut self, peer: NodeId, _now: SimInstant) -> Vec<ElectorOutput> {
-        let output = match self.peers.mark_suspected(peer) {
-            Some(epoch) => vec![ElectorOutput::SendAccusation { to: peer, epoch }],
-            None => Vec::new(),
-        };
+    fn on_suspect(&mut self, peer: NodeId, _now: SimInstant) -> Option<u64> {
+        let accuse_at = self.peers.mark_suspected(peer);
         self.reevaluate();
-        output
+        accuse_at
     }
 
     fn remove_peer(&mut self, peer: NodeId, _now: SimInstant) {
@@ -362,14 +359,9 @@ mod tests {
         assert!(!elector.is_competing());
         let epoch_after_withdraw = elector.epoch();
 
-        let outputs = elector.on_suspect(NodeId(1), secs(20));
-        assert_eq!(
-            outputs,
-            vec![ElectorOutput::SendAccusation {
-                to: NodeId(1),
-                epoch: 4
-            }]
-        );
+        assert_eq!(elector.on_suspect(NodeId(1), secs(20)), Some(4));
+        // A repeated suspicion of the same peer accuses nothing more.
+        assert_eq!(elector.on_suspect(NodeId(1), secs(21)), None);
         assert!(elector.is_competing());
         assert!(elector.epoch() > epoch_after_withdraw);
         assert_eq!(elector.leader(), Some(NodeId(3)));

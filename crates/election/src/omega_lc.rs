@@ -26,7 +26,7 @@ use sle_sim::actor::NodeId;
 use sle_sim::time::SimInstant;
 
 use crate::elector::{LeaderElector, PeerTable};
-use crate::types::{AlivePayload, ElectorKind, ElectorOutput, LeaderClaim, Rank};
+use crate::types::{AlivePayload, ElectorKind, LeaderClaim, Rank};
 
 /// The Ωlc elector state for one node and one group.
 #[derive(Debug, Clone)]
@@ -165,11 +165,8 @@ impl LeaderElector for OmegaLc {
         self.peers.mark_trusted(peer);
     }
 
-    fn on_suspect(&mut self, peer: NodeId, _now: SimInstant) -> Vec<ElectorOutput> {
-        match self.peers.mark_suspected(peer) {
-            Some(epoch) => vec![ElectorOutput::SendAccusation { to: peer, epoch }],
-            None => Vec::new(),
-        }
+    fn on_suspect(&mut self, peer: NodeId, _now: SimInstant) -> Option<u64> {
+        self.peers.mark_suspected(peer)
     }
 
     fn remove_peer(&mut self, peer: NodeId, _now: SimInstant) {
@@ -268,10 +265,9 @@ mod tests {
         // Node 0 crashes: the survivors suspect it and re-exchange.
         let mut survivors: Vec<OmegaLc> = electors.drain(1..).collect();
         for elector in survivors.iter_mut() {
-            let out = elector.on_suspect(NodeId(0), secs(12));
             assert_eq!(
-                out.len(),
-                1,
+                elector.on_suspect(NodeId(0), secs(12)),
+                Some(0),
                 "suspicion of a known peer produces an accusation"
             );
         }
@@ -300,9 +296,9 @@ mod tests {
 
         // Even after node 2 explicitly suspects node 0 (it cannot hear it),
         // the forwarded claim keeps node 0 elected.
-        let accusations = n2.on_suspect(NodeId(0), secs(2));
-        assert!(
-            accusations.is_empty(),
+        assert_eq!(
+            n2.on_suspect(NodeId(0), secs(2)),
+            None,
             "node 0 was never directly heard, nothing to accuse"
         );
         assert_eq!(n2.leader(), Some(NodeId(0)));

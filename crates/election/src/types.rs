@@ -122,7 +122,11 @@ impl LeaderClaim {
 pub struct AlivePayload {
     /// The sender's current accusation time.
     pub accusation_time: SimInstant,
-    /// The sender's current accusation epoch (see [`ElectorOutput`]).
+    /// The sender's current accusation epoch. An accusation names the epoch
+    /// the accuser last saw, and the accused advances its accusation time
+    /// only if that epoch is still its own: this protects Ωl processes that
+    /// *voluntarily* stopped sending ALIVEs from having their rank ruined by
+    /// the resulting (perfectly reasonable) suspicions.
     pub epoch: u64,
     /// The sender's current local leader (only meaningful for Ωlc).
     pub local_leader: Option<LeaderClaim>,
@@ -139,23 +143,6 @@ impl AlivePayload {
     pub fn rank_of(&self, sender: NodeId) -> Rank {
         Rank::new(self.accusation_time, sender)
     }
-}
-
-/// An action requested by an elector in response to an input.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ElectorOutput {
-    /// Send an accusation ("I think you crashed") to `to`, referencing the
-    /// accusation epoch the accuser last saw from it. The accused process
-    /// advances its accusation time only if the epoch still matches — this is
-    /// the mechanism that protects Ωl processes that *voluntarily* stopped
-    /// sending ALIVEs from having their rank ruined by the resulting
-    /// (perfectly reasonable) suspicions.
-    SendAccusation {
-        /// The accused process.
-        to: NodeId,
-        /// The epoch of the accused process as last advertised to the accuser.
-        epoch: u64,
-    },
 }
 
 #[cfg(test)]

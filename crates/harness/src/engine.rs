@@ -912,7 +912,7 @@ mod tests {
                     recovery: Summary::of(&[1.387807211]),
                     mistakes_per_hour: 30.0,
                     leader_availability: 0.9783630687083333,
-                    kbytes_per_sec_per_node: 2.6074042426215276,
+                    kbytes_per_sec_per_node: 2.607754177517361,
                     leader_crashes: 1,
                     unjustified_demotions: 1,
                     recovery_samples: vec![1.387807211],
@@ -927,7 +927,7 @@ mod tests {
                     recovery: Summary::of(&[1.663233748]),
                     mistakes_per_hour: 390.0,
                     leader_availability: 0.9369896155749999,
-                    kbytes_per_sec_per_node: 31.997635904947916,
+                    kbytes_per_sec_per_node: 31.99821099175347,
                     leader_crashes: 1,
                     unjustified_demotions: 13,
                     recovery_samples: vec![1.663233748],

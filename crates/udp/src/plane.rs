@@ -30,9 +30,9 @@
 //! destination share datagrams. A per-source-socket dirty flag, set
 //! whenever bytes are left pending, lets a flush of a clean socket return
 //! after one atomic swap, without taking the lock. The budget mirrors the
-//! protocol's `MAX_ALIVE_BATCH_BYTES` (1200 bytes): the wire keeps the same
-//! conservative no-fragmentation envelope the ALIVE batcher already
-//! guarantees. A single record may exceed the budget (up to
+//! protocol's `MAX_BATCH_BYTES` (1200 bytes): the wire keeps the same
+//! conservative no-fragmentation envelope the ALIVE batcher and the ACCUSE
+//! lists already guarantee. A single record may exceed the budget (up to
 //! [`MAX_PLANE_DATAGRAM`]); it is then sent alone.
 //!
 //! Inbound, the reader hands a datagram's records to the shard mailboxes in
@@ -78,8 +78,8 @@ pub const RECORD_HEADER: usize = 6;
 
 /// The coalescing budget: a pending buffer is flushed before appending a
 /// record that would push it past this many bytes. Mirrors the protocol's
-/// `MAX_ALIVE_BATCH_BYTES` so the plane keeps the same conservative
-/// no-fragmentation envelope as the ALIVE batcher.
+/// `MAX_BATCH_BYTES` so the plane keeps the same conservative
+/// no-fragmentation envelope as the ALIVE batcher and the ACCUSE lists.
 pub const COALESCE_BUDGET: usize = 1200;
 
 /// The largest datagram the plane ever sends or accepts: one maximal

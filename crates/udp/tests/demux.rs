@@ -427,18 +427,17 @@ fn unencodable_send_is_an_error_counted_and_traced() {
 }
 
 /// The plane datagram of `docs/WIRE.md`, pinned: two records for node 2,
-/// `ACCUSE { group: 3, epoch: 9 }` from node 5 (the spec's worked example)
-/// and `ACCUSE { group: 3, epoch: 10 }` from node 7.
+/// a one-entry ACCUSE `[(group 3, epoch 9)]` from node 5 (the spec's worked
+/// example) and `[(group 3, epoch 10)]` from node 7.
 const GOLDEN_TWO_RECORDS: &str = concat!(
-    "000000020016534c4550040000000503000000030000000000000009",
-    "000000020016534c455004000000070300000003000000000000000a",
+    "000000020018534c45500500000005030001000000030000000000000009",
+    "000000020018534c4550050000000703000100000003000000000000000a",
 );
 
 #[test]
 fn golden_two_record_datagram_is_what_the_plane_speaks() {
     let accuse = |epoch| ServiceMessage::Accuse {
-        group: GroupId(3),
-        epoch,
+        accusations: vec![(GroupId(3), epoch)],
     };
     let golden: Vec<u8> = (0..GOLDEN_TWO_RECORDS.len())
         .step_by(2)

@@ -35,10 +35,10 @@
 //! use sle_sim::actor::NodeId;
 //! use sle_wire::{decode_frame, encode_frame, WireError, HEADER_LEN};
 //!
-//! let accuse = ServiceMessage::Accuse { group: GroupId(3), epoch: 9 };
+//! let accuse = ServiceMessage::Accuse { accusations: vec![(GroupId(3), 9)] };
 //! let datagram = encode_frame(NodeId(5), &accuse).unwrap();
-//! // magic + version + sender, then the 13-byte ACCUSE body.
-//! assert_eq!(datagram.len(), HEADER_LEN + 13);
+//! // magic + version + sender, then the 15-byte one-entry ACCUSE body.
+//! assert_eq!(datagram.len(), HEADER_LEN + 15);
 //!
 //! let (from, decoded): (NodeId, ServiceMessage) = decode_frame(&datagram).unwrap();
 //! assert_eq!(from, NodeId(5));
@@ -78,8 +78,9 @@ pub const MAGIC: [u8; 4] = *b"SLEP";
 /// client tier (`sle-app`): LEASE-GRANT (tag `06`), CLIENT-REQUEST (`07`),
 /// CLIENT-REPLY (`08`) and REDIRECT (`09`); v4 made HELLO versioned
 /// anti-entropy: a `version` and a flags byte, the announcement list only
-/// when the flags say so (digest / pull / full / partial).
-pub const VERSION: u8 = 4;
+/// when the flags say so (digest / pull / full / partial); v5 made ACCUSE a
+/// list of `(group, epoch)` entries, one message per suspected peer.
+pub const VERSION: u8 = 5;
 
 /// Bytes of envelope preceding the message body: magic (4), version (1),
 /// sender node id (4).

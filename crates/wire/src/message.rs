@@ -9,7 +9,9 @@
 //! in this module's tests and by the property suite in `tests/properties.rs`).
 
 use sle_core::lease::FencingToken;
-use sle_core::messages::{AliveHeader, GroupAlive, GroupAnnouncement, HelloList, ServiceMessage};
+use sle_core::messages::{
+    AliveHeader, GroupAlive, GroupAnnouncement, HelloList, ServiceMessage, ACCUSATION_WIRE_SIZE,
+};
 use sle_core::process::{GroupId, ProcessId};
 use sle_election::{AlivePayload, LeaderClaim};
 use sle_sim::actor::NodeId;
@@ -211,6 +213,19 @@ impl WireFormat for (ProcessId, bool) {
     }
 }
 
+/// A `(group, epoch)` ACCUSE entry: 12 bytes.
+impl WireFormat for (GroupId, u64) {
+    fn encode_into(&self, w: &mut Writer) {
+        self.0.encode_into(w);
+        w.put_u64(self.1);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let group = GroupId::decode(r)?;
+        let epoch = r.take_u64()?;
+        Ok((group, epoch))
+    }
+}
+
 impl WireFormat for GroupAnnouncement {
     fn encode_into(&self, w: &mut Writer) {
         self.group.encode_into(w);
@@ -313,10 +328,14 @@ impl WireFormat for ServiceMessage {
                     entry.encode_into(w);
                 }
             }
-            ServiceMessage::Accuse { group, epoch } => {
+            ServiceMessage::Accuse { accusations } => {
                 w.put_u8(TAG_ACCUSE);
-                group.encode_into(w);
-                w.put_u64(*epoch);
+                // As with ALIVE-BATCH, a wrapped count would need 65 536+
+                // entries, rejected by encode_frame's size limit.
+                w.put_u16(accusations.len() as u16);
+                for entry in accusations {
+                    entry.encode_into(w);
+                }
             }
             ServiceMessage::Leave { group, process } => {
                 w.put_u8(TAG_LEAVE);
@@ -439,9 +458,9 @@ impl WireFormat for ServiceMessage {
                 })
             }
             TAG_ACCUSE => {
-                let group = GroupId::decode(r)?;
-                let epoch = r.take_u64()?;
-                Ok(ServiceMessage::Accuse { group, epoch })
+                let count = r.take_u16()? as usize;
+                let accusations = decode_list(r, count, ACCUSATION_WIRE_SIZE)?;
+                Ok(ServiceMessage::Accuse { accusations })
             }
             TAG_LEAVE => {
                 let group = GroupId::decode(r)?;
@@ -608,8 +627,10 @@ mod tests {
                 ],
             },
             ServiceMessage::Accuse {
-                group: GroupId(1),
-                epoch: 8,
+                accusations: vec![(GroupId(1), 8), (GroupId(2), 3)],
+            },
+            ServiceMessage::Accuse {
+                accusations: Vec::new(),
             },
             ServiceMessage::Leave {
                 group: GroupId(2),
@@ -732,6 +753,25 @@ mod tests {
                 Err(WireError::BadOptionTag(flags))
             );
         }
+    }
+
+    #[test]
+    fn a_forged_accuse_count_is_refused() {
+        // A count of 65 535 over one 12-byte entry: the entry decodes, the
+        // next is missing. (`tests/memory.rs` pins the room reserved.)
+        let mut w = Writer::new();
+        w.put_u8(TAG_ACCUSE);
+        w.put_u16(u16::MAX);
+        (GroupId(1), 0u64).encode_into(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        assert_eq!(
+            ServiceMessage::decode(&mut r),
+            Err(WireError::Truncated {
+                needed: 4,
+                remaining: 0
+            })
+        );
     }
 
     #[test]

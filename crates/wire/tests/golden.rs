@@ -204,11 +204,28 @@ fn alive_batch_golden_vector() {
 
 #[test]
 fn accuse_golden_vector() {
-    let msg = ServiceMessage::Accuse {
-        group: GroupId(3),
-        epoch: 9,
+    // One suspicion: the group and the epoch behind a count of 1.
+    let one = ServiceMessage::Accuse {
+        accusations: vec![(GroupId(3), 9)],
     };
-    check("ACCUSE", &msg, "03000000030000000000000009");
+    check("ACCUSE(1)", &one, "030001000000030000000000000009");
+    // A peer suspected in three groups in one detector walk: one message,
+    // entries in ascending group order.
+    let three = ServiceMessage::Accuse {
+        accusations: vec![
+            (GroupId(1), 8),
+            (GroupId(4), 0),
+            (GroupId(300), 0x1_0000_0002),
+        ],
+    };
+    check(
+        "ACCUSE(3)",
+        &three,
+        "030003\
+         000000010000000000000008\
+         000000040000000000000000\
+         0000012c0000000100000002",
+    );
 }
 
 #[test]
@@ -326,8 +343,7 @@ fn corpus_covers_every_variant() {
     }
     assert_eq!(
         covered(&ServiceMessage::Accuse {
-            group: GroupId(0),
-            epoch: 0
+            accusations: Vec::new()
         }),
         "accuse_golden_vector"
     );

@@ -85,10 +85,18 @@ fn random_message(rng: &mut SimRng) -> ServiceMessage {
             payload: random_payload(rng),
             representative: random_process(rng),
         },
-        2 => ServiceMessage::Accuse {
-            group: GroupId(rng.uniform_usize(100) as u32),
-            epoch: rng.next_u64() % 1000,
-        },
+        2 => {
+            let entries = rng.uniform_usize(6);
+            let mut entry = || {
+                (
+                    GroupId(rng.uniform_usize(100) as u32),
+                    rng.next_u64() % 1000,
+                )
+            };
+            ServiceMessage::Accuse {
+                accusations: (0..entries).map(|_| entry()).collect(),
+            }
+        }
         4 => {
             let entries = rng.uniform_usize(6);
             ServiceMessage::AliveBatch {

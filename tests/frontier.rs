@@ -28,7 +28,8 @@ const FRONTIER_VMHWM_MIB: u64 = 3_443;
 
 /// The events `a_million_processes_settle` processes. The simulation is
 /// deterministic, so any other count is a protocol change at scale: one
-/// made on purpose re-records it, as it does the node's golden run.
+/// made on purpose re-records it, as it does the node's golden run. (Over
+/// a perfect medium the run sends no ACCUSE.)
 const FRONTIER_EVENTS: u64 = 6_346_196;
 
 /// Virtual time a deployment gets to elect before its steady-state window.

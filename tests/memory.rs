@@ -292,6 +292,26 @@ fn wheel_burst(rows: &mut Vec<Row>) {
     });
 }
 
+/// A forged ACCUSE datagram: a count of 65 535 over a 12-byte body. Its
+/// decode must reserve room for what the body could hold, one entry, not
+/// for the count.
+fn forged_accuse(rows: &mut Vec<Row>) {
+    let one = ServiceMessage::Accuse {
+        accusations: vec![(GroupId(1), 0)],
+    };
+    let mut frame = sle_wire::encode_frame(NodeId(1), &one).unwrap();
+    // The count follows the envelope and the tag.
+    let count = sle_wire::HEADER_LEN + 1;
+    frame[count..count + 2].copy_from_slice(&u16::MAX.to_be_bytes());
+    let (decoded, _, peak) = measure(|| sle_wire::decode_frame::<ServiceMessage>(&frame));
+    assert!(decoded.is_err(), "a forged ACCUSE count decoded");
+    rows.push(Row {
+        part: "forged ACCUSE count, peak decoding",
+        bytes: peak,
+        ceiling: 64,
+    });
+}
+
 /// A strided S3 deployment like `sim-steady`'s, smaller: 40 workstations,
 /// 80 groups of 10 (20 per workstation), LAN links, T_D = 1 s.
 const DEPLOYMENT: (usize, usize, usize) = (40, 80, 10);
@@ -367,7 +387,7 @@ fn deployment(rows: &mut Vec<Row>) {
     rows.push(Row {
         part: "deployment, peak per membership",
         bytes: peak / memberships,
-        ceiling: 6_800,
+        ceiling: 5_800,
     });
 }
 
@@ -378,6 +398,7 @@ fn heap_bytes_per_part_stay_under_their_ceilings() {
     node_peer_table(&mut rows);
     loss_window(&mut rows);
     wheel_burst(&mut rows);
+    forged_accuse(&mut rows);
     deployment_start(&mut rows);
     deployment(&mut rows);
     println!("{:<40} {:>10} {:>10}", "part", "bytes", "ceiling");

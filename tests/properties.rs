@@ -1521,6 +1521,55 @@ mod alive_fast_path {
         }
     }
 
+    /// The peer falls silent after 8 rounds in every group it shares with
+    /// `ME`. The one detector fire that suspects it everywhere sends it one
+    /// ACCUSE naming every group once, in ascending group order, while the
+    /// list fits the batch budget; a longer list splits, each part within
+    /// a datagram, and every accusation still arrives exactly once.
+    #[test]
+    fn one_detector_fire_accuses_a_peer_once_per_budget() {
+        for algorithm in [ElectorKind::OmegaLc, ElectorKind::OmegaL] {
+            for (n, messages) in [(3, 1), (250, 3)] {
+                let what = format!("{algorithm:?}, {n} groups");
+                let listed = groups(n);
+                let mut rig = Rig::new(algorithm, &listed);
+                for round in 0..8 {
+                    let sent_at = START + ms(250 * round);
+                    rig.run_to(sent_at + ms(2));
+                    rig.deliver(PEER, alive(algorithm, 1, round, sent_at, &listed, ms(250)));
+                }
+                // Each fire's accusations, for the fires that made any.
+                let mut fires = Vec::new();
+                while rig.fire_next(START + ms(4_000)).is_some() {
+                    let lists: Vec<Vec<(GroupId, u64)>> = (rig.sent.drain(..))
+                        .filter_map(|(to, msg)| match msg {
+                            ServiceMessage::Accuse { accusations } if to == PEER => {
+                                Some(accusations)
+                            }
+                            _ => None,
+                        })
+                        .collect();
+                    if !lists.is_empty() {
+                        fires.push(lists);
+                    }
+                }
+                assert!(listed.iter().all(|&g| rig.verdicts(g) == (1, 0)), "{what}");
+                assert_eq!(fires.len(), 1, "{what}: fires that accused");
+                let lists = fires.pop().unwrap();
+                assert_eq!(lists.len(), messages, "{what}: ACCUSE messages");
+                for list in &lists {
+                    let msg = ServiceMessage::Accuse {
+                        accusations: list.clone(),
+                    };
+                    let frame = sle_wire::encode_frame(ME, &msg).expect("fits a datagram");
+                    assert!(frame.len() <= sle_wire::MAX_DATAGRAM, "{what}");
+                }
+                let expected: Vec<(GroupId, u64)> = listed.iter().map(|&g| (g, 0)).collect();
+                assert_eq!(lists.concat(), expected, "{what}");
+            }
+        }
+    }
+
     /// What `ME`'s own ALIVEs for `group` carried the last time it sent.
     fn last_payload_sent(rig: &Rig, group: GroupId) -> Option<AlivePayload> {
         rig.sent.iter().rev().find_map(|(_, msg)| match msg {
@@ -1564,8 +1613,7 @@ mod alive_fast_path {
                 "steady: reused"
             );
             let accuse = ServiceMessage::Accuse {
-                group,
-                epoch: before.epoch,
+                accusations: vec![(group, before.epoch)],
             };
             rig.deliver(NodeId(2), accuse);
             rig.run_to(START + SimDuration::from_secs(5));

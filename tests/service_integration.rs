@@ -270,8 +270,7 @@ fn duplicated_stale_accusation_causes_no_extra_mistake() {
         ctx.send(
             old_leader.node,
             sle_core::ServiceMessage::Accuse {
-                group: GROUP,
-                epoch: 0,
+                accusations: vec![(GROUP, 0)],
             },
         );
     });

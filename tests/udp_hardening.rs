@@ -57,8 +57,7 @@ fn per_reason_drop_counters_increment_on_a_live_socket() {
         let spoof = encode_frame(
             NodeId(1),
             &ServiceMessage::Accuse {
-                group: GROUP,
-                epoch,
+                accusations: vec![(GROUP, epoch)],
             },
         )
         .expect("encode spoofed frame");
