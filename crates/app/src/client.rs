@@ -84,20 +84,6 @@ pub struct HubReport {
     pub gave_up: bool,
 }
 
-impl HubReport {
-    /// Nearest-rank percentile of the completed-request latencies, in
-    /// milliseconds. Returns 0 when nothing completed.
-    pub fn latency_percentile_ms(&self, p: f64) -> f64 {
-        if self.latencies_ns.is_empty() {
-            return 0.0;
-        }
-        let mut sorted = self.latencies_ns.clone();
-        sorted.sort_unstable();
-        let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-        sorted[rank.clamp(1, sorted.len()) - 1] as f64 / 1e6
-    }
-}
-
 /// Per-session progress: the sequence number currently being worked on and
 /// when it was first issued (for client-observed latency).
 struct SessionState {
@@ -366,10 +352,5 @@ impl<E: MessageEndpoint<ServiceMessage>> ClientHub<E> {
             // Anything else (gossip that leaked to a client id) is noise.
             _ => {}
         }
-    }
-
-    /// Dissolves the hub, returning its endpoint.
-    pub fn into_endpoint(self) -> E {
-        self.endpoint
     }
 }

@@ -103,9 +103,6 @@ pub struct ClusterConfig {
     /// `docs/OBSERVABILITY.md`) and traces protocol events into per-shard
     /// rings drainable via [`Cluster::drain_trace`].
     pub observability: Option<Registry>,
-    /// Capacity of each shard's protocol-event trace ring (only used when
-    /// `observability` is set).
-    pub trace_capacity: usize,
 }
 
 impl ClusterConfig {
@@ -119,7 +116,6 @@ impl ClusterConfig {
             mesh_seed: 42,
             links: LinkSpec::perfect(),
             observability: None,
-            trace_capacity: 4096,
         }
     }
 
@@ -155,12 +151,6 @@ impl ClusterConfig {
     /// traced into per-shard rings.
     pub fn with_observability(mut self, registry: Registry) -> Self {
         self.observability = Some(registry);
-        self
-    }
-
-    /// Replaces the per-shard trace-ring capacity (default 4096 events).
-    pub fn with_trace_capacity(mut self, capacity: usize) -> Self {
-        self.trace_capacity = capacity;
         self
     }
 }
@@ -658,6 +648,9 @@ pub struct Cluster {
     obs: Option<ClusterObs>,
 }
 
+/// Capacity, in records, of each shard's protocol-event trace ring.
+const TRACE_CAPACITY: usize = 4096;
+
 /// The cluster-level observability state, present when
 /// [`ClusterConfig::with_observability`] was used.
 struct ClusterObs {
@@ -788,7 +781,7 @@ impl Cluster {
             ClusterObs {
                 registry: registry.clone(),
                 rings: (0..workers)
-                    .map(|_| TraceRing::new(options.trace_capacity))
+                    .map(|_| TraceRing::new(TRACE_CAPACITY))
                     .collect(),
                 clock: WallClock::from_start(start),
             }

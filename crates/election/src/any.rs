@@ -1,32 +1,65 @@
-//! Enum dispatch over the three elector implementations.
+//! The one elector: Ωid, Ωlc and Ωl as three rules over the same state.
 //!
-//! The service selects an algorithm at group-join time (the paper lets the
-//! user pick between S2's Ωlc and S3's Ωl; S1's Ωid is kept as the baseline
-//! used in the evaluation). [`AnyElector`] lets the service hold whichever
-//! was selected without boxing.
+//! The paper's services share one Leader Election module (Figure 2) and
+//! differ in three decisions, each a branch on [`ElectorKind`] here:
+//!
+//! * **The rank key.** Ωid (S1, Section 6.2) elects the smallest identifier
+//!   among the candidates it currently hears, plus itself if it is one. It
+//!   is deliberately *unstable*: a smaller id that (re)joins demotes a
+//!   perfectly functional leader, about six times an hour under the paper's
+//!   crash/recovery workload (Figure 3). Ωlc and Ωl rank by
+//!   `(accusation time, id)` instead ([`Rank`]): each process advertises
+//!   the last time it was validly accused of having crashed (initially its
+//!   join time), so a long-lived leader is never out-ranked by a rejoining
+//!   process.
+//! * **Local-leader forwarding (Ωlc, S2, Section 6.3).** A process picks a
+//!   *local* leader among the processes it hears directly and advertises it
+//!   in its ALIVEs; its *global* leader is the best local leader claimed by
+//!   any process it trusts. If the link from the leader to p crashes, p
+//!   keeps following the leader through the others' claims — this is what
+//!   keeps S2's availability at 98.8 % when every link crashes once a
+//!   minute (Figure 7). Every candidate keeps sending, so messages are
+//!   quadratic in the group size (Figure 6).
+//! * **Voluntary withdrawal (Ωl, S3, Section 6.4).** A candidate that hears
+//!   a better-ranked one directly stops sending ALIVEs, and re-enters when
+//!   none is visible any more (e.g. the leader crashed). Eventually only the
+//!   leader sends, so messages are linear in the group size (Figure 6). The
+//!   others will suspect a withdrawn process; every withdrawal and re-entry
+//!   advances its accusation *epoch*, and an accusation counts only if it
+//!   names the current epoch and arrives while the process is competing, so
+//!   suspicions of a voluntary silence never raise its accusation time.
 
 use sle_sim::actor::NodeId;
 use sle_sim::time::SimInstant;
 
-use crate::elector::LeaderElector;
-use crate::omega_id::OmegaId;
-use crate::omega_l::OmegaL;
-use crate::omega_lc::OmegaLc;
-use crate::types::{AlivePayload, ElectorKind};
+use crate::elector::{LeaderElector, PeerTable};
+use crate::types::{AlivePayload, ElectorKind, LeaderClaim, Rank};
 
-/// One of the three leader-election algorithms, selected at runtime.
+/// The leader-election state of one node in one group, running the
+/// algorithm `kind` selects.
 #[derive(Debug, Clone)]
-pub enum AnyElector {
-    /// The Ωid baseline (service S1).
-    OmegaId(OmegaId),
-    /// The link-crash tolerant Ωlc (service S2).
-    OmegaLc(OmegaLc),
-    /// The communication-efficient Ωl (service S3).
-    OmegaL(OmegaL),
+pub struct AnyElector {
+    kind: ElectorKind,
+    me: NodeId,
+    candidate: bool,
+    /// The last time this node was validly accused (initially its join
+    /// time). Ωid never accuses, so there it stays the join time.
+    accusation_time: SimInstant,
+    /// Accusations are honoured only when they name this epoch. Always 0
+    /// under Ωid.
+    epoch: u64,
+    /// Whether this node competes, i.e. sends ALIVEs. Equal to `candidate`
+    /// except under Ωl, where a candidate withdraws while it hears a
+    /// better-ranked one.
+    active: bool,
+    peers: PeerTable,
 }
 
 impl AnyElector {
-    /// Builds an elector of the requested kind for node `me`.
+    /// Builds an elector of the requested kind for node `me`, which is a
+    /// leadership candidate iff `candidate` is true, starting (joining the
+    /// group) at `now`. The initial accusation time is the join time, so
+    /// the processes that have been members the longest rank best.
     pub fn new(kind: ElectorKind, me: NodeId, candidate: bool, now: SimInstant) -> Self {
         Self::new_with_epoch(kind, me, candidate, now, 0)
     }
@@ -35,10 +68,12 @@ impl AnyElector {
     /// at `epoch` instead of 0.
     ///
     /// This is the constructor for *recreating* an elector mid-life (a
-    /// listener upgrading to candidate, the last local candidate leaving):
-    /// passing an epoch above every value the previous elector advertised
-    /// keeps replayed accusations from its earlier life stale. Ωid has no
-    /// epoch mechanism, so the floor is ignored there.
+    /// listener upgrading to candidate, the last local candidate leaving).
+    /// Accusations are honoured by exact epoch match, so the caller must
+    /// pass an epoch above every value the previous elector advertised:
+    /// resetting to 0 would make an epoch of the previous life current
+    /// again and let a delayed or duplicated old ACCUSE demote the node.
+    /// Ωid has no epoch mechanism, so the floor is ignored there.
     pub fn new_with_epoch(
         kind: ElectorKind,
         me: NodeId,
@@ -46,91 +81,190 @@ impl AnyElector {
         now: SimInstant,
         epoch: u64,
     ) -> Self {
-        match kind {
-            ElectorKind::OmegaId => AnyElector::OmegaId(OmegaId::new(me, candidate, now)),
-            ElectorKind::OmegaLc => {
-                AnyElector::OmegaLc(OmegaLc::new_with_epoch(me, candidate, now, epoch))
-            }
-            ElectorKind::OmegaL => {
-                AnyElector::OmegaL(OmegaL::new_with_epoch(me, candidate, now, epoch))
-            }
+        AnyElector {
+            kind,
+            me,
+            candidate,
+            accusation_time: now,
+            epoch: if kind == ElectorKind::OmegaId {
+                0
+            } else {
+                epoch
+            },
+            active: candidate,
+            peers: PeerTable::new(),
         }
     }
 
-    fn inner(&self) -> &dyn LeaderElector {
-        match self {
-            AnyElector::OmegaId(e) => e,
-            AnyElector::OmegaLc(e) => e,
-            AnyElector::OmegaL(e) => e,
-        }
+    fn my_rank(&self) -> Rank {
+        Rank::new(self.accusation_time, self.me)
     }
 
-    fn inner_mut(&mut self) -> &mut dyn LeaderElector {
-        match self {
-            AnyElector::OmegaId(e) => e,
-            AnyElector::OmegaLc(e) => e,
-            AnyElector::OmegaL(e) => e,
+    /// The best-ranked of the peers heard directly and, while it competes,
+    /// this node: Ωlc's first stage, and Ωl's leader.
+    fn local_leader(&self) -> Option<Rank> {
+        let own = self.active.then(|| self.my_rank());
+        self.peers.best_trusted_rank().into_iter().chain(own).min()
+    }
+
+    /// Ωl only: withdraws while a better-ranked candidate is heard, and
+    /// re-enters once none is, advancing the epoch either way so that the
+    /// suspicions a withdrawal provokes carry a stale epoch.
+    fn reevaluate(&mut self) {
+        if self.kind != ElectorKind::OmegaL || !self.candidate {
+            return;
+        }
+        let better_exists = self
+            .peers
+            .best_trusted_rank()
+            .is_some_and(|best| best < self.my_rank());
+        if self.active == better_exists {
+            self.active = !better_exists;
+            self.epoch += 1;
         }
     }
 }
 
 impl LeaderElector for AnyElector {
     fn kind(&self) -> ElectorKind {
-        self.inner().kind()
+        self.kind
     }
 
     fn id(&self) -> NodeId {
-        self.inner().id()
+        self.me
     }
 
     fn is_candidate(&self) -> bool {
-        self.inner().is_candidate()
+        self.candidate
     }
 
     fn is_competing(&self) -> bool {
-        self.inner().is_competing()
+        self.active
     }
 
     fn accusation_time(&self) -> SimInstant {
-        self.inner().accusation_time()
+        self.accusation_time
     }
 
     fn epoch(&self) -> u64 {
-        self.inner().epoch()
+        self.epoch
     }
 
     fn leader(&self) -> Option<NodeId> {
-        self.inner().leader()
+        match self.kind {
+            ElectorKind::OmegaId => {
+                let own = self.active.then_some(self.me);
+                self.peers.trusted().map(|(id, _)| id).chain(own).min()
+            }
+            // Second stage: the best of the local leaders trusted peers
+            // claim and this node's own.
+            ElectorKind::OmegaLc => self
+                .peers
+                .trusted()
+                .filter_map(|(_, state)| state.payload.local_leader)
+                .map(|claim| claim.rank())
+                .chain(self.local_leader())
+                .min()
+                .map(|rank| rank.id),
+            ElectorKind::OmegaL => self.local_leader().map(|rank| rank.id),
+        }
     }
 
     fn alive_payload(&self) -> AlivePayload {
-        self.inner().alive_payload()
+        let claim = |rank: Rank| LeaderClaim {
+            node: rank.id,
+            accusation_time: rank.accusation_time,
+        };
+        AlivePayload {
+            accusation_time: self.accusation_time,
+            epoch: self.epoch,
+            local_leader: match self.kind {
+                ElectorKind::OmegaLc => self.local_leader().map(claim),
+                ElectorKind::OmegaId | ElectorKind::OmegaL => None,
+            },
+        }
     }
 
-    fn on_alive(&mut self, from: NodeId, payload: AlivePayload, now: SimInstant) {
-        self.inner_mut().on_alive(from, payload, now);
+    fn on_alive(&mut self, from: NodeId, payload: AlivePayload, _now: SimInstant) {
+        self.peers.record_alive(from, payload);
+        self.reevaluate();
     }
 
     fn on_accusation(&mut self, epoch: u64, now: SimInstant) {
-        self.inner_mut().on_accusation(epoch, now);
+        // An accusation counts once per epoch: one suspicion episode seen by
+        // many processes costs the accused at most one demotion. Under Ωl it
+        // counts only while competing, so a voluntary silence costs nothing.
+        let honoured = match self.kind {
+            ElectorKind::OmegaId => false,
+            ElectorKind::OmegaLc => epoch == self.epoch,
+            ElectorKind::OmegaL => self.active && epoch == self.epoch,
+        };
+        if honoured {
+            self.accusation_time = now;
+            self.epoch += 1;
+            self.reevaluate();
+        }
     }
 
-    fn on_trust(&mut self, peer: NodeId, now: SimInstant) {
-        self.inner_mut().on_trust(peer, now);
+    fn on_trust(&mut self, peer: NodeId, _now: SimInstant) {
+        self.peers.mark_trusted(peer);
+        self.reevaluate();
     }
 
-    fn on_suspect(&mut self, peer: NodeId, now: SimInstant) -> Option<u64> {
-        self.inner_mut().on_suspect(peer, now)
+    fn on_suspect(&mut self, peer: NodeId, _now: SimInstant) -> Option<u64> {
+        let accuse_at = self.peers.mark_suspected(peer);
+        self.reevaluate();
+        // Ωid ranks by id alone: an accusation could change nothing.
+        accuse_at.filter(|_| self.kind != ElectorKind::OmegaId)
     }
 
-    fn remove_peer(&mut self, peer: NodeId, now: SimInstant) {
-        self.inner_mut().remove_peer(peer, now);
+    fn remove_peer(&mut self, peer: NodeId, _now: SimInstant) {
+        self.peers.remove(peer);
+        self.reevaluate();
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use sle_sim::time::SimDuration;
+    use ElectorKind::{OmegaId, OmegaL, OmegaLc};
+
+    pub(crate) fn secs(s: u64) -> SimInstant {
+        SimInstant::ZERO + SimDuration::from_secs(s)
+    }
+
+    pub(crate) fn payload(
+        acc: SimInstant,
+        epoch: u64,
+        claim: Option<(NodeId, SimInstant)>,
+    ) -> AlivePayload {
+        AlivePayload {
+            accusation_time: acc,
+            epoch,
+            local_leader: claim.map(|(node, at)| LeaderClaim {
+                node,
+                accusation_time: at,
+            }),
+        }
+    }
+
+    /// One round of the service's behaviour: every *competing* elector's
+    /// payload is delivered to every other elector (under Ωid and Ωlc every
+    /// candidate competes).
+    pub(crate) fn exchange(electors: &mut [AnyElector], now: SimInstant) {
+        let payloads: Vec<(NodeId, AlivePayload, bool)> = electors
+            .iter()
+            .map(|e| (e.id(), e.alive_payload(), e.is_competing()))
+            .collect();
+        for elector in electors.iter_mut() {
+            for &(from, p, competing) in &payloads {
+                if competing && from != elector.id() {
+                    elector.on_alive(from, p, now);
+                }
+            }
+        }
+    }
 
     #[test]
     fn builds_the_requested_kind() {
@@ -144,7 +278,7 @@ mod tests {
 
     #[test]
     fn epoch_floor_keeps_replayed_accusations_stale() {
-        for kind in [ElectorKind::OmegaLc, ElectorKind::OmegaL] {
+        for kind in [OmegaLc, OmegaL] {
             let mut elector =
                 AnyElector::new_with_epoch(kind, NodeId(1), true, SimInstant::ZERO, 7);
             assert_eq!(elector.epoch(), 7);
@@ -161,22 +295,17 @@ mod tests {
             assert!(elector.epoch() > 7);
         }
         // Ωid has no epochs; the floor is ignored.
-        let elector =
-            AnyElector::new_with_epoch(ElectorKind::OmegaId, NodeId(1), true, SimInstant::ZERO, 7);
+        let elector = AnyElector::new_with_epoch(OmegaId, NodeId(1), true, SimInstant::ZERO, 7);
         assert_eq!(elector.epoch(), 0);
     }
 
     #[test]
     fn dispatch_reaches_the_inner_elector() {
-        let mut elector = AnyElector::new(ElectorKind::OmegaLc, NodeId(2), true, SimInstant::ZERO);
+        let mut elector = AnyElector::new(OmegaLc, NodeId(2), true, SimInstant::ZERO);
         assert_eq!(elector.leader(), Some(NodeId(2)));
         elector.on_alive(
             NodeId(1),
-            AlivePayload {
-                accusation_time: SimInstant::ZERO,
-                epoch: 0,
-                local_leader: None,
-            },
+            payload(SimInstant::ZERO, 0, None),
             SimInstant::ZERO,
         );
         // Same accusation time: smaller id wins.
@@ -192,5 +321,53 @@ mod tests {
         let _ = elector.alive_payload();
         assert!(elector.is_competing());
         let _ = elector.accusation_time();
+    }
+
+    /// Pins every branch on the kind, one row per algorithm.
+    #[test]
+    fn each_kind_applies_only_its_own_rules() {
+        // (kind, payload carries a claim, accuses a suspected peer at,
+        //  epoch after a floor of 7 and an accusation at it, honours an
+        //  accusation at its epoch after hearing a better candidate, and
+        //  as a non-candidate)
+        let table = [
+            (OmegaId, false, None, 0, false, false),
+            (OmegaLc, true, Some(3), 8, true, true),
+            (OmegaL, false, Some(3), 8, false, false),
+        ];
+        assert_eq!(table.map(|row| row.0), ElectorKind::all());
+        for (kind, claims, accuses, epoch, honours_outranked, honours_listener) in table {
+            let mut elector = AnyElector::new(kind, NodeId(2), true, secs(0));
+            assert_eq!(
+                elector.alive_payload().local_leader.is_some(),
+                claims,
+                "{kind}"
+            );
+            elector.on_alive(NodeId(5), payload(secs(1), 3, None), secs(1));
+            assert_eq!(elector.on_suspect(NodeId(5), secs(2)), accuses, "{kind}");
+
+            let mut elector = AnyElector::new_with_epoch(kind, NodeId(2), true, secs(0), 7);
+            elector.on_accusation(elector.epoch(), secs(3));
+            assert_eq!(elector.epoch(), epoch, "{kind}");
+
+            // Node 1 joined earlier: Ωl withdraws, the others keep sending.
+            let mut elector = AnyElector::new(kind, NodeId(3), true, secs(10));
+            elector.on_alive(NodeId(1), payload(secs(0), 0, None), secs(11));
+            assert_eq!(elector.is_competing(), kind != OmegaL, "{kind}");
+            elector.on_accusation(elector.epoch(), secs(12));
+            assert_eq!(
+                elector.accusation_time() == secs(12),
+                honours_outranked,
+                "{kind}"
+            );
+
+            let mut listener = AnyElector::new(kind, NodeId(9), false, secs(0));
+            listener.on_accusation(0, secs(4));
+            assert_eq!(
+                listener.accusation_time() == secs(4),
+                honours_listener,
+                "{kind}"
+            );
+        }
     }
 }

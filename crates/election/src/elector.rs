@@ -1,5 +1,5 @@
-//! The interface every leader-election algorithm implements, plus the peer
-//! bookkeeping they all share.
+//! The interface between the service and its elector, plus the elector's
+//! peer bookkeeping.
 //!
 //! An elector instance lives at one service node, for one group. It is
 //! driven entirely by the service layer: ALIVE payloads and accusations it
@@ -15,11 +15,8 @@ use sle_sim::time::SimInstant;
 
 use crate::types::{AlivePayload, ElectorKind, Rank};
 
-/// Leader-election algorithm driven by the service layer.
-///
-/// Implementations: [`OmegaId`](crate::omega_id::OmegaId) (S1),
-/// [`OmegaLc`](crate::omega_lc::OmegaLc) (S2) and
-/// [`OmegaL`](crate::omega_l::OmegaL) (S3).
+/// Leader-election algorithm driven by the service layer, implemented by
+/// [`AnyElector`](crate::any::AnyElector) for all three kinds.
 pub trait LeaderElector {
     /// Which algorithm this is.
     fn kind(&self) -> ElectorKind;

@@ -14,7 +14,6 @@ use std::time::Duration;
 
 use sle_sim::actor::NodeId;
 use sle_sim::rng::SimRng;
-use sle_sim::time::SimDuration;
 
 use crate::link::LinkSpec;
 use crate::mailbox::MailboxSender;
@@ -162,11 +161,10 @@ impl<M: Send + 'static> InMemoryMesh<M> {
         Self::with_links(n, LinkSpec::perfect(), 0)
     }
 
-    /// Creates a mesh whose links follow `spec` (losses are applied at send
-    /// time; delays are applied by the *sender* sleeping is deliberately NOT
-    /// done — instead delayed delivery is approximated by dropping only,
-    /// since blocking a sender would distort the caller's timing. Delay
-    /// injection in real time is the responsibility of the runtime driver).
+    /// Creates a mesh whose links drop messages with `spec`'s loss
+    /// probability, drawn at send time from a lottery seeded with `seed`.
+    /// The mesh does not delay messages: a sender that slept would distort
+    /// its caller's timing, so `spec`'s delays are ignored.
     pub fn with_links(n: usize, spec: LinkSpec, seed: u64) -> Self {
         let mut routes = Vec::with_capacity(n);
         let mut receivers = Vec::with_capacity(n);
@@ -271,12 +269,6 @@ impl<M: Send + 'static> Endpoint<M> {
         self.receiver.try_recv().ok()
     }
 
-    /// The nominal delay of the mesh links (provided for runtimes that want
-    /// to emulate latency by deferring the handling of received messages).
-    pub fn nominal_delay(&self) -> SimDuration {
-        self.shared.loss.mean_delay()
-    }
-
     /// Routes all future deliveries for this endpoint straight into `sink`
     /// (see [`MessageEndpoint::set_delivery_sink`]); anything already queued
     /// moves into the sink too.
@@ -322,6 +314,7 @@ impl<M: Send + 'static> MessageEndpoint<M> for Endpoint<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sle_sim::time::SimDuration;
 
     #[test]
     fn mesh_routes_between_endpoints() {

@@ -104,12 +104,6 @@ impl Registry {
             .insert(name.to_string(), Metric::Gauge(gauge.clone()));
     }
 
-    /// Registers an existing histogram handle under `name` (last bind wins).
-    pub fn bind_histogram(&self, name: &str, histogram: &Histogram) {
-        self.lock()
-            .insert(name.to_string(), Metric::Histogram(histogram.clone()));
-    }
-
     /// Number of registered metrics.
     pub fn len(&self) -> usize {
         self.lock().len()

@@ -144,12 +144,6 @@ impl SimRng {
         let u: f64 = 1.0 - self.uniform_f64();
         SimDuration::from_secs_f64(-mean.as_secs_f64() * u.ln())
     }
-
-    /// Samples an exponentially distributed duration with mean given in
-    /// fractional seconds.
-    pub fn exponential_secs(&mut self, mean_secs: f64) -> SimDuration {
-        self.exponential(SimDuration::from_secs_f64(mean_secs))
-    }
 }
 
 #[cfg(test)]

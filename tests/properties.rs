@@ -7,7 +7,7 @@
 //! (seeded per test), so every run checks the same cases and failures are
 //! reproducible without any external property-testing framework.
 
-use sle_election::{AlivePayload, LeaderElector, OmegaL, OmegaLc, Rank};
+use sle_election::{AlivePayload, AnyElector, ElectorKind, LeaderElector, Rank};
 use sle_fd::config::params_meet_qos;
 use sle_fd::{
     configure, FailureDetector, LinkQuality, LinkQualityEstimator, QosSpec, TuningPolicy,
@@ -138,13 +138,13 @@ fn later_joiners_never_outrank_incumbents() {
         let gap_ms = 1 + rng.next_u64() % 100_000;
         let t0 = SimInstant::ZERO;
         let t1 = t0 + SimDuration::from_millis(gap_ms);
-        let incumbent_lc = OmegaLc::new(NodeId(incumbent_id), true, t0);
-        let mut joiner_lc = OmegaLc::new(NodeId(joiner_id), true, t1);
+        let incumbent_lc = AnyElector::new(ElectorKind::OmegaLc, NodeId(incumbent_id), true, t0);
+        let mut joiner_lc = AnyElector::new(ElectorKind::OmegaLc, NodeId(joiner_id), true, t1);
         joiner_lc.on_alive(NodeId(incumbent_id), incumbent_lc.alive_payload(), t1);
         assert_eq!(joiner_lc.leader(), Some(NodeId(incumbent_id)));
 
-        let incumbent_l = OmegaL::new(NodeId(incumbent_id), true, t0);
-        let mut joiner_l = OmegaL::new(NodeId(joiner_id), true, t1);
+        let incumbent_l = AnyElector::new(ElectorKind::OmegaL, NodeId(incumbent_id), true, t0);
+        let mut joiner_l = AnyElector::new(ElectorKind::OmegaL, NodeId(joiner_id), true, t1);
         joiner_l.on_alive(NodeId(incumbent_id), incumbent_l.alive_payload(), t1);
         assert_eq!(joiner_l.leader(), Some(NodeId(incumbent_id)));
         assert!(!joiner_l.is_competing(), "the later joiner must withdraw");
@@ -159,7 +159,7 @@ fn stale_accusations_are_ignored() {
     for _ in 0..CASES {
         let epoch = 1 + rng.next_u64() % 999;
         let at_ms = rng.next_u64() % 10_000;
-        let mut elector = OmegaLc::new(NodeId(1), true, SimInstant::ZERO);
+        let mut elector = AnyElector::new(ElectorKind::OmegaLc, NodeId(1), true, SimInstant::ZERO);
         let before = elector.accusation_time();
         // Any epoch other than the current one (0) must be ignored.
         elector.on_accusation(epoch, instant(at_ms * 1_000_000));
