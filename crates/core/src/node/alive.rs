@@ -36,8 +36,13 @@ pub(super) struct PeerAlive {
     pub(super) heard: SimInstant,
 }
 
+/// What one destination is sent of a grid's group: the entry's index, and
+/// the η that group's monitor asks of the destination.
+type Pick = (u32, SimDuration);
+
 /// One send grid of the cached ALIVE plan: groups that fan out together
-/// (same due time, same interval), with what each destination gets.
+/// (same due time, same interval), with what each destination gets. Every
+/// vector is sized exactly: the plan lives from one rebuild to the next.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub(super) struct AliveGrid {
     due: SimInstant,
@@ -48,9 +53,12 @@ pub(super) struct AliveGrid {
     /// holds no lease yet, the settle-delayed mint are time-driven for these
     /// alone.
     led: Vec<GroupId>,
-    /// `(destination, its peer slot, entries in ascending group id)`, in
+    /// One entry per group this node sends for, in ascending group id, with
+    /// everything but `requested_interval`: that one is per destination.
+    entries: Vec<GroupAlive>,
+    /// `(destination, its peer slot, picks in ascending group id)`, in
     /// ascending destination id.
-    sends: Vec<(NodeId, u32, Vec<GroupAlive>)>,
+    sends: Vec<(NodeId, u32, Vec<Pick>)>,
 }
 
 impl ServiceNode {
@@ -67,10 +75,12 @@ impl ServiceNode {
     /// Builds the ALIVE plan from scratch: groups partitioned into grids by
     /// `(due time, send interval)`, and per grid what each member workstation
     /// of a group this node competes in is sent. Groups are visited in
-    /// ascending id, so every destination's entries are too.
+    /// ascending id, so every destination's picks are too.
     fn build_alive_grids(&mut self) -> Vec<AliveGrid> {
         let me = self.config.node;
         let mut grids: Vec<AliveGrid> = Vec::new();
+        // Per grid, `(destination, peer slot, pick)` in visit order.
+        let mut picks: Vec<Vec<(NodeId, u32, Pick)>> = Vec::new();
         for (group, gslot) in self.groups.index.iter() {
             let group = GroupId(group);
             let due = self.groups.due[gslot as usize];
@@ -85,6 +95,7 @@ impl ServiceNode {
                         interval,
                         ..AliveGrid::default()
                     });
+                    picks.push(Vec::new());
                     grids.len() - 1
                 });
             let grid = &mut grids[at];
@@ -95,31 +106,38 @@ impl ServiceNode {
             if !state.should_send_alives() {
                 continue;
             }
-            let payload = state.elector.alive_payload();
-            let representative = state
-                .local_representative(me)
-                .unwrap_or_else(|| ProcessId::new(me, 0));
+            let entry = grid.entries.len() as u32;
+            grid.entries.push(GroupAlive {
+                group,
+                sending_interval: interval,
+                requested_interval: SimDuration::ZERO,
+                payload: state.elector.alive_payload(),
+                representative: (state.local_representative(me))
+                    .unwrap_or_else(|| ProcessId::new(me, 0)),
+            });
+            let asked = state.fd.qos().detection_time().mul_f64(0.25);
             for member in state.members.iter() {
                 let dest = member.peer;
-                let entry = GroupAlive {
-                    group,
-                    sending_interval: interval,
-                    requested_interval: state
-                        .fd
-                        .requested_interval(dest)
-                        .unwrap_or_else(|| state.fd.qos().detection_time().mul_f64(0.25)),
-                    payload,
-                    representative,
-                };
-                match grid.sends.binary_search_by_key(&dest, |send| send.0) {
-                    Ok(i) => grid.sends[i].2.push(entry),
-                    Err(i) => {
-                        let pslot = self.peers.intern(dest) as u32;
-                        grid.sends.insert(i, (dest, pslot, vec![entry]));
-                    }
-                }
+                let eta = state.fd.requested_interval(dest).unwrap_or(asked);
+                let pslot = self.peers.intern(dest) as u32;
+                picks[at].push((dest, pslot, (entry, eta)));
             }
         }
+        for (grid, mut picks) in grids.iter_mut().zip(picks) {
+            // Stable: each destination's picks stay in ascending group id.
+            picks.sort_by_key(|pick| pick.0);
+            let runs = picks.chunk_by(|a, b| a.0 == b.0);
+            grid.sends = Vec::with_capacity(runs.clone().count());
+            for run in runs {
+                let (dest, pslot, ..) = run[0];
+                let picked = run.iter().map(|&(.., pick)| pick).collect();
+                grid.sends.push((dest, pslot, picked));
+            }
+            grid.groups.shrink_to_fit();
+            grid.led.shrink_to_fit();
+            grid.entries.shrink_to_fit();
+        }
+        grids.shrink_to_fit();
         grids
     }
 
@@ -155,22 +173,28 @@ impl ServiceNode {
         }
         // Destinations in ascending peer id (each grid's already are), so
         // the fan-out order stays deterministic.
-        let mut sends: Vec<_> = grids.iter().filter(due).flat_map(|g| &g.sends).collect();
-        sends.sort_by_key(|send| send.0);
+        let mut sends: Vec<_> = (grids.iter().filter(due))
+            .flat_map(|grid| grid.sends.iter().map(move |send| (grid, send)))
+            .collect();
+        sends.sort_by_key(|(_, send)| send.0);
         let mut rest = sends.as_slice();
         let (mut payloads, mut datagrams) = (0, 0);
-        while let Some((&&(dest, pslot, ref first), others)) = rest.split_first() {
-            let shared = others.iter().take_while(|send| send.0 == dest).count();
-            let mut alives = first.clone();
-            for send in &others[..shared] {
-                alives.extend_from_slice(&send.2);
+        while let Some(&(_, &(dest, pslot, _))) = rest.first() {
+            let shared = rest.iter().take_while(|(_, send)| send.0 == dest).count();
+            let (mine, others) = rest.split_at(shared);
+            let mut alives = Vec::with_capacity(mine.iter().map(|(_, send)| send.2.len()).sum());
+            for &(grid, send) in mine {
+                alives.extend(send.2.iter().map(|&(entry, eta)| GroupAlive {
+                    requested_interval: eta,
+                    ..grid.entries[entry as usize].clone()
+                }));
             }
-            if shared > 0 {
+            if shared > 1 {
                 alives.sort_by_key(|alive| alive.group);
             }
             payloads += alives.len() as u64;
             datagrams += self.flush_alives(dest, pslot as usize, alives, now, ctx);
-            rest = &others[shared..];
+            rest = others;
         }
         // Counted once per tick: every count is an atomic add.
         self.counts[NodeCount::AlivePayloadsSent].add(payloads);
@@ -284,10 +308,21 @@ impl ServiceNode {
         self.counts[NodeCount::AliveApplied].inc();
         peer.alive.resync = false;
         (peer.fd.wake, peer.gossip.wake) = (None, None);
-        // Every monitor and member entry the old batch vouched for keeps
-        // what the stamp bought it, and the stamp restarts: a group the new
-        // batch drops then ages out on its own horizon.
-        for dropped in std::mem::take(&mut peer.alive.batch) {
+        // The stamp restarts: a group the new batch drops then ages out on
+        // its own horizon.
+        self.drop_alive_batch(from, slot, heard);
+        self.peers.stamp(slot, sent_at, true);
+        for alive in &alives {
+            self.apply_group_alive(from, slot, incarnation, seq, sent_at, alive, ctx);
+        }
+        self.peers[slot].alive.batch = alives;
+    }
+
+    /// Drops the batch last applied from `from` (peer slot `slot`), whose
+    /// datagram before the latest arrived at `heard`: every monitor and
+    /// member entry it vouched for keeps what the stamp bought it.
+    fn drop_alive_batch(&mut self, from: NodeId, slot: usize, heard: SimInstant) {
+        for dropped in std::mem::take(&mut self.peers[slot].alive.batch) {
             if let Some(state) = self.groups.get_mut(dropped.group) {
                 state.fd.unvouch(&self.peers, from);
                 if let Some(member) = state.members.get_mut(from) {
@@ -295,11 +330,26 @@ impl ServiceNode {
                 }
             }
         }
-        self.peers.stamp(slot, sent_at, true);
-        for alive in &alives {
-            self.apply_group_alive(from, slot, incarnation, seq, sent_at, alive, ctx);
+    }
+
+    /// Frees the batch last applied from `from` (peer slot `slot`) once no
+    /// group it lists trusts the sender. With `resync` set the next datagram
+    /// takes the full path whatever it repeats, which would drop the batch
+    /// anyway: it is dropped now, with the same folds, instead of held until
+    /// a datagram that may never come (an Ω_l follower that withdrew). Both
+    /// cached wakes of the peer stay exact: a monitor that does not trust
+    /// the peer has no deadline, and each member entry's folded `last_heard`
+    /// is what the member wake read off the unchanged ALIVE stamp.
+    pub(super) fn release_stale_batch(&mut self, from: NodeId, slot: usize) {
+        let alive = &self.peers[slot].alive;
+        let trusted = |entry: &GroupAlive| {
+            (self.groups.get(entry.group)).is_some_and(|state| state.fd.is_trusted(from))
+        };
+        if !alive.resync || alive.batch.is_empty() || alive.batch.iter().any(trusted) {
+            return;
         }
-        self.peers[slot].alive.batch = alives;
+        self.drop_alive_batch(from, slot, alive.heard);
+        self.counts[NodeCount::AliveBatchesReleased].inc();
     }
 
     /// Node-level accounting of one incoming ALIVE datagram, before the

@@ -165,6 +165,7 @@ impl ServiceNode {
         entry.groups = groups;
         entry.wake = Some(wake);
         self.arm_fd_timer(peer, pslot, wake.at(stamp), ctx);
+        self.release_stale_batch(peer, pslot);
         // `groups` is ascending, so each list is too.
         while !accusations.is_empty() {
             let rest = accusations.split_off(accusations.len().min(MAX_ACCUSATIONS));

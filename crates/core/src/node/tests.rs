@@ -1208,6 +1208,154 @@ fn a_zero_interval_request_is_served_at_the_floor() {
     );
 }
 
+#[test]
+fn each_destination_is_asked_for_its_own_interval_in_ascending_groups() {
+    // Three groups at T_D 1, 2 and 4 s. Node 1 is a candidate whose batch
+    // gave it a monitor in each; node 2 a listener, which no monitor
+    // watches, so it is asked for a quarter of each group's T_D. The plan
+    // holds each group's entry once: the η must still be per destination.
+    let (candidate, listener) = (NodeId(1), NodeId(2));
+    let groups = [GroupId(1), GroupId(2), GroupId(3)];
+    let qos = |group: GroupId| {
+        let t_d = SimDuration::from_secs(1 << (group.0 - 1));
+        sle_fd::QosSpec::paper_default_with_detection(t_d)
+    };
+    let mut config = ServiceConfig::full_mesh(NodeId(0), 3, ElectorKind::OmegaLc);
+    for group in groups {
+        config = config.with_auto_join(group, JoinConfig::candidate().with_qos(qos(group)));
+    }
+    let mut drive = TimerDrive::start(config);
+    let heard = SimInstant::from_nanos(10_000_000);
+    drive.run_to(heard);
+    let eta = SimDuration::from_millis(250);
+    let entry = |group| GroupAlive {
+        group,
+        sending_interval: eta,
+        requested_interval: eta,
+        payload: sle_election::AlivePayload {
+            accusation_time: SimInstant::ZERO,
+            epoch: 0,
+            local_leader: None,
+        },
+        representative: ProcessId::new(candidate, 0),
+    };
+    let batch = ServiceMessage::AliveBatch {
+        incarnation: 1,
+        seq: 0,
+        sent_at: heard,
+        alives: groups.map(entry).to_vec(),
+    };
+    let listing = |group| GroupAnnouncement {
+        group,
+        processes: vec![(ProcessId::new(listener, 0), false)],
+    };
+    let hello = ServiceMessage::Hello {
+        incarnation: 1,
+        version: 1,
+        sent_at: heard,
+        pull: false,
+        announcements: HelloList::Full(groups.map(listing).into()),
+    };
+    for (from, msg) in [(candidate, batch), (listener, hello)] {
+        let mut ctx = at(heard);
+        drive.node.on_message(from, msg, &mut ctx);
+        drive.settle(ctx);
+    }
+    let end = heard + SimDuration::from_secs(1);
+    let sends = drive.run_to(end).expect("within the step budget");
+    let node = &drive.node;
+    let monitored = |group| node.fd_params_of(group, candidate).expect("monitored");
+    let quarter = |group| qos(group).detection_time().mul_f64(0.25);
+    let wanted = [
+        (candidate, groups.map(|g| (g, monitored(g).interval))),
+        (listener, groups.map(|g| (g, quarter(g)))),
+    ];
+    assert!((groups.iter()).all(|&g| node.fd_params_of(g, listener).is_none()));
+    assert_ne!(wanted[0].1, wanted[1].1, "the two destinations ask alike");
+    for (dest, wanted) in wanted {
+        let mut seen = BTreeMap::new();
+        for (_, msg) in sends.iter().filter(|(to, _)| *to == dest) {
+            let asked: Vec<_> = match msg {
+                ServiceMessage::Alive { group, header, .. } => {
+                    vec![(*group, header.requested_interval)]
+                }
+                ServiceMessage::AliveBatch { alives, .. } => (alives.iter())
+                    .map(|alive| (alive.group, alive.requested_interval))
+                    .collect(),
+                _ => continue,
+            };
+            let ascending = asked.is_sorted_by_key(|&(group, _)| group);
+            assert!(ascending, "to {dest}: {asked:?}");
+            for (group, interval) in asked {
+                let want = (wanted.iter()).find(|w| w.0 == group).expect("joined");
+                assert_eq!(interval, want.1, "to {dest} in {group:?}");
+                *seen.entry(group).or_insert(0) += 1;
+            }
+        }
+        assert_eq!(seen.len(), groups.len(), "to {dest}: {seen:?}");
+    }
+}
+
+#[test]
+fn a_batch_is_freed_once_no_group_it_lists_trusts_the_sender() {
+    // The peer lists groups 1 (T_D 1 s) and 2 (T_D 8 s), then falls
+    // silent. Group 1 suspecting it is not enough: group 2 still trusts it
+    // and reads the batch's stamp. Once group 2 suspects it too, the walk
+    // frees the batch, and the peer's next datagram, though it repeats
+    // the batch, is applied entry by entry and revives it in both.
+    let peer = NodeId(1);
+    let groups = [GroupId(1), GroupId(2)];
+    let slow = sle_fd::QosSpec::paper_default_with_detection(SimDuration::from_secs(8));
+    let config = ServiceConfig::full_mesh(NodeId(0), 2, ElectorKind::OmegaLc)
+        .with_auto_join(groups[0], JoinConfig::candidate())
+        .with_auto_join(groups[1], JoinConfig::candidate().with_qos(slow));
+    let mut drive = TimerDrive::start(config);
+    let eta = SimDuration::from_millis(250);
+    let batch = |seq, sent_at| ServiceMessage::AliveBatch {
+        incarnation: 1,
+        seq,
+        sent_at,
+        alives: (groups.iter())
+            .map(|&group| GroupAlive {
+                group,
+                sending_interval: eta,
+                requested_interval: eta,
+                payload: sle_election::AlivePayload {
+                    accusation_time: SimInstant::ZERO,
+                    epoch: 0,
+                    local_leader: None,
+                },
+                representative: ProcessId::new(peer, 0),
+            })
+            .collect(),
+    };
+    let deliver = |drive: &mut TimerDrive, seq, now| {
+        let mut ctx = at(now);
+        drive.node.on_message(peer, batch(seq, now), &mut ctx);
+        drive.settle(ctx);
+    };
+    let held = |drive: &TimerDrive| {
+        let slot = drive.node.peers.find(peer).expect("contacted");
+        drive.node.peers[slot].alive.batch.len()
+    };
+    let trusted =
+        |drive: &TimerDrive| groups.map(|g| drive.node.groups.get(g).unwrap().fd.is_trusted(peer));
+    let secs = |s: f64| SimInstant::from_secs_f64(s);
+    drive.run_to(secs(0.01));
+    deliver(&mut drive, 0, secs(0.01));
+    assert_eq!((held(&drive), trusted(&drive)), (2, [true, true]));
+    drive.run_to(secs(4.0)).expect("within the step budget");
+    assert_eq!((held(&drive), trusted(&drive)), (2, [false, true]));
+    assert_eq!(drive.node.count(NodeCount::AliveBatchesReleased), 0);
+    drive.run_to(secs(12.0)).expect("within the step budget");
+    assert_eq!((held(&drive), trusted(&drive)), (0, [false, false]));
+    assert_eq!(drive.node.count(NodeCount::AliveBatchesReleased), 1);
+    let applied = drive.node.count(NodeCount::AliveApplied);
+    deliver(&mut drive, 1, secs(12.0));
+    assert_eq!(drive.node.count(NodeCount::AliveApplied), applied + 1);
+    assert_eq!((held(&drive), trusted(&drive)), (2, [true, true]));
+}
+
 /// One leader-change announcement, as plain comparable data:
 /// `(virtual ns, observing node, group, leader as (node, local))`.
 type LeaderTraceEvent = (u64, u32, u32, Option<(u32, u32)>);

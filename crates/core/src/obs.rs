@@ -89,6 +89,9 @@ node_counts! {
     AliveApplied = "alive.applied",
     /// Times the ALIVE tick rebuilt its fan-out plan instead of reusing it.
     AlivePlanRebuilds = "alive.plan_rebuilds",
+    /// Batches applied from a peer that were freed by a detector walk,
+    /// because no group they list trusts the peer any more.
+    AliveBatchesReleased = "alive.batches_released",
     /// Per-peer detector timers that fired.
     FdFires = "fd.fires",
     /// Fires that checked the peer's monitor in every group; the others

@@ -382,12 +382,12 @@ fn deployment(rows: &mut Vec<Row>) {
     rows.push(Row {
         part: "deployment, held per membership",
         bytes: held / memberships,
-        ceiling: 5_000,
+        ceiling: 4_400,
     });
     rows.push(Row {
         part: "deployment, peak per membership",
         bytes: peak / memberships,
-        ceiling: 5_800,
+        ceiling: 5_100,
     });
 }
 

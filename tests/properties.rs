@@ -1570,6 +1570,50 @@ mod alive_fast_path {
         }
     }
 
+    /// The sender side of the split: `ME` in 250 groups, each shared with
+    /// the peer, fans one tick's entries out in datagrams of at most
+    /// `MAX_DATAGRAM` bytes each, naming every group exactly once, in
+    /// ascending group order across the tick's datagrams.
+    #[test]
+    fn one_tick_splits_250_groups_into_datagrams_that_fit() {
+        let algorithm = ElectorKind::OmegaLc;
+        let listed = groups(250);
+        let mut rig = Rig::new(algorithm, &listed);
+        rig.run_to(START + ms(2));
+        rig.deliver(PEER, alive(algorithm, 1, 0, START, &listed, ms(250)));
+        // Fire timers until one fire sends the peer ALIVEs: that tick's.
+        let entries = |msg: &ServiceMessage| match msg {
+            ServiceMessage::Alive { group, .. } => Some(vec![*group]),
+            ServiceMessage::AliveBatch { alives, .. } => {
+                Some(alives.iter().map(|alive| alive.group).collect())
+            }
+            _ => None,
+        };
+        let tick = loop {
+            rig.sent.clear();
+            rig.fire_next(START + ms(1_000))
+                .expect("ME sends to the peer");
+            let tick: Vec<_> = (rig.sent.iter())
+                .filter(|(to, _)| *to == PEER)
+                .filter_map(|(_, msg)| Some((msg.clone(), entries(msg)?)))
+                .collect();
+            if !tick.is_empty() {
+                break tick;
+            }
+        };
+        assert!(tick.len() > 1, "250 entries in one datagram");
+        for (msg, _) in &tick {
+            let frame = sle_wire::encode_frame(ME, msg).expect("fits a datagram");
+            assert!(
+                frame.len() <= sle_wire::MAX_DATAGRAM,
+                "{} bytes",
+                frame.len()
+            );
+        }
+        let sent: Vec<GroupId> = tick.into_iter().flat_map(|(_, groups)| groups).collect();
+        assert_eq!(sent, listed);
+    }
+
     /// What `ME`'s own ALIVEs for `group` carried the last time it sent.
     fn last_payload_sent(rig: &Rig, group: GroupId) -> Option<AlivePayload> {
         rig.sent.iter().rev().find_map(|(_, msg)| match msg {
