@@ -275,7 +275,8 @@ pub struct GroupState {
     /// continuously for `T_D`, so a deposed leader's lease lapses before a
     /// successor starts serving — closing the double-leadership window.
     pub led_since: Option<SimInstant>,
-    /// The group's QoS instruments, when the node has instruments attached.
+    /// The group's QoS counters and election episode, when the node has
+    /// instruments attached.
     pub(crate) obs: Option<GroupInstruments>,
 }
 

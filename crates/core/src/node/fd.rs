@@ -140,13 +140,13 @@ impl ServiceNode {
                 // The revival must be noticed: no repeat may skip it.
                 self.peers[pslot].alive.resync = true;
                 self.alive_epoch += 1;
-                if let Some(obs) = &state.obs {
+                if let (Some(obs), Some(instruments)) = (&self.obs, &state.obs) {
                     // Detection latency T_D: silence since the suspected
                     // peer's last heartbeat or gossip.
                     let silent_for = (state.members.get(peer))
                         .map(|m| now.saturating_since(self.peers[pslot].heard(group, m)))
                         .unwrap_or_default();
-                    obs.on_detection(silent_for);
+                    obs.on_detection(instruments, silent_for);
                 }
                 if let Some(epoch) = state.elector.on_suspect(peer, now) {
                     if let Some(obs) = &self.obs {

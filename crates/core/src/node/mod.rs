@@ -217,7 +217,8 @@ impl ServiceNode {
     }
 
     /// Attaches live observability instruments: QoS histograms recorded
-    /// under this node's registry names, protocol events pushed into the
+    /// under this node's registry names (one per workstation, and two
+    /// counters per group), protocol events pushed into the
     /// given trace ring, and every [`NodeCount`] counted in the registry's
     /// `node.<n>.<suffix>` cell. Runtimes call this right after
     /// construction, before the node starts; without it, every

@@ -3,24 +3,30 @@
 //! A [`NodeInstruments`] bundle is attached to a [`ServiceNode`] with
 //! [`ServiceNode::set_instruments`]: it carries a clone of the process-wide
 //! [`Registry`], a clone of the (typically per-shard) [`TraceRing`] and the
-//! node-level ALIVE inter-arrival histogram. All hooks take the
+//! node's three latency histograms. All hooks take the
 //! `SimInstant` their runtime hands the node (`ctx.now()`), so the same
 //! instrumentation runs unchanged under virtual time and the wall clock —
 //! the [`Clock`](sle_obs::clock::Clock) seam is only needed by components
 //! outside an actor context (transports, cluster control operations).
 //!
-//! The recorded QoS quantities mirror the paper's §3 metrics, kept per
-//! group in the node's own group state while it is in the group:
+//! The recorded QoS quantities mirror the paper's §3 metrics. Latency
+//! distributions are kept per workstation, every group the node is in
+//! recording into the same histogram; per group, only counts are kept, in
+//! the node's own group state while it is in the group:
 //!
-//! * `node.<n>.group.<g>.fd.detection_ns` — detection latency `T_D`: from a
+//! * `node.<n>.fd.detection_ns` — detection latency `T_D`: from a
 //!   suspected peer's last heartbeat to the suspicion (histogram, ns),
-//! * `node.<n>.group.<g>.fd.mistakes` — detector mistakes: suspicions later
-//!   proven wrong by a revival (`T_MR`'s numerator; counter),
-//! * `node.<n>.group.<g>.elect.election_ns` — election/recovery latency:
-//!   from joining, or losing a leader, to announcing a stable one
-//!   (histogram, ns),
+//! * `node.<n>.elect.election_ns` — election/recovery latency: from
+//!   joining, or losing a leader, to announcing a stable one (histogram, ns),
 //! * `node.<n>.net.alive_interarrival_ns` — ALIVE inter-arrival jitter on
-//!   incoming heartbeat datagrams (histogram, ns).
+//!   incoming heartbeat datagrams (histogram, ns),
+//! * `node.<n>.group.<g>.fd.suspicions` — suspicions the group's detector
+//!   raised (counter),
+//! * `node.<n>.group.<g>.fd.mistakes` — detector mistakes: suspicions later
+//!   proven wrong by a revival (`T_MR`'s numerator; counter).
+//!
+//! One group's latencies are in the trace: its `Accusation` and
+//! `LeaderChange` events.
 //!
 //! Every node counter is one [`NodeCount`] row, registered as
 //! `node.<n>.<suffix>`. The full catalogue lives in `docs/OBSERVABILITY.md`.
@@ -127,13 +133,12 @@ impl std::ops::Index<NodeCount> for [Counter; NodeCount::COUNT] {
     }
 }
 
-/// One group's QoS instruments plus its election-episode state machine,
-/// kept in the group's state while the node is in the group: a rejoin opens
-/// a new episode at the join instant.
+/// One group's QoS counters plus its election-episode state machine, kept
+/// in the group's state while the node is in the group: a rejoin opens a
+/// new episode at the join instant.
 #[derive(Debug, Clone)]
 pub(crate) struct GroupInstruments {
-    detection: Histogram,
-    election: Histogram,
+    suspicions: Counter,
     mistakes: Counter,
     /// When the current leaderless episode began (set at the join and
     /// whenever the announced leader reverts to `None`); cleared — and the
@@ -142,12 +147,6 @@ pub(crate) struct GroupInstruments {
 }
 
 impl GroupInstruments {
-    /// The failure detector began suspecting a peer that was last heard
-    /// `silent_for` ago — one detection-latency sample.
-    pub(crate) fn on_detection(&self, silent_for: SimDuration) {
-        self.detection.record_duration(silent_for);
-    }
-
     /// A suspected peer revived: the suspicion was a detector mistake.
     pub(crate) fn on_mistake(&self) {
         self.mistakes.inc();
@@ -160,6 +159,8 @@ pub struct NodeInstruments {
     registry: Registry,
     trace: TraceRing,
     node: NodeId,
+    detection: Histogram,
+    election: Histogram,
     alive_interarrival: Histogram,
 }
 
@@ -167,13 +168,14 @@ impl NodeInstruments {
     /// Creates the instrument bundle for `node`, registering the node-level
     /// metrics in `registry` and tracing into `trace`.
     pub fn new(registry: &Registry, trace: TraceRing, node: NodeId) -> Self {
-        let alive_interarrival =
-            registry.histogram(&format!("node.{}.net.alive_interarrival_ns", node.0));
+        let histogram = |suffix: &str| registry.histogram(&format!("node.{}.{suffix}", node.0));
         NodeInstruments {
             registry: registry.clone(),
             trace,
             node,
-            alive_interarrival,
+            detection: histogram("fd.detection_ns"),
+            election: histogram("elect.election_ns"),
+            alive_interarrival: histogram("net.alive_interarrival_ns"),
         }
     }
 
@@ -198,15 +200,18 @@ impl NodeInstruments {
     pub(crate) fn group(&self, group: GroupId, now: SimInstant) -> GroupInstruments {
         let prefix = format!("node.{}.group.{}", self.node.0, group.0);
         GroupInstruments {
-            detection: self
-                .registry
-                .histogram(&format!("{prefix}.fd.detection_ns")),
-            election: self
-                .registry
-                .histogram(&format!("{prefix}.elect.election_ns")),
+            suspicions: self.registry.counter(&format!("{prefix}.fd.suspicions")),
             mistakes: self.registry.counter(&format!("{prefix}.fd.mistakes")),
             election_started: Some(now),
         }
+    }
+
+    /// The failure detector of the group `instruments` belongs to began
+    /// suspecting a peer that was last heard `silent_for` ago — one
+    /// detection-latency sample.
+    pub(crate) fn on_detection(&self, instruments: &GroupInstruments, silent_for: SimDuration) {
+        instruments.suspicions.inc();
+        self.detection.record_duration(silent_for);
     }
 
     /// A local process joined `group`.
@@ -257,7 +262,7 @@ impl NodeInstruments {
         match leader {
             Some(_) => {
                 if let Some(started) = instruments.election_started.take() {
-                    (instruments.election).record_duration(now.saturating_since(started));
+                    self.election.record_duration(now.saturating_since(started));
                 }
             }
             None => {
@@ -290,7 +295,46 @@ impl NodeInstruments {
 
 #[cfg(test)]
 mod tests {
-    use super::NodeCount;
+    use sle_election::ElectorKind;
+    use sle_obs::{MetricValue, Registry, TraceRing};
+    use sle_sim::time::SimInstant;
+    use sle_sim::{Actor, NodeId};
+
+    use super::{NodeCount, NodeInstruments};
+    use crate::config::{JoinConfig, ServiceConfig};
+    use crate::node::{ServiceContext, ServiceNode};
+    use crate::process::GroupId;
+
+    /// `name` of node 0 with `<n>` and `<g>` in place of the node and the
+    /// group.
+    fn pattern(name: &str) -> String {
+        let name = name.strip_prefix("node.0.").expect("a node series");
+        match name.strip_prefix("group.") {
+            Some(rest) => format!("node.<n>.group.<g>.{}", rest.split_once('.').unwrap().1),
+            None => format!("node.<n>.{name}"),
+        }
+    }
+
+    /// The series an instrumented node 0 with two peers registers once it
+    /// has started in `groups` auto-joined groups, as `(pattern, kind)`.
+    fn registered_series(groups: u32) -> Vec<(String, &'static str)> {
+        let mut config = ServiceConfig::full_mesh(NodeId(0), 3, ElectorKind::OmegaL);
+        for group in 1..=groups {
+            config = config.with_auto_join(GroupId(group), JoinConfig::candidate());
+        }
+        let registry = Registry::default();
+        let ring = TraceRing::new(64);
+        let mut node = ServiceNode::new(config);
+        node.set_instruments(NodeInstruments::new(&registry, ring, NodeId(0)));
+        node.on_start(&mut ServiceContext::new(SimInstant::ZERO, NodeId(0), 0));
+        let metrics = registry.snapshot().metrics.into_iter();
+        let series = metrics.map(|(name, value)| match value {
+            MetricValue::Counter(_) => (pattern(&name), "counter"),
+            MetricValue::Gauge(_) => (pattern(&name), "gauge"),
+            MetricValue::Histogram(_) => (pattern(&name), "histogram"),
+        });
+        series.collect()
+    }
 
     #[test]
     fn every_node_counter_has_its_observability_row() {
@@ -299,5 +343,38 @@ mod tests {
             let row = format!("| `node.<n>.{}` | counter |", count.suffix());
             assert!(doc.contains(&row), "docs/OBSERVABILITY.md lacks {row}");
         }
+        // And every QoS series: the per-node histograms, the per-group
+        // counters.
+        for (name, kind) in registered_series(2) {
+            let row = format!("| `{name}` | {kind} |");
+            assert!(doc.contains(&row), "docs/OBSERVABILITY.md lacks {row}");
+        }
+    }
+
+    #[test]
+    fn histograms_are_per_node_and_only_counters_per_group() {
+        // The node's histograms, and how many series it has per group (all
+        // of them counters).
+        let shape = |series: Vec<(String, &str)>| {
+            let (per_group, per_node): (Vec<_>, Vec<_>) =
+                (series.into_iter()).partition(|(name, _)| name.starts_with("node.<n>.group."));
+            assert!(per_group.iter().all(|&(_, kind)| kind == "counter"));
+            let histograms = per_node
+                .into_iter()
+                .filter(|&(_, kind)| kind == "histogram");
+            let histograms: Vec<String> = histograms.map(|(name, _)| name).collect();
+            (histograms, per_group.len())
+        };
+        let (one, per_group) = shape(registered_series(1));
+        assert_eq!(
+            one,
+            [
+                "node.<n>.elect.election_ns",
+                "node.<n>.fd.detection_ns",
+                "node.<n>.net.alive_interarrival_ns",
+            ]
+        );
+        assert_eq!(per_group, 2);
+        assert_eq!(shape(registered_series(64)), (one, 2 * 64));
     }
 }

@@ -113,9 +113,9 @@ fn render_histogram_json(out: &mut String, h: &HistogramSnapshot) {
 /// {
 ///   "schema": "sle-obs/1",
 ///   "metrics": [
-///     {"name": "node.0.fd.mistakes", "type": "counter", "value": 0},
+///     {"name": "node.0.group.1.fd.mistakes", "type": "counter", "value": 0},
 ///     {"name": "runtime.workers", "type": "gauge", "value": 8},
-///     {"name": "node.0.elect.election_ms", "type": "histogram",
+///     {"name": "node.0.elect.election_ns", "type": "histogram",
 ///      "count": 3, "sum": 812000000, "p50": 250000000, "p99": 40000000,
 ///      "buckets": [[268435455, 1], [536870911, 2]]}
 ///   ]

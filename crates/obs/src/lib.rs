@@ -11,7 +11,7 @@
 //! * [`registry`] — a process-wide [`Registry`] of atomic [`Counter`]s,
 //!   [`Gauge`]s and fixed log2-bucket [`Histogram`]s behind cheap
 //!   clonable handles, with hierarchical dotted names
-//!   (`node.3.group.1.fd.detection_ns`) and point-in-time snapshots,
+//!   (`node.3.fd.detection_ns`) and point-in-time snapshots,
 //! * [`export`] — two snapshot exporters: Prometheus text exposition and a
 //!   JSON document matching the schema in `docs/OBSERVABILITY.md`,
 //! * [`trace`] — a fixed-capacity, never-blocking ring buffer of structured
@@ -32,13 +32,13 @@
 //! use sle_obs::prelude::*;
 //!
 //! let registry = Registry::new();
-//! let elections = registry.counter("node.0.elect.leader_changes");
-//! let latency = registry.histogram("node.0.elect.election_ms");
-//! elections.inc();
+//! let mistakes = registry.counter("node.0.group.1.fd.mistakes");
+//! let latency = registry.histogram("node.0.elect.election_ns");
+//! mistakes.inc();
 //! latency.record_duration(sle_sim::SimDuration::from_millis(250));
 //!
 //! let snap = registry.snapshot();
-//! assert!(render_prometheus(&snap).contains("node_0_elect_leader_changes 1"));
+//! assert!(render_prometheus(&snap).contains("node_0_group_1_fd_mistakes 1"));
 //! ```
 
 #![warn(missing_docs)]

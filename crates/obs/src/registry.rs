@@ -2,14 +2,15 @@
 //!
 //! A [`Registry`] is itself a cheap clonable handle; every clone shares the
 //! same name table. Components either ask the registry for a handle
-//! (`registry.counter("node.3.fd.mistakes")`, get-or-create) or *bind* a
-//! handle they already own (`registry.bind_counter(name, &my_counter)`), so
-//! pre-existing stats structs become views over the registry without a
-//! second accounting path.
+//! (`registry.counter("node.3.group.1.fd.mistakes")`, get-or-create) or
+//! *bind* a handle they already own (`registry.bind_counter(name,
+//! &my_counter)`), so pre-existing stats structs become views over the
+//! registry without a second accounting path.
 //!
-//! Names are dotted hierarchies (`node.<id>.group.<g>.fd.detection_ms`).
-//! The registry does not interpret them beyond sorting; exporters mangle
-//! them per output format (see [`crate::export`]).
+//! Names are dotted hierarchies (`node.<n>.fd.detection_ns`,
+//! `node.<n>.group.<g>.fd.mistakes`). The registry does not interpret them
+//! beyond sorting; exporters mangle them per output format (see
+//! [`crate::export`]).
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -137,7 +138,7 @@ impl Registry {
     /// Merges the histograms of every metric whose name matches
     /// `prefix`/`suffix` (both may be empty to match everything). Useful for
     /// cluster-wide percentiles over per-node histograms, e.g.
-    /// `merged_histogram("node.", ".elect.election_ms")`.
+    /// `merged_histogram("node.", ".elect.election_ns")`.
     pub fn merged_histogram(&self, prefix: &str, suffix: &str) -> HistogramSnapshot {
         let map = self.lock();
         let mut merged = HistogramSnapshot::empty();

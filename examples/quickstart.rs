@@ -16,7 +16,7 @@
 //! new leader after the crash: n1.p0 (re-elected in 1.287s)
 //! metrics on exit:
 //!   detections: 4 (p99 812.3 ms), mistakes: 0
-//!   elections:  5 (p50 310.1 ms, p99 2044.5 ms)
+//!   elections:  4 (p50 4.8 ms, p99 7.5 ms)
 //!   ALIVE datagrams sent: 163
 //! done.
 //! ```
@@ -94,5 +94,10 @@ fn main() {
         elections.percentile_ms(0.99)
     );
     println!("  ALIVE datagrams sent: {datagrams}");
+    // The leader's crash was detected, and every survivor recorded its
+    // first election. (A node announces its own leadership only once its
+    // self-election grace is over, which the crashed leader may not see.)
+    assert!(detections.count >= 1, "the leader's crash went undetected");
+    assert!(elections.count >= 4, "a survivor recorded no election");
     println!("done.");
 }

@@ -16,14 +16,15 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicIsize, Ordering::Relaxed};
 
 use sle_core::{
-    GroupId, HelloList, JoinConfig, MemberTable, ProcessId, ServiceConfig, ServiceContext,
-    ServiceMessage, ServiceNode,
+    GroupId, HelloList, JoinConfig, MemberTable, NodeInstruments, ProcessId, ServiceConfig,
+    ServiceContext, ServiceMessage, ServiceNode,
 };
 use sle_election::types::AlivePayload;
 use sle_election::{ElectorKind, PeerTable as ElectorPeers};
 use sle_fd::{GroupDetector, LinkQualityEstimator, PeerTable, QosSpec, TuningPolicy};
 use sle_harness::deploy;
 use sle_net::{LinkSpec, NetworkModel, SimulatedNetwork};
+use sle_obs::{Registry, TraceRing};
 use sle_sim::observer::NullObserver;
 use sle_sim::prelude::*;
 use sle_sim::wheel::EventWheel;
@@ -225,6 +226,38 @@ fn node_peer_table(rows: &mut Vec<Row>) {
     });
 }
 
+/// What attaching instruments adds per group membership: a node with the
+/// 18 peers of `node_peer_table` started in 20 auto-joined groups, with a
+/// registry and a 64-record trace ring, minus the same node without them.
+fn instruments(rows: &mut Vec<Row>) {
+    const GROUPS: u32 = 20;
+    let started = |instrumented: bool| {
+        let peers = (0..=18).map(NodeId).collect();
+        let mut config = ServiceConfig::new(NodeId(0), peers, ElectorKind::OmegaL);
+        for group in 1..=GROUPS {
+            config = config.with_auto_join(GroupId(group), JoinConfig::candidate());
+        }
+        let mut node = ServiceNode::new(config);
+        let registry = Registry::default();
+        if instrumented {
+            let ring = TraceRing::new(64);
+            node.set_instruments(NodeInstruments::new(&registry, ring, NodeId(0)));
+        }
+        node.on_start(&mut ServiceContext::new(SimInstant::ZERO, NodeId(0), 0));
+        (node, registry)
+    };
+    let (_, bare, _) = measure(|| started(false));
+    let (_, instrumented, _) = measure(|| started(true));
+    rows.push(Row {
+        part: "instruments, per membership",
+        bytes: instrumented.saturating_sub(bare) / GROUPS as usize,
+        // Two 8-byte counters per group and their names in the registry,
+        // beside a twentieth of the node's three histograms, its counter
+        // table and its trace ring.
+        ceiling: 800,
+    });
+}
+
 /// The estimator each link keeps (256 delay samples, the size the shared
 /// liveness record uses): never fed, after an honest in-order stream, and
 /// after a flood of one number stamped ever later.
@@ -396,6 +429,7 @@ fn heap_bytes_per_part_stay_under_their_ceilings() {
     let mut rows = Vec::new();
     peer_tables(&mut rows);
     node_peer_table(&mut rows);
+    instruments(&mut rows);
     loss_window(&mut rows);
     wheel_burst(&mut rows);
     forged_accuse(&mut rows);

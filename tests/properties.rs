@@ -836,6 +836,7 @@ mod alive_fast_path {
     };
     use sle_election::{AlivePayload, ElectorKind};
     use sle_fd::{configure, LinkQuality, QosSpec};
+    use sle_obs::metrics::bucket_index;
     use sle_obs::{Registry, TraceRing};
     use sle_sim::prelude::*;
     use sle_sim::rng::SimRng;
@@ -955,9 +956,9 @@ mod alive_fast_path {
         /// `(suspicions, mistakes)` the node recorded for `group`.
         pub(super) fn verdicts(&self, group: GroupId) -> (u64, u64) {
             let prefix = format!("node.{}.group.{}.fd", ME.0, group.0);
-            let detections = self.registry.histogram(&format!("{prefix}.detection_ns"));
+            let suspicions = self.registry.counter(&format!("{prefix}.suspicions"));
             let mistakes = self.registry.counter(&format!("{prefix}.mistakes"));
-            (detections.snapshot().count, mistakes.get())
+            (suspicions.get(), mistakes.get())
         }
 
         /// `(unchanged, applied)` ALIVE datagrams so far.
@@ -1284,6 +1285,9 @@ mod alive_fast_path {
             assert!(listed.iter().all(|&g| pair.rig.node.leader_of(g) == leader));
             // Rounds 8..16 are lost: suspected everywhere, leaderless or
             // self-led, the model agreeing on when.
+            let name = format!("node.{}.fd.detection_ns", ME.0);
+            let detections = pair.rig.registry.histogram(&name);
+            let before = detections.snapshot();
             // A late copy of round 7's datagram is too old to revive it...
             pair.run_to(START + ms(250 * 16 - 10), &what);
             pair.deliver(algorithm, (7, START + ms(250 * 7)), &listed, ms(250), &what);
@@ -1298,15 +1302,25 @@ mod alive_fast_path {
                 assert_eq!(pair.rig.verdicts(group), (1, 1), "{what}: {group:?}");
                 assert_eq!(pair.model[i].mistakes, 1);
                 assert_eq!(pair.rig.node.leader_of(group), leader, "{what}: {group:?}");
-                // The detection latency counts from the last repeat heard
-                // (round 7's), not from the last batch applied (round 0's).
-                let name = format!("node.{}.group.{}.fd.detection_ns", ME.0, group.0);
-                let silent_ms = pair.rig.registry.histogram(&name).snapshot().sum / 1_000_000;
-                assert!(
-                    (990..1030).contains(&silent_ms),
-                    "{what}: silent for {silent_ms} ms"
-                );
             }
+            // The detection latency counts from the last repeat heard
+            // (round 7's), not from the last batch applied (round 0's): one
+            // sample per listed group in the node's histogram, each in the
+            // log2 bucket of 990..1030 ms, their mean in that range.
+            let after = detections.snapshot();
+            let samples = after.count - before.count;
+            assert_eq!(samples, listed.len() as u64, "{what}");
+            let bucket = bucket_index(990_000_000);
+            assert_eq!(bucket, bucket_index(1_030_000_000));
+            for (i, (&now, &was)) in after.buckets.iter().zip(&before.buckets).enumerate() {
+                let expected = if i == bucket { samples } else { 0 };
+                assert_eq!(now - was, expected, "{what}: bucket {i}");
+            }
+            let silent_ms = (after.sum - before.sum) / samples / 1_000_000;
+            assert!(
+                (990..1030).contains(&silent_ms),
+                "{what}: silent for {silent_ms} ms"
+            );
             assert_eq!(pair.rig.paths(), (unchanged, applied + 1), "{what}");
             // And the one after is a repeat again.
             tick(&mut pair, algorithm, 17, &listed, &what);
