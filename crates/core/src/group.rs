@@ -1,14 +1,13 @@
 //! Per-group state kept by a service instance (the Group Maintenance module
 //! of the paper's architecture, Figure 2).
 //!
-//! Membership is stored densely: one [`MemberTable`] per group holds, per
-//! remote workstation, everything the three former side tables (`members`,
-//! `representatives`, `requested_by_peers`) kept separately — so applying
-//! one ALIVE payload touches a single sorted-vector entry instead of three
-//! tree maps.
+//! A group keeps one [`PeerRow`] per remote workstation in a sorted
+//! [`PeerRows`] table: the membership learnt from HELLO and ALIVE messages
+//! and the group's failure-detector monitor of the workstation, so applying
+//! one ALIVE payload touches a single row.
 
 use sle_election::{AnyElector, LeaderElector};
-use sle_fd::{GroupDetector, MIN_INTERVAL};
+use sle_fd::{default_interval, GroupDetector, PeerMonitor, MIN_INTERVAL};
 use sle_sim::actor::NodeId;
 use sle_sim::dense::insert_tight;
 use sle_sim::time::{SimDuration, SimInstant};
@@ -19,22 +18,10 @@ use crate::obs::GroupInstruments;
 use crate::process::{GroupId, ProcessId};
 
 /// What a service instance knows about one remote member workstation of a
-/// group: its processes, when we last heard from it, the representative it
-/// advertises and the ALIVE interval it asked us for.
-#[derive(Debug, Clone, PartialEq)]
+/// group: its processes, the representative it advertises and the ALIVE
+/// interval it asked us for.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MemberEntry {
-    /// The remote workstation.
-    pub peer: NodeId,
-    /// The remote workstation's incarnation when this information was learnt.
-    pub incarnation: u64,
-    /// When an ALIVE or a HELLO list last named it in this group — its own
-    /// account only. The peer's stamps vouch on top of it: its latest digest
-    /// while `listed_at` is the peer's applied version, its latest ALIVE
-    /// datagram while the applied batch lists the group. The service folds a
-    /// stamp in here when the entry is about to lose its vouch (a new list
-    /// or batch no longer names the group) and when the entry is quiet past
-    /// the membership timeout on its own account; otherwise it may lag.
-    pub last_heard: SimInstant,
     /// The version of the peer's announcement list that last named this
     /// group, if any: a group its newer list no longer names ages out.
     pub listed_at: Option<u64>,
@@ -48,18 +35,6 @@ pub struct MemberEntry {
 }
 
 impl MemberEntry {
-    fn new(peer: NodeId, incarnation: u64, last_heard: SimInstant) -> Self {
-        MemberEntry {
-            peer,
-            incarnation,
-            last_heard,
-            listed_at: None,
-            processes: ProcessList::default(),
-            representative: None,
-            requested_interval: None,
-        }
-    }
-
     /// True if any of the remote processes is a candidate.
     pub fn has_candidate(&self) -> bool {
         self.processes.iter().any(|(_, candidate)| *candidate)
@@ -75,6 +50,44 @@ impl MemberEntry {
                 .map(|(process, _)| *process)
                 .min()
         })
+    }
+}
+
+/// A group's row for one remote workstation: its membership and the
+/// group's failure-detector monitor of it. A row has at least one of the
+/// two. A member listing only listeners may have no monitor, and a
+/// restarted peer's row keeps a fresh monitor but no membership until the
+/// peer's new life names the group, or until the row is quiet past the
+/// membership timeout.
+#[derive(Debug, Clone)]
+pub struct PeerRow {
+    /// The remote workstation.
+    pub peer: NodeId,
+    /// When an ALIVE or a HELLO list last named the peer in this group (or
+    /// when the peer's restart took its membership) — its own account only.
+    /// The peer's stamps vouch on top of it: its latest digest while the
+    /// membership's `listed_at` is the peer's applied version, its latest
+    /// ALIVE datagram while the applied batch lists the group. The service
+    /// folds a stamp in here when the row is about to lose its vouch (a new
+    /// list or batch no longer names the group) and when the row is quiet
+    /// past the membership timeout on its own account; otherwise it may lag.
+    pub last_heard: SimInstant,
+    /// The peer's membership of the group, if it is a member.
+    pub member: Option<MemberEntry>,
+    /// The group's monitor of the peer, if it watches the peer.
+    pub monitor: Option<PeerMonitor>,
+}
+
+impl PeerRow {
+    /// The row heard from as a member at `now`: its membership, created
+    /// empty if the row had none, and whether it was.
+    pub fn heard_as_member(&mut self, now: SimInstant) -> (&mut MemberEntry, bool) {
+        self.last_heard = now;
+        let created = self.member.is_none();
+        (
+            self.member.get_or_insert_with(MemberEntry::default),
+            created,
+        )
     }
 }
 
@@ -146,16 +159,16 @@ impl From<&[(ProcessId, bool)]> for ProcessList {
     }
 }
 
-/// The remote membership of one group, sorted by peer id.
+/// A group's rows, one per remote workstation, sorted by peer id.
 ///
-/// Lookups are binary searches over contiguous entries; iteration is in
+/// Lookups are binary searches over contiguous rows; iteration is in
 /// deterministic peer order. Sizes are bounded by group fan-out.
 #[derive(Debug, Clone, Default)]
-pub struct MemberTable {
-    entries: Vec<MemberEntry>,
+pub struct PeerRows {
+    rows: Vec<PeerRow>,
 }
 
-impl MemberTable {
+impl PeerRows {
     /// Creates an empty table.
     pub fn new() -> Self {
         Self::default()
@@ -163,80 +176,69 @@ impl MemberTable {
 
     #[inline]
     fn find(&self, peer: NodeId) -> Result<usize, usize> {
-        self.entries.binary_search_by_key(&peer, |e| e.peer)
+        self.rows.binary_search_by_key(&peer, |row| row.peer)
     }
 
-    /// The entry for `peer`, if known.
-    pub fn get(&self, peer: NodeId) -> Option<&MemberEntry> {
-        self.find(peer).ok().map(|i| &self.entries[i])
+    /// The row of `peer`, if any.
+    pub fn get(&self, peer: NodeId) -> Option<&PeerRow> {
+        self.find(peer).ok().map(|i| &self.rows[i])
     }
 
-    /// Mutable access to the entry for `peer`, if known.
-    pub fn get_mut(&mut self, peer: NodeId) -> Option<&mut MemberEntry> {
+    /// Mutable access to the row of `peer`, if any.
+    pub fn get_mut(&mut self, peer: NodeId) -> Option<&mut PeerRow> {
         match self.find(peer) {
-            Ok(i) => Some(&mut self.entries[i]),
+            Ok(i) => Some(&mut self.rows[i]),
             Err(_) => None,
         }
     }
 
-    /// The entry for `peer` and whether this call created it (with
-    /// `incarnation`, stamped `now`). An existing entry just gets
-    /// `last_heard` refreshed.
-    pub fn ensure(
-        &mut self,
-        peer: NodeId,
-        incarnation: u64,
-        now: SimInstant,
-    ) -> (&mut MemberEntry, bool) {
-        match self.find(peer) {
-            Ok(i) => {
-                self.entries[i].last_heard = now;
-                (&mut self.entries[i], false)
-            }
-            Err(i) => {
-                let entry = MemberEntry::new(peer, incarnation, now);
-                insert_tight(&mut self.entries, i, entry);
-                (&mut self.entries[i], true)
-            }
-        }
+    /// The membership of `peer`, if it is a member.
+    pub fn member(&self, peer: NodeId) -> Option<&MemberEntry> {
+        self.get(peer)?.member.as_ref()
     }
 
-    /// Forgets everything about `peer`, returning its entry if it existed.
-    pub fn remove(&mut self, peer: NodeId) -> Option<MemberEntry> {
+    /// The group's monitor of `peer`, if it watches the peer.
+    pub fn monitor(&self, peer: NodeId) -> Option<&PeerMonitor> {
+        self.get(peer)?.monitor.as_ref()
+    }
+
+    /// The row of `peer`, created (neither member nor monitored, heard at
+    /// `now`) if it had none.
+    pub fn row(&mut self, peer: NodeId, now: SimInstant) -> &mut PeerRow {
+        let i = self.find(peer).unwrap_or_else(|i| {
+            let row = PeerRow {
+                peer,
+                last_heard: now,
+                member: None,
+                monitor: None,
+            };
+            insert_tight(&mut self.rows, i, row);
+            i
+        });
+        &mut self.rows[i]
+    }
+
+    /// Forgets everything about `peer`, returning its row if it had one.
+    pub fn remove(&mut self, peer: NodeId) -> Option<PeerRow> {
         match self.find(peer) {
-            Ok(i) => Some(self.entries.remove(i)),
+            Ok(i) => Some(self.rows.remove(i)),
             Err(_) => None,
         }
     }
 
-    /// Iterates over all entries in ascending peer order.
-    pub fn iter(&self) -> impl Iterator<Item = &MemberEntry> + '_ {
-        self.entries.iter()
+    /// Iterates over all rows in ascending peer order.
+    pub fn iter(&self) -> impl Iterator<Item = &PeerRow> + '_ {
+        self.rows.iter()
     }
 
-    /// Iterates mutably over all entries in ascending peer order.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut MemberEntry> + '_ {
-        self.entries.iter_mut()
+    /// Iterates over the members, with their rows, in ascending peer order.
+    pub fn members(&self) -> impl Iterator<Item = (&PeerRow, &MemberEntry)> + '_ {
+        (self.rows.iter()).filter_map(|row| Some((row, row.member.as_ref()?)))
     }
 
-    /// Iterates over the member node ids in ascending order.
-    pub fn peers(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.entries.iter().map(|e| e.peer)
-    }
-
-    /// Keeps only the entries for which `keep` returns true.
-    pub fn retain(&mut self, keep: impl FnMut(&MemberEntry) -> bool) {
-        self.entries.retain(keep);
-    }
-
-    /// Number of member workstations known.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Returns true if no members are known.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+    /// Iterates over the group's monitors in ascending peer order.
+    pub fn monitors(&self) -> impl Iterator<Item = &PeerMonitor> + '_ {
+        self.rows.iter().filter_map(|row| row.monitor.as_ref())
     }
 }
 
@@ -251,13 +253,13 @@ pub struct GroupState {
     /// The election algorithm instance for this group.
     pub elector: AnyElector,
     /// The group's share of the node's failure detector: its QoS and
-    /// policy, and its monitors of the other members over the node's peer
-    /// table. It arms no timer of
-    /// its own: the service watches every group's monitor of a peer from
-    /// that peer's one timer (`GroupDetector::check_peer`).
+    /// policy, applied to the monitors in `rows` over the node's peer table.
+    /// It arms no timer of its own: the service watches every group's
+    /// monitor of a peer from that peer's one timer (`GroupDetector::check`).
     pub fd: GroupDetector,
-    /// Remote membership learnt from HELLO/ALIVE messages.
-    pub members: MemberTable,
+    /// One row per remote workstation: membership learnt from HELLO/ALIVE
+    /// messages, and the monitor `fd` applies to.
+    pub rows: PeerRows,
     /// The leader last announced to local applications (to detect changes).
     pub announced_leader: Option<ProcessId>,
     /// When this node joined the group (start of the self-election grace
@@ -294,7 +296,7 @@ impl GroupState {
             local_processes: Vec::new(),
             elector: AnyElector::new(algorithm, me, config.candidate, now),
             fd: GroupDetector::new(config.qos, config.tuning),
-            members: MemberTable::new(),
+            rows: PeerRows::new(),
             announced_leader: None,
             joined_at: now,
             lease: None,
@@ -338,7 +340,7 @@ impl GroupState {
     /// incumbent leader if there is one). Adaptive tuning shrinks this
     /// alongside the detection bound.
     pub fn self_election_grace(&self) -> SimDuration {
-        self.fd.detection_bound() * 2
+        self.fd.detection_bound(self.rows.monitors()) * 2
     }
 
     /// True if any local process joined this group as a candidate.
@@ -356,20 +358,15 @@ impl GroupState {
     }
 
     /// The interval at which this node should currently send ALIVEs for the
-    /// group: the most demanding (smallest) of what the peers asked for,
-    /// never exceeding the default derived from the group's QoS and never
-    /// below [`MIN_INTERVAL`], the least any configurator asks for — a
+    /// group: the most demanding (smallest) of what the members asked for,
+    /// never exceeding the [`default_interval`] of the group's `T_D^U` and
+    /// never below [`MIN_INTERVAL`], the least any configurator asks for — a
     /// hostile request of 0 must not make the ALIVE tick spin.
     pub fn send_interval(&self) -> SimDuration {
-        let default = self
-            .fd
-            .qos()
-            .detection_time()
-            .mul_f64(0.25)
-            .max(MIN_INTERVAL);
-        self.members
-            .iter()
-            .filter_map(|e| e.requested_interval)
+        let default = default_interval(self.fd.qos().detection_time()).max(MIN_INTERVAL);
+        self.rows
+            .members()
+            .filter_map(|(_, member)| member.requested_interval)
             .fold(default, SimDuration::min)
             .max(MIN_INTERVAL)
     }
@@ -379,7 +376,7 @@ impl GroupState {
         let node = leader_node?;
         if node == me {
             self.local_representative(me)
-        } else if let Some(entry) = self.members.get(node) {
+        } else if let Some(entry) = self.rows.member(node) {
             entry.representative_process()
         } else {
             // We elected a node we have no process information about yet;
@@ -410,6 +407,13 @@ mod tests {
         )
     }
 
+    /// `peer`'s membership in `rows`, created if it had none.
+    fn member(rows: &mut PeerRows, peer: NodeId) -> &mut MemberEntry {
+        rows.row(peer, SimInstant::ZERO)
+            .heard_as_member(SimInstant::ZERO)
+            .0
+    }
+
     #[test]
     fn local_candidacy_and_representative() {
         let mut group = state();
@@ -436,23 +440,17 @@ mod tests {
         let mut group = state();
         // Default: a quarter of the 1 s detection bound.
         assert_eq!(group.send_interval(), SimDuration::from_millis(250));
-        group
-            .members
-            .ensure(NodeId(1), 0, SimInstant::ZERO)
-            .0
-            .requested_interval = Some(SimDuration::from_millis(100));
-        group
-            .members
-            .ensure(NodeId(2), 0, SimInstant::ZERO)
-            .0
-            .requested_interval = Some(SimDuration::from_millis(400));
+        member(&mut group.rows, NodeId(1)).requested_interval = Some(SimDuration::from_millis(100));
+        member(&mut group.rows, NodeId(2)).requested_interval = Some(SimDuration::from_millis(400));
+        assert_eq!(group.send_interval(), SimDuration::from_millis(100));
+        // A monitored peer that is no member asks for nothing.
+        let fd = group.fd.clone();
+        let mut peers: sle_fd::PeerTable = sle_fd::PeerTable::new();
+        let monitor = fd.monitor(&mut peers, NodeId(4), SimInstant::ZERO);
+        group.rows.row(NodeId(4), SimInstant::ZERO).monitor = Some(monitor);
         assert_eq!(group.send_interval(), SimDuration::from_millis(100));
         // A request below the configurator's floor is held at the floor.
-        group
-            .members
-            .ensure(NodeId(3), 0, SimInstant::ZERO)
-            .0
-            .requested_interval = Some(SimDuration::ZERO);
+        member(&mut group.rows, NodeId(3)).requested_interval = Some(SimDuration::ZERO);
         assert_eq!(group.send_interval(), MIN_INTERVAL);
     }
 
@@ -471,18 +469,14 @@ mod tests {
             Some(ProcessId::new(NodeId(7), 0))
         );
         // Known via membership.
-        group
-            .members
-            .ensure(NodeId(2), 0, SimInstant::ZERO)
-            .0
-            .processes = vec![(ProcessId::new(NodeId(2), 4), true)].into();
+        member(&mut group.rows, NodeId(2)).processes =
+            vec![(ProcessId::new(NodeId(2), 4), true)].into();
         assert_eq!(
             group.leader_process(NodeId(0), Some(NodeId(2))),
             Some(ProcessId::new(NodeId(2), 4))
         );
         // An explicit representative advertised in ALIVEs takes precedence.
-        group.members.get_mut(NodeId(2)).unwrap().representative =
-            Some(ProcessId::new(NodeId(2), 9));
+        member(&mut group.rows, NodeId(2)).representative = Some(ProcessId::new(NodeId(2), 9));
         assert_eq!(
             group.leader_process(NodeId(0), Some(NodeId(2))),
             Some(ProcessId::new(NodeId(2), 9))
@@ -491,34 +485,41 @@ mod tests {
 
     #[test]
     fn member_entry_helpers() {
-        let mut table = MemberTable::new();
-        let (entry, created) = table.ensure(NodeId(3), 1, SimInstant::ZERO);
+        let mut table = PeerRows::new();
+        let (entry, created) = table
+            .row(NodeId(3), SimInstant::ZERO)
+            .heard_as_member(SimInstant::ZERO);
         assert!(created);
         entry.processes = vec![
             (ProcessId::new(NodeId(3), 2), false),
             (ProcessId::new(NodeId(3), 1), true),
         ]
         .into();
-        let entry = table.get(NodeId(3)).unwrap();
+        let entry = table.member(NodeId(3)).unwrap();
         assert!(entry.has_candidate());
         assert_eq!(
             entry.representative_process(),
             Some(ProcessId::new(NodeId(3), 1))
         );
-        assert!(!table.ensure(NodeId(3), 1, SimInstant::ZERO).1);
-        let (passive, _) = table.ensure(NodeId(4), 1, SimInstant::ZERO);
-        passive.processes = (ProcessId::new(NodeId(4), 2), false).into();
-        let passive = table.get(NodeId(4)).unwrap();
+        let later = SimInstant::from_secs_f64(1.0);
+        let row = table.row(NodeId(3), later);
+        assert!(!row.heard_as_member(later).1);
+        assert_eq!(row.last_heard, later);
+        member(&mut table, NodeId(4)).processes = (ProcessId::new(NodeId(4), 2), false).into();
+        let passive = table.member(NodeId(4)).unwrap();
         assert!(!passive.has_candidate());
         assert_eq!(passive.representative_process(), None);
+        // A row without membership is no member.
+        table.row(NodeId(1), SimInstant::ZERO);
+        assert_eq!(table.member(NodeId(1)), None);
         // Table iterates in sorted peer order and removals work.
-        assert_eq!(
-            table.peers().collect::<Vec<_>>(),
-            vec![NodeId(3), NodeId(4)]
-        );
+        let members = table.members().map(|(row, _)| row.peer);
+        assert_eq!(members.collect::<Vec<_>>(), vec![NodeId(3), NodeId(4)]);
+        let rows = table.iter().map(|row| row.peer);
+        assert_eq!(rows.collect::<Vec<_>>(), [1, 3, 4].map(NodeId));
         assert!(table.remove(NodeId(3)).is_some());
         assert!(table.remove(NodeId(3)).is_none());
-        assert_eq!(table.len(), 1);
+        assert_eq!(table.iter().count(), 2);
     }
 
     #[test]

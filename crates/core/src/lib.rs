@@ -106,7 +106,7 @@ pub mod prelude {
 pub use config::{AutoJoin, JoinConfig, ServiceConfig};
 pub use error::{AgreementTimeout, ServiceError};
 pub use events::ServiceEvent;
-pub use group::{GroupState, MemberEntry, MemberTable, ProcessList};
+pub use group::{GroupState, MemberEntry, PeerRow, PeerRows, ProcessList};
 pub use lease::{FencedApp, FencingToken, LeaderLease, StaleToken};
 pub use messages::{AliveHeader, GroupAlive, GroupAnnouncement, HelloList, ServiceMessage};
 pub use node::{ServiceContext, ServiceNode};

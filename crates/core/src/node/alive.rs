@@ -1,13 +1,12 @@
 //! The ALIVE stream, both directions: the per-node tick that batches every
 //! group's heartbeats, and the receive path that feeds them to each group.
 
-use sle_election::LeaderElector;
-use sle_fd::Transition;
+use sle_election::{AnyElector, LeaderElector};
+use sle_fd::{default_interval, PeerMonitor, Transition};
 use sle_sim::actor::NodeId;
 use sle_sim::time::{SimDuration, SimInstant};
 
 use super::{next_tick, ServiceContext, ServiceNode, ALIVE_TIMER, MAX_BATCH_BYTES};
-use crate::group::GroupState;
 use crate::messages::{AliveHeader, GroupAlive, ServiceMessage};
 use crate::obs::NodeCount;
 use crate::process::{GroupId, ProcessId};
@@ -115,10 +114,11 @@ impl ServiceNode {
                 representative: (state.local_representative(me))
                     .unwrap_or_else(|| ProcessId::new(me, 0)),
             });
-            let asked = state.fd.qos().detection_time().mul_f64(0.25);
-            for member in state.members.iter() {
-                let dest = member.peer;
-                let eta = state.fd.requested_interval(dest).unwrap_or(asked);
+            let asked = default_interval(state.fd.qos().detection_time());
+            for (row, _) in state.rows.members() {
+                let dest = row.peer;
+                let monitor = row.monitor.as_ref();
+                let eta = monitor.map_or(asked, PeerMonitor::requested_interval);
                 let pslot = self.peers.intern(dest) as u32;
                 picks[at].push((dest, pslot, (entry, eta)));
             }
@@ -313,22 +313,25 @@ impl ServiceNode {
         self.drop_alive_batch(from, slot, heard);
         self.peers.stamp(slot, sent_at, true);
         for alive in &alives {
-            self.apply_group_alive(from, slot, incarnation, seq, sent_at, alive, ctx);
+            self.apply_group_alive(from, slot, seq, sent_at, alive, ctx);
         }
         self.peers[slot].alive.batch = alives;
     }
 
     /// Drops the batch last applied from `from` (peer slot `slot`), whose
-    /// datagram before the latest arrived at `heard`: every monitor and
-    /// member entry it vouched for keeps what the stamp bought it.
+    /// datagram before the latest arrived at `heard`: every row it vouched
+    /// for keeps what the stamp bought it, in its monitor and its
+    /// `last_heard`.
     fn drop_alive_batch(&mut self, from: NodeId, slot: usize, heard: SimInstant) {
         for dropped in std::mem::take(&mut self.peers[slot].alive.batch) {
-            if let Some(state) = self.groups.get_mut(dropped.group) {
-                state.fd.unvouch(&self.peers, from);
-                if let Some(member) = state.members.get_mut(from) {
-                    member.last_heard = member.last_heard.max(heard);
-                }
+            let group = self.groups.get_mut(dropped.group);
+            let Some(row) = group.and_then(|state| state.rows.get_mut(from)) else {
+                continue;
+            };
+            if let Some(monitor) = &mut row.monitor {
+                monitor.unvouch(&self.peers);
             }
+            row.last_heard = row.last_heard.max(heard);
         }
     }
 
@@ -343,7 +346,9 @@ impl ServiceNode {
     pub(super) fn release_stale_batch(&mut self, from: NodeId, slot: usize) {
         let alive = &self.peers[slot].alive;
         let trusted = |entry: &GroupAlive| {
-            (self.groups.get(entry.group)).is_some_and(|state| state.fd.is_trusted(from))
+            let state = self.groups.get(entry.group);
+            let monitor = state.and_then(|state| state.rows.monitor(from));
+            monitor.is_some_and(PeerMonitor::is_trusted)
         };
         if !alive.resync || alive.batch.is_empty() || alive.batch.iter().any(trusted) {
             return;
@@ -378,14 +383,12 @@ impl ServiceNode {
         heard
     }
 
-    /// The per-group effect of one ALIVE entry: membership refresh,
-    /// failure-detector freshness, election payload.
-    #[allow(clippy::too_many_arguments)]
+    /// The per-group effect of one ALIVE entry on the sender's row:
+    /// membership refresh, failure-detector freshness, election payload.
     fn apply_group_alive(
         &mut self,
         from: NodeId,
         pslot: usize,
-        incarnation: u64,
         seq: u64,
         sent_at: SimInstant,
         alive: &GroupAlive,
@@ -396,52 +399,52 @@ impl ServiceNode {
         let Some(state) = self.groups.get_mut(group) else {
             return;
         };
+        let row = state.rows.row(from, now);
         // What this node's own ALIVEs embed of the group, before.
-        let stance = |state: &GroupState| {
-            let elector = (state.elector.alive_payload(), state.elector.is_competing());
-            (elector, state.fd.requested_interval(from))
+        let stance = |elector: &AnyElector, monitor: &Option<PeerMonitor>| {
+            let asks = monitor.as_ref().map(PeerMonitor::requested_interval);
+            (elector.alive_payload(), elector.is_competing(), asks)
         };
-        let stance_before = stance(state);
+        let stance_before = stance(&state.elector, &row.monitor);
         // A member first learnt of via ALIVE (no HELLO yet) is seeded with
         // its advertised representative as the only known process; a HELLO
         // will replace the list with the authoritative one.
-        let (member, created) = state.members.ensure(from, incarnation, now);
+        let (member, created) = row.heard_as_member(now);
         if created {
             member.processes = (alive.representative, true).into();
-            self.peers[pslot].gossip.index(group);
+            self.peers[pslot].member_added(group);
         }
         let representative_changed = member.representative != Some(alive.representative);
         member.representative = Some(alive.representative);
         let asked = member.requested_interval.replace(alive.requested_interval);
         let leader_before = state.elector.leader();
-        let watched = state.fd.state(from).is_some();
+        let watched = row.monitor.is_some();
+        let monitor =
+            (row.monitor).get_or_insert_with(|| state.fd.monitor(&mut self.peers, from, now));
         // The measurement side of this heartbeat (the link estimator) was
         // already fed at node level by `note_alive_datagram`; the monitor's
         // own recording dedups against it.
         let eta = alive.sending_interval;
-        let transition = state
-            .fd
-            .on_heartbeat(&mut self.peers, from, seq, sent_at, eta, now);
-        let mut revived = false;
-        if let Some(t) = transition {
-            if t.transition == Transition::BecameTrusted {
-                // A revival of a suspected peer: the suspicion was a
-                // detector mistake (the paper's T_MR numerator).
-                revived = true;
-                if let Some(obs) = &state.obs {
-                    obs.on_mistake();
-                }
-                state.elector.on_trust(from, now);
+        let transition = (state.fd).on_heartbeat(&mut self.peers, monitor, seq, sent_at, eta, now);
+        let revived = transition == Some(Transition::BecameTrusted);
+        let trusted = monitor.is_trusted();
+        if revived {
+            // A revival of a suspected peer: the suspicion was a detector
+            // mistake (the paper's T_MR numerator).
+            if let Some(obs) = &state.obs {
+                obs.on_mistake();
             }
+            state.elector.on_trust(from, now);
         }
         state.elector.on_alive(from, alive.payload, now);
         let leader_changed = state.elector.leader() != leader_before;
-        if asked != Some(alive.requested_interval) || stance(state) != stance_before {
+        let stance_after = stance(&state.elector, &row.monitor);
+        if asked != Some(alive.requested_interval) || stance_after != stance_before {
             self.alive_epoch += 1;
         }
         // Still suspected (the heartbeat was too old to revive it): the
         // revival must not be skipped as a repeat.
-        if !state.fd.is_trusted(from) {
+        if !trusted {
             self.peers[pslot].alive.resync = true;
         }
         // A heartbeat only *extends* the sender's freshness horizon: the

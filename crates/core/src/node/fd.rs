@@ -1,5 +1,6 @@
 //! The Failure Detector: one timer per monitored peer, however many groups
-//! monitor it, over the per-group [`sle_fd::GroupDetector`]s.
+//! monitor it, over the monitors in the groups' rows, each checked under
+//! its group's [`sle_fd::GroupDetector`].
 
 use sle_election::LeaderElector;
 use sle_fd::{FdParams, Transition, TuningPolicy, Wake};
@@ -7,6 +8,7 @@ use sle_sim::actor::{NodeId, TimerTag};
 use sle_sim::time::SimInstant;
 
 use super::{ServiceContext, ServiceNode, FD_KIND, MAX_BATCH_BYTES};
+use crate::group::GroupState;
 use crate::messages::{ServiceMessage, ACCUSATION_WIRE_SIZE};
 use crate::obs::NodeCount;
 use crate::process::GroupId;
@@ -14,9 +16,6 @@ use crate::process::GroupId;
 /// A peer's detector timer state.
 #[derive(Debug, Default)]
 pub(super) struct PeerFd {
-    /// The groups whose failure detector monitors the peer, ascending: what
-    /// a walk of the peer's detector timer visits.
-    groups: Vec<GroupId>,
     /// When the peer's detector timer is armed, if it is.
     pub(super) armed: Option<SimInstant>,
     /// What the peer's monitors need next, as of the last walk. `None` once
@@ -24,24 +23,6 @@ pub(super) struct PeerFd {
     /// applied, since. Nothing else moves a monitor: (η, δ) only move in a
     /// check, and every check of the peer's monitors is in its walk.
     pub(super) wake: Option<Wake>,
-}
-
-impl PeerFd {
-    /// `group`'s detector monitors the peer from now on.
-    fn index(&mut self, group: GroupId) {
-        if let Err(i) = self.groups.binary_search(&group) {
-            self.groups.insert(i, group);
-        }
-        self.wake = None;
-    }
-
-    /// `group`'s detector no longer monitors the peer.
-    pub(super) fn unindex(&mut self, group: GroupId) {
-        if let Ok(i) = self.groups.binary_search(&group) {
-            self.groups.remove(i);
-        }
-        self.wake = None;
-    }
 }
 
 /// The most `(group, epoch)` entries one ACCUSE carries: a peer suspected
@@ -82,14 +63,14 @@ impl ServiceNode {
         group: GroupId,
         ctx: &mut ServiceContext,
     ) {
-        let deadline = (self.groups.get(group)).and_then(|s| s.fd.deadline_of(&self.peers, peer));
-        if let Some(at) = deadline {
+        let monitor = (self.groups.get(group)).and_then(|s| s.rows.monitor(peer));
+        if let Some(at) = monitor.and_then(|m| m.next_deadline(&self.peers)) {
             self.arm_fd_timer(peer, pslot, at, ctx);
         }
     }
 
-    /// `group`'s detector just started monitoring `peer` afresh (created,
-    /// or reset for a new incarnation).
+    /// `group` just started monitoring `peer` afresh (created, or reset for
+    /// a new incarnation) in its row.
     pub(super) fn fd_monitor_added(
         &mut self,
         peer: NodeId,
@@ -97,14 +78,14 @@ impl ServiceNode {
         ctx: &mut ServiceContext,
     ) {
         let pslot = self.peers.intern(peer);
-        self.peers[pslot].fd.index(group);
+        self.peers[pslot].fd.wake = None;
         self.arm_fd_deadline(peer, pslot, group, ctx);
     }
 
     /// `peer`'s detector timer. While the peer's stamp keeps every monitor
     /// of it ahead of `now` and none is due to re-derive (η, δ), the fire
     /// re-arms from the cached wake and touches no group. Otherwise it walks
-    /// the groups monitoring the peer, checks that one monitor in each, acts
+    /// the groups with a row for the peer, checks the row's monitor, acts
     /// on what changed, and caches the wake the checks leave. The walk's
     /// accusations go to the peer together, one ACCUSE per budget's worth.
     pub(super) fn handle_fd_timer(&mut self, peer: NodeId, ctx: &mut ServiceContext) {
@@ -124,17 +105,21 @@ impl ServiceNode {
             }
         }
         self.counts[NodeCount::FdWalks].inc();
-        debug_assert!(self.fd_index_holds(peer, pslot), "stale index of {peer}");
+        debug_assert!(self.row_index_holds(peer, pslot), "stale index of {peer}");
         let mut wake = Wake::NEVER;
         let mut accusations = Vec::new();
-        let groups = std::mem::take(&mut self.peers[pslot].fd.groups);
+        let groups = std::mem::take(&mut self.peers[pslot].groups);
         for &group in &groups {
             let Some(state) = self.groups.get_mut(group) else {
                 continue;
             };
-            let Some(check) = state.fd.check_peer(&mut self.peers, peer, now) else {
+            let Some(row) = state.rows.get_mut(peer) else {
                 continue;
             };
+            let Some(monitor) = &mut row.monitor else {
+                continue;
+            };
+            let check = state.fd.check(&mut self.peers, monitor, now);
             wake = wake.merge(check.wake);
             if check.transition == Some(Transition::BecameSuspected) {
                 // The revival must be noticed: no repeat may skip it.
@@ -142,10 +127,8 @@ impl ServiceNode {
                 self.alive_epoch += 1;
                 if let (Some(obs), Some(instruments)) = (&self.obs, &state.obs) {
                     // Detection latency T_D: silence since the suspected
-                    // peer's last heartbeat or gossip.
-                    let silent_for = (state.members.get(peer))
-                        .map(|m| now.saturating_since(self.peers[pslot].heard(group, m)))
-                        .unwrap_or_default();
+                    // peer's last heartbeat or gossip (or its restart).
+                    let silent_for = now.saturating_since(self.peers[pslot].heard(group, row));
                     obs.on_detection(instruments, silent_for);
                 }
                 if let Some(epoch) = state.elector.on_suspect(peer, now) {
@@ -161,9 +144,9 @@ impl ServiceNode {
                 self.check_leader(group, ctx);
             }
         }
-        let entry = &mut self.peers[pslot].fd;
+        let entry = &mut self.peers[pslot];
         entry.groups = groups;
-        entry.wake = Some(wake);
+        entry.fd.wake = Some(wake);
         self.arm_fd_timer(peer, pslot, wake.at(stamp), ctx);
         self.release_stale_batch(peer, pslot);
         // `groups` is ascending, so each list is too.
@@ -174,30 +157,22 @@ impl ServiceNode {
         }
     }
 
-    /// What every fire of `peer`'s detector timer (peer slot `pslot`)
-    /// relies on: the peer's index names exactly the groups whose monitor
-    /// rows name its slot. Asserted in debug builds.
-    fn fd_index_holds(&self, peer: NodeId, pslot: usize) -> bool {
-        let indexed = &self.peers[pslot].fd.groups;
-        self.groups.iter().all(|state| {
-            let named = state.fd.slot_of(peer) == Some(pslot);
-            named == indexed.binary_search(&state.group).is_ok()
-        })
-    }
-
     /// What a quiet fire of `peer`'s detector timer relies on beside the
     /// index: none of the peer's monitors is due before `at`. Asserted in
     /// debug builds.
     fn fd_wake_holds(&self, peer: NodeId, pslot: usize, at: SimInstant) -> bool {
-        self.fd_index_holds(peer, pslot)
-            && (self.groups.iter())
-                .all(|state| (state.fd.deadline_of(&self.peers, peer)).is_none_or(|due| due >= at))
+        let due = |state: &GroupState| {
+            let monitor = state.rows.monitor(peer);
+            monitor.and_then(|m| m.next_deadline(&self.peers))
+        };
+        self.row_index_holds(peer, pslot)
+            && (self.groups.iter()).all(|state| due(state).is_none_or(|due| due >= at))
     }
 
     /// The failure-detector operating parameters currently used towards
     /// `peer` in `group` (observability hook; also used by the experiment
     /// harness to verify adaptation).
     pub fn fd_params_of(&self, group: GroupId, peer: NodeId) -> Option<FdParams> {
-        self.groups.get(group)?.fd.params(peer)
+        Some(self.groups.get(group)?.rows.monitor(peer)?.params())
     }
 }

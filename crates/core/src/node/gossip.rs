@@ -4,11 +4,12 @@
 use std::sync::Arc;
 
 use sle_election::LeaderElector;
+use sle_fd::PeerMonitor;
 use sle_sim::actor::NodeId;
 use sle_sim::time::{SimDuration, SimInstant};
 
 use super::{next_tick, PeerEntry, ServiceContext, ServiceNode, HELLO_TIMER};
-use crate::group::{GroupState, MemberEntry};
+use crate::group::{GroupState, PeerRow};
 use crate::messages::{GroupAnnouncement, HelloList, ServiceMessage};
 use crate::obs::NodeCount;
 use crate::process::{GroupId, ProcessId};
@@ -24,56 +25,43 @@ pub(super) struct PeerGossip {
     /// When the peer's latest current HELLO arrived: a digest touches no
     /// group state, it vouches here for every member `listed_at` `applied`.
     pub(super) heard: SimInstant,
-    /// The groups whose member table lists the peer, ascending: what a
-    /// HELLO tick walking the peer visits.
-    pub(super) groups: Vec<GroupId>,
-    /// When the peer's member entries can first expire, as of the last
-    /// walk. `None` once an entry was created or removed, or a stamp stopped
-    /// vouching for one (a list moved `applied` or an entry's `listed_at`,
+    /// When the peer's rows can first expire, as of the last walk. `None`
+    /// once a membership was created or removed, or a stamp stopped
+    /// vouching for one (a list moved `applied` or a member's `listed_at`,
     /// a batch was applied), since.
     pub(super) wake: Option<MemberWake>,
 }
 
-impl PeerGossip {
-    /// `group`'s member table lists the peer from now on.
-    pub(super) fn index(&mut self, group: GroupId) {
-        if let Err(i) = self.groups.binary_search(&group) {
-            self.groups.insert(i, group);
-        }
-        self.wake = None;
-    }
-
-    /// `group`'s member table no longer lists the peer.
-    pub(super) fn unindex(&mut self, group: GroupId) {
-        if let Ok(i) = self.groups.binary_search(&group) {
-            self.groups.remove(i);
-        }
-        self.wake = None;
-    }
-}
-
-/// When a peer's member entries can first expire, as a function of the
-/// peer's two stamps. Per vouch class — no stamp, the digest only, the ALIVE
-/// datagram only, both — it holds the earliest own `last_heard` of the
-/// peer's entries in that class. An entry is heard at the latest of its own
-/// account and the stamps vouching for it, so the earliest of a class is
-/// its floor raised to its stamps. Stamps and `last_heard` only move
-/// forward, and whatever moves an entry between classes drops the wake, so
-/// the instant it gives never runs ahead of any entry.
+/// When a peer's rows can first expire, as a function of the peer's two
+/// stamps. Per vouch class — no stamp, the digest only, the ALIVE datagram
+/// only, both — it holds the earliest own `last_heard` of the peer's rows
+/// in that class. A row is heard at the latest of its own account and the
+/// stamps vouching for it, so the earliest of a class is its floor raised
+/// to its stamps. Stamps and `last_heard` only move
+/// forward, and whatever moves a row between classes drops the wake, so
+/// the instant it gives never runs ahead of any row.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(super) struct MemberWake([SimInstant; 4]);
 
 impl MemberWake {
     const NEVER: MemberWake = MemberWake([SimInstant::FAR_FUTURE; 4]);
 
-    /// Notes an entry heard at `own` on its own account, vouched for by the
+    /// The wake of rows all heard at `now` on their own account: a
+    /// restarted peer's, which no stamp vouches for.
+    pub(super) fn heard_at(now: SimInstant) -> MemberWake {
+        let mut wake = MemberWake::NEVER;
+        wake.note((false, false), now);
+        wake
+    }
+
+    /// Notes a row heard at `own` on its own account, vouched for by the
     /// digest and the ALIVE datagram as `(hello, alive)` says.
     fn note(&mut self, (hello, alive): (bool, bool), own: SimInstant) {
         let floor = &mut self.0[usize::from(hello) | usize::from(alive) << 1];
         *floor = (*floor).min(own);
     }
 
-    /// The earliest any of the entries is heard at, given the stamps.
+    /// The earliest any of the rows is heard at, given the stamps.
     fn heard(&self, hello: SimInstant, alive: SimInstant) -> SimInstant {
         let [none, by_hello, by_alive, by_both] = self.0;
         none.min(by_hello.max(hello))
@@ -83,20 +71,21 @@ impl MemberWake {
 }
 
 impl PeerEntry {
-    /// Which of the peer's stamps vouch for its entry `member` in `group`:
-    /// `(the digest — the applied list names the group, the ALIVE datagram —
-    /// the applied batch lists it)`.
-    fn vouches(&self, group: GroupId, member: &MemberEntry) -> (bool, bool) {
-        let hello = member.listed_at.is_some() && member.listed_at == self.gossip.applied;
+    /// Which of the peer's stamps vouch for its `row` in `group`: `(the
+    /// digest — the applied list names the group, the ALIVE datagram — the
+    /// applied batch lists it)`.
+    fn vouches(&self, group: GroupId, row: &PeerRow) -> (bool, bool) {
+        let listed_at = row.member.as_ref().and_then(|member| member.listed_at);
+        let hello = listed_at.is_some() && listed_at == self.gossip.applied;
         let alive = self.alive.batch.iter().any(|alive| alive.group == group);
         (hello, alive)
     }
 
-    /// When the peer's entry `member` in `group` was last heard from: on its
-    /// own account or by a stamp vouching for it, whichever is latest.
-    pub(super) fn heard(&self, group: GroupId, member: &MemberEntry) -> SimInstant {
-        let (hello, alive) = self.vouches(group, member);
-        let mut heard = member.last_heard;
+    /// When the peer's `row` in `group` was last heard from: on its own
+    /// account or by a stamp vouching for it, whichever is latest.
+    pub(super) fn heard(&self, group: GroupId, row: &PeerRow) -> SimInstant {
+        let (hello, alive) = self.vouches(group, row);
+        let mut heard = row.last_heard;
         if hello {
             heard = heard.max(self.gossip.heard);
         }
@@ -106,13 +95,13 @@ impl PeerEntry {
         heard
     }
 
-    /// Whether none of the peer's member entries can be quiet past `timeout`
-    /// at `now`: it has none, or its cached wake says so.
+    /// Whether none of the peer's rows can be quiet past `timeout` at `now`:
+    /// it has none, or its cached wake says so.
     fn member_quiet(&self, now: SimInstant, timeout: SimDuration) -> bool {
         let quiet = |wake: MemberWake| {
             now.saturating_since(wake.heard(self.gossip.heard, self.alive.heard)) <= timeout
         };
-        self.gossip.groups.is_empty() || self.gossip.wake.is_some_and(quiet)
+        self.groups.is_empty() || self.gossip.wake.is_some_and(quiet)
     }
 }
 
@@ -217,7 +206,7 @@ impl ServiceNode {
                 }
             }
             behind = false;
-            self.apply_announcements(from, slot, incarnation, version, list, ctx);
+            self.apply_announcements(from, slot, version, list, ctx);
         }
         // A pull is answered with the full list; a node still behind pulls.
         if pull || behind {
@@ -235,28 +224,32 @@ impl ServiceNode {
     }
 
     /// `from`'s applied list (peer slot `slot`) moves on from version
-    /// `unvouched`: every entry that version named keeps what the peer's
-    /// digests bought it, up to `heard`, before they stop vouching for it —
-    /// an entry the new list does not name then ages out on its own account.
+    /// `unvouched`: every member row that version named keeps what the
+    /// peer's digests bought it, up to `heard`, before they stop vouching for
+    /// it — a row the new list does not name then ages out on its own
+    /// account.
     fn fold_hello_vouch(&mut self, from: NodeId, slot: usize, unvouched: u64, heard: SimInstant) {
-        let entry = &mut self.peers[slot].gossip;
-        entry.wake = None;
+        let entry = &mut self.peers[slot];
+        entry.gossip.wake = None;
         for &group in &entry.groups {
-            let member = (self.groups.get_mut(group)).and_then(|s| s.members.get_mut(from));
-            if let Some(member) = member.filter(|m| m.listed_at == Some(unvouched)) {
-                member.last_heard = member.last_heard.max(heard);
+            let row = (self.groups.get_mut(group)).and_then(|s| s.rows.get_mut(from));
+            let named = |row: &&mut PeerRow| {
+                (row.member.as_ref()).is_some_and(|m| m.listed_at == Some(unvouched))
+            };
+            if let Some(row) = row.filter(named) {
+                row.last_heard = row.last_heard.max(heard);
             }
         }
     }
 
     /// Applies `from`'s (peer slot `slot`) full or partial list to the groups
-    /// this node is in, stamping every named entry with the list's version.
-    /// Groups the list does not name are left alone: their entries age out.
+    /// this node is in, stamping every named membership with the list's
+    /// version. Groups the list does not name are left alone: their
+    /// memberships age out.
     fn apply_announcements(
         &mut self,
         from: NodeId,
         slot: usize,
-        incarnation: u64,
         version: u64,
         announcements: &[GroupAnnouncement],
         ctx: &mut ServiceContext,
@@ -267,19 +260,20 @@ impl ServiceNode {
             let Some(state) = self.groups.get_mut(group) else {
                 continue;
             };
-            let (member, created) = state.members.ensure(from, incarnation, now);
-            let peer = &mut self.peers[slot].gossip;
+            let row = state.rows.row(from, now);
+            let (member, created) = row.heard_as_member(now);
+            let peer = &mut self.peers[slot];
             if created {
-                peer.index(group);
+                peer.member_added(group);
             }
             // Overtaken on the way by a later partial of the same life.
             if member.listed_at.is_some_and(|at| at > version) {
                 continue;
             }
-            // Being named refreshes the entry outright, but whether the
+            // Being named refreshes the row outright, but whether the
             // peer's digests vouch for it may change with its version.
             if member.listed_at != Some(version) {
-                peer.wake = None;
+                peer.gossip.wake = None;
             }
             member.listed_at = Some(version);
             // Nothing derived changes when the list repeats what is known
@@ -291,23 +285,23 @@ impl ServiceNode {
                 .filter(|(_, candidate)| *candidate)
                 .map(|(process, _)| *process)
                 .min();
+            // (A membership is of the peer's current life: a restart drops
+            // every one of the previous.)
             if !created
-                && member.incarnation == incarnation
                 && *member.processes == *announcement.processes
                 && (member.representative.is_none()
                     || member.representative == fallback_representative)
             {
                 continue;
             }
-            member.incarnation = incarnation;
             member.processes = announcement.processes.as_slice().into();
             // A HELLO's process list supersedes any representative a
             // previous ALIVE advertised; consumers fall back to the first
             // announced candidate (`MemberEntry::representative_process`).
             member.representative = None;
-            let watch = member.has_candidate() && state.fd.state(from).is_none();
+            let watch = member.has_candidate() && row.monitor.is_none();
             if watch {
-                state.fd.ensure_peer(&mut self.peers, from, now);
+                row.monitor = Some(state.fd.monitor(&mut self.peers, from, now));
             }
             self.alive_epoch += 1;
             self.peers[slot].alive.resync = true;
@@ -328,7 +322,7 @@ impl ServiceNode {
         let Some(state) = self.groups.get_mut(group) else {
             return;
         };
-        if let Some(member) = state.members.get_mut(from) {
+        if let Some(member) = (state.rows.get_mut(from)).and_then(|row| row.member.as_mut()) {
             let listed = member.processes.len();
             member.processes.retain(|(p, _)| *p != process);
             if member.processes.is_empty() {
@@ -342,32 +336,33 @@ impl ServiceNode {
         self.check_leader(group, ctx);
     }
 
-    /// The one way `peer` leaves `group`'s membership, before the caller
-    /// re-checks the leader. Not `leave_group`'s, where the group goes as a
-    /// whole, nor a restart's, which *resets* the monitor rather than removing
-    /// it: sharing this path would make it branch on its caller.
+    /// The one way `peer`'s row in `group` goes, membership and monitor,
+    /// before the caller re-checks the leader. Not `leave_group`'s, where
+    /// the group goes as a whole, nor a restart's, which keeps the row with
+    /// a *reset* monitor: sharing this path would make it branch on its
+    /// caller.
     fn forget_member(&mut self, group: GroupId, peer: NodeId, now: SimInstant) {
         let Some(state) = self.groups.get_mut(group) else {
             return;
         };
-        state.members.remove(peer);
+        state.rows.remove(peer);
         state.elector.remove_peer(peer, now);
-        state.fd.remove_peer(peer);
         self.alive_epoch += 1;
         // Should the peer come back at its applied list or batch: pull, apply.
         let entry = self.peers.entry(peer);
         (entry.gossip.resync, entry.alive.resync) = (true, true);
-        entry.fd.unindex(group);
-        entry.gossip.unindex(group);
+        entry.unindex(group);
+        (entry.fd.wake, entry.gossip.wake) = (None, None);
     }
 
     /// The HELLO tick: membership expiry, then the periodic digest. A peer
-    /// whose cached member wake says none of its entries can be quiet past
-    /// the membership timeout — the steady state — costs one comparison and
-    /// touches no group. Any other peer's indexed groups are walked: an
-    /// entry quiet on its own account folds the peer's stamps in, and
-    /// expires if it is quiet by them too and the group's detector does not
-    /// trust the peer; the survivors leave the new wake. Expiries are then
+    /// whose cached member wake says none of its rows can be quiet past the
+    /// membership timeout — the steady state — costs one comparison and
+    /// touches no group. Any other peer's rows are walked: a row quiet on
+    /// its own account folds the peer's stamps in, and expires if it is
+    /// quiet by them too and is not a member the group's monitor trusts (a
+    /// row a restart left without membership expires whatever its fresh
+    /// monitor says); the survivors leave the new wake. Expiries are then
     /// applied group by group, in ascending group order.
     pub(super) fn handle_hello_timer(&mut self, ctx: &mut ServiceContext) {
         let now = ctx.now();
@@ -385,26 +380,27 @@ impl ServiceNode {
             }
             self.counts[NodeCount::HelloMemberWalks].inc();
             let mut wake = MemberWake::NEVER;
-            for &group in &entry.gossip.groups {
+            for &group in &entry.groups {
                 let Some(state) = self.groups.get_mut(group) else {
                     continue;
                 };
-                let Some(member) = state.members.get_mut(peer) else {
+                let Some(row) = state.rows.get_mut(peer) else {
                     continue;
                 };
-                if now.saturating_since(member.last_heard) > timeout {
+                if now.saturating_since(row.last_heard) > timeout {
                     // Quiet on its own account: fold the peer's digests and
                     // repeated batches in (here, once per timeout — not on
                     // every datagram).
-                    member.last_heard = entry.heard(group, member);
-                    if now.saturating_since(member.last_heard) > timeout
-                        && !state.fd.is_trusted(peer)
+                    row.last_heard = entry.heard(group, row);
+                    let trusted = row.monitor.as_ref().is_some_and(PeerMonitor::is_trusted);
+                    if now.saturating_since(row.last_heard) > timeout
+                        && !(row.member.is_some() && trusted)
                     {
                         expired.push((group, peer));
                         continue;
                     }
                 }
-                wake.note(entry.vouches(group, member), member.last_heard);
+                wake.note(entry.vouches(group, row), row.last_heard);
             }
             walked.push((pslot, wake));
         }
@@ -430,18 +426,17 @@ impl ServiceNode {
         ctx.set_timer_at(HELLO_TIMER, at);
     }
 
-    /// What a quiet HELLO tick relies on for `peer` (peer slot `pslot`): its
-    /// index names exactly the groups listing it, and none of its entries is
-    /// quiet past the membership timeout at `now`. Asserted in debug builds.
+    /// What a quiet HELLO tick relies on for `peer` (peer slot `pslot`)
+    /// beside the index: none of its rows is quiet past the membership
+    /// timeout at `now`. Asserted in debug builds.
     fn member_wake_holds(&self, peer: NodeId, pslot: usize, now: SimInstant) -> bool {
         let entry = &self.peers[pslot];
         let timeout = self.config.membership_timeout;
-        self.groups.iter().all(|state| {
-            let member = state.members.get(peer);
-            let indexed = entry.gossip.groups.binary_search(&state.group).is_ok();
-            let fresh =
-                |m: &MemberEntry| now.saturating_since(entry.heard(state.group, m)) <= timeout;
-            member.is_some() == indexed && member.is_none_or(fresh)
-        })
+        self.row_index_holds(peer, pslot)
+            && self.groups.iter().all(|state| {
+                let fresh =
+                    |row: &PeerRow| now.saturating_since(entry.heard(state.group, row)) <= timeout;
+                state.rows.get(peer).is_none_or(fresh)
+            })
     }
 }

@@ -66,8 +66,8 @@ impl ServiceNode {
                 token: lease.token,
                 valid_for: lease.ttl,
             };
-            for dest in state.members.peers() {
-                ctx.send(dest, grant.clone());
+            for (row, _) in state.rows.members() {
+                ctx.send(row.peer, grant.clone());
             }
         }
         false

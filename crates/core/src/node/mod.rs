@@ -9,7 +9,7 @@
 //! | (the dispatcher) | `node/mod.rs` | registration, joins and leaves, timers, the tables the modules share |
 //! | Group Maintenance | `node/gossip.rs` | HELLO gossip, membership, leaves and expiry |
 //! | Failure Detector, its input | `node/alive.rs` | the ALIVE stream, sent and received |
-//! | Failure Detector | `node/fd.rs` | one detector timer per monitored peer, over the per-group [`sle_fd::GroupDetector`]s |
+//! | Failure Detector | `node/fd.rs` | one detector timer per monitored peer, over the monitors in the groups' rows |
 //! | Leader Election Algorithm | `node/election.rs` | the leader each group's [`sle_election::AnyElector`] yields, announced |
 //! | (the lease tier above it) | `node/lease.rs` | lease upkeep and client serving |
 
@@ -148,9 +148,30 @@ struct PeerEntry {
     /// Highest incarnation observed from the peer; `None` until the first
     /// incarnation-carrying message arrives.
     incarnation: Option<u64>,
+    /// The groups that have a row for the peer, ascending: what the HELLO
+    /// tick and the peer's detector timer walk.
+    groups: Vec<GroupId>,
     gossip: gossip::PeerGossip,
     alive: alive::PeerAlive,
     fd: fd::PeerFd,
+}
+
+impl PeerEntry {
+    /// `group` made the peer a member: in a new row, or in one the peer's
+    /// restart left with a monitor alone. (Only a membership creates a row.)
+    fn member_added(&mut self, group: GroupId) {
+        if let Err(i) = self.groups.binary_search(&group) {
+            self.groups.insert(i, group);
+        }
+        self.gossip.wake = None;
+    }
+
+    /// `group` no longer has a row for the peer.
+    fn unindex(&mut self, group: GroupId) {
+        if let Ok(i) = self.groups.binary_search(&group) {
+            self.groups.remove(i);
+        }
+    }
 }
 
 /// The context type used by the service.
@@ -334,8 +355,10 @@ impl ServiceNode {
     /// workstation (ascending), its processes and their candidate flags.
     pub fn remote_members_of(&self, group: GroupId) -> Vec<(NodeId, Vec<(ProcessId, bool)>)> {
         let state = self.groups.get(group);
-        let members = state.into_iter().flat_map(|s| s.members.iter());
-        members.map(|m| (m.peer, m.processes.to_vec())).collect()
+        let members = state.into_iter().flat_map(|s| s.rows.members());
+        members
+            .map(|(row, m)| (row.peer, m.processes.to_vec()))
+            .collect()
     }
 
     /// Registers a new application process with this service instance and
@@ -456,16 +479,20 @@ impl ServiceNode {
         }
         // Tell the other members explicitly so they do not need to wait for
         // the membership timeout.
-        for peer in state.members.peers() {
-            ctx.send(peer, ServiceMessage::Leave { group, process });
+        for (row, _) in state.rows.members() {
+            ctx.send(row.peer, ServiceMessage::Leave { group, process });
         }
         if state.local_processes.is_empty() {
             if let Some(gone) = self.groups.remove(group) {
-                for peer in gone.fd.peers() {
-                    self.peers.entry(peer).fd.unindex(group);
-                }
-                for peer in gone.members.peers() {
-                    self.peers.entry(peer).gossip.unindex(group);
+                for row in gone.rows.iter() {
+                    let entry = self.peers.entry(row.peer);
+                    entry.unindex(group);
+                    if row.member.is_some() {
+                        entry.gossip.wake = None;
+                    }
+                    if row.monitor.is_some() {
+                        entry.fd.wake = None;
+                    }
                 }
             }
             self.arm_alive_timer(ctx);
@@ -525,23 +552,43 @@ impl ServiceNode {
         // So did the link estimate, whether or not a group still lists the
         // peer: its loss window would count the new life's reused sequence
         // numbers as fresh arrivals. Once, for every group reading it.
-        let groups = std::mem::take(&mut entry.gossip.groups);
-        entry.gossip.wake = None;
         self.peers.reset(slot);
         self.alive_epoch += 1;
         let now = ctx.now();
-        // Every member entry of the previous life goes.
-        for group in groups {
+        let entry = &mut self.peers[slot];
+        // Every row of the peer is heard now, on its own account only.
+        entry.gossip.wake = Some(gossip::MemberWake::heard_at(now));
+        let groups = std::mem::take(&mut entry.groups);
+        // Every membership of the previous life goes. Its row stays, with a
+        // fresh monitor, until the new life names the group or the row is
+        // quiet past the membership timeout.
+        for &group in &groups {
             let Some(state) = self.groups.get_mut(group) else {
                 continue;
             };
-            if state.members.remove(peer).is_some() {
-                state.elector.remove_peer(peer, now);
-                state.fd.reset_peer(&mut self.peers, peer, now);
-                self.fd_monitor_added(peer, group, ctx);
-                self.check_leader(group, ctx);
-            }
+            let Some(row) = state.rows.get_mut(peer) else {
+                continue;
+            };
+            (row.member, row.last_heard) = (None, now);
+            row.monitor = Some(state.fd.monitor(&mut self.peers, peer, now));
+            state.elector.remove_peer(peer, now);
+            self.fd_monitor_added(peer, group, ctx);
+            self.check_leader(group, ctx);
         }
+        self.peers[slot].groups = groups;
+    }
+
+    /// What both walks of `peer` (peer slot `pslot`) rely on: its index
+    /// names exactly the groups that have a row for it. Asserted in debug
+    /// builds.
+    fn row_index_holds(&self, peer: NodeId, pslot: usize) -> bool {
+        let indexed = &self.peers[pslot].groups;
+        self.groups.iter().all(|state| {
+            let row = state.rows.get(peer);
+            // A row holds a membership, a monitor or both.
+            row.is_none_or(|row| row.member.is_some() || row.monitor.is_some())
+                && row.is_some() == indexed.binary_search(&state.group).is_ok()
+        })
     }
 }
 

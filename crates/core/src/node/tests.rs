@@ -919,7 +919,7 @@ fn a_member_takes_hellos_listing_one_two_and_five_processes_in_turn() {
         node.on_message(peer, leave, &mut at(100));
         assert_eq!(node.remote_members_of(GROUP), vec![(peer, listing(gone))]);
     }
-    let member = node.groups.get(GROUP).and_then(|s| s.members.get(peer));
+    let member = node.groups.get(GROUP).and_then(|s| s.rows.member(peer));
     assert!(member.is_some_and(|m| m.has_candidate()));
 }
 
@@ -977,6 +977,120 @@ fn a_restart_resets_the_link_estimate_of_a_peer_no_group_lists() {
     };
     node.on_message(peer, hello, &mut at(3_000));
     assert_eq!(recorded(&node), 0, "the old life's estimate survived");
+}
+
+#[test]
+fn a_restart_resets_the_monitor_in_the_row_the_list_later_fills() {
+    // A restart takes the peer's membership but keeps its row, with a
+    // monitor reset at the restart: the grace it gives the new life runs
+    // from the restart, not from when the new life's list arrives.
+    let peer = NodeId(1);
+    let config = ServiceConfig::full_mesh(NodeId(0), 2, ElectorKind::OmegaL);
+    let mut node = ServiceNode::new(config);
+    let ms = |ms: u64| SimInstant::from_nanos(ms * 1_000_000);
+    let process = node.register_process();
+    (node.join_group(process, GROUP, JoinConfig::candidate(), &mut at(ms(0)))).unwrap();
+    let hello = |incarnation, sent_at, announcements| ServiceMessage::Hello {
+        incarnation,
+        version: 0,
+        sent_at,
+        pull: false,
+        announcements,
+    };
+    let processes = vec![(ProcessId::new(peer, 0), true)];
+    let list = HelloList::Full(Arc::from([GroupAnnouncement {
+        group: GROUP,
+        processes: processes.clone(),
+    }]));
+    let deadline = |node: &ServiceNode| {
+        let row = node.groups.get(GROUP).and_then(|s| s.rows.get(peer));
+        row.and_then(|row| row.monitor.as_ref())
+            .map(sle_fd::PeerMonitor::deadline)
+    };
+    node.on_message(peer, hello(1, ms(100), list.clone()), &mut at(ms(100)));
+    assert_eq!(deadline(&node), Some(ms(1_100)));
+    // The peer restarts; its new life's first word is a digest.
+    let restart = ms(3_000);
+    node.on_message(
+        peer,
+        hello(2, restart, HelloList::Omitted),
+        &mut at(restart),
+    );
+    let t_d = SimDuration::from_secs(1);
+    assert!(node.remote_members_of(GROUP).is_empty());
+    assert_eq!(deadline(&node), Some(restart + t_d));
+    // Its list arrives later and fills the same row.
+    node.on_message(peer, hello(2, ms(3_500), list), &mut at(ms(3_500)));
+    assert_eq!(node.remote_members_of(GROUP), vec![(peer, processes)]);
+    assert_eq!(deadline(&node), Some(restart + t_d));
+}
+
+#[test]
+fn a_restarted_peer_that_leaves_a_group_out_loses_its_row_there() {
+    // Node 2 is in the group in its first life only. Its restart leaves
+    // node 0 a row for it with a fresh monitor and no membership. The
+    // suspicion that monitor raises counts the silence since the restart,
+    // and the row goes once quiet past the membership timeout, within one
+    // HELLO interval.
+    let n = 3;
+    let registry = sle_obs::Registry::default();
+    let cells = registry.clone();
+    let mut world = World::new(
+        n,
+        Box::new(move |node, incarnation| {
+            let mut config = ServiceConfig::full_mesh(node, n, ElectorKind::OmegaL);
+            if node != NodeId(2) || incarnation == 0 {
+                config = config.with_auto_join(GROUP, JoinConfig::candidate());
+            }
+            let mut service = ServiceNode::new(config);
+            let ring = sle_obs::TraceRing::new(64);
+            service.set_instruments(NodeInstruments::new(&cells, ring, node));
+            service
+        }),
+        FixedDelayMedium::new(SimDuration::from_millis(10)),
+        23,
+    );
+    let secs = SimInstant::from_secs_f64;
+    world.schedule_crash(NodeId(2), secs(5.5));
+    world.schedule_recovery(NodeId(2), secs(6.0));
+    // Node 0 hears the new life's start HELLO one link delay later.
+    let restart = secs(6.01);
+    let row_of_2 = |world: &World<ServiceNode, FixedDelayMedium>| {
+        let node = world.actor(NodeId(0)).unwrap();
+        let row = node.groups.get(GROUP).unwrap().rows.get(NodeId(2));
+        row.map(|row| {
+            (
+                row.member.is_some(),
+                row.monitor.as_ref().map(|m| m.is_trusted()),
+            )
+        })
+    };
+    world.run_until(secs(6.5), &mut NullObserver);
+    assert_eq!(row_of_2(&world), Some((false, Some(true))));
+    let members = world.actor(NodeId(0)).unwrap().remote_members_of(GROUP);
+    assert_eq!(
+        members,
+        vec![(NodeId(1), vec![(ProcessId::new(NodeId(1), 0), true)])]
+    );
+    let timeout = ServiceConfig::full_mesh(NodeId(0), n, ElectorKind::OmegaL).membership_timeout;
+    world.run_until(
+        restart + timeout - SimDuration::from_millis(1),
+        &mut NullObserver,
+    );
+    assert_eq!(row_of_2(&world), Some((false, Some(false))));
+    let detections = registry.histogram("node.0.fd.detection_ns").snapshot();
+    assert!(detections.count > 0);
+    assert_eq!(detections.buckets[0], 0, "a 0 ns detection: {detections:?}");
+    world.run_until(
+        restart + timeout + SimDuration::from_secs(1),
+        &mut NullObserver,
+    );
+    assert_eq!(row_of_2(&world), None);
+    world.run_until(secs(60.0), &mut NullObserver);
+    let node = world.actor(NodeId(0)).unwrap();
+    assert_eq!(node.fd_params_of(GROUP, NodeId(2)), None);
+    let slot = node.peers.find(NodeId(2)).unwrap();
+    assert!(node.peers[slot].groups.is_empty());
 }
 
 #[test]
@@ -1338,8 +1452,10 @@ fn a_batch_is_freed_once_no_group_it_lists_trusts_the_sender() {
         let slot = drive.node.peers.find(peer).expect("contacted");
         drive.node.peers[slot].alive.batch.len()
     };
-    let trusted =
-        |drive: &TimerDrive| groups.map(|g| drive.node.groups.get(g).unwrap().fd.is_trusted(peer));
+    let trusted = |drive: &TimerDrive| {
+        let monitor = |g| drive.node.groups.get(g).unwrap().rows.monitor(peer);
+        groups.map(|g| monitor(g).is_some_and(sle_fd::PeerMonitor::is_trusted))
+    };
     let secs = |s: f64| SimInstant::from_secs_f64(s);
     drive.run_to(secs(0.01));
     deliver(&mut drive, 0, secs(0.01));

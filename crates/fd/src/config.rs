@@ -132,7 +132,7 @@ impl TuningPolicy {
 /// smallest a sender needs to honour.
 pub const MIN_INTERVAL: SimDuration = SimDuration::from_millis(5);
 /// η as a fraction of the detection bound searched: the static cap on η, the
-/// adaptive split of η + δ.
+/// adaptive split of η + δ ([`default_interval`]).
 const INTERVAL_FRACTION: f64 = 0.25;
 /// Candidate intervals the static search examines between cap and floor.
 const STATIC_STEPS: u32 = 128;
@@ -183,7 +183,7 @@ pub fn configure(qos: &QosSpec, quality: &LinkQuality, policy: TuningPolicy) -> 
 /// quarter of `T_D^U` down.
 fn largest_interval(qos: &QosSpec, quality: &LinkQuality) -> FdParams {
     let t_d = qos.detection_time();
-    let cap = t_d.mul_f64(INTERVAL_FRACTION).max(MIN_INTERVAL);
+    let cap = default_interval(t_d).max(MIN_INTERVAL);
     let interval = (0..STATIC_STEPS)
         .map(|i| {
             let frac = 1.0 - f64::from(i) / f64::from(STATIC_STEPS - 1);
@@ -220,11 +220,21 @@ fn tightest_bound(qos: &QosSpec, quality: &LinkQuality) -> Option<FdParams> {
     (0..ADAPTIVE_STEPS).find_map(|i| {
         let frac = f64::from(i) / f64::from(ADAPTIVE_STEPS - 1);
         let total = floor + (t_d - floor).mul_f64(frac);
-        let interval = total.mul_f64(INTERVAL_FRACTION).max(MIN_INTERVAL);
+        let interval = default_interval(total).max(MIN_INTERVAL);
         let shift = total.saturating_sub(interval);
         (shift > shift_floor && params_meet_qos(&widened, interval, shift, qos))
             .then_some(FdParams { interval, shift })
     })
+}
+
+/// The heartbeat interval η that goes with the detection bound `bound`: a
+/// quarter of it (`T_D^U × 0.25` for a group's QoS). It is the static
+/// search's cap on η, the adaptive search's split of each η + δ it tries,
+/// and what a sender uses, and asks of a peer, until a monitor asks for
+/// another. Not floored: where it is sent, the caller floors it at
+/// [`MIN_INTERVAL`].
+pub fn default_interval(bound: SimDuration) -> SimDuration {
+    bound.mul_f64(INTERVAL_FRACTION)
 }
 
 /// Returns whether the operating point `(eta, delta)` meets `qos` on a link
@@ -365,6 +375,8 @@ mod tests {
                 "η + δ must equal T_D^U"
             );
             assert!(params.interval <= SimDuration::from_millis_f64(td_ms as f64 * 0.25 + 0.001));
+            // A clean link is searched from the cap down and takes it.
+            assert_eq!(params.interval, default_interval(qos.detection_time()));
         }
     }
 

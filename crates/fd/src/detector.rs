@@ -6,18 +6,20 @@
 //! trust/suspect transitions to the Group Maintenance and Leader Election
 //! modules. Here that module is the owner's one [`PeerTable`] (the link of
 //! every peer, measured once) plus, per group, a [`GroupDetector`]: the
-//! group's QoS and tuning policy and its per-peer [`PeerMonitor`] rows, each
-//! checked on its own ([`GroupDetector::check_peer`]) so that the owner of
-//! several groups can watch all its monitors of one peer from one timer and
-//! its [`Wake`]. A [`FailureDetector`] is the same module for one group and
-//! its own private table, as a standalone detector needs it.
+//! group's QoS and tuning policy. The group's [`PeerMonitor`]s are its
+//! owner's, one in each of its per-peer rows, and every detector call is
+//! lent the monitor it acts on and the table, each monitor checked on its
+//! own ([`GroupDetector::check`]) so that the owner of several groups can
+//! watch all its monitors of one peer from one timer and its [`Wake`]. A
+//! [`FailureDetector`] is the same module for one group, with its monitors
+//! and its private table, as a standalone detector needs it.
 
 use sle_sim::actor::NodeId;
 use sle_sim::dense::insert_tight;
 use sle_sim::time::{SimDuration, SimInstant};
 
-use crate::config::{FdParams, TuningPolicy};
-use crate::monitor::{PeerMonitor, Transition, TrustState};
+use crate::config::TuningPolicy;
+use crate::monitor::{PeerMonitor, Transition};
 use crate::peers::PeerTable;
 use crate::qos::QosSpec;
 
@@ -89,7 +91,7 @@ impl Wake {
     }
 }
 
-/// What [`GroupDetector::check_peer`] found.
+/// What [`GroupDetector::check`] found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PeerCheck {
     /// The monitor's change of opinion, if any (a check only suspects).
@@ -102,40 +104,23 @@ pub struct PeerCheck {
 }
 
 /// One group's share of the failure-detector module: the group's QoS and
-/// tuning policy, read once here, and its monitors, one row per peer,
-/// reading their peers' links from the owner's [`PeerTable`].
+/// tuning policy, read once here and applied to whichever of the group's
+/// monitors a call is lent, reading their peers' links from the owner's
+/// [`PeerTable`].
 #[derive(Debug, Clone)]
 pub struct GroupDetector {
     qos: QosSpec,
     policy: TuningPolicy,
-    /// Monitors sorted by peer id: lookups are binary searches over
-    /// contiguous memory, iteration is in deterministic id order. Peer sets
-    /// are bounded by group fan-out, so inserts/removals are cheap.
-    monitors: Vec<PeerMonitor>,
 }
 
 impl GroupDetector {
     /// Creates a group's detector using `qos` for every monitored peer,
     /// whose monitors follow their link estimates under `policy`.
     pub fn new(qos: QosSpec, policy: TuningPolicy) -> Self {
-        GroupDetector {
-            qos,
-            policy,
-            monitors: Vec::new(),
-        }
+        GroupDetector { qos, policy }
     }
 
-    #[inline]
-    fn find(&self, peer: NodeId) -> Result<usize, usize> {
-        self.monitors.binary_search_by_key(&peer, PeerMonitor::peer)
-    }
-
-    #[inline]
-    fn monitor(&self, peer: NodeId) -> Option<&PeerMonitor> {
-        self.find(peer).ok().map(|i| &self.monitors[i])
-    }
-
-    /// The QoS used for newly monitored peers.
+    /// The QoS of the group's monitors.
     pub fn qos(&self) -> QosSpec {
         self.qos
     }
@@ -145,16 +130,19 @@ impl GroupDetector {
         self.policy
     }
 
-    /// The crash-detection time every monitor currently honours: `T_D^U`,
-    /// or — once an adaptive detector has measured every monitored peer —
-    /// the largest η + δ among them. It must cover the *slowest* link, and a
-    /// peer still on the prior is still on the static bound.
-    pub fn detection_bound(&self) -> SimDuration {
+    /// The crash-detection time the group's `monitors` currently honour:
+    /// `T_D^U`, or — once an adaptive detector has measured every monitored
+    /// peer — the largest η + δ among them. It must cover the *slowest*
+    /// link, and a peer still on the prior is still on the static bound.
+    pub fn detection_bound<'a>(
+        &self,
+        monitors: impl IntoIterator<Item = &'a PeerMonitor>,
+    ) -> SimDuration {
         let t_d = self.qos.detection_time();
         if self.policy == TuningPolicy::Static {
             return t_d;
         }
-        (self.monitors.iter())
+        (monitors.into_iter())
             .map(|m| {
                 if m.is_measured() {
                     m.params().worst_case_detection()
@@ -166,123 +154,41 @@ impl GroupDetector {
             .unwrap_or(t_d)
     }
 
-    /// `peer`'s monitor, created (the peer interned into `table` if new
-    /// there) if it was not monitored.
-    pub fn ensure_peer<T: Default>(
-        &mut self,
+    /// A new monitor of `peer` for this group, first observed at `now` (the
+    /// peer interned into `table` if new there).
+    pub fn monitor<T: Default>(
+        &self,
         table: &mut PeerTable<T>,
         peer: NodeId,
         now: SimInstant,
-    ) -> &mut PeerMonitor {
-        let i = self.find(peer).unwrap_or_else(|i| {
-            let monitor = PeerMonitor::new(peer, table.intern(peer), &self.qos, self.policy, now);
-            insert_tight(&mut self.monitors, i, monitor);
-            i
-        });
-        &mut self.monitors[i]
+    ) -> PeerMonitor {
+        PeerMonitor::new(table.intern(peer), &self.qos, self.policy, now)
     }
 
-    /// Stops monitoring `peer` (e.g. because it left every shared group).
-    /// Its table slot stays: the table's owner holds it.
-    pub fn remove_peer(&mut self, peer: NodeId) {
-        if let Ok(i) = self.find(peer) {
-            self.monitors.remove(i);
-        }
-    }
-
-    /// Discards this group's opinion of `peer` and starts monitoring it
-    /// afresh (used when a peer restarts with a new incarnation). The link
-    /// record is the table owner's to wipe ([`PeerTable::reset`]), once for
-    /// every group reading it.
-    pub fn reset_peer<T: Default>(
-        &mut self,
+    /// Processes a heartbeat from `monitor`'s peer. Returns the transition
+    /// (back to trusted) if the heartbeat revived a suspected peer.
+    #[allow(clippy::too_many_arguments)]
+    pub fn on_heartbeat<T>(
+        &self,
         table: &mut PeerTable<T>,
-        peer: NodeId,
-        now: SimInstant,
-    ) {
-        self.remove_peer(peer);
-        self.ensure_peer(table, peer, now);
-    }
-
-    /// Iterates over the monitored peers (in ascending id order).
-    pub fn peers(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.monitors.iter().map(PeerMonitor::peer)
-    }
-
-    /// The table slot `peer`'s monitor reads, if monitored.
-    pub fn slot_of(&self, peer: NodeId) -> Option<usize> {
-        self.monitor(peer).map(PeerMonitor::slot)
-    }
-
-    /// Returns whether `peer` is currently trusted. Unmonitored peers are
-    /// not trusted.
-    pub fn is_trusted(&self, peer: NodeId) -> bool {
-        self.monitor(peer).is_some_and(PeerMonitor::is_trusted)
-    }
-
-    /// The trust state of `peer`, if monitored.
-    pub fn state(&self, peer: NodeId) -> Option<TrustState> {
-        self.monitor(peer).map(PeerMonitor::state)
-    }
-
-    /// The heartbeat interval this detector would like `peer` to use when
-    /// sending to us (piggybacked on outgoing messages).
-    pub fn requested_interval(&self, peer: NodeId) -> Option<SimDuration> {
-        self.monitor(peer).map(PeerMonitor::requested_interval)
-    }
-
-    /// The operating parameters (η, δ) currently used for `peer`.
-    pub fn params(&self, peer: NodeId) -> Option<FdParams> {
-        self.monitor(peer).map(PeerMonitor::params)
-    }
-
-    /// Folds `peer`'s freshness stamp into its monitor's own horizon and
-    /// stops reading it. The owner calls this for every monitor the peer's
-    /// last batch vouched for before restarting the stamp
-    /// ([`PeerTable::stamp`]): a group the next batch drops then ages out
-    /// on what it was really sent.
-    pub fn unvouch<T>(&mut self, table: &PeerTable<T>, peer: NodeId) {
-        if let Ok(i) = self.find(peer) {
-            let monitor = &mut self.monitors[i];
-            monitor.fold(table.stamp_of(monitor.slot()), true);
-        }
-    }
-
-    /// Processes a heartbeat from `peer`.
-    ///
-    /// The peer is implicitly added to the monitored set if unknown.
-    /// Returns the transition (back to trusted) if the heartbeat revived a
-    /// suspected peer.
-    pub fn on_heartbeat<T: Default>(
-        &mut self,
-        table: &mut PeerTable<T>,
-        peer: NodeId,
+        monitor: &mut PeerMonitor,
         seq: u64,
         sent_at: SimInstant,
         sender_interval: SimDuration,
         now: SimInstant,
-    ) -> Option<PeerTransition> {
-        let (qos, policy) = (self.qos, self.policy);
-        (self.ensure_peer(table, peer, now))
-            .on_heartbeat(table, &qos, policy, seq, sent_at, sender_interval, now)
-            .map(|transition| PeerTransition { peer, transition })
+    ) -> Option<Transition> {
+        let (qos, policy) = (&self.qos, self.policy);
+        monitor.on_heartbeat(table, qos, policy, seq, sent_at, sender_interval, now)
     }
 
-    /// Re-evaluates `peer`'s monitor at `now` — through the peer's
-    /// freshness stamp, folded in first — and lets it re-derive (η, δ) if it
-    /// is due. `None` if the peer is not monitored.
-    pub fn check_peer<T>(
-        &mut self,
+    /// Re-evaluates `monitor` at `now` — through its peer's freshness
+    /// stamp, folded in first — and lets it re-derive (η, δ) if it is due.
+    pub fn check<T>(
+        &self,
         table: &mut PeerTable<T>,
-        peer: NodeId,
+        monitor: &mut PeerMonitor,
         now: SimInstant,
-    ) -> Option<PeerCheck> {
-        let i = self.find(peer).ok()?;
-        Some(self.check_at(table, i, now))
-    }
-
-    fn check_at<T>(&mut self, table: &mut PeerTable<T>, i: usize, now: SimInstant) -> PeerCheck {
-        let monitor = &mut self.monitors[i];
+    ) -> PeerCheck {
         let before = (monitor.params(), monitor.is_measured());
         monitor.fold(table.stamp_of(monitor.slot()), false);
         let transition = monitor.check(table, &self.qos, self.policy, now);
@@ -295,43 +201,11 @@ impl GroupDetector {
             wake: monitor.wake(self.policy),
         }
     }
-
-    /// [`check_peer`](GroupDetector::check_peer) for every monitored
-    /// peer, returning the transitions (in practice, new suspicions whose
-    /// freshness horizon has expired).
-    pub fn poll<T>(&mut self, table: &mut PeerTable<T>, now: SimInstant) -> Vec<PeerTransition> {
-        let mut transitions = Vec::new();
-        for i in 0..self.monitors.len() {
-            if let Some(transition) = self.check_at(table, i, now).transition {
-                let peer = self.monitors[i].peer();
-                transitions.push(PeerTransition { peer, transition });
-            }
-        }
-        transitions
-    }
-
-    /// The instant `peer`'s monitor suspects it unless a heartbeat or a
-    /// stamp comes first. `None` if the peer is not monitored or already
-    /// suspected.
-    pub fn deadline_of<T>(&self, table: &PeerTable<T>, peer: NodeId) -> Option<SimInstant> {
-        let monitor = self.monitor(peer)?;
-        let deadline = monitor.deadline_at(table.stamp_of(monitor.slot()));
-        (deadline != SimInstant::FAR_FUTURE).then_some(deadline)
-    }
-
-    /// The earliest [`deadline_of`](GroupDetector::deadline_of) among all
-    /// monitors — the time at which the next suspicion could occur and
-    /// therefore the time at which the owner should call
-    /// [`GroupDetector::poll`] again.
-    pub fn next_deadline<T>(&self, table: &PeerTable<T>) -> Option<SimInstant> {
-        (self.peers())
-            .filter_map(|peer| self.deadline_of(table, peer))
-            .min()
-    }
 }
 
-/// A standalone failure detector: one group's [`GroupDetector`] over a
-/// private [`PeerTable`], running the same code a service instance runs.
+/// A standalone failure detector: one group's [`GroupDetector`] and its
+/// monitors over a private [`PeerTable`], running the same code a service
+/// instance runs.
 ///
 /// ```
 /// use sle_fd::detector::FailureDetector;
@@ -354,6 +228,9 @@ impl GroupDetector {
 pub struct FailureDetector {
     table: PeerTable,
     group: GroupDetector,
+    /// Monitors sorted by peer id: lookups are binary searches, polls go in
+    /// deterministic id order.
+    monitors: Vec<(NodeId, PeerMonitor)>,
 }
 
 impl FailureDetector {
@@ -363,20 +240,37 @@ impl FailureDetector {
         FailureDetector {
             table: PeerTable::new(),
             group: GroupDetector::new(qos, TuningPolicy::Static),
+            monitors: Vec::new(),
         }
+    }
+
+    fn find(&self, peer: NodeId) -> Result<usize, usize> {
+        self.monitors.binary_search_by_key(&peer, |&(id, _)| id)
+    }
+
+    /// Starts monitoring `peer` if it is not already monitored; returns its
+    /// monitor's index.
+    fn ensure(&mut self, peer: NodeId, now: SimInstant) -> usize {
+        self.find(peer).unwrap_or_else(|i| {
+            let monitor = self.group.monitor(&mut self.table, peer, now);
+            insert_tight(&mut self.monitors, i, (peer, monitor));
+            i
+        })
     }
 
     /// Starts monitoring `peer` if it is not already monitored.
     pub fn ensure_peer(&mut self, peer: NodeId, now: SimInstant) {
-        self.group.ensure_peer(&mut self.table, peer, now);
+        self.ensure(peer, now);
     }
 
-    /// Returns whether `peer` is currently trusted.
+    /// Returns whether `peer` is currently trusted. Unmonitored peers are
+    /// not trusted.
     pub fn is_trusted(&self, peer: NodeId) -> bool {
-        self.group.is_trusted(peer)
+        (self.find(peer).ok()).is_some_and(|i| self.monitors[i].1.is_trusted())
     }
 
-    /// [`GroupDetector::on_heartbeat`] over the private table.
+    /// Processes a heartbeat from `peer` ([`GroupDetector::on_heartbeat`]),
+    /// monitoring it from now on if it was not.
     pub fn on_heartbeat(
         &mut self,
         peer: NodeId,
@@ -385,35 +279,116 @@ impl FailureDetector {
         sender_interval: SimDuration,
         now: SimInstant,
     ) -> Option<PeerTransition> {
-        let table = &mut self.table;
-        (self.group).on_heartbeat(table, peer, seq, sent_at, sender_interval, now)
+        let i = self.ensure(peer, now);
+        let (table, monitor) = (&mut self.table, &mut self.monitors[i].1);
+        (self.group)
+            .on_heartbeat(table, monitor, seq, sent_at, sender_interval, now)
+            .map(|transition| PeerTransition { peer, transition })
     }
 
-    /// [`GroupDetector::poll`] over the private table.
+    /// [`GroupDetector::check`] for every monitored peer, returning the
+    /// transitions (in practice, new suspicions whose freshness horizon has
+    /// expired).
     pub fn poll(&mut self, now: SimInstant) -> Vec<PeerTransition> {
-        self.group.poll(&mut self.table, now)
+        let mut transitions = Vec::new();
+        for (peer, monitor) in &mut self.monitors {
+            if let Some(transition) = self.group.check(&mut self.table, monitor, now).transition {
+                transitions.push(PeerTransition {
+                    peer: *peer,
+                    transition,
+                });
+            }
+        }
+        transitions
     }
 
-    /// [`GroupDetector::next_deadline`] over the private table.
+    /// The earliest [`PeerMonitor::next_deadline`] among all monitors — the
+    /// time at which the next suspicion could occur and therefore the time
+    /// at which the owner should call [`FailureDetector::poll`] again.
     pub fn next_deadline(&self) -> Option<SimInstant> {
-        self.group.next_deadline(&self.table)
+        (self.monitors.iter())
+            .filter_map(|(_, monitor)| monitor.next_deadline(&self.table))
+            .min()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::FdParams;
+    use crate::monitor::TrustState;
 
     fn fd() -> FailureDetector {
         FailureDetector::new(QosSpec::paper_default())
+    }
+
+    /// What the node does with its rows, done to the detector's own.
+    impl FailureDetector {
+        fn monitor(&self, peer: NodeId) -> Option<&PeerMonitor> {
+            self.find(peer).ok().map(|i| &self.monitors[i].1)
+        }
+
+        /// The monitored peers, in ascending id order.
+        fn peers(&self) -> impl Iterator<Item = NodeId> + '_ {
+            self.monitors.iter().map(|&(peer, _)| peer)
+        }
+
+        fn state(&self, peer: NodeId) -> Option<TrustState> {
+            self.monitor(peer).map(PeerMonitor::state)
+        }
+
+        fn requested_interval(&self, peer: NodeId) -> Option<SimDuration> {
+            self.monitor(peer).map(PeerMonitor::requested_interval)
+        }
+
+        fn params(&self, peer: NodeId) -> Option<FdParams> {
+            self.monitor(peer).map(PeerMonitor::params)
+        }
+
+        fn slot_of(&self, peer: NodeId) -> Option<usize> {
+            self.monitor(peer).map(PeerMonitor::slot)
+        }
+
+        fn remove_peer(&mut self, peer: NodeId) {
+            if let Ok(i) = self.find(peer) {
+                self.monitors.remove(i);
+            }
+        }
+
+        /// A new monitor in place of the old: the restart path's reset.
+        fn reset_peer(&mut self, peer: NodeId, now: SimInstant) {
+            self.remove_peer(peer);
+            self.ensure_peer(peer, now);
+        }
+
+        /// Moves `peer`'s stamp, as its owner does on a repeated batch.
+        fn stamp(&mut self, peer: NodeId, sent_at: SimInstant, restart: bool) {
+            let slot = self.table.intern(peer);
+            self.table.stamp(slot, sent_at, restart);
+        }
+
+        fn unvouch(&mut self, peer: NodeId) {
+            let i = self.find(peer).unwrap();
+            self.monitors[i].1.unvouch(&self.table);
+        }
+
+        fn check_peer(&mut self, peer: NodeId, now: SimInstant) -> Option<PeerCheck> {
+            let i = self.find(peer).ok()?;
+            let (table, monitor) = (&mut self.table, &mut self.monitors[i].1);
+            Some(self.group.check(table, monitor, now))
+        }
+
+        fn deadline_of(&self, peer: NodeId) -> Option<SimInstant> {
+            self.monitor(peer)?.next_deadline(&self.table)
+        }
     }
 
     #[test]
     fn unknown_peers_are_not_trusted() {
         let detector = fd();
         assert!(!detector.is_trusted(NodeId(3)));
-        assert_eq!(detector.group.state(NodeId(3)), None);
-        assert_eq!(detector.group.peers().count(), 0);
+        assert_eq!(detector.state(NodeId(3)), None);
+        assert_eq!(detector.peers().count(), 0);
         assert_eq!(detector.next_deadline(), None);
     }
 
@@ -422,10 +397,10 @@ mod tests {
         let mut detector = fd();
         let now = SimInstant::ZERO + SimDuration::from_millis(10);
         detector.on_heartbeat(NodeId(2), 0, now, SimDuration::from_millis(250), now);
-        assert_eq!(detector.group.peers().count(), 1);
+        assert_eq!(detector.peers().count(), 1);
         assert!(detector.is_trusted(NodeId(2)));
-        assert!(detector.group.requested_interval(NodeId(2)).is_some());
-        assert_eq!(detector.group.slot_of(NodeId(2)), Some(0));
+        assert!(detector.requested_interval(NodeId(2)).is_some());
+        assert_eq!(detector.slot_of(NodeId(2)), Some(0));
     }
 
     #[test]
@@ -449,7 +424,7 @@ mod tests {
         assert!(!detector.is_trusted(NodeId(1)));
         assert!(detector.is_trusted(NodeId(2)));
         assert_eq!(
-            (detector.group.peers())
+            (detector.peers())
                 .filter(|&peer| detector.is_trusted(peer))
                 .collect::<Vec<_>>(),
             vec![NodeId(2)]
@@ -497,13 +472,11 @@ mod tests {
 
         // Reset gives the peer a fresh grace period.
         let again = SimInstant::ZERO + SimDuration::from_secs(2);
-        detector
-            .group
-            .reset_peer(&mut detector.table, NodeId(1), again);
+        detector.reset_peer(NodeId(1), again);
         assert!(detector.is_trusted(NodeId(1)));
 
-        detector.group.remove_peer(NodeId(1));
-        assert_eq!(detector.group.peers().count(), 0);
+        detector.remove_peer(NodeId(1));
+        assert_eq!(detector.peers().count(), 0);
         assert!(!detector.is_trusted(NodeId(1)));
     }
 
@@ -513,7 +486,7 @@ mod tests {
         for id in [5u32, 1, 3] {
             detector.ensure_peer(NodeId(id), SimInstant::ZERO);
         }
-        let peers: Vec<NodeId> = detector.group.peers().collect();
+        let peers: Vec<NodeId> = detector.peers().collect();
         assert_eq!(peers, vec![NodeId(1), NodeId(3), NodeId(5)]);
         assert_eq!(detector.group.qos(), QosSpec::paper_default());
     }
@@ -523,40 +496,39 @@ mod tests {
         // Two groups on one workstation monitoring the same peer: the link
         // estimate must be common, the trust state per group.
         let mut table: PeerTable = PeerTable::new();
-        let mut group_a = GroupDetector::new(QosSpec::paper_default(), TuningPolicy::Static);
-        let mut group_b = GroupDetector::new(
+        let group_a = GroupDetector::new(QosSpec::paper_default(), TuningPolicy::Static);
+        let group_b = GroupDetector::new(
             QosSpec::paper_default_with_detection(SimDuration::from_millis(500)),
             TuningPolicy::Static,
         );
         let peer = NodeId(7);
         let interval = SimDuration::from_millis(100);
         let mut now = SimInstant::ZERO;
-        group_a.ensure_peer(&mut table, peer, now);
-        group_b.ensure_peer(&mut table, peer, now);
+        let mut monitor_a = group_a.monitor(&mut table, peer, now);
+        let mut monitor_b = group_b.monitor(&mut table, peer, now);
         for seq in 0..50u64 {
             now += interval;
             // Only group A's monitor processes the heartbeats...
             let sent = now - SimDuration::from_millis(3);
-            group_a.on_heartbeat(&mut table, peer, seq, sent, interval, now);
+            group_a.on_heartbeat(&mut table, &mut monitor_a, seq, sent, interval, now);
         }
         // ...yet group B reads the same slot, and so the same link quality.
-        let slot = group_b.slot_of(peer).unwrap();
-        assert_eq!(group_a.slot_of(peer), Some(slot));
+        let slot = monitor_b.slot();
+        assert_eq!(monitor_a.slot(), slot);
         let quality = table.quality(slot);
         assert!((quality.delay_mean.as_millis_f64() - 3.0).abs() < 0.5);
         assert_eq!(table.len(), 1);
 
         // Trust remains per group: B heard nothing directly, so its
-        // freshness horizon (armed at ensure time) expires independently.
-        let b_deadline = group_b.next_deadline(&table).unwrap();
-        assert!(group_a.next_deadline(&table).unwrap() > b_deadline);
-        assert_eq!(group_b.poll(&mut table, b_deadline).len(), 1);
-        assert!(!group_b.is_trusted(peer));
-        assert!(group_a.is_trusted(peer));
+        // freshness horizon (armed when created) expires independently.
+        let b_deadline = monitor_b.next_deadline(&table).unwrap();
+        assert!(monitor_a.next_deadline(&table).unwrap() > b_deadline);
+        let check = group_b.check(&mut table, &mut monitor_b, b_deadline);
+        assert_eq!(check.transition, Some(Transition::BecameSuspected));
+        assert!(!monitor_b.is_trusted());
+        assert!(monitor_a.is_trusted());
 
-        // Dropping both monitors keeps the slot: the table's owner holds it.
-        group_a.remove_peer(peer);
-        group_b.remove_peer(peer);
+        // The monitors hold no slot: the table's owner does.
         assert_eq!(table.len(), 1);
     }
 
@@ -569,22 +541,6 @@ mod tests {
         (detector, fed)
     }
 
-    impl FailureDetector {
-        /// Moves `peer`'s stamp, as its owner does on a repeated batch.
-        fn stamp(&mut self, peer: NodeId, sent_at: SimInstant, restart: bool) {
-            let slot = self.table.intern(peer);
-            self.table.stamp(slot, sent_at, restart);
-        }
-
-        fn check_peer(&mut self, peer: NodeId, now: SimInstant) -> Option<PeerCheck> {
-            self.group.check_peer(&mut self.table, peer, now)
-        }
-
-        fn deadline_of(&self, peer: NodeId) -> Option<SimInstant> {
-            self.group.deadline_of(&self.table, peer)
-        }
-    }
-
     #[test]
     fn a_stamp_stands_in_for_repeated_heartbeats() {
         let (mut detector, fed) = vouched_detector();
@@ -592,7 +548,7 @@ mod tests {
         assert_eq!(
             horizon,
             SimDuration::from_secs(1) + SimDuration::from_millis(250)
-                - detector.group.requested_interval(NodeId(1)).unwrap()
+                - detector.requested_interval(NodeId(1)).unwrap()
         );
         // Repeats, the last one overtaken by its successor: a max.
         let last = fed + SimDuration::from_millis(750);
@@ -626,7 +582,7 @@ mod tests {
         let horizon = detector.next_deadline().unwrap() - fed;
         let stamped = fed + SimDuration::from_millis(500);
         detector.stamp(NodeId(1), stamped, false);
-        detector.group.unvouch(&detector.table, NodeId(1));
+        detector.unvouch(NodeId(1));
         assert_eq!(detector.next_deadline(), Some(stamped + horizon));
         // The owner restarts the stamp for the batch that dropped us: even
         // a later stamp no longer counts here.
@@ -639,17 +595,17 @@ mod tests {
     fn a_stamp_is_priced_at_the_shift_of_its_time() {
         let (mut detector, fed) = vouched_detector();
         let eta = SimDuration::from_millis(250);
-        let old = detector.group.params(NodeId(1)).unwrap();
+        let old = detector.params(NodeId(1)).unwrap();
         // The peer repeats its batch over a clean link until the poll after
         // a repeat re-derives δ from it.
         let (mut seq, mut sent) = (0, fed);
-        while detector.group.params(NodeId(1)) == Some(old) {
+        while detector.params(NodeId(1)) == Some(old) {
             (seq, sent) = (seq + 1, sent + eta);
             detector.table.record(0, seq, sent, sent);
             detector.stamp(NodeId(1), sent, false);
             assert!(detector.poll(sent).is_empty());
         }
-        let tuned = detector.group.params(NodeId(1)).unwrap();
+        let tuned = detector.params(NodeId(1)).unwrap();
         assert!(tuned.shift < old.shift);
         // What was heard keeps its price...
         assert_eq!(detector.next_deadline(), Some(sent + eta + old.shift));
@@ -665,7 +621,7 @@ mod tests {
     fn a_requested_interval_that_moves_bumps_the_arena_epoch() {
         let (mut detector, fed) = vouched_detector();
         let before = detector.table.params_epoch();
-        let prior = detector.group.requested_interval(NodeId(1)).unwrap();
+        let prior = detector.requested_interval(NodeId(1)).unwrap();
         // A clean, fast link for longer than the reconfiguration period.
         let interval = SimDuration::from_millis(100);
         let mut now = fed;
@@ -680,7 +636,7 @@ mod tests {
             );
             assert!(detector.poll(now).is_empty());
         }
-        assert_ne!(detector.group.requested_interval(NodeId(1)).unwrap(), prior);
+        assert_ne!(detector.requested_interval(NodeId(1)).unwrap(), prior);
         assert!(detector.table.params_epoch() > before);
     }
 
@@ -721,15 +677,17 @@ mod tests {
         let mut table: PeerTable = PeerTable::new();
         let slot = table.intern(peer);
         let qos = |secs| QosSpec::paper_default_with_detection(SimDuration::from_secs(secs));
-        let mut groups = [
-            GroupDetector::new(qos(1), TuningPolicy::Static),
-            GroupDetector::new(qos(2), TuningPolicy::Static),
-            GroupDetector::new(qos(1), TuningPolicy::Adaptive),
-        ];
         let (mut now, mut seq) = (SimInstant::ZERO, 0u64);
-        for group in groups.iter_mut() {
-            group.ensure_peer(&mut table, peer, now);
-        }
+        let mut groups = [
+            (qos(1), TuningPolicy::Static),
+            (qos(2), TuningPolicy::Static),
+            (qos(1), TuningPolicy::Adaptive),
+        ]
+        .map(|(qos, policy)| {
+            let group = GroupDetector::new(qos, policy);
+            let monitor = group.monitor(&mut table, peer, now);
+            (group, monitor)
+        });
         let mut wake: Option<Wake> = None;
         let (mut quiet, mut walks) = (0, 0);
         for step in 0..20_000 {
@@ -745,31 +703,31 @@ mod tests {
                 } else {
                     // A changed batch: everything folds and unvouches, the
                     // stamp restarts, the batch's groups are fed.
-                    for group in groups.iter_mut() {
-                        group.unvouch(&table, peer);
+                    for (_, monitor) in groups.iter_mut() {
+                        monitor.unvouch(&table);
                     }
                     table.stamp(slot, sent, true);
                     let listed = [0, 1, 2].map(|_| rng.bernoulli(0.8));
                     let eta = SimDuration::from_millis(50 + rng.uniform_usize(300) as u64);
-                    for (group, _) in groups.iter_mut().zip(listed).filter(|g| g.1) {
-                        group.on_heartbeat(&mut table, peer, seq, sent, eta, now);
+                    for ((group, monitor), _) in groups.iter_mut().zip(listed).filter(|g| g.1) {
+                        group.on_heartbeat(&mut table, monitor, seq, sent, eta, now);
                     }
                     wake = None;
                 }
             }
             let stamp = table.stamp_of(slot);
             if let Some(cached) = wake {
-                for group in &groups {
-                    let due = (group.deadline_of(&table, peer)).unwrap_or(SimInstant::FAR_FUTURE);
+                for (_, monitor) in &groups {
+                    let due = (monitor.next_deadline(&table)).unwrap_or(SimInstant::FAR_FUTURE);
                     assert!(cached.at(stamp) <= due, "step {step}: late wake");
                 }
                 if cached.quiet(stamp, now) {
                     quiet += 1;
                     // (A suspected monitor re-derives on the heartbeats
                     // that fail to revive it, not on a timer.)
-                    for group in groups.iter().filter(|g| g.is_trusted(peer)) {
+                    for (group, monitor) in groups.iter().filter(|g| g.1.is_trusted()) {
                         let probe = &mut table.clone();
-                        let check = group.clone().check_peer(probe, peer, now).unwrap();
+                        let check = group.check(probe, &mut monitor.clone(), now);
                         assert_eq!((check.transition, check.retuned), (None, false));
                     }
                     continue;
@@ -777,7 +735,7 @@ mod tests {
             }
             walks += 1;
             let merged = (groups.iter_mut())
-                .map(|group| group.check_peer(&mut table, peer, now).unwrap().wake)
+                .map(|(group, monitor)| group.check(&mut table, monitor, now).wake)
                 .fold(Wake::NEVER, Wake::merge);
             assert!(
                 merged.at(stamp) > now,

@@ -23,10 +23,12 @@
 //! `(T_D^U, T_MR^L, P_A^L)`, [`peers`] the per-workstation [`PeerTable`]
 //! that keeps one estimator per peer however many groups (under whichever
 //! policies) monitor it, owned by the service instance and lent to every
-//! detector call, and [`detector`] the per-group collection of monitors
-//! ([`GroupDetector`]), checked one peer at a time by the service's per-peer
-//! timers, plus the standalone [`FailureDetector`]: one group over a private
-//! table.
+//! detector call, and [`detector`] a group's QoS and policy
+//! ([`GroupDetector`]), applied to whichever of the group's monitors a call
+//! is lent: the service keeps each monitor in its group's row for the peer
+//! and checks them one peer at a time from its per-peer timers. The
+//! standalone [`FailureDetector`] is one group with its own monitors over a
+//! private table.
 //!
 //! ## Example
 //!
@@ -70,7 +72,7 @@ pub mod prelude {
     pub use crate::quality::{LinkQuality, LinkQualityEstimator};
 }
 
-pub use config::{configure, FdParams, TuningPolicy, MIN_INTERVAL};
+pub use config::{configure, default_interval, FdParams, TuningPolicy, MIN_INTERVAL};
 pub use detector::{FailureDetector, GroupDetector, PeerCheck, PeerTransition, Wake};
 pub use monitor::{PeerMonitor, Transition, TrustState};
 pub use peers::PeerTable;

@@ -13,7 +13,8 @@
 //!
 //! A monitor keeps only its group's opinion of the peer: the slot it reads,
 //! (η, δ) (hysteresis and reconfiguration instants differ per group), the
-//! trust state and horizon. Whatever is the link's — the estimator, the
+//! trust state and horizon. It does not name its peer: its owner keeps it in
+//! a row keyed by the peer. Whatever is the link's — the estimator, the
 //! memoized estimate and search — lives in the slot, lent by `&mut` to each
 //! call, and the group's QoS and policy are passed in by its
 //! [`GroupDetector`](crate::GroupDetector). The last heartbeat fed to a
@@ -22,7 +23,6 @@
 //! of feeding every repeat, the horizon is the later of its own and
 //! `stamp + η + δ`.
 
-use sle_sim::actor::NodeId;
 use sle_sim::time::{SimDuration, SimInstant};
 
 use crate::config::{configure, FdParams, TuningPolicy};
@@ -61,7 +61,7 @@ pub enum Transition {
 /// let mut table: PeerTable = PeerTable::new();
 /// let slot = table.intern(NodeId(1));
 /// let start = SimInstant::ZERO;
-/// let mut monitor = PeerMonitor::new(NodeId(1), slot, &qos, policy, start);
+/// let mut monitor = PeerMonitor::new(slot, &qos, policy, start);
 /// assert_eq!(monitor.state(), TrustState::Trusted);
 ///
 /// // No heartbeat within the grace period: the peer becomes suspected...
@@ -78,7 +78,6 @@ pub enum Transition {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PeerMonitor {
-    peer: NodeId,
     /// The peer's slot in the owner's [`PeerTable`].
     slot: u32,
     /// Version of the slot's quality estimate the current params were
@@ -100,22 +99,15 @@ pub struct PeerMonitor {
 }
 
 impl PeerMonitor {
-    /// Creates `peer`'s monitor (the peer's link record in table slot
-    /// `slot`) for a group of the given QoS and policy, first observed
-    /// (e.g. via group membership) at `now`.
+    /// Creates the monitor of the peer whose link record is table slot
+    /// `slot`, for a group of the given QoS and policy, first observed (e.g.
+    /// via group membership) at `now`.
     ///
     /// The peer starts trusted with a grace period of one detection bound, so
     /// that a newly joined member is not instantly suspected before it had a
     /// chance to send its first ALIVE.
-    pub fn new(
-        peer: NodeId,
-        slot: usize,
-        qos: &QosSpec,
-        policy: TuningPolicy,
-        now: SimInstant,
-    ) -> Self {
+    pub fn new(slot: usize, qos: &QosSpec, policy: TuningPolicy, now: SimInstant) -> Self {
         PeerMonitor {
-            peer,
             slot: slot as u32,
             quality_version: 0,
             params: configure(qos, &LinkQuality::conservative_prior(), policy),
@@ -127,11 +119,6 @@ impl PeerMonitor {
             state: TrustState::Trusted,
             measured: false,
         }
-    }
-
-    /// The monitored peer.
-    pub fn peer(&self) -> NodeId {
-        self.peer
     }
 
     /// The peer's slot in the owner's [`PeerTable`].
@@ -188,9 +175,13 @@ impl PeerMonitor {
         }
     }
 
-    /// [`PeerMonitor::deadline`] as seen through the peer's `stamp`.
-    pub(crate) fn deadline_at(&self, stamp: SimInstant) -> SimInstant {
-        self.deadline().max(self.vouched_until(stamp))
+    /// The instant the monitor suspects its peer unless a heartbeat or a
+    /// stamp comes first: [`PeerMonitor::deadline`] as seen through the
+    /// peer's freshness stamp in `table`. `None` if already suspected.
+    pub fn next_deadline<T>(&self, table: &PeerTable<T>) -> Option<SimInstant> {
+        let stamp = table.stamp_of(self.slot());
+        let deadline = self.deadline().max(self.vouched_until(stamp));
+        (deadline != SimInstant::FAR_FUTURE).then_some(deadline)
     }
 
     /// When the monitor must next be checked under `policy`, as a [`Wake`]
@@ -221,6 +212,15 @@ impl PeerMonitor {
             wake.retune_at = retune;
         }
         wake
+    }
+
+    /// Folds the peer's freshness stamp in `table` into the monitor's own
+    /// horizon and stops reading it. The owner calls this for every monitor
+    /// the peer's last batch vouched for before restarting the stamp
+    /// ([`PeerTable::stamp`]): a group the next batch drops then ages out on
+    /// what it was really sent.
+    pub fn unvouch<T>(&mut self, table: &PeerTable<T>) {
+        self.fold(table.stamp_of(self.slot()), true);
     }
 
     /// Folds the peer's `stamp` into the monitor's own horizon; with
@@ -363,6 +363,7 @@ impl PeerMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sle_sim::actor::NodeId;
 
     /// One monitor over a one-peer table, as a standalone detector keeps it.
     struct Solo {
@@ -376,7 +377,7 @@ mod tests {
         fn new(policy: TuningPolicy) -> Self {
             let (qos, mut table) = (QosSpec::paper_default(), PeerTable::new());
             let slot = table.intern(NodeId(1));
-            let monitor = PeerMonitor::new(NodeId(1), slot, &qos, policy, SimInstant::ZERO);
+            let monitor = PeerMonitor::new(slot, &qos, policy, SimInstant::ZERO);
             Solo {
                 table,
                 qos,

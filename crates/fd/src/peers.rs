@@ -277,7 +277,7 @@ impl<T> PeerTable<T> {
     /// batch its monitors were last fed: every monitor that batch vouches
     /// for reads its horizon off this one stamp (a max: late and duplicated
     /// datagrams are harmless). With `restart` the stamp is set: the caller
-    /// [`unvouch`](crate::GroupDetector::unvouch)ed them all and is about to
+    /// [`unvouch`](crate::PeerMonitor::unvouch)ed them all and is about to
     /// feed them a different batch.
     pub fn stamp(&mut self, slot: usize, sent_at: SimInstant, restart: bool) {
         let stamp = &mut self.link_mut(slot).stamp;
@@ -380,19 +380,20 @@ mod tests {
         // stops. The table neither grows nor loses the long-lived estimate.
         let (qos, policy) = (QosSpec::paper_default(), TuningPolicy::Static);
         let mut table: PeerTable = PeerTable::new();
-        let mut baseline = crate::GroupDetector::new(qos, policy);
+        let baseline = crate::GroupDetector::new(qos, policy);
         let now = SimInstant::ZERO;
-        baseline.on_heartbeat(&mut table, NodeId(9), 0, now, qos.detection_time(), now);
+        let mut kept = baseline.monitor(&mut table, NodeId(9), now);
+        let eta = qos.detection_time();
+        baseline.on_heartbeat(&mut table, &mut kept, 0, now, eta, now);
         for _ in 0..100 {
-            let mut churned = crate::GroupDetector::new(qos, policy);
-            churned.ensure_peer(&mut table, NodeId(9), now);
-            // The churned group reads the long-lived estimate.
-            let slot = table.find(NodeId(9)).unwrap();
-            assert_eq!(table.heartbeats_recorded(slot), 1);
-            churned.remove_peer(NodeId(9));
+            let churned = crate::GroupDetector::new(qos, policy);
+            let monitor = churned.monitor(&mut table, NodeId(9), now);
+            // The churned group reads the long-lived estimate, and its
+            // monitor goes with the group.
+            assert_eq!(table.heartbeats_recorded(monitor.slot()), 1);
             assert_eq!(table.len(), 1);
         }
-        baseline.remove_peer(NodeId(9));
+        assert_eq!(table.heartbeats_recorded(kept.slot()), 1);
         assert_eq!(table.len(), 1);
     }
 

@@ -16,7 +16,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicIsize, Ordering::Relaxed};
 
 use sle_core::{
-    GroupId, HelloList, JoinConfig, MemberTable, NodeInstruments, ProcessId, ServiceConfig,
+    GroupId, HelloList, JoinConfig, NodeInstruments, PeerRows, ProcessId, ServiceConfig,
     ServiceContext, ServiceMessage, ServiceNode,
 };
 use sle_election::types::AlivePayload;
@@ -130,8 +130,8 @@ fn remote_peers() -> impl Iterator<Item = NodeId> {
     (1..=REMOTE).map(NodeId)
 }
 
-/// The three per-membership peer tables, each with the 9 remote members
-/// of a 10-member group.
+/// The two per-membership peer tables, each with the 9 remote members of
+/// a 10-member group: the group's rows and the elector's peer table.
 fn peer_tables(rows: &mut Vec<Row>) {
     let now = SimInstant::ZERO;
     let qos = QosSpec::paper_default();
@@ -141,33 +141,22 @@ fn peer_tables(rows: &mut Vec<Row>) {
     for peer in remote_peers() {
         table.intern(peer);
     }
-    let (_fd, rows_bytes, _) = measure(|| {
-        let mut fd = GroupDetector::new(qos, TuningPolicy::Static);
+    let (_rows, rows_bytes, _) = measure(|| {
+        let fd = GroupDetector::new(qos, TuningPolicy::Static);
+        let mut rows = PeerRows::new();
         for peer in remote_peers() {
-            fd.ensure_peer(&mut table, peer, now);
+            let row = rows.row(peer, now);
+            row.heard_as_member(now).0.processes = (ProcessId::new(peer, 0), true).into();
+            row.monitor = Some(fd.monitor(&mut table, peer, now));
         }
-        fd
+        rows
     });
     rows.push(Row {
-        part: "fd per-group rows, 9 peers",
+        part: "group rows, 9 peers",
         bytes: rows_bytes,
-        // 10 rows of 64 bytes.
-        ceiling: 640,
-    });
-
-    let (_members, members, _) = measure(|| {
-        let mut table = MemberTable::new();
-        for peer in remote_peers() {
-            let (entry, _) = table.ensure(peer, 0, now);
-            entry.processes = (ProcessId::new(peer, 0), true).into();
-        }
-        table
-    });
-    rows.push(Row {
-        part: "member table, 9 peers",
-        bytes: members,
-        // 10 slots of 88 bytes; one process each is held inline.
-        ceiling: 880,
+        // 10 rows of 152 bytes: a membership of 72 (one process held
+        // inline) and a monitor of 64 beside the peer and `last_heard`.
+        ceiling: 1_520,
     });
 
     let (_peers, peers, _) = measure(|| {
@@ -220,9 +209,9 @@ fn node_peer_table(rows: &mut Vec<Row>) {
     rows.push(Row {
         part: "node peer table, 18 peers",
         bytes: table - alone,
-        // 18 slots of 568 bytes (the table is sized to the configured
+        // 18 slots of 544 bytes (the table is sized to the configured
         // peers), a 32-entry id index of 8 bytes each, 18 more peer ids.
-        ceiling: 18 * 568 + 32 * 8 + 18 * 4,
+        ceiling: 18 * 544 + 32 * 8 + 18 * 4,
     });
 }
 
@@ -415,7 +404,7 @@ fn deployment(rows: &mut Vec<Row>) {
     rows.push(Row {
         part: "deployment, held per membership",
         bytes: held / memberships,
-        ceiling: 4_400,
+        ceiling: 4_000,
     });
     rows.push(Row {
         part: "deployment, peak per membership",
