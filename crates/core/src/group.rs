@@ -3,11 +3,13 @@
 //!
 //! A group keeps one [`PeerRow`] per remote workstation in a sorted
 //! [`PeerRows`] table: the membership learnt from HELLO and ALIVE messages
-//! and the group's failure-detector monitor of the workstation, so applying
-//! one ALIVE payload touches a single row.
+//! and the group's failure-detector opinion of the workstation, so applying
+//! one ALIVE payload touches a single row. The operating point (η, δ) that
+//! opinion follows is the link's, kept once per QoS class in the node's
+//! peer table.
 
 use sle_election::{AnyElector, LeaderElector};
-use sle_fd::{default_interval, GroupDetector, PeerMonitor, MIN_INTERVAL};
+use sle_fd::{default_interval, GroupDetector, PeerMonitor, PeerTable, MIN_INTERVAL};
 use sle_sim::actor::NodeId;
 use sle_sim::dense::insert_tight;
 use sle_sim::time::{SimDuration, SimInstant};
@@ -55,8 +57,8 @@ impl MemberEntry {
 
 /// A group's row for one remote workstation: its membership and the
 /// group's failure-detector monitor of it. A row has at least one of the
-/// two. A member listing only listeners may have no monitor, and a
-/// restarted peer's row keeps a fresh monitor but no membership until the
+/// two. A member listing only listeners has no monitor, and a restarted
+/// peer's monitored row keeps a fresh monitor but no membership until the
 /// peer's new life names the group, or until the row is quiet past the
 /// membership timeout.
 #[derive(Debug, Clone)]
@@ -74,7 +76,8 @@ pub struct PeerRow {
     pub last_heard: SimInstant,
     /// The peer's membership of the group, if it is a member.
     pub member: Option<MemberEntry>,
-    /// The group's monitor of the peer, if it watches the peer.
+    /// The group's monitor of the peer, if it watches the peer: its own
+    /// trust, vouch and horizon; (η, δ) are its class's, in the peer's slot.
     pub monitor: Option<PeerMonitor>,
 }
 
@@ -253,9 +256,10 @@ pub struct GroupState {
     /// The election algorithm instance for this group.
     pub elector: AnyElector,
     /// The group's share of the node's failure detector: its QoS and
-    /// policy, applied to the monitors in `rows` over the node's peer table.
-    /// It arms no timer of its own: the service watches every group's
-    /// monitor of a peer from that peer's one timer (`GroupDetector::check`).
+    /// policy, the class whose operating point the monitors in `rows` read
+    /// in the node's peer table. It arms no timer of its own: the service
+    /// watches every group's monitor of a peer from that peer's one timer
+    /// (`PeerMonitor::check`).
     pub fd: GroupDetector,
     /// One row per remote workstation: membership learnt from HELLO/ALIVE
     /// messages, and the monitor `fd` applies to.
@@ -338,9 +342,10 @@ impl GroupState {
     /// How long after joining this node refrains from announcing *itself* as
     /// the leader (twice the crash-detection bound: enough to hear from an
     /// incumbent leader if there is one). Adaptive tuning shrinks this
-    /// alongside the detection bound.
-    pub fn self_election_grace(&self) -> SimDuration {
-        self.fd.detection_bound(self.rows.monitors()) * 2
+    /// alongside the detection bound, which reads the monitors' operating
+    /// points in `peers`.
+    pub fn self_election_grace<T>(&self, peers: &PeerTable<T>) -> SimDuration {
+        self.fd.detection_bound(peers, self.rows.monitors()) * 2
     }
 
     /// True if any local process joined this group as a candidate.
@@ -520,6 +525,14 @@ mod tests {
         assert!(table.remove(NodeId(3)).is_some());
         assert!(table.remove(NodeId(3)).is_none());
         assert_eq!(table.iter().count(), 2);
+    }
+
+    #[test]
+    fn a_row_keeps_only_the_group_s_opinion_of_the_peer() {
+        // (η, δ) and everything else per link live in the peer's table
+        // slot: the monitor is the group's trust, vouch and horizon.
+        assert_eq!(std::mem::size_of::<Option<PeerMonitor>>(), 16);
+        assert!(std::mem::size_of::<PeerRow>() <= 104);
     }
 
     #[test]

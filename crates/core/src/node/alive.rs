@@ -2,11 +2,11 @@
 //! group's heartbeats, and the receive path that feeds them to each group.
 
 use sle_election::{AnyElector, LeaderElector};
-use sle_fd::{default_interval, PeerMonitor, Transition};
+use sle_fd::{default_interval, PeerMonitor, Transition, TuningPolicy};
 use sle_sim::actor::NodeId;
 use sle_sim::time::{SimDuration, SimInstant};
 
-use super::{next_tick, ServiceContext, ServiceNode, ALIVE_TIMER, MAX_BATCH_BYTES};
+use super::{next_tick, Peers, ServiceContext, ServiceNode, ALIVE_TIMER, MAX_BATCH_BYTES};
 use crate::messages::{AliveHeader, GroupAlive, ServiceMessage};
 use crate::obs::NodeCount;
 use crate::process::{GroupId, ProcessId};
@@ -118,7 +118,7 @@ impl ServiceNode {
             for (row, _) in state.rows.members() {
                 let dest = row.peer;
                 let monitor = row.monitor.as_ref();
-                let eta = monitor.map_or(asked, PeerMonitor::requested_interval);
+                let eta = monitor.map_or(asked, |m| m.requested_interval(&self.peers));
                 let pslot = self.peers.intern(dest) as u32;
                 picks[at].push((dest, pslot, (entry, eta)));
             }
@@ -312,10 +312,22 @@ impl ServiceNode {
         // its own horizon.
         self.drop_alive_batch(from, slot, heard);
         self.peers.stamp(slot, sent_at, true);
+        let mut retuned = false;
         for alive in &alives {
-            self.apply_group_alive(from, slot, seq, sent_at, alive, ctx);
+            retuned |= self.apply_group_alive(from, slot, seq, sent_at, alive, ctx);
         }
         self.peers[slot].alive.batch = alives;
+        if retuned {
+            // A class re-derived for every group of it: adaptive tuning
+            // moves their self-election grace with (η, δ).
+            for group in self.peers[slot].groups.clone() {
+                let adaptive = (self.groups.get(group))
+                    .is_some_and(|state| state.fd.policy() == TuningPolicy::Adaptive);
+                if adaptive {
+                    self.check_leader(group, ctx);
+                }
+            }
+        }
     }
 
     /// Drops the batch last applied from `from` (peer slot `slot`), whose
@@ -385,6 +397,8 @@ impl ServiceNode {
 
     /// The per-group effect of one ALIVE entry on the sender's row:
     /// membership refresh, failure-detector freshness, election payload.
+    /// Returns whether the heartbeat re-derived its class's (η, δ), for
+    /// every group of the class.
     fn apply_group_alive(
         &mut self,
         from: NodeId,
@@ -393,19 +407,19 @@ impl ServiceNode {
         sent_at: SimInstant,
         alive: &GroupAlive,
         ctx: &mut ServiceContext,
-    ) {
+    ) -> bool {
         let now = ctx.now();
         let group = alive.group;
         let Some(state) = self.groups.get_mut(group) else {
-            return;
+            return false;
         };
         let row = state.rows.row(from, now);
         // What this node's own ALIVEs embed of the group, before.
-        let stance = |elector: &AnyElector, monitor: &Option<PeerMonitor>| {
-            let asks = monitor.as_ref().map(PeerMonitor::requested_interval);
+        let stance = |elector: &AnyElector, monitor: &Option<PeerMonitor>, peers: &Peers| {
+            let asks = monitor.as_ref().map(|m| m.requested_interval(peers));
             (elector.alive_payload(), elector.is_competing(), asks)
         };
-        let stance_before = stance(&state.elector, &row.monitor);
+        let stance_before = stance(&state.elector, &row.monitor, &self.peers);
         // A member first learnt of via ALIVE (no HELLO yet) is seeded with
         // its advertised representative as the only known process; a HELLO
         // will replace the list with the authoritative one.
@@ -423,9 +437,15 @@ impl ServiceNode {
             (row.monitor).get_or_insert_with(|| state.fd.monitor(&mut self.peers, from, now));
         // The measurement side of this heartbeat (the link estimator) was
         // already fed at node level by `note_alive_datagram`; the monitor's
-        // own recording dedups against it.
+        // own recording dedups against it. A heartbeat too old to revive a
+        // suspected peer may re-derive its class's (η, δ).
         let eta = alive.sending_interval;
-        let transition = (state.fd).on_heartbeat(&mut self.peers, monitor, seq, sent_at, eta, now);
+        let point = |monitor: &PeerMonitor, peers: &Peers| {
+            (monitor.params(peers), monitor.is_measured(peers))
+        };
+        let point_before = point(monitor, &self.peers);
+        let transition = monitor.on_heartbeat(&mut self.peers, seq, sent_at, eta, now);
+        let retuned = watched && point(monitor, &self.peers) != point_before;
         let revived = transition == Some(Transition::BecameTrusted);
         let trusted = monitor.is_trusted();
         if revived {
@@ -438,7 +458,7 @@ impl ServiceNode {
         }
         state.elector.on_alive(from, alive.payload, now);
         let leader_changed = state.elector.leader() != leader_before;
-        let stance_after = stance(&state.elector, &row.monitor);
+        let stance_after = stance(&state.elector, &row.monitor, &self.peers);
         if asked != Some(alive.requested_interval) || stance_after != stance_before {
             self.alive_epoch += 1;
         }
@@ -463,5 +483,6 @@ impl ServiceNode {
         if created || representative_changed || revived || leader_changed {
             self.check_leader(group, ctx);
         }
+        retuned
     }
 }

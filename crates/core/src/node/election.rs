@@ -2,7 +2,7 @@
 //! self-election grace and the lease settle rule, and announced.
 
 use sle_election::LeaderElector;
-use sle_fd::TuningPolicy;
+use sle_fd::{PeerTable, TuningPolicy};
 use sle_sim::actor::{NodeId, TimerTag};
 use sle_sim::time::{SimDuration, SimInstant};
 
@@ -31,8 +31,14 @@ struct LeaderView {
 }
 
 /// The leadership `me` (of incarnation `incarnation`) sees in `state` at
-/// `now`, without acting on it.
-fn leader_view(me: NodeId, incarnation: u64, state: &GroupState, now: SimInstant) -> LeaderView {
+/// `now`, its monitors' operating points in `peers`, without acting on it.
+fn leader_view<T>(
+    me: NodeId,
+    incarnation: u64,
+    state: &GroupState,
+    peers: &PeerTable<T>,
+    now: SimInstant,
+) -> LeaderView {
     let mut leader = state.leader_process(me, state.elector.leader());
     let mut withheld = None;
     // A freshly (re)joined candidate does not claim the leadership for
@@ -40,7 +46,7 @@ fn leader_view(me: NodeId, incarnation: u64, state: &GroupState, now: SimInstant
     // incumbent leader, which keeps rejoining workstations from briefly
     // disrupting the group's agreement.
     if let Some(claimed) = leader {
-        let grace_ends = state.joined_at + state.self_election_grace();
+        let grace_ends = state.joined_at + state.self_election_grace(peers);
         if claimed.node == me && now < grace_ends {
             leader = None;
             withheld = Some(grace_ends);
@@ -105,7 +111,7 @@ impl ServiceNode {
         let Some(state) = self.groups.get_mut(group) else {
             return;
         };
-        let view = leader_view(me, self.incarnation, state, now);
+        let view = leader_view(me, self.incarnation, state, &self.peers, now);
         // Adaptive tuning moves the grace period with (η, δ) — either way,
         // whenever a check re-derives them or the monitored set changes: the
         // end armed at join may no longer be the one.
@@ -153,7 +159,7 @@ impl ServiceNode {
         let Some(state) = self.groups.get(group) else {
             return true;
         };
-        let view = leader_view(me, self.incarnation, state, now);
+        let view = leader_view(me, self.incarnation, state, &self.peers, now);
         let leads = view.leader.is_some_and(|l| l.node == me);
         view.leader == state.announced_leader
             && view.withheld.is_none()

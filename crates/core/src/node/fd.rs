@@ -1,6 +1,7 @@
 //! The Failure Detector: one timer per monitored peer, however many groups
-//! monitor it, over the monitors in the groups' rows, each checked under
-//! its group's [`sle_fd::GroupDetector`].
+//! monitor it, over the monitors in the groups' rows. Each row keeps its
+//! group's trust and horizon; the operating point (η, δ) its checks follow
+//! is its QoS class's, once per peer in the node's peer table.
 
 use sle_election::LeaderElector;
 use sle_fd::{FdParams, Transition, TuningPolicy, Wake};
@@ -20,8 +21,9 @@ pub(super) struct PeerFd {
     pub(super) armed: Option<SimInstant>,
     /// What the peer's monitors need next, as of the last walk. `None` once
     /// a monitor of the peer was created, reset or removed, or a batch was
-    /// applied, since. Nothing else moves a monitor: (η, δ) only move in a
-    /// check, and every check of the peer's monitors is in its walk.
+    /// applied, since. Nothing else moves a monitor or its class's operating
+    /// point: (η, δ) only move in a check or a heartbeat, and every check of
+    /// the peer's monitors is in its walk.
     pub(super) wake: Option<Wake>,
 }
 
@@ -83,11 +85,12 @@ impl ServiceNode {
     }
 
     /// `peer`'s detector timer. While the peer's stamp keeps every monitor
-    /// of it ahead of `now` and none is due to re-derive (η, δ), the fire
-    /// re-arms from the cached wake and touches no group. Otherwise it walks
-    /// the groups with a row for the peer, checks the row's monitor, acts
-    /// on what changed, and caches the wake the checks leave. The walk's
-    /// accusations go to the peer together, one ACCUSE per budget's worth.
+    /// of it ahead of `now` and no class is due to re-derive (η, δ), the
+    /// fire re-arms from the cached wake and touches no group. Otherwise it
+    /// walks the groups with a row for the peer, checks the row's monitor
+    /// (the first check of a class re-derives it for all), acts on what
+    /// changed, and caches the wake the checks leave. The walk's accusations
+    /// go to the peer together, one ACCUSE per budget's worth.
     pub(super) fn handle_fd_timer(&mut self, peer: NodeId, ctx: &mut ServiceContext) {
         let now = ctx.now();
         let Some(pslot) = self.peers.find(peer) else {
@@ -98,16 +101,20 @@ impl ServiceNode {
         let stamp = self.peers.stamp_of(pslot);
         if let Some(wake) = self.peers[pslot].fd.wake {
             if wake.quiet(stamp, now) {
-                let at = wake.at(stamp);
-                debug_assert!(self.fd_wake_holds(peer, pslot, at), "late wake of {peer}");
-                self.arm_fd_timer(peer, pslot, at, ctx);
+                debug_assert!(
+                    self.fd_wake_holds(peer, pslot, wake),
+                    "stale wake of {peer}"
+                );
+                self.arm_fd_timer(peer, pslot, wake.at(stamp), ctx);
                 return;
             }
         }
         self.counts[NodeCount::FdWalks].inc();
         debug_assert!(self.row_index_holds(peer, pslot), "stale index of {peer}");
+        debug_assert!(self.points_hold(peer, pslot), "stale classes of {peer}");
         let mut wake = Wake::NEVER;
         let mut accusations = Vec::new();
+        let (mut retuned, mut adaptive) = (false, Vec::new());
         let groups = std::mem::take(&mut self.peers[pslot].groups);
         for &group in &groups {
             let Some(state) = self.groups.get_mut(group) else {
@@ -119,8 +126,9 @@ impl ServiceNode {
             let Some(monitor) = &mut row.monitor else {
                 continue;
             };
-            let check = state.fd.check(&mut self.peers, monitor, now);
+            let check = monitor.check(&mut self.peers, now);
             wake = wake.merge(check.wake);
+            retuned |= check.retuned;
             if check.transition == Some(Transition::BecameSuspected) {
                 // The revival must be noticed: no repeat may skip it.
                 self.peers[pslot].alive.resync = true;
@@ -138,9 +146,16 @@ impl ServiceNode {
                     accusations.push((group, epoch));
                 }
             }
-            // Adaptive tuning moves the self-election grace with (η, δ).
-            let regraced = check.retuned && state.fd.policy() == TuningPolicy::Adaptive;
-            if check.transition.is_some() || regraced {
+            if check.transition.is_some() {
+                self.check_leader(group, ctx);
+            } else if state.fd.policy() == TuningPolicy::Adaptive {
+                adaptive.push(group);
+            }
+        }
+        // Adaptive tuning moves the self-election grace with (η, δ), and a
+        // class that re-derived did so for every group of it.
+        if retuned {
+            for group in adaptive {
                 self.check_leader(group, ctx);
             }
         }
@@ -158,21 +173,41 @@ impl ServiceNode {
     }
 
     /// What a quiet fire of `peer`'s detector timer relies on beside the
-    /// index: none of the peer's monitors is due before `at`. Asserted in
-    /// debug builds.
-    fn fd_wake_holds(&self, peer: NodeId, pslot: usize, at: SimInstant) -> bool {
-        let due = |state: &GroupState| {
+    /// index: the cached `wake` is the one a walk would leave now, rebuilt
+    /// from every monitor of the peer. Asserted in debug builds.
+    fn fd_wake_holds(&self, peer: NodeId, pslot: usize, wake: Wake) -> bool {
+        let rebuilt = (self.groups.iter())
+            .filter_map(|state| state.rows.monitor(peer))
+            .map(|monitor| monitor.wake(&self.peers))
+            .fold(Wake::NEVER, Wake::merge);
+        self.row_index_holds(peer, pslot) && rebuilt == wake
+    }
+
+    /// What every check of `peer`'s monitors relies on: each names the
+    /// peer's slot `pslot` and the operating point of its group's own
+    /// class, and the slot keeps one point per class. Asserted in debug
+    /// builds.
+    fn points_hold(&self, peer: NodeId, pslot: usize) -> bool {
+        let own = |state: &GroupState| {
+            let (qos, policy) = (state.fd.qos(), state.fd.policy());
             let monitor = state.rows.monitor(peer);
-            monitor.and_then(|m| m.next_deadline(&self.peers))
+            monitor.is_none_or(|m| m.slot() == pslot && m.is_of(&self.peers, &qos, policy))
         };
-        self.row_index_holds(peer, pslot)
-            && (self.groups.iter()).all(|state| due(state).is_none_or(|due| due >= at))
+        let classes: Vec<_> = self.peers.classes(pslot).collect();
+        let distinct = (1..classes.len()).all(|i| !classes[..i].contains(&classes[i]));
+        self.groups.iter().all(own) && distinct
     }
 
     /// The failure-detector operating parameters currently used towards
     /// `peer` in `group` (observability hook; also used by the experiment
     /// harness to verify adaptation).
     pub fn fd_params_of(&self, group: GroupId, peer: NodeId) -> Option<FdParams> {
-        Some(self.groups.get(group)?.rows.monitor(peer)?.params())
+        Some(
+            self.groups
+                .get(group)?
+                .rows
+                .monitor(peer)?
+                .params(&self.peers),
+        )
     }
 }

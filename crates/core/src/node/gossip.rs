@@ -345,12 +345,16 @@ impl ServiceNode {
         let Some(state) = self.groups.get_mut(group) else {
             return;
         };
-        state.rows.remove(peer);
+        let row = state.rows.remove(peer);
         state.elector.remove_peer(peer, now);
         self.alive_epoch += 1;
-        // Should the peer come back at its applied list or batch: pull, apply.
         let entry = self.peers.entry(peer);
-        (entry.gossip.resync, entry.alive.resync) = (true, true);
+        // Should a member come back at its applied list or batch: pull,
+        // apply. (A row a restart left without membership is no member of
+        // the applied list, which is the new life's.)
+        if row.is_some_and(|row| row.member.is_some()) {
+            (entry.gossip.resync, entry.alive.resync) = (true, true);
+        }
         entry.unindex(group);
         (entry.fd.wake, entry.gossip.wake) = (None, None);
     }

@@ -174,6 +174,9 @@ impl PeerEntry {
     }
 }
 
+/// The node's peer table: each peer's link record beside its [`PeerEntry`].
+type Peers = PeerTable<PeerEntry>;
+
 /// The context type used by the service.
 pub type ServiceContext = Context<ServiceMessage, ServiceEvent>;
 
@@ -201,7 +204,7 @@ pub struct ServiceNode {
     /// the one link estimate every group's failure detector reads (paper
     /// Figure 2's single Failure Detector module per workstation), lent to
     /// their calls, beside what the node's modules keep.
-    peers: PeerTable<PeerEntry>,
+    peers: Peers,
     /// Moves whenever something the ALIVE plan embeds may have: an elector's
     /// payload or competing flag, local candidacy, a group's membership, an
     /// interval a member asked for, which groups this node leads. (What the
@@ -446,7 +449,7 @@ impl ServiceNode {
                 state.elector.epoch() + 1,
             );
         }
-        let grace_ends = state.joined_at + state.self_election_grace();
+        let grace_ends = state.joined_at + state.self_election_grace(&self.peers);
         ctx.set_timer_at(election::grace_tag(group), grace_ends);
         self.local_membership_changed();
         if let Some(obs) = &self.obs {
@@ -551,18 +554,21 @@ impl ServiceNode {
         }
         // So did the link estimate, whether or not a group still lists the
         // peer: its loss window would count the new life's reused sequence
-        // numbers as fresh arrivals. Once, for every group reading it.
-        self.peers.reset(slot);
-        self.alive_epoch += 1;
+        // numbers as fresh arrivals. Once, for every class of every group
+        // reading it.
         let now = ctx.now();
+        self.peers.reset(slot, now);
+        self.alive_epoch += 1;
         let entry = &mut self.peers[slot];
         // Every row of the peer is heard now, on its own account only.
         entry.gossip.wake = Some(gossip::MemberWake::heard_at(now));
         let groups = std::mem::take(&mut entry.groups);
-        // Every membership of the previous life goes. Its row stays, with a
-        // fresh monitor, until the new life names the group or the row is
-        // quiet past the membership timeout.
-        for &group in &groups {
+        let mut kept = Vec::with_capacity(groups.len());
+        // Every membership of the previous life goes. A row the group
+        // monitors stays, with a fresh monitor, until the new life names the
+        // group or the row is quiet past the membership timeout; a row of
+        // listeners only has nothing left and goes.
+        for group in groups {
             let Some(state) = self.groups.get_mut(group) else {
                 continue;
             };
@@ -570,12 +576,20 @@ impl ServiceNode {
                 continue;
             };
             (row.member, row.last_heard) = (None, now);
-            row.monitor = Some(state.fd.monitor(&mut self.peers, peer, now));
+            let monitored = row.monitor.is_some();
+            if monitored {
+                row.monitor = Some(state.fd.monitor(&mut self.peers, peer, now));
+                kept.push(group);
+            } else {
+                state.rows.remove(peer);
+            }
             state.elector.remove_peer(peer, now);
-            self.fd_monitor_added(peer, group, ctx);
+            if monitored {
+                self.fd_monitor_added(peer, group, ctx);
+            }
             self.check_leader(group, ctx);
         }
-        self.peers[slot].groups = groups;
+        self.peers[slot].groups = kept;
     }
 
     /// What both walks of `peer` (peer slot `pslot`) rely on: its index

@@ -1004,8 +1004,8 @@ fn a_restart_resets_the_monitor_in_the_row_the_list_later_fills() {
     }]));
     let deadline = |node: &ServiceNode| {
         let row = node.groups.get(GROUP).and_then(|s| s.rows.get(peer));
-        row.and_then(|row| row.monitor.as_ref())
-            .map(sle_fd::PeerMonitor::deadline)
+        let monitor = row.and_then(|row| row.monitor.as_ref());
+        monitor.and_then(|m| m.next_deadline(&node.peers))
     };
     node.on_message(peer, hello(1, ms(100), list.clone()), &mut at(ms(100)));
     assert_eq!(deadline(&node), Some(ms(1_100)));
@@ -1081,16 +1081,72 @@ fn a_restarted_peer_that_leaves_a_group_out_loses_its_row_there() {
     let detections = registry.histogram("node.0.fd.detection_ns").snapshot();
     assert!(detections.count > 0);
     assert_eq!(detections.buckets[0], 0, "a 0 ns detection: {detections:?}");
+    let pulls = |world: &World<ServiceNode, FixedDelayMedium>| {
+        world
+            .actor(NodeId(0))
+            .unwrap()
+            .count(NodeCount::HelloPullsSent)
+    };
+    let pulled = pulls(&world);
     world.run_until(
         restart + timeout + SimDuration::from_secs(1),
         &mut NullObserver,
     );
     assert_eq!(row_of_2(&world), None);
+    // The applied list is the new life's and already leaves the group out:
+    // the expiry is no reason to pull it again.
+    assert_eq!(pulls(&world), pulled);
     world.run_until(secs(60.0), &mut NullObserver);
     let node = world.actor(NodeId(0)).unwrap();
     assert_eq!(node.fd_params_of(GROUP, NodeId(2)), None);
     let slot = node.peers.find(NodeId(2)).unwrap();
     assert!(node.peers[slot].groups.is_empty());
+}
+
+#[test]
+fn a_restarted_listener_gets_no_monitor() {
+    // Node 2 only listens in the group: no row of it is monitored, before
+    // its crash or after its restart, so it is never suspected there and no
+    // detection of it is sampled. Its restart takes the membership, which
+    // is all its row held, and the new life's list brings the row back.
+    let n = 3;
+    let mut world = World::new(
+        n,
+        Box::new(move |node, _| {
+            let join = if node == NodeId(2) {
+                JoinConfig::listener()
+            } else {
+                JoinConfig::candidate()
+            };
+            let config = ServiceConfig::full_mesh(node, n, ElectorKind::OmegaL);
+            ServiceNode::new(config.with_auto_join(GROUP, join))
+        }),
+        FixedDelayMedium::new(SimDuration::from_millis(10)),
+        29,
+    );
+    let secs = SimInstant::from_secs_f64;
+    world.schedule_crash(NodeId(2), secs(10.3));
+    world.schedule_recovery(NodeId(2), secs(12.0));
+    let unmonitored = |world: &World<ServiceNode, FixedDelayMedium>| {
+        let node = world.actor(NodeId(0)).unwrap();
+        node.fd_params_of(GROUP, NodeId(2)).is_none()
+    };
+    let listener = vec![(NodeId(2), vec![(ProcessId::new(NodeId(2), 0), false)])];
+    let listed = |world: &World<ServiceNode, FixedDelayMedium>| {
+        let members = world.actor(NodeId(0)).unwrap().remote_members_of(GROUP);
+        members
+            .into_iter()
+            .filter(|(peer, _)| *peer == NodeId(2))
+            .collect::<Vec<_>>()
+    };
+    world.run_until(secs(9.0), &mut NullObserver);
+    assert_eq!(listed(&world), listener);
+    while world.now() < secs(60.0) {
+        world.step(&mut NullObserver);
+        assert!(unmonitored(&world), "n2 monitored at {}", world.now());
+    }
+    // The new life is a listener of the group again at node 0.
+    assert_eq!(listed(&world), listener);
 }
 
 #[test]
@@ -1662,25 +1718,25 @@ fn a_fixed_seed_run_replays_its_recorded_counts() {
         (
             ElectorKind::OmegaId,
             RunCounts {
-                events: 33_441,
-                messages: 23_946,
-                alive_payloads: 21_488,
-                hello: [80, 3_405, 20, 0, 1_290],
-                alive: [12_537, 7_071, 808],
-                fd: [3_576, 1_750],
-                leader_changes: 0x5b89_7c76_4082_aecf,
+                events: 33_990,
+                messages: 24_393,
+                alive_payloads: 21_988,
+                hello: [82, 3_405, 22, 2, 1_295],
+                alive: [12_503, 7_522, 706],
+                fd: [3_559, 1_753],
+                leader_changes: 0x8377_1033_6e43_e1df,
             },
         ),
         (
             ElectorKind::OmegaLc,
             RunCounts {
-                events: 33_201,
-                messages: 23_747,
-                alive_payloads: 21_293,
-                hello: [81, 3_405, 21, 0, 1_253],
-                alive: [12_338, 7_064, 757],
-                fd: [3_582, 1_756],
-                leader_changes: 0xa748_9315_b28e_4544,
+                events: 31_814,
+                messages: 22_732,
+                alive_payloads: 21_676,
+                hello: [82, 3_405, 22, 1, 1_087],
+                alive: [13_406, 4_967, 688],
+                fd: [3_539, 1_522],
+                leader_changes: 0xae21_5c3e_46b0_e45b,
             },
         ),
         (
@@ -1690,7 +1746,7 @@ fn a_fixed_seed_run_replays_its_recorded_counts() {
                 messages: 7_787,
                 alive_payloads: 3_704,
                 hello: [79, 3_405, 19, 1, 87],
-                alive: [4_003, 67, 178],
+                alive: [4_003, 67, 177],
                 fd: [1_082, 248],
                 leader_changes: 0xd146_1ee0_5e89_4eba,
             },

@@ -5,14 +5,15 @@
 //! workstation: it monitors the other service instances and reports
 //! trust/suspect transitions to the Group Maintenance and Leader Election
 //! modules. Here that module is the owner's one [`PeerTable`] (the link of
-//! every peer, measured once) plus, per group, a [`GroupDetector`]: the
-//! group's QoS and tuning policy. The group's [`PeerMonitor`]s are its
-//! owner's, one in each of its per-peer rows, and every detector call is
-//! lent the monitor it acts on and the table, each monitor checked on its
-//! own ([`GroupDetector::check`]) so that the owner of several groups can
-//! watch all its monitors of one peer from one timer and its [`Wake`]. A
-//! [`FailureDetector`] is the same module for one group, with its monitors
-//! and its private table, as a standalone detector needs it.
+//! every peer, measured once, and its operating point per QoS class) plus,
+//! per group, a [`GroupDetector`]: the group's QoS and tuning policy, which
+//! name the class its monitors read. The group's [`PeerMonitor`]s are its
+//! owner's, one in each of its per-peer rows, and every monitor call is
+//! lent the table, each monitor checked on its own ([`PeerMonitor::check`])
+//! so that the owner of several groups can watch all its monitors of one
+//! peer from one timer and its [`Wake`]. A [`FailureDetector`] is the same
+//! module for one group, with its monitors and its private table, as a
+//! standalone detector needs it.
 
 use sle_sim::actor::NodeId;
 use sle_sim::dense::insert_tight;
@@ -91,22 +92,22 @@ impl Wake {
     }
 }
 
-/// What [`GroupDetector::check`] found.
+/// What [`PeerMonitor::check`] found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PeerCheck {
     /// The monitor's change of opinion, if any (a check only suspects).
     pub transition: Option<Transition>,
-    /// Whether the monitor re-derived a different operating point (η, δ),
-    /// or started or stopped following a measured estimate.
+    /// Whether the monitor's class re-derived a different operating point
+    /// (η, δ), or started or stopped following a measured estimate. Every
+    /// other monitor of the class moved with it.
     pub retuned: bool,
     /// When the monitor must next be checked.
     pub wake: Wake,
 }
 
 /// One group's share of the failure-detector module: the group's QoS and
-/// tuning policy, read once here and applied to whichever of the group's
-/// monitors a call is lent, reading their peers' links from the owner's
-/// [`PeerTable`].
+/// tuning policy — the class whose operating point its monitors read in
+/// their peers' [`PeerTable`] slots.
 #[derive(Debug, Clone)]
 pub struct GroupDetector {
     qos: QosSpec,
@@ -134,8 +135,9 @@ impl GroupDetector {
     /// `T_D^U`, or — once an adaptive detector has measured every monitored
     /// peer — the largest η + δ among them. It must cover the *slowest*
     /// link, and a peer still on the prior is still on the static bound.
-    pub fn detection_bound<'a>(
+    pub fn detection_bound<'a, T>(
         &self,
+        table: &PeerTable<T>,
         monitors: impl IntoIterator<Item = &'a PeerMonitor>,
     ) -> SimDuration {
         let t_d = self.qos.detection_time();
@@ -144,8 +146,8 @@ impl GroupDetector {
         }
         (monitors.into_iter())
             .map(|m| {
-                if m.is_measured() {
-                    m.params().worst_case_detection()
+                if m.is_measured(table) {
+                    m.params(table).worst_case_detection()
                 } else {
                     t_d
                 }
@@ -155,51 +157,16 @@ impl GroupDetector {
     }
 
     /// A new monitor of `peer` for this group, first observed at `now` (the
-    /// peer interned into `table` if new there).
+    /// peer interned into `table` if new there, and the group's class given
+    /// an operating point in its slot if it had none).
     pub fn monitor<T: Default>(
         &self,
         table: &mut PeerTable<T>,
         peer: NodeId,
         now: SimInstant,
     ) -> PeerMonitor {
-        PeerMonitor::new(table.intern(peer), &self.qos, self.policy, now)
-    }
-
-    /// Processes a heartbeat from `monitor`'s peer. Returns the transition
-    /// (back to trusted) if the heartbeat revived a suspected peer.
-    #[allow(clippy::too_many_arguments)]
-    pub fn on_heartbeat<T>(
-        &self,
-        table: &mut PeerTable<T>,
-        monitor: &mut PeerMonitor,
-        seq: u64,
-        sent_at: SimInstant,
-        sender_interval: SimDuration,
-        now: SimInstant,
-    ) -> Option<Transition> {
-        let (qos, policy) = (&self.qos, self.policy);
-        monitor.on_heartbeat(table, qos, policy, seq, sent_at, sender_interval, now)
-    }
-
-    /// Re-evaluates `monitor` at `now` — through its peer's freshness
-    /// stamp, folded in first — and lets it re-derive (η, δ) if it is due.
-    pub fn check<T>(
-        &self,
-        table: &mut PeerTable<T>,
-        monitor: &mut PeerMonitor,
-        now: SimInstant,
-    ) -> PeerCheck {
-        let before = (monitor.params(), monitor.is_measured());
-        monitor.fold(table.stamp_of(monitor.slot()), false);
-        let transition = monitor.check(table, &self.qos, self.policy, now);
-        if monitor.requested_interval() != before.0.interval {
-            table.bump_params_epoch();
-        }
-        PeerCheck {
-            transition,
-            retuned: (monitor.params(), monitor.is_measured()) != before,
-            wake: monitor.wake(self.policy),
-        }
+        let slot = table.intern(peer);
+        PeerMonitor::new(table, slot, &self.qos, self.policy, now)
     }
 }
 
@@ -269,7 +236,14 @@ impl FailureDetector {
         (self.find(peer).ok()).is_some_and(|i| self.monitors[i].1.is_trusted())
     }
 
-    /// Processes a heartbeat from `peer` ([`GroupDetector::on_heartbeat`]),
+    /// The heartbeat interval η the detector asks `peer` to send at — its
+    /// class's operating point — if `peer` is monitored.
+    pub fn requested_interval(&self, peer: NodeId) -> Option<SimDuration> {
+        let monitor = &self.monitors[self.find(peer).ok()?].1;
+        Some(monitor.requested_interval(&self.table))
+    }
+
+    /// Processes a heartbeat from `peer` ([`PeerMonitor::on_heartbeat`]),
     /// monitoring it from now on if it was not.
     pub fn on_heartbeat(
         &mut self,
@@ -281,18 +255,17 @@ impl FailureDetector {
     ) -> Option<PeerTransition> {
         let i = self.ensure(peer, now);
         let (table, monitor) = (&mut self.table, &mut self.monitors[i].1);
-        (self.group)
-            .on_heartbeat(table, monitor, seq, sent_at, sender_interval, now)
+        (monitor.on_heartbeat(table, seq, sent_at, sender_interval, now))
             .map(|transition| PeerTransition { peer, transition })
     }
 
-    /// [`GroupDetector::check`] for every monitored peer, returning the
+    /// [`PeerMonitor::check`] for every monitored peer, returning the
     /// transitions (in practice, new suspicions whose freshness horizon has
     /// expired).
     pub fn poll(&mut self, now: SimInstant) -> Vec<PeerTransition> {
         let mut transitions = Vec::new();
         for (peer, monitor) in &mut self.monitors {
-            if let Some(transition) = self.group.check(&mut self.table, monitor, now).transition {
+            if let Some(transition) = monitor.check(&mut self.table, now).transition {
                 transitions.push(PeerTransition {
                     peer: *peer,
                     transition,
@@ -337,12 +310,8 @@ mod tests {
             self.monitor(peer).map(PeerMonitor::state)
         }
 
-        fn requested_interval(&self, peer: NodeId) -> Option<SimDuration> {
-            self.monitor(peer).map(PeerMonitor::requested_interval)
-        }
-
         fn params(&self, peer: NodeId) -> Option<FdParams> {
-            self.monitor(peer).map(PeerMonitor::params)
+            Some(self.monitor(peer)?.params(&self.table))
         }
 
         fn slot_of(&self, peer: NodeId) -> Option<usize> {
@@ -375,7 +344,7 @@ mod tests {
         fn check_peer(&mut self, peer: NodeId, now: SimInstant) -> Option<PeerCheck> {
             let i = self.find(peer).ok()?;
             let (table, monitor) = (&mut self.table, &mut self.monitors[i].1);
-            Some(self.group.check(table, monitor, now))
+            Some(monitor.check(table, now))
         }
 
         fn deadline_of(&self, peer: NodeId) -> Option<SimInstant> {
@@ -510,7 +479,7 @@ mod tests {
             now += interval;
             // Only group A's monitor processes the heartbeats...
             let sent = now - SimDuration::from_millis(3);
-            group_a.on_heartbeat(&mut table, &mut monitor_a, seq, sent, interval, now);
+            monitor_a.on_heartbeat(&mut table, seq, sent, interval, now);
         }
         // ...yet group B reads the same slot, and so the same link quality.
         let slot = monitor_b.slot();
@@ -523,7 +492,7 @@ mod tests {
         // freshness horizon (armed when created) expires independently.
         let b_deadline = monitor_b.next_deadline(&table).unwrap();
         assert!(monitor_a.next_deadline(&table).unwrap() > b_deadline);
-        let check = group_b.check(&mut table, &mut monitor_b, b_deadline);
+        let check = monitor_b.check(&mut table, b_deadline);
         assert_eq!(check.transition, Some(Transition::BecameSuspected));
         assert!(!monitor_b.is_trusted());
         assert!(monitor_a.is_trusted());
@@ -609,12 +578,17 @@ mod tests {
         assert!(tuned.shift < old.shift);
         // What was heard keeps its price...
         assert_eq!(detector.next_deadline(), Some(sent + eta + old.shift));
-        // ...a restarted stamp that goes back in time takes nothing away...
+        // ...a changed batch's restarted stamp that goes back in time takes
+        // nothing away...
+        detector.unvouch(NodeId(1));
         detector.stamp(NodeId(1), fed, true);
         assert_eq!(detector.next_deadline(), Some(sent + eta + old.shift));
-        // ...and what is heard from here on pays the new one.
-        detector.stamp(NodeId(1), sent + eta, false);
-        assert_eq!(detector.next_deadline(), Some(sent + eta * 2 + tuned.shift));
+        // ...and what is heard from here on pays the new one, fed or stamped.
+        let next = sent + eta;
+        detector.on_heartbeat(NodeId(1), seq + 1, next, eta, next);
+        assert_eq!(detector.next_deadline(), Some(next + eta + tuned.shift));
+        detector.stamp(NodeId(1), next + eta, false);
+        assert_eq!(detector.next_deadline(), Some(next + eta * 2 + tuned.shift));
     }
 
     #[test]
@@ -663,8 +637,9 @@ mod tests {
         assert_eq!(detector.next_deadline(), detector.deadline_of(NodeId(2)));
     }
 
-    /// Three groups' detectors — T_D 1 s and 2 s static, 1 s adaptive —
-    /// monitor one peer through one table, fed the way a service instance
+    /// Four groups' detectors — T_D 1 s and 2 s static, 1 s adaptive, and a
+    /// second 1 s static one sharing the first's class — monitor one peer
+    /// through one table, fed the way a service instance
     /// feeds them: batches applied to a changing subset of the groups, and
     /// repeats in between that only move the stamp. The wake merged at each
     /// walk must never be later than any monitor's deadline, and while it
@@ -682,6 +657,7 @@ mod tests {
             (qos(1), TuningPolicy::Static),
             (qos(2), TuningPolicy::Static),
             (qos(1), TuningPolicy::Adaptive),
+            (qos(1), TuningPolicy::Static),
         ]
         .map(|(qos, policy)| {
             let group = GroupDetector::new(qos, policy);
@@ -707,10 +683,10 @@ mod tests {
                         monitor.unvouch(&table);
                     }
                     table.stamp(slot, sent, true);
-                    let listed = [0, 1, 2].map(|_| rng.bernoulli(0.8));
+                    let listed = [0, 1, 2, 3].map(|_| rng.bernoulli(0.8));
                     let eta = SimDuration::from_millis(50 + rng.uniform_usize(300) as u64);
-                    for ((group, monitor), _) in groups.iter_mut().zip(listed).filter(|g| g.1) {
-                        group.on_heartbeat(&mut table, monitor, seq, sent, eta, now);
+                    for ((_, monitor), _) in groups.iter_mut().zip(listed).filter(|g| g.1) {
+                        monitor.on_heartbeat(&mut table, seq, sent, eta, now);
                     }
                     wake = None;
                 }
@@ -725,9 +701,9 @@ mod tests {
                     quiet += 1;
                     // (A suspected monitor re-derives on the heartbeats
                     // that fail to revive it, not on a timer.)
-                    for (group, monitor) in groups.iter().filter(|g| g.1.is_trusted()) {
+                    for (_, monitor) in groups.iter().filter(|g| g.1.is_trusted()) {
                         let probe = &mut table.clone();
-                        let check = group.check(probe, &mut monitor.clone(), now);
+                        let check = monitor.clone().check(probe, now);
                         assert_eq!((check.transition, check.retuned), (None, false));
                     }
                     continue;
@@ -735,7 +711,7 @@ mod tests {
             }
             walks += 1;
             let merged = (groups.iter_mut())
-                .map(|(group, monitor)| group.check(&mut table, monitor, now).wake)
+                .map(|(_, monitor)| monitor.check(&mut table, now).wake)
                 .fold(Wake::NEVER, Wake::merge);
             assert!(
                 merged.at(stamp) > now,

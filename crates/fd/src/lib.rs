@@ -16,19 +16,21 @@
 //!   join's [`TuningPolicy`]: the paper's static one (η + δ pinned to
 //!   `T_D^U`) or the adaptive one (η + δ as small as the measured link
 //!   allows, never above `T_D^U`),
-//! * [`monitor`] — the per-peer NFD-S freshness monitor, which re-runs the
-//!   configurator as the estimate moves.
+//! * [`monitor`] — the NFD-S freshness monitor: one operating point
+//!   (η, δ) per peer and QoS class, which re-runs the configurator as the
+//!   estimate moves, and per group its opinion of the peer.
 //!
 //! Around them: [`qos`] is the application-facing QoS triple
 //! `(T_D^U, T_MR^L, P_A^L)`, [`peers`] the per-workstation [`PeerTable`]
-//! that keeps one estimator per peer however many groups (under whichever
-//! policies) monitor it, owned by the service instance and lent to every
-//! detector call, and [`detector`] a group's QoS and policy
-//! ([`GroupDetector`]), applied to whichever of the group's monitors a call
-//! is lent: the service keeps each monitor in its group's row for the peer
-//! and checks them one peer at a time from its per-peer timers. The
-//! standalone [`FailureDetector`] is one group with its own monitors over a
-//! private table.
+//! that keeps one estimator per peer and one operating point per QoS class
+//! of it, however many groups (under whichever policies) monitor it, owned
+//! by the service instance and lent to every detector call, and
+//! [`detector`] a group's QoS and policy ([`GroupDetector`]) — the class its
+//! monitors read. The service keeps each group's [`PeerMonitor`] in the
+//! group's row for the peer — trust, vouch and horizon, 16 bytes — and
+//! checks them one peer at a time from its per-peer timers. The standalone
+//! [`FailureDetector`] is one group with its own monitors over a private
+//! table.
 //!
 //! ## Example
 //!

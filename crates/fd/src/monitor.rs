@@ -1,32 +1,38 @@
-//! The per-(group, peer) NFD-S freshness monitor.
+//! The NFD-S freshness monitor, in two halves: the operating point a peer's
+//! [`PeerTable`] slot keeps once per QoS class, and the opinion a group's
+//! row keeps of the peer.
 //!
-//! A [`PeerMonitor`] implements the monitoring side of Chen et al.'s NFD-S
+//! A monitor implements the monitoring side of Chen et al.'s NFD-S
 //! algorithm for a single remote process: every received ALIVE message,
 //! stamped with its send time and the sender's current heartbeat interval,
 //! extends a *freshness horizon*; the peer is trusted exactly while the
-//! current time is before that horizon. The monitor also reads the link
-//! quality estimate of its peer's [`PeerTable`] slot and periodically
-//! re-runs the configurator under its group's [`TuningPolicy`] so the
-//! detector adapts to changing network conditions, as described in
-//! Sections 3 and 6.2 of the paper — this is the only place (η, δ) ever
-//! move.
+//! current time is before that horizon. The operating point reads the link
+//! quality estimate of its slot and periodically re-runs the configurator
+//! under its [`TuningPolicy`] so the detector adapts to changing network
+//! conditions, as described in Sections 3 and 6.2 of the paper — this is
+//! the only place (η, δ) ever move.
 //!
-//! A monitor keeps only its group's opinion of the peer: the slot it reads,
-//! (η, δ) (hysteresis and reconfiguration instants differ per group), the
-//! trust state and horizon. It does not name its peer: its owner keeps it in
-//! a row keyed by the peer. Whatever is the link's — the estimator, the
-//! memoized estimate and search — lives in the slot, lent by `&mut` to each
-//! call, and the group's QoS and policy are passed in by its
-//! [`GroupDetector`](crate::GroupDetector). The last heartbeat fed to a
-//! monitor also *vouches* for the peer under the η it declared: while the
-//! owner advances the peer's freshness stamp ([`PeerTable::stamp`]) instead
-//! of feeding every repeat, the horizon is the later of its own and
-//! `stamp + η + δ`.
+//! NFD-S is defined over one link, and here QoS is per group, so the unit
+//! of (η, δ) is the link and the QoS class: an `OperatingPoint` per
+//! distinct `(QosSpec, TuningPolicy)` in the peer's slot holds (η, δ), the
+//! re-derivation clock and the estimate version they follow, and the vouch
+//! of the peer's current ALIVE batch — the η it declared and the part of
+//! its freshness stamp ([`PeerTable::stamp`]) already folded in. Every
+//! group monitoring the peer under that class shares it, so a class
+//! re-derives once, with one hysteresis, however many groups read it.
+//!
+//! A [`PeerMonitor`] is what stays per group: trust or suspicion (an Ω_l
+//! follower that withdraws from one group keeps sending for another, and
+//! only the first may suspect it), whether the peer's batch vouches for the
+//! group, and the horizon the group holds on its own — what it was fed,
+//! and what the stamp had bought when the batch stopped listing the group.
+//! While vouched, the horizon is the later of its own and the class's:
+//! `stamp + η + δ` at the δ of the stamp's time, not a later one.
 
 use sle_sim::time::{SimDuration, SimInstant};
 
 use crate::config::{configure, FdParams, TuningPolicy};
-use crate::detector::Wake;
+use crate::detector::{PeerCheck, Wake};
 use crate::peers::PeerTable;
 use crate::qos::QosSpec;
 use crate::quality::LinkQuality;
@@ -49,75 +55,236 @@ pub enum Transition {
     BecameSuspected,
 }
 
-/// One group's NFD-S monitoring state for one remote process.
+/// What a group heard from its peer, as its monitor last saw it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Heard {
+    /// No heartbeat since the monitor was created.
+    Never,
+    /// Heartbeats, but the peer's current batch does not vouch for the group.
+    Before,
+    /// The peer's current batch vouches for the group: the class's stamp
+    /// extends the monitor's horizon.
+    Vouched,
+}
+
+/// The vouch of the peer's current ALIVE batch for one class: what its
+/// freshness stamp buys the class's vouched monitors.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Vouch {
+    /// The (clamped) η the batch declared — the least, should its groups
+    /// of the class declare different ones.
+    eta: SimDuration,
+    /// The latest stamp (or heartbeat send time) `fresh` holds.
+    folded: SimInstant,
+    /// The horizon the stamps folded so far bought, each at the δ of its
+    /// time.
+    fresh: SimInstant,
+}
+
+/// One QoS class's operating point for one peer, kept in the peer's
+/// [`PeerTable`] slot and shared by every group monitoring the peer under
+/// that `(QosSpec, TuningPolicy)`.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct OperatingPoint {
+    qos: QosSpec,
+    policy: TuningPolicy,
+    params: FdParams,
+    /// Whether `params` follow a measured link estimate rather than the
+    /// conservative prior.
+    measured: bool,
+    /// Version of the slot's quality estimate `params` were derived from;
+    /// re-derivation is skipped while it is unchanged.
+    quality_version: u32,
+    last_reconfigure: SimInstant,
+    /// `None` until the peer's current batch feeds a monitor of the class.
+    vouch: Option<Vouch>,
+    /// The η the class's prior asks for: what a group asks of the peer
+    /// until the peer first sends for it.
+    prior_interval: SimDuration,
+}
+
+impl OperatingPoint {
+    /// The class's operating point as of `now`, derived from the slot's
+    /// `estimate` at `version`: a measured peer's new class starts measured.
+    pub(crate) fn new(
+        qos: QosSpec,
+        policy: TuningPolicy,
+        now: SimInstant,
+        estimate: LinkQuality,
+        version: u32,
+    ) -> Self {
+        let measured = estimate.samples >= policy.min_samples();
+        let prior = configure(&qos, &LinkQuality::conservative_prior(), policy);
+        OperatingPoint {
+            params: if measured {
+                configure(&qos, &estimate, policy)
+            } else {
+                prior
+            },
+            prior_interval: prior.interval,
+            qos,
+            policy,
+            measured,
+            quality_version: version,
+            last_reconfigure: now,
+            vouch: None,
+        }
+    }
+
+    /// The class's key.
+    pub(crate) fn is(&self, qos: &QosSpec, policy: TuningPolicy) -> bool {
+        self.policy == policy && self.qos == *qos
+    }
+
+    pub(crate) fn qos(&self) -> &QosSpec {
+        &self.qos
+    }
+
+    pub(crate) fn policy(&self) -> TuningPolicy {
+        self.policy
+    }
+
+    /// The operating point a retune may move: (η, δ) and whether they
+    /// follow a measured estimate.
+    pub(crate) fn operating(&self) -> (FdParams, bool) {
+        (self.params, self.measured)
+    }
+
+    /// Whether a retune at `now` would re-derive. The clock is the latest
+    /// stamp folded in under the static policy (heartbeats drive it, as
+    /// when they called it themselves: the latest one heard must have been
+    /// due, not just the clock; nothing while no batch vouches), the time
+    /// under the adaptive one (it must back off when heartbeats stop
+    /// reviving the peer).
+    pub(crate) fn retune_due(&self, now: SimInstant) -> bool {
+        let clock = match self.policy {
+            TuningPolicy::Static => self.vouch.map_or(SimInstant::ZERO, |v| v.folded),
+            TuningPolicy::Adaptive => now,
+        };
+        clock.saturating_since(self.last_reconfigure) >= self.policy.reconfigure_every()
+    }
+
+    /// Re-derives (η, δ) at `now` from the slot's `estimate` at `version`.
+    /// The search runs once per actual change of the estimate; hysteresis
+    /// compares the full operating point, not just the bound: once η + δ is
+    /// pinned at T_D^U the split keeps tracking a degrading link, and those
+    /// updates must go through.
+    pub(crate) fn derive(&mut self, now: SimInstant, estimate: LinkQuality, version: u32) {
+        self.last_reconfigure = now;
+        if version == self.quality_version {
+            return;
+        }
+        self.quality_version = version;
+        self.measured = estimate.samples >= self.policy.min_samples();
+        let quality = if self.measured {
+            estimate
+        } else {
+            LinkQuality::conservative_prior()
+        };
+        let derived = configure(&self.qos, &quality, self.policy);
+        let hysteresis = self.policy.hysteresis();
+        let within = |old: SimDuration, new: SimDuration| {
+            (new.as_secs_f64() - old.as_secs_f64()).abs() < hysteresis * old.as_secs_f64()
+        };
+        if !(within(self.params.interval, derived.interval)
+            && within(self.params.shift, derived.shift))
+        {
+            self.params = derived;
+        }
+    }
+
+    /// Folds the peer's `stamp` into the class's vouch.
+    pub(crate) fn fold(&mut self, stamp: SimInstant) {
+        let shift = self.params.shift;
+        if let Some(v) = self.vouch.as_mut().filter(|v| stamp > v.folded) {
+            (v.fresh, v.folded) = (v.fresh.max(stamp + v.eta + shift), stamp);
+        }
+    }
+
+    /// The peer's batch stopped vouching: the stamp restarts.
+    pub(crate) fn unvouch(&mut self) {
+        self.vouch = None;
+    }
+
+    /// A heartbeat sent at `sent_at` declaring `eta` fed a monitor of the
+    /// class: the stamp vouches from it on. Monitors fed the same datagram
+    /// share it, and a stamp is priced at the least η they declared.
+    fn vouch_for(&mut self, sent_at: SimInstant, eta: SimDuration) {
+        self.vouch = Some(match self.vouch {
+            Some(v) if v.folded == sent_at => Vouch {
+                eta: v.eta.min(eta),
+                ..v
+            },
+            v => Vouch {
+                eta,
+                folded: sent_at,
+                fresh: v.map_or(SimInstant::ZERO, |v| v.fresh),
+            },
+        });
+    }
+}
+
+/// One group's NFD-S opinion of one remote process; its operating point is
+/// its class's, in the peer's table slot.
 ///
 /// ```
-/// use sle_fd::monitor::{PeerMonitor, Transition, TrustState};
-/// use sle_fd::{PeerTable, QosSpec, TuningPolicy};
+/// use sle_fd::monitor::{Transition, TrustState};
+/// use sle_fd::{GroupDetector, PeerTable, QosSpec, TuningPolicy};
 /// use sle_sim::actor::NodeId;
 /// use sle_sim::time::{SimDuration, SimInstant};
 ///
-/// let (qos, policy) = (QosSpec::paper_default(), TuningPolicy::Static);
+/// let group = GroupDetector::new(QosSpec::paper_default(), TuningPolicy::Static);
 /// let mut table: PeerTable = PeerTable::new();
-/// let slot = table.intern(NodeId(1));
 /// let start = SimInstant::ZERO;
-/// let mut monitor = PeerMonitor::new(slot, &qos, policy, start);
+/// let mut monitor = group.monitor(&mut table, NodeId(1), start);
 /// assert_eq!(monitor.state(), TrustState::Trusted);
 ///
 /// // No heartbeat within the grace period: the peer becomes suspected...
 /// let later = start + SimDuration::from_secs(2);
-/// let t = monitor.check(&mut table, &qos, policy, later);
-/// assert_eq!(t, Some(Transition::BecameSuspected));
+/// let check = monitor.check(&mut table, later);
+/// assert_eq!(check.transition, Some(Transition::BecameSuspected));
 ///
 /// // ...until a heartbeat arrives and trust is restored.
 /// let hb_sent = later + SimDuration::from_millis(10);
 /// let received = hb_sent + SimDuration::from_millis(1);
 /// let eta = SimDuration::from_millis(250);
-/// let t = monitor.on_heartbeat(&mut table, &qos, policy, 1, hb_sent, eta, received);
+/// let t = monitor.on_heartbeat(&mut table, 1, hb_sent, eta, received);
 /// assert_eq!(t, Some(Transition::BecameTrusted));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PeerMonitor {
+    /// The horizon the group holds on its own account.
+    horizon: SimInstant,
     /// The peer's slot in the owner's [`PeerTable`].
     slot: u32,
-    /// Version of the slot's quality estimate the current params were
-    /// derived from; reconfiguration is skipped while it is unchanged.
-    quality_version: u32,
-    params: FdParams,
-    fresh_until: SimInstant,
-    last_reconfigure: SimInstant,
-    /// While `vouched`, the peer's stamp stands in for repeats of the last
-    /// heartbeat: the (clamped) η it declared, and how much of the stamp
-    /// `fresh_until` already holds — at the δ of its time, not a later one.
-    vouched_eta: SimDuration,
-    folded: SimInstant,
-    vouched: bool,
+    /// The class's operating point among the slot's.
+    point: u16,
     state: TrustState,
-    /// Whether the current params were derived from a measured link
-    /// estimate rather than the conservative prior.
-    measured: bool,
+    heard: Heard,
 }
 
 impl PeerMonitor {
-    /// Creates the monitor of the peer whose link record is table slot
-    /// `slot`, for a group of the given QoS and policy, first observed (e.g.
-    /// via group membership) at `now`.
+    /// The monitor of the peer whose link record is table slot `slot`, for
+    /// a group of the given QoS and policy, first observed (e.g. via group
+    /// membership) at `now`; its class's operating point is created if the
+    /// slot has none yet.
     ///
     /// The peer starts trusted with a grace period of one detection bound, so
     /// that a newly joined member is not instantly suspected before it had a
     /// chance to send its first ALIVE.
-    pub fn new(slot: usize, qos: &QosSpec, policy: TuningPolicy, now: SimInstant) -> Self {
+    pub(crate) fn new<T>(
+        table: &mut PeerTable<T>,
+        slot: usize,
+        qos: &QosSpec,
+        policy: TuningPolicy,
+        now: SimInstant,
+    ) -> Self {
         PeerMonitor {
+            horizon: now + qos.detection_time(),
             slot: slot as u32,
-            quality_version: 0,
-            params: configure(qos, &LinkQuality::conservative_prior(), policy),
-            fresh_until: now + qos.detection_time(),
-            last_reconfigure: now,
-            vouched_eta: SimDuration::ZERO,
-            folded: SimInstant::ZERO,
-            vouched: false,
+            point: table.point(slot, qos, policy, now),
             state: TrustState::Trusted,
-            measured: false,
+            heard: Heard::Never,
         }
     }
 
@@ -126,23 +293,41 @@ impl PeerMonitor {
         self.slot as usize
     }
 
-    /// The current operational parameters (η, δ).
-    pub fn params(&self) -> FdParams {
-        self.params
+    fn point<'t, T>(&self, table: &'t PeerTable<T>) -> &'t OperatingPoint {
+        &table.link(self.slot()).points()[usize::from(self.point)]
+    }
+
+    /// The current operational parameters (η, δ) of the monitor's class.
+    pub fn params<T>(&self, table: &PeerTable<T>) -> FdParams {
+        self.point(table).params
     }
 
     /// Whether [`params`](PeerMonitor::params) follow a measured link
     /// estimate (enough heartbeats were heard) rather than the prior.
-    pub fn is_measured(&self) -> bool {
-        self.measured
+    pub fn is_measured<T>(&self, table: &PeerTable<T>) -> bool {
+        self.point(table).measured
     }
 
     /// The heartbeat interval this monitor would like the peer to use — this
     /// is the value the service piggybacks on its outgoing messages to the
     /// peer ("the Scheduler schedules the sending of alive messages by q at a
-    /// frequency of η").
-    pub fn requested_interval(&self) -> SimDuration {
-        self.params.interval
+    /// frequency of η"): its class's, once the peer sent for the group. A
+    /// group the peer never sent for asks what the class's prior asks: in
+    /// an Ω_l group a sender keeps the least η any member ever asked of it,
+    /// and the class's measured η — re-derived from heartbeats other groups
+    /// receive, and on a lossy link mostly below the prior's — would set it
+    /// for every group at once.
+    pub fn requested_interval<T>(&self, table: &PeerTable<T>) -> SimDuration {
+        let point = self.point(table);
+        match self.heard {
+            Heard::Never => point.prior_interval,
+            Heard::Before | Heard::Vouched => point.params.interval,
+        }
+    }
+
+    /// Whether the monitor belongs to the class `(qos, policy)`.
+    pub fn is_of<T>(&self, table: &PeerTable<T>, qos: &QosSpec, policy: TuningPolicy) -> bool {
+        self.point(table).is(qos, policy)
     }
 
     /// The monitor's current opinion.
@@ -155,61 +340,57 @@ impl PeerMonitor {
         self.state == TrustState::Trusted
     }
 
-    /// The instant at which the monitor's own freshness horizon expires.
-    /// While the peer is suspected there is no pending deadline and
-    /// [`SimInstant::FAR_FUTURE`] is returned.
-    pub fn deadline(&self) -> SimInstant {
-        match self.state {
-            TrustState::Trusted => self.fresh_until,
-            TrustState::Suspected => SimInstant::FAR_FUTURE,
-        }
-    }
-
-    /// The horizon the peer's `stamp` buys beyond what `fresh_until`
-    /// already holds of it.
-    fn vouched_until(&self, stamp: SimInstant) -> SimInstant {
-        if self.vouched && stamp > self.folded {
-            stamp + self.vouched_eta + self.params.shift
-        } else {
-            SimInstant::ZERO
+    /// The horizon the monitor holds while the peer's stamp is `stamp`:
+    /// its own, and while vouched what the class's stamp bought.
+    fn horizon_at(&self, point: &OperatingPoint, stamp: SimInstant) -> SimInstant {
+        match point.vouch.filter(|_| self.heard == Heard::Vouched) {
+            Some(v) if stamp > v.folded => {
+                (self.horizon.max(v.fresh)).max(stamp + v.eta + point.params.shift)
+            }
+            Some(v) => self.horizon.max(v.fresh),
+            None => self.horizon,
         }
     }
 
     /// The instant the monitor suspects its peer unless a heartbeat or a
-    /// stamp comes first: [`PeerMonitor::deadline`] as seen through the
-    /// peer's freshness stamp in `table`. `None` if already suspected.
+    /// stamp comes first, as seen through the peer's freshness stamp in
+    /// `table`. `None` if already suspected.
     pub fn next_deadline<T>(&self, table: &PeerTable<T>) -> Option<SimInstant> {
-        let stamp = table.stamp_of(self.slot());
-        let deadline = self.deadline().max(self.vouched_until(stamp));
+        if self.state == TrustState::Suspected {
+            return None;
+        }
+        let deadline = self.horizon_at(self.point(table), table.stamp_of(self.slot()));
         (deadline != SimInstant::FAR_FUTURE).then_some(deadline)
     }
 
-    /// When the monitor must next be checked under `policy`, as a [`Wake`]
-    /// its owner can advance by the peer's stamp alone. A suspected monitor
-    /// has no deadline and needs none.
-    pub(crate) fn wake(&self, policy: TuningPolicy) -> Wake {
+    /// When the monitor must next be checked, as a [`Wake`] its owner can
+    /// advance by the peer's stamp alone: what [`PeerMonitor::check`]
+    /// returns, and between checks the same. A suspected monitor has no
+    /// deadline and needs none.
+    pub fn wake<T>(&self, table: &PeerTable<T>) -> Wake {
         if self.state == TrustState::Suspected {
             return Wake::NEVER;
         }
-        // Re-derivation is due on the clock `maybe_reconfigure` reads: the
-        // latest stamp folded in under the static policy (none while
-        // un-vouched), the time under the adaptive one.
-        let retune = self.last_reconfigure + policy.reconfigure_every();
+        let point = self.point(table);
+        let retune = point.last_reconfigure + point.policy.reconfigure_every();
         let mut wake = Wake::NEVER;
-        if self.vouched {
-            // A stamp at or before `folded` buys nothing beyond
-            // `fresh_until`, which may hold it at a smaller δ than now.
-            let bought = self.fresh_until.saturating_since(self.folded);
-            wake.fresh = self.fresh_until;
-            wake.offset = (self.vouched_eta + self.params.shift).min(bought);
-            if policy == TuningPolicy::Static {
-                wake.retune_stamp = retune;
+        match point.vouch.filter(|_| self.heard == Heard::Vouched) {
+            Some(v) => {
+                // A stamp at or before `folded` buys nothing beyond
+                // `fresh`, which may hold it at a smaller δ than now.
+                let fresh = self.horizon.max(v.fresh);
+                wake.fresh = fresh;
+                wake.offset = (v.eta + point.params.shift).min(fresh.saturating_since(v.folded));
             }
-        } else {
-            wake.until = self.fresh_until;
+            None => wake.until = self.horizon,
         }
-        if policy == TuningPolicy::Adaptive {
-            wake.retune_at = retune;
+        // Re-derivation is due on the clock the class reads: the stamp
+        // under the static policy (while a batch vouches), the time under
+        // the adaptive one.
+        match point.policy {
+            TuningPolicy::Static if point.vouch.is_some() => wake.retune_stamp = retune,
+            TuningPolicy::Static => {}
+            TuningPolicy::Adaptive => wake.retune_at = retune,
         }
         wake
     }
@@ -220,18 +401,10 @@ impl PeerMonitor {
     /// ([`PeerTable::stamp`]): a group the next batch drops then ages out on
     /// what it was really sent.
     pub fn unvouch<T>(&mut self, table: &PeerTable<T>) {
-        self.fold(table.stamp_of(self.slot()), true);
-    }
-
-    /// Folds the peer's `stamp` into the monitor's own horizon; with
-    /// `unvouch` the stamp stops counting from here on (the peer's batch no
-    /// longer lists the group, or the owner is about to restart the stamp).
-    pub(crate) fn fold(&mut self, stamp: SimInstant, unvouch: bool) {
-        self.fresh_until = self.fresh_until.max(self.vouched_until(stamp));
-        if self.vouched {
-            self.folded = self.folded.max(stamp);
+        self.horizon = self.horizon_at(self.point(table), table.stamp_of(self.slot()));
+        if self.heard == Heard::Vouched {
+            self.heard = Heard::Before;
         }
-        self.vouched &= !unvouch;
     }
 
     /// Processes a heartbeat with sequence number `seq`, stamped `sent_at` by
@@ -242,120 +415,64 @@ impl PeerMonitor {
     ///
     /// Returns `Some(Transition::BecameTrusted)` if this heartbeat restored
     /// trust in a suspected peer.
-    #[allow(clippy::too_many_arguments)]
     pub fn on_heartbeat<T>(
         &mut self,
         table: &mut PeerTable<T>,
-        qos: &QosSpec,
-        policy: TuningPolicy,
         seq: u64,
         sent_at: SimInstant,
         sender_interval: SimDuration,
         now: SimInstant,
     ) -> Option<Transition> {
         table.record(self.slot(), seq, sent_at, now);
-
+        let stamp = table.stamp_of(self.slot());
+        let point = &mut table.link_mut(self.slot()).points_mut()[usize::from(self.point)];
         // The freshness contribution of this heartbeat: it proves the sender
         // was alive at `sent_at` and promises another heartbeat one interval
         // later, which we allow δ to arrive. The sender-declared interval is
         // clamped to the detection bound so a mis-configured sender cannot
         // stretch detection arbitrarily.
-        let interval = sender_interval.min(qos.detection_time());
-        self.fresh_until = (self.fresh_until).max(sent_at + interval + self.params.shift);
-        (self.vouched, self.vouched_eta, self.folded) = (true, interval, sent_at);
+        let eta = sender_interval.min(point.qos.detection_time());
+        self.horizon = self.horizon.max(sent_at + eta + point.params.shift);
+        self.heard = Heard::Vouched;
+        point.vouch_for(sent_at, eta);
 
         if self.state == TrustState::Trusted {
             return None;
         }
-        if now < self.fresh_until {
+        if now < self.horizon_at(point, stamp) {
             self.state = TrustState::Trusted;
             return Some(Transition::BecameTrusted);
         }
         // Too old to revive the peer. Under a bound tightened below T_D^U
         // that is the link outrunning (η, δ): re-derive them here — while
         // suspected no deadline is pending, so no check may ever come.
-        if self.params.worst_case_detection() < qos.detection_time() {
-            self.maybe_reconfigure(table, qos, policy, now);
+        if point.params.worst_case_detection() < point.qos.detection_time() {
+            table.retune(self.slot(), usize::from(self.point), now);
         }
         None
     }
 
-    /// Re-evaluates the trust state at `now` (typically called when a timer
-    /// set for [`PeerMonitor::deadline`] fires).
-    ///
-    /// Returns `Some(Transition::BecameSuspected)` if the freshness horizon
-    /// has passed and the peer is newly suspected. This is also where (η, δ)
-    /// follow the link estimate: heartbeats are too many to each ask (only
-    /// one that fails to revive a suspected peer does).
-    pub fn check<T>(
-        &mut self,
-        table: &mut PeerTable<T>,
-        qos: &QosSpec,
-        policy: TuningPolicy,
-        now: SimInstant,
-    ) -> Option<Transition> {
-        self.maybe_reconfigure(table, qos, policy, now);
-        if self.state == TrustState::Trusted && now >= self.fresh_until {
+    /// Re-evaluates the monitor at `now` — through its peer's freshness
+    /// stamp, folded into the class first — and lets its class re-derive
+    /// (η, δ) if it is due (typically called when a timer set for
+    /// [`PeerMonitor::next_deadline`] fires). Heartbeats are too many to
+    /// each ask (only one that fails to revive a suspected peer does).
+    pub fn check<T>(&mut self, table: &mut PeerTable<T>, now: SimInstant) -> PeerCheck {
+        let (slot, point) = (self.slot(), usize::from(self.point));
+        let stamp = table.stamp_of(slot);
+        let before = self.point(table).operating();
+        table.link_mut(slot).points_mut()[point].fold(stamp);
+        table.retune(slot, point, now);
+        let transition = (self.state == TrustState::Trusted
+            && now >= self.horizon_at(self.point(table), stamp))
+        .then(|| {
             self.state = TrustState::Suspected;
-            Some(Transition::BecameSuspected)
-        } else {
-            None
-        }
-    }
-
-    fn maybe_reconfigure<T>(
-        &mut self,
-        table: &mut PeerTable<T>,
-        qos: &QosSpec,
-        policy: TuningPolicy,
-        now: SimInstant,
-    ) {
-        // Under the static policy heartbeats drive this, as when they called
-        // it themselves: the latest one heard must have been due, not just
-        // the clock. The adaptive one follows the clock: it must back off
-        // when heartbeats stop reviving the peer, and a group the peer's
-        // batches keep dropping and re-listing is unvouched at most polls.
-        let clock = match policy {
-            TuningPolicy::Static if self.vouched => self.folded,
-            TuningPolicy::Static => SimInstant::ZERO,
-            TuningPolicy::Adaptive => now,
-        };
-        if clock.saturating_since(self.last_reconfigure) < policy.reconfigure_every() {
-            return;
-        }
-        self.last_reconfigure = now;
-        // The estimator scan is memoized in the peer's slot, and the version
-        // only moves when the estimate changed — so the (η, δ) search below
-        // runs once per actual link-quality change, not once per monitor per
-        // reconfigure period.
-        let link = table.link_mut(self.slot());
-        let (measured, version) = link.quality_cached(now, policy);
-        if version == self.quality_version {
-            return;
-        }
-        self.quality_version = version;
-        self.measured = measured.samples >= policy.min_samples();
-        let quality = if self.measured {
-            measured
-        } else {
-            LinkQuality::conservative_prior()
-        };
-        // The search result is memoized in the slot too: the monitors other
-        // groups keep for this peer almost always ask with the same QoS, so
-        // the search runs once per quality change per peer instead of once
-        // per (group, peer).
-        let derived = link.shared_params(version, qos, policy, &quality);
-        // Hysteresis compares the full operating point, not just the bound:
-        // once η + δ is pinned at T_D^U the split keeps tracking a degrading
-        // link, and those updates must go through.
-        let hysteresis = policy.hysteresis();
-        let within = |old: SimDuration, new: SimDuration| {
-            (new.as_secs_f64() - old.as_secs_f64()).abs() < hysteresis * old.as_secs_f64()
-        };
-        if !(within(self.params.interval, derived.interval)
-            && within(self.params.shift, derived.shift))
-        {
-            self.params = derived;
+            Transition::BecameSuspected
+        });
+        PeerCheck {
+            transition,
+            retuned: self.point(table).operating() != before,
+            wake: self.wake(table),
         }
     }
 }
@@ -369,19 +486,17 @@ mod tests {
     struct Solo {
         table: PeerTable,
         qos: QosSpec,
-        policy: TuningPolicy,
         monitor: PeerMonitor,
     }
 
     impl Solo {
         fn new(policy: TuningPolicy) -> Self {
             let (qos, mut table) = (QosSpec::paper_default(), PeerTable::new());
-            let slot = table.intern(NodeId(1));
-            let monitor = PeerMonitor::new(slot, &qos, policy, SimInstant::ZERO);
+            let group = crate::GroupDetector::new(qos, policy);
+            let monitor = group.monitor(&mut table, NodeId(1), SimInstant::ZERO);
             Solo {
                 table,
                 qos,
-                policy,
                 monitor,
             }
         }
@@ -397,12 +512,28 @@ mod tests {
             interval: SimDuration,
             now: SimInstant,
         ) -> Option<Transition> {
-            let (table, qos, policy) = (&mut self.table, &self.qos, self.policy);
-            (self.monitor).on_heartbeat(table, qos, policy, seq, sent_at, interval, now)
+            (self.monitor).on_heartbeat(&mut self.table, seq, sent_at, interval, now)
         }
 
         fn check(&mut self, now: SimInstant) -> Option<Transition> {
-            (self.monitor).check(&mut self.table, &self.qos, self.policy, now)
+            self.monitor.check(&mut self.table, now).transition
+        }
+
+        /// The monitor's horizon; [`SimInstant::FAR_FUTURE`] if suspected.
+        fn deadline(&self) -> SimInstant {
+            (self.monitor.next_deadline(&self.table)).unwrap_or(SimInstant::FAR_FUTURE)
+        }
+
+        fn params(&self) -> FdParams {
+            self.monitor.params(&self.table)
+        }
+
+        fn is_measured(&self) -> bool {
+            self.monitor.is_measured(&self.table)
+        }
+
+        fn requested_interval(&self) -> SimDuration {
+            self.monitor.requested_interval(&self.table)
         }
 
         fn heartbeats_received(&self) -> u64 {
@@ -720,6 +851,23 @@ mod tests {
         feed(&mut monitor, 100, |_| ms(150), now);
         assert_ne!(monitor.params(), first);
         assert!(monitor.params().shift > ms(150));
+    }
+
+    #[test]
+    fn a_group_the_peer_never_sent_for_asks_the_prior_s_eta() {
+        // Two groups of one class monitor the peer; it sends for the first.
+        let mut fed = adaptive_monitor();
+        let group = crate::GroupDetector::new(fed.qos(), TuningPolicy::Adaptive);
+        let unfed = group.monitor(&mut fed.table, NodeId(1), SimInstant::ZERO);
+        let prior = fed.requested_interval();
+        assert_eq!(unfed.requested_interval(&fed.table), prior);
+        feed(&mut fed, 100, |_| ms(2), SimInstant::ZERO);
+        // The class follows the measured link, for both groups' horizons...
+        assert!(fed.is_measured());
+        assert_ne!(fed.requested_interval(), prior);
+        assert_eq!(unfed.params(&fed.table), fed.params());
+        // ...but the group the peer never sent for still asks the prior's η.
+        assert_eq!(unfed.requested_interval(&fed.table), prior);
     }
 
     #[test]

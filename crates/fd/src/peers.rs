@@ -3,12 +3,13 @@
 //! The paper's architecture (Figure 2) gives every workstation a *single*
 //! Failure Detector module shared by all groups. What is a property of a
 //! peer's *link* rather than of any group — the link-quality estimator, its
-//! memoized estimates and (η, δ) search, the peer's freshness stamp — lives
-//! once per peer in a [`PeerTable`] slot, owned by the service instance (or
-//! a standalone [`FailureDetector`](crate::FailureDetector)) and lent to
-//! every detector call; each group's [`PeerMonitor`](crate::PeerMonitor)
-//! of the peer names the slot. A slot also carries the owner's own
-//! per-peer state `T`. ALIVEs for several groups ride one datagram, so a
+//! memoized estimates, one operating point (η, δ) per QoS class, the peer's
+//! freshness stamp — lives once per peer in a [`PeerTable`] slot, owned by
+//! the service instance (or a standalone
+//! [`FailureDetector`](crate::FailureDetector)) and lent to every detector
+//! call; each group's [`PeerMonitor`](crate::PeerMonitor) of the peer names
+//! the slot and its class's point there. A slot also carries the owner's
+//! own per-peer state `T`. ALIVEs for several groups ride one datagram, so a
 //! slot records the same `(seq, sent_at, received_at)` observation once.
 
 use std::ops::{Index, IndexMut};
@@ -17,7 +18,8 @@ use sle_sim::actor::NodeId;
 use sle_sim::dense::{insert_tight, SlotIndex};
 use sle_sim::time::SimInstant;
 
-use crate::config::{configure, FdParams, TuningPolicy};
+use crate::config::TuningPolicy;
+use crate::monitor::OperatingPoint;
 use crate::qos::QosSpec;
 use crate::quality::{LinkQuality, LinkQualityEstimator};
 
@@ -33,18 +35,17 @@ pub(crate) struct PeerLink {
     last_record: Option<(u64, SimInstant, SimInstant)>,
     /// Memoized `(computed_at, estimate, version)` of the estimator scan,
     /// one per [`TuningPolicy`] (each reads its own window of the ring).
-    /// Every group's monitor of the peer wants a fresh estimate only every
-    /// few seconds, so the scan runs once per refresh interval for the peer
-    /// instead of once per monitor. The version only advances when the
-    /// estimate actually changed, letting monitors skip recomputing their
-    /// (η, δ) operating point entirely.
+    /// Every class of the peer wants a fresh estimate only every few
+    /// seconds, so the scan runs once per refresh interval for the peer
+    /// instead of once per class. The version only advances when the
+    /// estimate actually changed, letting a class skip the (η, δ) search
+    /// entirely.
     cached_quality: [Option<(SimInstant, LinkQuality, u32)>; 2],
-    /// Memoized result of the (η, δ) configurator search, keyed by the
-    /// quality version it was derived from plus the QoS/policy pair that
-    /// requested it. Different groups usually monitor the same peer under
-    /// the *same* QoS and policy, so when the estimate does change, one
-    /// monitor runs the search and its siblings reuse the result.
-    cached_params: Option<(u32, QosSpec, TuningPolicy, FdParams)>,
+    /// One operating point per `(QosSpec, TuningPolicy)` some group ever
+    /// monitored the peer under, in creation order: a monitor names its
+    /// class's by index, so points are never removed while the slot lives
+    /// (a restart resets them in place).
+    points: Vec<OperatingPoint>,
     /// The send time of the peer's latest ALIVE batch its monitors read in
     /// place of being fed it ([`PeerTable::stamp`]).
     stamp: SimInstant,
@@ -56,13 +57,13 @@ impl PeerLink {
             estimator: LinkQualityEstimator::new(ESTIMATOR_WINDOW),
             last_record: None,
             cached_quality: [None; 2],
-            cached_params: None,
+            points: Vec::new(),
             stamp: SimInstant::ZERO,
         }
     }
 
     /// The estimate `policy` reads, memoized: recomputed at most once per
-    /// reconfiguration period of the policy, shared by every monitor of the
+    /// reconfiguration period of the policy, shared by every class of the
     /// peer under it. The version advances only when a recomputation
     /// produced a *different* estimate.
     pub(crate) fn quality_cached(
@@ -86,27 +87,13 @@ impl PeerLink {
         (fresh, version)
     }
 
-    /// The (η, δ) operating point for `quality` (at `version`) under the
-    /// given QoS and policy, computed at most once per peer: the first
-    /// monitor to ask after a quality change runs the configurator search;
-    /// every sibling with the same QoS and policy reuses it. One with a
-    /// *different* key recomputes and takes over the single entry —
-    /// correctness never depends on a hit.
-    pub(crate) fn shared_params(
-        &mut self,
-        version: u32,
-        qos: &QosSpec,
-        policy: TuningPolicy,
-        quality: &LinkQuality,
-    ) -> FdParams {
-        if let Some((v, q, p, params)) = self.cached_params {
-            if v == version && q == *qos && p == policy {
-                return params;
-            }
-        }
-        let params = configure(qos, quality, policy);
-        self.cached_params = Some((version, *qos, policy, params));
-        params
+    /// The peer's operating points, one per QoS class.
+    pub(crate) fn points(&self) -> &[OperatingPoint] {
+        &self.points
+    }
+
+    pub(crate) fn points_mut(&mut self) -> &mut [OperatingPoint] {
+        &mut self.points
     }
 }
 
@@ -263,26 +250,87 @@ impl<T> PeerTable<T> {
 
     /// Discards every measurement of the peer in `slot` (it restarted with
     /// a new incarnation, so its old link behaviour no longer applies),
-    /// once for every group reading it. The slot, its freshness stamp and
-    /// the owner's state survive.
-    pub fn reset(&mut self, slot: usize) {
+    /// once for every group reading it: each class's operating point goes
+    /// back to the prior's as of `now`, and no batch vouches any more. The
+    /// slot, its classes, its freshness stamp and the owner's state survive.
+    pub fn reset(&mut self, slot: usize, now: SimInstant) {
         let link = self.link_mut(slot);
+        let mut points = std::mem::take(&mut link.points);
+        for point in &mut points {
+            let prior = LinkQuality::conservative_prior();
+            *point = OperatingPoint::new(*point.qos(), point.policy(), now, prior, 0);
+        }
         *link = PeerLink {
             stamp: link.stamp,
+            points,
             ..PeerLink::new()
         };
+        self.bump_params_epoch();
+    }
+
+    /// The QoS classes that have an operating point in `slot`, in creation
+    /// order.
+    pub fn classes(&self, slot: usize) -> impl Iterator<Item = (QosSpec, TuningPolicy)> + '_ {
+        (self.link(slot).points.iter()).map(|point| (*point.qos(), point.policy()))
+    }
+
+    /// The index of the operating point of class `(qos, policy)` in `slot`,
+    /// created as of `now` from the slot's current estimate if the slot has
+    /// none yet.
+    pub(crate) fn point(
+        &mut self,
+        slot: usize,
+        qos: &QosSpec,
+        policy: TuningPolicy,
+        now: SimInstant,
+    ) -> u16 {
+        let link = self.link_mut(slot);
+        let at =
+            (link.points.iter().position(|point| point.is(qos, policy))).unwrap_or_else(|| {
+                let (estimate, version) = link.quality_cached(now, policy);
+                let point = OperatingPoint::new(*qos, policy, now, estimate, version);
+                let at = link.points.len();
+                insert_tight(&mut link.points, at, point);
+                at
+            });
+        u16::try_from(at).expect("fewer than 65 536 QoS classes per peer")
+    }
+
+    /// Lets operating point `point` of `slot` re-derive (η, δ) at `now` if
+    /// its clock says it is due.
+    pub(crate) fn retune(&mut self, slot: usize, point: usize, now: SimInstant) {
+        let link = self.link_mut(slot);
+        let current = &link.points[point];
+        if !current.retune_due(now) {
+            return;
+        }
+        let (policy, before) = (current.policy(), current.operating().0.interval);
+        let (estimate, version) = link.quality_cached(now, policy);
+        let current = &mut link.points[point];
+        current.derive(now, estimate, version);
+        if current.operating().0.interval != before {
+            self.bump_params_epoch();
+        }
     }
 
     /// Records that the peer in `slot` repeated, at `sent_at`, the ALIVE
     /// batch its monitors were last fed: every monitor that batch vouches
-    /// for reads its horizon off this one stamp (a max: late and duplicated
-    /// datagrams are harmless). With `restart` the stamp is set: the caller
-    /// [`unvouch`](crate::PeerMonitor::unvouch)ed them all and is about to
-    /// feed them a different batch.
+    /// for reads its horizon off this one stamp, through its class (a max:
+    /// late and duplicated datagrams are harmless). With `restart` the stamp
+    /// is set and no class is vouched for any more: the caller
+    /// [`unvouch`](crate::PeerMonitor::unvouch)ed every monitor and is about
+    /// to feed them a different batch.
     pub fn stamp(&mut self, slot: usize, sent_at: SimInstant, restart: bool) {
-        let stamp = &mut self.link_mut(slot).stamp;
-        let floor = if restart { SimInstant::ZERO } else { *stamp };
-        *stamp = sent_at.max(floor);
+        let link = self.link_mut(slot);
+        if restart {
+            link.points.iter_mut().for_each(OperatingPoint::unvouch);
+        }
+        let floor = if restart {
+            SimInstant::ZERO
+        } else {
+            link.stamp
+        };
+        link.stamp = sent_at.max(floor);
     }
 
     /// The freshness stamp of the peer in `slot` ([`PeerTable::stamp`]).
@@ -290,12 +338,12 @@ impl<T> PeerTable<T> {
         self.link(slot).stamp
     }
 
-    /// A counter that moves whenever some monitor's requested interval did.
+    /// A counter that moves whenever some class's requested interval did.
     pub fn params_epoch(&self) -> u64 {
         self.params_epoch
     }
 
-    pub(crate) fn bump_params_epoch(&mut self) {
+    fn bump_params_epoch(&mut self) {
         self.params_epoch += 1;
     }
 }
@@ -317,6 +365,7 @@ impl<T> IndexMut<usize> for PeerTable<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::configure;
     use sle_sim::time::SimDuration;
 
     #[test]
@@ -363,7 +412,7 @@ mod tests {
         table
             .link_mut(slot)
             .quality_cached(late, TuningPolicy::Static);
-        table.reset(slot);
+        table.reset(slot, late);
         assert_eq!(table.heartbeats_recorded(slot), 0);
         assert!(table.link(slot).cached_quality.iter().all(Option::is_none));
         // The slot, its stamp and the owner's state survive the reset.
@@ -384,7 +433,7 @@ mod tests {
         let now = SimInstant::ZERO;
         let mut kept = baseline.monitor(&mut table, NodeId(9), now);
         let eta = qos.detection_time();
-        baseline.on_heartbeat(&mut table, &mut kept, 0, now, eta, now);
+        kept.on_heartbeat(&mut table, 0, now, eta, now);
         for _ in 0..100 {
             let churned = crate::GroupDetector::new(qos, policy);
             let monitor = churned.monitor(&mut table, NodeId(9), now);
@@ -395,28 +444,69 @@ mod tests {
         }
         assert_eq!(table.heartbeats_recorded(kept.slot()), 1);
         assert_eq!(table.len(), 1);
+        // Every churned group shared the one operating point of its class.
+        assert_eq!(table.link(kept.slot()).points().len(), 1);
     }
 
     #[test]
-    fn shared_params_are_keyed_by_qos_and_version() {
-        let mut link = PeerLink::new();
-        let cfg = TuningPolicy::Static;
-        let quality = LinkQuality::perfect();
+    fn points_are_one_per_qos_class_and_reset_in_place() {
+        let mut table: PeerTable = PeerTable::new();
+        let slot = table.intern(NodeId(1));
+        let (cfg, now) = (TuningPolicy::Static, SimInstant::ZERO);
         let fast = QosSpec::paper_default();
         let slow = QosSpec::paper_default_with_detection(SimDuration::from_secs(8));
-        let p_fast = link.shared_params(1, &fast, cfg, &quality);
-        // A sibling monitor with the same key reuses the cached entry.
-        assert_eq!(link.shared_params(1, &fast, cfg, &quality), p_fast);
-        // A different QoS must never be served another QoS's params.
-        let p_slow = link.shared_params(1, &slow, cfg, &quality);
-        assert_eq!(p_slow.worst_case_detection(), SimDuration::from_secs(8));
-        assert_ne!(p_fast, p_slow);
-        // Nor a different policy's: a mixed workstation's adaptive monitor
-        // of the same peer gets its own, tighter, operating point.
-        let p_tight = link.shared_params(1, &fast, TuningPolicy::Adaptive, &quality);
-        assert!(p_tight.worst_case_detection() < p_fast.worst_case_detection());
-        // The evicted key recomputes to the same operating point.
-        assert_eq!(link.shared_params(1, &fast, cfg, &quality), p_fast);
+        let p_fast = table.point(slot, &fast, cfg, now);
+        // A second group of the same class shares its operating point.
+        assert_eq!(table.point(slot, &fast, cfg, now), p_fast);
+        // A different QoS is never served another QoS's params...
+        let p_slow = table.point(slot, &slow, cfg, now);
+        let params =
+            |table: &PeerTable, at: u16| table.link(slot).points()[usize::from(at)].operating().0;
+        assert_ne!(p_slow, p_fast);
+        assert_eq!(
+            params(&table, p_slow).worst_case_detection(),
+            SimDuration::from_secs(8)
+        );
+        // ...nor a different policy's: a mixed workstation's adaptive
+        // monitor of the same peer gets its own operating point.
+        let p_tight = table.point(slot, &fast, TuningPolicy::Adaptive, now);
+        assert!(p_tight != p_fast && p_tight != p_slow);
+        assert_eq!(table.link(slot).points().len(), 3);
+        // A reset keeps every class where it was, back on the prior.
+        let epoch = table.params_epoch();
+        table.reset(slot, now + SimDuration::from_secs(1));
+        assert_eq!(table.point(slot, &slow, cfg, now), p_slow);
+        assert_eq!(table.link(slot).points().len(), 3);
+        assert!(table.params_epoch() > epoch);
+    }
+
+    #[test]
+    fn a_measured_peer_s_new_class_starts_measured_until_a_reset() {
+        let mut table: PeerTable = PeerTable::new();
+        let slot = table.intern(NodeId(1));
+        let mut now = SimInstant::ZERO;
+        for seq in 0..64u64 {
+            now += SimDuration::from_millis(100);
+            table.record(slot, seq, now - SimDuration::from_millis(1), now);
+        }
+        let qos = QosSpec::paper_default();
+        let at = table.point(slot, &qos, TuningPolicy::Adaptive, now);
+        let point = &table.link(slot).points()[usize::from(at)];
+        let (params, measured) = point.operating();
+        assert!(measured);
+        let (estimate, _) = table
+            .link_mut(slot)
+            .quality_cached(now, TuningPolicy::Adaptive);
+        assert_eq!(params, configure(&qos, &estimate, TuningPolicy::Adaptive));
+        // The peer restarts: its class goes back to the prior, in place.
+        table.reset(slot, now);
+        let point = &table.link(slot).points()[usize::from(at)];
+        let prior = configure(
+            &qos,
+            &LinkQuality::conservative_prior(),
+            TuningPolicy::Adaptive,
+        );
+        assert_eq!(point.operating(), (prior, false));
     }
 
     #[test]

@@ -924,13 +924,13 @@ mod tests {
                     .with_seed(5),
                 ExperimentMetrics {
                     duration: SimDuration::from_secs(120),
-                    recovery: Summary::of(&[1.663233748]),
-                    mistakes_per_hour: 390.0,
-                    leader_availability: 0.9369896155749999,
-                    kbytes_per_sec_per_node: 31.99821099175347,
+                    recovery: Summary::of(&[1.617091905]),
+                    mistakes_per_hour: 360.0,
+                    leader_availability: 0.938194834775,
+                    kbytes_per_sec_per_node: 36.19232177734375,
                     leader_crashes: 1,
-                    unjustified_demotions: 13,
-                    recovery_samples: vec![1.663233748],
+                    unjustified_demotions: 12,
+                    recovery_samples: vec![1.617091905],
                 },
             ),
         ];

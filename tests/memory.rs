@@ -131,18 +131,33 @@ fn remote_peers() -> impl Iterator<Item = NodeId> {
 }
 
 /// The two per-membership peer tables, each with the 9 remote members of
-/// a 10-member group: the group's rows and the elector's peer table.
+/// a 10-member group: the group's rows and the elector's peer table; and
+/// the operating points the rows' monitors read in the workstation's slots.
 fn peer_tables(rows: &mut Vec<Row>) {
     let now = SimInstant::ZERO;
     let qos = QosSpec::paper_default();
+    let fd = GroupDetector::new(qos, TuningPolicy::Static);
     // The per-link records are the workstation's, not the group's: the
     // table has every peer before the measured group's rows name them.
     let mut table: PeerTable = PeerTable::new();
     for peer in remote_peers() {
         table.intern(peer);
     }
+    // So is the operating point of each peer's QoS class: the first group
+    // of the class to monitor a peer creates it, every later one shares it.
+    let (_, points, _) = measure(|| {
+        for peer in remote_peers() {
+            fd.monitor(&mut table, peer, now);
+        }
+    });
+    rows.push(Row {
+        part: "operating points, 9 peers, one class",
+        bytes: points,
+        // One 96-byte point per slot: QoS, policy, (η, δ), the prior's η,
+        // the estimate version and re-derivation clock, the batch's vouch.
+        ceiling: 9 * 96,
+    });
     let (_rows, rows_bytes, _) = measure(|| {
-        let fd = GroupDetector::new(qos, TuningPolicy::Static);
         let mut rows = PeerRows::new();
         for peer in remote_peers() {
             let row = rows.row(peer, now);
@@ -154,9 +169,10 @@ fn peer_tables(rows: &mut Vec<Row>) {
     rows.push(Row {
         part: "group rows, 9 peers",
         bytes: rows_bytes,
-        // 10 rows of 152 bytes: a membership of 72 (one process held
-        // inline) and a monitor of 64 beside the peer and `last_heard`.
-        ceiling: 1_520,
+        // 10 rows of 104 bytes: a membership of 72 (one process held
+        // inline) and a monitor of 16 (trust, vouch, horizon, slot and
+        // class) beside the peer and `last_heard`.
+        ceiling: 1_040,
     });
 
     let (_peers, peers, _) = measure(|| {
@@ -209,9 +225,9 @@ fn node_peer_table(rows: &mut Vec<Row>) {
     rows.push(Row {
         part: "node peer table, 18 peers",
         bytes: table - alone,
-        // 18 slots of 544 bytes (the table is sized to the configured
+        // 18 slots of 520 bytes (the table is sized to the configured
         // peers), a 32-entry id index of 8 bytes each, 18 more peer ids.
-        ceiling: 18 * 544 + 32 * 8 + 18 * 4,
+        ceiling: 18 * 520 + 32 * 8 + 18 * 4,
     });
 }
 
@@ -378,7 +394,7 @@ fn deployment_start(rows: &mut Vec<Row>) {
     rows.push(Row {
         part: "deployment start, peak per membership",
         bytes: peak / (groups * members),
-        ceiling: 4_000,
+        ceiling: 3_100,
     });
 }
 
@@ -404,12 +420,12 @@ fn deployment(rows: &mut Vec<Row>) {
     rows.push(Row {
         part: "deployment, held per membership",
         bytes: held / memberships,
-        ceiling: 4_000,
+        ceiling: 3_600,
     });
     rows.push(Row {
         part: "deployment, peak per membership",
         bytes: peak / memberships,
-        ceiling: 5_100,
+        ceiling: 4_400,
     });
 }
 
