@@ -2,13 +2,15 @@
 //! of the paper's architecture, Figure 2).
 //!
 //! A group keeps one [`PeerRow`] per remote workstation in a sorted
-//! [`PeerRows`] table: the membership learnt from HELLO and ALIVE messages
-//! and the group's failure-detector opinion of the workstation, so applying
-//! one ALIVE payload touches a single row. The operating point (η, δ) that
-//! opinion follows is the link's, kept once per QoS class in the node's
-//! peer table.
+//! [`PeerRows`] table: the membership learnt from HELLO and ALIVE messages,
+//! with the election payload the workstation last sent, and the group's
+//! failure-detector opinion of it, so applying one ALIVE payload touches a
+//! single row. The group's elector ranks exactly the rows with a payload
+//! and a trusted monitor ([`PeerRows::trusted`]). The operating point
+//! (η, δ) the monitor follows is the link's, kept once per QoS class in the
+//! node's peer table.
 
-use sle_election::{AnyElector, LeaderElector};
+use sle_election::{AlivePayload, GroupElector};
 use sle_fd::{default_interval, GroupDetector, PeerMonitor, PeerTable, MIN_INTERVAL};
 use sle_sim::actor::NodeId;
 use sle_sim::dense::insert_tight;
@@ -34,6 +36,10 @@ pub struct MemberEntry {
     pub representative: Option<ProcessId>,
     /// The ALIVE interval the member asked us to use towards it.
     pub requested_interval: Option<SimDuration>,
+    /// The election payload of the member's last ALIVE for the group, if
+    /// it sent one in its current life: boxed, so a row a HELLO creates
+    /// costs 8 bytes for it until the member's first ALIVE.
+    pub payload: Option<Box<AlivePayload>>,
 }
 
 impl MemberEntry {
@@ -55,8 +61,9 @@ impl MemberEntry {
     }
 }
 
-/// A group's row for one remote workstation: its membership and the
-/// group's failure-detector monitor of it. A row has at least one of the
+/// A group's row for one remote workstation: its membership (with its last
+/// election payload) and the group's failure-detector monitor of it, the
+/// one record of whether the group trusts it. A row has at least one of the
 /// two. A member listing only listeners has no monitor, and a restarted
 /// peer's monitored row keeps a fresh monitor but no membership until the
 /// peer's new life names the group, or until the row is quiet past the
@@ -243,6 +250,16 @@ impl PeerRows {
     pub fn monitors(&self) -> impl Iterator<Item = &PeerMonitor> + '_ {
         self.rows.iter().filter_map(|row| row.monitor.as_ref())
     }
+
+    /// What the group's elector ranks: the members whose monitor trusts
+    /// them, each with its last election payload, in ascending peer order.
+    pub fn trusted(&self) -> impl Iterator<Item = (NodeId, &AlivePayload)> + '_ {
+        self.rows.iter().filter_map(|row| {
+            let payload = row.member.as_ref()?.payload.as_deref()?;
+            let trusted = row.monitor.as_ref()?.is_trusted();
+            trusted.then_some((row.peer, payload))
+        })
+    }
 }
 
 /// The full state a service instance keeps for one group it participates in.
@@ -253,8 +270,9 @@ pub struct GroupState {
     /// Local processes that joined the group, with their candidate flags,
     /// sorted by local slot.
     pub local_processes: Vec<(u32, bool)>,
-    /// The election algorithm instance for this group.
-    pub elector: AnyElector,
+    /// The election algorithm instance for this group, lent the trusted
+    /// rows ([`PeerRows::trusted`]).
+    pub elector: GroupElector,
     /// The group's share of the node's failure detector: its QoS and
     /// policy, the class whose operating point the monitors in `rows` read
     /// in the node's peer table. It arms no timer of its own: the service
@@ -262,7 +280,8 @@ pub struct GroupState {
     /// (`PeerMonitor::check`).
     pub fd: GroupDetector,
     /// One row per remote workstation: membership learnt from HELLO/ALIVE
-    /// messages, and the monitor `fd` applies to.
+    /// messages with the last election payload, and the monitor `fd`
+    /// applies to.
     pub rows: PeerRows,
     /// The leader last announced to local applications (to detect changes).
     pub announced_leader: Option<ProcessId>,
@@ -298,7 +317,7 @@ impl GroupState {
         GroupState {
             group,
             local_processes: Vec::new(),
-            elector: AnyElector::new(algorithm, me, config.candidate, now),
+            elector: GroupElector::new(algorithm, me, config.candidate, now),
             fd: GroupDetector::new(config.qos, config.tuning),
             rows: PeerRows::new(),
             announced_leader: None,
@@ -530,9 +549,12 @@ mod tests {
     #[test]
     fn a_row_keeps_only_the_group_s_opinion_of_the_peer() {
         // (η, δ) and everything else per link live in the peer's table
-        // slot: the monitor is the group's trust, vouch and horizon.
+        // slot: the monitor is the group's trust, vouch and horizon. The
+        // row's 104 bytes grew only by the elector's column, the boxed
+        // payload.
         assert_eq!(std::mem::size_of::<Option<PeerMonitor>>(), 16);
-        assert!(std::mem::size_of::<PeerRow>() <= 104);
+        let payload = std::mem::size_of::<Option<Box<AlivePayload>>>();
+        assert!(std::mem::size_of::<PeerRow>() <= 104 + payload);
     }
 
     #[test]

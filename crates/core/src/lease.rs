@@ -27,7 +27,7 @@
 //! 3. **Same leader, voluntary yield and re-win (Ωl).** Withdrawing and
 //!    re-entering each bump the accusation epoch — and elector recreation
 //!    preserves the epoch across listener/candidate transitions
-//!    (`AnyElector::new_with_epoch`), so the epoch never moves backwards.
+//!    (`GroupElector::new_with_epoch`), so the epoch never moves backwards.
 //!    This is exactly why the stale-epoch accusation guard in
 //!    `ServiceNode::handle_accusation` is part of the fencing story: a
 //!    replayed old accusation that reset the rank would forge a token

@@ -1,12 +1,12 @@
 //! The ALIVE stream, both directions: the per-node tick that batches every
 //! group's heartbeats, and the receive path that feeds them to each group.
 
-use sle_election::{AnyElector, LeaderElector};
 use sle_fd::{default_interval, PeerMonitor, Transition, TuningPolicy};
 use sle_sim::actor::NodeId;
 use sle_sim::time::{SimDuration, SimInstant};
 
 use super::{next_tick, Peers, ServiceContext, ServiceNode, ALIVE_TIMER, MAX_BATCH_BYTES};
+use crate::group::GroupState;
 use crate::messages::{AliveHeader, GroupAlive, ServiceMessage};
 use crate::obs::NodeCount;
 use crate::process::{GroupId, ProcessId};
@@ -110,7 +110,7 @@ impl ServiceNode {
                 group,
                 sending_interval: interval,
                 requested_interval: SimDuration::ZERO,
-                payload: state.elector.alive_payload(),
+                payload: state.elector.alive_payload(state.rows.trusted()),
                 representative: (state.local_representative(me))
                     .unwrap_or_else(|| ProcessId::new(me, 0)),
             });
@@ -413,13 +413,15 @@ impl ServiceNode {
         let Some(state) = self.groups.get_mut(group) else {
             return false;
         };
-        let row = state.rows.row(from, now);
         // What this node's own ALIVEs embed of the group, before.
-        let stance = |elector: &AnyElector, monitor: &Option<PeerMonitor>, peers: &Peers| {
-            let asks = monitor.as_ref().map(|m| m.requested_interval(peers));
-            (elector.alive_payload(), elector.is_competing(), asks)
+        let stance = |state: &GroupState, peers: &Peers| {
+            let asks = (state.rows.monitor(from)).map(|m| m.requested_interval(peers));
+            let payload = state.elector.alive_payload(state.rows.trusted());
+            (payload, state.elector.is_competing(), asks)
         };
-        let stance_before = stance(&state.elector, &row.monitor, &self.peers);
+        let stance_before = stance(state, &self.peers);
+        let leader_before = state.elector.leader(state.rows.trusted());
+        let row = state.rows.row(from, now);
         // A member first learnt of via ALIVE (no HELLO yet) is seeded with
         // its advertised representative as the only known process; a HELLO
         // will replace the list with the authoritative one.
@@ -431,7 +433,6 @@ impl ServiceNode {
         let representative_changed = member.representative != Some(alive.representative);
         member.representative = Some(alive.representative);
         let asked = member.requested_interval.replace(alive.requested_interval);
-        let leader_before = state.elector.leader();
         let watched = row.monitor.is_some();
         let monitor =
             (row.monitor).get_or_insert_with(|| state.fd.monitor(&mut self.peers, from, now));
@@ -450,15 +451,24 @@ impl ServiceNode {
         let trusted = monitor.is_trusted();
         if revived {
             // A revival of a suspected peer: the suspicion was a detector
-            // mistake (the paper's T_MR numerator).
+            // mistake (the paper's T_MR numerator). The elector hears of
+            // it over the payload last heard, then of this one's: each
+            // step may move Ω_l's competing flag and epoch.
             if let Some(obs) = &state.obs {
                 obs.on_mistake();
             }
-            state.elector.on_trust(from, now);
+            state.elector.reevaluate(state.rows.trusted());
         }
-        state.elector.on_alive(from, alive.payload, now);
-        let leader_changed = state.elector.leader() != leader_before;
-        let stance_after = stance(&state.elector, &row.monitor, &self.peers);
+        // A payload counts only while the monitor trusts its sender: one
+        // too old to revive a suspected peer is kept, not ranked.
+        let member = state.rows.row(from, now).member.as_mut();
+        match &mut member.expect("heard as a member").payload {
+            Some(last) => **last = alive.payload,
+            payload => *payload = Some(Box::new(alive.payload)),
+        }
+        state.elector.reevaluate(state.rows.trusted());
+        let leader_changed = state.elector.leader(state.rows.trusted()) != leader_before;
+        let stance_after = stance(state, &self.peers);
         if asked != Some(alive.requested_interval) || stance_after != stance_before {
             self.alive_epoch += 1;
         }

@@ -1,7 +1,6 @@
 //! Leader Election: what each group's elector yields, held to the
 //! self-election grace and the lease settle rule, and announced.
 
-use sle_election::LeaderElector;
 use sle_fd::{PeerTable, TuningPolicy};
 use sle_sim::actor::{NodeId, TimerTag};
 use sle_sim::time::{SimDuration, SimInstant};
@@ -39,7 +38,7 @@ fn leader_view<T>(
     peers: &PeerTable<T>,
     now: SimInstant,
 ) -> LeaderView {
-    let mut leader = state.leader_process(me, state.elector.leader());
+    let mut leader = state.leader_process(me, state.elector.leader(state.rows.trusted()));
     let mut withheld = None;
     // A freshly (re)joined candidate does not claim the leadership for
     // itself until the grace period elapses: it first listens for an
@@ -187,7 +186,7 @@ impl ServiceNode {
                 self.counts[NodeCount::StaleAccusationsIgnored].inc();
                 return;
             }
-            state.elector.on_accusation(epoch, now);
+            (state.elector).on_accusation(epoch, now, state.rows.trusted());
             self.alive_epoch += 1;
         }
         self.check_leader(group, ctx);

@@ -3,7 +3,6 @@
 //! group's trust and horizon; the operating point (η, δ) its checks follow
 //! is its QoS class's, once per peer in the node's peer table.
 
-use sle_election::LeaderElector;
 use sle_fd::{FdParams, Transition, TuningPolicy, Wake};
 use sle_sim::actor::{NodeId, TimerTag};
 use sle_sim::time::SimInstant;
@@ -139,7 +138,11 @@ impl ServiceNode {
                     let silent_for = now.saturating_since(self.peers[pslot].heard(group, row));
                     obs.on_detection(instruments, silent_for);
                 }
-                if let Some(epoch) = state.elector.on_suspect(peer, now) {
+                // Accused at the epoch of the payload it last sent, if any.
+                let last = (row.member.as_ref()).and_then(|m| m.payload.as_deref().copied());
+                state.elector.reevaluate(state.rows.trusted());
+                let epoch = last.and_then(|last| state.elector.accusation(&last));
+                if let Some(epoch) = epoch {
                     if let Some(obs) = &self.obs {
                         obs.on_accusation(group, peer, now);
                     }

@@ -3,7 +3,6 @@
 
 use std::sync::Arc;
 
-use sle_election::LeaderElector;
 use sle_fd::PeerMonitor;
 use sle_sim::actor::NodeId;
 use sle_sim::time::{SimDuration, SimInstant};
@@ -326,7 +325,7 @@ impl ServiceNode {
             let listed = member.processes.len();
             member.processes.retain(|(p, _)| *p != process);
             if member.processes.is_empty() {
-                self.forget_member(group, from, ctx.now());
+                self.forget_member(group, from);
             } else if member.processes.len() != listed {
                 // Unversioned: a late copy may have undone a rejoin the
                 // applied list already showed. Pull to find out.
@@ -341,12 +340,12 @@ impl ServiceNode {
     /// the group goes as a whole, nor a restart's, which keeps the row with
     /// a *reset* monitor: sharing this path would make it branch on its
     /// caller.
-    fn forget_member(&mut self, group: GroupId, peer: NodeId, now: SimInstant) {
+    fn forget_member(&mut self, group: GroupId, peer: NodeId) {
         let Some(state) = self.groups.get_mut(group) else {
             return;
         };
         let row = state.rows.remove(peer);
-        state.elector.remove_peer(peer, now);
+        state.elector.reevaluate(state.rows.trusted());
         self.alive_epoch += 1;
         let entry = self.peers.entry(peer);
         // Should a member come back at its applied list or batch: pull,
@@ -415,7 +414,7 @@ impl ServiceNode {
         for expiring in expired.chunk_by(|a, b| a.0 == b.0) {
             let group = expiring[0].0;
             for &(_, peer) in expiring {
-                self.forget_member(group, peer, now);
+                self.forget_member(group, peer);
             }
             self.check_leader(group, ctx);
         }

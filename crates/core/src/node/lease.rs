@@ -1,7 +1,6 @@
 //! The lease tier on top of the election: lease renewal, the grants other
 //! leaders broadcast, and client requests served under a valid lease.
 
-use sle_election::LeaderElector;
 use sle_sim::actor::NodeId;
 use sle_sim::time::SimDuration;
 
@@ -54,7 +53,8 @@ impl ServiceNode {
         if !lease.valid_at(now) {
             state.lease = None;
             state.led_since = None;
-            state.elector.on_accusation(state.elector.epoch(), now);
+            let epoch = state.elector.epoch();
+            (state.elector).on_accusation(epoch, now, state.rows.trusted());
             self.alive_epoch += 1;
             return true;
         }

@@ -10,7 +10,7 @@
 //! | Group Maintenance | `node/gossip.rs` | HELLO gossip, membership, leaves and expiry |
 //! | Failure Detector, its input | `node/alive.rs` | the ALIVE stream, sent and received |
 //! | Failure Detector | `node/fd.rs` | one detector timer per monitored peer, over the monitors in the groups' rows |
-//! | Leader Election Algorithm | `node/election.rs` | the leader each group's [`sle_election::AnyElector`] yields, announced |
+//! | Leader Election Algorithm | `node/election.rs` | the leader each group's [`sle_election::GroupElector`] yields over its trusted rows, announced |
 //! | (the lease tier above it) | `node/lease.rs` | lease upkeep and client serving |
 
 mod alive;
@@ -19,7 +19,7 @@ mod fd;
 mod gossip;
 mod lease;
 
-use sle_election::{ElectorKind, LeaderElector};
+use sle_election::{ElectorKind, GroupElector};
 use sle_fd::{PeerTable, MIN_INTERVAL};
 use sle_sim::actor::{Actor, Context, NodeId, TimerTag};
 use sle_sim::dense::{insert_tight, SlotIndex};
@@ -330,7 +330,7 @@ impl ServiceNode {
     /// notification style of the paper).
     pub fn leader_of(&self, group: GroupId) -> Option<ProcessId> {
         let state = self.groups.get(group)?;
-        state.leader_process(self.config.node, state.elector.leader())
+        state.leader_process(self.config.node, state.elector.leader(state.rows.trusted()))
     }
 
     /// Whether this node is currently competing (sending ALIVEs) in `group`.
@@ -441,13 +441,8 @@ impl ServiceNode {
         // demote this node after it re-won — and breaking fencing-token
         // monotonicity. Start one above the old elector's epoch instead.
         if join.candidate && !state.elector.is_candidate() {
-            state.elector = sle_election::AnyElector::new_with_epoch(
-                algorithm,
-                me,
-                true,
-                now,
-                state.elector.epoch() + 1,
-            );
+            state.elector =
+                GroupElector::new_with_epoch(algorithm, me, true, now, state.elector.epoch() + 1);
         }
         let grace_ends = state.joined_at + state.self_election_grace(&self.peers);
         ctx.set_timer_at(election::grace_tag(group), grace_ends);
@@ -504,7 +499,7 @@ impl ServiceNode {
                 // The last local candidate left: stop competing. As on the
                 // listener→candidate upgrade, preserve the accusation epoch
                 // so replayed accusations from the candidate life stay stale.
-                state.elector = sle_election::AnyElector::new_with_epoch(
+                state.elector = GroupElector::new_with_epoch(
                     algorithm,
                     me,
                     false,
@@ -583,7 +578,7 @@ impl ServiceNode {
             } else {
                 state.rows.remove(peer);
             }
-            state.elector.remove_peer(peer, now);
+            state.elector.reevaluate(state.rows.trusted());
             if monitored {
                 self.fd_monitor_added(peer, group, ctx);
             }

@@ -1528,6 +1528,58 @@ fn a_batch_is_freed_once_no_group_it_lists_trusts_the_sender() {
     assert_eq!((held(&drive), trusted(&drive)), (2, [true, true]));
 }
 
+#[test]
+fn a_stale_alive_does_not_make_a_suspected_peer_the_leader() {
+    // Node 0 listens under Ω_l; node 1's ALIVE sent at 0.01 s is the last
+    // it hears in time, so it suspects node 1 by 3 s. A copy sent at
+    // 0.02 s then arrives at 3 s, too old to revive the monitor: its
+    // payload is kept, but the peer it names stays suspected and unranked
+    // until the membership times out.
+    let (peer, group) = (NodeId(1), GroupId(1));
+    let config = ServiceConfig::full_mesh(NodeId(0), 2, ElectorKind::OmegaL)
+        .with_auto_join(group, JoinConfig::listener());
+    let mut drive = TimerDrive::start(config);
+    let eta = SimDuration::from_millis(250);
+    let deliver = |drive: &mut TimerDrive, seq, sent_at, now| {
+        let alive = ServiceMessage::Alive {
+            group,
+            header: AliveHeader {
+                incarnation: 1,
+                seq,
+                sent_at,
+                sending_interval: eta,
+                requested_interval: eta,
+            },
+            payload: sle_election::AlivePayload {
+                accusation_time: SimInstant::ZERO,
+                epoch: 0,
+                local_leader: None,
+            },
+            representative: ProcessId::new(peer, 0),
+        };
+        let mut ctx = at(now);
+        drive.node.on_message(peer, alive, &mut ctx);
+        drive.settle(ctx);
+    };
+    let suspected = |drive: &TimerDrive| {
+        let monitor = drive.node.groups.get(group).unwrap().rows.monitor(peer);
+        monitor.is_some_and(|monitor| !monitor.is_trusted())
+    };
+    let secs = |s: f64| SimInstant::from_secs_f64(s);
+    drive.run_to(secs(0.01));
+    deliver(&mut drive, 0, secs(0.01), secs(0.01));
+    assert_eq!(drive.node.leader_of(group), Some(ProcessId::new(peer, 0)));
+    drive.run_to(secs(3.0)).expect("within the step budget");
+    assert!(suspected(&drive));
+    deliver(&mut drive, 1, secs(0.02), secs(3.0));
+    for until in [3.0, 5.0, 7.0, 9.0] {
+        drive.run_to(secs(until)).expect("within the step budget");
+        let row = drive.node.groups.get(group).unwrap().rows.get(peer);
+        assert!(row.is_none() || suspected(&drive), "trusted at {until} s");
+        assert_eq!(drive.node.leader_of(group), None, "at {until} s");
+    }
+}
+
 /// One leader-change announcement, as plain comparable data:
 /// `(virtual ns, observing node, group, leader as (node, local))`.
 type LeaderTraceEvent = (u64, u32, u32, Option<(u32, u32)>);

@@ -28,17 +28,27 @@
 //!   advances its accusation *epoch*, and an accusation counts only if it
 //!   names the current epoch and arrives while the process is competing, so
 //!   suspicions of a voluntary silence never raise its accusation time.
+//!
+//! A [`GroupElector`] holds what the rules keep of this node: its kind,
+//! identity and candidacy, accusation time, epoch and whether it competes.
+//! It keeps no peers: each rule reads the peers the failure detector
+//! trusts, each with the ALIVE payload it last sent, as its owner lends
+//! them. The service lends a group's rows, where the detector's monitor is
+//! the one trust bit; [`AnyElector`] is the standalone elector over its own
+//! list, as `sle_fd`'s `FailureDetector` is a group detector over its own
+//! monitors.
 
 use sle_sim::actor::NodeId;
 use sle_sim::time::SimInstant;
 
-use crate::elector::{LeaderElector, PeerTable};
+use crate::elector::LeaderElector;
 use crate::types::{AlivePayload, ElectorKind, LeaderClaim, Rank};
 
 /// The leader-election state of one node in one group, running the
-/// algorithm `kind` selects.
+/// algorithm `kind` selects. Every rule is lent `trusted`: the peers the
+/// failure detector trusts, each with the payload it last sent.
 #[derive(Debug, Clone)]
-pub struct AnyElector {
+pub struct GroupElector {
     kind: ElectorKind,
     me: NodeId,
     candidate: bool,
@@ -52,10 +62,9 @@ pub struct AnyElector {
     /// except under Ωl, where a candidate withdraws while it hears a
     /// better-ranked one.
     active: bool,
-    peers: PeerTable,
 }
 
-impl AnyElector {
+impl GroupElector {
     /// Builds an elector of the requested kind for node `me`, which is a
     /// leadership candidate iff `candidate` is true, starting (joining the
     /// group) at `now`. The initial accusation time is the join time, so
@@ -81,7 +90,7 @@ impl AnyElector {
         now: SimInstant,
         epoch: u64,
     ) -> Self {
-        AnyElector {
+        GroupElector {
             kind,
             me,
             candidate,
@@ -92,85 +101,79 @@ impl AnyElector {
                 epoch
             },
             active: candidate,
-            peers: PeerTable::new(),
         }
+    }
+
+    /// Whether this node is a candidate for the group's leadership.
+    pub fn is_candidate(&self) -> bool {
+        self.candidate
+    }
+
+    /// Whether this node should currently be sending ALIVE messages for the
+    /// group. For Ωid and Ωlc this is simply "is a candidate"; for Ωl a
+    /// candidate stops competing while it sees a better-ranked candidate.
+    pub fn is_competing(&self) -> bool {
+        self.active
+    }
+
+    /// This node's current accusation time.
+    pub fn accusation_time(&self) -> SimInstant {
+        self.accusation_time
+    }
+
+    /// This node's current accusation epoch.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
     }
 
     fn my_rank(&self) -> Rank {
         Rank::new(self.accusation_time, self.me)
     }
 
-    /// The best-ranked of the peers heard directly and, while it competes,
-    /// this node: Ωlc's first stage, and Ωl's leader.
-    fn local_leader(&self) -> Option<Rank> {
-        let own = self.active.then(|| self.my_rank());
-        self.peers.best_trusted_rank().into_iter().chain(own).min()
+    /// This node's rank while it competes.
+    fn own(&self) -> Option<Rank> {
+        self.active.then(|| self.my_rank())
     }
 
-    /// Ωl only: withdraws while a better-ranked candidate is heard, and
-    /// re-enters once none is, advancing the epoch either way so that the
-    /// suspicions a withdrawal provokes carry a stale epoch.
-    fn reevaluate(&mut self) {
-        if self.kind != ElectorKind::OmegaL || !self.candidate {
-            return;
-        }
-        let better_exists = self
-            .peers
-            .best_trusted_rank()
-            .is_some_and(|best| best < self.my_rank());
-        if self.active == better_exists {
-            self.active = !better_exists;
-            self.epoch += 1;
-        }
-    }
-}
-
-impl LeaderElector for AnyElector {
-    fn kind(&self) -> ElectorKind {
-        self.kind
+    /// The best-ranked of the `trusted` peers and, while it competes, this
+    /// node: Ωlc's first stage, and Ωl's leader.
+    fn local_leader<'a>(
+        &self,
+        trusted: impl IntoIterator<Item = (NodeId, &'a AlivePayload)>,
+    ) -> Option<Rank> {
+        let ranks = trusted.into_iter().map(|(id, p)| p.rank_of(id));
+        ranks.chain(self.own()).min()
     }
 
-    fn id(&self) -> NodeId {
-        self.me
-    }
-
-    fn is_candidate(&self) -> bool {
-        self.candidate
-    }
-
-    fn is_competing(&self) -> bool {
-        self.active
-    }
-
-    fn accusation_time(&self) -> SimInstant {
-        self.accusation_time
-    }
-
-    fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    fn leader(&self) -> Option<NodeId> {
+    /// The current leader, if any, among this node and the `trusted` peers.
+    pub fn leader<'a>(
+        &self,
+        trusted: impl IntoIterator<Item = (NodeId, &'a AlivePayload)>,
+    ) -> Option<NodeId> {
+        let trusted = trusted.into_iter();
         match self.kind {
             ElectorKind::OmegaId => {
                 let own = self.active.then_some(self.me);
-                self.peers.trusted().map(|(id, _)| id).chain(own).min()
+                trusted.map(|(id, _)| id).chain(own).min()
             }
             // Second stage: the best of the local leaders trusted peers
             // claim and this node's own.
-            ElectorKind::OmegaLc => self
-                .peers
-                .trusted()
-                .filter_map(|(_, state)| state.payload.local_leader)
-                .map(|claim| claim.rank())
-                .chain(self.local_leader())
+            ElectorKind::OmegaLc => trusted
+                .flat_map(|(id, p)| [Some(p.rank_of(id)), p.local_leader.map(|c| c.rank())])
+                .flatten()
+                .chain(self.own())
                 .min()
                 .map(|rank| rank.id),
-            ElectorKind::OmegaL => self.local_leader().map(|rank| rank.id),
+            ElectorKind::OmegaL => self.local_leader(trusted).map(|rank| rank.id),
         }
     }
 
-    fn alive_payload(&self) -> AlivePayload {
+    /// The election payload to piggyback on the next outgoing ALIVE
+    /// message, given the `trusted` peers.
+    pub fn alive_payload<'a>(
+        &self,
+        trusted: impl IntoIterator<Item = (NodeId, &'a AlivePayload)>,
+    ) -> AlivePayload {
         let claim = |rank: Rank| LeaderClaim {
             node: rank.id,
             accusation_time: rank.accusation_time,
@@ -179,18 +182,39 @@ impl LeaderElector for AnyElector {
             accusation_time: self.accusation_time,
             epoch: self.epoch,
             local_leader: match self.kind {
-                ElectorKind::OmegaLc => self.local_leader().map(claim),
+                ElectorKind::OmegaLc => self.local_leader(trusted).map(claim),
                 ElectorKind::OmegaId | ElectorKind::OmegaL => None,
             },
         }
     }
 
-    fn on_alive(&mut self, from: NodeId, payload: AlivePayload, _now: SimInstant) {
-        self.peers.record_alive(from, payload);
-        self.reevaluate();
+    /// Ωl only: withdraws while a better-ranked candidate is trusted, and
+    /// re-enters once none is, advancing the epoch either way so that the
+    /// suspicions a withdrawal provokes carry a stale epoch. The owner calls
+    /// it whenever the `trusted` peers or their payloads changed.
+    pub fn reevaluate<'a>(
+        &mut self,
+        trusted: impl IntoIterator<Item = (NodeId, &'a AlivePayload)>,
+    ) {
+        if self.kind != ElectorKind::OmegaL || !self.candidate {
+            return;
+        }
+        let mine = self.my_rank();
+        let better_exists = (trusted.into_iter()).any(|(id, p)| p.rank_of(id) < mine);
+        if self.active == better_exists {
+            self.active = !better_exists;
+            self.epoch += 1;
+        }
     }
 
-    fn on_accusation(&mut self, epoch: u64, now: SimInstant) {
+    /// Handles an accusation against this node referencing `epoch`, among
+    /// the `trusted` peers.
+    pub fn on_accusation<'a>(
+        &mut self,
+        epoch: u64,
+        now: SimInstant,
+        trusted: impl IntoIterator<Item = (NodeId, &'a AlivePayload)>,
+    ) {
         // An accusation counts once per epoch: one suspicion episode seen by
         // many processes costs the accused at most one demotion. Under Ωl it
         // counts only while competing, so a voluntary silence costs nothing.
@@ -202,24 +226,132 @@ impl LeaderElector for AnyElector {
         if honoured {
             self.accusation_time = now;
             self.epoch += 1;
-            self.reevaluate();
+            self.reevaluate(trusted);
         }
     }
 
+    /// The epoch to accuse a peer at that the failure detector stopped
+    /// trusting, given the `last` payload it sent: the epoch it advertised.
+    /// Ωid ranks by id alone, so there an accusation could change nothing.
+    pub fn accusation(&self, last: &AlivePayload) -> Option<u64> {
+        (self.kind != ElectorKind::OmegaId).then_some(last.epoch)
+    }
+}
+
+/// The standalone elector: a [`GroupElector`] over its own list of the
+/// peers it heard, each with its last payload and whether the failure
+/// detector trusts it (an ALIVE implies it does).
+#[derive(Debug, Clone)]
+pub struct AnyElector {
+    elector: GroupElector,
+    /// `(peer, last payload, trusted)`, ascending by peer.
+    peers: Vec<(NodeId, AlivePayload, bool)>,
+}
+
+/// The trusted peers of `peers`, with their payloads.
+fn trusted(
+    peers: &[(NodeId, AlivePayload, bool)],
+) -> impl Iterator<Item = (NodeId, &AlivePayload)> + '_ {
+    (peers.iter().filter(|peer| peer.2)).map(|(id, payload, _)| (*id, payload))
+}
+
+impl AnyElector {
+    /// A standalone [`GroupElector::new`], knowing no peers.
+    pub fn new(kind: ElectorKind, me: NodeId, candidate: bool, now: SimInstant) -> Self {
+        Self::new_with_epoch(kind, me, candidate, now, 0)
+    }
+
+    /// A standalone [`GroupElector::new_with_epoch`], knowing no peers.
+    pub fn new_with_epoch(
+        kind: ElectorKind,
+        me: NodeId,
+        candidate: bool,
+        now: SimInstant,
+        epoch: u64,
+    ) -> Self {
+        AnyElector {
+            elector: GroupElector::new_with_epoch(kind, me, candidate, now, epoch),
+            peers: Vec::new(),
+        }
+    }
+
+    fn find(&self, peer: NodeId) -> Result<usize, usize> {
+        self.peers.binary_search_by_key(&peer, |&(id, ..)| id)
+    }
+
+    fn reevaluate(&mut self) {
+        self.elector.reevaluate(trusted(&self.peers));
+    }
+}
+
+impl LeaderElector for AnyElector {
+    fn kind(&self) -> ElectorKind {
+        self.elector.kind
+    }
+
+    fn id(&self) -> NodeId {
+        self.elector.me
+    }
+
+    fn is_candidate(&self) -> bool {
+        self.elector.candidate
+    }
+
+    fn is_competing(&self) -> bool {
+        self.elector.active
+    }
+
+    fn accusation_time(&self) -> SimInstant {
+        self.elector.accusation_time
+    }
+
+    fn epoch(&self) -> u64 {
+        self.elector.epoch
+    }
+
+    fn leader(&self) -> Option<NodeId> {
+        self.elector.leader(trusted(&self.peers))
+    }
+
+    fn alive_payload(&self) -> AlivePayload {
+        self.elector.alive_payload(trusted(&self.peers))
+    }
+
+    fn on_alive(&mut self, from: NodeId, payload: AlivePayload, _now: SimInstant) {
+        match self.find(from) {
+            Ok(i) => self.peers[i] = (from, payload, true),
+            Err(i) => self.peers.insert(i, (from, payload, true)),
+        }
+        self.reevaluate();
+    }
+
+    fn on_accusation(&mut self, epoch: u64, now: SimInstant) {
+        self.elector.on_accusation(epoch, now, trusted(&self.peers));
+    }
+
     fn on_trust(&mut self, peer: NodeId, _now: SimInstant) {
-        self.peers.mark_trusted(peer);
+        if let Ok(i) = self.find(peer) {
+            self.peers[i].2 = true;
+        }
         self.reevaluate();
     }
 
     fn on_suspect(&mut self, peer: NodeId, _now: SimInstant) -> Option<u64> {
-        let accuse_at = self.peers.mark_suspected(peer);
+        let last = match self.find(peer) {
+            Ok(i) if self.peers[i].2 => {
+                self.peers[i].2 = false;
+                Some(self.peers[i].1)
+            }
+            _ => None,
+        };
         self.reevaluate();
-        // Ωid ranks by id alone: an accusation could change nothing.
-        accuse_at.filter(|_| self.kind != ElectorKind::OmegaId)
+        last.and_then(|last| self.elector.accusation(&last))
     }
 
     fn remove_peer(&mut self, peer: NodeId, _now: SimInstant) {
-        self.peers.remove(peer);
+        if let Ok(i) = self.find(peer) {
+            self.peers.remove(i);
+        }
         self.reevaluate();
     }
 }
@@ -321,6 +453,31 @@ pub(crate) mod tests {
         let _ = elector.alive_payload();
         assert!(elector.is_competing());
         let _ = elector.accusation_time();
+    }
+
+    #[test]
+    fn on_alive_trusts_the_sender_and_keeps_its_last_payload() {
+        let mut elector = AnyElector::new(OmegaLc, NodeId(5), true, secs(10));
+        elector.on_alive(NodeId(1), payload(secs(0), 1, None), secs(11));
+        assert_eq!(elector.leader(), Some(NodeId(1)));
+        // A later payload replaces it: accused since, node 1 ranks last.
+        elector.on_alive(NodeId(1), payload(secs(20), 2, None), secs(21));
+        assert_eq!(elector.leader(), Some(NodeId(5)));
+        assert_eq!(elector.on_suspect(NodeId(1), secs(22)), Some(2));
+    }
+
+    #[test]
+    fn on_suspect_accuses_at_the_last_epoch_once() {
+        let mut elector = AnyElector::new(OmegaL, NodeId(5), true, secs(10));
+        elector.on_alive(NodeId(1), payload(secs(0), 7, None), secs(11));
+        assert_eq!(elector.on_suspect(NodeId(1), secs(12)), Some(7));
+        // Already suspected: no second accusation.
+        assert_eq!(elector.on_suspect(NodeId(1), secs(13)), None);
+        // Unknown peer: nothing to accuse.
+        assert_eq!(elector.on_suspect(NodeId(9), secs(13)), None);
+        // Trusting again re-arms the accusation.
+        elector.on_trust(NodeId(1), secs(14));
+        assert_eq!(elector.on_suspect(NodeId(1), secs(15)), Some(7));
     }
 
     /// Pins every branch on the kind, one row per algorithm.

@@ -2,9 +2,11 @@
 //!
 //! This crate implements the three leader-election algorithms evaluated in
 //! Schiper & Toueg (DSN 2008) as one sans-io state machine,
-//! [`AnyElector`], one instance per `(node, group)` pair, driven by the
-//! service layer in `sle-core`. The algorithms differ in three rules, each
-//! a branch on [`ElectorKind`] (see [`any`]):
+//! [`GroupElector`], one instance per `(node, group)` pair, driven by the
+//! service layer in `sle-core`. It keeps no peers: the service lends each
+//! rule the group's rows, the peers its failure detector trusts with the
+//! payload each last sent. The algorithms differ in three rules, each a
+//! branch on [`ElectorKind`] (see [`any`]):
 //!
 //! | Service | Kind | Behaviour |
 //! |---------|------|-----------|
@@ -12,8 +14,9 @@
 //! | S2 | [`ElectorKind::OmegaLc`] | accusation-time ranking + local-leader forwarding — tolerates lossy **and** crashed links, quadratic messages |
 //! | S3 | [`ElectorKind::OmegaL`] | accusation-time ranking + voluntary withdrawal — communication-efficient (eventually only the leader sends) |
 //!
-//! The [`elector::LeaderElector`] trait is the contract between the service
-//! and the elector.
+//! [`AnyElector`] is the standalone elector: a [`GroupElector`] over its own
+//! list of the peers it heard, driven through the [`elector::LeaderElector`]
+//! trait.
 //!
 //! ## Example
 //!
@@ -43,13 +46,13 @@ pub mod types;
 
 /// Convenient re-exports of the items most users need.
 pub mod prelude {
-    pub use crate::any::AnyElector;
-    pub use crate::elector::{LeaderElector, PeerState, PeerTable};
+    pub use crate::any::{AnyElector, GroupElector};
+    pub use crate::elector::LeaderElector;
     pub use crate::types::{AlivePayload, ElectorKind, LeaderClaim, Rank};
 }
 
-pub use any::AnyElector;
-pub use elector::{LeaderElector, PeerState, PeerTable};
+pub use any::{AnyElector, GroupElector};
+pub use elector::LeaderElector;
 pub use types::{AlivePayload, ElectorKind, LeaderClaim, Rank};
 
 // Each algorithm's unit tests, in a module named after the algorithm.

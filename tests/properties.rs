@@ -1091,6 +1091,9 @@ mod alive_fast_path {
         rig: Rig,
         groups: Vec<GroupId>,
         model: Vec<Eager>,
+        /// Per group, whether the model was delivered an ALIVE payload of
+        /// the peer's current life.
+        heard: Vec<bool>,
     }
 
     impl Pair {
@@ -1102,6 +1105,7 @@ mod alive_fast_path {
             Pair {
                 groups: joins.iter().map(|j| j.0).collect(),
                 model: joins.iter().map(|j| Eager::new(&j.1)).collect(),
+                heard: vec![false; joins.len()],
                 rig: Rig::joined(algorithm, joins),
             }
         }
@@ -1109,6 +1113,22 @@ mod alive_fast_path {
         /// Forgets what the model's monitor of the peer in group `i` knew.
         fn reset_model(&mut self, i: usize) {
             self.model[i] = Eager::new(&self.rig.join(self.groups[i]));
+            self.heard[i] = false;
+        }
+
+        /// The leader Ω elects in group `i` among this node and the peer,
+        /// if the model trusts the peer and has its payload. The peer has
+        /// the smaller id and the earlier accusation time, so every rule
+        /// ranks it first; without it this node leads itself.
+        fn model_leader(&self, i: usize) -> Option<ProcessId> {
+            if self.heard[i] && !self.model[i].suspected {
+                return Some(ProcessId::new(PEER, 0));
+            }
+            self.rig
+                .node
+                .local_members_of(self.groups[i])
+                .first()
+                .copied()
         }
 
         /// Node and model must agree, group by group, at `self.rig.now`.
@@ -1121,6 +1141,12 @@ mod alive_fast_path {
                     self.rig.verdicts(group),
                     model,
                     "{what}: (suspicions, mistakes) of {group:?} at {now:?}; model {:?}",
+                    self.model[i]
+                );
+                assert_eq!(
+                    self.rig.node.leader_of(group),
+                    self.model_leader(i),
+                    "{what}: leader of {group:?} at {now:?}; model {:?}",
                     self.model[i]
                 );
             }
@@ -1151,6 +1177,7 @@ mod alive_fast_path {
             for &group in listed {
                 let i = self.groups.iter().position(|&g| g == group).unwrap();
                 self.model[i].heartbeat(sent_at, eta, self.rig.shift(group), now);
+                self.heard[i] = true;
             }
             let msg = alive(algorithm, 1, seq, sent_at, listed, eta);
             self.rig.deliver(PEER, msg);
@@ -1430,11 +1457,11 @@ mod alive_fast_path {
         repeat(&mut pair, 1, "LEAVE removed the member");
         assert_eq!(pair.rig.node.remote_members_of(listed[0]).len(), 1);
         // A new incarnation: everything learnt is reset, then re-learnt.
+        let sent_at = START + ms(250 * round);
+        pair.run_to(sent_at + ms(2), what);
         for i in 0..2 {
             pair.reset_model(i);
         }
-        let sent_at = START + ms(250 * round);
-        pair.run_to(sent_at + ms(2), what);
         let (unchanged, applied) = pair.rig.paths();
         pair.rig
             .deliver(PEER, alive(algorithm, 2, 0, sent_at, &listed, ms(250)));
