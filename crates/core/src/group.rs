@@ -36,6 +36,9 @@ pub struct MemberEntry {
     pub representative: Option<ProcessId>,
     /// The ALIVE interval the member asked us to use towards it.
     pub requested_interval: Option<SimDuration>,
+    /// The low 32 bits (the entry's padding) of the sequence number of the
+    /// ALIVE whose payload, representative and request it holds, if any.
+    pub applied_seq: u32,
     /// The election payload of the member's last ALIVE for the group, if
     /// it sent one in its current life: boxed, so a row a HELLO creates
     /// costs 8 bytes for it until the member's first ALIVE.

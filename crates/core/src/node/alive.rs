@@ -1,7 +1,10 @@
 //! The ALIVE stream, both directions: the per-node tick that batches every
 //! group's heartbeats, and the receive path that feeds them to each group.
+//! An arrival is also the one place a peer's operating points (η, δ) move:
+//! the datagram's sample is recorded once, before either receive path, and
+//! a move it causes is acted on once, after it.
 
-use sle_fd::{default_interval, PeerMonitor, Transition, TuningPolicy};
+use sle_fd::{default_interval, PeerMonitor, Transition};
 use sle_sim::actor::NodeId;
 use sle_sim::time::{SimDuration, SimInstant};
 
@@ -279,6 +282,8 @@ impl ServiceNode {
     /// steady state — is the node-level accounting plus one store into the
     /// sender's freshness stamp. Anything else, or anything after
     /// `resync` was set, is applied entry by entry and kept to repeat.
+    /// Either way, a datagram whose arrival moved a class of the sender
+    /// (η, δ) is followed by [`ServiceNode::fd_class_moved`].
     pub(super) fn handle_alives(
         &mut self,
         from: NodeId,
@@ -298,35 +303,27 @@ impl ServiceNode {
             }
             self.note_peer_incarnation(from, incarnation, ctx);
         }
-        let heard = self.note_alive_datagram(slot, seq, sent_at, now);
+        let (heard, moved) = self.note_alive_datagram(slot, seq, sent_at, now);
         let peer = &mut self.peers[slot];
-        if !peer.alive.resync && peer.alive.batch == alives {
+        let repeat = !peer.alive.resync && peer.alive.batch == alives;
+        if repeat {
             self.counts[NodeCount::AliveUnchanged].inc();
             self.peers.stamp(slot, sent_at, false);
-            return;
-        }
-        self.counts[NodeCount::AliveApplied].inc();
-        peer.alive.resync = false;
-        (peer.fd.wake, peer.gossip.wake) = (None, None);
-        // The stamp restarts: a group the new batch drops then ages out on
-        // its own horizon.
-        self.drop_alive_batch(from, slot, heard);
-        self.peers.stamp(slot, sent_at, true);
-        let mut retuned = false;
-        for alive in &alives {
-            retuned |= self.apply_group_alive(from, slot, seq, sent_at, alive, ctx);
-        }
-        self.peers[slot].alive.batch = alives;
-        if retuned {
-            // A class re-derived for every group of it: adaptive tuning
-            // moves their self-election grace with (η, δ).
-            for group in self.peers[slot].groups.clone() {
-                let adaptive = (self.groups.get(group))
-                    .is_some_and(|state| state.fd.policy() == TuningPolicy::Adaptive);
-                if adaptive {
-                    self.check_leader(group, ctx);
-                }
+        } else {
+            self.counts[NodeCount::AliveApplied].inc();
+            peer.alive.resync = false;
+            (peer.fd.wake, peer.gossip.wake) = (None, None);
+            // The stamp restarts: a group the new batch drops then ages out
+            // on its own horizon.
+            self.drop_alive_batch(from, slot, heard);
+            self.peers.stamp(slot, sent_at, true);
+            for alive in &alives {
+                self.apply_group_alive(from, slot, seq, sent_at, alive, ctx);
             }
+            self.peers[slot].alive.batch = alives;
+        }
+        if moved {
+            self.fd_class_moved(slot, repeat, ctx);
         }
     }
 
@@ -378,27 +375,26 @@ impl ServiceNode {
     /// a lost LEAVE, by groups this node is no longer even in). The peer's
     /// table slot records the sample once (the per-group monitors' recordings
     /// dedup against it): the one link estimate every group's (η, δ) follow,
-    /// whatever its tuning policy. Returns when the sender's previous
-    /// datagram arrived.
+    /// whatever its tuning policy, and the one place they move. Returns
+    /// when the sender's previous datagram arrived, and whether this one
+    /// moved a class of the sender.
     fn note_alive_datagram(
         &mut self,
         slot: usize,
         seq: u64,
         sent_at: SimInstant,
         now: SimInstant,
-    ) -> SimInstant {
-        self.peers.record(slot, seq, sent_at, now);
+    ) -> (SimInstant, bool) {
+        let moved = self.peers.record(slot, seq, sent_at, now);
         let heard = std::mem::replace(&mut self.peers[slot].alive.heard, now);
         if let Some(obs) = &self.obs {
             obs.on_alive_datagram(heard, now);
         }
-        heard
+        (heard, moved)
     }
 
     /// The per-group effect of one ALIVE entry on the sender's row:
     /// membership refresh, failure-detector freshness, election payload.
-    /// Returns whether the heartbeat re-derived its class's (η, δ), for
-    /// every group of the class.
     fn apply_group_alive(
         &mut self,
         from: NodeId,
@@ -407,11 +403,11 @@ impl ServiceNode {
         sent_at: SimInstant,
         alive: &GroupAlive,
         ctx: &mut ServiceContext,
-    ) -> bool {
+    ) {
         let now = ctx.now();
         let group = alive.group;
         let Some(state) = self.groups.get_mut(group) else {
-            return false;
+            return;
         };
         // What this node's own ALIVEs embed of the group, before.
         let stance = |state: &GroupState, peers: &Peers| {
@@ -430,23 +426,28 @@ impl ServiceNode {
             member.processes = (alive.representative, true).into();
             self.peers[pslot].member_added(group);
         }
-        let representative_changed = member.representative != Some(alive.representative);
-        member.representative = Some(alive.representative);
-        let asked = member.requested_interval.replace(alive.requested_interval);
+        // A datagram older than the one the entry holds (reordered or
+        // duplicated; sequence numbers compare as 32-bit serial numbers)
+        // still proves the peer alive, but rows move only forward.
+        let seq32 = seq as u32;
+        let newer = member.payload.is_none() || seq32.wrapping_sub(member.applied_seq) < 1 << 31;
+        let representative_changed = newer && member.representative != Some(alive.representative);
+        let asked_changed = newer && member.requested_interval != Some(alive.requested_interval);
+        if newer {
+            member.applied_seq = seq32;
+            member.representative = Some(alive.representative);
+            member.requested_interval = Some(alive.requested_interval);
+        }
         let watched = row.monitor.is_some();
         let monitor =
             (row.monitor).get_or_insert_with(|| state.fd.monitor(&mut self.peers, from, now));
         // The measurement side of this heartbeat (the link estimator) was
         // already fed at node level by `note_alive_datagram`; the monitor's
         // own recording dedups against it. A heartbeat too old to revive a
-        // suspected peer may re-derive its class's (η, δ).
+        // suspected peer under a tightened bound makes the next arrival
+        // re-derive its class's (η, δ).
         let eta = alive.sending_interval;
-        let point = |monitor: &PeerMonitor, peers: &Peers| {
-            (monitor.params(peers), monitor.is_measured(peers))
-        };
-        let point_before = point(monitor, &self.peers);
         let transition = monitor.on_heartbeat(&mut self.peers, seq, sent_at, eta, now);
-        let retuned = watched && point(monitor, &self.peers) != point_before;
         let revived = transition == Some(Transition::BecameTrusted);
         let trusted = monitor.is_trusted();
         if revived {
@@ -463,13 +464,14 @@ impl ServiceNode {
         // too old to revive a suspected peer is kept, not ranked.
         let member = state.rows.row(from, now).member.as_mut();
         match &mut member.expect("heard as a member").payload {
+            _ if !newer => {}
             Some(last) => **last = alive.payload,
             payload => *payload = Some(Box::new(alive.payload)),
         }
         state.elector.reevaluate(state.rows.trusted());
         let leader_changed = state.elector.leader(state.rows.trusted()) != leader_before;
         let stance_after = stance(state, &self.peers);
-        if asked != Some(alive.requested_interval) || stance_after != stance_before {
+        if asked_changed || stance_after != stance_before {
             self.alive_epoch += 1;
         }
         // Still suspected (the heartbeat was too old to revive it): the
@@ -493,6 +495,5 @@ impl ServiceNode {
         if created || representative_changed || revived || leader_changed {
             self.check_leader(group, ctx);
         }
-        retuned
     }
 }

@@ -1,9 +1,11 @@
 //! The Failure Detector: one timer per monitored peer, however many groups
 //! monitor it, over the monitors in the groups' rows. Each row keeps its
 //! group's trust and horizon; the operating point (η, δ) its checks follow
-//! is its QoS class's, once per peer in the node's peer table.
+//! is its QoS class's, once per peer in the node's peer table. The timer
+//! only suspects: (η, δ) move when the peer's ALIVE datagrams arrive
+//! ([`ServiceNode::fd_class_moved`]), never on a walk.
 
-use sle_fd::{FdParams, Transition, TuningPolicy, Wake};
+use sle_fd::{FdParams, TuningPolicy, Wake};
 use sle_sim::actor::{NodeId, TimerTag};
 use sle_sim::time::SimInstant;
 
@@ -19,10 +21,11 @@ pub(super) struct PeerFd {
     /// When the peer's detector timer is armed, if it is.
     pub(super) armed: Option<SimInstant>,
     /// What the peer's monitors need next, as of the last walk. `None` once
-    /// a monitor of the peer was created, reset or removed, or a batch was
-    /// applied, since. Nothing else moves a monitor or its class's operating
-    /// point: (η, δ) only move in a check or a heartbeat, and every check of
-    /// the peer's monitors is in its walk.
+    /// a monitor of the peer was created, reset or removed, a batch was
+    /// applied, or a class of the peer moved (η, δ), since. Nothing else
+    /// moves a monitor or its class's operating point: (η, δ) only move on
+    /// an arrival of the peer's, and every check of the peer's monitors is
+    /// in its walk.
     pub(super) wake: Option<Wake>,
 }
 
@@ -84,12 +87,11 @@ impl ServiceNode {
     }
 
     /// `peer`'s detector timer. While the peer's stamp keeps every monitor
-    /// of it ahead of `now` and no class is due to re-derive (η, δ), the
-    /// fire re-arms from the cached wake and touches no group. Otherwise it
-    /// walks the groups with a row for the peer, checks the row's monitor
-    /// (the first check of a class re-derives it for all), acts on what
-    /// changed, and caches the wake the checks leave. The walk's accusations
-    /// go to the peer together, one ACCUSE per budget's worth.
+    /// of it ahead of `now`, the fire re-arms from the cached wake and
+    /// touches no group. Otherwise it walks the groups with a row for the
+    /// peer, checks the row's monitor, acts on each suspicion, and caches
+    /// the wake the checks leave. The walk's accusations go to the peer
+    /// together, one ACCUSE per budget's worth.
     pub(super) fn handle_fd_timer(&mut self, peer: NodeId, ctx: &mut ServiceContext) {
         let now = ctx.now();
         let Some(pslot) = self.peers.find(peer) else {
@@ -99,7 +101,7 @@ impl ServiceNode {
         self.peers[pslot].fd.armed = None;
         let stamp = self.peers.stamp_of(pslot);
         if let Some(wake) = self.peers[pslot].fd.wake {
-            if wake.quiet(stamp, now) {
+            if wake.at(stamp) > now {
                 debug_assert!(
                     self.fd_wake_holds(peer, pslot, wake),
                     "stale wake of {peer}"
@@ -113,7 +115,6 @@ impl ServiceNode {
         debug_assert!(self.points_hold(peer, pslot), "stale classes of {peer}");
         let mut wake = Wake::NEVER;
         let mut accusations = Vec::new();
-        let (mut retuned, mut adaptive) = (false, Vec::new());
         let groups = std::mem::take(&mut self.peers[pslot].groups);
         for &group in &groups {
             let Some(state) = self.groups.get_mut(group) else {
@@ -125,10 +126,9 @@ impl ServiceNode {
             let Some(monitor) = &mut row.monitor else {
                 continue;
             };
-            let check = monitor.check(&mut self.peers, now);
-            wake = wake.merge(check.wake);
-            retuned |= check.retuned;
-            if check.transition == Some(Transition::BecameSuspected) {
+            let suspected = monitor.check(&mut self.peers, now).is_some();
+            wake = wake.merge(monitor.wake(&self.peers));
+            if suspected {
                 // The revival must be noticed: no repeat may skip it.
                 self.peers[pslot].alive.resync = true;
                 self.alive_epoch += 1;
@@ -148,17 +148,6 @@ impl ServiceNode {
                     }
                     accusations.push((group, epoch));
                 }
-            }
-            if check.transition.is_some() {
-                self.check_leader(group, ctx);
-            } else if state.fd.policy() == TuningPolicy::Adaptive {
-                adaptive.push(group);
-            }
-        }
-        // Adaptive tuning moves the self-election grace with (η, δ), and a
-        // class that re-derived did so for every group of it.
-        if retuned {
-            for group in adaptive {
                 self.check_leader(group, ctx);
             }
         }
@@ -172,6 +161,24 @@ impl ServiceNode {
             let rest = accusations.split_off(accusations.len().min(MAX_ACCUSATIONS));
             ctx.send(peer, ServiceMessage::Accuse { accusations });
             accusations = rest;
+        }
+    }
+
+    /// An arrival from the peer in slot `pslot` (a `repeat` of its batch or
+    /// not) moved a class of it. The class folded its stamp in first, so
+    /// the armed timer is still early, but the cached wake priced later
+    /// stamps at the old δ. Adaptive groups' grace moves with (η, δ).
+    pub(super) fn fd_class_moved(&mut self, pslot: usize, repeat: bool, ctx: &mut ServiceContext) {
+        self.counts[NodeCount::FdReconfigurations].inc();
+        if repeat {
+            self.counts[NodeCount::FdMovesOnRepeats].inc();
+        }
+        self.peers[pslot].fd.wake = None;
+        for group in self.peers[pslot].groups.clone() {
+            let state = self.groups.get(group);
+            if state.is_some_and(|state| state.fd.policy() == TuningPolicy::Adaptive) {
+                self.check_leader(group, ctx);
+            }
         }
     }
 

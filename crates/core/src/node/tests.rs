@@ -1580,6 +1580,76 @@ fn a_stale_alive_does_not_make_a_suspected_peer_the_leader() {
     }
 }
 
+#[test]
+fn an_older_alive_leaves_the_row_at_the_newer_one() {
+    // Under Ω_lc node 1's ALIVEs carry (acc 0, epoch 0) at 0.5 s and
+    // (acc 0.9 s, epoch 2) at 1.0 s. A copy sent at 0.75 s — epoch 1, another
+    // representative, another requested η — arrives at 1.05 s: it proves
+    // node 1 was alive, and changes nothing else in its row.
+    let (peer, group) = (NodeId(1), GroupId(1));
+    let config = ServiceConfig::full_mesh(NodeId(0), 2, ElectorKind::OmegaLc)
+        .with_auto_join(group, JoinConfig::candidate());
+    let mut drive = TimerDrive::start(config);
+    let secs = |s: f64| SimInstant::from_secs_f64(s);
+    let eta = SimDuration::from_millis(250);
+    let deliver = |drive: &mut TimerDrive, seq, sent: f64, (acc, epoch), local, asked, now| {
+        let alive = ServiceMessage::Alive {
+            group,
+            header: AliveHeader {
+                incarnation: 1,
+                seq,
+                sent_at: secs(sent),
+                sending_interval: eta,
+                requested_interval: asked,
+            },
+            payload: sle_election::AlivePayload {
+                accusation_time: secs(acc),
+                epoch,
+                local_leader: None,
+            },
+            representative: ProcessId::new(peer, local),
+        };
+        let mut ctx = at(secs(now));
+        drive.node.on_message(peer, alive, &mut ctx);
+        drive.settle(ctx);
+    };
+    let row = |drive: &TimerDrive| {
+        let rows = &drive.node.groups.get(group).unwrap().rows;
+        let member = rows.get(peer).unwrap().member.clone().unwrap();
+        let payload = member.payload.as_deref().unwrap();
+        let monitor = rows.monitor(peer).unwrap();
+        let deadline = monitor.next_deadline(&drive.node.peers);
+        let fields = (
+            payload.epoch,
+            payload.accusation_time,
+            member.representative,
+        );
+        (fields, member.requested_interval, deadline)
+    };
+    drive.run_to(secs(0.5)).expect("within the step budget");
+    deliver(&mut drive, 0, 0.5, (0.0, 0), 0, eta, 0.5);
+    drive.run_to(secs(1.0)).expect("within the step budget");
+    deliver(&mut drive, 2, 1.0, (0.9, 2), 0, eta, 1.0);
+    let newer = row(&drive);
+    assert_eq!(newer.0, (2, secs(0.9), Some(ProcessId::new(peer, 0))));
+    drive.run_to(secs(1.05)).expect("within the step budget");
+    let late = SimDuration::from_millis(100);
+    deliver(&mut drive, 1, 0.75, (0.0, 1), 1, late, 1.05);
+    assert_eq!(row(&drive), newer);
+    assert_eq!(
+        drive
+            .node
+            .groups
+            .get(group)
+            .unwrap()
+            .rows
+            .get(peer)
+            .unwrap()
+            .last_heard,
+        secs(1.05)
+    );
+}
+
 /// One leader-change announcement, as plain comparable data:
 /// `(virtual ns, observing node, group, leader as (node, local))`.
 type LeaderTraceEvent = (u64, u32, u32, Option<(u32, u32)>);
@@ -1654,8 +1724,8 @@ struct RunCounts {
     hello: [u64; 5],
     /// Unchanged batches, applied batches, plan rebuilds.
     alive: [u64; 3],
-    /// Detector fires, walks.
-    fd: [u64; 2],
+    /// Detector fires, walks, reconfigurations.
+    fd: [u64; 3],
     /// FNV-1a over the ordered `LeaderChanged` stream.
     leader_changes: u64,
 }
@@ -1719,7 +1789,7 @@ fn golden_run(algorithm: ElectorKind, seed: u64) -> RunCounts {
         alive_payloads: 0,
         hello: [0; 5],
         alive: [0; 3],
-        fd: [0; 2],
+        fd: [0; 3],
         leader_changes: 0xcbf2_9ce4_8422_2325,
     };
     use NodeCount::*;
@@ -1742,7 +1812,7 @@ fn golden_run(algorithm: ElectorKind, seed: u64) -> RunCounts {
             &mut counts.alive,
             &[AliveUnchanged, AliveApplied, AlivePlanRebuilds],
         );
-        add(&mut counts.fd, &[FdFires, FdWalks]);
+        add(&mut counts.fd, &[FdFires, FdWalks, FdReconfigurations]);
     }
     for (at, node, group, leader) in trace.events {
         let (leader_node, local) = leader.map_or((u32::MAX, u32::MAX), |l| l);
@@ -1770,36 +1840,36 @@ fn a_fixed_seed_run_replays_its_recorded_counts() {
         (
             ElectorKind::OmegaId,
             RunCounts {
-                events: 33_990,
-                messages: 24_393,
-                alive_payloads: 21_988,
-                hello: [82, 3_405, 22, 2, 1_295],
-                alive: [12_503, 7_522, 706],
-                fd: [3_559, 1_753],
-                leader_changes: 0x8377_1033_6e43_e1df,
+                events: 31_940,
+                messages: 22_812,
+                alive_payloads: 21_736,
+                hello: [82, 3_405, 22, 1, 1_016],
+                alive: [13_375, 5_115, 527],
+                fd: [3_583, 1_248, 390],
+                leader_changes: 0xb1ba_5247_c815_6643,
             },
         ),
         (
             ElectorKind::OmegaLc,
             RunCounts {
-                events: 31_814,
-                messages: 22_732,
-                alive_payloads: 21_676,
-                hello: [82, 3_405, 22, 1, 1_087],
-                alive: [13_406, 4_967, 688],
-                fd: [3_539, 1_522],
-                leader_changes: 0xae21_5c3e_46b0_e45b,
+                events: 30_854,
+                messages: 21_992,
+                alive_payloads: 21_723,
+                hello: [81, 3_405, 21, 0, 835],
+                alive: [14_182, 3_482, 517],
+                fd: [3_563, 1_040, 352],
+                leader_changes: 0x14e5_dbd0_969c_2103,
             },
         ),
         (
             ElectorKind::OmegaL,
             RunCounts {
-                events: 13_137,
+                events: 13_138,
                 messages: 7_787,
                 alive_payloads: 3_704,
                 hello: [79, 3_405, 19, 1, 87],
-                alive: [4_003, 67, 177],
-                fd: [1_082, 248],
+                alive: [4_003, 67, 183],
+                fd: [1_083, 197, 110],
                 leader_changes: 0xd146_1ee0_5e89_4eba,
             },
         ),

@@ -103,6 +103,12 @@ node_counts! {
     /// Fires that checked the peer's monitor in every group; the others
     /// re-armed from the peer's cached wake without touching a group.
     FdWalks = "fd.walks",
+    /// ALIVE datagrams whose arrival moved the operating point (η, δ) of
+    /// some QoS class of the sender — the one place they move.
+    FdReconfigurations = "fd.reconfigurations",
+    /// Of those, datagrams that repeated the sender's applied batch: the
+    /// moves that alone drop the peer's cached detector wake.
+    FdMovesOnRepeats = "fd.reconfigurations_on_repeats",
     /// ACCUSE entries dropped because their epoch predated the group's
     /// elector's current one — each a duplicated or delayed replay that
     /// would have destabilised a settled leader.

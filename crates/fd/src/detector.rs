@@ -35,8 +35,8 @@ pub struct PeerTransition {
 
 /// When the monitors of one peer next need checking, in a form their owner
 /// advances by the peer's freshness stamp alone: a vouched monitor's
-/// horizon moves with the stamp, an un-vouched one's does not, and a
-/// monitor due to re-derive (η, δ) must be checked whatever its horizon.
+/// horizon moves with the stamp, an un-vouched one's does not. Only a check
+/// that may suspect is ever due: (η, δ) move on arrivals, not on checks.
 ///
 /// [`Wake::merge`] keeps a lower bound: for any stamp, [`Wake::at`] is never
 /// later than the deadline of any monitor merged in. A monitor checked at
@@ -51,10 +51,6 @@ pub struct Wake {
     pub(crate) offset: SimDuration,
     /// Earliest horizon of an un-vouched monitor: no stamp moves it.
     pub(crate) until: SimInstant,
-    /// The stamp from which a static monitor re-derives (η, δ).
-    pub(crate) retune_stamp: SimInstant,
-    /// The instant from which an adaptive monitor re-derives (η, δ).
-    pub(crate) retune_at: SimInstant,
 }
 
 impl Wake {
@@ -63,8 +59,6 @@ impl Wake {
         fresh: SimInstant::FAR_FUTURE,
         offset: SimDuration::MAX,
         until: SimInstant::FAR_FUTURE,
-        retune_stamp: SimInstant::FAR_FUTURE,
-        retune_at: SimInstant::FAR_FUTURE,
     };
 
     /// The wake of both `self`'s monitors and `other`'s.
@@ -73,36 +67,15 @@ impl Wake {
             fresh: self.fresh.min(other.fresh),
             offset: self.offset.min(other.offset),
             until: self.until.min(other.until),
-            retune_stamp: self.retune_stamp.min(other.retune_stamp),
-            retune_at: self.retune_at.min(other.retune_at),
         }
     }
 
     /// The earliest instant a monitor can expire while the peer's stamp
-    /// is `stamp` ([`SimInstant::FAR_FUTURE`]: none can).
+    /// is `stamp` ([`SimInstant::FAR_FUTURE`]: none can). Checking the
+    /// monitors before it finds nothing to do.
     pub fn at(&self, stamp: SimInstant) -> SimInstant {
         self.fresh.max(stamp + self.offset).min(self.until)
     }
-
-    /// Whether checking the monitors at `now`, the peer's stamp at `stamp`,
-    /// would find nothing to do: none can expire and none is due to
-    /// re-derive (η, δ).
-    pub fn quiet(&self, stamp: SimInstant, now: SimInstant) -> bool {
-        self.at(stamp) > now && stamp < self.retune_stamp && now < self.retune_at
-    }
-}
-
-/// What [`PeerMonitor::check`] found.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PeerCheck {
-    /// The monitor's change of opinion, if any (a check only suspects).
-    pub transition: Option<Transition>,
-    /// Whether the monitor's class re-derived a different operating point
-    /// (η, δ), or started or stopped following a measured estimate. Every
-    /// other monitor of the class moved with it.
-    pub retuned: bool,
-    /// When the monitor must next be checked.
-    pub wake: Wake,
 }
 
 /// One group's share of the failure-detector module: the group's QoS and
@@ -265,7 +238,7 @@ impl FailureDetector {
     pub fn poll(&mut self, now: SimInstant) -> Vec<PeerTransition> {
         let mut transitions = Vec::new();
         for (peer, monitor) in &mut self.monitors {
-            if let Some(transition) = monitor.check(&mut self.table, now).transition {
+            if let Some(transition) = monitor.check(&mut self.table, now) {
                 transitions.push(PeerTransition {
                     peer: *peer,
                     transition,
@@ -341,10 +314,15 @@ mod tests {
             self.monitors[i].1.unvouch(&self.table);
         }
 
-        fn check_peer(&mut self, peer: NodeId, now: SimInstant) -> Option<PeerCheck> {
+        /// The peer's check: its transition, and its wake after it.
+        fn check_peer(
+            &mut self,
+            peer: NodeId,
+            now: SimInstant,
+        ) -> Option<(Option<Transition>, Wake)> {
             let i = self.find(peer).ok()?;
             let (table, monitor) = (&mut self.table, &mut self.monitors[i].1);
-            Some(monitor.check(table, now))
+            Some((monitor.check(table, now), monitor.wake(table)))
         }
 
         fn deadline_of(&self, peer: NodeId) -> Option<SimInstant> {
@@ -493,7 +471,7 @@ mod tests {
         let b_deadline = monitor_b.next_deadline(&table).unwrap();
         assert!(monitor_a.next_deadline(&table).unwrap() > b_deadline);
         let check = monitor_b.check(&mut table, b_deadline);
-        assert_eq!(check.transition, Some(Transition::BecameSuspected));
+        assert_eq!(check, Some(Transition::BecameSuspected));
         assert!(!monitor_b.is_trusted());
         assert!(monitor_a.is_trusted());
 
@@ -565,24 +543,32 @@ mod tests {
         let (mut detector, fed) = vouched_detector();
         let eta = SimDuration::from_millis(250);
         let old = detector.params(NodeId(1)).unwrap();
-        // The peer repeats its batch over a clean link until the poll after
-        // a repeat re-derives δ from it.
+        // The peer repeats its batch over a clean link until an arrival
+        // re-derives δ from it, before its stamp moves.
         let (mut seq, mut sent) = (0, fed);
-        while detector.params(NodeId(1)) == Some(old) {
+        loop {
             (seq, sent) = (seq + 1, sent + eta);
-            detector.table.record(0, seq, sent, sent);
+            if detector.table.record(0, seq, sent, sent) {
+                break;
+            }
             detector.stamp(NodeId(1), sent, false);
             assert!(detector.poll(sent).is_empty());
         }
         let tuned = detector.params(NodeId(1)).unwrap();
         assert!(tuned.shift < old.shift);
-        // What was heard keeps its price...
-        assert_eq!(detector.next_deadline(), Some(sent + eta + old.shift));
+        // What was heard keeps its price: the stamp before the move was
+        // folded at the old δ...
+        let heard = (sent - eta) + eta + old.shift;
+        assert_eq!(detector.next_deadline(), Some(heard));
+        // ...the stamp of the arrival that moved it pays the new one...
+        detector.stamp(NodeId(1), sent, false);
+        let bought = heard.max(sent + eta + tuned.shift);
+        assert_eq!(detector.next_deadline(), Some(bought));
         // ...a changed batch's restarted stamp that goes back in time takes
         // nothing away...
         detector.unvouch(NodeId(1));
         detector.stamp(NodeId(1), fed, true);
-        assert_eq!(detector.next_deadline(), Some(sent + eta + old.shift));
+        assert_eq!(detector.next_deadline(), Some(bought));
         // ...and what is heard from here on pays the new one, fed or stamped.
         let next = sent + eta;
         detector.on_heartbeat(NodeId(1), seq + 1, next, eta, next);
@@ -624,15 +610,14 @@ mod tests {
         assert_eq!(due, now + SimDuration::from_secs(1));
         assert_eq!(detector.check_peer(NodeId(3), due), None);
         let other = detector.check_peer(NodeId(2), due).unwrap();
-        assert_eq!((other.transition, other.retuned), (None, false));
+        assert_eq!(other.0, None);
         assert_eq!(
-            other.wake.at(SimInstant::ZERO),
+            other.1.at(SimInstant::ZERO),
             due + SimDuration::from_millis(500)
         );
         assert!(detector.is_trusted(NodeId(1)));
         let expired = detector.check_peer(NodeId(1), due).unwrap();
-        assert_eq!(expired.transition, Some(Transition::BecameSuspected));
-        assert_eq!(expired.wake, Wake::NEVER);
+        assert_eq!(expired, (Some(Transition::BecameSuspected), Wake::NEVER));
         assert_eq!(detector.deadline_of(NodeId(1)), None);
         assert_eq!(detector.next_deadline(), detector.deadline_of(NodeId(2)));
     }
@@ -642,8 +627,9 @@ mod tests {
     /// through one table, fed the way a service instance
     /// feeds them: batches applied to a changing subset of the groups, and
     /// repeats in between that only move the stamp. The wake merged at each
-    /// walk must never be later than any monitor's deadline, and while it
-    /// says quiet a walk must find nothing to do for a trusted monitor.
+    /// walk must never be later than any monitor's deadline until an
+    /// arrival moves a class (which drops it, as a service instance does),
+    /// and while it says quiet a walk must find nothing to do.
     #[test]
     fn a_merged_wake_is_early_and_quiet_means_nothing_to_do() {
         use sle_sim::rng::SimRng;
@@ -665,7 +651,7 @@ mod tests {
             (group, monitor)
         });
         let mut wake: Option<Wake> = None;
-        let (mut quiet, mut walks) = (0, 0);
+        let (mut quiet, mut walks, mut moves) = (0, 0, 0);
         for step in 0..20_000 {
             now += SimDuration::from_millis(1 + rng.uniform_usize(120) as u64);
             let sent = now - SimDuration::from_millis(rng.uniform_usize(30) as u64);
@@ -673,7 +659,10 @@ mod tests {
             let silent = (step / 400) % 5 == 4;
             if !silent && rng.bernoulli(0.9) {
                 seq += 1;
-                table.record(slot, seq, sent, now);
+                if table.record(slot, seq, sent, now) {
+                    moves += 1;
+                    wake = None;
+                }
                 if rng.bernoulli(0.97) {
                     table.stamp(slot, sent, false);
                 } else {
@@ -697,21 +686,30 @@ mod tests {
                     let due = (monitor.next_deadline(&table)).unwrap_or(SimInstant::FAR_FUTURE);
                     assert!(cached.at(stamp) <= due, "step {step}: late wake");
                 }
-                if cached.quiet(stamp, now) {
+                if cached.at(stamp) > now {
                     quiet += 1;
-                    // (A suspected monitor re-derives on the heartbeats
-                    // that fail to revive it, not on a timer.)
-                    for (_, monitor) in groups.iter().filter(|g| g.1.is_trusted()) {
+                    // A check only suspects, and moves no class: (η, δ)
+                    // move on arrivals alone.
+                    for (_, monitor) in &groups {
                         let probe = &mut table.clone();
                         let check = monitor.clone().check(probe, now);
-                        assert_eq!((check.transition, check.retuned), (None, false));
+                        let points = |t: &PeerTable| {
+                            (t.link(slot).points().iter())
+                                .map(|p| p.operating())
+                                .collect::<Vec<_>>()
+                        };
+                        assert_eq!(check, None);
+                        assert_eq!(points(probe), points(&table));
                     }
                     continue;
                 }
             }
             walks += 1;
             let merged = (groups.iter_mut())
-                .map(|(_, monitor)| monitor.check(&mut table, now).wake)
+                .map(|(_, monitor)| {
+                    monitor.check(&mut table, now);
+                    monitor.wake(&table)
+                })
                 .fold(Wake::NEVER, Wake::merge);
             assert!(
                 merged.at(stamp) > now,
@@ -721,24 +719,33 @@ mod tests {
         }
         assert!(quiet > 10 * walks, "{quiet} quiet, {walks} walks");
         assert!(walks > 100, "{walks} walks");
+        assert!(moves > 10, "{moves} moves");
     }
 
     #[test]
     fn a_wake_rides_the_stamp_exactly_in_steady_state() {
         let (mut detector, fed) = vouched_detector();
-        let wake = detector.check_peer(NodeId(1), fed).unwrap().wake;
-        for k in 1..20u64 {
-            let stamp = fed + SimDuration::from_millis(250 * k);
+        let wake = detector.check_peer(NodeId(1), fed).unwrap().1;
+        // Stamps alone never make a check due before the deadline, however
+        // far they go: no class re-derives on a timer.
+        let mut stamp = fed;
+        for k in 1..40u64 {
+            stamp = fed + SimDuration::from_millis(250 * k);
             detector.stamp(NodeId(1), stamp, false);
             assert_eq!(Some(wake.at(stamp)), detector.deadline_of(NodeId(1)));
-            assert!(wake.quiet(stamp, stamp) || stamp >= fed + SimDuration::from_secs(5));
+            assert!(wake.at(stamp) > stamp);
         }
-        // A static monitor re-derives once a stamp 5 s past the last time
-        // it did arrives: from then on a check has something to do.
-        assert!(!wake.quiet(
-            fed + SimDuration::from_secs(5),
-            fed + SimDuration::from_secs(5)
-        ));
+        // Once the stamps stop, the wake is when a check has something to do.
+        let due = wake.at(stamp);
+        assert_eq!(
+            detector
+                .check_peer(NodeId(1), due - SimDuration::from_nanos(1))
+                .unwrap()
+                .0,
+            None
+        );
+        let expired = detector.check_peer(NodeId(1), due).unwrap().0;
+        assert_eq!(expired, Some(Transition::BecameSuspected));
     }
 
     #[test]

@@ -17,8 +17,11 @@
 //!   `T_D^U`) or the adaptive one (η + δ as small as the measured link
 //!   allows, never above `T_D^U`),
 //! * [`monitor`] — the NFD-S freshness monitor: one operating point
-//!   (η, δ) per peer and QoS class, which re-runs the configurator as the
-//!   estimate moves, and per group its opinion of the peer.
+//!   (η, δ) per peer and QoS class, which re-runs the configurator when
+//!   the estimate moves, and per group its opinion of the peer.
+//!
+//! The pipeline runs on the one clock that changes its input: a heartbeat
+//! recorded in [`PeerTable::record`]. A check never moves (η, δ).
 //!
 //! Around them: [`qos`] is the application-facing QoS triple
 //! `(T_D^U, T_MR^L, P_A^L)`, [`peers`] the per-workstation [`PeerTable`]
@@ -67,7 +70,7 @@ pub mod quality;
 /// Convenient re-exports of the items most users need.
 pub mod prelude {
     pub use crate::config::{configure, FdParams, TuningPolicy};
-    pub use crate::detector::{FailureDetector, GroupDetector, PeerCheck, PeerTransition, Wake};
+    pub use crate::detector::{FailureDetector, GroupDetector, PeerTransition, Wake};
     pub use crate::monitor::{PeerMonitor, Transition, TrustState};
     pub use crate::peers::PeerTable;
     pub use crate::qos::{QosError, QosSpec};
@@ -75,7 +78,7 @@ pub mod prelude {
 }
 
 pub use config::{configure, default_interval, FdParams, TuningPolicy, MIN_INTERVAL};
-pub use detector::{FailureDetector, GroupDetector, PeerCheck, PeerTransition, Wake};
+pub use detector::{FailureDetector, GroupDetector, PeerTransition, Wake};
 pub use monitor::{PeerMonitor, Transition, TrustState};
 pub use peers::PeerTable;
 pub use qos::{QosError, QosSpec};

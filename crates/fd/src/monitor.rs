@@ -6,19 +6,19 @@
 //! algorithm for a single remote process: every received ALIVE message,
 //! stamped with its send time and the sender's current heartbeat interval,
 //! extends a *freshness horizon*; the peer is trusted exactly while the
-//! current time is before that horizon. The operating point reads the link
-//! quality estimate of its slot and periodically re-runs the configurator
-//! under its [`TuningPolicy`] so the detector adapts to changing network
-//! conditions, as described in Sections 3 and 6.2 of the paper — this is
+//! current time is before that horizon. The operating point re-runs the
+//! configurator under its [`TuningPolicy`] when the link quality estimate
+//! of its slot moves, so the detector adapts to changing network
+//! conditions, as described in Sections 3 and 6.2 of the paper. Its slot's
+//! [`PeerTable::record`] asks it to, on the arrival of a heartbeat: that is
 //! the only place (η, δ) ever move.
 //!
 //! NFD-S is defined over one link, and here QoS is per group, so the unit
 //! of (η, δ) is the link and the QoS class: an `OperatingPoint` per
-//! distinct `(QosSpec, TuningPolicy)` in the peer's slot holds (η, δ), the
-//! re-derivation clock and the estimate version they follow, and the vouch
-//! of the peer's current ALIVE batch — the η it declared and the part of
-//! its freshness stamp ([`PeerTable::stamp`]) already folded in. Every
-//! group monitoring the peer under that class shares it, so a class
+//! distinct `(QosSpec, TuningPolicy)` in the peer's slot holds (η, δ) and
+//! the vouch of the peer's current ALIVE batch — the η it declared and the
+//! part of its freshness stamp ([`PeerTable::stamp`]) already folded in.
+//! Every group monitoring the peer under that class shares it, so a class
 //! re-derives once, with one hysteresis, however many groups read it.
 //!
 //! A [`PeerMonitor`] is what stays per group: trust or suspicion (an Ω_l
@@ -32,7 +32,7 @@
 use sle_sim::time::{SimDuration, SimInstant};
 
 use crate::config::{configure, FdParams, TuningPolicy};
-use crate::detector::{PeerCheck, Wake};
+use crate::detector::Wake;
 use crate::peers::PeerTable;
 use crate::qos::QosSpec;
 use crate::quality::LinkQuality;
@@ -92,10 +92,6 @@ pub(crate) struct OperatingPoint {
     /// Whether `params` follow a measured link estimate rather than the
     /// conservative prior.
     measured: bool,
-    /// Version of the slot's quality estimate `params` were derived from;
-    /// re-derivation is skipped while it is unchanged.
-    quality_version: u32,
-    last_reconfigure: SimInstant,
     /// `None` until the peer's current batch feeds a monitor of the class.
     vouch: Option<Vouch>,
     /// The η the class's prior asks for: what a group asks of the peer
@@ -104,15 +100,9 @@ pub(crate) struct OperatingPoint {
 }
 
 impl OperatingPoint {
-    /// The class's operating point as of `now`, derived from the slot's
-    /// `estimate` at `version`: a measured peer's new class starts measured.
-    pub(crate) fn new(
-        qos: QosSpec,
-        policy: TuningPolicy,
-        now: SimInstant,
-        estimate: LinkQuality,
-        version: u32,
-    ) -> Self {
+    /// The class's operating point, derived from the slot's `estimate`: a
+    /// measured peer's new class starts measured.
+    pub(crate) fn new(qos: QosSpec, policy: TuningPolicy, estimate: LinkQuality) -> Self {
         let measured = estimate.samples >= policy.min_samples();
         let prior = configure(&qos, &LinkQuality::conservative_prior(), policy);
         OperatingPoint {
@@ -125,8 +115,6 @@ impl OperatingPoint {
             qos,
             policy,
             measured,
-            quality_version: version,
-            last_reconfigure: now,
             vouch: None,
         }
     }
@@ -144,39 +132,21 @@ impl OperatingPoint {
         self.policy
     }
 
-    /// The operating point a retune may move: (η, δ) and whether they
-    /// follow a measured estimate.
+    /// The operating point a re-derivation may move: (η, δ) and whether
+    /// they follow a measured estimate.
     pub(crate) fn operating(&self) -> (FdParams, bool) {
         (self.params, self.measured)
     }
 
-    /// Whether a retune at `now` would re-derive. The clock is the latest
-    /// stamp folded in under the static policy (heartbeats drive it, as
-    /// when they called it themselves: the latest one heard must have been
-    /// due, not just the clock; nothing while no batch vouches), the time
-    /// under the adaptive one (it must back off when heartbeats stop
-    /// reviving the peer).
-    pub(crate) fn retune_due(&self, now: SimInstant) -> bool {
-        let clock = match self.policy {
-            TuningPolicy::Static => self.vouch.map_or(SimInstant::ZERO, |v| v.folded),
-            TuningPolicy::Adaptive => now,
-        };
-        clock.saturating_since(self.last_reconfigure) >= self.policy.reconfigure_every()
-    }
-
-    /// Re-derives (η, δ) at `now` from the slot's `estimate` at `version`.
-    /// The search runs once per actual change of the estimate; hysteresis
-    /// compares the full operating point, not just the bound: once η + δ is
-    /// pinned at T_D^U the split keeps tracking a degrading link, and those
-    /// updates must go through.
-    pub(crate) fn derive(&mut self, now: SimInstant, estimate: LinkQuality, version: u32) {
-        self.last_reconfigure = now;
-        if version == self.quality_version {
-            return;
-        }
-        self.quality_version = version;
-        self.measured = estimate.samples >= self.policy.min_samples();
-        let quality = if self.measured {
+    /// Re-derives (η, δ) from the slot's new `estimate`; returns whether the
+    /// operating point moved. Hysteresis compares the full operating point,
+    /// not just the bound: once η + δ is pinned at T_D^U the split keeps
+    /// tracking a degrading link, and those updates must go through. A move
+    /// first folds the peer's `stamp` in: what the stamps heard so far
+    /// bought stays priced at the δ of their time.
+    pub(crate) fn derive(&mut self, estimate: LinkQuality, stamp: SimInstant) -> bool {
+        let measured = estimate.samples >= self.policy.min_samples();
+        let quality = if measured {
             estimate
         } else {
             LinkQuality::conservative_prior()
@@ -186,11 +156,19 @@ impl OperatingPoint {
         let within = |old: SimDuration, new: SimDuration| {
             (new.as_secs_f64() - old.as_secs_f64()).abs() < hysteresis * old.as_secs_f64()
         };
-        if !(within(self.params.interval, derived.interval)
-            && within(self.params.shift, derived.shift))
+        let params = if within(self.params.interval, derived.interval)
+            && within(self.params.shift, derived.shift)
         {
-            self.params = derived;
+            self.params
+        } else {
+            derived
+        };
+        if (params, measured) == (self.params, self.measured) {
+            return false;
         }
+        self.fold(stamp);
+        (self.params, self.measured) = (params, measured);
+        true
     }
 
     /// Folds the peer's `stamp` into the class's vouch.
@@ -242,7 +220,7 @@ impl OperatingPoint {
 /// // No heartbeat within the grace period: the peer becomes suspected...
 /// let later = start + SimDuration::from_secs(2);
 /// let check = monitor.check(&mut table, later);
-/// assert_eq!(check.transition, Some(Transition::BecameSuspected));
+/// assert_eq!(check, Some(Transition::BecameSuspected));
 ///
 /// // ...until a heartbeat arrives and trust is restored.
 /// let hb_sent = later + SimDuration::from_millis(10);
@@ -363,16 +341,14 @@ impl PeerMonitor {
         (deadline != SimInstant::FAR_FUTURE).then_some(deadline)
     }
 
-    /// When the monitor must next be checked, as a [`Wake`] its owner can
-    /// advance by the peer's stamp alone: what [`PeerMonitor::check`]
-    /// returns, and between checks the same. A suspected monitor has no
-    /// deadline and needs none.
+    /// When the monitor must next be checked ([`PeerMonitor::check`]), as
+    /// a [`Wake`] its owner can advance by the peer's stamp alone until the
+    /// next check. A suspected monitor has no deadline and needs none.
     pub fn wake<T>(&self, table: &PeerTable<T>) -> Wake {
         if self.state == TrustState::Suspected {
             return Wake::NEVER;
         }
         let point = self.point(table);
-        let retune = point.last_reconfigure + point.policy.reconfigure_every();
         let mut wake = Wake::NEVER;
         match point.vouch.filter(|_| self.heard == Heard::Vouched) {
             Some(v) => {
@@ -383,14 +359,6 @@ impl PeerMonitor {
                 wake.offset = (v.eta + point.params.shift).min(fresh.saturating_since(v.folded));
             }
             None => wake.until = self.horizon,
-        }
-        // Re-derivation is due on the clock the class reads: the stamp
-        // under the static policy (while a batch vouches), the time under
-        // the adaptive one.
-        match point.policy {
-            TuningPolicy::Static if point.vouch.is_some() => wake.retune_stamp = retune,
-            TuningPolicy::Static => {}
-            TuningPolicy::Adaptive => wake.retune_at = retune,
         }
         wake
     }
@@ -444,36 +412,29 @@ impl PeerMonitor {
             return Some(Transition::BecameTrusted);
         }
         // Too old to revive the peer. Under a bound tightened below T_D^U
-        // that is the link outrunning (η, δ): re-derive them here — while
-        // suspected no deadline is pending, so no check may ever come.
+        // that is the link outrunning (η, δ): the next arrival re-derives
+        // them, whatever the policy's period says.
         if point.params.worst_case_detection() < point.qos.detection_time() {
-            table.retune(self.slot(), usize::from(self.point), now);
+            let policy = point.policy;
+            table.due_now(self.slot(), policy, now);
         }
         None
     }
 
-    /// Re-evaluates the monitor at `now` — through its peer's freshness
-    /// stamp, folded into the class first — and lets its class re-derive
-    /// (η, δ) if it is due (typically called when a timer set for
-    /// [`PeerMonitor::next_deadline`] fires). Heartbeats are too many to
-    /// each ask (only one that fails to revive a suspected peer does).
-    pub fn check<T>(&mut self, table: &mut PeerTable<T>, now: SimInstant) -> PeerCheck {
+    /// Re-evaluates the monitor at `now` through its peer's freshness
+    /// stamp, folded into the class first (typically called when a timer set
+    /// for [`PeerMonitor::next_deadline`] fires); returns the suspicion, if
+    /// any. A check never moves (η, δ), and [`PeerMonitor::wake`] says when
+    /// the next one is due.
+    pub fn check<T>(&mut self, table: &mut PeerTable<T>, now: SimInstant) -> Option<Transition> {
         let (slot, point) = (self.slot(), usize::from(self.point));
         let stamp = table.stamp_of(slot);
-        let before = self.point(table).operating();
         table.link_mut(slot).points_mut()[point].fold(stamp);
-        table.retune(slot, point, now);
-        let transition = (self.state == TrustState::Trusted
-            && now >= self.horizon_at(self.point(table), stamp))
-        .then(|| {
-            self.state = TrustState::Suspected;
-            Transition::BecameSuspected
-        });
-        PeerCheck {
-            transition,
-            retuned: self.point(table).operating() != before,
-            wake: self.wake(table),
-        }
+        (self.state == TrustState::Trusted && now >= self.horizon_at(self.point(table), stamp))
+            .then(|| {
+                self.state = TrustState::Suspected;
+                Transition::BecameSuspected
+            })
     }
 }
 
@@ -516,7 +477,7 @@ mod tests {
         }
 
         fn check(&mut self, now: SimInstant) -> Option<Transition> {
-            self.monitor.check(&mut self.table, now).transition
+            self.monitor.check(&mut self.table, now)
         }
 
         /// The monitor's horizon; [`SimInstant::FAR_FUTURE`] if suspected.
@@ -793,9 +754,10 @@ mod tests {
         // The link slows to 300 ms: the next heartbeat misses its deadline.
         let deadline = monitor.deadline();
         assert_eq!(monitor.check(deadline), Some(Transition::BecameSuspected));
-        // Nobody polls a detector whose peers are all suspected: heartbeats
-        // too old to revive the peer are what re-derives (η, δ), and the
-        // first one priced at the new δ revives it.
+        // The adaptive clock re-derived at the feed's last arrival, so the
+        // next read is a second away. A heartbeat too old to revive the
+        // peer makes it due at once instead: the very next arrival
+        // re-derives (η, δ), and, priced at the new δ, revives the peer.
         let mut revived_at = None;
         for seq in 100..130u64 {
             let sent = now + ms(100) * (seq - 99);
@@ -808,18 +770,20 @@ mod tests {
             }
         }
         assert!(monitor.params().shift > ms(300));
-        assert!(revived_at.is_some_and(|seq| seq <= 111), "{revived_at:?}");
-        // The paper's pinned bound never takes that path.
+        assert_eq!(revived_at, Some(101));
+        // The paper's pinned bound never takes that path: stale heartbeats
+        // leave its policy on its period, which the feed's last arrival
+        // started.
         let mut pinned = paper_monitor();
         feed(&mut pinned, 100, |_| ms(2), SimInstant::ZERO);
         let (params, deadline) = (pinned.params(), pinned.deadline());
         assert_eq!(pinned.check(deadline), Some(Transition::BecameSuspected));
-        for seq in 100..200u64 {
+        let period = now + SimDuration::from_secs(5);
+        for seq in 100..134u64 {
             let sent = now + ms(100) * (seq - 99);
-            assert_eq!(
-                pinned.on_heartbeat(seq, sent, ms(100), sent + ms(1_500)),
-                None
-            );
+            let received = sent + ms(1_500);
+            assert!(received < period);
+            assert_eq!(pinned.on_heartbeat(seq, sent, ms(100), received), None);
         }
         assert_eq!(pinned.params(), params);
     }
@@ -841,9 +805,10 @@ mod tests {
         // derives from it by one step — too little to move the operating
         // point.
         let now = feed(&mut monitor, 100, |seq| ms(60 + 3 * (seq % 2)), now);
-        let slot = monitor.slot();
-        let link = monitor.table.link_mut(slot);
-        let (recent, _) = link.quality_cached(now, TuningPolicy::Adaptive);
+        let recent = (monitor
+            .table
+            .estimate(monitor.slot(), TuningPolicy::Adaptive))
+        .unwrap();
         let derived = configure(&qos, &recent, TuningPolicy::Adaptive);
         assert_ne!(derived, first);
         assert_eq!(monitor.params(), first);

@@ -2,15 +2,19 @@
 //!
 //! The paper's architecture (Figure 2) gives every workstation a *single*
 //! Failure Detector module shared by all groups. What is a property of a
-//! peer's *link* rather than of any group — the link-quality estimator, its
-//! memoized estimates, one operating point (η, δ) per QoS class, the peer's
-//! freshness stamp — lives once per peer in a [`PeerTable`] slot, owned by
-//! the service instance (or a standalone
-//! [`FailureDetector`](crate::FailureDetector)) and lent to every detector
-//! call; each group's [`PeerMonitor`](crate::PeerMonitor) of the peer names
-//! the slot and its class's point there. A slot also carries the owner's
-//! own per-peer state `T`. ALIVEs for several groups ride one datagram, so a
-//! slot records the same `(seq, sent_at, received_at)` observation once.
+//! peer's *link* rather than of any group — the link-quality estimator, one
+//! operating point (η, δ) per QoS class, the peer's freshness stamp — lives
+//! once per peer in a [`PeerTable`] slot, owned by the service instance (or
+//! a standalone [`FailureDetector`](crate::FailureDetector)) and lent to
+//! every detector call; each group's [`PeerMonitor`](crate::PeerMonitor) of
+//! the peer names the slot and its class's point there. A slot also
+//! carries the owner's own per-peer state `T`. ALIVEs for several groups
+//! ride one datagram, so a slot records the same `(seq, sent_at,
+//! received_at)` observation once.
+//!
+//! Figure 1's pipeline runs here, on the clock that moves its input:
+//! [`PeerTable::record`] feeds the estimator and re-derives the classes of
+//! each policy due. Nothing else moves (η, δ), bar a restart's reset.
 
 use std::ops::{Index, IndexMut};
 
@@ -26,6 +30,9 @@ use crate::quality::{LinkQuality, LinkQualityEstimator};
 /// How many delay samples each peer's estimator keeps.
 const ESTIMATOR_WINDOW: usize = 256;
 
+/// The policies in [`PeerLink::clocks`] order.
+const POLICIES: [TuningPolicy; 2] = [TuningPolicy::Static, TuningPolicy::Adaptive];
+
 /// Everything about one remote peer that is a property of the link.
 #[derive(Debug, Clone)]
 pub(crate) struct PeerLink {
@@ -33,14 +40,11 @@ pub(crate) struct PeerLink {
     /// The last `(seq, sent_at, received_at)` recorded, for deduplicating
     /// the per-group fan-out of one batched datagram.
     last_record: Option<(u64, SimInstant, SimInstant)>,
-    /// Memoized `(computed_at, estimate, version)` of the estimator scan,
-    /// one per [`TuningPolicy`] (each reads its own window of the ring).
-    /// Every class of the peer wants a fresh estimate only every few
-    /// seconds, so the scan runs once per refresh interval for the peer
-    /// instead of once per class. The version only advances when the
-    /// estimate actually changed, letting a class skip the (η, δ) search
-    /// entirely.
-    cached_quality: [Option<(SimInstant, LinkQuality, u32)>; 2],
+    /// Per [`TuningPolicy`] some class of the peer is under: the arrival
+    /// time from which the next recorded heartbeat re-derives the policy's
+    /// classes, and the estimate they follow. One scan of the estimator per
+    /// policy and period, shared by every class of the policy.
+    clocks: [Option<(SimInstant, LinkQuality)>; 2],
     /// One operating point per `(QosSpec, TuningPolicy)` some group ever
     /// monitored the peer under, in creation order: a monitor names its
     /// class's by index, so points are never removed while the slot lives
@@ -56,35 +60,10 @@ impl PeerLink {
         PeerLink {
             estimator: LinkQualityEstimator::new(ESTIMATOR_WINDOW),
             last_record: None,
-            cached_quality: [None; 2],
+            clocks: [None; 2],
             points: Vec::new(),
             stamp: SimInstant::ZERO,
         }
-    }
-
-    /// The estimate `policy` reads, memoized: recomputed at most once per
-    /// reconfiguration period of the policy, shared by every class of the
-    /// peer under it. The version advances only when a recomputation
-    /// produced a *different* estimate.
-    pub(crate) fn quality_cached(
-        &mut self,
-        now: SimInstant,
-        policy: TuningPolicy,
-    ) -> (LinkQuality, u32) {
-        let cached = self.cached_quality[policy as usize];
-        if let Some((at, quality, version)) = cached {
-            if now.saturating_since(at) < policy.reconfigure_every() {
-                return (quality, version);
-            }
-        }
-        let fresh = self.estimator.estimate_over(policy.estimate_window());
-        let version = match cached {
-            Some((_, quality, version)) if quality == fresh => version,
-            Some((_, _, version)) => version.wrapping_add(1),
-            None => 1,
-        };
-        self.cached_quality[policy as usize] = Some((now, fresh, version));
-        (fresh, version)
     }
 
     /// The peer's operating points, one per QoS class.
@@ -94,6 +73,31 @@ impl PeerLink {
 
     pub(crate) fn points_mut(&mut self) -> &mut [OperatingPoint] {
         &mut self.points
+    }
+
+    /// Re-derives, at arrival time `now`, the classes of every policy whose
+    /// clock is due: one estimate over the policy's window, and a search per
+    /// class only if it differs from the one they follow. Returns whether a
+    /// class moved, and whether a requested interval did.
+    fn rederive(&mut self, now: SimInstant) -> (bool, bool) {
+        let (mut moved, mut asks) = (false, false);
+        for (clock, policy) in self.clocks.iter_mut().zip(POLICIES) {
+            let Some((due, estimate)) = clock.as_mut().filter(|(due, _)| now >= *due) else {
+                continue;
+            };
+            *due = now + policy.reconfigure_every();
+            let fresh = self.estimator.estimate_over(policy.estimate_window());
+            if fresh == *estimate {
+                continue;
+            }
+            *estimate = fresh;
+            for point in self.points.iter_mut().filter(|p| p.policy() == policy) {
+                let interval = point.operating().0.interval;
+                moved |= point.derive(fresh, self.stamp);
+                asks |= point.operating().0.interval != interval;
+            }
+        }
+        (moved, asks)
     }
 }
 
@@ -223,17 +227,38 @@ impl<T> PeerTable<T> {
     }
 
     /// Records the arrival of heartbeat `seq` from the peer in `slot`,
-    /// stamped `sent_at`, received at `received_at`.
+    /// stamped `sent_at`, received at `received_at`, and re-derives the
+    /// peer's classes under every policy due by then. Returns whether a
+    /// class moved (η, δ) or went on or off a measured estimate.
     ///
     /// The exact same observation recorded twice in a row (the second and
     /// later groups processing one batched datagram) is counted once.
-    pub fn record(&mut self, slot: usize, seq: u64, sent_at: SimInstant, received_at: SimInstant) {
+    pub fn record(
+        &mut self,
+        slot: usize,
+        seq: u64,
+        sent_at: SimInstant,
+        received_at: SimInstant,
+    ) -> bool {
         let link = self.link_mut(slot);
         if link.last_record == Some((seq, sent_at, received_at)) {
-            return;
+            return false;
         }
         link.last_record = Some((seq, sent_at, received_at));
         link.estimator.record(seq, sent_at, received_at);
+        let (moved, asks) = link.rederive(received_at);
+        if asks {
+            self.bump_params_epoch();
+        }
+        moved
+    }
+
+    /// Makes the classes of `policy` in `slot` due to re-derive at the
+    /// next arrival, from `now`.
+    pub(crate) fn due_now(&mut self, slot: usize, policy: TuningPolicy, now: SimInstant) {
+        if let Some((due, _)) = &mut self.link_mut(slot).clocks[policy as usize] {
+            *due = (*due).min(now);
+        }
     }
 
     /// Heartbeats recorded (after deduplication) from the peer in `slot`
@@ -251,17 +276,21 @@ impl<T> PeerTable<T> {
     /// Discards every measurement of the peer in `slot` (it restarted with
     /// a new incarnation, so its old link behaviour no longer applies),
     /// once for every group reading it: each class's operating point goes
-    /// back to the prior's as of `now`, and no batch vouches any more. The
-    /// slot, its classes, its freshness stamp and the owner's state survive.
+    /// back to the prior's, its policy next due one period after `now`, and
+    /// no batch vouches any more. The slot, its classes, its freshness stamp
+    /// and the owner's state survive.
     pub fn reset(&mut self, slot: usize, now: SimInstant) {
         let link = self.link_mut(slot);
+        let prior = LinkQuality::conservative_prior();
         let mut points = std::mem::take(&mut link.points);
         for point in &mut points {
-            let prior = LinkQuality::conservative_prior();
-            *point = OperatingPoint::new(*point.qos(), point.policy(), now, prior, 0);
+            *point = OperatingPoint::new(*point.qos(), point.policy(), prior);
         }
+        let restart = |p: TuningPolicy| (now + p.reconfigure_every(), prior);
+        let clocks = POLICIES.map(|p| link.clocks[p as usize].map(|_| restart(p)));
         *link = PeerLink {
             stamp: link.stamp,
+            clocks,
             points,
             ..PeerLink::new()
         };
@@ -275,8 +304,9 @@ impl<T> PeerTable<T> {
     }
 
     /// The index of the operating point of class `(qos, policy)` in `slot`,
-    /// created as of `now` from the slot's current estimate if the slot has
-    /// none yet.
+    /// created if the slot has none yet from the estimate the policy's other
+    /// classes follow — or, for the policy's first class, from one read as
+    /// of `now`, which starts the policy's clock.
     pub(crate) fn point(
         &mut self,
         slot: usize,
@@ -285,32 +315,21 @@ impl<T> PeerTable<T> {
         now: SimInstant,
     ) -> u16 {
         let link = self.link_mut(slot);
-        let at =
-            (link.points.iter().position(|point| point.is(qos, policy))).unwrap_or_else(|| {
-                let (estimate, version) = link.quality_cached(now, policy);
-                let point = OperatingPoint::new(*qos, policy, now, estimate, version);
-                let at = link.points.len();
-                insert_tight(&mut link.points, at, point);
-                at
+        let found = link.points.iter().position(|point| point.is(qos, policy));
+        let at = found.unwrap_or_else(|| {
+            let estimator = &link.estimator;
+            let (_, estimate) = *link.clocks[policy as usize].get_or_insert_with(|| {
+                let estimate = estimator.estimate_over(policy.estimate_window());
+                (now + policy.reconfigure_every(), estimate)
             });
+            let (point, at) = (
+                OperatingPoint::new(*qos, policy, estimate),
+                link.points.len(),
+            );
+            insert_tight(&mut link.points, at, point);
+            at
+        });
         u16::try_from(at).expect("fewer than 65 536 QoS classes per peer")
-    }
-
-    /// Lets operating point `point` of `slot` re-derive (η, δ) at `now` if
-    /// its clock says it is due.
-    pub(crate) fn retune(&mut self, slot: usize, point: usize, now: SimInstant) {
-        let link = self.link_mut(slot);
-        let current = &link.points[point];
-        if !current.retune_due(now) {
-            return;
-        }
-        let (policy, before) = (current.policy(), current.operating().0.interval);
-        let (estimate, version) = link.quality_cached(now, policy);
-        let current = &mut link.points[point];
-        current.derive(now, estimate, version);
-        if current.operating().0.interval != before {
-            self.bump_params_epoch();
-        }
     }
 
     /// Records that the peer in `slot` repeated, at `sent_at`, the ALIVE
@@ -368,6 +387,13 @@ mod tests {
     use crate::config::configure;
     use sle_sim::time::SimDuration;
 
+    impl<T> PeerTable<T> {
+        /// The estimate the classes of `policy` in `slot` follow, if any.
+        pub(crate) fn estimate(&self, slot: usize, policy: TuningPolicy) -> Option<LinkQuality> {
+            self.link(slot).clocks[policy as usize].map(|(_, estimate)| estimate)
+        }
+    }
+
     #[test]
     fn slots_are_shared_per_peer() {
         let mut table: PeerTable = PeerTable::new();
@@ -407,14 +433,19 @@ mod tests {
         let slot = table.intern(NodeId(1));
         table[slot] = 5;
         let late = SimInstant::ZERO + SimDuration::from_secs(9);
+        table.point(slot, &QosSpec::paper_default(), TuningPolicy::Static, late);
         table.record(slot, 0, SimInstant::ZERO, SimInstant::ZERO);
         table.stamp(slot, late, false);
-        table
-            .link_mut(slot)
-            .quality_cached(late, TuningPolicy::Static);
         table.reset(slot, late);
         assert_eq!(table.heartbeats_recorded(slot), 0);
-        assert!(table.link(slot).cached_quality.iter().all(Option::is_none));
+        // The static clock restarts on the prior, one period on; no class
+        // of the other policy ever started its clock.
+        let prior = LinkQuality::conservative_prior();
+        let clocks = table.link(slot).clocks;
+        assert_eq!(
+            clocks,
+            [Some((late + SimDuration::from_secs(5), prior)), None]
+        );
         // The slot, its stamp and the owner's state survive the reset.
         assert_eq!(table.intern(NodeId(1)), slot);
         assert_eq!((table.stamp_of(slot), table[slot]), (late, 5));
@@ -494,9 +525,7 @@ mod tests {
         let point = &table.link(slot).points()[usize::from(at)];
         let (params, measured) = point.operating();
         assert!(measured);
-        let (estimate, _) = table
-            .link_mut(slot)
-            .quality_cached(now, TuningPolicy::Adaptive);
+        let estimate = table.estimate(slot, TuningPolicy::Adaptive).unwrap();
         assert_eq!(params, configure(&qos, &estimate, TuningPolicy::Adaptive));
         // The peer restarts: its class goes back to the prior, in place.
         table.reset(slot, now);
@@ -520,25 +549,100 @@ mod tests {
             let delay = SimDuration::from_millis(if seq < 200 { 90 } else { 2 });
             table.record(slot, seq, now - delay, now);
         }
-        let link = table.link_mut(slot);
-        let (whole, v_static) = link.quality_cached(now, TuningPolicy::Static);
-        let (recent, v_adaptive) = link.quality_cached(now, TuningPolicy::Adaptive);
-        assert_eq!((v_static, v_adaptive), (1, 1));
+        // Each policy's first class reads its own window as of now.
+        let qos = QosSpec::paper_default();
+        for policy in POLICIES {
+            table.point(slot, &qos, policy, now);
+        }
+        let whole = table.estimate(slot, TuningPolicy::Static).unwrap();
+        let recent = table.estimate(slot, TuningPolicy::Adaptive).unwrap();
         assert_eq!(whole.samples, ESTIMATOR_WINDOW);
         assert!(whole.delay_mean > SimDuration::from_millis(60));
         assert_eq!(recent.samples, 64);
         assert_eq!(recent.delay_tail, SimDuration::from_millis(2));
-        // Within the policy's own period the memo answers; after it an
-        // unchanged estimate keeps its version.
-        table.record(slot, 264, now, now + SimDuration::from_millis(2));
-        let link = table.link_mut(slot);
+        // Within the policy's own period an arrival reads no estimate; at
+        // its end an unchanged estimate moves no class.
+        let two = SimDuration::from_millis(2);
         let soon = now + SimDuration::from_millis(999);
-        assert_eq!(link.quality_cached(soon, TuningPolicy::Adaptive).1, 1);
+        assert!(!table.record(slot, 264, soon - two, soon));
+        let estimates = |table: &PeerTable| POLICIES.map(|p| table.estimate(slot, p).unwrap());
+        assert_eq!(estimates(&table), [whole, recent]);
         let later = now + SimDuration::from_secs(1);
-        assert_eq!(link.quality_cached(later, TuningPolicy::Adaptive).1, 1);
-        assert_eq!(link.quality_cached(later, TuningPolicy::Static).1, 1);
+        assert!(!table.record(slot, 265, later - two, later));
+        assert_eq!(estimates(&table), [whole, recent]);
+        assert_eq!(
+            table.link(slot).clocks[1].unwrap().0,
+            later + SimDuration::from_secs(1)
+        );
         let stale = now + SimDuration::from_secs(5);
-        assert_eq!(link.quality_cached(stale, TuningPolicy::Static).1, 2);
+        table.record(slot, 266, stale - two, stale);
+        assert_ne!(estimates(&table)[0], whole);
+    }
+
+    #[test]
+    fn classes_move_on_arrivals_one_scan_per_policy_and_period() {
+        // Two static classes and an adaptive one of one peer, fed a link
+        // whose delay grows with every heartbeat: every read of the
+        // estimate differs from the last.
+        let mut table: PeerTable = PeerTable::new();
+        let slot = table.intern(NodeId(1));
+        let fast = QosSpec::paper_default();
+        let slow = QosSpec::paper_default_with_detection(SimDuration::from_secs(8));
+        let classes = [
+            (fast, TuningPolicy::Static),
+            (slow, TuningPolicy::Static),
+            (fast, TuningPolicy::Adaptive),
+        ];
+        let start = SimInstant::ZERO;
+        let at = classes.map(|(qos, policy)| table.point(slot, &qos, policy, start));
+        let operating =
+            |table: &PeerTable| at.map(|at| table.link(slot).points()[usize::from(at)].operating());
+        let estimates = |table: &PeerTable| POLICIES.map(|p| table.estimate(slot, p));
+        let ms = SimDuration::from_millis;
+        let (mut scans, mut moves) = ([vec![], vec![]], [vec![], vec![], vec![]]);
+        for seq in 0..100u64 {
+            let now = start + ms(100) * (seq + 1);
+            let (before, read) = (operating(&table), estimates(&table));
+            let moved = table.record(slot, seq, now - ms(1 + seq / 2), now);
+            let (after, reread) = (operating(&table), estimates(&table));
+            for (scan, (old, new)) in scans.iter_mut().zip(read.iter().zip(reread)) {
+                if *old != new {
+                    scan.push(now.saturating_since(start));
+                }
+            }
+            for (class_moves, (old, new)) in moves.iter_mut().zip(before.iter().zip(after)) {
+                if *old != new {
+                    class_moves.push(now.saturating_since(start));
+                }
+            }
+            assert_eq!(moved, before != after, "at {now}");
+        }
+        // One read per policy and period, at the first arrival due...
+        let secs = |list: &[u64]| {
+            list.iter()
+                .map(|&s| SimDuration::from_secs(s))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            scans,
+            [secs(&[5, 10]), secs(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10])]
+        );
+        // ...and every class of the policy re-derived from it then, only:
+        // the static ones leave the prior together and then hold their
+        // split at the cap on η.
+        assert_eq!(moves[0], secs(&[5]));
+        assert_eq!(moves[1], moves[0]);
+        assert!(moves[2].iter().all(|moved| scans[1].contains(moved)));
+        assert!(!moves[2].is_empty());
+        // Without an arrival nothing re-derives, however long the silence
+        // and whatever checks it.
+        let (before, read) = (operating(&table), estimates(&table));
+        for (qos, policy) in classes {
+            let group = crate::GroupDetector::new(qos, policy);
+            let mut monitor = group.monitor(&mut table, NodeId(1), start);
+            monitor.check(&mut table, start + SimDuration::from_secs(60));
+        }
+        assert_eq!((operating(&table), estimates(&table)), (before, read));
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //! Exit status: 0 when every run upholds every invariant (or, under
 //! `--weakened`, when the deliberately broken detector *is* caught) and,
 //! under `--smoke`, the membership-churn and duplication/reordering
-//! families exercised the HELLO pull path and the partition and crash
-//! families both ALIVE receive paths; 1 otherwise.
+//! families exercised the HELLO pull path, the partition and crash
+//! families both ALIVE receive paths, and the duplication/reordering or
+//! drift families moved an operating point on a repeated ALIVE batch; 1
+//! otherwise.
 
 use std::time::Instant;
 
@@ -190,6 +192,11 @@ fn main() {
             "OK: repeated and applied ALIVE batches, revivals included, and quiet and walking \
              detector fires and HELLO ticks ran under the checker"
         );
+        if let Err(missing) = summary.fd_moves_exercised() {
+            eprintln!("FAIL: {missing} — the detector-wake invalidation ran unchecked");
+            std::process::exit(1);
+        }
+        println!("OK: operating points moved on repeated ALIVE batches under the checker");
     }
 }
 

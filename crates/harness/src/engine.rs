@@ -909,13 +909,13 @@ mod tests {
                 .with_seed(8),
                 ExperimentMetrics {
                     duration: SimDuration::from_secs(120),
-                    recovery: Summary::of(&[1.387807211]),
+                    recovery: Summary::of(&[]),
                     mistakes_per_hour: 30.0,
-                    leader_availability: 0.9783630687083333,
-                    kbytes_per_sec_per_node: 2.607754177517361,
-                    leader_crashes: 1,
+                    leader_availability: 0.9951901441916667,
+                    kbytes_per_sec_per_node: 2.596993001302083,
+                    leader_crashes: 0,
                     unjustified_demotions: 1,
-                    recovery_samples: vec![1.387807211],
+                    recovery_samples: vec![],
                 },
             ),
             (
@@ -924,13 +924,13 @@ mod tests {
                     .with_seed(5),
                 ExperimentMetrics {
                     duration: SimDuration::from_secs(120),
-                    recovery: Summary::of(&[1.617091905]),
+                    recovery: Summary::of(&[1.638509281]),
                     mistakes_per_hour: 360.0,
-                    leader_availability: 0.938194834775,
-                    kbytes_per_sec_per_node: 36.19232177734375,
+                    leader_availability: 0.9376943468916666,
+                    kbytes_per_sec_per_node: 35.37220730251736,
                     leader_crashes: 1,
                     unjustified_demotions: 12,
-                    recovery_samples: vec![1.617091905],
+                    recovery_samples: vec![1.638509281],
                 },
             ),
         ];

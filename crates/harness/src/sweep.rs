@@ -134,7 +134,7 @@ impl CellSummary {
 type Column = (&'static str, usize, fn(&CellSummary) -> u64);
 
 /// The summary table's columns after service and plan.
-const COLUMNS: [Column; 11] = [
+const COLUMNS: [Column; 12] = [
     ("runs", 6, |c| c.runs),
     ("failed", 8, |c| c.failed),
     ("hello pulls", 12, |c| c.count(NodeCount::HelloPullsSent)),
@@ -145,6 +145,7 @@ const COLUMNS: [Column; 11] = [
     ("revivals", 9, CellSummary::revivals),
     ("fd fires", 9, |c| c.count(NodeCount::FdFires)),
     ("fd walks", 9, |c| c.count(NodeCount::FdWalks)),
+    ("fd moves", 9, |c| c.count(NodeCount::FdReconfigurations)),
     ("hello walks", 12, |c| c.count(NodeCount::HelloMemberWalks)),
 ];
 
@@ -250,6 +251,27 @@ impl SweepSummary {
                     "{family} runs took one HELLO-tick path only ({digests} digests, {walks} member walks)"
                 ));
             }
+        }
+        Ok(())
+    }
+
+    /// Checks that the sweep moved an operating point (η, δ) on a repeated
+    /// ALIVE batch under the invariant checker: the one move that must drop
+    /// a cached detector wake no applied batch drops. Loss, reordering and
+    /// a delay step move the link estimate, so the duplication/reordering
+    /// and drift families must have done it between them.
+    ///
+    /// # Errors
+    ///
+    /// Names what was not exercised.
+    pub fn fd_moves_exercised(&self) -> Result<(), String> {
+        let families = [PlanKind::DupReorder, PlanKind::DriftStep].map(|kind| kind.name());
+        let moves = |family| self.total(family, |c| c.count(NodeCount::FdMovesOnRepeats));
+        if families.into_iter().map(moves).sum::<u64>() == 0 {
+            return Err(format!(
+                "no {} or {} run moved an operating point on a repeated ALIVE batch",
+                families[0], families[1]
+            ));
         }
         Ok(())
     }
@@ -492,8 +514,10 @@ mod tests {
         // the partition and crash families both ALIVE paths.
         assert_eq!(summary.hello_paths_exercised(), Ok(()));
         assert_eq!(summary.alive_paths_exercised(), Ok(()));
+        assert_eq!(summary.fd_moves_exercised(), Ok(()));
         assert!(summary.render().contains("alive same"));
         assert!(summary.render().contains("fd walks"));
+        assert!(summary.render().contains("fd moves"));
         assert!(summary.render().contains("hello walks"));
     }
 

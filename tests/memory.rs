@@ -152,9 +152,10 @@ fn peer_tables(rows: &mut Vec<Row>) {
     rows.push(Row {
         part: "operating points, 9 peers, one class",
         bytes: points,
-        // One 96-byte point per slot: QoS, policy, (η, δ), the prior's η,
-        // the estimate version and re-derivation clock, the batch's vouch.
-        ceiling: 9 * 96,
+        // One 88-byte point per slot: QoS, policy, (η, δ), the prior's η,
+        // the batch's vouch. The re-derivation clock is the slot's, one
+        // per policy.
+        ceiling: 9 * 88,
     });
     // Each member has sent its first ALIVE: the row holds its payload.
     let payload = AlivePayload {
