@@ -30,8 +30,9 @@ pub(super) struct PeerAlive {
     /// stamp in its table slot, which the monitors it vouches for read.
     pub(super) batch: Vec<GroupAlive>,
     /// Repeating `batch` could miss something (a suspicion to revive from,
-    /// an entry of the peer created or removed, a local join or leave):
-    /// apply the next batch whatever it says.
+    /// an entry of the peer created or removed, an entry `batch` came too
+    /// late to apply, a local join or leave): apply the next batch
+    /// whatever it says.
     pub(super) resync: bool,
     /// When the peer's latest ALIVE datagram arrived: it vouches for the
     /// member entry of every group `batch` lists.
@@ -475,8 +476,10 @@ impl ServiceNode {
             self.alive_epoch += 1;
         }
         // Still suspected (the heartbeat was too old to revive it): the
-        // revival must not be skipped as a repeat.
-        if !trusted {
+        // revival must not be skipped as a repeat. Nor may an entry this
+        // older datagram could not apply: the batch kept to repeat is now
+        // not what the row holds.
+        if !trusted || !newer {
             self.peers[pslot].alive.resync = true;
         }
         // A heartbeat only *extends* the sender's freshness horizon: the

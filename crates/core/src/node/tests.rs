@@ -1585,7 +1585,9 @@ fn an_older_alive_leaves_the_row_at_the_newer_one() {
     // Under Ω_lc node 1's ALIVEs carry (acc 0, epoch 0) at 0.5 s and
     // (acc 0.9 s, epoch 2) at 1.0 s. A copy sent at 0.75 s — epoch 1, another
     // representative, another requested η — arrives at 1.05 s: it proves
-    // node 1 was alive, and changes nothing else in its row.
+    // node 1 was alive, and changes nothing else in its row. A newer
+    // datagram repeating the late copy's contents is then applied in full,
+    // not skipped as a repeat of the batch the late copy left behind.
     let (peer, group) = (NodeId(1), GroupId(1));
     let config = ServiceConfig::full_mesh(NodeId(0), 2, ElectorKind::OmegaLc)
         .with_auto_join(group, JoinConfig::candidate());
@@ -1648,6 +1650,11 @@ fn an_older_alive_leaves_the_row_at_the_newer_one() {
             .last_heard,
         secs(1.05)
     );
+    drive.run_to(secs(1.25)).expect("within the step budget");
+    deliver(&mut drive, 3, 1.25, (0.0, 1), 1, late, 1.25);
+    let fields = (1, secs(0.0), Some(ProcessId::new(peer, 1)));
+    assert_eq!(row(&drive).0, fields);
+    assert_eq!(row(&drive).1, Some(late));
 }
 
 /// One leader-change announcement, as plain comparable data:
@@ -1844,7 +1851,7 @@ fn a_fixed_seed_run_replays_its_recorded_counts() {
                 messages: 22_812,
                 alive_payloads: 21_736,
                 hello: [82, 3_405, 22, 1, 1_016],
-                alive: [13_375, 5_115, 527],
+                alive: [13_374, 5_116, 527],
                 fd: [3_583, 1_248, 390],
                 leader_changes: 0xb1ba_5247_c815_6643,
             },

@@ -773,19 +773,26 @@ mod tests {
         assert_eq!(revived_at, Some(101));
         // The paper's pinned bound never takes that path: stale heartbeats
         // leave its policy on its period, which the feed's last arrival
-        // started.
+        // started. Its classes re-derive, suspected or not, at the first
+        // arrival from then on, and no heartbeat that old revives the peer.
         let mut pinned = paper_monitor();
         feed(&mut pinned, 100, |_| ms(2), SimInstant::ZERO);
         let (params, deadline) = (pinned.params(), pinned.deadline());
         assert_eq!(pinned.check(deadline), Some(Transition::BecameSuspected));
         let period = now + SimDuration::from_secs(5);
-        for seq in 100..134u64 {
+        let mut moved_at = None;
+        for seq in 100..200u64 {
             let sent = now + ms(100) * (seq - 99);
             let received = sent + ms(1_500);
-            assert!(received < period);
             assert_eq!(pinned.on_heartbeat(seq, sent, ms(100), received), None);
+            if received < period {
+                assert_eq!(pinned.params(), params);
+            } else if moved_at.is_none() {
+                assert_ne!(pinned.params(), params);
+                moved_at = Some((seq, received));
+            }
         }
-        assert_eq!(pinned.params(), params);
+        assert_eq!(moved_at, Some((134, period)));
     }
 
     #[test]

@@ -898,6 +898,8 @@ mod tests {
     /// The exact metrics of two short figure cells: workstation crashes over
     /// lossy links, and the Figure 7 link-crash overlay. A deliberate
     /// protocol change re-records them, as it does the node's golden run.
+    /// Each cell's seed is one whose run crashes a leader, so both pin a
+    /// recovery time; a change that loses that crash picks another seed.
     #[test]
     fn figure_cells_keep_their_recorded_metrics() {
         let cells = [
@@ -906,16 +908,16 @@ mod tests {
                     ElectorKind::OmegaL,
                     LinkSpec::from_paper_tuple(100.0, 0.1),
                 )
-                .with_seed(8),
+                .with_seed(31),
                 ExperimentMetrics {
                     duration: SimDuration::from_secs(120),
-                    recovery: Summary::of(&[]),
+                    recovery: Summary::of(&[1.567693176]),
                     mistakes_per_hour: 30.0,
-                    leader_availability: 0.9951901441916667,
-                    kbytes_per_sec_per_node: 2.596993001302083,
-                    leader_crashes: 0,
+                    leader_availability: 0.9818334596166667,
+                    kbytes_per_sec_per_node: 2.605313449435764,
+                    leader_crashes: 1,
                     unjustified_demotions: 1,
-                    recovery_samples: vec![],
+                    recovery_samples: vec![1.567693176],
                 },
             ),
             (
