@@ -34,8 +34,12 @@ pub struct MemberEntry {
     /// The representative candidate process the member advertises in its
     /// ALIVEs, if any.
     pub representative: Option<ProcessId>,
-    /// The ALIVE interval the member asked us to use towards it.
-    pub requested_interval: Option<SimDuration>,
+    /// The ALIVE interval the member asked us to use towards it, once it
+    /// sent a payload.
+    pub requested_interval: SimDuration,
+    /// The ALIVE interval the member declared in the last entry applied to
+    /// the row, older or not: the η its monitor was last fed.
+    pub sending_interval: SimDuration,
     /// The low 32 bits (the entry's padding) of the sequence number of the
     /// ALIVE whose payload, representative and request it holds, if any.
     pub applied_seq: u32,
@@ -79,10 +83,11 @@ pub struct PeerRow {
     /// when the peer's restart took its membership) — its own account only.
     /// The peer's stamps vouch on top of it: its latest digest while the
     /// membership's `listed_at` is the peer's applied version, its latest
-    /// ALIVE datagram while the applied batch lists the group. The service
+    /// ALIVE datagram while the row's monitor is vouched for. The service
     /// folds a stamp in here when the row is about to lose its vouch (a new
-    /// list or batch no longer names the group) and when the row is quiet
-    /// past the membership timeout on its own account; otherwise it may lag.
+    /// list no longer names the group, a datagram is applied entry by
+    /// entry) and when the row is quiet past the membership timeout on its
+    /// own account; otherwise it may lag.
     pub last_heard: SimInstant,
     /// The peer's membership of the group, if it is a member.
     pub member: Option<MemberEntry>,
@@ -393,7 +398,8 @@ impl GroupState {
         let default = default_interval(self.fd.qos().detection_time()).max(MIN_INTERVAL);
         self.rows
             .members()
-            .filter_map(|(_, member)| member.requested_interval)
+            .filter(|(_, member)| member.payload.is_some())
+            .map(|(_, member)| member.requested_interval)
             .fold(default, SimDuration::min)
             .max(MIN_INTERVAL)
     }
@@ -467,8 +473,19 @@ mod tests {
         let mut group = state();
         // Default: a quarter of the 1 s detection bound.
         assert_eq!(group.send_interval(), SimDuration::from_millis(250));
-        member(&mut group.rows, NodeId(1)).requested_interval = Some(SimDuration::from_millis(100));
-        member(&mut group.rows, NodeId(2)).requested_interval = Some(SimDuration::from_millis(400));
+        // A member asks once it sent a payload.
+        let asks = |rows: &mut PeerRows, peer, interval| {
+            let member = member(rows, peer);
+            member.requested_interval = interval;
+            member.payload = Some(Box::new(AlivePayload {
+                accusation_time: SimInstant::ZERO,
+                epoch: 0,
+                local_leader: None,
+            }));
+        };
+        member(&mut group.rows, NodeId(5)).requested_interval = SimDuration::from_millis(50);
+        asks(&mut group.rows, NodeId(1), SimDuration::from_millis(100));
+        asks(&mut group.rows, NodeId(2), SimDuration::from_millis(400));
         assert_eq!(group.send_interval(), SimDuration::from_millis(100));
         // A monitored peer that is no member asks for nothing.
         let fd = group.fd.clone();
@@ -477,7 +494,7 @@ mod tests {
         group.rows.row(NodeId(4), SimInstant::ZERO).monitor = Some(monitor);
         assert_eq!(group.send_interval(), SimDuration::from_millis(100));
         // A request below the configurator's floor is held at the floor.
-        member(&mut group.rows, NodeId(3)).requested_interval = Some(SimDuration::ZERO);
+        asks(&mut group.rows, NodeId(3), SimDuration::ZERO);
         assert_eq!(group.send_interval(), MIN_INTERVAL);
     }
 

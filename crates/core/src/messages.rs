@@ -79,7 +79,7 @@ impl HelloList {
 /// node-level heartbeat sequence number and the send timestamp — are hoisted
 /// into the [`ServiceMessage::AliveBatch`] envelope, which is where the
 /// bandwidth saving over one [`ServiceMessage::Alive`] per group comes from.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct GroupAlive {
     /// The group this entry belongs to.
     pub group: GroupId,

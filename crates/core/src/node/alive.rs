@@ -4,12 +4,14 @@
 //! the datagram's sample is recorded once, before either receive path, and
 //! a move it causes is acted on once, after it.
 
+use std::hash::{Hash, Hasher};
+
 use sle_fd::{default_interval, PeerMonitor, Transition};
 use sle_sim::actor::NodeId;
 use sle_sim::time::{SimDuration, SimInstant};
 
 use super::{next_tick, Peers, ServiceContext, ServiceNode, ALIVE_TIMER, MAX_BATCH_BYTES};
-use crate::group::GroupState;
+use crate::group::{GroupState, PeerRow};
 use crate::messages::{AliveHeader, GroupAlive, ServiceMessage};
 use crate::obs::NodeCount;
 use crate::process::{GroupId, ProcessId};
@@ -25,18 +27,40 @@ pub(super) struct PeerAlive {
     /// a stream restarting at 0 then reads as catastrophic loss on its
     /// link estimator, cranking the requested heartbeat rate to the floor.
     seq: u64,
-    /// The last ALIVE batch applied from the peer. A datagram repeating it
-    /// touches no group state: it advances `heard` and the peer's freshness
-    /// stamp in its table slot, which the monitors it vouches for read.
-    pub(super) batch: Vec<GroupAlive>,
-    /// Repeating `batch` could miss something (a suspicion to revive from,
-    /// an entry of the peer created or removed, an entry `batch` came too
-    /// late to apply, a local join or leave): apply the next batch
-    /// whatever it says.
-    pub(super) resync: bool,
     /// When the peer's latest ALIVE datagram arrived: it vouches for the
-    /// member entry of every group `batch` lists.
+    /// member entry of every row whose monitor is vouched for.
     pub(super) heard: SimInstant,
+    /// The [`fingerprint`] of the datagram the peer's rows were last found
+    /// to hold, under the `alive_epoch` of then; 0 for none. Whatever else
+    /// changes a row a repeat verdict reads — a suspicion, a HELLO, a row
+    /// created or removed, a local join or leave, a new incarnation — moves
+    /// the epoch, and an applied datagram clears the key: an equal
+    /// fingerprint is the same verdict, without a look at the rows.
+    repeat_key: u64,
+}
+
+/// A 64-bit fingerprint of `alives` under the node's `epoch`, never 0: a
+/// multiply-rotate chain over 8-byte words (FxHash's), in which any one
+/// changed word changes the result. (std's SipHash doubles what a repeat
+/// costs on `sim-steady`.)
+fn fingerprint(epoch: u64, alives: &[GroupAlive]) -> u64 {
+    struct Chain(u64);
+    impl Hasher for Chain {
+        fn finish(&self) -> u64 {
+            self.0
+        }
+        fn write(&mut self, bytes: &[u8]) {
+            for word in bytes.chunks(8) {
+                let mut padded = [0; 8];
+                padded[..word.len()].copy_from_slice(word);
+                let word = u64::from_le_bytes(padded);
+                self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+            }
+        }
+    }
+    let mut chain = Chain(epoch);
+    alives.hash(&mut chain);
+    chain.finish() | 1
 }
 
 /// What one destination is sent of a grid's group: the entry's index, and
@@ -279,12 +303,14 @@ impl ServiceNode {
     }
 
     /// The one ALIVE receive path (a single `Alive` is a batch of one). A
-    /// datagram repeating the batch last applied from the sender — the
-    /// steady state — is the node-level accounting plus one store into the
-    /// sender's freshness stamp. Anything else, or anything after
-    /// `resync` was set, is applied entry by entry and kept to repeat.
-    /// Either way, a datagram whose arrival moved a class of the sender
-    /// (η, δ) is followed by [`ServiceNode::fd_class_moved`].
+    /// datagram the sender's rows already hold — the steady state — is the
+    /// node-level accounting plus one store into the sender's freshness
+    /// stamp ([`ServiceNode::repeats`]; when its fingerprint is the one the
+    /// rows were last found to hold, without a look at them: on a working
+    /// set beyond the caches, one row lookup costs what the rest of the
+    /// path does). Anything else is applied entry by entry. Either way, a
+    /// datagram whose arrival moved a class of the sender (η, δ) is
+    /// followed by [`ServiceNode::fd_class_moved`].
     pub(super) fn handle_alives(
         &mut self,
         from: NodeId,
@@ -305,66 +331,81 @@ impl ServiceNode {
             self.note_peer_incarnation(from, incarnation, ctx);
         }
         let (heard, moved) = self.note_alive_datagram(slot, seq, sent_at, now);
-        let peer = &mut self.peers[slot];
-        let repeat = !peer.alive.resync && peer.alive.batch == alives;
+        let key = fingerprint(self.alive_epoch, &alives);
+        let repeat = self.peers[slot].alive.repeat_key == key || self.repeats(from, slot, &alives);
+        debug_assert!(
+            self.row_index_holds(from, slot) && repeat == self.repeats(from, slot, &alives),
+            "repeat verdict {repeat} on {from}"
+        );
         if repeat {
             self.counts[NodeCount::AliveUnchanged].inc();
+            self.peers[slot].alive.repeat_key = key;
             self.peers.stamp(slot, sent_at, false);
         } else {
             self.counts[NodeCount::AliveApplied].inc();
-            peer.alive.resync = false;
+            let peer = &mut self.peers[slot];
+            peer.alive.repeat_key = 0;
             (peer.fd.wake, peer.gossip.wake) = (None, None);
-            // The stamp restarts: a group the new batch drops then ages out
-            // on its own horizon.
-            self.drop_alive_batch(from, slot, heard);
+            // The stamp restarts: a row the datagram does not name then ages
+            // out on its own horizon.
+            self.unvouch_rows(from, slot, heard);
             self.peers.stamp(slot, sent_at, true);
             for alive in &alives {
                 self.apply_group_alive(from, slot, seq, sent_at, alive, ctx);
             }
-            self.peers[slot].alive.batch = alives;
         }
         if moved {
             self.fd_class_moved(slot, repeat, ctx);
         }
     }
 
-    /// Drops the batch last applied from `from` (peer slot `slot`), whose
-    /// datagram before the latest arrived at `heard`: every row it vouched
-    /// for keeps what the stamp bought it, in its monitor and its
-    /// `last_heard`.
-    fn drop_alive_batch(&mut self, from: NodeId, slot: usize, heard: SimInstant) {
-        for dropped in std::mem::take(&mut self.peers[slot].alive.batch) {
-            let group = self.groups.get_mut(dropped.group);
-            let Some(row) = group.and_then(|state| state.rows.get_mut(from)) else {
-                continue;
-            };
-            if let Some(monitor) = &mut row.monitor {
-                monitor.unvouch(&self.peers);
-            }
-            row.last_heard = row.last_heard.max(heard);
-        }
+    /// Whether `alives` from `from` (peer slot `slot`) repeats what the
+    /// sender's rows hold, so applying it would only restamp them: every
+    /// entry naming a group this node is in finds the sender's row there
+    /// holding what it says — the payload, representative, requested and
+    /// declared η — from a monitor that trusts the sender and is vouched
+    /// for, and no other row of the sender (in its index) is vouched for.
+    /// A suspicion, a late copy, a HELLO or a leave changes a row, so a
+    /// datagram after it cannot repeat it.
+    fn repeats(&self, from: NodeId, slot: usize, alives: &[GroupAlive]) -> bool {
+        let row = |group| Some(self.groups.get(group)?.rows.get(from));
+        let held = |alive: &GroupAlive| {
+            row(alive.group).is_none_or(|row: Option<&PeerRow>| {
+                let monitor = row.and_then(|row| row.monitor.as_ref());
+                let member = row.and_then(|row| row.member.as_ref());
+                monitor.is_some_and(|m| m.is_trusted() && m.is_vouched())
+                    && member.is_some_and(|member| {
+                        member.payload.as_deref() == Some(&alive.payload)
+                            && member.representative == Some(alive.representative)
+                            && member.requested_interval == alive.requested_interval
+                            && member.sending_interval == alive.sending_interval
+                    })
+            })
+        };
+        let vouched = |group| {
+            let monitor = row(group).flatten().and_then(|row| row.monitor.as_ref());
+            monitor.is_some_and(PeerMonitor::is_vouched)
+        };
+        let named = |group| alives.iter().any(|alive| alive.group == group);
+        let groups = &self.peers[slot].groups;
+        alives.iter().all(held) && groups.iter().all(|&group| named(group) || !vouched(group))
     }
 
-    /// Frees the batch last applied from `from` (peer slot `slot`) once no
-    /// group it lists trusts the sender. With `resync` set the next datagram
-    /// takes the full path whatever it repeats, which would drop the batch
-    /// anyway: it is dropped now, with the same folds, instead of held until
-    /// a datagram that may never come (an Ω_l follower that withdrew). Both
-    /// cached wakes of the peer stay exact: a monitor that does not trust
-    /// the peer has no deadline, and each member entry's folded `last_heard`
-    /// is what the member wake read off the unchanged ALIVE stamp.
-    pub(super) fn release_stale_batch(&mut self, from: NodeId, slot: usize) {
-        let alive = &self.peers[slot].alive;
-        let trusted = |entry: &GroupAlive| {
-            let state = self.groups.get(entry.group);
-            let monitor = state.and_then(|state| state.rows.monitor(from));
-            monitor.is_some_and(PeerMonitor::is_trusted)
-        };
-        if !alive.resync || alive.batch.is_empty() || alive.batch.iter().any(trusted) {
-            return;
+    /// Unvouches every row of `from` (peer slot `slot`) its ALIVE stamp
+    /// vouches for, the sender's datagram before the latest having arrived
+    /// at `heard`: each keeps what the stamp bought it, in its monitor and
+    /// its `last_heard`.
+    fn unvouch_rows(&mut self, from: NodeId, slot: usize, heard: SimInstant) {
+        for &group in &self.peers[slot].groups {
+            let row = (self.groups.get_mut(group)).and_then(|state| state.rows.get_mut(from));
+            let Some(row) = row else {
+                continue;
+            };
+            if let Some(monitor) = row.monitor.as_mut().filter(|m| m.is_vouched()) {
+                monitor.unvouch(&self.peers);
+                row.last_heard = row.last_heard.max(heard);
+            }
         }
-        self.drop_alive_batch(from, slot, alive.heard);
-        self.counts[NodeCount::AliveBatchesReleased].inc();
     }
 
     /// Node-level accounting of one incoming ALIVE datagram, before the
@@ -429,16 +470,20 @@ impl ServiceNode {
         }
         // A datagram older than the one the entry holds (reordered or
         // duplicated; sequence numbers compare as 32-bit serial numbers)
-        // still proves the peer alive, but rows move only forward.
+        // still proves the peer alive, but rows move only forward. The η
+        // it declares is what the monitor is fed, older or not.
         let seq32 = seq as u32;
-        let newer = member.payload.is_none() || seq32.wrapping_sub(member.applied_seq) < 1 << 31;
+        let first = member.payload.is_none();
+        let newer = first || seq32.wrapping_sub(member.applied_seq) < 1 << 31;
         let representative_changed = newer && member.representative != Some(alive.representative);
-        let asked_changed = newer && member.requested_interval != Some(alive.requested_interval);
+        let asked_changed =
+            newer && (first || member.requested_interval != alive.requested_interval);
         if newer {
             member.applied_seq = seq32;
             member.representative = Some(alive.representative);
-            member.requested_interval = Some(alive.requested_interval);
+            member.requested_interval = alive.requested_interval;
         }
+        member.sending_interval = alive.sending_interval;
         let watched = row.monitor.is_some();
         let monitor =
             (row.monitor).get_or_insert_with(|| state.fd.monitor(&mut self.peers, from, now));
@@ -450,7 +495,6 @@ impl ServiceNode {
         let eta = alive.sending_interval;
         let transition = monitor.on_heartbeat(&mut self.peers, seq, sent_at, eta, now);
         let revived = transition == Some(Transition::BecameTrusted);
-        let trusted = monitor.is_trusted();
         if revived {
             // A revival of a suspected peer: the suspicion was a detector
             // mistake (the paper's T_MR numerator). The elector hears of
@@ -474,13 +518,6 @@ impl ServiceNode {
         let stance_after = stance(state, &self.peers);
         if asked_changed || stance_after != stance_before {
             self.alive_epoch += 1;
-        }
-        // Still suspected (the heartbeat was too old to revive it): the
-        // revival must not be skipped as a repeat. Nor may an entry this
-        // older datagram could not apply: the batch kept to repeat is now
-        // not what the row holds.
-        if !trusted || !newer {
-            self.peers[pslot].alive.resync = true;
         }
         // A heartbeat only *extends* the sender's freshness horizon: the
         // peer's timer needs moving only for a monitor that had no

@@ -21,11 +21,11 @@ pub(super) struct PeerFd {
     /// When the peer's detector timer is armed, if it is.
     pub(super) armed: Option<SimInstant>,
     /// What the peer's monitors need next, as of the last walk. `None` once
-    /// a monitor of the peer was created, reset or removed, a batch was
-    /// applied, or a class of the peer moved (η, δ), since. Nothing else
-    /// moves a monitor or its class's operating point: (η, δ) only move on
-    /// an arrival of the peer's, and every check of the peer's monitors is
-    /// in its walk.
+    /// a monitor of the peer was created, reset or removed, an ALIVE
+    /// datagram was applied, or a class of the peer moved (η, δ), since.
+    /// Nothing else moves a monitor or its class's operating point: (η, δ)
+    /// only move on an arrival of the peer's, and every check of the peer's
+    /// monitors is in its walk.
     pub(super) wake: Option<Wake>,
 }
 
@@ -129,13 +129,11 @@ impl ServiceNode {
             let suspected = monitor.check(&mut self.peers, now).is_some();
             wake = wake.merge(monitor.wake(&self.peers));
             if suspected {
-                // The revival must be noticed: no repeat may skip it.
-                self.peers[pslot].alive.resync = true;
                 self.alive_epoch += 1;
                 if let (Some(obs), Some(instruments)) = (&self.obs, &state.obs) {
                     // Detection latency T_D: silence since the suspected
                     // peer's last heartbeat or gossip (or its restart).
-                    let silent_for = now.saturating_since(self.peers[pslot].heard(group, row));
+                    let silent_for = now.saturating_since(self.peers[pslot].heard(row));
                     obs.on_detection(instruments, silent_for);
                 }
                 // Accused at the epoch of the payload it last sent, if any.
@@ -155,7 +153,6 @@ impl ServiceNode {
         entry.groups = groups;
         entry.fd.wake = Some(wake);
         self.arm_fd_timer(peer, pslot, wake.at(stamp), ctx);
-        self.release_stale_batch(peer, pslot);
         // `groups` is ascending, so each list is too.
         while !accusations.is_empty() {
             let rest = accusations.split_off(accusations.len().min(MAX_ACCUSATIONS));
@@ -164,10 +161,10 @@ impl ServiceNode {
         }
     }
 
-    /// An arrival from the peer in slot `pslot` (a `repeat` of its batch or
-    /// not) moved a class of it. The class folded its stamp in first, so
-    /// the armed timer is still early, but the cached wake priced later
-    /// stamps at the old δ. Adaptive groups' grace moves with (η, δ).
+    /// An arrival from the peer in slot `pslot` (a `repeat` of what its
+    /// rows hold or not) moved a class of it. The class folded its stamp in
+    /// first, so the armed timer is still early, but the cached wake priced
+    /// later stamps at the old δ. Adaptive groups' grace moves with (η, δ).
     pub(super) fn fd_class_moved(&mut self, pslot: usize, repeat: bool, ctx: &mut ServiceContext) {
         self.counts[NodeCount::FdReconfigurations].inc();
         if repeat {

@@ -27,7 +27,7 @@ pub(super) struct PeerGossip {
     /// When the peer's rows can first expire, as of the last walk. `None`
     /// once a membership was created or removed, or a stamp stopped
     /// vouching for one (a list moved `applied` or a member's `listed_at`,
-    /// a batch was applied), since.
+    /// an ALIVE datagram was applied), since.
     pub(super) wake: Option<MemberWake>,
 }
 
@@ -70,20 +70,20 @@ impl MemberWake {
 }
 
 impl PeerEntry {
-    /// Which of the peer's stamps vouch for its `row` in `group`: `(the
-    /// digest — the applied list names the group, the ALIVE datagram — the
-    /// applied batch lists it)`.
-    fn vouches(&self, group: GroupId, row: &PeerRow) -> (bool, bool) {
+    /// Which of the peer's stamps vouch for its `row`: `(the digest — the
+    /// applied list names the group, the ALIVE datagram — the row's monitor
+    /// is vouched for)`.
+    fn vouches(&self, row: &PeerRow) -> (bool, bool) {
         let listed_at = row.member.as_ref().and_then(|member| member.listed_at);
         let hello = listed_at.is_some() && listed_at == self.gossip.applied;
-        let alive = self.alive.batch.iter().any(|alive| alive.group == group);
+        let alive = row.monitor.as_ref().is_some_and(PeerMonitor::is_vouched);
         (hello, alive)
     }
 
-    /// When the peer's `row` in `group` was last heard from: on its own
-    /// account or by a stamp vouching for it, whichever is latest.
-    pub(super) fn heard(&self, group: GroupId, row: &PeerRow) -> SimInstant {
-        let (hello, alive) = self.vouches(group, row);
+    /// When the peer's `row` was last heard from: on its own account or by
+    /// a stamp vouching for it, whichever is latest.
+    pub(super) fn heard(&self, row: &PeerRow) -> SimInstant {
+        let (hello, alive) = self.vouches(row);
         let mut heard = row.last_heard;
         if hello {
             heard = heard.max(self.gossip.heard);
@@ -303,7 +303,6 @@ impl ServiceNode {
                 row.monitor = Some(state.fd.monitor(&mut self.peers, from, now));
             }
             self.alive_epoch += 1;
-            self.peers[slot].alive.resync = true;
             if watch {
                 self.fd_monitor_added(from, group, ctx);
             }
@@ -348,11 +347,11 @@ impl ServiceNode {
         state.elector.reevaluate(state.rows.trusted());
         self.alive_epoch += 1;
         let entry = self.peers.entry(peer);
-        // Should a member come back at its applied list or batch: pull,
-        // apply. (A row a restart left without membership is no member of
-        // the applied list, which is the new life's.)
+        // Should a member come back at its applied list: pull, apply. (A
+        // row a restart left without membership is no member of the
+        // applied list, which is the new life's.)
         if row.is_some_and(|row| row.member.is_some()) {
-            (entry.gossip.resync, entry.alive.resync) = (true, true);
+            entry.gossip.resync = true;
         }
         entry.unindex(group);
         (entry.fd.wake, entry.gossip.wake) = (None, None);
@@ -394,7 +393,7 @@ impl ServiceNode {
                     // Quiet on its own account: fold the peer's digests and
                     // repeated batches in (here, once per timeout — not on
                     // every datagram).
-                    row.last_heard = entry.heard(group, row);
+                    row.last_heard = entry.heard(row);
                     let trusted = row.monitor.as_ref().is_some_and(PeerMonitor::is_trusted);
                     if now.saturating_since(row.last_heard) > timeout
                         && !(row.member.is_some() && trusted)
@@ -403,7 +402,7 @@ impl ServiceNode {
                         continue;
                     }
                 }
-                wake.note(entry.vouches(group, row), row.last_heard);
+                wake.note(entry.vouches(row), row.last_heard);
             }
             walked.push((pslot, wake));
         }
@@ -437,8 +436,7 @@ impl ServiceNode {
         let timeout = self.config.membership_timeout;
         self.row_index_holds(peer, pslot)
             && self.groups.iter().all(|state| {
-                let fresh =
-                    |row: &PeerRow| now.saturating_since(entry.heard(state.group, row)) <= timeout;
+                let fresh = |row: &PeerRow| now.saturating_since(entry.heard(row)) <= timeout;
                 state.rows.get(peer).is_none_or(fresh)
             })
     }

@@ -443,10 +443,12 @@ impl ServiceNode {
         if join.candidate && !state.elector.is_candidate() {
             state.elector =
                 GroupElector::new_with_epoch(algorithm, me, true, now, state.elector.epoch() + 1);
+            // Ranked over the rows at once: a repeat feeds it nothing.
+            state.elector.reevaluate(state.rows.trusted());
         }
         let grace_ends = state.joined_at + state.self_election_grace(&self.peers);
         ctx.set_timer_at(election::grace_tag(group), grace_ends);
-        self.local_membership_changed();
+        self.alive_epoch += 1;
         if let Some(obs) = &self.obs {
             obs.on_join(group, now);
         }
@@ -514,20 +516,11 @@ impl ServiceNode {
         if let Some(obs) = &self.obs {
             obs.on_leave(group, ctx.now());
         }
-        self.local_membership_changed();
+        self.alive_epoch += 1;
         self.hello_version += 1;
         self.hello_list = None;
         self.send_hello(self.config.remote_peers(), false, HelloList::Omitted, ctx);
         Ok(())
-    }
-
-    /// A local join or leave: the ALIVE plan is stale, and no peer's repeated
-    /// batch may skip feeding an elector that was created or replaced.
-    fn local_membership_changed(&mut self) {
-        self.alive_epoch += 1;
-        for peer in self.peers.states_mut() {
-            peer.alive.resync = true;
-        }
     }
 
     /// Handles a possibly new incarnation of `peer`: if the peer restarted,
@@ -540,9 +533,8 @@ impl ServiceNode {
             return;
         }
         entry.incarnation = Some(incarnation);
-        // Whatever list or batch was applied belonged to the previous life.
+        // Whatever list was applied belonged to the previous life.
         entry.gossip.applied = None;
-        entry.alive.batch.clear();
         if known.is_none() {
             // First contact with this peer: nothing to reset.
             return;

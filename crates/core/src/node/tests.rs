@@ -1467,18 +1467,21 @@ fn each_destination_is_asked_for_its_own_interval_in_ascending_groups() {
 }
 
 #[test]
-fn a_batch_is_freed_once_no_group_it_lists_trusts_the_sender() {
+fn a_repeat_after_suspicions_is_applied_and_revives_the_sender() {
     // The peer lists groups 1 (T_D 1 s) and 2 (T_D 8 s), then falls
-    // silent. Group 1 suspecting it is not enough: group 2 still trusts it
-    // and reads the batch's stamp. Once group 2 suspects it too, the walk
-    // frees the batch, and the peer's next datagram, though it repeats
-    // the batch, is applied entry by entry and revives it in both.
+    // silent. Group 1 suspects it first, group 2 later; both rows stay
+    // vouched for and hold what the peer last said. The peer's next
+    // datagram says the same, but a suspecting monitor holds no repeat:
+    // it is applied entry by entry and revives the peer in both, and the
+    // datagram after it is a repeat again. (The rows outlive the
+    // silence: the membership timeout is 30 s.)
     let peer = NodeId(1);
     let groups = [GroupId(1), GroupId(2)];
     let slow = sle_fd::QosSpec::paper_default_with_detection(SimDuration::from_secs(8));
-    let config = ServiceConfig::full_mesh(NodeId(0), 2, ElectorKind::OmegaLc)
+    let mut config = ServiceConfig::full_mesh(NodeId(0), 2, ElectorKind::OmegaLc)
         .with_auto_join(groups[0], JoinConfig::candidate())
         .with_auto_join(groups[1], JoinConfig::candidate().with_qos(slow));
+    config.membership_timeout = SimDuration::from_secs(30);
     let mut drive = TimerDrive::start(config);
     let eta = SimDuration::from_millis(250);
     let batch = |seq, sent_at| ServiceMessage::AliveBatch {
@@ -1505,8 +1508,9 @@ fn a_batch_is_freed_once_no_group_it_lists_trusts_the_sender() {
         drive.settle(ctx);
     };
     let held = |drive: &TimerDrive| {
-        let slot = drive.node.peers.find(peer).expect("contacted");
-        drive.node.peers[slot].alive.batch.len()
+        let monitor = |&g| drive.node.groups.get(g).unwrap().rows.monitor(peer);
+        let vouched = |g| monitor(g).is_some_and(sle_fd::PeerMonitor::is_vouched);
+        groups.iter().filter(|&g| vouched(g)).count()
     };
     let trusted = |drive: &TimerDrive| {
         let monitor = |g| drive.node.groups.get(g).unwrap().rows.monitor(peer);
@@ -1518,14 +1522,21 @@ fn a_batch_is_freed_once_no_group_it_lists_trusts_the_sender() {
     assert_eq!((held(&drive), trusted(&drive)), (2, [true, true]));
     drive.run_to(secs(4.0)).expect("within the step budget");
     assert_eq!((held(&drive), trusted(&drive)), (2, [false, true]));
-    assert_eq!(drive.node.count(NodeCount::AliveBatchesReleased), 0);
     drive.run_to(secs(12.0)).expect("within the step budget");
-    assert_eq!((held(&drive), trusted(&drive)), (0, [false, false]));
-    assert_eq!(drive.node.count(NodeCount::AliveBatchesReleased), 1);
-    let applied = drive.node.count(NodeCount::AliveApplied);
+    assert_eq!((held(&drive), trusted(&drive)), (2, [false, false]));
+    let paths = |drive: &TimerDrive| {
+        let count = |count| drive.node.count(count);
+        (
+            count(NodeCount::AliveUnchanged),
+            count(NodeCount::AliveApplied),
+        )
+    };
+    let (unchanged, applied) = paths(&drive);
     deliver(&mut drive, 1, secs(12.0));
-    assert_eq!(drive.node.count(NodeCount::AliveApplied), applied + 1);
+    assert_eq!(paths(&drive), (unchanged, applied + 1));
     assert_eq!((held(&drive), trusted(&drive)), (2, [true, true]));
+    deliver(&mut drive, 2, secs(12.25));
+    assert_eq!(paths(&drive), (unchanged + 1, applied + 1));
 }
 
 #[test]
@@ -1654,7 +1665,7 @@ fn an_older_alive_leaves_the_row_at_the_newer_one() {
     deliver(&mut drive, 3, 1.25, (0.0, 1), 1, late, 1.25);
     let fields = (1, secs(0.0), Some(ProcessId::new(peer, 1)));
     assert_eq!(row(&drive).0, fields);
-    assert_eq!(row(&drive).1, Some(late));
+    assert_eq!(row(&drive).1, late);
 }
 
 /// One leader-change announcement, as plain comparable data:
@@ -1729,7 +1740,7 @@ struct RunCounts {
     alive_payloads: u64,
     /// Full lists, digests, pulls, stale drops, member walks.
     hello: [u64; 5],
-    /// Unchanged batches, applied batches, plan rebuilds.
+    /// Repeated datagrams, applied datagrams, plan rebuilds.
     alive: [u64; 3],
     /// Detector fires, walks, reconfigurations.
     fd: [u64; 3],
@@ -1850,9 +1861,9 @@ fn a_fixed_seed_run_replays_its_recorded_counts() {
                 events: 31_940,
                 messages: 22_812,
                 alive_payloads: 21_736,
-                hello: [82, 3_405, 22, 1, 1_016],
-                alive: [13_374, 5_116, 527],
-                fd: [3_583, 1_248, 390],
+                hello: [82, 3_405, 22, 1, 1_014],
+                alive: [13_391, 5_099, 527],
+                fd: [3_583, 1_244, 390],
                 leader_changes: 0xb1ba_5247_c815_6643,
             },
         ),
@@ -1862,9 +1873,9 @@ fn a_fixed_seed_run_replays_its_recorded_counts() {
                 events: 30_854,
                 messages: 21_992,
                 alive_payloads: 21_723,
-                hello: [81, 3_405, 21, 0, 835],
-                alive: [14_182, 3_482, 517],
-                fd: [3_563, 1_040, 352],
+                hello: [81, 3_405, 21, 0, 831],
+                alive: [14_198, 3_466, 517],
+                fd: [3_563, 1_035, 352],
                 leader_changes: 0x14e5_dbd0_969c_2103,
             },
         ),
@@ -1874,9 +1885,9 @@ fn a_fixed_seed_run_replays_its_recorded_counts() {
                 events: 13_138,
                 messages: 7_787,
                 alive_payloads: 3_704,
-                hello: [79, 3_405, 19, 1, 87],
-                alive: [4_003, 67, 183],
-                fd: [1_083, 197, 110],
+                hello: [79, 3_405, 19, 1, 79],
+                alive: [4_012, 58, 183],
+                fd: [1_083, 189, 110],
                 leader_changes: 0xd146_1ee0_5e89_4eba,
             },
         ),

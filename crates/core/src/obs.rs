@@ -89,15 +89,13 @@ node_counts! {
     /// tick skipped the others on their cached member wake without touching
     /// a group.
     HelloMemberWalks = "hello.member_walks",
-    /// ALIVE datagrams that repeated the sender's applied batch: one stamp.
+    /// ALIVE datagrams that repeated what the sender's rows hold: one stamp.
     AliveUnchanged = "alive.unchanged",
-    /// ALIVE datagrams applied entry by entry (changed, or after a resync).
+    /// ALIVE datagrams applied entry by entry: they said something the rows
+    /// do not hold, or named another set of them.
     AliveApplied = "alive.applied",
     /// Times the ALIVE tick rebuilt its fan-out plan instead of reusing it.
     AlivePlanRebuilds = "alive.plan_rebuilds",
-    /// Batches applied from a peer that were freed by a detector walk,
-    /// because no group they list trusts the peer any more.
-    AliveBatchesReleased = "alive.batches_released",
     /// Per-peer detector timers that fired.
     FdFires = "fd.fires",
     /// Fires that checked the peer's monitor in every group; the others
@@ -106,7 +104,7 @@ node_counts! {
     /// ALIVE datagrams whose arrival moved the operating point (η, δ) of
     /// some QoS class of the sender — the one place they move.
     FdReconfigurations = "fd.reconfigurations",
-    /// Of those, datagrams that repeated the sender's applied batch: the
+    /// Of those, datagrams that repeated what the sender's rows hold: the
     /// moves that alone drop the peer's cached detector wake.
     FdMovesOnRepeats = "fd.reconfigurations_on_repeats",
     /// ACCUSE entries dropped because their epoch predated the group's

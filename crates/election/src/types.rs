@@ -97,7 +97,7 @@ impl Rank {
 
 /// A "this is my current local leader" claim forwarded inside ALIVE messages
 /// by the Ωlc algorithm (the second stage of its leader selection).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LeaderClaim {
     /// The claimed leader.
     pub node: NodeId,
@@ -118,7 +118,7 @@ impl LeaderClaim {
 /// sequence number, send timestamp, sending interval — are carried by the
 /// enclosing service message); this payload carries what the election
 /// algorithms need.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AlivePayload {
     /// The sender's current accusation time.
     pub accusation_time: SimInstant,

@@ -318,6 +318,13 @@ impl PeerMonitor {
         self.state == TrustState::Trusted
     }
 
+    /// Whether the peer's freshness stamp extends the monitor's horizon:
+    /// it was fed a heartbeat since the owner last
+    /// [`unvouch`](PeerMonitor::unvouch)ed it.
+    pub fn is_vouched(&self) -> bool {
+        self.heard == Heard::Vouched
+    }
+
     /// The horizon the monitor holds while the peer's stamp is `stamp`:
     /// its own, and while vouched what the class's stamp bought.
     fn horizon_at(&self, point: &OperatingPoint, stamp: SimInstant) -> SimInstant {

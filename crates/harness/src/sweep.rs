@@ -207,21 +207,26 @@ impl SweepSummary {
 
     /// Checks that the sweep put both ALIVE receive paths under the
     /// invariant checker where it matters: every family that silences or
-    /// crashes a live peer must have repeated batches (the stamp path) and
-    /// applied some, and the partitions must have healed into revivals — a
-    /// revival is a datagram that repeated the applied batch and still had
-    /// to be applied, because a suspicion came between. The same families
-    /// must show both kinds of detector fire: re-armed from the peer's
-    /// wake without touching a group, and walking the peer's groups. The
-    /// partitions and the membership churn must show both kinds of HELLO
-    /// tick likewise: some peers' groups walked, and fewer walks than the
-    /// digests sent (one per peer and tick), so most peers left alone.
+    /// crashes a live peer, and the duplication and reordering that send
+    /// late copies, must have repeated what the rows hold (the stamp path)
+    /// and applied some, and the partitions must have healed into revivals
+    /// — a revival is a datagram that says what the rows hold and still
+    /// had to be applied, because a suspicion came between. The silencing
+    /// families must show both kinds of detector fire: re-armed from the
+    /// peer's wake without touching a group, and walking the peer's groups.
+    /// The partitions and the membership churn must show both kinds of
+    /// HELLO tick likewise: some peers' groups walked, and fewer walks than
+    /// the digests sent (one per peer and tick), so most peers left alone.
     ///
     /// # Errors
     ///
     /// Names what was not exercised.
     pub fn alive_paths_exercised(&self) -> Result<(), String> {
-        for kind in [PlanKind::PartitionHeal, PlanKind::LeaderChurn] {
+        for kind in [
+            PlanKind::PartitionHeal,
+            PlanKind::LeaderChurn,
+            PlanKind::DupReorder,
+        ] {
             let family = kind.name();
             let total = |count| self.total(family, |c| c.count(count));
             let unchanged = total(NodeCount::AliveUnchanged);
@@ -230,6 +235,9 @@ impl SweepSummary {
                 return Err(format!(
                     "{family} runs took one ALIVE path only ({unchanged} unchanged, {applied} applied)"
                 ));
+            }
+            if kind == PlanKind::DupReorder {
+                continue;
             }
             if kind == PlanKind::PartitionHeal && self.total(family, CellSummary::revivals) == 0 {
                 return Err(format!("no {family} run revived a suspected peer"));
@@ -256,8 +264,8 @@ impl SweepSummary {
     }
 
     /// Checks that the sweep moved an operating point (η, δ) on a repeated
-    /// ALIVE batch under the invariant checker: the one move that must drop
-    /// a cached detector wake no applied batch drops. Loss, reordering and
+    /// ALIVE datagram under the invariant checker: the one move that must
+    /// drop a cached detector wake no applied datagram drops. Loss, reordering and
     /// a delay step move the link estimate, so the duplication/reordering
     /// and drift families must have done it between them.
     ///
@@ -511,7 +519,8 @@ mod tests {
         assert!(summary.render().contains("large-churn"));
         assert!(summary.render().contains("hello pulls"));
         // The churn and duplication families leave the digest fast path;
-        // the partition and crash families both ALIVE paths.
+        // the partition, crash and duplication families take both ALIVE
+        // paths.
         assert_eq!(summary.hello_paths_exercised(), Ok(()));
         assert_eq!(summary.alive_paths_exercised(), Ok(()));
         assert_eq!(summary.fd_moves_exercised(), Ok(()));

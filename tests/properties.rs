@@ -992,7 +992,66 @@ mod alive_fast_path {
         }
     }
 
-    /// What the peer puts on the wire for `listed` groups, all at `eta`.
+    /// The peer's election payload under `algorithm`, accused last at
+    /// `accusation_time` (epoch `epoch`): under Ω_lc it claims itself its
+    /// local leader.
+    fn payload(algorithm: ElectorKind, accusation_time: SimInstant, epoch: u64) -> AlivePayload {
+        let claim = sle_election::LeaderClaim {
+            node: PEER,
+            accusation_time,
+        };
+        AlivePayload {
+            accusation_time,
+            epoch,
+            local_leader: (algorithm == ElectorKind::OmegaLc).then_some(claim),
+        }
+    }
+
+    /// One datagram of the peer's: a batch of one is a single ALIVE, as
+    /// the sender encodes it.
+    fn datagram(
+        incarnation: u64,
+        seq: u64,
+        sent_at: SimInstant,
+        alives: Vec<GroupAlive>,
+    ) -> ServiceMessage {
+        match alives[..] {
+            [ref alive] => ServiceMessage::Alive {
+                group: alive.group,
+                header: AliveHeader {
+                    incarnation,
+                    seq,
+                    sent_at,
+                    sending_interval: alive.sending_interval,
+                    requested_interval: alive.requested_interval,
+                },
+                payload: alive.payload,
+                representative: alive.representative,
+            },
+            _ => ServiceMessage::AliveBatch {
+                incarnation,
+                seq,
+                sent_at,
+                alives,
+            },
+        }
+    }
+
+    /// The peer's entries for `listed` groups, all at `eta` and with the
+    /// payload it starts with.
+    fn entries(algorithm: ElectorKind, listed: &[GroupId], eta: SimDuration) -> Vec<GroupAlive> {
+        let entry = |&group| GroupAlive {
+            group,
+            sending_interval: eta,
+            requested_interval: ms(250),
+            payload: payload(algorithm, SimInstant::ZERO, 0),
+            representative: ProcessId::new(PEER, 0),
+        };
+        listed.iter().map(entry).collect()
+    }
+
+    /// What the peer puts on the wire for `listed` groups, all at `eta`
+    /// and with the payload it starts with.
     pub(super) fn alive(
         algorithm: ElectorKind,
         incarnation: u64,
@@ -1001,43 +1060,7 @@ mod alive_fast_path {
         listed: &[GroupId],
         eta: SimDuration,
     ) -> ServiceMessage {
-        let claim = sle_election::LeaderClaim {
-            node: PEER,
-            accusation_time: SimInstant::ZERO,
-        };
-        let payload = AlivePayload {
-            accusation_time: SimInstant::ZERO,
-            epoch: 0,
-            local_leader: (algorithm == ElectorKind::OmegaLc).then_some(claim),
-        };
-        let entry = |&group| GroupAlive {
-            group,
-            sending_interval: eta,
-            requested_interval: ms(250),
-            payload,
-            representative: ProcessId::new(PEER, 0),
-        };
-        match listed {
-            // The sender encodes a batch of one as a single ALIVE.
-            [group] => ServiceMessage::Alive {
-                group: *group,
-                header: AliveHeader {
-                    incarnation,
-                    seq,
-                    sent_at,
-                    sending_interval: eta,
-                    requested_interval: ms(250),
-                },
-                payload,
-                representative: ProcessId::new(PEER, 0),
-            },
-            _ => ServiceMessage::AliveBatch {
-                incarnation,
-                seq,
-                sent_at,
-                alives: listed.iter().map(entry).collect(),
-            },
-        }
+        datagram(incarnation, seq, sent_at, entries(algorithm, listed, eta))
     }
 
     /// The eager NFD-S monitor of one group, fed every delivered heartbeat.
@@ -1089,11 +1112,13 @@ mod alive_fast_path {
     /// Rig and model side by side.
     struct Pair {
         rig: Rig,
+        algorithm: ElectorKind,
         groups: Vec<GroupId>,
         model: Vec<Eager>,
-        /// Per group, whether the model was delivered an ALIVE payload of
-        /// the peer's current life.
-        heard: Vec<bool>,
+        /// Per group, the eager row: the newest (32-bit serial) sequence
+        /// number delivered of the peer's current life, with its payload.
+        /// Every copy is applied, and a row moves only forward.
+        rows: Vec<Option<(u32, AlivePayload)>>,
     }
 
     impl Pair {
@@ -1103,9 +1128,10 @@ mod alive_fast_path {
 
         fn joined(algorithm: ElectorKind, joins: Vec<(GroupId, JoinConfig)>) -> Pair {
             Pair {
+                algorithm,
                 groups: joins.iter().map(|j| j.0).collect(),
                 model: joins.iter().map(|j| Eager::new(&j.1)).collect(),
-                heard: vec![false; joins.len()],
+                rows: vec![None; joins.len()],
                 rig: Rig::joined(algorithm, joins),
             }
         }
@@ -1113,16 +1139,21 @@ mod alive_fast_path {
         /// Forgets what the model's monitor of the peer in group `i` knew.
         fn reset_model(&mut self, i: usize) {
             self.model[i] = Eager::new(&self.rig.join(self.groups[i]));
-            self.heard[i] = false;
+            self.rows[i] = None;
         }
 
         /// The leader Ω elects in group `i` among this node and the peer,
         /// if the model trusts the peer and has its payload. The peer has
-        /// the smaller id and the earlier accusation time, so every rule
-        /// ranks it first; without it this node leads itself.
+        /// the smaller id, and this node's accusation time is `START`, so
+        /// the peer leads under Ω_id, and under Ω_lc and Ω_l while its
+        /// payload's accusation time is no later; otherwise, or without
+        /// it, this node leads itself.
         fn model_leader(&self, i: usize) -> Option<ProcessId> {
-            if self.heard[i] && !self.model[i].suspected {
-                return Some(ProcessId::new(PEER, 0));
+            if let (Some((_, payload)), false) = (self.rows[i], self.model[i].suspected) {
+                let ranked = self.algorithm == ElectorKind::OmegaId;
+                if ranked || payload.accusation_time <= START {
+                    return Some(ProcessId::new(PEER, 0));
+                }
             }
             self.rig
                 .node
@@ -1131,9 +1162,22 @@ mod alive_fast_path {
                 .copied()
         }
 
-        /// Node and model must agree, group by group, at `self.rig.now`.
+        /// Node and model must agree, group by group, at `self.rig.now`:
+        /// on trust, on the leader, and on the epoch every ACCUSE the node
+        /// sent the peer names — its row's payload's.
         fn check(&mut self, what: &str) {
             let now = self.rig.now;
+            for (to, msg) in self.rig.sent.drain(..) {
+                let ServiceMessage::Accuse { accusations } = msg else {
+                    continue;
+                };
+                assert_eq!(to, PEER, "{what}");
+                for (group, epoch) in accusations {
+                    let i = self.groups.iter().position(|&g| g == group).unwrap();
+                    let row = self.rows[i].map(|(_, payload)| payload.epoch);
+                    assert_eq!(Some(epoch), row, "{what}: accused in {group:?} at {now:?}");
+                }
+            }
             for (i, &group) in self.groups.iter().enumerate() {
                 self.model[i].expire(now);
                 let model = (self.model[i].suspicions, self.model[i].mistakes);
@@ -1173,14 +1217,37 @@ mod alive_fast_path {
             eta: SimDuration,
             what: &str,
         ) {
+            let alives = entries(algorithm, listed, eta);
+            self.deliver_entries((seq, sent_at), alives, what);
+        }
+
+        /// Delivers one datagram of the peer's current life carrying
+        /// `alives` to both.
+        fn deliver_entries(
+            &mut self,
+            (seq, sent_at): (u64, SimInstant),
+            alives: Vec<GroupAlive>,
+            what: &str,
+        ) {
             let now = self.rig.now;
-            for &group in listed {
-                let i = self.groups.iter().position(|&g| g == group).unwrap();
-                self.model[i].heartbeat(sent_at, eta, self.rig.shift(group), now);
-                self.heard[i] = true;
+            self.rig
+                .deliver(PEER, datagram(1, seq, sent_at, alives.clone()));
+            // Each heartbeat is priced at the δ in force once its arrival
+            // was recorded: an arrival may re-derive (η, δ) before it feeds
+            // a monitor. (An entry of a group the model does not hold is
+            // not judged.)
+            for alive in &alives {
+                let Some(i) = self.groups.iter().position(|&g| g == alive.group) else {
+                    continue;
+                };
+                let (eta, shift) = (alive.sending_interval, self.rig.shift(alive.group));
+                self.model[i].heartbeat(sent_at, eta, shift, now);
+                let newer =
+                    |&(held, _): &(u32, AlivePayload)| (seq as u32).wrapping_sub(held) < 1 << 31;
+                if self.rows[i].is_none_or(|row| newer(&row)) {
+                    self.rows[i] = Some((seq as u32, alive.payload));
+                }
             }
-            let msg = alive(algorithm, 1, seq, sent_at, listed, eta);
-            self.rig.deliver(PEER, msg);
             self.check(what);
         }
     }
@@ -1389,21 +1456,28 @@ mod alive_fast_path {
                 "{what}"
             );
             let (unchanged, applied) = pair.rig.paths();
-            // Slow: first contact, the drop, the late copy, the batch after
-            // it, and the one after the dropped group's suspicion.
-            assert_eq!((unchanged, applied), (25 - 5, 5), "{what}");
+            // Slow: first contact, the drop, the late copy and the batch
+            // after it. The dropped group's suspicion is in no row the
+            // batches name.
+            assert_eq!((unchanged, applied), (25 - 4, 4), "{what}");
         }
     }
 
-    /// (d) A local join, a local leave, a HELLO that changes the peer's
-    /// member entry, a LEAVE that removes it and a new incarnation each send
-    /// the next datagram down the slow path — once.
+    /// (d) A change to a row the datagram names sends the next datagram
+    /// down the slow path — once: a local join of a group it names, a HELLO
+    /// that changes the peer's member entry, a LEAVE that removes it, a new
+    /// incarnation. A local change to a group whose rows the datagram does
+    /// not name — a listener's upgrade to candidate, a leave — leaves it a
+    /// repeat, and the upgraded elector ranks the rows at once: under Ω_l
+    /// it stands down for the better-ranked peer.
     #[test]
     fn structural_changes_force_one_slow_datagram() {
         let algorithm = ElectorKind::OmegaL;
         let what = "structural";
         let mut pair = Pair::new(algorithm, 2);
-        let listed = pair.groups.clone();
+        let extra = GroupId(9);
+        // The peer also sends for a group the node is not in yet.
+        let listed = [pair.groups[0], pair.groups[1], extra];
         let mut round = 0;
         let mut repeat = |pair: &mut Pair, want_slow: u64, why: &str| {
             for slow in [want_slow, 0, 0] {
@@ -1419,16 +1493,30 @@ mod alive_fast_path {
             }
         };
         repeat(&mut pair, 1, "first contact");
-        let extra = GroupId(9);
-        let process = ProcessId::new(ME, 0);
+        let [listener, candidate] = [0, 1].map(|_| {
+            let mut process = None;
+            pair.rig
+                .call(|node, _| process = Some(node.register_process()));
+            process.unwrap()
+        });
         pair.rig.call(|node, ctx| {
-            node.join_group(process, extra, JoinConfig::candidate(), ctx)
+            node.join_group(listener, extra, JoinConfig::listener(), ctx)
                 .unwrap()
         });
-        repeat(&mut pair, 1, "local join");
-        pair.rig
-            .call(|node, ctx| node.leave_group(process, extra, ctx).unwrap());
-        repeat(&mut pair, 1, "local leave");
+        repeat(&mut pair, 1, "local join of a named group");
+        pair.rig.call(|node, ctx| {
+            node.join_group(candidate, extra, JoinConfig::candidate(), ctx)
+                .unwrap()
+        });
+        assert!(!pair.rig.node.is_competing(extra), "upgraded, outranked");
+        repeat(&mut pair, 0, "local upgrade to candidate");
+        assert!(!pair.rig.node.is_competing(extra), "upgraded, outranked");
+        for process in [listener, candidate] {
+            pair.rig
+                .call(|node, ctx| node.leave_group(process, extra, ctx).unwrap());
+        }
+        repeat(&mut pair, 0, "local leave");
+        let listed = &listed[..2];
         let hello = ServiceMessage::Hello {
             incarnation: 1,
             version: 3,
@@ -1464,9 +1552,9 @@ mod alive_fast_path {
         }
         let (unchanged, applied) = pair.rig.paths();
         pair.rig
-            .deliver(PEER, alive(algorithm, 2, 0, sent_at, &listed, ms(250)));
+            .deliver(PEER, alive(algorithm, 2, 0, sent_at, listed, ms(250)));
         pair.rig
-            .deliver(PEER, alive(algorithm, 2, 1, sent_at, &listed, ms(250)));
+            .deliver(PEER, alive(algorithm, 2, 1, sent_at, listed, ms(250)));
         assert_eq!(
             pair.rig.paths(),
             (unchanged + 1, applied + 1),
@@ -1559,6 +1647,231 @@ mod alive_fast_path {
                 all.iter().all(|&g| pair.rig.verdicts(g) == (1, 1)),
                 "{what}"
             );
+        }
+    }
+
+    /// (e') A datagram naming one group twice names one group: the other
+    /// group it drops stops being vouched for and expires on what it was
+    /// really sent, while the named one stays trusted.
+    #[test]
+    fn a_group_named_twice_is_one_group() {
+        for algorithm in ElectorKind::all() {
+            let what = format!("{algorithm:?}");
+            let mut pair = Pair::new(algorithm, 2);
+            let all = pair.groups.clone();
+            for round in 0..8 {
+                tick(&mut pair, algorithm, round, &all, &what);
+            }
+            let twice = [all[0], all[0]];
+            for round in 8..24 {
+                tick(&mut pair, algorithm, round, &twice, &what);
+            }
+            assert_eq!(pair.rig.verdicts(all[1]), (1, 0), "{what}");
+            assert_eq!(pair.rig.verdicts(all[0]), (0, 0), "{what}");
+            // Slow: first contact and the first datagram naming one group.
+            assert_eq!(pair.rig.paths(), (22, 2), "{what}");
+        }
+    }
+
+    /// (g) The peer is accused now and then — its payload's accusation
+    /// time moves to the send and its epoch goes up — and declares η of
+    /// 250 or 200 ms in turn, while its copies are lost, duplicated and
+    /// reordered by up to 700 ms, more than η, through two outages. Every
+    /// copy is judged like the eager model's, which applies each one and
+    /// moves a row only forward: trust, the leader its payload ranks, and
+    /// the epoch every accusation names.
+    #[test]
+    fn reordered_copies_of_changing_payloads_are_judged_like_eager_ones() {
+        let mut rng = SimRng::seed_from(0xA11FE3);
+        for algorithm in ElectorKind::all() {
+            for case in 0..4 {
+                let what = format!("{algorithm:?}, case {case}");
+                let mut pair = Pair::new(algorithm, 1 + rng.uniform_usize(3) as u32);
+                let listed = pair.groups.clone();
+                let outages = [8, 24].map(|s| s + rng.uniform_usize(8) as u64);
+                let in_outage = |at: SimInstant| {
+                    outages.iter().any(|&s| {
+                        let from = START + SimDuration::from_secs(s);
+                        at >= from && at < from + ms(1400)
+                    })
+                };
+                let (mut accused_at, mut epoch, mut eta) = (START - ms(500), 0, ms(250));
+                // (deliver_at, seq, sent_at, entries), kept sorted by delivery.
+                let mut flying: Vec<(SimInstant, u64, SimInstant, Vec<GroupAlive>)> = Vec::new();
+                let (mut seq, mut next_send) = (0u64, START + ms(7));
+                let end = START + SimDuration::from_secs(40);
+                let (mut accusations, mut late) = (0, 0);
+                while next_send < end || !flying.is_empty() {
+                    let next_delivery = flying.first().map(|f| f.0);
+                    if next_send < end && next_delivery.is_none_or(|at| next_send <= at) {
+                        pair.run_to(next_send, &what);
+                        if rng.bernoulli(0.05) {
+                            (accused_at, epoch) = (next_send, epoch + 1);
+                            accusations += 1;
+                        }
+                        if rng.bernoulli(0.05) {
+                            eta = if eta == ms(250) { ms(200) } else { ms(250) };
+                        }
+                        let alives: Vec<GroupAlive> = (listed.iter())
+                            .map(|&group| GroupAlive {
+                                group,
+                                sending_interval: eta,
+                                requested_interval: ms(250),
+                                payload: payload(algorithm, accused_at, epoch),
+                                representative: ProcessId::new(PEER, 0),
+                            })
+                            .collect();
+                        let copies = if in_outage(next_send) {
+                            0
+                        } else {
+                            1 + usize::from(rng.bernoulli(0.3))
+                        };
+                        for _ in 0..copies {
+                            if !rng.bernoulli(0.05) {
+                                let jitter = rng.next_u64() % 700_000_000;
+                                let delay = SimDuration::from_nanos(2_000_000 + jitter);
+                                flying.push((next_send + delay, seq, next_send, alives.clone()));
+                            }
+                        }
+                        flying.sort_by_key(|f| (f.0, f.1));
+                        seq += 1;
+                        next_send += eta;
+                    } else {
+                        let (at, seq, sent_at, alives) = flying.remove(0);
+                        pair.run_to(at, &what);
+                        let newest = pair.rows[0].map_or(0, |(held, _)| held);
+                        late += u64::from((seq as u32) < newest);
+                        pair.deliver_entries((seq, sent_at), alives, &what);
+                    }
+                }
+                let (unchanged, applied) = pair.rig.paths();
+                let counts = format!(
+                    "{accusations} accused, {late} late, {unchanged} unchanged, {applied} applied"
+                );
+                assert!(accusations > 0 && late > 20, "{what}: {counts}");
+                assert!(unchanged > 100 && applied > 10, "{what}: {counts}");
+                let revived: u64 = pair.model.iter().map(|m| m.mistakes).sum();
+                assert!(
+                    revived > 0,
+                    "{what}: the outages must have been suspected through"
+                );
+            }
+        }
+    }
+
+    /// The eager row of one group for the two scripted cases below: the
+    /// interval and representative of the newest copy delivered, the
+    /// representative cleared by a HELLO that changes the member entry.
+    #[derive(Debug, Default)]
+    struct EagerRow {
+        seq: Option<u64>,
+        asked: SimDuration,
+        representative: Option<ProcessId>,
+    }
+
+    impl EagerRow {
+        fn deliver(&mut self, seq: u64, asked: SimDuration, representative: ProcessId) {
+            if self.seq.is_none_or(|held| seq >= held) {
+                (self.seq, self.asked) = (Some(seq), asked);
+                self.representative = Some(representative);
+            }
+        }
+    }
+
+    /// One entry of the peer's for group 1: asking `asked`, advertising
+    /// its process `local`, with the payload it starts with under
+    /// `algorithm`.
+    fn entry(algorithm: ElectorKind, asked: SimDuration, local: u32) -> GroupAlive {
+        GroupAlive {
+            group: GroupId(1),
+            sending_interval: ms(250),
+            requested_interval: asked,
+            payload: payload(algorithm, SimInstant::ZERO, 0),
+            representative: ProcessId::new(PEER, local),
+        }
+    }
+
+    /// (h) A late copy once left a row stale for as long as the peer
+    /// repeated itself; judged against the eager row. The interval the
+    /// peer asks for goes A → B, a late copy asking A arrives, then the
+    /// peer asks A again under newer sequence numbers: the row, and the
+    /// interval this node sends at, go back to A. (Under Ω_lc this node
+    /// competes behind the peer, and sends at the interval it asks for.)
+    #[test]
+    fn a_late_copy_of_an_older_interval_leaves_no_row_stale() {
+        let algorithm = ElectorKind::OmegaLc;
+        let (a, b) = (ms(100), ms(50));
+        let mut rig = Rig::new(algorithm, &[GroupId(1)]);
+        let mut model = EagerRow::default();
+        let script = [
+            (0, a),
+            (1, a),
+            (2, a),
+            (4, b),
+            (5, b),
+            (3, a),
+            (6, a),
+            (7, a),
+            (8, a),
+        ];
+        for (step, (seq, asked)) in script.into_iter().enumerate() {
+            let at = START + ms(250 * step as u64) + ms(2);
+            rig.run_to(at);
+            let alives = vec![entry(algorithm, asked, 0)];
+            rig.deliver(PEER, datagram(1, seq, START + ms(250 * seq), alives));
+            model.deliver(seq, asked, ProcessId::new(PEER, 0));
+            rig.sent.clear();
+            rig.run_to(at + ms(240));
+            let interval = (rig.sent.iter()).rev().find_map(|(to, msg)| match msg {
+                ServiceMessage::Alive { header, .. } if *to == PEER => {
+                    Some(header.sending_interval)
+                }
+                _ => None,
+            });
+            assert_eq!(interval, Some(model.asked), "after seq {seq}");
+        }
+    }
+
+    /// (h') The other way: a HELLO that changes the member entry clears
+    /// the advertised representative, then an older copy arrives first. It
+    /// is refused, and the next newer copy restores the representative
+    /// this node announces as the leader — the peer leads under every
+    /// algorithm, announced as the process its ALIVEs advertise, else as
+    /// its first candidate.
+    #[test]
+    fn a_late_copy_after_a_hello_leaves_no_row_stale() {
+        let group = GroupId(1);
+        for algorithm in ElectorKind::all() {
+            let mut rig = Rig::new(algorithm, &[group]);
+            let mut model = EagerRow::default();
+            let processes = vec![
+                (ProcessId::new(PEER, 0), true),
+                (ProcessId::new(PEER, 1), true),
+            ];
+            let hello = ServiceMessage::Hello {
+                incarnation: 1,
+                version: 1,
+                sent_at: START,
+                pull: false,
+                announcements: HelloList::Full(Arc::from([GroupAnnouncement { group, processes }])),
+            };
+            // Seq 5 arrives first; `None` is the HELLO.
+            for (step, seq) in [Some(5), None, Some(4), Some(6), Some(7)]
+                .into_iter()
+                .enumerate()
+            {
+                rig.run_to(START + ms(250 * step as u64) + ms(2));
+                if let Some(seq) = seq {
+                    let alives = vec![entry(algorithm, ms(250), 1)];
+                    rig.deliver(PEER, datagram(1, seq, START + ms(250 * seq), alives));
+                    model.deliver(seq, ms(250), ProcessId::new(PEER, 1));
+                } else {
+                    rig.deliver(PEER, hello.clone());
+                    model.representative = None;
+                }
+                let want = model.representative.or(Some(ProcessId::new(PEER, 0)));
+                assert_eq!(rig.node.leader_of(group), want, "{algorithm:?}, {seq:?}");
+            }
         }
     }
 
