@@ -3,6 +3,16 @@
 //! An arrival is also the one place a peer's operating points (η, δ) move:
 //! the datagram's sample is recorded once, before either receive path, and
 //! a move it causes is acted on once, after it.
+//!
+//! The tick follows the sending set, not the clock: it is armed only while
+//! some group ticks — sends ALIVEs, leads, or waits to mint — so a silent
+//! Ω_l follower never wakes for it. Which groups tick moves only with
+//! `alive_epoch`, and every entry point ends in
+//! [`ServiceNode::sync_alive_tick`], one comparison when the epoch stayed.
+//! A group that starts ticking sends in the slot its last send left it
+//! (its due time) if that slot is still ahead, and at once otherwise: a
+//! follower that suspects its leader competes in the same instant, and a
+//! group's re-entries never crowd its ALIVEs closer than its own cadence.
 
 use std::hash::{Hash, Hasher};
 
@@ -63,6 +73,11 @@ fn fingerprint(epoch: u64, alives: &[GroupAlive]) -> u64 {
     chain.finish() | 1
 }
 
+/// Whether the 32-bit serial number `seq` is `than` or after it.
+fn seq_newer(seq: u32, than: u32) -> bool {
+    seq.wrapping_sub(than) < 1 << 31
+}
+
 /// What one destination is sent of a grid's group: the entry's index, and
 /// the η that group's monitor asks of the destination.
 type Pick = (u32, SimDuration);
@@ -88,21 +103,80 @@ pub(super) struct AliveGrid {
     sends: Vec<(NodeId, u32, Vec<Pick>)>,
 }
 
+/// Whether `state` keeps the node's ALIVE tick: it sends ALIVEs, or it
+/// leads — renewing its lease, or waiting out the settle delay to mint.
+fn ticks(state: &GroupState) -> bool {
+    state.should_send_alives() || state.led_since.is_some()
+}
+
+/// `state`'s ALIVE entry as node `me` sends it, with every field but the
+/// per-destination `requested_interval`.
+fn alive_entry(me: NodeId, state: &GroupState) -> GroupAlive {
+    GroupAlive {
+        group: state.group,
+        sending_interval: state.send_interval(),
+        requested_interval: SimDuration::ZERO,
+        payload: state.elector.alive_payload(state.rows.trusted()),
+        representative: (state.local_representative(me)).unwrap_or_else(|| ProcessId::new(me, 0)),
+    }
+}
+
+/// The η `state` asks of `row`'s peer: what its monitor of the peer asks,
+/// or the default for `T_D` where it watches none.
+fn asked_of(state: &GroupState, row: &PeerRow, peers: &Peers) -> SimDuration {
+    let asked = || default_interval(state.fd.qos().detection_time());
+    (row.monitor.as_ref()).map_or_else(asked, |m| m.requested_interval(peers))
+}
+
 impl ServiceNode {
-    /// Re-arms the per-node ALIVE tick at the earliest due time across all
-    /// groups (or cancels it when the node is in no group).
-    pub(super) fn arm_alive_timer(&self, ctx: &mut ServiceContext) {
-        let due = |(_, slot): (u32, u32)| self.groups.due[slot as usize];
-        match self.groups.index.iter().map(due).min() {
+    /// When the ALIVE tick is due, derived from the groups: the earliest due
+    /// time of those that tick, if any does.
+    fn alive_tick_due(&self) -> Option<SimInstant> {
+        let slots = self.groups.index.iter().map(|(_, slot)| slot);
+        let ticking = slots.filter(|&slot| ticks(self.groups.slot(slot)));
+        ticking.map(|slot| self.groups.due[slot as usize]).min()
+    }
+
+    /// Arms the ALIVE tick at `next`, or disarms it, unless it already is.
+    /// A disarmed tick drops the cached plan too: no tick would rebuild it,
+    /// and a follower would hold the fan-out of its last competing round.
+    fn arm_alive_tick(&mut self, next: Option<SimInstant>, ctx: &mut ServiceContext) {
+        if next.is_none() {
+            self.alive_plan = Default::default();
+        }
+        if next == self.alive_armed {
+            return;
+        }
+        match next {
             Some(at) => ctx.set_timer_at(ALIVE_TIMER, at),
             None => ctx.cancel_timer(ALIVE_TIMER),
         }
+        self.alive_armed = next;
     }
 
-    /// Builds the ALIVE plan from scratch: groups partitioned into grids by
-    /// `(due time, send interval)`, and per grid what each member workstation
-    /// of a group this node competes in is sent. Groups are visited in
-    /// ascending id, so every destination's picks are too.
+    /// Keeps the ALIVE tick armed at the earliest due time of the groups
+    /// that tick, and disarmed while none does: the last step of every
+    /// entry point. Only a moved `alive_epoch` can change which groups
+    /// tick, so while it stays this is one comparison. A group that starts
+    /// ticking keeps its due time, so a due time already passed fires the
+    /// tick at once (counted as a re-entry). Debug builds assert that the
+    /// armed tick is the one derived from the groups.
+    pub(super) fn sync_alive_tick(&mut self, ctx: &mut ServiceContext) {
+        if self.alive_synced != self.alive_epoch {
+            self.alive_synced = self.alive_epoch;
+            let next = self.alive_tick_due();
+            if next != self.alive_armed && next.is_some_and(|at| at <= ctx.now()) {
+                self.counts[NodeCount::AliveReentries].inc();
+            }
+            self.arm_alive_tick(next, ctx);
+        }
+        debug_assert_eq!(self.alive_armed, self.alive_tick_due(), "stale ALIVE tick");
+    }
+
+    /// Builds the ALIVE plan from scratch: the groups that tick partitioned
+    /// into grids by `(due time, send interval)`, and per grid what each
+    /// member workstation of a group this node competes in is sent. Groups
+    /// are visited in ascending id, so every destination's picks are too.
     fn build_alive_grids(&mut self) -> Vec<AliveGrid> {
         let me = self.config.node;
         let mut grids: Vec<AliveGrid> = Vec::new();
@@ -112,6 +186,9 @@ impl ServiceNode {
             let group = GroupId(group);
             let due = self.groups.due[gslot as usize];
             let state = self.groups.slot(gslot);
+            if !ticks(state) {
+                continue;
+            }
             let interval = state.send_interval();
             let at = grids
                 .iter()
@@ -134,19 +211,9 @@ impl ServiceNode {
                 continue;
             }
             let entry = grid.entries.len() as u32;
-            grid.entries.push(GroupAlive {
-                group,
-                sending_interval: interval,
-                requested_interval: SimDuration::ZERO,
-                payload: state.elector.alive_payload(state.rows.trusted()),
-                representative: (state.local_representative(me))
-                    .unwrap_or_else(|| ProcessId::new(me, 0)),
-            });
-            let asked = default_interval(state.fd.qos().detection_time());
+            grid.entries.push(alive_entry(me, state));
             for (row, _) in state.rows.members() {
-                let dest = row.peer;
-                let monitor = row.monitor.as_ref();
-                let eta = monitor.map_or(asked, |m| m.requested_interval(&self.peers));
+                let (dest, eta) = (row.peer, asked_of(state, row, &self.peers));
                 let pslot = self.peers.intern(dest) as u32;
                 picks[at].push((dest, pslot, (entry, eta)));
             }
@@ -175,6 +242,7 @@ impl ServiceNode {
     /// number. The plan is rebuilt only when one of its inputs moved.
     pub(super) fn handle_alive_tick(&mut self, ctx: &mut ServiceContext) {
         let now = ctx.now();
+        self.alive_armed = None;
         let key = Some((self.alive_epoch, self.peers.params_epoch()));
         let (built_at, mut grids) = std::mem::take(&mut self.alive_plan);
         if built_at != key {
@@ -227,11 +295,10 @@ impl ServiceNode {
         // Counted once per tick: every count is an atomic add.
         self.counts[NodeCount::AlivePayloadsSent].add(payloads);
         self.counts[NodeCount::AliveDatagramsSent].add(datagrams);
-        // Advance the due grids — always, so a node that re-enters the
-        // competition resumes sending within one interval — snapped to the
-        // node-wide grid of the interval, so groups joined at staggered
-        // times converge onto a shared phase after their first send and
-        // keep sharing datagrams. The gap between consecutive sends never
+        // The due grids' next slot is on the node-wide grid of their
+        // interval, so groups joined or re-entered at staggered times
+        // converge onto a shared phase after their first send and keep
+        // sharing datagrams. The gap between consecutive sends never
         // exceeds one interval, so receivers' freshness horizons are
         // unaffected.
         for grid in grids.iter_mut().filter(|grid| grid.due <= now) {
@@ -245,11 +312,40 @@ impl ServiceNode {
         if (1..grids.len()).any(|i| grids[..i].iter().any(|g| same(g, &grids[i]))) {
             self.alive_epoch += 1;
         }
-        // Every group is in one grid: the earliest grid is the next tick.
-        if let Some(next) = grids.iter().map(|grid| grid.due).min() {
-            ctx.set_timer_at(ALIVE_TIMER, next);
+        // Unless the tick moved which groups tick (then the entry point's
+        // sync re-derives it), every ticking group is in one grid: the
+        // earliest grid is the next tick.
+        if self.alive_epoch == self.alive_synced {
+            self.arm_alive_tick(grids.iter().map(|grid| grid.due).min(), ctx);
         }
         self.alive_plan = (key, grids);
+    }
+
+    /// Sends `group`'s entry to each member workstation at once, outside
+    /// the tick: the last ALIVE of a group an accepted accusation just
+    /// silenced (Ω_l: the accused saw a better-ranked candidate). Without
+    /// it the members keep ranking the group by its payload from before
+    /// the accusation until their monitors of it expire, while it and the
+    /// successor it saw already follow that successor.
+    pub(super) fn send_farewell(&mut self, group: GroupId, ctx: &mut ServiceContext) {
+        let Some(state) = self.groups.get(group) else {
+            return;
+        };
+        let entry = alive_entry(self.config.node, state);
+        let members = state.rows.members();
+        let asks: Vec<_> =
+            (members.map(|(row, _)| (row.peer, asked_of(state, row, &self.peers)))).collect();
+        let mut datagrams = 0;
+        for &(dest, eta) in &asks {
+            let pslot = self.peers.intern(dest);
+            let alive = GroupAlive {
+                requested_interval: eta,
+                ..entry.clone()
+            };
+            datagrams += self.flush_alives(dest, pslot, vec![alive], ctx.now(), ctx);
+        }
+        self.counts[NodeCount::AlivePayloadsSent].add(asks.len() as u64);
+        self.counts[NodeCount::AliveDatagramsSent].add(datagrams);
     }
 
     /// Sends `alives` to `dest` (peer slot `pslot`), split at the
@@ -330,6 +426,10 @@ impl ServiceNode {
             }
             self.note_peer_incarnation(from, incarnation, ctx);
         }
+        // The sender's datagram before this one, if it was a repeat: every
+        // row the stamp vouches for holds what that datagram said.
+        let repeated =
+            (self.peers.last_seq(slot)).filter(|_| self.peers[slot].alive.repeat_key != 0);
         let (heard, moved) = self.note_alive_datagram(slot, seq, sent_at, now);
         let key = fingerprint(self.alive_epoch, &alives);
         let repeat = self.peers[slot].alive.repeat_key == key || self.repeats(from, slot, &alives);
@@ -348,7 +448,7 @@ impl ServiceNode {
             (peer.fd.wake, peer.gossip.wake) = (None, None);
             // The stamp restarts: a row the datagram does not name then ages
             // out on its own horizon.
-            self.unvouch_rows(from, slot, heard);
+            self.unvouch_rows(from, slot, heard, repeated);
             self.peers.stamp(slot, sent_at, true);
             for alive in &alives {
                 self.apply_group_alive(from, slot, seq, sent_at, alive, ctx);
@@ -393,9 +493,17 @@ impl ServiceNode {
 
     /// Unvouches every row of `from` (peer slot `slot`) its ALIVE stamp
     /// vouches for, the sender's datagram before the latest having arrived
-    /// at `heard`: each keeps what the stamp bought it, in its monitor and
-    /// its `last_heard`.
-    fn unvouch_rows(&mut self, from: NodeId, slot: usize, heard: SimInstant) {
+    /// at `heard` (under sequence number `repeated` if it was a repeat):
+    /// each keeps what the stamp bought it, in its monitor and its
+    /// `last_heard`, and in its `applied_seq` the repeat it held — a repeat
+    /// writes no row, so a late copy older than it must still read older.
+    fn unvouch_rows(
+        &mut self,
+        from: NodeId,
+        slot: usize,
+        heard: SimInstant,
+        repeated: Option<u64>,
+    ) {
         for &group in &self.peers[slot].groups {
             let row = (self.groups.get_mut(group)).and_then(|state| state.rows.get_mut(from));
             let Some(row) = row else {
@@ -404,6 +512,11 @@ impl ServiceNode {
             if let Some(monitor) = row.monitor.as_mut().filter(|m| m.is_vouched()) {
                 monitor.unvouch(&self.peers);
                 row.last_heard = row.last_heard.max(heard);
+                if let (Some(member), Some(seq)) = (row.member.as_mut(), repeated) {
+                    if seq_newer(seq as u32, member.applied_seq) {
+                        member.applied_seq = seq as u32;
+                    }
+                }
             }
         }
     }
@@ -474,7 +587,7 @@ impl ServiceNode {
         // it declares is what the monitor is fed, older or not.
         let seq32 = seq as u32;
         let first = member.payload.is_none();
-        let newer = first || seq32.wrapping_sub(member.applied_seq) < 1 << 31;
+        let newer = first || seq_newer(seq32, member.applied_seq);
         let representative_changed = newer && member.representative != Some(alive.representative);
         let asked_changed =
             newer && (first || member.requested_interval != alive.requested_interval);

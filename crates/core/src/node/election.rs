@@ -186,8 +186,12 @@ impl ServiceNode {
                 self.counts[NodeCount::StaleAccusationsIgnored].inc();
                 return;
             }
+            let sending = state.should_send_alives();
             (state.elector).on_accusation(epoch, now, state.rows.trusted());
             self.alive_epoch += 1;
+            if sending && !state.should_send_alives() {
+                self.send_farewell(group, ctx);
+            }
         }
         self.check_leader(group, ctx);
     }

@@ -53,9 +53,10 @@ const MAX_BATCH_BYTES: usize = 1200;
 
 /// Timer used for periodic HELLO gossip and membership expiry.
 const HELLO_TIMER: TimerTag = TimerTag(HELLO_KIND << 32);
-/// The single per-node ALIVE tick: it fires at the earliest due time across
-/// all groups and fans out for every group that is due, however many groups
-/// the node participates in.
+/// The single per-node ALIVE tick: it fires at the earliest due time of the
+/// groups that tick (`alive::ticks`) and fans out for every one that is due,
+/// however many groups the node participates in; a node none of whose
+/// groups ticks arms it not at all.
 const ALIVE_TIMER: TimerTag = TimerTag(ALIVE_KIND << 32);
 
 /// The node-wide grid both periodic ticks keep to: the first multiple of
@@ -82,6 +83,8 @@ struct GroupTable {
     free: Vec<u32>,
     /// When each slot's group is next due to fan out ALIVEs — dense, so the
     /// per-node tick reads and advances them without touching the states.
+    /// A group that stops ticking keeps its due time: the slot it would
+    /// next have sent in, which its re-entry sends in if it has not passed.
     due: Vec<SimInstant>,
 }
 
@@ -213,6 +216,11 @@ pub struct ServiceNode {
     /// The cached ALIVE fan-out, and the `(alive_epoch, table params epoch)`
     /// it was built at.
     alive_plan: (Option<(u64, u64)>, Vec<alive::AliveGrid>),
+    /// The `alive_epoch` the ALIVE tick was last armed at: which groups
+    /// tick moves only with the epoch.
+    alive_synced: u64,
+    /// When the ALIVE tick is armed to fire, if it is.
+    alive_armed: Option<SimInstant>,
     /// Live QoS instruments and protocol trace, when attached by the
     /// driving runtime ([`ServiceNode::set_instruments`]). `None` — the
     /// default — costs one branch per instrumentation point.
@@ -235,6 +243,8 @@ impl ServiceNode {
             groups: GroupTable::default(),
             alive_epoch: 0,
             alive_plan: (None, Vec::new()),
+            alive_synced: 0,
+            alive_armed: None,
             obs: None,
             lease: lease::LeaseTier::default(),
         }
@@ -395,6 +405,7 @@ impl ServiceNode {
             self.send_hello(self.config.remote_peers(), false, partial, ctx);
         }
         self.check_leader(group, ctx);
+        self.sync_alive_tick(ctx);
         Ok(())
     }
 
@@ -452,7 +463,6 @@ impl ServiceNode {
         if let Some(obs) = &self.obs {
             obs.on_join(group, now);
         }
-        self.arm_alive_timer(ctx);
         Ok(())
     }
 
@@ -495,7 +505,6 @@ impl ServiceNode {
                     }
                 }
             }
-            self.arm_alive_timer(ctx);
         } else {
             if !state.locally_candidate() && state.elector.is_candidate() {
                 // The last local candidate left: stop competing. As on the
@@ -520,6 +529,7 @@ impl ServiceNode {
         self.hello_version += 1;
         self.hello_list = None;
         self.send_hello(self.config.remote_peers(), false, HelloList::Omitted, ctx);
+        self.sync_alive_tick(ctx);
         Ok(())
     }
 
@@ -612,6 +622,7 @@ impl Actor for ServiceNode {
         let list = self.full_list();
         self.send_hello(self.config.remote_peers(), true, HelloList::Full(list), ctx);
         self.arm_hello_timer(ctx);
+        self.sync_alive_tick(ctx);
     }
 
     fn on_message(&mut self, from: NodeId, msg: ServiceMessage, ctx: &mut ServiceContext) {
@@ -670,6 +681,7 @@ impl Actor for ServiceNode {
             // only through misrouting (or a hostile sender); ignore them.
             ServiceMessage::ClientReply { .. } | ServiceMessage::Redirect { .. } => {}
         }
+        self.sync_alive_tick(ctx);
     }
 
     fn on_timer(&mut self, tag: TimerTag, ctx: &mut ServiceContext) {
@@ -687,6 +699,7 @@ impl Actor for ServiceNode {
             }
             _ => {}
         }
+        self.sync_alive_tick(ctx);
     }
 }
 

@@ -1230,7 +1230,8 @@ fn at(now: SimInstant) -> ServiceContext {
 
 /// One node driven by hand: the timers its callbacks arm are kept and fired
 /// earliest first within a step budget, so a tick that re-arms at the
-/// instant it fires fails a test instead of hanging it.
+/// instant it fires fails a test instead of hanging it. A timer armed in
+/// the past fires at once, as the simulator fires it.
 struct TimerDrive {
     node: ServiceNode,
     timers: BTreeMap<TimerTag, SimInstant>,
@@ -1251,10 +1252,11 @@ impl TimerDrive {
 
     /// Keeps one callback's timers; returns its sends.
     fn settle(&mut self, ctx: ServiceContext) -> Vec<(NodeId, ServiceMessage)> {
+        let now = ctx.now();
         let mut sends = Vec::new();
         for effect in ctx.into_effects() {
             match effect {
-                sle_sim::Effect::SetTimer { tag, at } => drop(self.timers.insert(tag, at)),
+                sle_sim::Effect::SetTimer { tag, at } => drop(self.timers.insert(tag, at.max(now))),
                 sle_sim::Effect::CancelTimer { tag } => drop(self.timers.remove(&tag)),
                 sle_sim::Effect::Send { to, msg } => sends.push((to, msg)),
                 sle_sim::Effect::Emit(_) => {}
@@ -1263,19 +1265,38 @@ impl TimerDrive {
         sends
     }
 
+    /// Delivers `msg` from `from` at `now`; returns what the node sent.
+    fn deliver(
+        &mut self,
+        from: NodeId,
+        msg: ServiceMessage,
+        now: SimInstant,
+    ) -> Vec<(NodeId, ServiceMessage)> {
+        let mut ctx = at(now);
+        self.node.on_message(from, msg, &mut ctx);
+        self.settle(ctx)
+    }
+
+    /// Fires the earliest timer armed at or before `end`, if any: when it
+    /// fired, and what it sent.
+    fn step(&mut self, end: SimInstant) -> Option<(SimInstant, Vec<(NodeId, ServiceMessage)>)> {
+        let next = self.timers.iter().min_by_key(|&(&tag, &at)| (at, tag));
+        let (&tag, &when) = next.filter(|&(_, &when)| when <= end)?;
+        self.timers.remove(&tag);
+        let mut ctx = at(when);
+        self.node.on_timer(tag, &mut ctx);
+        Some((when, self.settle(ctx)))
+    }
+
     /// Fires timers up to `end`, within a budget of 10 000 steps: what they
     /// sent, or `None` if the budget ran out first.
     fn run_to(&mut self, end: SimInstant) -> Option<Vec<(NodeId, ServiceMessage)>> {
         let mut sends = Vec::new();
         for _ in 0..10_000 {
-            let next = self.timers.iter().min_by_key(|&(&tag, &at)| (at, tag));
-            let Some((&tag, &when)) = next.filter(|&(_, &when)| when <= end) else {
+            let Some((_, sent)) = self.step(end) else {
                 return Some(sends);
             };
-            self.timers.remove(&tag);
-            let mut ctx = at(when);
-            self.node.on_timer(tag, &mut ctx);
-            sends.extend(self.settle(ctx));
+            sends.extend(sent);
         }
         None
     }
@@ -1668,6 +1689,338 @@ fn an_older_alive_leaves_the_row_at_the_newer_one() {
     assert_eq!(row(&drive).1, late);
 }
 
+#[test]
+fn a_late_copy_older_than_a_repeat_leaves_the_row_at_the_repeat() {
+    // Under Ω_lc node 1 asks for ALIVEs every 100 ms in seqs 0–3 and 5–7
+    // and every 50 ms in seq 4, which arrives late: after 6. Seq 0 is
+    // applied and 1, 2, 3, 5 and 6 repeat it, writing no row; the late 4
+    // is older than the repeat before it, so the row keeps 100 ms, and
+    // node 0 never sends at 50 ms — 7 repeats the row again.
+    let (peer, group) = (NodeId(1), GroupId(1));
+    let config = ServiceConfig::full_mesh(NodeId(0), 2, ElectorKind::OmegaLc)
+        .with_auto_join(group, JoinConfig::candidate());
+    let mut drive = TimerDrive::start(config);
+    let secs = SimInstant::from_secs_f64;
+    let alive = |seq: u64| {
+        let asked = SimDuration::from_millis(if seq == 4 { 50 } else { 100 });
+        ServiceMessage::Alive {
+            group,
+            header: AliveHeader {
+                incarnation: 1,
+                seq,
+                sent_at: secs(0.1 * (seq + 1) as f64),
+                sending_interval: SimDuration::from_millis(100),
+                requested_interval: asked,
+            },
+            payload: sle_election::AlivePayload {
+                accusation_time: SimInstant::ZERO,
+                epoch: 0,
+                local_leader: None,
+            },
+            representative: ProcessId::new(peer, 0),
+        }
+    };
+    let asked = |drive: &TimerDrive| {
+        let state = drive.node.groups.get(group).unwrap();
+        let member = state.rows.member(peer).unwrap();
+        (member.requested_interval, state.send_interval())
+    };
+    let paths = |drive: &TimerDrive| {
+        let count = |count| drive.node.count(count);
+        (
+            count(NodeCount::AliveUnchanged),
+            count(NodeCount::AliveApplied),
+        )
+    };
+    let hundred = SimDuration::from_millis(100);
+    for (seq, now) in [(0, 0.1), (1, 0.2), (2, 0.3), (3, 0.4), (5, 0.6), (6, 0.7)] {
+        drive.run_to(secs(now)).expect("within the step budget");
+        drive.deliver(peer, alive(seq), secs(now));
+    }
+    assert_eq!(paths(&drive), (5, 1));
+    assert_eq!(asked(&drive), (hundred, hundred));
+    drive.run_to(secs(0.75)).expect("within the step budget");
+    drive.deliver(peer, alive(4), secs(0.75));
+    assert_eq!(paths(&drive), (5, 2));
+    assert_eq!(
+        asked(&drive),
+        (hundred, hundred),
+        "the late copy moved the row"
+    );
+    drive.run_to(secs(0.8)).expect("within the step budget");
+    drive.deliver(peer, alive(7), secs(0.8));
+    assert_eq!(paths(&drive), (6, 2));
+}
+
+/// An Ω_l ALIVE of `peer` in [`GROUP`] with sequence number `seq`, sent at
+/// `sent_at` every 250 ms and asking for as much: a candidate last accused
+/// at `accused`, in accusation epoch `epoch`.
+fn omega_l_alive(
+    peer: NodeId,
+    seq: u64,
+    sent_at: SimInstant,
+    (accused, epoch): (SimInstant, u64),
+) -> ServiceMessage {
+    let eta = SimDuration::from_millis(250);
+    ServiceMessage::Alive {
+        group: GROUP,
+        header: AliveHeader {
+            incarnation: 1,
+            seq,
+            sent_at,
+            sending_interval: eta,
+            requested_interval: eta,
+        },
+        payload: sle_election::AlivePayload {
+            accusation_time: accused,
+            epoch,
+            local_leader: None,
+        },
+        representative: ProcessId::new(peer, 0),
+    }
+}
+
+/// How many of `sends` are ALIVE datagrams.
+fn alives_in(sends: &[(NodeId, ServiceMessage)]) -> usize {
+    let alive = |msg: &ServiceMessage| {
+        matches!(
+            msg,
+            ServiceMessage::Alive { .. } | ServiceMessage::AliveBatch { .. }
+        )
+    };
+    sends.iter().filter(|(_, msg)| alive(msg)).count()
+}
+
+/// The Ω_l leader node 0 follows: a candidate last accused at time zero.
+const LEADER: NodeId = NodeId(1);
+
+/// Node 0 of `n` workstations, joined to [`GROUP`] under Ω_l as a
+/// candidate at 10 ms, so that [`LEADER`] outranks it.
+fn omega_l_candidate_at_10_ms(n: usize) -> TimerDrive {
+    let config = ServiceConfig::full_mesh(NodeId(0), n, ElectorKind::OmegaL);
+    let mut drive = TimerDrive::start(config);
+    let process = drive.node.register_process();
+    let mut ctx = at(SimInstant::from_nanos(10_000_000));
+    (drive
+        .node
+        .join_group(process, GROUP, JoinConfig::candidate(), &mut ctx))
+    .unwrap();
+    drive.settle(ctx);
+    drive
+}
+
+/// Delivers [`LEADER`]'s ALIVEs, sent every 250 ms from 20 ms up to
+/// `until`, firing the node's timers between them. Per callback: when it
+/// ran, whether the ALIVE tick was armed after it, and how many ALIVE
+/// datagrams it sent.
+fn hear_leader(drive: &mut TimerDrive, until: SimInstant) -> Vec<(SimInstant, bool, usize)> {
+    let mut log = Vec::new();
+    let mut note = |drive: &TimerDrive, now, sends: &[_]| {
+        log.push((
+            now,
+            drive.timers.contains_key(&ALIVE_TIMER),
+            alives_in(sends),
+        ));
+    };
+    let every = SimDuration::from_millis(250);
+    let sent_at = |seq| SimInstant::from_nanos(20_000_000) + every * seq;
+    for seq in (0..).take_while(|&seq| sent_at(seq) <= until) {
+        let now = sent_at(seq);
+        for _ in 0..10_000 {
+            let Some((when, sends)) = drive.step(now) else {
+                break;
+            };
+            note(drive, when, &sends);
+        }
+        let alive = omega_l_alive(LEADER, seq, now, (SimInstant::ZERO, 0));
+        let sends = drive.deliver(LEADER, alive, now);
+        note(drive, now, &sends);
+    }
+    log
+}
+
+#[test]
+fn an_omega_l_follower_in_steady_state_arms_no_alive_tick() {
+    // Node 0 competes from its join until the leader's first ALIVE, at
+    // 20 ms, shows it a better-ranked candidate. From then on it sends no
+    // ALIVE, so no ALIVE tick wakes it: its timers are the HELLO tick and
+    // the detector timer of the leader.
+    let mut drive = omega_l_candidate_at_10_ms(2);
+    let log = hear_leader(&mut drive, SimInstant::from_secs_f64(5.0));
+    let first = SimInstant::from_nanos(20_000_000);
+    let following = log.iter().skip_while(|&&(now, ..)| now < first);
+    let ticking: Vec<_> = following
+        .filter(|&&(_, armed, sent)| armed || sent > 0)
+        .collect();
+    assert!(ticking.is_empty(), "a follower's ALIVE tick: {ticking:?}");
+    assert_eq!(drive.node.leader_of(GROUP), Some(ProcessId::new(LEADER, 0)));
+    assert!(!drive.node.is_competing(GROUP));
+}
+
+#[test]
+fn a_follower_that_suspects_its_leader_sends_its_alive_at_that_instant() {
+    // The leader falls silent after its ALIVE of 2.77 s. The detector
+    // timer that suspects it makes node 0 compete again, and its first
+    // ALIVE leaves in that instant, not at the next 250 ms slot.
+    let mut drive = omega_l_candidate_at_10_ms(2);
+    hear_leader(&mut drive, SimInstant::from_secs_f64(2.8));
+    assert_eq!(drive.node.count(NodeCount::AliveReentries), 0);
+    let suspected = |drive: &TimerDrive| {
+        let monitor = drive.node.groups.get(GROUP).unwrap().rows.monitor(LEADER);
+        monitor.is_some_and(|monitor| !monitor.is_trusted())
+    };
+    let end = SimInstant::from_secs_f64(10.0);
+    let mut suspicion = None;
+    let mut first_alive = None;
+    for _ in 0..10_000 {
+        let (when, sends) = drive.step(end).expect("a suspicion and an ALIVE");
+        if suspicion.is_none() && suspected(&drive) {
+            suspicion = Some(when);
+        }
+        if suspicion.is_some() && alives_in(&sends) > 0 {
+            first_alive = Some(when);
+            break;
+        }
+    }
+    let suspicion = suspicion.expect("the silent leader suspected");
+    assert!(drive.node.is_competing(GROUP));
+    assert_eq!(first_alive, Some(suspicion), "suspected at {suspicion}");
+    assert_ne!(
+        suspicion,
+        next_tick(
+            suspicion - SimDuration::from_nanos(1),
+            SimDuration::from_millis(250)
+        ),
+        "the suspicion fell on the grid: the test cannot tell the two apart"
+    );
+    assert_eq!(drive.node.count(NodeCount::AliveReentries), 1);
+}
+
+#[test]
+fn a_leader_waiting_to_mint_keeps_ticking_until_it_mints() {
+    // Node 0, alone in its group, leads once its self-election grace ends
+    // at 2 s (2 T_D). Its lease waits out the settle delay, T_D = 1 s:
+    // nothing but the ALIVE tick re-checks it, so the tick stays armed
+    // while it leads, and the mint falls on the tick at 3 s.
+    let config = ServiceConfig::full_mesh(NodeId(0), 2, ElectorKind::OmegaL)
+        .with_auto_join(GROUP, JoinConfig::candidate());
+    let mut drive = TimerDrive::start(config);
+    let end = SimInstant::from_secs_f64(10.0);
+    let mut led_since = None;
+    let mut minted = None;
+    for _ in 0..10_000 {
+        let Some((when, _)) = drive.step(end) else {
+            break;
+        };
+        let state = drive.node.groups.get(GROUP).unwrap();
+        led_since = led_since.or(state.led_since);
+        if state.lease.is_some() {
+            minted = Some(when);
+            break;
+        }
+        if state.led_since.is_some() {
+            let armed = drive.timers.get(&ALIVE_TIMER);
+            assert!(
+                armed.is_some(),
+                "leading unminted at {when}, no ALIVE tick armed"
+            );
+        }
+    }
+    assert_eq!(led_since, Some(SimInstant::from_secs_f64(2.0)));
+    assert_eq!(minted, Some(SimInstant::from_secs_f64(3.0)));
+}
+
+#[test]
+fn a_group_that_withdraws_and_reenters_within_one_interval_resumes_on_its_grid() {
+    // Node 0 (joined at 10 ms) leads node 1 (accused last at 20 ms) and
+    // sends on its 250 ms grid. Node 2, accused last at time zero, is heard
+    // at 300 ms: node 0 withdraws. Node 2 is heard again at 350 ms, accused
+    // at 320 ms since: node 0 competes again, before the 500 ms slot its
+    // last send left it, so it sends in that slot and not at once.
+    let (member, better) = (NodeId(1), NodeId(2));
+    let mut drive = omega_l_candidate_at_10_ms(3);
+    let ms = |ms: u64| SimInstant::from_nanos(ms * 1_000_000);
+    let mut alives = Vec::new();
+    let mut run_to = |drive: &mut TimerDrive, end| {
+        while let Some((when, sends)) = drive.step(end) {
+            alives.extend(std::iter::repeat_n(when, alives_in(&sends)));
+        }
+    };
+    run_to(&mut drive, ms(20));
+    drive.deliver(
+        member,
+        omega_l_alive(member, 0, ms(20), (ms(20), 0)),
+        ms(20),
+    );
+    run_to(&mut drive, ms(300));
+    drive.deliver(
+        better,
+        omega_l_alive(better, 0, ms(300), (ms(0), 0)),
+        ms(300),
+    );
+    assert!(!drive.node.is_competing(GROUP));
+    assert!(!drive.timers.contains_key(&ALIVE_TIMER));
+    drive.deliver(
+        better,
+        omega_l_alive(better, 1, ms(350), (ms(320), 1)),
+        ms(350),
+    );
+    assert!(drive.node.is_competing(GROUP));
+    assert_eq!(drive.timers.get(&ALIVE_TIMER), Some(&ms(500)));
+    run_to(&mut drive, ms(500));
+    // One datagram to node 1 at 250 ms; at 500 ms one to each peer.
+    assert_eq!(alives, [ms(250), ms(500), ms(500)]);
+    assert_eq!(drive.node.count(NodeCount::AliveReentries), 0);
+}
+
+#[test]
+fn an_accusation_that_silences_a_leader_is_announced_at_once() {
+    // Node 0 leads under Ω_l from 2 s. Nodes 1 and 2, ranked below it
+    // (accused last at 20 and 30 ms), are heard competing at 3 s. Then
+    // node 1's ACCUSE reaches node 0: accused at 3.1 s, it ranks below
+    // node 1 and withdraws. Its members still rank it by its payload from
+    // before, so the ACCUSE's own callback sends each of them one ALIVE
+    // with the new payload; after that node 0 sends none.
+    let config = ServiceConfig::full_mesh(NodeId(0), 3, ElectorKind::OmegaL)
+        .with_auto_join(GROUP, JoinConfig::candidate());
+    let mut drive = TimerDrive::start(config);
+    let secs = SimInstant::from_secs_f64;
+    drive.run_to(secs(3.0)).expect("within the step budget");
+    for (peer, accused) in [(NodeId(1), 0.02), (NodeId(2), 0.03)] {
+        let alive = omega_l_alive(peer, 0, secs(3.0), (secs(accused), 1));
+        drive.deliver(peer, alive, secs(3.0));
+    }
+    assert_eq!(
+        drive.node.leader_of(GROUP),
+        Some(ProcessId::new(NodeId(0), 0))
+    );
+    let elector = |drive: &TimerDrive| {
+        let elector = &drive.node.groups.get(GROUP).unwrap().elector;
+        (elector.accusation_time(), elector.epoch())
+    };
+    let (_, epoch) = elector(&drive);
+    let accused_at = secs(3.1);
+    drive.run_to(accused_at).expect("within the step budget");
+    let accuse = ServiceMessage::Accuse {
+        accusations: vec![(GROUP, epoch)],
+    };
+    let sends = drive.deliver(NodeId(1), accuse, accused_at);
+    assert!(!drive.node.is_competing(GROUP));
+    let now = elector(&drive);
+    assert_eq!(now.0, accused_at);
+    let told: Vec<_> = (sends.iter())
+        .filter_map(|(to, msg)| match msg {
+            ServiceMessage::Alive { payload, .. } => {
+                Some((*to, (payload.accusation_time, payload.epoch)))
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(told, [(NodeId(1), now), (NodeId(2), now)]);
+    let later = drive.run_to(secs(4.0)).expect("within the step budget");
+    assert_eq!(alives_in(&later), 0);
+}
+
 /// One leader-change announcement, as plain comparable data:
 /// `(virtual ns, observing node, group, leader as (node, local))`.
 type LeaderTraceEvent = (u64, u32, u32, Option<(u32, u32)>);
@@ -1858,11 +2211,11 @@ fn a_fixed_seed_run_replays_its_recorded_counts() {
         (
             ElectorKind::OmegaId,
             RunCounts {
-                events: 31_940,
+                events: 31_456,
                 messages: 22_812,
                 alive_payloads: 21_736,
                 hello: [82, 3_405, 22, 1, 1_014],
-                alive: [13_391, 5_099, 527],
+                alive: [13_391, 5_099, 523],
                 fd: [3_583, 1_244, 390],
                 leader_changes: 0xb1ba_5247_c815_6643,
             },
@@ -1870,11 +2223,11 @@ fn a_fixed_seed_run_replays_its_recorded_counts() {
         (
             ElectorKind::OmegaLc,
             RunCounts {
-                events: 30_854,
+                events: 30_370,
                 messages: 21_992,
                 alive_payloads: 21_723,
                 hello: [81, 3_405, 21, 0, 831],
-                alive: [14_198, 3_466, 517],
+                alive: [14_198, 3_466, 513],
                 fd: [3_563, 1_035, 352],
                 leader_changes: 0x14e5_dbd0_969c_2103,
             },
@@ -1882,13 +2235,13 @@ fn a_fixed_seed_run_replays_its_recorded_counts() {
         (
             ElectorKind::OmegaL,
             RunCounts {
-                events: 13_138,
+                events: 10_544,
                 messages: 7_787,
-                alive_payloads: 3_704,
-                hello: [79, 3_405, 19, 1, 79],
-                alive: [4_012, 58, 183],
-                fd: [1_083, 189, 110],
-                leader_changes: 0xd146_1ee0_5e89_4eba,
+                alive_payloads: 3_703,
+                hello: [81, 3_405, 22, 0, 73],
+                alive: [4_026, 50, 49],
+                fd: [1_076, 185, 112],
+                leader_changes: 0x29fe_90b2_65f5_918f,
             },
         ),
     ];

@@ -96,6 +96,10 @@ node_counts! {
     AliveApplied = "alive.applied",
     /// Times the ALIVE tick rebuilt its fan-out plan instead of reusing it.
     AlivePlanRebuilds = "alive.plan_rebuilds",
+    /// ALIVE ticks armed to fire at once because a group started ticking
+    /// (sending, leading) after the slot its last send left it had passed:
+    /// an Ω_l re-entry sending its first ALIVE at the instant it competes.
+    AliveReentries = "alive.reentries",
     /// Per-peer detector timers that fired.
     FdFires = "fd.fires",
     /// Fires that checked the peer's monitor in every group; the others

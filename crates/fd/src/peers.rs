@@ -352,6 +352,12 @@ impl<T> PeerTable<T> {
         link.stamp = sent_at.max(floor);
     }
 
+    /// The sequence number of the last heartbeat recorded from the peer in
+    /// `slot` since the slot was created or reset, if any.
+    pub fn last_seq(&self, slot: usize) -> Option<u64> {
+        self.link(slot).last_record.map(|(seq, ..)| seq)
+    }
+
     /// The freshness stamp of the peer in `slot` ([`PeerTable::stamp`]).
     pub fn stamp_of(&self, slot: usize) -> SimInstant {
         self.link(slot).stamp

@@ -189,8 +189,8 @@ fn main() {
             std::process::exit(1);
         }
         println!(
-            "OK: repeated and applied ALIVE batches, revivals included, and quiet and walking \
-             detector fires and HELLO ticks ran under the checker"
+            "OK: repeated and applied ALIVE batches, revivals included, S3 re-entries, and quiet \
+             and walking detector fires and HELLO ticks ran under the checker"
         );
         if let Err(missing) = summary.fd_moves_exercised() {
             eprintln!("FAIL: {missing} — the detector-wake invalidation ran unchecked");

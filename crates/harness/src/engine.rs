@@ -911,13 +911,13 @@ mod tests {
                 .with_seed(31),
                 ExperimentMetrics {
                     duration: SimDuration::from_secs(120),
-                    recovery: Summary::of(&[1.567693176]),
+                    recovery: Summary::of(&[1.366528082]),
                     mistakes_per_hour: 30.0,
-                    leader_availability: 0.9818334596166667,
-                    kbytes_per_sec_per_node: 2.605313449435764,
+                    leader_availability: 0.9804683456583334,
+                    kbytes_per_sec_per_node: 2.5796834309895833,
                     leader_crashes: 1,
                     unjustified_demotions: 1,
-                    recovery_samples: vec![1.567693176],
+                    recovery_samples: vec![1.366528082],
                 },
             ),
             (

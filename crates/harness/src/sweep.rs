@@ -134,7 +134,7 @@ impl CellSummary {
 type Column = (&'static str, usize, fn(&CellSummary) -> u64);
 
 /// The summary table's columns after service and plan.
-const COLUMNS: [Column; 12] = [
+const COLUMNS: [Column; 13] = [
     ("runs", 6, |c| c.runs),
     ("failed", 8, |c| c.failed),
     ("hello pulls", 12, |c| c.count(NodeCount::HelloPullsSent)),
@@ -142,6 +142,7 @@ const COLUMNS: [Column; 12] = [
     ("alive same", 12, |c| c.count(NodeCount::AliveUnchanged)),
     ("alive appl.", 12, |c| c.count(NodeCount::AliveApplied)),
     ("plan rbld", 10, |c| c.count(NodeCount::AlivePlanRebuilds)),
+    ("reentries", 10, |c| c.count(NodeCount::AliveReentries)),
     ("revivals", 9, CellSummary::revivals),
     ("fd fires", 9, |c| c.count(NodeCount::FdFires)),
     ("fd walks", 9, |c| c.count(NodeCount::FdWalks)),
@@ -217,6 +218,9 @@ impl SweepSummary {
     /// The partitions and the membership churn must show both kinds of
     /// HELLO tick likewise: some peers' groups walked, and fewer walks than
     /// the digests sent (one per peer and tick), so most peers left alone.
+    /// Under Ω_l (S3) the partitions and the leader churn must have re-armed
+    /// the ALIVE tick at once for a group that started sending again after
+    /// its slot passed: the re-entry a suspected or crashed leader draws.
     ///
     /// # Errors
     ///
@@ -241,6 +245,11 @@ impl SweepSummary {
             }
             if kind == PlanKind::PartitionHeal && self.total(family, CellSummary::revivals) == 0 {
                 return Err(format!("no {family} run revived a suspected peer"));
+            }
+            let s3 = |c: &&CellSummary| c.plan_name == family && c.algorithm == ElectorKind::OmegaL;
+            let reentries = |c: &CellSummary| c.count(NodeCount::AliveReentries);
+            if self.cells.iter().filter(s3).map(reentries).sum::<u64>() == 0 {
+                return Err(format!("no S3 {family} run sent an ALIVE at its re-entry"));
             }
             let (fires, walks) = (total(NodeCount::FdFires), total(NodeCount::FdWalks));
             if walks == 0 || walks == fires {

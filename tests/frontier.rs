@@ -23,15 +23,15 @@ use sle_harness::deploy;
 use sle_sim::prelude::*;
 
 /// The most peak resident set `a_million_processes_settle` may reach (it
-/// measured 2 337 MiB on a 2-vCPU x86-64 Linux VM; the ceiling is that,
+/// measured 2 224 MiB on a 2-vCPU x86-64 Linux VM; the ceiling is that,
 /// rounded up to the next 100 MiB, as `tests/memory.rs` rounds its own).
-const FRONTIER_VMHWM_MIB: u64 = 2_400;
+const FRONTIER_VMHWM_MIB: u64 = 2_300;
 
 /// The events `a_million_processes_settle` processes. The simulation is
 /// deterministic, so any other count is a protocol change at scale: one
 /// made on purpose re-records it, as it does the node's golden run. (Over
 /// a perfect medium the run sends no ACCUSE.)
-const FRONTIER_EVENTS: u64 = 6_346_196;
+const FRONTIER_EVENTS: u64 = 5_212_052;
 
 /// Virtual time a deployment gets to elect before its steady-state window.
 const SETTLE: SimDuration = SimDuration::from_secs(12);

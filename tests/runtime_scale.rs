@@ -134,9 +134,9 @@ fn elect_everywhere<E>(
     );
 
     // A quiet second, once the joins' gossip has settled. Every node ticks
-    // on the node-wide HELLO and ALIVE grids, so a shard wakes about once
-    // per grid instant for all its residents, and on the UDP plane the
-    // records of one instant fill shared datagrams.
+    // on the node-wide HELLO grid and every leader on the ALIVE grid, so a
+    // shard wakes about once per grid instant for all its residents, and
+    // on the UDP plane the records of one instant fill shared datagrams.
     std::thread::sleep(Duration::from_secs(2));
     let wakeups = cluster.runtime_stats().wakeups;
     let plane_before = plane.as_ref().map(SharedUdpPlane::stats);
