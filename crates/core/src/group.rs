@@ -293,10 +293,14 @@ pub struct GroupState {
     pub rows: PeerRows,
     /// The leader last announced to local applications (to detect changes).
     pub announced_leader: Option<ProcessId>,
-    /// When this node joined the group (start of the self-election grace
-    /// period: a freshly joined candidate does not claim the leadership for
-    /// itself until it had a chance to learn about the incumbent).
+    /// When this node joined the group: the start of the self-election
+    /// grace period, in which a freshly joined candidate does not claim the
+    /// leadership for itself until its view of the group is complete (see
+    /// [`GroupState::self_election_grace`]) or the grace runs out.
     pub joined_at: SimInstant,
+    /// Whether the grace ended early, on a complete view: latched, so a
+    /// member learnt later does not withhold the claim again.
+    pub grace_ended: bool,
     /// The lease this node holds as the group's current leader, if any
     /// (minted/renewed by `ServiceNode`, dropped on losing the leadership).
     pub lease: Option<LeaderLease>,
@@ -330,6 +334,7 @@ impl GroupState {
             rows: PeerRows::new(),
             announced_leader: None,
             joined_at: now,
+            grace_ended: false,
             lease: None,
             remote_lease: None,
             led_since: None,
@@ -366,13 +371,28 @@ impl GroupState {
         }
     }
 
-    /// How long after joining this node refrains from announcing *itself* as
-    /// the leader (twice the crash-detection bound: enough to hear from an
-    /// incumbent leader if there is one). Adaptive tuning shrinks this
-    /// alongside the detection bound, which reads the monitors' operating
-    /// points in `peers`.
+    /// How long after joining this node refrains at most from announcing
+    /// *itself* as the leader: twice the crash-detection bound, the
+    /// fallback for a view that never completes (a configured peer that
+    /// never answers). The grace ends earlier, on evidence, once every
+    /// configured peer's list is applied and every candidate member is
+    /// resolved ([`GroupState::candidates_resolved`]). Adaptive tuning
+    /// shrinks the fallback alongside the detection bound, which reads the
+    /// monitors' operating points in `peers`.
     pub fn self_election_grace<T>(&self, peers: &PeerTable<T>) -> SimDuration {
         self.fd.detection_bound(peers, self.rows.monitors()) * 2
+    }
+
+    /// Whether every member that lists a candidate is resolved: its row
+    /// holds the member's election payload, or its monitor suspects it. An
+    /// incumbent stays unresolved until its ALIVE arrives; a candidate that
+    /// never sends is resolved once its monitor, started when its list
+    /// arrived, times out.
+    pub fn candidates_resolved(&self) -> bool {
+        self.rows.members().all(|(row, member)| {
+            let suspected = row.monitor.as_ref().is_some_and(|m| !m.is_trusted());
+            !member.has_candidate() || member.payload.is_some() || suspected
+        })
     }
 
     /// True if any local process joined this group as a candidate.

@@ -171,6 +171,7 @@ impl ServiceNode {
             self.arm_alive_tick(next, ctx);
         }
         debug_assert_eq!(self.alive_armed, self.alive_tick_due(), "stale ALIVE tick");
+        debug_assert!(self.graces_hold(ctx.now()), "a grace outlived its view");
     }
 
     /// Builds the ALIVE plan from scratch: the groups that tick partitioned
@@ -641,11 +642,11 @@ impl ServiceNode {
             self.arm_fd_deadline(from, pslot, group, ctx);
         }
         // In steady state nothing `check_leader` derives has changed: same
-        // elector leader, same representative, no trust transition.
-        // Time-driven transitions (the self-election grace elapsing, the
-        // lease settle delay) are driven by the grace / FD / ALIVE timers,
-        // not by received heartbeats.
-        if created || representative_changed || revived || leader_changed {
+        // elector leader, same representative, no trust transition, and no
+        // first payload (which may complete a grace's view). Time-driven
+        // transitions (the grace's fallback, the lease settle delay) are
+        // driven by the grace / FD / ALIVE timers, not by heartbeats.
+        if first || representative_changed || revived || leader_changed {
             self.check_leader(group, ctx);
         }
     }

@@ -1,5 +1,11 @@
 //! Leader Election: what each group's elector yields, held to the
 //! self-election grace and the lease settle rule, and announced.
+//!
+//! The grace ends on evidence: once the view of the group is complete —
+//! every configured peer's list current, every candidate member heard or
+//! suspected — or after 2·T_D, whichever comes first. Every path that can
+//! complete a view re-checks the leader, which debug builds assert after
+//! every entry point.
 
 use sle_fd::{PeerTable, TuningPolicy};
 use sle_sim::actor::{NodeId, TimerTag};
@@ -24,31 +30,45 @@ struct LeaderView {
     /// The end of the self-election grace period, when it withheld this
     /// node's own claim.
     withheld: Option<SimInstant>,
+    /// Whether the grace ends now, early: it was open, the elector picks
+    /// this node, and the view is complete.
+    ends_grace: bool,
     /// The token to mint: this node leads, has settled, and holds no lease
     /// that still dominates.
     mint: Option<FencingToken>,
 }
 
+/// Whether `state`'s self-election grace is still open at `now`.
+fn grace_open<T>(state: &GroupState, peers: &PeerTable<T>, now: SimInstant) -> bool {
+    !state.grace_ended && now < state.joined_at + state.self_election_grace(peers)
+}
+
 /// The leadership `me` (of incarnation `incarnation`) sees in `state` at
-/// `now`, its monitors' operating points in `peers`, without acting on it.
+/// `now`, its monitors' operating points in `peers`, without acting on it;
+/// `lists_current` says whether every configured peer's list is.
 fn leader_view<T>(
     me: NodeId,
     incarnation: u64,
+    lists_current: bool,
     state: &GroupState,
     peers: &PeerTable<T>,
     now: SimInstant,
 ) -> LeaderView {
     let mut leader = state.leader_process(me, state.elector.leader(state.rows.trusted()));
-    let mut withheld = None;
+    let (mut withheld, mut ends_grace) = (None, false);
     // A freshly (re)joined candidate does not claim the leadership for
-    // itself until the grace period elapses: it first listens for an
-    // incumbent leader, which keeps rejoining workstations from briefly
-    // disrupting the group's agreement.
-    if let Some(claimed) = leader {
+    // itself until its view of the group is complete, or the grace period
+    // elapses: it first listens for an incumbent leader, which keeps
+    // rejoining workstations from briefly disrupting the group's agreement.
+    if leader.is_some_and(|claimed| claimed.node == me) && !state.grace_ended {
         let grace_ends = state.joined_at + state.self_election_grace(peers);
-        if claimed.node == me && now < grace_ends {
-            leader = None;
-            withheld = Some(grace_ends);
+        if now < grace_ends {
+            if lists_current && state.candidates_resolved() {
+                ends_grace = true;
+            } else {
+                leader = None;
+                withheld = Some(grace_ends);
+            }
         }
     }
     // Settle delay: only a node that has led *continuously* for one lease
@@ -99,6 +119,7 @@ fn leader_view<T>(
     LeaderView {
         leader,
         withheld,
+        ends_grace,
         mint,
     }
 }
@@ -107,10 +128,15 @@ impl ServiceNode {
     pub(super) fn check_leader(&mut self, group: GroupId, ctx: &mut ServiceContext) {
         let me = self.config.node;
         let now = ctx.now();
+        let lists_current = self.lists_missing == 0;
         let Some(state) = self.groups.get_mut(group) else {
             return;
         };
-        let view = leader_view(me, self.incarnation, state, &self.peers, now);
+        let view = leader_view(me, self.incarnation, lists_current, state, &self.peers, now);
+        if view.ends_grace {
+            state.grace_ended = true;
+            self.counts[NodeCount::GraceEndedEarly].inc();
+        }
         // Adaptive tuning moves the grace period with (η, δ) — either way,
         // whenever a check re-derives them or the monitored set changes: the
         // end armed at join may no longer be the one.
@@ -155,16 +181,54 @@ impl ServiceNode {
     /// lease. Asserted in debug builds.
     pub(super) fn leader_settled(&self, group: GroupId, now: SimInstant) -> bool {
         let me = self.config.node;
+        let lists_current = self.lists_missing == 0;
         let Some(state) = self.groups.get(group) else {
             return true;
         };
-        let view = leader_view(me, self.incarnation, state, &self.peers, now);
+        let view = leader_view(me, self.incarnation, lists_current, state, &self.peers, now);
         let leads = view.leader.is_some_and(|l| l.node == me);
         view.leader == state.announced_leader
             && view.withheld.is_none()
+            && !view.ends_grace
             && view.mint.is_none()
             && leads == state.led_since.is_some()
             && (leads || state.lease.is_none())
+    }
+
+    /// Re-checks every group whose self-election grace is still open: the
+    /// last configured peer's list just became current, which may complete
+    /// their views.
+    pub(super) fn recheck_open_graces(&mut self, ctx: &mut ServiceContext) {
+        let now = ctx.now();
+        let open = |state: &&GroupState| grace_open(state, &self.peers, now);
+        let groups: Vec<GroupId> = self.groups.iter().filter(open).map(|s| s.group).collect();
+        for group in groups {
+            self.check_leader(group, ctx);
+        }
+    }
+
+    /// What the grace rule relies on after every entry point: while some
+    /// group's grace is open (only then is the count read, and every join
+    /// opens one), `lists_missing` counts the configured peers whose list
+    /// is not current, and no group whose elector picks this node holds
+    /// its claim back under an open grace with a complete view. Asserted
+    /// in debug builds.
+    pub(super) fn graces_hold(&self, now: SimInstant) -> bool {
+        let open = |state: &&GroupState| grace_open(state, &self.peers, now);
+        let mut open = self.groups.iter().filter(open).peekable();
+        if open.peek().is_none() {
+            return true;
+        }
+        let current = |peer| {
+            let slot = self.peers.find(peer);
+            slot.is_some_and(|slot| self.peers[slot].gossip.is_current())
+        };
+        let missing = self.config.remote_peers().filter(|&p| !current(p)).count();
+        let (me, incarnation) = (self.config.node, self.incarnation);
+        let ended = |state: &GroupState| {
+            !leader_view(me, incarnation, missing == 0, state, &self.peers, now).ends_grace
+        };
+        missing == self.lists_missing && open.all(ended)
     }
 
     pub(super) fn handle_accusation(

@@ -31,6 +31,14 @@ pub(super) struct PeerGossip {
     pub(super) wake: Option<MemberWake>,
 }
 
+impl PeerGossip {
+    /// Whether the peer's list of its current life is applied and covers
+    /// what this node should know: no pull is pending.
+    pub(super) fn is_current(&self) -> bool {
+        self.applied.is_some() && !self.resync
+    }
+}
+
 /// When a peer's rows can first expire, as a function of the peer's two
 /// stamps. Per vouch class — no stamp, the digest only, the ALIVE datagram
 /// only, both — it holds the earliest own `last_heard` of the peer's rows
@@ -196,16 +204,22 @@ impl ServiceNode {
         if let (true, Some(list)) = (behind, announcements.announcements()) {
             // Only a full list advances the applied version. A partial is
             // no reason to pull either: the sender's next digest is.
+            let missing = self.lists_missing;
             if matches!(announcements, HelloList::Full(_)) {
-                let peer = &mut self.peers[slot].gossip;
-                let moved = peer.applied.filter(|&applied| applied != version);
-                (peer.applied, peer.resync) = (Some(version), false);
+                let moved = (self.peers[slot].gossip.applied).filter(|&at| at != version);
+                self.set_list(from, slot, |list| {
+                    (list.applied, list.resync) = (Some(version), false);
+                });
                 if let Some(unvouched) = moved {
                     self.fold_hello_vouch(from, slot, unvouched, heard);
                 }
             }
             behind = false;
             self.apply_announcements(from, slot, version, list, ctx);
+            // The last list to become current may complete open graces.
+            if missing > 0 && self.lists_missing == 0 {
+                self.recheck_open_graces(ctx);
+            }
         }
         // A pull is answered with the full list; a node still behind pulls.
         if pull || behind {
@@ -218,6 +232,27 @@ impl ServiceNode {
             // Counted here, not by `send_hello`: a start's pull is not one.
             if behind {
                 self.counts[NodeCount::HelloPullsSent].inc();
+            }
+        }
+    }
+
+    /// Changes what is known of `peer`'s (peer slot `slot`) list with
+    /// `change`, keeping `lists_missing` in step.
+    pub(super) fn set_list(
+        &mut self,
+        peer: NodeId,
+        slot: usize,
+        change: impl FnOnce(&mut PeerGossip),
+    ) {
+        let list = &mut self.peers[slot].gossip;
+        let was = list.is_current();
+        change(list);
+        if list.is_current() != was {
+            let configured = self.config.remote_peers().filter(|&p| p == peer).count();
+            if was {
+                self.lists_missing += configured;
+            } else {
+                self.lists_missing -= configured;
             }
         }
     }
@@ -328,7 +363,8 @@ impl ServiceNode {
             } else if member.processes.len() != listed {
                 // Unversioned: a late copy may have undone a rejoin the
                 // applied list already showed. Pull to find out.
-                self.peers.entry(from).gossip.resync = true;
+                let slot = self.peers.intern(from);
+                self.set_list(from, slot, |list| list.resync = true);
             }
         }
         self.check_leader(group, ctx);
@@ -346,13 +382,14 @@ impl ServiceNode {
         let row = state.rows.remove(peer);
         state.elector.reevaluate(state.rows.trusted());
         self.alive_epoch += 1;
-        let entry = self.peers.entry(peer);
+        let slot = self.peers.intern(peer);
         // Should a member come back at its applied list: pull, apply. (A
         // row a restart left without membership is no member of the
         // applied list, which is the new life's.)
         if row.is_some_and(|row| row.member.is_some()) {
-            entry.gossip.resync = true;
+            self.set_list(peer, slot, |list| list.resync = true);
         }
+        let entry = &mut self.peers[slot];
         entry.unindex(group);
         (entry.fd.wake, entry.gossip.wake) = (None, None);
     }

@@ -213,6 +213,9 @@ pub struct ServiceNode {
     /// interval a member asked for, which groups this node leads. (What the
     /// monitors themselves ask for moves the peer table's epoch.)
     alive_epoch: u64,
+    /// How many configured peers' lists are not current
+    /// (`PeerGossip::is_current`): while any is, no grace ends early.
+    lists_missing: usize,
     /// The cached ALIVE fan-out, and the `(alive_epoch, table params epoch)`
     /// it was built at.
     alive_plan: (Option<(u64, u64)>, Vec<alive::AliveGrid>),
@@ -234,6 +237,7 @@ impl ServiceNode {
         ServiceNode {
             // Every configured peer is contacted (HELLO goes to them all).
             peers: PeerTable::with_capacity(config.remote_peers().count()),
+            lists_missing: config.remote_peers().count(),
             config,
             incarnation: 0,
             hello_version: 0,
@@ -428,6 +432,7 @@ impl ServiceNode {
         let algorithm = self.config.algorithm;
         let now = ctx.now();
         let (obs, peers) = (&self.obs, &mut self.peers);
+        let (config, missing) = (&self.config, &mut self.lists_missing);
         let slot = self.groups.intern(group, || {
             let mut state = GroupState::new(group, me, algorithm, &join, now);
             state.obs = obs.as_ref().map(|obs| obs.group(group, now));
@@ -435,6 +440,7 @@ impl ServiceNode {
             for peer in peers.states_mut() {
                 peer.gossip.resync = true;
             }
+            *missing = config.remote_peers().count();
             state
         });
         self.groups.due[slot] = now + SimDuration::from_millis(5);
@@ -544,7 +550,7 @@ impl ServiceNode {
         }
         entry.incarnation = Some(incarnation);
         // Whatever list was applied belonged to the previous life.
-        entry.gossip.applied = None;
+        self.set_list(peer, slot, |list| list.applied = None);
         if known.is_none() {
             // First contact with this peer: nothing to reset.
             return;

@@ -1240,11 +1240,16 @@ struct TimerDrive {
 impl TimerDrive {
     /// Starts `config`'s node at time zero.
     fn start(config: ServiceConfig) -> Self {
+        Self::start_at(config, SimInstant::ZERO)
+    }
+
+    /// Starts `config`'s node at `now`.
+    fn start_at(config: ServiceConfig, now: SimInstant) -> Self {
         let mut drive = TimerDrive {
             node: ServiceNode::new(config),
             timers: BTreeMap::new(),
         };
-        let mut ctx = at(SimInstant::ZERO);
+        let mut ctx = at(now);
         drive.node.on_start(&mut ctx);
         drive.settle(ctx);
         drive
@@ -2215,9 +2220,9 @@ fn a_fixed_seed_run_replays_its_recorded_counts() {
                 messages: 22_812,
                 alive_payloads: 21_736,
                 hello: [82, 3_405, 22, 1, 1_014],
-                alive: [13_391, 5_099, 523],
+                alive: [13_391, 5_099, 521],
                 fd: [3_583, 1_244, 390],
-                leader_changes: 0xb1ba_5247_c815_6643,
+                leader_changes: 0x383e_a2d2_44d4_3851,
             },
         ),
         (
@@ -2227,9 +2232,9 @@ fn a_fixed_seed_run_replays_its_recorded_counts() {
                 messages: 21_992,
                 alive_payloads: 21_723,
                 hello: [81, 3_405, 21, 0, 831],
-                alive: [14_198, 3_466, 513],
+                alive: [14_198, 3_466, 512],
                 fd: [3_563, 1_035, 352],
-                leader_changes: 0x14e5_dbd0_969c_2103,
+                leader_changes: 0x9b73_2ff1_ad3e_ffe5,
             },
         ),
         (
@@ -2239,9 +2244,9 @@ fn a_fixed_seed_run_replays_its_recorded_counts() {
                 messages: 7_787,
                 alive_payloads: 3_703,
                 hello: [81, 3_405, 22, 0, 73],
-                alive: [4_026, 50, 49],
+                alive: [4_026, 50, 48],
                 fd: [1_076, 185, 112],
-                leader_changes: 0x29fe_90b2_65f5_918f,
+                leader_changes: 0x14d9_244c_4498_daa7,
             },
         ),
     ];
@@ -2428,4 +2433,242 @@ fn node_counters_never_decrease_across_a_recovery() {
         last = now;
     }
     assert!(world.actor(NodeId(0)).unwrap().leader_of(GROUP).is_some());
+}
+
+/// A peer's HELLO of its first life at `version`, sent at `sent_at`.
+fn hello_of(version: u64, sent_at: SimInstant, list: HelloList) -> ServiceMessage {
+    ServiceMessage::Hello {
+        incarnation: 1,
+        version,
+        sent_at,
+        pull: false,
+        announcements: list,
+    }
+}
+
+/// `peer`'s full list naming `groups`, each with its process 0 as a
+/// candidate.
+fn full_list(peer: NodeId, groups: &[GroupId]) -> HelloList {
+    let announce = |&group: &GroupId| GroupAnnouncement {
+        group,
+        processes: vec![(ProcessId::new(peer, 0), true)],
+    };
+    HelloList::Full(groups.iter().map(announce).collect())
+}
+
+/// Drives node 0 through `script` — deliveries `(at, from, msg)` in time
+/// order — firing its timers between them and up to `end`: every change of
+/// the leader it announces in [`GROUP`], with its instant.
+fn announcements(
+    drive: &mut TimerDrive,
+    script: Vec<(SimInstant, NodeId, ServiceMessage)>,
+    end: SimInstant,
+) -> Vec<(SimInstant, Option<ProcessId>)> {
+    let announced = |drive: &TimerDrive| (drive.node.groups.get(GROUP))?.announced_leader;
+    let mut last = announced(drive);
+    let mut log = Vec::new();
+    let mut note = |drive: &TimerDrive, now| {
+        let leader = announced(drive);
+        if leader != last {
+            log.push((now, leader));
+            last = leader;
+        }
+    };
+    let fire_to = |drive: &mut TimerDrive, until, note: &mut dyn FnMut(&TimerDrive, SimInstant)| {
+        for _ in 0..10_000 {
+            let Some((when, _)) = drive.step(until) else {
+                return;
+            };
+            note(drive, when);
+        }
+        panic!("timers still firing at {until}");
+    };
+    for (at, from, msg) in script {
+        fire_to(drive, at, &mut note);
+        drive.deliver(from, msg, at);
+        note(drive, at);
+    }
+    fire_to(drive, end, &mut note);
+    log
+}
+
+#[test]
+fn a_cold_start_elects_within_the_first_alive_round() {
+    // Four candidates start together over LAN links. The start's pull gets
+    // every peer's list within one round trip, and the first ALIVEs (sent
+    // 5 ms in) carry every candidate's payload: the winner's view is then
+    // complete and its grace ends there, not after the 2·T_D fallback. So
+    // every member announces the same leader within the first ALIVE round
+    // (η = 250 ms), and nothing changes after it.
+    for algorithm in ElectorKind::all() {
+        let n = 4;
+        let medium = sle_net::network::NetworkModel::new(sle_net::link::LinkSpec::lan()).build(3);
+        let mut world: World<ServiceNode, sle_net::network::SimulatedNetwork> = World::new(
+            n,
+            Box::new(move |node, _inc| {
+                let config = ServiceConfig::full_mesh(node, n, algorithm)
+                    .with_auto_join(GROUP, JoinConfig::candidate());
+                ServiceNode::new(config)
+            }),
+            medium,
+            3,
+        );
+        let mut trace = LeaderTrace::default();
+        world.run_until(SimInstant::from_secs_f64(3.0), &mut trace);
+        let leader = agreed_leader(&world, GROUP).expect("a leader");
+        let round = SimDuration::from_millis(250).as_nanos();
+        let announced = Some((leader.node.0, leader.local));
+        for node in 0..n as u32 {
+            let seen: Vec<_> = trace.events.iter().filter(|e| e.1 == node).collect();
+            let last = seen.last().expect("an announcement");
+            let what = format!("{algorithm}: node {node} announced {seen:?}");
+            assert_eq!(last.3, announced, "{what}");
+            assert!(last.0 < round, "{what}");
+        }
+        let winner = world.actor(leader.node).unwrap();
+        assert_eq!(winner.count(NodeCount::GraceEndedEarly), 1, "{algorithm}");
+    }
+}
+
+#[test]
+fn a_candidate_that_never_sends_is_waited_for_one_detection_bound() {
+    // Ω_l. Node 1 hears node 0's first ALIVE before its own first tick and
+    // withdraws without ever sending (the race of a cold start on the wall
+    // clock). Node 0 has node 1's list from 10 ms on, so node 1 is a
+    // candidate member it has not heard: its grace ends when its monitor of
+    // node 1, started by that list, suspects it — T_D^U = 1 s after the
+    // list, not 2·T_D^U after the join.
+    let ms = |ms: u64| SimInstant::from_nanos(ms * 1_000_000);
+    let config = ServiceConfig::full_mesh(NodeId(0), 2, ElectorKind::OmegaL)
+        .with_auto_join(GROUP, JoinConfig::candidate());
+    let mut drive = TimerDrive::start(config);
+    let peer = NodeId(1);
+    let list = hello_of(0, ms(9), full_list(peer, &[GROUP]));
+    let log = announcements(&mut drive, vec![(ms(10), peer, list)], ms(3_000));
+    let me = Some(ProcessId::new(NodeId(0), 0));
+    assert_eq!(log, [(ms(1_010), me)]);
+    assert_eq!(drive.node.count(NodeCount::GraceEndedEarly), 1);
+}
+
+#[test]
+fn a_restarted_candidate_waits_for_the_incumbent_its_list_names() {
+    // Node 0 restarts at 20 s. The incumbent's list reaches it at 20.01 s,
+    // but its ALIVEs are held back until 20.9 s, less than T_D^U after the
+    // list: its row is a candidate the node has neither heard nor
+    // suspected, so the node never claims the leadership for itself.
+    let ms = |ms: u64| SimInstant::from_nanos(ms * 1_000_000);
+    let config = ServiceConfig::full_mesh(NodeId(0), 2, ElectorKind::OmegaL)
+        .with_auto_join(GROUP, JoinConfig::candidate());
+    let mut drive = TimerDrive::start_at(config, ms(20_000));
+    let mut script = vec![(
+        ms(20_010),
+        LEADER,
+        hello_of(3, ms(20_009), full_list(LEADER, &[GROUP])),
+    )];
+    for seq in 0..8 {
+        let sent_at = ms(20_900 + 250 * seq);
+        let alive = omega_l_alive(LEADER, 100 + seq, sent_at, (SimInstant::ZERO, 0));
+        script.push((sent_at, LEADER, alive));
+    }
+    let log = announcements(&mut drive, script, ms(23_000));
+    assert_eq!(log, [(ms(20_900), Some(ProcessId::new(LEADER, 0)))]);
+    assert_eq!(drive.node.count(NodeCount::GraceEndedEarly), 0);
+}
+
+#[test]
+fn a_configured_peer_that_never_answers_keeps_the_fallback() {
+    // Node 0 outranks node 1, which answers its pull and sends ALIVEs, but
+    // node 2 never answers: the view is never complete, so node 0 claims
+    // the leadership when the 2·T_D fallback runs out, not earlier.
+    let ms = |ms: u64| SimInstant::from_nanos(ms * 1_000_000);
+    let config = ServiceConfig::full_mesh(NodeId(0), 3, ElectorKind::OmegaL)
+        .with_auto_join(GROUP, JoinConfig::candidate());
+    let mut drive = TimerDrive::start(config);
+    let peer = NodeId(1);
+    let mut script = vec![(ms(10), peer, hello_of(0, ms(9), full_list(peer, &[GROUP])))];
+    for seq in 0..12 {
+        let sent_at = ms(20 + 250 * seq);
+        script.push((
+            sent_at,
+            peer,
+            omega_l_alive(peer, seq, sent_at, (ms(20), 0)),
+        ));
+    }
+    let log = announcements(&mut drive, script, ms(3_000));
+    assert_eq!(log, [(ms(2_000), Some(ProcessId::new(NodeId(0), 0)))]);
+    assert_eq!(drive.node.count(NodeCount::GraceEndedEarly), 0);
+}
+
+#[test]
+fn an_ended_grace_stays_ended_when_a_candidate_joins_later() {
+    // Node 0 hears node 1's list and its ALIVE, ranked below node 0, by
+    // 20 ms. Its view completes at 30 ms, when the last list lands (node
+    // 2's, naming no group), so it leads from then. At 500 ms node 2 joins
+    // the group: a candidate member node 0 has not heard. The ended grace
+    // stays ended: node 0 keeps announcing itself.
+    let ms = |ms: u64| SimInstant::from_nanos(ms * 1_000_000);
+    let config = ServiceConfig::full_mesh(NodeId(0), 3, ElectorKind::OmegaL)
+        .with_auto_join(GROUP, JoinConfig::candidate());
+    let mut drive = TimerDrive::start(config);
+    let (member, joiner) = (NodeId(1), NodeId(2));
+    let announce = GroupAnnouncement {
+        group: GROUP,
+        processes: vec![(ProcessId::new(joiner, 0), true)],
+    };
+    let script = vec![
+        (
+            ms(10),
+            member,
+            hello_of(0, ms(9), full_list(member, &[GROUP])),
+        ),
+        (
+            ms(20),
+            member,
+            omega_l_alive(member, 0, ms(20), (ms(20), 0)),
+        ),
+        (ms(30), joiner, hello_of(0, ms(29), full_list(joiner, &[]))),
+        (
+            ms(500),
+            joiner,
+            hello_of(1, ms(499), HelloList::Partial(Arc::from([announce]))),
+        ),
+    ];
+    let log = announcements(&mut drive, script, ms(700));
+    assert_eq!(log, [(ms(30), Some(ProcessId::new(NodeId(0), 0)))]);
+    assert_eq!(drive.node.count(NodeCount::GraceEndedEarly), 1);
+}
+
+#[test]
+fn a_runtime_join_waits_for_the_lists_it_made_stale() {
+    // Node 0 runs in no group; node 1's list, applied at 10 ms, names the
+    // group it leads. Node 0 joins that group at 5 s: the applied list
+    // skipped it, so no list covers the group until node 1's next digest
+    // gets it pulled. Until then the view is not complete — node 0 knows
+    // no member yet — and the incumbent's ALIVE comes before any claim.
+    let ms = |ms: u64| SimInstant::from_nanos(ms * 1_000_000);
+    let config = ServiceConfig::full_mesh(NodeId(0), 2, ElectorKind::OmegaL);
+    let mut drive = TimerDrive::start(config);
+    let list = || full_list(LEADER, &[GROUP]);
+    drive.deliver(LEADER, hello_of(0, ms(9), list()), ms(10));
+    drive.run_to(ms(5_000)).expect("timers settle");
+    let process = drive.node.register_process();
+    let mut ctx = at(ms(5_000));
+    (drive
+        .node
+        .join_group(process, GROUP, JoinConfig::candidate(), &mut ctx))
+    .unwrap();
+    drive.settle(ctx);
+    assert_eq!(drive.node.groups.get(GROUP).unwrap().announced_leader, None);
+    let alive = omega_l_alive(LEADER, 7, ms(5_400), (SimInstant::ZERO, 0));
+    let script = vec![
+        (
+            ms(5_200),
+            LEADER,
+            hello_of(0, ms(5_199), HelloList::Omitted),
+        ),
+        (ms(5_210), LEADER, hello_of(0, ms(5_209), list())),
+        (ms(5_400), LEADER, alive),
+    ];
+    let log = announcements(&mut drive, script, ms(6_000));
+    assert_eq!(log, [(ms(5_400), Some(ProcessId::new(LEADER, 0)))]);
 }

@@ -115,6 +115,10 @@ node_counts! {
     /// elector's current one — each a duplicated or delayed replay that
     /// would have destabilised a settled leader.
     StaleAccusationsIgnored = "elect.stale_accusations_ignored",
+    /// Self-election graces that ended early, on a complete view (every
+    /// configured peer's list current, every candidate member heard or
+    /// suspected), before the 2·T_D fallback.
+    GraceEndedEarly = "elect.grace_early_ends",
     /// Leader leases minted (leaderships taken, or token changes while
     /// leading).
     LeasesMinted = "app.leases_minted",

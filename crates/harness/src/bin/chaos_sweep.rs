@@ -197,6 +197,11 @@ fn main() {
             std::process::exit(1);
         }
         println!("OK: operating points moved on repeated ALIVE batches under the checker");
+        if let Err(missing) = summary.grace_ends_exercised() {
+            eprintln!("FAIL: {missing} — the early end of the grace ran unchecked");
+            std::process::exit(1);
+        }
+        println!("OK: every service ended a self-election grace early under the checker");
     }
 }
 

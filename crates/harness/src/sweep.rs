@@ -134,7 +134,7 @@ impl CellSummary {
 type Column = (&'static str, usize, fn(&CellSummary) -> u64);
 
 /// The summary table's columns after service and plan.
-const COLUMNS: [Column; 13] = [
+const COLUMNS: [Column; 14] = [
     ("runs", 6, |c| c.runs),
     ("failed", 8, |c| c.failed),
     ("hello pulls", 12, |c| c.count(NodeCount::HelloPullsSent)),
@@ -143,6 +143,7 @@ const COLUMNS: [Column; 13] = [
     ("alive appl.", 12, |c| c.count(NodeCount::AliveApplied)),
     ("plan rbld", 10, |c| c.count(NodeCount::AlivePlanRebuilds)),
     ("reentries", 10, |c| c.count(NodeCount::AliveReentries)),
+    ("grace ends", 11, |c| c.count(NodeCount::GraceEndedEarly)),
     ("revivals", 9, CellSummary::revivals),
     ("fd fires", 9, |c| c.count(NodeCount::FdFires)),
     ("fd walks", 9, |c| c.count(NodeCount::FdWalks)),
@@ -289,6 +290,25 @@ impl SweepSummary {
                 "no {} or {} run moved an operating point on a repeated ALIVE batch",
                 families[0], families[1]
             ));
+        }
+        Ok(())
+    }
+
+    /// Checks that every service ended a self-election grace early, on a
+    /// complete view, under the invariant checker: every family starts
+    /// cold, so a service that never did ran only the 2·T_D fallback.
+    ///
+    /// # Errors
+    ///
+    /// Names the service that did not.
+    pub fn grace_ends_exercised(&self) -> Result<(), String> {
+        for algorithm in ElectorKind::all() {
+            let cells = self.cells.iter().filter(|c| c.algorithm == algorithm);
+            let ends: u64 = cells.map(|c| c.count(NodeCount::GraceEndedEarly)).sum();
+            if ends == 0 && self.cells.iter().any(|c| c.algorithm == algorithm) {
+                let label = algorithm_label(algorithm);
+                return Err(format!("no {label} run ended a self-election grace early"));
+            }
         }
         Ok(())
     }
@@ -533,7 +553,9 @@ mod tests {
         assert_eq!(summary.hello_paths_exercised(), Ok(()));
         assert_eq!(summary.alive_paths_exercised(), Ok(()));
         assert_eq!(summary.fd_moves_exercised(), Ok(()));
+        assert_eq!(summary.grace_ends_exercised(), Ok(()));
         assert!(summary.render().contains("alive same"));
+        assert!(summary.render().contains("grace ends"));
         assert!(summary.render().contains("fd walks"));
         assert!(summary.render().contains("fd moves"));
         assert!(summary.render().contains("hello walks"));

@@ -96,7 +96,8 @@ fn main() {
     println!("  ALIVE datagrams sent: {datagrams}");
     // The leader's crash was detected, and every survivor recorded its
     // first election. (A node announces its own leadership only once its
-    // self-election grace is over, which the crashed leader may not see.)
+    // self-election grace is over — its view of the group complete, or
+    // 2·T_D after joining — which the crashed leader may not see.)
     assert!(detections.count >= 1, "the leader's crash went undetected");
     assert!(elections.count >= 4, "a survivor recorded no election");
     println!("done.");

@@ -2204,6 +2204,8 @@ mod membership_expiry {
         /// The leader last announced, and since when it is the node itself.
         leader: Option<ProcessId>,
         led_since: Option<SimInstant>,
+        /// Whether the self-election grace ended early, on a complete view.
+        grace_ended: bool,
     }
 
     impl Group {
@@ -2422,8 +2424,17 @@ mod membership_expiry {
 
         /// The suspicions due by `now`, then the leader each group announces:
         /// the candidate peer while its elector trusts it (it outranks the
-        /// node under every algorithm), else the node once its grace ended.
+        /// node under every algorithm), else the node once its grace ended —
+        /// after 2·T_D, or early once its view is complete: both peers'
+        /// lists of their current lives applied with no pull pending, and
+        /// every entry that lists a candidate heard (in the elector) or
+        /// suspected. An early end is latched.
         fn settle(&mut self, now: SimInstant) {
+            let current =
+                |peer: Option<&Peer>| peer.is_some_and(|p| p.applied.is_some() && !p.resync);
+            let lists = [PEER, LISTENER]
+                .iter()
+                .all(|id| current(self.peers.get(id)));
             for group in &mut self.groups {
                 for (&id, monitor) in &mut group.monitors {
                     let trusted = !monitor.suspected;
@@ -2432,10 +2443,19 @@ mod membership_expiry {
                         group.elected.1 = false;
                     }
                 }
+                let resolved = group.members.iter().all(|(id, entry)| {
+                    let suspected = group.monitors.get(id).is_some_and(|m| m.suspected);
+                    let heard = *id == PEER && group.elected.0;
+                    !entry.processes.iter().any(|&(_, c)| c) || heard || suspected
+                });
                 let grace_ends = START + group.join.qos.detection_time() * 2;
                 let leader = match group.elected {
                     (true, true) => Some(ProcessId::new(PEER, 0)),
-                    _ if now >= grace_ends => Some(group.me),
+                    _ if now >= grace_ends || group.grace_ended => Some(group.me),
+                    _ if lists && resolved => {
+                        group.grace_ended = true;
+                        Some(group.me)
+                    }
                     _ => None,
                 };
                 if leader != group.leader {
@@ -2551,6 +2571,8 @@ mod membership_expiry {
         minted: u64,
         walks: u64,
         ticks: u64,
+        /// Groups whose self-election grace ended early.
+        early_ends: u64,
     }
 
     /// A scheduled step of the run.
@@ -2594,6 +2616,7 @@ mod membership_expiry {
                     elected: (false, false),
                     leader: None,
                     led_since: None,
+                    grace_ended: false,
                 })
                 .collect();
             let script = |id| Script {
@@ -2884,6 +2907,10 @@ mod membership_expiry {
         seen.kept_trusted += scene.model.kept_trusted;
         seen.unvouched += scene.model.unvouched;
         seen.walks += scene.rig.node.count(NodeCount::HelloMemberWalks);
+        let early = scene.model.groups.iter().filter(|g| g.grace_ended).count() as u64;
+        let counted = scene.rig.node.count(NodeCount::GraceEndedEarly);
+        assert_eq!(counted, early, "{}: graces ended early", scene.what);
+        seen.early_ends += early;
         seen
     }
 
@@ -2934,8 +2961,9 @@ mod membership_expiry {
     /// expiry instant, `LeaderChanged` and mint agrees with the eager
     /// reference — and between them the scripts expired both peers, kept a
     /// silent but trusted entry, unvouched entries by re-versioned lists,
-    /// lost LEAVEs, applied partials and restarted peers, while most HELLO
-    /// ticks left most peers alone.
+    /// lost LEAVEs, applied partials and restarted peers, and ended graces
+    /// early (as many as the node counts), while most HELLO ticks left most
+    /// peers alone.
     #[test]
     fn expiry_matches_the_eager_rule_under_loss_duplication_and_reordering() {
         let mut total = Seen::default();
@@ -2955,7 +2983,8 @@ mod membership_expiry {
             && total.partials > 0
             && total.restarts > 0
             && total.changes > 0
-            && total.minted > 0;
+            && total.minted > 0
+            && total.early_ends > 0;
         assert!(covered, "a condition was never exercised: {total:?}");
         // Each tick visits two peers: at most a quarter of the visits walked.
         assert!(

@@ -49,8 +49,9 @@ fn wait_for_leader(
 fn live_qos_histograms_and_drained_trace_meet_the_paper_bounds() {
     let qos = QosSpec::paper_default();
     let t_d = Duration::from_nanos(qos.detection_time().as_nanos());
-    // Same bound derivation as tests/runtime_scale.rs: grace, convergence,
-    // and scheduling slack for a loaded CI machine.
+    // Same bound derivation as tests/runtime_scale.rs: the grace's 2·T_D
+    // fallback (an early end only shortens it), convergence, and scheduling
+    // slack for a loaded CI machine.
     let bound = t_d * 4 + Duration::from_secs(2);
 
     let mut mesh: InMemoryMesh<ServiceMessage> =

@@ -59,8 +59,9 @@ fn elect_everywhere<E>(
     E: MessageEndpoint<ServiceMessage> + Send + 'static,
 {
     let qos = QosSpec::paper_default();
-    // The bound, derived from the QoS: a freshly joined candidate waits out
-    // the self-election grace (2 × T_D^U) before claiming leadership, and
+    // The bound, derived from the QoS: a freshly joined candidate claims
+    // leadership once its view of the group is complete, and at the latest
+    // when the self-election grace's fallback (2 × T_D^U) runs out, and
     // convergence of everyone's view takes at most another detection time
     // of gossip; the rest is scheduling slack for a loaded CI machine.
     let t_d = Duration::from_nanos(qos.detection_time().as_nanos());
