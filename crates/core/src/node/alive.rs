@@ -20,6 +20,7 @@ use sle_fd::{default_interval, PeerMonitor, Transition};
 use sle_sim::actor::NodeId;
 use sle_sim::time::{SimDuration, SimInstant};
 
+use super::election::first_alive_held;
 use super::{next_tick, Peers, ServiceContext, ServiceNode, ALIVE_TIMER, MAX_BATCH_BYTES};
 use crate::group::{GroupState, PeerRow};
 use crate::messages::{AliveHeader, GroupAlive, ServiceMessage};
@@ -152,6 +153,7 @@ impl ServiceNode {
             None => ctx.cancel_timer(ALIVE_TIMER),
         }
         self.alive_armed = next;
+        self.alive_armed_at = ctx.now();
     }
 
     /// Keeps the ALIVE tick armed at the earliest due time of the groups
@@ -270,7 +272,13 @@ impl ServiceNode {
         }
         // Destinations in ascending peer id (each grid's already are), so
         // the fan-out order stays deterministic.
-        let mut sends: Vec<_> = (grids.iter().filter(due))
+        // A join's first tick that fired late sends nothing.
+        let armed_at = self.alive_armed_at;
+        let held = |grid: &AliveGrid, &slot: &u32| {
+            first_alive_held(self.groups.slot(slot), grid.due, armed_at, now)
+        };
+        let sending = |grid: &&AliveGrid| !grid.groups.iter().all(|slot| held(grid, slot));
+        let mut sends: Vec<_> = (grids.iter().filter(due).filter(sending))
             .flat_map(|grid| grid.sends.iter().map(move |send| (grid, send)))
             .collect();
         sends.sort_by_key(|(_, send)| send.0);

@@ -5,7 +5,9 @@
 //! every configured peer's list current, every candidate member heard or
 //! suspected — or after 2·T_D, whichever comes first. Every path that can
 //! complete a view re-checks the leader, which debug builds assert after
-//! every entry point.
+//! every entry point. A join's first ALIVE tick is held here too when it
+//! fires late ([`FIRST_ALIVE_DELAY`]), so that the candidates of one start
+//! are all heard before any of them withdraws.
 
 use sle_fd::{PeerTable, TuningPolicy};
 use sle_sim::actor::{NodeId, TimerTag};
@@ -17,6 +19,36 @@ use crate::group::GroupState;
 use crate::lease::{FencingToken, LeaderLease};
 use crate::obs::NodeCount;
 use crate::process::{GroupId, ProcessId};
+
+/// How long after a join its first ALIVE tick is due: the start's list
+/// exchange lands first on a LAN, so the first ALIVE reaches every member.
+///
+/// A first tick that fires more than this late sends nothing; the group's
+/// first ALIVE waits for its slot on the node-wide grid. Such a tick comes
+/// from a worker too busy to keep its timers, as in the start of a large
+/// cluster on the wall clock. Its view was formed after it was due; the
+/// joins it raced with fired earlier, most knowing no member yet. If it
+/// sent now, its ALIVE could silence (Ω_l) a worse-ranked candidate that
+/// had not yet been heard. That candidate's winner would then wait one
+/// detection bound for its monitor to suspect it. The grid slot is shared
+/// by every join of that start, so each candidate is heard before any of
+/// them withdraws. A simulated timer is never late, so this never holds
+/// there.
+pub(super) const FIRST_ALIVE_DELAY: SimDuration = SimDuration::from_millis(5);
+
+/// Whether `state`'s ALIVE tick, due at `due`, armed at `armed_at` and
+/// firing at `now`, is the join's first and fired late: more than
+/// [`FIRST_ALIVE_DELAY`] after both its due time and the instant it was
+/// armed. A re-entry arms the tick for a slot already passed, and so fires
+/// on time for when it was armed.
+pub(super) fn first_alive_held(
+    state: &GroupState,
+    due: SimInstant,
+    armed_at: SimInstant,
+    now: SimInstant,
+) -> bool {
+    due == state.joined_at + FIRST_ALIVE_DELAY && now > due.max(armed_at) + FIRST_ALIVE_DELAY
+}
 
 /// The timer that ends `group`'s self-election grace period.
 pub(super) fn grace_tag(group: GroupId) -> TimerTag {

@@ -224,6 +224,9 @@ pub struct ServiceNode {
     alive_synced: u64,
     /// When the ALIVE tick is armed to fire, if it is.
     alive_armed: Option<SimInstant>,
+    /// When the ALIVE tick was last armed: a tick that fires well after
+    /// both this and its due time fired late ([`election::FIRST_ALIVE_DELAY`]).
+    alive_armed_at: SimInstant,
     /// Live QoS instruments and protocol trace, when attached by the
     /// driving runtime ([`ServiceNode::set_instruments`]). `None` — the
     /// default — costs one branch per instrumentation point.
@@ -249,6 +252,7 @@ impl ServiceNode {
             alive_plan: (None, Vec::new()),
             alive_synced: 0,
             alive_armed: None,
+            alive_armed_at: SimInstant::ZERO,
             obs: None,
             lease: lease::LeaseTier::default(),
         }
@@ -443,7 +447,7 @@ impl ServiceNode {
             *missing = config.remote_peers().count();
             state
         });
-        self.groups.due[slot] = now + SimDuration::from_millis(5);
+        self.groups.due[slot] = now + election::FIRST_ALIVE_DELAY;
         let state = self.groups.slots[slot]
             .as_mut()
             .expect("interned slot is live");

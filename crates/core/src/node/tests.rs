@@ -1901,6 +1901,84 @@ fn a_follower_that_suspects_its_leader_sends_its_alive_at_that_instant() {
     assert_eq!(drive.node.count(NodeCount::AliveReentries), 1);
 }
 
+/// Node 0 of two, joined to [`GROUP`] under Ω_l at its start (time zero),
+/// with node 1's list from 1 ms on: its first tick, due at 5 ms, has a
+/// member to send to.
+fn omega_l_candidate_knowing_its_peer() -> TimerDrive {
+    let ms = |ms: u64| SimInstant::from_nanos(ms * 1_000_000);
+    let config = ServiceConfig::full_mesh(NodeId(0), 2, ElectorKind::OmegaL)
+        .with_auto_join(GROUP, JoinConfig::candidate());
+    let mut drive = TimerDrive::start(config);
+    drive.deliver(
+        NodeId(1),
+        hello_of(0, ms(1), full_list(NodeId(1), &[GROUP])),
+        ms(1),
+    );
+    drive
+}
+
+/// Fires `drive`'s timers up to `end`: the instants its ALIVEs left.
+fn alive_instants(drive: &mut TimerDrive, end: SimInstant) -> Vec<SimInstant> {
+    let mut sent = Vec::new();
+    while let Some((when, sends)) = drive.step(end) {
+        sent.extend((0..alives_in(&sends)).map(|_| when));
+    }
+    sent
+}
+
+#[test]
+fn a_late_first_tick_leaves_the_first_alive_to_the_grid_slot() {
+    // On time, a join's first ALIVE leaves 5 ms after it. The same tick
+    // fired 15 ms late (a busy worker) sends nothing, and the first ALIVE
+    // leaves on the group's 250 ms grid slot, which every join of the
+    // start shares.
+    let ms = |ms: u64| SimInstant::from_nanos(ms * 1_000_000);
+    let mut on_time = omega_l_candidate_knowing_its_peer();
+    assert_eq!(on_time.timers.get(&ALIVE_TIMER), Some(&ms(5)));
+    assert_eq!(alive_instants(&mut on_time, ms(300)), [ms(5), ms(250)]);
+
+    let mut late = omega_l_candidate_knowing_its_peer();
+    assert_eq!(late.timers.remove(&ALIVE_TIMER), Some(ms(5)));
+    let mut ctx = at(ms(20));
+    late.node.on_timer(ALIVE_TIMER, &mut ctx);
+    assert_eq!(alives_in(&late.settle(ctx)), 0);
+    assert_eq!(late.node.count(NodeCount::AlivePayloadsSent), 0);
+    assert_eq!(alive_instants(&mut late, ms(300)), [ms(250)]);
+}
+
+#[test]
+fn a_reentry_still_fires_at_once_when_its_join_never_ticked() {
+    // Node 0 joins at 10 ms and hears the leader at 12 ms, before its first
+    // tick (15 ms): it withdraws, and the group keeps that first tick's due
+    // time. When it suspects the silent leader, the re-entry arms the tick
+    // for that slot, long passed; the tick fires on time for when it was
+    // armed, so the ALIVE leaves in the instant of the suspicion.
+    let mut drive = omega_l_candidate_at_10_ms(2);
+    let heard = SimInstant::from_nanos(12_000_000);
+    let alive = omega_l_alive(LEADER, 0, heard, (SimInstant::ZERO, 0));
+    assert_eq!(alives_in(&drive.deliver(LEADER, alive, heard)), 0);
+    assert!(!drive.node.is_competing(GROUP));
+    let suspected = |drive: &TimerDrive| {
+        let monitor = drive.node.groups.get(GROUP).unwrap().rows.monitor(LEADER);
+        monitor.is_some_and(|monitor| !monitor.is_trusted())
+    };
+    let end = SimInstant::from_secs_f64(5.0);
+    let mut suspicion = None;
+    let mut first_alive = None;
+    while let Some((when, sends)) = drive.step(end) {
+        if suspicion.is_none() && suspected(&drive) {
+            suspicion = Some(when);
+        }
+        if alives_in(&sends) > 0 {
+            first_alive = Some(when);
+            break;
+        }
+    }
+    let suspicion = suspicion.expect("the silent leader suspected");
+    assert_eq!(first_alive, Some(suspicion), "suspected at {suspicion}");
+    assert_eq!(drive.node.count(NodeCount::AliveReentries), 1);
+}
+
 #[test]
 fn a_leader_waiting_to_mint_keeps_ticking_until_it_mints() {
     // Node 0, alone in its group, leads once its self-election grace ends

@@ -54,6 +54,7 @@
 
 pub mod plane;
 pub mod pool;
+mod sockopt;
 
 pub use plane::{
     PlaneStats, PlaneStatsSnapshot, SharedUdpEndpoint, SharedUdpPlane, COALESCE_BUDGET,

@@ -71,6 +71,7 @@ use sle_sim::actor::NodeId;
 use sle_wire::{decode_frame, encode_frame_into, WireFormat, MAX_DATAGRAM};
 
 use crate::pool::{BufferPool, PoolStatsSnapshot};
+use crate::sockopt::widen_receive_buffer;
 
 /// Bytes of plane framing preceding each record's sle-wire frame:
 /// `dest_node: u32 BE | frame_len: u16 BE`.
@@ -391,7 +392,9 @@ impl<M: WireFormat + Send + 'static> SharedUdpPlane<M> {
     /// socket `i % sockets`) — the socket-world equivalent of
     /// [`InMemoryMesh::new(n)`](sle_net::transport::InMemoryMesh::new).
     /// One reader thread is spawned per socket; at most `nodes` sockets are
-    /// bound, so `bind_loopback(n, n)` is one socket per workstation.
+    /// bound, so `bind_loopback(n, n)` is one socket per workstation. Each
+    /// socket asks for a receive buffer of `RECEIVE_BUFFER` (4 MiB, capped
+    /// by the host), room for a cold start's ALIVE round.
     ///
     /// # Errors
     ///
@@ -428,6 +431,7 @@ impl<M: WireFormat + Send + 'static> SharedUdpPlane<M> {
 
         let mut readers = Vec::with_capacity(sockets.len());
         for (socket_idx, socket) in sockets.iter().enumerate() {
+            widen_receive_buffer(socket);
             let reader_socket = socket.try_clone()?;
             reader_socket.set_read_timeout(None)?;
             readers.push(
