@@ -195,9 +195,9 @@ pub struct ServiceNode {
     /// full send of a version (a start, a pull answered) and shared by every
     /// later one.
     hello_list: Option<Arc<[GroupAnnouncement]>>,
-    /// The node's counters, one per [`NodeCount`]: the registry's own cells
-    /// once instruments are attached.
-    counts: [sle_obs::Counter; NodeCount::COUNT],
+    /// The node's counters, one cell per [`NodeCount`] in one block: the
+    /// registry's own once instruments are attached.
+    counts: sle_obs::CounterBlock,
     /// The local slot of the next process to register: every slot below it
     /// is registered.
     next_local_process: u32,
@@ -245,7 +245,7 @@ impl ServiceNode {
             incarnation: 0,
             hello_version: 0,
             hello_list: None,
-            counts: Default::default(),
+            counts: sle_obs::CounterBlock::new(NodeCount::COUNT),
             next_local_process: 0,
             groups: GroupTable::default(),
             alive_epoch: 0,
@@ -259,10 +259,10 @@ impl ServiceNode {
     }
 
     /// Attaches live observability instruments: QoS histograms recorded
-    /// under this node's registry names (one per workstation, and two
+    /// into this node's registry family (three per workstation, and two
     /// counters per group), protocol events pushed into the
     /// given trace ring, and every [`NodeCount`] counted in the registry's
-    /// `node.<n>.<suffix>` cell. Runtimes call this right after
+    /// block of the node. Runtimes call this right after
     /// construction, before the node starts; without it, every
     /// instrumentation point is a single `None` branch.
     ///
@@ -270,9 +270,7 @@ impl ServiceNode {
     /// same registry counts on where its predecessor stopped, so
     /// [`ServiceNode::count`] is then cumulative across incarnations.
     pub fn set_instruments(&mut self, instruments: NodeInstruments) {
-        for (&count, counter) in NodeCount::ALL.iter().zip(&mut self.counts) {
-            *counter = instruments.counter(count);
-        }
+        self.counts = instruments.counts().clone();
         self.obs = Some(instruments);
     }
 

@@ -2750,3 +2750,65 @@ fn a_runtime_join_waits_for_the_lists_it_made_stale() {
     let log = announcements(&mut drive, script, ms(6_000));
     assert_eq!(log, [(ms(5_400), Some(ProcessId::new(LEADER, 0)))]);
 }
+
+/// FNV-1a of `text`: a digest that no toolchain update moves.
+fn fnv1a(text: &str) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    for byte in text.bytes() {
+        hash = (hash ^ byte as u64).wrapping_mul(0x0100_0000_01b3);
+    }
+    hash
+}
+
+#[test]
+fn an_instrumented_run_exports_what_it_recorded() {
+    // Four nodes over lossy links, in two groups. Node 2 leaves group 1
+    // at 5 s and rejoins it at 10 s; node 0 crashes at 12.5 s and recovers
+    // at 13 s. Both exporters' output of the registry at 30 s is pinned as
+    // a digest: every series, its name and its value, byte for byte, as the
+    // registry of one named cell per series rendered it.
+    let n = 4;
+    let registry = sle_obs::Registry::default();
+    let cells = registry.clone();
+    let link = sle_net::link::LinkSpec::lossy(SimDuration::from_millis(10), 0.3);
+    let mut world = World::new(
+        n,
+        Box::new(move |node, _incarnation| {
+            let config = ServiceConfig::full_mesh(node, n, ElectorKind::OmegaLc)
+                .with_auto_join(GROUP, JoinConfig::candidate())
+                .with_auto_join(GroupId(2), JoinConfig::candidate());
+            let mut service = ServiceNode::new(config);
+            let ring = sle_obs::TraceRing::new(64);
+            service.set_instruments(NodeInstruments::new(&cells, ring, node));
+            service
+        }),
+        sle_net::network::NetworkModel::new(link).build(29),
+        29,
+    );
+    let at = SimInstant::from_secs_f64;
+    world.schedule_crash(NodeId(0), at(12.5));
+    world.schedule_recovery(NodeId(0), at(13.0));
+    world.run_until(at(5.0), &mut NullObserver);
+    leave(&mut world, GROUP);
+    world.run_until(at(10.0), &mut NullObserver);
+    join(&mut world, GROUP, JoinConfig::candidate());
+    world.run_until(at(30.0), &mut NullObserver);
+    let snapshot = registry.snapshot();
+    let prometheus = sle_obs::render_prometheus(&snapshot);
+    let json = sle_obs::render_json(&snapshot);
+    let mistakes = snapshot.sum_counters("node.", ".fd.mistakes");
+    let recorded = (
+        registry.len(),
+        mistakes,
+        (prometheus.len(), fnv1a(&prometheus)),
+        (json.len(), fnv1a(&json)),
+    );
+    // Recorded by the registry that kept one named cell per series.
+    let pinned = (
+        120,
+        4,
+        (12_876, 0x0534_4235_a834_143d),
+        (9_377, 0xb067_259d_bf8a_9006),
+    );
+    assert_eq!(recorded, pinned, "{prometheus}");
+}

@@ -28,13 +28,21 @@
 //! One group's latencies are in the trace: its `Accusation` and
 //! `LeaderChange` events.
 //!
-//! Every node counter is one [`NodeCount`] row, registered as
+//! Every node counter is one [`NodeCount`] row, rendered as
 //! `node.<n>.<suffix>`. The full catalogue lives in `docs/OBSERVABILITY.md`.
+//!
+//! The registry keeps these series in two [families](sle_obs::family), not
+//! by name: [`NODE_SERIES`] holds one block of [`NodeCount`] cells and the
+//! three histograms per node, [`GROUP_SERIES`] the two counters per
+//! (node, group). Every incarnation of node `n`, and every rejoin of a
+//! group, gets back the same cells.
 //!
 //! [`ServiceNode`]: crate::node::ServiceNode
 //! [`ServiceNode::set_instruments`]: crate::node::ServiceNode::set_instruments
 
-use sle_obs::{Counter, Histogram, ProtoEvent, Registry, TraceRing};
+use sle_obs::{
+    CounterBlock, CounterCell, Family, FamilySchema, Histogram, ProtoEvent, Registry, TraceRing,
+};
 use sle_sim::time::{SimDuration, SimInstant};
 use sle_sim::NodeId;
 
@@ -58,6 +66,9 @@ macro_rules! node_counts {
 
             /// The number of counters.
             pub const COUNT: usize = NodeCount::ALL.len();
+
+            /// Every counter's suffix, in table order.
+            pub const SUFFIXES: &'static [&'static str] = &[$($suffix),+];
 
             /// The counter's registry name below `node.<n>.`.
             pub const fn suffix(self) -> &'static str {
@@ -136,22 +147,52 @@ node_counts! {
     RequestsRedirected = "app.requests_redirected",
 }
 
-/// A node's counter table is indexed by the counter.
-impl std::ops::Index<NodeCount> for [Counter; NodeCount::COUNT] {
-    type Output = Counter;
+/// A node's counter block is indexed by the counter.
+impl std::ops::Index<NodeCount> for CounterBlock {
+    type Output = CounterCell;
 
-    fn index(&self, count: NodeCount) -> &Counter {
+    #[inline]
+    fn index(&self, count: NodeCount) -> &CounterCell {
         &self[count as usize]
     }
 }
+
+/// The node's histograms, in [`NODE_SERIES`] order.
+const DETECTION: usize = 0;
+const ELECTION: usize = 1;
+const ALIVE_INTERARRIVAL: usize = 2;
+
+/// The series of an instrumented node, keyed by its id: every
+/// [`NodeCount`] and the three latency histograms.
+pub static NODE_SERIES: FamilySchema = FamilySchema {
+    heads: &["node"],
+    counters: NodeCount::SUFFIXES,
+    histograms: &[
+        "fd.detection_ns",
+        "elect.election_ns",
+        "net.alive_interarrival_ns",
+    ],
+};
+
+/// The counters of a (node, group) membership, in [`GROUP_SERIES`] order.
+const SUSPICIONS: usize = 0;
+const MISTAKES: usize = 1;
+
+/// The series of an instrumented node's membership, keyed by the node's
+/// and the group's ids.
+pub static GROUP_SERIES: FamilySchema = FamilySchema {
+    heads: &["node", "group"],
+    counters: &["fd.suspicions", "fd.mistakes"],
+    histograms: &[],
+};
 
 /// One group's QoS counters plus its election-episode state machine, kept
 /// in the group's state while the node is in the group: a rejoin opens a
 /// new episode at the join instant.
 #[derive(Debug, Clone)]
 pub(crate) struct GroupInstruments {
-    suspicions: Counter,
-    mistakes: Counter,
+    /// The membership's cells in [`GROUP_SERIES`].
+    cells: CounterBlock,
     /// When the current leaderless episode began (set at the join and
     /// whenever the announced leader reverts to `None`); cleared — and the
     /// episode's duration recorded — when a leader is announced.
@@ -161,7 +202,7 @@ pub(crate) struct GroupInstruments {
 impl GroupInstruments {
     /// A suspected peer revived: the suspicion was a detector mistake.
     pub(crate) fn on_mistake(&self) {
-        self.mistakes.inc();
+        self.cells[MISTAKES].inc();
     }
 }
 
@@ -171,23 +212,30 @@ pub struct NodeInstruments {
     registry: Registry,
     trace: TraceRing,
     node: NodeId,
+    /// The node's [`NodeCount`] cells in [`NODE_SERIES`].
+    counts: CounterBlock,
+    /// The registry's [`GROUP_SERIES`].
+    groups: Family,
     detection: Histogram,
     election: Histogram,
     alive_interarrival: Histogram,
 }
 
 impl NodeInstruments {
-    /// Creates the instrument bundle for `node`, registering the node-level
-    /// metrics in `registry` and tracing into `trace`.
+    /// Creates the instrument bundle for `node`, registering the node's
+    /// series in `registry` and tracing into `trace`.
     pub fn new(registry: &Registry, trace: TraceRing, node: NodeId) -> Self {
-        let histogram = |suffix: &str| registry.histogram(&format!("node.{}.{suffix}", node.0));
+        let nodes = registry.family(&NODE_SERIES);
+        let key = [node.0];
         NodeInstruments {
             registry: registry.clone(),
             trace,
             node,
-            detection: histogram("fd.detection_ns"),
-            election: histogram("elect.election_ns"),
-            alive_interarrival: histogram("net.alive_interarrival_ns"),
+            counts: nodes.counters(&key),
+            groups: registry.family(&GROUP_SERIES),
+            detection: nodes.histogram(&key, DETECTION),
+            election: nodes.histogram(&key, ELECTION),
+            alive_interarrival: nodes.histogram(&key, ALIVE_INTERARRIVAL),
         }
     }
 
@@ -201,19 +249,17 @@ impl NodeInstruments {
         &self.trace
     }
 
-    /// The registry's `node.<n>.<suffix>` counter of `count`, created on
-    /// first use: every incarnation of the node counts on in the same cell.
-    pub(crate) fn counter(&self, count: NodeCount) -> Counter {
-        let name = format!("node.{}.{}", self.node.0, count.suffix());
-        self.registry.counter(&name)
+    /// The node's block of [`NodeCount`] cells, indexed by the counter:
+    /// every incarnation of the node counts on in the same cells.
+    pub(crate) fn counts(&self) -> &CounterBlock {
+        &self.counts
     }
 
-    /// The instruments of `group`, joined at `now`.
+    /// The instruments of `group`, joined at `now`: a rejoin counts on in
+    /// the cells of the node's earlier memberships of the group.
     pub(crate) fn group(&self, group: GroupId, now: SimInstant) -> GroupInstruments {
-        let prefix = format!("node.{}.group.{}", self.node.0, group.0);
         GroupInstruments {
-            suspicions: self.registry.counter(&format!("{prefix}.fd.suspicions")),
-            mistakes: self.registry.counter(&format!("{prefix}.fd.mistakes")),
+            cells: self.groups.counters(&[self.node.0, group.0]),
             election_started: Some(now),
         }
     }
@@ -222,7 +268,7 @@ impl NodeInstruments {
     /// suspecting a peer that was last heard `silent_for` ago — one
     /// detection-latency sample.
     pub(crate) fn on_detection(&self, instruments: &GroupInstruments, silent_for: SimDuration) {
-        instruments.suspicions.inc();
+        instruments.cells[SUSPICIONS].inc();
         self.detection.record_duration(silent_for);
     }
 
@@ -307,15 +353,19 @@ impl NodeInstruments {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use sle_election::ElectorKind;
-    use sle_obs::{MetricValue, Registry, TraceRing};
-    use sle_sim::time::SimInstant;
+    use sle_obs::metrics::bucket_index;
+    use sle_obs::{HistogramSnapshot, MetricValue, Registry, TraceRing};
+    use sle_sim::rng::SimRng;
+    use sle_sim::time::{SimDuration, SimInstant};
     use sle_sim::{Actor, NodeId};
 
-    use super::{NodeCount, NodeInstruments};
+    use super::{GroupInstruments, NodeCount, NodeInstruments, MISTAKES, SUSPICIONS};
     use crate::config::{JoinConfig, ServiceConfig};
     use crate::node::{ServiceContext, ServiceNode};
-    use crate::process::GroupId;
+    use crate::process::{GroupId, ProcessId};
 
     /// `name` of node 0 with `<n>` and `<g>` in place of the node and the
     /// group.
@@ -388,5 +438,152 @@ mod tests {
         );
         assert_eq!(per_group, 2);
         assert_eq!(shape(registered_series(64)), (one, 2 * 64));
+    }
+
+    /// What a registry of one named cell per series holds.
+    #[derive(Default)]
+    struct Model(BTreeMap<String, MetricValue>);
+
+    impl Model {
+        /// Registers `names` as counters at zero, keeping existing ones.
+        fn counters(&mut self, names: impl IntoIterator<Item = String>) {
+            for name in names {
+                self.0.entry(name).or_insert(MetricValue::Counter(0));
+            }
+        }
+
+        fn add(&mut self, name: &str, n: u64) {
+            match self.0.get_mut(name) {
+                Some(MetricValue::Counter(v)) => *v += n,
+                other => panic!("{name}: {other:?}"),
+            }
+        }
+
+        fn record(&mut self, name: &str, value: u64) {
+            let entry = (self.0.entry(name.to_string()))
+                .or_insert_with(|| MetricValue::Histogram(HistogramSnapshot::empty()));
+            let MetricValue::Histogram(h) = entry else {
+                panic!("{name}: {entry:?}")
+            };
+            let i = bucket_index(value);
+            h.count += 1;
+            h.sum = h.sum.wrapping_add(value);
+            h.buckets[i] += 1;
+            h.bucket_sums[i] = h.bucket_sums[i].wrapping_add(value);
+        }
+    }
+
+    const HISTOGRAMS: [&str; 3] = [
+        "fd.detection_ns",
+        "elect.election_ns",
+        "net.alive_interarrival_ns",
+    ];
+
+    #[test]
+    fn families_render_what_one_named_cell_per_series_holds() {
+        // Random runs over 4 nodes and 3 groups: attach a node's
+        // instruments (its start, or a recovered incarnation), count, join,
+        // leave and rejoin a group, record suspicions, mistakes and
+        // latencies, and compare the registry's snapshot and series count
+        // with a model that keeps one named cell per series. By-name
+        // lookups must return the cells the node records into.
+        for seed in 0..40 {
+            let mut rng = SimRng::seed_from(seed);
+            let registry = Registry::default();
+            let ring = TraceRing::new(16);
+            let mut nodes: Vec<Option<NodeInstruments>> = (0..4).map(|_| None).collect();
+            let mut joined: BTreeMap<(u32, u32), GroupInstruments> = BTreeMap::new();
+            let mut model = Model::default();
+            let mut now = SimInstant::ZERO;
+            for _ in 0..300 {
+                now += SimDuration::from_millis(1 + rng.uniform_usize(50) as u64);
+                let n = rng.uniform_usize(4) as u32;
+                let g = 1 + rng.uniform_usize(3) as u32;
+                let sample = rng.next_u64() >> rng.uniform_usize(64);
+                let Some(node) = &nodes[n as usize] else {
+                    // A node starts, or recovers, only after its last
+                    // incarnation's memberships are gone.
+                    let node = NodeInstruments::new(&registry, ring.clone(), NodeId(n));
+                    nodes[n as usize] = Some(node);
+                    let suffixes = NodeCount::ALL.iter().map(|c| c.suffix());
+                    model.counters(suffixes.map(|s| format!("node.{n}.{s}")));
+                    for suffix in HISTOGRAMS {
+                        let name = format!("node.{n}.{suffix}");
+                        model
+                            .0
+                            .entry(name)
+                            .or_insert_with(|| MetricValue::Histogram(HistogramSnapshot::empty()));
+                    }
+                    continue;
+                };
+                let group = format!("node.{n}.group.{g}.fd");
+                match rng.uniform_usize(9) {
+                    0 => {
+                        // A crash: the node and its memberships go.
+                        nodes[n as usize] = None;
+                        joined.retain(|&(m, _), _| m != n);
+                    }
+                    1 | 2 => {
+                        let count = NodeCount::ALL[rng.uniform_usize(NodeCount::COUNT)];
+                        let k = rng.uniform_usize(3) as u64;
+                        node.counts()[count].add(k);
+                        model.add(&format!("node.{n}.{}", count.suffix()), k);
+                        let by_name = registry.counter(&format!("node.{n}.{}", count.suffix()));
+                        assert!(by_name.same_as(&node.counts().counter(count as usize)));
+                    }
+                    3 => {
+                        // A join, or a rejoin; leaving drops the cells.
+                        if joined.remove(&(n, g)).is_none() {
+                            joined.insert((n, g), node.group(GroupId(g), now));
+                            let suffixes = ["suspicions", "mistakes"];
+                            model.counters(suffixes.map(|s| format!("{group}.{s}")));
+                        }
+                    }
+                    4 => {
+                        if let Some(instruments) = joined.get(&(n, g)) {
+                            node.on_detection(instruments, SimDuration::from_nanos(sample));
+                            model.add(&format!("{group}.suspicions"), 1);
+                            model.record(&format!("node.{n}.fd.detection_ns"), sample);
+                        }
+                    }
+                    5 => {
+                        if let Some(instruments) = joined.get(&(n, g)) {
+                            instruments.on_mistake();
+                            model.add(&format!("{group}.mistakes"), 1);
+                            let by_name = registry.counter(&format!("{group}.mistakes"));
+                            assert!(by_name.same_as(&instruments.cells.counter(MISTAKES)));
+                            let by_name = registry.counter(&format!("{group}.suspicions"));
+                            assert!(by_name.same_as(&instruments.cells.counter(SUSPICIONS)));
+                        }
+                    }
+                    6 => {
+                        let prev = now - SimDuration::from_nanos(sample.min(now.as_nanos() - 1));
+                        node.on_alive_datagram(prev, now);
+                        let name = format!("node.{n}.net.alive_interarrival_ns");
+                        model.record(&name, now.saturating_since(prev).as_nanos());
+                        assert!(registry.histogram(&name).same_as(&node.alive_interarrival));
+                    }
+                    7 => {
+                        if let Some(instruments) = joined.get_mut(&(n, g)) {
+                            let started = instruments.election_started;
+                            let leader = rng.bernoulli(0.5).then(|| ProcessId::new(NodeId(n), 0));
+                            node.on_leader_change(instruments, GroupId(g), leader, now);
+                            if let (Some(started), Some(_)) = (started, leader) {
+                                let latency = now.saturating_since(started).as_nanos();
+                                model.record(&format!("node.{n}.elect.election_ns"), latency);
+                            }
+                        }
+                    }
+                    _ => {
+                        let snapshot = registry.snapshot();
+                        let expected: Vec<_> = model.0.clone().into_iter().collect();
+                        assert_eq!(snapshot.metrics, expected, "seed {seed}");
+                        assert_eq!(registry.len(), model.0.len(), "seed {seed}");
+                    }
+                }
+            }
+            let expected: Vec<_> = model.0.into_iter().collect();
+            assert_eq!(registry.snapshot().metrics, expected, "seed {seed}");
+        }
     }
 }

@@ -9,9 +9,13 @@
 //! the same three primitives:
 //!
 //! * [`registry`] — a process-wide [`Registry`] of atomic [`Counter`]s,
-//!   [`Gauge`]s and fixed log2-bucket [`Histogram`]s behind cheap
-//!   clonable handles, with hierarchical dotted names
-//!   (`node.3.fd.detection_ns`) and point-in-time snapshots,
+//!   [`Gauge`]s and log2-bucket [`Histogram`]s behind cheap clonable
+//!   handles, with hierarchical dotted names (`runtime.shard.0.wakeups`)
+//!   and point-in-time snapshots,
+//! * [`family`] — the registry's [`Family`] tables for series every node
+//!   or group membership has: one [`CounterBlock`] and the histograms per
+//!   key, their names (`node.3.fd.detection_ns`) rendered only at
+//!   snapshot time,
 //! * [`export`] — two snapshot exporters: Prometheus text exposition and a
 //!   JSON document matching the schema in `docs/OBSERVABILITY.md`,
 //! * [`trace`] — a fixed-capacity, never-blocking ring buffer of structured
@@ -22,7 +26,9 @@
 //!
 //! Everything is std-only and built for negligible hot-path cost: recording
 //! a counter or histogram sample is a handful of relaxed atomic operations,
-//! and a disabled instrumentation point is a single `Option` branch.
+//! with no lock, and a disabled instrumentation point is a single `Option`
+//! branch. A histogram holds only the chunks of buckets its samples landed
+//! in.
 //! `benchmark/` reads the cost per record (`obs.histogram.record_ns`) on its
 //! `sim-churn` workload, which runs fully instrumented.
 //!
@@ -46,6 +52,7 @@
 
 pub mod clock;
 pub mod export;
+pub mod family;
 pub mod metrics;
 pub mod registry;
 pub mod trace;
@@ -54,13 +61,17 @@ pub mod trace;
 pub mod prelude {
     pub use crate::clock::{Clock, ManualClock, SharedClock, WallClock};
     pub use crate::export::{render_json, render_prometheus};
-    pub use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
+    pub use crate::family::{Family, FamilySchema};
+    pub use crate::metrics::{
+        Counter, CounterBlock, CounterCell, Gauge, Histogram, HistogramSnapshot,
+    };
     pub use crate::registry::{MetricValue, Registry, Snapshot};
     pub use crate::trace::{DropReason, ProtoEvent, TraceDrain, TraceRecord, TraceRing};
 }
 
 pub use clock::{Clock, ManualClock, SharedClock, WallClock};
 pub use export::{render_json, render_prometheus};
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
+pub use family::{Family, FamilySchema};
+pub use metrics::{Counter, CounterBlock, CounterCell, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{MetricValue, Registry, Snapshot};
 pub use trace::{DropReason, ProtoEvent, TraceDrain, TraceRecord, TraceRing};

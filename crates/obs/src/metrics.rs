@@ -9,15 +9,128 @@
 //! handle, the registry holds a clone of the same handle, and one
 //! `fetch_add` updates both views.
 //!
+//! Counters live in [`CounterBlock`]s: runs of cells at stable addresses,
+//! shared by every handle into them. A lone [`Counter`] is a block of one;
+//! a [family](crate::family) keeps every key's counters in one block, with
+//! no name beside them.
+//!
 //! All operations use relaxed atomics — metrics never order protocol
 //! memory accesses.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use sle_sim::time::SimDuration;
 
-/// A monotonically increasing counter.
+/// One counter's cell: a relaxed atomic `u64` that only grows.
+#[derive(Debug, Default)]
+pub struct CounterCell(AtomicU64);
+
+impl CounterCell {
+    /// Increments the cell by one.
+    #[inline]
+    pub fn inc(&self) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Increments the cell by `n`.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Returns the current value.
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// A run of counter cells at stable addresses: `len` cells from `start`
+/// of a shared allocation, indexed from zero.
+///
+/// ```
+/// use sle_obs::CounterBlock;
+/// let block = CounterBlock::new(3);
+/// let second = block.counter(1); // the same cell, as a handle of its own
+/// block[1].add(2);
+/// second.inc();
+/// assert_eq!((block[0].get(), block[1].get()), (0, 3));
+/// ```
+#[derive(Clone)]
+pub struct CounterBlock {
+    /// Boxed so that the `Arc` is one pointer wide and a block handle 16
+    /// bytes: a service keeps room for one in every group's state,
+    /// instrumented or not.
+    cells: Arc<Box<[CounterCell]>>,
+    start: u32,
+    len: u32,
+}
+
+impl CounterBlock {
+    /// A block of `len` cells of its own, all zero.
+    pub fn new(len: usize) -> Self {
+        CounterBlock::window(Arc::new(cells(len)), 0, len)
+    }
+
+    /// The `len` cells of `cells` from `start`.
+    pub(crate) fn window(cells: Arc<Box<[CounterCell]>>, start: usize, len: usize) -> Self {
+        assert!(start + len <= cells.len(), "a block past its cells");
+        let narrow = |n: usize| u32::try_from(n).expect("a block within 2^32 cells");
+        CounterBlock {
+            cells,
+            start: narrow(start),
+            len: narrow(len),
+        }
+    }
+
+    /// The number of cells.
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// True for a block of no cells.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// A handle to cell `i` alone.
+    ///
+    /// # Panics
+    /// Panics if `i` is not below [`len`](Self::len).
+    pub fn counter(&self, i: usize) -> Counter {
+        assert!(i < self.len(), "cell {i} of a block of {}", self.len);
+        Counter(CounterBlock::window(
+            self.cells.clone(),
+            self.start as usize + i,
+            1,
+        ))
+    }
+}
+
+/// `len` zeroed cells.
+pub(crate) fn cells(len: usize) -> Box<[CounterCell]> {
+    (0..len).map(|_| CounterCell::default()).collect()
+}
+
+impl std::ops::Index<usize> for CounterBlock {
+    type Output = CounterCell;
+
+    #[inline]
+    fn index(&self, i: usize) -> &CounterCell {
+        assert!(i < self.len as usize, "cell {i} of a block of {}", self.len);
+        &self.cells[self.start as usize + i]
+    }
+}
+
+impl std::fmt::Debug for CounterBlock {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let values = (0..self.len()).map(|i| self[i].get());
+        f.debug_list().entries(values).finish()
+    }
+}
+
+/// A monotonically increasing counter: a handle to one cell, of its own
+/// or of a [`CounterBlock`].
 ///
 /// ```
 /// use sle_obs::Counter;
@@ -27,8 +140,20 @@ use sle_sim::time::SimDuration;
 /// c.add(4);
 /// assert_eq!(view.get(), 5);
 /// ```
-#[derive(Clone, Debug, Default)]
-pub struct Counter(Arc<AtomicU64>);
+#[derive(Clone)]
+pub struct Counter(CounterBlock);
+
+impl Default for Counter {
+    fn default() -> Self {
+        Counter(CounterBlock::new(1))
+    }
+}
+
+impl std::fmt::Debug for Counter {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Counter({})", self.get())
+    }
+}
 
 impl Counter {
     /// Creates a counter starting at zero.
@@ -39,23 +164,23 @@ impl Counter {
     /// Increments the counter by one.
     #[inline]
     pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
+        self.0[0].inc();
     }
 
     /// Increments the counter by `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        self.0[0].add(n);
     }
 
     /// Returns the current value.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.0[0].get()
     }
 
     /// Returns true if `other` is a handle to the same underlying cell.
     pub fn same_as(&self, other: &Counter) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
+        Arc::ptr_eq(&self.0.cells, &other.0.cells) && self.0.start == other.0.start
     }
 }
 
@@ -97,12 +222,23 @@ impl Gauge {
 /// Number of histogram buckets: one for zero plus one per power of two.
 pub const HISTOGRAM_BUCKETS: usize = 65;
 
-#[derive(Debug)]
+/// Buckets per lazily created chunk of a [`Histogram`].
+const CHUNK: usize = 8;
+
+/// Chunks a [`Histogram`] may create: the last holds the top bucket alone.
+const CHUNKS: usize = HISTOGRAM_BUCKETS.div_ceil(CHUNK);
+
+/// The counts and sums of [`CHUNK`] adjacent buckets.
+#[derive(Debug, Default)]
+struct Chunk {
+    counts: [AtomicU64; CHUNK],
+    sums: [AtomicU64; CHUNK],
+}
+
+/// A histogram's chunks, each created by the first sample it holds.
+#[derive(Debug, Default)]
 struct HistogramInner {
-    count: AtomicU64,
-    sum: AtomicU64,
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    bucket_sums: [AtomicU64; HISTOGRAM_BUCKETS],
+    chunks: [OnceLock<Box<Chunk>>; CHUNKS],
 }
 
 /// A fixed log2-bucket histogram of `u64` samples.
@@ -113,6 +249,11 @@ struct HistogramInner {
 /// metric is later rendered in. The exact `count` and `sum` are kept
 /// alongside the buckets, so means are exact even though percentiles are
 /// bucket-bounded estimates.
+///
+/// The buckets are kept in chunks of eight, each created by the first
+/// sample it holds: a latency that stays within a few octaves holds one or
+/// two chunks of 128 bytes. The total count and sum are those of the
+/// buckets, read at snapshot time.
 ///
 /// ```
 /// use sle_obs::Histogram;
@@ -168,23 +309,16 @@ pub fn bucket_upper(i: usize) -> u64 {
 impl Histogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {
-        Histogram(Arc::new(HistogramInner {
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            bucket_sums: std::array::from_fn(|_| AtomicU64::new(0)),
-        }))
+        Histogram(Arc::default())
     }
 
     /// Records one sample.
     #[inline]
     pub fn record(&self, value: u64) {
-        let inner = &self.0;
-        inner.count.fetch_add(1, Ordering::Relaxed);
-        inner.sum.fetch_add(value, Ordering::Relaxed);
         let i = bucket_index(value);
-        inner.buckets[i].fetch_add(1, Ordering::Relaxed);
-        inner.bucket_sums[i].fetch_add(value, Ordering::Relaxed);
+        let chunk = self.0.chunks[i / CHUNK].get_or_init(Box::default);
+        chunk.counts[i % CHUNK].fetch_add(1, Ordering::Relaxed);
+        chunk.sums[i % CHUNK].fetch_add(value, Ordering::Relaxed);
     }
 
     /// Records a duration as whole nanoseconds.
@@ -196,17 +330,23 @@ impl Histogram {
     /// Returns a point-in-time snapshot of the histogram.
     ///
     /// The snapshot is not atomic with respect to concurrent `record`s: a
-    /// racing sample may be visible in `count` but not yet in its bucket (or
-    /// vice versa). Snapshots are for reporting, not for invariants between
-    /// the fields.
+    /// racing sample may be visible in its bucket's count but not yet in
+    /// its sum (or vice versa). Snapshots are for reporting, not for
+    /// invariants between the fields.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let inner = &self.0;
-        HistogramSnapshot {
-            count: inner.count.load(Ordering::Relaxed),
-            sum: inner.sum.load(Ordering::Relaxed),
-            buckets: std::array::from_fn(|i| inner.buckets[i].load(Ordering::Relaxed)),
-            bucket_sums: std::array::from_fn(|i| inner.bucket_sums[i].load(Ordering::Relaxed)),
+        let mut snap = HistogramSnapshot::empty();
+        for (c, chunk) in self.0.chunks.iter().enumerate() {
+            let Some(chunk) = chunk.get() else { continue };
+            let first = c * CHUNK;
+            let last = HISTOGRAM_BUCKETS.min(first + CHUNK);
+            for (i, (count, sum)) in (first..last).zip(chunk.counts.iter().zip(&chunk.sums)) {
+                snap.buckets[i] = count.load(Ordering::Relaxed);
+                snap.bucket_sums[i] = sum.load(Ordering::Relaxed);
+                snap.count += snap.buckets[i];
+                snap.sum = snap.sum.wrapping_add(snap.bucket_sums[i]);
+            }
         }
+        snap
     }
 
     /// Returns true if `other` is a handle to the same underlying cells.

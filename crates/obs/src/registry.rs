@@ -1,20 +1,28 @@
 //! The metrics registry: hierarchical names mapped to metric handles.
 //!
 //! A [`Registry`] is itself a cheap clonable handle; every clone shares the
-//! same name table. Components either ask the registry for a handle
-//! (`registry.counter("node.3.group.1.fd.mistakes")`, get-or-create) or
-//! *bind* a handle they already own (`registry.bind_counter(name,
-//! &my_counter)`), so pre-existing stats structs become views over the
-//! registry without a second accounting path.
+//! same tables. It keeps metrics two ways:
 //!
-//! Names are dotted hierarchies (`node.<n>.fd.detection_ns`,
-//! `node.<n>.group.<g>.fd.mistakes`). The registry does not interpret them
-//! beyond sorting; exporters mangle them per output format (see
-//! [`crate::export`]).
+//! * **by name**, one handle per name: components either ask the registry
+//!   for a handle (`registry.counter("runtime.shard.0.wakeups")`,
+//!   get-or-create) or *bind* a handle they already own
+//!   (`registry.bind_counter(name, &my_counter)`), so pre-existing stats
+//!   structs become views over the registry without a second accounting
+//!   path;
+//! * **in [families](crate::family)**, for series that every node or every
+//!   group membership has: one counter block and the histograms per key,
+//!   no name kept. A family renders its names (`node.3.fd.detection_ns`,
+//!   `node.3.group.1.fd.mistakes`) only at snapshot time, and a by-name
+//!   lookup of one of them returns the family's own cell.
+//!
+//! Names are dotted hierarchies. The registry does not interpret them
+//! beyond sorting and routing a family's names to it; exporters mangle
+//! them per output format (see [`crate::export`]).
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
+use crate::family::{Family, FamilySchema, Series};
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 
 #[derive(Clone)]
@@ -24,16 +32,32 @@ enum Metric {
     Histogram(Histogram),
 }
 
-/// A shared, thread-safe table of named metrics.
+/// The registry's tables: metrics by name, and the families.
+#[derive(Default)]
+struct Tables {
+    named: BTreeMap<String, Metric>,
+    families: Vec<Family>,
+}
+
+impl Tables {
+    /// The family whose series `name` is, with the key and the series.
+    fn family_of(&self, name: &str) -> Option<(Family, [u32; 2], Series)> {
+        self.families.iter().find_map(|family| {
+            let (key, series) = family.schema().parse(name)?;
+            Some((family.clone(), key, series))
+        })
+    }
+}
+
+/// A shared, thread-safe table of named metrics and metric families.
 #[derive(Clone, Default)]
 pub struct Registry {
-    inner: Arc<Mutex<BTreeMap<String, Metric>>>,
+    inner: Arc<Mutex<Tables>>,
 }
 
 impl std::fmt::Debug for Registry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let n = self.inner.lock().map(|m| m.len()).unwrap_or(0);
-        write!(f, "Registry({n} metrics)")
+        write!(f, "Registry({} metrics)", self.len())
     }
 }
 
@@ -43,18 +67,51 @@ impl Registry {
         Registry::default()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, Metric>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Tables> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// The family of `schema`, created on first use: every call with an
+    /// equal schema returns the same family.
+    ///
+    /// # Panics
+    /// Panics if a metric registered by name is one of the family's
+    /// series: a name belongs to one table.
+    pub fn family(&self, schema: &'static FamilySchema) -> Family {
+        let mut tables = self.lock();
+        if let Some(family) = tables.families.iter().find(|f| f.schema() == schema) {
+            return family.clone();
+        }
+        if let Some(name) = tables
+            .named
+            .keys()
+            .find(|name| schema.parse(name).is_some())
+        {
+            panic!("metric {name:?} is registered by name, outside its family");
+        }
+        let family = Family::new(schema);
+        tables.families.push(family.clone());
+        family
+    }
+
     /// Returns the counter registered under `name`, creating it if absent.
+    /// A name in a family's pattern is the family's cell, its key created
+    /// if absent.
     ///
     /// # Panics
     /// Panics if `name` is already registered as a different metric kind —
     /// a name collision is a programming error, not a runtime condition.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut map = self.lock();
-        match map
+        let mut tables = self.lock();
+        if let Some((family, key, series)) = tables.family_of(name) {
+            drop(tables);
+            let Series::Counter(i) = series else {
+                panic!("metric {name:?} is not a counter")
+            };
+            return family.block_of(key).counter(i);
+        }
+        match tables
+            .named
             .entry(name.to_string())
             .or_insert_with(|| Metric::Counter(Counter::new()))
         {
@@ -68,8 +125,12 @@ impl Registry {
     /// # Panics
     /// Panics if `name` is already registered as a different metric kind.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = self.lock();
-        match map
+        let mut tables = self.lock();
+        if tables.family_of(name).is_some() {
+            panic!("metric {name:?} is not a gauge");
+        }
+        match tables
+            .named
             .entry(name.to_string())
             .or_insert_with(|| Metric::Gauge(Gauge::new()))
         {
@@ -78,13 +139,23 @@ impl Registry {
         }
     }
 
-    /// Returns the histogram registered under `name`, creating it if absent.
+    /// Returns the histogram registered under `name`, creating it if
+    /// absent. A name in a family's pattern is the family's histogram, its
+    /// key created if absent.
     ///
     /// # Panics
     /// Panics if `name` is already registered as a different metric kind.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut map = self.lock();
-        match map
+        let mut tables = self.lock();
+        if let Some((family, key, series)) = tables.family_of(name) {
+            drop(tables);
+            let Series::Histogram(j) = series else {
+                panic!("metric {name:?} is not a histogram")
+            };
+            return family.histogram_of(key, j);
+        }
+        match tables
+            .named
             .entry(name.to_string())
             .or_insert_with(|| Metric::Histogram(Histogram::new()))
         {
@@ -94,45 +165,61 @@ impl Registry {
     }
 
     /// Registers an existing counter handle under `name` (last bind wins).
+    ///
+    /// # Panics
+    /// Panics if `name` is a family's series.
     pub fn bind_counter(&self, name: &str, counter: &Counter) {
-        self.lock()
-            .insert(name.to_string(), Metric::Counter(counter.clone()));
+        self.bind(name, Metric::Counter(counter.clone()));
     }
 
     /// Registers an existing gauge handle under `name` (last bind wins).
+    ///
+    /// # Panics
+    /// Panics if `name` is a family's series.
     pub fn bind_gauge(&self, name: &str, gauge: &Gauge) {
-        self.lock()
-            .insert(name.to_string(), Metric::Gauge(gauge.clone()));
+        self.bind(name, Metric::Gauge(gauge.clone()));
     }
 
-    /// Number of registered metrics.
+    fn bind(&self, name: &str, metric: Metric) {
+        let mut tables = self.lock();
+        if tables.family_of(name).is_some() {
+            panic!("metric {name:?} belongs to a family");
+        }
+        tables.named.insert(name.to_string(), metric);
+    }
+
+    /// Number of registered metrics: the named ones, and every series of
+    /// every family.
     pub fn len(&self) -> usize {
-        self.lock().len()
+        let tables = self.lock();
+        tables.named.len() + tables.families.iter().map(Family::len).sum::<usize>()
     }
 
     /// True if no metric has been registered.
     pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
+        self.len() == 0
     }
 
     /// Takes a point-in-time snapshot of every registered metric, sorted by
     /// name. Concurrent recording proceeds unhindered; the snapshot is a
     /// consistent *set of names* but each value is read independently.
     pub fn snapshot(&self) -> Snapshot {
-        let map = self.lock();
-        Snapshot {
-            metrics: map
-                .iter()
-                .map(|(name, metric)| {
-                    let value = match metric {
-                        Metric::Counter(c) => MetricValue::Counter(c.get()),
-                        Metric::Gauge(g) => MetricValue::Gauge(g.get()),
-                        Metric::Histogram(h) => MetricValue::Histogram(h.snapshot()),
-                    };
-                    (name.clone(), value)
-                })
-                .collect(),
+        let tables = self.lock();
+        let mut metrics: Vec<(String, MetricValue)> = (tables.named.iter())
+            .map(|(name, metric)| {
+                let value = match metric {
+                    Metric::Counter(c) => MetricValue::Counter(c.get()),
+                    Metric::Gauge(g) => MetricValue::Gauge(g.get()),
+                    Metric::Histogram(h) => MetricValue::Histogram(h.snapshot()),
+                };
+                (name.clone(), value)
+            })
+            .collect();
+        for family in &tables.families {
+            family.render(|name, value| metrics.push((name, value)));
         }
+        metrics.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
+        Snapshot { metrics }
     }
 
     /// Merges the histograms of every metric whose name matches
@@ -140,14 +227,17 @@ impl Registry {
     /// cluster-wide percentiles over per-node histograms, e.g.
     /// `merged_histogram("node.", ".elect.election_ns")`.
     pub fn merged_histogram(&self, prefix: &str, suffix: &str) -> HistogramSnapshot {
-        let map = self.lock();
+        let tables = self.lock();
         let mut merged = HistogramSnapshot::empty();
-        for (name, metric) in map.iter() {
+        for (name, metric) in tables.named.iter() {
             if let Metric::Histogram(h) = metric {
                 if name.starts_with(prefix) && name.ends_with(suffix) {
                     merged.merge(&h.snapshot());
                 }
             }
+        }
+        for family in &tables.families {
+            family.merge_histograms(prefix, suffix, &mut merged);
         }
         merged
     }
@@ -276,5 +366,73 @@ mod tests {
         assert_eq!(merged.sum, 400);
         let via_snapshot = r.snapshot().merged_histogram("node.", ".elect.election_ms");
         assert_eq!(merged, via_snapshot);
+    }
+
+    static NODE: FamilySchema = FamilySchema {
+        heads: &["node"],
+        counters: &["fd.fires", "fd.walks"],
+        histograms: &["elect.election_ms"],
+    };
+
+    #[test]
+    fn a_family_series_by_name_is_the_family_cell() {
+        let r = Registry::new();
+        r.counter("runtime.wakeups").add(3);
+        let family = r.family(&NODE);
+        assert_eq!(r.len(), 1);
+        let block = family.counters(&[4]);
+        block[1].add(2);
+        // Every series of the key is registered, named at snapshot time.
+        assert_eq!(r.len(), 4);
+        assert!(r.counter("node.4.fd.walks").same_as(&block.counter(1)));
+        assert!(r
+            .family(&NODE)
+            .counters(&[4])
+            .counter(0)
+            .same_as(&block.counter(0)));
+        let elections = r.histogram("node.4.elect.election_ms");
+        elections.record(100);
+        assert!(elections.same_as(&family.histogram(&[4], 0)));
+        // A name outside the pattern stays a named metric of its own.
+        r.counter("node.04.fd.walks").inc();
+        // A by-name lookup creates the key, as a first registration would.
+        r.counter("node.0.fd.fires").inc();
+        let snap = r.snapshot();
+        let names: Vec<_> = snap.metrics.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "node.0.elect.election_ms",
+                "node.0.fd.fires",
+                "node.0.fd.walks",
+                "node.04.fd.walks",
+                "node.4.elect.election_ms",
+                "node.4.fd.fires",
+                "node.4.fd.walks",
+                "runtime.wakeups",
+            ]
+        );
+        assert_eq!(r.len(), names.len());
+        assert_eq!(snap.sum_counters("node.", ".fd.walks"), 3);
+        assert_eq!(snap.get("node.0.fd.fires"), Some(&MetricValue::Counter(1)));
+        let merged = r.merged_histogram("node.", ".elect.election_ms");
+        assert_eq!((merged.count, merged.sum), (1, 100));
+        assert_eq!(merged, snap.merged_histogram("node.", ".elect.election_ms"));
+    }
+
+    #[test]
+    #[should_panic(expected = "not a histogram")]
+    fn a_family_counter_is_not_a_histogram() {
+        let r = Registry::new();
+        r.family(&NODE);
+        r.histogram("node.1.fd.fires");
+    }
+
+    #[test]
+    #[should_panic(expected = "outside its family")]
+    fn a_family_series_registered_by_name_first_panics() {
+        let r = Registry::new();
+        r.counter("node.1.fd.fires");
+        r.family(&NODE);
     }
 }

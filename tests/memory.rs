@@ -223,35 +223,62 @@ fn node_peer_table(rows: &mut Vec<Row>) {
     });
 }
 
-/// What attaching instruments adds per group membership: a node with the
-/// 18 peers of `node_peer_table` started in 20 auto-joined groups, with a
-/// registry and a 64-record trace ring, minus the same node without them.
+/// What attaching instruments adds to a node with the 18 peers of
+/// `node_peer_table`, started in `groups` auto-joined groups, minus the same
+/// node without them: per node, over 16 nodes in one group each, and per
+/// membership, over one node's 100 groups. The registry and the 64-record
+/// trace ring are the runtime's, shared by its nodes: both exist, and a
+/// first node has registered the families, before anything is measured.
 fn instruments(rows: &mut Vec<Row>) {
-    const GROUPS: u32 = 20;
-    let started = |instrumented: bool| {
+    let registry = Registry::default();
+    let ring = TraceRing::new(64);
+    let started = |id: u32, groups: u32, instrumented: bool| {
+        let id = NodeId(id);
         let peers = (0..=18).map(NodeId).collect();
-        let mut config = ServiceConfig::new(NodeId(0), peers, ElectorKind::OmegaL);
-        for group in 1..=GROUPS {
+        let mut config = ServiceConfig::new(id, peers, ElectorKind::OmegaL);
+        for group in 1..=groups {
             config = config.with_auto_join(GroupId(group), JoinConfig::candidate());
         }
         let mut node = ServiceNode::new(config);
-        let registry = Registry::default();
         if instrumented {
-            let ring = TraceRing::new(64);
-            node.set_instruments(NodeInstruments::new(&registry, ring, NodeId(0)));
+            node.set_instruments(NodeInstruments::new(&registry, ring.clone(), id));
         }
-        node.on_start(&mut ServiceContext::new(SimInstant::ZERO, NodeId(0), 0));
-        (node, registry)
+        node.on_start(&mut ServiceContext::new(SimInstant::ZERO, id, 0));
+        node
     };
-    let (_, bare, _) = measure(|| started(false));
-    let (_, instrumented, _) = measure(|| started(true));
+    let _first = started(100, 1, true);
+    // Nodes 0..16 in one group each, and a node in `groups` groups: each
+    // measured node id is new to the registry.
+    const NODES: u32 = 16;
+    let nodes = |instrumented: bool| {
+        let nodes = || (0..NODES).map(|id| started(id, 1, instrumented));
+        measure(|| nodes().collect::<Vec<_>>()).1
+    };
+    let (bare, instrumented) = (nodes(false), nodes(true));
+    rows.push(Row {
+        part: "instruments, per node",
+        bytes: instrumented.saturating_sub(bare) / NODES as usize,
+        // The node's three histograms, 160 bytes each before their first
+        // sample; its block of 23 counters, 8 bytes each (one more costs 8
+        // bytes), in place of the bare node's own block; its two cells in
+        // the group family's column; the two families' key index.
+        ceiling: 1_024,
+    });
+    const GROUPS: u32 = 100;
+    let added = |id: u32, groups: u32| {
+        let (bare, instrumented) = (
+            measure(|| started(id, groups, false)).1,
+            measure(|| started(id, groups, true)).1,
+        );
+        instrumented.saturating_sub(bare)
+    };
+    let (at_one, at_many) = (added(200, 1), added(201, GROUPS));
     rows.push(Row {
         part: "instruments, per membership",
-        bytes: instrumented.saturating_sub(bare) / GROUPS as usize,
-        // Two 8-byte counters per group and their names in the registry,
-        // beside a twentieth of the node's three histograms, its counter
-        // table and its trace ring.
-        ceiling: 800,
+        bytes: at_many.saturating_sub(at_one) / (GROUPS - 1) as usize,
+        // Two 8-byte counters in the group family's column, and the key
+        // index entry that finds them.
+        ceiling: 64,
     });
 }
 
