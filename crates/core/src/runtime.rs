@@ -11,13 +11,14 @@
 //! `docs/RUNTIME.md`): a fixed pool of worker threads, each owning
 //!
 //! * a *shard* of service nodes (node `i` lives on worker `i % workers`),
-//! * a wall-clock [`TimerWheel`] keyed `(NodeId, TimerTag)` — the same
-//!   `O(1)` hierarchical wheel the simulator's event queue uses, so firing
-//!   the next timer never scans the pending set, and
-//! * a [`sle_net::mailbox::Mailbox`] multiplexing incoming
-//!   messages and [`ClusterHandle`] commands for every resident node behind
-//!   **one** condvar-parked wait: the worker sleeps exactly until its
-//!   wheel's next deadline or a wakeup, never on a fixed polling interval.
+//!   each with its own [`TimerTable`] of armed timers over one shard-wide
+//!   [`EventWheel`] — the same `O(1)` wheel and table the simulator's
+//!   shards keep, so firing the next timer never scans the pending set, and
+//! * a [`sle_net::mailbox::Mailbox`] multiplexing incoming messages and
+//!   one ordered command queue for every resident node — [`ClusterHandle`]
+//!   calls, [`Cluster::crash`] and [`Cluster::recover`] — behind **one**
+//!   condvar-parked wait: the worker sleeps exactly until its wheel's next
+//!   deadline or a wakeup, never on a fixed polling interval.
 //!
 //! Transports deliver straight into the owning shard's mailbox and wake its
 //! worker ([`MessageEndpoint::set_delivery_sink`]); the runtime never polls
@@ -47,7 +48,7 @@ use sle_obs::clock::Clock;
 use sle_obs::{Counter, ProtoEvent, Registry, TraceDrain, TraceRing, WallClock};
 use sle_sim::actor::{Actor, Effect, NodeId, TimerTag};
 use sle_sim::time::{SimDuration, SimInstant};
-use sle_sim::wheel::TimerWheel;
+use sle_sim::wheel::{EventWheel, TimerTable};
 
 use crate::config::{JoinConfig, ServiceConfig};
 use crate::error::AgreementTimeout;
@@ -69,6 +70,13 @@ pub struct ClusterEvent {
 
 /// Deployment-level configuration of a [`Cluster`].
 ///
+/// Not every constructor reads every field. All of them read `workers` and
+/// `observability`. `algorithm` and `hello_interval` feed only the
+/// full-mesh constructors, which build each node's [`ServiceConfig`]
+/// ([`Cluster::start_with_service_configs`] takes them from the configs it
+/// is given). `mesh_seed` and `links` feed only [`Cluster::start`] and
+/// [`Cluster::start_with_config`], the two that build the in-memory mesh.
+///
 /// ```
 /// use sle_core::runtime::{Cluster, ClusterConfig};
 /// use sle_election::ElectorKind;
@@ -85,18 +93,20 @@ pub struct ClusterEvent {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
-    /// The leader-election algorithm every service instance runs.
+    /// The leader-election algorithm every service instance runs (read only
+    /// by the full-mesh constructors).
     pub algorithm: ElectorKind,
     /// Size of the shard worker pool. Defaults to the host's available
     /// parallelism; a cluster never starts more workers than it has nodes.
     pub workers: usize,
-    /// How often service instances send HELLO membership gossip.
+    /// How often service instances send HELLO membership gossip (read only
+    /// by the full-mesh constructors).
     pub hello_interval: SimDuration,
-    /// Seed of the in-memory mesh's loss lottery (only used by the
-    /// mesh-building constructors).
+    /// Seed of the in-memory mesh's loss lottery (read only by
+    /// [`Cluster::start`] and [`Cluster::start_with_config`]).
     pub mesh_seed: u64,
-    /// Link behaviour of the in-memory mesh (only used by the mesh-building
-    /// constructors).
+    /// Link behaviour of the in-memory mesh (read only by
+    /// [`Cluster::start`] and [`Cluster::start_with_config`]).
     pub links: LinkSpec,
     /// When set, the cluster records live telemetry into this registry (QoS
     /// histograms, traffic counters, shard wakeup counters — see
@@ -169,29 +179,20 @@ pub struct RuntimeStats {
     pub idle_wakeups: u64,
 }
 
+/// A call on one resident's service: run on its shard worker with a
+/// context whose effects the worker then applies.
+type Call = Box<dyn FnOnce(&mut ServiceNode, &mut ServiceContext) + Send>;
+
+/// What a shard's command queue carries for one resident, handled in the
+/// order it was submitted.
 enum Command {
-    Join {
-        group: GroupId,
-        config: JoinConfig,
-        reply: Sender<ProcessId>,
-    },
-    Leave {
-        group: GroupId,
-        process: ProcessId,
-        reply: Sender<bool>,
-    },
-    QueryLeader {
-        group: GroupId,
-        reply: Sender<Option<ProcessId>>,
-    },
-    InstallApp {
-        app: Box<dyn FencedApp>,
-        reply: Sender<()>,
-    },
-    QueryLease {
-        group: GroupId,
-        reply: Sender<Option<LeaderLease>>,
-    },
+    /// A [`ClusterHandle`] call. A paused node refuses one that `acts`: the
+    /// call is dropped unrun, and with it its reply sender.
+    Call { acts: bool, call: Call },
+    /// [`Cluster::crash`].
+    Pause,
+    /// [`Cluster::recover`].
+    Resume,
 }
 
 /// One shard's inbound side: the command queue [`ClusterHandle`]s feed and
@@ -251,33 +252,6 @@ struct ShardStats {
     idle_wakeups: Counter,
 }
 
-/// Per-node crash flags, shared between the application-facing [`Cluster`]
-/// and the shard workers.
-struct CrashFlags(Vec<AtomicBool>);
-
-impl CrashFlags {
-    fn new(n: usize) -> Self {
-        CrashFlags((0..n).map(|_| AtomicBool::new(false)).collect())
-    }
-
-    fn set(&self, node: NodeId, crashed: bool) -> bool {
-        match self.0.get(node.index()) {
-            Some(flag) => {
-                flag.store(crashed, Ordering::Relaxed);
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn get(&self, node: NodeId) -> bool {
-        self.0
-            .get(node.index())
-            .map(|flag| flag.load(Ordering::Relaxed))
-            .unwrap_or(false)
-    }
-}
-
 /// A handle to one running service instance of a [`Cluster`].
 #[derive(Clone)]
 pub struct ClusterHandle {
@@ -292,44 +266,53 @@ impl ClusterHandle {
         self.node
     }
 
-    /// Registers a new process on this node and joins it to `group`.
-    ///
-    /// Returns `None` if the node has shut down.
-    pub fn join(&self, group: GroupId, config: JoinConfig) -> Option<ProcessId> {
+    /// Runs `f` on this node's service, on its shard worker, and waits for
+    /// the answer: `None` if the node has shut down, or if `f` `acts` and
+    /// the node is paused by [`Cluster::crash`].
+    fn call<R: Send + 'static>(
+        &self,
+        acts: bool,
+        f: impl FnOnce(&mut ServiceNode, &mut ServiceContext) -> R + Send + 'static,
+    ) -> Option<R> {
         let (tx, rx) = channel();
-        let command = Command::Join {
-            group,
-            config,
-            reply: tx,
-        };
-        if !self.inbox.submit(&self.shutdown, self.node, command) {
+        let call: Call = Box::new(move |service, ctx| {
+            let _ = tx.send(f(service, ctx));
+        });
+        if !self
+            .inbox
+            .submit(&self.shutdown, self.node, Command::Call { acts, call })
+        {
             return None;
         }
         rx.recv_timeout(Duration::from_secs(5)).ok()
     }
 
-    /// Removes `process` from `group`. Returns whether the leave succeeded.
-    pub fn leave(&self, group: GroupId, process: ProcessId) -> bool {
-        let (tx, rx) = channel();
-        let command = Command::Leave {
-            group,
-            process,
-            reply: tx,
-        };
-        if !self.inbox.submit(&self.shutdown, self.node, command) {
-            return false;
-        }
-        rx.recv_timeout(Duration::from_secs(5)).unwrap_or(false)
+    /// Registers a new process on this node and joins it to `group`.
+    ///
+    /// Returns `None` if the node has shut down or is paused by
+    /// [`Cluster::crash`].
+    pub fn join(&self, group: GroupId, config: JoinConfig) -> Option<ProcessId> {
+        self.call(true, move |service, ctx| {
+            let process = service.register_process();
+            let _ = service.join_group(process, group, config, ctx);
+            process
+        })
     }
 
-    /// Queries this node's current view of the leader of `group`.
+    /// Removes `process` from `group`. Returns whether the leave succeeded
+    /// (false on a node paused by [`Cluster::crash`]).
+    pub fn leave(&self, group: GroupId, process: ProcessId) -> bool {
+        self.call(true, move |service, ctx| {
+            service.leave_group(process, group, ctx).is_ok()
+        })
+        .unwrap_or(false)
+    }
+
+    /// Queries this node's current view of the leader of `group`. A node
+    /// paused by [`Cluster::crash`] answers from its parked state.
     pub fn leader_of(&self, group: GroupId) -> Option<ProcessId> {
-        let (tx, rx) = channel();
-        let command = Command::QueryLeader { group, reply: tx };
-        if !self.inbox.submit(&self.shutdown, self.node, command) {
-            return None;
-        }
-        rx.recv_timeout(Duration::from_secs(5)).ok().flatten()
+        self.call(false, move |service, _| service.leader_of(group))
+            .flatten()
     }
 
     /// Installs a fenced application on this node, enabling the client tier:
@@ -343,24 +326,17 @@ impl ClusterHandle {
     /// against the successor's.
     ///
     /// Returns whether the installation was applied (false if the node has
-    /// shut down).
+    /// shut down or is paused by [`Cluster::crash`]).
     pub fn install_app(&self, app: Box<dyn FencedApp>) -> bool {
-        let (tx, rx) = channel();
-        let command = Command::InstallApp { app, reply: tx };
-        if !self.inbox.submit(&self.shutdown, self.node, command) {
-            return false;
-        }
-        rx.recv_timeout(Duration::from_secs(5)).is_ok()
+        self.call(true, move |service, _| service.install_app(app))
+            .is_some()
     }
 
-    /// The lease this node currently holds as leader of `group`, if any.
+    /// The lease this node currently holds as leader of `group`, if any. A
+    /// node paused by [`Cluster::crash`] answers from its parked state.
     pub fn lease_of(&self, group: GroupId) -> Option<LeaderLease> {
-        let (tx, rx) = channel();
-        let command = Command::QueryLease { group, reply: tx };
-        if !self.inbox.submit(&self.shutdown, self.node, command) {
-            return None;
-        }
-        rx.recv_timeout(Duration::from_secs(5)).ok().flatten()
+        self.call(false, move |service, _| service.lease_of(group))
+            .flatten()
     }
 }
 
@@ -369,12 +345,12 @@ struct Resident<E> {
     id: NodeId,
     service: ServiceNode,
     endpoint: E,
-    /// The crash flag as of the worker's last scan, to detect transitions.
-    crashed_seen: bool,
-    /// Timers that came due while the node was crashed. The wheel pops due
-    /// timers whether or not their node is up, so a crashed node's are
-    /// parked here and fired, overdue, when it recovers.
-    frozen: Vec<TimerTag>,
+    /// The node's armed timers; their entries sit in the shard's wheel.
+    timers: TimerTable,
+    /// `Some` from [`Cluster::crash`] to [`Cluster::recover`]: the timers
+    /// that came due meanwhile, fired (overdue) on the resume. A paused
+    /// node drops its messages and refuses calls that act.
+    paused: Option<Vec<TimerTag>>,
 }
 
 /// The per-worker state of one shard.
@@ -385,12 +361,13 @@ struct ShardRuntime<E> {
     /// node's `Resident` in `residents`, or `u32::MAX` for nodes hosted on
     /// other shards. Node ids are numbered densely by `Cluster::start`, so
     /// a direct array load replaces the hash-and-probe this map used to
-    /// cost on every message, timer and command dispatch.
+    /// cost on every message and command dispatch.
     index: Vec<u32>,
-    wheel: TimerWheel<(NodeId, TimerTag)>,
+    /// Every resident's timer entries, keyed by resident position and tag,
+    /// each under the generation its resident's [`TimerTable`] handed out.
+    wheel: EventWheel<(usize, TimerTag)>,
     inbox: Arc<ShardInbox>,
     events: Sender<ClusterEvent>,
-    crashed: Arc<CrashFlags>,
     shutdown: Arc<AtomicBool>,
     stats: Arc<ShardStats>,
 }
@@ -409,9 +386,15 @@ impl<E: MessageEndpoint<ServiceMessage>> ShardRuntime<E> {
         }
     }
 
-    fn apply_effects(&mut self, idx: usize, effects: Vec<Effect<ServiceMessage, ServiceEvent>>) {
-        let id = self.residents[idx].id;
-        for effect in effects {
+    /// Runs `f` on the service of the resident at `idx` and applies the
+    /// effects it requested.
+    fn with_service(&mut self, idx: usize, f: impl FnOnce(&mut ServiceNode, &mut ServiceContext)) {
+        let now = self.now();
+        let resident = &mut self.residents[idx];
+        let id = resident.id;
+        let mut ctx = ServiceContext::new(now, id, 0);
+        f(&mut resident.service, &mut ctx);
+        for effect in ctx.into_effects() {
             match effect {
                 // Send failures are tolerable for a best-effort datagram
                 // protocol: to the state machine they are the network
@@ -423,11 +406,10 @@ impl<E: MessageEndpoint<ServiceMessage>> ShardRuntime<E> {
                     let _ = self.residents[idx].endpoint.send(to, msg);
                 }
                 Effect::SetTimer { tag, at } => {
-                    self.wheel.schedule((id, tag), at);
+                    let generation = self.residents[idx].timers.arm(tag);
+                    self.wheel.push(at, generation, (idx, tag));
                 }
-                Effect::CancelTimer { tag } => {
-                    self.wheel.cancel(&(id, tag));
-                }
+                Effect::CancelTimer { tag } => self.residents[idx].timers.cancel(tag),
                 Effect::Emit(event) => {
                     let _ = self.events.send(ClusterEvent { node: id, event });
                 }
@@ -435,124 +417,62 @@ impl<E: MessageEndpoint<ServiceMessage>> ShardRuntime<E> {
         }
     }
 
-    fn start_node(&mut self, idx: usize) {
-        let id = self.residents[idx].id;
-        let mut ctx = ServiceContext::new(self.now(), id, 0);
-        self.residents[idx].service.on_start(&mut ctx);
-        let effects = ctx.into_effects();
-        self.apply_effects(idx, effects);
-    }
-
     fn dispatch_message(&mut self, node: NodeId, incoming: Incoming<ServiceMessage>) {
-        let Some(idx) = self.resident_idx(node) else {
-            return;
-        };
-        // Dispatch consults the worker's own crash snapshot (`crashed_seen`,
-        // maintained by `scan_crash_transitions`), never the live flag:
-        // freezing and un-freezing must share one consistent view, or a
-        // crash+recover flap between two scans could strand frozen timers
-        // forever. A flag flip simply takes effect at the next scan.
-        if self.residents[idx].crashed_seen {
-            // A "crashed" node drops traffic — parked, not polled.
-            return;
+        match self.resident_idx(node) {
+            // A paused node drops its traffic.
+            Some(idx) if self.residents[idx].paused.is_none() => {
+                self.with_service(idx, |service, ctx| {
+                    service.on_message(incoming.from, incoming.msg, ctx)
+                });
+            }
+            _ => {}
         }
-        let mut ctx = ServiceContext::new(self.now(), node, 0);
-        self.residents[idx]
-            .service
-            .on_message(incoming.from, incoming.msg, &mut ctx);
-        let effects = ctx.into_effects();
-        self.apply_effects(idx, effects);
     }
 
-    fn dispatch_timer(&mut self, node: NodeId, tag: TimerTag) {
-        let Some(idx) = self.resident_idx(node) else {
-            return;
-        };
-        // Same snapshot rule as `dispatch_message`.
-        if self.residents[idx].crashed_seen {
-            let frozen = &mut self.residents[idx].frozen;
-            if !frozen.contains(&tag) {
-                frozen.push(tag);
-            }
-            return;
+    /// Runs the timer `tag` of the resident at `idx`, or parks it until the
+    /// resume if the node is paused.
+    fn dispatch_timer(&mut self, idx: usize, tag: TimerTag) {
+        match &mut self.residents[idx].paused {
+            Some(frozen) => frozen.push(tag),
+            None => self.with_service(idx, |service, ctx| service.on_timer(tag, ctx)),
         }
-        let mut ctx = ServiceContext::new(self.now(), node, 0);
-        self.residents[idx].service.on_timer(tag, &mut ctx);
-        let effects = ctx.into_effects();
-        self.apply_effects(idx, effects);
     }
 
     fn handle_command(&mut self, node: NodeId, command: Command) {
         let Some(idx) = self.resident_idx(node) else {
             return;
         };
+        let resident = &mut self.residents[idx];
         match command {
-            Command::Join {
-                group,
-                config,
-                reply,
-            } => {
-                let process = self.residents[idx].service.register_process();
-                let mut ctx = ServiceContext::new(self.now(), node, 0);
-                let _ = self.residents[idx]
-                    .service
-                    .join_group(process, group, config, &mut ctx);
-                let effects = ctx.into_effects();
-                self.apply_effects(idx, effects);
-                let _ = reply.send(process);
+            Command::Call { acts, call } => {
+                if !(acts && resident.paused.is_some()) {
+                    self.with_service(idx, call);
+                }
             }
-            Command::Leave {
-                group,
-                process,
-                reply,
-            } => {
-                let mut ctx = ServiceContext::new(self.now(), node, 0);
-                let ok = self.residents[idx]
-                    .service
-                    .leave_group(process, group, &mut ctx)
-                    .is_ok();
-                let effects = ctx.into_effects();
-                self.apply_effects(idx, effects);
-                let _ = reply.send(ok);
+            Command::Pause => {
+                resident.paused.get_or_insert_with(Vec::new);
             }
-            Command::QueryLeader { group, reply } => {
-                let _ = reply.send(self.residents[idx].service.leader_of(group));
-            }
-            Command::InstallApp { app, reply } => {
-                self.residents[idx].service.install_app(app);
-                let _ = reply.send(());
-            }
-            Command::QueryLease { group, reply } => {
-                let _ = reply.send(self.residents[idx].service.lease_of(group));
-            }
-        }
-    }
-
-    /// Detects crash-flag transitions. On recovery, fires the timers that
-    /// came due while the node was parked (they are all overdue).
-    fn scan_crash_transitions(&mut self) -> bool {
-        let mut did_work = false;
-        for idx in 0..self.residents.len() {
-            let id = self.residents[idx].id;
-            let crashed_now = self.crashed.get(id);
-            if crashed_now == self.residents[idx].crashed_seen {
-                continue;
-            }
-            self.residents[idx].crashed_seen = crashed_now;
-            if !crashed_now {
-                did_work = true;
-                let frozen = std::mem::take(&mut self.residents[idx].frozen);
-                for tag in frozen {
-                    self.dispatch_timer(id, tag);
+            Command::Resume => {
+                for tag in resident.paused.take().unwrap_or_default() {
+                    self.dispatch_timer(idx, tag);
                 }
             }
         }
-        did_work
+    }
+
+    /// The earliest live timer deadline, dropping stale entries in front.
+    fn next_deadline(&mut self) -> Option<SimInstant> {
+        loop {
+            let (at, generation, &(idx, tag)) = self.wheel.peek()?;
+            if self.residents[idx].timers.is_current(tag, generation) {
+                return Some(at);
+            }
+            self.wheel.pop();
+        }
     }
 
     /// Drains and processes everything actionable right now: commands,
-    /// crash transitions, delivered messages, due timers. Returns whether
-    /// anything was done.
+    /// delivered messages, due timers. Returns whether anything was done.
     fn process_all(&mut self, mail: &mut Vec<(NodeId, Incoming<ServiceMessage>)>) -> bool {
         let mut did_work = false;
         // Commands first: application calls must not starve behind traffic.
@@ -569,18 +489,16 @@ impl<E: MessageEndpoint<ServiceMessage>> ShardRuntime<E> {
             did_work = true;
             self.handle_command(node, command);
         }
-        did_work |= self.scan_crash_transitions();
         for (node, incoming) in mail.drain(..) {
             did_work = true;
             self.dispatch_message(node, incoming);
         }
-        loop {
-            let now = self.now();
-            let Some((_, (node, tag))) = self.wheel.pop_due(now) else {
-                break;
-            };
-            did_work = true;
-            self.dispatch_timer(node, tag);
+        while self.next_deadline().is_some_and(|at| at <= self.now()) {
+            let (_, generation, (idx, tag)) = self.wheel.pop().expect("a live deadline");
+            if self.residents[idx].timers.fire(tag, generation) {
+                did_work = true;
+                self.dispatch_timer(idx, tag);
+            }
         }
         did_work
     }
@@ -599,7 +517,7 @@ impl<E: MessageEndpoint<ServiceMessage>> ShardRuntime<E> {
 
     fn run(mut self) {
         for idx in 0..self.residents.len() {
-            self.start_node(idx);
+            self.with_service(idx, |service, ctx| service.on_start(ctx));
         }
         let mut mail: Vec<(NodeId, Incoming<ServiceMessage>)> = Vec::new();
         self.process_all(&mut mail);
@@ -617,7 +535,6 @@ impl<E: MessageEndpoint<ServiceMessage>> ShardRuntime<E> {
             // Sleep exactly until the wheel's next deadline (or forever, if
             // no timer is armed) — a push or a wake ends the wait early.
             let deadline = self
-                .wheel
                 .next_deadline()
                 .map(|at| self.start + Duration::from_nanos(at.as_nanos()));
             let woken = self.inbox.mail.wait_until(deadline, &mut mail);
@@ -640,7 +557,10 @@ pub struct Cluster {
     handles: Vec<ClusterHandle>,
     threads: Vec<JoinHandle<()>>,
     events: Receiver<ClusterEvent>,
-    crashed: Arc<CrashFlags>,
+    /// Which nodes [`Cluster::crash`] paused, for
+    /// [`Cluster::await_agreement`]'s all-crashed check. Dispatch reads
+    /// only the shards' own flags.
+    crashed: Vec<AtomicBool>,
     shutdown: Arc<AtomicBool>,
     inboxes: Vec<Arc<ShardInbox>>,
     shard_of: Vec<usize>,
@@ -759,7 +679,6 @@ impl Cluster {
         }
         let workers = options.workers.clamp(1, n.max(1));
         let (event_tx, event_rx) = channel();
-        let crashed = Arc::new(CrashFlags::new(n));
         let shutdown = Arc::new(AtomicBool::new(false));
         let start = Instant::now();
 
@@ -810,8 +729,8 @@ impl Cluster {
                 id,
                 service,
                 endpoint,
-                crashed_seen: false,
-                frozen: Vec::new(),
+                timers: TimerTable::new(),
+                paused: None,
             });
             handles.push(ClusterHandle {
                 node: id,
@@ -839,10 +758,9 @@ impl Cluster {
                     start,
                     residents,
                     index,
-                    wheel: TimerWheel::new(),
+                    wheel: EventWheel::new(),
                     inbox: Arc::clone(&inboxes[k]),
                     events: event_tx.clone(),
-                    crashed: Arc::clone(&crashed),
                     shutdown: Arc::clone(&shutdown),
                     stats: Arc::clone(&stats[k]),
                 };
@@ -857,7 +775,7 @@ impl Cluster {
             handles,
             threads,
             events: event_rx,
-            crashed,
+            crashed: (0..n).map(|_| AtomicBool::new(false)).collect(),
             shutdown,
             inboxes,
             shard_of,
@@ -989,7 +907,7 @@ impl Cluster {
         let deadline = started + timeout;
         loop {
             // A group whose every polled member is crashed can never reach a
-            // *fresh* agreement — crashed nodes still answer `QueryLeader`
+            // *fresh* agreement — crashed nodes still answer `leader_of`
             // from their parked (stale) state, which would otherwise fake an
             // agreement here. Check this before consulting the views, and
             // fail promptly rather than waiting out the full timeout.
@@ -997,7 +915,7 @@ impl Cluster {
                 .handles
                 .iter()
                 .filter(|handle| Some(handle.node()) != exclude)
-                .all(|handle| self.crashed.get(handle.node()));
+                .all(|handle| self.crashed[handle.node().index()].load(Ordering::Relaxed));
             if all_crashed {
                 let votes = self
                     .handles
@@ -1029,20 +947,12 @@ impl Cluster {
         }
     }
 
-    /// Simulates a crash of `node`: it stops handling messages and timers.
-    /// Messages that reach it meanwhile are dropped; timers that come due
-    /// are kept for [`Cluster::recover`].
+    /// Simulates a crash of `node`: it stops handling messages, timers and
+    /// the [`ClusterHandle`] calls that act (`join`, `leave`,
+    /// `install_app`). Messages that reach it meanwhile are dropped; timers
+    /// that come due are kept for [`Cluster::recover`].
     pub fn crash(&self, node: NodeId) {
-        if self.crashed.set(node, true) {
-            if let Some(obs) = &self.obs {
-                obs.rings[self.shard_of[node.index()]].push(
-                    node,
-                    obs.clock.now(),
-                    ProtoEvent::Crashed,
-                );
-            }
-            self.inboxes[self.shard_of[node.index()]].wake();
-        }
+        self.set_paused(node, true);
     }
 
     /// Resumes a node stopped by [`Cluster::crash`].
@@ -1056,16 +966,26 @@ impl Cluster {
     /// carries on as leader. For a restart under a new incarnation use the
     /// simulator.
     pub fn recover(&self, node: NodeId) {
-        if self.crashed.set(node, false) {
-            if let Some(obs) = &self.obs {
-                obs.rings[self.shard_of[node.index()]].push(
-                    node,
-                    obs.clock.now(),
-                    ProtoEvent::Recovered,
-                );
-            }
-            self.inboxes[self.shard_of[node.index()]].wake();
+        self.set_paused(node, false);
+    }
+
+    /// Queues a pause or a resume of `node` on its shard, behind every call
+    /// submitted before it.
+    fn set_paused(&self, node: NodeId, paused: bool) {
+        let Some(flag) = self.crashed.get(node.index()) else {
+            return;
+        };
+        flag.store(paused, Ordering::Relaxed);
+        let shard = self.shard_of[node.index()];
+        let (event, command) = if paused {
+            (ProtoEvent::Crashed, Command::Pause)
+        } else {
+            (ProtoEvent::Recovered, Command::Resume)
+        };
+        if let Some(obs) = &self.obs {
+            obs.rings[shard].push(node, obs.clock.now(), event);
         }
+        self.inboxes[shard].submit(&self.shutdown, node, command);
     }
 
     /// Shuts the cluster down, joining all shard workers.
@@ -1095,6 +1015,8 @@ impl Drop for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lease::{FencingToken, StaleToken};
+    use sle_net::transport::{ShardDelivery, TransportError};
 
     #[test]
     fn cluster_elects_a_leader_in_real_time() {
@@ -1198,6 +1120,103 @@ mod tests {
             "shutdown took {:?}",
             start.elapsed()
         );
+    }
+
+    /// An in-memory endpoint that counts what its node sends.
+    struct Counted {
+        inner: sle_net::transport::Endpoint<ServiceMessage>,
+        sent: Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl MessageEndpoint<ServiceMessage> for Counted {
+        fn node(&self) -> NodeId {
+            self.inner.node()
+        }
+        fn send(&self, to: NodeId, msg: ServiceMessage) -> Result<(), TransportError> {
+            self.sent.fetch_add(1, Ordering::Relaxed);
+            self.inner.send(to, msg)
+        }
+        fn recv_timeout(&self, timeout: Duration) -> Option<Incoming<ServiceMessage>> {
+            self.inner.recv_timeout(timeout)
+        }
+        fn try_recv(&self) -> Option<Incoming<ServiceMessage>> {
+            self.inner.try_recv()
+        }
+        fn set_delivery_sink(&self, sink: ShardDelivery<ServiceMessage>) -> bool {
+            MessageEndpoint::set_delivery_sink(&self.inner, sink)
+        }
+    }
+
+    #[derive(Debug)]
+    struct Echo;
+
+    impl FencedApp for Echo {
+        fn apply(&mut self, _: GroupId, _: FencingToken, payload: u64) -> Result<u64, StaleToken> {
+            Ok(payload)
+        }
+    }
+
+    #[test]
+    fn a_paused_node_refuses_calls_that_act() {
+        let mut mesh = InMemoryMesh::new(2);
+        let sent: Vec<_> = (0..2).map(|_| Arc::default()).collect();
+        let endpoints = (0..2)
+            .map(|i| Counted {
+                inner: mesh.endpoint(NodeId(i)).expect("endpoint"),
+                sent: Arc::clone(&sent[i as usize]),
+            })
+            .collect();
+        let config = ClusterConfig::new(ElectorKind::OmegaL).with_workers(1);
+        let cluster = Cluster::start_endpoints_with_config(endpoints, config);
+        let (node, group) = (NodeId(1), GroupId(9));
+        let handle = cluster.handle(node).unwrap();
+        cluster.crash(node);
+        // Calls are handled in the order they were submitted, so once this
+        // query is answered (from the parked state) the pause has happened.
+        assert_eq!(handle.leader_of(group), None);
+        let before = sent[1].load(Ordering::Relaxed);
+        assert_eq!(handle.join(group, JoinConfig::candidate()), None);
+        assert!(!handle.leave(group, ProcessId::new(node, 0)));
+        assert!(!handle.install_app(Box::new(Echo)));
+        assert_eq!(handle.lease_of(group), None);
+        assert_eq!(
+            sent[1].load(Ordering::Relaxed),
+            before,
+            "a paused node sent on a refused join"
+        );
+        cluster.recover(node);
+        assert!(handle.join(group, JoinConfig::candidate()).is_some());
+        assert!(handle.install_app(Box::new(Echo)));
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn a_crash_undone_at_once_loses_no_timer() {
+        let config = ClusterConfig::new(ElectorKind::OmegaL).with_workers(2);
+        let cluster = Cluster::start_with_config(3, config);
+        let group = GroupId(4);
+        for i in 0..3u32 {
+            let handle = cluster.handle(NodeId(i)).unwrap();
+            handle.join(group, JoinConfig::candidate()).unwrap();
+        }
+        let leader = cluster
+            .await_agreement(group, None, Duration::from_secs(10))
+            .expect("initial leader");
+        // Let the election's own leader-change events drain.
+        while cluster.next_event(Duration::from_millis(500)).is_some() {}
+        for _ in 0..50 {
+            cluster.crash(leader.node);
+            cluster.recover(leader.node);
+        }
+        // A timer lost to a pause would silence the leader's ALIVEs, and
+        // its followers would suspect it within one detection bound T_D.
+        let t_d = JoinConfig::candidate().qos.detection_time();
+        let quiet = Duration::from_nanos(3 * t_d.as_nanos());
+        if let Some(event) = cluster.next_event(quiet) {
+            panic!("{event:?} within 3·T_D of 50 crash/recover flaps of {leader:?}");
+        }
+        assert_eq!(cluster.agreed_leader(group, None), Some(leader));
+        cluster.shutdown();
     }
 
     #[test]

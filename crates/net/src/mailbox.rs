@@ -22,7 +22,7 @@ use std::time::Instant;
 struct MailboxState<T> {
     queue: VecDeque<T>,
     /// Set by [`MailboxSender::wake`]: "something outside the queue needs
-    /// attention" (a command was enqueued, a crash flag flipped, shutdown).
+    /// attention" (a command was enqueued, shutdown).
     notified: bool,
 }
 
@@ -166,8 +166,8 @@ impl<T> MailboxSender<T> {
     }
 
     /// Wakes the waiting worker without enqueuing anything — used when the
-    /// payload lives in a side structure (a command queue, a crash flag, a
-    /// shutdown signal) that the worker re-checks on every wake.
+    /// payload lives in a side structure (a command queue, a shutdown
+    /// signal) that the worker re-checks on every wake.
     pub fn wake(&self) {
         let mut state = self.shared.state.lock().expect("mailbox poisoned");
         state.notified = true;

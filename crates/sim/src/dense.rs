@@ -1,8 +1,9 @@
 //! Dense, allocation-light containers for hot per-node state.
 //!
-//! The event loop touches per-node timer state on every timer arm, cancel
-//! and fire. `std::collections::HashMap<TimerTag, u64>` pays SipHash plus a
-//! heap-allocated table per node; at the million-process frontier that is
+//! Both shard drivers touch per-node timer state on every timer arm, cancel
+//! and fire ([`TimerTable`](crate::wheel::TimerTable)). The std hash map
+//! pays SipHash plus a heap-allocated table per node; at the
+//! million-process frontier that is
 //! millions of hashes per virtual second on state that is two machine words
 //! per entry. [`TagMap`] is an open-addressing `u64 → u64` map with a
 //! multiplicative hash, linear probing and backward-shift deletion — no

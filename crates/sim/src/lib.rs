@@ -15,7 +15,9 @@
 //! * [`dense`] — allocation-light maps/indices for hot per-node state,
 //! * [`medium`] — the pluggable link-model interface,
 //! * [`wheel`] — the hierarchical timer wheel backing the event loop
-//!   (`O(1)` scheduling at any population of pending timers),
+//!   (`O(1)` scheduling at any population of pending timers), and the
+//!   per-node table of armed timers both shard drivers keep beside it
+//!   (this simulator's and `sle-core`'s wall-clock runtime),
 //! * [`world`] — the simulator, with node crash/recovery support: one
 //!   thread, one event at a time,
 //! * [`par`] — the same simulator sharded over worker threads that advance
@@ -80,7 +82,7 @@ pub mod prelude {
     pub use crate::rng::SimRng;
     pub use crate::time::{SimDuration, SimInstant};
     pub use crate::timeline::Timeline;
-    pub use crate::wheel::{EventWheel, TimerWheel};
+    pub use crate::wheel::{EventWheel, TimerTable};
     pub use crate::world::{ActorFactory, World};
 }
 
@@ -92,5 +94,5 @@ pub use par::{ParWorld, SharedActorFactory};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimInstant};
 pub use timeline::Timeline;
-pub use wheel::{EventWheel, TimerWheel};
+pub use wheel::{EventWheel, TimerTable};
 pub use world::{ActorFactory, World};

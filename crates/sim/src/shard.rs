@@ -16,12 +16,11 @@
 //!   stream, seeded from `(world_seed, node_id)`.
 
 use crate::actor::{Actor, Context, Effect, NodeId, TimerTag, WireSize};
-use crate::dense::TagMap;
 use crate::medium::{Fate, Medium};
 use crate::observer::Observer;
 use crate::rng::SimRng;
 use crate::time::SimInstant;
-use crate::wheel::EventWheel;
+use crate::wheel::{EventWheel, TimerTable};
 
 /// What the wheels hold.
 #[derive(Debug)]
@@ -38,7 +37,6 @@ pub(crate) enum EventKind<M> {
     Timer {
         node: NodeId,
         tag: TimerTag,
-        node_epoch: u64,
         generation: u64,
     },
     Crash {
@@ -56,13 +54,10 @@ struct NodeSlot<A> {
     actor: Option<A>,
     up: bool,
     incarnation: u64,
-    /// Bumped on every crash so stale timer events are discarded.
-    epoch: u64,
-    /// Per-tag generation counters; a timer event only fires if its recorded
-    /// generation still matches. Keyed by the raw tag value in a dense
-    /// open-addressing map — this table is touched on every arm/cancel/fire.
-    timers: TagMap,
-    timer_generation: u64,
+    /// The armed timers; a timer event fires only if its generation is
+    /// still its tag's. A crash clears the table, so no timer armed before
+    /// it fires after it.
+    timers: TimerTable,
     /// This node's deterministic RNG stream.
     rng: SimRng,
     /// This node's canonical event sequence counter.
@@ -128,9 +123,7 @@ impl<A: Actor, M: Medium> Shard<A, M> {
                 actor: Some(factory(node, 0)),
                 up: true,
                 incarnation: 0,
-                epoch: 0,
-                timers: TagMap::new(),
-                timer_generation: 0,
+                timers: TimerTable::new(),
                 rng: SimRng::seed_from(mix_seed(seed, g as u64)),
                 seq: 0,
             });
@@ -225,9 +218,8 @@ impl<A: Actor, M: Medium> Shard<A, M> {
             EventKind::Timer {
                 node,
                 tag,
-                node_epoch,
                 generation,
-            } => self.handle_timer(node, tag, node_epoch, generation, observer, out),
+            } => self.handle_timer(node, tag, generation, observer, out),
             EventKind::Crash { node } => self.handle_crash(node, observer),
             EventKind::Recover { node } => self.handle_recover(node, factory, observer, out),
         }
@@ -306,21 +298,14 @@ impl<A: Actor, M: Medium> Shard<A, M> {
         &mut self,
         node: NodeId,
         tag: TimerTag,
-        node_epoch: u64,
         generation: u64,
         observer: &mut O,
         out: &mut [Vec<OutEvent<A::Msg>>],
     ) {
         let l = self.local(node);
-        let slot = &mut self.nodes[l];
-        if !slot.up || slot.epoch != node_epoch {
-            return;
+        if !self.nodes[l].timers.fire(tag, generation) {
+            return; // re-armed, cancelled or crashed since it was queued
         }
-        match slot.timers.get(tag.0) {
-            Some(g) if g == generation => {}
-            _ => return, // re-armed or cancelled since this event was queued
-        }
-        slot.timers.remove(tag.0);
         observer.timer_fired(self.now, node);
         self.call(node, l, observer, out, |actor, ctx| {
             actor.on_timer(tag, ctx)
@@ -335,7 +320,6 @@ impl<A: Actor, M: Medium> Shard<A, M> {
         }
         slot.up = false;
         slot.actor = None;
-        slot.epoch += 1;
         slot.timers.clear();
         observer.node_crashed(self.now, node);
     }
@@ -392,27 +376,16 @@ impl<A: Actor, M: Medium> Shard<A, M> {
                     }
                 }
                 Effect::SetTimer { tag, at } => {
-                    let slot = &mut self.nodes[l];
-                    slot.timer_generation += 1;
-                    let generation = slot.timer_generation;
-                    slot.timers.insert(tag.0, generation);
-                    let node_epoch = slot.epoch;
-                    let fire_at = at.max(self.now);
+                    let generation = self.nodes[l].timers.arm(tag);
                     let key = self.alloc_key(node, l);
-                    self.wheel.push(
-                        fire_at,
-                        key,
-                        EventKind::Timer {
-                            node,
-                            tag,
-                            node_epoch,
-                            generation,
-                        },
-                    );
+                    let kind = EventKind::Timer {
+                        node,
+                        tag,
+                        generation,
+                    };
+                    self.wheel.push(at.max(self.now), key, kind);
                 }
-                Effect::CancelTimer { tag } => {
-                    self.nodes[l].timers.remove(tag.0);
-                }
+                Effect::CancelTimer { tag } => self.nodes[l].timers.cancel(tag),
                 Effect::Emit(event) => {
                     observer.event_emitted(self.now, node, &event);
                 }

@@ -28,6 +28,8 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+use crate::actor::TimerTag;
+use crate::dense::TagMap;
 use crate::time::SimInstant;
 
 /// log2 of the tick length in nanoseconds (one tick = 65 536 ns).
@@ -243,126 +245,89 @@ impl<T> std::fmt::Debug for EventWheel<T> {
     }
 }
 
-/// A keyed, cancelable timer facade over [`EventWheel`]: the same `O(1)`
-/// hierarchical wheel, generalized over the caller's key (the sharded
-/// real-time runtime in `sle-core` keys it by `(NodeId, TimerTag)`).
+/// One node's armed timers: the generation of each armed [`TimerTag`]'s
+/// live wheel entry. Both shard drivers keep one per node beside an
+/// [`EventWheel`] whose timer entries carry `(tag, generation)` — the
+/// simulator's shard and the wall-clock runtime of `sle-core`.
 ///
-/// Scheduling a key that is already armed re-arms it (the previous deadline
-/// is superseded), and [`TimerWheel::cancel`] disarms it — both in `O(1)`,
-/// using the same lazy generation check the simulator's `World` uses: stale
-/// wheel entries are discarded when they surface. The clock is whatever the
-/// caller's [`SimInstant`]s mean — virtual time under the simulator, or
-/// nanoseconds since some wall-clock epoch under a real-time runtime.
+/// [`TimerTable::arm`] hands out the next generation, so re-arming a tag
+/// supersedes the entry it already has in the wheel; [`TimerTable::cancel`]
+/// forgets the tag; an entry fires only while its generation is still the
+/// tag's ([`TimerTable::fire`]). Stale entries are dropped when they
+/// surface, so arming and cancelling stay `O(1)`, and the table is a
+/// [`TagMap`]: no hashing beyond one multiply per lookup.
 ///
 /// ```
-/// use sle_sim::time::SimInstant;
-/// use sle_sim::wheel::TimerWheel;
+/// use sle_sim::actor::TimerTag;
+/// use sle_sim::wheel::TimerTable;
 ///
-/// let mut wheel: TimerWheel<&str> = TimerWheel::new();
-/// wheel.schedule("hello", SimInstant::from_secs_f64(1.0));
-/// wheel.schedule("alive", SimInstant::from_secs_f64(0.5));
-/// wheel.schedule("hello", SimInstant::from_secs_f64(2.0)); // re-arm
-/// wheel.cancel(&"alive");
-/// assert_eq!(wheel.next_deadline(), Some(SimInstant::from_secs_f64(2.0)));
-/// let now = SimInstant::from_secs_f64(3.0);
-/// assert_eq!(wheel.pop_due(now), Some((SimInstant::from_secs_f64(2.0), "hello")));
-/// assert_eq!(wheel.pop_due(now), None);
+/// let mut timers = TimerTable::new();
+/// let first = timers.arm(TimerTag(1));
+/// let second = timers.arm(TimerTag(1)); // re-arm: `first` is stale
+/// assert!(!timers.fire(TimerTag(1), first));
+/// assert!(timers.fire(TimerTag(1), second));
+/// assert!(!timers.fire(TimerTag(1), second)); // fires once
+/// let third = timers.arm(TimerTag(2));
+/// timers.clear(); // a crash disarms everything
+/// assert!(!timers.is_current(TimerTag(2), third));
+/// assert!(timers.is_empty());
 /// ```
-pub struct TimerWheel<K> {
-    wheel: EventWheel<K>,
-    /// Per-key arm state: the generation of the live wheel entry (its `seq`)
-    /// and the deadline it was armed for. A wheel entry whose `seq` no
-    /// longer matches is stale (re-armed or cancelled) and is dropped when
-    /// it reaches the front.
-    armed: std::collections::HashMap<K, (u64, SimInstant)>,
+#[derive(Debug, Default)]
+pub struct TimerTable {
+    /// The live generation of each armed tag, keyed by the raw tag value.
+    live: TagMap,
+    /// The last generation handed out. Never reset, not even by `clear`, so
+    /// an entry armed before a clear never matches one armed after it.
     generation: u64,
 }
 
-impl<K> Default for TimerWheel<K> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K> TimerWheel<K> {
-    /// Creates an empty timer wheel.
+impl TimerTable {
+    /// Creates an empty table. Does not allocate until the first arm.
     pub fn new() -> Self {
-        TimerWheel {
-            wheel: EventWheel::new(),
-            armed: std::collections::HashMap::new(),
-            generation: 0,
-        }
+        TimerTable::default()
     }
-}
 
-impl<K: Clone + Eq + std::hash::Hash> TimerWheel<K> {
-    /// Number of armed timers (stale wheel entries do not count).
+    /// Number of armed tags.
     pub fn len(&self) -> usize {
-        self.armed.len()
+        self.live.len()
     }
 
-    /// True if no timer is armed.
+    /// True if no tag is armed.
     pub fn is_empty(&self) -> bool {
-        self.armed.is_empty()
+        self.live.is_empty()
     }
 
-    /// Arms (or re-arms) `key` to fire at `at`. `O(1)`.
-    ///
-    /// Generations are handed out in call order, so two timers armed for
-    /// the same instant fire in the order they were (most recently) armed —
-    /// the same deterministic tie-break the simulator uses.
-    pub fn schedule(&mut self, key: K, at: SimInstant) {
+    /// Arms (or re-arms) `tag` and returns the generation its new wheel
+    /// entry must carry.
+    pub fn arm(&mut self, tag: TimerTag) -> u64 {
         self.generation += 1;
-        self.armed.insert(key.clone(), (self.generation, at));
-        self.wheel.push(at, self.generation, key);
+        self.live.insert(tag.0, self.generation);
+        self.generation
     }
 
-    /// Disarms `key` if it is armed. `O(1)` (the wheel entry is dropped
-    /// lazily when it surfaces).
-    pub fn cancel(&mut self, key: &K) {
-        self.armed.remove(key);
+    /// Disarms `tag` if it is armed; its wheel entry becomes stale.
+    pub fn cancel(&mut self, tag: TimerTag) {
+        self.live.remove(tag.0);
     }
 
-    /// The deadline `key` is currently armed for, if any.
-    pub fn deadline_of(&self, key: &K) -> Option<SimInstant> {
-        self.armed.get(key).map(|&(_, at)| at)
+    /// True if the entry armed as `(tag, generation)` is still live.
+    pub fn is_current(&self, tag: TimerTag, generation: u64) -> bool {
+        self.live.get(tag.0) == Some(generation)
     }
 
-    /// The earliest live deadline, if any timer is armed.
-    ///
-    /// Takes `&mut self`: stale entries in front are discarded and wheel
-    /// slots may cascade while searching.
-    pub fn next_deadline(&mut self) -> Option<SimInstant> {
-        loop {
-            let (at, seq, key) = self.wheel.peek()?;
-            match self.armed.get(key) {
-                Some(&(generation, _)) if generation == seq => return Some(at),
-                _ => {
-                    // Re-armed or cancelled since it was pushed: discard.
-                    self.wheel.pop();
-                }
-            }
+    /// Fires the entry `(tag, generation)` if it is still live: disarms the
+    /// tag and returns true. A stale entry returns false.
+    pub fn fire(&mut self, tag: TimerTag, generation: u64) -> bool {
+        let current = self.is_current(tag, generation);
+        if current {
+            self.live.remove(tag.0);
         }
+        current
     }
 
-    /// Removes and returns the earliest timer whose deadline is `<= now`,
-    /// as `(deadline, key)` — or `None` when nothing is due yet.
-    pub fn pop_due(&mut self, now: SimInstant) -> Option<(SimInstant, K)> {
-        let at = self.next_deadline()?;
-        if at > now {
-            return None;
-        }
-        let (at, _seq, key) = self.wheel.pop().expect("next_deadline saw an entry");
-        self.armed.remove(&key);
-        Some((at, key))
-    }
-}
-
-impl<K> std::fmt::Debug for TimerWheel<K> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TimerWheel")
-            .field("armed", &self.armed.len())
-            .finish()
+    /// Disarms every tag (a crash), keeping the allocated capacity.
+    pub fn clear(&mut self) {
+        self.live.clear();
     }
 }
 
@@ -506,88 +471,120 @@ mod tests {
         let rendered = format!("{wheel:?}");
         assert!(rendered.contains("EventWheel"));
         assert!(rendered.contains("len"));
-        let timers: TimerWheel<u8> = TimerWheel::default();
-        assert!(format!("{timers:?}").contains("TimerWheel"));
+        let timers = TimerTable::default();
+        assert!(format!("{timers:?}").contains("TimerTable"));
     }
 
     #[test]
     fn timer_wheel_rearms_and_cancels() {
-        let mut wheel: TimerWheel<(u32, u32)> = TimerWheel::new();
-        assert!(wheel.is_empty());
-        wheel.schedule((0, 1), SimInstant::from_nanos(500));
-        wheel.schedule((0, 2), SimInstant::from_nanos(200));
-        wheel.schedule((1, 1), SimInstant::from_nanos(300));
-        assert_eq!(wheel.len(), 3);
+        // Two nodes' tables over one wheel, as a shard driver keeps them.
+        let mut tables = [TimerTable::new(), TimerTable::new()];
+        let mut wheel: EventWheel<(usize, TimerTag)> = EventWheel::new();
+        let mut arm = |tables: &mut [TimerTable; 2], node: usize, tag: u64, at: u64| {
+            let generation = tables[node].arm(TimerTag(tag));
+            wheel.push(
+                SimInstant::from_nanos(at),
+                generation,
+                (node, TimerTag(tag)),
+            );
+        };
+        arm(&mut tables, 0, 1, 500);
+        arm(&mut tables, 0, 2, 200);
+        arm(&mut tables, 1, 1, 300);
         // Re-arm supersedes the earlier deadline...
-        wheel.schedule((0, 2), SimInstant::from_nanos(900));
-        assert_eq!(wheel.len(), 3);
-        assert_eq!(
-            wheel.deadline_of(&(0, 2)),
-            Some(SimInstant::from_nanos(900))
-        );
+        arm(&mut tables, 0, 2, 900);
+        assert_eq!((tables[0].len(), tables[1].len()), (2, 1));
         // ...and cancel disarms entirely.
-        wheel.cancel(&(1, 1));
-        assert_eq!(wheel.deadline_of(&(1, 1)), None);
-        assert_eq!(wheel.next_deadline(), Some(SimInstant::from_nanos(500)));
-
-        assert_eq!(wheel.pop_due(SimInstant::from_nanos(100)), None);
-        assert_eq!(
-            wheel.pop_due(SimInstant::from_nanos(1_000)),
-            Some((SimInstant::from_nanos(500), (0, 1)))
-        );
-        assert_eq!(
-            wheel.pop_due(SimInstant::from_nanos(1_000)),
-            Some((SimInstant::from_nanos(900), (0, 2)))
-        );
-        assert_eq!(wheel.pop_due(SimInstant::FAR_FUTURE), None);
-        assert!(wheel.is_empty());
+        tables[1].cancel(TimerTag(1));
+        assert!(tables[1].is_empty());
+        let mut fired = Vec::new();
+        while let Some((at, generation, (node, tag))) = wheel.pop() {
+            if tables[node].fire(tag, generation) {
+                fired.push((at.as_nanos(), node, tag.0));
+            }
+        }
+        assert_eq!(fired, vec![(500, 0, 1), (900, 0, 2)]);
+        assert!(tables.iter().all(TimerTable::is_empty));
     }
 
     #[test]
     fn timer_wheel_matches_a_sorted_model_over_random_workloads() {
-        // Differential test against a sorted map model: random interleaved
-        // schedules (often re-arming a live key), cancels and pops must
-        // agree with the model exactly.
+        // Differential test against a sorted map model: four nodes' tables
+        // over one wheel, driven the way both shard drivers drive them.
+        // Random interleaved arms (often re-arming a live tag), cancels,
+        // crashes (a node's whole table cleared) and drains of everything
+        // due must agree with the model exactly, and so must the earliest
+        // live deadline once stale entries in front are dropped.
+        const NODES: usize = 4;
         let mut rng = SimRng::seed_from(0xFACE);
         for _case in 0..20 {
-            let mut wheel: TimerWheel<u32> = TimerWheel::new();
-            let mut model: std::collections::BTreeMap<u32, (SimInstant, u64)> =
+            let mut tables: Vec<TimerTable> = (0..NODES).map(|_| TimerTable::new()).collect();
+            let mut wheel: EventWheel<(usize, TimerTag, u64)> = EventWheel::new();
+            let mut model: std::collections::BTreeMap<(usize, u64), (SimInstant, u64)> =
                 std::collections::BTreeMap::new();
             let mut order = 0u64;
             let mut now = SimInstant::ZERO;
             for _step in 0..300 {
                 for _ in 0..rng.uniform_usize(4) {
-                    let key = rng.next_u64() as u32 % 24;
+                    let node = rng.uniform_usize(NODES);
+                    let tag = rng.next_u64() % 6;
                     let exponent = 4 + rng.uniform_usize(38) as u32;
                     let at = now + SimDuration::from_nanos(rng.next_u64() % (1u64 << exponent));
                     order += 1;
-                    wheel.schedule(key, at);
-                    model.insert(key, (at, order));
+                    let generation = tables[node].arm(TimerTag(tag));
+                    wheel.push(at, order, (node, TimerTag(tag), generation));
+                    model.insert((node, tag), (at, order));
                 }
-                if rng.uniform_usize(3) == 0 {
-                    let key = rng.next_u64() as u32 % 24;
-                    wheel.cancel(&key);
-                    model.remove(&key);
+                match rng.uniform_usize(6) {
+                    0 | 1 => {
+                        let (node, tag) = (rng.uniform_usize(NODES), rng.next_u64() % 6);
+                        tables[node].cancel(TimerTag(tag));
+                        model.remove(&(node, tag));
+                    }
+                    2 => {
+                        let node = rng.uniform_usize(NODES);
+                        tables[node].clear();
+                        model.retain(|&(n, _), _| n != node);
+                    }
+                    _ => {}
                 }
-                assert_eq!(wheel.len(), model.len());
-                let expected_next = model.values().map(|&(at, _)| at).min();
-                assert_eq!(wheel.next_deadline(), expected_next);
+                let armed: usize = tables.iter().map(TimerTable::len).sum();
+                assert_eq!(armed, model.len());
+                let next = loop {
+                    match wheel.peek() {
+                        Some((at, _, &(node, tag, generation))) => {
+                            if tables[node].is_current(tag, generation) {
+                                break Some(at);
+                            }
+                            wheel.pop();
+                        }
+                        None => break None,
+                    }
+                };
+                assert_eq!(next, model.values().map(|&(at, _)| at).min());
                 // Advance time and drain everything now due, in order.
                 now += SimDuration::from_nanos(rng.next_u64() % (1u64 << 24));
-                loop {
-                    let due = model
-                        .iter()
-                        .filter(|(_, &(at, _))| at <= now)
-                        .min_by_key(|(_, &(at, ord))| (at, ord))
-                        .map(|(&key, &(at, _))| (at, key));
-                    assert_eq!(wheel.pop_due(now), due);
-                    match due {
-                        Some((_, key)) => {
-                            model.remove(&key);
-                        }
-                        None => break,
+                let mut fired = Vec::new();
+                while wheel.peek_time().is_some_and(|at| at <= now) {
+                    let (at, _, (node, tag, generation)) = wheel.pop().expect("peeked");
+                    if tables[node].fire(tag, generation) {
+                        fired.push((at, node, tag.0));
                     }
                 }
+                let mut due: Vec<_> = model
+                    .iter()
+                    .filter(|(_, &(at, _))| at <= now)
+                    .map(|(&(node, tag), &(at, order))| (at, order, node, tag))
+                    .collect();
+                due.sort();
+                for &(_, _, node, tag) in &due {
+                    model.remove(&(node, tag));
+                }
+                let due: Vec<_> = due
+                    .into_iter()
+                    .map(|(at, _, node, tag)| (at, node, tag))
+                    .collect();
+                assert_eq!(fired, due);
             }
         }
     }
