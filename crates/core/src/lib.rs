@@ -53,11 +53,12 @@
 //! ```
 //! use sle_core::prelude::*;
 //! use sle_election::ElectorKind;
+//! use sle_net::network::{NetworkModel, SimulatedNetwork};
 //! use sle_sim::prelude::*;
 //!
 //! let n = 4;
 //! let group = GroupId(1);
-//! let mut world: World<ServiceNode, PerfectMedium> = World::new(
+//! let mut world: World<ServiceNode, SimulatedNetwork> = World::new(
 //!     n,
 //!     Box::new(move |node, _| {
 //!         ServiceNode::new(
@@ -65,7 +66,7 @@
 //!                 .with_auto_join(group, JoinConfig::candidate()),
 //!         )
 //!     }),
-//!     PerfectMedium,
+//!     NetworkModel::perfect().build(1),
 //!     1,
 //! );
 //! let mut observer = NullObserver;

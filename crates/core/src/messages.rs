@@ -229,6 +229,13 @@ pub enum ServiceMessage {
 /// Encoded size of one `(group, epoch)` entry of an ACCUSE.
 pub const ACCUSATION_WIRE_SIZE: usize = 4 + 8;
 
+/// Encoded-size budget for the entries of one ALIVE batch or ACCUSE list,
+/// and for the records the UDP plane coalesces into one datagram. Stays
+/// safely under `sle-wire`'s `MAX_DATAGRAM` (1400 bytes minus the frame
+/// header), so a node in very many groups splits a per-peer send into
+/// several datagrams rather than producing one the transport must reject.
+pub const MAX_BATCH_BYTES: usize = 1200;
+
 impl ServiceMessage {
     /// The group this message concerns, if any (HELLOs, batches and
     /// accusations concern several).

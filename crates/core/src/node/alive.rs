@@ -21,7 +21,7 @@ use sle_sim::actor::NodeId;
 use sle_sim::time::{SimDuration, SimInstant};
 
 use super::election::first_alive_held;
-use super::{next_tick, Peers, ServiceContext, ServiceNode, ALIVE_TIMER, MAX_BATCH_BYTES};
+use super::{next_tick, take_batch, Peers, ServiceContext, ServiceNode, ALIVE_TIMER};
 use crate::group::{GroupState, PeerRow};
 use crate::messages::{AliveHeader, GroupAlive, ServiceMessage};
 use crate::obs::NodeCount;
@@ -371,17 +371,12 @@ impl ServiceNode {
     ) -> u64 {
         let mut datagrams = 0;
         while !alives.is_empty() {
-            let mut bytes = 0;
-            let fits = alives.iter().take_while(|alive| {
-                bytes += alive.wire_size();
-                bytes <= MAX_BATCH_BYTES
-            });
-            let rest = alives.split_off(fits.count().max(1));
+            let batch = take_batch(&mut alives, GroupAlive::wire_size);
             let stream = &mut self.peers[pslot].alive;
             let seq = stream.seq;
             stream.seq += 1;
             datagrams += 1;
-            let msg = match alives[..] {
+            let msg = match batch[..] {
                 [ref alive] => ServiceMessage::Alive {
                     group: alive.group,
                     header: AliveHeader {
@@ -398,11 +393,10 @@ impl ServiceNode {
                     incarnation: self.incarnation,
                     seq,
                     sent_at: now,
-                    alives,
+                    alives: batch,
                 },
             };
             ctx.send(dest, msg);
-            alives = rest;
         }
         datagrams
     }

@@ -9,7 +9,7 @@ use sle_fd::{FdParams, TuningPolicy, Wake};
 use sle_sim::actor::{NodeId, TimerTag};
 use sle_sim::time::SimInstant;
 
-use super::{ServiceContext, ServiceNode, FD_KIND, MAX_BATCH_BYTES};
+use super::{take_batch, ServiceContext, ServiceNode, FD_KIND};
 use crate::group::GroupState;
 use crate::messages::{ServiceMessage, ACCUSATION_WIRE_SIZE};
 use crate::obs::NodeCount;
@@ -28,10 +28,6 @@ pub(super) struct PeerFd {
     /// monitors is in its walk.
     pub(super) wake: Option<Wake>,
 }
-
-/// The most `(group, epoch)` entries one ACCUSE carries: a peer suspected
-/// in more groups in one walk gets several.
-const MAX_ACCUSATIONS: usize = MAX_BATCH_BYTES / ACCUSATION_WIRE_SIZE;
 
 /// The failure-detector timer of `peer`: one per monitored peer, however
 /// many groups monitor it.
@@ -153,11 +149,11 @@ impl ServiceNode {
         entry.groups = groups;
         entry.fd.wake = Some(wake);
         self.arm_fd_timer(peer, pslot, wake.at(stamp), ctx);
-        // `groups` is ascending, so each list is too.
+        // `groups` is ascending, so each list is too. A peer suspected in
+        // more groups than one list's budget holds gets several.
         while !accusations.is_empty() {
-            let rest = accusations.split_off(accusations.len().min(MAX_ACCUSATIONS));
+            let accusations = take_batch(&mut accusations, |_| ACCUSATION_WIRE_SIZE);
             ctx.send(peer, ServiceMessage::Accuse { accusations });
-            accusations = rest;
         }
     }
 

@@ -32,7 +32,9 @@ use crate::error::ServiceError;
 use crate::events::ServiceEvent;
 use crate::group::GroupState;
 use crate::lease::{FencedApp, FencingToken, LeaderLease};
-use crate::messages::{AliveHeader, GroupAlive, GroupAnnouncement, HelloList, ServiceMessage};
+use crate::messages::{
+    AliveHeader, GroupAlive, GroupAnnouncement, HelloList, ServiceMessage, MAX_BATCH_BYTES,
+};
 use crate::obs::{NodeCount, NodeInstruments};
 use crate::process::{GroupId, ProcessId};
 
@@ -44,12 +46,6 @@ const ALIVE_KIND: u64 = 1;
 const FD_KIND: u64 = 2;
 /// Timer-tag namespace for the end of the self-election grace period.
 pub(crate) const GRACE_KIND: u64 = 3;
-
-/// Encoded-size budget for the entries of one ALIVE batch or ACCUSE list.
-/// Stays safely under `sle-wire`'s `MAX_DATAGRAM` (1400 bytes minus the
-/// frame header), so a node in very many groups splits a per-peer send into
-/// several datagrams rather than producing one the transport must reject.
-const MAX_BATCH_BYTES: usize = 1200;
 
 /// Timer used for periodic HELLO gossip and membership expiry.
 const HELLO_TIMER: TimerTag = TimerTag(HELLO_KIND << 32);
@@ -69,6 +65,19 @@ const ALIVE_TIMER: TimerTag = TimerTag(ALIVE_KIND << 32);
 fn next_tick(now: SimInstant, step: SimDuration) -> SimInstant {
     let step = step.max(MIN_INTERVAL).as_nanos();
     SimInstant::from_nanos((now.as_nanos() / step + 1) * step)
+}
+
+/// Takes from the front of `entries` the longest run whose encoded sizes,
+/// by `size`, sum to at most [`MAX_BATCH_BYTES`] (one entry at least): the
+/// one split of per-peer ALIVE batches and ACCUSE lists.
+fn take_batch<T>(entries: &mut Vec<T>, size: impl Fn(&T) -> usize) -> Vec<T> {
+    let mut bytes = 0;
+    let fits = entries.iter().take_while(|entry| {
+        bytes += size(entry);
+        bytes <= MAX_BATCH_BYTES
+    });
+    let rest = entries.split_off(fits.count().max(1));
+    std::mem::replace(entries, rest)
 }
 
 /// Dense per-group storage: group ids are interned into `u32` slots on

@@ -1,10 +1,38 @@
 use super::*;
+use sle_net::link::LinkSpec;
+use sle_net::network::{NetworkModel, SimulatedNetwork};
 use sle_sim::prelude::*;
 use std::collections::BTreeMap;
 
 const GROUP: GroupId = GroupId(1);
 
-fn build_world(n: usize, algorithm: ElectorKind, seed: u64) -> World<ServiceNode, PerfectMedium> {
+/// Perfect links: every message is delivered at once.
+fn perfect_links() -> SimulatedNetwork {
+    NetworkModel::perfect().build(0)
+}
+
+/// Loss-free links that deliver every message after exactly `delay`.
+fn delayed_links(delay: SimDuration) -> SimulatedNetwork {
+    NetworkModel::new(LinkSpec::perfect().with_min_delay(delay)).build(0)
+}
+
+/// Runs `world` to just before `at`, then makes every link deliver after
+/// `delay`: a message sent at `at` or later takes the new delay.
+fn step_delay<O: Observer<ServiceEvent>>(
+    world: &mut World<ServiceNode, SimulatedNetwork>,
+    at: SimInstant,
+    delay: SimDuration,
+    obs: &mut O,
+) {
+    world.run_until(at - SimDuration::from_nanos(1), obs);
+    world.medium_mut().set_default_link(LinkSpec::perfect().with_min_delay(delay));
+}
+
+fn build_world(
+    n: usize,
+    algorithm: ElectorKind,
+    seed: u64,
+) -> World<ServiceNode, SimulatedNetwork> {
     World::new(
         n,
         Box::new(move |node, _inc| {
@@ -12,7 +40,7 @@ fn build_world(n: usize, algorithm: ElectorKind, seed: u64) -> World<ServiceNode
                 .with_auto_join(GROUP, JoinConfig::candidate());
             ServiceNode::new(config)
         }),
-        PerfectMedium,
+        perfect_links(),
         seed,
     )
 }
@@ -165,7 +193,7 @@ fn join_and_leave_api_validation() {
 #[test]
 fn listener_follows_without_becoming_leader() {
     let n = 3;
-    let mut world: World<ServiceNode, PerfectMedium> = World::new(
+    let mut world: World<ServiceNode, SimulatedNetwork> = World::new(
         n,
         Box::new(move |node, _inc| {
             let join = if node == NodeId(2) {
@@ -177,7 +205,7 @@ fn listener_follows_without_becoming_leader() {
                 ServiceConfig::full_mesh(node, n, ElectorKind::OmegaL).with_auto_join(GROUP, join);
             ServiceNode::new(config)
         }),
-        PerfectMedium,
+        perfect_links(),
         31,
     );
     let mut obs = NullObserver;
@@ -193,24 +221,18 @@ fn adaptive_tuning_tracks_latency_regimes_deterministically() {
     // 90 ms → 2 ms → 150 ms. The monitor's timeout shift δ
     // must shrink after the latency drop and grow after the spike.
     let n = 2;
-    let medium = SteppedDelayMedium::new(SimDuration::from_millis(90))
-        .with_step(SimInstant::from_secs_f64(20.0), SimDuration::from_millis(2))
-        .with_step(
-            SimInstant::from_secs_f64(40.0),
-            SimDuration::from_millis(150),
-        );
-    let mut world: World<ServiceNode, SteppedDelayMedium> = World::new(
+    let mut world: World<ServiceNode, SimulatedNetwork> = World::new(
         n,
         Box::new(move |node, _inc| {
             let config = ServiceConfig::full_mesh(node, n, ElectorKind::OmegaLc)
                 .with_auto_join(GROUP, JoinConfig::candidate().with_adaptive_tuning());
             ServiceNode::new(config)
         }),
-        medium,
+        delayed_links(SimDuration::from_millis(90)),
         3,
     );
     let mut obs = NullObserver;
-    let params_at = |world: &World<ServiceNode, SteppedDelayMedium>| {
+    let params_at = |world: &World<ServiceNode, SimulatedNetwork>| {
         world
             .actor(NodeId(0))
             .unwrap()
@@ -227,6 +249,8 @@ fn adaptive_tuning_tracks_latency_regimes_deterministically() {
         "δ must clear the 90 ms delay"
     );
 
+    let step = SimDuration::from_millis(2);
+    step_delay(&mut world, SimInstant::from_secs_f64(20.0), step, &mut obs);
     world.run_until(SimInstant::from_secs_f64(38.0), &mut obs);
     let fast = params_at(&world);
     assert!(
@@ -236,6 +260,8 @@ fn adaptive_tuning_tracks_latency_regimes_deterministically() {
         slow.shift
     );
 
+    let step = SimDuration::from_millis(150);
+    step_delay(&mut world, SimInstant::from_secs_f64(40.0), step, &mut obs);
     world.run_until(SimInstant::from_secs_f64(58.0), &mut obs);
     let spiked = params_at(&world);
     assert!(
@@ -273,13 +299,7 @@ fn a_static_and_an_adaptive_group_share_one_link_estimate() {
     const ADAPTIVE: GroupId = GroupId(2);
     let t_d = SimDuration::from_secs(1);
     for algorithm in [ElectorKind::OmegaLc, ElectorKind::OmegaL] {
-        let medium = SteppedDelayMedium::new(SimDuration::from_millis(90))
-            .with_step(SimInstant::from_secs_f64(20.0), SimDuration::from_millis(2))
-            .with_step(
-                SimInstant::from_secs_f64(40.0),
-                SimDuration::from_millis(150),
-            );
-        let mut world: World<ServiceNode, SteppedDelayMedium> = World::new(
+        let mut world: World<ServiceNode, SimulatedNetwork> = World::new(
             2,
             Box::new(move |node, _inc| {
                 let config = ServiceConfig::full_mesh(node, 2, algorithm)
@@ -287,12 +307,12 @@ fn a_static_and_an_adaptive_group_share_one_link_estimate() {
                     .with_auto_join(ADAPTIVE, JoinConfig::candidate().with_adaptive_tuning());
                 ServiceNode::new(config)
             }),
-            medium,
+            delayed_links(SimDuration::from_millis(90)),
             3,
         );
         let mut log = LeaderLog::default();
         // Whoever follows in a group monitors its leader.
-        let bounds = |world: &World<ServiceNode, SteppedDelayMedium>| {
+        let bounds = |world: &World<ServiceNode, SimulatedNetwork>| {
             [STATIC, ADAPTIVE].map(|group| {
                 let leader = agreed_leader(world, group).expect("leader").node;
                 let follower = NodeId(1 - leader.0);
@@ -304,7 +324,16 @@ fn a_static_and_an_adaptive_group_share_one_link_estimate() {
         };
         let mut adaptive_bounds = Vec::new();
         let mut leaders = Vec::new();
-        for checkpoint in [18.0, 38.0, 58.0] {
+        // Each checkpoint, after the delay step (at, ms) before it, if any.
+        let steps = [None, Some((20.0, 2)), Some((40.0, 150))];
+        for (step, checkpoint) in steps.into_iter().zip([18.0, 38.0, 58.0]) {
+            if let Some((at, millis)) = step {
+                let (at, delay) = (
+                    SimInstant::from_secs_f64(at),
+                    SimDuration::from_millis(millis),
+                );
+                step_delay(&mut world, at, delay, &mut log);
+            }
             world.run_until(SimInstant::from_secs_f64(checkpoint), &mut log);
             let [pinned, tuned] = bounds(&world);
             assert_eq!(pinned, t_d, "{algorithm}: static η + δ at {checkpoint} s");
@@ -359,7 +388,7 @@ fn multi_group_alives_share_one_datagram_per_destination() {
     // into one batched datagram.
     let n = 2;
     let groups = [GroupId(1), GroupId(2), GroupId(3)];
-    let mut world: World<ServiceNode, PerfectMedium> = World::new(
+    let mut world: World<ServiceNode, SimulatedNetwork> = World::new(
         n,
         Box::new(move |node, _inc| {
             let mut config = ServiceConfig::full_mesh(node, n, ElectorKind::OmegaLc);
@@ -368,7 +397,7 @@ fn multi_group_alives_share_one_datagram_per_destination() {
             }
             ServiceNode::new(config)
         }),
-        PerfectMedium,
+        perfect_links(),
         41,
     );
     let mut obs = NullObserver;
@@ -402,14 +431,14 @@ fn staggered_group_joins_converge_onto_shared_datagrams() {
     // tick, so steady-state traffic is 2 payloads per datagram — not
     // one datagram per group forever.
     let n = 2;
-    let mut world: World<ServiceNode, PerfectMedium> = World::new(
+    let mut world: World<ServiceNode, SimulatedNetwork> = World::new(
         n,
         Box::new(move |node, _inc| {
             let config = ServiceConfig::full_mesh(node, n, ElectorKind::OmegaLc)
                 .with_auto_join(GroupId(1), JoinConfig::candidate());
             ServiceNode::new(config)
         }),
-        PerfectMedium,
+        perfect_links(),
         43,
     );
     let mut obs = NullObserver;
@@ -424,7 +453,7 @@ fn staggered_group_joins_converge_onto_shared_datagrams() {
     }
     // Let the phases converge, then measure a steady-state window.
     world.run_for(SimDuration::from_secs(5), &mut obs);
-    let counts = |world: &World<ServiceNode, PerfectMedium>, i: u32| {
+    let counts = |world: &World<ServiceNode, SimulatedNetwork>, i: u32| {
         let actor = world.actor(NodeId(i)).unwrap();
         (
             actor.count(NodeCount::AlivePayloadsSent),
@@ -456,7 +485,7 @@ fn staggered_group_joins_converge_onto_shared_datagrams() {
 fn nodes_in_different_groups_do_not_interfere() {
     // Nodes 0,1 join group 1; nodes 2,3 join group 2.
     let n = 4;
-    let mut world: World<ServiceNode, PerfectMedium> = World::new(
+    let mut world: World<ServiceNode, SimulatedNetwork> = World::new(
         n,
         Box::new(move |node, _inc| {
             let group = if node.0 < 2 { GroupId(1) } else { GroupId(2) };
@@ -464,7 +493,7 @@ fn nodes_in_different_groups_do_not_interfere() {
                 .with_auto_join(group, JoinConfig::candidate());
             ServiceNode::new(config)
         }),
-        PerfectMedium,
+        perfect_links(),
         37,
     );
     let mut obs = NullObserver;
@@ -659,7 +688,7 @@ fn a_lease_that_expired_before_the_tick_is_dropped_not_renewed() {
     // only other member is a listener, so the leadership stays
     // uncontested and the re-mint can be watched.)
     let (leader, follower) = (NodeId(0), NodeId(1));
-    let mut world: World<ServiceNode, PerfectMedium> = World::new(
+    let mut world: World<ServiceNode, SimulatedNetwork> = World::new(
         2,
         Box::new(move |node, _inc| {
             let join = if node == leader {
@@ -673,7 +702,7 @@ fn a_lease_that_expired_before_the_tick_is_dropped_not_renewed() {
             service.install_app(Box::new(TestApp::default()));
             service
         }),
-        PerfectMedium,
+        perfect_links(),
         61,
     );
     let mut obs = NullObserver;
@@ -734,7 +763,7 @@ fn replayed_stale_accusation_is_ignored_after_elector_recreation() {
     // ACCUSE minted against the pre-upgrade elector life must not be
     // honoured by the recreated one.
     let n = 3;
-    let mut world: World<ServiceNode, PerfectMedium> = World::new(
+    let mut world: World<ServiceNode, SimulatedNetwork> = World::new(
         n,
         Box::new(move |node, _inc| {
             let join = if node == NodeId(2) {
@@ -746,7 +775,7 @@ fn replayed_stale_accusation_is_ignored_after_elector_recreation() {
                 ServiceConfig::full_mesh(node, n, ElectorKind::OmegaL).with_auto_join(GROUP, join);
             ServiceNode::new(config)
         }),
-        PerfectMedium,
+        perfect_links(),
         67,
     );
     let mut obs = NullObserver;
@@ -1047,7 +1076,7 @@ fn a_restarted_peer_that_leaves_a_group_out_loses_its_row_there() {
             service.set_instruments(NodeInstruments::new(&cells, ring, node));
             service
         }),
-        FixedDelayMedium::new(SimDuration::from_millis(10)),
+        delayed_links(SimDuration::from_millis(10)),
         23,
     );
     let secs = SimInstant::from_secs_f64;
@@ -1055,7 +1084,7 @@ fn a_restarted_peer_that_leaves_a_group_out_loses_its_row_there() {
     world.schedule_recovery(NodeId(2), secs(6.0));
     // Node 0 hears the new life's start HELLO one link delay later.
     let restart = secs(6.01);
-    let row_of_2 = |world: &World<ServiceNode, FixedDelayMedium>| {
+    let row_of_2 = |world: &World<ServiceNode, SimulatedNetwork>| {
         let node = world.actor(NodeId(0)).unwrap();
         let row = node.groups.get(GROUP).unwrap().rows.get(NodeId(2));
         row.map(|row| {
@@ -1081,7 +1110,7 @@ fn a_restarted_peer_that_leaves_a_group_out_loses_its_row_there() {
     let detections = registry.histogram("node.0.fd.detection_ns").snapshot();
     assert!(detections.count > 0);
     assert_eq!(detections.buckets[0], 0, "a 0 ns detection: {detections:?}");
-    let pulls = |world: &World<ServiceNode, FixedDelayMedium>| {
+    let pulls = |world: &World<ServiceNode, SimulatedNetwork>| {
         world
             .actor(NodeId(0))
             .unwrap()
@@ -1121,18 +1150,18 @@ fn a_restarted_listener_gets_no_monitor() {
             let config = ServiceConfig::full_mesh(node, n, ElectorKind::OmegaL);
             ServiceNode::new(config.with_auto_join(GROUP, join))
         }),
-        FixedDelayMedium::new(SimDuration::from_millis(10)),
+        delayed_links(SimDuration::from_millis(10)),
         29,
     );
     let secs = SimInstant::from_secs_f64;
     world.schedule_crash(NodeId(2), secs(10.3));
     world.schedule_recovery(NodeId(2), secs(12.0));
-    let unmonitored = |world: &World<ServiceNode, FixedDelayMedium>| {
+    let unmonitored = |world: &World<ServiceNode, SimulatedNetwork>| {
         let node = world.actor(NodeId(0)).unwrap();
         node.fd_params_of(GROUP, NodeId(2)).is_none()
     };
     let listener = vec![(NodeId(2), vec![(ProcessId::new(NodeId(2), 0), false)])];
-    let listed = |world: &World<ServiceNode, FixedDelayMedium>| {
+    let listed = |world: &World<ServiceNode, SimulatedNetwork>| {
         let members = world.actor(NodeId(0)).unwrap().remote_members_of(GROUP);
         members
             .into_iter()
@@ -1208,7 +1237,7 @@ fn a_recovered_node_knows_its_peers_lists_two_link_delays_after_recovery() {
             let config = ServiceConfig::full_mesh(node, n, ElectorKind::OmegaL);
             ServiceNode::new(config.with_auto_join(GROUP, join))
         }),
-        FixedDelayMedium::new(delay),
+        delayed_links(delay),
         11,
     );
     let (restarted, recovery) = (NodeId(0), SimInstant::from_secs_f64(20.3));
@@ -2129,10 +2158,8 @@ impl Observer<ServiceEvent> for LeaderTrace {
 
 fn crash_recover_trace(seed: u64) -> Vec<LeaderTraceEvent> {
     let n = 5;
-    let medium =
-        sle_net::network::NetworkModel::new(sle_net::link::LinkSpec::from_paper_tuple(10.0, 0.01))
-            .build(seed);
-    let mut world: World<ServiceNode, sle_net::network::SimulatedNetwork> = World::new(
+    let medium = NetworkModel::new(LinkSpec::from_paper_tuple(10.0, 0.01)).build(seed);
+    let mut world: World<ServiceNode, SimulatedNetwork> = World::new(
         n,
         Box::new(move |node, _inc| {
             let config = ServiceConfig::full_mesh(node, n, ElectorKind::OmegaL)
@@ -2193,10 +2220,8 @@ fn golden_run(algorithm: ElectorKind, seed: u64) -> RunCounts {
     const G1: GroupId = GroupId(1);
     const G2: GroupId = GroupId(2);
     let n = 6;
-    let medium =
-        sle_net::network::NetworkModel::new(sle_net::link::LinkSpec::from_paper_tuple(10.0, 0.01))
-            .build(seed);
-    let mut world: World<ServiceNode, sle_net::network::SimulatedNetwork> = World::new(
+    let medium = NetworkModel::new(LinkSpec::from_paper_tuple(10.0, 0.01)).build(seed);
+    let mut world: World<ServiceNode, SimulatedNetwork> = World::new(
         n,
         Box::new(move |node, _inc| {
             let g1 = if node == NodeId(5) {
@@ -2387,10 +2412,10 @@ fn group_churn_keeps_monitor_arena_at_baseline() {
 fn instrumented_lan(
     registry: &sle_obs::Registry,
     seed: u64,
-) -> World<ServiceNode, sle_net::network::SimulatedNetwork> {
+) -> World<ServiceNode, SimulatedNetwork> {
     let n = 3;
     let registry = registry.clone();
-    let medium = sle_net::network::NetworkModel::new(sle_net::link::LinkSpec::lan()).build(seed);
+    let medium = NetworkModel::new(LinkSpec::lan()).build(seed);
     World::new(
         n,
         Box::new(move |node, _inc| {
@@ -2407,7 +2432,7 @@ fn instrumented_lan(
 }
 
 /// Node 2 leaves `group` with every local process.
-fn leave(world: &mut World<ServiceNode, sle_net::network::SimulatedNetwork>, group: GroupId) {
+fn leave(world: &mut World<ServiceNode, SimulatedNetwork>, group: GroupId) {
     world.with_actor(NodeId(2), &mut NullObserver, |actor, ctx| {
         for process in actor.local_members_of(group) {
             actor.leave_group(process, group, ctx).expect("leave");
@@ -2416,11 +2441,7 @@ fn leave(world: &mut World<ServiceNode, sle_net::network::SimulatedNetwork>, gro
 }
 
 /// Node 2 joins `group` with a freshly registered process.
-fn join(
-    world: &mut World<ServiceNode, sle_net::network::SimulatedNetwork>,
-    group: GroupId,
-    join: JoinConfig,
-) {
+fn join(world: &mut World<ServiceNode, SimulatedNetwork>, group: GroupId, join: JoinConfig) {
     world.with_actor(NodeId(2), &mut NullObserver, |actor, ctx| {
         let process = actor.register_process();
         (actor.join_group(process, group, join, ctx)).expect("join");
@@ -2580,8 +2601,8 @@ fn a_cold_start_elects_within_the_first_alive_round() {
     // (η = 250 ms), and nothing changes after it.
     for algorithm in ElectorKind::all() {
         let n = 4;
-        let medium = sle_net::network::NetworkModel::new(sle_net::link::LinkSpec::lan()).build(3);
-        let mut world: World<ServiceNode, sle_net::network::SimulatedNetwork> = World::new(
+        let medium = NetworkModel::new(LinkSpec::lan()).build(3);
+        let mut world: World<ServiceNode, SimulatedNetwork> = World::new(
             n,
             Box::new(move |node, _inc| {
                 let config = ServiceConfig::full_mesh(node, n, algorithm)
@@ -2770,7 +2791,7 @@ fn an_instrumented_run_exports_what_it_recorded() {
     let n = 4;
     let registry = sle_obs::Registry::default();
     let cells = registry.clone();
-    let link = sle_net::link::LinkSpec::lossy(SimDuration::from_millis(10), 0.3);
+    let link = LinkSpec::lossy(SimDuration::from_millis(10), 0.3);
     let mut world = World::new(
         n,
         Box::new(move |node, _incarnation| {
@@ -2782,7 +2803,7 @@ fn an_instrumented_run_exports_what_it_recorded() {
             service.set_instruments(NodeInstruments::new(&cells, ring, node));
             service
         }),
-        sle_net::network::NetworkModel::new(link).build(29),
+        NetworkModel::new(link).build(29),
         29,
     );
     let at = SimInstant::from_secs_f64;

@@ -356,13 +356,12 @@ struct Resident<E> {
 /// The per-worker state of one shard.
 struct ShardRuntime<E> {
     start: Instant,
+    /// This shard's residents: node `i` lives on shard `i % stride` at
+    /// position `i / stride`, the placement of the simulator's shards.
     residents: Vec<Resident<E>>,
-    /// Dense resident lookup: `index[node.index()]` is the position of the
-    /// node's `Resident` in `residents`, or `u32::MAX` for nodes hosted on
-    /// other shards. Node ids are numbered densely by `Cluster::start`, so
-    /// a direct array load replaces the hash-and-probe this map used to
-    /// cost on every message and command dispatch.
-    index: Vec<u32>,
+    /// This shard's number, and the number of shards.
+    shard: u32,
+    stride: u32,
     /// Every resident's timer entries, keyed by resident position and tag,
     /// each under the generation its resident's [`TimerTable`] handed out.
     wheel: EventWheel<(usize, TimerTag)>,
@@ -380,10 +379,8 @@ impl<E: MessageEndpoint<ServiceMessage>> ShardRuntime<E> {
     /// The position of `node`'s resident on this shard, if it lives here.
     #[inline]
     fn resident_idx(&self, node: NodeId) -> Option<usize> {
-        match self.index.get(node.index()) {
-            Some(&idx) if idx != u32::MAX => Some(idx as usize),
-            _ => None,
-        }
+        let idx = (node.0 / self.stride) as usize;
+        (node.0 % self.stride == self.shard && idx < self.residents.len()).then_some(idx)
     }
 
     /// Runs `f` on the service of the resident at `idx` and applies the
@@ -563,7 +560,6 @@ pub struct Cluster {
     crashed: Vec<AtomicBool>,
     shutdown: Arc<AtomicBool>,
     inboxes: Vec<Arc<ShardInbox>>,
-    shard_of: Vec<usize>,
     stats: Vec<Arc<ShardStats>>,
     obs: Option<ClusterObs>,
 }
@@ -706,13 +702,11 @@ impl Cluster {
             }
         });
         let mut members: Vec<Vec<Resident<E>>> = (0..workers).map(|_| Vec::new()).collect();
-        let mut shard_of = Vec::with_capacity(n);
         let mut handles = Vec::with_capacity(n);
 
         for (i, (endpoint, config)) in endpoints.into_iter().zip(configs).enumerate() {
             let id = NodeId(i as u32);
             let shard = i % workers;
-            shard_of.push(shard);
             assert!(
                 endpoint.set_delivery_sink(inboxes[shard].mail.sender()),
                 "endpoint {id} refused the delivery sink"
@@ -743,21 +737,11 @@ impl Cluster {
             .into_iter()
             .enumerate()
             .map(|(k, residents)| {
-                let mut index = vec![
-                    u32::MAX;
-                    residents
-                        .iter()
-                        .map(|r| r.id.index() + 1)
-                        .max()
-                        .unwrap_or(0)
-                ];
-                for (idx, resident) in residents.iter().enumerate() {
-                    index[resident.id.index()] = idx as u32;
-                }
                 let runtime = ShardRuntime {
                     start,
                     residents,
-                    index,
+                    shard: k as u32,
+                    stride: workers as u32,
                     wheel: EventWheel::new(),
                     inbox: Arc::clone(&inboxes[k]),
                     events: event_tx.clone(),
@@ -778,7 +762,6 @@ impl Cluster {
             crashed: (0..n).map(|_| AtomicBool::new(false)).collect(),
             shutdown,
             inboxes,
-            shard_of,
             stats,
             obs,
         }
@@ -976,7 +959,7 @@ impl Cluster {
             return;
         };
         flag.store(paused, Ordering::Relaxed);
-        let shard = self.shard_of[node.index()];
+        let shard = (node.0 % self.inboxes.len() as u32) as usize;
         let (event, command) = if paused {
             (ProtoEvent::Crashed, Command::Pause)
         } else {

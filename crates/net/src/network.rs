@@ -9,7 +9,7 @@ use std::collections::HashMap;
 
 use sle_sim::actor::NodeId;
 use sle_sim::medium::{Fate, Medium, Verdict};
-use sle_sim::rng::SimRng;
+use sle_sim::rng::{substream_seed, SimRng};
 use sle_sim::time::SimInstant;
 
 use crate::link::{LinkCrashSpec, LinkOutageState, LinkSpec};
@@ -316,13 +316,11 @@ impl SimulatedNetwork {
         let outage_seed = self.outage_seed;
         let state = self.outages.entry((from, to)).or_insert_with(|| {
             // Derive the link's stream purely from the seed and the link
-            // endpoints (splitmix64-style finalizer), so neither first-use
-            // order nor queries on other links perturb it.
+            // endpoints, so neither first-use order nor queries on other
+            // links perturb it.
             let label = ((from.0 as u64) << 32) | to.0 as u64;
-            let mut z = outage_seed ^ label.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            LinkOutageState::new(crash_spec, SimRng::seed_from(z ^ (z >> 31)))
+            let seed = substream_seed(outage_seed, label);
+            LinkOutageState::new(crash_spec, SimRng::seed_from(seed))
         });
         state.is_up_at(now)
     }
@@ -395,6 +393,37 @@ mod tests {
         assert_eq!(net.stats().delivered, 1000);
         assert_eq!(net.stats().delivered_bytes, 100_000);
         assert_eq!(net.stats().drop_ratio(), 0.0);
+    }
+
+    /// Perfect and floored links are the kernel's test media: every message
+    /// arrives once, after exactly the floor, the floor is the lookahead,
+    /// and no fate draws from the sender's stream, so a run over them is
+    /// the run over a medium that ignores its RNG.
+    #[test]
+    fn perfect_and_floored_links_deliver_once_at_the_floor_and_draw_nothing() {
+        let d = SimDuration::from_millis(7);
+        for (spec, delay) in [
+            (LinkSpec::perfect(), SimDuration::ZERO),
+            (LinkSpec::perfect().with_min_delay(d), d),
+        ] {
+            let mut net = NetworkModel::new(spec).build(1);
+            assert_eq!(Medium::min_delay(&net), delay);
+            let mut rng = SimRng::seed_from(5);
+            for i in 0..100u32 {
+                let now = SimInstant::ZERO + SimDuration::from_millis(i as u64);
+                let (from, to) = (NodeId(i % 4), NodeId((i + 1) % 4));
+                let fate = net.transmit_fate(now, from, to, 10, &mut rng);
+                assert_eq!(fate, Fate::Deliver { delay }, "{spec:?}");
+            }
+            assert_eq!(net.stats().delivered, 100);
+            assert_eq!(net.stats().duplicated, 0);
+            let fresh = SimRng::seed_from(5).next_u64();
+            assert_eq!(
+                rng.next_u64(),
+                fresh,
+                "{spec:?} drew from the sender's stream"
+            );
+        }
     }
 
     #[test]

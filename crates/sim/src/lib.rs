@@ -13,7 +13,8 @@
 //! * [`actor`] — the sans-io protocol-node abstraction (messages, timers,
 //!   application events) shared with the real-time runtime,
 //! * [`dense`] — allocation-light maps/indices for hot per-node state,
-//! * [`medium`] — the pluggable link-model interface,
+//! * [`medium`] — the pluggable link-model interface (the link model itself,
+//!   `SimulatedNetwork`, lives in `sle-net`),
 //! * [`wheel`] — the hierarchical timer wheel backing the event loop
 //!   (`O(1)` scheduling at any population of pending timers), and the
 //!   per-node table of armed timers both shard drivers keep beside it
@@ -24,9 +25,7 @@
 //!   in conservative-lookahead epochs; both are drivers of one private
 //!   event-execution core and replay a seed identically,
 //! * [`observer`] — hooks from which the experiment harness computes the
-//!   paper's QoS metrics,
-//! * [`timeline`] — piecewise-constant schedules of a value over virtual
-//!   time.
+//!   paper's QoS metrics.
 //!
 //! ## Example
 //!
@@ -48,7 +47,23 @@
 //!     }
 //! }
 //!
-//! let mut world = World::new(1, Box::new(|_, _| Ticker), PerfectMedium, 1);
+//! // The medium decides every message's fate. This one delivers at once;
+//! // the service's runs use `sle-net`'s `SimulatedNetwork`.
+//! struct AtOnce;
+//! impl Medium for AtOnce {
+//!     fn transmit(
+//!         &mut self,
+//!         _: SimInstant,
+//!         _: NodeId,
+//!         _: NodeId,
+//!         _: usize,
+//!         _: &mut SimRng,
+//!     ) -> Verdict {
+//!         Verdict::immediate()
+//!     }
+//! }
+//!
+//! let mut world = World::new(1, Box::new(|_, _| Ticker), AtOnce, 1);
 //! let mut counter = CountingObserver::new();
 //! world.run_for(SimDuration::from_secs(10), &mut counter);
 //! assert_eq!(counter.events, 10);
@@ -67,32 +82,27 @@ mod shard;
 #[cfg(test)]
 mod testkit;
 pub mod time;
-pub mod timeline;
 pub mod wheel;
 pub mod world;
 
 /// Convenient re-exports of the items most users need.
 pub mod prelude {
     pub use crate::actor::{Actor, Context, Effect, NodeId, TimerTag, WireSize};
-    pub use crate::medium::{
-        Fate, FixedDelayMedium, Medium, PerfectMedium, SteppedDelayMedium, Verdict,
-    };
+    pub use crate::medium::{Fate, Medium, Verdict};
     pub use crate::observer::{CountingObserver, NullObserver, Observer, PairObserver};
     pub use crate::par::{ParWorld, SharedActorFactory};
     pub use crate::rng::SimRng;
     pub use crate::time::{SimDuration, SimInstant};
-    pub use crate::timeline::Timeline;
     pub use crate::wheel::{EventWheel, TimerTable};
     pub use crate::world::{ActorFactory, World};
 }
 
 pub use actor::{Actor, Context, Effect, NodeId, TimerTag, WireSize};
 pub use dense::{SlotIndex, TagMap};
-pub use medium::{Fate, FixedDelayMedium, Medium, PerfectMedium, SteppedDelayMedium, Verdict};
+pub use medium::{Fate, Medium, Verdict};
 pub use observer::{CountingObserver, NullObserver, Observer, PairObserver};
 pub use par::{ParWorld, SharedActorFactory};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimInstant};
-pub use timeline::Timeline;
 pub use wheel::{EventWheel, TimerTable};
 pub use world::{ActorFactory, World};

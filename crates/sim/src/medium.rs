@@ -2,9 +2,13 @@
 //!
 //! The simulator asks the medium what happens to every message an actor
 //! sends: is it dropped, and if not, how long does it take to arrive?
-//! Concrete link models (lossy links, crash-prone links, full-mesh
-//! topologies with per-link parameters) live in the `sle-net` crate; the
-//! simulator only depends on this small trait.
+//! The simulator only depends on this small trait and ships no link model.
+//! The one link model of the workspace is `sle-net`'s `SimulatedNetwork`:
+//! the paper's full mesh of directed links (exponential delay, loss,
+//! crash-prone overlay), per-link overrides, partitions and the chaos
+//! overlays. A perfect link is `LinkSpec::perfect()`, a fixed delay `d` is
+//! `LinkSpec::perfect().with_min_delay(d)`, and a delay step is
+//! `SimulatedNetwork::set_default_link` between two runs of the world.
 
 use crate::actor::NodeId;
 use crate::rng::SimRng;
@@ -155,195 +159,10 @@ pub trait Medium {
     }
 }
 
-/// A medium that delivers every message instantly. Useful for unit tests of
-/// protocol logic where the network is not under study.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PerfectMedium;
-
-impl Medium for PerfectMedium {
-    fn transmit(
-        &mut self,
-        _now: SimInstant,
-        _from: NodeId,
-        _to: NodeId,
-        _wire_bytes: usize,
-        _rng: &mut SimRng,
-    ) -> Verdict {
-        Verdict::immediate()
-    }
-}
-
-/// A medium with a fixed delivery delay and no losses. Useful for tests that
-/// need deterministic, non-zero latencies.
-#[derive(Debug, Clone, Copy)]
-pub struct FixedDelayMedium {
-    delay: SimDuration,
-}
-
-impl FixedDelayMedium {
-    /// Creates a medium that delivers every message after exactly `delay`.
-    pub fn new(delay: SimDuration) -> Self {
-        FixedDelayMedium { delay }
-    }
-
-    /// The configured delay.
-    pub fn delay(&self) -> SimDuration {
-        self.delay
-    }
-}
-
-impl Medium for FixedDelayMedium {
-    fn transmit(
-        &mut self,
-        _now: SimInstant,
-        _from: NodeId,
-        _to: NodeId,
-        _wire_bytes: usize,
-        _rng: &mut SimRng,
-    ) -> Verdict {
-        Verdict::Deliver { delay: self.delay }
-    }
-
-    fn min_delay(&self) -> SimDuration {
-        self.delay
-    }
-}
-
-/// A medium whose (deterministic, loss-free) delivery delay changes at
-/// scheduled instants — the simplest possible drifting network, used to
-/// observe adaptation to latency regime shifts without any stochastic noise.
-///
-/// ```
-/// use sle_sim::medium::{Medium, SteppedDelayMedium, Verdict};
-/// use sle_sim::actor::NodeId;
-/// use sle_sim::rng::SimRng;
-/// use sle_sim::time::{SimDuration, SimInstant};
-///
-/// let mut medium = SteppedDelayMedium::new(SimDuration::from_millis(50))
-///     .with_step(SimInstant::from_secs_f64(10.0), SimDuration::from_millis(5));
-/// let mut rng = SimRng::seed_from(1);
-/// let early = medium.transmit(SimInstant::ZERO, NodeId(0), NodeId(1), 10, &mut rng);
-/// assert_eq!(early, Verdict::Deliver { delay: SimDuration::from_millis(50) });
-/// let late = medium.transmit(SimInstant::from_secs_f64(11.0), NodeId(0), NodeId(1), 10, &mut rng);
-/// assert_eq!(late, Verdict::Deliver { delay: SimDuration::from_millis(5) });
-/// ```
-#[derive(Debug, Clone)]
-pub struct SteppedDelayMedium {
-    steps: crate::timeline::Timeline<SimDuration>,
-}
-
-impl SteppedDelayMedium {
-    /// Creates a medium delivering every message after `initial` delay.
-    pub fn new(initial: SimDuration) -> Self {
-        SteppedDelayMedium {
-            steps: crate::timeline::Timeline::new(initial),
-        }
-    }
-
-    /// Switches the delivery delay to `delay` from `at` onwards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is not later than the previous step.
-    pub fn with_step(mut self, at: SimInstant, delay: SimDuration) -> Self {
-        self.steps = self.steps.then_at(at, delay);
-        self
-    }
-
-    /// The delay in force at `now`.
-    pub fn delay_at(&self, now: SimInstant) -> SimDuration {
-        self.steps.at(now)
-    }
-}
-
-impl Medium for SteppedDelayMedium {
-    fn transmit(
-        &mut self,
-        now: SimInstant,
-        _from: NodeId,
-        _to: NodeId,
-        _wire_bytes: usize,
-        _rng: &mut SimRng,
-    ) -> Verdict {
-        Verdict::Deliver {
-            delay: self.delay_at(now),
-        }
-    }
-
-    fn min_delay(&self) -> SimDuration {
-        self.steps
-            .phases()
-            .iter()
-            .map(|&(_, d)| d)
-            .fold(SimDuration::MAX, SimDuration::min)
-    }
-}
-
-impl<M: Medium + ?Sized> Medium for Box<M> {
-    fn transmit(
-        &mut self,
-        now: SimInstant,
-        from: NodeId,
-        to: NodeId,
-        wire_bytes: usize,
-        rng: &mut SimRng,
-    ) -> Verdict {
-        (**self).transmit(now, from, to, wire_bytes, rng)
-    }
-
-    fn transmit_fate(
-        &mut self,
-        now: SimInstant,
-        from: NodeId,
-        to: NodeId,
-        wire_bytes: usize,
-        rng: &mut SimRng,
-    ) -> Fate {
-        (**self).transmit_fate(now, from, to, wire_bytes, rng)
-    }
-
-    fn min_delay(&self) -> SimDuration {
-        (**self).min_delay()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn perfect_medium_always_delivers_instantly() {
-        let mut m = PerfectMedium;
-        let mut rng = SimRng::seed_from(1);
-        let v = m.transmit(SimInstant::ZERO, NodeId(0), NodeId(1), 100, &mut rng);
-        assert_eq!(
-            v,
-            Verdict::Deliver {
-                delay: SimDuration::ZERO
-            }
-        );
-        assert!(v.is_delivered());
-    }
-
-    #[test]
-    fn fixed_delay_medium_uses_configured_delay() {
-        let mut m = FixedDelayMedium::new(SimDuration::from_millis(20));
-        assert_eq!(m.delay(), SimDuration::from_millis(20));
-        let mut rng = SimRng::seed_from(1);
-        match m.transmit(SimInstant::ZERO, NodeId(0), NodeId(1), 1, &mut rng) {
-            Verdict::Deliver { delay } => assert_eq!(delay, SimDuration::from_millis(20)),
-            Verdict::Dropped => panic!("fixed delay medium must not drop"),
-        }
-    }
-
-    #[test]
-    fn boxed_medium_dispatches() {
-        let mut m: Box<dyn Medium> = Box::new(PerfectMedium);
-        let mut rng = SimRng::seed_from(1);
-        assert!(m
-            .transmit(SimInstant::ZERO, NodeId(0), NodeId(1), 1, &mut rng)
-            .is_delivered());
-    }
+    use crate::testkit::FixedDelay;
 
     #[test]
     fn verdict_helpers() {
@@ -405,7 +224,7 @@ mod tests {
     #[test]
     fn default_transmit_fate_delegates_and_overrides_stick_through_box() {
         let mut rng = SimRng::seed_from(1);
-        let mut plain = PerfectMedium;
+        let mut plain = FixedDelay(SimDuration::ZERO);
         assert_eq!(
             plain.transmit_fate(SimInstant::ZERO, NodeId(0), NodeId(1), 1, &mut rng),
             Fate::Deliver {
@@ -422,50 +241,10 @@ mod tests {
     }
 
     #[test]
-    fn stepped_medium_switches_delay_at_the_scheduled_instants() {
-        let medium = SteppedDelayMedium::new(SimDuration::from_millis(40))
-            .with_step(SimInstant::from_secs_f64(1.0), SimDuration::from_millis(10))
-            .with_step(SimInstant::from_secs_f64(2.0), SimDuration::from_millis(80));
-        assert_eq!(
-            medium.delay_at(SimInstant::ZERO),
-            SimDuration::from_millis(40)
-        );
-        assert_eq!(
-            medium.delay_at(SimInstant::from_secs_f64(1.0)),
-            SimDuration::from_millis(10)
-        );
-        assert_eq!(
-            medium.delay_at(SimInstant::from_secs_f64(1.5)),
-            SimDuration::from_millis(10)
-        );
-        assert_eq!(
-            medium.delay_at(SimInstant::from_secs_f64(3.0)),
-            SimDuration::from_millis(80)
-        );
-    }
-
-    #[test]
     fn min_delay_is_the_conservative_lookahead_bound() {
-        assert_eq!(PerfectMedium.min_delay(), SimDuration::ZERO);
-        assert_eq!(
-            FixedDelayMedium::new(SimDuration::from_millis(3)).min_delay(),
-            SimDuration::from_millis(3)
-        );
-        let stepped = SteppedDelayMedium::new(SimDuration::from_millis(40))
-            .with_step(SimInstant::from_secs_f64(1.0), SimDuration::from_millis(10))
-            .with_step(SimInstant::from_secs_f64(2.0), SimDuration::from_millis(80));
-        assert_eq!(stepped.min_delay(), SimDuration::from_millis(10));
-        // Custom media inherit the always-safe zero bound; boxing forwards.
+        // A medium that promises nothing inherits the always-safe zero bound.
         assert_eq!(AlwaysDuplicate.min_delay(), SimDuration::ZERO);
-        let boxed: Box<dyn Medium> = Box::new(FixedDelayMedium::new(SimDuration::from_millis(7)));
-        assert_eq!(boxed.min_delay(), SimDuration::from_millis(7));
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn stepped_medium_rejects_out_of_order_steps() {
-        let _ = SteppedDelayMedium::new(SimDuration::ZERO)
-            .with_step(SimInstant::from_secs_f64(2.0), SimDuration::ZERO)
-            .with_step(SimInstant::from_secs_f64(1.0), SimDuration::ZERO);
+        let floored = FixedDelay(SimDuration::from_millis(3));
+        assert_eq!(floored.min_delay(), SimDuration::from_millis(3));
     }
 }

@@ -26,7 +26,8 @@
 //! # Zero lookahead
 //!
 //! When the medium cannot promise a positive minimum delay
-//! (`min_delay() == 0`, e.g. [`PerfectMedium`](crate::medium::PerfectMedium)),
+//! (`min_delay() == 0`, e.g. `sle-net`'s `SimulatedNetwork` over
+//! `LinkSpec::perfect()`),
 //! the epoch width collapses and `ParWorld` falls back to a sequential
 //! merged loop that pops the globally minimal `(time, key)` event across
 //! all shards — the exact canonical order the epochs would have produced,
@@ -437,11 +438,13 @@ mod tests {
     use std::collections::BTreeMap;
 
     use super::*;
-    use crate::medium::{Fate, FixedDelayMedium, PerfectMedium, Verdict};
+    use crate::medium::{Fate, Verdict};
     use crate::observer::CountingObserver;
     use crate::rng::SimRng;
-    use crate::testkit::{PingActor, TestMsg};
+    use crate::testkit::{FixedDelay, PingActor, TestMsg};
     use crate::world::World;
+
+    const PERFECT: FixedDelay = FixedDelay(SimDuration::ZERO);
 
     fn ping_factory(n: u32) -> SharedActorFactory<PingActor> {
         Box::new(PingActor::ring(n))
@@ -487,7 +490,7 @@ mod tests {
 
     #[test]
     fn worker_counts_replay_identically_with_lookahead() {
-        let delay = FixedDelayMedium::new(SimDuration::from_millis(5));
+        let delay = FixedDelay(SimDuration::from_millis(5));
         let base = fingerprint(6, 1, delay, true);
         for workers in [2, 3, 6] {
             assert_eq!(
@@ -500,9 +503,9 @@ mod tests {
 
     #[test]
     fn zero_lookahead_falls_back_and_still_replays_identically() {
-        let base = fingerprint(5, 1, PerfectMedium, false);
+        let base = fingerprint(5, 1, PERFECT, false);
         for workers in [2, 4] {
-            let run = fingerprint(5, workers, PerfectMedium, false);
+            let run = fingerprint(5, workers, PERFECT, false);
             assert_eq!(run, base, "workers={workers} diverged from workers=1");
         }
     }
@@ -694,7 +697,7 @@ mod tests {
 
     #[test]
     fn crash_and_recovery_cross_worker_parity() {
-        let delay = FixedDelayMedium::new(SimDuration::from_millis(3));
+        let delay = FixedDelay(SimDuration::from_millis(3));
         let a = fingerprint(8, 2, delay, true);
         let b = fingerprint(8, 8, delay, true);
         assert_eq!(a, b);
@@ -709,7 +712,7 @@ mod tests {
             4,
             2,
             ping_factory(4),
-            FixedDelayMedium::new(SimDuration::from_millis(1)),
+            FixedDelay(SimDuration::from_millis(1)),
             7,
         );
         let mut obs = vec![CountingObserver::new(); world.workers()];
@@ -729,11 +732,11 @@ mod tests {
 
     #[test]
     fn workers_clamp_to_node_count_and_observe_lookahead() {
-        let world: ParWorld<PingActor, FixedDelayMedium> = ParWorld::new(
+        let world: ParWorld<PingActor, FixedDelay> = ParWorld::new(
             2,
             16,
             ping_factory(2),
-            FixedDelayMedium::new(SimDuration::from_millis(2)),
+            FixedDelay(SimDuration::from_millis(2)),
             1,
         );
         assert_eq!(world.workers(), 2);
@@ -742,8 +745,8 @@ mod tests {
 
     #[test]
     fn run_until_advances_clock_even_without_events() {
-        let mut world: ParWorld<PingActor, PerfectMedium> =
-            ParWorld::new(0, 4, ping_factory(1), PerfectMedium, 1);
+        let mut world: ParWorld<PingActor, FixedDelay> =
+            ParWorld::new(0, 4, ping_factory(1), PERFECT, 1);
         let mut obs = vec![CountingObserver::new(); world.workers()];
         world.run_until(SimInstant::from_secs_f64(3.0), &mut obs);
         assert_eq!(world.now(), SimInstant::from_secs_f64(3.0));

@@ -9,13 +9,29 @@
 
 use crate::time::SimDuration;
 
-/// SplitMix64 step, used to expand a 64-bit seed into generator state.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
+/// The SplitMix64 increment (the golden ratio in 64-bit fixed point).
+const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The SplitMix64 output finalizer.
+fn finalize(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// SplitMix64 step, used to expand a 64-bit seed into generator state.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(GOLDEN);
+    finalize(*state)
+}
+
+/// The seed of the substream labelled `label` under `base`: the one mixer
+/// every independent stream of a run is derived with — [`SimRng::fork`],
+/// each simulated node's stream from the world seed, and each link's
+/// outage stream in `sle-net`. A pure function of its two arguments, so a
+/// stream never depends on the order in which the others are derived.
+pub fn substream_seed(base: u64, label: u64) -> u64 {
+    finalize(base ^ label.wrapping_mul(GOLDEN))
 }
 
 /// A deterministic, seedable random number generator with helpers for the
@@ -52,7 +68,7 @@ impl SimRng {
         // An all-zero state would be a fixed point; splitmix64 cannot produce
         // four consecutive zeros, but guard anyway.
         if state == [0; 4] {
-            state[0] = 0x9E37_79B9_7F4A_7C15;
+            state[0] = GOLDEN;
         }
         SimRng { state }
     }
@@ -63,13 +79,7 @@ impl SimRng {
     /// label, so forking is itself deterministic.
     pub fn fork(&mut self, label: u64) -> SimRng {
         let base = self.next_u64();
-        // SplitMix64-style mixing of the base state and the label keeps the
-        // substreams statistically independent for practical purposes.
-        let mut z = base ^ label.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        SimRng::seed_from(z)
+        SimRng::seed_from(substream_seed(base, label))
     }
 
     /// Returns the next raw 64-bit value (one xoshiro256++ step).
@@ -171,6 +181,25 @@ mod tests {
         let mut g1 = parent3.fork(2);
         // Different labels should (overwhelmingly) give different streams.
         assert_ne!(f1.next_u64(), g1.next_u64());
+    }
+
+    #[test]
+    fn substream_seeds_keep_their_recorded_values() {
+        // Every node stream, fork and link outage stream of a recorded run
+        // is seeded through this mixer: these values must never move.
+        assert_eq!(substream_seed(0, 0), 0);
+        assert_eq!(substream_seed(42, 7), 0x53ad_348a_f3dd_af4b);
+        assert_eq!(
+            substream_seed(0xdead_beef, 3 << 32 | 5),
+            0xceb0_a999_7c48_47ba
+        );
+        let mut parent = SimRng::seed_from(99);
+        let base = parent.clone().next_u64();
+        let mut fork = parent.fork(3);
+        assert_eq!(
+            fork.next_u64(),
+            SimRng::seed_from(substream_seed(base, 3)).next_u64()
+        );
     }
 
     #[test]

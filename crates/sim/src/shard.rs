@@ -18,7 +18,7 @@
 use crate::actor::{Actor, Context, Effect, NodeId, TimerTag, WireSize};
 use crate::medium::{Fate, Medium};
 use crate::observer::Observer;
-use crate::rng::SimRng;
+use crate::rng::{substream_seed, SimRng};
 use crate::time::SimInstant;
 use crate::wheel::{EventWheel, TimerTable};
 
@@ -62,15 +62,6 @@ struct NodeSlot<A> {
     rng: SimRng,
     /// This node's canonical event sequence counter.
     seq: u32,
-}
-
-/// splitmix64-style finalizer mixing the world seed with a node id, so each
-/// node gets an independent, partition-independent RNG stream.
-fn mix_seed(seed: u64, node: u64) -> u64 {
-    let mut z = seed ^ node.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// One shard: a slice of nodes, their wheel, and a medium.
@@ -124,7 +115,9 @@ impl<A: Actor, M: Medium> Shard<A, M> {
                 up: true,
                 incarnation: 0,
                 timers: TimerTable::new(),
-                rng: SimRng::seed_from(mix_seed(seed, g as u64)),
+                // Seeded from the world seed and the id alone, so a node's
+                // stream does not depend on how the nodes are sharded.
+                rng: SimRng::seed_from(substream_seed(seed, g as u64)),
                 seq: 0,
             });
         }

@@ -1,7 +1,34 @@
-//! The test actor shared by the `world` and `par` test modules.
+//! The test actor and the test medium shared by the `medium`, `world` and
+//! `par` test modules. The kernel ships no link model: the simulated runs of
+//! the service go over `sle-net`'s `SimulatedNetwork`.
 
 use crate::actor::{Actor, Context, NodeId, TimerTag, WireSize};
-use crate::time::SimDuration;
+use crate::medium::{Medium, Verdict};
+use crate::rng::SimRng;
+use crate::time::{SimDuration, SimInstant};
+
+/// Delivers every message, after exactly its delay, and promises that
+/// delay as the lookahead. `FixedDelay(SimDuration::ZERO)` is a perfect
+/// link with no lookahead.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FixedDelay(pub(crate) SimDuration);
+
+impl Medium for FixedDelay {
+    fn transmit(
+        &mut self,
+        _now: SimInstant,
+        _from: NodeId,
+        _to: NodeId,
+        _wire_bytes: usize,
+        _rng: &mut SimRng,
+    ) -> Verdict {
+        Verdict::Deliver { delay: self.0 }
+    }
+
+    fn min_delay(&self) -> SimDuration {
+        self.0
+    }
+}
 
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum TestMsg {

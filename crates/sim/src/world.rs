@@ -153,13 +153,14 @@ impl<A: Actor, M: Medium> World<A, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::medium::{Fate, FixedDelayMedium, PerfectMedium, Verdict};
+    use crate::medium::{Fate, Verdict};
     use crate::observer::{CountingObserver, NullObserver};
     use crate::rng::SimRng;
-    use crate::testkit::{PingActor, TestMsg};
+    use crate::testkit::{FixedDelay, PingActor, TestMsg};
 
-    fn make_world(n: u32) -> World<PingActor, PerfectMedium> {
-        World::new(n as usize, Box::new(PingActor::ring(n)), PerfectMedium, 42)
+    fn make_world(n: u32) -> World<PingActor, FixedDelay> {
+        let medium = FixedDelay(SimDuration::ZERO);
+        World::new(n as usize, Box::new(PingActor::ring(n)), medium, 42)
     }
 
     #[test]
@@ -228,10 +229,10 @@ mod tests {
     #[test]
     fn fixed_delay_medium_delays_delivery() {
         let n = 2u32;
-        let mut world: World<PingActor, FixedDelayMedium> = World::new(
+        let mut world: World<PingActor, FixedDelay> = World::new(
             2,
             Box::new(PingActor::ring(n)),
-            FixedDelayMedium::new(SimDuration::from_millis(40)),
+            FixedDelay(SimDuration::from_millis(40)),
             7,
         );
         let mut obs = CountingObserver::new();
@@ -262,8 +263,8 @@ mod tests {
     fn determinism_same_seed_same_counts() {
         let run = |seed: u64| {
             let n = 4u32;
-            let mut world: World<PingActor, PerfectMedium> =
-                World::new(4, Box::new(PingActor::ring(n)), PerfectMedium, seed);
+            let medium = FixedDelay(SimDuration::ZERO);
+            let mut world = World::new(4, Box::new(PingActor::ring(n)), medium, seed);
             let mut obs = CountingObserver::new();
             world.schedule_crash(NodeId(2), SimInstant::from_secs_f64(1.5));
             world.schedule_recovery(NodeId(2), SimInstant::from_secs_f64(2.5));

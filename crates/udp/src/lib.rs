@@ -57,7 +57,7 @@ pub mod pool;
 mod sockopt;
 
 pub use plane::{
-    PlaneStats, PlaneStatsSnapshot, SharedUdpEndpoint, SharedUdpPlane, COALESCE_BUDGET,
-    MAX_PLANE_DATAGRAM, RECORD_HEADER,
+    PlaneStats, PlaneStatsSnapshot, SharedUdpEndpoint, SharedUdpPlane, MAX_PLANE_DATAGRAM,
+    RECORD_HEADER,
 };
 pub use pool::{BufferPool, PoolStats, PoolStatsSnapshot, PooledBuf};

@@ -24,15 +24,14 @@
 //!
 //! Senders coalesce: each source socket keeps one pending buffer per
 //! destination socket (a plain vector indexed by socket, no address
-//! hashing), where records accrue until the [`COALESCE_BUDGET`] would
-//! overflow or the runtime flushes at a batch boundary
+//! hashing), where records accrue until the protocol's
+//! [`MAX_BATCH_BYTES`] (1200 bytes) would overflow or the runtime flushes at a batch boundary
 //! ([`MessageEndpoint::flush_sends`]), so co-sharded senders to the same
 //! destination share datagrams. A per-source-socket dirty flag, set
 //! whenever bytes are left pending, lets a flush of a clean socket return
-//! after one atomic swap, without taking the lock. The budget mirrors the
-//! protocol's `MAX_BATCH_BYTES` (1200 bytes): the wire keeps the same
-//! conservative no-fragmentation envelope the ALIVE batcher and the ACCUSE
-//! lists already guarantee. A single record may exceed the budget (up to
+//! after one atomic swap, without taking the lock. It is the budget the
+//! node splits its ALIVE batches and ACCUSE lists at, so the wire keeps the
+//! same conservative no-fragmentation envelope they already guarantee. A single record may exceed the budget (up to
 //! [`MAX_PLANE_DATAGRAM`]); it is then sent alone.
 //!
 //! Inbound, the reader hands a datagram's records to the shard mailboxes in
@@ -65,6 +64,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use sle_core::messages::MAX_BATCH_BYTES;
 use sle_net::transport::{Incoming, MessageEndpoint, ShardDelivery, TransportError};
 use sle_obs::{Counter, DropReason, ProtoEvent, Registry, SharedClock, TraceRing};
 use sle_sim::actor::NodeId;
@@ -77,15 +77,9 @@ use crate::sockopt::widen_receive_buffer;
 /// `dest_node: u32 BE | frame_len: u16 BE`.
 pub const RECORD_HEADER: usize = 6;
 
-/// The coalescing budget: a pending buffer is flushed before appending a
-/// record that would push it past this many bytes. Mirrors the protocol's
-/// `MAX_BATCH_BYTES` so the plane keeps the same conservative
-/// no-fragmentation envelope as the ALIVE batcher and the ACCUSE lists.
-pub const COALESCE_BUDGET: usize = 1200;
-
 /// The largest datagram the plane ever sends or accepts: one maximal
 /// record (a full [`MAX_DATAGRAM`] sle-wire frame plus plane framing).
-/// Coalesced datagrams stay under [`COALESCE_BUDGET`], which is smaller.
+/// Coalesced datagrams stay under [`MAX_BATCH_BYTES`], which is smaller.
 pub const MAX_PLANE_DATAGRAM: usize = RECORD_HEADER + MAX_DATAGRAM;
 
 /// Fallback read timeout installed at shutdown, in case the zero-byte wake
@@ -625,7 +619,7 @@ impl<M> PlaneShared<M> {
 /// In pull mode every `send` writes through immediately. Installing a
 /// delivery sink ([`MessageEndpoint::set_delivery_sink`]) switches the
 /// endpoint to coalescing sends: records accrue in the plane's pending
-/// buffers until the [`COALESCE_BUDGET`] would overflow or the owning
+/// buffers until the [`MAX_BATCH_BYTES`] budget would overflow or the owning
 /// runtime calls [`MessageEndpoint::flush_sends`] at a batch boundary.
 ///
 /// Dropping the endpoint makes the node non-resident: the demux counts
@@ -688,7 +682,7 @@ impl<M: WireFormat + Send + 'static> MessageEndpoint<M> for SharedUdpEndpoint<M>
             };
             buf[accrued + 4..accrued + RECORD_HEADER]
                 .copy_from_slice(&(frame_len as u16).to_be_bytes());
-            if accrued > 0 && buf.len() > COALESCE_BUDGET {
+            if accrued > 0 && buf.len() > MAX_BATCH_BYTES {
                 // The record does not fit: send what accrued before it and
                 // keep the record as the start of a fresh datagram.
                 let _ = shared.sockets[socket_idx].send_to(&buf[..accrued], dest_addr);
@@ -696,7 +690,7 @@ impl<M: WireFormat + Send + 'static> MessageEndpoint<M> for SharedUdpEndpoint<M>
                 buf.drain(..accrued);
             }
             shared.stats.records_sent.inc();
-            if !self.coalesce.load(Ordering::Relaxed) || buf.len() >= COALESCE_BUDGET {
+            if !self.coalesce.load(Ordering::Relaxed) || buf.len() >= MAX_BATCH_BYTES {
                 // Sent below, outside the lock.
                 Some(std::mem::take(buf))
             } else {

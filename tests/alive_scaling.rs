@@ -13,6 +13,7 @@ use sle_core::{
     ServiceMessage, ServiceNode,
 };
 use sle_election::ElectorKind;
+use sle_net::network::{NetworkModel, SimulatedNetwork};
 use sle_sim::observer::{NullObserver, Observer};
 use sle_sim::prelude::*;
 
@@ -101,7 +102,7 @@ fn tapped_world(
     n: usize,
     algorithm: ElectorKind,
     joins: Vec<(GroupId, JoinConfig)>,
-) -> World<Tap, PerfectMedium> {
+) -> World<Tap, SimulatedNetwork> {
     tapped_world_by(n, algorithm, move |_| joins.clone())
 }
 
@@ -110,7 +111,7 @@ fn tapped_world_by(
     n: usize,
     algorithm: ElectorKind,
     joins_of: impl Fn(NodeId) -> Vec<(GroupId, JoinConfig)> + 'static,
-) -> World<Tap, PerfectMedium> {
+) -> World<Tap, SimulatedNetwork> {
     World::new(
         n,
         Box::new(move |node, _incarnation| {
@@ -126,7 +127,7 @@ fn tapped_world_by(
                 watch: None,
             }
         }),
-        PerfectMedium,
+        NetworkModel::perfect().build(7),
         7,
     )
 }
@@ -143,7 +144,7 @@ fn alive_traffic_is_linear_under_omega_l_and_quadratic_under_omega_lc() {
             let joins = all_groups.iter().map(|&g| (g, JoinConfig::candidate()));
             let mut world = tapped_world(n, algorithm, joins.collect());
             world.run_for(SimDuration::from_secs(20), &mut NullObserver);
-            let counters = |world: &World<Tap, PerfectMedium>| -> (u64, u64) {
+            let counters = |world: &World<Tap, SimulatedNetwork>| -> (u64, u64) {
                 let nodes = (0..n as u32).map(|i| &world.actor(NodeId(i)).unwrap().node);
                 nodes.fold((0, 0), |(p, d), node| {
                     (
@@ -284,7 +285,7 @@ fn fd_timers_scale_with_monitored_peers_not_groups() {
             .expect("settled")
             .node;
         let follower = NodeId(1 - leader.0);
-        let counts = |world: &World<Tap, PerfectMedium>| {
+        let counts = |world: &World<Tap, SimulatedNetwork>| {
             let tap = world.actor(follower).unwrap();
             (tap.node.count(NodeCount::FdFires), tap.timers)
         };
@@ -358,7 +359,7 @@ fn quiet_hello_ticks_visit_no_group() {
             joins.iter().map(|&group| (group, join)).collect()
         });
         world.run_for(SimDuration::from_secs(20), &mut NullObserver);
-        let walks = |world: &World<Tap, PerfectMedium>| -> Vec<u64> {
+        let walks = |world: &World<Tap, SimulatedNetwork>| -> Vec<u64> {
             let taps = (0..3).map(|i| world.actor(NodeId(i)).unwrap());
             taps.map(|tap| tap.node.count(NodeCount::HelloMemberWalks))
                 .collect()

@@ -23,6 +23,8 @@ use sle_core::{GroupId, JoinConfig, NodeInstruments, ServiceConfig, ServiceNode}
 use sle_election::ElectorKind;
 use sle_fd::QosSpec;
 use sle_harness::deploy;
+use sle_net::link::LinkSpec;
+use sle_net::network::NetworkModel;
 use sle_obs::{Registry, TraceRing};
 use sle_sim::prelude::*;
 
@@ -34,7 +36,7 @@ const FRONTIER_VMHWM_MIB: u64 = 2_300;
 /// The events `a_million_processes_settle` processes. The simulation is
 /// deterministic, so any other count is a protocol change at scale: one
 /// made on purpose re-records it, as it does the node's golden run. (Over
-/// a perfect medium the run sends no ACCUSE.)
+/// perfect links the run sends no ACCUSE.)
 const FRONTIER_EVENTS: u64 = 5_212_052;
 
 /// The most peak resident set `a_million_instrumented_processes_settle`
@@ -112,7 +114,7 @@ fn peak_rss_mib() -> Option<u64> {
 /// The frontier's shape: 10 000 workstations × 100 000 groups × 10 members.
 const FRONTIER: (usize, usize, usize) = (10_000, 100_000, 10);
 
-/// [`FRONTIER`] over a perfect medium: the detection bound is relaxed to
+/// [`FRONTIER`] over perfect links: the detection bound is relaxed to
 /// 8 s and the window cut to 5 s — the ALIVE and detector event rate
 /// scales with 1 / T_D — to keep the cell to minutes. Every group must end
 /// up agreed on a leader, after exactly [`FRONTIER_EVENTS`] events, in at
@@ -123,7 +125,7 @@ fn settle_frontier(instruments: Option<&Registry>, ceiling_mib: u64) {
         shape,
         SimDuration::from_secs(8),
         SimDuration::from_secs(5),
-        PerfectMedium,
+        NetworkModel::perfect().build(1),
         1,
         instruments,
     );
@@ -167,14 +169,15 @@ fn a_million_instrumented_processes_settle() {
 }
 
 /// What keeps `ParWorld`'s threaded path (docs/SIM.md): 100 000 processes
-/// over a 1 ms fixed-delay medium — the epochs' lookahead — compute the
+/// over 1 ms fixed-delay links — the epochs' lookahead — compute the
 /// identical simulation on one worker and on two, and two are faster.
 #[test]
 #[ignore = "≈ 1.5 GiB and a minute; run by name, see the file header"]
 fn two_sim_workers_beat_one() {
     let shape = (1_000, 10_000, 10);
     let probe = |workers| {
-        let medium = FixedDelayMedium::new(SimDuration::from_millis(1));
+        let link = LinkSpec::perfect().with_min_delay(SimDuration::from_millis(1));
+        let medium = NetworkModel::new(link).build(1);
         let (detection, window) = (SimDuration::from_secs(2), SimDuration::from_secs(5));
         run_s3(shape, detection, window, medium, workers, None)
     };

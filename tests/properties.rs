@@ -262,8 +262,9 @@ fn tuner_recommendations_respect_the_qos_bound() {
 fn omega_l_withdrawal_silences_every_defeated_candidate() {
     use sle_core::{GroupId, JoinConfig, NodeCount, ServiceConfig, ServiceNode};
     use sle_election::ElectorKind;
+    use sle_net::network::{NetworkModel, SimulatedNetwork};
     use sle_sim::observer::CountingObserver;
-    use sle_sim::prelude::{PerfectMedium, World};
+    use sle_sim::prelude::World;
 
     const NODES: usize = 6;
     const GROUP: GroupId = GroupId(1);
@@ -273,7 +274,7 @@ fn omega_l_withdrawal_silences_every_defeated_candidate() {
     let mut seeds = SimRng::seed_from(0x5111_E4CE);
     for _case in 0..5 {
         let seed = seeds.next_u64();
-        let mut world: World<ServiceNode, PerfectMedium> = World::new(
+        let mut world: World<ServiceNode, SimulatedNetwork> = World::new(
             NODES,
             Box::new(move |node, _inc| {
                 ServiceNode::new(
@@ -281,7 +282,7 @@ fn omega_l_withdrawal_silences_every_defeated_candidate() {
                         .with_auto_join(GROUP, JoinConfig::candidate()),
                 )
             }),
-            PerfectMedium,
+            NetworkModel::perfect().build(seed),
             seed,
         );
         let mut observer = CountingObserver::new();
@@ -302,7 +303,7 @@ fn omega_l_withdrawal_silences_every_defeated_candidate() {
             );
         }
 
-        let alives_at = |world: &World<ServiceNode, PerfectMedium>| -> Vec<u64> {
+        let alives_at = |world: &World<ServiceNode, SimulatedNetwork>| -> Vec<u64> {
             (0..NODES as u32)
                 .map(|i| {
                     world
