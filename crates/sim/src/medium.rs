@@ -164,6 +164,32 @@ mod tests {
     use super::*;
     use crate::testkit::FixedDelay;
 
+    /// The kernel's perfect test link: `FixedDelay(SimDuration::ZERO)`.
+    #[test]
+    fn perfect_medium_always_delivers_instantly() {
+        let mut m = FixedDelay(SimDuration::ZERO);
+        let mut rng = SimRng::seed_from(1);
+        let v = m.transmit(SimInstant::ZERO, NodeId(0), NodeId(1), 100, &mut rng);
+        assert_eq!(
+            v,
+            Verdict::Deliver {
+                delay: SimDuration::ZERO
+            }
+        );
+        assert!(v.is_delivered());
+    }
+
+    #[test]
+    fn fixed_delay_medium_uses_configured_delay() {
+        let mut m = FixedDelay(SimDuration::from_millis(20));
+        assert_eq!(m.0, SimDuration::from_millis(20));
+        let mut rng = SimRng::seed_from(1);
+        match m.transmit(SimInstant::ZERO, NodeId(0), NodeId(1), 1, &mut rng) {
+            Verdict::Deliver { delay } => assert_eq!(delay, SimDuration::from_millis(20)),
+            Verdict::Dropped => panic!("fixed delay medium must not drop"),
+        }
+    }
+
     #[test]
     fn verdict_helpers() {
         assert!(Verdict::immediate().is_delivered());
